@@ -19,16 +19,7 @@ use std::process::ExitCode;
 use sandf_bench::compare::{
     any_regressed, compare, markdown_table, parse_reports, PerfPoint, DEFAULT_TOLERANCE,
 };
-
-fn parse_flag<T: std::str::FromStr>(args: &[String], flag: &str) -> Result<Option<T>, String> {
-    match args.iter().position(|a| a == flag) {
-        None => Ok(None),
-        Some(i) => {
-            let value = args.get(i + 1).ok_or_else(|| format!("{flag} needs a value"))?;
-            value.parse().map(Some).map_err(|_| format!("bad value for {flag}: {value}"))
-        }
-    }
-}
+use sandf_bench::parse_flag;
 
 fn load(path: &str) -> Result<Vec<PerfPoint>, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;

@@ -26,22 +26,12 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use sandf_bench::perf::peak_rss_bytes;
-use sandf_bench::sweeps;
+use sandf_bench::{parse_flag, sweeps};
 use sandf_core::{NodeId, SfConfig};
 use sandf_sim::{
     doerr_spread_prediction, topology, BroadcastConfig, BroadcastLayer, Engine, FlatSimulation,
     ParSimulation, RumorChannel, SpreadReport, UniformLoss,
 };
-
-fn parse_flag<T: std::str::FromStr>(args: &[String], flag: &str) -> Result<Option<T>, String> {
-    match args.iter().position(|a| a == flag) {
-        None => Ok(None),
-        Some(i) => {
-            let value = args.get(i + 1).ok_or_else(|| format!("{flag} needs a value"))?;
-            value.parse().map(Some).map_err(|_| format!("bad value for {flag}: {value}"))
-        }
-    }
-}
 
 struct SweepArgs {
     nodes: usize,

@@ -21,18 +21,9 @@
 
 use std::process::ExitCode;
 
+use sandf_bench::parse_flag;
 use sandf_bench::perf::{run, PerfEngine, PerfProtocol, PerfSmokeConfig};
 use sandf_obs::MetricsRegistry;
-
-fn parse_flag<T: std::str::FromStr>(args: &[String], flag: &str) -> Result<Option<T>, String> {
-    match args.iter().position(|a| a == flag) {
-        None => Ok(None),
-        Some(i) => {
-            let value = args.get(i + 1).ok_or_else(|| format!("{flag} needs a value"))?;
-            value.parse().map(Some).map_err(|_| format!("bad value for {flag}: {value}"))
-        }
-    }
-}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();

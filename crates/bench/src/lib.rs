@@ -73,3 +73,19 @@ pub fn fmt(x: f64) -> String {
         format!("{x:.3e}")
     }
 }
+
+/// Parses the value following `flag` in a binary's argument list: `None`
+/// when the flag is absent.
+///
+/// # Errors
+///
+/// A message naming the flag when its value is missing or does not parse.
+pub fn parse_flag<T: std::str::FromStr>(args: &[String], flag: &str) -> Result<Option<T>, String> {
+    match args.iter().position(|a| a == flag) {
+        None => Ok(None),
+        Some(i) => {
+            let value = args.get(i + 1).ok_or_else(|| format!("{flag} needs a value"))?;
+            value.parse().map(Some).map_err(|_| format!("bad value for {flag}: {value}"))
+        }
+    }
+}

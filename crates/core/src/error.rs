@@ -79,7 +79,8 @@ pub enum JoinError {
     /// The engine's id allocator ran out of representable ids. The slot
     /// arenas store ids as `u32` words (with `u32::MAX` reserved as the
     /// empty sentinel), so joiners beyond that space are rejected rather
-    /// than silently aliased.
+    /// than silently aliased. A bootstrap id beyond that space is rejected
+    /// the same way, with `next` naming the offending id.
     IdSpaceExhausted {
         /// The id the allocator would have handed out.
         next: u64,

@@ -1,26 +1,20 @@
-//! The large-`n` fast path: a struct-of-arrays simulation engine.
+//! The large-`n` serial fast path: the classic engine's scheduler over the
+//! shared slot [`Arena`].
 //!
-//! [`Simulation`](crate::Simulation) keeps one heap-allocated
-//! [`SfNode`] per participant behind a `HashMap`, which is the right shape
-//! for protocol-level tests but collapses under cache pressure at
-//! `n ≥ 10⁵`: every step chases a hash bucket, a node box, and a slot
-//! vector. [`FlatSimulation`] is the same machine laid out flat:
+//! [`FlatSimulation`] is [`Simulation`](crate::Simulation) with its state
+//! moved into the struct-of-arrays arena (see [`crate::arena`] for the
+//! storage layout and the `u64`-id widening boundary). What this module
+//! owns is the part that makes it *that* engine:
 //!
-//! * **slot arena** — all views live in one contiguous `Vec<u32>` of
-//!   `n · s` slots; node `k` owns `arena[k·s .. (k+1)·s]`, with
-//!   `u32::MAX` as the empty-slot sentinel and a parallel `Vec<u8>` for
-//!   the per-slot flag bits (dependence, tombstones). Ids are stored as
-//!   `u32` words — half the footprint of the public `u64` id space, so an
-//!   `s = 16` window is exactly one cache line — with a checked widening
-//!   boundary at the `u64`-id API (ids at or above `u32::MAX` are
-//!   rejected at construction and join time);
-//! * **flat ledgers** — outdegrees and per-node [`NodeStats`] are dense
-//!   arrays indexed by the node's arena slot, not fields of a boxed node,
-//!   and the live list packs each node's raw id next to its dense arena
-//!   index so the hot stepping path never touches the id → dense table;
+//! * **central-entity scheduler** — one global RNG; each step draws a
+//!   uniformly random live node (the paper's §5 execution model). The live
+//!   list keeps the classic engine's order — insertion order with
+//!   `swap_remove` on leave — because the initiator draw indexes into it,
+//!   and packs each node's raw id next to its dense arena index so the hot
+//!   stepping path never touches the id → dense table;
 //! * **ring-buffer delivery** — under [`DelayModel::UniformSteps`] the
 //!   in-flight queue is a preallocated ring of `max + 1` buckets reused
-//!   round after round, replacing the classic engine's
+//!   round after round (`O(max)` memory), replacing the classic engine's
 //!   `BTreeMap<u64, Vec<…>>` that allocates per delivery time;
 //! * **branch-light stepping** — the subscriber-free delivery drain is a
 //!   single counter check per step, and the observed paths stay out of
@@ -30,9 +24,9 @@
 //!
 //! The engine is generic over a [`ProtocolBehavior`] `B`, defaulting to
 //! [`SfBehavior`] — the paper's S&F protocol. The behavior owns the view
-//! algebra (initiate / receive over a [`SlotView`] window into the arena);
-//! the engine owns scheduling, the lossy channel, churn bookkeeping, and
-//! the stats ledgers. Protocols that reply (push-pull, shuffle) route the
+//! algebra (initiate / receive over a [`SlotView`](crate::SlotView) window
+//! into the arena); the engine owns scheduling, the lossy channel, and the
+//! system-wide stats. Protocols that reply (push-pull, shuffle) route the
 //! reply back through the channel: a loss draw per hop, delay-model
 //! scheduling, and a [`MAX_REPLY_CHAIN`] hop cap per delivery. S&F never
 //! replies, so the reply machinery is dead code on the default path.
@@ -54,14 +48,6 @@
 //! promise (there is no classic counterpart to compare against); they are
 //! validated statistically in `tests/protocol_conformance.rs`.
 //!
-//! # Scope
-//!
-//! Ids are used as dense table indices (the id → node map is a flat
-//! `Vec`, not a hash map), so memory is proportional to the *largest raw
-//! id*, not the live count. The in-repo topology builders assign
-//! contiguous ids from zero and joins extend them by one, which is the
-//! intended regime. Memory for the delay ring is `O(max)` buckets.
-//!
 //! ```
 //! use sandf_core::SfConfig;
 //! use sandf_sim::{topology, FlatSimulation, UniformLoss};
@@ -79,27 +65,19 @@ use std::fmt;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use sandf_core::{Entry, JoinError, LocalView, NodeId, NodeStats, SfConfig, SfNode};
+use sandf_core::{JoinError, LocalView, NodeId, NodeStats, SfConfig, SfNode};
 use sandf_graph::{DependenceReport, MembershipGraph};
 use sandf_obs::{duration_buckets, HistogramHandle, MetricsRegistry, SpanTimer};
 
+use crate::arena::Arena;
 use crate::degree::DegreeStats;
 use crate::engine::{DelayModel, SimStats, StepEvent, StepPhase, StepReport, StepSubscriber};
 use crate::fault::{FaultCtx, FaultModel};
-use crate::traits::{
-    slot_word, ProtocolBehavior, SfBehavior, SlotView, ARENA_ID_LIMIT, FLAG_DEPENDENT,
-    MAX_REPLY_CHAIN,
-};
+use crate::traits::{slot_word, ProtocolBehavior, SfBehavior, MAX_REPLY_CHAIN};
 
 /// A delivery hop's outcome: the step event, plus a protocol reply
 /// (receiver, message) still to be routed.
 type HopOutcome<M> = (StepEvent<M>, Option<(NodeId, M)>);
-
-/// Empty-slot sentinel in the arena. Real node ids must stay below it.
-const EMPTY: u32 = crate::traits::EMPTY_SLOT;
-
-/// "Not live" sentinel in the id → dense-index table.
-const DEAD: u32 = u32::MAX;
 
 /// One live-list entry: a node's raw id packed next to its dense arena
 /// index, so resolving a drawn initiator costs no extra random read of
@@ -112,6 +90,12 @@ struct LiveRef {
 }
 
 impl LiveRef {
+    /// Pairs an admitted node's id with its dense index.
+    fn new(arena: &Arena, k: usize) -> Self {
+        let dense = u32::try_from(k).expect("the arena bounds dense indices below u32::MAX");
+        Self { id: slot_word(arena.dense_id[k]), dense }
+    }
+
     #[inline]
     fn node_id(self) -> NodeId {
         NodeId::new(u64::from(self.id))
@@ -131,10 +115,10 @@ struct FlatProfile {
 ///
 /// Construction, stepping, churn, and measurement mirror the classic
 /// engine's API; the module-level comment at the top of `flat.rs` spells
-/// out the storage layout, the protocol genericity, and the equivalence
-/// contract.
+/// out the scheduler, the protocol genericity, and the equivalence
+/// contract, and `arena.rs` the storage layout.
 ///
-/// All views live in one contiguous `n × s` slot arena (`u64::MAX` marks
+/// All views live in one contiguous `n × s` slot arena (`u32::MAX` marks
 /// an empty slot, a parallel byte array carries the per-slot flag bits),
 /// outdegrees and per-node [`NodeStats`] are dense arrays, and the
 /// delayed in-flight queue is a preallocated ring of `max + 1` buckets.
@@ -155,26 +139,10 @@ struct FlatProfile {
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub struct FlatSimulation<L, B: ProtocolBehavior = SfBehavior> {
-    config: SfConfig,
-    /// View size, cached out of `config` for the hot loops.
-    s: usize,
+    /// Views, ledgers and id tables.
+    arena: Arena,
     /// The protocol executed over the arena.
     behavior: B,
-    /// Slot arena: node `k` owns `slot_ids[k·s .. (k+1)·s]`.
-    slot_ids: Vec<u32>,
-    /// Per-slot flag bits, parallel to `slot_ids` (meaningless on `EMPTY`).
-    slot_flags: Vec<u8>,
-    /// Outdegree ledger, indexed by dense node index.
-    degree: Vec<u32>,
-    /// Streaming live-outdegree histogram, maintained at store/delete
-    /// time alongside `degree`.
-    degree_hist: DegreeStats,
-    /// Per-node event counters, indexed by dense node index.
-    node_stats: Vec<NodeStats>,
-    /// Dense index → node id (grows on join, never shrinks).
-    dense_id: Vec<NodeId>,
-    /// Raw id → dense index (`DEAD` for departed or never-assigned ids).
-    index: Vec<u32>,
     /// Live (id, dense) pairs in the classic engine's order (insertion
     /// order with `swap_remove` on leave) — the initiator-sampling
     /// population.
@@ -196,7 +164,6 @@ pub struct FlatSimulation<L, B: ProtocolBehavior = SfBehavior> {
     drained_to: u64,
     rng: StdRng,
     stats: SimStats,
-    next_id: u64,
     /// Registered step-event observers (not carried across clones).
     subscribers: Vec<Box<dyn StepSubscriber<B::Msg>>>,
     /// Hot-path span histograms, when a profiler is attached.
@@ -208,16 +175,8 @@ impl<L: Clone, B: ProtocolBehavior> Clone for FlatSimulation<L, B> {
     /// subscribers are **not** cloned and an attached profiler is shared.
     fn clone(&self) -> Self {
         Self {
-            config: self.config,
-            s: self.s,
+            arena: self.arena.clone(),
             behavior: self.behavior.clone(),
-            slot_ids: self.slot_ids.clone(),
-            slot_flags: self.slot_flags.clone(),
-            degree: self.degree.clone(),
-            degree_hist: self.degree_hist.clone(),
-            node_stats: self.node_stats.clone(),
-            dense_id: self.dense_id.clone(),
-            index: self.index.clone(),
             live: self.live.clone(),
             loss: self.loss.clone(),
             delay: self.delay,
@@ -228,7 +187,6 @@ impl<L: Clone, B: ProtocolBehavior> Clone for FlatSimulation<L, B> {
             drained_to: self.drained_to,
             rng: self.rng.clone(),
             stats: self.stats,
-            next_id: self.next_id,
             subscribers: Vec::new(),
             profile: self.profile.clone(),
         }
@@ -238,7 +196,7 @@ impl<L: Clone, B: ProtocolBehavior> Clone for FlatSimulation<L, B> {
 impl<L: fmt::Debug, B: ProtocolBehavior> fmt::Debug for FlatSimulation<L, B> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("FlatSimulation")
-            .field("config", &self.config)
+            .field("config", &self.arena.config)
             .field("live", &self.live.len())
             .field("loss", &self.loss)
             .field("delay", &self.delay)
@@ -269,78 +227,7 @@ impl<L: FaultModel> FlatSimulation<L, SfBehavior> {
     /// slots).
     #[must_use]
     pub fn new(nodes: impl IntoIterator<Item = SfNode>, loss: L, seed: u64) -> Self {
-        let mut nodes = nodes.into_iter();
-        let hint = nodes.size_hint().0;
-        let first = nodes.next();
-        assert!(first.is_some(), "simulation needs at least one node");
-        let first = first.expect("checked above");
-        let config = first.config();
-        let s = config.view_size();
-        let mut index: Vec<u32> = Vec::new();
-        let mut slot_ids = Vec::with_capacity(hint.saturating_mul(s));
-        let mut slot_flags = Vec::with_capacity(hint.saturating_mul(s));
-        let mut degree = Vec::with_capacity(hint);
-        let mut node_stats = Vec::with_capacity(hint);
-        let mut ids: Vec<NodeId> = Vec::with_capacity(hint);
-        let mut live = Vec::with_capacity(hint);
-        let mut next_id = 0u64;
-        for node in std::iter::once(first).chain(nodes) {
-            assert!(node.config() == config, "all nodes must share one configuration");
-            let id = node.id();
-            let raw = id.index();
-            assert!(
-                (raw as u64) < ARENA_ID_LIMIT,
-                "node id {raw} exceeds the u32 arena id space (ids must stay below u32::MAX)"
-            );
-            if raw >= index.len() {
-                index.resize(raw + 1, DEAD);
-            }
-            assert!(index[raw] == DEAD, "duplicate node ids");
-            let dense = u32::try_from(ids.len()).expect("node count exceeds the dense index space");
-            index[raw] = dense;
-            live.push(LiveRef { id: slot_word(id), dense });
-            next_id = next_id.max(id.as_u64() + 1);
-            let base = slot_ids.len();
-            slot_ids.resize(base + s, EMPTY);
-            slot_flags.resize(base + s, 0u8);
-            let mut deg = 0u32;
-            for (off, slot) in node.view().slots().enumerate() {
-                if let Some(entry) = slot {
-                    slot_ids[base + off] = slot_word(entry.id);
-                    slot_flags[base + off] = if entry.dependent { FLAG_DEPENDENT } else { 0 };
-                    deg += 1;
-                }
-            }
-            degree.push(deg);
-            node_stats.push(*node.stats());
-            ids.push(id);
-        }
-        let degree_hist = DegreeStats::rebuild(s, degree.iter().copied());
-        Self {
-            config,
-            s,
-            behavior: SfBehavior,
-            slot_ids,
-            slot_flags,
-            degree,
-            degree_hist,
-            node_stats,
-            dense_id: ids,
-            index,
-            live,
-            loss,
-            delay: DelayModel::Immediate,
-            now: 0,
-            rounds: 0,
-            ring: Vec::new(),
-            in_flight_count: 0,
-            drained_to: 0,
-            rng: StdRng::seed_from_u64(seed),
-            stats: SimStats::default(),
-            next_id,
-            subscribers: Vec::new(),
-            profile: None,
-        }
+        Self::over(Arena::from_nodes(nodes), SfBehavior, loss, seed)
     }
 
     /// Creates a flat S&F simulation with a message-delay model; the
@@ -386,45 +273,16 @@ impl<L: FaultModel, B: ProtocolBehavior> FlatSimulation<L, B> {
         loss: L,
         seed: u64,
     ) -> Self {
-        assert!(!views.is_empty(), "simulation needs at least one node");
-        let s = config.view_size();
-        let n = views.len();
-        let ids: Vec<NodeId> = views.iter().map(|(id, _)| *id).collect();
-        let next_id = ids.iter().map(|id| id.as_u64() + 1).max().unwrap_or(0);
-        let max_raw = ids.iter().map(|id| id.index()).max().unwrap_or(0);
-        assert!(
-            (max_raw as u64) < ARENA_ID_LIMIT,
-            "node id {max_raw} exceeds the u32 arena id space (ids must stay below u32::MAX)"
-        );
-        let mut index = vec![DEAD; max_raw + 1];
-        let mut slot_ids = vec![EMPTY; n * s];
-        let slot_flags = vec![0u8; n * s];
-        let mut degree = vec![0u32; n];
-        let mut live = Vec::with_capacity(n);
-        for (k, (id, view)) in views.iter().enumerate() {
-            assert!(index[id.index()] == DEAD, "duplicate node ids");
-            assert!(view.len() <= s, "initial view exceeds the view size");
-            let dense = u32::try_from(k).expect("node count exceeds the dense index space");
-            index[id.index()] = dense;
-            live.push(LiveRef { id: slot_word(*id), dense });
-            let base = k * s;
-            for (off, entry) in view.iter().enumerate() {
-                slot_ids[base + off] = slot_word(*entry);
-            }
-            degree[k] = u32::try_from(view.len()).expect("view size exceeds u32");
-        }
-        let degree_hist = DegreeStats::rebuild(s, degree.iter().copied());
+        Self::over(Arena::from_views(config, views), behavior, loss, seed)
+    }
+
+    /// The shared constructor core: a fresh scheduler over a built arena,
+    /// every node live in dense (= insertion) order.
+    fn over(arena: Arena, behavior: B, loss: L, seed: u64) -> Self {
+        let live = (0..arena.dense_id.len()).map(|k| LiveRef::new(&arena, k)).collect();
         Self {
-            config,
-            s,
+            arena,
             behavior,
-            slot_ids,
-            slot_flags,
-            degree,
-            degree_hist,
-            node_stats: vec![NodeStats::new(); n],
-            dense_id: ids,
-            index,
             live,
             loss,
             delay: DelayModel::Immediate,
@@ -435,10 +293,14 @@ impl<L: FaultModel, B: ProtocolBehavior> FlatSimulation<L, B> {
             drained_to: 0,
             rng: StdRng::seed_from_u64(seed),
             stats: SimStats::default(),
-            next_id,
             subscribers: Vec::new(),
             profile: None,
         }
+    }
+
+    /// The live nodes' dense arena indices, in live order.
+    fn live_dense(&self) -> impl Iterator<Item = usize> + '_ {
+        self.live.iter().map(|entry| entry.dense as usize)
     }
 
     /// Installs a message-delay model on a freshly built simulation
@@ -497,7 +359,7 @@ impl<L: FaultModel, B: ProtocolBehavior> FlatSimulation<L, B> {
     /// The shared protocol configuration.
     #[must_use]
     pub fn config(&self) -> SfConfig {
-        self.config
+        self.arena.config
     }
 
     /// The behavior executing over the arena.
@@ -541,49 +403,19 @@ impl<L: FaultModel, B: ProtocolBehavior> FlatSimulation<L, B> {
     /// Resets system-wide and per-node counters (e.g. after burn-in).
     pub fn reset_stats(&mut self) {
         self.stats = SimStats::default();
-        for &entry in &self.live {
-            self.node_stats[entry.dense as usize].reset();
-        }
+        self.arena.reset_stats(self.live.iter().map(|entry| entry.dense as usize));
     }
 
     /// Sum of all live nodes' per-node counters.
     #[must_use]
     pub fn aggregate_node_stats(&self) -> NodeStats {
-        let mut total = NodeStats::new();
-        for &entry in &self.live {
-            total.merge(&self.node_stats[entry.dense as usize]);
-        }
-        total
-    }
-
-    /// The dense arena index of a live node, or `None` when departed.
-    #[inline]
-    fn dense_of(&self, id: NodeId) -> Option<usize> {
-        match self.index.get(id.index()) {
-            Some(&k) if k != DEAD => Some(k as usize),
-            _ => None,
-        }
-    }
-
-    /// Splits the engine into the disjoint parts a behavior callback
-    /// needs: node `k`'s slot window, the behavior, and the RNG.
-    #[inline]
-    fn parts(&mut self, k: usize) -> (SlotView<'_>, &B, &mut StdRng) {
-        let base = k * self.s;
-        let view = SlotView {
-            id: self.dense_id[k],
-            ids: &mut self.slot_ids[base..base + self.s],
-            flags: &mut self.slot_flags[base..base + self.s],
-            degree: &mut self.degree[k],
-            stats: &mut self.node_stats[k],
-        };
-        (view, &self.behavior, &mut self.rng)
+        self.arena.aggregate_node_stats(self.live_dense())
     }
 
     /// A live node's outdegree, or `None` when departed.
     #[must_use]
     pub fn out_degree_of(&self, id: NodeId) -> Option<usize> {
-        self.dense_of(id).map(|k| self.degree[k] as usize)
+        self.arena.out_degree_of(id)
     }
 
     /// Reconstitutes a live node's [`LocalView`] from the arena (slot
@@ -591,22 +423,7 @@ impl<L: FaultModel, B: ProtocolBehavior> FlatSimulation<L, B> {
     /// departed. Intended for snapshots and tests, not hot paths.
     #[must_use]
     pub fn node_view(&self, id: NodeId) -> Option<LocalView> {
-        let k = self.dense_of(id)?;
-        Some(self.view_at(k))
-    }
-
-    fn view_at(&self, k: usize) -> LocalView {
-        let base = k * self.s;
-        LocalView::from_slots(
-            (base..base + self.s)
-                .map(|i| {
-                    (self.slot_ids[i] != EMPTY).then(|| Entry {
-                        id: NodeId::new(u64::from(self.slot_ids[i])),
-                        dependent: self.slot_flags[i] & FLAG_DEPENDENT != 0,
-                    })
-                })
-                .collect(),
-        )
+        self.arena.dense_of(id).map(|k| self.arena.view_at(k))
     }
 
     /// Reconstitutes every live node as an [`SfNode`], in live order.
@@ -616,12 +433,7 @@ impl<L: FaultModel, B: ProtocolBehavior> FlatSimulation<L, B> {
     /// engine instead).
     #[must_use]
     pub fn to_nodes(&self) -> Vec<SfNode> {
-        self.live
-            .iter()
-            .map(|&entry| {
-                SfNode::from_view(entry.node_id(), self.config, self.view_at(entry.dense as usize))
-            })
-            .collect()
+        self.arena.to_nodes(self.live_dense())
     }
 
     /// Executes one step by a uniformly random live node (the paper's
@@ -669,21 +481,14 @@ impl<L: FaultModel, B: ProtocolBehavior> FlatSimulation<L, B> {
         self.stats.actions += 1;
         let k = match dense {
             Some(k) => k,
-            None => self.dense_of(initiator).expect("initiator must be live"),
+            None => self.arena.dense_of(initiator).expect("initiator must be live"),
         };
-        let config = self.config;
         let observed = !self.subscribers.is_empty();
         // Reports for reply hops triggered by an immediate delivery; they
         // causally follow the action report, so they are notified after
         // it. Empty (and unallocated) for non-replying protocols.
         let mut chained: Vec<StepReport<B::Msg>> = Vec::new();
-        let deg_before = self.degree[k];
-        let out = {
-            let (view, behavior, rng) = self.parts(k);
-            behavior.initiate(config, view, rng)
-        };
-        self.degree_hist.shift(deg_before, self.degree[k]);
-        let event = match out {
+        let event = match self.arena.initiate(&self.behavior, k, &mut self.rng) {
             None => {
                 self.stats.self_loops += 1;
                 StepEvent::SelfLoop
@@ -734,19 +539,13 @@ impl<L: FaultModel, B: ProtocolBehavior> FlatSimulation<L, B> {
     fn deliver_hop(&mut self, to: NodeId, message: B::Msg) -> HopOutcome<B::Msg> {
         let _span = self.profile.as_ref().map(|p| SpanTimer::start(&p.deliver));
         let duplicated = B::duplicated(&message);
-        match self.dense_of(to) {
+        match self.arena.dense_of(to) {
             None => {
                 self.stats.dead_letters += 1;
                 (StepEvent::DeadLetter { to, message, duplicated }, None)
             }
             Some(k) => {
-                let config = self.config;
-                let deg_before = self.degree[k];
-                let receipt = {
-                    let (view, behavior, rng) = self.parts(k);
-                    behavior.receive(config, view, message, rng)
-                };
-                self.degree_hist.shift(deg_before, self.degree[k]);
+                let receipt = self.arena.receive(&self.behavior, k, message, &mut self.rng);
                 if receipt.deleted {
                     self.stats.deleted += 1;
                 } else {
@@ -919,7 +718,7 @@ impl<L: FaultModel, B: ProtocolBehavior> FlatSimulation<L, B> {
         order.shuffle(&mut self.rng);
         for entry in order {
             let id = entry.node_id();
-            if self.dense_of(id).is_some() {
+            if self.arena.dense_of(id).is_some() {
                 self.step_impl(id, Some(entry.dense as usize));
             }
         }
@@ -978,21 +777,8 @@ impl<L: FaultModel, B: ProtocolBehavior> FlatSimulation<L, B> {
     ///
     /// Panics if `sponsor` is not live.
     pub fn join_via(&mut self, sponsor: NodeId) -> Result<NodeId, JoinError> {
-        let want = self.behavior.join_seed_size(self.config);
-        let k = self.dense_of(sponsor).expect("sponsor must be live");
-        let base = k * self.s;
-        let mut pool: Vec<NodeId> = (0..self.s)
-            .filter(|&off| {
-                self.slot_ids[base + off] != EMPTY && B::slot_visible(self.slot_flags[base + off])
-            })
-            .map(|off| NodeId::new(u64::from(self.slot_ids[base + off])))
-            .collect();
-        if pool.len() < want {
-            return Err(JoinError::TooFewIds { supplied: pool.len(), d_l: want });
-        }
-        pool.shuffle(&mut self.rng);
-        let bootstrap: Vec<NodeId> = pool.into_iter().take(want).collect();
-        self.join_with(&bootstrap)
+        let joined = self.arena.join_via(&self.behavior, sponsor, &mut self.rng);
+        self.admit(joined)
     }
 
     /// Adds a new node bootstrapped with the given ids (tagged dependent,
@@ -1004,36 +790,18 @@ impl<L: FaultModel, B: ProtocolBehavior> FlatSimulation<L, B> {
     ///
     /// Returns the behavior's [`JoinError`]s, or
     /// [`JoinError::IdSpaceExhausted`] when the id allocator has reached
-    /// the arena's `u32` id limit.
+    /// the arena's `u32` id limit or a bootstrap id lies beyond it (the
+    /// rejected join leaves the engine untouched).
     pub fn join_with(&mut self, bootstrap: &[NodeId]) -> Result<NodeId, JoinError> {
-        self.behavior.validate_bootstrap(self.config, bootstrap.len())?;
-        if self.next_id >= ARENA_ID_LIMIT {
-            return Err(JoinError::IdSpaceExhausted { next: self.next_id, limit: ARENA_ID_LIMIT });
-        }
-        let id = NodeId::new(self.next_id);
-        self.next_id += 1;
-        let k = self.dense_id.len();
-        let dense = u32::try_from(k).expect("node count exceeds the dense index space");
-        assert!(dense != DEAD, "dense index space exhausted");
-        let base = self.slot_ids.len();
-        self.slot_ids.resize(base + self.s, EMPTY);
-        self.slot_flags.resize(base + self.s, 0);
-        for (off, b) in bootstrap.iter().enumerate() {
-            self.slot_ids[base + off] = slot_word(*b);
-            self.slot_flags[base + off] = FLAG_DEPENDENT;
-        }
-        let deg = u32::try_from(bootstrap.len()).expect("bootstrap exceeds u32");
-        self.degree.push(deg);
-        self.degree_hist.add(deg);
-        self.node_stats.push(NodeStats::new());
-        self.dense_id.push(id);
-        let raw = id.index();
-        if raw >= self.index.len() {
-            self.index.resize(raw + 1, DEAD);
-        }
-        self.index[raw] = dense;
-        self.live.push(LiveRef { id: slot_word(id), dense });
-        Ok(id)
+        let joined = self.arena.join_with(&self.behavior, bootstrap);
+        self.admit(joined)
+    }
+
+    /// Appends a node the arena just admitted to the live list.
+    fn admit(&mut self, joined: Result<usize, JoinError>) -> Result<NodeId, JoinError> {
+        let entry = LiveRef::new(&self.arena, joined?);
+        self.live.push(entry);
+        Ok(entry.node_id())
     }
 
     /// Removes a node (leave/crash). Returns the departed node rebuilt
@@ -1041,10 +809,7 @@ impl<L: FaultModel, B: ProtocolBehavior> FlatSimulation<L, B> {
     /// engine's return value) its per-node counters are zeroed; the
     /// engine-level [`stats`](Self::stats) are unaffected either way.
     pub fn leave(&mut self, id: NodeId) -> Option<SfNode> {
-        let k = self.dense_of(id)?;
-        let node = SfNode::from_view(id, self.config, self.view_at(k));
-        self.index[id.index()] = DEAD;
-        self.degree_hist.remove(self.degree[k]);
+        let node = self.arena.leave(id)?;
         let needle = slot_word(id);
         let pos = self.live.iter().position(|e| e.id == needle).expect("live list out of sync");
         self.live.swap_remove(pos);
@@ -1059,28 +824,7 @@ impl<L: FaultModel, B: ProtocolBehavior> FlatSimulation<L, B> {
     /// visibility check only runs on the rare windows with a raw match.
     #[must_use]
     pub fn count_id_instances(&self, id: NodeId) -> usize {
-        if id.as_u64() >= ARENA_ID_LIMIT {
-            return 0;
-        }
-        let needle = slot_word(id);
-        self.live
-            .iter()
-            .map(|&entry| {
-                let base = (entry.dense as usize) * self.s;
-                let window = &self.slot_ids[base..base + self.s];
-                let raw = crate::scan::count_matches(window, needle);
-                if raw == 0 {
-                    return 0;
-                }
-                window
-                    .iter()
-                    .enumerate()
-                    .filter(|&(off, &slot)| {
-                        slot == needle && B::slot_visible(self.slot_flags[base + off])
-                    })
-                    .count()
-            })
-            .sum()
+        self.arena.count_id_instances::<B>(self.live_dense(), id)
     }
 
     /// Streaming degree statistics — the live outdegree histogram,
@@ -1089,24 +833,20 @@ impl<L: FaultModel, B: ProtocolBehavior> FlatSimulation<L, B> {
     /// ledgers at all times).
     #[must_use]
     pub fn degree_stats(&self) -> &DegreeStats {
-        &self.degree_hist
+        &self.arena.degree_hist
     }
 
     /// Snapshots the membership graph (live order, like the classic
     /// engine's snapshot; tombstoned slots are invisible).
     #[must_use]
     pub fn graph(&self) -> MembershipGraph {
-        MembershipGraph::from_views(self.live.iter().map(|&entry| {
-            let base = (entry.dense as usize) * self.s;
-            let targets: Vec<NodeId> = (0..self.s)
-                .filter(|&off| {
-                    self.slot_ids[base + off] != EMPTY
-                        && B::slot_visible(self.slot_flags[base + off])
-                })
-                .map(|off| NodeId::new(u64::from(self.slot_ids[base + off])))
-                .collect();
-            (entry.node_id(), targets)
-        }))
+        self.arena.graph::<B>(self.live_dense())
+    }
+
+    /// Visits every live node's visible view in live order; the body of
+    /// [`Engine::for_each_live_view`](crate::Engine::for_each_live_view).
+    pub(crate) fn for_each_live_view(&self, visit: &mut dyn FnMut(NodeId, &[NodeId])) {
+        self.arena.for_each_view::<B>(self.live_dense(), visit);
     }
 
     /// Measures spatial dependence across all live views (Property M4).
@@ -1119,103 +859,12 @@ impl<L: FaultModel, B: ProtocolBehavior> FlatSimulation<L, B> {
     }
 }
 
-impl<L: FaultModel, B: ProtocolBehavior> crate::traits::Engine for FlatSimulation<L, B> {
-    type Msg = B::Msg;
-    type Fault = L;
-
-    fn len(&self) -> usize {
-        Self::len(self)
-    }
-
-    fn live_ids(&self) -> Vec<NodeId> {
-        Self::live_ids(self)
-    }
-
-    fn config(&self) -> SfConfig {
-        Self::config(self)
-    }
-
-    fn stats(&self) -> SimStats {
-        *Self::stats(self)
-    }
-
-    fn reset_stats(&mut self) {
-        Self::reset_stats(self);
-    }
-
-    fn aggregate_node_stats(&self) -> NodeStats {
-        Self::aggregate_node_stats(self)
-    }
-
-    fn round(&mut self) {
-        Self::round(self);
-    }
-
-    fn rounds_run(&self) -> u64 {
-        Self::rounds_run(self)
-    }
-
-    fn in_flight(&self) -> usize {
-        Self::in_flight(self)
-    }
-
-    fn settle(&mut self) {
-        Self::settle(self);
-    }
-
-    fn join_via(&mut self, sponsor: NodeId) -> Result<NodeId, JoinError> {
-        Self::join_via(self, sponsor)
-    }
-
-    fn leave(&mut self, id: NodeId) -> bool {
-        Self::leave(self, id).is_some()
-    }
-
-    fn out_degree_of(&self, id: NodeId) -> Option<usize> {
-        Self::out_degree_of(self, id)
-    }
-
-    fn count_id_instances(&self, id: NodeId) -> usize {
-        Self::count_id_instances(self, id)
-    }
-
-    fn degree_stats(&self) -> DegreeStats {
-        Self::degree_stats(self).clone()
-    }
-
-    fn graph(&self) -> MembershipGraph {
-        Self::graph(self)
-    }
-
-    fn for_each_live_view(&self, visit: &mut dyn FnMut(NodeId, &[NodeId])) {
-        let mut buf: Vec<NodeId> = Vec::with_capacity(self.s);
-        for &entry in &self.live {
-            let base = (entry.dense as usize) * self.s;
-            buf.clear();
-            for off in 0..self.s {
-                let id = self.slot_ids[base + off];
-                if id != EMPTY && B::slot_visible(self.slot_flags[base + off]) {
-                    buf.push(NodeId::new(u64::from(id)));
-                }
-            }
-            visit(entry.node_id(), &buf);
-        }
-    }
-
-    fn update_fault(&mut self, f: impl FnMut(&mut L)) {
-        Self::update_fault(self, f);
-    }
-
-    fn subscribe(&mut self, subscriber: Box<dyn StepSubscriber<B::Msg>>) {
-        Self::subscribe(self, subscriber);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use crate::engine::Simulation;
     use crate::loss::{GilbertElliott, UniformLoss};
     use crate::topology;
+    use crate::traits::ARENA_ID_LIMIT;
 
     use super::*;
 
@@ -1250,10 +899,10 @@ mod tests {
             let classic_view = classic.node(id).expect("live in classic").view().clone();
             let flat_view = flat.node_view(id).expect("live in flat");
             assert_eq!(classic_view, flat_view, "view of {id} diverged");
-            assert_eq!(classic.node(id).unwrap().stats(), {
-                let agg = flat.node_stats[flat.dense_of(id).unwrap()];
-                &agg.clone()
-            });
+            assert_eq!(
+                classic.node(id).unwrap().stats(),
+                &flat.arena.node_stats[flat.arena.dense_of(id).unwrap()]
+            );
         }
     }
 
@@ -1497,19 +1146,6 @@ mod tests {
     }
 
     #[test]
-    fn join_with_validates_like_the_protocol() {
-        let mut sim = FlatSimulation::new(nodes(), UniformLoss::none(), 1);
-        // Same checks, same order, same payloads as `SfNode::with_view`.
-        let two: Vec<NodeId> = (0..2).map(NodeId::new).collect();
-        assert_eq!(sim.join_with(&two), Err(JoinError::TooFewIds { supplied: 2, d_l: 4 }));
-        let five: Vec<NodeId> = (0..5).map(NodeId::new).collect();
-        assert_eq!(sim.join_with(&five), Err(JoinError::OddIdCount { supplied: 5 }));
-        let too_many: Vec<NodeId> = (0..14).map(NodeId::new).collect();
-        assert_eq!(sim.join_with(&too_many), Err(JoinError::TooManyIds { supplied: 14, s: 12 }));
-        assert!(sim.join_with(&(0..4).map(NodeId::new).collect::<Vec<_>>()).is_ok());
-    }
-
-    #[test]
     fn from_views_builds_a_runnable_zoo_arena() {
         let n = 12u64;
         let views: Vec<(NodeId, Vec<NodeId>)> = (0..n)
@@ -1529,39 +1165,17 @@ mod tests {
     }
 
     #[test]
-    fn join_is_rejected_once_the_u32_id_space_is_exhausted() {
+    fn a_rejected_join_leaves_the_scheduler_untouched() {
         let mut sim = FlatSimulation::new(nodes(), UniformLoss::none(), 1);
-        // Reaching the limit organically needs ~4.3 billion joins (and a
-        // 17 GB id → dense table); the guard only reads the counter, so
-        // pin it at the boundary directly.
-        sim.next_id = ARENA_ID_LIMIT;
-        let bootstrap: Vec<NodeId> = (0..4).map(NodeId::new).collect();
+        // Congruent to live id 3 modulo 2^32: a truncating store would
+        // alias it onto node 3 (and did, in release builds).
+        let wide = [NodeId::new((1 << 32) + 3); 4];
         assert_eq!(
-            sim.join_with(&bootstrap),
-            Err(JoinError::IdSpaceExhausted { next: ARENA_ID_LIMIT, limit: ARENA_ID_LIMIT })
+            sim.join_with(&wide),
+            Err(JoinError::IdSpaceExhausted { next: (1 << 32) + 3, limit: ARENA_ID_LIMIT })
         );
-        assert_eq!(sim.len(), 24, "a rejected join must not touch the arena");
+        assert_eq!(sim.len(), 24);
         assert_eq!(sim.degree_stats().live_nodes(), 24);
-    }
-
-    #[test]
-    #[should_panic(expected = "exceeds the u32 arena id space")]
-    fn construction_rejects_ids_at_the_slot_sentinel() {
-        // `u32::MAX` is the empty-slot sentinel; a node with that id
-        // would be indistinguishable from an empty slot.
-        let node = SfNode::new(NodeId::new(u64::from(u32::MAX)), config());
-        let _ = FlatSimulation::new(vec![node], UniformLoss::none(), 1);
-    }
-
-    #[test]
-    fn queries_beyond_the_widening_boundary_never_alias() {
-        let sim = FlatSimulation::new(nodes(), UniformLoss::none(), 1);
-        // Congruent to a live id modulo 2^32 — a truncating comparison
-        // would alias it onto node 3.
-        let wide = NodeId::new((1u64 << 32) + 3);
-        assert_eq!(sim.count_id_instances(wide), 0);
-        assert_eq!(sim.out_degree_of(wide), None);
-        assert!(sim.count_id_instances(NodeId::new(3)) > 0, "node 3 is referenced in the ring");
-        assert_eq!(sim.out_degree_of(NodeId::new(3)), Some(4));
+        assert_eq!(sim.count_id_instances(NodeId::new(3)), 4);
     }
 }

@@ -31,6 +31,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod arena;
 pub mod broadcast;
 mod degree;
 mod engine;

@@ -1,4 +1,11 @@
-//! The multi-threaded fast path: a sharded, round-based simulation engine.
+//! The multi-threaded fast path: a sharded, round-based scheduler over the
+//! shared slot [`Arena`].
+//!
+//! Storage — the `n × s` slot words, the dense ledgers, the id tables and
+//! the `u64`-id widening boundary — is the same [`Arena`] the flat engine
+//! runs on and is documented once, in [`crate::arena`]. What this module
+//! owns is the scheduler, the in-flight queue, and the determinism
+//! contract.
 //!
 //! [`FlatSimulation`](crate::FlatSimulation) is bound by single-thread
 //! throughput: one RNG stream forces every step to happen in sequence. The
@@ -10,7 +17,12 @@
 //! node's behavior in a round then depends only on `(seed, node id,
 //! round)` and its own view, never on which thread ran it, so the arena
 //! can be split into `T` contiguous shards and processed concurrently
-//! while staying **byte-identical for any thread count**.
+//! while staying **byte-identical for any thread count**. That contract is
+//! also why the live order here is *ascending dense order* (the order the
+//! shards walk the arena in), not the flat engine's insertion order, and
+//! why every sender owns a private clone of the loss channel. The
+//! in-flight queue is a ring of `max + 1` buckets, one per delivery
+//! *round* (a single bucket in immediate mode).
 //!
 //! Each round executes three phases:
 //!
@@ -75,25 +87,16 @@
 use std::fmt;
 
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use sandf_core::{Entry, JoinError, LocalView, NodeId, NodeStats, SfConfig, SfNode};
+use sandf_core::{JoinError, LocalView, NodeId, NodeStats, SfConfig, SfNode};
 use sandf_graph::{DependenceReport, MembershipGraph};
 use sandf_obs::{duration_buckets, GaugeHandle, HistogramHandle, MetricsRegistry, SpanTimer};
 
+use crate::arena::{Arena, Shard};
 use crate::degree::DegreeStats;
 use crate::engine::{DelayModel, SimStats, StepEvent, StepPhase, StepReport, StepSubscriber};
 use crate::fault::{FaultCtx, FaultModel};
-use crate::traits::{
-    slot_word, ProtocolBehavior, SfBehavior, SlotView, ARENA_ID_LIMIT, FLAG_DEPENDENT,
-    MAX_REPLY_CHAIN,
-};
-
-/// Empty-slot sentinel in the arena. Real node ids must stay below it.
-const EMPTY: u32 = crate::traits::EMPTY_SLOT;
-
-/// "Not live" sentinel in the id → dense-index table.
-const DEAD: u32 = u32::MAX;
+use crate::traits::{ProtocolBehavior, SfBehavior, MAX_REPLY_CHAIN};
 
 /// 64-bit FNV-1a offset basis.
 const FNV_OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
@@ -182,14 +185,11 @@ struct ParProfile {
 
 /// Read-only context shared by all action-phase shard workers.
 #[derive(Clone, Copy)]
-struct ActionCtx<'a> {
-    s: usize,
+struct ActionCtx {
     config: SfConfig,
     seed: u64,
     round: u64,
     delay: DelayModel,
-    dense_id: &'a [NodeId],
-    index: &'a [u32],
     observed: bool,
 }
 
@@ -210,7 +210,6 @@ struct ActionShardOut<M> {
 /// Read-only context shared by all delivery-phase shard workers.
 #[derive(Clone, Copy)]
 struct DeliveryCtx {
-    s: usize,
     config: SfConfig,
     seed: u64,
     /// The delivery time of the drained bucket.
@@ -276,29 +275,10 @@ impl<M> DeliveryShardOut<M> {
 /// Under [`DelayModel::Immediate`] messages are delivered in the same
 /// round's delivery phase (after every node has acted).
 pub struct ParSimulation<L, B: ProtocolBehavior = SfBehavior> {
-    config: SfConfig,
-    /// View size, cached out of `config` for the hot loops.
-    s: usize,
+    /// Views, ledgers and id tables.
+    arena: Arena,
     /// The protocol executing over the arena.
     behavior: B,
-    /// Slot arena: node `k` owns `slot_ids[k·s .. (k+1)·s]`. Ids are
-    /// stored as `u32` words (see [`ARENA_ID_LIMIT`]); the public API
-    /// widens at the boundary.
-    slot_ids: Vec<u32>,
-    /// Per-slot flag bits, parallel to `slot_ids` (meaningless on `EMPTY`).
-    slot_flags: Vec<u8>,
-    /// Outdegree ledger, indexed by dense node index.
-    degree: Vec<u32>,
-    /// Streaming live-outdegree histogram, maintained at store/delete
-    /// time alongside `degree` (shards report signed deltas, merged
-    /// commutatively).
-    degree_hist: DegreeStats,
-    /// Per-node event counters, indexed by dense node index.
-    node_stats: Vec<NodeStats>,
-    /// Dense index → node id (grows on join, never shrinks).
-    dense_id: Vec<NodeId>,
-    /// Raw id → dense index (`DEAD` for departed or never-assigned ids).
-    index: Vec<u32>,
     /// Number of live nodes (the dense arena also carries departed ones).
     live_count: usize,
     /// Per-sender loss channels, indexed by dense node index. Stateful
@@ -323,7 +303,6 @@ pub struct ParSimulation<L, B: ProtocolBehavior = SfBehavior> {
     /// from the per-node streams.
     ctl_rng: StdRng,
     stats: SimStats,
-    next_id: u64,
     threads: usize,
     /// Shard balance of the last executed round: max shard live count over
     /// the perfectly balanced share (1.0 = balanced).
@@ -339,16 +318,8 @@ impl<L: Clone, B: ProtocolBehavior> Clone for ParSimulation<L, B> {
     /// are **not** cloned and an attached profiler is shared.
     fn clone(&self) -> Self {
         Self {
-            config: self.config,
-            s: self.s,
+            arena: self.arena.clone(),
             behavior: self.behavior.clone(),
-            slot_ids: self.slot_ids.clone(),
-            slot_flags: self.slot_flags.clone(),
-            degree: self.degree.clone(),
-            degree_hist: self.degree_hist.clone(),
-            node_stats: self.node_stats.clone(),
-            dense_id: self.dense_id.clone(),
-            index: self.index.clone(),
             live_count: self.live_count,
             loss: self.loss.clone(),
             loss_proto: self.loss_proto.clone(),
@@ -360,7 +331,6 @@ impl<L: Clone, B: ProtocolBehavior> Clone for ParSimulation<L, B> {
             seed: self.seed,
             ctl_rng: self.ctl_rng.clone(),
             stats: self.stats,
-            next_id: self.next_id,
             threads: self.threads,
             last_imbalance: self.last_imbalance,
             subscribers: Vec::new(),
@@ -372,7 +342,7 @@ impl<L: Clone, B: ProtocolBehavior> Clone for ParSimulation<L, B> {
 impl<L: fmt::Debug, B: ProtocolBehavior> fmt::Debug for ParSimulation<L, B> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ParSimulation")
-            .field("config", &self.config)
+            .field("config", &self.arena.config)
             .field("live", &self.live_count)
             .field("loss", &self.loss_proto)
             .field("delay", &self.delay)
@@ -394,8 +364,8 @@ impl<L: FaultModel + Clone + Send> ParSimulation<L, SfBehavior> {
     /// # Panics
     ///
     /// Panics if `nodes` is empty, contains duplicate ids, mixes
-    /// configurations, uses ids at or beyond [`ARENA_ID_LIMIT`], or if
-    /// `threads` is zero.
+    /// configurations, uses ids at or beyond
+    /// [`ARENA_ID_LIMIT`](crate::ARENA_ID_LIMIT), or if `threads` is zero.
     #[must_use]
     pub fn new(
         nodes: impl IntoIterator<Item = SfNode>,
@@ -403,42 +373,7 @@ impl<L: FaultModel + Clone + Send> ParSimulation<L, SfBehavior> {
         seed: u64,
         threads: usize,
     ) -> Self {
-        let mut nodes = nodes.into_iter();
-        let hint = nodes.size_hint().0;
-        let first = nodes.next();
-        assert!(first.is_some(), "simulation needs at least one node");
-        let first = first.expect("checked above");
-        let config = first.config();
-        let s = config.view_size();
-        let mut dense_id: Vec<NodeId> = Vec::with_capacity(hint);
-        let mut slot_ids = Vec::with_capacity(hint.saturating_mul(s));
-        let mut slot_flags = Vec::with_capacity(hint.saturating_mul(s));
-        let mut degree = Vec::with_capacity(hint);
-        let mut node_stats = Vec::with_capacity(hint);
-        // One streaming pass: at large `n` the caller can feed
-        // `topology::circulant_iter` and construction never materializes
-        // the boxed node set — the peak footprint is the arena itself.
-        for node in std::iter::once(first).chain(nodes) {
-            assert!(node.config() == config, "all nodes must share one configuration");
-            let base = slot_ids.len();
-            slot_ids.resize(base + s, EMPTY);
-            slot_flags.resize(base + s, 0u8);
-            let mut deg = 0u32;
-            for (off, slot) in node.view().slots().enumerate() {
-                if let Some(entry) = slot {
-                    slot_ids[base + off] = slot_word(entry.id);
-                    slot_flags[base + off] = if entry.dependent { FLAG_DEPENDENT } else { 0 };
-                    deg += 1;
-                }
-            }
-            degree.push(deg);
-            node_stats.push(*node.stats());
-            dense_id.push(node.id());
-        }
-        Self::from_arena(
-            SfBehavior, config, dense_id, slot_ids, slot_flags, degree, node_stats, loss, seed,
-            threads,
-        )
+        Self::over(Arena::from_nodes(nodes), SfBehavior, loss, seed, threads)
     }
 
     /// Creates a sharded simulation with a message-delay model. Under
@@ -482,81 +417,17 @@ impl<L: FaultModel + Clone + Send, B: ProtocolBehavior> ParSimulation<L, B> {
         seed: u64,
         threads: usize,
     ) -> Self {
-        assert!(!views.is_empty(), "simulation needs at least one node");
-        let s = config.view_size();
-        let n = views.len();
-        let dense_id: Vec<NodeId> = views.iter().map(|(id, _)| *id).collect();
-        let mut slot_ids = vec![EMPTY; n * s];
-        let mut degree = vec![0u32; n];
-        for (k, (_, view)) in views.iter().enumerate() {
-            assert!(view.len() <= s, "initial view exceeds the view size");
-            let base = k * s;
-            for (off, entry) in view.iter().enumerate() {
-                slot_ids[base + off] = slot_word(*entry);
-            }
-            degree[k] = u32::try_from(view.len()).expect("view size exceeds u32");
-        }
-        let n = dense_id.len();
-        Self::from_arena(
-            behavior,
-            config,
-            dense_id,
-            slot_ids,
-            vec![0u8; n * s],
-            degree,
-            vec![NodeStats::new(); n],
-            loss,
-            seed,
-            threads,
-        )
+        Self::over(Arena::from_views(config, views), behavior, loss, seed, threads)
     }
 
-    /// The shared constructor core: dense ledgers, id index, loss
-    /// channels. The public constructors hand over the fully built slot
-    /// arena (no throwaway zeroed copies — at `n = 10⁷` a discarded
-    /// `n·s` slot array would cost ~640 MB of transient peak RSS).
-    #[allow(clippy::too_many_arguments)]
-    fn from_arena(
-        behavior: B,
-        config: SfConfig,
-        dense_id: Vec<NodeId>,
-        slot_ids: Vec<u32>,
-        slot_flags: Vec<u8>,
-        degree: Vec<u32>,
-        node_stats: Vec<NodeStats>,
-        loss: L,
-        seed: u64,
-        threads: usize,
-    ) -> Self {
+    /// The shared constructor core: a fresh scheduler over a built arena,
+    /// one loss channel per node.
+    fn over(arena: Arena, behavior: B, loss: L, seed: u64, threads: usize) -> Self {
         assert!(threads > 0, "thread count must be positive");
-        let s = config.view_size();
-        let n = dense_id.len();
-        let next_id = dense_id.iter().map(|id| id.as_u64() + 1).max().unwrap_or(0);
-        let max_raw = dense_id.iter().map(|id| id.index()).max().unwrap_or(0);
-        assert!(
-            (max_raw as u64) < ARENA_ID_LIMIT,
-            "node id {max_raw} exceeds the u32 arena id space (ids must stay below u32::MAX)"
-        );
-        let mut index = vec![DEAD; max_raw + 1];
-        for (k, id) in dense_id.iter().enumerate() {
-            assert!(index[id.index()] == DEAD, "duplicate node ids");
-            index[id.index()] = u32::try_from(k).expect("node count exceeds the dense index space");
-        }
-        debug_assert_eq!(slot_ids.len(), n * s);
-        debug_assert_eq!(slot_flags.len(), n * s);
-        debug_assert_eq!(degree.len(), n);
-        debug_assert_eq!(node_stats.len(), n);
+        let n = arena.dense_id.len();
         Self {
-            config,
-            s,
+            arena,
             behavior,
-            degree_hist: DegreeStats::rebuild(s, degree.iter().copied()),
-            slot_ids,
-            slot_flags,
-            degree,
-            node_stats,
-            dense_id,
-            index,
             live_count: n,
             loss: vec![loss.clone(); n],
             loss_proto: loss,
@@ -568,7 +439,6 @@ impl<L: FaultModel + Clone + Send, B: ProtocolBehavior> ParSimulation<L, B> {
             seed,
             ctl_rng: StdRng::seed_from_u64(control_seed(seed)),
             stats: SimStats::default(),
-            next_id,
             threads,
             last_imbalance: 1.0,
             subscribers: Vec::new(),
@@ -639,7 +509,7 @@ impl<L: FaultModel + Clone + Send, B: ProtocolBehavior> ParSimulation<L, B> {
     /// The shared protocol configuration.
     #[must_use]
     pub fn config(&self) -> SfConfig {
-        self.config
+        self.arena.config
     }
 
     /// The behavior executing over the arena.
@@ -678,12 +548,7 @@ impl<L: FaultModel + Clone + Send, B: ProtocolBehavior> ParSimulation<L, B> {
     /// deterministic iteration order).
     #[must_use]
     pub fn live_ids(&self) -> Vec<NodeId> {
-        self.dense_id
-            .iter()
-            .enumerate()
-            .filter(|&(k, id)| self.index[id.index()] == k as u32)
-            .map(|(_, &id)| id)
-            .collect()
+        self.arena.live_dense().map(|k| self.arena.dense_id[k]).collect()
     }
 
     /// Number of messages currently in flight (0 after any complete round
@@ -735,59 +600,20 @@ impl<L: FaultModel + Clone + Send, B: ProtocolBehavior> ParSimulation<L, B> {
     /// Resets system-wide and per-node counters (e.g. after burn-in).
     pub fn reset_stats(&mut self) {
         self.stats = SimStats::default();
-        let live: Vec<usize> = self.live_dense().collect();
-        for k in live {
-            self.node_stats[k].reset();
-        }
+        let live: Vec<usize> = self.arena.live_dense().collect();
+        self.arena.reset_stats(live.into_iter());
     }
 
     /// Sum of all live nodes' per-node counters.
     #[must_use]
     pub fn aggregate_node_stats(&self) -> NodeStats {
-        let mut total = NodeStats::new();
-        for k in self.live_dense() {
-            total.merge(&self.node_stats[k]);
-        }
-        total
-    }
-
-    /// Dense indices of the live nodes, in arena order.
-    fn live_dense(&self) -> impl Iterator<Item = usize> + '_ {
-        self.dense_id
-            .iter()
-            .enumerate()
-            .filter(|&(k, id)| self.index[id.index()] == k as u32)
-            .map(|(k, _)| k)
-    }
-
-    /// The dense arena index of a live node, or `None` when departed.
-    #[inline]
-    fn dense_of(&self, id: NodeId) -> Option<usize> {
-        match self.index.get(id.index()) {
-            Some(&k) if k != DEAD => Some(k as usize),
-            _ => None,
-        }
-    }
-
-    /// Splits the engine into the disjoint parts a sequential behavior
-    /// callback needs: node `k`'s slot window and the behavior.
-    #[inline]
-    fn parts(&mut self, k: usize) -> (SlotView<'_>, &B) {
-        let base = k * self.s;
-        let view = SlotView {
-            id: self.dense_id[k],
-            ids: &mut self.slot_ids[base..base + self.s],
-            flags: &mut self.slot_flags[base..base + self.s],
-            degree: &mut self.degree[k],
-            stats: &mut self.node_stats[k],
-        };
-        (view, &self.behavior)
+        self.arena.aggregate_node_stats(self.arena.live_dense())
     }
 
     /// A live node's outdegree, or `None` when departed.
     #[must_use]
     pub fn out_degree_of(&self, id: NodeId) -> Option<usize> {
-        self.dense_of(id).map(|k| self.degree[k] as usize)
+        self.arena.out_degree_of(id)
     }
 
     /// Reconstitutes a live node's [`LocalView`] from the arena (slot
@@ -795,22 +621,7 @@ impl<L: FaultModel + Clone + Send, B: ProtocolBehavior> ParSimulation<L, B> {
     /// departed. Intended for snapshots and tests, not hot paths.
     #[must_use]
     pub fn node_view(&self, id: NodeId) -> Option<LocalView> {
-        let k = self.dense_of(id)?;
-        Some(self.view_at(k))
-    }
-
-    fn view_at(&self, k: usize) -> LocalView {
-        let base = k * self.s;
-        LocalView::from_slots(
-            (base..base + self.s)
-                .map(|i| {
-                    (self.slot_ids[i] != EMPTY).then(|| Entry {
-                        id: NodeId::new(u64::from(self.slot_ids[i])),
-                        dependent: self.slot_flags[i] & FLAG_DEPENDENT != 0,
-                    })
-                })
-                .collect(),
-        )
+        self.arena.dense_of(id).map(|k| self.arena.view_at(k))
     }
 
     /// Reconstitutes every live node as an [`SfNode`], in dense arena
@@ -819,9 +630,16 @@ impl<L: FaultModel + Clone + Send, B: ProtocolBehavior> ParSimulation<L, B> {
     /// the engine instead).
     #[must_use]
     pub fn to_nodes(&self) -> Vec<SfNode> {
-        self.live_dense()
-            .map(|k| SfNode::from_view(self.dense_id[k], self.config, self.view_at(k)))
-            .collect()
+        self.arena.to_nodes(self.arena.live_dense())
+    }
+
+    /// How the arena splits for the configured thread count: the shard
+    /// length (in nodes) and the effective worker count (never more
+    /// workers than nodes).
+    fn shard_plan(&self) -> (usize, usize) {
+        let nodes = self.arena.dense_id.len();
+        let threads = self.threads.min(nodes).max(1);
+        (nodes.div_ceil(threads), threads)
     }
 
     /// Executes one three-phase round: every live node initiates exactly
@@ -829,9 +647,7 @@ impl<L: FaultModel + Clone + Send, B: ProtocolBehavior> ParSimulation<L, B> {
     /// deterministically into the in-flight ring, and the messages due
     /// this round are delivered (parallel).
     pub fn round(&mut self) {
-        let arena = self.dense_id.len();
-        let threads = self.threads.min(arena).max(1);
-        let shard_len = arena.div_ceil(threads);
+        let (shard_len, threads) = self.shard_plan();
         let round = self.round;
         let observed = !self.subscribers.is_empty();
 
@@ -839,64 +655,17 @@ impl<L: FaultModel + Clone + Send, B: ProtocolBehavior> ParSimulation<L, B> {
         let outs = {
             let _span = self.profile.as_ref().map(|p| SpanTimer::start(&p.action));
             let ctx = ActionCtx {
-                s: self.s,
-                config: self.config,
+                config: self.arena.config,
                 seed: self.seed,
                 round,
                 delay: self.delay,
-                dense_id: &self.dense_id,
-                index: &self.index,
                 observed,
             };
             let behavior = &self.behavior;
-            let shards = self
-                .slot_ids
-                .chunks_mut(shard_len * self.s)
-                .zip(self.slot_flags.chunks_mut(shard_len * self.s))
-                .zip(self.degree.chunks_mut(shard_len))
-                .zip(self.node_stats.chunks_mut(shard_len))
-                .zip(self.loss.chunks_mut(shard_len));
-            if threads == 1 {
-                shards
-                    .enumerate()
-                    .map(|(j, ((((slots, flags), degs), nstats), losses))| {
-                        run_action_shard(
-                            ctx,
-                            behavior,
-                            j * shard_len,
-                            slots,
-                            flags,
-                            degs,
-                            nstats,
-                            losses,
-                        )
-                    })
-                    .collect::<Vec<_>>()
-            } else {
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = shards
-                        .enumerate()
-                        .map(|(j, ((((slots, flags), degs), nstats), losses))| {
-                            scope.spawn(move || {
-                                run_action_shard(
-                                    ctx,
-                                    behavior,
-                                    j * shard_len,
-                                    slots,
-                                    flags,
-                                    degs,
-                                    nstats,
-                                    losses,
-                                )
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("action shard worker panicked"))
-                        .collect::<Vec<_>>()
-                })
-            }
+            let shards = self.arena.shards_mut(shard_len).zip(self.loss.chunks_mut(shard_len));
+            run_shards(threads, shards, |(shard, losses)| {
+                run_action_shard(ctx, behavior, shard, losses)
+            })
         };
 
         // Shard balance, from the live counts the workers gathered anyway.
@@ -918,7 +687,7 @@ impl<L: FaultModel + Clone + Send, B: ProtocolBehavior> ParSimulation<L, B> {
             let ring_len = self.ring.len() as u64;
             for out in outs {
                 merge_stats(&mut self.stats, &out.stats);
-                self.degree_hist.apply_deltas(&out.hist);
+                self.arena.degree_hist.apply_deltas(&out.hist);
                 for (deliver_round, to, message) in out.sends {
                     let bucket = (deliver_round % ring_len) as usize;
                     self.ring[bucket].push((to, message));
@@ -970,11 +739,11 @@ impl<L: FaultModel + Clone + Send, B: ProtocolBehavior> ParSimulation<L, B> {
         let observed = !self.subscribers.is_empty();
 
         // Route to receiver shards; count dead letters in bucket order.
-        let shard_count = self.dense_id.len().div_ceil(shard_len);
+        let shard_count = self.arena.dense_id.len().div_ceil(shard_len);
         let mut per_shard: Vec<Vec<RoutedMessage<B::Msg>>> = vec![Vec::new(); shard_count];
         let mut reports: Vec<(usize, StepReport<B::Msg>)> = Vec::new();
         for (pos, &(to, message)) in batch.iter().enumerate() {
-            match self.dense_of(to) {
+            match self.arena.dense_of(to) {
                 None => {
                     self.stats.dead_letters += 1;
                     if observed {
@@ -1000,61 +769,17 @@ impl<L: FaultModel + Clone + Send, B: ProtocolBehavior> ParSimulation<L, B> {
         }
 
         let ctx =
-            DeliveryCtx { s: self.s, config: self.config, seed: self.seed, at, end_step, observed };
+            DeliveryCtx { config: self.arena.config, seed: self.seed, at, end_step, observed };
         let behavior = &self.behavior;
-        let shards = self
-            .slot_ids
-            .chunks_mut(shard_len * self.s)
-            .zip(self.slot_flags.chunks_mut(shard_len * self.s))
-            .zip(self.degree.chunks_mut(shard_len))
-            .zip(self.node_stats.chunks_mut(shard_len))
-            .zip(per_shard.iter());
-        let outs = if threads == 1 {
-            shards
-                .enumerate()
-                .map(|(j, ((((slots, flags), degs), nstats), items))| {
-                    run_delivery_shard(
-                        ctx,
-                        behavior,
-                        j * shard_len,
-                        slots,
-                        flags,
-                        degs,
-                        nstats,
-                        items,
-                    )
-                })
-                .collect::<Vec<_>>()
-        } else {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = shards
-                    .enumerate()
-                    .map(|(j, ((((slots, flags), degs), nstats), items))| {
-                        scope.spawn(move || {
-                            run_delivery_shard(
-                                ctx,
-                                behavior,
-                                j * shard_len,
-                                slots,
-                                flags,
-                                degs,
-                                nstats,
-                                items,
-                            )
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("delivery shard worker panicked"))
-                    .collect::<Vec<_>>()
-            })
-        };
+        let shards = self.arena.shards_mut(shard_len).zip(&per_shard);
+        let outs = run_shards(threads, shards, |(shard, items)| {
+            run_delivery_shard(ctx, behavior, shard, items)
+        });
         let mut replies: Vec<(usize, NodeId, B::Msg)> = Vec::new();
         for out in outs {
             self.stats.stored += out.stored;
             self.stats.deleted += out.deleted;
-            self.degree_hist.apply_deltas(&out.hist);
+            self.arena.degree_hist.apply_deltas(&out.hist);
             if observed {
                 reports.extend(out.reports);
             }
@@ -1111,7 +836,7 @@ impl<L: FaultModel + Clone + Send, B: ProtocolBehavior> ParSimulation<L, B> {
                 }
                 let mut rng = StdRng::seed_from_u64(reply_seed(self.seed, at, wave, pos as u64));
                 let fctx = FaultCtx { from, to, round: self.round };
-                let dropped = match self.dense_of(from) {
+                let dropped = match self.arena.dense_of(from) {
                     Some(k) => self.loss[k].drops(fctx, &mut rng),
                     // The replier departed between hops (possible only
                     // through an exotic behavior); fall back to the
@@ -1123,19 +848,14 @@ impl<L: FaultModel + Clone + Send, B: ProtocolBehavior> ParSimulation<L, B> {
                     StepEvent::Lost { to, message, duplicated }
                 } else {
                     match self.delay {
-                        DelayModel::Immediate => match self.dense_of(to) {
+                        DelayModel::Immediate => match self.arena.dense_of(to) {
                             None => {
                                 self.stats.dead_letters += 1;
                                 StepEvent::DeadLetter { to, message, duplicated }
                             }
                             Some(k) => {
-                                let config = self.config;
-                                let deg_before = self.degree[k];
-                                let receipt = {
-                                    let (view, behavior) = self.parts(k);
-                                    behavior.receive(config, view, message, &mut rng)
-                                };
-                                self.degree_hist.shift(deg_before, self.degree[k]);
+                                let receipt =
+                                    self.arena.receive(&self.behavior, k, message, &mut rng);
                                 if receipt.deleted {
                                     self.stats.deleted += 1;
                                 } else {
@@ -1188,9 +908,7 @@ impl<L: FaultModel + Clone + Send, B: ProtocolBehavior> ParSimulation<L, B> {
         if self.in_flight_count == 0 {
             return;
         }
-        let arena = self.dense_id.len();
-        let threads = self.threads.min(arena).max(1);
-        let shard_len = arena.div_ceil(threads);
+        let (shard_len, threads) = self.shard_plan();
         let end_step = self.step_counter;
         // Pending deliveries all lie in [round, round + ring.len()): sends
         // from round r target r..=r+max and the last executed round was
@@ -1237,21 +955,8 @@ impl<L: FaultModel + Clone + Send, B: ProtocolBehavior> ParSimulation<L, B> {
     ///
     /// Panics if `sponsor` is not live.
     pub fn join_via(&mut self, sponsor: NodeId) -> Result<NodeId, JoinError> {
-        let want = self.behavior.join_seed_size(self.config);
-        let k = self.dense_of(sponsor).expect("sponsor must be live");
-        let base = k * self.s;
-        let mut pool: Vec<NodeId> = (0..self.s)
-            .filter(|&off| {
-                self.slot_ids[base + off] != EMPTY && B::slot_visible(self.slot_flags[base + off])
-            })
-            .map(|off| NodeId::new(u64::from(self.slot_ids[base + off])))
-            .collect();
-        if pool.len() < want {
-            return Err(JoinError::TooFewIds { supplied: pool.len(), d_l: want });
-        }
-        pool.shuffle(&mut self.ctl_rng);
-        let bootstrap: Vec<NodeId> = pool.into_iter().take(want).collect();
-        self.join_with(&bootstrap)
+        let joined = self.arena.join_via(&self.behavior, sponsor, &mut self.ctl_rng);
+        self.admit(joined)
     }
 
     /// Adds a new node bootstrapped with the given ids (tagged dependent,
@@ -1263,80 +968,40 @@ impl<L: FaultModel + Clone + Send, B: ProtocolBehavior> ParSimulation<L, B> {
     ///
     /// Returns the [`JoinError`] the behavior's bootstrap validation
     /// produces, or [`JoinError::IdSpaceExhausted`] when the id allocator
-    /// has reached the arena's `u32` id limit.
+    /// has reached the arena's `u32` id limit or a bootstrap id lies
+    /// beyond it (the rejected join leaves the engine untouched).
     pub fn join_with(&mut self, bootstrap: &[NodeId]) -> Result<NodeId, JoinError> {
-        self.behavior.validate_bootstrap(self.config, bootstrap.len())?;
-        if self.next_id >= ARENA_ID_LIMIT {
-            return Err(JoinError::IdSpaceExhausted { next: self.next_id, limit: ARENA_ID_LIMIT });
-        }
-        let id = NodeId::new(self.next_id);
-        self.next_id += 1;
-        let k = self.dense_id.len();
-        let dense = u32::try_from(k).expect("node count exceeds the dense index space");
-        assert!(dense != DEAD, "dense index space exhausted");
-        let base = self.slot_ids.len();
-        self.slot_ids.resize(base + self.s, EMPTY);
-        self.slot_flags.resize(base + self.s, 0);
-        for (off, b) in bootstrap.iter().enumerate() {
-            self.slot_ids[base + off] = slot_word(*b);
-            self.slot_flags[base + off] = FLAG_DEPENDENT;
-        }
-        let deg = u32::try_from(bootstrap.len()).expect("bootstrap exceeds u32");
-        self.degree.push(deg);
-        self.degree_hist.add(deg);
-        self.node_stats.push(NodeStats::new());
-        self.dense_id.push(id);
+        let joined = self.arena.join_with(&self.behavior, bootstrap);
+        self.admit(joined)
+    }
+
+    /// Gives a node the arena just admitted its sender channel.
+    fn admit(&mut self, joined: Result<usize, JoinError>) -> Result<NodeId, JoinError> {
+        let k = joined?;
         self.loss.push(self.loss_proto.clone());
-        let raw = id.index();
-        if raw >= self.index.len() {
-            self.index.resize(raw + 1, DEAD);
-        }
-        self.index[raw] = dense;
         self.live_count += 1;
-        Ok(id)
+        Ok(self.arena.dense_id[k])
     }
 
     /// Removes a node (leave/crash). Returns the departed node rebuilt
     /// from the arena with zeroed per-node counters, like
     /// [`FlatSimulation::leave`](crate::FlatSimulation::leave).
     pub fn leave(&mut self, id: NodeId) -> Option<SfNode> {
-        let k = self.dense_of(id)?;
-        let node = SfNode::from_view(id, self.config, self.view_at(k));
-        self.index[id.index()] = DEAD;
-        self.degree_hist.remove(self.degree[k]);
+        let node = self.arena.leave(id)?;
         self.live_count -= 1;
         Some(node)
     }
 
     /// Total multiplicity of `id` across all live, behavior-visible slots.
-    /// Ids at or beyond [`ARENA_ID_LIMIT`] trivially count zero (the
-    /// widening boundary never aliases them onto arena words).
+    /// Ids at or beyond [`ARENA_ID_LIMIT`](crate::ARENA_ID_LIMIT) trivially
+    /// count zero (the widening boundary never aliases them onto arena
+    /// words).
     ///
     /// Windows are scanned two slots per u64 word; the per-slot
     /// visibility check only runs on the rare windows with a raw match.
     #[must_use]
     pub fn count_id_instances(&self, id: NodeId) -> usize {
-        if id.as_u64() >= ARENA_ID_LIMIT {
-            return 0;
-        }
-        let needle = slot_word(id);
-        self.live_dense()
-            .map(|k| {
-                let base = k * self.s;
-                let window = &self.slot_ids[base..base + self.s];
-                let raw = crate::scan::count_matches(window, needle);
-                if raw == 0 {
-                    return 0;
-                }
-                window
-                    .iter()
-                    .enumerate()
-                    .filter(|&(off, &slot)| {
-                        slot == needle && B::slot_visible(self.slot_flags[base + off])
-                    })
-                    .count()
-            })
-            .sum()
+        self.arena.count_id_instances::<B>(self.arena.live_dense(), id)
     }
 
     /// Streaming degree statistics — the live outdegree histogram,
@@ -1346,24 +1011,20 @@ impl<L: FaultModel + Clone + Send, B: ProtocolBehavior> ParSimulation<L, B> {
     /// everything else).
     #[must_use]
     pub fn degree_stats(&self) -> &DegreeStats {
-        &self.degree_hist
+        &self.arena.degree_hist
     }
 
     /// Snapshots the membership graph (dense arena order, behavior-visible
     /// slots only).
     #[must_use]
     pub fn graph(&self) -> MembershipGraph {
-        MembershipGraph::from_views(self.live_dense().map(|k| {
-            let base = k * self.s;
-            let targets: Vec<NodeId> = (0..self.s)
-                .filter(|&off| {
-                    self.slot_ids[base + off] != EMPTY
-                        && B::slot_visible(self.slot_flags[base + off])
-                })
-                .map(|off| NodeId::new(u64::from(self.slot_ids[base + off])))
-                .collect();
-            (self.dense_id[k], targets)
-        }))
+        self.arena.graph::<B>(self.arena.live_dense())
+    }
+
+    /// Visits every live node's visible view in live order; the body of
+    /// [`Engine::for_each_live_view`](crate::Engine::for_each_live_view).
+    pub(crate) fn for_each_live_view(&self, visit: &mut dyn FnMut(NodeId, &[NodeId])) {
+        self.arena.for_each_view::<B>(self.arena.live_dense(), visit);
     }
 
     /// Measures spatial dependence across all live views (Property M4).
@@ -1376,138 +1037,62 @@ impl<L: FaultModel + Clone + Send, B: ProtocolBehavior> ParSimulation<L, B> {
     }
 }
 
-impl<L: FaultModel + Clone + Send, B: ProtocolBehavior> crate::traits::Engine
-    for ParSimulation<L, B>
-{
-    type Msg = B::Msg;
-    type Fault = L;
-
-    fn len(&self) -> usize {
-        Self::len(self)
+/// Runs `work` once per shard and collects the results in shard order:
+/// inline on the caller's thread when `threads == 1` (no spawn), else one
+/// scoped worker per shard.
+fn run_shards<S: Send, T: Send>(
+    threads: usize,
+    shards: impl Iterator<Item = S>,
+    work: impl Fn(S) -> T + Sync,
+) -> Vec<T> {
+    if threads == 1 {
+        return shards.map(work).collect();
     }
+    let work = &work;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = shards.map(|shard| scope.spawn(move || work(shard))).collect();
+        handles.into_iter().map(|h| h.join().expect("shard worker panicked")).collect()
+    })
+}
 
-    fn live_ids(&self) -> Vec<NodeId> {
-        Self::live_ids(self)
-    }
-
-    fn config(&self) -> SfConfig {
-        Self::config(self)
-    }
-
-    fn stats(&self) -> SimStats {
-        *Self::stats(self)
-    }
-
-    fn reset_stats(&mut self) {
-        Self::reset_stats(self);
-    }
-
-    fn aggregate_node_stats(&self) -> NodeStats {
-        Self::aggregate_node_stats(self)
-    }
-
-    fn round(&mut self) {
-        Self::round(self);
-    }
-
-    fn rounds_run(&self) -> u64 {
-        Self::rounds_run(self)
-    }
-
-    fn in_flight(&self) -> usize {
-        Self::in_flight(self)
-    }
-
-    fn settle(&mut self) {
-        Self::settle(self);
-    }
-
-    fn join_via(&mut self, sponsor: NodeId) -> Result<NodeId, JoinError> {
-        Self::join_via(self, sponsor)
-    }
-
-    fn leave(&mut self, id: NodeId) -> bool {
-        Self::leave(self, id).is_some()
-    }
-
-    fn out_degree_of(&self, id: NodeId) -> Option<usize> {
-        Self::out_degree_of(self, id)
-    }
-
-    fn count_id_instances(&self, id: NodeId) -> usize {
-        Self::count_id_instances(self, id)
-    }
-
-    fn degree_stats(&self) -> DegreeStats {
-        Self::degree_stats(self).clone()
-    }
-
-    fn graph(&self) -> MembershipGraph {
-        Self::graph(self)
-    }
-
-    fn for_each_live_view(&self, visit: &mut dyn FnMut(NodeId, &[NodeId])) {
-        let mut buf: Vec<NodeId> = Vec::with_capacity(self.s);
-        for k in self.live_dense() {
-            let base = k * self.s;
-            buf.clear();
-            for off in 0..self.s {
-                let id = self.slot_ids[base + off];
-                if id != EMPTY && B::slot_visible(self.slot_flags[base + off]) {
-                    buf.push(NodeId::new(u64::from(id)));
-                }
-            }
-            visit(self.dense_id[k], &buf);
-        }
-    }
-
-    fn update_fault(&mut self, f: impl FnMut(&mut L)) {
-        Self::update_fault(self, f);
-    }
-
-    fn subscribe(&mut self, subscriber: Box<dyn StepSubscriber<B::Msg>>) {
-        Self::subscribe(self, subscriber);
+/// Records one node's degree moving from `before` to `after` in a shard's
+/// signed histogram delta.
+#[inline]
+fn shift_delta(hist: &mut [i64], before: u32, after: u32) {
+    if before != after {
+        hist[before as usize] -= 1;
+        hist[after as usize] += 1;
     }
 }
 
-/// Executes the action phase over one shard: every live node in the dense
-/// range `[lo, lo + degs.len())` initiates once with its private
-/// per-`(seed, node, round)` RNG stream. All slices are the shard's window
-/// into the global arrays; `ctx.dense_id`/`ctx.index` stay global (shared,
-/// read-only).
-#[allow(clippy::too_many_arguments)]
+/// Executes the action phase over one shard: every live node of the shard
+/// initiates once with its private per-`(seed, node, round)` RNG stream.
+/// `losses` is the shard's window into the per-sender channels.
 fn run_action_shard<L: FaultModel, B: ProtocolBehavior>(
-    ctx: ActionCtx<'_>,
+    ctx: ActionCtx,
     behavior: &B,
-    lo: usize,
-    slots: &mut [u32],
-    flags: &mut [u8],
-    degs: &mut [u32],
-    nstats: &mut [NodeStats],
+    mut shard: Shard<'_>,
     losses: &mut [L],
 ) -> ActionShardOut<B::Msg> {
-    let s = ctx.s;
     let mut out = ActionShardOut {
         stats: SimStats::default(),
         live: 0,
         sends: Vec::new(),
         reports: Vec::new(),
-        hist: vec![0; s + 1],
+        hist: vec![0; ctx.config.view_size() + 1],
     };
     // One contiguous seed fill per shard per round: the FNV-1a stream
     // derivation is a pure hash of `(seed, node id, round)`, so batching
     // it into a single pass changes no draw and keeps the hot loop free
     // of the 25-byte hash setup. Departed and capacity-skipped nodes
     // simply never consume their seed.
-    let seeds: Vec<u64> = (0..degs.len())
-        .map(|r| action_seed(ctx.seed, ctx.dense_id[lo + r].as_u64(), ctx.round))
-        .collect();
-    for r in 0..degs.len() {
-        let k = lo + r;
-        let id = ctx.dense_id[k];
-        if ctx.index[id.index()] != k as u32 {
-            continue; // departed
+    let seeds: Vec<u64> =
+        shard.ids.iter().map(|id| action_seed(ctx.seed, id.as_u64(), ctx.round)).collect();
+    for r in 0..shard.ids.len() {
+        if !shard.is_live(r) {
+            continue;
         }
+        let id = shard.ids[r];
         out.live += 1;
         if !losses[r].node_acts(id, ctx.round) {
             // Capacity gate closed: the node's step is skipped before any
@@ -1525,16 +1110,8 @@ fn run_action_shard<L: FaultModel, B: ProtocolBehavior>(
         }
         out.stats.actions += 1;
         let mut rng = StdRng::seed_from_u64(seeds[r]);
-        let base = r * s;
-        let deg_before = degs[r];
-        let view = SlotView {
-            id,
-            ids: &mut slots[base..base + s],
-            flags: &mut flags[base..base + s],
-            degree: &mut degs[r],
-            stats: &mut nstats[r],
-        };
-        let event = match behavior.initiate(ctx.config, view, &mut rng) {
+        let deg_before = shard.degree[r];
+        let event = match behavior.initiate(ctx.config, shard.window(r), &mut rng) {
             None => {
                 out.stats.self_loops += 1;
                 StepEvent::SelfLoop
@@ -1559,11 +1136,7 @@ fn run_action_shard<L: FaultModel, B: ProtocolBehavior>(
                 }
             }
         };
-        let deg_after = degs[r];
-        if deg_before != deg_after {
-            out.hist[deg_before as usize] -= 1;
-            out.hist[deg_after as usize] += 1;
-        }
+        shift_delta(&mut out.hist, deg_before, shard.degree[r]);
         if ctx.observed {
             // `step` is assigned during the sequential merge, once the
             // preceding shards' live counts are known.
@@ -1582,41 +1155,23 @@ fn run_action_shard<L: FaultModel, B: ProtocolBehavior>(
 /// in bucket order; the per-message RNG is derived from
 /// `(seed, deliver_time, sorted bucket position)`. Replies are collected
 /// (keyed by bucket position) for the sequential wave router.
-#[allow(clippy::too_many_arguments)]
 fn run_delivery_shard<B: ProtocolBehavior>(
     ctx: DeliveryCtx,
     behavior: &B,
-    lo: usize,
-    slots: &mut [u32],
-    flags: &mut [u8],
-    degs: &mut [u32],
-    nstats: &mut [NodeStats],
+    mut shard: Shard<'_>,
     items: &[RoutedMessage<B::Msg>],
 ) -> DeliveryShardOut<B::Msg> {
-    let s = ctx.s;
-    let mut out = DeliveryShardOut::new(s);
+    let mut out = DeliveryShardOut::new(ctx.config.view_size());
     // One contiguous seed fill per shard per drained bucket (pure hash;
     // see the action-phase counterpart).
     let seeds: Vec<u64> =
         items.iter().map(|m| delivery_seed(ctx.seed, ctx.at, m.pos as u64)).collect();
     for (i, &RoutedMessage { pos, dense, to, message }) in items.iter().enumerate() {
-        let r = dense - lo;
+        let r = dense - shard.lo;
         let mut rng = StdRng::seed_from_u64(seeds[i]);
-        let base = r * s;
-        let deg_before = degs[r];
-        let view = SlotView {
-            id: to,
-            ids: &mut slots[base..base + s],
-            flags: &mut flags[base..base + s],
-            degree: &mut degs[r],
-            stats: &mut nstats[r],
-        };
-        let receipt = behavior.receive(ctx.config, view, message, &mut rng);
-        let deg_after = degs[r];
-        if deg_before != deg_after {
-            out.hist[deg_before as usize] -= 1;
-            out.hist[deg_after as usize] += 1;
-        }
+        let deg_before = shard.degree[r];
+        let receipt = behavior.receive(ctx.config, shard.window(r), message, &mut rng);
+        shift_delta(&mut out.hist, deg_before, shard.degree[r]);
         if receipt.deleted {
             out.deleted += 1;
         } else {
@@ -1879,54 +1434,23 @@ mod tests {
     }
 
     #[test]
-    fn join_with_validates_like_the_protocol() {
+    fn a_rejected_join_leaves_the_scheduler_untouched() {
         let mut sim = ParSimulation::new(nodes(), UniformLoss::none(), 1, 2);
-        let two: Vec<NodeId> = (0..2).map(NodeId::new).collect();
-        assert_eq!(sim.join_with(&two), Err(JoinError::TooFewIds { supplied: 2, d_l: 4 }));
-        let five: Vec<NodeId> = (0..5).map(NodeId::new).collect();
-        assert_eq!(sim.join_with(&five), Err(JoinError::OddIdCount { supplied: 5 }));
-        let too_many: Vec<NodeId> = (0..14).map(NodeId::new).collect();
-        assert_eq!(sim.join_with(&too_many), Err(JoinError::TooManyIds { supplied: 14, s: 12 }));
-        let id = sim.join_with(&(0..4).map(NodeId::new).collect::<Vec<_>>()).unwrap();
-        assert_eq!(sim.out_degree_of(id), Some(4));
-        assert_eq!(sim.len(), 25);
-    }
-
-    #[test]
-    fn join_is_rejected_once_the_u32_id_space_is_exhausted() {
-        let mut sim = ParSimulation::new(nodes(), UniformLoss::none(), 1, 2);
-        // Reaching the limit organically needs ~4.3 billion joins (and a
-        // 17 GB id → dense table); the guard only reads the counter, so
-        // pin it at the boundary directly.
-        sim.next_id = ARENA_ID_LIMIT;
-        let bootstrap: Vec<NodeId> = (0..4).map(NodeId::new).collect();
+        // `u32::MAX` is the empty-slot sentinel: stored, it would raise
+        // the degree ledger over a view with no entries (and did, in
+        // release builds).
+        let sentinel = [NodeId::new(u64::from(u32::MAX)); 4];
         assert_eq!(
-            sim.join_with(&bootstrap),
-            Err(JoinError::IdSpaceExhausted { next: ARENA_ID_LIMIT, limit: ARENA_ID_LIMIT })
+            sim.join_with(&sentinel),
+            Err(JoinError::IdSpaceExhausted {
+                next: u64::from(u32::MAX),
+                limit: crate::traits::ARENA_ID_LIMIT
+            })
         );
-        assert_eq!(sim.len(), 24, "a rejected join must not touch the arena");
+        assert_eq!(sim.len(), 24);
         assert_eq!(sim.degree_stats().live_nodes(), 24);
-    }
-
-    #[test]
-    #[should_panic(expected = "exceeds the u32 arena id space")]
-    fn construction_rejects_ids_at_the_slot_sentinel() {
-        // `u32::MAX` is the empty-slot sentinel; a node with that id
-        // would be indistinguishable from an empty slot.
-        let node = SfNode::new(NodeId::new(u64::from(u32::MAX)), config());
-        let _ = ParSimulation::new(vec![node], UniformLoss::none(), 1, 1);
-    }
-
-    #[test]
-    fn queries_beyond_the_widening_boundary_never_alias() {
-        let sim = ParSimulation::new(nodes(), UniformLoss::none(), 1, 2);
-        // Congruent to a live id modulo 2^32 — a truncating comparison
-        // would alias it onto node 3.
-        let wide = NodeId::new((1u64 << 32) + 3);
-        assert_eq!(sim.count_id_instances(wide), 0);
-        assert_eq!(sim.out_degree_of(wide), None);
-        assert!(sim.count_id_instances(NodeId::new(3)) > 0, "node 3 is referenced in the ring");
-        assert_eq!(sim.out_degree_of(NodeId::new(3)), Some(4));
+        sim.run_rounds(2);
+        assert_eq!(sim.stats().actions, 2 * 24, "a rejected joiner must not act");
     }
 
     #[test]

@@ -620,6 +620,97 @@ impl<L: crate::fault::FaultModel> Engine for crate::Simulation<L> {
     }
 }
 
+/// Implements [`Engine`] for an arena engine — both are generic over a
+/// fault model `L` (with the engine's own bounds) and a behavior `B` — by
+/// delegating every method to the inherent method of the same name.
+macro_rules! delegate_arena_engine {
+    ($engine:ident, $($fault_bounds:tt)+) => {
+        impl<L: $($fault_bounds)+, B: ProtocolBehavior> Engine for crate::$engine<L, B> {
+            type Msg = B::Msg;
+            type Fault = L;
+
+            fn len(&self) -> usize {
+                Self::len(self)
+            }
+
+            fn live_ids(&self) -> Vec<NodeId> {
+                Self::live_ids(self)
+            }
+
+            fn config(&self) -> SfConfig {
+                Self::config(self)
+            }
+
+            fn stats(&self) -> SimStats {
+                *Self::stats(self)
+            }
+
+            fn reset_stats(&mut self) {
+                Self::reset_stats(self);
+            }
+
+            fn aggregate_node_stats(&self) -> NodeStats {
+                Self::aggregate_node_stats(self)
+            }
+
+            fn round(&mut self) {
+                Self::round(self);
+            }
+
+            fn rounds_run(&self) -> u64 {
+                Self::rounds_run(self)
+            }
+
+            fn in_flight(&self) -> usize {
+                Self::in_flight(self)
+            }
+
+            fn settle(&mut self) {
+                Self::settle(self);
+            }
+
+            fn join_via(&mut self, sponsor: NodeId) -> Result<NodeId, JoinError> {
+                Self::join_via(self, sponsor)
+            }
+
+            fn leave(&mut self, id: NodeId) -> bool {
+                Self::leave(self, id).is_some()
+            }
+
+            fn out_degree_of(&self, id: NodeId) -> Option<usize> {
+                Self::out_degree_of(self, id)
+            }
+
+            fn count_id_instances(&self, id: NodeId) -> usize {
+                Self::count_id_instances(self, id)
+            }
+
+            fn degree_stats(&self) -> DegreeStats {
+                Self::degree_stats(self).clone()
+            }
+
+            fn graph(&self) -> MembershipGraph {
+                Self::graph(self)
+            }
+
+            fn for_each_live_view(&self, visit: &mut dyn FnMut(NodeId, &[NodeId])) {
+                Self::for_each_live_view(self, visit);
+            }
+
+            fn update_fault(&mut self, f: impl FnMut(&mut L)) {
+                Self::update_fault(self, f);
+            }
+
+            fn subscribe(&mut self, subscriber: Box<dyn StepSubscriber<B::Msg>>) {
+                Self::subscribe(self, subscriber);
+            }
+        }
+    };
+}
+
+delegate_arena_engine!(FlatSimulation, crate::fault::FaultModel);
+delegate_arena_engine!(ParSimulation, crate::fault::FaultModel + Clone + Send);
+
 #[cfg(test)]
 mod tests {
     use rand::SeedableRng;
