@@ -2,16 +2,16 @@
 //! fast arena engines ([`FlatSimulation`](sandf_sim::FlatSimulation),
 //! [`ParSimulation`](sandf_sim::ParSimulation)).
 //!
-//! These are re-expressions of [`PushOnlyNode`](crate::PushOnlyNode),
-//! [`PushPullNode`](crate::PushPullNode), and
-//! [`ShuffleNode`](crate::ShuffleNode) over a fixed-slot arena window
-//! ([`SlotView`]): the same multiset dynamics (what enters and leaves a
-//! view, and with what probability), not the same RNG draw sequence — the
-//! original `Vec`-backed nodes append below capacity where the arena picks
-//! a uniformly random empty slot, which changes slot positions but not the
-//! view contents. `tests/protocol_conformance.rs` checks the retained
-//! [`BaselineHarness`](crate::BaselineHarness) against these behaviors
-//! statistically (ci95 bands at matched parameters).
+//! Each protocol works on a fixed-slot arena window ([`SlotView`]).
+//! Shuffle and push-pull are re-expressions of the `Vec`-backed
+//! references [`ShuffleNode`](crate::ShuffleNode) and
+//! [`PushPullNode`](crate::PushPullNode): the same multiset dynamics
+//! (what enters and leaves a view, and with what probability), not the
+//! same RNG draw sequence — the references append below capacity where
+//! the arena picks a uniformly random empty slot, which changes slot
+//! positions but not the view contents. `tests/protocol_conformance.rs`
+//! checks the two against each other statistically (ci95 bands at
+//! matched parameters).
 //!
 //! Wire format: every message is a [`IdBatch`] — `sender` is always the
 //! emitting node, `kind` selects the protocol phase, and the payload ids
@@ -38,7 +38,7 @@ pub const KIND_SHUFFLE_REPLY: u8 = 3;
 
 /// Picks a uniformly random occupied slot offset, or `None` when the view
 /// is empty — the arena equivalent of `view.choose(rng)` on the
-/// `Vec`-backed nodes.
+/// `Vec`-backed reference nodes.
 fn random_occupied(view: &SlotView<'_>, rng: &mut StdRng) -> Option<usize> {
     let occupied = view.occupied_offsets();
     if occupied.is_empty() {
@@ -90,9 +90,11 @@ fn absorb(view: &mut SlotView<'_>, ids: impl Iterator<Item = NodeId>, rng: &mut 
     stored
 }
 
-/// Reinforcement-only push ([`PushOnlyNode`](crate::PushOnlyNode) over the
-/// arena): each action pushes the node's own id plus one copied view id to
-/// a random neighbor; sent ids are kept; a full receiver evicts uniformly.
+/// Reinforcement-only push (a simplification of Lpbcast-style push
+/// gossip): each action pushes the node's own id plus one copied view id
+/// to a random neighbor; sent ids are kept, inducing the spatial
+/// dependencies the paper sets out to avoid; a full receiver evicts
+/// uniformly. Robust to loss but heavily correlated.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PushOnlyBehavior;
 
@@ -414,6 +416,30 @@ mod tests {
     }
 
     #[test]
+    fn push_only_receive_cases() {
+        // (case, slots before, sender, payload, degree after, id that must be stored);
+        // the receiving node is 99, whose own id must never be stored.
+        let cases = [
+            ("fills empty slots", [EMPTY_SLOT; 2], 1, Some(2), 2, 2),
+            ("evicts at capacity, keeping the view bounded", [1, 2], 3, None, 2, 3),
+            ("never stores the node's own id", [EMPTY_SLOT; 2], 99, Some(1), 1, 1),
+        ];
+        for (case, mut ids, sender, payload, want_degree, holds) in cases {
+            let mut flags = [0u8; 2];
+            let mut degree = ids.iter().filter(|&&id| id != EMPTY_SLOT).count() as u32;
+            let mut stats = NodeStats::new();
+            let view = window(&mut ids, &mut flags, &mut degree, &mut stats);
+            let mut msg = IdBatch::new(NodeId::new(sender), KIND_PUSH);
+            if let Some(payload) = payload {
+                msg.push(NodeId::new(payload), false);
+            }
+            PushOnlyBehavior.receive(config(), view, msg, &mut StdRng::seed_from_u64(5));
+            assert_eq!(degree, want_degree, "{case}");
+            assert!(ids.contains(&holds) && !ids.contains(&99), "{case}: {ids:?}");
+        }
+    }
+
+    #[test]
     fn empty_views_self_loop() {
         let mut ids = [EMPTY_SLOT; 4];
         let mut flags = [0u8; 4];
@@ -422,6 +448,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let view = window(&mut ids, &mut flags, &mut degree, &mut stats);
         assert!(ShuffleBehavior::new(2).initiate(config(), view, &mut rng).is_none());
-        assert_eq!(stats.self_loops, 1);
+        let view = window(&mut ids, &mut flags, &mut degree, &mut stats);
+        assert!(PushOnlyBehavior.initiate(config(), view, &mut rng).is_none());
+        assert_eq!(stats.self_loops, 2);
     }
 }

@@ -2,48 +2,45 @@
 //!
 //! Section 3.1 of the paper taxonomizes gossip membership protocols along
 //! two axes: push vs. pull, and whether sent ids are kept or deleted. This
-//! crate implements one representative of each corner the paper discusses,
-//! behind a shared [`GossipProtocol`] trait, plus a lossy
-//! [`BaselineHarness`] so all of them (including S&F via [`SfAdapter`]) run
-//! under identical conditions:
+//! crate implements one representative of each corner the paper discusses
+//! as a [`sandf_sim::ProtocolBehavior`] (module [`behaviors`]), so all of
+//! them run beside S&F on the unified `Engine` trait — `FlatSimulation`
+//! and `ParSimulation` — under identical conditions:
 //!
-//! * [`PushOnlyNode`] — reinforcement-only push that keeps sent ids
+//! * [`PushOnlyBehavior`] — reinforcement-only push that keeps sent ids
 //!   (Lpbcast-flavored): loss-immune but spatially dependent;
-//! * [`ShuffleNode`] — Cyclon/flipper-style shuffles that delete sent ids:
-//!   dependence-free but **drains ids under loss**, the paper's central
-//!   criticism;
-//! * [`PushPullNode`] — Allavena-style push-pull keeping sent ids:
+//! * [`ShuffleBehavior`] — Cyclon/flipper-style shuffles that delete sent
+//!   ids: dependence-free but **drains ids under loss**, the paper's
+//!   central criticism;
+//! * [`PushPullBehavior`] — Allavena-style push-pull keeping sent ids:
 //!   loss-immune, dependence-heavy.
 //!
 //! The `baseline_compare` bench binary reproduces the qualitative contrast:
 //! under 5–10 % loss the shuffle population collapses while S&F holds its
 //! edge count with only `O(ℓ)` extra dependence.
 //!
-//! Each protocol also ships as a [`sandf_sim::ProtocolBehavior`]
-//! ([`PushOnlyBehavior`], [`ShuffleBehavior`], [`PushPullBehavior`] in
-//! [`behaviors`]) that runs on the unified `Engine` trait —
-//! `FlatSimulation` and `ParSimulation` — at two orders of magnitude
-//! beyond what the per-node harness reaches (the committed
-//! `BENCH_PR8.json` measures 163× at n = 10⁵). The harness remains the
-//! readable per-node reference implementation the behaviors are
-//! conformance-tested against (`tests/protocol_conformance.rs`).
+//! Shuffle and push-pull also keep a readable `Vec`-backed per-node
+//! implementation ([`ShuffleNode`], [`PushPullNode`] behind
+//! [`GossipProtocol`], driven by [`BaselineHarness`]): the independent
+//! reference `tests/protocol_conformance.rs` checks the behaviors
+//! against. It is a test oracle, not a second way to run experiments.
 //!
 //! ## Example
 //!
 //! ```
-//! use sandf_baselines::{BaselineHarness, GossipProtocol, ShuffleNode};
-//! use sandf_core::NodeId;
+//! use sandf_baselines::ShuffleBehavior;
+//! use sandf_core::{NodeId, SfConfig};
+//! use sandf_sim::{FlatSimulation, UniformLoss};
 //!
-//! let nodes: Vec<ShuffleNode> = (0..16u64)
-//!     .map(|i| {
-//!         let bootstrap = [NodeId::new((i + 1) % 16), NodeId::new((i + 2) % 16)];
-//!         ShuffleNode::new(NodeId::new(i), 8, 2, &bootstrap)
-//!     })
+//! let views = (0..16u64)
+//!     .map(|i| (NodeId::new(i), vec![NodeId::new((i + 1) % 16), NodeId::new((i + 2) % 16)]))
 //!     .collect();
-//! let mut harness = BaselineHarness::new(nodes, 0.05, 42);
-//! harness.run_rounds(20);
-//! let metrics = harness.metrics();
-//! assert!(metrics.total_ids <= 32, "shuffles never create ids");
+//! let loss = UniformLoss::new(0.05)?;
+//! let mut sim =
+//!     FlatSimulation::from_views(ShuffleBehavior::new(2), SfConfig::new(8, 2)?, views, loss, 42);
+//! sim.run_rounds(20);
+//! assert!(sim.graph().edge_count() <= 32, "shuffles never create ids");
+//! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
 #![forbid(unsafe_code)]
@@ -51,16 +48,12 @@
 
 pub mod behaviors;
 mod harness;
-mod push_only;
 mod push_pull;
-mod sf_adapter;
 mod shuffle;
 mod traits;
 
 pub use behaviors::{PushOnlyBehavior, PushPullBehavior, ShuffleBehavior};
 pub use harness::{BaselineHarness, HarnessMetrics};
-pub use push_only::PushOnlyNode;
 pub use push_pull::PushPullNode;
-pub use sf_adapter::SfAdapter;
 pub use shuffle::ShuffleNode;
 pub use traits::{GossipProtocol, Outgoing, ProtocolMessage};

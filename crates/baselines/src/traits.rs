@@ -1,5 +1,5 @@
-//! The common interface all baseline protocols (and S&F) implement, so one
-//! harness can compare them under identical loss.
+//! The interface of the per-node reference implementations, so one
+//! harness can drive either of them.
 
 use rand::Rng;
 use sandf_core::NodeId;
@@ -28,8 +28,6 @@ pub enum ProtocolMessage {
         /// The returned ids.
         ids: Vec<NodeId>,
     },
-    /// A pull request (mixing by pull).
-    PullRequest,
     /// The pull reply with ids copied (not removed) from the responder.
     PullReply {
         /// The copied ids.
@@ -76,15 +74,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn outgoing_is_comparable() {
-        let a = Outgoing { to: NodeId::new(1), message: ProtocolMessage::PullRequest };
-        assert_eq!(a, a.clone());
-    }
-
-    #[test]
-    fn message_variants_are_distinct() {
+    fn messages_compare_by_variant_and_payload() {
         let push = ProtocolMessage::Push { ids: vec![NodeId::new(1)] };
-        let pull = ProtocolMessage::PullRequest;
-        assert_ne!(push, pull);
+        let reply = ProtocolMessage::PullReply { ids: vec![NodeId::new(1)] };
+        assert_ne!(push, reply);
+        let a = Outgoing { to: NodeId::new(1), message: push };
+        assert_eq!(a, a.clone());
     }
 }

@@ -13,35 +13,45 @@
 
 use sandf_bench::{fmt, header, note};
 use sandf_core::{NodeId, SfConfig};
-use sandf_variants::{
-    BatchedNode, ReplaceNode, SfVariant, UndeleteNode, VanillaNode, VariantMetrics, VariantSim,
-};
+use sandf_graph::DegreeStats;
+use sandf_sim::{FlatSimulation, ProtocolBehavior, SfBehavior, UniformLoss};
+use sandf_variants::{BatchedBehavior, ReplaceBehavior, UndeleteBehavior};
 
 const N: usize = 256;
 const ROUNDS: usize = 400;
 
-fn bootstrap(i: usize, k: usize) -> Vec<NodeId> {
-    (1..=k).map(|d| NodeId::new(((i + d) % N) as u64)).collect()
+fn ring_views(k: usize) -> Vec<(NodeId, Vec<NodeId>)> {
+    (0..N)
+        .map(|i| {
+            (NodeId::new(i as u64), (1..=k).map(|d| NodeId::new(((i + d) % N) as u64)).collect())
+        })
+        .collect()
 }
 
-fn run<V: SfVariant>(nodes: Vec<V>, loss: f64, seed: u64) -> VariantMetrics {
-    let mut sim = VariantSim::new(nodes, loss, seed);
+fn row<B: ProtocolBehavior>(
+    label: &str,
+    behavior: B,
+    config: SfConfig,
+    k: usize,
+    loss: f64,
+    seed: u64,
+) {
+    let rate = UniformLoss::new(loss).expect("valid rate");
+    let mut sim = FlatSimulation::from_views(behavior, config, ring_views(k), rate, seed);
     sim.run_rounds(ROUNDS);
-    sim.metrics()
-}
-
-fn row(label: &str, loss: f64, m: &VariantMetrics) {
-    let sent = m.stats.sent.max(1);
+    let graph = sim.graph();
+    let stats = sim.aggregate_node_stats();
+    let sent = stats.sent.max(1) as f64;
     println!(
         "{label}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
         fmt(loss),
-        fmt(m.mean_out),
-        fmt(m.in_std),
-        fmt(m.dependent_fraction),
-        m.total_ids,
-        fmt(m.stats.compensations as f64 / sent as f64),
-        fmt(m.stats.displaced as f64 / sent as f64),
-        m.connected,
+        fmt(DegreeStats::from_samples(&graph.out_degrees()).mean),
+        fmt(DegreeStats::from_samples(&graph.in_degrees()).std_dev()),
+        fmt(1.0 - sim.dependence().independent_fraction()),
+        graph.edge_count(),
+        fmt(stats.duplications as f64 / sent),
+        fmt(stats.deletions as f64 / sent),
+        graph.is_weakly_connected(),
     );
 }
 
@@ -62,25 +72,10 @@ fn main() {
     let batched_config = SfConfig::new(24, 6).expect("legal");
     for (k, &loss) in [0.0, 0.01, 0.05, 0.1].iter().enumerate() {
         let seed = 1000 + k as u64;
-        let vanilla: Vec<VanillaNode> = (0..N)
-            .map(|i| VanillaNode::new(NodeId::new(i as u64), config, &bootstrap(i, 10)))
-            .collect();
-        row("vanilla", loss, &run(vanilla, loss, seed));
-
-        let undelete: Vec<UndeleteNode> = (0..N)
-            .map(|i| UndeleteNode::new(NodeId::new(i as u64), config, &bootstrap(i, 10)))
-            .collect();
-        row("undelete", loss, &run(undelete, loss, seed + 10));
-
-        let replace: Vec<ReplaceNode> = (0..N)
-            .map(|i| ReplaceNode::new(NodeId::new(i as u64), config, &bootstrap(i, 10)))
-            .collect();
-        row("replace", loss, &run(replace, loss, seed + 20));
-
-        let batched: Vec<BatchedNode> = (0..N)
-            .map(|i| BatchedNode::new(NodeId::new(i as u64), batched_config, 3, &bootstrap(i, 12)))
-            .collect();
-        row("batched_b3", loss, &run(batched, loss, seed + 30));
+        row("vanilla", SfBehavior, config, 10, loss, seed);
+        row("undelete", UndeleteBehavior, config, 10, loss, seed + 10);
+        row("replace", ReplaceBehavior, config, 10, loss, seed + 20);
+        row("batched_b3", BatchedBehavior::new(3), batched_config, 12, loss, seed + 30);
     }
     println!();
     note("reading guide: dependent_frac includes the dependent bootstrap tags only until they");

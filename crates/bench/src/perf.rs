@@ -15,7 +15,7 @@
 //! [`PerfReport::to_json`] emits a stable key order so diffs between PRs
 //! stay readable.
 
-use sandf_baselines::{BaselineHarness, ShuffleBehavior, ShuffleNode};
+use sandf_baselines::ShuffleBehavior;
 use sandf_core::{NodeId, SfConfig};
 use sandf_obs::{duration_buckets, MetricsRegistry, SpanTimer, Stopwatch};
 use sandf_sim::{
@@ -204,7 +204,7 @@ pub fn run(config: PerfSmokeConfig, registry: &MetricsRegistry) -> PerfReport {
 
 /// The ring bootstrap the zoo protocols start from (the S&F runs use
 /// `topology::circulant`, which is the same shape with S&F slot layout).
-fn ring_views(n: usize, k: usize) -> Vec<(NodeId, Vec<NodeId>)> {
+pub(crate) fn ring_views(n: usize, k: usize) -> Vec<(NodeId, Vec<NodeId>)> {
     (0..n)
         .map(|i| {
             let view = (1..=k).map(|d| NodeId::new(((i + d) % n) as u64)).collect();
@@ -272,132 +272,6 @@ fn execute<E: Engine>(
 
 fn ns_to_ms(ns: u64) -> f64 {
     ns as f64 / 1_000_000.0
-}
-
-/// Outcome of the old-harness vs unified-engine shuffle comparison.
-///
-/// Both sides run the same protocol from the same ring bootstrap at the
-/// same loss rate; throughput is steps/sec (one step = one initiated
-/// action), measured over independently chosen round counts so the slow
-/// side doesn't dictate total wall-clock.
-#[derive(Clone, Debug)]
-pub struct SpeedupReport {
-    /// System size `n`.
-    pub nodes: usize,
-    /// Uniform message-loss rate.
-    pub loss: f64,
-    /// Rounds the `BaselineHarness` side ran.
-    pub harness_rounds: usize,
-    /// Rounds the `FlatSimulation` side ran.
-    pub engine_rounds: usize,
-    /// Throughput of `BaselineHarness<ShuffleNode>`.
-    pub harness_steps_per_sec: f64,
-    /// Throughput of `FlatSimulation<_, ShuffleBehavior>`.
-    pub engine_steps_per_sec: f64,
-    /// `engine_steps_per_sec / harness_steps_per_sec`.
-    pub speedup: f64,
-    /// Final id population on the harness side (sanity: both sides show
-    /// shuffle's drainage dynamics, not a degenerate run).
-    pub harness_total_ids: usize,
-    /// Final id population on the engine side.
-    pub engine_total_ids: usize,
-}
-
-/// Measures shuffle (gossip size 3) on the retired-in-favor-of-traits
-/// `BaselineHarness` step loop vs [`FlatSimulation`] through the
-/// [`Engine`]/`ProtocolBehavior` traits, at the same `n` and loss rate.
-///
-/// The harness side is `O(n)` per delivery hop (a linear `position` scan
-/// per receiver lookup), so its round count is a separate knob — at
-/// `n = 10⁵` even a couple of rounds dominate the wall-clock while the
-/// arena engine does hundreds in the same time.
-#[must_use]
-pub fn shuffle_speedup(
-    nodes: usize,
-    harness_rounds: usize,
-    engine_rounds: usize,
-    loss: f64,
-    seed: u64,
-) -> SpeedupReport {
-    let k = 8.min(nodes - 1);
-    let views = ring_views(nodes, k);
-    let config = SfConfig::new(16, 6).expect("legal config");
-
-    let harness_nodes: Vec<ShuffleNode> =
-        views.iter().map(|(id, view)| ShuffleNode::new(*id, 16, 3, view)).collect();
-    let mut harness = BaselineHarness::new(harness_nodes, loss, seed);
-    let watch = Stopwatch::start();
-    harness.run_rounds(harness_rounds);
-    let harness_ns = watch.elapsed_ns();
-    let harness_total_ids = harness.metrics().total_ids;
-
-    let rate = UniformLoss::new(loss).expect("loss rate validated by caller");
-    let mut sim = FlatSimulation::from_views(ShuffleBehavior::new(3), config, views, rate, seed);
-    let watch = Stopwatch::start();
-    sim.run_rounds(engine_rounds);
-    let engine_ns = watch.elapsed_ns();
-    // Shuffle has no tombstones, so the streaming histogram's edge total
-    // equals the graph snapshot's multiset edge count — without the
-    // O(n·s) rebuild.
-    let engine_total_ids =
-        usize::try_from(sim.degree_stats().edges()).expect("edge count fits usize");
-
-    let per_sec = |rounds: usize, ns: u64| {
-        if ns == 0 {
-            0.0
-        } else {
-            (nodes * rounds) as f64 / (ns as f64 / 1_000_000_000.0)
-        }
-    };
-    let harness_steps_per_sec = per_sec(harness_rounds, harness_ns);
-    let engine_steps_per_sec = per_sec(engine_rounds, engine_ns);
-    SpeedupReport {
-        nodes,
-        loss,
-        harness_rounds,
-        engine_rounds,
-        harness_steps_per_sec,
-        engine_steps_per_sec,
-        speedup: if harness_steps_per_sec > 0.0 {
-            engine_steps_per_sec / harness_steps_per_sec
-        } else {
-            0.0
-        },
-        harness_total_ids,
-        engine_total_ids,
-    }
-}
-
-impl SpeedupReport {
-    /// Serializes the report as a single JSON object with a stable key
-    /// order (hand-rolled; the workspace has no serde).
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\n",
-                "  \"schema\": \"sandf-engine-speedup/v1\",\n",
-                "  \"protocol\": \"shuffle\",\n",
-                "  \"nodes\": {nodes},\n",
-                "  \"loss\": {loss},\n",
-                "  \"harness\": {{ \"rounds\": {h_rounds}, \"steps_per_sec\": {h_sps:.1}, ",
-                "\"total_ids\": {h_ids} }},\n",
-                "  \"flat_engine\": {{ \"rounds\": {e_rounds}, \"steps_per_sec\": {e_sps:.1}, ",
-                "\"total_ids\": {e_ids} }},\n",
-                "  \"speedup\": {speedup:.1}\n",
-                "}}\n",
-            ),
-            nodes = self.nodes,
-            loss = self.loss,
-            h_rounds = self.harness_rounds,
-            h_sps = self.harness_steps_per_sec,
-            h_ids = self.harness_total_ids,
-            e_rounds = self.engine_rounds,
-            e_sps = self.engine_steps_per_sec,
-            e_ids = self.engine_total_ids,
-            speedup = self.speedup,
-        )
-    }
 }
 
 impl PerfReport {
@@ -536,27 +410,6 @@ mod tests {
         config.engine = PerfEngine::Classic;
         config.protocol = PerfProtocol::Shuffle;
         let _ = run(config, &MetricsRegistry::new());
-    }
-
-    #[test]
-    fn shuffle_speedup_reports_both_sides() {
-        let report = shuffle_speedup(128, 2, 4, 0.05, 7);
-        assert!(report.harness_steps_per_sec > 0.0);
-        assert!(report.engine_steps_per_sec > 0.0);
-        assert!(report.speedup > 0.0);
-        assert!(report.harness_total_ids > 0);
-        assert!(report.engine_total_ids > 0);
-        let json = report.to_json();
-        for key in [
-            "\"schema\": \"sandf-engine-speedup/v1\"",
-            "\"nodes\": 128",
-            "\"harness\"",
-            "\"flat_engine\"",
-            "\"speedup\"",
-        ] {
-            assert!(json.contains(key), "missing {key} in {json}");
-        }
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
 
     #[test]

@@ -17,12 +17,9 @@
 //! paper scale.
 
 use rand::RngCore;
-use sandf_baselines::{
-    BaselineHarness, GossipProtocol, PushOnlyBehavior, PushOnlyNode, PushPullBehavior,
-    PushPullNode, SfAdapter, ShuffleBehavior, ShuffleNode,
-};
+use sandf_baselines::{PushOnlyBehavior, PushPullBehavior, ShuffleBehavior};
 use sandf_core::{NodeId, SfConfig, SfNode};
-use sandf_graph::DegreeStats;
+use sandf_graph::{DegreeStats, MembershipGraph};
 use sandf_markov::{select_thresholds, DegreeMc, DegreeMcParams};
 use sandf_sim::experiment::{continuous_churn, steady_state_degrees, uniformity, ExperimentParams};
 use sandf_sim::{
@@ -33,6 +30,7 @@ use sandf_sim::{
 use sandf_variants::{BatchedBehavior, ReplaceBehavior, UndeleteBehavior};
 
 use crate::fmt;
+use crate::perf::ring_views;
 use crate::sweep::{SweepCell, SweepSpec};
 
 /// The paper's running configuration (`s = 40`, `d_L = 18`; Section 6.4).
@@ -389,28 +387,10 @@ impl SweepCell for BaselineCell {
     }
 }
 
-fn baseline_bootstrap(i: usize, k: usize, n: usize) -> Vec<NodeId> {
-    (1..=k).map(|d| NodeId::new(((i + d) % n) as u64)).collect()
-}
-
-fn baseline_metrics<P: GossipProtocol>(mut harness: BaselineHarness<P>, rounds: usize) -> Vec<f64> {
-    let quarter = (rounds / 4).max(1);
-    let mut values = Vec::with_capacity(7);
-    for _ in 0..4 {
-        harness.run_rounds(quarter);
-        values.push(harness.metrics().total_ids as f64);
-    }
-    let last = harness.metrics();
-    values.push(last.empty_views as f64);
-    values.push(last.mean_out_degree);
-    values.push(last.in_degree_variance);
-    values
-}
-
 /// §3.1 — S&F vs shuffle vs push-pull vs push-only under identical uniform
-/// loss, replicated. `ids_q1..q4` track the id population at the quarter
-/// marks of the run: shuffles drain, S&F compensates, push variants
-/// saturate.
+/// loss on the flat engine, replicated. `ids_q1..q4` track the id
+/// population at the quarter marks of the run: shuffles drain, S&F
+/// compensates, push variants saturate.
 #[must_use]
 pub fn baseline_table(n: usize, rounds: usize, replicates: usize, base_seed: u64) -> String {
     let config = SfConfig::new(16, 6).expect("legal config");
@@ -421,65 +401,28 @@ pub fn baseline_table(n: usize, rounds: usize, replicates: usize, base_seed: u64
         }
     }
     let spec = SweepSpec::new(cells, replicates, base_seed);
+    // Same ring bootstrap for every cell/replicate — build once, clone in.
+    let views = ring_views(n, 8);
+    let quarters = [(rounds / 4).max(1); 4];
     let results = spec.run(
         &["ids_q1", "ids_q2", "ids_q3", "ids_q4", "empty_views", "mean_out", "in_var"],
         |cell, rng| {
-            let seed = rng.next_u64();
-            match cell.protocol {
-                "sandf" => {
-                    let nodes: Vec<SfAdapter> = (0..n)
-                        .map(|i| {
-                            SfAdapter::new(
-                                SfNode::with_view(
-                                    NodeId::new(i as u64),
-                                    config,
-                                    &baseline_bootstrap(i, 8, n),
-                                )
-                                .expect("bootstrap is legal"),
-                            )
-                        })
-                        .collect();
-                    baseline_metrics(BaselineHarness::new(nodes, cell.loss, seed), rounds)
-                }
-                "shuffle" => {
-                    let nodes: Vec<ShuffleNode> = (0..n)
-                        .map(|i| {
-                            ShuffleNode::new(
-                                NodeId::new(i as u64),
-                                16,
-                                3,
-                                &baseline_bootstrap(i, 8, n),
-                            )
-                        })
-                        .collect();
-                    baseline_metrics(BaselineHarness::new(nodes, cell.loss, seed), rounds)
-                }
-                "push_pull" => {
-                    let nodes: Vec<PushPullNode> = (0..n)
-                        .map(|i| {
-                            PushPullNode::new(
-                                NodeId::new(i as u64),
-                                16,
-                                3,
-                                &baseline_bootstrap(i, 8, n),
-                            )
-                        })
-                        .collect();
-                    baseline_metrics(BaselineHarness::new(nodes, cell.loss, seed), rounds)
-                }
-                _ => {
-                    let nodes: Vec<PushOnlyNode> = (0..n)
-                        .map(|i| {
-                            PushOnlyNode::new(
-                                NodeId::new(i as u64),
-                                16,
-                                &baseline_bootstrap(i, 8, n),
-                            )
-                        })
-                        .collect();
-                    baseline_metrics(BaselineHarness::new(nodes, cell.loss, seed), rounds)
-                }
-            }
+            let graphs = zoo_snapshots(
+                cell.protocol,
+                "flat",
+                config,
+                views.clone(),
+                cell.loss,
+                rng.next_u64(),
+                &quarters,
+            );
+            let mut values: Vec<f64> = graphs.iter().map(|g| g.edge_count() as f64).collect();
+            let last = graphs.last().expect("four quarters");
+            let out_degrees = last.out_degrees();
+            values.push(out_degrees.iter().filter(|&&d| d == 0).count() as f64);
+            values.push(DegreeStats::from_samples(&out_degrees).mean);
+            values.push(DegreeStats::from_samples(&last.in_degrees()).variance);
+            values
         },
     );
     results.to_tsv(&["protocol", "loss"], |c| vec![c.protocol.to_string(), fmt(c.loss)])
@@ -508,15 +451,13 @@ impl SweepCell for ZooCell {
 const ZOO_PROTOCOLS: [&str; 7] =
     ["sandf", "push_only", "push_pull", "shuffle", "replace", "undelete", "batched"];
 
-fn zoo_metrics<E: Engine>(mut sim: E, rounds: usize) -> Vec<f64> {
-    sim.run_rounds(rounds);
-    let graph = sim.graph();
-    vec![
-        graph.edge_count() as f64,
-        DegreeStats::from_samples(&graph.out_degrees()).mean,
-        DegreeStats::from_samples(&graph.in_degrees()).std_dev(),
-        f64::from(u8::from(graph.is_weakly_connected())),
-    ]
+fn snapshots<E: Engine>(mut sim: E, legs: &[usize]) -> Vec<MembershipGraph> {
+    legs.iter()
+        .map(|&rounds| {
+            sim.run_rounds(rounds);
+            sim.graph()
+        })
+        .collect()
 }
 
 fn zoo_run<B: ProtocolBehavior>(
@@ -526,14 +467,35 @@ fn zoo_run<B: ProtocolBehavior>(
     views: Vec<(NodeId, Vec<NodeId>)>,
     loss: f64,
     seed: u64,
-    rounds: usize,
-) -> Vec<f64> {
+    legs: &[usize],
+) -> Vec<MembershipGraph> {
     let loss = UniformLoss::new(loss).expect("valid rate");
     match engine {
-        "flat" => {
-            zoo_metrics(FlatSimulation::from_views(behavior, config, views, loss, seed), rounds)
-        }
-        _ => zoo_metrics(ParSimulation::from_views(behavior, config, views, loss, seed, 2), rounds),
+        "flat" => snapshots(FlatSimulation::from_views(behavior, config, views, loss, seed), legs),
+        _ => snapshots(ParSimulation::from_views(behavior, config, views, loss, seed, 2), legs),
+    }
+}
+
+/// The workspace's one name → behavior dispatch: runs `protocol` on
+/// `engine` and snapshots the membership graph after each leg of `legs`
+/// rounds. Each table reads its own metrics off the snapshots.
+fn zoo_snapshots(
+    protocol: &str,
+    engine: &str,
+    config: SfConfig,
+    views: Vec<(NodeId, Vec<NodeId>)>,
+    loss: f64,
+    seed: u64,
+    legs: &[usize],
+) -> Vec<MembershipGraph> {
+    match protocol {
+        "sandf" => zoo_run(SfBehavior, engine, config, views, loss, seed, legs),
+        "push_only" => zoo_run(PushOnlyBehavior, engine, config, views, loss, seed, legs),
+        "push_pull" => zoo_run(PushPullBehavior::new(3), engine, config, views, loss, seed, legs),
+        "shuffle" => zoo_run(ShuffleBehavior::new(3), engine, config, views, loss, seed, legs),
+        "replace" => zoo_run(ReplaceBehavior, engine, config, views, loss, seed, legs),
+        "undelete" => zoo_run(UndeleteBehavior, engine, config, views, loss, seed, legs),
+        _ => zoo_run(BatchedBehavior::new(3), engine, config, views, loss, seed, legs),
     }
 }
 
@@ -559,27 +521,20 @@ pub fn zoo_engine_table(
         }
     }
     let spec = SweepSpec::new(cells, replicates, base_seed);
-    // Same bootstrap views for every cell/replicate — build once, clone in.
-    let views: Vec<(NodeId, Vec<NodeId>)> =
-        (0..n).map(|i| (NodeId::new(i as u64), baseline_bootstrap(i, 8, n))).collect();
+    // Same ring bootstrap for every cell/replicate — build once, clone in.
+    let views = ring_views(n, 8);
     let results = spec.run(&["total_ids", "mean_out", "in_std", "connected"], |cell, rng| {
         let seed = rng.next_u64();
-        let views = views.clone();
-        match cell.protocol {
-            "sandf" => zoo_run(SfBehavior, cell.engine, config, views, loss, seed, rounds),
-            "push_only" => {
-                zoo_run(PushOnlyBehavior, cell.engine, config, views, loss, seed, rounds)
-            }
-            "push_pull" => {
-                zoo_run(PushPullBehavior::new(3), cell.engine, config, views, loss, seed, rounds)
-            }
-            "shuffle" => {
-                zoo_run(ShuffleBehavior::new(3), cell.engine, config, views, loss, seed, rounds)
-            }
-            "replace" => zoo_run(ReplaceBehavior, cell.engine, config, views, loss, seed, rounds),
-            "undelete" => zoo_run(UndeleteBehavior, cell.engine, config, views, loss, seed, rounds),
-            _ => zoo_run(BatchedBehavior::new(3), cell.engine, config, views, loss, seed, rounds),
-        }
+        let graph =
+            zoo_snapshots(cell.protocol, cell.engine, config, views.clone(), loss, seed, &[rounds])
+                .pop()
+                .expect("one leg");
+        vec![
+            graph.edge_count() as f64,
+            DegreeStats::from_samples(&graph.out_degrees()).mean,
+            DegreeStats::from_samples(&graph.in_degrees()).std_dev(),
+            f64::from(u8::from(graph.is_weakly_connected())),
+        ]
     });
     results.to_tsv(&["protocol", "engine"], |c| vec![c.protocol.to_string(), c.engine.to_string()])
 }

@@ -337,13 +337,15 @@ impl Arena {
     }
 
     /// Reconstitutes node `k`'s [`LocalView`] (slot positions, ids, and
-    /// dependence tags all preserved).
-    pub(crate) fn view_at(&self, k: usize) -> LocalView {
+    /// dependence tags all preserved). Slots the behavior hides are empty
+    /// in the result, like in every other reader.
+    pub(crate) fn view_at<B: ProtocolBehavior>(&self, k: usize) -> LocalView {
         let base = k * self.s;
         LocalView::from_slots(
             (base..base + self.s)
                 .map(|i| {
-                    (self.slot_ids[i] != EMPTY).then(|| Entry {
+                    let visible = self.slot_ids[i] != EMPTY && B::slot_visible(self.slot_flags[i]);
+                    visible.then(|| Entry {
                         id: widen(self.slot_ids[i]),
                         dependent: self.slot_flags[i] & FLAG_DEPENDENT != 0,
                     })
@@ -421,9 +423,9 @@ impl Arena {
     /// Removes a node (leave/crash). Returns the departed node rebuilt
     /// from the arena — its view is exact, its per-node counters zeroed.
     /// The dense slot stays allocated.
-    pub(crate) fn leave(&mut self, id: NodeId) -> Option<SfNode> {
+    pub(crate) fn leave<B: ProtocolBehavior>(&mut self, id: NodeId) -> Option<SfNode> {
         let k = self.dense_of(id)?;
-        let node = SfNode::from_view(id, self.config, self.view_at(k));
+        let node = SfNode::from_view(id, self.config, self.view_at::<B>(k));
         self.index[id.index()] = DEAD;
         self.degree_hist.remove(self.degree[k]);
         Some(node)
@@ -497,8 +499,12 @@ impl Arena {
     /// Reconstitutes the nodes in `live` as [`SfNode`]s. Views carry over
     /// exactly; the per-node counters do not (the rebuilt nodes start with
     /// zeroed [`NodeStats`]).
-    pub(crate) fn to_nodes(&self, live: impl Iterator<Item = usize>) -> Vec<SfNode> {
-        live.map(|k| SfNode::from_view(self.dense_id[k], self.config, self.view_at(k))).collect()
+    pub(crate) fn to_nodes<B: ProtocolBehavior>(
+        &self,
+        live: impl Iterator<Item = usize>,
+    ) -> Vec<SfNode> {
+        live.map(|k| SfNode::from_view(self.dense_id[k], self.config, self.view_at::<B>(k)))
+            .collect()
     }
 
     /// Sum of the per-node counters of the nodes in `live`.
@@ -557,7 +563,7 @@ mod tests {
         assert_eq!(arena.out_degree_of(id), Some(4));
         assert_eq!(arena.live_dense().count(), 25);
         assert_eq!(arena.degree_hist.live_nodes(), 25);
-        let view = arena.view_at(k);
+        let view = arena.view_at::<SfBehavior>(k);
         assert!(view.entries().all(|entry| entry.dependent), "bootstrap ids are tagged dependent");
     }
 
@@ -645,7 +651,7 @@ mod tests {
         assert_eq!(arena.dense_id, [NodeId::new(5), NodeId::new(2)]);
         assert_eq!(arena.next_id, 6);
         assert_eq!(arena.out_degree_of(NodeId::new(5)), Some(3));
-        assert_eq!(arena.view_at(0).ids().collect::<Vec<_>>(), ids(0..3));
+        assert_eq!(arena.view_at::<SfBehavior>(0).ids().collect::<Vec<_>>(), ids(0..3));
         assert_eq!(arena.degree_hist.edges(), 3);
         let wide = vec![(NodeId::new(0), ids(1..14))];
         assert!(std::panic::catch_unwind(move || Arena::from_views(config(), wide)).is_err());

@@ -419,11 +419,13 @@ impl<L: FaultModel, B: ProtocolBehavior> FlatSimulation<L, B> {
     }
 
     /// Reconstitutes a live node's [`LocalView`] from the arena (slot
-    /// positions, ids, and dependence tags all preserved), or `None` when
-    /// departed. Intended for snapshots and tests, not hot paths.
+    /// positions, ids, and dependence tags all preserved; slots the
+    /// behavior hides, i.e. tombstones, read as empty — as in every other
+    /// reader), or `None` when departed. Intended for snapshots and tests,
+    /// not hot paths.
     #[must_use]
     pub fn node_view(&self, id: NodeId) -> Option<LocalView> {
-        self.arena.dense_of(id).map(|k| self.arena.view_at(k))
+        self.arena.dense_of(id).map(|k| self.arena.view_at::<B>(k))
     }
 
     /// Reconstitutes every live node as an [`SfNode`], in live order.
@@ -433,7 +435,7 @@ impl<L: FaultModel, B: ProtocolBehavior> FlatSimulation<L, B> {
     /// engine instead).
     #[must_use]
     pub fn to_nodes(&self) -> Vec<SfNode> {
-        self.arena.to_nodes(self.live_dense())
+        self.arena.to_nodes::<B>(self.live_dense())
     }
 
     /// Executes one step by a uniformly random live node (the paper's
@@ -809,7 +811,7 @@ impl<L: FaultModel, B: ProtocolBehavior> FlatSimulation<L, B> {
     /// engine's return value) its per-node counters are zeroed; the
     /// engine-level [`stats`](Self::stats) are unaffected either way.
     pub fn leave(&mut self, id: NodeId) -> Option<SfNode> {
-        let node = self.arena.leave(id)?;
+        let node = self.arena.leave::<B>(id)?;
         let needle = slot_word(id);
         let pos = self.live.iter().position(|e| e.id == needle).expect("live list out of sync");
         self.live.swap_remove(pos);

@@ -617,11 +617,13 @@ impl<L: FaultModel + Clone + Send, B: ProtocolBehavior> ParSimulation<L, B> {
     }
 
     /// Reconstitutes a live node's [`LocalView`] from the arena (slot
-    /// positions, ids, and dependence tags all preserved), or `None` when
-    /// departed. Intended for snapshots and tests, not hot paths.
+    /// positions, ids, and dependence tags all preserved; slots the
+    /// behavior hides, i.e. tombstones, read as empty — as in every other
+    /// reader), or `None` when departed. Intended for snapshots and tests,
+    /// not hot paths.
     #[must_use]
     pub fn node_view(&self, id: NodeId) -> Option<LocalView> {
-        self.arena.dense_of(id).map(|k| self.arena.view_at(k))
+        self.arena.dense_of(id).map(|k| self.arena.view_at::<B>(k))
     }
 
     /// Reconstitutes every live node as an [`SfNode`], in dense arena
@@ -630,7 +632,7 @@ impl<L: FaultModel + Clone + Send, B: ProtocolBehavior> ParSimulation<L, B> {
     /// the engine instead).
     #[must_use]
     pub fn to_nodes(&self) -> Vec<SfNode> {
-        self.arena.to_nodes(self.arena.live_dense())
+        self.arena.to_nodes::<B>(self.arena.live_dense())
     }
 
     /// How the arena splits for the configured thread count: the shard
@@ -987,7 +989,7 @@ impl<L: FaultModel + Clone + Send, B: ProtocolBehavior> ParSimulation<L, B> {
     /// from the arena with zeroed per-node counters, like
     /// [`FlatSimulation::leave`](crate::FlatSimulation::leave).
     pub fn leave(&mut self, id: NodeId) -> Option<SfNode> {
-        let node = self.arena.leave(id)?;
+        let node = self.arena.leave::<B>(id)?;
         self.live_count -= 1;
         Some(node)
     }

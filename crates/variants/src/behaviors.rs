@@ -2,13 +2,10 @@
 //! fast arena engines ([`FlatSimulation`](sandf_sim::FlatSimulation),
 //! [`ParSimulation`](sandf_sim::ParSimulation)).
 //!
-//! These mirror [`ReplaceNode`](crate::ReplaceNode),
-//! [`UndeleteNode`](crate::UndeleteNode), and
-//! [`BatchedNode`](crate::BatchedNode) over a [`SlotView`] window: the
-//! same slot draws and the same multiset dynamics, with the `Option`/enum
-//! slot representation replaced by the arena's [`EMPTY_SLOT`] sentinel and
-//! [`FLAG_TOMBSTONE`] bit. The vanilla variant needs no re-expression —
-//! it *is* [`SfBehavior`].
+//! Each is vanilla S&F over a [`SlotView`] window with one rule changed:
+//! the same slot draws, with empty slots marked by the arena's
+//! [`EMPTY_SLOT`] sentinel and tombstones by the [`FLAG_TOMBSTONE`] bit.
+//! The vanilla protocol needs no re-expression — it *is* [`SfBehavior`].
 //!
 //! Wire format: [`IdBatch`] with per-payload dependence bits; the
 //! sender's own dependence rides in the `kind` field
@@ -146,8 +143,7 @@ impl ProtocolBehavior for ReplaceBehavior {
             Receipt::stored()
         } else {
             // Displacement: something was overwritten. Counted as a
-            // deletion (an instance died), matching the VariantStats
-            // `displaced` convention.
+            // deletion (an instance died).
             view.stats.deletions += 1;
             Receipt::deleted()
         }
@@ -412,5 +408,327 @@ impl ProtocolBehavior for BatchedBehavior {
         supplied: usize,
     ) -> Result<(), sandf_core::JoinError> {
         validate_sf_bootstrap(config, supplied)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use rand::SeedableRng;
+    use sandf_core::NodeStats;
+
+    use super::*;
+
+    type Slot = (u32, u8);
+
+    const E: Slot = (EMPTY_SLOT, 0);
+    const DEP: u8 = FLAG_DEPENDENT;
+
+    const fn live(id: u32) -> Slot {
+        (id, 0)
+    }
+
+    const fn tomb(id: u32) -> Slot {
+        (id, FLAG_TOMBSTONE)
+    }
+
+    /// `d_L = 2`; the windows below are narrower than `s`, which the
+    /// behaviors never read (they size themselves from the window).
+    fn config() -> SfConfig {
+        SfConfig::new(8, 2).unwrap()
+    }
+
+    /// One node's arena window, owned so a case can lend out [`SlotView`]s.
+    struct Window {
+        ids: Vec<u32>,
+        flags: Vec<u8>,
+        degree: u32,
+        stats: NodeStats,
+    }
+
+    impl Window {
+        fn new(slots: &[Slot]) -> Self {
+            let mut window = Self {
+                ids: slots.iter().map(|slot| slot.0).collect(),
+                flags: slots.iter().map(|slot| slot.1).collect(),
+                degree: 0,
+                stats: NodeStats::new(),
+            };
+            window.degree = window.visible().len() as u32;
+            window
+        }
+
+        fn view(&mut self) -> SlotView<'_> {
+            SlotView {
+                id: NodeId::new(0),
+                ids: &mut self.ids,
+                flags: &mut self.flags,
+                degree: &mut self.degree,
+                stats: &mut self.stats,
+            }
+        }
+
+        fn slots(&self) -> impl Iterator<Item = Slot> + '_ {
+            self.ids.iter().copied().zip(self.flags.iter().copied())
+        }
+
+        /// The live entries, flags included.
+        fn visible(&self) -> Vec<Slot> {
+            self.slots().filter(|&(id, f)| id != EMPTY_SLOT && f & FLAG_TOMBSTONE == 0).collect()
+        }
+
+        fn tombstones(&self) -> usize {
+            self.slots().filter(|&(id, f)| id != EMPTY_SLOT && f & FLAG_TOMBSTONE != 0).count()
+        }
+
+        /// Checks the ledger against the slots, then the case's expectation.
+        fn expect(&self, name: &str, degree: u32, tombstones: usize, holds: &[Slot]) {
+            let visible = self.visible();
+            assert_eq!(self.degree as usize, visible.len(), "{name}: degree ledger drifted");
+            assert_eq!(self.degree, degree, "{name}: live outdegree");
+            assert_eq!(self.tombstones(), tombstones, "{name}: tombstones");
+            for entry in holds {
+                assert!(visible.contains(entry), "{name}: {entry:?} missing from {visible:?}");
+            }
+        }
+    }
+
+    /// One successful send (slot picks that hit an unusable slot are
+    /// self-loops; the case retries past them) from the `before` window.
+    struct Send<'a> {
+        name: &'static str,
+        initiate: fn(SlotView<'_>, &mut StdRng) -> Option<(NodeId, IdBatch)>,
+        before: &'a [Slot],
+        kind: u8,
+        payloads: u8,
+        degree: u32,
+        tombstones: usize,
+        holds: &'a [Slot],
+    }
+
+    #[test]
+    fn initiate_cases() {
+        let undelete: fn(SlotView<'_>, &mut StdRng) -> Option<(NodeId, IdBatch)> =
+            |view, rng| UndeleteBehavior.initiate(config(), view, rng);
+        let replace: fn(SlotView<'_>, &mut StdRng) -> Option<(NodeId, IdBatch)> =
+            |view, rng| ReplaceBehavior.initiate(config(), view, rng);
+        let batched: fn(SlotView<'_>, &mut StdRng) -> Option<(NodeId, IdBatch)> =
+            |view, rng| BatchedBehavior::new(3).initiate(config(), view, rng);
+        let cases = [
+            Send {
+                name: "undelete tombstones the sent pair instead of clearing it",
+                initiate: undelete,
+                before: &[live(1), live(2), live(3), live(4)],
+                kind: KIND_CLEAN_SEND,
+                payloads: 1,
+                degree: 2,
+                tombstones: 2,
+                holds: &[],
+            },
+            Send {
+                name: "undelete compensates from the reservoir, tagged dependent",
+                initiate: undelete,
+                before: &[live(1), live(2), tomb(3), tomb(4)],
+                kind: KIND_DEPENDENT_SEND,
+                payloads: 1,
+                degree: 2,
+                tombstones: 2,
+                holds: &[(3, DEP), (4, DEP)],
+            },
+            Send {
+                name: "undelete drains the reservoir before touching the just-sent pair",
+                initiate: undelete,
+                before: &[live(1), live(2), tomb(3), E],
+                kind: KIND_DEPENDENT_SEND,
+                payloads: 1,
+                degree: 2,
+                tombstones: 1,
+                holds: &[(3, DEP)],
+            },
+            Send {
+                name: "undelete falls back to the just-sent pair (plain duplication)",
+                initiate: undelete,
+                before: &[live(1), live(2), E, E],
+                kind: KIND_DEPENDENT_SEND,
+                payloads: 1,
+                degree: 2,
+                tombstones: 0,
+                holds: &[(1, DEP), (2, DEP)],
+            },
+            Send {
+                name: "replace clears the sent pair above d_L, like vanilla",
+                initiate: replace,
+                before: &[live(1), live(2), live(3), live(4)],
+                kind: KIND_CLEAN_SEND,
+                payloads: 1,
+                degree: 2,
+                tombstones: 0,
+                holds: &[],
+            },
+            Send {
+                name: "replace duplicates at d_L, like vanilla",
+                initiate: replace,
+                before: &[live(1), live(2), E, E],
+                kind: KIND_DEPENDENT_SEND,
+                payloads: 1,
+                degree: 2,
+                tombstones: 0,
+                holds: &[live(1), live(2)],
+            },
+            Send {
+                name: "batched clears the target and b payloads",
+                initiate: batched,
+                before: &[live(1), live(2), live(3), live(4), live(5), live(6), live(7), live(8)],
+                kind: KIND_CLEAN_SEND,
+                payloads: 3,
+                degree: 4,
+                tombstones: 0,
+                holds: &[],
+            },
+            Send {
+                name: "batched duplicates when clearing b + 1 would cross d_L",
+                initiate: batched,
+                before: &[live(1), live(2), live(3), live(4)],
+                kind: KIND_DEPENDENT_SEND,
+                payloads: 3,
+                degree: 4,
+                tombstones: 0,
+                holds: &[live(1), live(2), live(3), live(4)],
+            },
+        ];
+        for case in cases {
+            let mut window = Window::new(case.before);
+            let mut rng = StdRng::seed_from_u64(1);
+            let (_, msg) = loop {
+                if let Some(sent) = (case.initiate)(window.view(), &mut rng) {
+                    break sent;
+                }
+            };
+            let compensated = case.kind == KIND_DEPENDENT_SEND;
+            assert_eq!(msg.kind, case.kind, "{}: message kind", case.name);
+            assert_eq!(msg.len, case.payloads, "{}: payload ids", case.name);
+            assert!(
+                msg.entries().all(|(_, dependent)| dependent == compensated),
+                "{}: payload tags follow the send kind",
+                case.name
+            );
+            assert_eq!(window.stats.sent, 1, "{}", case.name);
+            assert_eq!(window.stats.duplications, u64::from(compensated), "{}", case.name);
+            window.expect(case.name, case.degree, case.tombstones, case.holds);
+        }
+    }
+
+    /// One delivery of sender 50 plus `payloads` ids 51, 52, … (a clean
+    /// send) into the `before` window.
+    struct Delivery<'a> {
+        name: &'static str,
+        receive: fn(SlotView<'_>, IdBatch, &mut StdRng) -> Receipt<IdBatch>,
+        before: &'a [Slot],
+        payloads: u64,
+        deleted: bool,
+        degree: u32,
+        tombstones: usize,
+        holds: &'a [Slot],
+    }
+
+    #[test]
+    fn receive_cases() {
+        let undelete: fn(SlotView<'_>, IdBatch, &mut StdRng) -> Receipt<IdBatch> =
+            |view, msg, rng| UndeleteBehavior.receive(config(), view, msg, rng);
+        let replace: fn(SlotView<'_>, IdBatch, &mut StdRng) -> Receipt<IdBatch> =
+            |view, msg, rng| ReplaceBehavior.receive(config(), view, msg, rng);
+        let batched: fn(SlotView<'_>, IdBatch, &mut StdRng) -> Receipt<IdBatch> =
+            |view, msg, rng| BatchedBehavior::new(3).receive(config(), view, msg, rng);
+        let cases = [
+            Delivery {
+                name: "replace overwrites when full instead of deleting the arrivals",
+                receive: replace,
+                before: &[live(1), live(2), live(3), live(4), live(5), live(6)],
+                payloads: 1,
+                deleted: true,
+                degree: 6,
+                tombstones: 0,
+                // The second arrival may evict the first (victims are
+                // uniform over all slots); the last one always survives.
+                holds: &[live(51)],
+            },
+            Delivery {
+                name: "replace fills empty slots first",
+                receive: replace,
+                before: &[live(1), live(2), E, E],
+                payloads: 1,
+                deleted: false,
+                degree: 4,
+                tombstones: 0,
+                holds: &[live(1), live(2), live(50), live(51)],
+            },
+            Delivery {
+                name: "undelete prefers empty slots to tombstones",
+                receive: undelete,
+                before: &[live(1), E, E, tomb(4)],
+                payloads: 1,
+                deleted: false,
+                degree: 3,
+                tombstones: 1,
+                holds: &[live(50), live(51)],
+            },
+            Delivery {
+                name: "undelete reclaims tombstones before deleting",
+                receive: undelete,
+                before: &[live(1), live(2), tomb(3), tomb(4)],
+                payloads: 1,
+                deleted: false,
+                degree: 4,
+                tombstones: 0,
+                holds: &[live(50), live(51)],
+            },
+            Delivery {
+                name: "undelete deletes once fully live",
+                receive: undelete,
+                before: &[live(1), live(2), live(3), live(4)],
+                payloads: 1,
+                deleted: true,
+                degree: 4,
+                tombstones: 0,
+                holds: &[live(1), live(2), live(3), live(4)],
+            },
+            Delivery {
+                name: "batched receive is all-or-nothing: 2 free slots, 4 arrivals",
+                receive: batched,
+                before: &[live(1), live(2), live(3), live(4), live(5), live(6), E, E],
+                payloads: 3,
+                deleted: true,
+                degree: 6,
+                tombstones: 0,
+                holds: &[live(1), live(2), live(3), live(4), live(5), live(6)],
+            },
+            Delivery {
+                name: "batched stores the sender and every payload when they fit",
+                receive: batched,
+                before: &[live(1), live(2), live(3), live(4), E, E, E, E],
+                payloads: 3,
+                deleted: false,
+                degree: 8,
+                tombstones: 0,
+                holds: &[live(50), live(51), live(52), live(53)],
+            },
+        ];
+        for case in cases {
+            let mut window = Window::new(case.before);
+            let mut msg = IdBatch::new(NodeId::new(50), KIND_CLEAN_SEND);
+            for k in 0..case.payloads {
+                msg.push(NodeId::new(51 + k), false);
+            }
+            let receipt = (case.receive)(window.view(), msg, &mut StdRng::seed_from_u64(1));
+            assert_eq!(receipt.deleted, case.deleted, "{}: receipt", case.name);
+            assert_eq!(window.stats.deletions, u64::from(case.deleted), "{}", case.name);
+            assert_eq!(window.stats.stored, u64::from(!case.deleted), "{}", case.name);
+            window.expect(case.name, case.degree, case.tombstones, case.holds);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "odd")]
+    fn batched_rejects_an_even_batch() {
+        let _ = BatchedBehavior::new(2);
     }
 }

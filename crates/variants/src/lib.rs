@@ -2,57 +2,44 @@
 //!
 //! Section 5 of Gurevich & Keidar sketches three optimizations and sets
 //! them aside because they "would make the protocol harder to analyze …
-//! leave optimizations to future work". This crate is that future work:
+//! leave optimizations to future work". This crate is that future work,
+//! as [`ProtocolBehavior`](sandf_sim::ProtocolBehavior)s for the arena
+//! engines:
 //!
-//! 1. [`UndeleteNode`] — sent ids are *tombstoned*, not cleared, and
+//! 1. [`UndeleteBehavior`] — sent ids are *tombstoned*, not cleared, and
 //!    compensation *undeletes* stale entries instead of duplicating live
 //!    ones;
-//! 2. [`ReplaceNode`] — a full receiver overwrites random entries instead
-//!    of deleting arrivals;
-//! 3. [`BatchedNode`] — `b` payload ids per message (odd `b`, preserving
-//!    the Observation 5.1 parity invariant).
+//! 2. [`ReplaceBehavior`] — a full receiver overwrites random entries
+//!    instead of deleting arrivals;
+//! 3. [`BatchedBehavior`] — `b` payload ids per message (odd `b`,
+//!    preserving the Observation 5.1 parity invariant).
 //!
-//! [`VanillaNode`] adapts the analyzed baseline to the same [`SfVariant`]
-//! trait, and [`VariantSim`] runs any population under seeded uniform loss
-//! so the `variants_ablation` bench can compare degree balance, dependence,
-//! and loss-resilience across all four — quantifying exactly the trade-offs
-//! the paper chose not to analyze.
+//! The analyzed baseline is [`SfBehavior`](sandf_sim::SfBehavior) itself,
+//! so the `variants_ablation` bench compares degree balance, dependence,
+//! and loss-resilience across all four on one engine — quantifying
+//! exactly the trade-offs the paper chose not to analyze.
 //!
 //! ## Example
 //!
 //! ```
 //! use sandf_core::{NodeId, SfConfig};
-//! use sandf_variants::{SfVariant, UndeleteNode, VariantSim};
+//! use sandf_sim::{FlatSimulation, UniformLoss};
+//! use sandf_variants::UndeleteBehavior;
 //!
 //! let config = SfConfig::new(16, 6)?;
-//! let nodes: Vec<UndeleteNode> = (0..32usize)
-//!     .map(|i| {
-//!         let boot: Vec<NodeId> =
-//!             (1..=8).map(|d| NodeId::new(((i + d) % 32) as u64)).collect();
-//!         UndeleteNode::new(NodeId::new(i as u64), config, &boot)
-//!     })
+//! let views = (0..32u64)
+//!     .map(|i| (NodeId::new(i), (1..=8).map(|d| NodeId::new((i + d) % 32)).collect()))
 //!     .collect();
-//! let mut sim = VariantSim::new(nodes, 0.05, 7);
+//! let loss = UniformLoss::new(0.05)?;
+//! let mut sim = FlatSimulation::from_views(UndeleteBehavior, config, views, loss, 7);
 //! sim.run_rounds(100);
-//! assert!(sim.metrics().connected);
+//! assert!(sim.graph().is_weakly_connected());
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod batched;
 pub mod behaviors;
-mod harness;
-mod replace;
-mod traits;
-mod undelete;
-mod vanilla;
 
-pub use batched::BatchedNode;
 pub use behaviors::{BatchedBehavior, ReplaceBehavior, UndeleteBehavior};
-pub use harness::{VariantMetrics, VariantSim};
-pub use replace::ReplaceNode;
-pub use traits::{SfVariant, VariantMessage, VariantOutgoing, VariantStats};
-pub use undelete::UndeleteNode;
-pub use vanilla::VanillaNode;

@@ -16,7 +16,11 @@
 //!   Eq. 6.1, threshold selection, dependence MC, decay and conductance
 //!   bounds, exact tiny-system enumeration);
 //! * [`baselines`] — push-only, shuffle, and push-pull comparison
-//!   protocols behind one trait;
+//!   protocols as [`ProtocolBehavior`]s for the arena engines (plus the
+//!   per-node shuffle/push-pull reference the conformance tests use);
+//! * [`variants`] — the Section 5 optimizations the paper deferred
+//!   (undeletion, replace-when-full, batched sends), likewise as
+//!   behaviors;
 //! * [`net`] — lossy in-memory and UDP transports with the 17-byte wire
 //!   codec;
 //! * [`runtime`] — a threaded per-node runtime and cluster harness;

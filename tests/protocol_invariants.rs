@@ -9,11 +9,13 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use sandf::baselines::{PushOnlyBehavior, PushPullBehavior, ShuffleBehavior};
 use sandf::core::InitiateOutcome;
+use sandf::variants::{BatchedBehavior, ReplaceBehavior, UndeleteBehavior};
 use sandf::{
-    Engine, FlatSimulation, MembershipGraph, Message, NodeCapacity, NodeId, ParSimulation,
-    PerLinkLoss, PhaseFault, RegionalPartition, ScheduledFault, SfConfig, SfNode, Simulation,
-    UniformLoss, VictimLoss,
+    Engine, FlatSimulation, LocalView, MembershipGraph, Message, NodeCapacity, NodeId,
+    ParSimulation, PerLinkLoss, PhaseFault, ProtocolBehavior, RegionalPartition, ScheduledFault,
+    SfBehavior, SfConfig, SfNode, Simulation, UniformLoss, VictimLoss,
 };
 
 /// One externally scheduled event.
@@ -455,4 +457,53 @@ proptest! {
         let alpha = report.independent_fraction();
         prop_assert!((0.0..=1.0).contains(&alpha));
     }
+}
+
+/// Every reader of one engine must report the same live entries: the
+/// reconstituted nodes, the graph snapshot, the streaming degree ledger,
+/// and — per node — `node_view` against `for_each_live_view`.
+fn readers_agree<E: Engine>(
+    label: &str,
+    sim: &E,
+    nodes: &[SfNode],
+    node_view: impl Fn(NodeId) -> Option<LocalView>,
+) {
+    let edges = sim.graph().edge_count();
+    assert_eq!(nodes.iter().map(SfNode::out_degree).sum::<usize>(), edges, "{label}: to_nodes");
+    assert_eq!(sim.degree_stats().edges(), edges as u64, "{label}: degree_stats");
+    sim.for_each_live_view(&mut |id, visible| {
+        let mut expected = visible.to_vec();
+        let mut view: Vec<NodeId> = node_view(id).expect("live id").ids().collect();
+        expected.sort_unstable();
+        view.sort_unstable();
+        assert_eq!(view, expected, "{label}: node_view({id})");
+    });
+}
+
+fn readers_agree_on_both_engines<B: ProtocolBehavior + Copy>(name: &str, behavior: B) {
+    let config = SfConfig::new(16, 6).expect("legal");
+    let views: Vec<(NodeId, Vec<NodeId>)> = (0..64u64)
+        .map(|i| (NodeId::new(i), (1..=10).map(|d| NodeId::new((i + d) % 64)).collect()))
+        .collect();
+    let loss = UniformLoss::new(0.05).expect("valid rate");
+    let mut flat = FlatSimulation::from_views(behavior, config, views.clone(), loss, 2);
+    flat.run_rounds(200);
+    readers_agree(&format!("{name}/flat"), &flat, &flat.to_nodes(), |id| flat.node_view(id));
+    let mut par = ParSimulation::from_views(behavior, config, views, loss, 2, 2);
+    par.run_rounds(200);
+    readers_agree(&format!("{name}/par"), &par, &par.to_nodes(), |id| par.node_view(id));
+}
+
+/// Slots a behavior hides (the undelete variant's tombstones) are hidden
+/// by every reader alike: `to_nodes`/`node_view` — and through them
+/// `dependence` and the node `leave` returns — as much as `graph`.
+#[test]
+fn readers_agree_for_every_behavior_on_both_engines() {
+    readers_agree_on_both_engines("sandf", SfBehavior);
+    readers_agree_on_both_engines("push_only", PushOnlyBehavior);
+    readers_agree_on_both_engines("push_pull", PushPullBehavior::new(3));
+    readers_agree_on_both_engines("shuffle", ShuffleBehavior::new(3));
+    readers_agree_on_both_engines("replace", ReplaceBehavior);
+    readers_agree_on_both_engines("undelete", UndeleteBehavior);
+    readers_agree_on_both_engines("batched", BatchedBehavior::new(3));
 }
