@@ -3,27 +3,20 @@
 //!
 //! [`obs_report`] runs a seeded simulation with a [`SimRecorder`] counting
 //! `sim.step.*`, a bounded [`EventJournal`] mirroring the step-event
-//! stream, and (optionally) the engine's hot-path profiler — then, also
-//! optionally, a small threaded [`Cluster`] through
-//! [`Cluster::launch_observed`] so the exposition covers the
-//! `runtime.node.*` and `net.memory.*` families too. The result bundles
-//! the Prometheus exposition, the TSV dump, the journal JSONL, and the
-//! sorted metric-name list.
+//! stream, and (optionally) the engine's hot-path profiler. The result
+//! bundles the Prometheus exposition, the TSV dump, the journal JSONL, and
+//! the sorted metric-name list. (The live substrate's `daemon.*` catalog is
+//! pinned next to the daemon, in `crates/daemon/tests`.)
 //!
-//! Determinism contract: with `profile: false` and `cluster: false`, the
-//! whole report is a pure function of the config — two runs with the same
-//! seed produce byte-identical exposition, TSV, and journal (the
-//! simulation is single-threaded and the recorder observes it inline).
-//! Profiling spans read the wall clock and the cluster runs free threads,
-//! so those two switches trade determinism for coverage; golden tests pin
-//! metric *names* for the full report and metric *values* only for the
-//! deterministic subset.
+//! Determinism contract: with `profile: false`, the whole report is a pure
+//! function of the config — two runs with the same seed produce
+//! byte-identical exposition, TSV, and journal (the simulation is
+//! single-threaded and the recorder observes it inline). Profiling spans
+//! read the wall clock, so that switch trades determinism for coverage;
+//! golden tests pin metric *names* for the full report and metric *values*
+//! only for the deterministic subset.
 
-use std::time::Duration;
-
-use sandf_core::SfConfig;
 use sandf_obs::{EventJournal, MetricsRegistry};
-use sandf_runtime::{Cluster, ClusterConfig};
 use sandf_sim::{topology, DelayModel, SimRecorder, SimStats, Simulation, UniformLoss};
 
 use crate::sweeps::{initial_degree, paper_config};
@@ -41,17 +34,13 @@ pub struct ObsReportConfig {
     /// A nonzero bound exercises the `in_flight` counter and the journal's
     /// two-phase (`in_flight` then `delivered`) records.
     pub max_delay: u64,
-    /// RNG seed of the simulation (and of the cluster, when enabled).
+    /// RNG seed of the simulation.
     pub seed: u64,
     /// Journal ring-buffer capacity (oldest events are evicted beyond it).
     pub journal_capacity: usize,
     /// Attach the engine's hot-path profiler (`sim.profile.*_ns` spans).
     /// Span values read the wall clock, so they are not run-to-run stable.
     pub profile: bool,
-    /// Also run a small threaded cluster via [`Cluster::launch_observed`]
-    /// so the report covers `runtime.node.*` and `net.memory.*`. Thread
-    /// interleaving makes those counter values nondeterministic.
-    pub cluster: bool,
 }
 
 impl ObsReportConfig {
@@ -66,7 +55,6 @@ impl ObsReportConfig {
             seed: 2_009,
             journal_capacity: 1 << 16,
             profile: true,
-            cluster: true,
         }
     }
 
@@ -81,7 +69,6 @@ impl ObsReportConfig {
             seed: 7,
             journal_capacity: 4_096,
             profile: true,
-            cluster: true,
         }
     }
 }
@@ -100,8 +87,8 @@ pub struct ObsReport {
     pub stats: SimStats,
 }
 
-/// Runs one instrumented simulation (plus, optionally, a small observed
-/// cluster) and renders every observability output.
+/// Runs one instrumented simulation and renders every observability
+/// output.
 #[must_use]
 pub fn obs_report(config: &ObsReportConfig) -> ObsReport {
     let registry = MetricsRegistry::new();
@@ -124,22 +111,6 @@ pub fn obs_report(config: &ObsReportConfig) -> ObsReport {
         sim.step();
     }
     sim.settle();
-
-    if config.cluster {
-        let cluster = Cluster::launch_observed(
-            ClusterConfig {
-                n: 8,
-                protocol: SfConfig::new(12, 4).expect("legal toy parameters"),
-                loss: config.loss,
-                tick: Duration::from_millis(1),
-                seed: config.seed,
-                initial_out_degree: 4,
-            },
-            &registry,
-        );
-        cluster.run_for(Duration::from_millis(50));
-        let _ = cluster.shutdown();
-    }
 
     ObsReport {
         prometheus: registry.render_prometheus(),

@@ -33,16 +33,11 @@
 //! churn <leaves> <joins>       # optional, attaches to the phase above
 //! ```
 //!
-//! Fault models (arguments are positional):
-//!
-//! | spec | model | semantics |
-//! |---|---|---|
-//! | `uniform <rate>` | `UniformLoss` | i.i.d. loss (the paper's model) |
-//! | `bursty <to_bad> <to_good> <loss_good> <loss_bad>` | `GilbertElliott` | per-sender bursty channel |
-//! | `partition <regions> <sever> <base>` | `RegionalPartition` | cross-region loss at `sever` for the phase window, then heal |
-//! | `perlink <salt> <bad_fraction> <good_rate> <bad_rate>` | `PerLinkLoss` | persistent per-link quality |
-//! | `capacity <salt> <slow_fraction> <period> <base>` | `NodeCapacity` | slow cohort acts every `period`-th round |
-//! | `victims <count> <victim_rate> <base>` | `VictimLoss` | targeted loss on the `count` highest-indegree nodes, re-aimed at phase start |
+//! The `phase` line — duration, fault model, positional arguments — is the
+//! workspace's one fault grammar: its table, parser and printer live in
+//! [`sandf_sim::fault`] ([`FaultSpec`]), and the same line can be POSTed
+//! to a live daemon's `/ctl/fault`. This module adds the header
+//! directives and `churn` around it.
 //!
 //! The canonical printer ([`std::fmt::Display`]) emits exactly this
 //! grammar, so `parse ∘ print ∘ parse = parse` (round-trip identity —
@@ -76,10 +71,11 @@ use sandf_graph::DegreeStats;
 use sandf_markov::decay::leave_survival_bound;
 use sandf_markov::{DegreeMc, DegreeMcParams};
 use sandf_obs::MetricsRegistry;
+use sandf_sim::fault::{expect_args, parse_num};
+pub use sandf_sim::FaultSpec;
 use sandf_sim::{
-    topology, BroadcastConfig, BroadcastLayer, Engine, GilbertElliott, NodeCapacity, ParSimulation,
-    PerLinkLoss, PhaseFault, RegionalPartition, RumorChannel, ScheduledFault, UniformLoss,
-    VictimLoss,
+    rumor_channel_for, topology, BroadcastConfig, BroadcastLayer, Engine, ParSimulation,
+    PhaseFault, ScheduledFault, UniformLoss,
 };
 
 use crate::fmt;
@@ -114,147 +110,6 @@ pub const SCENARIO_BROADCAST_METRICS: &[&str] = &[
 // ---------------------------------------------------------------------------
 // The AST
 // ---------------------------------------------------------------------------
-
-/// One phase's fault model, as written in the spec (engine-independent;
-/// compiled to a [`PhaseFault`] by [`Scenario::compile`]).
-#[derive(Clone, Copy, PartialEq, Debug)]
-pub enum FaultSpec {
-    /// `uniform <rate>` — i.i.d. loss.
-    Uniform {
-        /// Loss rate in `[0, 1]`.
-        rate: f64,
-    },
-    /// `bursty <to_bad> <to_good> <loss_good> <loss_bad>` — Gilbert–Elliott.
-    Bursty {
-        /// Good→bad transition probability.
-        to_bad: f64,
-        /// Bad→good transition probability.
-        to_good: f64,
-        /// Loss rate in the good state.
-        loss_good: f64,
-        /// Loss rate in the bad state.
-        loss_bad: f64,
-    },
-    /// `partition <regions> <sever> <base>` — regional partition for the
-    /// phase's window, healing when the phase ends.
-    Partition {
-        /// Number of regions (`id % regions`).
-        regions: u64,
-        /// Cross-region loss rate during the window (1 = hard partition).
-        sever: f64,
-        /// In-region (and post-heal) loss rate.
-        base: f64,
-    },
-    /// `perlink <salt> <bad_fraction> <good_rate> <bad_rate>` — persistent
-    /// per-link quality.
-    PerLink {
-        /// Link-map salt (XORed with the replicate salt).
-        salt: u64,
-        /// Fraction of directed links that are bad.
-        bad_fraction: f64,
-        /// Loss rate on good links.
-        good_rate: f64,
-        /// Loss rate on bad links.
-        bad_rate: f64,
-    },
-    /// `capacity <salt> <slow_fraction> <period> <base>` — heterogeneous
-    /// node capacities.
-    Capacity {
-        /// Cohort salt (XORed with the replicate salt).
-        salt: u64,
-        /// Fraction of nodes in the slow cohort.
-        slow_fraction: f64,
-        /// Slow nodes act once per this many rounds.
-        period: u64,
-        /// Uniform loss rate underneath.
-        base: f64,
-    },
-    /// `victims <count> <victim_rate> <base>` — targeted inbound loss on
-    /// the `count` highest-indegree nodes, measured at phase start.
-    Victims {
-        /// Number of top-indegree victims.
-        count: usize,
-        /// Inbound loss rate at a victim.
-        victim_rate: f64,
-        /// Loss rate everywhere else.
-        base: f64,
-    },
-}
-
-impl FaultSpec {
-    /// The spec keyword naming this model.
-    #[must_use]
-    pub fn kind(&self) -> &'static str {
-        match self {
-            Self::Uniform { .. } => "uniform",
-            Self::Bursty { .. } => "bursty",
-            Self::Partition { .. } => "partition",
-            Self::PerLink { .. } => "perlink",
-            Self::Capacity { .. } => "capacity",
-            Self::Victims { .. } => "victims",
-        }
-    }
-
-    /// The phase's effective per-message loss rate in an `n`-node system —
-    /// the rate the degree-MC prediction is solved at. For structured
-    /// models this is the *marginal* rate of a message to a uniformly
-    /// random target; the whole point of the envelope table is that
-    /// structured loss at the same marginal rate need **not** behave like
-    /// uniform loss at that rate.
-    #[must_use]
-    pub fn effective_rate(&self, n: usize) -> f64 {
-        match *self {
-            Self::Uniform { rate } => rate,
-            Self::Bursty { to_bad, to_good, loss_good, loss_bad } => {
-                let p_bad = to_bad / (to_bad + to_good);
-                p_bad * loss_bad + (1.0 - p_bad) * loss_good
-            }
-            Self::Partition { regions, sever, base } => {
-                let cross = (regions - 1) as f64 / regions as f64;
-                cross * sever + (1.0 - cross) * base
-            }
-            Self::PerLink { bad_fraction, good_rate, bad_rate, .. } => {
-                bad_fraction * bad_rate + (1.0 - bad_fraction) * good_rate
-            }
-            Self::Capacity { base, .. } => base,
-            Self::Victims { count, victim_rate, base } => {
-                let f = (count as f64 / n as f64).min(1.0);
-                f * victim_rate + (1.0 - f) * base
-            }
-        }
-    }
-
-    /// Compiles the spec into a [`PhaseFault`] for the window
-    /// `[start, start + duration)`. `salt` decorrelates hash-derived link
-    /// maps and cohorts across replicates.
-    #[must_use]
-    pub fn build(&self, start: u64, duration: u64, salt: u64) -> PhaseFault {
-        match *self {
-            Self::Uniform { rate } => {
-                PhaseFault::Uniform(UniformLoss::new(rate).expect("validated at parse time"))
-            }
-            Self::Bursty { to_bad, to_good, loss_good, loss_bad } => PhaseFault::Bursty(
-                GilbertElliott::new(to_bad, to_good, loss_good, loss_bad)
-                    .expect("validated at parse time"),
-            ),
-            Self::Partition { regions, sever, base } => PhaseFault::Partition(
-                RegionalPartition::new(regions, start, duration, sever, base)
-                    .expect("validated at parse time"),
-            ),
-            Self::PerLink { salt: s, bad_fraction, good_rate, bad_rate } => PhaseFault::PerLink(
-                PerLinkLoss::new(s ^ salt, bad_fraction, good_rate, bad_rate)
-                    .expect("validated at parse time"),
-            ),
-            Self::Capacity { salt: s, slow_fraction, period, base } => PhaseFault::Capacity(
-                NodeCapacity::new(s ^ salt, slow_fraction, period, base)
-                    .expect("validated at parse time"),
-            ),
-            Self::Victims { victim_rate, base, .. } => PhaseFault::Victims(
-                VictimLoss::new(victim_rate, base).expect("validated at parse time"),
-            ),
-        }
-    }
-}
 
 /// The protocol a scenario drives through the par engine. The default is
 /// S&F; the baselines run through the unified `Engine`/`ProtocolBehavior`
@@ -292,7 +147,7 @@ impl ProtocolSpec {
 /// ([`sandf_sim::BroadcastLayer`]) over the live views during each
 /// measured phase, seeded at the lowest live id when the phase begins.
 /// The rumor channel mirrors the phase's fault model (see
-/// [`rumor_channel_for`]), so the envelope table reports how the scheduled
+/// [`sandf_sim::rumor_channel_for`]), so the envelope table reports how the scheduled
 /// fault degrades dissemination, not just view quality.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct BroadcastSpec {
@@ -312,30 +167,6 @@ impl BroadcastSpec {
             BroadcastConfig::push_pull(self.fanout, self.max_age)
         } else {
             BroadcastConfig::push(self.fanout, self.max_age)
-        }
-    }
-}
-
-/// The rumor channel matching a phase's fault model at the same
-/// parameters: `uniform`/`bursty`/`partition` map directly, `victims`
-/// aims at the same re-targeted victim set, and the membership-specific
-/// models map to their marginals (`perlink` → uniform at the effective
-/// rate; `capacity` gates sends rather than dropping them, so the rumor
-/// channel stays lossless).
-#[must_use]
-pub fn rumor_channel_for(fault: &FaultSpec, n: usize, victims: &[NodeId]) -> RumorChannel {
-    match *fault {
-        FaultSpec::Uniform { rate } => RumorChannel::Uniform { rate },
-        FaultSpec::Bursty { to_bad, to_good, loss_good, loss_bad } => {
-            RumorChannel::Bursty { to_bad, to_good, loss_good, loss_bad }
-        }
-        FaultSpec::Partition { regions, sever, base } => {
-            RumorChannel::Partition { regions, sever, base }
-        }
-        FaultSpec::PerLink { .. } => RumorChannel::Uniform { rate: fault.effective_rate(n) },
-        FaultSpec::Capacity { .. } => RumorChannel::Lossless,
-        FaultSpec::Victims { victim_rate, base, .. } => {
-            RumorChannel::Victims { victim_rate, base, victims: victims.to_vec() }
         }
     }
 }
@@ -419,151 +250,12 @@ fn err(line: usize, message: impl Into<String>) -> ScenarioParseError {
     ScenarioParseError { line, message: message.into() }
 }
 
-/// Parses one numeric token, naming the directive and argument on failure.
-fn num<T: std::str::FromStr>(
-    line: usize,
-    directive: &str,
-    what: &str,
-    token: &str,
-) -> Result<T, ScenarioParseError> {
-    token.parse().map_err(|_| err(line, format!("`{directive}` expects {what}, got {token:?}")))
-}
-
-fn rate(line: usize, directive: &str, what: &str, token: &str) -> Result<f64, ScenarioParseError> {
-    let value: f64 = num(line, directive, what, token)?;
-    if !(0.0..=1.0).contains(&value) {
-        return Err(err(line, format!("`{directive}` {what} {value} is outside [0, 1]")));
-    }
-    Ok(value)
-}
-
-fn set_once<T>(
-    slot: &mut Option<T>,
-    value: T,
-    line: usize,
-    directive: &str,
-) -> Result<(), ScenarioParseError> {
+fn set_once<T>(slot: &mut Option<T>, value: T, directive: &str) -> Result<(), String> {
     if slot.is_some() {
-        return Err(err(line, format!("duplicate `{directive}` directive")));
+        return Err(format!("duplicate `{directive}` directive"));
     }
     *slot = Some(value);
     Ok(())
-}
-
-fn expect_args(
-    line: usize,
-    directive: &str,
-    usage: &str,
-    args: &[&str],
-    want: usize,
-) -> Result<(), ScenarioParseError> {
-    if args.len() != want {
-        return Err(err(
-            line,
-            format!("`{directive}` takes {want} argument(s): `{usage}` (got {})", args.len()),
-        ));
-    }
-    Ok(())
-}
-
-fn parse_fault(line: usize, kind: &str, args: &[&str]) -> Result<FaultSpec, ScenarioParseError> {
-    match kind {
-        "uniform" => {
-            expect_args(line, "phase … uniform", "uniform <rate>", args, 1)?;
-            Ok(FaultSpec::Uniform { rate: rate(line, "uniform", "rate", args[0])? })
-        }
-        "bursty" => {
-            expect_args(
-                line,
-                "phase … bursty",
-                "bursty <to_bad> <to_good> <loss_good> <loss_bad>",
-                args,
-                4,
-            )?;
-            let to_bad = rate(line, "bursty", "to_bad", args[0])?;
-            let to_good = rate(line, "bursty", "to_good", args[1])?;
-            if to_bad + to_good <= 0.0 {
-                return Err(err(
-                    line,
-                    "`bursty` needs to_bad + to_good > 0 (a dead channel has no stationary state)",
-                ));
-            }
-            Ok(FaultSpec::Bursty {
-                to_bad,
-                to_good,
-                loss_good: rate(line, "bursty", "loss_good", args[2])?,
-                loss_bad: rate(line, "bursty", "loss_bad", args[3])?,
-            })
-        }
-        "partition" => {
-            expect_args(line, "phase … partition", "partition <regions> <sever> <base>", args, 3)?;
-            let regions: u64 = num(line, "partition", "an integer region count", args[0])?;
-            if regions < 2 {
-                return Err(err(
-                    line,
-                    format!("`partition` needs at least 2 regions, got {regions}"),
-                ));
-            }
-            Ok(FaultSpec::Partition {
-                regions,
-                sever: rate(line, "partition", "sever rate", args[1])?,
-                base: rate(line, "partition", "base rate", args[2])?,
-            })
-        }
-        "perlink" => {
-            expect_args(
-                line,
-                "phase … perlink",
-                "perlink <salt> <bad_fraction> <good_rate> <bad_rate>",
-                args,
-                4,
-            )?;
-            Ok(FaultSpec::PerLink {
-                salt: num(line, "perlink", "an integer salt", args[0])?,
-                bad_fraction: rate(line, "perlink", "bad_fraction", args[1])?,
-                good_rate: rate(line, "perlink", "good_rate", args[2])?,
-                bad_rate: rate(line, "perlink", "bad_rate", args[3])?,
-            })
-        }
-        "capacity" => {
-            expect_args(
-                line,
-                "phase … capacity",
-                "capacity <salt> <slow_fraction> <period> <base>",
-                args,
-                4,
-            )?;
-            let period: u64 = num(line, "capacity", "an integer period", args[2])?;
-            if period < 2 {
-                return Err(err(line, format!("`capacity` period must be ≥ 2, got {period}")));
-            }
-            Ok(FaultSpec::Capacity {
-                salt: num(line, "capacity", "an integer salt", args[0])?,
-                slow_fraction: rate(line, "capacity", "slow_fraction", args[1])?,
-                period,
-                base: rate(line, "capacity", "base rate", args[3])?,
-            })
-        }
-        "victims" => {
-            expect_args(line, "phase … victims", "victims <count> <victim_rate> <base>", args, 3)?;
-            let count: usize = num(line, "victims", "an integer victim count", args[0])?;
-            if count == 0 {
-                return Err(err(line, "`victims` needs at least one victim"));
-            }
-            Ok(FaultSpec::Victims {
-                count,
-                victim_rate: rate(line, "victims", "victim_rate", args[1])?,
-                base: rate(line, "victims", "base rate", args[2])?,
-            })
-        }
-        other => Err(err(
-            line,
-            format!(
-                "unknown fault model {other:?} — expected one of \
-                 uniform, bursty, partition, perlink, capacity, victims"
-            ),
-        )),
-    }
 }
 
 impl Scenario {
@@ -586,7 +278,6 @@ impl Scenario {
         let mut phases: Vec<Phase> = Vec::new();
 
         for (idx, raw) in text.lines().enumerate() {
-            let line = idx + 1;
             let content = raw.split('#').next().unwrap_or("").trim();
             if content.is_empty() {
                 continue;
@@ -594,161 +285,134 @@ impl Scenario {
             let mut tokens = content.split_whitespace();
             let directive = tokens.next().expect("non-empty line has a first token");
             let args: Vec<&str> = tokens.collect();
-            match directive {
-                "scenario" => {
-                    expect_args(line, "scenario", "scenario <name>", &args, 1)?;
-                    let candidate = args[0];
-                    if !candidate.chars().all(|c| c.is_ascii_alphanumeric() || c == '_' || c == '-')
-                    {
-                        return Err(err(
-                            line,
-                            format!("scenario name {candidate:?} may only use [A-Za-z0-9_-]"),
-                        ));
+            // One directive; its rejection message gets the line number
+            // prefixed below, so the fault grammar's own errors (which know
+            // no lines) read the same here as on a daemon's `/ctl/fault`.
+            let mut apply = || -> Result<(), String> {
+                match directive {
+                    "scenario" => {
+                        expect_args("scenario", "scenario <name>", &args, 1)?;
+                        let candidate = args[0];
+                        if !candidate
+                            .chars()
+                            .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == '-')
+                        {
+                            return Err(format!(
+                                "scenario name {candidate:?} may only use [A-Za-z0-9_-]"
+                            ));
+                        }
+                        set_once(&mut name, candidate.to_string(), "scenario")
                     }
-                    set_once(&mut name, candidate.to_string(), line, "scenario")?;
-                }
-                "n" => {
-                    expect_args(line, "n", "n <nodes>", &args, 1)?;
-                    let value: usize = num(line, "n", "an integer node count", args[0])?;
-                    if value < 4 {
-                        return Err(err(line, format!("`n` must be ≥ 4, got {value}")));
+                    "n" => {
+                        expect_args("n", "n <nodes>", &args, 1)?;
+                        let value: usize = parse_num("n", "an integer node count", args[0])?;
+                        if value < 4 {
+                            return Err(format!("`n` must be ≥ 4, got {value}"));
+                        }
+                        set_once(&mut n, value, "n")
                     }
-                    set_once(&mut n, value, line, "n")?;
-                }
-                "view" => {
-                    expect_args(line, "view", "view <s> <d_L>", &args, 2)?;
-                    let s: usize = num(line, "view", "an integer view size", args[0])?;
-                    let d_l: usize = num(line, "view", "an integer lower threshold", args[1])?;
-                    if let Err(e) = SfConfig::new(s, d_l) {
-                        return Err(err(
-                            line,
-                            format!("`view {s} {d_l}` is not a legal config: {e}"),
-                        ));
+                    "view" => {
+                        expect_args("view", "view <s> <d_L>", &args, 2)?;
+                        let s: usize = parse_num("view", "an integer view size", args[0])?;
+                        let d_l: usize = parse_num("view", "an integer lower threshold", args[1])?;
+                        if let Err(e) = SfConfig::new(s, d_l) {
+                            return Err(format!("`view {s} {d_l}` is not a legal config: {e}"));
+                        }
+                        set_once(&mut view, (s, d_l), "view")
                     }
-                    set_once(&mut view, (s, d_l), line, "view")?;
-                }
-                "degree" => {
-                    expect_args(line, "degree", "degree <d0>", &args, 1)?;
-                    let value: usize = num(line, "degree", "an integer outdegree", args[0])?;
-                    if value < 2 || !value.is_multiple_of(2) {
-                        return Err(err(
-                            line,
-                            format!("`degree` must be even and ≥ 2, got {value}"),
-                        ));
+                    "degree" => {
+                        expect_args("degree", "degree <d0>", &args, 1)?;
+                        let value: usize = parse_num("degree", "an integer outdegree", args[0])?;
+                        if value < 2 || !value.is_multiple_of(2) {
+                            return Err(format!("`degree` must be even and ≥ 2, got {value}"));
+                        }
+                        set_once(&mut degree, value, "degree")
                     }
-                    set_once(&mut degree, value, line, "degree")?;
-                }
-                "replicates" => {
-                    expect_args(line, "replicates", "replicates <r>", &args, 1)?;
-                    let value: usize = num(line, "replicates", "an integer count", args[0])?;
-                    if value == 0 {
-                        return Err(err(line, "`replicates` must be at least 1"));
+                    "replicates" => {
+                        expect_args("replicates", "replicates <r>", &args, 1)?;
+                        let value: usize = parse_num("replicates", "an integer count", args[0])?;
+                        if value == 0 {
+                            return Err("`replicates` must be at least 1".into());
+                        }
+                        set_once(&mut replicates, value, "replicates")
                     }
-                    set_once(&mut replicates, value, line, "replicates")?;
-                }
-                "seed" => {
-                    expect_args(line, "seed", "seed <u64>", &args, 1)?;
-                    set_once(
-                        &mut seed,
-                        num(line, "seed", "an integer seed", args[0])?,
-                        line,
-                        "seed",
-                    )?;
-                }
-                "burn_in" => {
-                    expect_args(line, "burn_in", "burn_in <rounds>", &args, 1)?;
-                    set_once(
-                        &mut burn_in,
-                        num(line, "burn_in", "an integer round count", args[0])?,
-                        line,
-                        "burn_in",
-                    )?;
-                }
-                "protocol" => {
-                    expect_args(line, "protocol", "protocol <name>", &args, 1)?;
-                    let value = match args[0] {
-                        "sandf" => ProtocolSpec::Sf,
-                        "push_only" => ProtocolSpec::PushOnly,
-                        "push_pull" => ProtocolSpec::PushPull,
-                        "shuffle" => ProtocolSpec::Shuffle,
-                        other => {
-                            return Err(err(
-                                line,
-                                format!(
+                    "seed" => {
+                        expect_args("seed", "seed <u64>", &args, 1)?;
+                        set_once(&mut seed, parse_num("seed", "an integer seed", args[0])?, "seed")
+                    }
+                    "burn_in" => {
+                        expect_args("burn_in", "burn_in <rounds>", &args, 1)?;
+                        let rounds = parse_num("burn_in", "an integer round count", args[0])?;
+                        set_once(&mut burn_in, rounds, "burn_in")
+                    }
+                    "protocol" => {
+                        expect_args("protocol", "protocol <name>", &args, 1)?;
+                        let value = match args[0] {
+                            "sandf" => ProtocolSpec::Sf,
+                            "push_only" => ProtocolSpec::PushOnly,
+                            "push_pull" => ProtocolSpec::PushPull,
+                            "shuffle" => ProtocolSpec::Shuffle,
+                            other => {
+                                return Err(format!(
                                     "unknown protocol {other:?} — expected one of \
                                      sandf, push_only, push_pull, shuffle"
-                                ),
-                            ));
+                                ));
+                            }
+                        };
+                        set_once(&mut protocol, value, "protocol")
+                    }
+                    "broadcast" => {
+                        if args.len() < 2 || args.len() > 3 {
+                            return Err(
+                                "`broadcast` expects `broadcast <fanout> <max_age> [pull]`".into(),
+                            );
                         }
-                    };
-                    set_once(&mut protocol, value, line, "protocol")?;
-                }
-                "broadcast" => {
-                    if args.len() < 2 || args.len() > 3 {
-                        return Err(err(
-                            line,
-                            "`broadcast` expects `broadcast <fanout> <max_age> [pull]`",
-                        ));
-                    }
-                    let fanout: usize = num(line, "broadcast", "an integer fanout", args[0])?;
-                    if fanout == 0 {
-                        return Err(err(line, "`broadcast` fanout must be at least 1"));
-                    }
-                    let max_age: u8 = num(line, "broadcast", "a max age in 0..=255", args[1])?;
-                    let pull = match args.get(2) {
-                        None => false,
-                        Some(&"pull") => true,
-                        Some(other) => {
-                            return Err(err(
-                                line,
-                                format!("`broadcast` third argument must be `pull`, got {other:?}"),
-                            ));
+                        let fanout: usize = parse_num("broadcast", "an integer fanout", args[0])?;
+                        if fanout == 0 {
+                            return Err("`broadcast` fanout must be at least 1".into());
                         }
-                    };
-                    set_once(
-                        &mut broadcast,
-                        BroadcastSpec { fanout, max_age, pull },
-                        line,
-                        "broadcast",
-                    )?;
-                }
-                "phase" => {
-                    if args.len() < 2 {
-                        return Err(err(
-                            line,
-                            "`phase` takes a duration and a fault model: `phase <rounds> <fault> <args...>`",
-                        ));
+                        let max_age: u8 = parse_num("broadcast", "a max age in 0..=255", args[1])?;
+                        let pull = match args.get(2) {
+                            None => false,
+                            Some(&"pull") => true,
+                            Some(other) => {
+                                return Err(format!(
+                                    "`broadcast` third argument must be `pull`, got {other:?}"
+                                ));
+                            }
+                        };
+                        set_once(
+                            &mut broadcast,
+                            BroadcastSpec { fanout, max_age, pull },
+                            "broadcast",
+                        )
                     }
-                    let rounds: usize = num(line, "phase", "an integer round count", args[0])?;
-                    if rounds == 0 {
-                        return Err(err(line, "`phase` must last at least 1 round"));
+                    "phase" => {
+                        let (rounds, fault) = FaultSpec::parse_phase(&args)?;
+                        phases.push(Phase { rounds, fault, churn: None });
+                        Ok(())
                     }
-                    let fault = parse_fault(line, args[1], &args[2..])?;
-                    phases.push(Phase { rounds, fault, churn: None });
-                }
-                "churn" => {
-                    expect_args(line, "churn", "churn <leaves> <joins>", &args, 2)?;
-                    let Some(phase) = phases.last_mut() else {
-                        return Err(err(line, "`churn` must follow a `phase` line"));
-                    };
-                    if phase.churn.is_some() {
-                        return Err(err(line, "this phase already has a `churn` line"));
+                    "churn" => {
+                        expect_args("churn", "churn <leaves> <joins>", &args, 2)?;
+                        let Some(phase) = phases.last_mut() else {
+                            return Err("`churn` must follow a `phase` line".into());
+                        };
+                        if phase.churn.is_some() {
+                            return Err("this phase already has a `churn` line".into());
+                        }
+                        phase.churn = Some(ChurnSpec {
+                            leaves: parse_num("churn", "an integer leave count", args[0])?,
+                            joins: parse_num("churn", "an integer join count", args[1])?,
+                        });
+                        Ok(())
                     }
-                    phase.churn = Some(ChurnSpec {
-                        leaves: num(line, "churn", "an integer leave count", args[0])?,
-                        joins: num(line, "churn", "an integer join count", args[1])?,
-                    });
+                    other => Err(format!(
+                        "unknown directive {other:?} — expected one of scenario, n, view, \
+                         degree, replicates, seed, burn_in, protocol, broadcast, phase, churn"
+                    )),
                 }
-                other => {
-                    return Err(err(
-                        line,
-                        format!(
-                            "unknown directive {other:?} — expected one of scenario, n, view, \
-                             degree, replicates, seed, burn_in, protocol, broadcast, phase, churn"
-                        ),
-                    ));
-                }
-            }
+            };
+            apply().map_err(|message| err(idx + 1, message))?;
         }
 
         let name = name.ok_or_else(|| err(0, "missing required `scenario <name>` directive"))?;
@@ -878,25 +542,7 @@ impl std::fmt::Display for Scenario {
         }
         for phase in &self.phases {
             writeln!(f)?;
-            write!(f, "phase {} ", phase.rounds)?;
-            match phase.fault {
-                FaultSpec::Uniform { rate } => writeln!(f, "uniform {rate}")?,
-                FaultSpec::Bursty { to_bad, to_good, loss_good, loss_bad } => {
-                    writeln!(f, "bursty {to_bad} {to_good} {loss_good} {loss_bad}")?;
-                }
-                FaultSpec::Partition { regions, sever, base } => {
-                    writeln!(f, "partition {regions} {sever} {base}")?;
-                }
-                FaultSpec::PerLink { salt, bad_fraction, good_rate, bad_rate } => {
-                    writeln!(f, "perlink {salt} {bad_fraction} {good_rate} {bad_rate}")?;
-                }
-                FaultSpec::Capacity { salt, slow_fraction, period, base } => {
-                    writeln!(f, "capacity {salt} {slow_fraction} {period} {base}")?;
-                }
-                FaultSpec::Victims { count, victim_rate, base } => {
-                    writeln!(f, "victims {count} {victim_rate} {base}")?;
-                }
-            }
+            writeln!(f, "phase {} {}", phase.rounds, phase.fault)?;
             if let Some(churn) = phase.churn {
                 writeln!(f, "churn {} {}", churn.leaves, churn.joins)?;
             }
@@ -1173,12 +819,7 @@ fn drive_replicate<E: Engine<Fault = ScheduledFault>>(
         }
         let mut victims: Vec<NodeId> = Vec::new();
         if let FaultSpec::Victims { count, .. } = phase.fault {
-            let graph = sim.graph();
-            let mut by_degree: Vec<(usize, NodeId)> =
-                graph.ids().iter().map(|&id| (graph.in_degree(id).unwrap_or(0), id)).collect();
-            // Highest indegree first; ties broken by id for determinism.
-            by_degree.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-            victims = by_degree.iter().take(count).map(|&(_, id)| id).collect();
+            victims = sim.graph().top_in_degree(count);
             let index = scenario.schedule_index(p);
             let aimed = victims.clone();
             sim.update_fault(|fault| {
@@ -1548,16 +1189,6 @@ mod tests {
             panic!("expected a partition phase");
         };
         assert!(p.active_in(6) && p.active_in(8) && !p.active_in(9) && !p.active_in(5));
-    }
-
-    #[test]
-    fn effective_rates_are_marginals() {
-        let half = FaultSpec::Partition { regions: 2, sever: 1.0, base: 0.0 };
-        assert!((half.effective_rate(96) - 0.5).abs() < 1e-12);
-        let mix = FaultSpec::PerLink { salt: 0, bad_fraction: 0.25, good_rate: 0.0, bad_rate: 0.8 };
-        assert!((mix.effective_rate(96) - 0.2).abs() < 1e-12);
-        let vic = FaultSpec::Victims { count: 24, victim_rate: 0.5, base: 0.0 };
-        assert!((vic.effective_rate(96) - 0.125).abs() < 1e-12);
     }
 
     #[test]

@@ -54,6 +54,7 @@ use std::sync::mpsc;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+pub use sandf_graph::Summary;
 use sandf_obs::Stopwatch;
 
 use crate::fmt;
@@ -80,49 +81,6 @@ pub trait SweepCell {
 #[must_use]
 pub fn replicate_seed(base_seed: u64, cell_key: &str, replicate: usize) -> u64 {
     fnv1a64(format!("{base_seed}/{cell_key}/{replicate}").as_bytes())
-}
-
-/// Aggregate statistics of one metric over a cell's replicates.
-#[derive(Clone, Copy, PartialEq, Debug)]
-pub struct Summary {
-    /// Number of samples aggregated.
-    pub count: usize,
-    /// Arithmetic mean.
-    pub mean: f64,
-    /// Sample standard deviation (`n − 1` denominator; 0 for `n < 2`).
-    pub std_dev: f64,
-    /// Half-width of the 95% normal-approximation confidence interval of
-    /// the mean: `1.96 · std_dev / √count` (0 for `n < 2`).
-    pub ci95: f64,
-    /// Smallest sample.
-    pub min: f64,
-    /// Largest sample.
-    pub max: f64,
-}
-
-impl Summary {
-    /// Aggregates a sample set.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty sample set — a sweep always has ≥ 1 replicate.
-    #[must_use]
-    pub fn from_samples(samples: &[f64]) -> Self {
-        assert!(!samples.is_empty(), "cannot summarize zero samples");
-        let count = samples.len();
-        let mean = samples.iter().sum::<f64>() / count as f64;
-        let (std_dev, ci95) = if count < 2 {
-            (0.0, 0.0)
-        } else {
-            let var =
-                samples.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / (count - 1) as f64;
-            let std_dev = var.sqrt();
-            (std_dev, 1.96 * std_dev / (count as f64).sqrt())
-        };
-        let min = samples.iter().copied().fold(f64::INFINITY, f64::min);
-        let max = samples.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        Self { count, mean, std_dev, ci95, min, max }
-    }
 }
 
 /// A declarative replicated sweep: a grid of cells, each run

@@ -2,32 +2,22 @@
 //!
 //! Two pins with different determinism budgets:
 //!
-//! * the **metric-name list** is pinned for the full report (profiler and
-//!   observed cluster on) — names must be stable even though span values
-//!   and thread-raced counters are not;
+//! * the **metric-name list** is pinned for the full report (profiler on)
+//!   — names must be stable even though span values are not;
 //! * the **rendered values** (exposition, TSV, journal JSONL) are pinned
 //!   only as run-to-run identical for the deterministic subset (profiler
-//!   and cluster off), which is the documented determinism contract.
+//!   off), which is the documented determinism contract.
 
 use sandf_bench::obsrep::{obs_report, ObsReportConfig};
 
-fn toy(profile: bool, cluster: bool) -> ObsReportConfig {
-    ObsReportConfig { profile, cluster, ..ObsReportConfig::toy() }
+fn toy(profile: bool) -> ObsReportConfig {
+    ObsReportConfig { profile, ..ObsReportConfig::toy() }
 }
 
 #[test]
 fn metric_names_are_pinned() {
-    let report = obs_report(&toy(true, true));
+    let report = obs_report(&toy(true));
     let expected = [
-        "net.memory.delivered",
-        "net.memory.dropped",
-        "net.memory.sent",
-        "runtime.node.deletions",
-        "runtime.node.duplications",
-        "runtime.node.initiated",
-        "runtime.node.self_loops",
-        "runtime.node.sent",
-        "runtime.node.stored",
         "sim.profile.deliver_ns",
         "sim.profile.step_ns",
         "sim.step.actions",
@@ -47,7 +37,7 @@ fn metric_names_are_pinned() {
 #[test]
 fn deterministic_subset_is_byte_identical_across_runs() {
     let run = || {
-        let report = obs_report(&toy(false, false));
+        let report = obs_report(&toy(false));
         (report.prometheus, report.tsv, report.journal_jsonl)
     };
     let (prom_a, tsv_a, journal_a) = run();
@@ -60,13 +50,8 @@ fn deterministic_subset_is_byte_identical_across_runs() {
 
 #[test]
 fn exposition_covers_every_pillar_and_matches_the_sim_ledger() {
-    let report = obs_report(&toy(true, true));
-    for family in [
-        "sandf_sim_step_sent",
-        "sandf_sim_profile_step_ns",
-        "sandf_runtime_node_initiated",
-        "sandf_net_memory_sent",
-    ] {
+    let report = obs_report(&toy(true));
+    for family in ["sandf_sim_step_sent", "sandf_sim_profile_step_ns"] {
         assert!(report.prometheus.contains(family), "exposition missing {family}");
     }
     // The sim.step.* counters are defined to equal the engine's ledger.

@@ -21,7 +21,7 @@
 //!
 //! This crate is deliberately transport-free: `initiate` *returns* the
 //! message, and the embedding (the `sandf-sim` simulator or the
-//! `sandf-runtime` network runtime) decides its fate. All randomness flows
+//! `sandf-daemon` UDP service loop) decides its fate. All randomness flows
 //! through a caller-supplied [`rand::Rng`], so runs are reproducible.
 //!
 //! ## Example

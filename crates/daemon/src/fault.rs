@@ -3,12 +3,17 @@
 //!
 //! The injector sits between each node's [`LossyTransport`] base-loss layer
 //! and its UDP socket: every outgoing datagram is offered to the currently
-//! installed [`PhaseFault`] (uniform, Gilbert–Elliott, regional partition,
-//! per-link, capacity, victim set), and the model is shared by all nodes in
+//! installed [`ScheduledFault`], and the schedule is shared by all nodes in
 //! the process so one `POST /ctl/fault` retargets the whole fleet. Capacity
 //! models additionally gate node *ticks* via
 //! [`FaultInjector::node_acts`] — the daemon skips the initiate step of a
 //! slow node's round, exactly like the simulation engines do.
+//!
+//! A fault arrives as one line of the workspace's fault grammar
+//! ([`sandf_sim::fault`]), `phase <rounds> <model> <args...>`, and is
+//! compiled the way a scenario phase is: the model over the next `rounds`
+//! rounds, then a lossless open-ended tail. The schedule's own round
+//! dispatch makes the fault lapse, so the injector keeps no timer.
 //!
 //! [`LossyTransport`]: sandf_net::LossyTransport
 
@@ -21,177 +26,45 @@ use rand::SeedableRng;
 use sandf_core::{Message, NodeId};
 use sandf_net::{AddressBook, Transport, TransportError};
 use sandf_obs::{CounterHandle, MetricsRegistry};
-use sandf_sim::{
-    FaultCtx, FaultModel, GilbertElliott, NodeCapacity, PerLinkLoss, PhaseFault, RegionalPartition,
-    UniformLoss, VictimLoss,
-};
+use sandf_sim::{FaultCtx, FaultModel, FaultSpec, PhaseFault, ScheduledFault, UniformLoss};
 
-/// A parsed `/ctl/fault` command.
-#[derive(Clone, PartialEq, Debug)]
-pub enum FaultCommand {
-    /// Remove the injected fault (base [`LossyTransport`] loss remains).
-    ///
-    /// [`LossyTransport`]: sandf_net::LossyTransport
-    Clear,
-    /// Install a concrete fault model.
-    Set {
-        /// The model to install.
-        fault: PhaseFault,
-        /// A short lowercase tag for snapshots/metrics (`"uniform"`, …).
-        kind: String,
-    },
-    /// Install a [`VictimLoss`] aimed at the current top-indegree nodes;
-    /// the daemon resolves the victim set from its latest graph snapshot.
-    VictimsTop {
-        /// How many of the highest-indegree nodes to target.
-        count: usize,
-        /// Inbound loss rate on the victims.
-        rate: f64,
-        /// Loss rate for everyone else.
-        base: f64,
-    },
-}
-
-fn parse_rate(word: &str, what: &str) -> Result<f64, String> {
-    let value: f64 =
-        word.parse().map_err(|_| format!("{what}: expected a number, got {word:?}"))?;
-    if !(0.0..=1.0).contains(&value) || !value.is_finite() {
-        return Err(format!("{what}: {value} is not a probability in [0, 1]"));
-    }
-    Ok(value)
-}
-
-fn parse_int<T: std::str::FromStr>(word: &str, what: &str) -> Result<T, String> {
-    word.parse().map_err(|_| format!("{what}: expected an integer, got {word:?}"))
-}
-
-/// Parses one fault-command line. `now_round` anchors window-based models
-/// (a partition starts at the next round). Grammar, one command per line:
-///
-/// ```text
-/// none
-/// uniform <rate>
-/// bursty <to_bad> <to_good> <loss_good> <loss_bad>
-/// partition <regions> <duration_rounds> <sever> [base]
-/// perlink <salt> <bad_fraction> <good_rate> <bad_rate>
-/// capacity <salt> <slow_fraction> <period> [base]
-/// victims top <count> <rate> [base]
-/// victims <id,id,...> <rate> [base]
-/// ```
+/// Compiles a `/ctl/fault` body received in round `now`: `none` (clear), or
+/// one `phase <rounds> <model> <args...>` line of the shared
+/// [fault grammar](sandf_sim::fault) — the model over rounds
+/// `[now + 1, now + 1 + rounds)`, then healed. `salt` seeds the hash-derived
+/// link maps and cohorts. A `victims` schedule comes back unaimed.
 ///
 /// # Errors
 ///
-/// Returns a message naming the offending field (served as HTTP 400).
-pub fn parse_fault_command(line: &str, now_round: u64) -> Result<FaultCommand, String> {
+/// Returns the grammar's rejection message (served as HTTP 400).
+pub(crate) fn compile_fault_line(
+    line: &str,
+    now: u64,
+    salt: u64,
+) -> Result<Option<(FaultSpec, ScheduledFault)>, String> {
     let words: Vec<&str> = line.split_whitespace().collect();
-    let usage = "usage: none | uniform <rate> | bursty <to_bad> <to_good> <loss_good> <loss_bad> \
-                 | partition <regions> <duration_rounds> <sever> [base] \
-                 | perlink <salt> <bad_fraction> <good_rate> <bad_rate> \
-                 | capacity <salt> <slow_fraction> <period> [base] \
-                 | victims top <count> <rate> [base] | victims <id,id,...> <rate> [base]";
-    let arity = |want: std::ops::RangeInclusive<usize>, name: &str| {
-        if want.contains(&(words.len() - 1)) {
-            Ok(())
-        } else {
-            Err(format!("{name} takes {want:?} arguments; {usage}"))
+    match words.split_first() {
+        Some((&"none", [])) => Ok(None),
+        Some((&"phase", args)) => {
+            let (rounds, spec) = FaultSpec::parse_phase(args)?;
+            let start = now + 1;
+            // Strictly below the healed tail's open end, however long the
+            // requested phase.
+            let end = start.saturating_add(rounds as u64).min(u64::MAX - 1);
+            let schedule = ScheduledFault::new(vec![
+                (end, spec.build(start, rounds as u64, salt)),
+                (u64::MAX, PhaseFault::Uniform(UniformLoss::none())),
+            ]);
+            Ok(Some((spec, schedule)))
         }
-    };
-    match words.first().copied() {
-        None => Err(format!("empty fault command; {usage}")),
-        Some("none") => {
-            arity(0..=0, "none")?;
-            Ok(FaultCommand::Clear)
-        }
-        Some("uniform") => {
-            arity(1..=1, "uniform")?;
-            let rate = parse_rate(words[1], "uniform rate")?;
-            Ok(FaultCommand::Set {
-                fault: PhaseFault::Uniform(UniformLoss::new(rate).map_err(|e| e.to_string())?),
-                kind: "uniform".into(),
-            })
-        }
-        Some("bursty") => {
-            arity(4..=4, "bursty")?;
-            let to_bad = parse_rate(words[1], "bursty to_bad")?;
-            let to_good = parse_rate(words[2], "bursty to_good")?;
-            let loss_good = parse_rate(words[3], "bursty loss_good")?;
-            let loss_bad = parse_rate(words[4], "bursty loss_bad")?;
-            let model = GilbertElliott::new(to_bad, to_good, loss_good, loss_bad)
-                .map_err(|e| e.to_string())?;
-            Ok(FaultCommand::Set { fault: PhaseFault::Bursty(model), kind: "bursty".into() })
-        }
-        Some("partition") => {
-            arity(3..=4, "partition")?;
-            let regions: u64 = parse_int(words[1], "partition regions")?;
-            if regions < 2 {
-                return Err("partition regions: need at least 2".into());
-            }
-            let duration: u64 = parse_int(words[2], "partition duration_rounds")?;
-            if duration == 0 {
-                return Err("partition duration_rounds: must be positive".into());
-            }
-            let sever = parse_rate(words[3], "partition sever")?;
-            let base = if words.len() > 4 { parse_rate(words[4], "partition base")? } else { 0.0 };
-            let model = RegionalPartition::new(regions, now_round + 1, duration, sever, base)
-                .map_err(|e| e.to_string())?;
-            Ok(FaultCommand::Set { fault: PhaseFault::Partition(model), kind: "partition".into() })
-        }
-        Some("perlink") => {
-            arity(4..=4, "perlink")?;
-            let salt: u64 = parse_int(words[1], "perlink salt")?;
-            let bad_fraction = parse_rate(words[2], "perlink bad_fraction")?;
-            let good = parse_rate(words[3], "perlink good_rate")?;
-            let bad = parse_rate(words[4], "perlink bad_rate")?;
-            let model =
-                PerLinkLoss::new(salt, bad_fraction, good, bad).map_err(|e| e.to_string())?;
-            Ok(FaultCommand::Set { fault: PhaseFault::PerLink(model), kind: "perlink".into() })
-        }
-        Some("capacity") => {
-            arity(3..=4, "capacity")?;
-            let salt: u64 = parse_int(words[1], "capacity salt")?;
-            let slow_fraction = parse_rate(words[2], "capacity slow_fraction")?;
-            let period: u64 = parse_int(words[3], "capacity period")?;
-            if period < 2 {
-                return Err("capacity period: must be at least 2".into());
-            }
-            let base = if words.len() > 4 { parse_rate(words[4], "capacity base")? } else { 0.0 };
-            let model =
-                NodeCapacity::new(salt, slow_fraction, period, base).map_err(|e| e.to_string())?;
-            Ok(FaultCommand::Set { fault: PhaseFault::Capacity(model), kind: "capacity".into() })
-        }
-        Some("victims") => {
-            if words.get(1).copied() == Some("top") {
-                arity(3..=4, "victims top")?;
-                let count: usize = parse_int(words[2], "victims top count")?;
-                if count == 0 {
-                    return Err("victims top count: must be positive".into());
-                }
-                let rate = parse_rate(words[3], "victims rate")?;
-                let base =
-                    if words.len() > 4 { parse_rate(words[4], "victims base")? } else { 0.0 };
-                Ok(FaultCommand::VictimsTop { count, rate, base })
-            } else {
-                arity(2..=3, "victims")?;
-                let mut ids = Vec::new();
-                for part in words[1].split(',') {
-                    ids.push(NodeId::new(parse_int(part, "victims id list")?));
-                }
-                let rate = parse_rate(words[2], "victims rate")?;
-                let base =
-                    if words.len() > 3 { parse_rate(words[3], "victims base")? } else { 0.0 };
-                let mut model = VictimLoss::new(rate, base).map_err(|e| e.to_string())?;
-                model.set_victims(&ids);
-                Ok(FaultCommand::Set { fault: PhaseFault::Victims(model), kind: "victims".into() })
-            }
-        }
-        Some(other) => Err(format!("unknown fault model {other:?}; {usage}")),
+        _ => Err(format!("expected `none` or `phase <rounds> <fault> <args...>`, got {line:?}")),
     }
 }
 
 #[derive(Debug)]
 struct InjectorState {
-    fault: Option<PhaseFault>,
-    kind: String,
+    fault: Option<ScheduledFault>,
+    kind: &'static str,
 }
 
 /// The shared, runtime-reconfigurable fault state: one per daemon,
@@ -215,24 +88,30 @@ impl FaultInjector {
     #[must_use]
     pub fn new(registry: &MetricsRegistry) -> Self {
         Self {
-            state: Arc::new(Mutex::new(InjectorState { fault: None, kind: "none".into() })),
+            state: Arc::new(Mutex::new(InjectorState { fault: None, kind: "none" })),
             round: Arc::new(AtomicU64::new(0)),
             dropped: registry.counter("daemon.fault.dropped"),
             dead_letters: registry.counter("daemon.net.dead_letters"),
         }
     }
 
-    /// Installs (or clears) the fault model.
-    pub fn install(&self, fault: Option<PhaseFault>, kind: &str) {
+    /// Installs (or clears) the fault: `fault`'s first phase is the model
+    /// tagged `kind`, every later phase the healed tail.
+    pub fn install(&self, fault: Option<ScheduledFault>, kind: &'static str) {
         let mut state = self.state.lock();
         state.fault = fault;
-        state.kind = kind.to_string();
+        state.kind = kind;
     }
 
-    /// The installed model's tag (`"none"` when clear).
+    /// The tag of the model in force this round (`"none"` when clear or
+    /// lapsed).
     #[must_use]
-    pub fn kind(&self) -> String {
-        self.state.lock().kind.clone()
+    pub fn kind(&self) -> &'static str {
+        let state = self.state.lock();
+        match &state.fault {
+            Some(fault) if fault.phase_index(self.round()) == 0 => state.kind,
+            _ => "none",
+        }
     }
 
     /// Publishes the daemon's current round, used as the [`FaultCtx`]
@@ -337,60 +216,58 @@ mod tests {
 
     use super::*;
 
-    #[test]
-    fn parse_roundtrips_every_model() {
-        for (line, kind) in [
-            ("uniform 0.25", "uniform"),
-            ("bursty 0.1 0.5 0.01 0.8", "bursty"),
-            ("partition 2 50 1.0", "partition"),
-            ("partition 3 10 0.9 0.05", "partition"),
-            ("perlink 7 0.2 0.01 0.9", "perlink"),
-            ("capacity 7 0.3 4", "capacity"),
-            ("victims 1,2,3 0.9", "victims"),
-            ("victims 4 0.9 0.1", "victims"),
-        ] {
-            match parse_fault_command(line, 10).unwrap() {
-                FaultCommand::Set { kind: k, .. } => assert_eq!(k, kind, "line {line:?}"),
-                other => panic!("line {line:?} parsed to {other:?}"),
-            }
-        }
-        assert_eq!(parse_fault_command("none", 0).unwrap(), FaultCommand::Clear);
-        assert_eq!(
-            parse_fault_command("victims top 8 0.9 0.05", 0).unwrap(),
-            FaultCommand::VictimsTop { count: 8, rate: 0.9, base: 0.05 }
-        );
+    fn compile(line: &str, now: u64) -> ScheduledFault {
+        compile_fault_line(line, now, 0).expect("legal line").expect("a fault").1
     }
 
     #[test]
-    fn parse_rejections_name_the_field() {
-        for (line, fragment) in [
-            ("", "empty fault command"),
-            ("wibble 0.5", "unknown fault model"),
-            ("uniform", "uniform takes"),
-            ("uniform 1.5", "not a probability"),
-            ("uniform x", "expected a number"),
-            ("partition 1 10 1.0", "at least 2"),
-            ("partition 2 0 1.0", "must be positive"),
-            ("capacity 1 0.5 1", "at least 2"),
-            ("victims top 0 0.5", "must be positive"),
-            ("victims a,b 0.5", "expected an integer"),
+    fn every_model_compiles_to_a_phase_with_a_healed_tail() {
+        for line in [
+            "phase 5 uniform 0.25",
+            "phase 5 bursty 0.1 0.5 0.01 0.8",
+            "phase 5 partition 3 0.9 0.05",
+            "phase 5 perlink 7 0.2 0.01 0.9",
+            "phase 5 capacity 7 0.3 4 0",
+            "phase 5 victims 4 0.9 0.1",
         ] {
-            let err = parse_fault_command(line, 0).unwrap_err();
+            let (spec, schedule) = compile_fault_line(line, 10, 0).unwrap().unwrap();
+            assert_eq!(format!("phase 5 {spec}"), line);
+            assert_eq!(schedule.phases()[0].0, 16, "line {line:?}");
+            assert_eq!(schedule.rate_at(16), 0.0, "line {line:?} must heal");
+        }
+        assert_eq!(compile_fault_line("none", 0, 0), Ok(None));
+        // An absurd duration still yields a well-formed schedule.
+        let forever = compile(&format!("phase {} uniform 0.5", usize::MAX), 3);
+        assert_eq!(forever.phase_index(u64::MAX - 2), 0);
+    }
+
+    #[test]
+    fn lines_outside_the_grammar_are_rejected() {
+        for (line, fragment) in [
+            ("", "expected `none` or `phase"),
+            ("none 3", "expected `none` or `phase"),
+            ("uniform 0.5", "expected `none` or `phase"),
+            ("phase 5 wibble 0.5", "unknown fault model"),
+            ("phase 0 uniform 0.5", "at least 1 round"),
+            ("phase 5 partition 2 50 1.0", "outside [0, 1]"),
+        ] {
+            let err = compile_fault_line(line, 0, 0).unwrap_err();
             assert!(err.contains(fragment), "line {line:?}: error {err:?} lacks {fragment:?}");
         }
     }
 
     #[test]
     fn partition_command_starts_at_the_next_round() {
-        let FaultCommand::Set { fault: PhaseFault::Partition(p), .. } =
-            parse_fault_command("partition 2 50 1.0", 41).unwrap()
-        else {
+        let schedule = compile("phase 50 partition 2 1.0 0", 41);
+        let PhaseFault::Partition(p) = &schedule.phases()[0].1 else {
             panic!("expected a partition");
         };
         assert!(!p.active_in(41));
         assert!(p.active_in(42));
         assert!(p.active_in(91));
         assert!(!p.active_in(92));
+        assert_eq!(schedule.phase_index(91), 0);
+        assert_eq!(schedule.phase_index(92), 1);
     }
 
     #[test]
@@ -406,10 +283,9 @@ mod tests {
         );
         let mut b = UdpTransport::bind_loopback(NodeId::new(1), &book).unwrap();
 
-        let cmd = parse_fault_command("partition 2 100 1.0", 0).unwrap();
-        let FaultCommand::Set { fault, kind } = cmd else { unreachable!() };
-        injector.install(Some(fault), &kind);
+        injector.install(Some(compile("phase 100 partition 2 1.0 0", 0)), "partition");
         injector.set_round(5);
+        assert_eq!(injector.kind(), "partition");
 
         // 0 and 1 are in different regions (id mod 2): everything drops.
         for k in 0..20 {
@@ -419,8 +295,9 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(10));
         assert_eq!(b.try_recv().unwrap(), None);
 
-        // After the window the wire heals.
+        // After the window the wire heals, with no second command.
         injector.set_round(200);
+        assert_eq!(injector.kind(), "none");
         let msg = Message::new(NodeId::new(0), NodeId::new(9), false);
         a.send(NodeId::new(1), msg).unwrap();
         let mut got = None;

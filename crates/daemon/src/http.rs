@@ -11,7 +11,7 @@
 //! | GET    | `/journal`    | JSONL event journal (violations included)    |
 //! | POST   | `/ctl/join?n=K`  | joins `K` nodes via the Section 5 rule    |
 //! | POST   | `/ctl/leave?n=K` | removes `K` random nodes                  |
-//! | POST   | `/ctl/fault`  | body = one fault line (see [`parse_fault_command`]) |
+//! | POST   | `/ctl/fault`  | body = `none` or `phase <rounds> <model> <args...>` ([fault grammar]) |
 //!
 //! Control routes forward to the event loop over the daemon's command
 //! channel and block (with a timeout) for the reply, so a `200` means the
@@ -19,7 +19,7 @@
 //! the intended clients — a scrape loop and the soak harness.
 //!
 //! [`MembershipSnapshot`]: crate::service::MembershipSnapshot
-//! [`parse_fault_command`]: crate::fault::parse_fault_command
+//! [fault grammar]: sandf_sim::fault
 
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};

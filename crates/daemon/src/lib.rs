@@ -8,7 +8,8 @@
 //! - a **wire-level fault injector** ([`fault`]) reusing the simulation
 //!   fault zoo (uniform, Gilbert–Elliott bursts, regional partitions,
 //!   per-link, capacity, victim sets) at the socket boundary, runtime
-//!   reconfigurable via `POST /ctl/fault`;
+//!   reconfigurable via `POST /ctl/fault` in the same one-line grammar as
+//!   a scenario spec's `phase` lines ([`sandf_sim::fault`]);
 //! - a **live invariant checker** ([`invariants`]) asserting Observation
 //!   5.1 outdegree bounds exactly and the Lemma 6.10 stale-fraction
 //!   ceiling in banded form, against realized (measured) loss so fault
@@ -28,8 +29,10 @@
 //!     .expect("boot");
 //! println!("metrics at http://{}/metrics", daemon.http_addr().unwrap());
 //! daemon.join_nodes(64).unwrap();
-//! daemon.fault("partition 2 50 1.0").unwrap();
-//! # daemon.shutdown();
+//! // Sever the two id-parity regions for the next 50 rounds, then heal.
+//! daemon.fault("phase 50 partition 2 1.0 0").unwrap();
+//! let final_states = daemon.shutdown();
+//! assert_eq!(final_states.len(), 192);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -42,7 +45,7 @@ pub mod service;
 pub mod soak;
 pub mod wheel;
 
-pub use fault::{parse_fault_command, FaultCommand, FaultInjector, FaultedTransport};
+pub use fault::{FaultInjector, FaultedTransport};
 pub use http::{http_get, http_post, http_request};
 pub use invariants::{CheckOutcome, InvariantChecker, WireTotals};
 pub use service::{Control, DaemonConfig, DaemonHandle, MembershipSnapshot};

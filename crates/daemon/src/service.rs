@@ -39,9 +39,9 @@ use sandf_core::{InitiateOutcome, Message, NodeId, SfConfig, SfNode};
 use sandf_graph::MembershipGraph;
 use sandf_net::{AddressBook, LossyTransport, Transport, UdpTransport};
 use sandf_obs::{CounterHandle, EventJournal, GaugeHandle, JournalEvent, MetricsRegistry};
-use sandf_sim::{topology, PhaseFault, VictimLoss};
+use sandf_sim::{topology, FaultSpec, PhaseFault};
 
-use crate::fault::{parse_fault_command, FaultCommand, FaultInjector, FaultedTransport};
+use crate::fault::{compile_fault_line, FaultInjector, FaultedTransport};
 use crate::http::{escape_json, serve, HttpContext};
 use crate::invariants::{CheckOutcome, InvariantChecker, WireTotals};
 use crate::wheel::{TimerWheel, WheelItem};
@@ -131,10 +131,11 @@ pub enum Control {
         /// Receives the post-leave live count.
         reply: Sender<Result<usize, String>>,
     },
-    /// Parse and install a fault command line; replies with the installed
-    /// model's tag.
+    /// Parse and install a fault line; replies with the installed model's
+    /// tag.
     Fault {
-        /// One [`parse_fault_command`] line.
+        /// `none`, or one `phase <rounds> <model> <args...>` line of the
+        /// [fault grammar](sandf_sim::fault).
         line: String,
         /// Receives the installed fault kind.
         reply: Sender<Result<String, String>>,
@@ -224,7 +225,7 @@ pub struct DaemonHandle {
     journal: EventJournal,
     http_addr: Option<SocketAddr>,
     shutdown: Arc<AtomicBool>,
-    loop_thread: Option<JoinHandle<()>>,
+    loop_thread: Option<JoinHandle<Vec<SfNode>>>,
     http_thread: Option<JoinHandle<()>>,
 }
 
@@ -272,11 +273,14 @@ impl DaemonHandle {
         self.roundtrip(|reply| Control::Leave { count, reply })
     }
 
-    /// Installs a fault from a command line; returns the installed tag.
+    /// Installs the fault `phase <rounds> <model> <args...>` (the
+    /// [fault grammar](sandf_sim::fault)) from the next round on — it lapses
+    /// by itself after `rounds` rounds — or clears it (`none`); returns the
+    /// installed tag.
     ///
     /// # Errors
     ///
-    /// Returns the parse/rejection message.
+    /// Returns the grammar's rejection message.
     pub fn fault(&self, line: &str) -> Result<String, String> {
         self.roundtrip(|reply| Control::Fault { line: line.to_string(), reply })
     }
@@ -291,20 +295,22 @@ impl DaemonHandle {
             .map_err(|_| "daemon loop did not reply".to_string())?
     }
 
-    /// Stops the event loop and the HTTP thread, waiting for both.
-    pub fn shutdown(mut self) {
-        self.stop();
+    /// Stops the event loop and the HTTP thread, waiting for both, and
+    /// returns the live nodes' final protocol states.
+    pub fn shutdown(mut self) -> Vec<SfNode> {
+        self.stop()
     }
 
-    fn stop(&mut self) {
+    /// The final states come back empty when the loop already stopped (or
+    /// panicked — `Drop` runs this too and must not propagate that).
+    fn stop(&mut self) -> Vec<SfNode> {
         let _ = self.ctl.send(Control::Shutdown);
-        if let Some(handle) = self.loop_thread.take() {
-            let _ = handle.join();
-        }
+        let nodes = self.loop_thread.take().and_then(|handle| handle.join().ok());
         self.shutdown.store(true, Ordering::Relaxed);
         if let Some(handle) = self.http_thread.take() {
             let _ = handle.join();
         }
+        nodes.unwrap_or_default()
     }
 }
 
@@ -452,14 +458,11 @@ fn spawn_daemon(config: DaemonConfig) -> io::Result<DaemonHandle> {
         http_addr,
         shutdown,
         loop_thread: Some(loop_thread),
-        http_thread: Some(http_thread.unwrap_or_else(|| {
-            // No HTTP thread; park a no-op handle so Drop stays uniform.
-            std::thread::spawn(|| {})
-        })),
+        http_thread,
     })
 }
 
-fn run_loop(mut state: ServiceState, ctl: &Receiver<Control>) {
+fn run_loop(mut state: ServiceState, ctl: &Receiver<Control>) -> Vec<SfNode> {
     let start = Instant::now();
     let granularity = (state.config.tick.as_nanos() as u64 / WHEEL_SLOTS as u64).max(1);
     let mut due: Vec<WheelItem> = Vec::new();
@@ -512,6 +515,7 @@ fn run_loop(mut state: ServiceState, ctl: &Receiver<Control>) {
     // Final check so short-lived daemons still publish one verdict.
     let round = state.wheel.rounds();
     state.run_check(round.max(1));
+    state.slots.into_iter().flatten().map(|slot| slot.node).collect()
 }
 
 impl ServiceState {
@@ -689,31 +693,19 @@ impl ServiceState {
     }
 
     fn handle_fault(&mut self, line: &str) -> Result<String, String> {
-        match parse_fault_command(line, self.wheel.rounds())? {
-            FaultCommand::Clear => {
-                self.injector.install(None, "none");
-                Ok("none".into())
-            }
-            FaultCommand::Set { fault, kind } => {
-                self.injector.install(Some(fault), &kind);
-                Ok(kind)
-            }
-            FaultCommand::VictimsTop { count, rate, base } => {
-                let graph = MembershipGraph::from_nodes(self.live_nodes());
-                let mut ranked: Vec<(usize, NodeId)> =
-                    graph.in_degrees().into_iter().zip(graph.ids().iter().copied()).collect();
-                ranked.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-                let victims: Vec<NodeId> =
-                    ranked.into_iter().take(count).map(|(_, id)| id).collect();
-                if victims.is_empty() {
-                    return Err("no live nodes to victimize".into());
-                }
-                let mut model = VictimLoss::new(rate, base).map_err(|e| e.to_string())?;
-                model.set_victims(&victims);
-                self.injector.install(Some(PhaseFault::Victims(model)), "victims");
-                Ok("victims".into())
-            }
+        let compiled = compile_fault_line(line, self.wheel.rounds(), self.config.seed)?;
+        let Some((spec, mut fault)) = compiled else {
+            self.injector.install(None, "none");
+            return Ok("none".into());
+        };
+        if let (FaultSpec::Victims { count, .. }, PhaseFault::Victims(model)) =
+            (spec, fault.phase_mut(0))
+        {
+            let graph = MembershipGraph::from_nodes(self.live_nodes());
+            model.set_victims(&graph.top_in_degree(count));
         }
+        self.injector.install(Some(fault), spec.kind());
+        Ok(spec.kind().into())
     }
 
     fn wire_totals(&self) -> WireTotals {
@@ -783,7 +775,7 @@ impl ServiceState {
             degree_violations: self.degree_violations_total,
             stale_violations: self.stale_violations_total,
             window_loss: outcome.window_loss,
-            fault: self.injector.kind(),
+            fault: self.injector.kind().into(),
         };
     }
 
@@ -794,7 +786,7 @@ impl ServiceState {
         snap.round = self.wheel.rounds();
         snap.live = self.live_keys().len();
         snap.departed = self.departed;
-        snap.fault = self.injector.kind();
+        snap.fault = self.injector.kind().into();
     }
 }
 
@@ -840,13 +832,13 @@ mod tests {
     #[test]
     fn fault_commands_install_and_clear() {
         let daemon = tiny_config().spawn().unwrap();
-        assert_eq!(daemon.fault("uniform 0.5"), Ok("uniform".into()));
+        assert_eq!(daemon.fault("phase 1000 uniform 0.5"), Ok("uniform".into()));
         assert_eq!(daemon.snapshot().fault, "uniform");
-        assert!(daemon.fault("uniform 2.0").is_err());
-        assert_eq!(daemon.fault("victims top 4 0.9"), Ok("victims".into()));
+        assert!(daemon.fault("phase 1000 uniform 2.0").is_err());
+        assert_eq!(daemon.fault("phase 10 victims 4 0.9 0"), Ok("victims".into()));
         assert_eq!(daemon.fault("none"), Ok("none".into()));
         assert_eq!(daemon.snapshot().fault, "none");
-        daemon.shutdown();
+        assert_eq!(daemon.shutdown().len(), 16, "shutdown hands back the live nodes");
     }
 
     #[test]

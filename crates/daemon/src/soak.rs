@@ -7,13 +7,13 @@
 //! the same code soaks an embedded daemon (spawned in-process) or a remote
 //! one (`soak_run --connect host:port`). Phase rows aggregate the sampled
 //! stale fraction and mean outdegree with 95% confidence bands in the
-//! `sandf_bench` [`Summary`] style, and the report renders as TSV (one row
+//! replicated sweeps' [`Summary`] style, and the report renders as TSV (one row
 //! per phase) or JSON.
 
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
-use sandf_bench::sweep::Summary;
+use sandf_graph::Summary;
 
 use crate::http::{http_get, http_post};
 
@@ -294,13 +294,12 @@ pub fn run_soak(addr: SocketAddr, config: &SoakConfig) -> Result<SoakReport, Str
     post_ok(
         addr,
         "/ctl/fault",
-        &format!("partition 2 {} {}", config.partition_rounds, config.partition_sever),
+        &format!("phase {} partition 2 {} 0", config.partition_rounds, config.partition_sever),
     )?;
     rows.push(sample_phase(addr, "partition", config.partition_rounds, config)?);
 
-    // Clear the fault explicitly (the window also expires on its own) and
-    // let the fleet re-converge before measuring the gated phase.
-    post_ok(addr, "/ctl/fault", "none")?;
+    // The partition phase has lapsed by now; the fleet re-converges before
+    // the gated phase is measured.
     rows.push(sample_phase(addr, "heal", config.settle_rounds, config)?);
     rows.push(sample_phase(addr, "post_heal", config.settle_rounds, config)?);
 

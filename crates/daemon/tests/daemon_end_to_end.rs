@@ -67,10 +67,41 @@ fn http_surface_serves_all_routes() {
     assert_eq!(status, 404);
     let (status, _) = http_post(addr, "/ctl/join?n=bogus", "").unwrap();
     assert_eq!(status, 400);
-    let (status, body) = http_post(addr, "/ctl/fault", "uniform 7").unwrap();
+    // The fault grammar's own rejection text, as a scenario spec would
+    // print it after its `line N:` prefix.
+    let (status, body) = http_post(addr, "/ctl/fault", "phase 5 uniform 7").unwrap();
     assert_eq!(status, 400);
-    assert!(body.contains("probability"), "fault error should name the field: {body}");
+    assert_eq!(body, "{\"error\":\"`uniform` rate 7 is outside [0, 1]\"}");
+    let (status, body) = http_post(addr, "/ctl/fault", "phase 30 victims 8 0.9 0").unwrap();
+    assert_eq!((status, body.as_str()), (200, "{\"fault\":\"victims\"}"));
+    let (status, body) = http_post(addr, "/ctl/fault", "none").unwrap();
+    assert_eq!((status, body.as_str()), (200, "{\"fault\":\"none\"}"));
 
+    daemon.shutdown();
+}
+
+#[test]
+fn metric_catalog_is_pinned() {
+    let daemon = DaemonConfig { http_port: None, ..fast_config(8, 4) }.spawn().unwrap();
+    let expected = [
+        "daemon.checks",
+        "daemon.fault.dropped",
+        "daemon.net.dead_letters",
+        "daemon.net.delivered",
+        "daemon.net.dropped",
+        "daemon.net.recv_errors",
+        "daemon.net.sent",
+        "daemon.nodes",
+        "daemon.round",
+        "daemon.stale_fraction",
+        "daemon.violations.degree",
+        "daemon.violations.stale",
+    ];
+    assert_eq!(
+        daemon.registry().metric_names(),
+        expected,
+        "daemon metric names drifted — update EXPERIMENTS.md, benchmark/ and this pin"
+    );
     daemon.shutdown();
 }
 
@@ -88,15 +119,16 @@ fn join_leave_partition_heal_over_http() {
     assert_eq!(status, 200, "leave failed: {body}");
     assert_eq!(extract(&body, "nodes"), 36);
 
-    // Sever the regions completely for 20 rounds, then heal.
-    let (status, body) = http_post(addr, "/ctl/fault", "partition 2 20 1.0").unwrap();
+    // Sever the regions completely for 20 rounds; the phase then lapses
+    // and the wire heals without a second command.
+    let (status, body) = http_post(addr, "/ctl/fault", "phase 20 partition 2 1.0 0").unwrap();
     assert_eq!(status, 200, "fault failed: {body}");
     let (_, snap) = http_get(addr, "/membership").unwrap();
     assert!(snap.contains("\"fault\":\"partition\""), "snapshot: {snap}");
 
     wait_rounds(addr, 24);
-    let (status, _) = http_post(addr, "/ctl/fault", "none").unwrap();
-    assert_eq!(status, 200);
+    let (_, snap) = http_get(addr, "/membership").unwrap();
+    assert!(snap.contains("\"fault\":\"none\""), "the partition must lapse: {snap}");
 
     // Let the fleet re-converge, then check the verdict.
     wait_rounds(addr, 16);

@@ -46,4 +46,4 @@ pub use dependency::DependenceReport;
 pub use expander::{clustering_coefficient, degree_assortativity, distance_stats, DistanceStats};
 pub use multigraph::{DisjointSets, MembershipGraph};
 pub use overlap::{baseline_jaccard, edge_intersection, edge_jaccard};
-pub use stats::{chi_square_uniform, total_variation, DegreeStats, Histogram};
+pub use stats::{chi_square_uniform, total_variation, DegreeStats, Histogram, Summary};

@@ -130,6 +130,17 @@ impl MembershipGraph {
         self.in_degrees.clone()
     }
 
+    /// The `k` highest-indegree nodes (all of them when `k ≥ |V|`), highest
+    /// first, ties broken by ascending id so the choice is deterministic —
+    /// the overlay's hubs, which a `victims` fault aims at.
+    #[must_use]
+    pub fn top_in_degree(&self, k: usize) -> Vec<NodeId> {
+        let mut ranked: Vec<(usize, NodeId)> =
+            self.in_degrees.iter().copied().zip(self.ids.iter().copied()).collect();
+        ranked.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
+        ranked.into_iter().take(k).map(|(_, id)| id).collect()
+    }
+
     /// Sum degree `d_s(u) = d(u) + 2·d_in(u)` (Definition 6.1) for every
     /// node, in `ids()` order.
     #[must_use]
@@ -305,6 +316,9 @@ mod tests {
         assert_eq!(g.in_degree(id(0)), Some(0));
         assert_eq!(g.out_degree(id(9)), None);
         assert_eq!(g.sum_degrees(), vec![2, 1 + 2, 4]);
+        // Indegrees 0, 1, 2: highest first, and no more than there are.
+        assert_eq!(g.top_in_degree(2), vec![id(2), id(1)]);
+        assert_eq!(g.top_in_degree(9).len(), 3);
     }
 
     #[test]

@@ -2,29 +2,40 @@
 //!
 //! The paper's network model (Section 4.1) is best-effort datagrams with
 //! uniform i.i.d. loss and no delivery feedback. This crate provides that
-//! model as a [`Transport`] trait with two implementations:
+//! model as a [`Transport`] trait with one wire implementation and one
+//! decorator:
 //!
-//! * [`InMemoryNetwork`] — crossbeam channels between threads with a
-//!   seeded, injectable loss process (real concurrency, controlled loss);
 //! * [`UdpTransport`] — actual UDP sockets over loopback or a LAN (real
-//!   loss, real reordering).
+//!   reordering, and whatever loss the network has);
+//! * [`LossyTransport`] — wraps any transport and drops outgoing messages
+//!   i.i.d. at a seeded rate: the Section 4.1 loss process layered onto a
+//!   channel (like loopback) that in practice loses nothing.
 //!
 //! The 17-byte wire [`codec`] is total: S&F has exactly one message type
 //! and needs no connection state, which is the "practical, no bookkeeping"
-//! half of the paper's thesis.
+//! half of the paper's thesis. `sandf-daemon` multiplexes thousands of
+//! these endpoints on one service loop.
 //!
 //! ## Example
 //!
 //! ```
 //! use sandf_core::{Message, NodeId};
-//! use sandf_net::{InMemoryNetwork, Transport};
+//! use sandf_net::{AddressBook, LossyTransport, Transport, UdpTransport};
 //!
-//! let net = InMemoryNetwork::new(0.0, 7);
-//! let mut alice = net.endpoint(NodeId::new(0));
-//! let mut bob = net.endpoint(NodeId::new(1));
+//! let book = AddressBook::new();
+//! let alice = UdpTransport::bind_loopback(NodeId::new(0), &book)?;
+//! let mut alice = LossyTransport::new(alice, 0.0, 7);
+//! let mut bob = UdpTransport::bind_loopback(NodeId::new(1), &book)?;
 //!
-//! alice.send(NodeId::new(1), Message::new(NodeId::new(0), NodeId::new(9), false))?;
-//! assert!(bob.try_recv()?.is_some());
+//! let hello = Message::new(NodeId::new(0), NodeId::new(9), false);
+//! alice.send(NodeId::new(1), hello)?;
+//! let received = loop {
+//!     if let Some(message) = bob.try_recv()? {
+//!         break message;
+//!     }
+//!     std::thread::yield_now();
+//! };
+//! assert_eq!(received, hello);
 //! # Ok::<(), sandf_net::TransportError>(())
 //! ```
 
@@ -32,14 +43,10 @@
 #![warn(missing_docs)]
 
 pub mod codec;
-mod instrument;
 mod lossy;
-mod memory;
 mod transport;
 mod udp;
 
-pub use instrument::{InstrumentedTransport, TransportMetrics};
 pub use lossy::LossyTransport;
-pub use memory::{InMemoryNetwork, InMemoryTransport};
 pub use transport::{Transport, TransportError};
 pub use udp::{AddressBook, UdpTransport};

@@ -10,10 +10,19 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sandf_core::{Message, NodeId};
-use sandf_obs::MetricsRegistry;
+use sandf_obs::{CounterHandle, MetricsRegistry};
 
-use crate::instrument::TransportMetrics;
 use crate::transport::{Transport, TransportError};
+
+/// The `<prefix>.sent` / `.dropped` / `.delivered` counter triple a
+/// [`LossyTransport`] built [`with_metrics`](LossyTransport::with_metrics)
+/// records into.
+#[derive(Clone, Debug)]
+struct TransportMetrics {
+    sent: CounterHandle,
+    dropped: CounterHandle,
+    delivered: CounterHandle,
+}
 
 /// A transport that loses a fraction of outgoing messages.
 #[derive(Debug)]
@@ -54,7 +63,11 @@ impl<T: Transport> LossyTransport<T> {
         prefix: &str,
     ) -> Self {
         let mut lossy = Self::new(inner, rate, seed);
-        lossy.metrics = Some(TransportMetrics::register(registry, prefix));
+        lossy.metrics = Some(TransportMetrics {
+            sent: registry.counter(&format!("{prefix}.sent")),
+            dropped: registry.counter(&format!("{prefix}.dropped")),
+            delivered: registry.counter(&format!("{prefix}.delivered")),
+        });
         lossy
     }
 
@@ -113,9 +126,31 @@ impl<T: Transport> Transport for LossyTransport<T> {
 
 #[cfg(test)]
 mod tests {
-    use crate::memory::InMemoryNetwork;
+    use std::cell::RefCell;
+    use std::collections::VecDeque;
+    use std::rc::Rc;
 
     use super::*;
+
+    /// A reliable single-queue transport: whatever passes the loss layer
+    /// can be read straight back, which is all these tests count.
+    #[derive(Clone, Default)]
+    struct Loopback(Rc<RefCell<VecDeque<Message>>>);
+
+    impl Transport for Loopback {
+        fn local_id(&self) -> NodeId {
+            NodeId::new(1)
+        }
+
+        fn send(&mut self, _to: NodeId, message: Message) -> Result<(), TransportError> {
+            self.0.borrow_mut().push_back(message);
+            Ok(())
+        }
+
+        fn try_recv(&mut self) -> Result<Option<Message>, TransportError> {
+            Ok(self.0.borrow_mut().pop_front())
+        }
+    }
 
     fn msg(k: u64) -> Message {
         Message::new(NodeId::new(0), NodeId::new(k), false)
@@ -123,9 +158,8 @@ mod tests {
 
     #[test]
     fn zero_rate_passes_everything_through() {
-        let net = InMemoryNetwork::new(0.0, 1);
-        let mut tx = LossyTransport::new(net.endpoint(NodeId::new(0)), 0.0, 2);
-        let mut rx = net.endpoint(NodeId::new(1));
+        let mut rx = Loopback::default();
+        let mut tx = LossyTransport::new(rx.clone(), 0.0, 2);
         for k in 0..50 {
             tx.send(NodeId::new(1), msg(k)).unwrap();
         }
@@ -139,9 +173,8 @@ mod tests {
 
     #[test]
     fn unit_rate_drops_everything() {
-        let net = InMemoryNetwork::new(0.0, 3);
-        let mut tx = LossyTransport::new(net.endpoint(NodeId::new(0)), 1.0, 4);
-        let mut rx = net.endpoint(NodeId::new(1));
+        let mut rx = Loopback::default();
+        let mut tx = LossyTransport::new(rx.clone(), 1.0, 4);
         for k in 0..50 {
             tx.send(NodeId::new(1), msg(k)).unwrap();
         }
@@ -152,9 +185,7 @@ mod tests {
 
     #[test]
     fn empirical_rate_matches() {
-        let net = InMemoryNetwork::new(0.0, 5);
-        let mut tx = LossyTransport::new(net.endpoint(NodeId::new(0)), 0.3, 6);
-        let _rx = net.endpoint(NodeId::new(1));
+        let mut tx = LossyTransport::new(Loopback::default(), 0.3, 6);
         for k in 0..20_000 {
             tx.send(NodeId::new(1), msg(k)).unwrap();
         }
@@ -164,17 +195,9 @@ mod tests {
 
     #[test]
     fn metrics_mirror_internal_counters() {
-        use sandf_obs::MetricsRegistry;
         let registry = MetricsRegistry::new();
-        let net = InMemoryNetwork::new(0.0, 9);
-        let mut tx = LossyTransport::with_metrics(
-            net.endpoint(NodeId::new(0)),
-            0.3,
-            10,
-            &registry,
-            "net.lossy",
-        );
-        let _rx = net.endpoint(NodeId::new(1));
+        let mut tx =
+            LossyTransport::with_metrics(Loopback::default(), 0.3, 10, &registry, "net.lossy");
         for k in 0..2_000 {
             tx.send(NodeId::new(1), msg(k)).unwrap();
         }
@@ -185,9 +208,8 @@ mod tests {
 
     #[test]
     fn receive_path_is_untouched() {
-        let net = InMemoryNetwork::new(0.0, 7);
-        let mut a = net.endpoint(NodeId::new(0));
-        let mut b = LossyTransport::new(net.endpoint(NodeId::new(1)), 1.0, 8);
+        let mut a = Loopback::default();
+        let mut b = LossyTransport::new(a.clone(), 1.0, 8);
         a.send(NodeId::new(1), msg(9)).unwrap();
         assert_eq!(b.try_recv().unwrap(), Some(msg(9)));
         assert_eq!(b.local_id(), NodeId::new(1));

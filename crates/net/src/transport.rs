@@ -1,4 +1,4 @@
-//! The transport abstraction the runtime drives the protocol over.
+//! The transport abstraction the daemon drives the protocol over.
 
 use sandf_core::{Message, NodeId};
 
@@ -36,7 +36,7 @@ impl std::error::Error for TransportError {}
 /// never duplicate or corrupt them.
 ///
 /// S&F needs nothing more: every protocol step is atomic at a single node,
-/// so the runtime just pumps `try_recv` and fires `send` on a timer.
+/// so the service loop just pumps `try_recv` and fires `send` on a timer.
 pub trait Transport {
     /// This endpoint's node id.
     fn local_id(&self) -> NodeId;

@@ -45,6 +45,7 @@ use rand::{Rng, SeedableRng};
 use sandf_core::NodeId;
 use sandf_obs::{CounterHandle, MetricsRegistry};
 
+use crate::fault::FaultSpec;
 use crate::par::{fnv1a64, stream_seed};
 use crate::traits::Engine;
 
@@ -172,6 +173,30 @@ impl RumorChannel {
                 victims.sort_unstable();
                 victims.dedup();
             }
+        }
+    }
+}
+
+/// The rumor channel matching a membership fault at the same parameters:
+/// `uniform`/`bursty`/`partition` map directly, `victims` aims at the same
+/// `victims` set the membership fault was aimed at, and the
+/// membership-specific models map to their marginals (`perlink` → uniform
+/// at the effective rate in an `n`-node system; `capacity` gates sends
+/// rather than dropping them, so the rumor channel stays lossless).
+#[must_use]
+pub fn rumor_channel_for(fault: &FaultSpec, n: usize, victims: &[NodeId]) -> RumorChannel {
+    match *fault {
+        FaultSpec::Uniform { rate } => RumorChannel::Uniform { rate },
+        FaultSpec::Bursty { to_bad, to_good, loss_good, loss_bad } => {
+            RumorChannel::Bursty { to_bad, to_good, loss_good, loss_bad }
+        }
+        FaultSpec::Partition { regions, sever, base } => {
+            RumorChannel::Partition { regions, sever, base }
+        }
+        FaultSpec::PerLink { .. } => RumorChannel::Uniform { rate: fault.effective_rate(n) },
+        FaultSpec::Capacity { .. } => RumorChannel::Lossless,
+        FaultSpec::Victims { victim_rate, base, .. } => {
+            RumorChannel::Victims { victim_rate, base, victims: victims.to_vec() }
         }
     }
 }

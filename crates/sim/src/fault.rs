@@ -34,6 +34,34 @@
 //! round-indexed schedule — the compiled form of the declarative scenario
 //! specs in `sandf_bench::scenario`.
 //!
+//! # The fault grammar
+//!
+//! [`FaultSpec`] is the one textual spelling of a fault, shared by every
+//! surface that names one: a scenario spec's `phase` lines
+//! (`sandf_bench::scenario`), the rumor channel mirroring a phase
+//! ([`rumor_channel_for`](crate::rumor_channel_for)), and the live daemon's
+//! `POST /ctl/fault` body (`sandf_daemon`). A fault is always written as a
+//! phase — a duration in rounds, then the model and its positional
+//! arguments — so a line means the same thing wherever it is sent:
+//!
+//! ```text
+//! phase <rounds> <model> <args...>
+//! ```
+//!
+//! | model | compiles to | semantics |
+//! |---|---|---|
+//! | `uniform <rate>` | [`UniformLoss`] | i.i.d. loss (the paper's model) |
+//! | `bursty <to_bad> <to_good> <loss_good> <loss_bad>` | [`GilbertElliott`] | per-sender bursty channel |
+//! | `partition <regions> <sever> <base>` | [`RegionalPartition`] | cross-region loss at `sever` for the phase window, then heal |
+//! | `perlink <salt> <bad_fraction> <good_rate> <bad_rate>` | [`PerLinkLoss`] | persistent per-link quality |
+//! | `capacity <salt> <slow_fraction> <period> <base>` | [`NodeCapacity`] | slow cohort acts every `period`-th round |
+//! | `victims <count> <victim_rate> <base>` | [`VictimLoss`] | targeted loss on the `count` highest-indegree nodes, aimed at phase start |
+//!
+//! Rates are probabilities in `[0, 1]`; every argument is required.
+//! [`FaultSpec::parse_phase`] is the only parser and the
+//! [`Display`](std::fmt::Display) impl the only printer, so
+//! `parse ∘ print = id` and a rejection is worded identically everywhere.
+//!
 //! # Determinism
 //!
 //! Models that need per-link or per-node randomness (`PerLinkLoss`,
@@ -42,6 +70,8 @@
 //! only on the identities involved — never on evaluation order. That is
 //! what keeps the par engine's sharded execution byte-identical for any
 //! thread count under every model here.
+
+use std::str::FromStr;
 
 use rand::Rng;
 use sandf_core::NodeId;
@@ -539,6 +569,322 @@ impl FaultModel for ScheduledFault {
     }
 }
 
+/// One fault model as written in the [fault grammar](self#the-fault-grammar)
+/// — engine-independent; compiled to a [`PhaseFault`] for a concrete round
+/// window by [`build`](Self::build).
+#[derive(Clone, Copy, PartialEq, Debug)]
+pub enum FaultSpec {
+    /// `uniform <rate>` — i.i.d. loss.
+    Uniform {
+        /// Loss rate in `[0, 1]`.
+        rate: f64,
+    },
+    /// `bursty <to_bad> <to_good> <loss_good> <loss_bad>` — Gilbert–Elliott.
+    Bursty {
+        /// Good→bad transition probability.
+        to_bad: f64,
+        /// Bad→good transition probability.
+        to_good: f64,
+        /// Loss rate in the good state.
+        loss_good: f64,
+        /// Loss rate in the bad state.
+        loss_bad: f64,
+    },
+    /// `partition <regions> <sever> <base>` — regional partition for the
+    /// phase's window, healing when the phase ends.
+    Partition {
+        /// Number of regions (`id % regions`).
+        regions: u64,
+        /// Cross-region loss rate during the window (1 = hard partition).
+        sever: f64,
+        /// In-region (and post-heal) loss rate.
+        base: f64,
+    },
+    /// `perlink <salt> <bad_fraction> <good_rate> <bad_rate>` — persistent
+    /// per-link quality.
+    PerLink {
+        /// Link-map salt (XORed with the replicate salt).
+        salt: u64,
+        /// Fraction of directed links that are bad.
+        bad_fraction: f64,
+        /// Loss rate on good links.
+        good_rate: f64,
+        /// Loss rate on bad links.
+        bad_rate: f64,
+    },
+    /// `capacity <salt> <slow_fraction> <period> <base>` — heterogeneous
+    /// node capacities.
+    Capacity {
+        /// Cohort salt (XORed with the replicate salt).
+        salt: u64,
+        /// Fraction of nodes in the slow cohort.
+        slow_fraction: f64,
+        /// Slow nodes act once per this many rounds.
+        period: u64,
+        /// Uniform loss rate underneath.
+        base: f64,
+    },
+    /// `victims <count> <victim_rate> <base>` — targeted inbound loss on
+    /// the `count` highest-indegree nodes, measured at phase start.
+    Victims {
+        /// Number of top-indegree victims.
+        count: usize,
+        /// Inbound loss rate at a victim.
+        victim_rate: f64,
+        /// Loss rate everywhere else.
+        base: f64,
+    },
+}
+
+/// Parses one numeric word of a spec line, naming the directive and the
+/// argument on failure. Public so `sandf_bench::scenario`'s header
+/// directives word their rejections exactly like the fault arguments.
+///
+/// # Errors
+///
+/// Returns the rejection message when `token` is not a `T`.
+pub fn parse_num<T: FromStr>(directive: &str, what: &str, token: &str) -> Result<T, String> {
+    token.parse().map_err(|_| format!("`{directive}` expects {what}, got {token:?}"))
+}
+
+/// Checks a directive's argument count, quoting its usage on failure
+/// (shared with the scenario header directives like [`parse_num`]).
+///
+/// # Errors
+///
+/// Returns the rejection message when `args` does not hold `want` words.
+pub fn expect_args(directive: &str, usage: &str, args: &[&str], want: usize) -> Result<(), String> {
+    if args.len() != want {
+        return Err(format!(
+            "`{directive}` takes {want} argument(s): `{usage}` (got {})",
+            args.len()
+        ));
+    }
+    Ok(())
+}
+
+fn parse_rate(directive: &str, what: &str, token: &str) -> Result<f64, String> {
+    let value: f64 = parse_num(directive, what, token)?;
+    if !(0.0..=1.0).contains(&value) {
+        return Err(format!("`{directive}` {what} {value} is outside [0, 1]"));
+    }
+    Ok(value)
+}
+
+impl FaultSpec {
+    /// Parses the words after `phase` — `<rounds> <model> <args...>` — into
+    /// the phase's duration and fault model (see the
+    /// [grammar](self#the-fault-grammar)).
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the offending argument and what was
+    /// expected there.
+    pub fn parse_phase(words: &[&str]) -> Result<(usize, Self), String> {
+        if words.len() < 2 {
+            return Err("`phase` takes a duration and a fault model: \
+                        `phase <rounds> <fault> <args...>`"
+                .into());
+        }
+        let rounds: usize = parse_num("phase", "an integer round count", words[0])?;
+        if rounds == 0 {
+            return Err("`phase` must last at least 1 round".into());
+        }
+        Ok((rounds, Self::parse(words[1], &words[2..])?))
+    }
+
+    /// The one place a fault keyword becomes a model.
+    fn parse(kind: &str, args: &[&str]) -> Result<Self, String> {
+        match kind {
+            "uniform" => {
+                expect_args("phase … uniform", "uniform <rate>", args, 1)?;
+                Ok(Self::Uniform { rate: parse_rate("uniform", "rate", args[0])? })
+            }
+            "bursty" => {
+                expect_args(
+                    "phase … bursty",
+                    "bursty <to_bad> <to_good> <loss_good> <loss_bad>",
+                    args,
+                    4,
+                )?;
+                let to_bad = parse_rate("bursty", "to_bad", args[0])?;
+                let to_good = parse_rate("bursty", "to_good", args[1])?;
+                if to_bad + to_good <= 0.0 {
+                    return Err("`bursty` needs to_bad + to_good > 0 \
+                                (a dead channel has no stationary state)"
+                        .into());
+                }
+                Ok(Self::Bursty {
+                    to_bad,
+                    to_good,
+                    loss_good: parse_rate("bursty", "loss_good", args[2])?,
+                    loss_bad: parse_rate("bursty", "loss_bad", args[3])?,
+                })
+            }
+            "partition" => {
+                expect_args("phase … partition", "partition <regions> <sever> <base>", args, 3)?;
+                let regions: u64 = parse_num("partition", "an integer region count", args[0])?;
+                if regions < 2 {
+                    return Err(format!("`partition` needs at least 2 regions, got {regions}"));
+                }
+                Ok(Self::Partition {
+                    regions,
+                    sever: parse_rate("partition", "sever rate", args[1])?,
+                    base: parse_rate("partition", "base rate", args[2])?,
+                })
+            }
+            "perlink" => {
+                expect_args(
+                    "phase … perlink",
+                    "perlink <salt> <bad_fraction> <good_rate> <bad_rate>",
+                    args,
+                    4,
+                )?;
+                Ok(Self::PerLink {
+                    salt: parse_num("perlink", "an integer salt", args[0])?,
+                    bad_fraction: parse_rate("perlink", "bad_fraction", args[1])?,
+                    good_rate: parse_rate("perlink", "good_rate", args[2])?,
+                    bad_rate: parse_rate("perlink", "bad_rate", args[3])?,
+                })
+            }
+            "capacity" => {
+                expect_args(
+                    "phase … capacity",
+                    "capacity <salt> <slow_fraction> <period> <base>",
+                    args,
+                    4,
+                )?;
+                let period: u64 = parse_num("capacity", "an integer period", args[2])?;
+                if period < 2 {
+                    return Err(format!("`capacity` period must be ≥ 2, got {period}"));
+                }
+                Ok(Self::Capacity {
+                    salt: parse_num("capacity", "an integer salt", args[0])?,
+                    slow_fraction: parse_rate("capacity", "slow_fraction", args[1])?,
+                    period,
+                    base: parse_rate("capacity", "base rate", args[3])?,
+                })
+            }
+            "victims" => {
+                expect_args("phase … victims", "victims <count> <victim_rate> <base>", args, 3)?;
+                let count: usize = parse_num("victims", "an integer victim count", args[0])?;
+                if count == 0 {
+                    return Err("`victims` needs at least one victim".into());
+                }
+                Ok(Self::Victims {
+                    count,
+                    victim_rate: parse_rate("victims", "victim_rate", args[1])?,
+                    base: parse_rate("victims", "base rate", args[2])?,
+                })
+            }
+            other => Err(format!(
+                "unknown fault model {other:?} — expected one of \
+                 uniform, bursty, partition, perlink, capacity, victims"
+            )),
+        }
+    }
+
+    /// The spec keyword naming this model.
+    #[must_use]
+    pub fn kind(&self) -> &'static str {
+        match self {
+            Self::Uniform { .. } => "uniform",
+            Self::Bursty { .. } => "bursty",
+            Self::Partition { .. } => "partition",
+            Self::PerLink { .. } => "perlink",
+            Self::Capacity { .. } => "capacity",
+            Self::Victims { .. } => "victims",
+        }
+    }
+
+    /// The phase's effective per-message loss rate in an `n`-node system —
+    /// the rate the degree-MC prediction is solved at. For structured
+    /// models this is the *marginal* rate of a message to a uniformly
+    /// random target; the whole point of the envelope table is that
+    /// structured loss at the same marginal rate need **not** behave like
+    /// uniform loss at that rate.
+    #[must_use]
+    pub fn effective_rate(&self, n: usize) -> f64 {
+        match *self {
+            Self::Uniform { rate } => rate,
+            Self::Bursty { to_bad, to_good, loss_good, loss_bad } => {
+                let p_bad = to_bad / (to_bad + to_good);
+                p_bad * loss_bad + (1.0 - p_bad) * loss_good
+            }
+            Self::Partition { regions, sever, base } => {
+                let cross = (regions - 1) as f64 / regions as f64;
+                cross * sever + (1.0 - cross) * base
+            }
+            Self::PerLink { bad_fraction, good_rate, bad_rate, .. } => {
+                bad_fraction * bad_rate + (1.0 - bad_fraction) * good_rate
+            }
+            Self::Capacity { base, .. } => base,
+            Self::Victims { count, victim_rate, base } => {
+                let f = (count as f64 / n as f64).min(1.0);
+                f * victim_rate + (1.0 - f) * base
+            }
+        }
+    }
+
+    /// Compiles the spec into a [`PhaseFault`] for the window
+    /// `[start, start + duration)`. `salt` decorrelates hash-derived link
+    /// maps and cohorts across replicates. A `victims` model starts with an
+    /// empty victim set; the caller aims it
+    /// ([`VictimLoss::set_victims`]) at the overlay's current hubs.
+    #[must_use]
+    pub fn build(&self, start: u64, duration: u64, salt: u64) -> PhaseFault {
+        match *self {
+            Self::Uniform { rate } => {
+                PhaseFault::Uniform(UniformLoss::new(rate).expect("validated at parse time"))
+            }
+            Self::Bursty { to_bad, to_good, loss_good, loss_bad } => PhaseFault::Bursty(
+                GilbertElliott::new(to_bad, to_good, loss_good, loss_bad)
+                    .expect("validated at parse time"),
+            ),
+            Self::Partition { regions, sever, base } => PhaseFault::Partition(
+                RegionalPartition::new(regions, start, duration, sever, base)
+                    .expect("validated at parse time"),
+            ),
+            Self::PerLink { salt: s, bad_fraction, good_rate, bad_rate } => PhaseFault::PerLink(
+                PerLinkLoss::new(s ^ salt, bad_fraction, good_rate, bad_rate)
+                    .expect("validated at parse time"),
+            ),
+            Self::Capacity { salt: s, slow_fraction, period, base } => PhaseFault::Capacity(
+                NodeCapacity::new(s ^ salt, slow_fraction, period, base)
+                    .expect("validated at parse time"),
+            ),
+            Self::Victims { victim_rate, base, .. } => PhaseFault::Victims(
+                VictimLoss::new(victim_rate, base).expect("validated at parse time"),
+            ),
+        }
+    }
+}
+
+impl std::fmt::Display for FaultSpec {
+    /// The canonical printing, `<model> <args...>`: prefixed with
+    /// `phase <rounds> `, it parses back to `self`.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            Self::Uniform { rate } => write!(f, "uniform {rate}"),
+            Self::Bursty { to_bad, to_good, loss_good, loss_bad } => {
+                write!(f, "bursty {to_bad} {to_good} {loss_good} {loss_bad}")
+            }
+            Self::Partition { regions, sever, base } => {
+                write!(f, "partition {regions} {sever} {base}")
+            }
+            Self::PerLink { salt, bad_fraction, good_rate, bad_rate } => {
+                write!(f, "perlink {salt} {bad_fraction} {good_rate} {bad_rate}")
+            }
+            Self::Capacity { salt, slow_fraction, period, base } => {
+                write!(f, "capacity {salt} {slow_fraction} {period} {base}")
+            }
+            Self::Victims { count, victim_rate, base } => {
+                write!(f, "victims {count} {victim_rate} {base}")
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use rand::rngs::StdRng;
@@ -717,6 +1063,59 @@ mod tests {
             (10, PhaseFault::Uniform(UniformLoss::none())),
             (10, PhaseFault::Uniform(UniformLoss::none())),
         ]);
+    }
+
+    #[test]
+    fn fault_spec_parse_print_is_identity_over_every_model() {
+        for line in [
+            "4 uniform 0.05",
+            "3 bursty 0.05 0.2 0.01 0.5",
+            "6 partition 3 0.9 0.01",
+            "4 perlink 11 0.25 0.005 0.8",
+            "5 capacity 3 0.4 3 0.02",
+            "4 victims 4 0.9 0.01",
+        ] {
+            let words: Vec<&str> = line.split_whitespace().collect();
+            let (rounds, spec) = FaultSpec::parse_phase(&words).expect("legal phase");
+            assert_eq!(words[1], spec.kind());
+            let printed = format!("{rounds} {spec}");
+            assert_eq!(printed, line, "print is not canonical");
+            let reparsed: Vec<&str> = printed.split_whitespace().collect();
+            assert_eq!(FaultSpec::parse_phase(&reparsed), Ok((rounds, spec)));
+            // Every spec the parser accepts compiles.
+            let _ = spec.build(10, rounds as u64, 7);
+        }
+    }
+
+    #[test]
+    fn fault_spec_rejections_say_what_was_expected() {
+        for (line, fragment) in [
+            ("5", "phase <rounds> <fault> <args...>"),
+            ("0 uniform 0", "at least 1 round"),
+            ("x uniform 0", "an integer round count"),
+            ("5 gauss 0.3", "unknown fault model \"gauss\""),
+            ("5 uniform 1.5", "`uniform` rate 1.5 is outside [0, 1]"),
+            ("5 uniform NaN", "outside [0, 1]"),
+            ("5 partition 2", "partition <regions> <sever> <base>"),
+            ("5 partition 1 0.5 0", "at least 2 regions"),
+            ("5 bursty 0 0 0.1 0.9", "no stationary state"),
+            ("5 capacity 1 0.5 1 0", "period must be ≥ 2"),
+            ("5 victims 0 0.5 0", "at least one victim"),
+        ] {
+            let words: Vec<&str> = line.split_whitespace().collect();
+            let error = FaultSpec::parse_phase(&words).expect_err(line);
+            assert!(error.contains(fragment), "{line:?}: {error:?} lacks {fragment:?}");
+        }
+    }
+
+    #[test]
+    fn effective_rates_are_marginals() {
+        let half = FaultSpec::Partition { regions: 2, sever: 1.0, base: 0.0 };
+        assert!((half.effective_rate(96) - 0.5).abs() < 1e-12);
+        let mix = FaultSpec::PerLink { salt: 0, bad_fraction: 0.25, good_rate: 0.0, bad_rate: 0.8 };
+        assert!((mix.effective_rate(96) - 0.2).abs() < 1e-12);
+        let vic = FaultSpec::Victims { count: 24, victim_rate: 0.5, base: 0.0 };
+        assert!((vic.effective_rate(96) - 0.125).abs() < 1e-12);
     }
 
     #[test]

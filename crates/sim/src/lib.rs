@@ -47,16 +47,16 @@ pub mod topology;
 mod traits;
 
 pub use broadcast::{
-    doerr_spread_prediction, BroadcastConfig, BroadcastLayer, BroadcastStats, RumorChannel,
-    SpreadReport, TraceEdge,
+    doerr_spread_prediction, rumor_channel_for, BroadcastConfig, BroadcastLayer, BroadcastStats,
+    RumorChannel, SpreadReport, TraceEdge,
 };
 pub use degree::DegreeStats;
 pub use engine::{
     DelayModel, SimStats, Simulation, StepEvent, StepPhase, StepReport, StepSubscriber,
 };
 pub use fault::{
-    FaultCtx, FaultModel, NodeCapacity, PerLinkLoss, PhaseFault, RegionalPartition, ScheduledFault,
-    VictimLoss,
+    FaultCtx, FaultModel, FaultSpec, NodeCapacity, PerLinkLoss, PhaseFault, RegionalPartition,
+    ScheduledFault, VictimLoss,
 };
 pub use flat::FlatSimulation;
 pub use loss::{GilbertElliott, LossModel, LossRateError, TargetedLoss, UniformLoss};

@@ -21,12 +21,12 @@
 //! * [`variants`] — the Section 5 optimizations the paper deferred
 //!   (undeletion, replace-when-full, batched sends), likewise as
 //!   behaviors;
-//! * [`net`] — lossy in-memory and UDP transports with the 17-byte wire
-//!   codec;
-//! * [`runtime`] — a threaded per-node runtime and cluster harness;
-//! * [`daemon`] — a long-running membership service multiplexing many
-//!   nodes over real UDP sockets, with a wire-level fault injector, live
-//!   invariant checking, an HTTP endpoint, and a soak harness;
+//! * [`net`] — the `Transport` trait, UDP sockets, a loss-injecting
+//!   decorator, and the 17-byte wire codec;
+//! * [`daemon`] — S&F on a wire: a long-running membership service
+//!   multiplexing many nodes over real UDP sockets on one event loop,
+//!   with a wire-level fault injector, live invariant checking, an HTTP
+//!   endpoint, and a soak harness;
 //! * [`obs`] — the observability subsystem (metrics registry, structured
 //!   event journal, hot-path profiling spans); see the observability
 //!   section of `EXPERIMENTS.md`.
@@ -61,7 +61,6 @@ pub use sandf_graph as graph;
 pub use sandf_markov as markov;
 pub use sandf_net as net;
 pub use sandf_obs as obs;
-pub use sandf_runtime as runtime;
 pub use sandf_sim as sim;
 
 pub use sandf_core::{
