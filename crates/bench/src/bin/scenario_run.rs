@@ -11,7 +11,11 @@
 //! Pass file paths to run scenario specs of your own (the grammar is
 //! documented in `sandf_bench::scenario` and EXPERIMENTS.md). Output is
 //! deterministic: seeds are fixed in the specs and both the sweep
-//! executor and the par engine are thread-count-independent.
+//! executor and the par engine are thread-count-independent. An
+//! unreadable path or an invalid spec prints `scenario_run: <path>: …` on
+//! stderr and exits 1 before any scenario runs.
+
+use std::process::ExitCode;
 
 use sandf_bench::note;
 use sandf_bench::scenario::{builtin_specs, render_scenario, Scenario};
@@ -20,27 +24,44 @@ use sandf_bench::scenario::{builtin_specs, render_scenario, Scenario};
 /// across cores, so the inner engine stays narrow.
 const ENGINE_THREADS: usize = 2;
 
-fn main() {
+fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let specs: Vec<(String, String)> = if args.is_empty() {
-        builtin_specs().iter().map(|&(name, spec)| (name.to_string(), spec.to_string())).collect()
-    } else {
-        args.iter()
-            .map(|path| {
-                let text = std::fs::read_to_string(path)
-                    .unwrap_or_else(|e| panic!("cannot read scenario spec {path}: {e}"));
-                (path.clone(), text)
-            })
-            .collect()
+    let scenarios = match load(&args) {
+        Ok(scenarios) => scenarios,
+        Err(message) => {
+            eprintln!("scenario_run: {message}");
+            return ExitCode::FAILURE;
+        }
     };
 
     note("adversarial fault scenarios: measured indegree vs the degree-MC prediction at each");
     note("phase's effective loss rate; verdict `OUT` = outside ci95 + 1.0 — structured loss");
     note("is *supposed* to escape the uniform envelope (detection power), uniform phases are not");
-    for (origin, text) in specs {
-        let scenario = Scenario::parse(&text)
-            .unwrap_or_else(|e| panic!("invalid scenario spec from {origin}: {e}"));
+    for scenario in &scenarios {
         println!();
-        print!("{}", render_scenario(&scenario, ENGINE_THREADS));
+        print!("{}", render_scenario(scenario, ENGINE_THREADS));
     }
+    ExitCode::SUCCESS
+}
+
+/// Reads and parses every spec up front: the built-in library with no
+/// arguments, otherwise one spec per path.
+fn load(paths: &[String]) -> Result<Vec<Scenario>, String> {
+    if paths.is_empty() {
+        return builtin_specs().iter().map(|&(name, spec)| parse(name, spec)).collect();
+    }
+    paths
+        .iter()
+        .map(|path| {
+            let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+            parse(path, &text)
+        })
+        .collect()
+}
+
+fn parse(origin: &str, text: &str) -> Result<Scenario, String> {
+    Scenario::parse(text).map_err(|e| match e.line {
+        0 => format!("{origin}: {}", e.message),
+        line => format!("{origin}: line {line}: {}", e.message),
+    })
 }

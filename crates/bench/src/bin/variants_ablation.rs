@@ -11,22 +11,15 @@
 //! * how much does *batching* coarsen the degree distribution (moves of
 //!   ±(b+1) instead of ±2)?
 
+use sandf_bench::sweeps::ring_views;
 use sandf_bench::{fmt, header, note};
-use sandf_core::{NodeId, SfConfig};
+use sandf_core::SfConfig;
 use sandf_graph::DegreeStats;
 use sandf_sim::{FlatSimulation, ProtocolBehavior, SfBehavior, UniformLoss};
 use sandf_variants::{BatchedBehavior, ReplaceBehavior, UndeleteBehavior};
 
 const N: usize = 256;
 const ROUNDS: usize = 400;
-
-fn ring_views(k: usize) -> Vec<(NodeId, Vec<NodeId>)> {
-    (0..N)
-        .map(|i| {
-            (NodeId::new(i as u64), (1..=k).map(|d| NodeId::new(((i + d) % N) as u64)).collect())
-        })
-        .collect()
-}
 
 fn row<B: ProtocolBehavior>(
     label: &str,
@@ -37,7 +30,7 @@ fn row<B: ProtocolBehavior>(
     seed: u64,
 ) {
     let rate = UniformLoss::new(loss).expect("valid rate");
-    let mut sim = FlatSimulation::from_views(behavior, config, ring_views(k), rate, seed);
+    let mut sim = FlatSimulation::from_views(behavior, config, ring_views(N, k), rate, seed);
     sim.run_rounds(ROUNDS);
     let graph = sim.graph();
     let stats = sim.aggregate_node_stats();

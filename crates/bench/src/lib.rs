@@ -1,26 +1,17 @@
 //! # sandf-bench — the paper's evaluation, regenerated
 //!
-//! One binary per figure/table of Gurevich & Keidar's evaluation (see
-//! `DESIGN.md` for the experiment index and `EXPERIMENTS.md` for recorded
-//! paper-vs-measured comparisons):
-//!
-//! | binary | artifact |
-//! |---|---|
-//! | `fig6_1` | Figure 6.1 — degree laws: analytical vs. degree-MC vs. binomial |
-//! | `fig6_3` | Figure 6.3 — degree-MC distributions under loss (+ sim overlay) |
-//! | `indegree_stats` | §6.4 — mean ± std of indegree per loss rate |
-//! | `thresholds` | §6.3 — `(d_L, s)` selection sweep; §7.4 connectivity condition |
-//! | `fig6_4` | Figure 6.4 — departed-id survival bound (+ sim overlay) |
-//! | `join_leave` | §6.5 — Lemma 6.10 decay and Corollary 6.14 join integration |
-//! | `independence` | §7.4 — measured dependent fraction vs. `2(ℓ+δ)` bound |
-//! | `temporal` | §7.5 — edge-overlap decay vs. `O(s log n)`; `τ_ε` table |
-//! | `uniformity` | Lemma 7.6 — χ² of id representation over a long run |
-//! | `exact_uniform` | Lemma 7.5 — exact tiny-system enumeration |
-//! | `baseline_compare` | §3.1 — S&F vs. shuffle vs. push-pull vs. push-only under loss |
+//! One binary per figure/table of Gurevich & Keidar's evaluation, plus the
+//! extension experiments of `DESIGN.md` B2–B8. README.md § "Reproducing
+//! the paper's evaluation" is the one table of every binary and the
+//! artifact it regenerates; `EXPERIMENTS.md` records the paper-vs-measured
+//! comparisons.
 //!
 //! All binaries print TSV to stdout (self-describing headers, `#`-prefixed
-//! commentary) and take no arguments; seeds are fixed so output is
-//! reproducible.
+//! commentary) with fixed seeds, so output is reproducible. Two take
+//! arguments: `scenario_run [SPEC.scn ...]` (no arguments = the built-in
+//! scenario library) and `obs_report [--toy] [--journal]`; every other
+//! binary takes none. Performance is not measured here: the workspace
+//! benchmark (`BENCHMARK.json`, `benchmark/`) is the one perf harness.
 //!
 //! ## The replicated-sweep executor
 //!
@@ -45,9 +36,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod compare;
 pub mod obsrep;
-pub mod perf;
 pub mod scenario;
 pub mod sweep;
 pub mod sweeps;
@@ -71,21 +60,5 @@ pub fn fmt(x: f64) -> String {
         format!("{x:.6}")
     } else {
         format!("{x:.3e}")
-    }
-}
-
-/// Parses the value following `flag` in a binary's argument list: `None`
-/// when the flag is absent.
-///
-/// # Errors
-///
-/// A message naming the flag when its value is missing or does not parse.
-pub fn parse_flag<T: std::str::FromStr>(args: &[String], flag: &str) -> Result<Option<T>, String> {
-    match args.iter().position(|a| a == flag) {
-        None => Ok(None),
-        Some(i) => {
-            let value = args.get(i + 1).ok_or_else(|| format!("{flag} needs a value"))?;
-            value.parse().map(Some).map_err(|_| format!("bad value for {flag}: {value}"))
-        }
     }
 }

@@ -65,7 +65,6 @@ use std::fmt::Write as _;
 
 use rand::rngs::StdRng;
 use rand::RngCore;
-use sandf_baselines::{PushOnlyBehavior, PushPullBehavior, ShuffleBehavior};
 use sandf_core::{NodeId, SfConfig};
 use sandf_graph::DegreeStats;
 use sandf_markov::decay::leave_survival_bound;
@@ -80,7 +79,7 @@ use sandf_sim::{
 
 use crate::fmt;
 use crate::sweep::{fnv1a64, Summary, SweepCell, SweepSpec};
-use crate::sweeps::initial_degree;
+use crate::sweeps::{initial_degree, ring_views, with_behavior};
 
 /// The envelope tolerance added to the ci95 half-width when comparing the
 /// measured mean indegree against the degree-MC prediction — the same
@@ -497,20 +496,6 @@ impl Scenario {
     pub fn schedule_index(&self, phase: usize) -> usize {
         phase + usize::from(self.burn_in > 0)
     }
-
-    /// Circulant bootstrap views for the baseline protocols: node `i`
-    /// points at the next `degree` ids around the ring — the same shape
-    /// `topology::circulant` seeds the S&F engine with, so `protocol`
-    /// changes the behavior, not the starting graph.
-    fn ring_views(&self) -> Vec<(NodeId, Vec<NodeId>)> {
-        (0..self.n)
-            .map(|i| {
-                let view =
-                    (1..=self.degree).map(|d| NodeId::new(((i + d) % self.n) as u64)).collect();
-                (NodeId::new(i as u64), view)
-            })
-            .collect()
-    }
 }
 
 impl std::fmt::Display for Scenario {
@@ -737,48 +722,19 @@ fn run_replicate(
     let sim_seed = rng.next_u64();
     let config = scenario.config();
     let fault = scenario.compile(fault_salt);
-    // Baseline gossip fanout matches `sweeps::zoo_engine_table` so the two
-    // surfaces stay comparable.
-    const GOSSIP: usize = 3;
     match scenario.protocol {
+        // S&F keeps its own constructor: `circulant` nodes lay their slots
+        // out differently from `from_views`, and the goldens pin that.
         ProtocolSpec::Sf => {
             let nodes = topology::circulant(scenario.n, config, scenario.degree);
             let sim = ParSimulation::new(nodes, fault, sim_seed, threads);
             drive_replicate(sim, scenario, target, sim_seed, counters, registry)
         }
-        ProtocolSpec::PushOnly => {
-            let sim = ParSimulation::from_views(
-                PushOnlyBehavior,
-                config,
-                scenario.ring_views(),
-                fault,
-                sim_seed,
-                threads,
-            );
+        baseline => with_behavior!(baseline.kind(), |behavior| {
+            let views = ring_views(scenario.n, scenario.degree);
+            let sim = ParSimulation::from_views(behavior, config, views, fault, sim_seed, threads);
             drive_replicate(sim, scenario, target, sim_seed, counters, registry)
-        }
-        ProtocolSpec::PushPull => {
-            let sim = ParSimulation::from_views(
-                PushPullBehavior::new(GOSSIP),
-                config,
-                scenario.ring_views(),
-                fault,
-                sim_seed,
-                threads,
-            );
-            drive_replicate(sim, scenario, target, sim_seed, counters, registry)
-        }
-        ProtocolSpec::Shuffle => {
-            let sim = ParSimulation::from_views(
-                ShuffleBehavior::new(GOSSIP),
-                config,
-                scenario.ring_views(),
-                fault,
-                sim_seed,
-                threads,
-            );
-            drive_replicate(sim, scenario, target, sim_seed, counters, registry)
-        }
+        }),
     }
 }
 

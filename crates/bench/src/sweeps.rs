@@ -17,20 +17,17 @@
 //! paper scale.
 
 use rand::RngCore;
-use sandf_baselines::{PushOnlyBehavior, PushPullBehavior, ShuffleBehavior};
 use sandf_core::{NodeId, SfConfig, SfNode};
 use sandf_graph::{DegreeStats, MembershipGraph};
 use sandf_markov::{select_thresholds, DegreeMc, DegreeMcParams};
 use sandf_sim::experiment::{continuous_churn, steady_state_degrees, uniformity, ExperimentParams};
 use sandf_sim::{
-    topology, BroadcastConfig, BroadcastLayer, DelayModel, Engine, FlatSimulation, GilbertElliott,
-    LossModel, ParSimulation, ProtocolBehavior, RumorChannel, SfBehavior, Simulation, TargetedLoss,
-    UniformLoss,
+    rumor_channel_for, topology, BroadcastConfig, BroadcastLayer, DelayModel, Engine, FaultSpec,
+    FlatSimulation, GilbertElliott, LossModel, ParSimulation, ProtocolBehavior, RumorChannel,
+    Simulation, TargetedLoss, UniformLoss,
 };
-use sandf_variants::{BatchedBehavior, ReplaceBehavior, UndeleteBehavior};
 
 use crate::fmt;
-use crate::perf::ring_views;
 use crate::sweep::{SweepCell, SweepSpec};
 
 /// The paper's running configuration (`s = 40`, `d_L = 18`; Section 6.4).
@@ -48,6 +45,64 @@ pub fn initial_degree(config: SfConfig, n: usize) -> usize {
     let mid = d_l + (s - d_l) * 2 / 3;
     mid.min(n.saturating_sub(2)).max(2) & !1
 }
+
+/// The ring bootstrap of every `from_views` run: node `i` points at the
+/// next `k` ids around the ring — the shape `topology::circulant` seeds
+/// S&F with, so a protocol keyword changes the behavior, not the starting
+/// graph.
+#[must_use]
+pub fn ring_views(n: usize, k: usize) -> Vec<(NodeId, Vec<NodeId>)> {
+    (0..n)
+        .map(|i| {
+            let view = (1..=k).map(|d| NodeId::new(((i + d) % n) as u64)).collect();
+            (NodeId::new(i as u64), view)
+        })
+        .collect()
+}
+
+/// Reply size of push-pull, gossip size of shuffle, batch size of batched.
+pub(crate) const GOSSIP: usize = 3;
+
+/// The workspace's one keyword → behavior table: evaluates `$body` with
+/// `$behavior` bound to the [`ProtocolBehavior`] value `$protocol` names.
+/// A macro because the seven values have seven types — `$body` is
+/// instantiated once per arm.
+macro_rules! with_behavior {
+    ($protocol:expr, |$behavior:ident| $body:expr) => {
+        match $protocol {
+            "sandf" => {
+                let $behavior = ::sandf_sim::SfBehavior;
+                $body
+            }
+            "push_only" => {
+                let $behavior = ::sandf_baselines::PushOnlyBehavior;
+                $body
+            }
+            "push_pull" => {
+                let $behavior = ::sandf_baselines::PushPullBehavior::new($crate::sweeps::GOSSIP);
+                $body
+            }
+            "shuffle" => {
+                let $behavior = ::sandf_baselines::ShuffleBehavior::new($crate::sweeps::GOSSIP);
+                $body
+            }
+            "replace" => {
+                let $behavior = ::sandf_variants::ReplaceBehavior;
+                $body
+            }
+            "undelete" => {
+                let $behavior = ::sandf_variants::UndeleteBehavior;
+                $body
+            }
+            "batched" => {
+                let $behavior = ::sandf_variants::BatchedBehavior::new($crate::sweeps::GOSSIP);
+                $body
+            }
+            other => panic!("unknown protocol {other:?}"),
+        }
+    };
+}
+pub(crate) use with_behavior;
 
 // ---------------------------------------------------------------------------
 // indegree_stats — §6.4 in-text table
@@ -452,33 +507,26 @@ const ZOO_PROTOCOLS: [&str; 7] =
     ["sandf", "push_only", "push_pull", "shuffle", "replace", "undelete", "batched"];
 
 fn snapshots<E: Engine>(mut sim: E, legs: &[usize]) -> Vec<MembershipGraph> {
-    legs.iter()
+    let graphs = legs
+        .iter()
         .map(|&rounds| {
             sim.run_rounds(rounds);
             sim.graph()
         })
-        .collect()
+        .collect();
+    // No churn here, so every initiation the engine counted is still on a
+    // live node's ledger.
+    assert_eq!(
+        sim.stats().actions,
+        sim.aggregate_node_stats().initiated,
+        "engine and node ledgers disagree"
+    );
+    graphs
 }
 
-fn zoo_run<B: ProtocolBehavior>(
-    behavior: B,
-    engine: &str,
-    config: SfConfig,
-    views: Vec<(NodeId, Vec<NodeId>)>,
-    loss: f64,
-    seed: u64,
-    legs: &[usize],
-) -> Vec<MembershipGraph> {
-    let loss = UniformLoss::new(loss).expect("valid rate");
-    match engine {
-        "flat" => snapshots(FlatSimulation::from_views(behavior, config, views, loss, seed), legs),
-        _ => snapshots(ParSimulation::from_views(behavior, config, views, loss, seed, 2), legs),
-    }
-}
-
-/// The workspace's one name → behavior dispatch: runs `protocol` on
-/// `engine` and snapshots the membership graph after each leg of `legs`
-/// rounds. Each table reads its own metrics off the snapshots.
+/// Runs `protocol` on `engine` and snapshots the membership graph after
+/// each leg of `legs` rounds. Each table reads its own metrics off the
+/// snapshots.
 fn zoo_snapshots(
     protocol: &str,
     engine: &str,
@@ -488,15 +536,11 @@ fn zoo_snapshots(
     seed: u64,
     legs: &[usize],
 ) -> Vec<MembershipGraph> {
-    match protocol {
-        "sandf" => zoo_run(SfBehavior, engine, config, views, loss, seed, legs),
-        "push_only" => zoo_run(PushOnlyBehavior, engine, config, views, loss, seed, legs),
-        "push_pull" => zoo_run(PushPullBehavior::new(3), engine, config, views, loss, seed, legs),
-        "shuffle" => zoo_run(ShuffleBehavior::new(3), engine, config, views, loss, seed, legs),
-        "replace" => zoo_run(ReplaceBehavior, engine, config, views, loss, seed, legs),
-        "undelete" => zoo_run(UndeleteBehavior, engine, config, views, loss, seed, legs),
-        _ => zoo_run(BatchedBehavior::new(3), engine, config, views, loss, seed, legs),
-    }
+    let loss = UniformLoss::new(loss).expect("valid rate");
+    with_behavior!(protocol, |behavior| match engine {
+        "flat" => snapshots(FlatSimulation::from_views(behavior, config, views, loss, seed), legs),
+        _ => snapshots(ParSimulation::from_views(behavior, config, views, loss, seed, 2), legs),
+    })
 }
 
 /// The whole protocol zoo — S&F, the three baselines, and the three
@@ -570,23 +614,23 @@ const BROADCAST_CHANNELS: [&str; 5] = ["lossless", "uniform", "bursty", "partiti
 pub const BROADCAST_METRICS: [&str; 5] =
     ["to_half", "to_99", "to_full", "coverage", "msgs_per_node"];
 
-/// The named rumor channel at its grid-pinned rates. Victims are ids
-/// `1..=10` (the origin, id 0, is seeded directly and stays informed).
-fn broadcast_channel(name: &str) -> RumorChannel {
-    match name {
-        "lossless" => RumorChannel::Lossless,
-        "uniform" => RumorChannel::Uniform { rate: 0.2 },
-        "bursty" => {
-            RumorChannel::Bursty { to_bad: 0.1, to_good: 0.3, loss_good: 0.02, loss_bad: 0.8 }
-        }
-        "partition" => RumorChannel::Partition { regions: 2, sever: 1.0, base: 0.0 },
-        "victims" => RumorChannel::Victims {
-            victim_rate: 1.0,
-            base: 0.0,
-            victims: (1..=10).map(NodeId::new).collect(),
-        },
+/// The named rumor channel at its grid-pinned rates: each row is the
+/// scenario-DSL `phase` line of that fault, mirrored onto the rumor
+/// channel as `scenario_run`'s `broadcast` directive does. Victims are
+/// ids `1..=10` (the origin, id 0, is seeded directly and stays informed).
+fn broadcast_channel(name: &str, n: usize) -> RumorChannel {
+    let line = match name {
+        "lossless" => return RumorChannel::Lossless,
+        "uniform" => "phase 1 uniform 0.2",
+        "bursty" => "phase 1 bursty 0.1 0.3 0.02 0.8",
+        "partition" => "phase 1 partition 2 1.0 0",
+        "victims" => "phase 1 victims 10 1.0 0",
         other => panic!("unknown rumor channel {other:?}"),
-    }
+    };
+    let words: Vec<&str> = line.split_whitespace().skip(1).collect();
+    let (_, fault) = FaultSpec::parse_phase(&words).expect("grid rows are legal phase lines");
+    let victims: Vec<NodeId> = (1..=10).map(NodeId::new).collect();
+    rumor_channel_for(&fault, n, &victims)
 }
 
 /// `Some(round)` → that round; `None` → the `rounds + 1` sentinel, so
@@ -652,28 +696,10 @@ pub fn broadcast_table(
     let results = spec.run(&BROADCAST_METRICS, |cell, rng| {
         let seed = rng.next_u64();
         let views = views.clone();
-        let channel = broadcast_channel(cell.channel);
-        match cell.protocol {
-            "sandf" => broadcast_run(SfBehavior, config, views, channel, seed, burn_in, rounds),
-            "push_pull" => broadcast_run(
-                PushPullBehavior::new(3),
-                config,
-                views,
-                channel,
-                seed,
-                burn_in,
-                rounds,
-            ),
-            _ => broadcast_run(
-                ShuffleBehavior::new(3),
-                config,
-                views,
-                channel,
-                seed,
-                burn_in,
-                rounds,
-            ),
-        }
+        let channel = broadcast_channel(cell.channel, n);
+        with_behavior!(cell.protocol, |behavior| broadcast_run(
+            behavior, config, views, channel, seed, burn_in, rounds
+        ))
     });
     results
         .to_tsv(&["protocol", "channel"], |c| vec![c.protocol.to_string(), c.channel.to_string()])

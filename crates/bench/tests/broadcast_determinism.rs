@@ -28,8 +28,9 @@ use std::path::PathBuf;
 
 use sandf_core::{NodeId, SfConfig, SfNode};
 use sandf_sim::{
-    topology, BroadcastConfig, BroadcastLayer, Engine, FlatSimulation, GilbertElliott, LossModel,
-    ParSimulation, RumorChannel, Simulation, UniformLoss,
+    rumor_channel_for, topology, BroadcastConfig, BroadcastLayer, Engine, FaultSpec,
+    FlatSimulation, GilbertElliott, LossModel, ParSimulation, RumorChannel, Simulation,
+    UniformLoss,
 };
 
 const SEEDS: [u64; 3] = [11, 42, 2009];
@@ -52,12 +53,16 @@ fn bursty() -> GilbertElliott {
     GilbertElliott::new(0.05, 0.2, 0.01, 0.5).expect("valid channel")
 }
 
-/// The rumor channel paired with each membership-loss scenario.
+/// The rumor channel paired with each membership-loss scenario, written
+/// as the scenario-DSL `phase` line of that fault.
 fn rumor_channel(scenario: &str) -> RumorChannel {
-    match scenario {
-        "uniform" => RumorChannel::Uniform { rate: 0.1 },
-        _ => RumorChannel::Bursty { to_bad: 0.1, to_good: 0.3, loss_good: 0.02, loss_bad: 0.7 },
-    }
+    let line = match scenario {
+        "uniform" => "phase 1 uniform 0.1",
+        _ => "phase 1 bursty 0.1 0.3 0.02 0.7",
+    };
+    let words: Vec<&str> = line.split_whitespace().skip(1).collect();
+    let (_, fault) = FaultSpec::parse_phase(&words).expect("legal phase line");
+    rumor_channel_for(&fault, nodes().len(), &[])
 }
 
 fn golden_path(name: &str) -> PathBuf {

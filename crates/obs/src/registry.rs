@@ -211,7 +211,7 @@ impl HistogramHandle {
 
     /// Exact arithmetic mean of the observations (`sum / count`; unlike the
     /// quantiles it carries no bucket-resolution error). `None` with no
-    /// observations. The `perf_smoke` report uses this for span summaries.
+    /// observations.
     #[must_use]
     pub fn mean(&self) -> Option<f64> {
         let total = self.count();
