@@ -757,11 +757,9 @@ fn drive_replicate<E: Engine<Fault = ScheduledFault>>(
         if let Some(churn) = phase.churn {
             let mut live = sim.live_ids();
             live.sort_unstable();
-            for _ in 0..churn.leaves {
-                if live.len() <= 4 {
-                    break;
-                }
-                let id = live.remove(0);
+            // The smallest ids leave, down to a floor of 4 live nodes.
+            let leaving = churn.leaves.min(live.len().saturating_sub(4));
+            for id in live.drain(..leaving) {
                 assert!(sim.leave(id), "id came from live_ids");
                 counters.churn_leaves.inc();
             }

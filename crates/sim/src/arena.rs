@@ -27,19 +27,23 @@
 //!   arrays indexed by the node's dense index, not fields of a boxed node,
 //!   and a streaming [`DegreeStats`] histogram moves with every ledger
 //!   write, so degree readers never scan the arena;
-//! * **id tables** — `dense_id` maps a dense index to its node id (it grows
-//!   on join and never shrinks or compacts, so dense indices are stable)
-//!   and `index` maps a raw id back to its dense index. Ids are used as
-//!   table indices (a flat `Vec`, not a hash map), so memory is
-//!   proportional to the *largest raw id*, not the live count. The in-repo
-//!   topology builders assign contiguous ids from zero and joins extend
-//!   them by one, which is the intended regime.
+//! * **id tables** — `dense_id` maps a dense index to its node id, stored
+//!   as the same `u32` word as a slot and widened on read by
+//!   [`Arena::id_at`] (it grows on join and never shrinks or compacts, so
+//!   dense indices are stable) and `index` maps a raw id back to its dense
+//!   index. Ids are used as table indices (a flat `Vec`, not a hash map),
+//!   so memory is proportional to the *largest raw id*, not the live
+//!   count. The in-repo topology builders assign contiguous ids from zero
+//!   and joins extend them by one, which is the intended regime.
 //!
 //! What the arena deliberately does **not** own is the live *order*: each
 //! engine's scheduler pins its own (flat: the classic engine's insertion
 //! order with `swap_remove`; par: ascending dense order), so every reader
 //! that walks the live set takes the caller's order as an iterator of
-//! dense indices.
+//! dense indices. Because dense indices are stable and joins only append,
+//! a scheduler can key its own per-node tables by them: flat's `live_pos`
+//! (dense index → position in its live list, what makes its `leave` O(1))
+//! is one, and it lives with the list it indexes, not here.
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -88,8 +92,9 @@ pub(crate) struct Arena {
     pub(crate) degree_hist: DegreeStats,
     /// Per-node event counters, indexed by dense node index.
     pub(crate) node_stats: Vec<NodeStats>,
-    /// Dense index → node id (grows on join, never shrinks).
-    pub(crate) dense_id: Vec<NodeId>,
+    /// Dense index → node id as an arena word (grows on join, never
+    /// shrinks); read through [`id_at`](Self::id_at).
+    pub(crate) dense_id: Vec<u32>,
     /// Raw id → dense index (`DEAD` for departed or never-assigned ids).
     pub(crate) index: Vec<u32>,
     /// The id the next joiner receives.
@@ -101,8 +106,9 @@ pub(crate) struct Arena {
 pub(crate) struct Shard<'a> {
     /// Dense index of the shard's first node.
     pub(crate) lo: usize,
-    /// The shard's node ids, by local row (departed nodes included).
-    pub(crate) ids: &'a [NodeId],
+    /// The shard's node ids as arena words, by local row (departed nodes
+    /// included); [`id`](Self::id) widens one.
+    pub(crate) ids: &'a [u32],
     /// The shard's outdegree ledger, by local row.
     pub(crate) degree: &'a mut [u32],
     s: usize,
@@ -114,10 +120,16 @@ pub(crate) struct Shard<'a> {
 }
 
 impl Shard<'_> {
+    /// Local row `r`'s node id.
+    #[inline]
+    pub(crate) fn id(&self, r: usize) -> NodeId {
+        widen(self.ids[r])
+    }
+
     /// Whether local row `r`'s node is still live.
     #[inline]
     pub(crate) fn is_live(&self, r: usize) -> bool {
-        self.index[self.ids[r].index()] as usize == self.lo + r
+        self.index[self.ids[r] as usize] as usize == self.lo + r
     }
 
     /// Local row `r`'s mutable slot window.
@@ -125,7 +137,7 @@ impl Shard<'_> {
     pub(crate) fn window(&mut self, r: usize) -> SlotView<'_> {
         let base = r * self.s;
         SlotView {
-            id: self.ids[r],
+            id: self.id(r),
             ids: &mut self.slots[base..base + self.s],
             flags: &mut self.flags[base..base + self.s],
             degree: &mut self.degree[r],
@@ -219,7 +231,8 @@ impl Arena {
                 )
             })
         };
-        let raw = word(id) as usize;
+        let own = word(id);
+        let raw = own as usize;
         if raw >= self.index.len() {
             self.index.resize(raw + 1, DEAD);
         }
@@ -242,7 +255,7 @@ impl Arena {
         self.degree.push(deg);
         self.degree_hist.add(deg);
         self.node_stats.push(stats);
-        self.dense_id.push(id);
+        self.dense_id.push(own);
         self.index[raw] = dense;
         self.next_id = self.next_id.max(id.as_u64() + 1);
         k
@@ -258,9 +271,15 @@ impl Arena {
         }
     }
 
+    /// Node `k`'s id (live or departed), widened from its stored word.
+    #[inline]
+    pub(crate) fn id_at(&self, k: usize) -> NodeId {
+        widen(self.dense_id[k])
+    }
+
     /// Dense indices of the live nodes, ascending.
     pub(crate) fn live_dense(&self) -> impl Iterator<Item = usize> + '_ {
-        (0..self.dense_id.len()).filter(|&k| self.index[self.dense_id[k].index()] as usize == k)
+        (0..self.dense_id.len()).filter(|&k| self.index[self.dense_id[k] as usize] as usize == k)
     }
 
     /// Node `k`'s mutable slot window, for a behavior callback.
@@ -268,7 +287,7 @@ impl Arena {
     pub(crate) fn window(&mut self, k: usize) -> SlotView<'_> {
         let base = k * self.s;
         SlotView {
-            id: self.dense_id[k],
+            id: self.id_at(k),
             ids: &mut self.slot_ids[base..base + self.s],
             flags: &mut self.slot_flags[base..base + self.s],
             degree: &mut self.degree[k],
@@ -468,7 +487,7 @@ impl Arena {
         live: impl Iterator<Item = usize>,
     ) -> MembershipGraph {
         MembershipGraph::from_views(
-            live.map(|k| (self.dense_id[k], self.visible_ids::<B>(k).collect::<Vec<_>>())),
+            live.map(|k| (self.id_at(k), self.visible_ids::<B>(k).collect::<Vec<_>>())),
         )
     }
 
@@ -492,7 +511,7 @@ impl Arena {
                     buf.push(widen(word));
                 }
             }
-            visit(self.dense_id[k], &buf);
+            visit(self.id_at(k), &buf);
         }
     }
 
@@ -503,8 +522,7 @@ impl Arena {
         &self,
         live: impl Iterator<Item = usize>,
     ) -> Vec<SfNode> {
-        live.map(|k| SfNode::from_view(self.dense_id[k], self.config, self.view_at::<B>(k)))
-            .collect()
+        live.map(|k| SfNode::from_view(self.id_at(k), self.config, self.view_at::<B>(k))).collect()
     }
 
     /// Sum of the per-node counters of the nodes in `live`.
@@ -558,7 +576,7 @@ mod tests {
             Err(JoinError::TooManyIds { supplied: 14, s: 12 })
         );
         let k = join(&mut arena, &ids(0..4)).unwrap();
-        let id = arena.dense_id[k];
+        let id = arena.id_at(k);
         assert_eq!(id, NodeId::new(24), "joiners extend the id space by one");
         assert_eq!(arena.out_degree_of(id), Some(4));
         assert_eq!(arena.live_dense().count(), 25);
@@ -648,7 +666,7 @@ mod tests {
     fn from_views_fills_slots_in_order_and_rejects_wide_views() {
         let views = vec![(NodeId::new(5), ids(0..3)), (NodeId::new(2), Vec::new())];
         let arena = Arena::from_views(config(), views);
-        assert_eq!(arena.dense_id, [NodeId::new(5), NodeId::new(2)]);
+        assert_eq!(arena.dense_id, [5, 2]);
         assert_eq!(arena.next_id, 6);
         assert_eq!(arena.out_degree_of(NodeId::new(5)), Some(3));
         assert_eq!(arena.view_at::<SfBehavior>(0).ids().collect::<Vec<_>>(), ids(0..3));

@@ -11,7 +11,13 @@
 //!   list keeps the classic engine's order — insertion order with
 //!   `swap_remove` on leave — because the initiator draw indexes into it,
 //!   and packs each node's raw id next to its dense arena index so the hot
-//!   stepping path never touches the id → dense table;
+//!   stepping path never touches the id → dense table. Beside it sits
+//!   `live_pos`, the inverse map from dense index to position in the live
+//!   list: dense indices are stable and joins append, so admitting a node
+//!   is one `push` on each, and `leave` is O(1) — look the position up,
+//!   `swap_remove` it, re-point the one entry that moved — where the
+//!   classic engine scans (and is kept scanning, as the oracle the table
+//!   is tested against in `tests/churn_index.rs`);
 //! * **ring-buffer delivery** — under [`DelayModel::UniformSteps`] the
 //!   in-flight queue is a preallocated ring of `max + 1` buckets reused
 //!   round after round (`O(max)` memory), replacing the classic engine's
@@ -73,7 +79,7 @@ use crate::arena::Arena;
 use crate::degree::DegreeStats;
 use crate::engine::{DelayModel, SimStats, StepEvent, StepPhase, StepReport, StepSubscriber};
 use crate::fault::{FaultCtx, FaultModel};
-use crate::traits::{slot_word, ProtocolBehavior, SfBehavior, MAX_REPLY_CHAIN};
+use crate::traits::{ProtocolBehavior, SfBehavior, MAX_REPLY_CHAIN};
 
 /// A delivery hop's outcome: the step event, plus a protocol reply
 /// (receiver, message) still to be routed.
@@ -93,13 +99,19 @@ impl LiveRef {
     /// Pairs an admitted node's id with its dense index.
     fn new(arena: &Arena, k: usize) -> Self {
         let dense = u32::try_from(k).expect("the arena bounds dense indices below u32::MAX");
-        Self { id: slot_word(arena.dense_id[k]), dense }
+        Self { id: arena.dense_id[k], dense }
     }
 
     #[inline]
     fn node_id(self) -> NodeId {
         NodeId::new(u64::from(self.id))
     }
+}
+
+/// A live-list position as a `live_pos` word.
+#[inline]
+fn pos_word(pos: usize) -> u32 {
+    u32::try_from(pos).expect("the live list is no longer than the dense index space")
 }
 
 /// Span histograms for the engine's hot paths (same metric names as the
@@ -147,6 +159,10 @@ pub struct FlatSimulation<L, B: ProtocolBehavior = SfBehavior> {
     /// order with `swap_remove` on leave) — the initiator-sampling
     /// population.
     live: Vec<LiveRef>,
+    /// Dense index → position in `live`, one word per dense node. A
+    /// departed node's word is stale, and no lookup reaches it: the
+    /// arena's `dense_of` answers `None` first.
+    live_pos: Vec<u32>,
     loss: L,
     delay: DelayModel,
     /// Global step counter (drives in-flight delivery times).
@@ -178,6 +194,7 @@ impl<L: Clone, B: ProtocolBehavior> Clone for FlatSimulation<L, B> {
             arena: self.arena.clone(),
             behavior: self.behavior.clone(),
             live: self.live.clone(),
+            live_pos: self.live_pos.clone(),
             loss: self.loss.clone(),
             delay: self.delay,
             now: self.now,
@@ -279,11 +296,14 @@ impl<L: FaultModel, B: ProtocolBehavior> FlatSimulation<L, B> {
     /// The shared constructor core: a fresh scheduler over a built arena,
     /// every node live in dense (= insertion) order.
     fn over(arena: Arena, behavior: B, loss: L, seed: u64) -> Self {
-        let live = (0..arena.dense_id.len()).map(|k| LiveRef::new(&arena, k)).collect();
+        let live: Vec<LiveRef> =
+            (0..arena.dense_id.len()).map(|k| LiveRef::new(&arena, k)).collect();
+        let live_pos = live.iter().map(|entry| entry.dense).collect();
         Self {
             arena,
             behavior,
             live,
+            live_pos,
             loss,
             delay: DelayModel::Immediate,
             now: 0,
@@ -799,9 +819,12 @@ impl<L: FaultModel, B: ProtocolBehavior> FlatSimulation<L, B> {
         self.admit(joined)
     }
 
-    /// Appends a node the arena just admitted to the live list.
+    /// Appends a node the arena just admitted to the live list. Joins
+    /// take the next dense index, so its `live_pos` word is a push too.
     fn admit(&mut self, joined: Result<usize, JoinError>) -> Result<NodeId, JoinError> {
         let entry = LiveRef::new(&self.arena, joined?);
+        debug_assert_eq!(entry.dense as usize, self.live_pos.len());
+        self.live_pos.push(pos_word(self.live.len()));
         self.live.push(entry);
         Ok(entry.node_id())
     }
@@ -811,11 +834,15 @@ impl<L: FaultModel, B: ProtocolBehavior> FlatSimulation<L, B> {
     /// engine's return value) its per-node counters are zeroed; the
     /// engine-level [`stats`](Self::stats) are unaffected either way.
     pub fn leave(&mut self, id: NodeId) -> Option<SfNode> {
-        let node = self.arena.leave::<B>(id)?;
-        let needle = slot_word(id);
-        let pos = self.live.iter().position(|e| e.id == needle).expect("live list out of sync");
+        let k = self.arena.dense_of(id)?;
+        let pos = self.live_pos[k] as usize;
+        debug_assert_eq!(self.live[pos].dense as usize, k, "live_pos out of sync");
+        let node = self.arena.leave::<B>(id);
         self.live.swap_remove(pos);
-        Some(node)
+        if let Some(moved) = self.live.get(pos) {
+            self.live_pos[moved.dense as usize] = pos_word(pos);
+        }
+        node
     }
 
     /// Total multiplicity of `id` across all live, visible slots. Ids at
@@ -878,12 +905,27 @@ mod tests {
         topology::circulant(24, config(), 4)
     }
 
+    /// The scheduler's index invariant, in full (O(live), so a test-only
+    /// check; `leave` and `admit` carry its O(1) `debug_assert!` slices):
+    /// one `live_pos` word per dense node, and every live entry's word
+    /// points back at that entry.
+    fn assert_live_index<L, B: ProtocolBehavior>(sim: &FlatSimulation<L, B>) {
+        assert_eq!(sim.live_pos.len(), sim.arena.dense_id.len(), "one word per dense node");
+        assert_eq!(sim.live.len(), sim.arena.live_dense().count(), "live count");
+        for (pos, entry) in sim.live.iter().enumerate() {
+            assert_eq!(sim.live_pos[entry.dense as usize] as usize, pos, "live_pos of {entry:?}");
+            assert_eq!(sim.arena.dense_of(entry.node_id()), Some(entry.dense as usize));
+        }
+    }
+
     /// Asserts full observable equality of the two engines: stats, live
-    /// set, per-node views (slots, ids, dependence tags), aggregates.
+    /// set, per-node views (slots, ids, dependence tags), aggregates —
+    /// and the flat scheduler's own index invariant.
     fn assert_engines_equal<L: FaultModel + fmt::Debug>(
         classic: &Simulation<L>,
         flat: &FlatSimulation<L>,
     ) {
+        assert_live_index(flat);
         assert_eq!(classic.stats(), flat.stats(), "SimStats diverged");
         assert_eq!(classic.len(), flat.len(), "live count diverged");
         assert_eq!(classic.in_flight(), flat.in_flight(), "in-flight count diverged");
@@ -972,6 +1014,40 @@ mod tests {
             assert_engines_equal(&classic, &flat);
         }
         assert!(classic.stats().dead_letters > 0, "churn should produce dead letters");
+    }
+
+    /// Every shape of `leave` against the classic scan, with the index
+    /// invariant checked after each: first, last and middle entry, a node
+    /// that just joined, ids that already left or never existed (`None`,
+    /// nothing moves), a clone that then diverges, and down to empty.
+    #[test]
+    fn live_pos_tracks_every_leave_shape() {
+        let mut classic = Simulation::new(nodes(), UniformLoss::none(), 5);
+        let mut flat = FlatSimulation::new(nodes(), UniformLoss::none(), 5);
+        let leave = |classic: &mut Simulation<_>, flat: &mut FlatSimulation<_>, id: NodeId| {
+            let (a, b) = (classic.leave(id), flat.leave(id));
+            assert_eq!(a.map(|n| n.view().clone()), b.map(|n| n.view().clone()), "leave({id})");
+            assert_engines_equal(classic, flat);
+        };
+        for pick in [0usize, 22, 11] {
+            let victim = classic.live_ids()[pick];
+            leave(&mut classic, &mut flat, victim);
+        }
+        let joined = classic.join_via(NodeId::new(1)).unwrap();
+        assert_eq!(flat.join_via(NodeId::new(1)), Ok(joined));
+        assert_engines_equal(&classic, &flat);
+        for id in [joined, joined, NodeId::new(0), NodeId::new(999), NodeId::new(1 << 40)] {
+            leave(&mut classic, &mut flat, id);
+        }
+        let (mut classic2, mut flat2) = (classic.clone(), flat.clone());
+        leave(&mut classic2, &mut flat2, NodeId::new(7));
+        assert_eq!(flat2.join_via(NodeId::new(2)), classic2.join_via(NodeId::new(2)));
+        assert_engines_equal(&classic2, &flat2);
+        assert_engines_equal(&classic, &flat);
+        while let Some(&victim) = classic.live_ids().last() {
+            leave(&mut classic, &mut flat, victim);
+        }
+        assert!(flat.is_empty());
     }
 
     #[test]

@@ -548,7 +548,7 @@ impl<L: FaultModel + Clone + Send, B: ProtocolBehavior> ParSimulation<L, B> {
     /// deterministic iteration order).
     #[must_use]
     pub fn live_ids(&self) -> Vec<NodeId> {
-        self.arena.live_dense().map(|k| self.arena.dense_id[k]).collect()
+        self.arena.live_dense().map(|k| self.arena.id_at(k)).collect()
     }
 
     /// Number of messages currently in flight (0 after any complete round
@@ -982,7 +982,7 @@ impl<L: FaultModel + Clone + Send, B: ProtocolBehavior> ParSimulation<L, B> {
         let k = joined?;
         self.loss.push(self.loss_proto.clone());
         self.live_count += 1;
-        Ok(self.arena.dense_id[k])
+        Ok(self.arena.id_at(k))
     }
 
     /// Removes a node (leave/crash). Returns the departed node rebuilt
@@ -1089,12 +1089,12 @@ fn run_action_shard<L: FaultModel, B: ProtocolBehavior>(
     // of the 25-byte hash setup. Departed and capacity-skipped nodes
     // simply never consume their seed.
     let seeds: Vec<u64> =
-        shard.ids.iter().map(|id| action_seed(ctx.seed, id.as_u64(), ctx.round)).collect();
+        shard.ids.iter().map(|&id| action_seed(ctx.seed, u64::from(id), ctx.round)).collect();
     for r in 0..shard.ids.len() {
         if !shard.is_live(r) {
             continue;
         }
-        let id = shard.ids[r];
+        let id = shard.id(r);
         out.live += 1;
         if !losses[r].node_acts(id, ctx.round) {
             // Capacity gate closed: the node's step is skipped before any
