@@ -1,17 +1,20 @@
 //! # sandf-bench — the paper's evaluation, regenerated
 //!
-//! One binary per figure/table of Gurevich & Keidar's evaluation, plus the
-//! extension experiments of `DESIGN.md` B2–B8. README.md § "Reproducing
-//! the paper's evaluation" is the one table of every binary and the
-//! artifact it regenerates; `EXPERIMENTS.md` records the paper-vs-measured
-//! comparisons.
+//! One binary, `repro <name> [args]`, with one entry per figure/table of
+//! Gurevich & Keidar's evaluation and per extension experiment of
+//! `DESIGN.md` B2–B8 (`cargo run --release -p sandf-bench -- fig6_1`; no
+//! name prints the list). README.md § "Reproducing the paper's evaluation"
+//! is the one table of every name and the artifact it regenerates;
+//! `EXPERIMENTS.md` records the paper-vs-measured comparisons. This
+//! library is what the entries call.
 //!
-//! All binaries print TSV to stdout (self-describing headers, `#`-prefixed
-//! commentary) with fixed seeds, so output is reproducible. Two take
-//! arguments: `scenario_run [SPEC.scn ...]` (no arguments = the built-in
-//! scenario library) and `obs_report [--toy] [--journal]`; every other
-//! binary takes none. Performance is not measured here: the workspace
-//! benchmark (`BENCHMARK.json`, `benchmark/`) is the one perf harness.
+//! Every artifact prints TSV to stdout (self-describing headers,
+//! `#`-prefixed commentary) with fixed seeds, so output is reproducible.
+//! Two take arguments: `scenario_run [SPEC.scn ...]` (no arguments = the
+//! built-in scenario library) and `obs_report [--toy] [--journal]`; every
+//! other takes none. Performance is not measured here — not even
+//! per-task wall-clock: the workspace benchmark (`BENCHMARK.json`,
+//! `benchmark/`) is the one perf harness.
 //!
 //! ## The replicated-sweep executor
 //!
@@ -27,9 +30,10 @@
 //!
 //! The measurement cores of `indegree_stats`, `loss_ablation`,
 //! `thresholds`, `baseline_compare`, `churn_sweep`, and `uniformity` live
-//! in [`sweeps`] as library functions with explicit scale parameters; the
-//! binaries call them at paper scale, the integration tests at toy scale
-//! (see `tests/golden_indegree.rs` and `tests/sweep_determinism.rs`).
+//! in [`sweeps`] as library functions with explicit scale parameters;
+//! the `repro` entries call them at paper scale, the integration tests at
+//! toy scale (see `tests/golden_indegree.rs` and
+//! `tests/sweep_determinism.rs`).
 //! `EXPERIMENTS.md` documents the seeding scheme, the CI formula, and how
 //! to add a sweep. Thread count can be pinned with `SANDF_SWEEP_THREADS`.
 

@@ -969,7 +969,7 @@ pub fn run_scenario(
 // Built-in scenario library
 // ---------------------------------------------------------------------------
 
-/// The built-in scenario specs the `scenario_run` binary executes when
+/// The built-in scenario specs `repro scenario_run` executes when
 /// given no arguments: one per fault family, at CI-friendly scale.
 #[must_use]
 pub fn builtin_specs() -> &'static [(&'static str, &'static str)] {
@@ -1052,7 +1052,7 @@ pub fn builtin_specs() -> &'static [(&'static str, &'static str)] {
     ]
 }
 
-/// Renders one scenario end to end for the `scenario_run` binary: the spec
+/// Renders one scenario end to end for `repro scenario_run`: the spec
 /// echoed as `#` commentary, the envelope TSV, and the `sim.fault.*`
 /// exposition as trailing commentary.
 #[must_use]

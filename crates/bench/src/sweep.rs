@@ -2,7 +2,7 @@
 //!
 //! Every quantitative claim in the paper's evaluation (Sections 6–7) is a
 //! statistic over many independent runs. This module provides the
-//! substrate those statistics stand on, once, for every bench binary:
+//! substrate those statistics stand on, once, for every `repro` artifact:
 //!
 //! * a declarative [`SweepSpec`] — a parameter grid × a replicate count;
 //! * a thread-pool executor fanning the `(cell, replicate)` tasks out over
@@ -55,7 +55,6 @@ use std::sync::mpsc;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 pub use sandf_graph::Summary;
-use sandf_obs::Stopwatch;
 
 use crate::fmt;
 
@@ -153,7 +152,7 @@ impl<P: SweepCell + Sync> SweepSpec<P> {
         let tasks = self.cells.len() * self.replicates;
         let workers = threads.min(tasks);
         let next = AtomicUsize::new(0);
-        let (tx, rx) = mpsc::channel::<(usize, Vec<f64>, u64)>();
+        let (tx, rx) = mpsc::channel::<(usize, Vec<f64>)>();
 
         std::thread::scope(|scope| {
             for _ in 0..workers {
@@ -170,9 +169,7 @@ impl<P: SweepCell + Sync> SweepSpec<P> {
                     let replicate = task % self.replicates;
                     let seed = replicate_seed(self.base_seed, &keys[cell], replicate);
                     let mut rng = StdRng::seed_from_u64(seed);
-                    let watch = Stopwatch::start();
                     let values = run(&self.cells[cell], &mut rng);
-                    let elapsed_ns = watch.elapsed_ns();
                     assert_eq!(
                         values.len(),
                         metrics.len(),
@@ -180,19 +177,18 @@ impl<P: SweepCell + Sync> SweepSpec<P> {
                         values.len(),
                         metrics.len()
                     );
-                    tx.send((task, values, elapsed_ns)).expect("collector outlives workers");
+                    tx.send((task, values)).expect("collector outlives workers");
                 });
             }
             drop(tx);
 
             // Reassemble in task order: aggregation never sees completion
             // order, which is what makes output thread-count-independent.
-            // (Per-task wall-clock rides along but stays out of to_tsv.)
-            let mut by_task: Vec<Option<(Vec<f64>, u64)>> = (0..tasks).map(|_| None).collect();
-            for (task, values, elapsed_ns) in rx {
-                by_task[task] = Some((values, elapsed_ns));
+            let mut by_task: Vec<Option<Vec<f64>>> = (0..tasks).map(|_| None).collect();
+            for (task, values) in rx {
+                by_task[task] = Some(values);
             }
-            let samples: Vec<(Vec<f64>, u64)> = by_task
+            let samples: Vec<Vec<f64>> = by_task
                 .into_iter()
                 .map(|v| v.expect("worker panicked before finishing its task"))
                 .collect();
@@ -202,28 +198,14 @@ impl<P: SweepCell + Sync> SweepSpec<P> {
                     (0..metrics.len())
                         .map(|metric| {
                             let column: Vec<f64> = (0..self.replicates)
-                                .map(|r| samples[cell * self.replicates + r].0[metric])
+                                .map(|r| samples[cell * self.replicates + r][metric])
                                 .collect();
                             Summary::from_samples(&column)
                         })
                         .collect()
                 })
                 .collect();
-            let timings: Vec<Summary> = (0..self.cells.len())
-                .map(|cell| {
-                    let column: Vec<f64> = (0..self.replicates)
-                        .map(|r| samples[cell * self.replicates + r].1 as f64 / 1e6)
-                        .collect();
-                    Summary::from_samples(&column)
-                })
-                .collect();
-            SweepResults {
-                cells: &self.cells,
-                replicates: self.replicates,
-                metrics,
-                summaries,
-                timings,
-            }
+            SweepResults { cells: &self.cells, replicates: self.replicates, metrics, summaries }
         })
     }
 }
@@ -247,10 +229,6 @@ pub struct SweepResults<'a, P> {
     replicates: usize,
     metrics: &'static [&'static str],
     summaries: Vec<Vec<Summary>>,
-    /// Per-cell wall-clock per replicate, in milliseconds. Nondeterministic
-    /// by nature, so kept out of [`to_tsv`](Self::to_tsv) (whose bytes are
-    /// pinned by golden tests) and exposed separately.
-    timings: Vec<Summary>,
 }
 
 impl<P> SweepResults<'_, P> {
@@ -285,48 +263,6 @@ impl<P> SweepResults<'_, P> {
             .position(|&name| name == metric)
             .unwrap_or_else(|| panic!("unknown metric {metric:?}"));
         &self.summaries[cell][m]
-    }
-
-    /// Wall-clock statistics (milliseconds per replicate) for one cell.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an out-of-range cell.
-    #[must_use]
-    pub fn timing(&self, cell: usize) -> &Summary {
-        &self.timings[cell]
-    }
-
-    /// Renders a per-cell wall-clock table: the key columns, then
-    /// `wall_ms_mean`, `wall_ms_ci95`, `wall_ms_min`, and `wall_ms_max`
-    /// over the cell's replicates. Values are wall-clock and therefore
-    /// **not** byte-stable across runs — this table is for performance
-    /// reporting, never for golden tests (use [`to_tsv`](Self::to_tsv) for
-    /// those).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `key_fields` returns a different number of fields than
-    /// `key_cols` has names.
-    #[must_use]
-    pub fn timing_tsv(&self, key_cols: &[&str], key_fields: impl Fn(&P) -> Vec<String>) -> String {
-        let mut out = String::new();
-        let mut cols: Vec<String> = key_cols.iter().map(ToString::to_string).collect();
-        for col in ["wall_ms_mean", "wall_ms_ci95", "wall_ms_min", "wall_ms_max"] {
-            cols.push(col.to_string());
-        }
-        out.push_str(&cols.join("\t"));
-        out.push('\n');
-        for (cell, timing) in self.cells.iter().zip(&self.timings) {
-            let mut fields = key_fields(cell);
-            assert_eq!(fields.len(), key_cols.len(), "key field/column mismatch");
-            for value in [timing.mean, timing.ci95, timing.min, timing.max] {
-                fields.push(fmt(value));
-            }
-            out.push_str(&fields.join("\t"));
-            out.push('\n');
-        }
-        out
     }
 
     /// Renders the full TSV table: `key_cols` columns describing each cell
@@ -425,21 +361,6 @@ mod tests {
         assert_eq!(lines.len(), 6);
         assert_eq!(lines[0], "cell\tvalue_mean\tvalue_ci95\tnoise_mean\tnoise_ci95");
         assert!(lines[1].starts_with("0\t"));
-    }
-
-    #[test]
-    fn timing_table_covers_every_cell() {
-        let spec = spec();
-        let results = spec.run_with_threads(2, &["value", "noise"], noisy);
-        for cell in 0..5 {
-            let t = results.timing(cell);
-            assert_eq!(t.count, 8);
-            assert!(t.mean >= 0.0 && t.min <= t.max);
-        }
-        let tsv = results.timing_tsv(&["cell"], |c| vec![c.0.to_string()]);
-        let lines: Vec<&str> = tsv.lines().collect();
-        assert_eq!(lines.len(), 6);
-        assert_eq!(lines[0], "cell\twall_ms_mean\twall_ms_ci95\twall_ms_min\twall_ms_max");
     }
 
     #[test]

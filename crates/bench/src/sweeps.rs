@@ -1,19 +1,19 @@
 //! The paper-evaluation sweeps as library functions.
 //!
-//! Each function here is the measurement core of one bench binary, hoisted
-//! out of `src/bin/` and rebuilt on the [`crate::sweep`] executor: a
+//! Each function here is the measurement core of one `repro` artifact,
+//! built on the [`crate::sweep`] executor: a
 //! parameter grid becomes a [`SweepSpec`], every cell runs `replicates`
 //! independent replicates (each seeded from the stable cell/replicate
 //! hash), and the returned TSV gains `<metric>_mean` / `<metric>_ci95`
 //! columns in place of the old single-run point estimates.
 //!
 //! Keeping the logic in the library has a second payoff: the integration
-//! tests drive the *same* code paths as the binaries — the golden-output
+//! tests drive the *same* code paths as `repro` — the golden-output
 //! smoke test and the determinism regression test call these functions at
 //! reduced scale rather than re-implementing the experiments.
 //!
 //! All functions take an explicit scale (`n`, rounds, `replicates`,
-//! `base_seed`) so tests can run them small while the binaries run them at
+//! `base_seed`) so tests can run them small while `repro` runs them at
 //! paper scale.
 
 use rand::RngCore;
@@ -24,7 +24,7 @@ use sandf_sim::experiment::{continuous_churn, steady_state_degrees, uniformity, 
 use sandf_sim::{
     rumor_channel_for, topology, BroadcastConfig, BroadcastLayer, DelayModel, Engine, FaultSpec,
     FlatSimulation, GilbertElliott, LossModel, ParSimulation, ProtocolBehavior, RumorChannel,
-    Simulation, TargetedLoss, UniformLoss,
+    Simulation, UniformLoss, VictimLoss,
 };
 
 use crate::fmt;
@@ -328,8 +328,8 @@ pub fn targeted_loss_table(n: usize, rounds: usize, replicates: usize, base_seed
     let results =
         spec.run(&["victim_in", "victim_out", "pop_mean_in", "connected"], |cell, rng| {
             let victim = NodeId::new(0);
-            let mut loss = TargetedLoss::new(0.01).expect("valid base");
-            loss.set_target(victim, cell.victim_rate).expect("valid override");
+            let mut loss = VictimLoss::new(cell.victim_rate, 0.01).expect("valid rates");
+            loss.set_victims(&[victim]);
             let mut sim = Simulation::new(nodes.clone(), loss, rng.next_u64());
             sim.run_rounds(rounds);
             let graph = sim.graph();

@@ -37,7 +37,7 @@
 //! is recovered; node symmetry (Lemma 7.6's uniform marginals) holds exactly
 //! at *every* `n`, as the tests verify.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use crate::chain::{ChainError, SparseChain};
 
@@ -204,7 +204,9 @@ impl ExactGlobalMc {
     fn successors(state: &GlobalState, s: usize, d_l: usize, loss: f64) -> Vec<(GlobalState, f64)> {
         let n = state.len();
         let pair_norm = (s * (s - 1)) as f64;
-        let mut acc: HashMap<GlobalState, f64> = HashMap::new();
+        // Ordered, so states are discovered — and the chain's floating-point
+        // sums taken — in the same order on every run.
+        let mut acc: BTreeMap<GlobalState, f64> = BTreeMap::new();
         let mut self_loop = 0.0f64;
 
         for u in 0..n {

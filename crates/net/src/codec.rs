@@ -6,7 +6,6 @@
 //! sessions, no retransmission, no bookkeeping (Section 5: "after it sends
 //! a message, it forgets about it").
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use sandf_core::{Message, NodeId};
 
 /// Encoded message length in bytes.
@@ -42,12 +41,12 @@ impl std::error::Error for WireError {}
 
 /// Encodes a message into its 17-byte wire form.
 #[must_use]
-pub fn encode(message: Message) -> Bytes {
-    let mut buf = BytesMut::with_capacity(WIRE_LEN);
-    buf.put_u64(message.sender.as_u64());
-    buf.put_u64(message.payload.as_u64());
-    buf.put_u8(if message.dependent { FLAG_DEPENDENT } else { 0 });
-    buf.freeze()
+pub fn encode(message: Message) -> [u8; WIRE_LEN] {
+    let mut buf = [0u8; WIRE_LEN];
+    buf[..8].copy_from_slice(&message.sender.as_u64().to_be_bytes());
+    buf[8..16].copy_from_slice(&message.payload.as_u64().to_be_bytes());
+    buf[16] = if message.dependent { FLAG_DEPENDENT } else { 0 };
+    buf
 }
 
 /// Decodes a datagram produced by [`encode`].
@@ -55,13 +54,16 @@ pub fn encode(message: Message) -> Bytes {
 /// # Errors
 ///
 /// Returns [`WireError`] for a wrong length or undefined flag bits.
-pub fn decode(mut datagram: &[u8]) -> Result<Message, WireError> {
+pub fn decode(datagram: &[u8]) -> Result<Message, WireError> {
     if datagram.len() != WIRE_LEN {
         return Err(WireError::BadLength { len: datagram.len() });
     }
-    let sender = NodeId::new(datagram.get_u64());
-    let payload = NodeId::new(datagram.get_u64());
-    let flags = datagram.get_u8();
+    let word = |at: usize| {
+        u64::from_be_bytes(datagram[at..at + 8].try_into().expect("length checked above"))
+    };
+    let sender = NodeId::new(word(0));
+    let payload = NodeId::new(word(8));
+    let flags = datagram[16];
     if flags & !FLAG_DEPENDENT != 0 {
         return Err(WireError::BadFlags { flags });
     }
@@ -91,7 +93,7 @@ mod tests {
 
     #[test]
     fn rejects_unknown_flags() {
-        let mut bytes = encode(Message::new(NodeId::new(1), NodeId::new(2), false)).to_vec();
+        let mut bytes = encode(Message::new(NodeId::new(1), NodeId::new(2), false));
         bytes[16] = 0b1000_0000;
         assert_eq!(decode(&bytes), Err(WireError::BadFlags { flags: 0b1000_0000 }));
     }

@@ -49,5 +49,5 @@ pub mod profile;
 pub mod registry;
 
 pub use journal::{EventJournal, JournalEntry, JournalEvent};
-pub use profile::{duration_buckets, Profiler, SpanTimer, Stopwatch};
+pub use profile::{duration_buckets, Profiler, SpanTimer};
 pub use registry::{CounterHandle, GaugeHandle, HistogramHandle, MetricsRegistry};

@@ -51,28 +51,6 @@ impl Drop for SpanTimer {
     }
 }
 
-/// A plain elapsed-time reader for code that wants the duration as a value
-/// (e.g. the sweep executor's per-cell wall-clock columns) rather than a
-/// histogram record.
-#[derive(Clone, Copy, Debug)]
-pub struct Stopwatch {
-    start: Instant,
-}
-
-impl Stopwatch {
-    /// Starts the watch.
-    #[must_use]
-    pub fn start() -> Self {
-        Self { start: Instant::now() }
-    }
-
-    /// Elapsed nanoseconds since start.
-    #[must_use]
-    pub fn elapsed_ns(&self) -> u64 {
-        u64::try_from(self.start.elapsed().as_nanos()).unwrap_or(u64::MAX)
-    }
-}
-
 /// A cache of named span histograms over one registry, so call sites can
 /// say `profiler.span("sim.step")` without re-locking the registry per
 /// span.
@@ -154,14 +132,6 @@ mod tests {
             assert!(guard.start.is_none(), "no clock read on disabled registry");
         }
         assert_eq!(profiler.histogram("step").count(), 0);
-    }
-
-    #[test]
-    fn stopwatch_is_monotone() {
-        let watch = Stopwatch::start();
-        let a = watch.elapsed_ns();
-        let b = watch.elapsed_ns();
-        assert!(b >= a);
     }
 
     #[test]

@@ -19,8 +19,9 @@ use sandf_core::{
     InitiateOutcome, JoinError, Message, NodeId, NodeStats, ReceiveOutcome, SfConfig, SfNode,
 };
 use sandf_graph::{DependenceReport, MembershipGraph};
-use sandf_obs::{duration_buckets, HistogramHandle, MetricsRegistry, SpanTimer};
+use sandf_obs::{MetricsRegistry, SpanTimer};
 
+use crate::chassis::{StepProfile, Subscribers};
 use crate::degree::DegreeStats;
 use crate::fault::{FaultCtx, FaultModel};
 
@@ -224,6 +225,11 @@ pub enum DelayModel {
 /// assert!(sim.graph().is_weakly_connected());
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
+///
+/// A clone copies the simulation state but starts with **no**
+/// subscribers (boxed observers are not clonable); an attached profiler
+/// is shared, so both simulations record into the same histograms.
+#[derive(Clone)]
 pub struct Simulation<L> {
     config: SfConfig,
     nodes: HashMap<NodeId, SfNode>,
@@ -243,41 +249,9 @@ pub struct Simulation<L> {
     stats: SimStats,
     next_id: u64,
     /// Registered step-event observers (not carried across clones).
-    subscribers: Vec<Box<dyn StepSubscriber>>,
+    subscribers: Subscribers<Message>,
     /// Hot-path span histograms, when a profiler is attached.
-    profile: Option<SimProfile>,
-}
-
-/// Span histograms for the engine's hot paths.
-#[derive(Clone, Debug)]
-struct SimProfile {
-    step: HistogramHandle,
-    deliver: HistogramHandle,
-}
-
-impl<L: Clone> Clone for Simulation<L> {
-    /// Clones the simulation state. Subscribers are **not** cloned (boxed
-    /// observers are not clonable); the clone starts with none. An attached
-    /// profiler is shared: both simulations record into the same
-    /// histograms.
-    fn clone(&self) -> Self {
-        Self {
-            config: self.config,
-            nodes: self.nodes.clone(),
-            live: self.live.clone(),
-            degree_hist: self.degree_hist.clone(),
-            loss: self.loss.clone(),
-            delay: self.delay,
-            now: self.now,
-            rounds: self.rounds,
-            in_flight: self.in_flight.clone(),
-            rng: self.rng.clone(),
-            stats: self.stats,
-            next_id: self.next_id,
-            subscribers: Vec::new(),
-            profile: self.profile.clone(),
-        }
-    }
+    profile: Option<StepProfile>,
 }
 
 impl<L: fmt::Debug> fmt::Debug for Simulation<L> {
@@ -290,7 +264,7 @@ impl<L: fmt::Debug> fmt::Debug for Simulation<L> {
             .field("now", &self.now)
             .field("in_flight", &self.in_flight.values().map(Vec::len).sum::<usize>())
             .field("stats", &self.stats)
-            .field("subscribers", &self.subscribers.len())
+            .field("subscribers", &self.subscribers)
             .field("profiled", &self.profile.is_some())
             .finish_non_exhaustive()
     }
@@ -334,7 +308,7 @@ impl<L: FaultModel> Simulation<L> {
             rng: StdRng::seed_from_u64(seed),
             stats: SimStats::default(),
             next_id,
-            subscribers: Vec::new(),
+            subscribers: Subscribers::default(),
             profile: None,
         }
     }
@@ -356,25 +330,15 @@ impl<L: FaultModel> Simulation<L> {
     /// `sim.profile.deliver_ns` span histograms in `registry`. With a
     /// disabled registry the spans never read the clock.
     pub fn attach_profiler(&mut self, registry: &MetricsRegistry) {
-        self.profile = Some(SimProfile {
-            step: registry.histogram("sim.profile.step_ns", duration_buckets()),
-            deliver: registry.histogram("sim.profile.deliver_ns", duration_buckets()),
-        });
+        self.profile = Some(StepProfile::new(registry));
     }
 
-    /// Reports `report` to every subscriber. Subscribers are moved out for
-    /// the duration of the callbacks so they may call back into `self`.
-    /// Kept out of line so the subscriber-free stepping path stays compact.
+    /// Reports `report` to every subscriber; out of line so the
+    /// subscriber-free stepping path stays compact.
     #[cold]
     #[inline(never)]
     fn notify(&mut self, report: &StepReport) {
-        let mut subs = std::mem::take(&mut self.subscribers);
-        for sub in &mut subs {
-            sub.on_step(report);
-        }
-        // A subscriber may itself have registered new subscribers.
-        subs.append(&mut self.subscribers);
-        self.subscribers = subs;
+        self.subscribers.notify(report);
     }
 
     /// Creates a simulation with a message-delay model, so actions overlap
@@ -999,10 +963,10 @@ mod tests {
 
     #[test]
     fn targeted_loss_starves_only_the_victim() {
-        use crate::loss::TargetedLoss;
+        use crate::fault::VictimLoss;
         let victim = NodeId::new(0);
-        let mut loss = TargetedLoss::new(0.0).unwrap();
-        loss.set_target(victim, 0.95).unwrap();
+        let mut loss = VictimLoss::new(0.95, 0.0).unwrap();
+        loss.set_victims(&[victim]);
         let nodes = topology::circulant(64, SfConfig::new(16, 6).unwrap(), 8);
         let mut sim = Simulation::new(nodes, loss, 17);
         sim.run_rounds(300);
@@ -1104,7 +1068,7 @@ mod tests {
         let mut sim = small_sim(31);
         sim.attach_profiler(&registry);
         sim.run_rounds(2);
-        let hist = registry.histogram("sim.profile.step_ns", duration_buckets());
+        let hist = registry.histogram("sim.profile.step_ns", sandf_obs::duration_buckets());
         assert_eq!(hist.count(), sim.stats().actions);
         assert!(registry.metric_names().contains(&"sim.profile.deliver_ns".to_string()));
     }

@@ -1,9 +1,8 @@
 //! Adversarial fault models beyond i.i.d. loss.
 //!
 //! The paper's analysis assumes *uniform i.i.d. message loss*
-//! (Section 4.1); [`LossModel`] captures exactly that surface plus the two
-//! mild nonuniform ablations ([`GilbertElliott`] and
-//! [`TargetedLoss`](crate::TargetedLoss)). This module generalizes the
+//! (Section 4.1); [`LossModel`] captures exactly that surface plus the
+//! bursty ablation ([`GilbertElliott`]). This module generalizes the
 //! surface to **correlated, time-varying, and structural** faults — the
 //! regimes where Obs 5.1 and the Lemma 6.10 decay bounds were never
 //! proven to hold, and where the scenario harness in `sandf-bench` probes
@@ -164,13 +163,13 @@ pub trait FaultModel {
     fn average_rate(&self) -> f64;
 }
 
-/// Every [`LossModel`] is a [`FaultModel`]: loss depends only on the
-/// destination and the capacity gate is always open. Lifted models consume
-/// exactly the RNG draws of the underlying `is_lost_to`, which is what
-/// keeps pre-fault seeds byte-identical.
+/// Every [`LossModel`] is a [`FaultModel`]: loss ignores the endpoints and
+/// the capacity gate is always open. Lifted models consume exactly the RNG
+/// draws of the underlying `is_lost`, which is what keeps pre-fault seeds
+/// byte-identical.
 impl<T: LossModel> FaultModel for T {
-    fn drops<R: Rng + ?Sized>(&mut self, ctx: FaultCtx, rng: &mut R) -> bool {
-        self.is_lost_to(ctx.to, rng)
+    fn drops<R: Rng + ?Sized>(&mut self, _ctx: FaultCtx, rng: &mut R) -> bool {
+        self.is_lost(rng)
     }
 
     fn average_rate(&self) -> f64 {
@@ -381,10 +380,11 @@ impl FaultModel for NodeCapacity {
 ///
 /// The scenario harness aims this at the overlay's highest-indegree nodes
 /// — the hubs whose loss the degree-MC prediction is least equipped to
-/// absorb. Unlike [`TargetedLoss`](crate::TargetedLoss) (one off-rate per
-/// node, linear scan), the victim set is a sorted slab checked by binary
-/// search and replaceable wholesale mid-run via
-/// [`set_victims`](Self::set_victims) — the shape the engines'
+/// absorb; `repro loss_ablation` aims it at one badly connected peer
+/// (the spatial flavor of the nonuniform loss Section 4.1 leaves out of the
+/// analysis, complementing the temporal [`GilbertElliott`]). The victim
+/// set is a sorted slab checked by binary search and replaceable wholesale
+/// mid-run via [`set_victims`](Self::set_victims) — the shape the engines'
 /// `update_fault` hook needs.
 #[derive(Clone, PartialEq, Debug)]
 pub struct VictimLoss {
@@ -897,7 +897,7 @@ mod tests {
     }
 
     #[test]
-    fn lifted_loss_model_matches_is_lost_to() {
+    fn lifted_loss_model_matches_is_lost() {
         let mut lifted = UniformLoss::new(0.3).unwrap();
         let mut raw = UniformLoss::new(0.3).unwrap();
         let mut ra = StdRng::seed_from_u64(5);
@@ -905,7 +905,7 @@ mod tests {
         for k in 0..2_000 {
             assert_eq!(
                 lifted.drops(ctx(1, k, 0), &mut ra),
-                raw.is_lost_to(NodeId::new(k), &mut rb),
+                raw.is_lost(&mut rb),
                 "blanket impl must consume identical draws"
             );
         }
@@ -1011,6 +1011,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         assert!((0..50).all(|_| model.drops(ctx(0, 3, 0), &mut rng)));
         assert!((0..50).all(|_| !model.drops(ctx(0, 4, 0), &mut rng)));
+        assert_eq!(model.average_rate(), 0.0, "the scalar rate is the base rate");
         // Replacing the set retargets instantly.
         model.set_victims(&[NodeId::new(4)]);
         assert!((0..50).all(|_| !model.drops(ctx(0, 3, 0), &mut rng)));
@@ -1126,5 +1127,6 @@ mod tests {
         assert!(PerLinkLoss::new(0, 0.5, f64::NAN, 0.0).is_err());
         assert!(NodeCapacity::new(0, 1.1, 2, 0.0).is_err());
         assert!(VictimLoss::new(0.5, 7.0).is_err());
+        assert!(VictimLoss::new(-0.1, 0.0).is_err());
     }
 }

@@ -73,9 +73,10 @@ use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use sandf_core::{JoinError, LocalView, NodeId, NodeStats, SfConfig, SfNode};
 use sandf_graph::{DependenceReport, MembershipGraph};
-use sandf_obs::{duration_buckets, HistogramHandle, MetricsRegistry, SpanTimer};
+use sandf_obs::{MetricsRegistry, SpanTimer};
 
 use crate::arena::Arena;
+use crate::chassis::{ring_for, StepProfile, Subscribers};
 use crate::degree::DegreeStats;
 use crate::engine::{DelayModel, SimStats, StepEvent, StepPhase, StepReport, StepSubscriber};
 use crate::fault::{FaultCtx, FaultModel};
@@ -114,14 +115,6 @@ fn pos_word(pos: usize) -> u32 {
     u32::try_from(pos).expect("the live list is no longer than the dense index space")
 }
 
-/// Span histograms for the engine's hot paths (same metric names as the
-/// classic engine, so profiled runs are comparable across engines).
-#[derive(Clone, Debug)]
-struct FlatProfile {
-    step: HistogramHandle,
-    deliver: HistogramHandle,
-}
-
 /// The struct-of-arrays fast path of [`Simulation`](crate::Simulation),
 /// generic over a [`ProtocolBehavior`] (default: [`SfBehavior`]).
 ///
@@ -150,6 +143,10 @@ struct FlatProfile {
 /// assert_eq!(sim.stats().actions, 50_000);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
+///
+/// As with the classic engine, a clone starts with no subscribers and
+/// shares an attached profiler.
+#[derive(Clone)]
 pub struct FlatSimulation<L, B: ProtocolBehavior = SfBehavior> {
     /// Views, ledgers and id tables.
     arena: Arena,
@@ -181,33 +178,9 @@ pub struct FlatSimulation<L, B: ProtocolBehavior = SfBehavior> {
     rng: StdRng,
     stats: SimStats,
     /// Registered step-event observers (not carried across clones).
-    subscribers: Vec<Box<dyn StepSubscriber<B::Msg>>>,
+    subscribers: Subscribers<B::Msg>,
     /// Hot-path span histograms, when a profiler is attached.
-    profile: Option<FlatProfile>,
-}
-
-impl<L: Clone, B: ProtocolBehavior> Clone for FlatSimulation<L, B> {
-    /// Clones the simulation state. As with the classic engine,
-    /// subscribers are **not** cloned and an attached profiler is shared.
-    fn clone(&self) -> Self {
-        Self {
-            arena: self.arena.clone(),
-            behavior: self.behavior.clone(),
-            live: self.live.clone(),
-            live_pos: self.live_pos.clone(),
-            loss: self.loss.clone(),
-            delay: self.delay,
-            now: self.now,
-            rounds: self.rounds,
-            ring: self.ring.clone(),
-            in_flight_count: self.in_flight_count,
-            drained_to: self.drained_to,
-            rng: self.rng.clone(),
-            stats: self.stats,
-            subscribers: Vec::new(),
-            profile: self.profile.clone(),
-        }
-    }
+    profile: Option<StepProfile>,
 }
 
 impl<L: fmt::Debug, B: ProtocolBehavior> fmt::Debug for FlatSimulation<L, B> {
@@ -220,7 +193,7 @@ impl<L: fmt::Debug, B: ProtocolBehavior> fmt::Debug for FlatSimulation<L, B> {
             .field("now", &self.now)
             .field("in_flight", &self.in_flight_count)
             .field("stats", &self.stats)
-            .field("subscribers", &self.subscribers.len())
+            .field("subscribers", &self.subscribers)
             .field("profiled", &self.profile.is_some())
             .finish_non_exhaustive()
     }
@@ -313,7 +286,7 @@ impl<L: FaultModel, B: ProtocolBehavior> FlatSimulation<L, B> {
             drained_to: 0,
             rng: StdRng::seed_from_u64(seed),
             stats: SimStats::default(),
-            subscribers: Vec::new(),
+            subscribers: Subscribers::default(),
             profile: None,
         }
     }
@@ -333,10 +306,8 @@ impl<L: FaultModel, B: ProtocolBehavior> FlatSimulation<L, B> {
     #[must_use]
     pub fn delayed(mut self, delay: DelayModel) -> Self {
         assert!(self.now == 0, "the delay model must be installed before stepping");
-        if let DelayModel::UniformSteps { max } = delay {
-            assert!(max > 0, "delay bound must be positive");
-            let buckets = usize::try_from(max + 1).expect("delay bound exceeds address space");
-            self.ring = vec![Vec::new(); buckets];
+        if let Some(ring) = ring_for(delay) {
+            self.ring = ring;
         }
         self.delay = delay;
         self
@@ -357,10 +328,7 @@ impl<L: FaultModel, B: ProtocolBehavior> FlatSimulation<L, B> {
     /// Attaches hot-path profiling under the same `sim.profile.*` span
     /// names as the classic engine.
     pub fn attach_profiler(&mut self, registry: &MetricsRegistry) {
-        self.profile = Some(FlatProfile {
-            step: registry.histogram("sim.profile.step_ns", duration_buckets()),
-            deliver: registry.histogram("sim.profile.deliver_ns", duration_buckets()),
-        });
+        self.profile = Some(StepProfile::new(registry));
     }
 
     /// Reports `report` to every subscriber; out of line so the
@@ -368,12 +336,7 @@ impl<L: FaultModel, B: ProtocolBehavior> FlatSimulation<L, B> {
     #[cold]
     #[inline(never)]
     fn notify(&mut self, report: &StepReport<B::Msg>) {
-        let mut subs = std::mem::take(&mut self.subscribers);
-        for sub in &mut subs {
-            sub.on_step(report);
-        }
-        subs.append(&mut self.subscribers);
-        self.subscribers = subs;
+        self.subscribers.notify(report);
     }
 
     /// The shared protocol configuration.
@@ -1157,7 +1120,7 @@ mod tests {
         let mut sim = FlatSimulation::new(nodes(), UniformLoss::none(), 31);
         sim.attach_profiler(&registry);
         sim.run_rounds(2);
-        let hist = registry.histogram("sim.profile.step_ns", duration_buckets());
+        let hist = registry.histogram("sim.profile.step_ns", sandf_obs::duration_buckets());
         assert_eq!(hist.count(), sim.stats().actions);
     }
 

@@ -33,6 +33,7 @@
 
 mod arena;
 pub mod broadcast;
+mod chassis;
 mod degree;
 mod engine;
 pub mod experiment;
@@ -59,7 +60,7 @@ pub use fault::{
     ScheduledFault, VictimLoss,
 };
 pub use flat::FlatSimulation;
-pub use loss::{GilbertElliott, LossModel, LossRateError, TargetedLoss, UniformLoss};
+pub use loss::{GilbertElliott, LossModel, LossRateError, UniformLoss};
 pub use par::ParSimulation;
 pub use telemetry::SimRecorder;
 pub use traits::{

@@ -9,25 +9,16 @@
 //! how far the i.i.d. assumption carries.
 
 use rand::Rng;
-use sandf_core::NodeId;
 
 /// Decides the fate of each sent message.
 ///
 /// Implementations may keep state (e.g. a burst channel state); the decision
-/// must depend only on that state, the destination, and the supplied RNG,
-/// never on message contents — the paper's model gives the adversary no
-/// content visibility.
+/// must depend only on that state and the supplied RNG, never on the
+/// destination or message contents — destination-dependent faults are
+/// [`FaultModel`](crate::FaultModel)s (e.g. [`VictimLoss`](crate::VictimLoss)).
 pub trait LossModel {
     /// Returns `true` if the next message is lost.
     fn is_lost<R: Rng + ?Sized>(&mut self, rng: &mut R) -> bool;
-
-    /// Returns `true` if the next message *to the given destination* is
-    /// lost. The default ignores the destination (the paper's uniform
-    /// model); spatially heterogeneous models ([`TargetedLoss`]) override
-    /// it.
-    fn is_lost_to<R: Rng + ?Sized>(&mut self, _to: NodeId, rng: &mut R) -> bool {
-        self.is_lost(rng)
-    }
 
     /// The long-run average loss rate of this model, used by analyses that
     /// need a scalar `ℓ` (e.g. comparing against Lemma 6.7 bounds).
@@ -159,70 +150,6 @@ impl LossModel for GilbertElliott {
     }
 }
 
-/// Spatially heterogeneous loss: a base rate for everyone, with per-node
-/// overrides on the *inbound* path (messages addressed to those nodes).
-///
-/// The paper restricts its analysis to uniform loss and notes that
-/// "nonuniform loss occurs in practice … \[and\] is more difficult to model
-/// and analyze" (Section 4.1). This model is the spatial flavor of that
-/// nonuniformity — e.g. one peer behind a terrible link — complementing the
-/// temporal flavor ([`GilbertElliott`]). The `loss_ablation` bench measures
-/// how a badly connected node fares: its indegree shrinks toward `d_L`
-/// while the rest of the system is unaffected.
-#[derive(Clone, Debug)]
-pub struct TargetedLoss {
-    base: UniformLoss,
-    overrides: Vec<(NodeId, f64)>,
-}
-
-impl TargetedLoss {
-    /// Creates a targeted model with the given base rate.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LossRateError`] for a base rate outside `[0, 1]`.
-    pub fn new(base_rate: f64) -> Result<Self, LossRateError> {
-        Ok(Self { base: UniformLoss::new(base_rate)?, overrides: Vec::new() })
-    }
-
-    /// Sets the inbound loss rate for one node (replacing any previous
-    /// override).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LossRateError`] for a rate outside `[0, 1]`.
-    pub fn set_target(&mut self, node: NodeId, rate: f64) -> Result<(), LossRateError> {
-        if !(0.0..=1.0).contains(&rate) || !rate.is_finite() {
-            return Err(LossRateError { rate });
-        }
-        self.overrides.retain(|&(id, _)| id != node);
-        self.overrides.push((node, rate));
-        Ok(())
-    }
-
-    fn rate_for(&self, to: NodeId) -> f64 {
-        self.overrides
-            .iter()
-            .find(|&&(id, _)| id == to)
-            .map_or(self.base.average_rate(), |&(_, rate)| rate)
-    }
-}
-
-impl LossModel for TargetedLoss {
-    fn is_lost<R: Rng + ?Sized>(&mut self, rng: &mut R) -> bool {
-        self.base.is_lost(rng)
-    }
-
-    fn is_lost_to<R: Rng + ?Sized>(&mut self, to: NodeId, rng: &mut R) -> bool {
-        let rate = self.rate_for(to);
-        rate > 0.0 && rng.gen_bool(rate)
-    }
-
-    fn average_rate(&self) -> f64 {
-        self.base.average_rate()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use rand::rngs::StdRng;
@@ -302,44 +229,6 @@ mod tests {
     fn gilbert_elliott_frozen_chain_average() {
         let model = GilbertElliott::new(0.0, 0.0, 0.02, 0.9).unwrap();
         assert_eq!(model.average_rate(), 0.02);
-    }
-
-    #[test]
-    fn targeted_loss_uses_overrides() {
-        let mut model = TargetedLoss::new(0.0).unwrap();
-        model.set_target(NodeId::new(7), 1.0).unwrap();
-        let mut rng = StdRng::seed_from_u64(1);
-        assert!((0..100).all(|_| model.is_lost_to(NodeId::new(7), &mut rng)));
-        assert!((0..100).all(|_| !model.is_lost_to(NodeId::new(8), &mut rng)));
-        assert!(!model.is_lost(&mut rng));
-        assert_eq!(model.average_rate(), 0.0);
-    }
-
-    #[test]
-    fn targeted_loss_overrides_replace() {
-        let mut model = TargetedLoss::new(0.1).unwrap();
-        model.set_target(NodeId::new(1), 0.9).unwrap();
-        model.set_target(NodeId::new(1), 0.0).unwrap();
-        let mut rng = StdRng::seed_from_u64(2);
-        assert!((0..200).all(|_| !model.is_lost_to(NodeId::new(1), &mut rng)));
-    }
-
-    #[test]
-    fn targeted_loss_rejects_bad_rates() {
-        assert!(TargetedLoss::new(1.5).is_err());
-        let mut model = TargetedLoss::new(0.0).unwrap();
-        assert!(model.set_target(NodeId::new(1), -0.1).is_err());
-    }
-
-    #[test]
-    fn default_is_lost_to_matches_is_lost() {
-        let mut a = UniformLoss::new(0.3).unwrap();
-        let mut b = UniformLoss::new(0.3).unwrap();
-        let mut ra = StdRng::seed_from_u64(9);
-        let mut rb = StdRng::seed_from_u64(9);
-        for k in 0..1000 {
-            assert_eq!(a.is_lost(&mut ra), b.is_lost_to(NodeId::new(k), &mut rb));
-        }
     }
 
     #[test]

@@ -93,6 +93,7 @@ use sandf_graph::{DependenceReport, MembershipGraph};
 use sandf_obs::{duration_buckets, GaugeHandle, HistogramHandle, MetricsRegistry, SpanTimer};
 
 use crate::arena::{Arena, Shard};
+use crate::chassis::{ring_for, Subscribers};
 use crate::degree::DegreeStats;
 use crate::engine::{DelayModel, SimStats, StepEvent, StepPhase, StepReport, StepSubscriber};
 use crate::fault::{FaultCtx, FaultModel};
@@ -274,6 +275,10 @@ impl<M> DeliveryShardOut<M> {
 /// *rounds*: each message arrives `1..=max` rounds after it was sent.
 /// Under [`DelayModel::Immediate`] messages are delivered in the same
 /// round's delivery phase (after every node has acted).
+///
+/// As with the other engines, a clone starts with no subscribers and
+/// shares an attached profiler.
+#[derive(Clone)]
 pub struct ParSimulation<L, B: ProtocolBehavior = SfBehavior> {
     /// Views, ledgers and id tables.
     arena: Arena,
@@ -308,35 +313,9 @@ pub struct ParSimulation<L, B: ProtocolBehavior = SfBehavior> {
     /// the perfectly balanced share (1.0 = balanced).
     last_imbalance: f64,
     /// Registered step-event observers (not carried across clones).
-    subscribers: Vec<Box<dyn StepSubscriber<B::Msg>>>,
+    subscribers: Subscribers<B::Msg>,
     /// Per-phase span histograms, when a profiler is attached.
     profile: Option<ParProfile>,
-}
-
-impl<L: Clone, B: ProtocolBehavior> Clone for ParSimulation<L, B> {
-    /// Clones the simulation state. As with the other engines, subscribers
-    /// are **not** cloned and an attached profiler is shared.
-    fn clone(&self) -> Self {
-        Self {
-            arena: self.arena.clone(),
-            behavior: self.behavior.clone(),
-            live_count: self.live_count,
-            loss: self.loss.clone(),
-            loss_proto: self.loss_proto.clone(),
-            delay: self.delay,
-            round: self.round,
-            step_counter: self.step_counter,
-            ring: self.ring.clone(),
-            in_flight_count: self.in_flight_count,
-            seed: self.seed,
-            ctl_rng: self.ctl_rng.clone(),
-            stats: self.stats,
-            threads: self.threads,
-            last_imbalance: self.last_imbalance,
-            subscribers: Vec::new(),
-            profile: self.profile.clone(),
-        }
-    }
 }
 
 impl<L: fmt::Debug, B: ProtocolBehavior> fmt::Debug for ParSimulation<L, B> {
@@ -350,7 +329,7 @@ impl<L: fmt::Debug, B: ProtocolBehavior> fmt::Debug for ParSimulation<L, B> {
             .field("threads", &self.threads)
             .field("in_flight", &self.in_flight_count)
             .field("stats", &self.stats)
-            .field("subscribers", &self.subscribers.len())
+            .field("subscribers", &self.subscribers)
             .field("profiled", &self.profile.is_some())
             .finish_non_exhaustive()
     }
@@ -441,7 +420,7 @@ impl<L: FaultModel + Clone + Send, B: ProtocolBehavior> ParSimulation<L, B> {
             stats: SimStats::default(),
             threads,
             last_imbalance: 1.0,
-            subscribers: Vec::new(),
+            subscribers: Subscribers::default(),
             profile: None,
         }
     }
@@ -457,10 +436,8 @@ impl<L: FaultModel + Clone + Send, B: ProtocolBehavior> ParSimulation<L, B> {
     #[must_use]
     pub fn delayed(mut self, delay: DelayModel) -> Self {
         assert!(self.round == 0, "the delay model must be installed before the first round");
-        if let DelayModel::UniformSteps { max } = delay {
-            assert!(max > 0, "delay bound must be positive");
-            let buckets = usize::try_from(max + 1).expect("delay bound exceeds address space");
-            self.ring = vec![Vec::new(); buckets];
+        if let Some(ring) = ring_for(delay) {
+            self.ring = ring;
         }
         self.delay = delay;
         self
@@ -498,12 +475,7 @@ impl<L: FaultModel + Clone + Send, B: ProtocolBehavior> ParSimulation<L, B> {
     #[cold]
     #[inline(never)]
     fn notify(&mut self, report: &StepReport<B::Msg>) {
-        let mut subs = std::mem::take(&mut self.subscribers);
-        for sub in &mut subs {
-            sub.on_step(report);
-        }
-        subs.append(&mut self.subscribers);
-        self.subscribers = subs;
+        self.subscribers.notify(report);
     }
 
     /// The shared protocol configuration.
@@ -1205,7 +1177,7 @@ fn run_delivery_shard<B: ProtocolBehavior>(
 #[cfg(test)]
 mod tests {
     use crate::engine::Simulation;
-    use crate::loss::{GilbertElliott, TargetedLoss, UniformLoss};
+    use crate::loss::{GilbertElliott, UniformLoss};
     use crate::telemetry::SimRecorder;
     use crate::topology;
 
@@ -1500,8 +1472,8 @@ mod tests {
 
     #[test]
     fn targeted_loss_is_supported() {
-        let mut loss = TargetedLoss::new(0.0).unwrap();
-        loss.set_target(NodeId::new(3), 1.0).unwrap();
+        let mut loss = crate::fault::VictimLoss::new(1.0, 0.0).unwrap();
+        loss.set_victims(&[NodeId::new(3)]);
         let mut sim = ParSimulation::new(nodes(), loss, 11, 4);
         sim.run_rounds(40);
         assert!(sim.stats().lost > 0, "targeted loss never fired");

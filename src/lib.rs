@@ -48,8 +48,8 @@
 //! ```
 //!
 //! See the `examples/` directory for runnable scenarios and `crates/bench`
-//! for the binaries regenerating every figure and table of the paper's
-//! evaluation.
+//! for `repro`, the binary regenerating every figure and table of the
+//! paper's evaluation by name.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
