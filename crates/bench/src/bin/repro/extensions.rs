@@ -14,8 +14,8 @@ use sandf_graph::{
 };
 use sandf_markov::conductance::expected_conductance_bound;
 use sandf_markov::ExactGlobalMc;
-use sandf_sim::{topology, FlatSimulation, ProtocolBehavior, SfBehavior, Simulation, UniformLoss};
-use sandf_variants::{BatchedBehavior, ReplaceBehavior, UndeleteBehavior};
+use sandf_sim::{topology, FlatSimulation, ProtocolBehavior, SfBehavior, UniformLoss};
+use sandf_zoo::variants::{BatchedBehavior, ReplaceBehavior, UndeleteBehavior};
 
 /// Replicates per cell of the replicated sweeps below (`delay_ablation`
 /// and `broadcast_sweep` state their own).
@@ -171,7 +171,7 @@ pub fn expander_check(_: &[String]) -> ExitCode {
     for &n in &[128usize, 256, 512, 1024] {
         let nodes = topology::ring(n, config);
         expander_row(&format!("ring_initial_n{n}"), &MembershipGraph::from_nodes(&nodes));
-        let mut sim = Simulation::new(nodes, UniformLoss::new(0.01).expect("valid"), n as u64);
+        let mut sim = FlatSimulation::new(nodes, UniformLoss::new(0.01).expect("valid"), n as u64);
         sim.run_rounds(400);
         expander_row(&format!("sandf_from_ring_n{n}"), &sim.graph());
     }
@@ -179,7 +179,7 @@ pub fn expander_check(_: &[String]) -> ExitCode {
     let n = 256usize;
     let nodes = topology::hub_cluster(n, config, 6);
     expander_row("hubs_initial_n256", &MembershipGraph::from_nodes(&nodes));
-    let mut sim = Simulation::new(nodes, UniformLoss::new(0.01).expect("valid"), 7);
+    let mut sim = FlatSimulation::new(nodes, UniformLoss::new(0.01).expect("valid"), 7);
     sim.run_rounds(400);
     expander_row("sandf_from_hubs_n256", &sim.graph());
 

@@ -21,7 +21,7 @@ use sandf_sim::experiment::{
     join_integration, leave_decay, steady_state_degrees, steady_state_event_rates,
     temporal_overlap, ExperimentParams,
 };
-use sandf_sim::{topology, Simulation, UniformLoss};
+use sandf_sim::{topology, FlatSimulation, UniformLoss};
 
 /// Replicates per cell of every replicated sweep below.
 const REPLICATES: usize = 4;
@@ -381,7 +381,7 @@ pub fn join_leave(_: &[String]) -> ExitCode {
 fn measured_dependence(loss: f64, seed: u64) -> (f64, DependenceReport) {
     let config = SfConfig::new(40, 18).expect("paper parameters");
     let nodes = topology::circulant(600, config, 30);
-    let mut sim = Simulation::new(nodes, UniformLoss::new(loss).expect("valid rate"), seed);
+    let mut sim = FlatSimulation::new(nodes, UniformLoss::new(loss).expect("valid rate"), seed);
     sim.run_rounds(500);
     // Average the dependent fraction over several spaced snapshots.
     let mut total = 0.0;

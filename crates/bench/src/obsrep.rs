@@ -17,9 +17,10 @@
 //! only for the deterministic subset.
 
 use sandf_obs::{EventJournal, MetricsRegistry};
-use sandf_sim::{topology, DelayModel, SimRecorder, SimStats, Simulation, UniformLoss};
+use sandf_sim::experiment::initial_degree;
+use sandf_sim::{topology, DelayModel, FlatSimulation, SimRecorder, SimStats, UniformLoss};
 
-use crate::sweeps::{initial_degree, paper_config};
+use crate::sweeps::paper_config;
 
 /// Scale and switches of an observability report run.
 #[derive(Clone, Copy, Debug)]
@@ -102,7 +103,7 @@ pub fn obs_report(config: &ObsReportConfig) -> ObsReport {
     } else {
         DelayModel::UniformSteps { max: config.max_delay }
     };
-    let mut sim = Simulation::with_delay(nodes, loss, delay, config.seed);
+    let mut sim = FlatSimulation::with_delay(nodes, loss, delay, config.seed);
     sim.subscribe(Box::new(SimRecorder::with_journal(&registry, journal.clone())));
     if config.profile {
         sim.attach_profiler(&registry);

@@ -70,6 +70,7 @@ use sandf_graph::DegreeStats;
 use sandf_markov::decay::leave_survival_bound;
 use sandf_markov::{DegreeMc, DegreeMcParams};
 use sandf_obs::MetricsRegistry;
+use sandf_sim::experiment::initial_degree;
 use sandf_sim::fault::{expect_args, parse_num};
 pub use sandf_sim::FaultSpec;
 use sandf_sim::{
@@ -79,7 +80,7 @@ use sandf_sim::{
 
 use crate::fmt;
 use crate::sweep::{fnv1a64, Summary, SweepCell, SweepSpec};
-use crate::sweeps::{initial_degree, ring_views, with_behavior};
+use crate::sweeps::{ring_views, with_behavior};
 
 /// The envelope tolerance added to the ci95 half-width when comparing the
 /// measured mean indegree against the degree-MC prediction — the same

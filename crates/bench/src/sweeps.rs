@@ -20,11 +20,13 @@ use rand::RngCore;
 use sandf_core::{NodeId, SfConfig, SfNode};
 use sandf_graph::{DegreeStats, MembershipGraph};
 use sandf_markov::{select_thresholds, DegreeMc, DegreeMcParams};
-use sandf_sim::experiment::{continuous_churn, steady_state_degrees, uniformity, ExperimentParams};
+use sandf_sim::experiment::{
+    continuous_churn, initial_degree, steady_state_degrees, uniformity, ExperimentParams,
+};
 use sandf_sim::{
     rumor_channel_for, topology, BroadcastConfig, BroadcastLayer, DelayModel, Engine, FaultSpec,
     FlatSimulation, GilbertElliott, LossModel, ParSimulation, ProtocolBehavior, RumorChannel,
-    Simulation, UniformLoss, VictimLoss,
+    UniformLoss, VictimLoss,
 };
 
 use crate::fmt;
@@ -34,16 +36,6 @@ use crate::sweep::{SweepCell, SweepSpec};
 #[must_use]
 pub fn paper_config() -> SfConfig {
     SfConfig::new(40, 18).expect("paper parameters are legal")
-}
-
-/// The initial outdegree the experiment runners use: two thirds of the way
-/// from `d_L` to `s`, clamped to the system size, even.
-#[must_use]
-pub fn initial_degree(config: SfConfig, n: usize) -> usize {
-    let s = config.view_size();
-    let d_l = config.lower_threshold();
-    let mid = d_l + (s - d_l) * 2 / 3;
-    mid.min(n.saturating_sub(2)).max(2) & !1
 }
 
 /// The ring bootstrap of every `from_views` run: node `i` points at the
@@ -75,27 +67,29 @@ macro_rules! with_behavior {
                 $body
             }
             "push_only" => {
-                let $behavior = ::sandf_baselines::PushOnlyBehavior;
+                let $behavior = ::sandf_zoo::baselines::PushOnlyBehavior;
                 $body
             }
             "push_pull" => {
-                let $behavior = ::sandf_baselines::PushPullBehavior::new($crate::sweeps::GOSSIP);
+                let $behavior =
+                    ::sandf_zoo::baselines::PushPullBehavior::new($crate::sweeps::GOSSIP);
                 $body
             }
             "shuffle" => {
-                let $behavior = ::sandf_baselines::ShuffleBehavior::new($crate::sweeps::GOSSIP);
+                let $behavior =
+                    ::sandf_zoo::baselines::ShuffleBehavior::new($crate::sweeps::GOSSIP);
                 $body
             }
             "replace" => {
-                let $behavior = ::sandf_variants::ReplaceBehavior;
+                let $behavior = ::sandf_zoo::variants::ReplaceBehavior;
                 $body
             }
             "undelete" => {
-                let $behavior = ::sandf_variants::UndeleteBehavior;
+                let $behavior = ::sandf_zoo::variants::UndeleteBehavior;
                 $body
             }
             "batched" => {
-                let $behavior = ::sandf_variants::BatchedBehavior::new($crate::sweeps::GOSSIP);
+                let $behavior = ::sandf_zoo::variants::BatchedBehavior::new($crate::sweeps::GOSSIP);
                 $body
             }
             other => panic!("unknown protocol {other:?}"),
@@ -234,7 +228,7 @@ fn channel_metrics<L: LossModel>(
     measure: usize,
     seed: u64,
 ) -> Vec<f64> {
-    let sim = Simulation::new(nodes, loss, seed).run_replicate(burn_in, measure);
+    let sim = FlatSimulation::new(nodes, loss, seed).run_replicate(burn_in, measure);
     let graph = sim.graph();
     vec![
         DegreeStats::from_samples(&graph.out_degrees()).mean,
@@ -330,7 +324,7 @@ pub fn targeted_loss_table(n: usize, rounds: usize, replicates: usize, base_seed
             let victim = NodeId::new(0);
             let mut loss = VictimLoss::new(cell.victim_rate, 0.01).expect("valid rates");
             loss.set_victims(&[victim]);
-            let mut sim = Simulation::new(nodes.clone(), loss, rng.next_u64());
+            let mut sim = FlatSimulation::new(nodes.clone(), loss, rng.next_u64());
             sim.run_rounds(rounds);
             let graph = sim.graph();
             vec![
@@ -411,7 +405,7 @@ pub fn threshold_validation_table(
             .1
             .clone();
         let loss = UniformLoss::new(0.01).expect("valid rate");
-        let sim = Simulation::new(nodes, loss, rng.next_u64()).run_replicate(burn_in, measure);
+        let sim = FlatSimulation::new(nodes, loss, rng.next_u64()).run_replicate(burn_in, measure);
         let stats = sim.stats();
         vec![
             stats.duplication_rate().unwrap_or(0.0),
@@ -795,7 +789,7 @@ pub fn delay_table(n: usize, rounds: usize, replicates: usize, base_seed: u64) -
     let nodes = topology::circulant(n, config, initial_degree(config, n));
     let results = spec.run(&["mean_out", "in_std", "dependent_frac", "connected"], |cell, rng| {
         let loss = UniformLoss::new(0.02).expect("valid rate");
-        let mut sim = Simulation::with_delay(nodes.clone(), loss, cell.model(), rng.next_u64());
+        let mut sim = FlatSimulation::with_delay(nodes.clone(), loss, cell.model(), rng.next_u64());
         for _ in 0..n * rounds {
             sim.step();
         }

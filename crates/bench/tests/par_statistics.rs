@@ -11,7 +11,7 @@
 //! action counts whose heavier tails inflate boundary events (duplications
 //! at `d_L`, deletions at `s`) and degree variance — a scheduling
 //! difference, not an engine difference. Against the matched baseline, at
-//! a fixed `ExperimentParams` point over 5 seeded replicates, we require
+//! one fixed parameter point over 5 seeded replicates, we require
 //! (via [`Summary::from_samples`]):
 //!
 //! * duplication rate, drain rate (deletions per send), and indegree
@@ -29,13 +29,14 @@
 //! the other. Everything is seeded, so a pass here is a pass in CI.
 
 use sandf_bench::sweep::Summary;
-use sandf_core::SfConfig;
+use sandf_core::{SfConfig, SfNode};
 use sandf_graph::DegreeStats;
 use sandf_markov::{DegreeMc, DegreeMcParams};
-use sandf_sim::experiment::ExperimentParams;
-use sandf_sim::SimStats;
+use sandf_sim::experiment::initial_degree;
+use sandf_sim::{topology, ParSimulation, SimStats, Simulation, UniformLoss};
 
 const SEEDS: [u64; 5] = [3, 11, 42, 271, 2009];
+const N: usize = 192;
 const BURN_IN: usize = 60;
 const MEASURE: usize = 40;
 const LOSS: f64 = 0.01;
@@ -51,8 +52,11 @@ fn config() -> SfConfig {
     SfConfig::new(16, 6).expect("legal config")
 }
 
-fn params(seed: u64) -> ExperimentParams {
-    ExperimentParams { n: 192, config: config(), loss: LOSS, burn_in: BURN_IN, seed }
+/// The bootstrap and channel both engines start from — what
+/// `ExperimentParams::build` hands the flat engine at this point.
+fn bootstrap() -> (Vec<SfNode>, UniformLoss) {
+    let nodes = topology::circulant(N, config(), initial_degree(config(), N));
+    (nodes, UniformLoss::new(LOSS).expect("valid rate"))
 }
 
 /// The per-replicate metric vector: indegree mean, indegree variance,
@@ -72,7 +76,8 @@ fn classic_samples() -> Vec<[f64; 4]> {
     SEEDS
         .iter()
         .map(|&seed| {
-            let mut sim = params(seed).build_simulation();
+            let (nodes, loss) = bootstrap();
+            let mut sim = Simulation::new(nodes, loss, seed);
             for _ in 0..BURN_IN {
                 sim.round_permuted();
             }
@@ -89,7 +94,9 @@ fn par_samples(threads: usize) -> Vec<[f64; 4]> {
     SEEDS
         .iter()
         .map(|&seed| {
-            let sim = params(seed).build_par_simulation(threads).run_replicate(BURN_IN, MEASURE);
+            let (nodes, loss) = bootstrap();
+            let sim =
+                ParSimulation::new(nodes, loss, seed, threads).run_replicate(BURN_IN, MEASURE);
             metrics(sim.stats(), &sim.graph().in_degrees())
         })
         .collect()

@@ -1,9 +1,10 @@
 //! The `repro` front end, driven as a process: the name table, its usage
 //! exit, the argument hand-off, and a doc-drift guard holding the table to
 //! README.md's two reproduction tables. What each artifact *prints* is
-//! pinned elsewhere (the goldens at toy scale, the byte-for-byte
-//! comparison in CHANGES.md at paper scale); this suite runs only the
-//! three artifacts that finish in about a second in a debug build.
+//! pinned at paper scale by the 18 tables of `tests/golden/evaluation/`
+//! (the classic engine's output at PR 22's parent, held by a `cmp` per
+//! name in CI); this suite runs only the three artifacts that finish in
+//! about a second in a debug build, and holds those three to their pins.
 
 use std::process::{Command, Output};
 
@@ -74,6 +75,9 @@ fn fast_artifacts_print_notes_then_a_tsv_header() {
             columns.len() >= 2 && columns.iter().all(|c| c.parse::<f64>().is_err()),
             "{name}: {header:?} is not a TSV header"
         );
+        let path = format!("{}/tests/golden/evaluation/{name}.tsv", env!("CARGO_MANIFEST_DIR"));
+        let pinned = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+        assert_eq!(stdout, pinned, "{name} moved off its pinned evaluation table");
     }
 }
 

@@ -10,7 +10,6 @@ use rand::RngCore;
 use sandf_bench::sweep::{default_threads, SweepCell, SweepSpec};
 use sandf_core::SfConfig;
 use sandf_sim::experiment::ExperimentParams;
-use sandf_sim::Simulation;
 
 struct LossCell {
     loss: f64,
@@ -29,7 +28,7 @@ fn simulate(cell: &LossCell, rng: &mut StdRng) -> Vec<f64> {
     let config = SfConfig::new(16, 6).expect("legal config");
     let params =
         ExperimentParams { n: 48, config, loss: cell.loss, burn_in: 0, seed: rng.next_u64() };
-    let sim: Simulation<_> = params.build_simulation().run_replicate(30, 30);
+    let sim = params.build().run_replicate(30, 30);
     let graph = sim.graph();
     let out = graph.out_degrees();
     let mean_out = out.iter().sum::<usize>() as f64 / out.len() as f64;

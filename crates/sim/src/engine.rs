@@ -1,4 +1,4 @@
-//! The discrete-event simulation engine.
+//! The classic discrete-event engine — the lockstep oracle.
 //!
 //! The engine implements the paper's execution model (Section 5): "a central
 //! entity repeatedly selects a random node, invokes its
@@ -8,6 +8,32 @@
 //! exactly one action — i.e. `n` random steps. The practical variant where
 //! every node fires once per round in a random permutation is also provided
 //! ([`Simulation::round_permuted`]).
+//!
+//! # What [`Simulation`] is for
+//!
+//! No experiment runs on it: the evaluation ([`crate::experiment`], the
+//! observers, `sandf-bench`'s sweeps and `repro`) runs on
+//! [`FlatSimulation`](crate::FlatSimulation). This type is the reference
+//! the flat engine is held equal to, step by step: a `HashMap` of
+//! [`SfNode`]s calling `sandf-core`'s `initiate` / `receive` directly, a
+//! `BTreeMap` in-flight queue, an `O(live)` scan in `leave` — the obvious
+//! implementation, kept obvious so that a disagreement points at the
+//! optimized side. Its inherent API is what those comparisons call and no
+//! more. The suites that lean on it:
+//!
+//! * in this crate, `flat.rs`'s `flat_equals_classic_*`,
+//!   `flat_report_stream_matches_classic` and
+//!   `to_nodes_roundtrips_through_the_classic_engine`, `arena.rs`'s
+//!   `live_order_is_the_schedulers_not_the_arenas`, `par.rs`'s
+//!   `steady_state_rates_track_the_classic_engine`, and `observer.rs`'s
+//!   three tests (the [`Engine`] view readers of both sides);
+//! * `tests/{churn_index, protocol_invariants, broadcast_invariants}.rs`;
+//! * `crates/bench/tests/{flat_equivalence, degree_streaming,
+//!   broadcast_determinism, par_statistics, scenario_envelope}.rs`;
+//! * the 18 pinned tables of `crates/bench/tests/golden/evaluation/`, which
+//!   this engine printed and the flat engine must reprint byte for byte.
+//!
+//! [`Engine`]: crate::Engine
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
@@ -18,10 +44,9 @@ use rand::{Rng, SeedableRng};
 use sandf_core::{
     InitiateOutcome, JoinError, Message, NodeId, NodeStats, ReceiveOutcome, SfConfig, SfNode,
 };
-use sandf_graph::{DependenceReport, MembershipGraph};
-use sandf_obs::{MetricsRegistry, SpanTimer};
+use sandf_graph::MembershipGraph;
 
-use crate::chassis::{StepProfile, Subscribers};
+use crate::chassis::Subscribers;
 use crate::degree::DegreeStats;
 use crate::fault::{FaultCtx, FaultModel};
 
@@ -173,7 +198,7 @@ pub struct StepReport<M = Message> {
 ///
 /// Register with [`Simulation::subscribe`]; the callback fires once per
 /// [`StepReport`], including the delayed-delivery reports that
-/// [`Simulation::step_node`] does not return. Subscribers run inline on the
+/// [`Simulation::step`] does not return. Subscribers run inline on the
 /// stepping thread, so keep callbacks cheap; they must be `Send` because
 /// simulations migrate across sweep worker threads.
 pub trait StepSubscriber<M = Message>: Send {
@@ -227,8 +252,7 @@ pub enum DelayModel {
 /// ```
 ///
 /// A clone copies the simulation state but starts with **no**
-/// subscribers (boxed observers are not clonable); an attached profiler
-/// is shared, so both simulations record into the same histograms.
+/// subscribers (boxed observers are not clonable).
 #[derive(Clone)]
 pub struct Simulation<L> {
     config: SfConfig,
@@ -250,8 +274,6 @@ pub struct Simulation<L> {
     next_id: u64,
     /// Registered step-event observers (not carried across clones).
     subscribers: Subscribers<Message>,
-    /// Hot-path span histograms, when a profiler is attached.
-    profile: Option<StepProfile>,
 }
 
 impl<L: fmt::Debug> fmt::Debug for Simulation<L> {
@@ -265,7 +287,6 @@ impl<L: fmt::Debug> fmt::Debug for Simulation<L> {
             .field("in_flight", &self.in_flight.values().map(Vec::len).sum::<usize>())
             .field("stats", &self.stats)
             .field("subscribers", &self.subscribers)
-            .field("profiled", &self.profile.is_some())
             .finish_non_exhaustive()
     }
 }
@@ -309,7 +330,6 @@ impl<L: FaultModel> Simulation<L> {
             stats: SimStats::default(),
             next_id,
             subscribers: Subscribers::default(),
-            profile: None,
         }
     }
 
@@ -318,19 +338,6 @@ impl<L: FaultModel> Simulation<L> {
     /// engine's own counters update. See [`StepSubscriber`].
     pub fn subscribe(&mut self, subscriber: Box<dyn StepSubscriber>) {
         self.subscribers.push(subscriber);
-    }
-
-    /// Number of registered step-event observers.
-    #[must_use]
-    pub fn subscriber_count(&self) -> usize {
-        self.subscribers.len()
-    }
-
-    /// Attaches hot-path profiling: `sim.profile.step_ns` and
-    /// `sim.profile.deliver_ns` span histograms in `registry`. With a
-    /// disabled registry the spans never read the clock.
-    pub fn attach_profiler(&mut self, registry: &MetricsRegistry) {
-        self.profile = Some(StepProfile::new(registry));
     }
 
     /// Reports `report` to every subscriber; out of line so the
@@ -391,7 +398,6 @@ impl<L: FaultModel> Simulation<L> {
 
     /// Executes the receive step at `to` (or counts a dead letter).
     fn deliver(&mut self, to: NodeId, message: Message) -> StepEvent {
-        let _span = self.profile.as_ref().map(|p| SpanTimer::start(&p.deliver));
         match self.nodes.get_mut(&to) {
             None => {
                 self.stats.dead_letters += 1;
@@ -478,13 +484,8 @@ impl<L: FaultModel> Simulation<L> {
         self.step_node(initiator)
     }
 
-    /// Executes one step by a specific node.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `initiator` is not live.
-    pub fn step_node(&mut self, initiator: NodeId) -> StepReport {
-        let _span = self.profile.as_ref().map(|p| SpanTimer::start(&p.step));
+    /// Executes one step by a specific node, which must be live.
+    fn step_node(&mut self, initiator: NodeId) -> StepReport {
         self.now += 1;
         if self.subscribers.is_empty() {
             self.deliver_due(None);
@@ -600,12 +601,6 @@ impl<L: FaultModel> Simulation<L> {
         self.rounds
     }
 
-    /// The fault model, for measurement-time inspection.
-    #[must_use]
-    pub fn fault(&self) -> &L {
-        &self.loss
-    }
-
     /// Applies `f` to the fault model — e.g. to aim a
     /// [`VictimLoss`](crate::VictimLoss) at the current high-indegree
     /// nodes at a phase boundary. The same hook exists on all three
@@ -619,22 +614,6 @@ impl<L: FaultModel> Simulation<L> {
         for _ in 0..rounds {
             self.round();
         }
-    }
-
-    /// Runs one measurement replicate: `burn_in` rounds to reach the steady
-    /// state, a stats reset, then `measure` measured rounds. Returns the
-    /// simulation for inspection, so a worker thread can do
-    /// `sim.run_replicate(b, m)` and read graphs/stats off the result.
-    ///
-    /// `Simulation` owns all of its state (no interior sharing), so this is
-    /// safe to call from sweep worker threads — see the `simulation_is_send`
-    /// test.
-    #[must_use]
-    pub fn run_replicate(mut self, burn_in: usize, measure: usize) -> Self {
-        self.run_rounds(burn_in);
-        self.reset_stats();
-        self.run_rounds(measure);
-        self
     }
 
     /// Adds a new node bootstrapped with `d_L` ids copied from a random
@@ -664,12 +643,9 @@ impl<L: FaultModel> Simulation<L> {
         self.join_with(&bootstrap)
     }
 
-    /// Adds a new node bootstrapped with the given ids.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`JoinError`] from [`SfNode::with_view`].
-    pub fn join_with(&mut self, bootstrap: &[NodeId]) -> Result<NodeId, JoinError> {
+    /// Adds a new node bootstrapped with the given ids, propagating
+    /// [`JoinError`] from [`SfNode::with_view`].
+    fn join_with(&mut self, bootstrap: &[NodeId]) -> Result<NodeId, JoinError> {
         let id = NodeId::new(self.next_id);
         let node = SfNode::with_view(id, self.config, bootstrap)?;
         self.next_id += 1;
@@ -716,12 +692,6 @@ impl<L: FaultModel> Simulation<L> {
             (*id, node.view().ids().collect())
         }))
     }
-
-    /// Measures spatial dependence across all live views (Property M4).
-    #[must_use]
-    pub fn dependence(&self) -> DependenceReport {
-        DependenceReport::measure(self.nodes.values())
-    }
 }
 
 #[cfg(test)]
@@ -742,14 +712,11 @@ mod tests {
 
     #[test]
     fn simulation_is_send() {
-        // Sweep workers move simulations across threads; a non-Send field
-        // sneaking in (an Rc, a raw pointer) should fail this at compile
-        // time rather than at the executor.
+        // The oracle must be movable wherever the engines it is compared
+        // with are: a non-Send field sneaking in (an Rc, a raw pointer)
+        // should fail this at compile time.
         fn assert_send<T: Send>(_: &T) {}
-        let sim = small_sim(1);
-        assert_send(&sim);
-        let sim = sim.run_replicate(5, 5);
-        assert!(sim.stats().actions > 0);
+        assert_send(&small_sim(1));
     }
 
     #[test]
@@ -1056,21 +1023,22 @@ mod tests {
 
     #[test]
     fn clones_do_not_carry_subscribers() {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        use std::sync::Arc;
+        let seen = Arc::new(AtomicU64::new(0));
+        let sink = Arc::clone(&seen);
         let mut sim = small_sim(1);
-        sim.subscribe(Box::new(|_: &StepReport| {}));
-        assert_eq!(sim.subscriber_count(), 1);
-        assert_eq!(sim.clone().subscriber_count(), 0);
-    }
-
-    #[test]
-    fn attached_profiler_records_spans() {
-        let registry = MetricsRegistry::new();
-        let mut sim = small_sim(31);
-        sim.attach_profiler(&registry);
-        sim.run_rounds(2);
-        let hist = registry.histogram("sim.profile.step_ns", sandf_obs::duration_buckets());
-        assert_eq!(hist.count(), sim.stats().actions);
-        assert!(registry.metric_names().contains(&"sim.profile.deliver_ns".to_string()));
+        sim.subscribe(Box::new(move |_: &StepReport| {
+            sink.fetch_add(1, Ordering::Relaxed);
+        }));
+        sim.clone().run_rounds(1);
+        assert_eq!(
+            seen.load(Ordering::Relaxed),
+            0,
+            "the clone reported to the original's observer"
+        );
+        sim.step();
+        assert_eq!(seen.load(Ordering::Relaxed), 1);
     }
 
     #[test]
@@ -1105,7 +1073,6 @@ mod tests {
         sim.run_rounds(10);
         assert_eq!(sim.stats().lost, 0, "empty victim set must lose nothing");
         sim.update_fault(|f| f.set_victims(&[victim]));
-        assert!(sim.fault().is_victim(victim));
         sim.run_rounds(30);
         assert!(sim.stats().lost > 0, "victim loss never fired after retarget");
     }

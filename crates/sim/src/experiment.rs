@@ -1,14 +1,12 @@
 //! High-level experiment runners used by the bench harness and the
 //! integration tests. Every runner is deterministic given its seed.
 
-use sandf_core::{NodeId, SfConfig, SfNode};
+use sandf_core::SfConfig;
 use sandf_graph::{edge_jaccard, Histogram, MembershipGraph};
 
-use crate::engine::Simulation;
 use crate::flat::FlatSimulation;
 use crate::loss::UniformLoss;
 use crate::observer::{DegreeSampler, OccupancyCounter};
-use crate::par::ParSimulation;
 use crate::topology;
 
 /// Common experiment parameters.
@@ -27,12 +25,6 @@ pub struct ExperimentParams {
 }
 
 impl ExperimentParams {
-    fn build(&self, initial_out_degree: usize) -> Simulation<UniformLoss> {
-        let nodes = topology::circulant(self.n, self.config, initial_out_degree);
-        let loss = UniformLoss::new(self.loss).expect("loss rate validated by caller");
-        Simulation::new(nodes, loss, self.seed)
-    }
-
     /// Returns a copy with the seed replaced — the hook sweep executors use
     /// to give each replicate of one parameter cell its own stream.
     #[must_use]
@@ -42,66 +34,27 @@ impl ExperimentParams {
     }
 
     /// Builds the simulation these parameters describe (circulant bootstrap
-    /// at the default initial degree, uniform loss, seeded RNG), without
-    /// running it. The result is owned and `Send`, so callers may move it
-    /// onto a worker thread and drive it there — e.g. via
-    /// [`Simulation::run_replicate`].
+    /// at [`initial_degree`], uniform loss, seeded RNG), without running it.
+    /// The result is owned and `Send`, so callers may move it onto a worker
+    /// thread and drive it there — e.g. via
+    /// [`FlatSimulation::run_replicate`].
     #[must_use]
-    pub fn build_simulation(&self) -> Simulation<UniformLoss> {
-        self.build(self.default_initial_degree())
-    }
-
-    /// Builds just the bootstrap topology these parameters describe (the
-    /// circulant at the default initial degree). Topology construction is
-    /// deterministic and seed-independent, so sweep executors can build it
-    /// **once per parameter cell** and clone it into each replicate instead
-    /// of re-deriving it per replicate — see
-    /// [`build_simulation_from`](Self::build_simulation_from).
-    #[must_use]
-    pub fn prepare_topology(&self) -> Vec<SfNode> {
-        topology::circulant(self.n, self.config, self.default_initial_degree())
-    }
-
-    /// Builds the simulation from an already-constructed topology (cloned
-    /// from a cell-level [`prepare_topology`](Self::prepare_topology) call).
-    /// Equivalent to [`build_simulation`](Self::build_simulation) when the
-    /// nodes came from the same parameters: the RNG stream depends only on
-    /// the seed, so hoisting construction cannot change results.
-    #[must_use]
-    pub fn build_simulation_from(&self, nodes: Vec<SfNode>) -> Simulation<UniformLoss> {
+    pub fn build(&self) -> FlatSimulation<UniformLoss> {
+        let nodes = topology::circulant(self.n, self.config, initial_degree(self.config, self.n));
         let loss = UniformLoss::new(self.loss).expect("loss rate validated by caller");
-        Simulation::new(nodes, loss, self.seed)
+        FlatSimulation::new(nodes, loss, self.seed)
     }
+}
 
-    /// Builds the struct-of-arrays fast path over the same topology, loss,
-    /// and seed as [`build_simulation`](Self::build_simulation). The two
-    /// engines are seed-for-seed equivalent; prefer this one at large `n`.
-    #[must_use]
-    pub fn build_flat_simulation(&self) -> FlatSimulation<UniformLoss> {
-        let loss = UniformLoss::new(self.loss).expect("loss rate validated by caller");
-        FlatSimulation::new(self.prepare_topology(), loss, self.seed)
-    }
-
-    /// Builds the sharded multi-threaded engine over the same topology,
-    /// loss, and seed. Results are byte-identical for any `threads`; the
-    /// engine is a round-based statistical mode distinct from (but
-    /// statistically equivalent to) the sequential engines — see the
-    /// [`ParSimulation`] docs.
-    #[must_use]
-    pub fn build_par_simulation(&self, threads: usize) -> ParSimulation<UniformLoss> {
-        let loss = UniformLoss::new(self.loss).expect("loss rate validated by caller");
-        ParSimulation::new(self.prepare_topology(), loss, self.seed, threads)
-    }
-
-    /// A sensible initial outdegree: two thirds of the way from `d_L` to `s`
-    /// (even), so the system starts inside the legal band.
-    fn default_initial_degree(&self) -> usize {
-        let s = self.config.view_size();
-        let d_l = self.config.lower_threshold();
-        let mid = d_l + (s - d_l) * 2 / 3;
-        let mid = mid.min(self.n.saturating_sub(2)).max(2);
-        mid & !1
-    }
+/// The initial outdegree every experiment bootstraps its circulant with:
+/// two thirds of the way from `d_L` to `s`, clamped to `n − 2`, even — so
+/// the system starts inside the legal band.
+#[must_use]
+pub fn initial_degree(config: SfConfig, n: usize) -> usize {
+    let s = config.view_size();
+    let d_l = config.lower_threshold();
+    let mid = d_l + (s - d_l) * 2 / 3;
+    mid.min(n.saturating_sub(2)).max(2) & !1
 }
 
 /// Pooled steady-state degree histograms (empirical counterpart of the
@@ -122,7 +75,7 @@ pub fn steady_state_degrees(
     samples: usize,
     sample_every: usize,
 ) -> DegreeDistributions {
-    let mut sim = params.build(params.default_initial_degree());
+    let mut sim = params.build();
     sim.run_rounds(params.burn_in);
     let mut sampler = DegreeSampler::new();
     for _ in 0..samples {
@@ -151,7 +104,7 @@ pub struct EventRates {
 /// after burn-in.
 #[must_use]
 pub fn steady_state_event_rates(params: &ExperimentParams, measure_rounds: usize) -> EventRates {
-    let mut sim = params.build(params.default_initial_degree());
+    let mut sim = params.build();
     sim.run_rounds(params.burn_in);
     sim.reset_stats();
     sim.run_rounds(measure_rounds);
@@ -168,7 +121,7 @@ pub fn steady_state_event_rates(params: &ExperimentParams, measure_rounds: usize
 /// original instance count still present in live views.
 #[must_use]
 pub fn leave_decay(params: &ExperimentParams, track_rounds: usize) -> Vec<f64> {
-    let mut sim = params.build(params.default_initial_degree());
+    let mut sim = params.build();
     sim.run_rounds(params.burn_in);
     let victim = sim.live_ids()[0];
     sim.leave(victim);
@@ -196,7 +149,7 @@ pub struct JoinIntegration {
 /// to have created at least `D_in / 4` instances.
 #[must_use]
 pub fn join_integration(params: &ExperimentParams, track_rounds: usize) -> JoinIntegration {
-    let mut sim = params.build(params.default_initial_degree());
+    let mut sim = params.build();
     sim.run_rounds(params.burn_in);
     let graph = sim.graph();
     let d_in_at_join = graph.in_degrees().iter().sum::<usize>() as f64 / graph.node_count() as f64;
@@ -229,7 +182,7 @@ pub fn temporal_overlap(
     points: usize,
     measure_every: usize,
 ) -> Vec<OverlapPoint> {
-    let mut sim = params.build(params.default_initial_degree());
+    let mut sim = params.build();
     sim.run_rounds(params.burn_in);
     let reference: MembershipGraph = sim.graph();
     let mut curve = Vec::with_capacity(points + 1);
@@ -263,7 +216,7 @@ pub fn uniformity(
     samples: usize,
     sample_every: usize,
 ) -> UniformityReport {
-    let mut sim = params.build(params.default_initial_degree());
+    let mut sim = params.build();
     sim.run_rounds(params.burn_in);
     let mut counter = OccupancyCounter::new();
     for _ in 0..samples {
@@ -276,13 +229,6 @@ pub fn uniformity(
         degrees_of_freedom: counts.len().saturating_sub(1),
         max_min_ratio: counter.max_min_ratio().unwrap_or(1.0),
     }
-}
-
-/// Convenience: the ids a fresh circulant system assigns — useful for tests
-/// that need a known victim/sponsor.
-#[must_use]
-pub fn first_id() -> NodeId {
-    NodeId::new(0)
 }
 
 /// One checkpoint of a continuous-churn run.
@@ -326,7 +272,7 @@ pub fn continuous_churn(
     checkpoint_every: usize,
 ) -> Vec<ChurnPoint> {
     assert!(churn_interval > 0, "churn interval must be positive");
-    let mut sim = params.build(params.default_initial_degree());
+    let mut sim = params.build();
     sim.run_rounds(params.burn_in);
     let mut points = Vec::new();
     for round in 1..=rounds {

@@ -737,8 +737,8 @@ impl<L: FaultModel, B: ProtocolBehavior> FlatSimulation<L, B> {
         }
     }
 
-    /// Runs one measurement replicate: burn-in, stats reset, measurement;
-    /// see [`Simulation::run_replicate`](crate::Simulation::run_replicate).
+    /// Runs one measurement replicate: `burn_in` rounds, a stats reset, then
+    /// `measure` rounds. Returns the simulation, for a sweep worker to read.
     #[must_use]
     pub fn run_replicate(mut self, burn_in: usize, measure: usize) -> Self {
         self.run_rounds(burn_in);

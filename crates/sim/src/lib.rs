@@ -4,11 +4,14 @@
 //! message loss* (Section 4.1) and analyzes executions in which "a central
 //! entity repeatedly selects a random node \[and\] invokes its
 //! `S&F-InitiateAction()` method" (Section 5). This crate is that model,
-//! executable: a seeded discrete-event [`Simulation`] over
-//! [`sandf_core::SfNode`]s, with pluggable [`LossModel`]s, churn
+//! executable: a seeded discrete-event [`FlatSimulation`] over a
+//! struct-of-arrays slot arena, with pluggable [`LossModel`]s, churn
 //! (join/leave), initial [`topology`] builders, measurement
 //! [`observer`]s, and ready-made [`experiment`] runners for every empirical
-//! result in the paper's evaluation.
+//! result in the paper's evaluation. [`ParSimulation`] shards the same
+//! arena across threads (round-based, statistically equivalent); the
+//! classic [`Simulation`] over [`sandf_core::SfNode`]s runs no experiment —
+//! it is the lockstep oracle the flat engine is held byte-identical to.
 //!
 //! Everything is reproducible: the same seed yields the same execution.
 //!
@@ -16,11 +19,11 @@
 //!
 //! ```
 //! use sandf_core::SfConfig;
-//! use sandf_sim::{topology, Simulation, UniformLoss};
+//! use sandf_sim::{topology, FlatSimulation, UniformLoss};
 //!
 //! let config = SfConfig::new(16, 6)?;
 //! let nodes = topology::random(128, config, 8, &mut rand::thread_rng());
-//! let mut sim = Simulation::new(nodes, UniformLoss::new(0.05)?, 7);
+//! let mut sim = FlatSimulation::new(nodes, UniformLoss::new(0.05)?, 7);
 //! sim.run_rounds(100);
 //!
 //! // Under 5% loss the duplication floor keeps everyone connected.

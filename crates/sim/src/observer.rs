@@ -1,12 +1,11 @@
 //! Measurement hooks that accumulate statistics across simulation rounds.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use sandf_core::NodeId;
 use sandf_graph::{chi_square_uniform, Histogram};
 
-use crate::engine::Simulation;
-use crate::loss::LossModel;
+use crate::traits::Engine;
 
 /// Accumulates in/outdegree histograms across snapshots, pooling all nodes —
 /// the empirical counterpart of the degree-MC stationary distributions of
@@ -26,7 +25,7 @@ impl DegreeSampler {
     }
 
     /// Records the degrees of every live node in the simulation.
-    pub fn sample<L: LossModel>(&mut self, sim: &Simulation<L>) {
+    pub fn sample(&mut self, sim: &impl Engine) {
         let graph = sim.graph();
         for d in graph.out_degrees() {
             self.out_degrees.record(d);
@@ -61,7 +60,7 @@ impl DegreeSampler {
 /// `v ≠ u` has the same probability of appearing in `u`'s view.
 #[derive(Clone, Debug, Default)]
 pub struct OccupancyCounter {
-    appearances: HashMap<NodeId, u64>,
+    appearances: BTreeMap<NodeId, u64>,
     snapshots: u64,
 }
 
@@ -75,21 +74,23 @@ impl OccupancyCounter {
     /// Records, for every live node `v`, the number of *other* views that
     /// currently contain `v` (presence, not multiplicity — matching the
     /// event `v ∈ u.lv`).
-    pub fn sample<L: LossModel>(&mut self, sim: &Simulation<L>) {
-        for viewer in sim.nodes() {
-            let mut seen: Vec<NodeId> = viewer.view().ids().collect();
+    pub fn sample(&mut self, sim: &impl Engine) {
+        let mut seen: Vec<NodeId> = Vec::new();
+        sim.for_each_live_view(&mut |viewer, view| {
+            seen.clear();
+            seen.extend_from_slice(view);
             seen.sort_unstable();
             seen.dedup();
-            for v in seen {
-                if v != viewer.id() {
+            for &v in &seen {
+                if v != viewer {
                     *self.appearances.entry(v).or_insert(0) += 1;
                 }
             }
-        }
+        });
         self.snapshots += 1;
     }
 
-    /// Appearance counts in an unspecified order (one entry per id seen).
+    /// Appearance counts in id order (one entry per id seen).
     #[must_use]
     pub fn counts(&self) -> Vec<u64> {
         self.appearances.values().copied().collect()
@@ -131,51 +132,91 @@ impl OccupancyCounter {
 mod tests {
     use sandf_core::SfConfig;
 
+    use crate::engine::Simulation;
+    use crate::flat::FlatSimulation;
     use crate::loss::UniformLoss;
     use crate::topology;
 
     use super::*;
 
-    fn sim() -> Simulation<UniformLoss> {
-        let config = SfConfig::new(12, 4).unwrap();
-        let nodes = topology::circulant(16, config, 4);
-        Simulation::new(nodes, UniformLoss::none(), 3)
+    /// The same circulant (every degree 4) on the classic oracle and on the
+    /// arena engine: the observers read both through [`Engine`], so every
+    /// test below also holds the oracle's `for_each_live_view` / `graph` to
+    /// the arena's, fresh and 20 rounds in.
+    fn engines() -> (Simulation<UniformLoss>, FlatSimulation<UniformLoss>) {
+        let nodes = || topology::circulant(16, SfConfig::new(12, 4).unwrap(), 4);
+        (
+            Simulation::new(nodes(), UniformLoss::none(), 3),
+            FlatSimulation::new(nodes(), UniformLoss::none(), 3),
+        )
+    }
+
+    fn degrees(sim: &impl Engine) -> DegreeSampler {
+        let mut sampler = DegreeSampler::new();
+        sampler.sample(sim);
+        sampler
+    }
+
+    fn occupancy(sim: &impl Engine) -> OccupancyCounter {
+        let mut counter = OccupancyCounter::new();
+        counter.sample(sim);
+        counter
     }
 
     #[test]
     fn degree_sampler_pools_all_nodes() {
-        let sim = sim();
-        let mut sampler = DegreeSampler::new();
-        sampler.sample(&sim);
-        sampler.sample(&sim);
+        let (mut classic, mut flat) = engines();
+        let mut sampler = degrees(&flat);
+        sampler.sample(&classic);
         assert_eq!(sampler.samples(), 2);
         assert_eq!(sampler.out_degrees().total(), 32);
         // Circulant: every outdegree is 4.
         assert_eq!(sampler.out_degrees().count(4), 32);
         assert_eq!(sampler.in_degrees().count(4), 32);
+        classic.run_rounds(20);
+        flat.run_rounds(20);
+        let (on_classic, on_flat) = (degrees(&classic), degrees(&flat));
+        assert_eq!(on_classic.out_degrees(), on_flat.out_degrees());
+        assert_eq!(on_classic.in_degrees(), on_flat.in_degrees());
     }
 
     #[test]
     fn occupancy_counts_presence_not_multiplicity() {
-        let sim = sim();
-        // Duplicate an id inside one view: presence must count once.
-        let viewer = sim.live_ids()[0];
-        let seen = sim.node(viewer).unwrap().view().ids().next().unwrap();
-        let mut counter = OccupancyCounter::new();
-        counter.sample(&sim);
-        let baseline = counter.count(seen);
+        let (mut classic, mut flat) = engines();
         // Circulant(16, d0=4): each id appears in exactly 4 views.
-        assert_eq!(baseline, 4);
-        let _ = sim; // snapshot taken; nothing else to assert on sim
+        let fresh = occupancy(&flat);
+        assert!(flat.live_ids().into_iter().all(|id| fresh.count(id) == 4));
+        // At d = d_L every send duplicates, so 20 rounds in the views hold
+        // repeated ids: presence counts each (viewer, id) pair once.
+        classic.run_rounds(20);
+        flat.run_rounds(20);
+        let (on_classic, on_flat) = (occupancy(&classic), occupancy(&flat));
+        let ids = flat.live_ids();
+        for &id in &ids {
+            assert_eq!(on_classic.count(id), on_flat.count(id), "engines disagree on {id}");
+        }
+        // Exactly: all edges, less the repeated copies, less each viewer's
+        // own id.
+        let graph = flat.graph();
+        assert!(graph.parallel_edge_count() > 0, "no duplicate arose in 20 rounds");
+        let own = ids.iter().filter(|&&u| graph.edge_multiplicity(u, u) > 0).count();
+        let presence: u64 = on_flat.counts().iter().sum();
+        assert_eq!(presence as usize + own, graph.edge_count() - graph.parallel_edge_count());
     }
 
     #[test]
     fn occupancy_chi_square_is_zero_for_regular_topology() {
-        let sim = sim();
-        let mut counter = OccupancyCounter::new();
-        counter.sample(&sim);
-        assert_eq!(counter.chi_square(), Some(0.0));
-        assert_eq!(counter.max_min_ratio(), Some(1.0));
-        assert_eq!(counter.snapshots(), 1);
+        let (mut classic, mut flat) = engines();
+        for fresh in [occupancy(&classic), occupancy(&flat)] {
+            assert_eq!(fresh.chi_square(), Some(0.0));
+            assert_eq!(fresh.max_min_ratio(), Some(1.0));
+            assert_eq!(fresh.snapshots(), 1);
+        }
+        classic.run_rounds(20);
+        flat.run_rounds(20);
+        let (on_classic, on_flat) = (occupancy(&classic), occupancy(&flat));
+        assert_eq!(on_classic.counts(), on_flat.counts());
+        assert_eq!(on_classic.chi_square(), on_flat.chi_square());
+        assert!(on_flat.chi_square() > Some(0.0), "20 rounds left the circulant regular");
     }
 }

@@ -904,7 +904,7 @@ impl<L: FaultModel + Clone + Send, B: ProtocolBehavior> ParSimulation<L, B> {
 
     /// Runs one measurement replicate: burn-in, stats reset, measurement —
     /// the parallel counterpart of
-    /// [`Simulation::run_replicate`](crate::Simulation::run_replicate).
+    /// [`FlatSimulation::run_replicate`](crate::FlatSimulation::run_replicate).
     #[must_use]
     pub fn run_replicate(mut self, burn_in: usize, measure: usize) -> Self {
         self.run_rounds(burn_in);

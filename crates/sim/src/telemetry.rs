@@ -179,7 +179,8 @@ impl StepSubscriber for SimRecorder {
 mod tests {
     use sandf_obs::MetricsRegistry;
 
-    use crate::engine::{DelayModel, Simulation};
+    use crate::engine::DelayModel;
+    use crate::flat::FlatSimulation;
     use crate::loss::UniformLoss;
     use crate::topology;
 
@@ -197,7 +198,7 @@ mod tests {
     fn recorder_matches_sim_stats() {
         let registry = MetricsRegistry::new();
         let nodes = topology::circulant(24, config(), 4);
-        let mut sim = Simulation::new(nodes, UniformLoss::new(0.1).unwrap(), 41);
+        let mut sim = FlatSimulation::new(nodes, UniformLoss::new(0.1).unwrap(), 41);
         sim.subscribe(Box::new(SimRecorder::new(&registry)));
         for _ in 0..800 {
             sim.step();
@@ -219,7 +220,7 @@ mod tests {
         // deliveries must land in stored/deleted once they complete.
         let registry = MetricsRegistry::new();
         let nodes = topology::circulant(24, config(), 4);
-        let mut sim = Simulation::with_delay(
+        let mut sim = FlatSimulation::with_delay(
             nodes,
             UniformLoss::new(0.05).unwrap(),
             DelayModel::UniformSteps { max: 40 },
@@ -252,7 +253,7 @@ mod tests {
             let registry = MetricsRegistry::new();
             let journal = sandf_obs::EventJournal::new(4_096);
             let nodes = topology::circulant(24, config(), 4);
-            let mut sim = Simulation::new(nodes, UniformLoss::new(0.1).unwrap(), 47);
+            let mut sim = FlatSimulation::new(nodes, UniformLoss::new(0.1).unwrap(), 47);
             sim.subscribe(Box::new(SimRecorder::with_journal(&registry, journal.clone())));
             for _ in 0..300 {
                 sim.step();

@@ -40,7 +40,7 @@
 //! receiver discovered at delivery, while loss is a property of the
 //! channel decided at send. (The retired `BaselineHarness` did the
 //! opposite and checked liveness first; its RNG stream shifted under churn
-//! — see `sandf-baselines` for the regression test.)
+//! — see `sandf-zoo`'s `harness` tests for the regression test.)
 
 use std::fmt;
 

@@ -1,11 +1,11 @@
-//! # sandf-baselines — the protocols S&F is contrasted with
+//! The protocols S&F is contrasted with.
 //!
 //! Section 3.1 of the paper taxonomizes gossip membership protocols along
 //! two axes: push vs. pull, and whether sent ids are kept or deleted. This
-//! crate implements one representative of each corner the paper discusses
-//! as a [`sandf_sim::ProtocolBehavior`] (module [`behaviors`]), so all of
-//! them run beside S&F on the unified `Engine` trait — `FlatSimulation`
-//! and `ParSimulation` — under identical conditions:
+//! module implements one representative of each corner the paper discusses
+//! as a [`sandf_sim::ProtocolBehavior`], so all of them run beside S&F on
+//! the unified `Engine` trait — `FlatSimulation` and `ParSimulation` —
+//! under identical conditions:
 //!
 //! * [`PushOnlyBehavior`] — reinforcement-only push that keeps sent ids
 //!   (Lpbcast-flavored): loss-immune but spatially dependent;
@@ -28,7 +28,7 @@
 //! ## Example
 //!
 //! ```
-//! use sandf_baselines::ShuffleBehavior;
+//! use sandf_zoo::baselines::ShuffleBehavior;
 //! use sandf_core::{NodeId, SfConfig};
 //! use sandf_sim::{FlatSimulation, UniformLoss};
 //!
@@ -43,17 +43,11 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
-pub mod behaviors;
-mod harness;
-mod push_pull;
-mod shuffle;
-mod traits;
-
-pub use behaviors::{PushOnlyBehavior, PushPullBehavior, ShuffleBehavior};
-pub use harness::{BaselineHarness, HarnessMetrics};
-pub use push_pull::PushPullNode;
-pub use shuffle::ShuffleNode;
-pub use traits::{GossipProtocol, Outgoing, ProtocolMessage};
+pub use crate::behaviors::{
+    PushOnlyBehavior, PushPullBehavior, ShuffleBehavior, KIND_PULL_REPLY, KIND_PUSH,
+    KIND_SHUFFLE_REPLY, KIND_SHUFFLE_REQUEST,
+};
+pub use crate::harness::{BaselineHarness, HarnessMetrics};
+pub use crate::push_pull::PushPullNode;
+pub use crate::shuffle::ShuffleNode;
+pub use crate::traits::{GossipProtocol, Outgoing, ProtocolMessage};

@@ -4,11 +4,11 @@
 //!
 //! Each protocol works on a fixed-slot arena window ([`SlotView`]).
 //! Shuffle and push-pull are re-expressions of the `Vec`-backed
-//! references [`ShuffleNode`](crate::ShuffleNode) and
-//! [`PushPullNode`](crate::PushPullNode): the same multiset dynamics
-//! (what enters and leaves a view, and with what probability), not the
-//! same RNG draw sequence — the references append below capacity where
-//! the arena picks a uniformly random empty slot, which changes slot
+//! references [`ShuffleNode`](crate::baselines::ShuffleNode) and
+//! [`PushPullNode`](crate::baselines::PushPullNode): the same multiset
+//! dynamics (what enters and leaves a view, and with what probability),
+//! not the same RNG draw sequence — the references append below capacity
+//! where the arena picks a uniformly random empty slot, which changes slot
 //! positions but not the view contents. `tests/protocol_conformance.rs`
 //! checks the two against each other statistically (ci95 bands at
 //! matched parameters).
@@ -141,7 +141,7 @@ impl ProtocolBehavior for PushOnlyBehavior {
     }
 }
 
-/// Allavena-style push-pull ([`PushPullNode`](crate::PushPullNode) over
+/// Allavena-style push-pull ([`PushPullNode`](crate::baselines::PushPullNode) over
 /// the arena): reinforcement by push, mixing by a pull reply whose ids are
 /// copied, never removed — loss-immune, dependence-heavy.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -227,7 +227,7 @@ impl ProtocolBehavior for PushPullBehavior {
     }
 }
 
-/// Cyclon/flipper-style shuffle ([`ShuffleNode`](crate::ShuffleNode) over
+/// Cyclon/flipper-style shuffle ([`ShuffleNode`](crate::baselines::ShuffleNode) over
 /// the arena): bidirectional exchanges that *delete* sent ids — the
 /// Section 3.1 baseline that drains under loss, because a lost request or
 /// reply permanently destroys the ids in flight.

@@ -8,19 +8,19 @@
 
 use sandf::markov::decay;
 use sandf::sim::topology;
-use sandf::{DegreeStats, NodeId, SfConfig, Simulation, UniformLoss};
+use sandf::{DegreeStats, FlatSimulation, NodeId, SfConfig, UniformLoss};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let config = SfConfig::new(40, 18)?;
     let loss = 0.05;
     let nodes = topology::circulant(300, config, 30);
-    let mut sim = Simulation::new(nodes, UniformLoss::new(loss)?, 23);
+    let mut sim = FlatSimulation::new(nodes, UniformLoss::new(loss)?, 23);
 
     println!("burn-in: 200 rounds, n=300, 5% loss ...");
     sim.run_rounds(200);
 
     // --- A wave of churn: 30 nodes leave, 30 join. ---
-    let victims: Vec<NodeId> = sim.live_ids().iter().copied().take(30).collect();
+    let victims: Vec<NodeId> = sim.live_ids().into_iter().take(30).collect();
     for v in &victims {
         sim.leave(*v);
     }

@@ -3,7 +3,7 @@
 //! Run with: `cargo run --example quickstart`
 
 use sandf::sim::topology;
-use sandf::{DegreeStats, SfConfig, Simulation, UniformLoss};
+use sandf::{DegreeStats, FlatSimulation, SfConfig, UniformLoss};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Parameters from the paper's running example (Section 6.3): view size
@@ -16,7 +16,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // paper's analysis assumes n >> s, so give the 40-slot views a
     // thousand nodes to sample from.
     let nodes = topology::circulant(1000, config, 30);
-    let mut sim = Simulation::new(nodes, UniformLoss::new(0.01)?, 7);
+    let mut sim = FlatSimulation::new(nodes, UniformLoss::new(0.01)?, 7);
 
     println!("running 1000 nodes under 1% uniform loss: 200 burn-in rounds ...");
     sim.run_rounds(200);

@@ -12,10 +12,10 @@
 use std::collections::HashMap;
 use std::process::ExitCode;
 
-use sandf::sim::experiment::{steady_state_degrees, ExperimentParams};
+use sandf::sim::experiment::{initial_degree, steady_state_degrees, ExperimentParams};
 use sandf::sim::topology;
 use sandf::{
-    select_thresholds, DegreeMc, DegreeMcParams, DegreeStats, SfConfig, Simulation, UniformLoss,
+    select_thresholds, DegreeMc, DegreeMcParams, DegreeStats, FlatSimulation, SfConfig, UniformLoss,
 };
 
 /// Parsed `--key value` flags.
@@ -61,9 +61,9 @@ fn cmd_simulate(flags: &Flags) -> Result<(), String> {
     let seed: u64 = flags.get("seed", 42)?;
 
     let config = SfConfig::new(s, d_l).map_err(|e| e.to_string())?;
-    let d0 = ((d_l + (s - d_l) * 2 / 3) & !1).min(n - 2).max(2);
-    let nodes = topology::circulant(n, config, d0);
-    let mut sim = Simulation::new(nodes, UniformLoss::new(loss).map_err(|e| e.to_string())?, seed);
+    let nodes = topology::circulant(n, config, initial_degree(config, n));
+    let loss_model = UniformLoss::new(loss).map_err(|e| e.to_string())?;
+    let mut sim = FlatSimulation::new(nodes, loss_model, seed);
     sim.run_rounds(rounds);
 
     let graph = sim.graph();

@@ -20,7 +20,7 @@
 //!   per-node shuffle/push-pull reference the conformance tests use);
 //! * [`variants`] — the Section 5 optimizations the paper deferred
 //!   (undeletion, replace-when-full, batched sends), likewise as
-//!   behaviors;
+//!   behaviors — both modules of the one protocol-zoo crate;
 //! * [`net`] — the `Transport` trait, UDP sockets, a loss-injecting
 //!   decorator, and the 17-byte wire codec;
 //! * [`daemon`] — S&F on a wire: a long-running membership service
@@ -34,13 +34,13 @@
 //! ## Quick start
 //!
 //! ```
-//! use sandf::{SfConfig, Simulation, UniformLoss};
+//! use sandf::{FlatSimulation, SfConfig, UniformLoss};
 //! use sandf::sim::topology;
 //!
 //! // Parameters from the paper's running example (Section 6.3).
 //! let config = SfConfig::new(40, 18)?;
 //! let nodes = topology::circulant(200, config, 30);
-//! let mut sim = Simulation::new(nodes, UniformLoss::new(0.01)?, 42);
+//! let mut sim = FlatSimulation::new(nodes, UniformLoss::new(0.01)?, 42);
 //! sim.run_rounds(100);
 //!
 //! assert!(sim.graph().is_weakly_connected());
@@ -54,7 +54,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub use sandf_baselines as baselines;
 pub use sandf_core as core;
 pub use sandf_daemon as daemon;
 pub use sandf_graph as graph;
@@ -76,4 +75,4 @@ pub use sandf_sim::{
     ScheduledFault, SfBehavior, SimStats, Simulation, SlotView, SpreadReport, TraceEdge,
     UniformLoss, VictimLoss,
 };
-pub use sandf_variants as variants;
+pub use sandf_zoo::{baselines, variants};

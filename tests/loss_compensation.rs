@@ -54,7 +54,8 @@ fn edge_population_is_stationary() {
     // blows up in the steady state.
     let config = SfConfig::new(40, 18).expect("paper parameters");
     let nodes = sandf::sim::topology::circulant(400, config, 30);
-    let mut sim = sandf::Simulation::new(nodes, sandf::UniformLoss::new(0.05).expect("valid"), 62);
+    let mut sim =
+        sandf::FlatSimulation::new(nodes, sandf::UniformLoss::new(0.05).expect("valid"), 62);
     sim.run_rounds(400);
     let reference = sim.graph().edge_count() as f64;
     for _ in 0..5 {

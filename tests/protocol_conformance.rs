@@ -19,9 +19,10 @@
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use sandf::baselines::behaviors::{PushOnlyBehavior, PushPullBehavior, ShuffleBehavior};
-use sandf::baselines::{BaselineHarness, PushPullNode, ShuffleNode};
-use sandf::variants::behaviors::{BatchedBehavior, ReplaceBehavior, UndeleteBehavior};
+use sandf::baselines::{
+    BaselineHarness, PushOnlyBehavior, PushPullBehavior, PushPullNode, ShuffleBehavior, ShuffleNode,
+};
+use sandf::variants::{BatchedBehavior, ReplaceBehavior, UndeleteBehavior};
 use sandf::{
     Engine, FlatSimulation, NodeId, ParSimulation, ProtocolBehavior, SfConfig, UniformLoss,
 };

@@ -3,10 +3,10 @@
 //! any initial state" that is sufficiently connected.
 
 use sandf::sim::topology;
-use sandf::{DegreeStats, SfConfig, Simulation, UniformLoss};
+use sandf::{DegreeStats, FlatSimulation, SfConfig, UniformLoss};
 
-fn converged_from(nodes: Vec<sandf::SfNode>, seed: u64) -> Simulation<UniformLoss> {
-    let mut sim = Simulation::new(nodes, UniformLoss::new(0.01).expect("valid"), seed);
+fn converged_from(nodes: Vec<sandf::SfNode>, seed: u64) -> FlatSimulation<UniformLoss> {
+    let mut sim = FlatSimulation::new(nodes, UniformLoss::new(0.01).expect("valid"), seed);
     sim.run_rounds(500);
     sim
 }
@@ -98,7 +98,7 @@ fn heavy_loss_does_not_partition_a_well_provisioned_system() {
     // minimum, even 10% loss keeps the overlay whole.
     let config = SfConfig::new(40, 26).expect("d_L from the paper's connectivity example");
     let nodes = topology::circulant(300, config, 30);
-    let mut sim = Simulation::new(nodes, UniformLoss::new(0.1).expect("valid"), 5);
+    let mut sim = FlatSimulation::new(nodes, UniformLoss::new(0.1).expect("valid"), 5);
     for _ in 0..10 {
         sim.run_rounds(50);
         assert!(sim.graph().is_weakly_connected(), "partition under loss");
