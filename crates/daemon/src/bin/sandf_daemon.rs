@@ -10,7 +10,7 @@
 
 use std::time::Duration;
 
-use sandf_daemon::DaemonConfig;
+use sandf_daemon::{DaemonConfig, WireLedger};
 
 struct Args {
     config: DaemonConfig,
@@ -103,11 +103,13 @@ fn main() {
         }
     }
     let snap = daemon.snapshot();
+    let registry = daemon.registry().clone();
     daemon.shutdown();
     eprintln!(
         "sandf-daemon: stopped after {} rounds; {} checks, {} degree violations, {} stale violations",
         snap.round, snap.checks, snap.degree_violations, snap.stale_violations
     );
+    eprintln!("sandf-daemon: wire ledger: {}", WireLedger::read(&registry));
     if snap.degree_violations + snap.stale_violations > 0 {
         std::process::exit(1);
     }

@@ -11,13 +11,15 @@
 //! loopback port and soaked in-process. The TSV report goes to stdout; with
 //! `--out PREFIX`, `PREFIX.tsv` and `PREFIX.json` are written too. Exit
 //! status is 0 only if the post-heal phase has zero Observation 5.1 and
-//! Lemma 6.10 violations, `/healthz` answers 200, and `/metrics` exposes
-//! the daemon's wire counters.
+//! Lemma 6.10 violations, `/healthz` answers 200, `/metrics` exposes the
+//! daemon's wire counters and — for an embedded daemon, whose loop can be
+//! stopped first — the wire ledger closes: `delivered = received +
+//! dead_letters + fault_dropped`, no frame lost in the kernel.
 
 use std::net::SocketAddr;
 use std::time::Duration;
 
-use sandf_daemon::{http_get, run_soak, DaemonConfig, SoakConfig};
+use sandf_daemon::{http_get, run_soak, DaemonConfig, SoakConfig, WireLedger};
 
 struct Args {
     connect: Option<SocketAddr>,
@@ -124,20 +126,35 @@ fn main() {
     // invariant violations.
     let healthz = http_get(addr, "/healthz").map(|(s, _)| s).unwrap_or(0);
     let metrics_ok = http_get(addr, "/metrics")
-        .map(|(s, body)| s == 200 && body.contains("sandf_daemon_net_sent"))
+        .map(|(s, body)| {
+            s == 200
+                && body.contains("sandf_daemon_net_sent")
+                && body.contains("sandf_daemon_net_received")
+        })
         .unwrap_or(false);
     let violations = report.post_heal_violations();
-    if let Some(daemon) = embedded {
+    // A live loop is always between two counter updates; a stopped one has
+    // taken its last sends off the wire.
+    let ledger = embedded.map(|daemon| {
+        let registry = daemon.registry().clone();
         daemon.shutdown();
-    }
+        WireLedger::read(&registry)
+    });
 
     if healthz != 200 {
         eprintln!("soak_run: FAIL — /healthz returned {healthz}");
         std::process::exit(1);
     }
     if !metrics_ok {
-        eprintln!("soak_run: FAIL — /metrics lacks sandf_daemon_net_sent");
+        eprintln!("soak_run: FAIL — /metrics lacks sandf_daemon_net_sent or _received");
         std::process::exit(1);
+    }
+    if let Some(ledger) = ledger {
+        eprintln!("soak_run: wire ledger: {ledger}");
+        if ledger.in_flight() > 0 {
+            eprintln!("soak_run: FAIL — frames went missing between send and receive");
+            std::process::exit(1);
+        }
     }
     if violations > 0 {
         eprintln!("soak_run: FAIL — {violations} post-heal invariant violations");

@@ -2,7 +2,7 @@
 //! the socket boundary, reconfigurable at runtime.
 //!
 //! The injector sits between each node's [`LossyTransport`] base-loss layer
-//! and its UDP socket: every outgoing datagram is offered to the currently
+//! and its handle on the daemon's UDP socket: every outgoing datagram is offered to the currently
 //! installed [`ScheduledFault`], and the schedule is shared by all nodes in
 //! the process so one `POST /ctl/fault` retargets the whole fleet. Capacity
 //! models additionally gate node *ticks* via
@@ -141,10 +141,18 @@ impl FaultInjector {
         self.dropped.get()
     }
 
-    /// Messages addressed to departed (unresolvable) peers so far.
+    /// Messages addressed to departed peers so far: sends the
+    /// [`AddressBook`] could not resolve, and frames that came off the wire
+    /// for an id with no live node.
     #[must_use]
     pub fn dead_letters(&self) -> u64 {
         self.dead_letters.get()
+    }
+
+    /// Counts `count` frames that came off the wire for an id with no live
+    /// node (their peer left while they were in flight).
+    pub(crate) fn record_dead_letters(&self, count: u64) {
+        self.dead_letters.add(count);
     }
 
     fn drops(&self, from: NodeId, to: NodeId, rng: &mut StdRng) -> bool {

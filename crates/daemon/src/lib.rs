@@ -1,9 +1,11 @@
 //! `sandf-daemon`: a long-running S&F membership service over real UDP.
 //!
-//! One process multiplexes thousands of S&F nodes, each with its own
-//! loopback UDP socket, on a single-threaded event loop (a timer wheel for
-//! action ticks plus batched non-blocking socket drains — no async
-//! runtime). Around that loop the crate layers:
+//! One process multiplexes thousands of S&F nodes over one loopback UDP
+//! socket — every datagram a frame that names its destination node — on a
+//! single-threaded event loop (a timer wheel for action ticks plus a
+//! bounded-cadence non-blocking drain of the socket into per-node inboxes —
+//! no async runtime), and accounts for every frame across the kernel
+//! ([`WireLedger`]). Around that loop the crate layers:
 //!
 //! - a **wire-level fault injector** ([`fault`]) reusing the simulation
 //!   fault zoo (uniform, Gilbert–Elliott bursts, regional partitions,
@@ -48,6 +50,6 @@ pub mod wheel;
 pub use fault::{FaultInjector, FaultedTransport};
 pub use http::{http_get, http_post, http_request};
 pub use invariants::{CheckOutcome, InvariantChecker, WireTotals};
-pub use service::{Control, DaemonConfig, DaemonHandle, MembershipSnapshot};
+pub use service::{Control, DaemonConfig, DaemonHandle, MembershipSnapshot, WireLedger};
 pub use soak::{run_soak, PhaseRow, SoakConfig, SoakReport};
 pub use wheel::{TimerWheel, WheelItem};

@@ -1,15 +1,28 @@
 //! The daemon's event loop: thousands of S&F nodes multiplexed on one
-//! thread over real UDP sockets.
+//! thread over one real UDP socket.
 //!
 //! # Design
 //!
-//! Each node owns a loopback UDP socket wrapped in the daemon transport
-//! stack `LossyTransport<FaultedTransport<UdpTransport>>` — base Section
-//! 4.1 loss outermost, then the runtime-reconfigurable fault injector, then
-//! the wire. Sockets are non-blocking; instead of a readiness API the loop
-//! drains each node's socket in a batch ([`Transport::recv_batch`]) exactly
-//! when that node's action timer fires, so a node's receive step and
-//! initiate step happen back-to-back at a quiescent point.
+//! The daemon binds a single non-blocking loopback socket
+//! ([`SharedSocket`]); every datagram on it is a frame, the destination
+//! node's id followed by the 17-byte message. Each node sends through its
+//! own handle on that socket, wrapped in the daemon transport stack
+//! `LossyTransport<FaultedTransport<UdpTransport>>` — base Section 4.1 loss
+//! outermost, then the runtime-reconfigurable fault injector, then the
+//! wire. The loop, not the node, receives: before every [`DRAIN_CHUNK`]
+//! node ticks it drains the socket into per-node inboxes, looking the
+//! destination up in a dense id → slot table, and a node whose action timer
+//! fires takes its inbox and then initiates, so its receive step and
+//! initiate step happen back-to-back at a quiescent point. A frame for an
+//! id with no live node is a dead letter.
+//!
+//! The wire is accounted across the kernel: `daemon.net.received` counts
+//! frames put into a live inbox, and once the loop has stopped and drained
+//! the socket a last time,
+//! `delivered = received + dead_letters + daemon.fault.dropped` holds
+//! exactly (the last term is zero unless a fault was injected) — a datagram
+//! the kernel dropped would show as a deficit on the right
+//! ([`WireLedger`]).
 //!
 //! Timers live on a single-rotation [`TimerWheel`] whose rotation period is
 //! one protocol round: `W` ticks per rotation, node slot `k` parked at tick
@@ -37,7 +50,7 @@ use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use sandf_core::{InitiateOutcome, Message, NodeId, SfConfig, SfNode};
 use sandf_graph::MembershipGraph;
-use sandf_net::{AddressBook, LossyTransport, Transport, UdpTransport};
+use sandf_net::{AddressBook, LossyTransport, SharedSocket, Transport, UdpTransport};
 use sandf_obs::{CounterHandle, EventJournal, GaugeHandle, JournalEvent, MetricsRegistry};
 use sandf_sim::{topology, FaultSpec, PhaseFault};
 
@@ -47,11 +60,32 @@ use crate::invariants::{CheckOutcome, InvariantChecker, WireTotals};
 use crate::wheel::{TimerWheel, WheelItem};
 
 /// Ticks per wheel rotation (= per protocol round). Nodes are spread
-/// across the rotation so socket drains stay small.
+/// across the rotation so one tick's work stays small.
 pub const WHEEL_SLOTS: usize = 64;
 
-/// Max datagrams drained from one node's socket per tick.
+/// Node ticks between two drains of the socket. A node tick sends at most
+/// one datagram, so at most this many of the daemon's own frames ever wait
+/// in the kernel, whatever the send rate. The receive buffer charges a
+/// small loopback datagram up to ≈ 1280 B (the `sk_buff` plus its data
+/// area), and Linux's default buffer is 212 992 B: 166 frames fit, 64 hold
+/// ≈ 80 KB of it and leave more than half to senders outside the process.
+/// Draining once per loop iteration instead (a whole rotation of a
+/// saturated thousand-node fleet) overflows it, and the kernel drops
+/// silently.
+pub const DRAIN_CHUNK: usize = 64;
+
+/// Max frames taken off the socket in one drain: the fleet's own frames
+/// number at most [`DRAIN_CHUNK`], so this only bounds the time a flood
+/// from outside the process can hold the loop.
 const RECV_BATCH_MAX: usize = 4096;
+
+/// How long shutdown waits for frames the ledger says are still in the
+/// kernel (a loopback send usually lands before it returns; one that
+/// errored never does).
+const SHUTDOWN_DRAIN: Duration = Duration::from_millis(20);
+
+/// `slot_of` entry of an id with no live slot; no slot index reaches it.
+const NO_SLOT: u32 = u32::MAX;
 
 /// The metric prefix shared by every node's loss layer; the registry
 /// dedupes by name, so the whole fleet shares `daemon.net.*` counters.
@@ -100,13 +134,13 @@ impl Default for DaemonConfig {
 }
 
 impl DaemonConfig {
-    /// Boots the service: binds sockets, bootstraps the fleet, starts the
-    /// event-loop thread (and the HTTP thread when a port is configured).
+    /// Boots the service: binds the socket, bootstraps the fleet, starts
+    /// the event-loop thread (and the HTTP thread when a port is configured).
     ///
     /// # Errors
     ///
-    /// Returns [`io::Error`] on invalid protocol parameters, socket bind
-    /// failures, or HTTP listener failures.
+    /// Returns [`io::Error`] on invalid protocol parameters, a socket bind
+    /// failure, or HTTP listener failures.
     pub fn spawn(self) -> io::Result<DaemonHandle> {
         spawn_daemon(self)
     }
@@ -209,12 +243,68 @@ impl MembershipSnapshot {
     }
 }
 
+/// The daemon's wire accounting across the kernel, read from its registry.
+///
+/// Every frame the base-loss layer hands on is dropped by an injected
+/// fault, found to be a dead letter (at the send, when the address book no
+/// longer resolves the peer, or coming off the wire, when the peer left
+/// meanwhile), or put into a live node's inbox. After
+/// [`DaemonHandle::shutdown`] nothing is [in flight](Self::in_flight): a
+/// remainder is datagrams the kernel dropped or sends that failed.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct WireLedger {
+    /// `daemon.net.delivered`: frames that passed the base-loss layer.
+    pub delivered: u64,
+    /// `daemon.fault.dropped`: of those, dropped by the injected fault.
+    pub fault_dropped: u64,
+    /// `daemon.net.dead_letters`: frames for a peer that had left.
+    pub dead_letters: u64,
+    /// `daemon.net.received`: frames put into a live node's inbox.
+    pub received: u64,
+}
+
+impl WireLedger {
+    /// Reads the four counters (zero for a registry that lacks one).
+    #[must_use]
+    pub fn read(registry: &MetricsRegistry) -> Self {
+        let counter = |name| registry.counter_value(name).unwrap_or(0);
+        Self {
+            delivered: counter("daemon.net.delivered"),
+            fault_dropped: counter("daemon.fault.dropped"),
+            dead_letters: counter("daemon.net.dead_letters"),
+            received: counter("daemon.net.received"),
+        }
+    }
+
+    /// Frames handed to the wire that have not been seen coming off it.
+    #[must_use]
+    pub fn in_flight(&self) -> u64 {
+        self.delivered.saturating_sub(self.received + self.dead_letters + self.fault_dropped)
+    }
+}
+
+impl std::fmt::Display for WireLedger {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "delivered {} = received {} + dead_letters {} + fault_dropped {} + in flight {}",
+            self.delivered,
+            self.received,
+            self.dead_letters,
+            self.fault_dropped,
+            self.in_flight()
+        )
+    }
+}
+
 type NodeTransport = LossyTransport<FaultedTransport<UdpTransport>>;
 
 struct NodeSlot {
     node: SfNode,
     transport: NodeTransport,
     rng: StdRng,
+    /// Messages drained off the socket for this node since its last tick.
+    inbox: Vec<Message>,
 }
 
 /// A handle to a running daemon. Dropping it shuts the daemon down.
@@ -224,6 +314,7 @@ pub struct DaemonHandle {
     registry: MetricsRegistry,
     journal: EventJournal,
     http_addr: Option<SocketAddr>,
+    udp_addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
     loop_thread: Option<JoinHandle<Vec<SfNode>>>,
     http_thread: Option<JoinHandle<()>>,
@@ -234,6 +325,13 @@ impl DaemonHandle {
     #[must_use]
     pub fn http_addr(&self) -> Option<SocketAddr> {
         self.http_addr
+    }
+
+    /// The address of the one UDP socket every node of the daemon sends and
+    /// receives through.
+    #[must_use]
+    pub fn udp_addr(&self) -> SocketAddr {
+        self.udp_addr
     }
 
     /// The latest published [`MembershipSnapshot`].
@@ -327,7 +425,11 @@ struct ServiceState {
     slots: Vec<Option<NodeSlot>>,
     generations: Vec<u64>,
     free: Vec<usize>,
+    /// Node id → index into `slots`, [`NO_SLOT`] for ids that left. Ids are
+    /// issued densely from 0: the table's length is the next one.
+    slot_of: Vec<u32>,
     wheel: TimerWheel,
+    socket: SharedSocket,
     book: AddressBook,
     injector: FaultInjector,
     checker: InvariantChecker,
@@ -335,7 +437,6 @@ struct ServiceState {
     journal: EventJournal,
     snapshot: Arc<Mutex<MembershipSnapshot>>,
     rng: StdRng,
-    next_id: u64,
     departed: u64,
     /// Stats of departed nodes, folded in at leave time so window deltas
     /// never run backwards.
@@ -352,13 +453,15 @@ struct ServiceState {
     degree_viol_counter: CounterHandle,
     stale_viol_counter: CounterHandle,
     recv_errors: CounterHandle,
+    received: CounterHandle,
 }
 
 fn invalid<E: std::fmt::Display>(e: E) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidInput, e.to_string())
 }
 
-fn spawn_daemon(config: DaemonConfig) -> io::Result<DaemonHandle> {
+/// Validates `config`, binds the socket and bootstraps the fleet.
+fn boot(config: DaemonConfig) -> io::Result<ServiceState> {
     let sf = SfConfig::new(config.view_size, config.lower_threshold).map_err(invalid)?;
     if config.initial_nodes == 0 {
         return Err(invalid("initial_nodes must be positive"));
@@ -377,29 +480,24 @@ fn spawn_daemon(config: DaemonConfig) -> io::Result<DaemonHandle> {
     }
 
     let registry = MetricsRegistry::new();
-    let journal = EventJournal::new(config.journal_capacity.max(64));
-    let book = AddressBook::new();
-    let injector = FaultInjector::new(&registry);
-    let snapshot = Arc::new(Mutex::new(MembershipSnapshot {
-        live: config.initial_nodes,
-        fault: "none".into(),
-        ..MembershipSnapshot::default()
-    }));
-
     let mut state = ServiceState {
         sf,
         slots: Vec::with_capacity(config.initial_nodes),
         generations: Vec::with_capacity(config.initial_nodes),
         free: Vec::new(),
+        slot_of: Vec::with_capacity(config.initial_nodes),
         wheel: TimerWheel::new(WHEEL_SLOTS),
-        book: book.clone(),
-        injector: injector.clone(),
+        socket: SharedSocket::bind_loopback().map_err(|e| io::Error::other(e.to_string()))?,
+        book: AddressBook::new(),
+        injector: FaultInjector::new(&registry),
         checker: InvariantChecker::new(sf),
-        registry: registry.clone(),
-        journal: journal.clone(),
-        snapshot: Arc::clone(&snapshot),
+        journal: EventJournal::new(config.journal_capacity.max(64)),
+        snapshot: Arc::new(Mutex::new(MembershipSnapshot {
+            live: config.initial_nodes,
+            fault: "none".into(),
+            ..MembershipSnapshot::default()
+        })),
         rng: StdRng::seed_from_u64(config.seed),
-        next_id: 0,
         departed: 0,
         retired_actions: 0,
         retired_duplications: 0,
@@ -414,19 +512,24 @@ fn spawn_daemon(config: DaemonConfig) -> io::Result<DaemonHandle> {
         degree_viol_counter: registry.counter("daemon.violations.degree"),
         stale_viol_counter: registry.counter("daemon.violations.stale"),
         recv_errors: registry.counter("daemon.net.recv_errors"),
+        received: registry.counter("daemon.net.received"),
+        registry,
         config,
     };
 
-    // Bootstrap the fleet synchronously so bind failures surface here.
     for node in topology::circulant(state.config.initial_nodes, sf, state.config.initial_degree) {
-        let slot = state.build_slot(node).map_err(|e| io::Error::other(e.to_string()))?;
-        let key = state.slots.len();
-        state.slots.push(Some(slot));
-        state.generations.push(0);
+        let key = state.place(node);
         state.wheel.schedule((key % WHEEL_SLOTS) as u64, WheelItem { key, generation: 0 });
     }
-    state.next_id = state.config.initial_nodes as u64;
     state.nodes_gauge.set(state.config.initial_nodes as f64);
+    Ok(state)
+}
+
+fn spawn_daemon(config: DaemonConfig) -> io::Result<DaemonHandle> {
+    let state = boot(config)?;
+    let (registry, journal) = (state.registry.clone(), state.journal.clone());
+    let snapshot = Arc::clone(&state.snapshot);
+    let udp_addr = state.socket.local_addr();
 
     let (ctl_tx, ctl_rx) = channel();
     let shutdown = Arc::new(AtomicBool::new(false));
@@ -456,6 +559,7 @@ fn spawn_daemon(config: DaemonConfig) -> io::Result<DaemonHandle> {
         registry,
         journal,
         http_addr,
+        udp_addr,
         shutdown,
         loop_thread: Some(loop_thread),
         http_thread,
@@ -466,7 +570,6 @@ fn run_loop(mut state: ServiceState, ctl: &Receiver<Control>) -> Vec<SfNode> {
     let start = Instant::now();
     let granularity = (state.config.tick.as_nanos() as u64 / WHEEL_SLOTS as u64).max(1);
     let mut due: Vec<WheelItem> = Vec::new();
-    let mut inbox: Vec<Message> = Vec::new();
     let mut next_check = state.config.check_every;
 
     'outer: loop {
@@ -499,10 +602,13 @@ fn run_loop(mut state: ServiceState, ctl: &Receiver<Control>) -> Vec<SfNode> {
         state.wheel.advance_to(target, &mut due);
         let round = state.wheel.rounds();
         state.injector.set_round(round);
-        for item in &due {
-            if state.generations[item.key] == item.generation {
-                state.tick_node(item.key, round, &mut inbox);
-                state.wheel.schedule(WHEEL_SLOTS as u64 - 1, *item);
+        for chunk in due.chunks(DRAIN_CHUNK) {
+            state.drain_socket();
+            for item in chunk {
+                if state.generations[item.key] == item.generation {
+                    state.tick_node(item.key, round);
+                    state.wheel.schedule(WHEEL_SLOTS as u64 - 1, *item);
+                }
             }
         }
         state.round_gauge.set(round as f64);
@@ -512,6 +618,15 @@ fn run_loop(mut state: ServiceState, ctl: &Receiver<Control>) -> Vec<SfNode> {
             next_check = round + state.config.check_every;
         }
     }
+    // Take what the last ticks sent off the wire, so the ledger closes.
+    let deadline = Instant::now() + SHUTDOWN_DRAIN;
+    loop {
+        state.drain_socket();
+        if WireLedger::read(&state.registry).in_flight() == 0 || Instant::now() >= deadline {
+            break;
+        }
+        std::thread::yield_now();
+    }
     // Final check so short-lived daemons still publish one verdict.
     let round = state.wheel.rounds();
     state.run_check(round.max(1));
@@ -519,12 +634,12 @@ fn run_loop(mut state: ServiceState, ctl: &Receiver<Control>) -> Vec<SfNode> {
 }
 
 impl ServiceState {
-    fn build_slot(&mut self, node: SfNode) -> Result<NodeSlot, String> {
+    /// Wraps `node` in its transport stack and seats it in a free slot,
+    /// reachable under its id; returns the slot's key.
+    fn place(&mut self, node: SfNode) -> usize {
         let id = node.id();
-        let udp = UdpTransport::bind_loopback(id, &self.book)
-            .map_err(|e| format!("binding node {}: {e}", id.as_u64()))?;
         let faulted = FaultedTransport::new(
-            udp,
+            self.socket.endpoint(id, &self.book),
             self.injector.clone(),
             self.book.clone(),
             self.config.seed ^ id.as_u64().wrapping_mul(0x9e37_79b9_7f4a_7c15),
@@ -539,7 +654,43 @@ impl ServiceState {
         let rng = StdRng::seed_from_u64(
             self.config.seed ^ id.as_u64().wrapping_mul(0x2545_f491_4f6c_dd1d),
         );
-        Ok(NodeSlot { node, transport, rng })
+        let slot = Some(NodeSlot { node, transport, rng, inbox: Vec::new() });
+        let key = match self.free.pop() {
+            Some(key) => {
+                self.slots[key] = slot;
+                key
+            }
+            None => {
+                self.slots.push(slot);
+                self.generations.push(0);
+                self.slots.len() - 1
+            }
+        };
+        assert_eq!(id.as_u64(), self.slot_of.len() as u64, "ids are issued densely from 0");
+        self.slot_of.push(u32::try_from(key).expect("fewer than 2^32 slots"));
+        key
+    }
+
+    /// Moves every frame waiting on the socket into its destination's
+    /// inbox; a frame for an id with no live slot is a dead letter.
+    fn drain_socket(&mut self) {
+        let (slots, slot_of) = (&mut self.slots, &self.slot_of);
+        let (mut received, mut dead_letters) = (0, 0);
+        let drained = self.socket.drain(RECV_BATCH_MAX, |to, message| {
+            let key = usize::try_from(to.as_u64()).ok().and_then(|id| slot_of.get(id));
+            match key.and_then(|&key| slots.get_mut(key as usize)?.as_mut()) {
+                Some(slot) => {
+                    slot.inbox.push(message);
+                    received += 1;
+                }
+                None => dead_letters += 1,
+            }
+        });
+        if drained.is_err() {
+            self.recv_errors.inc();
+        }
+        self.received.add(received);
+        self.injector.record_dead_letters(dead_letters);
     }
 
     fn live_keys(&self) -> Vec<usize> {
@@ -550,19 +701,14 @@ impl ServiceState {
         self.slots.iter().filter_map(|slot| slot.as_ref().map(|s| &s.node))
     }
 
-    fn tick_node(&mut self, key: usize, round: u64, inbox: &mut Vec<Message>) {
-        let injector = self.injector.clone();
+    fn tick_node(&mut self, key: usize, round: u64) {
         let Some(slot) = self.slots[key].as_mut() else {
             return;
         };
-        inbox.clear();
-        if slot.transport.recv_batch(inbox, RECV_BATCH_MAX).is_err() {
-            self.recv_errors.inc();
-        }
-        for message in inbox.drain(..) {
+        for message in slot.inbox.drain(..) {
             let _ = slot.node.receive(message, &mut slot.rng);
         }
-        if injector.node_acts(slot.node.id(), round) {
+        if self.injector.node_acts(slot.node.id(), round) {
             if let InitiateOutcome::Sent { to, message, .. } = slot.node.initiate(&mut slot.rng) {
                 // Loss (base or injected) is the protocol's whole subject;
                 // a socket error is treated as one more lost message.
@@ -606,7 +752,7 @@ impl ServiceState {
             if live.is_empty() {
                 return Err("no live sponsor to join through".into());
             }
-            let id = NodeId::new(self.next_id);
+            let id = NodeId::new(self.slot_of.len() as u64);
             let d_l = self.sf.lower_threshold();
             let sponsor_key = live[self.rng.gen_range(0..live.len())];
             let mut ids: Vec<NodeId> = Vec::with_capacity(d_l);
@@ -645,19 +791,7 @@ impl ServiceState {
                 ));
             }
             let node = SfNode::with_view(id, self.sf, &ids).map_err(|e| e.to_string())?;
-            let slot = self.build_slot(node)?;
-            self.next_id += 1;
-            let key = match self.free.pop() {
-                Some(key) => {
-                    self.slots[key] = Some(slot);
-                    key
-                }
-                None => {
-                    self.slots.push(Some(slot));
-                    self.generations.push(0);
-                    self.slots.len() - 1
-                }
-            };
+            let key = self.place(node);
             let generation = self.generations[key];
             let delay = self.rng.gen_range(0..WHEEL_SLOTS as u64);
             self.wheel.schedule(delay, WheelItem { key, generation });
@@ -677,8 +811,11 @@ impl ServiceState {
         }
         live.shuffle(&mut self.rng);
         for &key in live.iter().take(count) {
+            // The slot's inbox goes with it: whoever reuses the key starts
+            // with no mail, and later frames for the id are dead letters.
             let slot = self.slots[key].take().expect("live key");
             self.book.remove(slot.node.id());
+            self.slot_of[slot.node.id().as_u64() as usize] = NO_SLOT;
             self.retired_actions += slot.node.stats().sent;
             self.retired_duplications += slot.node.stats().duplications;
             // Invalidate the parked wheel item; the slot index is reusable.
@@ -815,6 +952,49 @@ mod tests {
         assert!(snap.checks >= 1);
         assert_eq!(snap.degree_violations, 0, "healthy boot must not violate Obs 5.1");
         daemon.shutdown();
+    }
+
+    #[test]
+    fn every_slot_sends_through_the_one_socket() {
+        let mut state = boot(tiny_config()).unwrap();
+        state.handle_join(4).unwrap();
+        state.handle_leave(3).unwrap();
+        state.handle_join(2).unwrap();
+        let addr = state.socket.local_addr();
+        let mut live = 0;
+        for (key, slot) in state.slots.iter().enumerate() {
+            let Some(slot) = slot else { continue };
+            live += 1;
+            assert_eq!(slot.transport.inner().inner().local_addr(), addr);
+            let id = slot.node.id();
+            assert_eq!(state.book.resolve(id), Some(addr));
+            assert_eq!(state.slot_of[id.as_u64() as usize] as usize, key);
+        }
+        assert_eq!(live, 19);
+        // The three that left are unmapped, whoever took their slots.
+        assert_eq!(state.slot_of.iter().filter(|&&key| key == NO_SLOT).count(), 3);
+        assert_eq!(state.slot_of.len(), 16 + 4 + 2, "one entry per id ever issued");
+    }
+
+    #[test]
+    fn a_reused_slot_does_not_inherit_mail() {
+        let mut state = boot(tiny_config()).unwrap();
+        // Every node initiates once; nothing is drained before the leave.
+        for key in 0..16 {
+            state.tick_node(key, 1);
+        }
+        std::thread::sleep(Duration::from_millis(5));
+        state.drain_socket();
+        let mailed: Vec<usize> =
+            (0..16).filter(|&k| !state.slots[k].as_ref().unwrap().inbox.is_empty()).collect();
+        assert!(!mailed.is_empty(), "16 initiations must have reached someone");
+        state.handle_leave(10).unwrap();
+        state.handle_join(10).unwrap();
+        for slot in state.slots.iter().flatten() {
+            if slot.node.id().as_u64() >= 16 {
+                assert!(slot.inbox.is_empty(), "joiner {} inherited mail", slot.node.id());
+            }
+        }
     }
 
     #[test]

@@ -4,8 +4,11 @@
 
 use std::time::{Duration, Instant};
 
+use sandf_core::{Message, NodeId, SfNode};
 use sandf_daemon::soak::{run_soak, SoakConfig};
-use sandf_daemon::{http_get, http_post, DaemonConfig};
+use sandf_daemon::{http_get, http_post, DaemonConfig, DaemonHandle, WireLedger};
+use sandf_net::codec::{encode, encode_frame};
+use sandf_obs::MetricsRegistry;
 
 fn fast_config(nodes: usize, seed: u64) -> DaemonConfig {
     DaemonConfig {
@@ -40,6 +43,116 @@ fn extract(body: &str, key: &str) -> u64 {
     let rest = &body[at..];
     let end = rest.find([',', '}']).unwrap_or(rest.len());
     rest[..end].trim().parse::<f64>().expect("numeric field") as u64
+}
+
+/// Lets the daemon complete `rounds` more rounds, by its own round gauge.
+fn run_rounds(daemon: &DaemonHandle, rounds: u64) {
+    let round = daemon.registry().gauge("daemon.round");
+    let target = round.get() + rounds as f64;
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while round.get() < target {
+        assert!(Instant::now() < deadline, "daemon stalled at round {}", round.get());
+        std::thread::sleep(Duration::from_millis(2));
+    }
+}
+
+/// Asserts that nothing went missing between send and receive in a daemon
+/// that has been shut down.
+fn closed_ledger(registry: &MetricsRegistry) -> WireLedger {
+    let ledger = WireLedger::read(registry);
+    assert_eq!(
+        ledger.delivered,
+        ledger.received + ledger.dead_letters + ledger.fault_dropped,
+        "frames went missing between send and receive: {ledger}"
+    );
+    assert_eq!(registry.counter_value("daemon.net.recv_errors"), Some(0));
+    ledger
+}
+
+#[test]
+fn saturated_fleet_loses_nothing_in_the_kernel() {
+    // A tick far shorter than a rotation takes: rotations run back to back,
+    // 800 node ticks to an iteration and ≈ 340 frames sent in each — more
+    // than the socket's receive buffer holds, were they left there.
+    let daemon = DaemonConfig {
+        tick: Duration::from_micros(64),
+        base_loss: 0.01,
+        http_port: None,
+        ..fast_config(800, 5)
+    }
+    .spawn()
+    .unwrap();
+    let registry = daemon.registry().clone();
+    run_rounds(&daemon, 200);
+    let nodes = daemon.shutdown();
+    assert_eq!(nodes.len(), 800);
+
+    let WireLedger { received, dead_letters, fault_dropped, .. } = closed_ledger(&registry);
+    assert_eq!((dead_letters, fault_dropped), (0, 0), "nobody left, nothing was injected");
+    let taken_in: u64 = nodes.iter().map(|n| n.stats().stored + n.stats().deletions).sum();
+    // The rest waits in inboxes for a tick that never came: less than two
+    // rotations' sends.
+    assert!(taken_in <= received && received - taken_in < 2 * 800, "{taken_in} of {received}");
+    assert!(received > 800 * 200 / 4, "the fleet barely ran: {received} frames");
+    let counter = |name: &str| registry.counter_value(name).expect(name);
+    assert_eq!(counter("daemon.violations.degree") + counter("daemon.violations.stale"), 0);
+}
+
+#[test]
+fn ledger_closes_across_interleaved_leaves_and_joins() {
+    let daemon =
+        DaemonConfig { tick: Duration::from_millis(1), ..fast_config(96, 6) }.spawn().unwrap();
+    let addr = daemon.http_addr().unwrap();
+    let registry = daemon.registry().clone();
+    for _ in 0..12 {
+        let (status, body) = http_post(addr, "/ctl/leave?n=8", "").unwrap();
+        assert_eq!(status, 200, "leave failed: {body}");
+        run_rounds(&daemon, 2);
+        let (status, body) = http_post(addr, "/ctl/join?n=8", "").unwrap();
+        assert_eq!(status, 200, "join failed: {body}");
+        run_rounds(&daemon, 2);
+    }
+    assert_eq!(daemon.shutdown().len(), 96);
+    let ledger = closed_ledger(&registry);
+    assert!(ledger.received > 0);
+    assert!(ledger.dead_letters > 0, "views still named the 96 nodes that left");
+}
+
+#[test]
+fn garbage_on_the_socket_reaches_no_node() {
+    // With every send of the fleet's own dropped by the loss layer, nothing
+    // legitimate is ever on the wire: whatever a node takes in came from
+    // outside.
+    let daemon =
+        DaemonConfig { base_loss: 1.0, http_port: None, ..fast_config(16, 7) }.spawn().unwrap();
+    let registry = daemon.registry().clone();
+    let counter = |name: &str| registry.counter_value(name).expect(name);
+    let raw = std::net::UdpSocket::bind(("127.0.0.1", 0)).unwrap();
+    let message = Message::new(NodeId::new(1), NodeId::new(2), true);
+    let frame = encode_frame(NodeId::new(3), message);
+    let mut long = frame.to_vec();
+    long.push(0);
+    let mut bad_flags = frame;
+    bad_flags[24] = 0b0000_0010;
+    let stranger = encode_frame(NodeId::new(1 << 40), message);
+    let garbage: [&[u8]; 6] = [&[], &[1, 2, 3], &encode(message), &long, &bad_flags, &stranger];
+    for datagram in garbage {
+        raw.send_to(datagram, daemon.udp_addr()).unwrap();
+    }
+    run_rounds(&daemon, 4);
+    assert_eq!(counter("daemon.net.received"), 0, "garbage was handed to a node");
+    assert_eq!(counter("daemon.net.dead_letters"), 1, "the frame for an id that never existed");
+
+    // The same path does deliver a well-formed frame for a live id.
+    raw.send_to(&frame, daemon.udp_addr()).unwrap();
+    run_rounds(&daemon, 4);
+    let nodes = daemon.shutdown();
+    assert_eq!(counter("daemon.net.received"), 1);
+    assert_eq!(counter("daemon.net.recv_errors"), 0);
+    let took_in = |node: &SfNode| node.stats().stored + node.stats().deletions;
+    for node in &nodes {
+        assert_eq!(took_in(node), u64::from(node.id() == NodeId::new(3)), "node {}", node.id());
+    }
 }
 
 #[test]
@@ -89,6 +202,7 @@ fn metric_catalog_is_pinned() {
         "daemon.net.dead_letters",
         "daemon.net.delivered",
         "daemon.net.dropped",
+        "daemon.net.received",
         "daemon.net.recv_errors",
         "daemon.net.sent",
         "daemon.nodes",

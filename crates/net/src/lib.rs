@@ -6,15 +6,19 @@
 //! decorator:
 //!
 //! * [`UdpTransport`] — actual UDP sockets over loopback or a LAN (real
-//!   reordering, and whatever loss the network has);
+//!   reordering, and whatever loss the network has): one node id's
+//!   endpoint on a [`SharedSocket`], which is either its own or one it
+//!   shares with every other node of the process;
 //! * [`LossyTransport`] — wraps any transport and drops outgoing messages
 //!   i.i.d. at a seeded rate: the Section 4.1 loss process layered onto a
 //!   channel (like loopback) that in practice loses nothing.
 //!
-//! The 17-byte wire [`codec`] is total: S&F has exactly one message type
-//! and needs no connection state, which is the "practical, no bookkeeping"
-//! half of the paper's thesis. `sandf-daemon` multiplexes thousands of
-//! these endpoints on one service loop.
+//! The wire [`codec`] is total — a datagram is a 25-byte frame, the
+//! 8-byte destination id and the 17-byte message: S&F has exactly one
+//! message type and needs no connection state, which is the "practical, no
+//! bookkeeping" half of the paper's thesis. `sandf-daemon` multiplexes
+//! thousands of these endpoints over one socket on one service loop,
+//! demultiplexing on the destination id.
 //!
 //! ## Example
 //!
@@ -49,4 +53,4 @@ mod udp;
 
 pub use lossy::LossyTransport;
 pub use transport::{Transport, TransportError};
-pub use udp::{AddressBook, UdpTransport};
+pub use udp::{AddressBook, SharedSocket, UdpTransport};

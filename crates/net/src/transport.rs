@@ -64,7 +64,7 @@ pub trait Transport {
     /// readiness sweep empties a backlogged endpoint in one pass.
     ///
     /// The default implementation loops `try_recv`; implementations with a
-    /// cheaper bulk path (e.g. a UDP socket) may override it.
+    /// cheaper bulk path may override it.
     ///
     /// # Errors
     ///

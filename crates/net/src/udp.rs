@@ -5,6 +5,15 @@
 //! additional machinery. Peers are resolved through a shared
 //! [`AddressBook`] (in a real deployment this would be seeded the same way
 //! bootstrap views are).
+//!
+//! Every datagram is a [frame](crate::codec): the destination id, then the
+//! message. A [`SharedSocket`] therefore serves any number of node ids —
+//! its owner [drains](SharedSocket::drain) it and demultiplexes on the
+//! destination — and a [`UdpTransport`] is one id's handle on such a
+//! socket: its sends go out through it, and its own receive calls keep the
+//! frames addressed to that id. A transport bound by
+//! [`UdpTransport::bind_loopback`] is the single-id case, the only id on a
+//! socket of its own.
 
 use std::collections::HashMap;
 use std::io::ErrorKind;
@@ -13,7 +22,7 @@ use std::sync::{Arc, PoisonError, RwLock};
 
 use sandf_core::{Message, NodeId};
 
-use crate::codec::{decode, encode, WIRE_LEN};
+use crate::codec::{decode_frame, encode_frame, FRAME_LEN};
 use crate::transport::{Transport, TransportError};
 
 /// A shared map from node ids to socket addresses.
@@ -63,37 +72,110 @@ impl AddressBook {
     }
 }
 
-/// A nonblocking UDP endpoint.
+/// A non-blocking loopback UDP socket carrying frames for any number of
+/// node ids. Clones share the one socket.
+#[derive(Clone, Debug)]
+pub struct SharedSocket {
+    socket: Arc<UdpSocket>,
+    addr: SocketAddr,
+}
+
+impl SharedSocket {
+    /// Binds a loopback socket on an ephemeral port.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TransportError::Io`] if binding fails.
+    pub fn bind_loopback() -> Result<Self, TransportError> {
+        let socket = UdpSocket::bind(("127.0.0.1", 0)).map_err(io_err)?;
+        socket.set_nonblocking(true).map_err(io_err)?;
+        let addr = socket.local_addr().map_err(io_err)?;
+        Ok(Self { socket: Arc::new(socket), addr })
+    }
+
+    /// The bound socket address.
+    #[must_use]
+    pub fn local_addr(&self) -> SocketAddr {
+        self.addr
+    }
+
+    /// Registers `id` at this socket's address in `book` and returns its
+    /// handle.
+    #[must_use]
+    pub fn endpoint(&self, id: NodeId, book: &AddressBook) -> UdpTransport {
+        book.register(id, self.addr);
+        UdpTransport { id, socket: self.clone(), book: book.clone() }
+    }
+
+    /// Takes up to `max` pending frames off the socket without blocking,
+    /// handing each to `deliver` with its destination id, and returns how
+    /// many it handed over. This is how the owner of a socket with several
+    /// endpoints receives: an endpoint's own receive calls would discard
+    /// its neighbours' frames.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TransportError::Io`] on a socket error; frames taken
+    /// before it have been delivered.
+    pub fn drain(
+        &self,
+        max: usize,
+        mut deliver: impl FnMut(NodeId, Message),
+    ) -> Result<usize, TransportError> {
+        let mut taken = 0;
+        while taken < max {
+            let Some((to, message)) = self.recv_frame()? else {
+                break;
+            };
+            deliver(to, message);
+            taken += 1;
+        }
+        Ok(taken)
+    }
+
+    /// The next well-formed frame, `None` once the socket is empty.
+    fn recv_frame(&self) -> Result<Option<(NodeId, Message)>, TransportError> {
+        // One byte more than a frame: a longer datagram is cut to a length
+        // the decoder rejects.
+        let mut buf = [0u8; FRAME_LEN + 1];
+        loop {
+            match self.socket.recv_from(&mut buf) {
+                Ok((len, _)) => {
+                    // Malformed datagrams are dropped, like line noise.
+                    if let Ok(frame) = decode_frame(&buf[..len]) {
+                        return Ok(Some(frame));
+                    }
+                }
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(None),
+                Err(e) => return Err(io_err(e)),
+            }
+        }
+    }
+}
+
+/// One node id's endpoint on a [`SharedSocket`].
 #[derive(Debug)]
 pub struct UdpTransport {
     id: NodeId,
-    socket: UdpSocket,
+    socket: SharedSocket,
     book: AddressBook,
-    buf: [u8; WIRE_LEN + 16],
 }
 
 impl UdpTransport {
-    /// Binds a loopback socket on an ephemeral port and registers it in the
-    /// address book.
+    /// Binds a loopback socket on an ephemeral port for `id` alone and
+    /// registers it in the address book.
     ///
     /// # Errors
     ///
     /// Returns [`TransportError::Io`] if binding fails.
     pub fn bind_loopback(id: NodeId, book: &AddressBook) -> Result<Self, TransportError> {
-        let socket = UdpSocket::bind(("127.0.0.1", 0)).map_err(io_err)?;
-        socket.set_nonblocking(true).map_err(io_err)?;
-        let addr = socket.local_addr().map_err(io_err)?;
-        book.register(id, addr);
-        Ok(Self { id, socket, book: book.clone(), buf: [0u8; WIRE_LEN + 16] })
+        Ok(SharedSocket::bind_loopback()?.endpoint(id, book))
     }
 
     /// The bound socket address.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TransportError::Io`] if the socket is in a bad state.
-    pub fn local_addr(&self) -> Result<SocketAddr, TransportError> {
-        self.socket.local_addr().map_err(io_err)
+    #[must_use]
+    pub fn local_addr(&self) -> SocketAddr {
+        self.socket.addr
     }
 }
 
@@ -111,7 +193,7 @@ impl Transport for UdpTransport {
             // A vanished peer is indistinguishable from loss to S&F.
             return Ok(());
         };
-        match self.socket.send_to(&encode(message), addr) {
+        match self.socket.socket.send_to(&encode_frame(to, message), addr) {
             Ok(_) => Ok(()),
             // Full buffers are loss, which the protocol tolerates.
             Err(e) if e.kind() == ErrorKind::WouldBlock => Ok(()),
@@ -119,45 +201,35 @@ impl Transport for UdpTransport {
         }
     }
 
+    /// The next pending message addressed to this id. Frames for any other
+    /// id are dropped, like line noise: on a socket with several endpoints
+    /// receive through [`SharedSocket::drain`] instead.
     fn try_recv(&mut self) -> Result<Option<Message>, TransportError> {
         loop {
-            match self.socket.recv_from(&mut self.buf) {
-                Ok((len, _)) => match decode(&self.buf[..len]) {
-                    Ok(msg) => return Ok(Some(msg)),
-                    // Malformed datagrams are dropped, like line noise.
-                    Err(_) => continue,
-                },
-                Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(None),
-                Err(e) => return Err(io_err(e)),
+            match self.socket.recv_frame()? {
+                Some((to, message)) if to == self.id => return Ok(Some(message)),
+                Some(_) => {}
+                None => return Ok(None),
             }
         }
-    }
-
-    /// Drains every pending datagram in one readiness wakeup (until
-    /// `WouldBlock` or `max`), so an event loop sweeping thousands of
-    /// sockets empties each backlog in a single pass instead of leaving
-    /// all but one datagram queued until the next sweep.
-    fn recv_batch(&mut self, out: &mut Vec<Message>, max: usize) -> Result<usize, TransportError> {
-        let mut drained = 0;
-        while drained < max {
-            match self.socket.recv_from(&mut self.buf) {
-                Ok((len, _)) => {
-                    if let Ok(msg) = decode(&self.buf[..len]) {
-                        out.push(msg);
-                        drained += 1;
-                    }
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(e) => return Err(io_err(e)),
-            }
-        }
-        Ok(drained)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::encode;
+
+    /// Polls `recv` (loopback is asynchronous) until it yields a message.
+    fn wait_for(mut recv: impl FnMut() -> Option<Message>) -> Option<Message> {
+        for _ in 0..200 {
+            if let Some(message) = recv() {
+                return Some(message);
+            }
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        None
+    }
 
     #[test]
     fn sends_and_receives_over_loopback() {
@@ -169,16 +241,9 @@ mod tests {
         let msg = Message::new(NodeId::new(0), NodeId::new(7), true);
         a.send(NodeId::new(1), msg).unwrap();
 
-        // UDP over loopback is effectively reliable, but give it a moment.
-        let mut got = None;
-        for _ in 0..200 {
-            if let Some(m) = b.try_recv().unwrap() {
-                got = Some(m);
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
-        assert_eq!(got, Some(msg));
+        // Two sockets, nothing shared but the address book.
+        assert_ne!(a.local_addr(), b.local_addr());
+        assert_eq!(wait_for(|| b.try_recv().unwrap()), Some(msg));
     }
 
     #[test]
@@ -195,20 +260,78 @@ mod tests {
     fn malformed_datagrams_are_skipped() {
         let book = AddressBook::new();
         let mut b = UdpTransport::bind_loopback(NodeId::new(1), &book).unwrap();
-        let addr = b.local_addr().unwrap();
+        let addr = b.local_addr();
         let raw = UdpSocket::bind(("127.0.0.1", 0)).unwrap();
-        raw.send_to(&[1, 2, 3], addr).unwrap();
         let msg = Message::new(NodeId::new(9), NodeId::new(8), false);
+        raw.send_to(&[1, 2, 3], addr).unwrap();
+        // A bare body, and a frame with a byte too many.
         raw.send_to(&encode(msg), addr).unwrap();
-        let mut got = None;
+        let mut long = encode_frame(NodeId::new(1), msg).to_vec();
+        long.push(0);
+        raw.send_to(&long, addr).unwrap();
+        raw.send_to(&encode_frame(NodeId::new(1), msg), addr).unwrap();
+        assert_eq!(
+            wait_for(|| b.try_recv().unwrap()),
+            Some(msg),
+            "the well-formed datagram must survive"
+        );
+        assert_eq!(b.try_recv().unwrap(), None, "and nothing else does");
+    }
+
+    #[test]
+    fn frames_for_another_id_are_skipped_by_an_endpoint() {
+        let book = AddressBook::new();
+        let socket = SharedSocket::bind_loopback().unwrap();
+        let mut one = socket.endpoint(NodeId::new(1), &book);
+        let mut two = socket.endpoint(NodeId::new(2), &book);
+        assert_eq!(one.local_addr(), two.local_addr());
+        assert_eq!(book.resolve(NodeId::new(2)), Some(socket.local_addr()));
+
+        let for_two = Message::new(NodeId::new(1), NodeId::new(20), false);
+        let for_one = Message::new(NodeId::new(2), NodeId::new(10), true);
+        one.send(NodeId::new(2), for_two).unwrap();
+        two.send(NodeId::new(1), for_one).unwrap();
+        // `one` reads past the frame for 2, which is gone for good.
+        assert_eq!(wait_for(|| one.try_recv().unwrap()), Some(for_one));
+        assert_eq!(two.try_recv().unwrap(), None);
+
+        one.send(NodeId::new(2), for_two).unwrap();
+        two.send(NodeId::new(1), for_one).unwrap();
+        let mut got = Vec::new();
         for _ in 0..200 {
-            if let Some(m) = b.try_recv().unwrap() {
-                got = Some(m);
+            if one.recv_batch(&mut got, 8).unwrap() > 0 {
                 break;
             }
             std::thread::sleep(std::time::Duration::from_millis(1));
         }
-        assert_eq!(got, Some(msg), "the well-formed datagram must survive");
+        assert_eq!(got, [for_one]);
+    }
+
+    #[test]
+    fn drain_hands_over_each_frame_with_its_destination_up_to_max() {
+        let book = AddressBook::new();
+        let socket = SharedSocket::bind_loopback().unwrap();
+        let mut senders: Vec<UdpTransport> =
+            (0..4).map(|id| socket.endpoint(NodeId::new(id), &book)).collect();
+        // Sender k writes to k + 1; the last one to an id nobody holds but
+        // the book resolves, which the drain must still report.
+        book.register(NodeId::new(u64::MAX), socket.local_addr());
+        for (k, sender) in senders.iter_mut().enumerate() {
+            let to = if k == 3 { NodeId::new(u64::MAX) } else { NodeId::new(k as u64 + 1) };
+            sender.send(to, Message::new(NodeId::new(k as u64), to, k % 2 == 0)).unwrap();
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+
+        let mut seen = Vec::new();
+        let first = socket.drain(3, |to, message| seen.push((to, message))).unwrap();
+        assert_eq!((first, seen.len()), (3, 3), "max bounds one drain");
+        let rest = socket.drain(usize::MAX, |to, message| seen.push((to, message))).unwrap();
+        assert_eq!((rest, seen.len()), (1, 4));
+        for (to, message) in &seen {
+            assert_eq!(message.payload, *to, "destination and message travel together");
+        }
+        assert!(seen.iter().any(|(to, _)| *to == NodeId::new(u64::MAX)));
+        assert_eq!(socket.drain(8, |_, _| panic!("the socket is empty")).unwrap(), 0);
     }
 
     #[test]

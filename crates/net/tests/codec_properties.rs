@@ -1,8 +1,12 @@
-//! Property tests of the wire codec: total decode, exact roundtrip.
+//! Property tests of the wire codec: total decode, exact roundtrip, for
+//! the 17-byte body and for the 25-byte frame (destination id + body) a
+//! datagram carries.
 
 use proptest::prelude::*;
 use sandf_core::{Message, NodeId};
-use sandf_net::codec::{decode, encode, WIRE_LEN};
+use sandf_net::codec::{
+    decode, decode_frame, encode, encode_frame, WireError, FRAME_LEN, WIRE_LEN,
+};
 
 proptest! {
     /// Every message roundtrips bit-exactly.
@@ -116,6 +120,82 @@ proptest! {
             prop_assert_eq!(reencoded.as_ref(), &bytes[..]);
         }
     }
+
+    /// Every `(to, message)` roundtrips through a frame bit-exactly, and the
+    /// frame is the destination followed by the body.
+    #[test]
+    fn addressed_frame_roundtrips(
+        to in any::<u64>(),
+        sender in any::<u64>(),
+        payload in any::<u64>(),
+        dependent in any::<bool>(),
+    ) {
+        let msg = Message::new(NodeId::new(sender), NodeId::new(payload), dependent);
+        let frame = encode_frame(NodeId::new(to), msg);
+        prop_assert_eq!(frame.len(), FRAME_LEN);
+        prop_assert_eq!(&frame[..8], &to.to_be_bytes()[..]);
+        prop_assert_eq!(&frame[8..], &encode(msg)[..]);
+        prop_assert_eq!(decode_frame(&frame), Ok((NodeId::new(to), msg)));
+    }
+
+    /// Cut short or extended by any amount, a frame is rejected by length.
+    #[test]
+    fn resized_addressed_frames_are_rejected(
+        to in any::<u64>(),
+        sender in any::<u64>(),
+        cut in 0usize..FRAME_LEN,
+        tail in proptest::collection::vec(any::<u8>(), 1..32),
+    ) {
+        let msg = Message::new(NodeId::new(sender), NodeId::new(to ^ sender), true);
+        let mut bytes = encode_frame(NodeId::new(to), msg).to_vec();
+        prop_assert_eq!(decode_frame(&bytes[..cut]), Err(WireError::BadLength { len: cut }));
+        bytes.extend_from_slice(&tail);
+        prop_assert_eq!(decode_frame(&bytes), Err(WireError::BadLength { len: bytes.len() }));
+    }
+}
+
+/// The ids at the edge of the space travel like any other.
+#[test]
+fn addressed_frame_carries_extreme_ids() {
+    for to in [0, 1, u64::MAX - 1, u64::MAX] {
+        for dependent in [false, true] {
+            let msg = Message::new(NodeId::new(u64::MAX), NodeId::new(to), dependent);
+            let frame = encode_frame(NodeId::new(to), msg);
+            assert_eq!(decode_frame(&frame), Ok((NodeId::new(to), msg)));
+        }
+    }
+}
+
+/// Each of the seven undefined flag bits, flipped alone, rejects the frame
+/// for both values of the defined one; flipping the defined bit flips the
+/// label and nothing else.
+#[test]
+fn addressed_frame_flag_bit_flips() {
+    for dependent in [false, true] {
+        let msg = Message::new(NodeId::new(3), NodeId::new(4), dependent);
+        let frame = encode_frame(NodeId::new(5), msg);
+        for bit in 1..8 {
+            let mut bytes = frame;
+            bytes[FRAME_LEN - 1] ^= 1 << bit;
+            let flags = bytes[FRAME_LEN - 1];
+            assert_eq!(decode_frame(&bytes), Err(WireError::BadFlags { flags }), "bit {bit}");
+        }
+        let mut bytes = frame;
+        bytes[FRAME_LEN - 1] ^= 1;
+        let flipped = Message::new(NodeId::new(3), NodeId::new(4), !dependent);
+        assert_eq!(decode_frame(&bytes), Ok((NodeId::new(5), flipped)));
+    }
+}
+
+/// A bare body is not a frame, and a frame is not a body: an old sender
+/// and a new receiver (or the reverse) drop each other's datagrams instead
+/// of misreading them.
+#[test]
+fn a_body_is_not_a_frame() {
+    let msg = Message::new(NodeId::new(1), NodeId::new(2), false);
+    assert_eq!(decode_frame(&encode(msg)), Err(WireError::BadLength { len: WIRE_LEN }));
+    let frame = encode_frame(NodeId::new(9), msg);
+    assert_eq!(decode(&frame), Err(WireError::BadLength { len: FRAME_LEN }));
 }
 
 /// A deterministic mutation loop over every byte position and a spread of

@@ -1,4 +1,4 @@
-//! S&F for real: boot a live membership daemon over real UDP sockets,
+//! S&F for real: boot a live membership daemon over a real UDP socket,
 //! inject a partition, let it heal, and read the verdict from the HTTP
 //! endpoint and from the nodes' final states.
 //!
@@ -14,7 +14,7 @@ use sandf::daemon::{http_get, DaemonConfig};
 use sandf::MembershipGraph;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // 128 nodes, each with its own loopback UDP socket, 2% wire loss.
+    // 128 nodes sharing the daemon's one loopback UDP socket, 2% wire loss.
     let daemon = DaemonConfig {
         initial_nodes: 128,
         tick: Duration::from_millis(10),

@@ -21,10 +21,11 @@
 //! * [`variants`] — the Section 5 optimizations the paper deferred
 //!   (undeletion, replace-when-full, batched sends), likewise as
 //!   behaviors — both modules of the one protocol-zoo crate;
-//! * [`net`] — the `Transport` trait, UDP sockets, a loss-injecting
-//!   decorator, and the 17-byte wire codec;
+//! * [`net`] — the `Transport` trait, UDP endpoints on a socket one node
+//!   owns or many share, a loss-injecting decorator, and the wire codec
+//!   (an 8-byte destination id in front of the 17-byte message);
 //! * [`daemon`] — S&F on a wire: a long-running membership service
-//!   multiplexing many nodes over real UDP sockets on one event loop,
+//!   multiplexing many nodes over one real UDP socket on one event loop,
 //!   with a wire-level fault injector, live invariant checking, an HTTP
 //!   endpoint, and a soak harness;
 //! * [`obs`] — the observability subsystem (metrics registry, structured

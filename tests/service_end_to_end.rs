@@ -1,4 +1,4 @@
-//! End-to-end: the daemon — every node on its own loopback UDP socket,
+//! End-to-end: the daemon — every node on the one loopback UDP socket,
 //! multiplexed on one service loop — must exhibit the same steady-state
 //! behavior the simulator and the analysis predict.
 
