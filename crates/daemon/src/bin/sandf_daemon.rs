@@ -6,7 +6,9 @@
 //! ```
 //!
 //! `--secs 0` (the default) runs until killed. Status lines are printed at
-//! every invariant-check cadence.
+//! every invariant-check cadence. A run that `--secs` ends exits 1 if an
+//! invariant was violated or the wire ledger does not close (frames went
+//! missing between send and receive).
 
 use std::time::Duration;
 
@@ -109,8 +111,9 @@ fn main() {
         "sandf-daemon: stopped after {} rounds; {} checks, {} degree violations, {} stale violations",
         snap.round, snap.checks, snap.degree_violations, snap.stale_violations
     );
-    eprintln!("sandf-daemon: wire ledger: {}", WireLedger::read(&registry));
-    if snap.degree_violations + snap.stale_violations > 0 {
+    let ledger = WireLedger::read(&registry);
+    eprintln!("sandf-daemon: wire ledger: {ledger}");
+    if snap.degree_violations + snap.stale_violations + ledger.in_flight() > 0 {
         std::process::exit(1);
     }
 }

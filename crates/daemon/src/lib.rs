@@ -2,14 +2,16 @@
 //!
 //! One process multiplexes thousands of S&F nodes over one loopback UDP
 //! socket — every datagram a frame that names its destination node — on a
-//! single-threaded event loop (a timer wheel for action ticks plus a
-//! bounded-cadence non-blocking drain of the socket into per-node inboxes —
-//! no async runtime), and accounts for every frame across the kernel
+//! single-threaded event loop (a timer wheel for action ticks, one send
+//! path for the whole fleet, plus a bounded-cadence non-blocking drain of
+//! the socket into per-node inboxes — no async runtime, no lock on the
+//! wire), and accounts for every frame across the kernel
 //! ([`WireLedger`]). Around that loop the crate layers:
 //!
 //! - a **wire-level fault injector** ([`fault`]) reusing the simulation
 //!   fault zoo (uniform, Gilbert–Elliott bursts, regional partitions,
-//!   per-link, capacity, victim sets) at the socket boundary, runtime
+//!   per-link, capacity, victim sets) at the socket boundary, after the
+//!   base Section 4.1 loss draw (`sandf_sim::UniformLoss`), runtime
 //!   reconfigurable via `POST /ctl/fault` in the same one-line grammar as
 //!   a scenario spec's `phase` lines ([`sandf_sim::fault`]);
 //! - a **live invariant checker** ([`invariants`]) asserting Observation
@@ -47,7 +49,7 @@ pub mod service;
 pub mod soak;
 pub mod wheel;
 
-pub use fault::{FaultInjector, FaultedTransport};
+pub use fault::FaultInjector;
 pub use http::{http_get, http_post, http_request};
 pub use invariants::{CheckOutcome, InvariantChecker, WireTotals};
 pub use service::{Control, DaemonConfig, DaemonHandle, MembershipSnapshot, WireLedger};

@@ -5,16 +5,17 @@
 //!
 //! The daemon binds a single non-blocking loopback socket
 //! ([`SharedSocket`]); every datagram on it is a frame, the destination
-//! node's id followed by the 17-byte message. Each node sends through its
-//! own handle on that socket, wrapped in the daemon transport stack
-//! `LossyTransport<FaultedTransport<UdpTransport>>` — base Section 4.1 loss
-//! outermost, then the runtime-reconfigurable fault injector, then the
-//! wire. The loop, not the node, receives: before every [`DRAIN_CHUNK`]
-//! node ticks it drains the socket into per-node inboxes, looking the
-//! destination up in a dense id → slot table, and a node whose action timer
+//! node's id followed by the 17-byte message. The loop sends for every
+//! node through one function, `ServiceState::send`: base Section 4.1 loss
+//! is drawn first (from the sender's loss stream), then the
+//! runtime-reconfigurable fault injector (from its fault stream), then the
+//! destination is looked up in a dense id → slot table, and only a message
+//! for a live node goes on the wire. The loop, not the node, receives:
+//! before every [`DRAIN_CHUNK`] node ticks it drains the socket into
+//! per-node inboxes through the same table, and a node whose action timer
 //! fires takes its inbox and then initiates, so its receive step and
-//! initiate step happen back-to-back at a quiescent point. A frame for an
-//! id with no live node is a dead letter.
+//! initiate step happen back-to-back at a quiescent point. A message or
+//! frame for an id with no live node is a dead letter.
 //!
 //! The wire is accounted across the kernel: `daemon.net.received` counts
 //! frames put into a live inbox, and once the loop has stopped and drained
@@ -50,11 +51,11 @@ use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use sandf_core::{InitiateOutcome, Message, NodeId, SfConfig, SfNode};
 use sandf_graph::MembershipGraph;
-use sandf_net::{AddressBook, LossyTransport, SharedSocket, Transport, UdpTransport};
+use sandf_net::SharedSocket;
 use sandf_obs::{CounterHandle, EventJournal, GaugeHandle, JournalEvent, MetricsRegistry};
-use sandf_sim::{topology, FaultSpec, PhaseFault};
+use sandf_sim::{topology, FaultCtx, FaultSpec, LossModel, PhaseFault, UniformLoss};
 
-use crate::fault::{compile_fault_line, FaultInjector, FaultedTransport};
+use crate::fault::{compile_fault_line, FaultInjector};
 use crate::http::{escape_json, serve, HttpContext};
 use crate::invariants::{CheckOutcome, InvariantChecker, WireTotals};
 use crate::wheel::{TimerWheel, WheelItem};
@@ -87,9 +88,12 @@ const SHUTDOWN_DRAIN: Duration = Duration::from_millis(20);
 /// `slot_of` entry of an id with no live slot; no slot index reaches it.
 const NO_SLOT: u32 = u32::MAX;
 
-/// The metric prefix shared by every node's loss layer; the registry
-/// dedupes by name, so the whole fleet shares `daemon.net.*` counters.
-const NET_PREFIX: &str = "daemon.net";
+/// The slot seating `id`: `None` for an id that left, or one the daemon
+/// never issued (a forged frame can put such an id into a view).
+fn slot_key(slot_of: &[u32], id: NodeId) -> Option<usize> {
+    let key = *slot_of.get(usize::try_from(id.as_u64()).ok()?)?;
+    (key != NO_SLOT).then_some(key as usize)
+}
 
 /// Configuration for a daemon process.
 #[derive(Clone, Debug)]
@@ -104,7 +108,7 @@ pub struct DaemonConfig {
     pub initial_degree: usize,
     /// Wall-clock duration of one protocol round.
     pub tick: Duration,
-    /// Base message-loss probability (the `LossyTransport` layer).
+    /// Base message-loss probability, drawn i.i.d. before every send.
     pub base_loss: f64,
     /// Master seed; all per-node RNGs derive from it.
     pub seed: u64,
@@ -245,15 +249,15 @@ impl MembershipSnapshot {
 
 /// The daemon's wire accounting across the kernel, read from its registry.
 ///
-/// Every frame the base-loss layer hands on is dropped by an injected
-/// fault, found to be a dead letter (at the send, when the address book no
-/// longer resolves the peer, or coming off the wire, when the peer left
-/// meanwhile), or put into a live node's inbox. After
+/// Every message that survives the base-loss draw is dropped by an injected
+/// fault, found to be a dead letter (at the send, when the peer has no
+/// live slot, or coming off the wire, when the peer left meanwhile), or put
+/// into a live node's inbox. After
 /// [`DaemonHandle::shutdown`] nothing is [in flight](Self::in_flight): a
 /// remainder is datagrams the kernel dropped or sends that failed.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct WireLedger {
-    /// `daemon.net.delivered`: frames that passed the base-loss layer.
+    /// `daemon.net.delivered`: messages that survived the base-loss draw.
     pub delivered: u64,
     /// `daemon.fault.dropped`: of those, dropped by the injected fault.
     pub fault_dropped: u64,
@@ -297,12 +301,13 @@ impl std::fmt::Display for WireLedger {
     }
 }
 
-type NodeTransport = LossyTransport<FaultedTransport<UdpTransport>>;
-
 struct NodeSlot {
     node: SfNode,
-    transport: NodeTransport,
     rng: StdRng,
+    /// Decides the base loss of this node's sends.
+    loss_rng: StdRng,
+    /// Offered to the injected fault with each send that survived.
+    fault_rng: StdRng,
     /// Messages drained off the socket for this node since its last tick.
     inbox: Vec<Message>,
 }
@@ -430,7 +435,7 @@ struct ServiceState {
     slot_of: Vec<u32>,
     wheel: TimerWheel,
     socket: SharedSocket,
-    book: AddressBook,
+    base_loss: UniformLoss,
     injector: FaultInjector,
     checker: InvariantChecker,
     registry: MetricsRegistry,
@@ -452,6 +457,12 @@ struct ServiceState {
     checks_counter: CounterHandle,
     degree_viol_counter: CounterHandle,
     stale_viol_counter: CounterHandle,
+    sent: CounterHandle,
+    base_dropped: CounterHandle,
+    delivered: CounterHandle,
+    /// Messages for an id with no live node: the peer left before the send
+    /// (counted there, never sent) or while the frame was in flight.
+    dead_letters: CounterHandle,
     recv_errors: CounterHandle,
     received: CounterHandle,
 }
@@ -472,9 +483,7 @@ fn boot(config: DaemonConfig) -> io::Result<ServiceState> {
     {
         return Err(invalid("initial_degree must be even, ≤ s, and < initial_nodes"));
     }
-    if !(0.0..=1.0).contains(&config.base_loss) {
-        return Err(invalid("base_loss must be a probability"));
-    }
+    let base_loss = UniformLoss::new(config.base_loss).map_err(invalid)?;
     if config.tick.is_zero() || config.check_every == 0 {
         return Err(invalid("tick and check_every must be positive"));
     }
@@ -488,7 +497,7 @@ fn boot(config: DaemonConfig) -> io::Result<ServiceState> {
         slot_of: Vec::with_capacity(config.initial_nodes),
         wheel: TimerWheel::new(WHEEL_SLOTS),
         socket: SharedSocket::bind_loopback().map_err(|e| io::Error::other(e.to_string()))?,
-        book: AddressBook::new(),
+        base_loss,
         injector: FaultInjector::new(&registry),
         checker: InvariantChecker::new(sf),
         journal: EventJournal::new(config.journal_capacity.max(64)),
@@ -511,6 +520,10 @@ fn boot(config: DaemonConfig) -> io::Result<ServiceState> {
         checks_counter: registry.counter("daemon.checks"),
         degree_viol_counter: registry.counter("daemon.violations.degree"),
         stale_viol_counter: registry.counter("daemon.violations.stale"),
+        sent: registry.counter("daemon.net.sent"),
+        base_dropped: registry.counter("daemon.net.dropped"),
+        delivered: registry.counter("daemon.net.delivered"),
+        dead_letters: registry.counter("daemon.net.dead_letters"),
         recv_errors: registry.counter("daemon.net.recv_errors"),
         received: registry.counter("daemon.net.received"),
         registry,
@@ -601,7 +614,6 @@ fn run_loop(mut state: ServiceState, ctl: &Receiver<Control>) -> Vec<SfNode> {
         due.clear();
         state.wheel.advance_to(target, &mut due);
         let round = state.wheel.rounds();
-        state.injector.set_round(round);
         for chunk in due.chunks(DRAIN_CHUNK) {
             state.drain_socket();
             for item in chunk {
@@ -634,27 +646,19 @@ fn run_loop(mut state: ServiceState, ctl: &Receiver<Control>) -> Vec<SfNode> {
 }
 
 impl ServiceState {
-    /// Wraps `node` in its transport stack and seats it in a free slot,
+    /// Seats `node`, with its three random streams, in a free slot,
     /// reachable under its id; returns the slot's key.
     fn place(&mut self, node: SfNode) -> usize {
         let id = node.id();
-        let faulted = FaultedTransport::new(
-            self.socket.endpoint(id, &self.book),
-            self.injector.clone(),
-            self.book.clone(),
-            self.config.seed ^ id.as_u64().wrapping_mul(0x9e37_79b9_7f4a_7c15),
-        );
-        let transport = LossyTransport::with_metrics(
-            faulted,
-            self.config.base_loss,
-            self.config.seed ^ id.as_u64().wrapping_mul(0xd134_2543_de82_ef95),
-            &self.registry,
-            NET_PREFIX,
-        );
-        let rng = StdRng::seed_from_u64(
-            self.config.seed ^ id.as_u64().wrapping_mul(0x2545_f491_4f6c_dd1d),
-        );
-        let slot = Some(NodeSlot { node, transport, rng, inbox: Vec::new() });
+        let stream =
+            |salt: u64| StdRng::seed_from_u64(self.config.seed ^ id.as_u64().wrapping_mul(salt));
+        let slot = Some(NodeSlot {
+            node,
+            rng: stream(0x2545_f491_4f6c_dd1d),
+            loss_rng: stream(0xd134_2543_de82_ef95),
+            fault_rng: stream(0x9e37_79b9_7f4a_7c15),
+            inbox: Vec::new(),
+        });
         let key = match self.free.pop() {
             Some(key) => {
                 self.slots[key] = slot;
@@ -677,8 +681,7 @@ impl ServiceState {
         let (slots, slot_of) = (&mut self.slots, &self.slot_of);
         let (mut received, mut dead_letters) = (0, 0);
         let drained = self.socket.drain(RECV_BATCH_MAX, |to, message| {
-            let key = usize::try_from(to.as_u64()).ok().and_then(|id| slot_of.get(id));
-            match key.and_then(|&key| slots.get_mut(key as usize)?.as_mut()) {
+            match slot_key(slot_of, to).and_then(|key| slots[key].as_mut()) {
                 Some(slot) => {
                     slot.inbox.push(message);
                     received += 1;
@@ -690,7 +693,33 @@ impl ServiceState {
             self.recv_errors.inc();
         }
         self.received.add(received);
-        self.injector.record_dead_letters(dead_letters);
+        self.dead_letters.add(dead_letters);
+    }
+
+    /// The one send path of the fleet: what `from_key`'s node initiated in
+    /// `round` meets base loss, then the injected fault, then the
+    /// dead-letter test, and goes on the wire if it passed all three.
+    fn send(&mut self, from_key: usize, round: u64, to: NodeId, message: Message) {
+        let slot = self.slots[from_key].as_mut().expect("a live sender");
+        self.sent.inc();
+        if self.base_loss.is_lost(&mut slot.loss_rng) {
+            self.base_dropped.inc();
+            return;
+        }
+        self.delivered.inc();
+        let ctx = FaultCtx { from: slot.node.id(), to, round };
+        if self.injector.drops(ctx, &mut slot.fault_rng) {
+            return;
+        }
+        if slot_key(&self.slot_of, to).is_none() {
+            // The peer left; counted so the checker's realized loss
+            // includes churn-induced loss.
+            self.dead_letters.inc();
+            return;
+        }
+        // Loss (base or injected) is the protocol's whole subject; a socket
+        // error is treated as one more lost message.
+        let _ = self.socket.send_frame(self.socket.local_addr(), to, message);
     }
 
     fn live_keys(&self) -> Vec<usize> {
@@ -710,9 +739,7 @@ impl ServiceState {
         }
         if self.injector.node_acts(slot.node.id(), round) {
             if let InitiateOutcome::Sent { to, message, .. } = slot.node.initiate(&mut slot.rng) {
-                // Loss (base or injected) is the protocol's whole subject;
-                // a socket error is treated as one more lost message.
-                let _ = slot.transport.send(to, message);
+                self.send(key, round, to, message);
             }
         }
     }
@@ -747,11 +774,11 @@ impl ServiceState {
         if count == 0 {
             return Err("join count must be positive".into());
         }
+        let mut live = self.live_keys();
+        if live.is_empty() {
+            return Err("no live sponsor to join through".into());
+        }
         for _ in 0..count {
-            let live = self.live_keys();
-            if live.is_empty() {
-                return Err("no live sponsor to join through".into());
-            }
             let id = NodeId::new(self.slot_of.len() as u64);
             let d_l = self.sf.lower_threshold();
             let sponsor_key = live[self.rng.gen_range(0..live.len())];
@@ -766,7 +793,7 @@ impl ServiceState {
                 if ids.len() == d_l {
                     break;
                 }
-                if candidate != id && self.book.resolve(candidate).is_some() {
+                if candidate != id && slot_key(&self.slot_of, candidate).is_some() {
                     ids.push(candidate);
                 }
             }
@@ -792,13 +819,13 @@ impl ServiceState {
             }
             let node = SfNode::with_view(id, self.sf, &ids).map_err(|e| e.to_string())?;
             let key = self.place(node);
+            live.push(key);
             let generation = self.generations[key];
             let delay = self.rng.gen_range(0..WHEEL_SLOTS as u64);
             self.wheel.schedule(delay, WheelItem { key, generation });
         }
-        let live = self.live_keys().len();
-        self.nodes_gauge.set(live as f64);
-        Ok(live)
+        self.nodes_gauge.set(live.len() as f64);
+        Ok(live.len())
     }
 
     fn handle_leave(&mut self, count: usize) -> Result<usize, String> {
@@ -814,7 +841,6 @@ impl ServiceState {
             // The slot's inbox goes with it: whoever reuses the key starts
             // with no mail, and later frames for the id are dead letters.
             let slot = self.slots[key].take().expect("live key");
-            self.book.remove(slot.node.id());
             self.slot_of[slot.node.id().as_u64() as usize] = NO_SLOT;
             self.retired_actions += slot.node.stats().sent;
             self.retired_duplications += slot.node.stats().duplications;
@@ -846,8 +872,6 @@ impl ServiceState {
     }
 
     fn wire_totals(&self) -> WireTotals {
-        let sent = self.registry.counter_value("daemon.net.sent").unwrap_or(0);
-        let base_dropped = self.registry.counter_value("daemon.net.dropped").unwrap_or(0);
         let mut actions = self.retired_actions;
         let mut duplications = self.retired_duplications;
         for node in self.live_nodes() {
@@ -855,8 +879,8 @@ impl ServiceState {
             duplications += node.stats().duplications;
         }
         WireTotals {
-            sent,
-            dropped: base_dropped + self.injector.dropped() + self.injector.dead_letters(),
+            sent: self.sent.get(),
+            dropped: self.base_dropped.get() + self.injector.dropped() + self.dead_letters.get(),
             actions,
             duplications,
         }
@@ -912,7 +936,7 @@ impl ServiceState {
             degree_violations: self.degree_violations_total,
             stale_violations: self.stale_violations_total,
             window_loss: outcome.window_loss,
-            fault: self.injector.kind().into(),
+            fault: self.injector.kind(self.wheel.rounds()).into(),
         };
     }
 
@@ -921,9 +945,10 @@ impl ServiceState {
     fn publish_light_snapshot(&self) {
         let mut snap = self.snapshot.lock();
         snap.round = self.wheel.rounds();
-        snap.live = self.live_keys().len();
+        // Every slot is seated or on the free list.
+        snap.live = self.slots.len() - self.free.len();
         snap.departed = self.departed;
-        snap.fault = self.injector.kind().into();
+        snap.fault = self.injector.kind(snap.round).into();
     }
 }
 
@@ -960,15 +985,11 @@ mod tests {
         state.handle_join(4).unwrap();
         state.handle_leave(3).unwrap();
         state.handle_join(2).unwrap();
-        let addr = state.socket.local_addr();
         let mut live = 0;
         for (key, slot) in state.slots.iter().enumerate() {
             let Some(slot) = slot else { continue };
             live += 1;
-            assert_eq!(slot.transport.inner().inner().local_addr(), addr);
-            let id = slot.node.id();
-            assert_eq!(state.book.resolve(id), Some(addr));
-            assert_eq!(state.slot_of[id.as_u64() as usize] as usize, key);
+            assert_eq!(slot_key(&state.slot_of, slot.node.id()), Some(key));
         }
         assert_eq!(live, 19);
         // The three that left are unmapped, whoever took their slots.
@@ -993,6 +1014,82 @@ mod tests {
         for slot in state.slots.iter().flatten() {
             if slot.node.id().as_u64() >= 16 {
                 assert!(slot.inbox.is_empty(), "joiner {} inherited mail", slot.node.id());
+            }
+        }
+    }
+
+    /// A lossless fleet of 16 (ids = slot keys 0..16) and a message to send
+    /// across it.
+    fn lossless_fleet() -> (ServiceState, Message) {
+        let state = boot(DaemonConfig { base_loss: 0.0, ..tiny_config() }).unwrap();
+        (state, Message::new(NodeId::new(0), NodeId::new(9), false))
+    }
+
+    fn counter(state: &ServiceState, name: &str) -> u64 {
+        state.registry.counter_value(name).unwrap()
+    }
+
+    #[test]
+    fn a_partition_drops_cross_region_sends_until_it_lapses() {
+        let (mut state, message) = lossless_fleet();
+        assert_eq!(state.handle_fault("phase 100 partition 2 1.0 0"), Ok("partition".into()));
+        assert_eq!(state.injector.kind(5), "partition");
+        // 0 and 1 are in different regions (id mod 2): everything drops.
+        for _ in 0..20 {
+            state.send(0, 5, NodeId::new(1), message);
+        }
+        assert_eq!(counter(&state, "daemon.net.delivered"), 20);
+        assert_eq!(counter(&state, "daemon.fault.dropped"), 20);
+        std::thread::sleep(Duration::from_millis(10));
+        state.drain_socket();
+        assert!(state.slots.iter().flatten().all(|slot| slot.inbox.is_empty()));
+
+        // After the window the wire heals, with no second command.
+        assert_eq!(state.injector.kind(200), "none");
+        state.send(0, 200, NodeId::new(1), message);
+        for _ in 0..200 {
+            state.drain_socket();
+            if !state.slots[1].as_ref().unwrap().inbox.is_empty() {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(state.slots[1].as_ref().unwrap().inbox, [message]);
+        assert_eq!(counter(&state, "daemon.fault.dropped"), 20);
+        assert_eq!(WireLedger::read(&state.registry).in_flight(), 0);
+    }
+
+    #[test]
+    fn a_send_to_a_departed_id_is_one_dead_letter_and_no_frame() {
+        let (mut state, message) = lossless_fleet();
+        state.handle_leave(1).unwrap();
+        let gone = state.slot_of.iter().position(|&key| key == NO_SLOT).unwrap();
+        let from = (0..16).find(|&key| key != gone).unwrap();
+        state.send(from, 1, NodeId::new(gone as u64), message);
+        assert_eq!(counter(&state, "daemon.net.dead_letters"), 1);
+        // Nothing went on the wire: a frame would come off it as a second
+        // dead letter.
+        std::thread::sleep(Duration::from_millis(10));
+        state.drain_socket();
+        assert_eq!(counter(&state, "daemon.net.received"), 0);
+        assert_eq!(counter(&state, "daemon.net.dead_letters"), 1);
+        assert_eq!(WireLedger::read(&state.registry).in_flight(), 0);
+    }
+
+    #[test]
+    fn joiners_are_seeded_with_live_ids_only() {
+        let mut state = boot(tiny_config()).unwrap();
+        // Half the fleet leaves, so every sponsor's view names departed ids.
+        state.handle_leave(8).unwrap();
+        state.handle_join(8).unwrap();
+        for slot in state.slots.iter().flatten().filter(|slot| slot.node.id().as_u64() >= 16) {
+            assert_eq!(slot.node.view().ids().count(), state.sf.lower_threshold());
+            for id in slot.node.view().ids() {
+                assert!(
+                    slot_key(&state.slot_of, id).is_some(),
+                    "{} got departed {id}",
+                    slot.node.id()
+                );
             }
         }
     }

@@ -2,33 +2,30 @@
 //!
 //! The paper's network model (Section 4.1) is best-effort datagrams with
 //! uniform i.i.d. loss and no delivery feedback. This crate provides that
-//! model as a [`Transport`] trait with one wire implementation and one
-//! decorator:
-//!
-//! * [`UdpTransport`] — actual UDP sockets over loopback or a LAN (real
-//!   reordering, and whatever loss the network has): one node id's
-//!   endpoint on a [`SharedSocket`], which is either its own or one it
-//!   shares with every other node of the process;
-//! * [`LossyTransport`] — wraps any transport and drops outgoing messages
-//!   i.i.d. at a seeded rate: the Section 4.1 loss process layered onto a
-//!   channel (like loopback) that in practice loses nothing.
+//! model as a [`Transport`] trait with one wire implementation,
+//! [`UdpTransport`] — actual UDP sockets over loopback or a LAN (real
+//! reordering, and whatever loss the network has): one node id's endpoint
+//! on a [`SharedSocket`], which is either its own or one it shares with
+//! every other node of the process. Loopback in practice loses nothing;
+//! the Section 4.1 loss process is the sender's to draw
+//! (`sandf_sim::UniformLoss`, as `sandf-daemon` does before every send).
 //!
 //! The wire [`codec`] is total — a datagram is a 25-byte frame, the
 //! 8-byte destination id and the 17-byte message: S&F has exactly one
 //! message type and needs no connection state, which is the "practical, no
 //! bookkeeping" half of the paper's thesis. `sandf-daemon` multiplexes
-//! thousands of these endpoints over one socket on one service loop,
-//! demultiplexing on the destination id.
+//! thousands of nodes over one [`SharedSocket`] on one service loop,
+//! sending with [`SharedSocket::send_frame`] and demultiplexing what
+//! [`SharedSocket::drain`] hands over on the destination id.
 //!
 //! ## Example
 //!
 //! ```
 //! use sandf_core::{Message, NodeId};
-//! use sandf_net::{AddressBook, LossyTransport, Transport, UdpTransport};
+//! use sandf_net::{AddressBook, Transport, UdpTransport};
 //!
 //! let book = AddressBook::new();
-//! let alice = UdpTransport::bind_loopback(NodeId::new(0), &book)?;
-//! let mut alice = LossyTransport::new(alice, 0.0, 7);
+//! let mut alice = UdpTransport::bind_loopback(NodeId::new(0), &book)?;
 //! let mut bob = UdpTransport::bind_loopback(NodeId::new(1), &book)?;
 //!
 //! let hello = Message::new(NodeId::new(0), NodeId::new(9), false);
@@ -47,10 +44,8 @@
 #![warn(missing_docs)]
 
 pub mod codec;
-mod lossy;
 mod transport;
 mod udp;
 
-pub use lossy::LossyTransport;
 pub use transport::{Transport, TransportError};
 pub use udp::{AddressBook, SharedSocket, UdpTransport};

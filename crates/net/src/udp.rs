@@ -107,6 +107,25 @@ impl SharedSocket {
         UdpTransport { id, socket: self.clone(), book: book.clone() }
     }
 
+    /// Sends `message` to node `to` at `addr` as one frame. A full send
+    /// buffer is loss, which the protocol tolerates.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TransportError::Io`] on any other socket error.
+    pub fn send_frame(
+        &self,
+        addr: SocketAddr,
+        to: NodeId,
+        message: Message,
+    ) -> Result<(), TransportError> {
+        match self.socket.send_to(&encode_frame(to, message), addr) {
+            Ok(_) => Ok(()),
+            Err(e) if e.kind() == ErrorKind::WouldBlock => Ok(()),
+            Err(e) => Err(io_err(e)),
+        }
+    }
+
     /// Takes up to `max` pending frames off the socket without blocking,
     /// handing each to `deliver` with its destination id, and returns how
     /// many it handed over. This is how the owner of a socket with several
@@ -189,15 +208,10 @@ impl Transport for UdpTransport {
     }
 
     fn send(&mut self, to: NodeId, message: Message) -> Result<(), TransportError> {
-        let Some(addr) = self.book.resolve(to) else {
+        match self.book.resolve(to) {
+            Some(addr) => self.socket.send_frame(addr, to, message),
             // A vanished peer is indistinguishable from loss to S&F.
-            return Ok(());
-        };
-        match self.socket.socket.send_to(&encode_frame(to, message), addr) {
-            Ok(_) => Ok(()),
-            // Full buffers are loss, which the protocol tolerates.
-            Err(e) if e.kind() == ErrorKind::WouldBlock => Ok(()),
-            Err(e) => Err(io_err(e)),
+            None => Ok(()),
         }
     }
 

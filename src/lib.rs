@@ -22,7 +22,7 @@
 //!   (undeletion, replace-when-full, batched sends), likewise as
 //!   behaviors — both modules of the one protocol-zoo crate;
 //! * [`net`] — the `Transport` trait, UDP endpoints on a socket one node
-//!   owns or many share, a loss-injecting decorator, and the wire codec
+//!   owns or many share, and the wire codec
 //!   (an 8-byte destination id in front of the 17-byte message);
 //! * [`daemon`] — S&F on a wire: a long-running membership service
 //!   multiplexing many nodes over one real UDP socket on one event loop,
