@@ -1,7 +1,8 @@
 //! `sandf-daemon`: a long-running S&F membership service over real UDP.
 //!
 //! One process multiplexes thousands of S&F nodes over one loopback UDP
-//! socket — every datagram a frame that names its destination node — on a
+//! socket — every message a frame that names its destination node, a
+//! drain chunk's frames packed into one or two datagrams — on a
 //! single-threaded event loop (a timer wheel for action ticks, one send
 //! path for the whole fleet, plus a bounded-cadence non-blocking drain of
 //! the socket into per-node inboxes — no async runtime, no lock on the

@@ -4,22 +4,29 @@
 //! # Design
 //!
 //! The daemon binds a single non-blocking loopback socket
-//! ([`SharedSocket`]); every datagram on it is a frame, the destination
-//! node's id followed by the 17-byte message. The loop sends for every
-//! node through one function, `ServiceState::send`: base Section 4.1 loss
-//! is drawn first (from the sender's loss stream), then the
+//! ([`SharedSocket`]); every message on it travels as a 25-byte frame, the
+//! destination node's id followed by the 17-byte message, and every
+//! datagram packs 1 to [`MAX_FRAMES`] frames. The loop sends for every node
+//! through one function, `ServiceState::send`: base Section 4.1 loss is
+//! drawn first (from the sender's loss stream), then the
 //! runtime-reconfigurable fault injector (from its fault stream), then the
 //! destination is looked up in a dense id → slot table, and only a message
-//! for a live node goes on the wire. The loop, not the node, receives:
-//! before every [`DRAIN_CHUNK`] node ticks it drains the socket into
-//! per-node inboxes through the same table, and a node whose action timer
-//! fires takes its inbox and then initiates, so its receive step and
-//! initiate step happen back-to-back at a quiescent point. A message or
-//! frame for an id with no live node is a dead letter.
+//! for a live node is packed into the loop's one outbox [`Datagram`]. The
+//! loss draws stay per message, so packing changes the number of
+//! datagrams the kernel handles, not the Section 4.1 channel. The loop,
+//! not the node, receives: before every [`DRAIN_CHUNK`] node ticks it
+//! flushes the outbox onto the wire (a full one goes early) and then
+//! drains the socket into per-node inboxes through the same table, so a
+//! frame reaches the same drain, in the same order, as if it had gone out
+//! alone at its send. A node whose action timer fires takes its inbox and
+//! then initiates, so its receive step and initiate step happen
+//! back-to-back at a quiescent point. A message or frame for an id with no
+//! live node is a dead letter.
 //!
 //! The wire is accounted across the kernel: `daemon.net.received` counts
-//! frames put into a live inbox, and once the loop has stopped and drained
-//! the socket a last time,
+//! frames put into a live inbox, `daemon.net.datagrams` the datagrams
+//! handed to the kernel, and once the loop has stopped and drained the
+//! socket a last time,
 //! `delivered = received + dead_letters + daemon.fault.dropped` holds
 //! exactly (the last term is zero unless a fault was injected) — a datagram
 //! the kernel dropped would show as a deficit on the right
@@ -36,6 +43,8 @@
 //! Control (join / leave / fault) arrives on an mpsc channel, serviced
 //! between ticks; each command carries a reply sender so the HTTP layer can
 //! report *applied* rather than *enqueued*.
+//!
+//! [`MAX_FRAMES`]: sandf_net::codec::MAX_FRAMES
 
 use std::io;
 use std::net::SocketAddr;
@@ -51,6 +60,7 @@ use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use sandf_core::{InitiateOutcome, Message, NodeId, SfConfig, SfNode};
 use sandf_graph::MembershipGraph;
+use sandf_net::codec::Datagram;
 use sandf_net::SharedSocket;
 use sandf_obs::{CounterHandle, EventJournal, GaugeHandle, JournalEvent, MetricsRegistry};
 use sandf_sim::{topology, FaultCtx, FaultSpec, LossModel, PhaseFault, UniformLoss};
@@ -65,14 +75,17 @@ use crate::wheel::{TimerWheel, WheelItem};
 pub const WHEEL_SLOTS: usize = 64;
 
 /// Node ticks between two drains of the socket. A node tick sends at most
-/// one datagram, so at most this many of the daemon's own frames ever wait
-/// in the kernel, whatever the send rate. The receive buffer charges a
-/// small loopback datagram up to ≈ 1280 B (the `sk_buff` plus its data
-/// area), and Linux's default buffer is 212 992 B: 166 frames fit, 64 hold
-/// ≈ 80 KB of it and leave more than half to senders outside the process.
-/// Draining once per loop iteration instead (a whole rotation of a
-/// saturated thousand-node fleet) overflows it, and the kernel drops
-/// silently.
+/// one frame and the outbox is flushed before every drain, so at most this
+/// many of the daemon's own frames ever wait in the kernel, whatever the
+/// send rate — packed into at most two datagrams, since [`MAX_FRAMES`]
+/// (58) < 64 ≤ 2 × 58. The receive buffer charges a datagram its `sk_buff`
+/// plus data area, 2 304 B for a full one on loopback, and Linux's default
+/// buffer is 212 992 B: two of them hold ≈ 2 % of it and leave the rest to
+/// senders outside the process. Draining once per loop iteration instead
+/// would leave a whole rotation's frames in the kernel, a backlog that
+/// grows with the fleet until the kernel drops silently.
+///
+/// [`MAX_FRAMES`]: sandf_net::codec::MAX_FRAMES
 pub const DRAIN_CHUNK: usize = 64;
 
 /// Max frames taken off the socket in one drain: the fleet's own frames
@@ -435,6 +448,8 @@ struct ServiceState {
     slot_of: Vec<u32>,
     wheel: TimerWheel,
     socket: SharedSocket,
+    /// Frames sent since the last flush, packed for one datagram.
+    outbox: Datagram,
     base_loss: UniformLoss,
     injector: FaultInjector,
     checker: InvariantChecker,
@@ -465,6 +480,7 @@ struct ServiceState {
     dead_letters: CounterHandle,
     recv_errors: CounterHandle,
     received: CounterHandle,
+    datagrams: CounterHandle,
 }
 
 fn invalid<E: std::fmt::Display>(e: E) -> io::Error {
@@ -497,6 +513,7 @@ fn boot(config: DaemonConfig) -> io::Result<ServiceState> {
         slot_of: Vec::with_capacity(config.initial_nodes),
         wheel: TimerWheel::new(WHEEL_SLOTS),
         socket: SharedSocket::bind_loopback().map_err(|e| io::Error::other(e.to_string()))?,
+        outbox: Datagram::default(),
         base_loss,
         injector: FaultInjector::new(&registry),
         checker: InvariantChecker::new(sf),
@@ -526,6 +543,7 @@ fn boot(config: DaemonConfig) -> io::Result<ServiceState> {
         dead_letters: registry.counter("daemon.net.dead_letters"),
         recv_errors: registry.counter("daemon.net.recv_errors"),
         received: registry.counter("daemon.net.received"),
+        datagrams: registry.counter("daemon.net.datagrams"),
         registry,
         config,
     };
@@ -614,15 +632,7 @@ fn run_loop(mut state: ServiceState, ctl: &Receiver<Control>) -> Vec<SfNode> {
         due.clear();
         state.wheel.advance_to(target, &mut due);
         let round = state.wheel.rounds();
-        for chunk in due.chunks(DRAIN_CHUNK) {
-            state.drain_socket();
-            for item in chunk {
-                if state.generations[item.key] == item.generation {
-                    state.tick_node(item.key, round);
-                    state.wheel.schedule(WHEEL_SLOTS as u64 - 1, *item);
-                }
-            }
-        }
+        state.tick_due(&due, round);
         state.round_gauge.set(round as f64);
 
         if round >= next_check {
@@ -675,9 +685,11 @@ impl ServiceState {
         key
     }
 
-    /// Moves every frame waiting on the socket into its destination's
-    /// inbox; a frame for an id with no live slot is a dead letter.
+    /// Flushes the outbox, then moves every frame waiting on the socket
+    /// into its destination's inbox; a frame for an id with no live slot is
+    /// a dead letter.
     fn drain_socket(&mut self) {
+        self.flush();
         let (slots, slot_of) = (&mut self.slots, &self.slot_of);
         let (mut received, mut dead_letters) = (0, 0);
         let drained = self.socket.drain(RECV_BATCH_MAX, |to, message| {
@@ -698,7 +710,7 @@ impl ServiceState {
 
     /// The one send path of the fleet: what `from_key`'s node initiated in
     /// `round` meets base loss, then the injected fault, then the
-    /// dead-letter test, and goes on the wire if it passed all three.
+    /// dead-letter test, and goes into the outbox if it passed all three.
     fn send(&mut self, from_key: usize, round: u64, to: NodeId, message: Message) {
         let slot = self.slots[from_key].as_mut().expect("a live sender");
         self.sent.inc();
@@ -717,9 +729,36 @@ impl ServiceState {
             self.dead_letters.inc();
             return;
         }
+        if self.outbox.push(to, message) {
+            self.flush();
+        }
+    }
+
+    /// Hands the outbox's frames to the kernel as one datagram, if it holds
+    /// any.
+    fn flush(&mut self) {
+        if self.outbox.is_empty() {
+            return;
+        }
         // Loss (base or injected) is the protocol's whole subject; a socket
-        // error is treated as one more lost message.
-        let _ = self.socket.send_frame(self.socket.local_addr(), to, message);
+        // error is treated as the loss of every frame in the datagram.
+        let _ = self.socket.send_datagram(self.socket.local_addr(), &self.outbox);
+        self.datagrams.inc();
+        self.outbox.clear();
+    }
+
+    /// Ticks the `due` nodes still seated and re-parks them one rotation
+    /// on, draining the socket before every [`DRAIN_CHUNK`] of them.
+    fn tick_due(&mut self, due: &[WheelItem], round: u64) {
+        for chunk in due.chunks(DRAIN_CHUNK) {
+            self.drain_socket();
+            for item in chunk {
+                if self.generations[item.key] == item.generation {
+                    self.tick_node(item.key, round);
+                    self.wheel.schedule(WHEEL_SLOTS as u64 - 1, *item);
+                }
+            }
+        }
     }
 
     fn live_keys(&self) -> Vec<usize> {
@@ -1057,6 +1096,46 @@ mod tests {
         assert_eq!(state.slots[1].as_ref().unwrap().inbox, [message]);
         assert_eq!(counter(&state, "daemon.fault.dropped"), 20);
         assert_eq!(WireLedger::read(&state.registry).in_flight(), 0);
+    }
+
+    #[test]
+    fn a_chunks_sends_wait_in_the_outbox_and_arrive_in_order_at_the_next_drain() {
+        let (mut state, _) = lossless_fleet();
+        let sent: Vec<Message> = (1..=3)
+            .map(|from| Message::new(NodeId::new(from), NodeId::new(from + 10), from == 2))
+            .collect();
+        for (from, &message) in (1..=3).zip(&sent) {
+            state.send(from, 1, NodeId::new(0), message);
+        }
+        std::thread::sleep(Duration::from_millis(5));
+        assert_eq!(state.socket.drain(usize::MAX, |_, _| ()).unwrap(), 0, "nothing on the wire");
+
+        // Loopback is asynchronous: the drain that flushes may read too soon.
+        for _ in 0..200 {
+            state.drain_socket();
+            if !state.slots[0].as_ref().unwrap().inbox.is_empty() {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(state.slots[0].as_ref().unwrap().inbox, sent);
+        assert_eq!(counter(&state, "daemon.net.datagrams"), 1, "one datagram for the three");
+        assert_eq!(WireLedger::read(&state.registry).in_flight(), 0);
+    }
+
+    #[test]
+    fn the_outbox_goes_out_at_every_drain_chunk() {
+        let mut state = boot(DaemonConfig { initial_nodes: 640, ..tiny_config() }).unwrap();
+        let due: Vec<WheelItem> = (0..640).map(|key| WheelItem { key, generation: 0 }).collect();
+        state.tick_due(&due, 1);
+        // Ten chunks of 64 ticks, each sending far fewer than a datagram
+        // holds: the nine drains after the first flush a datagram each,
+        // and only the last chunk's frames are still in the outbox.
+        assert_eq!(counter(&state, "daemon.net.datagrams"), 9);
+        let sent =
+            counter(&state, "daemon.net.delivered") - counter(&state, "daemon.net.dead_letters");
+        let last_chunk = state.outbox.as_bytes().len() / sandf_net::codec::FRAME_LEN;
+        assert!(0 < last_chunk && last_chunk < sent as usize / 5, "{last_chunk} of {sent}");
     }
 
     #[test]

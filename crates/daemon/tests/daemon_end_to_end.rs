@@ -87,7 +87,7 @@ fn saturated_fleet_loses_nothing_in_the_kernel() {
     let nodes = daemon.shutdown();
     assert_eq!(nodes.len(), 800);
 
-    let WireLedger { received, dead_letters, fault_dropped, .. } = closed_ledger(&registry);
+    let WireLedger { delivered, received, dead_letters, fault_dropped } = closed_ledger(&registry);
     assert_eq!((dead_letters, fault_dropped), (0, 0), "nobody left, nothing was injected");
     let taken_in: u64 = nodes.iter().map(|n| n.stats().stored + n.stats().deletions).sum();
     // The rest waits in inboxes for a tick that never came: less than two
@@ -96,6 +96,9 @@ fn saturated_fleet_loses_nothing_in_the_kernel() {
     assert!(received > 800 * 200 / 4, "the fleet barely ran: {received} frames");
     let counter = |name: &str| registry.counter_value(name).expect(name);
     assert_eq!(counter("daemon.violations.degree") + counter("daemon.violations.stale"), 0);
+    // A chunk's frames travel packed, not one to a datagram.
+    let datagrams = counter("daemon.net.datagrams");
+    assert!(delivered >= 8 * datagrams, "{delivered} frames in {datagrams} datagrams");
 }
 
 #[test]
@@ -135,7 +138,12 @@ fn garbage_on_the_socket_reaches_no_node() {
     let mut bad_flags = frame;
     bad_flags[24] = 0b0000_0010;
     let stranger = encode_frame(NodeId::new(1 << 40), message);
-    let garbage: [&[u8]; 6] = [&[], &[1, 2, 3], &encode(message), &long, &bad_flags, &stranger];
+    // Packed datagrams are taken or dropped whole: a good frame before a
+    // bad one, and one frame more than a datagram may hold.
+    let bad_second = [frame, bad_flags].concat();
+    let too_many = frame.repeat(59);
+    let garbage: [&[u8]; 8] =
+        [&[], &[1, 2, 3], &encode(message), &long, &bad_flags, &stranger, &bad_second, &too_many];
     for datagram in garbage {
         raw.send_to(datagram, daemon.udp_addr()).unwrap();
     }
@@ -143,15 +151,19 @@ fn garbage_on_the_socket_reaches_no_node() {
     assert_eq!(counter("daemon.net.received"), 0, "garbage was handed to a node");
     assert_eq!(counter("daemon.net.dead_letters"), 1, "the frame for an id that never existed");
 
-    // The same path does deliver a well-formed frame for a live id.
+    // The same path does deliver a well-formed frame for a live id, and
+    // both frames of a well-formed pair.
     raw.send_to(&frame, daemon.udp_addr()).unwrap();
+    let pair = [encode_frame(NodeId::new(4), message), encode_frame(NodeId::new(5), message)];
+    raw.send_to(&pair.concat(), daemon.udp_addr()).unwrap();
     run_rounds(&daemon, 4);
     let nodes = daemon.shutdown();
-    assert_eq!(counter("daemon.net.received"), 1);
+    assert_eq!(counter("daemon.net.received"), 3);
     assert_eq!(counter("daemon.net.recv_errors"), 0);
     let took_in = |node: &SfNode| node.stats().stored + node.stats().deletions;
     for node in &nodes {
-        assert_eq!(took_in(node), u64::from(node.id() == NodeId::new(3)), "node {}", node.id());
+        let reached = [3, 4, 5].contains(&node.id().as_u64());
+        assert_eq!(took_in(node), u64::from(reached), "node {}", node.id());
     }
 }
 
@@ -199,6 +211,7 @@ fn metric_catalog_is_pinned() {
     let expected = [
         "daemon.checks",
         "daemon.fault.dropped",
+        "daemon.net.datagrams",
         "daemon.net.dead_letters",
         "daemon.net.delivered",
         "daemon.net.dropped",

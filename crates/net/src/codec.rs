@@ -8,9 +8,16 @@
 //!
 //! On the wire the body travels inside a 25-byte *frame*: the destination
 //! id (big-endian `u64`) followed by the body. The destination lets one
-//! socket carry the traffic of many nodes — the receiver of a datagram
-//! demultiplexes on it — and costs a node with a socket of its own eight
-//! bytes it checks and discards.
+//! socket carry the traffic of many nodes — the receiver demultiplexes on
+//! it — and costs a node with a socket of its own eight bytes it checks and
+//! discards.
+//!
+//! A UDP datagram carries 1 to [`MAX_FRAMES`] frames back to back, packed
+//! by a [`Datagram`] and taken apart by [`decode_datagram`]; a lone frame
+//! is the one-frame case. Frames are still lost one message at a time —
+//! the loss draws happen before a frame is packed — so packing only
+//! changes how many datagrams the kernel handles, not the Section 4.1
+//! channel.
 
 use sandf_core::{Message, NodeId};
 
@@ -18,8 +25,16 @@ use sandf_core::{Message, NodeId};
 pub const WIRE_LEN: usize = 17;
 
 /// Length of a frame — an 8-byte destination id followed by a body — in
-/// bytes: what a UDP datagram carries.
+/// bytes.
 pub const FRAME_LEN: usize = 8 + WIRE_LEN;
+
+/// Most frames in one datagram: ⌊(1500 − 28) / 25⌋ = 58, so a full
+/// datagram, with its 20-byte IPv4 and 8-byte UDP headers, fits a
+/// 1500-byte Ethernet MTU off loopback and is never fragmented.
+pub const MAX_FRAMES: usize = (1500 - 28) / FRAME_LEN;
+
+/// Length of a datagram of [`MAX_FRAMES`] frames, the longest one.
+pub const MAX_DATAGRAM_LEN: usize = MAX_FRAMES * FRAME_LEN;
 
 const FLAG_DEPENDENT: u8 = 0b0000_0001;
 
@@ -27,7 +42,8 @@ const FLAG_DEPENDENT: u8 = 0b0000_0001;
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum WireError {
     /// The datagram is not exactly [`WIRE_LEN`] (a body) or [`FRAME_LEN`] (a
-    /// frame) bytes, whichever the decoder expected.
+    /// frame) bytes, or not 1 to [`MAX_FRAMES`] whole frames (a
+    /// datagram), whichever the decoder expected.
     BadLength {
         /// Received length.
         len: usize,
@@ -44,7 +60,8 @@ impl core::fmt::Display for WireError {
         match *self {
             Self::BadLength { len } => write!(
                 f,
-                "datagram length {len}, expected {WIRE_LEN} (body) or {FRAME_LEN} (frame)"
+                "datagram length {len}, expected {WIRE_LEN} (body) or 1 to {MAX_FRAMES} \
+                 frames of {FRAME_LEN}"
             ),
             Self::BadFlags { flags } => write!(f, "unknown flag bits in {flags:#010b}"),
         }
@@ -109,6 +126,78 @@ pub fn decode_frame(datagram: &[u8]) -> Result<(NodeId, Message), WireError> {
         Err(WireError::BadLength { .. }) => Err(WireError::BadLength { len: datagram.len() }),
         Err(flags) => Err(flags),
     }
+}
+
+/// Frames packed back to back into one datagram, at most [`MAX_FRAMES`]
+/// of them: what [`decode_datagram`] takes apart. The buffer is inline, so
+/// filling and clearing one never allocates.
+#[derive(Debug)]
+pub struct Datagram {
+    bytes: [u8; MAX_DATAGRAM_LEN],
+    len: usize,
+}
+
+impl Default for Datagram {
+    fn default() -> Self {
+        Self { bytes: [0; MAX_DATAGRAM_LEN], len: 0 }
+    }
+}
+
+impl Datagram {
+    /// Appends the frame of `message` for `to` and returns whether the
+    /// datagram is now full.
+    ///
+    /// # Panics
+    ///
+    /// If it was full already.
+    pub fn push(&mut self, to: NodeId, message: Message) -> bool {
+        let end = self.len + FRAME_LEN;
+        self.bytes[self.len..end].copy_from_slice(&encode_frame(to, message));
+        self.len = end;
+        end == MAX_DATAGRAM_LEN
+    }
+
+    /// The frames pushed since the last [`clear`](Self::clear), as they go
+    /// on the wire.
+    #[must_use]
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.bytes[..self.len]
+    }
+
+    /// Whether no frame has been pushed since the last
+    /// [`clear`](Self::clear).
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Empties the datagram for the next batch of frames.
+    pub fn clear(&mut self) {
+        self.len = 0;
+    }
+}
+
+/// Checks a datagram of 1 to [`MAX_FRAMES`] frames and returns its frames
+/// in order, each decoded by [`decode_frame`]. A datagram is accepted or
+/// rejected whole: one bad frame rejects all of them.
+///
+/// # Errors
+///
+/// Returns [`WireError::BadLength`] for a datagram that is empty, not a
+/// whole number of frames or longer than [`MAX_FRAMES`] of them, and the
+/// first bad frame's [`WireError::BadFlags`].
+pub fn decode_datagram(
+    datagram: &[u8],
+) -> Result<impl Iterator<Item = (NodeId, Message)> + '_, WireError> {
+    let len = datagram.len();
+    if len == 0 || !len.is_multiple_of(FRAME_LEN) || len > MAX_DATAGRAM_LEN {
+        return Err(WireError::BadLength { len });
+    }
+    let frames = datagram.chunks_exact(FRAME_LEN);
+    for frame in frames.clone() {
+        decode_frame(frame)?;
+    }
+    Ok(frames.map(|frame| decode_frame(frame).expect("every frame was checked above")))
 }
 
 #[cfg(test)]

@@ -10,13 +10,17 @@
 //! the Section 4.1 loss process is the sender's to draw
 //! (`sandf_sim::UniformLoss`, as `sandf-daemon` does before every send).
 //!
-//! The wire [`codec`] is total — a datagram is a 25-byte frame, the
-//! 8-byte destination id and the 17-byte message: S&F has exactly one
+//! The wire [`codec`] is total — a message travels as a 25-byte frame, the
+//! 8-byte destination id and the 17-byte message, and a datagram is 1 to
+//! [`codec::MAX_FRAMES`] such frames back to back: S&F has exactly one
 //! message type and needs no connection state, which is the "practical, no
 //! bookkeeping" half of the paper's thesis. `sandf-daemon` multiplexes
 //! thousands of nodes over one [`SharedSocket`] on one service loop,
-//! sending with [`SharedSocket::send_frame`] and demultiplexing what
-//! [`SharedSocket::drain`] hands over on the destination id.
+//! packing its frames into a [`codec::Datagram`] sent with
+//! [`SharedSocket::send_datagram`], and demultiplexing what
+//! [`SharedSocket::drain`] hands over on the destination id. A
+//! [`UdpTransport`] sends one frame to a datagram
+//! ([`SharedSocket::send_frame`]).
 //!
 //! ## Example
 //!

@@ -6,14 +6,16 @@
 //! [`AddressBook`] (in a real deployment this would be seeded the same way
 //! bootstrap views are).
 //!
-//! Every datagram is a [frame](crate::codec): the destination id, then the
-//! message. A [`SharedSocket`] therefore serves any number of node ids —
-//! its owner [drains](SharedSocket::drain) it and demultiplexes on the
-//! destination — and a [`UdpTransport`] is one id's handle on such a
-//! socket: its sends go out through it, and its own receive calls keep the
-//! frames addressed to that id. A transport bound by
-//! [`UdpTransport::bind_loopback`] is the single-id case, the only id on a
-//! socket of its own.
+//! Every datagram is 1 to [`MAX_FRAMES`] [frames](crate::codec), each the
+//! destination id, then the message. A [`SharedSocket`] therefore serves
+//! any number of node ids — its owner [drains](SharedSocket::drain) it and
+//! demultiplexes on the destination — and a [`UdpTransport`] is one id's
+//! handle on such a socket: its sends go out through it one frame to a
+//! datagram, and its own receive calls keep the frames addressed to that
+//! id. A transport bound by [`UdpTransport::bind_loopback`] is the
+//! single-id case, the only id on a socket of its own.
+//!
+//! [`MAX_FRAMES`]: crate::codec::MAX_FRAMES
 
 use std::collections::HashMap;
 use std::io::ErrorKind;
@@ -22,7 +24,7 @@ use std::sync::{Arc, PoisonError, RwLock};
 
 use sandf_core::{Message, NodeId};
 
-use crate::codec::{decode_frame, encode_frame, FRAME_LEN};
+use crate::codec::{decode_datagram, encode_frame, Datagram, MAX_DATAGRAM_LEN};
 use crate::transport::{Transport, TransportError};
 
 /// A shared map from node ids to socket addresses.
@@ -107,8 +109,8 @@ impl SharedSocket {
         UdpTransport { id, socket: self.clone(), book: book.clone() }
     }
 
-    /// Sends `message` to node `to` at `addr` as one frame. A full send
-    /// buffer is loss, which the protocol tolerates.
+    /// Sends `message` to node `to` at `addr` as a datagram of one frame.
+    /// A full send buffer is loss, which the protocol tolerates.
     ///
     /// # Errors
     ///
@@ -119,56 +121,72 @@ impl SharedSocket {
         to: NodeId,
         message: Message,
     ) -> Result<(), TransportError> {
-        match self.socket.send_to(&encode_frame(to, message), addr) {
+        self.send_to(addr, &encode_frame(to, message))
+    }
+
+    /// Sends the frames packed in `datagram` to `addr` as one datagram, a
+    /// full send buffer again being loss (of every frame in it).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TransportError::Io`] on any other socket error.
+    pub fn send_datagram(
+        &self,
+        addr: SocketAddr,
+        datagram: &Datagram,
+    ) -> Result<(), TransportError> {
+        self.send_to(addr, datagram.as_bytes())
+    }
+
+    fn send_to(&self, addr: SocketAddr, bytes: &[u8]) -> Result<(), TransportError> {
+        match self.socket.send_to(bytes, addr) {
             Ok(_) => Ok(()),
             Err(e) if e.kind() == ErrorKind::WouldBlock => Ok(()),
             Err(e) => Err(io_err(e)),
         }
     }
 
-    /// Takes up to `max` pending frames off the socket without blocking,
-    /// handing each to `deliver` with its destination id, and returns how
-    /// many it handed over. This is how the owner of a socket with several
-    /// endpoints receives: an endpoint's own receive calls would discard
-    /// its neighbours' frames.
+    /// Takes datagrams off the socket without blocking, handing each of
+    /// their frames to `deliver` with its destination id, and returns how
+    /// many frames it handed over. This is how the owner of a socket with
+    /// several endpoints receives: an endpoint's own receive calls would
+    /// discard its neighbours' frames.
+    ///
+    /// `max` counts frames but is checked once per datagram, which is taken
+    /// whole: the drain stops at the first datagram boundary at or past
+    /// `max` frames, so it can hand over up to [`MAX_FRAMES`] − 1 more. A
+    /// datagram that is not 1 to [`MAX_FRAMES`] well-formed frames is
+    /// dropped whole, like line noise.
     ///
     /// # Errors
     ///
     /// Returns [`TransportError::Io`] on a socket error; frames taken
     /// before it have been delivered.
+    ///
+    /// [`MAX_FRAMES`]: crate::codec::MAX_FRAMES
     pub fn drain(
         &self,
         max: usize,
         mut deliver: impl FnMut(NodeId, Message),
     ) -> Result<usize, TransportError> {
+        // One byte more than the longest datagram: a longer one is cut to a
+        // length the decoder rejects.
+        let mut buf = [0u8; MAX_DATAGRAM_LEN + 1];
         let mut taken = 0;
         while taken < max {
-            let Some((to, message)) = self.recv_frame()? else {
-                break;
-            };
-            deliver(to, message);
-            taken += 1;
-        }
-        Ok(taken)
-    }
-
-    /// The next well-formed frame, `None` once the socket is empty.
-    fn recv_frame(&self) -> Result<Option<(NodeId, Message)>, TransportError> {
-        // One byte more than a frame: a longer datagram is cut to a length
-        // the decoder rejects.
-        let mut buf = [0u8; FRAME_LEN + 1];
-        loop {
-            match self.socket.recv_from(&mut buf) {
-                Ok((len, _)) => {
-                    // Malformed datagrams are dropped, like line noise.
-                    if let Ok(frame) = decode_frame(&buf[..len]) {
-                        return Ok(Some(frame));
-                    }
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(None),
+            let len = match self.socket.recv_from(&mut buf) {
+                Ok((len, _)) => len,
+                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                 Err(e) => return Err(io_err(e)),
+            };
+            if let Ok(frames) = decode_datagram(&buf[..len]) {
+                for (to, message) in frames {
+                    deliver(to, message);
+                    taken += 1;
+                }
             }
         }
+        Ok(taken)
     }
 }
 
@@ -216,23 +234,31 @@ impl Transport for UdpTransport {
     }
 
     /// The next pending message addressed to this id. Frames for any other
-    /// id are dropped, like line noise: on a socket with several endpoints
-    /// receive through [`SharedSocket::drain`] instead.
+    /// id are dropped, like line noise, and so is every frame after the
+    /// first for this id in a datagram of several: on a socket with several
+    /// endpoints, or from a sender that packs frames, receive through
+    /// [`SharedSocket::drain`] instead.
     fn try_recv(&mut self) -> Result<Option<Message>, TransportError> {
-        loop {
-            match self.socket.recv_frame()? {
-                Some((to, message)) if to == self.id => return Ok(Some(message)),
-                Some(_) => {}
-                None => return Ok(None),
+        let id = self.id;
+        let mut mine = None;
+        while mine.is_none() {
+            let taken = self.socket.drain(1, |to, message| {
+                if to == id {
+                    mine.get_or_insert(message);
+                }
+            })?;
+            if taken == 0 {
+                break;
             }
         }
+        Ok(mine)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::encode;
+    use crate::codec::{encode, FRAME_LEN, MAX_FRAMES};
 
     /// Polls `recv` (loopback is asynchronous) until it yields a message.
     fn wait_for(mut recv: impl FnMut() -> Option<Message>) -> Option<Message> {
@@ -346,6 +372,63 @@ mod tests {
         }
         assert!(seen.iter().any(|(to, _)| *to == NodeId::new(u64::MAX)));
         assert_eq!(socket.drain(8, |_, _| panic!("the socket is empty")).unwrap(), 0);
+    }
+
+    /// `count` frames, frame `k` for id `k` carrying payload `k`.
+    fn packed(count: u64) -> Datagram {
+        let mut datagram = Datagram::default();
+        for k in 0..count {
+            datagram.push(NodeId::new(k), Message::new(NodeId::new(99), NodeId::new(k), false));
+        }
+        datagram
+    }
+
+    /// Drains `socket` until `frames` frames came off it or 200 ms passed.
+    fn drain_until(socket: &SharedSocket, frames: usize, max: usize) -> Vec<(NodeId, Message)> {
+        let mut seen = Vec::new();
+        for _ in 0..200 {
+            socket.drain(max, |to, message| seen.push((to, message))).unwrap();
+            if seen.len() >= frames {
+                break;
+            }
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        seen
+    }
+
+    #[test]
+    fn drain_counts_frames_but_takes_datagrams_whole() {
+        let socket = SharedSocket::bind_loopback().unwrap();
+        socket.send_datagram(socket.local_addr(), &packed(5)).unwrap();
+        let lone = Message::new(NodeId::new(1), NodeId::new(2), true);
+        socket.send_frame(socket.local_addr(), NodeId::new(7), lone).unwrap();
+
+        // A max of 3 frames still takes the 5-frame datagram whole, in
+        // order, and stops at its end.
+        let seen = drain_until(&socket, 1, 3);
+        assert_eq!(seen.len(), 5, "the datagram is taken whole, and only it");
+        for (k, (to, message)) in seen.iter().enumerate() {
+            assert_eq!((to.as_u64(), message.payload.as_u64()), (k as u64, k as u64));
+        }
+        assert_eq!(drain_until(&socket, 1, 3), [(NodeId::new(7), lone)]);
+    }
+
+    #[test]
+    fn malformed_packed_datagrams_are_dropped_whole() {
+        let socket = SharedSocket::bind_loopback().unwrap();
+        let raw = UdpSocket::bind(("127.0.0.1", 0)).unwrap();
+        let full = packed(MAX_FRAMES as u64);
+        // One frame too many, and a good frame before one with bad flags.
+        let mut too_long = full.as_bytes().to_vec();
+        too_long.extend_from_slice(&full.as_bytes()[..FRAME_LEN]);
+        let mut bad_second = packed(2).as_bytes().to_vec();
+        bad_second[2 * FRAME_LEN - 1] = 0b0000_0100;
+        for datagram in [&too_long[..], &bad_second, full.as_bytes()] {
+            raw.send_to(datagram, socket.local_addr()).unwrap();
+        }
+        let seen = drain_until(&socket, MAX_FRAMES, usize::MAX);
+        assert_eq!(seen.len(), MAX_FRAMES, "only the well-formed datagram survives");
+        assert!(seen.iter().enumerate().all(|(k, (to, _))| to.as_u64() == k as u64));
     }
 
     #[test]

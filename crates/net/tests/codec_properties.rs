@@ -1,12 +1,36 @@
 //! Property tests of the wire codec: total decode, exact roundtrip, for
-//! the 17-byte body and for the 25-byte frame (destination id + body) a
-//! datagram carries.
+//! the 17-byte body, for the 25-byte frame (destination id + body) and for
+//! the datagram of 1 to 58 frames.
 
 use proptest::prelude::*;
 use sandf_core::{Message, NodeId};
 use sandf_net::codec::{
-    decode, decode_frame, encode, encode_frame, WireError, FRAME_LEN, WIRE_LEN,
+    decode, decode_datagram, decode_frame, encode, encode_frame, Datagram, WireError, FRAME_LEN,
+    MAX_DATAGRAM_LEN, MAX_FRAMES, WIRE_LEN,
 };
+
+/// Packs `frames` into one datagram.
+fn pack(frames: &[(NodeId, Message)]) -> Datagram {
+    let mut datagram = Datagram::default();
+    for (k, &(to, message)) in frames.iter().enumerate() {
+        assert_eq!(datagram.push(to, message), k + 1 == MAX_FRAMES, "full only at the last");
+    }
+    datagram
+}
+
+/// `(to, message)` pairs from raw words.
+fn frames_of(words: &[(u64, u64, u64, bool)]) -> Vec<(NodeId, Message)> {
+    words
+        .iter()
+        .map(|&(to, sender, payload, dependent)| {
+            (NodeId::new(to), Message::new(NodeId::new(sender), NodeId::new(payload), dependent))
+        })
+        .collect()
+}
+
+fn decoded(datagram: &[u8]) -> Result<Vec<(NodeId, Message)>, WireError> {
+    decode_datagram(datagram).map(Iterator::collect)
+}
 
 proptest! {
     /// Every message roundtrips bit-exactly.
@@ -152,6 +176,93 @@ proptest! {
         bytes.extend_from_slice(&tail);
         prop_assert_eq!(decode_frame(&bytes), Err(WireError::BadLength { len: bytes.len() }));
     }
+
+    /// A datagram of any 1 to 58 frames is their frames back to back, and
+    /// decodes to them in order.
+    #[test]
+    fn packed_datagrams_roundtrip_in_order(
+        words in proptest::collection::vec(
+            (any::<u64>(), any::<u64>(), any::<u64>(), any::<bool>()),
+            1..=MAX_FRAMES,
+        ),
+    ) {
+        let frames = frames_of(&words);
+        let datagram = pack(&frames);
+        let wire: Vec<u8> = frames.iter().flat_map(|&(to, m)| encode_frame(to, m)).collect();
+        prop_assert_eq!(datagram.as_bytes(), &wire[..]);
+        prop_assert_eq!(decoded(datagram.as_bytes()), Ok(frames));
+    }
+
+    /// Any length that is not a whole number of frames is rejected whole.
+    #[test]
+    fn ragged_datagrams_are_rejected(
+        words in proptest::collection::vec(
+            (any::<u64>(), any::<u64>(), any::<u64>(), any::<bool>()),
+            1..=MAX_FRAMES,
+        ),
+        cut in 1usize..FRAME_LEN,
+        tail in proptest::collection::vec(any::<u8>(), 1..FRAME_LEN),
+    ) {
+        let bytes = pack(&frames_of(&words)).as_bytes().to_vec();
+        let short = &bytes[..bytes.len() - cut];
+        prop_assert_eq!(decoded(short), Err(WireError::BadLength { len: short.len() }));
+        let mut long = bytes;
+        long.extend_from_slice(&tail);
+        prop_assert_eq!(decoded(&long), Err(WireError::BadLength { len: long.len() }));
+    }
+
+    /// An undefined flag bit in any one frame rejects the whole datagram.
+    #[test]
+    fn one_bad_frame_rejects_the_datagram(
+        words in proptest::collection::vec(
+            (any::<u64>(), any::<u64>(), any::<u64>(), any::<bool>()),
+            1..=MAX_FRAMES,
+        ),
+        pick in any::<usize>(),
+        bit in 1u32..8,
+    ) {
+        let mut bytes = pack(&frames_of(&words)).as_bytes().to_vec();
+        let at = (pick % words.len() + 1) * FRAME_LEN - 1;
+        bytes[at] ^= 1 << bit;
+        prop_assert_eq!(decoded(&bytes), Err(WireError::BadFlags { flags: bytes[at] }));
+    }
+}
+
+/// A one-frame datagram is exactly the frame a lone sender writes, so a
+/// sender that never packs stays compatible.
+#[test]
+fn a_one_frame_datagram_is_the_frame() {
+    let (to, msg) = (NodeId::new(258), Message::new(NodeId::new(7), NodeId::new(9), true));
+    let mut datagram = Datagram::default();
+    assert!(datagram.is_empty());
+    assert!(!datagram.push(to, msg));
+    assert_eq!(datagram.as_bytes(), encode_frame(to, msg));
+    datagram.clear();
+    assert!(datagram.is_empty() && datagram.as_bytes().is_empty());
+}
+
+/// The empty datagram and one of 59 frames carry nothing; 58 is the most a
+/// datagram holds, and its 1450 bytes fit a 1500-byte MTU with headers.
+#[test]
+fn datagram_length_bounds() {
+    assert_eq!((MAX_FRAMES, MAX_DATAGRAM_LEN), (58, 1450));
+    assert_eq!(decoded(&[]), Err(WireError::BadLength { len: 0 }));
+    let frame = encode_frame(NodeId::new(1), Message::new(NodeId::new(2), NodeId::new(3), false));
+    let full = frame.repeat(MAX_FRAMES);
+    assert_eq!(decoded(&full).map(|frames| frames.len()), Ok(MAX_FRAMES));
+    let over = frame.repeat(MAX_FRAMES + 1);
+    assert_eq!(decoded(&over), Err(WireError::BadLength { len: over.len() }));
+}
+
+#[test]
+#[should_panic]
+fn a_full_datagram_takes_no_more_frames() {
+    let msg = Message::new(NodeId::new(2), NodeId::new(3), false);
+    let mut datagram = Datagram::default();
+    for _ in 0..MAX_FRAMES {
+        datagram.push(NodeId::new(1), msg);
+    }
+    datagram.push(NodeId::new(1), msg);
 }
 
 /// The ids at the edge of the space travel like any other.
