@@ -72,6 +72,7 @@ use sandf_markov::{DegreeMc, DegreeMcParams};
 use sandf_obs::MetricsRegistry;
 use sandf_sim::experiment::initial_degree;
 use sandf_sim::fault::{expect_args, parse_num};
+use sandf_sim::stream::fnv1a64;
 pub use sandf_sim::FaultSpec;
 use sandf_sim::{
     rumor_channel_for, topology, BroadcastConfig, BroadcastLayer, Engine, ParSimulation,
@@ -79,7 +80,7 @@ use sandf_sim::{
 };
 
 use crate::fmt;
-use crate::sweep::{fnv1a64, Summary, SweepCell, SweepSpec};
+use crate::sweep::{Summary, SweepCell, SweepSpec};
 use crate::sweeps::{ring_views, with_behavior};
 
 /// The envelope tolerance added to the ci95 half-width when comparing the
@@ -884,7 +885,9 @@ fn decay_ceiling(scenario: &Scenario, phase: &Phase) -> Option<f64> {
 /// The degree-MC prediction `(mean_in, std_in)` at a config and loss
 /// rate, memoized process-wide: a multi-phase scenario revisits the same
 /// handful of rates (and the golden tests revisit them across thread
-/// counts), while a solve costs ~1 s in a debug build.
+/// counts), while a solve costs ~1 s in a debug build. The memo is a cache
+/// keyed by exact inputs and only ever looked up, never iterated, so its
+/// order cannot reach output: a hit returns what a fresh solve would.
 fn degree_mc_prediction(config: SfConfig, rate: f64) -> Option<(f64, f64)> {
     use std::collections::HashMap;
     use std::sync::{Mutex, OnceLock, PoisonError};
@@ -1090,7 +1093,7 @@ pub fn with_seed(spec: &str, seed: u64) -> Scenario {
 /// comparisons without shipping the table.
 #[must_use]
 pub fn tsv_fingerprint(tsv: &str) -> u64 {
-    fnv1a64(tsv.as_bytes())
+    fnv1a64(tsv.bytes())
 }
 
 #[cfg(test)]

@@ -8,7 +8,8 @@
 //! * a thread-pool executor fanning the `(cell, replicate)` tasks out over
 //!   `std::thread` workers;
 //! * **deterministic seeding**: each task's RNG seed is a stable FNV-1a
-//!   hash of `(base_seed, cell key, replicate index)`, so results are
+//!   hash ([`sandf_sim::stream::fnv1a64`]) of `(base_seed, cell key,
+//!   replicate index)`, so results are
 //!   bit-identical regardless of thread count or execution order, and
 //!   adding a cell to a grid never perturbs the other cells' streams;
 //! * a [`Summary`] aggregation layer (mean, sample std, 95% confidence
@@ -23,7 +24,9 @@
 //!
 //! The key is textual so it is independent of struct layout; two cells
 //! with equal keys get equal streams by construction (and a debug
-//! assertion rejects duplicate keys in one spec).
+//! assertion rejects duplicate keys in one spec). The hash is the one the
+//! engines' per-entity streams use, over this text rather than their
+//! tagged 25-byte layout ([`sandf_sim::stream`]).
 //!
 //! # Confidence intervals
 //!
@@ -55,19 +58,9 @@ use std::sync::mpsc;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 pub use sandf_graph::Summary;
+use sandf_sim::stream::fnv1a64;
 
 use crate::fmt;
-
-/// Stable FNV-1a 64-bit hash; the seed derivation primitive.
-#[must_use]
-pub fn fnv1a64(data: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &byte in data {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
 
 /// One cell of a parameter grid. The key must be a stable, unique textual
 /// encoding of the cell's parameters — it feeds the seed hash.
@@ -79,7 +72,7 @@ pub trait SweepCell {
 /// The seed for one `(cell, replicate)` task under `base_seed`.
 #[must_use]
 pub fn replicate_seed(base_seed: u64, cell_key: &str, replicate: usize) -> u64 {
-    fnv1a64(format!("{base_seed}/{cell_key}/{replicate}").as_bytes())
+    fnv1a64(format!("{base_seed}/{cell_key}/{replicate}").bytes())
 }
 
 /// A declarative replicated sweep: a grid of cells, each run

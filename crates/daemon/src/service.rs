@@ -23,6 +23,13 @@
 //! back-to-back at a quiescent point. A message or frame for an id with no
 //! live node is a dead letter.
 //!
+//! Each node draws from three streams of its own — protocol steps, base
+//! loss, injected fault — and the loop from one control stream (join
+//! sponsors and delays, leave victims). Each is seeded by
+//! [`stream_seed`] under its own tag of the [`sandf_sim::stream`] table:
+//! `n`, `l` and `f` at `(id, 0)`, `k` at `(0, 0)`. No two coincide, id 0
+//! included.
+//!
 //! The wire is accounted across the kernel: `daemon.net.received` counts
 //! frames put into a live inbox, `daemon.net.datagrams` the datagrams
 //! handed to the kernel, and once the loop has stopped and drained the
@@ -63,6 +70,7 @@ use sandf_graph::MembershipGraph;
 use sandf_net::codec::Datagram;
 use sandf_net::SharedSocket;
 use sandf_obs::{CounterHandle, EventJournal, GaugeHandle, JournalEvent, MetricsRegistry};
+use sandf_sim::stream::{self, stream_seed};
 use sandf_sim::{topology, FaultCtx, FaultSpec, LossModel, PhaseFault, UniformLoss};
 
 use crate::fault::{compile_fault_line, FaultInjector};
@@ -123,7 +131,8 @@ pub struct DaemonConfig {
     pub tick: Duration,
     /// Base message-loss probability, drawn i.i.d. before every send.
     pub base_loss: f64,
-    /// Master seed; all per-node RNGs derive from it.
+    /// Master seed; every RNG of the daemon derives from it through
+    /// [`sandf_sim::stream`].
     pub seed: u64,
     /// Rounds between invariant checks.
     pub check_every: u64,
@@ -523,7 +532,7 @@ fn boot(config: DaemonConfig) -> io::Result<ServiceState> {
             fault: "none".into(),
             ..MembershipSnapshot::default()
         })),
-        rng: StdRng::seed_from_u64(config.seed),
+        rng: StdRng::seed_from_u64(stream_seed(config.seed, stream::DAEMON_CONTROL, 0, 0)),
         departed: 0,
         retired_actions: 0,
         retired_duplications: 0,
@@ -660,13 +669,13 @@ impl ServiceState {
     /// reachable under its id; returns the slot's key.
     fn place(&mut self, node: SfNode) -> usize {
         let id = node.id();
-        let stream =
-            |salt: u64| StdRng::seed_from_u64(self.config.seed ^ id.as_u64().wrapping_mul(salt));
+        let seeded =
+            |tag| StdRng::seed_from_u64(stream_seed(self.config.seed, tag, id.as_u64(), 0));
         let slot = Some(NodeSlot {
             node,
-            rng: stream(0x2545_f491_4f6c_dd1d),
-            loss_rng: stream(0xd134_2543_de82_ef95),
-            fault_rng: stream(0x9e37_79b9_7f4a_7c15),
+            rng: seeded(stream::DAEMON_NODE),
+            loss_rng: seeded(stream::DAEMON_LOSS),
+            fault_rng: seeded(stream::DAEMON_FAULT),
             inbox: Vec::new(),
         });
         let key = match self.free.pop() {
@@ -1016,6 +1025,21 @@ mod tests {
         assert!(snap.checks >= 1);
         assert_eq!(snap.degree_violations, 0, "healthy boot must not violate Obs 5.1");
         daemon.shutdown();
+    }
+
+    #[test]
+    fn no_two_random_streams_coincide() {
+        let state = boot(tiny_config()).unwrap();
+        let mut streams = vec![&state.rng];
+        for slot in state.slots.iter().flatten() {
+            streams.extend([&slot.rng, &slot.loss_rng, &slot.fault_rng]);
+        }
+        assert_eq!(streams.len(), 1 + 3 * 16);
+        for (i, a) in streams.iter().enumerate() {
+            for b in &streams[i + 1..] {
+                assert_ne!(a, b, "two of the daemon's streams share a seed");
+            }
+        }
     }
 
     #[test]

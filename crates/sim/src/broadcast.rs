@@ -14,13 +14,12 @@
 //! # Determinism
 //!
 //! Every random draw a node makes in a broadcast round comes from its own
-//! counter-based stream, derived exactly like the parallel engine's
-//! per-`(seed, node, round)` streams (FNV-1a over the fixed 25-byte
-//! `seed ‖ tag ‖ node ‖ round` layout) with two new tags:
+//! per-`(seed, node, round)` stream ([`stream_seed`]) under two tags of the
+//! [`crate::stream`] table:
 //!
-//! * [`RUMOR_TAG`] (`b'g'`) — gossip draws: push targets, pull partner,
+//! * [`RUMOR`] (`b'g'`) — gossip draws: push targets, pull partner,
 //!   per-message loss;
-//! * [`RUMOR_CHANNEL_TAG`] (`b'h'`) — the per-round Gilbert–Elliott
+//! * [`RUMOR_CHANNEL`] (`b'h'`) — the per-round Gilbert–Elliott
 //!   channel-state transition.
 //!
 //! Draws therefore never depend on view-iteration order, and newly
@@ -46,14 +45,8 @@ use sandf_core::NodeId;
 use sandf_obs::{CounterHandle, MetricsRegistry};
 
 use crate::fault::FaultSpec;
-use crate::par::{fnv1a64, stream_seed};
+use crate::stream::{fnv1a64, stream_seed, RUMOR, RUMOR_CHANNEL};
 use crate::traits::Engine;
-
-/// Stream tag for gossip draws (push targets, pull partner, loss).
-pub const RUMOR_TAG: u8 = b'g';
-
-/// Stream tag for the per-round rumor-channel state transition.
-pub const RUMOR_CHANNEL_TAG: u8 = b'h';
 
 /// Push / push-pull rumor parameters.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -113,7 +106,7 @@ pub enum RumorChannel {
     },
     /// Per-receiver two-state Gilbert–Elliott channel: each node's state
     /// advances once per broadcast round from its own
-    /// [`RUMOR_CHANNEL_TAG`] stream; inbound messages drop at `loss_good`
+    /// [`RUMOR_CHANNEL`] stream; inbound messages drop at `loss_good`
     /// or `loss_bad` depending on the receiver's state.
     Bursty {
         /// P(good → bad) per round.
@@ -310,7 +303,10 @@ pub struct BroadcastLayer {
     config: BroadcastConfig,
     channel: RumorChannel,
     round: u64,
-    /// Dense rumor arena: id → slot plus per-slot columns.
+    /// Dense rumor arena: id → slot plus per-slot columns. The map is only
+    /// ever looked up, never iterated, so its order cannot reach output:
+    /// slots are issued in the engine's live order, and `fingerprint` and
+    /// `informed_ids` walk the columns and sort by id.
     slot_of: HashMap<NodeId, u32>,
     ids: Vec<NodeId>,
     /// Rounds since the slot became informed (saturating).
@@ -336,7 +332,7 @@ pub struct BroadcastLayer {
 
 impl BroadcastLayer {
     /// A lossless-channel layer sharing the engine's `seed` (streams stay
-    /// disjoint from the engine's via [`RUMOR_TAG`]/[`RUMOR_CHANNEL_TAG`]).
+    /// disjoint from the engine's via [`RUMOR`]/[`RUMOR_CHANNEL`]).
     #[must_use]
     pub fn new(seed: u64, config: BroadcastConfig) -> Self {
         Self::with_channel(seed, config, RumorChannel::Lossless)
@@ -519,7 +515,7 @@ impl BroadcastLayer {
             bytes.push(self.age[slot as usize]);
             bytes.push(u8::from(self.live_epoch[slot as usize] == self.round));
         }
-        fnv1a64(&bytes)
+        fnv1a64(bytes)
     }
 
     /// The end-of-run summary.
@@ -580,7 +576,7 @@ impl BroadcastLayer {
                 };
                 let mut rng = StdRng::seed_from_u64(stream_seed(
                     self.seed,
-                    RUMOR_CHANNEL_TAG,
+                    RUMOR_CHANNEL,
                     id.as_u64(),
                     round,
                 ));
@@ -608,7 +604,7 @@ impl BroadcastLayer {
             }
             if informed && this.age[slot as usize] <= this.config.max_age {
                 let mut rng =
-                    StdRng::seed_from_u64(stream_seed(this.seed, RUMOR_TAG, id.as_u64(), round));
+                    StdRng::seed_from_u64(stream_seed(this.seed, RUMOR, id.as_u64(), round));
                 for _ in 0..this.config.fanout {
                     let target = view[rng.gen_range(0..view.len())];
                     this.stats.sent += 1;
@@ -639,7 +635,7 @@ impl BroadcastLayer {
                 }
             } else if !informed && this.config.pull {
                 let mut rng =
-                    StdRng::seed_from_u64(stream_seed(this.seed, RUMOR_TAG, id.as_u64(), round));
+                    StdRng::seed_from_u64(stream_seed(this.seed, RUMOR, id.as_u64(), round));
                 let partner = view[rng.gen_range(0..view.len())];
                 this.stats.pull_requests += 1;
                 let request_dropped = rng.gen_bool(this.loss_rate(id, partner));
@@ -926,6 +922,7 @@ mod tests {
         layer.seed_rumor_at(origin);
         layer.run(&mut sim, 50);
         let informed = layer.informed_ids();
+        // Membership tests only: the set's order cannot matter.
         let traced: std::collections::HashSet<NodeId> =
             layer.trace().iter().map(|e| e.to).collect();
         for id in informed {

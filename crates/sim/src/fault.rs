@@ -64,11 +64,12 @@
 //! # Determinism
 //!
 //! Models that need per-link or per-node randomness (`PerLinkLoss`,
-//! `NodeCapacity`) derive it *statelessly* by hashing `(salt, ids)` with
-//! FNV-1a instead of drawing from the engine RNG, so a decision depends
-//! only on the identities involved — never on evaluation order. That is
-//! what keeps the par engine's sharded execution byte-identical for any
-//! thread count under every model here.
+//! `NodeCapacity`) derive it *statelessly* by hashing the salt and the ids
+//! as little-endian words with the workspace's one FNV-1a ([`fnv1a64`], see
+//! [`crate::stream`]) instead of drawing from the engine RNG, so a decision
+//! depends only on the identities involved — never on evaluation order.
+//! That is what keeps the par engine's sharded execution byte-identical for
+//! any thread count under every model here.
 
 use std::str::FromStr;
 
@@ -76,26 +77,7 @@ use rand::Rng;
 use sandf_core::NodeId;
 
 use crate::loss::{GilbertElliott, LossModel, LossRateError, UniformLoss};
-
-/// 64-bit FNV-1a offset basis (the same constants as the par engine's
-/// stream derivation and the sweep executor's replicate seeds).
-const FNV_OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// 64-bit FNV-1a prime.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// FNV-1a over a fixed little-endian layout of up to three words.
-#[inline]
-fn fnv1a64_words(words: &[u64]) -> u64 {
-    let mut hash = FNV_OFFSET_BASIS;
-    for word in words {
-        for byte in word.to_le_bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(FNV_PRIME);
-        }
-    }
-    hash
-}
+use crate::stream::fnv1a64;
 
 /// Maps a hash to a uniform `[0, 1)` fraction (53-bit mantissa).
 #[inline]
@@ -289,7 +271,8 @@ impl PerLinkLoss {
     /// Whether the directed link `from → to` is a bad one.
     #[must_use]
     pub fn link_is_bad(&self, from: NodeId, to: NodeId) -> bool {
-        hash_fraction(fnv1a64_words(&[self.salt, from.as_u64(), to.as_u64()])) < self.bad_fraction
+        let words = [self.salt, from.as_u64(), to.as_u64()];
+        hash_fraction(fnv1a64(words.into_iter().flat_map(u64::to_le_bytes))) < self.bad_fraction
     }
 }
 
@@ -351,7 +334,8 @@ impl NodeCapacity {
     /// Whether `node` belongs to the slow cohort.
     #[must_use]
     pub fn is_slow(&self, node: NodeId) -> bool {
-        hash_fraction(fnv1a64_words(&[self.salt, node.as_u64()])) < self.slow_fraction
+        let words = [self.salt, node.as_u64()];
+        hash_fraction(fnv1a64(words.into_iter().flat_map(u64::to_le_bytes))) < self.slow_fraction
     }
 }
 
@@ -367,7 +351,8 @@ impl FaultModel for NodeCapacity {
         }
         // A per-node phase offset, so slow nodes don't all act in the same
         // round.
-        let phase = fnv1a64_words(&[self.salt, node.as_u64(), 1]) % self.period;
+        let words = [self.salt, node.as_u64(), 1];
+        let phase = fnv1a64(words.into_iter().flat_map(u64::to_le_bytes)) % self.period;
         round % self.period == phase
     }
 
@@ -988,7 +973,8 @@ mod tests {
             assert_eq!(acting.len(), 4, "slow node must act once per period");
             assert!(acting.windows(2).all(|w| w[1] - w[0] == 4));
         }
-        // Phases are spread: not every slow node acts in the same round.
+        // Phases are spread: not every slow node acts in the same round
+        // (only the set's size is read, so its order cannot matter).
         let phases: std::collections::HashSet<u64> = slow
             .iter()
             .take(50)

@@ -46,6 +46,7 @@ mod loss;
 pub mod observer;
 mod par;
 pub mod scan;
+pub mod stream;
 pub mod telemetry;
 pub mod topology;
 mod traits;

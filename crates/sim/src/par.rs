@@ -12,12 +12,11 @@
 //! sharded engine removes that bottleneck by changing *where randomness
 //! comes from*: instead of one stream whose draw order serializes the run,
 //! every `(node, round)` pair derives its own short-lived RNG from the
-//! simulation seed with FNV-1a — the same per-task derivation scheme the
-//! sweep executor in `sandf_bench::sweep` uses for replicate seeds. A
-//! node's behavior in a round then depends only on `(seed, node id,
-//! round)` and its own view, never on which thread ran it, so the arena
-//! can be split into `T` contiguous shards and processed concurrently
-//! while staying **byte-identical for any thread count**. That contract is
+//! simulation seed ([`stream_seed`] under tags `a`, `d`, `r` and `c` of the
+//! [`crate::stream`] table). A node's behavior in a round then depends only
+//! on `(seed, node id, round)` and its own view, never on which thread ran
+//! it, so the arena can be split into `T` contiguous shards and processed
+//! concurrently while staying **byte-identical for any thread count**. That contract is
 //! also why the live order here is *ascending dense order* (the order the
 //! shards walk the arena in), not the flat engine's insertion order, and
 //! why every sender owns a private clone of the loss channel. The
@@ -97,67 +96,38 @@ use crate::chassis::{ring_for, Subscribers};
 use crate::degree::DegreeStats;
 use crate::engine::{DelayModel, SimStats, StepEvent, StepPhase, StepReport, StepSubscriber};
 use crate::fault::{FaultCtx, FaultModel};
+use crate::stream::{self, stream_seed};
 use crate::traits::{ProtocolBehavior, SfBehavior, MAX_REPLY_CHAIN};
 
-/// 64-bit FNV-1a offset basis.
-const FNV_OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// 64-bit FNV-1a prime.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// FNV-1a over `bytes` — the same hash `sandf_bench::sweep` uses to derive
-/// per-replicate seeds, applied here to per-`(node, round)` and
-/// per-message streams.
-#[inline]
-pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = FNV_OFFSET_BASIS;
-    for &byte in bytes {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
-
-/// Derives one stream seed from the simulation seed, a stream tag, and two
-/// stream coordinates, hashed as little-endian bytes (a fixed 25-byte
-/// layout: seed ‖ tag ‖ a ‖ b — no allocation on the hot path).
-#[inline]
-pub(crate) fn stream_seed(seed: u64, tag: u8, a: u64, b: u64) -> u64 {
-    let mut buf = [0u8; 25];
-    buf[..8].copy_from_slice(&seed.to_le_bytes());
-    buf[8] = tag;
-    buf[9..17].copy_from_slice(&a.to_le_bytes());
-    buf[17..].copy_from_slice(&b.to_le_bytes());
-    fnv1a64(&buf)
-}
-
-/// The action-phase RNG stream of `node` in `round`: tag `b'a'`.
+/// The action-phase RNG stream of `node` in `round`.
 #[inline]
 fn action_seed(seed: u64, node: u64, round: u64) -> u64 {
-    stream_seed(seed, b'a', node, round)
+    stream_seed(seed, stream::ACTION, node, round)
 }
 
 /// The delivery RNG stream of the message at sorted bucket position `pos`
-/// delivered at time `at`: tag `b'd'`.
+/// delivered at time `at`.
 #[inline]
 fn delivery_seed(seed: u64, at: u64, pos: u64) -> u64 {
-    stream_seed(seed, b'd', at, pos)
+    stream_seed(seed, stream::DELIVERY, at, pos)
 }
 
+/// `reply_seed` packs `at·16 + wave`, injective only while a wave number
+/// fits in four bits.
+const _: () = assert!(MAX_REPLY_CHAIN < 16, "reply_seed's at·16 + wave needs MAX_REPLY_CHAIN < 16");
+
 /// The RNG stream of the reply hop in `wave` (1-based) descending from
-/// sorted bucket position `pos` of the bucket delivered at `at`: tag
-/// `b'r'`. `at·16 + wave` is injective because the wave counter is capped
-/// at [`MAX_REPLY_CHAIN`] `< 16`.
+/// sorted bucket position `pos` of the bucket delivered at `at`.
 #[inline]
 fn reply_seed(seed: u64, at: u64, wave: u64, pos: u64) -> u64 {
-    stream_seed(seed, b'r', at * 16 + wave, pos)
+    stream_seed(seed, stream::REPLY, at * 16 + wave, pos)
 }
 
 /// The control-plane RNG stream (sponsor-view shuffles in
-/// [`ParSimulation::join_via`]): tag `b'c'`.
+/// [`ParSimulation::join_via`]).
 #[inline]
 fn control_seed(seed: u64) -> u64 {
-    stream_seed(seed, b'c', 0, 0)
+    stream_seed(seed, stream::CONTROL, 0, 0)
 }
 
 /// Adds every counter of `delta` into `total`.

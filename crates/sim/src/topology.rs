@@ -5,11 +5,17 @@
 //! shapes. Section 6.1's analysis additionally assumes an initial state where
 //! every node has the same sum degree `d_s(u) = d_m` — provided here by the
 //! circulant builder.
+//!
+//! [`random`] draws from a generator the caller passes in; the streaming
+//! [`random_iter`] gives each node its own stream under the
+//! [`stream::TOPOLOGY`] tag (the [`crate::stream`] table).
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use sandf_core::{NodeId, SfConfig, SfNode};
+
+use crate::stream::{self, stream_seed};
 
 fn node_from_targets(id: u64, config: SfConfig, targets: &[NodeId]) -> SfNode {
     let mut node = SfNode::new(NodeId::new(id), config);
@@ -75,15 +81,11 @@ pub fn random<R: Rng + ?Sized>(n: usize, config: SfConfig, d0: usize, rng: &mut 
         .collect()
 }
 
-/// Stream tag for the per-node bootstrap draws of [`random_iter`].
-const TOPOLOGY_TAG: u8 = b't';
-
 /// The streaming, seeded form of [`random`]: node `i` draws its `d0`
-/// distinct targets from its own counter-based stream (the engines'
-/// FNV-1a `seed ‖ tag ‖ node ‖ 0` layout with tag `b't'`), so the same
-/// seed yields the same topology without materializing `O(n)` scratch per
-/// node — [`random`] shuffles a full id vector per node and is `O(n²)`,
-/// unusable past `n ≈ 10⁴`. Feed this into the arena engines' streaming
+/// distinct targets from its own stream (tag [`stream::TOPOLOGY`],
+/// coordinates `(i, 0)`), so the same seed yields the same topology
+/// without materializing `O(n)` scratch per node — [`random`] shuffles a
+/// full id vector per node and is `O(n²)`, unusable past `n ≈ 10⁴`. Feed this into the arena engines' streaming
 /// constructors for expander-like bootstraps at `n = 10⁶⁺`.
 ///
 /// # Panics
@@ -100,7 +102,7 @@ pub fn random_iter(
     assert!(d0 <= config.view_size(), "initial outdegree exceeds view size");
     assert!(d0 < n, "random topology requires d0 < n");
     (0..n as u64).map(move |i| {
-        let mut rng = StdRng::seed_from_u64(crate::par::stream_seed(seed, TOPOLOGY_TAG, i, 0));
+        let mut rng = StdRng::seed_from_u64(stream_seed(seed, stream::TOPOLOGY, i, 0));
         let mut targets: Vec<NodeId> = Vec::with_capacity(d0);
         while targets.len() < d0 {
             let x = NodeId::new(rng.gen_range(0..n as u64));
