@@ -41,6 +41,16 @@ fn no_argument_and_unknown_name_print_the_20_names_and_exit_2() {
 }
 
 #[test]
+fn unknown_name_is_reported_before_its_arguments_are_read() {
+    let out = repro(&["frobnicate", "--dhat", "20", "--delta", "0.01"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty(), "an unknown name runs nothing");
+    let stderr = text(&out.stderr);
+    assert!(stderr.starts_with("repro: unknown artifact \"frobnicate\"\n"), "{stderr}");
+    assert!(!stderr.contains("--dhat"), "the arguments were read: {stderr}");
+}
+
+#[test]
 fn names_are_the_rows_of_the_readme_tables() {
     let readme = include_str!("../../../README.md");
     let section = readme
@@ -78,6 +88,30 @@ fn fast_artifacts_print_notes_then_a_tsv_header() {
         let path = format!("{}/tests/golden/evaluation/{name}.tsv", env!("CARGO_MANIFEST_DIR"));
         let pinned = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
         assert_eq!(stdout, pinned, "{name} moved off its pinned evaluation table");
+    }
+}
+
+#[test]
+fn pinned_selection_rows_are_what_select_thresholds_returns() {
+    let path = format!("{}/tests/golden/evaluation/thresholds.tsv", env!("CARGO_MANIFEST_DIR"));
+    let pinned = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+    // The first table of the artifact: d_hat, delta, d_L, s, P_dup, P_del, E_out.
+    let rows: Vec<Vec<&str>> = pinned
+        .lines()
+        .skip_while(|line| !line.starts_with("d_hat\tdelta\t"))
+        .skip(1)
+        .take_while(|line| !line.is_empty())
+        .map(|line| line.split('\t').collect())
+        .collect();
+    assert_eq!(rows.len(), 15, "five targets by three budgets");
+    assert!(rows.iter().any(|row| row[..2] == ["20", "0.010000"]), "d_hat=20, delta=1% is pinned");
+    for row in rows {
+        let d_hat: usize = row[0].parse().expect("d_hat is an integer");
+        let delta: f64 = row[1].parse().expect("delta is a number");
+        let sel = sandf_markov::select_thresholds(d_hat, delta)
+            .unwrap_or_else(|e| panic!("d_hat={d_hat} delta={delta}: {e}"));
+        assert_eq!([sel.d_l.to_string(), sel.s.to_string()], [row[2], row[3]], "{row:?}");
+        assert!(sel.to_config().is_ok(), "{row:?}: the selection is not a valid config");
     }
 }
 
