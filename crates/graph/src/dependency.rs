@@ -37,6 +37,7 @@ impl DependenceReport {
         I: IntoIterator<Item = &'a SfNode>,
     {
         let mut report = Self::default();
+        // Its values are only summed as integers, so its order cannot reach output.
         let mut groups: HashMap<NodeId, (usize, usize)> = HashMap::new();
         for node in nodes {
             groups.clear();

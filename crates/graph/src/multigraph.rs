@@ -32,6 +32,8 @@ use sandf_core::{NodeId, SfNode};
 #[derive(Clone, Debug)]
 pub struct MembershipGraph {
     ids: Vec<NodeId>,
+    /// Id → position in `ids`; only looked up, never iterated, so its order
+    /// cannot reach output.
     index: HashMap<NodeId, usize>,
     /// Out-edges per node, as indices into `ids`; `None` marks a dangling
     /// target (an id outside the captured node set).
@@ -191,6 +193,7 @@ impl MembershipGraph {
     #[must_use]
     pub fn parallel_edge_count(&self) -> usize {
         let mut extra = 0usize;
+        // Its values are only summed as integers, so its order cannot reach output.
         let mut seen: HashMap<usize, usize> = HashMap::new();
         for targets in &self.out_edges {
             seen.clear();

@@ -12,6 +12,8 @@ use sandf_core::NodeId;
 
 use crate::multigraph::MembershipGraph;
 
+/// Edge → multiplicity. Callers only look edges up and sum integers over
+/// it, so its order cannot reach output.
 fn edge_multiset(g: &MembershipGraph) -> HashMap<(NodeId, NodeId), usize> {
     let mut edges = HashMap::new();
     for &u in g.ids() {

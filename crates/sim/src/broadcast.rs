@@ -5,11 +5,14 @@
 //! top of any [`Engine`]: after each membership round, [`BroadcastLayer::step`]
 //! walks every live node's current view via
 //! [`Engine::for_each_live_view`] and gossips an application payload along
-//! those edges. Per-node rumor state lives in a dense arena — `u8` age
-//! counters, `u64`-word informed/channel bitsets — so the layer scales to
-//! n = 10⁶ on `FlatSimulation`/`ParSimulation` without perturbing the
-//! engines' own RNG streams or their byte-identical-across-threads
-//! contract.
+//! those edges. Per-node rumor state is indexed by raw node id, the arena
+//! engines' `u32` word space ([`ARENA_ID_LIMIT`]): one `u8` age column
+//! and four `u64`-word bitsets (informed, Gilbert–Elliott bad state, live
+//! at the last step, registered), 1.5 bytes per id up to the largest id
+//! seen. A push target's liveness and informed state are two bit reads,
+//! so the layer scales to n = 10⁶ on `FlatSimulation`/`ParSimulation`
+//! without perturbing the engines' own RNG streams or their
+//! byte-identical-across-threads contract.
 //!
 //! # Determinism
 //!
@@ -37,8 +40,6 @@
 //! sender has paid for the send — lost rumors still count toward message
 //! complexity, exactly like `SimStats::lost`.
 
-use std::collections::HashMap;
-
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sandf_core::NodeId;
@@ -46,7 +47,7 @@ use sandf_obs::{CounterHandle, MetricsRegistry};
 
 use crate::fault::FaultSpec;
 use crate::stream::{fnv1a64, stream_seed, RUMOR, RUMOR_CHANNEL};
-use crate::traits::Engine;
+use crate::traits::{Engine, ARENA_ID_LIMIT};
 
 /// Push / push-pull rumor parameters.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -303,21 +304,18 @@ pub struct BroadcastLayer {
     config: BroadcastConfig,
     channel: RumorChannel,
     round: u64,
-    /// Dense rumor arena: id → slot plus per-slot columns. The map is only
-    /// ever looked up, never iterated, so its order cannot reach output:
-    /// slots are issued in the engine's live order, and `fingerprint` and
-    /// `informed_ids` walk the columns and sort by id.
-    slot_of: HashMap<NodeId, u32>,
-    ids: Vec<NodeId>,
-    /// Rounds since the slot became informed (saturating).
+    /// Rounds since the id became informed (saturating), indexed by raw
+    /// id. The bitsets below hold one bit per raw id and grow with it.
     age: Vec<u8>,
-    /// Informed flags, one bit per slot. Monotone: bits are set, never
-    /// cleared.
+    /// Informed flags. Monotone: bits are set, never cleared.
     informed: Vec<u64>,
-    /// Gilbert–Elliott bad-state flags, one bit per slot.
+    /// Gilbert–Elliott bad-state flags.
     bad_state: Vec<u64>,
-    /// Last round (as `round + 1`) each slot was observed live; 0 = never.
-    live_epoch: Vec<u64>,
+    /// Ids live at the last step; before the first step, every
+    /// registered id.
+    live: Vec<u64>,
+    /// Registered ids: seeded or seen live at least once.
+    seen: Vec<u64>,
     stats: BroadcastStats,
     live_count: usize,
     informed_live: usize,
@@ -326,7 +324,7 @@ pub struct BroadcastLayer {
     to_full: Option<u64>,
     trace: Option<Vec<TraceEdge>>,
     metrics: Option<BroadcastMetrics>,
-    /// Double buffer: slots informed during the current step.
+    /// Double buffer: ids informed during the current step.
     newly: Vec<u32>,
 }
 
@@ -352,12 +350,11 @@ impl BroadcastLayer {
             config,
             channel,
             round: 0,
-            slot_of: HashMap::new(),
-            ids: Vec::new(),
             age: Vec::new(),
             informed: Vec::new(),
             bad_state: Vec::new(),
-            live_epoch: Vec::new(),
+            live: Vec::new(),
+            seen: Vec::new(),
             stats: BroadcastStats::default(),
             live_count: 0,
             informed_live: 0,
@@ -394,11 +391,18 @@ impl BroadcastLayer {
     }
 
     /// Marks `id` as an initial rumor holder (age 0).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `id` lies at or above [`ARENA_ID_LIMIT`].
     pub fn seed_rumor_at(&mut self, id: NodeId) {
-        let slot = self.slot_for(id);
-        if !bit(&self.informed, slot) {
-            set_bit(&mut self.informed, slot);
-            self.age[slot as usize] = 0;
+        let i = self.register(id);
+        if self.round == 0 {
+            set_bit(&mut self.live, i);
+        }
+        if !bit(&self.informed, i.into()) {
+            set_bit(&mut self.informed, i);
+            self.age[i as usize] = 0;
             if let Some(m) = &self.metrics {
                 m.informed.inc();
             }
@@ -439,7 +443,7 @@ impl BroadcastLayer {
     /// Whether `id` holds the rumor.
     #[must_use]
     pub fn is_informed(&self, id: NodeId) -> bool {
-        self.slot_of.get(&id).is_some_and(|&slot| bit(&self.informed, slot))
+        bit(&self.informed, id.as_u64())
     }
 
     /// Live nodes observed at the last step.
@@ -467,15 +471,9 @@ impl BroadcastLayer {
     /// Informed ids among the nodes live at the last step, sorted.
     #[must_use]
     pub fn informed_ids(&self) -> Vec<NodeId> {
-        let mark = self.round;
-        let mut out: Vec<NodeId> = self
-            .ids
-            .iter()
-            .enumerate()
-            .filter(|&(slot, _)| self.live_epoch[slot] == mark && bit(&self.informed, slot as u32))
-            .map(|(_, &id)| id)
-            .collect();
-        out.sort_unstable();
+        let mut out = Vec::with_capacity(self.informed_live);
+        let both = self.live.iter().zip(&self.informed).map(|(l, i)| l & i);
+        for_each_bit(both, |i| out.push(NodeId::new(i as u64)));
         out
     }
 
@@ -487,7 +485,7 @@ impl BroadcastLayer {
     /// golden files) pin.
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
-        let mut bytes: Vec<u8> = Vec::with_capacity(64 + self.ids.len() * 11);
+        let mut bytes: Vec<u8> = Vec::with_capacity(112 + self.age.len() * 11);
         let sentinel = |m: Option<u64>| m.unwrap_or(u64::MAX);
         for word in [
             self.round,
@@ -507,14 +505,13 @@ impl BroadcastLayer {
         ] {
             bytes.extend_from_slice(&word.to_le_bytes());
         }
-        let mut order: Vec<u32> = (0..self.ids.len() as u32).collect();
-        order.sort_unstable_by_key(|&slot| self.ids[slot as usize]);
-        for slot in order {
-            bytes.extend_from_slice(&self.ids[slot as usize].as_u64().to_le_bytes());
-            bytes.push(u8::from(bit(&self.informed, slot)));
-            bytes.push(self.age[slot as usize]);
-            bytes.push(u8::from(self.live_epoch[slot as usize] == self.round));
-        }
+        for_each_bit(self.seen.iter().copied(), |i| {
+            let id = i as u64;
+            bytes.extend_from_slice(&id.to_le_bytes());
+            bytes.push(u8::from(bit(&self.informed, id)));
+            bytes.push(self.age[i]);
+            bytes.push(u8::from(bit(&self.live, id)));
+        });
         fnv1a64(bytes)
     }
 
@@ -550,42 +547,42 @@ impl BroadcastLayer {
 
     /// Executes one broadcast round over the engine's current live views.
     ///
-    /// Pass A walks the live set: registers arena slots, stamps the
-    /// liveness epoch, and advances per-node channel state. Pass B walks
+    /// Pass A walks the live set: registers ids, rebuilds the `live`
+    /// bitset, and advances per-node channel state. Pass B walks
     /// the views once via [`Engine::for_each_live_view`]: informed,
     /// un-retired nodes push `fanout` targets; with pull enabled,
     /// uninformed nodes draw one partner and pull against the *start of
-    /// round* informed set. Newly informed slots commit after the pass
+    /// round* informed set. Newly informed ids commit after the pass
     /// (synchronous double buffer), then ages advance and coverage
     /// milestones update.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a live id lies at or above [`ARENA_ID_LIMIT`].
     pub fn step<E: Engine>(&mut self, engine: &E) {
         let round = self.round;
         let mark = round + 1;
         let live = engine.live_ids();
         let before = self.stats;
 
-        // Pass A: liveness epochs + channel state.
-        let bursty = matches!(self.channel, RumorChannel::Bursty { .. });
+        // Pass A: the live bitset + channel state.
+        self.live.fill(0);
         for &id in &live {
-            let slot = self.slot_for(id);
-            self.live_epoch[slot as usize] = mark;
-            if bursty {
-                let (to_bad, to_good) = match self.channel {
-                    RumorChannel::Bursty { to_bad, to_good, .. } => (to_bad, to_good),
-                    _ => unreachable!(),
-                };
+            let i = self.register(id);
+            set_bit(&mut self.live, i);
+            if let RumorChannel::Bursty { to_bad, to_good, .. } = self.channel {
                 let mut rng = StdRng::seed_from_u64(stream_seed(
                     self.seed,
                     RUMOR_CHANNEL,
                     id.as_u64(),
                     round,
                 ));
-                let next = if bit(&self.bad_state, slot) {
+                let next = if bit(&self.bad_state, i.into()) {
                     !rng.gen_bool(to_good)
                 } else {
                     rng.gen_bool(to_bad)
                 };
-                assign_bit(&mut self.bad_state, slot, next);
+                assign_bit(&mut self.bad_state, i, next);
             }
         }
 
@@ -597,12 +594,11 @@ impl BroadcastLayer {
         newly.clear();
         let this = &mut *self;
         engine.for_each_live_view(&mut |id, view| {
-            let slot = this.slot_of[&id];
-            let informed = bit(&this.informed, slot);
+            let informed = bit(&this.informed, id.as_u64());
             if view.is_empty() {
                 return;
             }
-            if informed && this.age[slot as usize] <= this.config.max_age {
+            if informed && this.age[id.index()] <= this.config.max_age {
                 let mut rng =
                     StdRng::seed_from_u64(stream_seed(this.seed, RUMOR, id.as_u64(), round));
                 for _ in 0..this.config.fanout {
@@ -610,24 +606,19 @@ impl BroadcastLayer {
                     this.stats.sent += 1;
                     let drop_p = this.loss_rate(id, target);
                     let dropped = rng.gen_bool(drop_p);
-                    let target_slot = this
-                        .slot_of
-                        .get(&target)
-                        .copied()
-                        .filter(|&s| this.live_epoch[s as usize] == mark);
-                    let Some(target_slot) = target_slot else {
+                    if !bit(&this.live, target.as_u64()) {
                         this.stats.dead_letters += 1;
                         continue;
-                    };
+                    }
                     if dropped {
                         this.stats.lost += 1;
                         continue;
                     }
                     this.stats.delivered += 1;
-                    if bit(&this.informed, target_slot) {
+                    if bit(&this.informed, target.as_u64()) {
                         this.stats.duplicates += 1;
                     } else {
-                        newly.push(target_slot);
+                        newly.push(target.as_u64() as u32);
                         if let Some(trace) = &mut this.trace {
                             trace.push(TraceEdge { round: mark, from: id, to: target });
                         }
@@ -639,15 +630,10 @@ impl BroadcastLayer {
                 let partner = view[rng.gen_range(0..view.len())];
                 this.stats.pull_requests += 1;
                 let request_dropped = rng.gen_bool(this.loss_rate(id, partner));
-                let partner_slot = this
-                    .slot_of
-                    .get(&partner)
-                    .copied()
-                    .filter(|&s| this.live_epoch[s as usize] == mark);
-                let Some(partner_slot) = partner_slot else {
-                    return;
-                };
-                if request_dropped || !bit(&this.informed, partner_slot) {
+                if request_dropped
+                    || !bit(&this.live, partner.as_u64())
+                    || !bit(&this.informed, partner.as_u64())
+                {
                     return;
                 }
                 this.stats.pull_replies += 1;
@@ -656,7 +642,7 @@ impl BroadcastLayer {
                     return;
                 }
                 this.stats.pull_hits += 1;
-                newly.push(slot);
+                newly.push(id.as_u64() as u32);
                 if let Some(trace) = &mut this.trace {
                     trace.push(TraceEdge { round: mark, from: partner, to: id });
                 }
@@ -664,20 +650,14 @@ impl BroadcastLayer {
         });
 
         // Ages advance for everyone informed at the start of the round…
-        for (widx, word) in self.informed.iter().enumerate() {
-            let mut w = *word;
-            while w != 0 {
-                let slot = widx * 64 + w.trailing_zeros() as usize;
-                self.age[slot] = self.age[slot].saturating_add(1);
-                w &= w - 1;
-            }
-        }
+        let age = &mut self.age;
+        for_each_bit(self.informed.iter().copied(), |i| age[i] = age[i].saturating_add(1));
         // …then discoveries commit at age 0 (monotone: set, never cleared).
         let mut fresh = 0u64;
-        for &slot in &newly {
-            if !bit(&self.informed, slot) {
-                set_bit(&mut self.informed, slot);
-                self.age[slot as usize] = 0;
+        for &i in &newly {
+            if !bit(&self.informed, i.into()) {
+                set_bit(&mut self.informed, i);
+                self.age[i as usize] = 0;
                 fresh += 1;
             }
         }
@@ -685,7 +665,8 @@ impl BroadcastLayer {
 
         // Ledger + milestones.
         self.live_count = live.len();
-        self.informed_live = live.iter().filter(|id| bit(&self.informed, self.slot_of[id])).count();
+        self.informed_live =
+            self.live.iter().zip(&self.informed).map(|(l, i)| (l & i).count_ones() as usize).sum();
         self.round = mark;
         let coverage = self.coverage();
         if self.to_half.is_none() && coverage >= 0.5 {
@@ -719,10 +700,13 @@ impl BroadcastLayer {
         match &self.channel {
             RumorChannel::Lossless => 0.0,
             RumorChannel::Uniform { rate } => *rate,
-            RumorChannel::Bursty { loss_good, loss_bad, .. } => match self.slot_of.get(&to) {
-                Some(&slot) if bit(&self.bad_state, slot) => *loss_bad,
-                _ => *loss_good,
-            },
+            RumorChannel::Bursty { loss_good, loss_bad, .. } => {
+                if bit(&self.bad_state, to.as_u64()) {
+                    *loss_bad
+                } else {
+                    *loss_good
+                }
+            }
             RumorChannel::Partition { regions, sever, base } => {
                 if from.as_u64() % regions == to.as_u64() % regions {
                     *base
@@ -740,44 +724,56 @@ impl BroadcastLayer {
         }
     }
 
-    /// The arena slot for `id`, growing all columns on first sight.
-    fn slot_for(&mut self, id: NodeId) -> u32 {
-        if let Some(&slot) = self.slot_of.get(&id) {
-            return slot;
+    /// Marks `id` registered and returns it as a column index, growing
+    /// every column to cover it.
+    fn register(&mut self, id: NodeId) -> u32 {
+        assert!(
+            id.as_u64() < ARENA_ID_LIMIT,
+            "rumor layer: node id {id} exceeds the u32 arena id space"
+        );
+        let i = id.as_u64() as u32;
+        if i as usize >= self.age.len() {
+            self.age.resize(i as usize + 1, 0);
+            let words = self.age.len().div_ceil(64);
+            for column in [&mut self.informed, &mut self.bad_state, &mut self.live, &mut self.seen]
+            {
+                column.resize(words, 0);
+            }
         }
-        let slot = u32::try_from(self.ids.len()).expect("rumor arena outgrew u32 slots");
-        self.slot_of.insert(id, slot);
-        self.ids.push(id);
-        self.age.push(0);
-        self.live_epoch.push(0);
-        let words = self.ids.len().div_ceil(64);
-        if self.informed.len() < words {
-            self.informed.push(0);
-            self.bad_state.push(0);
-        }
-        slot
+        set_bit(&mut self.seen, i);
+        i
     }
 }
 
-/// Tests one bit of a slot bitset.
+/// Tests bit `i` of an id bitset; ids past its end read as clear.
 #[inline]
-fn bit(words: &[u64], slot: u32) -> bool {
-    words[slot as usize / 64] & (1u64 << (slot % 64)) != 0
+fn bit(words: &[u64], i: u64) -> bool {
+    words.get((i / 64) as usize).is_some_and(|w| w & (1 << (i % 64)) != 0)
 }
 
-/// Sets one bit of a slot bitset.
+/// Sets bit `i` of an id bitset.
 #[inline]
-fn set_bit(words: &mut [u64], slot: u32) {
-    words[slot as usize / 64] |= 1u64 << (slot % 64);
+fn set_bit(words: &mut [u64], i: u32) {
+    words[i as usize / 64] |= 1 << (i % 64);
 }
 
-/// Writes one bit of a slot bitset.
+/// Writes bit `i` of an id bitset.
 #[inline]
-fn assign_bit(words: &mut [u64], slot: u32, value: bool) {
+fn assign_bit(words: &mut [u64], i: u32, value: bool) {
     if value {
-        words[slot as usize / 64] |= 1u64 << (slot % 64);
+        set_bit(words, i);
     } else {
-        words[slot as usize / 64] &= !(1u64 << (slot % 64));
+        words[i as usize / 64] &= !(1 << (i % 64));
+    }
+}
+
+/// Calls `f` with the index of every set bit, in ascending order.
+fn for_each_bit(words: impl IntoIterator<Item = u64>, mut f: impl FnMut(usize)) {
+    for (w, mut word) in words.into_iter().enumerate() {
+        while word != 0 {
+            f(w * 64 + word.trailing_zeros() as usize);
+            word &= word - 1;
+        }
     }
 }
 
@@ -928,6 +924,78 @@ mod tests {
         for id in informed {
             assert!(id == origin || traced.contains(&id), "{id:?} informed without a trace edge");
         }
+    }
+
+    #[test]
+    fn before_the_first_step_every_registered_id_reads_live() {
+        let mut layer = BroadcastLayer::new(1, BroadcastConfig::default());
+        layer.seed_rumor_at(NodeId::new(3));
+        layer.seed_rumor_at(NodeId::new(1));
+        assert_eq!(layer.informed_ids(), [NodeId::new(1), NodeId::new(3)]);
+        assert_eq!((layer.live_seen(), layer.informed_live()), (0, 0));
+        // Round, ledger, three unset milestones, eight zero counters, then
+        // `(id, informed, age, live)` per registered id in ascending order.
+        let mut bytes = Vec::new();
+        for word in [0, 0, 0, u64::MAX, u64::MAX, u64::MAX, 0, 0, 0, 0, 0, 0, 0, 0] {
+            bytes.extend_from_slice(&u64::to_le_bytes(word));
+        }
+        for id in [1u64, 3] {
+            bytes.extend_from_slice(&id.to_le_bytes());
+            bytes.extend_from_slice(&[1, 0, 1]);
+        }
+        assert_eq!(layer.fingerprint(), fnv1a64(bytes));
+    }
+
+    #[test]
+    fn churn_turns_departed_targets_into_dead_letters() {
+        let mut sim = flat(256, 17);
+        sim.run_rounds(10);
+        let mut layer = BroadcastLayer::new(17, BroadcastConfig::push(2, u8::MAX));
+        layer.enable_trace();
+        layer.seed_rumor_at(NodeId::new(0));
+        while layer.coverage() < 0.25 {
+            layer.run(&mut sim, 1);
+        }
+        let departed: Vec<NodeId> = (1..256).step_by(4).map(NodeId::new).collect();
+        let dark: Vec<NodeId> =
+            departed.iter().copied().filter(|&id| !layer.is_informed(id)).collect();
+        assert!(!dark.is_empty() && dark.len() < departed.len(), "want both kinds of leaver");
+        for &id in &departed {
+            sim.leave(id).expect("live");
+        }
+        let joiners: Vec<NodeId> =
+            (0..80).map(|k| sim.join_via(NodeId::new(2 * k)).expect("sponsor has ids")).collect();
+        assert!(joiners.iter().all(|id| id.as_u64() >= 256), "joiners lie past the 256-id columns");
+        let traced = layer.trace().len();
+        for _ in 0..40 {
+            sim.round();
+            layer.step(&sim);
+            let live = sim.live_ids();
+            let informed = live.iter().filter(|&&id| layer.is_informed(id)).count();
+            assert_eq!(layer.informed_live(), informed);
+            assert_eq!(layer.live_seen(), live.len());
+        }
+        let stats = layer.stats();
+        assert!(stats.dead_letters > 0, "stale view entries must be pushed to");
+        assert_eq!(stats.sent, stats.lost + stats.dead_letters + stats.delivered);
+        for id in dark {
+            assert!(!layer.is_informed(id), "{id} learned the rumor after it left");
+        }
+        for edge in &layer.trace()[traced..] {
+            assert!(!departed.contains(&edge.to), "{edge:?} delivered to a departed id");
+        }
+        let reached = joiners.iter().filter(|&&id| layer.is_informed(id)).count();
+        assert!(reached > joiners.len() / 2, "only {reached} joiners learned the rumor");
+        let mut expected: Vec<NodeId> =
+            sim.live_ids().into_iter().filter(|&id| layer.is_informed(id)).collect();
+        expected.sort_unstable();
+        assert_eq!(layer.informed_ids(), expected);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the u32 arena id space")]
+    fn ids_beyond_the_arena_word_are_rejected() {
+        BroadcastLayer::new(1, BroadcastConfig::default()).seed_rumor_at(NodeId::new(1 << 32));
     }
 
     #[test]
