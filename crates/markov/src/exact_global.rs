@@ -127,6 +127,7 @@ impl ExactGlobalMc {
             view.sort_unstable();
         }
 
+        // Only looked up, never iterated: `states` carries the order.
         let mut index: HashMap<GlobalState, usize> = HashMap::new();
         let mut states: Vec<GlobalState> = Vec::new();
         index.insert(canonical.clone(), 0);

@@ -58,6 +58,8 @@ impl Drop for SpanTimer {
 pub struct Profiler {
     registry: MetricsRegistry,
     prefix: String,
+    /// Span name → its histogram; only looked up, never iterated, so its
+    /// order cannot reach output.
     cache: Arc<Mutex<HashMap<String, HistogramHandle>>>,
 }
 

@@ -34,7 +34,16 @@
 //!   index. Ids are used as table indices (a flat `Vec`, not a hash map),
 //!   so memory is proportional to the *largest raw id*, not the live
 //!   count. The in-repo topology builders assign contiguous ids from zero
-//!   and joins extend them by one, which is the intended regime.
+//!   and joins extend them by one, which is the intended regime — and in
+//!   it the two tables are identities. One bit, `id_is_dense`, records
+//!   that every admitted node's dense index equals its raw id: it holds
+//!   for every builder in the repo and through joins (a joiner takes
+//!   `next_id`, which is then the dense length), and a build whose ids do
+//!   not run 0, 1, 2, … in order (the sparse-id suite) clears it for good.
+//!   While
+//!   it holds, [`Arena::dense_of`] answers the id itself and reads
+//!   `index` for liveness only, as a branch, so a delivery's receiver row
+//!   loads issue beside that read instead of waiting on it.
 //!
 //! What the arena deliberately does **not** own is the live *order*: each
 //! engine's scheduler pins its own (flat: the classic engine's insertion
@@ -42,8 +51,9 @@
 //! that walks the live set takes the caller's order as an iterator of
 //! dense indices. Because dense indices are stable and joins only append,
 //! a scheduler can key its own per-node tables by them: flat's `live_pos`
-//! (dense index → position in its live list, what makes its `leave` O(1))
-//! is one, and it lives with the list it indexes, not here.
+//! (dense index → position in its live list, what makes its `leave` O(1);
+//! built at the first `leave`, before which the live order is the dense
+//! order) is one, and it lives with the list it indexes, not here.
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -97,6 +107,9 @@ pub(crate) struct Arena {
     pub(crate) dense_id: Vec<u32>,
     /// Raw id → dense index (`DEAD` for departed or never-assigned ids).
     pub(crate) index: Vec<u32>,
+    /// Whether every admitted node's dense index equals its raw id (see
+    /// the module docs); cleared for good by the first node that breaks it.
+    pub(crate) id_is_dense: bool,
     /// The id the next joiner receives.
     pub(crate) next_id: u64,
 }
@@ -159,6 +172,7 @@ impl Arena {
             node_stats: Vec::with_capacity(nodes),
             dense_id: Vec::with_capacity(nodes),
             index: Vec::with_capacity(nodes),
+            id_is_dense: true,
             next_id: 0,
         }
     }
@@ -257,6 +271,7 @@ impl Arena {
         self.node_stats.push(stats);
         self.dense_id.push(own);
         self.index[raw] = dense;
+        self.id_is_dense &= raw == k;
         self.next_id = self.next_id.max(id.as_u64() + 1);
         k
     }
@@ -265,7 +280,16 @@ impl Arena {
     /// admitted — which includes every id beyond the widening boundary).
     #[inline]
     pub(crate) fn dense_of(&self, id: NodeId) -> Option<usize> {
-        match self.index.get(id.index()) {
+        let raw = id.index();
+        if self.id_is_dense {
+            // The answer is `raw` itself; `index` only decides liveness,
+            // so the caller's row loads need not wait on it.
+            return match self.index.get(raw) {
+                Some(&k) if k != DEAD => Some(raw),
+                _ => None,
+            };
+        }
+        match self.index.get(raw) {
             Some(&k) if k != DEAD => Some(k as usize),
             _ => None,
         }
@@ -547,7 +571,7 @@ mod tests {
     use crate::engine::Simulation;
     use crate::loss::UniformLoss;
     use crate::traits::SfBehavior;
-    use crate::{topology, FlatSimulation, ParSimulation};
+    use crate::{topology, Engine, FlatSimulation, ParSimulation};
 
     use super::*;
 
@@ -686,8 +710,37 @@ mod tests {
         let mut classic = Simulation::new(nodes(), UniformLoss::none(), 7);
         let mut flat = FlatSimulation::new(nodes(), UniformLoss::none(), 7);
         let mut par = ParSimulation::new(nodes(), UniformLoss::none(), 7, 2);
-        // leave 3, join, leave 10, leave the first joiner, join, leave 0, join.
-        let script: [Option<u64>; 7] = [Some(3), None, Some(10), Some(24), None, Some(0), None];
+        // Every reader that walks flat's live order, before and after the
+        // first leave materializes it.
+        fn assert_reads_like_classic(
+            classic: &Simulation<UniformLoss>,
+            flat: &FlatSimulation<UniformLoss>,
+        ) {
+            fn views<E: Engine>(engine: &E) -> Vec<(NodeId, Vec<NodeId>)> {
+                let mut out = Vec::new();
+                engine.for_each_live_view(&mut |id, view| out.push((id, view.to_vec())));
+                out
+            }
+            assert_eq!(flat.live_ids(), classic.live_ids(), "flat keeps the classic live order");
+            let (expected, graph) = (classic.graph(), flat.graph());
+            assert_eq!(graph.ids(), expected.ids(), "graph node order");
+            for &id in expected.ids() {
+                assert_eq!(graph.out_neighbors(id), expected.out_neighbors(id), "edges of {id}");
+            }
+            assert_eq!(views(flat), views(classic), "for_each_live_view order");
+            assert_eq!(flat.aggregate_node_stats(), classic.aggregate_node_stats());
+            for id in ids(0..28) {
+                assert_eq!(flat.count_id_instances(id), classic.count_id_instances(id), "{id}");
+            }
+        }
+        assert_reads_like_classic(&classic, &flat);
+        classic.round_permuted();
+        flat.round_permuted();
+        assert_reads_like_classic(&classic, &flat);
+        // join, leave 3, join, leave 10, leave the first joiner, join,
+        // leave 0, join.
+        let script: [Option<u64>; 8] =
+            [None, Some(3), None, Some(10), Some(24), None, Some(0), None];
         for op in script {
             match op {
                 Some(victim) => {
@@ -703,12 +756,52 @@ mod tests {
                     assert_eq!(par.join_via(sponsor), Ok(joined));
                 }
             }
+            assert_reads_like_classic(&classic, &flat);
         }
-        assert_eq!(flat.live_ids(), classic.live_ids(), "flat keeps the classic live order");
+        classic.round_permuted();
+        flat.round_permuted();
+        assert_reads_like_classic(&classic, &flat);
         let mut ascending = flat.live_ids();
         ascending.sort_unstable();
         assert_eq!(par.live_ids(), ascending, "par walks the arena in dense order");
         assert_ne!(flat.live_ids(), ascending, "the script must separate the two orders");
-        assert_eq!((flat.len(), par.len()), (23, 23));
+        assert_eq!((flat.len(), par.len()), (24, 24));
+    }
+
+    /// `dense_of` against a reference scan over `dense_id` for live,
+    /// departed, never-assigned and beyond-the-limit ids, on both sides of
+    /// the `id_is_dense` bit.
+    #[test]
+    fn dense_of_agrees_with_a_scan_on_both_sides_of_the_identity_bit() {
+        fn check(arena: &Arena, departed: &[u64], id_is_dense: bool) {
+            assert_eq!(arena.id_is_dense, id_is_dense, "the bit");
+            let beyond = [u64::from(u32::MAX), ARENA_ID_LIMIT, (1 << 32) + 3, u64::MAX];
+            for raw in (0..arena.next_id + 3).chain(beyond) {
+                let scan = arena.dense_id.iter().position(|&word| u64::from(word) == raw);
+                let expected = scan.filter(|_| !departed.contains(&raw));
+                assert_eq!(arena.dense_of(NodeId::new(raw)), expected, "dense_of({raw})");
+            }
+        }
+        let join = |arena: &mut Arena| arena.join_with(&SfBehavior, &ids(0..4)).unwrap();
+        let leave = |arena: &mut Arena, raw| arena.leave::<SfBehavior>(NodeId::new(raw)).unwrap();
+
+        let mut arena = Arena::from_nodes(nodes());
+        check(&arena, &[], true);
+        join(&mut arena);
+        join(&mut arena);
+        check(&arena, &[], true);
+        leave(&mut arena, 3);
+        leave(&mut arena, 25);
+        check(&arena, &[3, 25], true);
+        join(&mut arena);
+        check(&arena, &[3, 25], true);
+
+        let views = [5, 2, 0, 1, 3].map(|raw| (NodeId::new(raw), ids(0..2)));
+        let mut arena = Arena::from_views(config(), views);
+        check(&arena, &[], false);
+        leave(&mut arena, 2);
+        check(&arena, &[2], false);
+        join(&mut arena);
+        check(&arena, &[2], false);
     }
 }

@@ -448,9 +448,9 @@ impl<L: FaultModel> Simulation<L> {
         self.nodes.get(&id)
     }
 
-    /// Iterates over the live nodes (unspecified order).
+    /// Iterates over the live nodes, in live order.
     pub fn nodes(&self) -> impl Iterator<Item = &SfNode> {
-        self.nodes.values()
+        self.live.iter().map(|id| &self.nodes[id])
     }
 
     /// Accumulated system-wide counters.
@@ -462,6 +462,7 @@ impl<L: FaultModel> Simulation<L> {
     /// Resets system-wide and per-node counters (e.g. after burn-in).
     pub fn reset_stats(&mut self) {
         self.stats = SimStats::default();
+        // Every node is zeroed alike, so the map's order cannot reach output.
         for node in self.nodes.values_mut() {
             node.reset_stats();
         }
@@ -471,6 +472,7 @@ impl<L: FaultModel> Simulation<L> {
     #[must_use]
     pub fn aggregate_node_stats(&self) -> NodeStats {
         let mut total = NodeStats::new();
+        // Its values are only summed as integers, so its order cannot reach output.
         for node in self.nodes.values() {
             total.merge(node.stats());
         }
@@ -671,6 +673,7 @@ impl<L: FaultModel> Simulation<L> {
     /// instances" tracked by the Section 6.5 decay analysis.
     #[must_use]
     pub fn count_id_instances(&self, id: NodeId) -> usize {
+        // Its values are only summed as integers, so its order cannot reach output.
         self.nodes.values().map(|n| n.view().multiplicity(id)).sum()
     }
 

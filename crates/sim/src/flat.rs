@@ -8,16 +8,20 @@
 //!
 //! * **central-entity scheduler** — one global RNG; each step draws a
 //!   uniformly random live node (the paper's §5 execution model). The live
-//!   list keeps the classic engine's order — insertion order with
-//!   `swap_remove` on leave — because the initiator draw indexes into it,
-//!   and packs each node's raw id next to its dense arena index so the hot
-//!   stepping path never touches the id → dense table. Beside it sits
-//!   `live_pos`, the inverse map from dense index to position in the live
-//!   list: dense indices are stable and joins append, so admitting a node
-//!   is one `push` on each, and `leave` is O(1) — look the position up,
-//!   `swap_remove` it, re-point the one entry that moved — where the
-//!   classic engine scans (and is kept scanning, as the oracle the table
-//!   is tested against in `tests/churn_index.rs`);
+//!   order is the classic engine's — insertion order with `swap_remove` on
+//!   leave — because the initiator draw indexes into it. Until the first
+//!   `leave` that order is the dense order itself (the arena admits in
+//!   insertion order and joins append), so no list exists: position `p` of
+//!   the draw *is* dense index `p`, the step goes from the draw straight
+//!   to the initiator's row, and a join extends the order by itself. The
+//!   first `leave` materializes it once, in O(n): the live list, which
+//!   packs each node's raw id next to its dense arena index so the
+//!   stepping path never touches the id → dense table, and beside it
+//!   `live_pos`, the inverse map from dense index to position in the list.
+//!   From then on admitting a node is one `push` on each, and `leave` is
+//!   O(1) — look the position up, `swap_remove` it, re-point the one entry
+//!   that moved — where the classic engine scans (and is kept scanning, as
+//!   the oracle the table is tested against in `tests/churn_index.rs`);
 //! * **ring-buffer delivery** — under [`DelayModel::UniformSteps`] the
 //!   in-flight queue is a preallocated ring of `max + 1` buckets reused
 //!   round after round (`O(max)` memory), replacing the classic engine's
@@ -115,6 +119,44 @@ fn pos_word(pos: usize) -> u32 {
     u32::try_from(pos).expect("the live list is no longer than the dense index space")
 }
 
+/// The initiator-sampling population, in the classic engine's order.
+#[derive(Clone)]
+enum LiveOrder {
+    /// No node has left yet: the order is the arena's dense order, every
+    /// dense index is live, and a join extends it by itself.
+    Dense,
+    /// Materialized by the first `leave`.
+    Listed {
+        /// Live (id, dense) pairs in the classic engine's order
+        /// (insertion order with `swap_remove` on leave).
+        live: Vec<LiveRef>,
+        /// Dense index → position in `live`, one word per dense node. A
+        /// departed node's word is stale, and no lookup reaches it: the
+        /// arena's `dense_of` answers `None` first.
+        live_pos: Vec<u32>,
+    },
+}
+
+impl LiveOrder {
+    /// The live nodes' dense indices in live order, over an arena of
+    /// `dense_len` nodes.
+    fn dense_indices(&self, dense_len: usize) -> impl Iterator<Item = usize> + '_ {
+        let (listed, dense) = match self {
+            Self::Dense => (&[][..], 0..dense_len),
+            Self::Listed { live, .. } => (live.as_slice(), 0..0),
+        };
+        listed.iter().map(|entry| entry.dense as usize).chain(dense)
+    }
+
+    /// The number of live nodes, over an arena of `dense_len` nodes.
+    fn len(&self, dense_len: usize) -> usize {
+        match self {
+            Self::Dense => dense_len,
+            Self::Listed { live, .. } => live.len(),
+        }
+    }
+}
+
 /// The struct-of-arrays fast path of [`Simulation`](crate::Simulation),
 /// generic over a [`ProtocolBehavior`] (default: [`SfBehavior`]).
 ///
@@ -152,14 +194,8 @@ pub struct FlatSimulation<L, B: ProtocolBehavior = SfBehavior> {
     arena: Arena,
     /// The protocol executed over the arena.
     behavior: B,
-    /// Live (id, dense) pairs in the classic engine's order (insertion
-    /// order with `swap_remove` on leave) — the initiator-sampling
-    /// population.
-    live: Vec<LiveRef>,
-    /// Dense index → position in `live`, one word per dense node. A
-    /// departed node's word is stale, and no lookup reaches it: the
-    /// arena's `dense_of` answers `None` first.
-    live_pos: Vec<u32>,
+    /// The live order the initiator draw indexes into.
+    order: LiveOrder,
     loss: L,
     delay: DelayModel,
     /// Global step counter (drives in-flight delivery times).
@@ -187,7 +223,7 @@ impl<L: fmt::Debug, B: ProtocolBehavior> fmt::Debug for FlatSimulation<L, B> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("FlatSimulation")
             .field("config", &self.arena.config)
-            .field("live", &self.live.len())
+            .field("live", &self.order.len(self.arena.dense_id.len()))
             .field("loss", &self.loss)
             .field("delay", &self.delay)
             .field("now", &self.now)
@@ -269,14 +305,10 @@ impl<L: FaultModel, B: ProtocolBehavior> FlatSimulation<L, B> {
     /// The shared constructor core: a fresh scheduler over a built arena,
     /// every node live in dense (= insertion) order.
     fn over(arena: Arena, behavior: B, loss: L, seed: u64) -> Self {
-        let live: Vec<LiveRef> =
-            (0..arena.dense_id.len()).map(|k| LiveRef::new(&arena, k)).collect();
-        let live_pos = live.iter().map(|entry| entry.dense).collect();
         Self {
             arena,
             behavior,
-            live,
-            live_pos,
+            order: LiveOrder::Dense,
             loss,
             delay: DelayModel::Immediate,
             now: 0,
@@ -293,7 +325,7 @@ impl<L: FaultModel, B: ProtocolBehavior> FlatSimulation<L, B> {
 
     /// The live nodes' dense arena indices, in live order.
     fn live_dense(&self) -> impl Iterator<Item = usize> + '_ {
-        self.live.iter().map(|entry| entry.dense as usize)
+        self.order.dense_indices(self.arena.dense_id.len())
     }
 
     /// Installs a message-delay model on a freshly built simulation
@@ -354,20 +386,20 @@ impl<L: FaultModel, B: ProtocolBehavior> FlatSimulation<L, B> {
     /// Number of live nodes.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.live.len()
+        self.order.len(self.arena.dense_id.len())
     }
 
     /// Whether no node is live.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.live.is_empty()
+        self.len() == 0
     }
 
-    /// The ids of the live nodes (unspecified order). Owned: the live
-    /// list internally packs ids next to their dense arena indices.
+    /// The ids of the live nodes (unspecified order). Owned: the engine
+    /// keeps no id list of its own until the first `leave`.
     #[must_use]
     pub fn live_ids(&self) -> Vec<NodeId> {
-        self.live.iter().map(|entry| entry.node_id()).collect()
+        self.live_dense().map(|k| self.arena.id_at(k)).collect()
     }
 
     /// Number of messages currently in flight (always 0 under
@@ -386,7 +418,8 @@ impl<L: FaultModel, B: ProtocolBehavior> FlatSimulation<L, B> {
     /// Resets system-wide and per-node counters (e.g. after burn-in).
     pub fn reset_stats(&mut self) {
         self.stats = SimStats::default();
-        self.arena.reset_stats(self.live.iter().map(|entry| entry.dense as usize));
+        let dense_len = self.arena.dense_id.len();
+        self.arena.reset_stats(self.order.dense_indices(dense_len));
     }
 
     /// Sum of all live nodes' per-node counters.
@@ -425,8 +458,17 @@ impl<L: FaultModel, B: ProtocolBehavior> FlatSimulation<L, B> {
     /// central-entity model); RNG-equivalent to
     /// [`Simulation::step`](crate::Simulation::step).
     pub fn step(&mut self) -> StepReport<B::Msg> {
-        let entry = self.live[self.rng.gen_range(0..self.live.len())];
-        self.step_impl(entry.node_id(), Some(entry.dense as usize))
+        let (id, k) = match &self.order {
+            LiveOrder::Dense => {
+                let k = self.rng.gen_range(0..self.arena.dense_id.len());
+                (self.arena.id_at(k), k)
+            }
+            LiveOrder::Listed { live, .. } => {
+                let entry = live[self.rng.gen_range(0..live.len())];
+                (entry.node_id(), entry.dense as usize)
+            }
+        };
+        self.step_impl(id, Some(k))
     }
 
     /// Executes one step by a specific node.
@@ -439,8 +481,8 @@ impl<L: FaultModel, B: ProtocolBehavior> FlatSimulation<L, B> {
     }
 
     /// The stepping core. `dense` carries the initiator's arena index
-    /// when the caller already holds it (the random-initiator path reads
-    /// it straight off the packed live list).
+    /// when the caller already holds it (the random-initiator path takes
+    /// it from the draw, or from the packed live list once one exists).
     #[inline]
     fn step_impl(&mut self, initiator: NodeId, dense: Option<usize>) -> StepReport<B::Msg> {
         let _span = self.profile.as_ref().map(|p| SpanTimer::start(&p.step));
@@ -690,7 +732,7 @@ impl<L: FaultModel, B: ProtocolBehavior> FlatSimulation<L, B> {
 
     /// Executes one round: `n` steps by uniformly random nodes.
     pub fn round(&mut self) {
-        for _ in 0..self.live.len() {
+        for _ in 0..self.len() {
             self.step();
         }
         self.rounds += 1;
@@ -699,12 +741,12 @@ impl<L: FaultModel, B: ProtocolBehavior> FlatSimulation<L, B> {
     /// Executes one round in which every live node initiates exactly once,
     /// in a fresh random order.
     pub fn round_permuted(&mut self) {
-        let mut order = self.live.clone();
+        let mut order: Vec<usize> = self.live_dense().collect();
         order.shuffle(&mut self.rng);
-        for entry in order {
-            let id = entry.node_id();
+        for k in order {
+            let id = self.arena.id_at(k);
             if self.arena.dense_of(id).is_some() {
-                self.step_impl(id, Some(entry.dense as usize));
+                self.step_impl(id, Some(k));
             }
         }
         self.rounds += 1;
@@ -782,13 +824,16 @@ impl<L: FaultModel, B: ProtocolBehavior> FlatSimulation<L, B> {
         self.admit(joined)
     }
 
-    /// Appends a node the arena just admitted to the live list. Joins
-    /// take the next dense index, so its `live_pos` word is a push too.
+    /// Appends a node the arena just admitted to the live order: nothing
+    /// to do while it is the dense order; otherwise joins take the next
+    /// dense index, so its `live_pos` word is a push too.
     fn admit(&mut self, joined: Result<usize, JoinError>) -> Result<NodeId, JoinError> {
         let entry = LiveRef::new(&self.arena, joined?);
-        debug_assert_eq!(entry.dense as usize, self.live_pos.len());
-        self.live_pos.push(pos_word(self.live.len()));
-        self.live.push(entry);
+        if let LiveOrder::Listed { live, live_pos } = &mut self.order {
+            debug_assert_eq!(entry.dense as usize, live_pos.len());
+            live_pos.push(pos_word(live.len()));
+            live.push(entry);
+        }
         Ok(entry.node_id())
     }
 
@@ -796,16 +841,29 @@ impl<L: FaultModel, B: ProtocolBehavior> FlatSimulation<L, B> {
     /// from the arena — its view is exact, but (unlike the classic
     /// engine's return value) its per-node counters are zeroed; the
     /// engine-level [`stats`](Self::stats) are unaffected either way.
+    ///
+    /// The first departure materializes the live list and `live_pos` from
+    /// the dense order, once, in O(n).
     pub fn leave(&mut self, id: NodeId) -> Option<SfNode> {
         let k = self.arena.dense_of(id)?;
-        let pos = self.live_pos[k] as usize;
-        debug_assert_eq!(self.live[pos].dense as usize, k, "live_pos out of sync");
-        let node = self.arena.leave::<B>(id);
-        self.live.swap_remove(pos);
-        if let Some(moved) = self.live.get(pos) {
-            self.live_pos[moved.dense as usize] = pos_word(pos);
+        if let LiveOrder::Dense = self.order {
+            let arena = &self.arena;
+            let dense_len = arena.dense_id.len();
+            self.order = LiveOrder::Listed {
+                live: (0..dense_len).map(|k| LiveRef::new(arena, k)).collect(),
+                live_pos: (0..dense_len).map(pos_word).collect(),
+            };
         }
-        node
+        let LiveOrder::Listed { live, live_pos } = &mut self.order else {
+            unreachable!("materialized above")
+        };
+        let pos = live_pos[k] as usize;
+        debug_assert_eq!(live[pos].dense as usize, k, "live_pos out of sync");
+        live.swap_remove(pos);
+        if let Some(moved) = live.get(pos) {
+            live_pos[moved.dense as usize] = pos_word(pos);
+        }
+        self.arena.leave::<B>(id)
     }
 
     /// Total multiplicity of `id` across all live, visible slots. Ids at
@@ -869,16 +927,30 @@ mod tests {
     }
 
     /// The scheduler's index invariant, in full (O(live), so a test-only
-    /// check; `leave` and `admit` carry its O(1) `debug_assert!` slices):
-    /// one `live_pos` word per dense node, and every live entry's word
-    /// points back at that entry.
-    fn assert_live_index<L, B: ProtocolBehavior>(sim: &FlatSimulation<L, B>) {
-        assert_eq!(sim.live_pos.len(), sim.arena.dense_id.len(), "one word per dense node");
-        assert_eq!(sim.live.len(), sim.arena.live_dense().count(), "live count");
-        for (pos, entry) in sim.live.iter().enumerate() {
-            assert_eq!(sim.live_pos[entry.dense as usize] as usize, pos, "live_pos of {entry:?}");
-            assert_eq!(sim.arena.dense_of(entry.node_id()), Some(entry.dense as usize));
+    /// check; `leave` and `admit` carry its O(1) `debug_assert!` slices).
+    /// Before any departure: no list, and every dense index is live and
+    /// in the arena's order. After: one `live_pos` word per dense node,
+    /// and every live entry's word points back at that entry.
+    fn assert_live_index<L: FaultModel, B: ProtocolBehavior>(sim: &FlatSimulation<L, B>) {
+        match &sim.order {
+            LiveOrder::Dense => {
+                let all = 0..sim.arena.dense_id.len();
+                assert!(sim.arena.live_dense().eq(all.clone()), "a node left, yet no list");
+                assert!(sim.live_dense().eq(all), "the dense order is the live order");
+            }
+            LiveOrder::Listed { live, live_pos } => {
+                assert_eq!(live_pos.len(), sim.arena.dense_id.len(), "one word per dense node");
+                assert_eq!(live.len(), sim.arena.live_dense().count(), "live count");
+                for (pos, entry) in live.iter().enumerate() {
+                    assert_eq!(
+                        live_pos[entry.dense as usize] as usize, pos,
+                        "live_pos of {entry:?}"
+                    );
+                    assert_eq!(sim.arena.dense_of(entry.node_id()), Some(entry.dense as usize));
+                }
+            }
         }
+        assert_eq!(sim.len() as u64, sim.arena.degree_hist.live_nodes(), "len");
     }
 
     /// Asserts full observable equality of the two engines: stats, live
@@ -992,9 +1064,11 @@ mod tests {
             assert_eq!(a.map(|n| n.view().clone()), b.map(|n| n.view().clone()), "leave({id})");
             assert_engines_equal(classic, flat);
         };
+        assert!(matches!(flat.order, LiveOrder::Dense), "no list before the first leave");
         for pick in [0usize, 22, 11] {
             let victim = classic.live_ids()[pick];
             leave(&mut classic, &mut flat, victim);
+            assert!(matches!(flat.order, LiveOrder::Listed { .. }), "the first leave lists");
         }
         let joined = classic.join_via(NodeId::new(1)).unwrap();
         assert_eq!(flat.join_via(NodeId::new(1)), Ok(joined));
