@@ -14,7 +14,7 @@ use sandf_graph::{
 };
 use sandf_markov::conductance::expected_conductance_bound;
 use sandf_markov::ExactGlobalMc;
-use sandf_sim::{topology, FlatSimulation, ProtocolBehavior, SfBehavior, UniformLoss};
+use sandf_sim::{topology, Engine, FlatSimulation, ProtocolBehavior, SfBehavior, UniformLoss};
 use sandf_zoo::variants::{BatchedBehavior, ReplaceBehavior, UndeleteBehavior};
 
 /// Replicates per cell of the replicated sweeps below (`delay_ablation`

@@ -33,7 +33,7 @@ use sandf_core::{SfConfig, SfNode};
 use sandf_graph::DegreeStats;
 use sandf_markov::{DegreeMc, DegreeMcParams};
 use sandf_sim::experiment::initial_degree;
-use sandf_sim::{topology, ParSimulation, SimStats, Simulation, UniformLoss};
+use sandf_sim::{topology, Engine, ParSimulation, SimStats, Simulation, UniformLoss};
 
 const SEEDS: [u64; 5] = [3, 11, 42, 271, 2009];
 const N: usize = 192;

@@ -24,7 +24,7 @@ use sandf_bench::sweep::Summary;
 use sandf_core::SfConfig;
 use sandf_graph::DegreeStats;
 use sandf_obs::MetricsRegistry;
-use sandf_sim::{topology, Simulation, UniformLoss};
+use sandf_sim::{topology, Engine, Simulation, UniformLoss};
 
 /// Measured phase-split bias allowance, as pinned by `par_statistics.rs`.
 const PHASE_SPLIT_MEAN_ALLOWANCE: f64 = 0.75;

@@ -10,6 +10,7 @@ use rand::RngCore;
 use sandf_bench::sweep::{default_threads, SweepCell, SweepSpec};
 use sandf_core::SfConfig;
 use sandf_sim::experiment::ExperimentParams;
+use sandf_sim::Engine;
 
 struct LossCell {
     loss: f64,

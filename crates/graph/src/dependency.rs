@@ -2,7 +2,7 @@
 
 use std::collections::HashMap;
 
-use sandf_core::{NodeId, SfNode};
+use sandf_core::{Entry, NodeId};
 
 /// Breakdown of dependent view entries across a set of nodes.
 ///
@@ -31,19 +31,22 @@ pub struct DependenceReport {
 }
 
 impl DependenceReport {
-    /// Measures dependence across the views of the given nodes.
-    pub fn measure<'a, I>(nodes: I) -> Self
+    /// Measures dependence across rows of `(owner, entries)`: one row per
+    /// node, holding its occupied view entries. An `SfNode` is the row
+    /// `(node.id(), node.view().entries())`; the arena engines pass their
+    /// slot rows without rebuilding nodes.
+    pub fn measure<E>(rows: impl IntoIterator<Item = (NodeId, E)>) -> Self
     where
-        I: IntoIterator<Item = &'a SfNode>,
+        E: IntoIterator<Item = Entry>,
     {
         let mut report = Self::default();
         // Its values are only summed as integers, so its order cannot reach output.
         let mut groups: HashMap<NodeId, (usize, usize)> = HashMap::new();
-        for node in nodes {
+        for (owner, entries) in rows {
             groups.clear();
-            for entry in node.view().entries() {
+            for entry in entries {
                 report.total_entries += 1;
-                if entry.id == node.id() {
+                if entry.id == owner {
                     report.self_edges += 1;
                     continue; // counted below via the self-edge rule
                 }
@@ -78,12 +81,16 @@ impl DependenceReport {
 
 #[cfg(test)]
 mod tests {
-    use sandf_core::SfConfig;
+    use sandf_core::{SfConfig, SfNode};
 
     use super::*;
 
     fn id(raw: u64) -> NodeId {
         NodeId::new(raw)
+    }
+
+    fn measure(nodes: &[SfNode]) -> DependenceReport {
+        DependenceReport::measure(nodes.iter().map(|node| (node.id(), node.view().entries())))
     }
 
     fn node_with(owner: u64, ids: &[u64]) -> SfNode {
@@ -99,7 +106,7 @@ mod tests {
     #[test]
     fn clean_views_are_fully_independent() {
         let nodes = vec![node_with(0, &[1, 2]), node_with(1, &[0, 2])];
-        let report = DependenceReport::measure(&nodes);
+        let report = measure(&nodes);
         assert_eq!(report.total_entries, 4);
         assert_eq!(report.dependent_entries, 0);
         assert_eq!(report.independent_fraction(), 1.0);
@@ -108,7 +115,7 @@ mod tests {
     #[test]
     fn self_edges_are_dependent() {
         let nodes = vec![node_with(0, &[0, 1])];
-        let report = DependenceReport::measure(&nodes);
+        let report = measure(&nodes);
         assert_eq!(report.self_edges, 1);
         assert_eq!(report.dependent_entries, 1);
         assert!((report.independent_fraction() - 0.5).abs() < 1e-12);
@@ -117,7 +124,7 @@ mod tests {
     #[test]
     fn duplicates_count_all_but_one() {
         let nodes = vec![node_with(0, &[5, 5, 5, 7])];
-        let report = DependenceReport::measure(&nodes);
+        let report = measure(&nodes);
         assert_eq!(report.total_entries, 4);
         assert_eq!(report.dependent_entries, 2);
     }
@@ -128,7 +135,7 @@ mod tests {
         // Tag both copies of 5: tags (2) exceed the duplicate rule (1).
         node.view_mut().set_dependent(0, true);
         node.view_mut().set_dependent(1, true);
-        let report = DependenceReport::measure(std::iter::once(&node));
+        let report = measure(std::slice::from_ref(&node));
         assert_eq!(report.dependent_entries, 2);
         assert_eq!(report.tagged, 2);
     }
@@ -138,14 +145,14 @@ mod tests {
         let mut node = node_with(0, &[5, 5, 5]);
         node.view_mut().set_dependent(0, true);
         // Duplicate rule demands 2 dependents; one of them is the tagged one.
-        let report = DependenceReport::measure(std::iter::once(&node));
+        let report = measure(std::slice::from_ref(&node));
         assert_eq!(report.dependent_entries, 2);
         assert_eq!(report.tagged, 1);
     }
 
     #[test]
     fn empty_sample_is_vacuously_independent() {
-        let report = DependenceReport::measure(std::iter::empty());
+        let report = measure(&[]);
         assert_eq!(report.independent_fraction(), 1.0);
     }
 }

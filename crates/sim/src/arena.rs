@@ -20,9 +20,16 @@
 //! * **widening boundary** — every id that enters the arena (a node's own
 //!   id, a view entry, a bootstrap id) is checked against
 //!   [`ARENA_ID_LIMIT`] once, here: constructors panic, joins return
-//!   [`JoinError::IdSpaceExhausted`]. Readers widen words back to `u64`
-//!   [`NodeId`]s, and queries for ids beyond the limit answer "absent"
-//!   rather than aliasing onto a stored word;
+//!   [`JoinError::IdSpaceExhausted`]. Queries for ids beyond the limit
+//!   answer "absent" rather than aliasing onto a stored word;
+//! * **one row walk** — `Arena::row` is the only function that applies
+//!   visibility (a slot is visible when it is occupied and the behavior's
+//!   [`slot_visible`](ProtocolBehavior::slot_visible) shows its flags). It
+//!   yields one node's visible slots as `(offset, word, flags)` in slot
+//!   order, and every reader here walks those rows: views, the join
+//!   sponsor pool, the instance count, dependence, and the engines' row
+//!   reader. Words stay words; only the readers that build `sandf-core`
+//!   values ([`LocalView`], [`Entry`]) widen them to [`NodeId`]s;
 //! * **flat ledgers** — outdegrees and per-node [`NodeStats`] are dense
 //!   arrays indexed by the node's dense index, not fields of a boxed node,
 //!   and a streaming [`DegreeStats`] histogram moves with every ledger
@@ -58,10 +65,10 @@
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use sandf_core::{Entry, JoinError, LocalView, NodeId, NodeStats, SfConfig, SfNode};
-use sandf_graph::MembershipGraph;
+use sandf_graph::DependenceReport;
 
 use crate::degree::DegreeStats;
-use crate::traits::{ProtocolBehavior, Receipt, SlotView, ARENA_ID_LIMIT, FLAG_DEPENDENT};
+use crate::traits::{widen, ProtocolBehavior, Receipt, SlotView, ARENA_ID_LIMIT, FLAG_DEPENDENT};
 
 /// Empty-slot sentinel in the arena. Real node ids must stay below it.
 pub(crate) const EMPTY: u32 = crate::traits::EMPTY_SLOT;
@@ -78,10 +85,9 @@ fn checked_word(id: NodeId) -> Result<u32, JoinError> {
     }
 }
 
-/// Widens an arena word back to the public id space.
-#[inline]
-fn widen(word: u32) -> NodeId {
-    NodeId::new(u64::from(word))
+/// A visible slot as a view entry.
+fn entry(word: u32, flags: u8) -> Entry {
+    Entry { id: widen(word), dependent: flags & FLAG_DEPENDENT != 0 }
 }
 
 /// The struct-of-arrays storage both arena engines run on; see the module
@@ -379,38 +385,33 @@ impl Arena {
         self.dense_of(id).map(|k| self.degree[k] as usize)
     }
 
-    /// Reconstitutes node `k`'s [`LocalView`] (slot positions, ids, and
-    /// dependence tags all preserved). Slots the behavior hides are empty
-    /// in the result, like in every other reader.
-    pub(crate) fn view_at<B: ProtocolBehavior>(&self, k: usize) -> LocalView {
-        let base = k * self.s;
-        LocalView::from_slots(
-            (base..base + self.s)
-                .map(|i| {
-                    let visible = self.slot_ids[i] != EMPTY && B::slot_visible(self.slot_flags[i]);
-                    visible.then(|| Entry {
-                        id: widen(self.slot_ids[i]),
-                        dependent: self.slot_flags[i] & FLAG_DEPENDENT != 0,
-                    })
-                })
-                .collect(),
-        )
-    }
-
-    /// The ids in node `k`'s occupied, behavior-visible slots, in slot
-    /// order — the edges the graph readers record for that node.
-    fn visible_ids<B: ProtocolBehavior>(&self, k: usize) -> impl Iterator<Item = NodeId> + '_ {
+    /// Node `k`'s row: its visible slots as `(offset, word, flags)`, in
+    /// slot order. The arena's one row walk, and the only place
+    /// visibility is applied — a slot is visible when it is occupied and
+    /// `B::slot_visible` shows its flags. Every reader below walks it.
+    #[inline]
+    fn row<B: ProtocolBehavior>(&self, k: usize) -> impl Iterator<Item = (usize, u32, u8)> + '_ {
         let window = k * self.s..(k + 1) * self.s;
         self.slot_ids[window.clone()]
             .iter()
             .zip(&self.slot_flags[window])
-            .filter(|&(&word, &flags)| word != EMPTY && B::slot_visible(flags))
-            .map(|(&word, _)| widen(word))
+            .enumerate()
+            .filter(|&(_, (&word, &flags))| word != EMPTY && B::slot_visible(flags))
+            .map(|(off, (&word, &flags))| (off, word, flags))
+    }
+
+    /// Reconstitutes node `k`'s [`LocalView`] from its row: slot
+    /// positions, ids and dependence tags preserved, hidden slots empty.
+    pub(crate) fn view_at<B: ProtocolBehavior>(&self, k: usize) -> LocalView {
+        let mut slots = vec![None; self.s];
+        for (off, word, flags) in self.row::<B>(k) {
+            slots[off] = Some(entry(word, flags));
+        }
+        LocalView::from_slots(slots)
     }
 
     /// Adds a node bootstrapped with `join_seed_size` ids drawn (by a
-    /// shuffle on `rng`) from `sponsor`'s visible slots; returns its dense
-    /// index.
+    /// shuffle on `rng`) from `sponsor`'s row; returns its dense index.
     ///
     /// # Errors
     ///
@@ -429,13 +430,13 @@ impl Arena {
     ) -> Result<usize, JoinError> {
         let want = behavior.join_seed_size(self.config);
         let k = self.dense_of(sponsor).expect("sponsor must be live");
-        let mut pool: Vec<NodeId> = self.visible_ids::<B>(k).collect();
+        let mut pool: Vec<u32> = self.row::<B>(k).map(|(_, word, _)| word).collect();
         if pool.len() < want {
             return Err(JoinError::TooFewIds { supplied: pool.len(), d_l: want });
         }
         pool.shuffle(rng);
         pool.truncate(want);
-        self.join_with(behavior, &pool)
+        self.join_with(behavior, pool.into_iter().map(widen))
     }
 
     /// Adds a node bootstrapped with the given ids (tagged dependent,
@@ -451,15 +452,15 @@ impl Arena {
     pub(crate) fn join_with<B: ProtocolBehavior>(
         &mut self,
         behavior: &B,
-        bootstrap: &[NodeId],
+        bootstrap: impl ExactSizeIterator<Item = NodeId> + Clone,
     ) -> Result<usize, JoinError> {
         behavior.validate_bootstrap(self.config, bootstrap.len())?;
         let id = NodeId::new(self.next_id);
         checked_word(id)?;
-        for &entry in bootstrap {
+        for entry in bootstrap.clone() {
             checked_word(entry)?;
         }
-        let slots = bootstrap.iter().map(|&entry| Some((entry, FLAG_DEPENDENT)));
+        let slots = bootstrap.map(|entry| Some((entry, FLAG_DEPENDENT)));
         Ok(self.push_node(id, NodeStats::new(), slots))
     }
 
@@ -474,13 +475,12 @@ impl Arena {
         Some(node)
     }
 
-    /// Total multiplicity of `id` across the visible slots of the nodes
-    /// in `live`. Ids at or above [`ARENA_ID_LIMIT`] cannot be stored, so
-    /// they count zero (the widening boundary never aliases them onto
-    /// arena words).
+    /// Total multiplicity of `id` across the rows of the nodes in `live`.
+    /// Ids at or above [`ARENA_ID_LIMIT`] cannot be stored, so they count
+    /// zero (the widening boundary never aliases them onto arena words).
     ///
-    /// Windows are scanned two slots per u64 word; the per-slot
-    /// visibility check only runs on the rare windows with a raw match.
+    /// Windows are scanned two slots per u64 word; only the rare windows
+    /// with a raw match are walked as rows.
     pub(crate) fn count_id_instances<B: ProtocolBehavior>(
         &self,
         live: impl Iterator<Item = usize>,
@@ -489,54 +489,41 @@ impl Arena {
         let Ok(needle) = checked_word(id) else {
             return 0;
         };
-        live.map(|k| {
-            let base = k * self.s;
-            let window = &self.slot_ids[base..base + self.s];
-            if crate::scan::count_matches(window, needle) == 0 {
-                return 0;
-            }
-            window
-                .iter()
-                .zip(&self.slot_flags[base..base + self.s])
-                .filter(|&(&slot, &flags)| slot == needle && B::slot_visible(flags))
-                .count()
+        live.filter(|&k| {
+            crate::scan::count_matches(&self.slot_ids[k * self.s..(k + 1) * self.s], needle) != 0
         })
+        .map(|k| self.row::<B>(k).filter(|&(_, word, _)| word == needle).count())
         .sum()
     }
 
-    /// Snapshots the membership graph over the nodes in `live` (visible
-    /// slots only).
-    pub(crate) fn graph<B: ProtocolBehavior>(
+    /// Visits each node in `live` with its id word and the words of its
+    /// row, compacted into one buffer reused across nodes (a full pass
+    /// does no per-node allocation): the arena engines'
+    /// [`Engine::for_each_live_row`](crate::Engine::for_each_live_row).
+    pub(crate) fn for_each_row<B: ProtocolBehavior>(
         &self,
         live: impl Iterator<Item = usize>,
-    ) -> MembershipGraph {
-        MembershipGraph::from_views(
-            live.map(|k| (self.id_at(k), self.visible_ids::<B>(k).collect::<Vec<_>>())),
-        )
+        visit: &mut dyn FnMut(u32, &[u32]),
+    ) {
+        let mut words = Vec::with_capacity(self.s);
+        for k in live {
+            words.clear();
+            words.extend(self.row::<B>(k).map(|(_, word, _)| word));
+            visit(self.dense_id[k], &words);
+        }
     }
 
-    /// Visits each node in `live` with its visible ids; one buffer is
-    /// reused across nodes, so a full pass does no per-node allocation.
-    pub(crate) fn for_each_view<B: ProtocolBehavior>(
+    /// Measures spatial dependence (Property M4) over the rows of the
+    /// nodes in `live`.
+    pub(crate) fn dependence<B: ProtocolBehavior>(
         &self,
         live: impl Iterator<Item = usize>,
-        visit: &mut dyn FnMut(NodeId, &[NodeId]),
-    ) {
-        let mut buf: Vec<NodeId> = Vec::with_capacity(self.s);
-        for k in live {
-            buf.clear();
-            // A plain loop, not `visible_ids`: this is the rumor layer's
-            // per-round O(n·s) pass, and the iterator chain measured 5–8 %
-            // slower here at n = 5·10⁵.
-            let base = k * self.s;
-            for i in base..base + self.s {
-                let word = self.slot_ids[i];
-                if word != EMPTY && B::slot_visible(self.slot_flags[i]) {
-                    buf.push(widen(word));
-                }
-            }
-            visit(self.id_at(k), &buf);
-        }
+    ) -> DependenceReport {
+        DependenceReport::measure(
+            live.map(|k| {
+                (self.id_at(k), self.row::<B>(k).map(|(_, word, flags)| entry(word, flags)))
+            }),
+        )
     }
 
     /// Reconstitutes the nodes in `live` as [`SfNode`]s. Views carry over
@@ -591,15 +578,16 @@ mod tests {
     fn join_with_validates_like_the_protocol() {
         let mut arena = Arena::from_nodes(nodes());
         // Same checks, same order, same payloads as `SfNode::with_view`.
-        let join =
-            |arena: &mut Arena, bootstrap: &[NodeId]| arena.join_with(&SfBehavior, bootstrap);
-        assert_eq!(join(&mut arena, &ids(0..2)), Err(JoinError::TooFewIds { supplied: 2, d_l: 4 }));
-        assert_eq!(join(&mut arena, &ids(0..5)), Err(JoinError::OddIdCount { supplied: 5 }));
+        let join = |arena: &mut Arena, bootstrap: Vec<NodeId>| {
+            arena.join_with(&SfBehavior, bootstrap.into_iter())
+        };
+        assert_eq!(join(&mut arena, ids(0..2)), Err(JoinError::TooFewIds { supplied: 2, d_l: 4 }));
+        assert_eq!(join(&mut arena, ids(0..5)), Err(JoinError::OddIdCount { supplied: 5 }));
         assert_eq!(
-            join(&mut arena, &ids(0..14)),
+            join(&mut arena, ids(0..14)),
             Err(JoinError::TooManyIds { supplied: 14, s: 12 })
         );
-        let k = join(&mut arena, &ids(0..4)).unwrap();
+        let k = join(&mut arena, ids(0..4)).unwrap();
         let id = arena.id_at(k);
         assert_eq!(id, NodeId::new(24), "joiners extend the id space by one");
         assert_eq!(arena.out_degree_of(id), Some(4));
@@ -617,7 +605,7 @@ mod tests {
         // pin it at the boundary directly.
         arena.next_id = ARENA_ID_LIMIT;
         assert_eq!(
-            arena.join_with(&SfBehavior, &ids(0..4)),
+            arena.join_with(&SfBehavior, ids(0..4).into_iter()),
             Err(JoinError::IdSpaceExhausted { next: ARENA_ID_LIMIT, limit: ARENA_ID_LIMIT })
         );
         assert_eq!(arena.dense_id.len(), 24, "a rejected join must not touch the arena");
@@ -673,7 +661,7 @@ mod tests {
             let mut arena = Arena::from_nodes(nodes());
             let before = arena.clone();
             assert_eq!(
-                arena.join_with(&SfBehavior, &bad),
+                arena.join_with(&SfBehavior, bad.into_iter()),
                 Err(JoinError::IdSpaceExhausted { next: raw, limit: ARENA_ID_LIMIT }),
                 "join_with({raw})"
             );
@@ -716,9 +704,9 @@ mod tests {
             classic: &Simulation<UniformLoss>,
             flat: &FlatSimulation<UniformLoss>,
         ) {
-            fn views<E: Engine>(engine: &E) -> Vec<(NodeId, Vec<NodeId>)> {
+            fn rows<E: Engine>(engine: &E) -> Vec<(u32, Vec<u32>)> {
                 let mut out = Vec::new();
-                engine.for_each_live_view(&mut |id, view| out.push((id, view.to_vec())));
+                engine.for_each_live_row(&mut |id, words| out.push((id, words.to_vec())));
                 out
             }
             assert_eq!(flat.live_ids(), classic.live_ids(), "flat keeps the classic live order");
@@ -727,7 +715,7 @@ mod tests {
             for &id in expected.ids() {
                 assert_eq!(graph.out_neighbors(id), expected.out_neighbors(id), "edges of {id}");
             }
-            assert_eq!(views(flat), views(classic), "for_each_live_view order");
+            assert_eq!(rows(flat), rows(classic), "for_each_live_row order");
             assert_eq!(flat.aggregate_node_stats(), classic.aggregate_node_stats());
             for id in ids(0..28) {
                 assert_eq!(flat.count_id_instances(id), classic.count_id_instances(id), "{id}");
@@ -782,7 +770,7 @@ mod tests {
                 assert_eq!(arena.dense_of(NodeId::new(raw)), expected, "dense_of({raw})");
             }
         }
-        let join = |arena: &mut Arena| arena.join_with(&SfBehavior, &ids(0..4)).unwrap();
+        let join = |arena: &mut Arena| arena.join_with(&SfBehavior, ids(0..4).into_iter()).unwrap();
         let leave = |arena: &mut Arena, raw| arena.leave::<SfBehavior>(NodeId::new(raw)).unwrap();
 
         let mut arena = Arena::from_nodes(nodes());

@@ -3,10 +3,11 @@
 //!
 //! [`BroadcastLayer`] piggybacks a push (optionally push-pull) rumor on
 //! top of any [`Engine`]: after each membership round, [`BroadcastLayer::step`]
-//! walks every live node's current view via
-//! [`Engine::for_each_live_view`] and gossips an application payload along
-//! those edges. Per-node rumor state is indexed by raw node id, the arena
-//! engines' `u32` word space ([`ARENA_ID_LIMIT`]): one `u8` age column
+//! walks every live node's row via [`Engine::for_each_live_row`] and
+//! gossips an application payload along those edges. Per-node rumor state
+//! is indexed by raw node id, the arena engines' `u32` word space
+//! ([`ARENA_ID_LIMIT`]) — the words a row hands out, so the walk never
+//! widens an id: one `u8` age column
 //! and four `u64`-word bitsets (informed, Gilbert–Elliott bad state, live
 //! at the last step, registered), 1.5 bytes per id up to the largest id
 //! seen. A push target's liveness and informed state are two bit reads,
@@ -47,7 +48,7 @@ use sandf_obs::{CounterHandle, MetricsRegistry};
 
 use crate::fault::FaultSpec;
 use crate::stream::{fnv1a64, stream_seed, RUMOR, RUMOR_CHANNEL};
-use crate::traits::{Engine, ARENA_ID_LIMIT};
+use crate::traits::{widen, Engine, ARENA_ID_LIMIT};
 
 /// Push / push-pull rumor parameters.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -549,7 +550,7 @@ impl BroadcastLayer {
     ///
     /// Pass A walks the live set: registers ids, rebuilds the `live`
     /// bitset, and advances per-node channel state. Pass B walks
-    /// the views once via [`Engine::for_each_live_view`]: informed,
+    /// the rows once via [`Engine::for_each_live_row`]: informed,
     /// un-retired nodes push `fanout` targets; with pull enabled,
     /// uninformed nodes draw one partner and pull against the *start of
     /// round* informed set. Newly informed ids commit after the pass
@@ -593,20 +594,20 @@ impl BroadcastLayer {
         let mut newly = std::mem::take(&mut self.newly);
         newly.clear();
         let this = &mut *self;
-        engine.for_each_live_view(&mut |id, view| {
-            let informed = bit(&this.informed, id.as_u64());
+        engine.for_each_live_row(&mut |id, view| {
+            let informed = bit(&this.informed, id.into());
             if view.is_empty() {
                 return;
             }
-            if informed && this.age[id.index()] <= this.config.max_age {
+            if informed && this.age[id as usize] <= this.config.max_age {
                 let mut rng =
-                    StdRng::seed_from_u64(stream_seed(this.seed, RUMOR, id.as_u64(), round));
+                    StdRng::seed_from_u64(stream_seed(this.seed, RUMOR, id.into(), round));
                 for _ in 0..this.config.fanout {
                     let target = view[rng.gen_range(0..view.len())];
                     this.stats.sent += 1;
                     let drop_p = this.loss_rate(id, target);
                     let dropped = rng.gen_bool(drop_p);
-                    if !bit(&this.live, target.as_u64()) {
+                    if !bit(&this.live, target.into()) {
                         this.stats.dead_letters += 1;
                         continue;
                     }
@@ -615,24 +616,25 @@ impl BroadcastLayer {
                         continue;
                     }
                     this.stats.delivered += 1;
-                    if bit(&this.informed, target.as_u64()) {
+                    if bit(&this.informed, target.into()) {
                         this.stats.duplicates += 1;
                     } else {
-                        newly.push(target.as_u64() as u32);
+                        newly.push(target);
                         if let Some(trace) = &mut this.trace {
-                            trace.push(TraceEdge { round: mark, from: id, to: target });
+                            let (from, to) = (widen(id), widen(target));
+                            trace.push(TraceEdge { round: mark, from, to });
                         }
                     }
                 }
             } else if !informed && this.config.pull {
                 let mut rng =
-                    StdRng::seed_from_u64(stream_seed(this.seed, RUMOR, id.as_u64(), round));
+                    StdRng::seed_from_u64(stream_seed(this.seed, RUMOR, id.into(), round));
                 let partner = view[rng.gen_range(0..view.len())];
                 this.stats.pull_requests += 1;
                 let request_dropped = rng.gen_bool(this.loss_rate(id, partner));
                 if request_dropped
-                    || !bit(&this.live, partner.as_u64())
-                    || !bit(&this.informed, partner.as_u64())
+                    || !bit(&this.live, partner.into())
+                    || !bit(&this.informed, partner.into())
                 {
                     return;
                 }
@@ -642,9 +644,9 @@ impl BroadcastLayer {
                     return;
                 }
                 this.stats.pull_hits += 1;
-                newly.push(id.as_u64() as u32);
+                newly.push(id);
                 if let Some(trace) = &mut this.trace {
-                    trace.push(TraceEdge { round: mark, from: partner, to: id });
+                    trace.push(TraceEdge { round: mark, from: widen(partner), to: widen(id) });
                 }
             }
         });
@@ -696,26 +698,26 @@ impl BroadcastLayer {
 
     /// Drop probability for one message `from → to` under the current
     /// channel (receiver-side, like the engines' loss models).
-    fn loss_rate(&self, from: NodeId, to: NodeId) -> f64 {
+    fn loss_rate(&self, from: u32, to: u32) -> f64 {
         match &self.channel {
             RumorChannel::Lossless => 0.0,
             RumorChannel::Uniform { rate } => *rate,
             RumorChannel::Bursty { loss_good, loss_bad, .. } => {
-                if bit(&self.bad_state, to.as_u64()) {
+                if bit(&self.bad_state, to.into()) {
                     *loss_bad
                 } else {
                     *loss_good
                 }
             }
             RumorChannel::Partition { regions, sever, base } => {
-                if from.as_u64() % regions == to.as_u64() % regions {
+                if u64::from(from) % regions == u64::from(to) % regions {
                     *base
                 } else {
                     *sever
                 }
             }
             RumorChannel::Victims { victim_rate, base, victims } => {
-                if victims.binary_search(&to).is_ok() {
+                if victims.binary_search(&widen(to)).is_ok() {
                     *victim_rate
                 } else {
                     *base

@@ -44,7 +44,6 @@ use rand::{Rng, SeedableRng};
 use sandf_core::{
     InitiateOutcome, JoinError, Message, NodeId, NodeStats, ReceiveOutcome, SfConfig, SfNode,
 };
-use sandf_graph::MembershipGraph;
 
 use crate::chassis::Subscribers;
 use crate::degree::DegreeStats;
@@ -241,7 +240,7 @@ pub enum DelayModel {
 ///
 /// ```
 /// use sandf_core::SfConfig;
-/// use sandf_sim::{topology, Simulation, UniformLoss};
+/// use sandf_sim::{topology, Engine, Simulation, UniformLoss};
 ///
 /// let config = SfConfig::new(16, 6)?;
 /// let nodes = topology::circulant(64, config, 8);
@@ -685,22 +684,13 @@ impl<L: FaultModel> Simulation<L> {
     pub fn degree_stats(&self) -> &DegreeStats {
         &self.degree_hist
     }
-
-    /// Snapshots the membership graph.
-    #[must_use]
-    pub fn graph(&self) -> MembershipGraph {
-        // Iterate in live order for a deterministic snapshot.
-        MembershipGraph::from_views(self.live.iter().map(|id| {
-            let node = &self.nodes[id];
-            (*id, node.view().ids().collect())
-        }))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use crate::loss::UniformLoss;
     use crate::topology;
+    use crate::Engine;
 
     use super::*;
 

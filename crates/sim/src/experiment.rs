@@ -8,6 +8,7 @@ use crate::flat::FlatSimulation;
 use crate::loss::UniformLoss;
 use crate::observer::{DegreeSampler, OccupancyCounter};
 use crate::topology;
+use crate::traits::Engine;
 
 /// Common experiment parameters.
 #[derive(Clone, Copy, Debug)]

@@ -76,7 +76,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use sandf_core::{JoinError, LocalView, NodeId, NodeStats, SfConfig, SfNode};
-use sandf_graph::{DependenceReport, MembershipGraph};
+use sandf_graph::DependenceReport;
 use sandf_obs::{MetricsRegistry, SpanTimer};
 
 use crate::arena::Arena;
@@ -395,8 +395,10 @@ impl<L: FaultModel, B: ProtocolBehavior> FlatSimulation<L, B> {
         self.len() == 0
     }
 
-    /// The ids of the live nodes (unspecified order). Owned: the engine
-    /// keeps no id list of its own until the first `leave`.
+    /// The ids of the live nodes, in the classic engine's live order:
+    /// insertion order, with `swap_remove` on leave (the order the
+    /// initiator draw indexes into). Owned: the engine keeps no id list of
+    /// its own until the first `leave`.
     #[must_use]
     pub fn live_ids(&self) -> Vec<NodeId> {
         self.live_dense().map(|k| self.arena.id_at(k)).collect()
@@ -820,7 +822,7 @@ impl<L: FaultModel, B: ProtocolBehavior> FlatSimulation<L, B> {
     /// the arena's `u32` id limit or a bootstrap id lies beyond it (the
     /// rejected join leaves the engine untouched).
     pub fn join_with(&mut self, bootstrap: &[NodeId]) -> Result<NodeId, JoinError> {
-        let joined = self.arena.join_with(&self.behavior, bootstrap);
+        let joined = self.arena.join_with(&self.behavior, bootstrap.iter().copied());
         self.admit(joined)
     }
 
@@ -886,26 +888,17 @@ impl<L: FaultModel, B: ProtocolBehavior> FlatSimulation<L, B> {
         &self.arena.degree_hist
     }
 
-    /// Snapshots the membership graph (live order, like the classic
-    /// engine's snapshot; tombstoned slots are invisible).
-    #[must_use]
-    pub fn graph(&self) -> MembershipGraph {
-        self.arena.graph::<B>(self.live_dense())
+    /// Visits every live node's row in live order; the body of
+    /// [`Engine::for_each_live_row`](crate::Engine::for_each_live_row).
+    pub(crate) fn for_each_live_row(&self, visit: &mut dyn FnMut(u32, &[u32])) {
+        self.arena.for_each_row::<B>(self.live_dense(), visit);
     }
 
-    /// Visits every live node's visible view in live order; the body of
-    /// [`Engine::for_each_live_view`](crate::Engine::for_each_live_view).
-    pub(crate) fn for_each_live_view(&self, visit: &mut dyn FnMut(NodeId, &[NodeId])) {
-        self.arena.for_each_view::<B>(self.live_dense(), visit);
-    }
-
-    /// Measures spatial dependence across all live views (Property M4).
-    /// Reconstitutes the nodes first, so this is a measurement-time
-    /// convenience, not a hot path.
+    /// Measures spatial dependence across all live views (Property M4),
+    /// over the arena's rows in place.
     #[must_use]
     pub fn dependence(&self) -> DependenceReport {
-        let nodes = self.to_nodes();
-        DependenceReport::measure(nodes.iter())
+        self.arena.dependence::<B>(self.live_dense())
     }
 }
 
@@ -914,7 +907,7 @@ mod tests {
     use crate::engine::Simulation;
     use crate::loss::{GilbertElliott, UniformLoss};
     use crate::topology;
-    use crate::traits::ARENA_ID_LIMIT;
+    use crate::traits::{Engine, ARENA_ID_LIMIT};
 
     use super::*;
 

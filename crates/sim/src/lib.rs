@@ -19,7 +19,7 @@
 //!
 //! ```
 //! use sandf_core::SfConfig;
-//! use sandf_sim::{topology, FlatSimulation, UniformLoss};
+//! use sandf_sim::{topology, Engine, FlatSimulation, UniformLoss};
 //!
 //! let config = SfConfig::new(16, 6)?;
 //! let nodes = topology::random(128, config, 8, &mut rand::thread_rng());

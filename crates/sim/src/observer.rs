@@ -5,7 +5,7 @@ use std::collections::BTreeMap;
 use sandf_core::NodeId;
 use sandf_graph::{chi_square_uniform, Histogram};
 
-use crate::traits::Engine;
+use crate::traits::{widen, Engine};
 
 /// Accumulates in/outdegree histograms across snapshots, pooling all nodes —
 /// the empirical counterpart of the degree-MC stationary distributions of
@@ -75,15 +75,15 @@ impl OccupancyCounter {
     /// currently contain `v` (presence, not multiplicity — matching the
     /// event `v ∈ u.lv`).
     pub fn sample(&mut self, sim: &impl Engine) {
-        let mut seen: Vec<NodeId> = Vec::new();
-        sim.for_each_live_view(&mut |viewer, view| {
+        let mut seen: Vec<u32> = Vec::new();
+        sim.for_each_live_row(&mut |viewer, view| {
             seen.clear();
             seen.extend_from_slice(view);
             seen.sort_unstable();
             seen.dedup();
             for &v in &seen {
                 if v != viewer {
-                    *self.appearances.entry(v).or_insert(0) += 1;
+                    *self.appearances.entry(widen(v)).or_insert(0) += 1;
                 }
             }
         });
@@ -141,7 +141,7 @@ mod tests {
 
     /// The same circulant (every degree 4) on the classic oracle and on the
     /// arena engine: the observers read both through [`Engine`], so every
-    /// test below also holds the oracle's `for_each_live_view` / `graph` to
+    /// test below also holds the oracle's `for_each_live_row` / `graph` to
     /// the arena's, fresh and 20 rounds in.
     fn engines() -> (Simulation<UniformLoss>, FlatSimulation<UniformLoss>) {
         let nodes = || topology::circulant(16, SfConfig::new(12, 4).unwrap(), 4);

@@ -88,7 +88,7 @@ use std::fmt;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sandf_core::{JoinError, LocalView, NodeId, NodeStats, SfConfig, SfNode};
-use sandf_graph::{DependenceReport, MembershipGraph};
+use sandf_graph::DependenceReport;
 use sandf_obs::{duration_buckets, GaugeHandle, HistogramHandle, MetricsRegistry, SpanTimer};
 
 use crate::arena::{Arena, Shard};
@@ -915,7 +915,7 @@ impl<L: FaultModel + Clone + Send, B: ProtocolBehavior> ParSimulation<L, B> {
     /// has reached the arena's `u32` id limit or a bootstrap id lies
     /// beyond it (the rejected join leaves the engine untouched).
     pub fn join_with(&mut self, bootstrap: &[NodeId]) -> Result<NodeId, JoinError> {
-        let joined = self.arena.join_with(&self.behavior, bootstrap);
+        let joined = self.arena.join_with(&self.behavior, bootstrap.iter().copied());
         self.admit(joined)
     }
 
@@ -958,26 +958,17 @@ impl<L: FaultModel + Clone + Send, B: ProtocolBehavior> ParSimulation<L, B> {
         &self.arena.degree_hist
     }
 
-    /// Snapshots the membership graph (dense arena order, behavior-visible
-    /// slots only).
-    #[must_use]
-    pub fn graph(&self) -> MembershipGraph {
-        self.arena.graph::<B>(self.arena.live_dense())
+    /// Visits every live node's row in dense arena order; the body of
+    /// [`Engine::for_each_live_row`](crate::Engine::for_each_live_row).
+    pub(crate) fn for_each_live_row(&self, visit: &mut dyn FnMut(u32, &[u32])) {
+        self.arena.for_each_row::<B>(self.arena.live_dense(), visit);
     }
 
-    /// Visits every live node's visible view in live order; the body of
-    /// [`Engine::for_each_live_view`](crate::Engine::for_each_live_view).
-    pub(crate) fn for_each_live_view(&self, visit: &mut dyn FnMut(NodeId, &[NodeId])) {
-        self.arena.for_each_view::<B>(self.arena.live_dense(), visit);
-    }
-
-    /// Measures spatial dependence across all live views (Property M4).
-    /// Reconstitutes the nodes first, so this is a measurement-time
-    /// convenience, not a hot path.
+    /// Measures spatial dependence across all live views (Property M4),
+    /// over the arena's rows in place.
     #[must_use]
     pub fn dependence(&self) -> DependenceReport {
-        let nodes = self.to_nodes();
-        DependenceReport::measure(nodes.iter())
+        self.arena.dependence::<B>(self.arena.live_dense())
     }
 }
 
@@ -1150,6 +1141,7 @@ mod tests {
     use crate::loss::{GilbertElliott, UniformLoss};
     use crate::telemetry::SimRecorder;
     use crate::topology;
+    use crate::Engine;
 
     use super::*;
 

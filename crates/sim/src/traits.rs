@@ -10,9 +10,10 @@
 //! into traits:
 //!
 //! * [`Engine`] — the round-granular driving surface every engine
-//!   implements (rounds, settle, churn, faults, graph + stats readers), so
-//!   differential tests and sweeps are written once and instantiated per
-//!   engine;
+//!   implements (rounds, settle, churn, faults, stats readers, and one
+//!   row reader that hands out arena slot words, over which
+//!   [`Engine::graph`] is written once), so differential tests and sweeps
+//!   are written once and instantiated per engine;
 //! * [`ProtocolBehavior`] — a membership protocol expressed over one
 //!   node's slot window ([`SlotView`]): an initiate action, a receive
 //!   handler that may produce one reply, and the bootstrap/visibility
@@ -73,6 +74,13 @@ pub fn slot_word(id: NodeId) -> u32 {
     {
         id.as_u64() as u32
     }
+}
+
+/// Widens an arena slot word back to the public id space (the inverse of
+/// [`slot_word`]).
+#[inline]
+pub(crate) fn widen(word: u32) -> NodeId {
+    NodeId::new(u64::from(word))
 }
 
 /// Slot-flag bit: the entry is dependent (a duplicated id, in the paper's
@@ -276,8 +284,9 @@ pub trait ProtocolBehavior: Clone + Send + Sync {
         config.lower_threshold()
     }
 
-    /// Whether a slot's entry is visible to the graph readers
-    /// (`graph()` / `count_id_instances`). The default hides tombstones.
+    /// Whether a slot's entry is visible to the readers (views, graph,
+    /// instance counts, dependence, the join sponsor pool); the arena's
+    /// one row walk applies it. The default hides tombstones.
     fn slot_visible(flags: u8) -> bool {
         flags & FLAG_TOMBSTONE == 0
     }
@@ -455,7 +464,13 @@ pub trait Engine {
         self.len() == 0
     }
 
-    /// The live node ids (owned; engines differ in their internal storage).
+    /// The live node ids (owned; engines differ in their internal
+    /// storage), in the engine's live order — the order
+    /// [`for_each_live_row`](Engine::for_each_live_row) and
+    /// [`graph`](Engine::graph) walk. The classic engine's is insertion
+    /// order, with `swap_remove` on leave; flat keeps the same order,
+    /// because its initiator draw indexes into it; par's is ascending
+    /// dense (admission) order, because its shards walk the arena.
     fn live_ids(&self) -> Vec<NodeId>;
 
     /// The shared protocol configuration.
@@ -511,20 +526,30 @@ pub trait Engine {
     /// the live degree ledgers at all times.
     fn degree_stats(&self) -> DegreeStats;
 
-    /// Snapshots the membership graph.
-    fn graph(&self) -> MembershipGraph;
+    /// Snapshots the membership graph over the rows of
+    /// [`for_each_live_row`](Engine::for_each_live_row): live order,
+    /// protocol-visible slots only.
+    fn graph(&self) -> MembershipGraph {
+        let mut views = Vec::with_capacity(self.len());
+        self.for_each_live_row(&mut |owner, words| {
+            views.push((widen(owner), words.iter().map(|&word| widen(word)).collect()));
+        });
+        MembershipGraph::from_views(views)
+    }
 
-    /// Visits every live node's current view as `(viewer, neighbour_ids)`,
-    /// in the engine's deterministic live order. The slice holds exactly
-    /// the protocol-visible occupied slots (tombstones hidden) — the same
-    /// edges [`Engine::graph`] would record for that node — and is only
-    /// valid for the duration of the callback (one shared buffer is reused
-    /// across nodes, so a full pass does no per-node allocation).
+    /// Visits every live node's row, in the engine's live order: the
+    /// node's id and the ids in its protocol-visible occupied slots
+    /// (tombstones hidden), in slot order, all as arena slot words
+    /// ([`slot_word`]) — the edges [`Engine::graph`] records for that
+    /// node. The slice is only valid for the duration of the callback
+    /// (one buffer is reused across nodes, so a full pass does no
+    /// per-node allocation).
     ///
     /// This is the per-round piggyback hook for layers that consume the
     /// peer-sampling service rather than only measure it, e.g.
-    /// [`crate::broadcast::BroadcastLayer`].
-    fn for_each_live_view(&self, visit: &mut dyn FnMut(NodeId, &[NodeId]));
+    /// [`crate::broadcast::BroadcastLayer`], which indexes its state by
+    /// these words.
+    fn for_each_live_row(&self, visit: &mut dyn FnMut(u32, &[u32]));
 
     /// Applies `f` to the fault model.
     fn update_fault(&mut self, f: impl FnMut(&mut Self::Fault));
@@ -597,17 +622,15 @@ impl<L: crate::fault::FaultModel> Engine for crate::Simulation<L> {
         Self::degree_stats(self).clone()
     }
 
-    fn graph(&self) -> MembershipGraph {
-        Self::graph(self)
-    }
-
-    fn for_each_live_view(&self, visit: &mut dyn FnMut(NodeId, &[NodeId])) {
-        let mut buf: Vec<NodeId> = Vec::new();
+    /// The oracle's own walk, independent of the arena's: each node's
+    /// `SfNode` view, narrowed id by id.
+    fn for_each_live_row(&self, visit: &mut dyn FnMut(u32, &[u32])) {
+        let mut words = Vec::new();
         for &id in Self::live_ids(self) {
             let node = self.node(id).expect("live id resolves to a node");
-            buf.clear();
-            buf.extend(node.view().ids());
-            visit(id, &buf);
+            words.clear();
+            words.extend(node.view().ids().map(slot_word));
+            visit(slot_word(id), &words);
         }
     }
 
@@ -689,12 +712,8 @@ macro_rules! delegate_arena_engine {
                 Self::degree_stats(self).clone()
             }
 
-            fn graph(&self) -> MembershipGraph {
-                Self::graph(self)
-            }
-
-            fn for_each_live_view(&self, visit: &mut dyn FnMut(NodeId, &[NodeId])) {
-                Self::for_each_live_view(self, visit);
+            fn for_each_live_row(&self, visit: &mut dyn FnMut(u32, &[u32])) {
+                Self::for_each_live_row(self, visit);
             }
 
             fn update_fault(&mut self, f: impl FnMut(&mut L)) {

@@ -30,7 +30,7 @@
 //! ```
 //! use sandf_zoo::baselines::ShuffleBehavior;
 //! use sandf_core::{NodeId, SfConfig};
-//! use sandf_sim::{FlatSimulation, UniformLoss};
+//! use sandf_sim::{Engine, FlatSimulation, UniformLoss};
 //!
 //! let views = (0..16u64)
 //!     .map(|i| (NodeId::new(i), vec![NodeId::new((i + 1) % 16), NodeId::new((i + 2) % 16)]))

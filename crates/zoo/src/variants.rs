@@ -35,7 +35,7 @@
 //!
 //! ```
 //! use sandf_core::{NodeId, SfConfig};
-//! use sandf_sim::{FlatSimulation, UniformLoss};
+//! use sandf_sim::{Engine, FlatSimulation, UniformLoss};
 //! use sandf_zoo::variants::UndeleteBehavior;
 //!
 //! let config = SfConfig::new(16, 6)?;

@@ -8,7 +8,7 @@
 
 use sandf::markov::decay;
 use sandf::sim::topology;
-use sandf::{DegreeStats, FlatSimulation, NodeId, SfConfig, UniformLoss};
+use sandf::{DegreeStats, Engine, FlatSimulation, NodeId, SfConfig, UniformLoss};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let config = SfConfig::new(40, 18)?;

@@ -10,7 +10,7 @@
 //!
 //! It runs on the arena fast path: a [`FlatSimulation`] driven through the
 //! unified [`Engine`] trait, reading every live node's view in one pass
-//! with [`Engine::for_each_live_view`] — the same hook the broadcast layer
+//! with [`Engine::for_each_live_row`] — the same hook the broadcast layer
 //! gossips over (see `examples/broadcast_quickstart.rs`).
 //!
 //! Run with: `cargo run --example peer_sampling_service`
@@ -50,9 +50,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // a single arena pass.
         let mut inbox: Vec<(f64, f64)> = vec![(0.0, 0.0); N];
         let mut shares: Vec<(usize, f64, f64)> = Vec::with_capacity(N);
-        sim.for_each_live_view(&mut |id, view| {
-            let i = id.index() % N;
-            let target = view.choose(&mut rng).map_or(i, |peer| peer.index() % N);
+        sim.for_each_live_row(&mut |id, view| {
+            let i = id as usize % N;
+            let target = view.choose(&mut rng).map_or(i, |&peer| peer as usize % N);
             sums[i] /= 2.0;
             weights[i] /= 2.0;
             shares.push((target, sums[i], weights[i]));

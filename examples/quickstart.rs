@@ -3,7 +3,7 @@
 //! Run with: `cargo run --example quickstart`
 
 use sandf::sim::topology;
-use sandf::{DegreeStats, FlatSimulation, SfConfig, UniformLoss};
+use sandf::{DegreeStats, Engine, FlatSimulation, SfConfig, UniformLoss};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Parameters from the paper's running example (Section 6.3): view size

@@ -35,7 +35,7 @@
 //! ## Quick start
 //!
 //! ```
-//! use sandf::{FlatSimulation, SfConfig, UniformLoss};
+//! use sandf::{Engine, FlatSimulation, SfConfig, UniformLoss};
 //! use sandf::sim::topology;
 //!
 //! // Parameters from the paper's running example (Section 6.3).

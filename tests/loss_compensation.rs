@@ -3,7 +3,7 @@
 //! `[ℓ, ℓ + δ]`.
 
 use sandf::sim::experiment::{steady_state_event_rates, ExperimentParams};
-use sandf::SfConfig;
+use sandf::{Engine, SfConfig};
 
 fn rates(loss: f64, seed: u64) -> sandf::sim::experiment::EventRates {
     let config = SfConfig::new(40, 18).expect("paper parameters");

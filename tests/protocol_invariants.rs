@@ -13,9 +13,9 @@ use sandf::baselines::{PushOnlyBehavior, PushPullBehavior, ShuffleBehavior};
 use sandf::core::InitiateOutcome;
 use sandf::variants::{BatchedBehavior, ReplaceBehavior, UndeleteBehavior};
 use sandf::{
-    Engine, FlatSimulation, LocalView, MembershipGraph, Message, NodeCapacity, NodeId,
-    ParSimulation, PerLinkLoss, PhaseFault, ProtocolBehavior, RegionalPartition, ScheduledFault,
-    SfBehavior, SfConfig, SfNode, Simulation, UniformLoss, VictimLoss,
+    DependenceReport, Engine, FlatSimulation, LocalView, MembershipGraph, Message, NodeCapacity,
+    NodeId, ParSimulation, PerLinkLoss, PhaseFault, ProtocolBehavior, RegionalPartition,
+    ScheduledFault, SfBehavior, SfConfig, SfNode, Simulation, UniformLoss, VictimLoss,
 };
 
 /// One externally scheduled event.
@@ -451,7 +451,7 @@ proptest! {
                 nodes[j].receive(message, &mut rng);
             }
         }
-        let report = sandf::DependenceReport::measure(&nodes);
+        let report = DependenceReport::measure(nodes.iter().map(|node| (node.id(), node.view().entries())));
         prop_assert!(report.dependent_entries <= report.total_entries);
         prop_assert!(report.self_edges <= report.dependent_entries);
         let alpha = report.independent_fraction();
@@ -461,23 +461,35 @@ proptest! {
 
 /// Every reader of one engine must report the same live entries: the
 /// reconstituted nodes, the graph snapshot, the streaming degree ledger,
-/// and — per node — `node_view` against `for_each_live_view`.
+/// per node `node_view` against `for_each_live_row`, `count_id_instances`
+/// against a count over `node_view` (every live id and the departed one),
+/// and `dependence` against `DependenceReport::measure` over `to_nodes`.
 fn readers_agree<E: Engine>(
     label: &str,
     sim: &E,
     nodes: &[SfNode],
     node_view: impl Fn(NodeId) -> Option<LocalView>,
+    dependence: DependenceReport,
+    departed: NodeId,
 ) {
     let edges = sim.graph().edge_count();
     assert_eq!(nodes.iter().map(SfNode::out_degree).sum::<usize>(), edges, "{label}: to_nodes");
     assert_eq!(sim.degree_stats().edges(), edges as u64, "{label}: degree_stats");
-    sim.for_each_live_view(&mut |id, visible| {
-        let mut expected = visible.to_vec();
-        let mut view: Vec<NodeId> = node_view(id).expect("live id").ids().collect();
+    let widen = |word: u32| NodeId::new(u64::from(word));
+    sim.for_each_live_row(&mut |id, visible| {
+        let mut expected: Vec<NodeId> = visible.iter().map(|&word| widen(word)).collect();
+        let mut view: Vec<NodeId> = node_view(widen(id)).expect("live id").ids().collect();
         expected.sort_unstable();
         view.sort_unstable();
         assert_eq!(view, expected, "{label}: node_view({id})");
     });
+    let live = sim.live_ids();
+    for id in live.iter().copied().chain([departed]) {
+        let views = live.iter().map(|&u| node_view(u).expect("live id").multiplicity(id));
+        assert_eq!(sim.count_id_instances(id), views.sum(), "{label}: count_id_instances({id})");
+    }
+    let rows = nodes.iter().map(|node| (node.id(), node.view().entries()));
+    assert_eq!(dependence, DependenceReport::measure(rows), "{label}: dependence");
 }
 
 fn readers_agree_on_both_engines<B: ProtocolBehavior + Copy>(name: &str, behavior: B) {
@@ -486,17 +498,29 @@ fn readers_agree_on_both_engines<B: ProtocolBehavior + Copy>(name: &str, behavio
         .map(|i| (NodeId::new(i), (1..=10).map(|d| NodeId::new((i + d) % 64)).collect()))
         .collect();
     let loss = UniformLoss::new(0.05).expect("valid rate");
+    // Leave one node mid-run, so its id lingers in live views as stale
+    // instances the count has to find.
+    let departed = NodeId::new(7);
     let mut flat = FlatSimulation::from_views(behavior, config, views.clone(), loss, 2);
     flat.run_rounds(200);
-    readers_agree(&format!("{name}/flat"), &flat, &flat.to_nodes(), |id| flat.node_view(id));
+    flat.leave(departed).expect("live");
+    flat.run_rounds(2);
+    let nodes = flat.to_nodes();
+    let node_view = |id| flat.node_view(id);
+    readers_agree(&format!("{name}/flat"), &flat, &nodes, node_view, flat.dependence(), departed);
     let mut par = ParSimulation::from_views(behavior, config, views, loss, 2, 2);
     par.run_rounds(200);
-    readers_agree(&format!("{name}/par"), &par, &par.to_nodes(), |id| par.node_view(id));
+    par.leave(departed).expect("live");
+    par.run_rounds(2);
+    let nodes = par.to_nodes();
+    let node_view = |id| par.node_view(id);
+    readers_agree(&format!("{name}/par"), &par, &nodes, node_view, par.dependence(), departed);
 }
 
 /// Slots a behavior hides (the undelete variant's tombstones) are hidden
-/// by every reader alike: `to_nodes`/`node_view` — and through them
-/// `dependence` and the node `leave` returns — as much as `graph`.
+/// by every reader alike: `to_nodes`/`node_view`, `count_id_instances`,
+/// `dependence` and the node `leave` returns as much as `graph`, on all
+/// seven behaviors.
 #[test]
 fn readers_agree_for_every_behavior_on_both_engines() {
     readers_agree_on_both_engines("sandf", SfBehavior);

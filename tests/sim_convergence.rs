@@ -3,7 +3,7 @@
 //! any initial state" that is sufficiently connected.
 
 use sandf::sim::topology;
-use sandf::{DegreeStats, FlatSimulation, SfConfig, UniformLoss};
+use sandf::{DegreeStats, Engine, FlatSimulation, SfConfig, UniformLoss};
 
 fn converged_from(nodes: Vec<sandf::SfNode>, seed: u64) -> FlatSimulation<UniformLoss> {
     let mut sim = FlatSimulation::new(nodes, UniformLoss::new(0.01).expect("valid"), seed);
