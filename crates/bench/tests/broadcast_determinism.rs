@@ -6,9 +6,8 @@
 //! record a per-round [`BroadcastLayer::fingerprint`] trail plus the final
 //! [`SpreadReport`] debug rendering:
 //!
-//! * `pr10_broadcast_*` — produced by the classic engine and asserted
-//!   against the classic *and* flat engines in lockstep: per-round equal
-//!   fingerprints mean the broadcast state never diverges by a bit.
+//! * `pr10_broadcast_*` — asserted against the flat engine: per-round
+//!   equal fingerprints mean the broadcast state never drifts by a bit.
 //! * `pr10_broadcast_par_*` — produced by the 1-thread par engine and
 //!   asserted for threads ∈ {1, 2, 8}: thread count may change
 //!   wall-clock, never a byte of rumor state.
@@ -29,8 +28,7 @@ use std::path::PathBuf;
 use sandf_core::{NodeId, SfConfig, SfNode};
 use sandf_sim::{
     rumor_channel_for, topology, BroadcastConfig, BroadcastLayer, Engine, FaultSpec,
-    FlatSimulation, GilbertElliott, LossModel, ParSimulation, RumorChannel, Simulation,
-    UniformLoss,
+    FlatSimulation, GilbertElliott, LossModel, ParSimulation, RumorChannel, UniformLoss,
 };
 
 const SEEDS: [u64; 3] = [11, 42, 2009];
@@ -102,23 +100,14 @@ fn check_golden(name: &str, reference: &str, others: &[(String, String)]) {
     }
 }
 
-/// Classic ↔ flat lockstep: the same seeds, loss, and rumor channel must
-/// yield bit-identical broadcast state on both engines, round by round.
+/// The flat engine: the same seeds, loss, and rumor channel must yield
+/// bit-identical broadcast state, round by round.
 #[test]
-fn classic_and_flat_broadcast_match_recorded_goldens() {
+fn flat_broadcast_matches_recorded_goldens() {
     fn scenario<L: LossModel + Clone + Send + 'static>(loss: L, name: &str, seed: u64) {
-        let classic = broadcast_artifact(
-            Simulation::new(nodes(), loss.clone(), seed),
-            seed,
-            rumor_channel(name),
-        );
         let flat =
             broadcast_artifact(FlatSimulation::new(nodes(), loss, seed), seed, rumor_channel(name));
-        check_golden(
-            &format!("pr10_broadcast_{name}_{seed}.txt"),
-            &classic,
-            &[("flat-engine".to_string(), flat)],
-        );
+        check_golden(&format!("pr10_broadcast_{name}_{seed}.txt"), &flat, &[]);
     }
     for seed in SEEDS {
         scenario(uniform(), "uniform", seed);

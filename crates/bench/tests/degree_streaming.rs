@@ -1,4 +1,4 @@
-//! PR 9 streaming-statistics invariant, on all three engines.
+//! PR 9 streaming-statistics invariant, on both engines.
 //!
 //! The engines maintain a live outdegree histogram ([`DegreeStats`])
 //! incrementally — every store/delete shifts one bucket — so measure
@@ -7,16 +7,17 @@
 //! swings, and settles, the streaming histogram equals a from-scratch
 //! rebuild over the live nodes' degree ledgers.
 //!
-//! A second suite pins the u32 slot arena against the classic engine on
-//! *sparse, large* node ids (well past 2¹⁶, non-contiguous): any narrow
-//! truncation inside the arena would alias ids and break lockstep.
+//! A second suite runs the u32 slot arena on *sparse, large* node ids
+//! (well past 2¹⁶, non-contiguous) in lockstep with the same ring on ids
+//! 0, 1, 2, …: any narrow truncation inside the arena would alias ids, and
+//! any disagreement between the id → dense table and the identity path
+//! would move a draw.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sandf_core::{NodeId, SfConfig, SfNode};
 use sandf_sim::{
-    topology, DegreeStats, DelayModel, Engine, FlatSimulation, ParSimulation, Simulation,
-    UniformLoss,
+    topology, DegreeStats, DelayModel, Engine, FlatSimulation, ParSimulation, UniformLoss,
 };
 
 const SEEDS: [u64; 3] = [11, 42, 2009];
@@ -86,19 +87,6 @@ fn random_schedule<E: Engine<Fault = UniformLoss>>(mut sim: E, seed: u64, label:
 }
 
 #[test]
-fn classic_streaming_stats_survive_random_schedules() {
-    for seed in SEEDS {
-        let sim = Simulation::with_delay(
-            nodes(),
-            UniformLoss::new(0.05).expect("legal rate"),
-            DelayModel::UniformSteps { max: 8 },
-            seed,
-        );
-        random_schedule(sim, seed, "classic");
-    }
-}
-
-#[test]
 fn flat_streaming_stats_survive_random_schedules() {
     for seed in SEEDS {
         let sim = FlatSimulation::with_delay(
@@ -127,30 +115,39 @@ fn par_streaming_stats_survive_random_schedules() {
     }
 }
 
-/// Sparse, large ids: a ring whose ids stride by 99 991 starting at one
-/// million. Any 16-bit (or narrower) truncation in the arena aliases
-/// distinct ids; the id → dense table stays a modest ~17 MB.
-fn sparse_nodes() -> Vec<SfNode> {
-    let ids: Vec<u64> = (0..32u64).map(|i| 1_000_000 + i * 99_991).collect();
-    let n = ids.len();
-    ids.iter()
-        .enumerate()
-        .map(|(i, &id)| {
-            let targets: Vec<NodeId> = (1..=6).map(|k| NodeId::new(ids[(i + k) % n])).collect();
-            SfNode::with_view(NodeId::new(id), config(), &targets).expect("legal bootstrap")
+/// The sparse id of ring position `i`.
+fn sparse_id(i: u64) -> u64 {
+    1_000_000 + i * 99_991
+}
+
+/// A ring of 32 nodes, each viewing its next six; `id` names position
+/// `i`. With `sparse_id` the ids stride by 99 991 starting at one million:
+/// any 16-bit (or narrower) truncation in the arena aliases distinct ids,
+/// and the id → dense table stays a modest ~17 MB.
+fn ring_nodes(id: fn(u64) -> u64) -> Vec<SfNode> {
+    (0..32u64)
+        .map(|i| {
+            let targets: Vec<NodeId> = (1..=6).map(|k| NodeId::new(id((i + k) % 32))).collect();
+            SfNode::with_view(NodeId::new(id(i)), config(), &targets).expect("legal bootstrap")
         })
         .collect()
 }
 
-/// Every observable the Engine trait exposes, for cross-engine lockstep
-/// comparison on the sparse-id arena.
-fn engine_observables<E: Engine>(sim: &E) -> String {
+fn sparse_nodes() -> Vec<SfNode> {
+    ring_nodes(sparse_id)
+}
+
+/// Every observable the Engine trait exposes, ids renamed by `position`
+/// (ring position for an original node, 32 onward for joiners), for
+/// lockstep comparison between the sparse and the dense ring.
+fn engine_observables<E: Engine>(sim: &E, position: impl Fn(NodeId) -> u64) -> String {
     let mut out = format!("{:?}\nin_flight={}\n", sim.stats(), sim.in_flight());
-    let mut live = sim.live_ids();
+    let mut live: Vec<(u64, NodeId)> =
+        sim.live_ids().into_iter().map(|id| (position(id), id)).collect();
     live.sort_unstable();
-    for id in live {
+    for (pos, id) in live {
         out.push_str(&format!(
-            "{id}: deg={:?} refs={}\n",
+            "{pos}: deg={:?} refs={}\n",
             sim.out_degree_of(id),
             sim.count_id_instances(id)
         ));
@@ -160,40 +157,48 @@ fn engine_observables<E: Engine>(sim: &E) -> String {
 }
 
 #[test]
-fn u32_arena_stays_in_lockstep_with_classic_on_sparse_large_ids() {
+fn sparse_large_ids_run_in_lockstep_with_dense_ids() {
+    // Joiners take the next id past the largest: 32, 33, … on the dense
+    // ring, sparse_id(31) + 1, + 2, … on the sparse one.
+    let from_sparse = |id: NodeId| match id.as_u64() {
+        raw if raw > sparse_id(31) => 32 + raw - sparse_id(31) - 1,
+        raw => (raw - sparse_id(0)) / 99_991,
+    };
+    let dense = |id: NodeId| id.as_u64();
     for seed in SEEDS {
         let loss = || UniformLoss::new(0.05).expect("legal rate");
-        let mut classic = Simulation::new(sparse_nodes(), loss(), seed);
-        let mut flat = FlatSimulation::new(sparse_nodes(), loss(), seed);
+        let mut sparse = FlatSimulation::new(sparse_nodes(), loss(), seed);
+        let mut flat = FlatSimulation::new(ring_nodes(|i| i), loss(), seed);
+        let check =
+            |sparse: &FlatSimulation<UniformLoss>, flat: &FlatSimulation<UniformLoss>, at| {
+                assert_eq!(
+                    engine_observables(sparse, from_sparse),
+                    engine_observables(flat, dense),
+                    "seed {seed} {at}: the sparse ring fell out of lockstep"
+                );
+            };
         for round in 0..30 {
-            classic.round();
+            sparse.round();
             flat.round();
-            assert_eq!(
-                engine_observables(&classic),
-                engine_observables(&flat),
-                "seed {seed} round {round}: flat fell out of lockstep on sparse ids"
-            );
+            check(&sparse, &flat, format!("round {round}"));
         }
-        // Churn with freshly minted ids (max sparse id + 1 onward): the
-        // widening boundary at join must hand both engines the same ids.
+        // Churn with freshly minted ids: the widening boundary at join
+        // must hand the sparse ring the next ids past its largest.
         for epoch in 0..4 {
-            let sponsor = classic.live_ids()[0];
-            assert_eq!(classic.join_via(sponsor), flat.join_via(sponsor));
-            let victim = classic.live_ids()[epoch * 3];
-            // The inherent `leave` returns the departed node.
-            assert!(classic.leave(victim).is_some());
-            assert!(flat.leave(victim).is_some());
-            classic.round();
+            let sponsor = sparse.live_ids()[0];
+            let joined = sparse.join_via(sponsor).unwrap();
+            let twin = flat.join_via(NodeId::new(from_sparse(sponsor))).unwrap();
+            assert_eq!(from_sparse(joined), twin.as_u64());
+            let victim = sparse.live_ids()[epoch * 3];
+            assert!(sparse.leave(victim).is_some());
+            assert!(flat.leave(NodeId::new(from_sparse(victim))).is_some());
+            sparse.round();
             flat.round();
-            assert_eq!(
-                engine_observables(&classic),
-                engine_observables(&flat),
-                "seed {seed} epoch {epoch}: flat diverged under sparse-id churn"
-            );
+            check(&sparse, &flat, format!("epoch {epoch}"));
         }
-        classic.settle();
+        sparse.settle();
         flat.settle();
-        assert_eq!(engine_observables(&classic), engine_observables(&flat));
+        check(&sparse, &flat, "settled".to_string());
     }
 }
 
@@ -214,8 +219,8 @@ fn par_on_sparse_large_ids_is_thread_count_independent() {
             let mut other = build(threads);
             other.run_rounds(30);
             assert_eq!(
-                engine_observables(&one),
-                engine_observables(&other),
+                engine_observables(&one, |id| id.as_u64()),
+                engine_observables(&other, |id| id.as_u64()),
                 "seed {seed}: par/{threads} diverged from par/1 on sparse ids"
             );
         }

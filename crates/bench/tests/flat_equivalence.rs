@@ -1,20 +1,13 @@
-//! PR 4 determinism regression: the struct-of-arrays fast path must be
-//! **byte-identical** to the classic engine, pinned against recorded
-//! golden outputs.
+//! Determinism regression: the flat engine's draw sequence is pinned
+//! byte for byte against recorded golden outputs.
 //!
-//! For 3 seeds × {`UniformLoss`, `GilbertElliott`} the goldens record,
-//! from the classic engine (whose behavior this PR does not touch — so
-//! they are the pre-PR outputs by construction):
+//! For 3 seeds × {`UniformLoss`, `GilbertElliott`} the goldens record:
 //!
 //! * the `SimStats` debug rendering after a delayed, settled run,
 //! * the full `SimRecorder` obs exposition (`render_prometheus`), and
 //! * the loss-ablation sweep TSV (which also pins the hoisted-topology
 //!   sweep path: building the circulant once per cell and cloning it per
 //!   replicate must not move a byte).
-//!
-//! Every golden is then asserted twice: the classic engine must still
-//! reproduce it (guarding the goldens themselves against drift), and the
-//! flat engine must reproduce it byte-for-byte (the equivalence claim).
 //!
 //! To regenerate after an *intentional* RNG/format change:
 //!
@@ -28,8 +21,7 @@ use sandf_bench::sweeps::loss_ablation_table;
 use sandf_core::{NodeId, SfConfig, SfNode};
 use sandf_obs::MetricsRegistry;
 use sandf_sim::{
-    topology, DelayModel, FlatSimulation, GilbertElliott, LossModel, SimRecorder, Simulation,
-    UniformLoss,
+    topology, DelayModel, FlatSimulation, GilbertElliott, LossModel, SimRecorder, UniformLoss,
 };
 
 const SEEDS: [u64; 3] = [11, 42, 2009];
@@ -58,15 +50,6 @@ fn golden_path(name: &str) -> PathBuf {
 /// One scenario's artifact: final `SimStats` plus the recorder's full
 /// Prometheus exposition. Both are deterministic (counter metrics only —
 /// no wall-clock spans), so byte equality is the right bar.
-fn classic_artifact<L: LossModel>(loss: L, seed: u64) -> String {
-    let registry = MetricsRegistry::new();
-    let mut sim = Simulation::with_delay(nodes(), loss, DelayModel::UniformSteps { max: 8 }, seed);
-    sim.subscribe(Box::new(SimRecorder::new(&registry)));
-    sim.run_rounds(ROUNDS);
-    sim.settle();
-    format!("{:?}\n{}", sim.stats(), registry.render_prometheus())
-}
-
 fn flat_artifact<L: LossModel>(loss: L, seed: u64) -> String {
     let registry = MetricsRegistry::new();
     let mut sim =
@@ -86,41 +69,32 @@ fn sweep_artifact() -> String {
 /// **and** `round_permuted` scheduling, all under delayed delivery. Every
 /// epoch runs five permuted rounds, removes one of the original nodes
 /// (stranding its in-flight traffic as dead letters), and joins a
-/// replacement via a still-live sponsor; the run then settles. The two
-/// engines must stay in lockstep through all of it — same RNG draw
-/// sequence, same joiner ids, same dead letters, byte-identical artifact.
-macro_rules! churn_artifact {
-    ($engine:ident, $loss:expr, $seed:expr) => {{
-        let registry = MetricsRegistry::new();
-        let mut sim =
-            $engine::with_delay(nodes(), $loss, DelayModel::UniformSteps { max: 8 }, $seed);
-        sim.subscribe(Box::new(SimRecorder::new(&registry)));
-        for epoch in 0..4u64 {
-            for _ in 0..5 {
-                sim.round_permuted();
-            }
-            sim.leave(NodeId::new(epoch)).expect("original node is live");
-            sim.join_via(NodeId::new(epoch + 10)).expect("sponsor has enough neighbours");
+/// replacement via a still-live sponsor; the run then settles. The engine
+/// must stay in lockstep with its golden through all of it — same RNG
+/// draw sequence, same joiner ids, same dead letters, byte-identical
+/// artifact.
+fn churn_artifact<L: LossModel>(loss: L, seed: u64) -> String {
+    let registry = MetricsRegistry::new();
+    let mut sim =
+        FlatSimulation::with_delay(nodes(), loss, DelayModel::UniformSteps { max: 8 }, seed);
+    sim.subscribe(Box::new(SimRecorder::new(&registry)));
+    for epoch in 0..4u64 {
+        for _ in 0..5 {
+            sim.round_permuted();
         }
-        sim.settle();
-        format!("{:?}\n{}", sim.stats(), registry.render_prometheus())
-    }};
+        sim.leave(NodeId::new(epoch)).expect("original node is live");
+        sim.join_via(NodeId::new(epoch + 10)).expect("sponsor has enough neighbours");
+    }
+    sim.settle();
+    format!("{:?}\n{}", sim.stats(), registry.render_prometheus())
 }
 
-/// The scenario grid: golden file name → classic/flat artifact producers.
-fn scenarios() -> Vec<(String, String, String)> {
+/// The scenario grid: golden file name → flat artifact.
+fn scenarios() -> Vec<(String, String)> {
     let mut all = Vec::new();
     for seed in SEEDS {
-        all.push((
-            format!("pr4_uniform_{seed}.txt"),
-            classic_artifact(uniform(), seed),
-            flat_artifact(uniform(), seed),
-        ));
-        all.push((
-            format!("pr4_gilbert_elliott_{seed}.txt"),
-            classic_artifact(bursty(), seed),
-            flat_artifact(bursty(), seed),
-        ));
+        all.push((format!("pr4_uniform_{seed}.txt"), flat_artifact(uniform(), seed)));
+        all.push((format!("pr4_gilbert_elliott_{seed}.txt"), flat_artifact(bursty(), seed)));
     }
     all
 }
@@ -131,15 +105,13 @@ fn flat_engine_matches_recorded_goldens() {
     if update {
         std::fs::create_dir_all(golden_path("")).expect("golden dir");
     }
-    for (name, classic, flat) in scenarios() {
+    for (name, flat) in scenarios() {
         let path = golden_path(&name);
         if update {
-            // Goldens are always written from the classic engine.
-            std::fs::write(&path, &classic).expect("write golden");
+            std::fs::write(&path, &flat).expect("write golden");
         }
         let golden = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("missing golden {name} ({e}); run with UPDATE_GOLDENS=1"));
-        assert_eq!(classic, golden, "{name}: classic engine drifted from its own golden");
         assert_eq!(flat, golden, "{name}: flat engine is not byte-identical to the golden");
     }
 }
@@ -153,15 +125,12 @@ fn combined_churn_bursty_permuted_scenario_stays_in_lockstep() {
     for seed in SEEDS {
         let name = format!("pr5_churn_ge_permuted_{seed}.txt");
         let path = golden_path(&name);
-        let classic = churn_artifact!(Simulation, bursty(), seed);
-        let flat = churn_artifact!(FlatSimulation, bursty(), seed);
+        let flat = churn_artifact(bursty(), seed);
         if update {
-            // Goldens are always written from the classic engine.
-            std::fs::write(&path, &classic).expect("write golden");
+            std::fs::write(&path, &flat).expect("write golden");
         }
         let golden = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("missing golden {name} ({e}); run with UPDATE_GOLDENS=1"));
-        assert_eq!(classic, golden, "{name}: classic engine drifted from its own golden");
         assert_eq!(flat, golden, "{name}: flat engine fell out of lockstep under combined churn");
         // The scenario only earns its keep if churn actually strands
         // traffic: the settled run must have seen dead letters.

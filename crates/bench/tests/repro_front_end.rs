@@ -2,8 +2,7 @@
 //! exit, the argument hand-off, and a doc-drift guard holding the table to
 //! README.md's two reproduction tables. What each artifact *prints* is
 //! pinned at paper scale by the 18 tables of `tests/golden/evaluation/`
-//! (the classic engine's output at PR 22's parent, held by a `cmp` per
-//! name in CI); this suite runs only the three artifacts that finish in
+//! (held by a `cmp` per name in CI); this suite runs only the three artifacts that finish in
 //! about a second in a debug build, and holds those three to their pins.
 
 use std::process::{Command, Output};

@@ -5,7 +5,7 @@
 //! **Agreement** — a pure uniform-loss scenario is the paper's own model,
 //! so its measured mean indegree must sit inside the CI band around
 //! the §6.2 degree-MC prediction (the `par_statistics.rs` anchor), and
-//! within the combined ci95 of a scheduling-matched classic-engine
+//! within the combined ci95 of a scheduling-matched flat-engine
 //! baseline (`round_permuted`), plus the pinned phase-split allowance the
 //! par engine is known to carry.
 //!
@@ -24,12 +24,12 @@ use sandf_bench::sweep::Summary;
 use sandf_core::SfConfig;
 use sandf_graph::DegreeStats;
 use sandf_obs::MetricsRegistry;
-use sandf_sim::{topology, Engine, Simulation, UniformLoss};
+use sandf_sim::{topology, Engine, FlatSimulation, UniformLoss};
 
 /// Measured phase-split bias allowance, as pinned by `par_statistics.rs`.
 const PHASE_SPLIT_MEAN_ALLOWANCE: f64 = 0.75;
 
-const CLASSIC_SEEDS: [u64; 5] = [3, 11, 42, 271, 2009];
+const FLAT_SEEDS: [u64; 5] = [3, 11, 42, 271, 2009];
 const ROUNDS: usize = 100;
 const LOSS: f64 = 0.01;
 
@@ -57,14 +57,14 @@ burn_in 10
 phase 200 partition 2 1 0
 ";
 
-fn classic_mean_indegree() -> Summary {
+fn flat_mean_indegree() -> Summary {
     let config = SfConfig::new(16, 6).expect("legal config");
-    let samples: Vec<f64> = CLASSIC_SEEDS
+    let samples: Vec<f64> = FLAT_SEEDS
         .iter()
         .map(|&seed| {
             let nodes = topology::circulant(192, config, 12);
             let loss = UniformLoss::new(LOSS).expect("valid rate");
-            let mut sim = Simulation::new(nodes, loss, seed);
+            let mut sim = FlatSimulation::new(nodes, loss, seed);
             for _ in 0..ROUNDS {
                 sim.round_permuted();
             }
@@ -97,21 +97,21 @@ fn uniform_scenario_agrees_with_the_degree_mc_prediction() {
 }
 
 #[test]
-fn uniform_scenario_agrees_with_the_classic_engine_within_ci95() {
+fn uniform_scenario_agrees_with_the_flat_engine_within_ci95() {
     let scenario = Scenario::parse(UNIFORM_SPEC).expect("spec parses");
     let report = run_scenario(&scenario, 2, &MetricsRegistry::new());
     let measured = &report.outcomes[0].mean_in;
-    let classic = classic_mean_indegree();
-    let gap = (measured.mean - classic.mean).abs();
-    let band = measured.ci95 + classic.ci95 + PHASE_SPLIT_MEAN_ALLOWANCE;
+    let flat = flat_mean_indegree();
+    let gap = (measured.mean - flat.mean).abs();
+    let band = measured.ci95 + flat.ci95 + PHASE_SPLIT_MEAN_ALLOWANCE;
     assert!(
         gap <= band,
-        "scenario runner {:.4}±{:.4} vs classic baseline {:.4}±{:.4} — gap {gap:.4} \
+        "scenario runner {:.4}±{:.4} vs flat baseline {:.4}±{:.4} — gap {gap:.4} \
          exceeds the combined ci95 + phase-split allowance ({band:.4})",
         measured.mean,
         measured.ci95,
-        classic.mean,
-        classic.ci95,
+        flat.mean,
+        flat.ci95,
     );
 }
 

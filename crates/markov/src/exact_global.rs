@@ -15,10 +15,11 @@
 //!
 //! Views are represented as sorted multisets of node indices — the protocol
 //! selects slots uniformly at random, so slot order never matters and the
-//! multiset quotient is a lossless lumping of the slot-level chain (we
-//! cross-validated the enumerated chain against a direct slot-level
-//! simulation of `sandf-core`; the stationary laws agree to Monte Carlo
-//! precision).
+//! multiset quotient is a lossless lumping of the slot-level chain. The
+//! workspace's `tests/exact_step_law.rs` derives the same chain twice more,
+//! by enumerating every draw of `sandf-sim`'s `SfBehavior` and of
+//! `sandf-core`'s `SfNode` over slot windows, and requires both to equal
+//! [`ExactGlobalMc::build`] entry for entry (within 10⁻¹²).
 //!
 //! ## A finite-`n` refinement of Lemma 7.5
 //!

@@ -3,12 +3,11 @@
 //! readers of the §5 membership graph under Observation 5.1's degree
 //! ledger.
 //!
-//! [`Simulation`](crate::Simulation) keeps one heap-allocated [`SfNode`]
-//! per participant behind a `HashMap`, which is the right shape for
-//! protocol-level tests but collapses under cache pressure at `n ≥ 10⁵`:
-//! every step chases a hash bucket, a node box, and a slot vector. The
-//! arena is the same state laid out flat, and this module is the only place
-//! that knows the layout:
+//! One heap-allocated [`SfNode`] per participant behind a `HashMap` is the
+//! obvious shape for a membership simulation, and it collapses under cache
+//! pressure at `n ≥ 10⁵`: every step chases a hash bucket, a node box, and
+//! a slot vector. The arena is the same state laid out flat, and this
+//! module is the only place that knows the layout:
 //!
 //! * **slot words** — all views live in one contiguous `Vec<u32>` of
 //!   `n · s` slots; the node at dense index `k` owns
@@ -53,8 +52,8 @@
 //!   loads issue beside that read instead of waiting on it.
 //!
 //! What the arena deliberately does **not** own is the live *order*: each
-//! engine's scheduler pins its own (flat: the classic engine's insertion
-//! order with `swap_remove`; par: ascending dense order), so every reader
+//! engine's scheduler pins its own (flat: insertion order with
+//! `swap_remove`; par: ascending dense order), so every reader
 //! that walks the live set takes the caller's order as an iterator of
 //! dense indices. Because dense indices are stable and joins only append,
 //! a scheduler can key its own per-node tables by them: flat's `live_pos`
@@ -555,10 +554,9 @@ impl Arena {
 
 #[cfg(test)]
 mod tests {
-    use crate::engine::Simulation;
     use crate::loss::UniformLoss;
     use crate::traits::SfBehavior;
-    use crate::{topology, Engine, FlatSimulation, ParSimulation};
+    use crate::{slot_word, topology, Engine, FlatSimulation, ParSimulation};
 
     use super::*;
 
@@ -688,43 +686,43 @@ mod tests {
     }
 
     /// The one deliberate difference between the two schedulers' use of
-    /// the arena: the live *order*. Flat's is the classic engine's
-    /// (insertion order, `swap_remove` on leave) because the initiator
-    /// draw indexes into it; par's is ascending dense order because its
-    /// shards walk the arena. Unifying them would silently break either
-    /// the byte-identity or the thread-invariance goldens.
+    /// the arena: the live *order*. Flat's is insertion order with
+    /// `swap_remove` on leave (the reference list below) because the
+    /// initiator draw indexes into it; par's is ascending dense order
+    /// because its shards walk the arena. Unifying them would silently
+    /// break either the byte-identity or the thread-invariance goldens.
     #[test]
     fn live_order_is_the_schedulers_not_the_arenas() {
-        let mut classic = Simulation::new(nodes(), UniformLoss::none(), 7);
         let mut flat = FlatSimulation::new(nodes(), UniformLoss::none(), 7);
         let mut par = ParSimulation::new(nodes(), UniformLoss::none(), 7, 2);
+        let mut model = flat.live_ids();
         // Every reader that walks flat's live order, before and after the
-        // first leave materializes it.
-        fn assert_reads_like_classic(
-            classic: &Simulation<UniformLoss>,
-            flat: &FlatSimulation<UniformLoss>,
-        ) {
-            fn rows<E: Engine>(engine: &E) -> Vec<(u32, Vec<u32>)> {
-                let mut out = Vec::new();
-                engine.for_each_live_row(&mut |id, words| out.push((id, words.to_vec())));
-                out
-            }
-            assert_eq!(flat.live_ids(), classic.live_ids(), "flat keeps the classic live order");
-            let (expected, graph) = (classic.graph(), flat.graph());
-            assert_eq!(graph.ids(), expected.ids(), "graph node order");
-            for &id in expected.ids() {
-                assert_eq!(graph.out_neighbors(id), expected.out_neighbors(id), "edges of {id}");
-            }
-            assert_eq!(rows(flat), rows(classic), "for_each_live_row order");
-            assert_eq!(flat.aggregate_node_stats(), classic.aggregate_node_stats());
+        // first leave materializes it, against the reference list and a
+        // from-scratch walk of the views in that order.
+        let assert_reads_in_order = |flat: &FlatSimulation<UniformLoss>, model: &[NodeId]| {
+            assert_eq!(flat.live_ids(), model, "flat keeps insertion order, swap_remove");
+            let mut rows = Vec::new();
+            flat.for_each_live_row(&mut |id, words| rows.push((id, words.to_vec())));
+            let expected: Vec<(u32, Vec<u32>)> = model
+                .iter()
+                .map(|&id| {
+                    let view = flat.node_view(id).expect("live");
+                    (slot_word(id), view.ids().map(slot_word).collect())
+                })
+                .collect();
+            assert_eq!(rows, expected, "for_each_live_row order");
+            assert_eq!(flat.graph().ids(), model, "graph node order");
             for id in ids(0..28) {
-                assert_eq!(flat.count_id_instances(id), classic.count_id_instances(id), "{id}");
+                let scan: usize = model
+                    .iter()
+                    .map(|&owner| flat.node_view(owner).unwrap().multiplicity(id))
+                    .sum();
+                assert_eq!(flat.count_id_instances(id), scan, "{id}");
             }
-        }
-        assert_reads_like_classic(&classic, &flat);
-        classic.round_permuted();
+        };
+        assert_reads_in_order(&flat, &model);
         flat.round_permuted();
-        assert_reads_like_classic(&classic, &flat);
+        assert_reads_in_order(&flat, &model);
         // join, leave 3, join, leave 10, leave the first joiner, join,
         // leave 0, join.
         let script: [Option<u64>; 8] =
@@ -733,22 +731,22 @@ mod tests {
             match op {
                 Some(victim) => {
                     let victim = NodeId::new(victim);
-                    assert!(classic.leave(victim).is_some());
+                    let pos = model.iter().position(|&id| id == victim).unwrap();
+                    model.swap_remove(pos);
                     assert!(flat.leave(victim).is_some());
                     assert!(par.leave(victim).is_some());
                 }
                 None => {
                     let sponsor = NodeId::new(1);
-                    let joined = classic.join_via(sponsor).unwrap();
-                    assert_eq!(flat.join_via(sponsor), Ok(joined));
+                    let joined = flat.join_via(sponsor).unwrap();
                     assert_eq!(par.join_via(sponsor), Ok(joined));
+                    model.push(joined);
                 }
             }
-            assert_reads_like_classic(&classic, &flat);
+            assert_reads_in_order(&flat, &model);
         }
-        classic.round_permuted();
         flat.round_permuted();
-        assert_reads_like_classic(&classic, &flat);
+        assert_reads_in_order(&flat, &model);
         let mut ascending = flat.live_ids();
         ascending.sort_unstable();
         assert_eq!(par.live_ids(), ascending, "par walks the arena in dense order");

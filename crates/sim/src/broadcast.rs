@@ -28,9 +28,9 @@
 //!
 //! Draws therefore never depend on view-iteration order, and newly
 //! informed nodes are committed through a double buffer, so the layer is
-//! bit-identical across engines in lockstep (classic ↔ flat) and across
-//! thread counts (par), inheriting whatever determinism contract the
-//! underlying engine offers.
+//! bit-identical run after run on the flat engine and across thread
+//! counts on par, inheriting whatever determinism contract the underlying
+//! engine offers.
 //!
 //! # Channels
 //!

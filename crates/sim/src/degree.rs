@@ -9,7 +9,7 @@
 //! degree readers (live count, edge count, min/max/mean degree) become
 //! `O(s)` snapshots with no arena scan.
 //!
-//! The invariant, pinned by `streaming_stats` property tests on all three
+//! The invariant, pinned by `streaming_stats` property tests on both
 //! engines: after any schedule of rounds, joins, leaves, and fault
 //! updates, the streaming histogram equals a from-scratch rebuild over
 //! the live nodes' degree ledgers.

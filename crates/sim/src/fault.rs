@@ -21,10 +21,9 @@
 //!   (the harness points it at the highest-indegree nodes, the overlay's
 //!   hubs).
 //!
-//! All of them implement the [`FaultModel`] trait, which every simulation
-//! engine ([`Simulation`](crate::Simulation),
-//! [`FlatSimulation`](crate::FlatSimulation),
-//! [`ParSimulation`](crate::ParSimulation)) is now bound by. A blanket
+//! All of them implement the [`FaultModel`] trait, which both simulation
+//! engines ([`FlatSimulation`](crate::FlatSimulation),
+//! [`ParSimulation`](crate::ParSimulation)) are bound by. A blanket
 //! impl lifts every [`LossModel`] into a [`FaultModel`], so existing code
 //! and seeds are unchanged: a lifted model consumes the exact same RNG
 //! draws as before.
@@ -96,10 +95,10 @@ fn check_rate(rate: f64) -> Result<f64, LossRateError> {
 /// The identities of one message send, as seen by a [`FaultModel`].
 ///
 /// `round` is the number of *completed* rounds when the send happens (the
-/// classic and flat engines count [`round`](crate::Simulation::round) /
-/// [`round_permuted`](crate::Simulation::round_permuted) calls; the par
+/// flat engine counts [`round`](crate::FlatSimulation::round) /
+/// [`round_permuted`](crate::FlatSimulation::round_permuted) calls; the par
 /// engine counts its three-phase rounds), so schedules expressed in rounds
-/// mean the same thing on all three engines.
+/// mean the same thing on both engines.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct FaultCtx {
     /// The sending node.
@@ -110,7 +109,7 @@ pub struct FaultCtx {
     pub round: u64,
 }
 
-/// The fault surface shared by all three simulation engines.
+/// The fault surface shared by both simulation engines.
 ///
 /// A fault model decides, per message, whether the network [`drops`] it —
 /// given the full send context ([`FaultCtx`]: sender, receiver, round) —

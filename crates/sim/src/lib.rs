@@ -9,9 +9,10 @@
 //! (join/leave), initial [`topology`] builders, measurement
 //! [`observer`]s, and ready-made [`experiment`] runners for every empirical
 //! result in the paper's evaluation. [`ParSimulation`] shards the same
-//! arena across threads (round-based, statistically equivalent); the
-//! classic [`Simulation`] over [`sandf_core::SfNode`]s runs no experiment —
-//! it is the lockstep oracle the flat engine is held byte-identical to.
+//! arena across threads (round-based, statistically equivalent). Both run
+//! any [`ProtocolBehavior`]; the exact one-step law enumerated from the
+//! behavior code (`tests/exact_step_law.rs` at the workspace root) is the
+//! oracle the flat engine and [`SfBehavior`] are held to.
 //!
 //! Everything is reproducible: the same seed yields the same execution.
 //!
@@ -56,9 +57,7 @@ pub use broadcast::{
     RumorChannel, SpreadReport, TraceEdge,
 };
 pub use degree::DegreeStats;
-pub use engine::{
-    DelayModel, SimStats, Simulation, StepEvent, StepPhase, StepReport, StepSubscriber,
-};
+pub use engine::{DelayModel, SimStats, StepEvent, StepPhase, StepReport, StepSubscriber};
 pub use fault::{
     FaultCtx, FaultModel, FaultSpec, NodeCapacity, PerLinkLoss, PhaseFault, RegionalPartition,
     ScheduledFault, VictimLoss,

@@ -25,8 +25,8 @@
 //! | `f` | [`DAEMON_FAULT`] | (node id, 0) | a daemon node's injected-fault draws |
 //! | `k` | [`DAEMON_CONTROL`] | (0, 0) | the daemon loop: join sponsors, leave victims |
 //!
-//! The central-entity engines (`FlatSimulation`, the classic `Simulation`)
-//! run one stream, seeded with the simulation seed itself.
+//! The central-entity engine (`FlatSimulation`) runs one stream, seeded
+//! with the simulation seed itself.
 //!
 //! [`fnv1a64`] is the workspace's one FNV-1a. Besides [`stream_seed`] it
 //! hashes, with no tag: a sweep's replicate seeds (the text

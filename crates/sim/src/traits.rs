@@ -1,13 +1,10 @@
 //! The engine/protocol unification layer.
 //!
-//! Three simulation engines grew up in this crate sharing an API by
-//! convention — [`Simulation`](crate::Simulation) (per-node reference),
-//! [`FlatSimulation`](crate::FlatSimulation) (struct-of-arrays fast path),
-//! and [`ParSimulation`](crate::ParSimulation) (sharded rounds) — while the
-//! baseline and variant protocol zoos ran on separate hand-rolled
-//! harnesses that could not reach the system sizes where the paper's
-//! mean-field contrasts become sharp. This module turns both conventions
-//! into traits:
+//! Two simulation engines share one API —
+//! [`FlatSimulation`](crate::FlatSimulation) (the serial central-entity
+//! engine) and [`ParSimulation`](crate::ParSimulation) (sharded rounds) —
+//! and every protocol of the zoo runs on both. This module turns that
+//! sharing into traits:
 //!
 //! * [`Engine`] — the round-granular driving surface every engine
 //!   implements (rounds, settle, churn, faults, stats readers, and one
@@ -24,28 +21,23 @@
 //!
 //! # Draw-order contract
 //!
-//! [`SfBehavior`] performs **exactly** the RNG draws the engines performed
-//! before the unification, in the same order with the same bounds
-//! (slot pick `i`, distinct slot pick `j`, then per delivered message the
-//! nth-empty-slot placement draws). S&F never replies, so the reply
-//! machinery below consumes zero draws for it — the
-//! `flat_equals_classic_*` lockstep tests and the bench goldens pin this.
-//! Protocols other than S&F make no byte-identity promise across engines;
-//! they agree statistically (see `tests/protocol_conformance.rs`).
+//! [`SfBehavior`] performs a fixed sequence of RNG draws (slot pick `i`,
+//! distinct slot pick `j`, then per delivered message the nth-empty-slot
+//! placement draws); the bench goldens pin it byte for byte. S&F never
+//! replies, so the reply machinery below consumes zero draws for it.
+//! The behaviors draw through any [`Rng`], so `tests/exact_step_law.rs`
+//! can drive them with scripted words and enumerate their exact one-step
+//! law; the engines pass their own `StdRng` streams.
 //!
 //! The engines draw message loss **at send time, before the receiver's
 //! liveness is known** — a message to a departed node consumes a loss draw
 //! and is then counted as a dead letter, never as lost. That order is part
-//! of the byte-identity contract between the engines and is therefore
-//! pinned here rather than "fixed": a dead letter is a property of the
+//! of the pinned draw sequence: a dead letter is a property of the
 //! receiver discovered at delivery, while loss is a property of the
-//! channel decided at send. (The retired `BaselineHarness` did the
-//! opposite and checked liveness first; its RNG stream shifted under churn
-//! — see `sandf-zoo`'s `harness` tests for the regression test.)
+//! channel decided at send.
 
 use std::fmt;
 
-use rand::rngs::StdRng;
 use rand::Rng;
 use sandf_core::{JoinError, Message, NodeId, NodeStats, SfConfig};
 use sandf_graph::MembershipGraph;
@@ -170,7 +162,7 @@ impl SlotView<'_> {
     ///
     /// Panics (debug) when no slot is empty; callers check capacity first.
     #[inline]
-    pub fn insert_into_random_empty(&mut self, id: NodeId, flags: u8, rng: &mut StdRng) {
+    pub fn insert_into_random_empty(&mut self, id: NodeId, flags: u8, rng: &mut impl Rng) {
         let s = self.len();
         let empty = s - *self.degree as usize;
         debug_assert!(empty > 0, "outdegree below s implies an empty slot");
@@ -247,20 +239,20 @@ pub trait ProtocolBehavior: Clone + Send + Sync {
     /// One action step at `view`'s node: `None` is a self-loop (no
     /// message), `Some((to, msg))` sends. Must maintain `view.degree` and
     /// the per-node counters.
-    fn initiate(
+    fn initiate<R: Rng>(
         &self,
         config: SfConfig,
         view: SlotView<'_>,
-        rng: &mut StdRng,
+        rng: &mut R,
     ) -> Option<(NodeId, Self::Msg)>;
 
     /// Delivers `msg` at `view`'s node; may produce one reply.
-    fn receive(
+    fn receive<R: Rng>(
         &self,
         config: SfConfig,
         view: SlotView<'_>,
         msg: Self::Msg,
-        rng: &mut StdRng,
+        rng: &mut R,
     ) -> Receipt<Self::Msg>;
 
     /// Validates a bootstrap view of `supplied` ids for a joining node.
@@ -321,11 +313,11 @@ impl ProtocolBehavior for SfBehavior {
     }
 
     #[inline]
-    fn initiate(
+    fn initiate<R: Rng>(
         &self,
         config: SfConfig,
         view: SlotView<'_>,
-        rng: &mut StdRng,
+        rng: &mut R,
     ) -> Option<(NodeId, Message)> {
         let SlotView { id, ids, flags, degree, stats } = view;
         stats.initiated += 1;
@@ -358,12 +350,12 @@ impl ProtocolBehavior for SfBehavior {
     }
 
     #[inline]
-    fn receive(
+    fn receive<R: Rng>(
         &self,
         _config: SfConfig,
         mut view: SlotView<'_>,
         msg: Message,
-        rng: &mut StdRng,
+        rng: &mut R,
     ) -> Receipt<Message> {
         if *view.degree as usize >= view.len() {
             view.stats.deletions += 1;
@@ -443,7 +435,7 @@ impl IdBatch {
     }
 }
 
-/// The round-granular surface shared by all three engines, for generic
+/// The round-granular surface shared by both engines, for generic
 /// differential tests and sweeps.
 ///
 /// Engines keep their richer inherent APIs (per-step execution, typed
@@ -467,10 +459,10 @@ pub trait Engine {
     /// The live node ids (owned; engines differ in their internal
     /// storage), in the engine's live order — the order
     /// [`for_each_live_row`](Engine::for_each_live_row) and
-    /// [`graph`](Engine::graph) walk. The classic engine's is insertion
-    /// order, with `swap_remove` on leave; flat keeps the same order,
-    /// because its initiator draw indexes into it; par's is ascending
-    /// dense (admission) order, because its shards walk the arena.
+    /// [`graph`](Engine::graph) walk. Flat's is insertion order, with
+    /// `swap_remove` on leave, because its initiator draw indexes into
+    /// it; par's is ascending dense (admission) order, because its shards
+    /// walk the arena.
     fn live_ids(&self) -> Vec<NodeId>;
 
     /// The shared protocol configuration.
@@ -556,91 +548,6 @@ pub trait Engine {
 
     /// Registers a step-event observer.
     fn subscribe(&mut self, subscriber: Box<dyn StepSubscriber<Self::Msg>>);
-}
-
-impl<L: crate::fault::FaultModel> Engine for crate::Simulation<L> {
-    type Msg = Message;
-    type Fault = L;
-
-    fn len(&self) -> usize {
-        Self::len(self)
-    }
-
-    fn live_ids(&self) -> Vec<NodeId> {
-        Self::live_ids(self).to_vec()
-    }
-
-    fn config(&self) -> SfConfig {
-        Self::config(self)
-    }
-
-    fn stats(&self) -> SimStats {
-        *Self::stats(self)
-    }
-
-    fn reset_stats(&mut self) {
-        Self::reset_stats(self);
-    }
-
-    fn aggregate_node_stats(&self) -> NodeStats {
-        Self::aggregate_node_stats(self)
-    }
-
-    fn round(&mut self) {
-        Self::round(self);
-    }
-
-    fn rounds_run(&self) -> u64 {
-        Self::rounds_run(self)
-    }
-
-    fn in_flight(&self) -> usize {
-        Self::in_flight(self)
-    }
-
-    fn settle(&mut self) {
-        Self::settle(self);
-    }
-
-    fn join_via(&mut self, sponsor: NodeId) -> Result<NodeId, JoinError> {
-        Self::join_via(self, sponsor)
-    }
-
-    fn leave(&mut self, id: NodeId) -> bool {
-        Self::leave(self, id).is_some()
-    }
-
-    fn out_degree_of(&self, id: NodeId) -> Option<usize> {
-        self.node(id).map(sandf_core::SfNode::out_degree)
-    }
-
-    fn count_id_instances(&self, id: NodeId) -> usize {
-        Self::count_id_instances(self, id)
-    }
-
-    fn degree_stats(&self) -> DegreeStats {
-        Self::degree_stats(self).clone()
-    }
-
-    /// The oracle's own walk, independent of the arena's: each node's
-    /// `SfNode` view, narrowed id by id.
-    fn for_each_live_row(&self, visit: &mut dyn FnMut(u32, &[u32])) {
-        let mut words = Vec::new();
-        for &id in Self::live_ids(self) {
-            let node = self.node(id).expect("live id resolves to a node");
-            words.clear();
-            words.extend(node.view().ids().map(slot_word));
-            visit(slot_word(id), &words);
-        }
-    }
-
-    fn update_fault(&mut self, f: impl FnMut(&mut L)) {
-        Self::update_fault(self, f);
-    }
-
-    fn subscribe(&mut self, subscriber: Box<dyn StepSubscriber<Message>>) {
-        Self::subscribe(self, subscriber);
-    }
 }
 
 /// Implements [`Engine`] for an arena engine — both are generic over a
@@ -732,6 +639,7 @@ delegate_arena_engine!(ParSimulation, crate::fault::FaultModel + Clone + Send);
 
 #[cfg(test)]
 mod tests {
+    use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     use super::*;

@@ -19,12 +19,6 @@
 //! under 5–10 % loss the shuffle population collapses while S&F holds its
 //! edge count with only `O(ℓ)` extra dependence.
 //!
-//! Shuffle and push-pull also keep a readable `Vec`-backed per-node
-//! implementation ([`ShuffleNode`], [`PushPullNode`] behind
-//! [`GossipProtocol`], driven by [`BaselineHarness`]): the independent
-//! reference `tests/protocol_conformance.rs` checks the behaviors
-//! against. It is a test oracle, not a second way to run experiments.
-//!
 //! ## Example
 //!
 //! ```
@@ -47,7 +41,3 @@ pub use crate::behaviors::{
     PushOnlyBehavior, PushPullBehavior, ShuffleBehavior, KIND_PULL_REPLY, KIND_PUSH,
     KIND_SHUFFLE_REPLY, KIND_SHUFFLE_REQUEST,
 };
-pub use crate::harness::{BaselineHarness, HarnessMetrics};
-pub use crate::push_pull::PushPullNode;
-pub use crate::shuffle::ShuffleNode;
-pub use crate::traits::{GossipProtocol, Outgoing, ProtocolMessage};

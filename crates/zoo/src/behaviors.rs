@@ -2,23 +2,16 @@
 //! fast arena engines ([`FlatSimulation`](sandf_sim::FlatSimulation),
 //! [`ParSimulation`](sandf_sim::ParSimulation)).
 //!
-//! Each protocol works on a fixed-slot arena window ([`SlotView`]).
-//! Shuffle and push-pull are re-expressions of the `Vec`-backed
-//! references [`ShuffleNode`](crate::baselines::ShuffleNode) and
-//! [`PushPullNode`](crate::baselines::PushPullNode): the same multiset
-//! dynamics (what enters and leaves a view, and with what probability),
-//! not the same RNG draw sequence — the references append below capacity
-//! where the arena picks a uniformly random empty slot, which changes slot
-//! positions but not the view contents. `tests/protocol_conformance.rs`
-//! checks the two against each other statistically (ci95 bands at
-//! matched parameters).
+//! Each protocol works on a fixed-slot arena window ([`SlotView`]): views
+//! are multisets with bounded capacity, and every random choice (a slot, an
+//! occupied entry, an empty slot, an eviction victim) is uniform, so a
+//! behavior's law depends on its view's contents, not on slot positions.
 //!
 //! Wire format: every message is a [`IdBatch`] — `sender` is always the
 //! emitting node, `kind` selects the protocol phase, and the payload ids
 //! ride in the fixed-capacity array (which bounds `reply_size` /
 //! `gossip_size` at [`IdBatch::CAPACITY`]).
 
-use rand::rngs::StdRng;
 use rand::Rng;
 use sandf_core::{NodeId, SfConfig};
 use sandf_sim::{IdBatch, ProtocolBehavior, Receipt, SlotView};
@@ -37,9 +30,8 @@ pub const KIND_SHUFFLE_REQUEST: u8 = 2;
 pub const KIND_SHUFFLE_REPLY: u8 = 3;
 
 /// Picks a uniformly random occupied slot offset, or `None` when the view
-/// is empty — the arena equivalent of `view.choose(rng)` on the
-/// `Vec`-backed reference nodes.
-fn random_occupied(view: &SlotView<'_>, rng: &mut StdRng) -> Option<usize> {
+/// is empty.
+fn random_occupied(view: &SlotView<'_>, rng: &mut impl Rng) -> Option<usize> {
     let occupied = view.occupied_offsets();
     if occupied.is_empty() {
         return None;
@@ -51,7 +43,7 @@ fn random_occupied(view: &SlotView<'_>, rng: &mut StdRng) -> Option<usize> {
 /// baselines: below capacity the id lands in a random empty slot; at
 /// capacity it overwrites a uniformly random victim (degree unchanged).
 /// The node's own id is never stored.
-fn store_bounded(view: &mut SlotView<'_>, id: NodeId, rng: &mut StdRng) {
+fn store_bounded(view: &mut SlotView<'_>, id: NodeId, rng: &mut impl Rng) {
     if id == view.id {
         return;
     }
@@ -64,8 +56,8 @@ fn store_bounded(view: &mut SlotView<'_>, id: NodeId, rng: &mut StdRng) {
 }
 
 /// Removes up to `count` uniformly random occupied entries, returning the
-/// removed ids — the arena equivalent of `ShuffleNode::take_random`.
-fn take_random(view: &mut SlotView<'_>, count: usize, rng: &mut StdRng) -> Vec<NodeId> {
+/// removed ids.
+fn take_random(view: &mut SlotView<'_>, count: usize, rng: &mut impl Rng) -> Vec<NodeId> {
     let mut taken = Vec::with_capacity(count);
     for _ in 0..count {
         let Some(off) = random_occupied(view, rng) else { break };
@@ -77,9 +69,9 @@ fn take_random(view: &mut SlotView<'_>, count: usize, rng: &mut StdRng) -> Vec<N
 }
 
 /// Absorbs shuffle ids: stored into random empty slots while capacity
-/// lasts, silently dropped afterwards (the multigraph semantics of
-/// `ShuffleNode::absorb`). Returns how many ids were stored.
-fn absorb(view: &mut SlotView<'_>, ids: impl Iterator<Item = NodeId>, rng: &mut StdRng) -> usize {
+/// lasts, silently dropped afterwards (multigraph semantics: duplicates
+/// and the node's own id are kept). Returns how many ids were stored.
+fn absorb(view: &mut SlotView<'_>, ids: impl Iterator<Item = NodeId>, rng: &mut impl Rng) -> usize {
     let mut stored = 0;
     for id in ids {
         if (*view.degree as usize) < view.len() {
@@ -105,11 +97,11 @@ impl ProtocolBehavior for PushOnlyBehavior {
         msg.sender
     }
 
-    fn initiate(
+    fn initiate<R: Rng>(
         &self,
         _config: SfConfig,
         view: SlotView<'_>,
-        rng: &mut StdRng,
+        rng: &mut R,
     ) -> Option<(NodeId, IdBatch)> {
         view.stats.initiated += 1;
         let Some(target_off) = random_occupied(&view, rng) else {
@@ -125,12 +117,12 @@ impl ProtocolBehavior for PushOnlyBehavior {
         Some((target, msg))
     }
 
-    fn receive(
+    fn receive<R: Rng>(
         &self,
         _config: SfConfig,
         mut view: SlotView<'_>,
         msg: IdBatch,
-        rng: &mut StdRng,
+        rng: &mut R,
     ) -> Receipt<IdBatch> {
         store_bounded(&mut view, msg.sender, rng);
         for (id, _) in msg.entries() {
@@ -141,8 +133,7 @@ impl ProtocolBehavior for PushOnlyBehavior {
     }
 }
 
-/// Allavena-style push-pull ([`PushPullNode`](crate::baselines::PushPullNode) over
-/// the arena): reinforcement by push, mixing by a pull reply whose ids are
+/// Allavena-style push-pull over the arena: reinforcement by push, mixing by a pull reply whose ids are
 /// copied, never removed — loss-immune, dependence-heavy.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PushPullBehavior {
@@ -174,11 +165,11 @@ impl ProtocolBehavior for PushPullBehavior {
         msg.sender
     }
 
-    fn initiate(
+    fn initiate<R: Rng>(
         &self,
         _config: SfConfig,
         view: SlotView<'_>,
-        rng: &mut StdRng,
+        rng: &mut R,
     ) -> Option<(NodeId, IdBatch)> {
         view.stats.initiated += 1;
         let Some(target_off) = random_occupied(&view, rng) else {
@@ -193,12 +184,12 @@ impl ProtocolBehavior for PushPullBehavior {
         Some((target, IdBatch::new(view.id, KIND_PUSH)))
     }
 
-    fn receive(
+    fn receive<R: Rng>(
         &self,
         _config: SfConfig,
         mut view: SlotView<'_>,
         msg: IdBatch,
-        rng: &mut StdRng,
+        rng: &mut R,
     ) -> Receipt<IdBatch> {
         match msg.kind {
             KIND_PUSH => {
@@ -227,8 +218,7 @@ impl ProtocolBehavior for PushPullBehavior {
     }
 }
 
-/// Cyclon/flipper-style shuffle ([`ShuffleNode`](crate::baselines::ShuffleNode) over
-/// the arena): bidirectional exchanges that *delete* sent ids — the
+/// Cyclon/flipper-style shuffle over the arena: bidirectional exchanges that *delete* sent ids — the
 /// Section 3.1 baseline that drains under loss, because a lost request or
 /// reply permanently destroys the ids in flight.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -261,11 +251,11 @@ impl ProtocolBehavior for ShuffleBehavior {
         msg.sender
     }
 
-    fn initiate(
+    fn initiate<R: Rng>(
         &self,
         _config: SfConfig,
         mut view: SlotView<'_>,
-        rng: &mut StdRng,
+        rng: &mut R,
     ) -> Option<(NodeId, IdBatch)> {
         view.stats.initiated += 1;
         let Some(target_off) = random_occupied(&view, rng) else {
@@ -287,12 +277,12 @@ impl ProtocolBehavior for ShuffleBehavior {
         Some((target, msg))
     }
 
-    fn receive(
+    fn receive<R: Rng>(
         &self,
         _config: SfConfig,
         mut view: SlotView<'_>,
         msg: IdBatch,
-        rng: &mut StdRng,
+        rng: &mut R,
     ) -> Receipt<IdBatch> {
         match msg.kind {
             KIND_SHUFFLE_REQUEST => {
@@ -331,6 +321,7 @@ impl ProtocolBehavior for ShuffleBehavior {
 
 #[cfg(test)]
 mod tests {
+    use rand::rngs::StdRng;
     use rand::SeedableRng;
     use sandf_core::NodeStats;
     use sandf_sim::EMPTY_SLOT;

@@ -49,7 +49,6 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-use rand::rngs::StdRng;
 use rand::seq::index::sample;
 use rand::Rng;
 use sandf_core::{NodeId, SfConfig};
@@ -84,7 +83,7 @@ fn dep_flag(dependent: bool) -> u8 {
 
 /// Draws the vanilla S&F slot pair: `i` uniform over `0..s`, `j` uniform
 /// over the remaining `s − 1` slots.
-fn draw_pair(s: usize, rng: &mut StdRng) -> (usize, usize) {
+fn draw_pair(s: usize, rng: &mut impl Rng) -> (usize, usize) {
     let i = rng.gen_range(0..s);
     let mut j = rng.gen_range(0..s - 1);
     if j >= i {
@@ -109,7 +108,7 @@ impl ReplaceBehavior {
     /// Stores one entry: a random empty slot when one exists, else a
     /// uniformly random victim over *all* slots is overwritten. Returns
     /// whether the store was fresh (no displacement).
-    fn put(view: &mut SlotView<'_>, id: NodeId, dependent: bool, rng: &mut StdRng) -> bool {
+    fn put(view: &mut SlotView<'_>, id: NodeId, dependent: bool, rng: &mut impl Rng) -> bool {
         if (*view.degree as usize) < view.len() {
             view.insert_into_random_empty(id, dep_flag(dependent), rng);
             true
@@ -132,11 +131,11 @@ impl ProtocolBehavior for ReplaceBehavior {
         msg.kind == KIND_DEPENDENT_SEND
     }
 
-    fn initiate(
+    fn initiate<R: Rng>(
         &self,
         config: SfConfig,
         view: SlotView<'_>,
-        rng: &mut StdRng,
+        rng: &mut R,
     ) -> Option<(NodeId, IdBatch)> {
         let SlotView { id, ids, flags, degree, stats } = view;
         stats.initiated += 1;
@@ -163,12 +162,12 @@ impl ProtocolBehavior for ReplaceBehavior {
         Some((target, msg))
     }
 
-    fn receive(
+    fn receive<R: Rng>(
         &self,
         _config: SfConfig,
         mut view: SlotView<'_>,
         msg: IdBatch,
-        rng: &mut StdRng,
+        rng: &mut R,
     ) -> Receipt<IdBatch> {
         let mut all_fresh = Self::put(&mut view, msg.sender, msg.kind == KIND_DEPENDENT_SEND, rng);
         for (id, dependent) in msg.entries() {
@@ -210,7 +209,7 @@ impl UndeleteBehavior {
     /// Restores one tombstone chosen uniformly at random, excluding the
     /// just-sent pair (falling back to it when the reservoir is otherwise
     /// empty — plain duplication).
-    fn undelete_one(view: &mut SlotView<'_>, exclude: (usize, usize), rng: &mut StdRng) -> bool {
+    fn undelete_one(view: &mut SlotView<'_>, exclude: (usize, usize), rng: &mut impl Rng) -> bool {
         let candidates: Vec<usize> = (0..view.ids.len())
             .filter(|&k| {
                 Self::is_tombstone(view.ids, view.flags, k) && k != exclude.0 && k != exclude.1
@@ -237,7 +236,7 @@ impl UndeleteBehavior {
 
     /// Stores one entry: a random empty slot first, a reclaimed tombstone
     /// second, deletion (false) when fully live.
-    fn store(view: &mut SlotView<'_>, id: NodeId, dependent: bool, rng: &mut StdRng) -> bool {
+    fn store(view: &mut SlotView<'_>, id: NodeId, dependent: bool, rng: &mut impl Rng) -> bool {
         let empties: Vec<usize> =
             (0..view.ids.len()).filter(|&k| view.ids[k] == EMPTY_SLOT).collect();
         let target = if empties.is_empty() {
@@ -269,11 +268,11 @@ impl ProtocolBehavior for UndeleteBehavior {
         msg.kind == KIND_DEPENDENT_SEND
     }
 
-    fn initiate(
+    fn initiate<R: Rng>(
         &self,
         config: SfConfig,
         view: SlotView<'_>,
-        rng: &mut StdRng,
+        rng: &mut R,
     ) -> Option<(NodeId, IdBatch)> {
         let SlotView { id, ids, flags, degree, stats } = view;
         stats.initiated += 1;
@@ -303,12 +302,12 @@ impl ProtocolBehavior for UndeleteBehavior {
         Some((target, msg))
     }
 
-    fn receive(
+    fn receive<R: Rng>(
         &self,
         _config: SfConfig,
         mut view: SlotView<'_>,
         msg: IdBatch,
-        rng: &mut StdRng,
+        rng: &mut R,
     ) -> Receipt<IdBatch> {
         let mut any_stored =
             Self::store(&mut view, msg.sender, msg.kind == KIND_DEPENDENT_SEND, rng);
@@ -372,11 +371,11 @@ impl ProtocolBehavior for BatchedBehavior {
         msg.kind == KIND_DEPENDENT_SEND
     }
 
-    fn initiate(
+    fn initiate<R: Rng>(
         &self,
         config: SfConfig,
         view: SlotView<'_>,
-        rng: &mut StdRng,
+        rng: &mut R,
     ) -> Option<(NodeId, IdBatch)> {
         let SlotView { id, ids, flags, degree, stats } = view;
         debug_assert!(
@@ -411,12 +410,12 @@ impl ProtocolBehavior for BatchedBehavior {
         Some((target, msg))
     }
 
-    fn receive(
+    fn receive<R: Rng>(
         &self,
         _config: SfConfig,
         view: SlotView<'_>,
         msg: IdBatch,
-        rng: &mut StdRng,
+        rng: &mut R,
     ) -> Receipt<IdBatch> {
         let SlotView { id: _, ids, flags, degree, stats } = view;
         let arriving = 1 + msg.len as usize;
@@ -449,6 +448,7 @@ impl ProtocolBehavior for BatchedBehavior {
 
 #[cfg(test)]
 mod tests {
+    use rand::rngs::StdRng;
     use rand::SeedableRng;
     use sandf_core::NodeStats;
 

@@ -73,7 +73,7 @@ pub use sandf_sim::{
     doerr_spread_prediction, BroadcastConfig, BroadcastLayer, BroadcastStats, Engine, FaultCtx,
     FaultModel, FlatSimulation, GilbertElliott, IdBatch, LossModel, NodeCapacity, ParSimulation,
     PerLinkLoss, PhaseFault, ProtocolBehavior, Receipt, RegionalPartition, RumorChannel,
-    ScheduledFault, SfBehavior, SimStats, Simulation, SlotView, SpreadReport, TraceEdge,
-    UniformLoss, VictimLoss,
+    ScheduledFault, SfBehavior, SimStats, SlotView, SpreadReport, TraceEdge, UniformLoss,
+    VictimLoss,
 };
 pub use sandf_zoo::{baselines, variants};

@@ -1,6 +1,6 @@
 //! Property-based tests of the rumor layer's structural invariants under
-//! random fault, churn, and rumor-channel schedules, on all three engines
-//! (`Simulation`, `FlatSimulation`, `ParSimulation`):
+//! random fault, churn, and rumor-channel schedules, on both engines
+//! (`FlatSimulation`, `ParSimulation`):
 //!
 //! * **Monotonicity** — once a node holds the rumor it never un-learns
 //!   it, no matter how views churn underneath.
@@ -17,7 +17,7 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 use sandf::{
     BroadcastConfig, BroadcastLayer, Engine, FlatSimulation, NodeId, ParSimulation, RumorChannel,
-    SfConfig, SfNode, Simulation, UniformLoss,
+    SfConfig, SfNode, UniformLoss,
 };
 
 /// System size for the engine-level schedules.
@@ -219,7 +219,7 @@ proptest! {
 
     /// Monotonicity, provenance, and the live ledger hold through
     /// arbitrary schedules of rounds, churn, membership loss, and rumor
-    /// channels, on all three engines.
+    /// channels, on both engines.
     #[test]
     fn broadcast_invariants_hold_on_all_engines(
         ops in vec(arb_op(), 1..12),
@@ -238,13 +238,6 @@ proptest! {
             BroadcastConfig::push(fanout, u8::MAX)
         };
         let rumor = compile_channel(&channel);
-        broadcast_schedule(
-            Simulation::new(nodes.clone(), loss, seed),
-            &ops,
-            rumor.clone(),
-            config,
-            seed,
-        )?;
         broadcast_schedule(
             FlatSimulation::new(nodes.clone(), loss, seed),
             &ops,

@@ -1,13 +1,15 @@
-//! The flat engine's O(1) `leave` against its oracle, and its scaling.
+//! The flat engine's O(1) `leave` against an O(live) scan, and its
+//! scaling.
 //!
 //! `FlatSimulation` finds a leaver's position in the live list through a
-//! dense-indexed position table; `Simulation` finds it by scanning. The
-//! live list is the initiator-sampling population, so its *order* is part
-//! of the engines' byte-identity contract (§5's central entity draws an
-//! index into it). The property test drives both engines through random
-//! interleavings of every operation that touches the list and compares
-//! them after each one; the scaling guard pins the complexity the table
-//! buys for the §6.5 churn experiments at `n ≥ 10⁵`.
+//! dense-indexed position table; the reference model below finds it by
+//! scanning. The live list is the initiator-sampling population, so its
+//! *order* is part of the engine's pinned draw sequence (§5's central
+//! entity draws an index into it). The property test drives the engine
+//! and the model through random interleavings of every operation that
+//! touches the list and compares them after each one; the scaling guard
+//! pins the complexity the table buys for the §6.5 churn experiments at
+//! `n ≥ 10⁵`.
 
 use std::time::{Duration, Instant};
 
@@ -17,9 +19,9 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use sandf::sim::topology;
-use sandf::{FlatSimulation, NodeId, SfConfig, Simulation, UniformLoss};
+use sandf::sim::DegreeStats;
+use sandf::{FlatSimulation, NodeId, SfConfig, UniformLoss};
 
-type Classic = Simulation<UniformLoss>;
 type Flat = FlatSimulation<UniformLoss>;
 
 const N: usize = 12;
@@ -49,7 +51,7 @@ impl Pick {
     }
 }
 
-/// One operation on the pair of engines.
+/// One operation on the engine and its reference list.
 #[derive(Clone, Debug)]
 enum Op {
     Leave(Pick),
@@ -63,8 +65,8 @@ enum Op {
     LeaveUnknown(u8),
     Round,
     RoundPermuted,
-    /// Clone both engines, set the originals aside, carry on with the
-    /// clones: the clone must own its position table.
+    /// Clone the engine and the list, set the originals aside, carry on
+    /// with the clones: the clone must own its position table.
     Fork,
 }
 
@@ -87,60 +89,81 @@ fn arb_op() -> impl Strategy<Value = Op> {
     ]
 }
 
-/// Everything an outside caller can observe about the two engines.
-fn assert_agree(classic: &Classic, flat: &Flat) -> Result<(), TestCaseError> {
-    // As sequences: the order is the sampling population's, not a set's.
-    prop_assert_eq!(classic.live_ids().to_vec(), flat.live_ids(), "live order");
-    prop_assert_eq!(classic.len(), flat.len());
-    prop_assert_eq!(classic.stats(), flat.stats());
-    prop_assert_eq!(classic.aggregate_node_stats(), flat.aggregate_node_stats());
-    prop_assert_eq!(classic.degree_stats(), flat.degree_stats());
-    for &id in classic.live_ids() {
-        let view = classic.node(id).expect("listed live").view().clone();
-        prop_assert_eq!(Some(view), flat.node_view(id), "view of {}", id);
+/// The reference live list: insertion order, a joiner appended, a leaver
+/// found by scan and `swap_remove`d.
+#[derive(Clone)]
+struct Model(Vec<NodeId>);
+
+impl Model {
+    fn leave(&mut self, id: NodeId) -> bool {
+        let pos = self.0.iter().position(|&x| x == id);
+        pos.map(|pos| self.0.swap_remove(pos)).is_some()
     }
+}
+
+/// The live order against the model (as sequences: the order is the
+/// sampling population's, not a set's), and the engine's ledgers against
+/// its views.
+fn assert_agree(model: &Model, flat: &Flat) -> Result<(), TestCaseError> {
+    prop_assert_eq!(&model.0, &flat.live_ids(), "live order");
+    prop_assert_eq!(model.0.len(), flat.len());
+    let mut degrees = Vec::new();
+    for &id in &model.0 {
+        let view = flat.node_view(id).expect("listed live");
+        prop_assert_eq!(Some(view.out_degree()), flat.out_degree_of(id), "degree of {}", id);
+        degrees.push(u32::try_from(view.out_degree()).expect("small"));
+    }
+    prop_assert_eq!(flat.degree_stats(), &DegreeStats::rebuild(config().view_size(), degrees));
+    let s = flat.stats();
+    prop_assert_eq!(s.sent, s.lost + s.dead_letters + s.stored + s.deleted);
     Ok(())
 }
 
-/// Leaves `id` on both engines; the departed nodes' views must agree.
-fn leave_both(classic: &mut Classic, flat: &mut Flat, id: NodeId) -> Result<bool, TestCaseError> {
-    let (a, b) = (classic.leave(id), flat.leave(id));
-    prop_assert_eq!(a.as_ref().map(|n| n.view()), b.as_ref().map(|n| n.view()), "leave({})", id);
-    Ok(a.is_some())
+/// Leaves `id` on the engine and the model; they must agree on whether it
+/// was live, and the departed node must carry the view it left with.
+fn leave_both(model: &mut Model, flat: &mut Flat, id: NodeId) -> Result<bool, TestCaseError> {
+    let view = flat.node_view(id);
+    let departed = flat.leave(id);
+    prop_assert_eq!(departed.map(|n| n.view().clone()), view.clone(), "leave({})", id);
+    let listed = model.leave(id);
+    prop_assert_eq!(listed, view.is_some(), "listed vs live: {}", id);
+    prop_assert!(flat.out_degree_of(id).is_none(), "{} still live", id);
+    Ok(listed)
 }
 
 fn run_schedule(seed: u64, ops: &[Op]) -> Result<(), TestCaseError> {
-    let nodes = || topology::circulant(N, config(), 4);
-    let loss = || UniformLoss::new(0.05).expect("legal rate");
-    let mut classic = Simulation::new(nodes(), loss(), seed);
-    let mut flat = FlatSimulation::new(nodes(), loss(), seed);
+    let nodes = topology::circulant(N, config(), 4);
+    let mut flat = FlatSimulation::new(nodes, UniformLoss::new(0.05).expect("legal rate"), seed);
+    let mut model = Model(flat.live_ids());
     let mut departed: Vec<NodeId> = Vec::new();
-    let mut set_aside: Vec<(Classic, Flat)> = Vec::new();
+    let mut set_aside: Vec<(Model, Flat)> = Vec::new();
     for op in ops {
-        let len = classic.len();
+        let len = model.0.len();
         match *op {
             // A floor of two live nodes keeps `round()` and sponsors legal.
             Op::Leave(pick) => {
                 if len > 2 {
-                    let id = classic.live_ids()[pick.position(len)];
-                    prop_assert!(leave_both(&mut classic, &mut flat, id)?, "{} was live", id);
+                    let id = model.0[pick.position(len)];
+                    prop_assert!(leave_both(&mut model, &mut flat, id)?, "{} was live", id);
                     departed.push(id);
                 }
             }
             Op::Join(x) | Op::JoinThenLeave(x) => {
-                let sponsor = classic.live_ids()[Pick::At(x).position(len)];
-                let joined = classic.join_via(sponsor);
-                prop_assert_eq!(&joined, &flat.join_via(sponsor), "join via {}", sponsor);
+                let sponsor = model.0[Pick::At(x).position(len)];
+                let joined = flat.join_via(sponsor);
+                if let Ok(id) = joined {
+                    model.0.push(id);
+                }
                 if let (Ok(id), Op::JoinThenLeave(_)) = (joined, op) {
-                    assert_agree(&classic, &flat)?;
-                    prop_assert!(leave_both(&mut classic, &mut flat, id)?, "{} just joined", id);
+                    assert_agree(&model, &flat)?;
+                    prop_assert!(leave_both(&mut model, &mut flat, id)?, "{} just joined", id);
                     departed.push(id);
                 }
             }
             Op::LeaveDeparted(x) => {
                 if !departed.is_empty() {
                     let id = departed[usize::from(x) % departed.len()];
-                    prop_assert!(!leave_both(&mut classic, &mut flat, id)?, "{} left twice", id);
+                    prop_assert!(!leave_both(&mut model, &mut flat, id)?, "{} left twice", id);
                 }
             }
             Op::LeaveUnknown(x) => {
@@ -149,34 +172,27 @@ fn run_schedule(seed: u64, ops: &[Op]) -> Result<(), TestCaseError> {
                 for raw in [1_000 + u64::from(x), u64::from(u32::MAX) - 1, (1 << 40) + u64::from(x)]
                 {
                     let id = NodeId::new(raw);
-                    prop_assert!(!leave_both(&mut classic, &mut flat, id)?, "{} never joined", id);
+                    prop_assert!(!leave_both(&mut model, &mut flat, id)?, "{} never joined", id);
                 }
             }
-            Op::Round => {
-                classic.round();
-                flat.round();
-            }
-            Op::RoundPermuted => {
-                classic.round_permuted();
-                flat.round_permuted();
-            }
+            Op::Round => flat.round(),
+            Op::RoundPermuted => flat.round_permuted(),
             Op::Fork => {
-                let forked = (classic.clone(), flat.clone());
-                set_aside.push((classic, flat));
-                (classic, flat) = forked;
+                let forked = (model.clone(), flat.clone());
+                set_aside.push((model, flat));
+                (model, flat) = forked;
             }
         }
-        assert_agree(&classic, &flat)?;
+        assert_agree(&model, &flat)?;
     }
     // The originals each fork left behind were not disturbed by what
-    // their clones went on to do, and still run in lockstep.
-    for (mut classic, mut flat) in set_aside {
-        assert_agree(&classic, &flat)?;
-        let id = classic.live_ids()[0];
-        prop_assert!(leave_both(&mut classic, &mut flat, id)?);
-        classic.round();
+    // their clones went on to do, and still agree with their lists.
+    for (mut model, mut flat) in set_aside {
+        assert_agree(&model, &flat)?;
+        let id = model.0[0];
+        prop_assert!(leave_both(&mut model, &mut flat, id)?);
         flat.round();
-        assert_agree(&classic, &flat)?;
+        assert_agree(&model, &flat)?;
     }
     Ok(())
 }
@@ -185,8 +201,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// The position table against the scan it replaced: after every
-    /// operation the two engines agree on the live order (as a sequence),
-    /// `SimStats`, per-node counters, degree statistics and every view.
+    /// operation the engine agrees with the reference list on the live
+    /// order (as a sequence), and its degree ledger with its views.
     #[test]
     fn flat_leave_agrees_with_the_classic_scan(
         seed in any::<u64>(),

@@ -2,8 +2,7 @@
 //! (Observation 5.1, Lemma 6.2) under arbitrary action interleavings and
 //! loss patterns — first at the single-node level, then at the engine
 //! level, where the same random schedules of rounds, loss rates, and
-//! churn run on all three engines (`Simulation`, `FlatSimulation`,
-//! `ParSimulation`).
+//! churn run on both engines (`FlatSimulation`, `ParSimulation`).
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -15,7 +14,7 @@ use sandf::variants::{BatchedBehavior, ReplaceBehavior, UndeleteBehavior};
 use sandf::{
     DependenceReport, Engine, FlatSimulation, LocalView, MembershipGraph, Message, NodeCapacity,
     NodeId, ParSimulation, PerLinkLoss, PhaseFault, ProtocolBehavior, RegionalPartition,
-    ScheduledFault, SfBehavior, SfConfig, SfNode, Simulation, UniformLoss, VictimLoss,
+    ScheduledFault, SfBehavior, SfConfig, SfNode, UniformLoss, VictimLoss,
 };
 
 /// One externally scheduled event.
@@ -174,8 +173,8 @@ fn build_schedule(phases: &[(u8, FaultKind)]) -> ScheduledFault {
 /// flat/par slot encoding). Views *can* transiently hold their owner's id
 /// — duplicate entries let a node be sent its own id — so that is
 /// deliberately not asserted; `DependenceReport` tracks it as
-/// `self_edges`. Generic over [`Engine`], so one function body covers all
-/// three engines.
+/// `self_edges`. Generic over [`Engine`], so one function body covers
+/// both engines.
 fn obs_5_1_schedule<E: Engine>(
     mut sim: E,
     ops: &[EngineOp],
@@ -356,8 +355,8 @@ proptest! {
 
     /// Obs. 5.1 at the engine level: outdegrees stay even and in
     /// `[d_L, s]`, and views only ever hold ids the system assigned,
-    /// through arbitrary schedules of rounds, loss rates, and churn on all
-    /// three engines.
+    /// through arbitrary schedules of rounds, loss rates, and churn on
+    /// both engines.
     #[test]
     fn engines_preserve_observation_5_1_under_random_schedules(
         ops in vec(arb_engine_op(), 1..10),
@@ -367,7 +366,6 @@ proptest! {
         let config = engine_config();
         let loss = UniformLoss::new(f64::from(rate_milli) / 1000.0).expect("valid rate");
         let nodes = build_system(ENGINE_N, config, 6);
-        obs_5_1_schedule(Simulation::new(nodes.clone(), loss, seed), &ops, config)?;
         obs_5_1_schedule(FlatSimulation::new(nodes.clone(), loss, seed), &ops, config)?;
         obs_5_1_schedule(ParSimulation::new(nodes, loss, seed, 2), &ops, config)?;
     }
@@ -378,7 +376,7 @@ proptest! {
     /// exactly two view entries at the initiator, each stored delivery
     /// adds exactly two at the receiver, and nothing else moves an edge —
     /// so the edge count reconciles against the engine's own stats ledger,
-    /// and the send ledger itself balances, on all three engines.
+    /// and the send ledger itself balances, on both engines.
     #[test]
     fn engines_conserve_ids_against_their_ledgers(
         rounds in 1..12usize,
@@ -388,7 +386,6 @@ proptest! {
         let config = engine_config();
         let loss = UniformLoss::new(f64::from(rate_milli) / 1000.0).expect("valid rate");
         let nodes = build_system(ENGINE_N, config, 6);
-        id_ledger_holds(Simulation::new(nodes.clone(), loss, seed), rounds)?;
         id_ledger_holds(FlatSimulation::new(nodes.clone(), loss, seed), rounds)?;
         id_ledger_holds(ParSimulation::new(nodes, loss, seed, 2), rounds)?;
     }
@@ -397,7 +394,7 @@ proptest! {
     /// schedules mixing partition-then-heal, capacity classes, targeted
     /// victims, per-link correlated loss, and uniform phases — still
     /// interleaved with churn ops — must keep outdegrees even and inside
-    /// `[d_L, s]` with no forged ids, on all three engines. Correlated
+    /// `[d_L, s]` with no forged ids, on both engines. Correlated
     /// faults shape *which* messages drop, never the per-node view
     /// algebra, so the safety invariants are fault-model-independent.
     #[test]
@@ -409,7 +406,6 @@ proptest! {
         let config = engine_config();
         let fault = build_schedule(&phases);
         let nodes = build_system(ENGINE_N, config, 6);
-        obs_5_1_schedule(Simulation::new(nodes.clone(), fault.clone(), seed), &ops, config)?;
         obs_5_1_schedule(FlatSimulation::new(nodes.clone(), fault.clone(), seed), &ops, config)?;
         obs_5_1_schedule(ParSimulation::new(nodes, fault, seed, 2), &ops, config)?;
     }
@@ -418,7 +414,7 @@ proptest! {
     /// skips whole steps rather than dropping messages, so the ledger
     /// gains a term: `actions + skipped` must equal the total scheduled
     /// steps, and the send/edge ledgers must still balance exactly — on
-    /// all three engines, under every fault family.
+    /// both engines, under every fault family.
     #[test]
     fn engines_conserve_ids_under_scenario_faults(
         phases in vec((any::<u8>(), arb_fault_kind()), 1..4),
@@ -428,7 +424,6 @@ proptest! {
         let config = engine_config();
         let fault = build_schedule(&phases);
         let nodes = build_system(ENGINE_N, config, 6);
-        id_ledger_holds(Simulation::new(nodes.clone(), fault.clone(), seed), rounds)?;
         id_ledger_holds(FlatSimulation::new(nodes.clone(), fault.clone(), seed), rounds)?;
         id_ledger_holds(ParSimulation::new(nodes, fault, seed, 2), rounds)?;
     }
