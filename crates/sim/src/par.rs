@@ -27,17 +27,22 @@
 //!
 //! 1. **action phase (parallel)** — every live node initiates exactly
 //!    once, in dense arena order within each shard, using its private
-//!    per-`(seed, node, round)` RNG stream; outbound messages are
-//!    buffered per shard;
+//!    per-`(seed, node, round)` RNG stream (the hash state after
+//!    `seed ‖ tag` is computed once per phase, see [`crate::stream`]);
+//!    outbound messages are buffered per shard;
 //! 2. **merge phase (sequential, deterministic)** — the per-shard send
-//!    buffers are concatenated in shard order (= global dense order, for
-//!    every `T`) into the ring-buffer in-flight queue;
+//!    buffers are drained in shard order (= global dense order, for
+//!    every `T`) into the ring-buffer in-flight queue. Every per-shard
+//!    buffer lives on the engine across rounds and is empty at each round
+//!    boundary, so a steady round allocates nothing;
 //! 3. **delivery phase (parallel)** — the bucket due this round is
 //!    stably ordered by `(deliver_time, sender, slot)` (one bucket holds
 //!    exactly one delivery time; each node sends at most one message — a
 //!    single slot — per round, so ties fall back to send-round order),
 //!    dead letters are counted sequentially, and the surviving messages
-//!    are partitioned by receiver shard and applied concurrently, each
+//!    are routed to their receiver shard as `(bucket position, dense
+//!    index)` pairs — indices into the drained bucket, not copies of the
+//!    messages — and applied concurrently, each
 //!    receive drawing from a per-message RNG derived from
 //!    `(seed, deliver_time, bucket position)`. Replies produced by a
 //!    [`ProtocolBehavior`] receive (push-pull, shuffle — never S&F) are
@@ -95,21 +100,12 @@ use crate::chassis::{ring_for, Subscribers};
 use crate::degree::DegreeStats;
 use crate::engine::{DelayModel, SimStats, StepEvent, StepPhase, StepReport, StepSubscriber};
 use crate::fault::{FaultCtx, FaultModel};
-use crate::stream::{self, stream_seed};
+use crate::stream::{self, absorb, stream_prefix, stream_seed};
 use crate::traits::{ProtocolBehavior, SfBehavior, MAX_REPLY_CHAIN};
 
-/// The action-phase RNG stream of `node` in `round`.
-#[inline]
-fn action_seed(seed: u64, node: u64, round: u64) -> u64 {
-    stream_seed(seed, stream::ACTION, node, round)
-}
-
-/// The delivery RNG stream of the message at sorted bucket position `pos`
-/// delivered at time `at`.
-#[inline]
-fn delivery_seed(seed: u64, at: u64, pos: u64) -> u64 {
-    stream_seed(seed, stream::DELIVERY, at, pos)
-}
+/// Streams per seed fill: a phase worker derives this many seeds in one
+/// pass, into a buffer on its stack, ahead of the rows that consume them.
+const SEED_CHUNK: usize = 256;
 
 /// `reply_seed` packs `at·16 + wave`, injective only while a wave number
 /// fits in four bits.
@@ -163,12 +159,40 @@ struct ActionCtx {
     observed: bool,
 }
 
-/// What one action-phase shard worker produced.
+/// One shard's buffers, kept on the engine across rounds so a round
+/// allocates nothing; both are empty at every round boundary, and a clone
+/// starts with none.
+struct ShardScratch<M> {
+    /// The running round's outbound messages as `(deliver_round, to,
+    /// message)`, in dense order; drained into the ring by the merge.
+    sends: Vec<(u64, NodeId, M)>,
+    /// The drained bucket's messages to this shard's receivers, as
+    /// `(sorted bucket position, receiver's dense index)`, in bucket order.
+    routes: Vec<(u32, u32)>,
+}
+
+impl<M> ShardScratch<M> {
+    fn is_empty(&self) -> bool {
+        self.sends.is_empty() && self.routes.is_empty()
+    }
+}
+
+impl<M> Default for ShardScratch<M> {
+    fn default() -> Self {
+        Self { sends: Vec::new(), routes: Vec::new() }
+    }
+}
+
+impl<M> Clone for ShardScratch<M> {
+    fn clone(&self) -> Self {
+        Self::default()
+    }
+}
+
+/// What one action-phase shard worker produced besides its sends.
 struct ActionShardOut<M> {
     stats: SimStats,
     live: u64,
-    /// Outbound messages as `(deliver_round, to, message)`, in dense order.
-    sends: Vec<(u64, NodeId, M)>,
     /// Action reports in dense order (`step` assigned during the merge).
     reports: Vec<StepReport<M>>,
     /// Signed per-bucket movement of the live-outdegree histogram
@@ -181,23 +205,13 @@ struct ActionShardOut<M> {
 #[derive(Clone, Copy)]
 struct DeliveryCtx {
     config: SfConfig,
-    seed: u64,
-    /// The delivery time of the drained bucket.
-    at: u64,
+    /// The FNV-1a state after `seed ‖ DELIVERY ‖ at`, `at` being the
+    /// drained bucket's delivery time: each message's stream absorbs its
+    /// sorted bucket position.
+    prefix: u64,
     /// The step stamped on delivery reports (end of the current round).
     end_step: u64,
     observed: bool,
-}
-
-/// One delivered message, routed to its receiver shard: the sorted bucket
-/// position (drives the per-message RNG stream and the report order), the
-/// receiver's dense index and id, and the message itself.
-#[derive(Clone, Copy)]
-struct RoutedMessage<M> {
-    pos: usize,
-    dense: usize,
-    to: NodeId,
-    message: M,
 }
 
 /// What one delivery-phase shard worker produced.
@@ -285,6 +299,8 @@ pub struct ParSimulation<L, B: ProtocolBehavior = SfBehavior> {
     subscribers: Subscribers<B::Msg>,
     /// Per-phase span histograms, when a profiler is attached.
     profile: Option<ParProfile>,
+    /// One entry per shard of the current plan.
+    scratch: Vec<ShardScratch<B::Msg>>,
 }
 
 impl<L: fmt::Debug, B: ProtocolBehavior> fmt::Debug for ParSimulation<L, B> {
@@ -391,6 +407,7 @@ impl<L: FaultModel + Clone + Send, B: ProtocolBehavior> ParSimulation<L, B> {
             last_imbalance: 1.0,
             subscribers: Subscribers::default(),
             profile: None,
+            scratch: Vec::new(),
         }
     }
 
@@ -572,11 +589,17 @@ impl<L: FaultModel + Clone + Send, B: ProtocolBehavior> ParSimulation<L, B> {
 
     /// How the arena splits for the configured thread count: the shard
     /// length (in nodes) and the effective worker count (never more
-    /// workers than nodes).
-    fn shard_plan(&self) -> (usize, usize) {
+    /// workers than nodes). Keeps one scratch entry per shard.
+    fn shard_plan(&mut self) -> (usize, usize) {
+        debug_assert!(
+            self.scratch.iter().all(ShardScratch::is_empty),
+            "a scratch buffer carried state across a round boundary"
+        );
         let nodes = self.arena.dense_id.len();
         let threads = self.threads.min(nodes).max(1);
-        (nodes.div_ceil(threads), threads)
+        let shard_len = nodes.div_ceil(threads);
+        self.scratch.resize_with(nodes.div_ceil(shard_len), ShardScratch::default);
+        (shard_len, threads)
     }
 
     /// Executes one three-phase round: every live node initiates exactly
@@ -599,9 +622,13 @@ impl<L: FaultModel + Clone + Send, B: ProtocolBehavior> ParSimulation<L, B> {
                 observed,
             };
             let behavior = &self.behavior;
-            let shards = self.arena.shards_mut(shard_len).zip(self.loss.chunks_mut(shard_len));
-            run_shards(threads, shards, |(shard, losses)| {
-                run_action_shard(ctx, behavior, shard, losses)
+            let shards = self
+                .arena
+                .shards_mut(shard_len)
+                .zip(self.loss.chunks_mut(shard_len))
+                .zip(&mut self.scratch);
+            run_shards(threads, shards, |((shard, losses), scratch)| {
+                run_action_shard(ctx, behavior, shard, losses, &mut scratch.sends)
             })
         };
 
@@ -622,14 +649,15 @@ impl<L: FaultModel + Clone + Send, B: ProtocolBehavior> ParSimulation<L, B> {
         {
             let _span = self.profile.as_ref().map(|p| SpanTimer::start(&p.merge));
             let ring_len = self.ring.len() as u64;
-            for out in outs {
+            for (out, scratch) in outs.into_iter().zip(&mut self.scratch) {
                 merge_stats(&mut self.stats, &out.stats);
                 self.arena.degree_hist.apply_deltas(&out.hist);
-                for (deliver_round, to, message) in out.sends {
+                for &(deliver_round, to, message) in &scratch.sends {
                     let bucket = (deliver_round % ring_len) as usize;
                     self.ring[bucket].push((to, message));
-                    self.in_flight_count += 1;
                 }
+                self.in_flight_count += scratch.sends.len();
+                scratch.sends.clear();
                 if observed {
                     action_reports.extend(out.reports);
                 }
@@ -654,6 +682,7 @@ impl<L: FaultModel + Clone + Send, B: ProtocolBehavior> ParSimulation<L, B> {
             self.deliver_bucket(round, shard_len, threads, end_step);
         }
         self.round += 1;
+        debug_assert!(self.scratch.iter().all(ShardScratch::is_empty));
     }
 
     /// Drains the ring bucket due at time `at`: stably orders it by
@@ -675,9 +704,9 @@ impl<L: FaultModel + Clone + Send, B: ProtocolBehavior> ParSimulation<L, B> {
         batch.sort_by_key(|(_, message)| B::sender(message));
         let observed = !self.subscribers.is_empty();
 
-        // Route to receiver shards; count dead letters in bucket order.
-        let shard_count = self.arena.dense_id.len().div_ceil(shard_len);
-        let mut per_shard: Vec<Vec<RoutedMessage<B::Msg>>> = vec![Vec::new(); shard_count];
+        // Route to receiver shards by bucket position; count dead letters
+        // in bucket order.
+        assert!(batch.len() - 1 <= u32::MAX as usize, "bucket positions must fit the routing word");
         let mut reports: Vec<(usize, StepReport<B::Msg>)> = Vec::new();
         for (pos, &(to, message)) in batch.iter().enumerate() {
             match self.arena.dense_of(to) {
@@ -699,18 +728,17 @@ impl<L: FaultModel + Clone + Send, B: ProtocolBehavior> ParSimulation<L, B> {
                         ));
                     }
                 }
-                Some(k) => {
-                    per_shard[k / shard_len].push(RoutedMessage { pos, dense: k, to, message })
-                }
+                Some(k) => self.scratch[k / shard_len].routes.push((pos as u32, k as u32)),
             }
         }
 
-        let ctx =
-            DeliveryCtx { config: self.arena.config, seed: self.seed, at, end_step, observed };
+        let prefix = absorb(stream_prefix(self.seed, stream::DELIVERY), at);
+        let ctx = DeliveryCtx { config: self.arena.config, prefix, end_step, observed };
         let behavior = &self.behavior;
-        let shards = self.arena.shards_mut(shard_len).zip(&per_shard);
-        let outs = run_shards(threads, shards, |(shard, items)| {
-            run_delivery_shard(ctx, behavior, shard, items)
+        let batch_ref = batch.as_slice();
+        let shards = self.arena.shards_mut(shard_len).zip(&mut self.scratch);
+        let outs = run_shards(threads, shards, |(shard, scratch)| {
+            run_delivery_shard(ctx, behavior, shard, batch_ref, &mut scratch.routes)
         });
         let mut replies: Vec<(usize, NodeId, B::Msg)> = Vec::new();
         for out in outs {
@@ -995,136 +1023,151 @@ fn shift_delta(hist: &mut [i64], before: u32, after: u32) {
 
 /// Executes the action phase over one shard: every live node of the shard
 /// initiates once with its private per-`(seed, node, round)` RNG stream.
-/// `losses` is the shard's window into the per-sender channels.
+/// `losses` is the shard's window into the per-sender channels; the
+/// shard's outbound messages are appended to `sends`.
 fn run_action_shard<L: FaultModel, B: ProtocolBehavior>(
     ctx: ActionCtx,
     behavior: &B,
     mut shard: Shard<'_>,
     losses: &mut [L],
+    sends: &mut Vec<(u64, NodeId, B::Msg)>,
 ) -> ActionShardOut<B::Msg> {
     let mut out = ActionShardOut {
         stats: SimStats::default(),
         live: 0,
-        sends: Vec::new(),
         reports: Vec::new(),
         hist: vec![0; ctx.config.view_size() + 1],
     };
-    // One contiguous seed fill per shard per round: the FNV-1a stream
-    // derivation is a pure hash of `(seed, node id, round)`, so batching
-    // it into a single pass changes no draw and keeps the hot loop free
-    // of the 25-byte hash setup. Departed and capacity-skipped nodes
+    // Seeds are derived a chunk ahead of the rows that consume them: the
+    // FNV-1a derivation is a pure hash of `(seed, node id, round)`, so a
+    // separate pass changes no draw and keeps the hash chains out of the
+    // protocol's dependent loads. Departed and capacity-skipped nodes
     // simply never consume their seed.
-    let seeds: Vec<u64> =
-        shard.ids.iter().map(|&id| action_seed(ctx.seed, u64::from(id), ctx.round)).collect();
-    for r in 0..shard.ids.len() {
-        if !shard.is_live(r) {
-            continue;
+    let prefix = stream_prefix(ctx.seed, stream::ACTION);
+    let mut seeds = [0u64; SEED_CHUNK];
+    let ids = shard.ids;
+    for lo in (0..ids.len()).step_by(SEED_CHUNK) {
+        let chunk = &ids[lo..ids.len().min(lo + SEED_CHUNK)];
+        for (seed, &id) in seeds.iter_mut().zip(chunk) {
+            *seed = absorb(absorb(prefix, u64::from(id)), ctx.round);
         }
-        let id = shard.id(r);
-        out.live += 1;
-        if !losses[r].node_acts(id, ctx.round) {
-            // Capacity gate closed: the node's step is skipped before any
-            // RNG is seeded, so the skip is thread-count-independent.
-            out.stats.skipped += 1;
+        for (r, &seed) in (lo..lo + chunk.len()).zip(&seeds) {
+            if !shard.is_live(r) {
+                continue;
+            }
+            let id = shard.id(r);
+            out.live += 1;
+            if !losses[r].node_acts(id, ctx.round) {
+                // Capacity gate closed: the node's step is skipped before any
+                // RNG is seeded, so the skip is thread-count-independent.
+                out.stats.skipped += 1;
+                if ctx.observed {
+                    out.reports.push(StepReport {
+                        initiator: id,
+                        event: StepEvent::Skipped,
+                        phase: StepPhase::Action,
+                        step: 0,
+                    });
+                }
+                continue;
+            }
+            out.stats.actions += 1;
+            let mut rng = StdRng::seed_from_u64(seed);
+            let deg_before = shard.degree[r];
+            let event = match behavior.initiate(ctx.config, shard.window(r), &mut rng) {
+                None => {
+                    out.stats.self_loops += 1;
+                    StepEvent::SelfLoop
+                }
+                Some((to, message)) => {
+                    let duplicated = B::duplicated(&message);
+                    if duplicated {
+                        out.stats.duplications += 1;
+                    }
+                    out.stats.sent += 1;
+                    let fctx = FaultCtx { from: id, to, round: ctx.round };
+                    if losses[r].drops(fctx, &mut rng) {
+                        out.stats.lost += 1;
+                        StepEvent::Lost { to, message, duplicated }
+                    } else {
+                        let deliver_round = match ctx.delay {
+                            DelayModel::Immediate => ctx.round,
+                            DelayModel::UniformSteps { max } => ctx.round + rng.gen_range(1..=max),
+                        };
+                        sends.push((deliver_round, to, message));
+                        StepEvent::InFlight { to, message, duplicated, deliver_at: deliver_round }
+                    }
+                }
+            };
+            shift_delta(&mut out.hist, deg_before, shard.degree[r]);
             if ctx.observed {
+                // `step` is assigned during the sequential merge, once the
+                // preceding shards' live counts are known.
                 out.reports.push(StepReport {
                     initiator: id,
-                    event: StepEvent::Skipped,
+                    event,
                     phase: StepPhase::Action,
                     step: 0,
                 });
             }
-            continue;
-        }
-        out.stats.actions += 1;
-        let mut rng = StdRng::seed_from_u64(seeds[r]);
-        let deg_before = shard.degree[r];
-        let event = match behavior.initiate(ctx.config, shard.window(r), &mut rng) {
-            None => {
-                out.stats.self_loops += 1;
-                StepEvent::SelfLoop
-            }
-            Some((to, message)) => {
-                let duplicated = B::duplicated(&message);
-                if duplicated {
-                    out.stats.duplications += 1;
-                }
-                out.stats.sent += 1;
-                let fctx = FaultCtx { from: id, to, round: ctx.round };
-                if losses[r].drops(fctx, &mut rng) {
-                    out.stats.lost += 1;
-                    StepEvent::Lost { to, message, duplicated }
-                } else {
-                    let deliver_round = match ctx.delay {
-                        DelayModel::Immediate => ctx.round,
-                        DelayModel::UniformSteps { max } => ctx.round + rng.gen_range(1..=max),
-                    };
-                    out.sends.push((deliver_round, to, message));
-                    StepEvent::InFlight { to, message, duplicated, deliver_at: deliver_round }
-                }
-            }
-        };
-        shift_delta(&mut out.hist, deg_before, shard.degree[r]);
-        if ctx.observed {
-            // `step` is assigned during the sequential merge, once the
-            // preceding shards' live counts are known.
-            out.reports.push(StepReport {
-                initiator: id,
-                event,
-                phase: StepPhase::Action,
-                step: 0,
-            });
         }
     }
     out
 }
 
-/// Applies one shard's share of a drained delivery bucket. `items` arrive
-/// in bucket order; the per-message RNG is derived from
+/// Applies one shard's share of a drained delivery bucket: `routes` holds
+/// the bucket positions of `batch`'s messages to this shard's receivers,
+/// in bucket order, and is left empty. The per-message RNG is derived from
 /// `(seed, deliver_time, sorted bucket position)`. Replies are collected
 /// (keyed by bucket position) for the sequential wave router.
 fn run_delivery_shard<B: ProtocolBehavior>(
     ctx: DeliveryCtx,
     behavior: &B,
     mut shard: Shard<'_>,
-    items: &[RoutedMessage<B::Msg>],
+    batch: &[(NodeId, B::Msg)],
+    routes: &mut Vec<(u32, u32)>,
 ) -> DeliveryShardOut<B::Msg> {
     let mut out = DeliveryShardOut::new(ctx.config.view_size());
-    // One contiguous seed fill per shard per drained bucket (pure hash;
-    // see the action-phase counterpart).
-    let seeds: Vec<u64> =
-        items.iter().map(|m| delivery_seed(ctx.seed, ctx.at, m.pos as u64)).collect();
-    for (i, &RoutedMessage { pos, dense, to, message }) in items.iter().enumerate() {
-        let r = dense - shard.lo;
-        let mut rng = StdRng::seed_from_u64(seeds[i]);
-        let deg_before = shard.degree[r];
-        let receipt = behavior.receive(ctx.config, shard.window(r), message, &mut rng);
-        shift_delta(&mut out.hist, deg_before, shard.degree[r]);
-        if receipt.deleted {
-            out.deleted += 1;
-        } else {
-            out.stored += 1;
+    // Seeds a chunk ahead, as in the action phase.
+    let mut seeds = [0u64; SEED_CHUNK];
+    for chunk in routes.chunks(SEED_CHUNK) {
+        for (seed, &(pos, _)) in seeds.iter_mut().zip(chunk) {
+            *seed = absorb(ctx.prefix, u64::from(pos));
         }
-        if let Some((reply_to, reply_msg)) = receipt.reply {
-            out.replies.push((pos, reply_to, reply_msg));
-        }
-        if ctx.observed {
-            out.reports.push((
-                pos,
-                StepReport {
-                    initiator: B::sender(&message),
-                    event: StepEvent::Delivered {
-                        to,
-                        message,
-                        duplicated: B::duplicated(&message),
-                        deleted: receipt.deleted,
+        for (&(pos, dense), &seed) in chunk.iter().zip(&seeds) {
+            let (pos, r) = (pos as usize, dense as usize - shard.lo);
+            let (to, message) = batch[pos];
+            let mut rng = StdRng::seed_from_u64(seed);
+            let deg_before = shard.degree[r];
+            let receipt = behavior.receive(ctx.config, shard.window(r), message, &mut rng);
+            shift_delta(&mut out.hist, deg_before, shard.degree[r]);
+            if receipt.deleted {
+                out.deleted += 1;
+            } else {
+                out.stored += 1;
+            }
+            if let Some((reply_to, reply_msg)) = receipt.reply {
+                out.replies.push((pos, reply_to, reply_msg));
+            }
+            if ctx.observed {
+                out.reports.push((
+                    pos,
+                    StepReport {
+                        initiator: B::sender(&message),
+                        event: StepEvent::Delivered {
+                            to,
+                            message,
+                            duplicated: B::duplicated(&message),
+                            deleted: receipt.deleted,
+                        },
+                        phase: StepPhase::Delivery,
+                        step: ctx.end_step,
                     },
-                    phase: StepPhase::Delivery,
-                    step: ctx.end_step,
-                },
-            ));
+                ));
+            }
         }
     }
+    routes.clear();
     out
 }
 
@@ -1483,6 +1526,60 @@ mod tests {
         b.run_rounds(10);
         assert_par_equal(&a, &b);
         assert_eq!(b.threads(), 6);
+
+        // Switches 1 → 3 → 2 between rounds with messages in flight, and a
+        // join that grows the 3-thread plan from two shards to three: the
+        // kept per-shard buffers carry nothing across a plan change.
+        let build = || {
+            let config = SfConfig::new(8, 2).unwrap();
+            ParSimulation::with_delay(
+                topology::circulant(4, config, 2),
+                UniformLoss::new(0.1).unwrap(),
+                DelayModel::UniformSteps { max: 3 },
+                13,
+                1,
+            )
+        };
+        let (mut one, mut switched) = (build(), build());
+        let bootstrap = [NodeId::new(0), NodeId::new(2)];
+        let mut met_in_flight = 0;
+        // (threads, join first, shards of the plan)
+        for (threads, join, shards) in [(1, false, 1), (3, false, 2), (3, true, 3), (2, true, 2)] {
+            met_in_flight += one.in_flight();
+            switched.set_threads(threads);
+            if join {
+                assert_eq!(one.join_with(&bootstrap), switched.join_with(&bootstrap));
+            }
+            one.run_rounds(6);
+            switched.run_rounds(6);
+            assert_par_equal(&one, &switched);
+            assert_eq!(switched.scratch.len(), shards, "{} nodes, {threads} threads", one.len());
+        }
+        assert!(met_in_flight > 0, "the switches never met a message in flight");
+        one.settle();
+        switched.settle();
+        assert_par_equal(&one, &switched);
+    }
+
+    #[test]
+    fn clones_start_with_empty_scratch() {
+        let mut sim = ParSimulation::with_delay(
+            nodes(),
+            UniformLoss::new(0.1).unwrap(),
+            DelayModel::UniformSteps { max: 4 },
+            5,
+            3,
+        );
+        sim.run_rounds(5);
+        let used = |sim: &ParSimulation<UniformLoss>| {
+            sim.scratch.iter().any(|s| s.sends.capacity() + s.routes.capacity() > 0)
+        };
+        assert!(used(&sim), "the rounds never used the kept buffers");
+        let mut clone = sim.clone();
+        assert!(!used(&clone), "a clone inherited scratch capacity");
+        sim.run_rounds(5);
+        clone.run_rounds(5);
+        assert_par_equal(&sim, &clone);
     }
 
     #[test]

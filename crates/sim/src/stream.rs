@@ -28,6 +28,15 @@
 //! The central-entity engine (`FlatSimulation`) runs one stream, seeded
 //! with the simulation seed itself.
 //!
+//! The hash is computed as the state after the prefix `seed ‖ tag`, then
+//! absorb `a`, then absorb `b`. Absorbing a word hashes its significant
+//! low bytes one at a time and folds its run of high zero bytes into one
+//! multiply: `(h ⊕ 0)·P = h·P`, so `k` zero bytes take `h` to `h·Pᵏ`
+//! (`P` the FNV prime). The bytes hashed, and so every seed, are those of
+//! the 25-byte layout; a caller that derives many streams under one
+//! prefix (`ParSimulation`'s action and delivery phases) computes the
+//! prefix once.
+//!
 //! [`fnv1a64`] is the workspace's one FNV-1a. Besides [`stream_seed`] it
 //! hashes, with no tag: a sweep's replicate seeds (the text
 //! `"<base_seed>/<cell key>/<replicate>"`, `sandf_bench::sweep`), the
@@ -71,12 +80,46 @@ const FNV_OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 /// 64-bit FNV-1a prime.
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
+/// `FNV_PRIME` to the powers 0 through 8: absorbing `k` zero bytes
+/// multiplies the FNV-1a state by the `k`-th.
+const PRIME_POWERS: [u64; 9] = {
+    let mut powers = [1u64; 9];
+    let mut k = 1;
+    while k < powers.len() {
+        powers[k] = powers[k - 1].wrapping_mul(FNV_PRIME);
+        k += 1;
+    }
+    powers
+};
+
 /// FNV-1a 64 over `bytes`.
 #[inline]
 pub fn fnv1a64(bytes: impl IntoIterator<Item = u8>) -> u64 {
-    bytes
-        .into_iter()
-        .fold(FNV_OFFSET_BASIS, |hash, byte| (hash ^ u64::from(byte)).wrapping_mul(FNV_PRIME))
+    fold(FNV_OFFSET_BASIS, bytes)
+}
+
+/// The FNV-1a state `hash` after absorbing `bytes`.
+#[inline]
+fn fold(hash: u64, bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(hash, |hash, byte| (hash ^ u64::from(byte)).wrapping_mul(FNV_PRIME))
+}
+
+/// The FNV-1a state after the layout's prefix `seed ‖ tag`, shared by
+/// every stream of `tag` under `seed`.
+#[inline]
+#[must_use]
+pub(crate) fn stream_prefix(seed: u64, tag: u8) -> u64 {
+    fnv1a64(seed.to_le_bytes().into_iter().chain([tag]))
+}
+
+/// The FNV-1a state `hash` after absorbing `word`'s eight little-endian
+/// bytes: the significant low bytes one by one, the high zero bytes as one
+/// multiply by a power of the prime.
+#[inline]
+#[must_use]
+pub(crate) fn absorb(hash: u64, word: u64) -> u64 {
+    let len = 8 - word.leading_zeros() as usize / 8;
+    fold(hash, word.to_le_bytes().into_iter().take(len)).wrapping_mul(PRIME_POWERS[8 - len])
 }
 
 /// The seed of stream `tag` at coordinates `(a, b)` under `seed`: FNV-1a
@@ -85,18 +128,13 @@ pub fn fnv1a64(bytes: impl IntoIterator<Item = u8>) -> u64 {
 #[inline]
 #[must_use]
 pub fn stream_seed(seed: u64, tag: u8, a: u64, b: u64) -> u64 {
-    let mut buf = [0u8; 25];
-    buf[..8].copy_from_slice(&seed.to_le_bytes());
-    buf[8] = tag;
-    buf[9..17].copy_from_slice(&a.to_le_bytes());
-    buf[17..].copy_from_slice(&b.to_le_bytes());
-    fnv1a64(buf)
+    absorb(absorb(stream_prefix(seed, tag), a), b)
 }
 
 #[cfg(test)]
 mod tests {
     use rand::rngs::StdRng;
-    use rand::{RngCore, SeedableRng};
+    use rand::{Rng, RngCore, SeedableRng};
 
     use super::*;
 
@@ -184,6 +222,50 @@ mod tests {
     /// small consecutive integers.
     fn raw_seeds() -> std::ops::Range<u64> {
         0..1 << 16
+    }
+
+    /// The derivation's definition: FNV-1a over the 25-byte layout, byte
+    /// by byte.
+    fn bytewise(seed: u64, tag: u8, a: u64, b: u64) -> u64 {
+        let mut buf = [0u8; 25];
+        buf[..8].copy_from_slice(&seed.to_le_bytes());
+        buf[8] = tag;
+        buf[9..17].copy_from_slice(&a.to_le_bytes());
+        buf[17..].copy_from_slice(&b.to_le_bytes());
+        fnv1a64(buf)
+    }
+
+    /// A random word of a random byte length (a uniform word shifted right
+    /// by 0 to 63 bits), so every run of high zero bytes occurs.
+    fn word_of_any_length(rng: &mut StdRng) -> u64 {
+        rng.next_u64() >> rng.gen_range(0..64)
+    }
+
+    #[test]
+    fn prefix_and_fold_hash_the_25_byte_layout() {
+        // Zero to eight significant bytes, and the u32 word boundary.
+        const EDGES: [u64; 6] = [0, 255, 256, (1 << 32) - 1, 1 << 32, u64::MAX];
+        let mut rng = StdRng::seed_from_u64(25);
+        for tag in TAGS {
+            for seed in SEEDS {
+                for a in EDGES {
+                    for b in EDGES {
+                        let want = bytewise(seed, tag, a, b);
+                        assert_eq!(stream_seed(seed, tag, a, b), want, "tag {tag}, a {a}, b {b}");
+                    }
+                }
+            }
+            for _ in 0..10_000 {
+                let seed = word_of_any_length(&mut rng);
+                let (a, b) = (word_of_any_length(&mut rng), word_of_any_length(&mut rng));
+                let want = bytewise(seed, tag, a, b);
+                assert_eq!(
+                    stream_seed(seed, tag, a, b),
+                    want,
+                    "seed {seed}, tag {tag}, a {a}, b {b}"
+                );
+            }
+        }
     }
 
     #[test]
