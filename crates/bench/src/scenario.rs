@@ -35,7 +35,7 @@
 //!
 //! The `phase` line — duration, fault model, positional arguments — is the
 //! workspace's one fault grammar: its table, parser and printer live in
-//! [`sandf_sim::fault`] ([`FaultSpec`]), and the same line can be POSTed
+//! [`sandf_sim::fault`] ([`PhaseFault`]), and the same line can be POSTed
 //! to a live daemon's `/ctl/fault`. This module adds the header
 //! directives and `churn` around it.
 //!
@@ -73,10 +73,10 @@ use sandf_obs::MetricsRegistry;
 use sandf_sim::experiment::initial_degree;
 use sandf_sim::fault::{expect_args, parse_num};
 use sandf_sim::stream::fnv1a64;
-pub use sandf_sim::FaultSpec;
+pub use sandf_sim::PhaseFault;
 use sandf_sim::{
     rumor_channel_for, topology, BroadcastConfig, BroadcastLayer, Engine, ParSimulation,
-    PhaseFault, ScheduledFault, UniformLoss,
+    ScheduledFault, UniformLoss,
 };
 
 use crate::fmt;
@@ -184,12 +184,12 @@ pub struct ChurnSpec {
 
 /// One phase of a scenario: a fault model governing `rounds` rounds, with
 /// optional churn at the boundary.
-#[derive(Clone, Copy, PartialEq, Debug)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct Phase {
     /// Rounds this phase governs.
     pub rounds: usize,
-    /// The fault model in force.
-    pub fault: FaultSpec,
+    /// The fault model in force, as parsed (over rounds `[0, rounds)`).
+    pub fault: PhaseFault,
     /// Churn applied when the phase begins.
     pub churn: Option<ChurnSpec>,
 }
@@ -389,7 +389,7 @@ impl Scenario {
                         )
                     }
                     "phase" => {
-                        let (rounds, fault) = FaultSpec::parse_phase(&args)?;
+                        let (rounds, fault) = PhaseFault::parse_phase(&args)?;
                         phases.push(Phase { rounds, fault, churn: None });
                         Ok(())
                     }
@@ -429,7 +429,7 @@ impl Scenario {
             return Err(err(0, format!("`degree {degree}` does not fit an n = {n} system")));
         }
         for phase in &phases {
-            if let FaultSpec::Victims { count, .. } = phase.fault {
+            if let PhaseFault::Victims { count, .. } = phase.fault {
                 if count >= n {
                     return Err(err(
                         0,
@@ -486,7 +486,7 @@ impl Scenario {
         }
         for phase in &self.phases {
             let end = start + phase.rounds as u64;
-            schedule.push((end, phase.fault.build(start, phase.rounds as u64, salt)));
+            schedule.push((end, phase.fault.clone().placed(start, salt)));
             start = end;
         }
         ScheduledFault::new(schedule)
@@ -774,15 +774,10 @@ fn drive_replicate<E: Engine<Fault = ScheduledFault>>(
             }
         }
         let mut victims: Vec<NodeId> = Vec::new();
-        if let FaultSpec::Victims { count, .. } = phase.fault {
+        if let PhaseFault::Victims { count, .. } = phase.fault {
             victims = sim.graph().top_in_degree(count);
             let index = scenario.schedule_index(p);
-            let aimed = victims.clone();
-            sim.update_fault(|fault| {
-                if let PhaseFault::Victims(v) = fault.phase_mut(index) {
-                    v.set_victims(&aimed);
-                }
-            });
+            sim.update_fault(|fault| fault.phase_mut(index).aim(&victims));
             counters.retargets.inc();
         }
         if p == target {
@@ -1142,11 +1137,11 @@ mod tests {
         assert_eq!(schedule.phases()[1].0, 6);
         assert_eq!(schedule.phases()[2].0, 9);
         assert_eq!(s.schedule_index(1), 2);
-        // The partition window is the phase's own rounds.
-        let PhaseFault::Partition(p) = &schedule.phases()[2].1 else {
-            panic!("expected a partition phase");
-        };
-        assert!(p.active_in(6) && p.active_in(8) && !p.active_in(9) && !p.active_in(5));
+        // The partition window is the phase's own rounds, [6, 9).
+        assert_eq!(
+            schedule.phases()[2].1,
+            PhaseFault::Partition { regions: 2, start: 6, duration: 3, sever: 1.0, base: 0.02 }
+        );
     }
 
     #[test]

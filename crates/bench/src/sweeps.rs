@@ -24,9 +24,9 @@ use sandf_sim::experiment::{
     continuous_churn, initial_degree, steady_state_degrees, uniformity, ExperimentParams,
 };
 use sandf_sim::{
-    rumor_channel_for, topology, BroadcastConfig, BroadcastLayer, DelayModel, Engine, FaultSpec,
-    FlatSimulation, GilbertElliott, LossModel, ParSimulation, ProtocolBehavior, RumorChannel,
-    UniformLoss, VictimLoss,
+    rumor_channel_for, topology, BroadcastConfig, BroadcastLayer, DelayModel, Engine,
+    FlatSimulation, GilbertElliott, LossModel, ParSimulation, PhaseFault, ProtocolBehavior,
+    RumorChannel, UniformLoss,
 };
 
 use crate::fmt;
@@ -199,12 +199,6 @@ pub fn indegree_table(scale: SampleScale, replicates: usize, base_seed: u64) -> 
 // loss_ablation — uniform vs bursty vs targeted loss
 // ---------------------------------------------------------------------------
 
-/// The loss process behind one ablation cell.
-enum Channel {
-    Uniform { rate: f64 },
-    Bursty { to_bad: f64, to_good: f64, loss_bad: f64 },
-}
-
 /// One cell of the loss-model ablation: a channel at a long-run average
 /// rate.
 pub struct ChannelCell {
@@ -212,7 +206,7 @@ pub struct ChannelCell {
     pub model: &'static str,
     /// Long-run average loss rate of the channel.
     pub avg_rate: f64,
-    channel: Channel,
+    channel: PhaseFault,
 }
 
 impl SweepCell for ChannelCell {
@@ -221,9 +215,9 @@ impl SweepCell for ChannelCell {
     }
 }
 
-fn channel_metrics<L: LossModel>(
+fn channel_metrics(
     nodes: Vec<SfNode>,
-    loss: L,
+    loss: PhaseFault,
     burn_in: usize,
     measure: usize,
     seed: u64,
@@ -257,7 +251,7 @@ pub fn loss_ablation_table(
         cells.push(ChannelCell {
             model: "uniform",
             avg_rate: rate,
-            channel: Channel::Uniform { rate },
+            channel: PhaseFault::Uniform(UniformLoss::new(rate).expect("valid rate")),
         });
         // Bursty channel: the bad state loses 50% of messages; dwell times
         // are tuned so the stationary average matches `rate`:
@@ -269,7 +263,7 @@ pub fn loss_ablation_table(
         cells.push(ChannelCell {
             model: "gilbert_elliott",
             avg_rate: ge.average_rate(),
-            channel: Channel::Bursty { to_bad, to_good, loss_bad: 0.5 },
+            channel: PhaseFault::Bursty(ge),
         });
     }
     let spec = SweepSpec::new(cells, replicates, base_seed);
@@ -279,18 +273,7 @@ pub fn loss_ablation_table(
     let results = spec.run(
         &["mean_out", "in_std", "dependent_frac", "dup_rate", "connected"],
         |cell, rng| {
-            let seed = rng.next_u64();
-            match cell.channel {
-                Channel::Uniform { rate } => {
-                    let loss = UniformLoss::new(rate).expect("valid rate");
-                    channel_metrics(nodes.clone(), loss, burn_in, measure, seed)
-                }
-                Channel::Bursty { to_bad, to_good, loss_bad } => {
-                    let loss =
-                        GilbertElliott::new(to_bad, to_good, 0.0, loss_bad).expect("valid channel");
-                    channel_metrics(nodes.clone(), loss, burn_in, measure, seed)
-                }
-            }
+            channel_metrics(nodes.clone(), cell.channel.clone(), burn_in, measure, rng.next_u64())
         },
     );
     results.to_tsv(&["model", "avg_rate"], |c| vec![c.model.to_string(), fmt(c.avg_rate)])
@@ -322,8 +305,12 @@ pub fn targeted_loss_table(n: usize, rounds: usize, replicates: usize, base_seed
     let results =
         spec.run(&["victim_in", "victim_out", "pop_mean_in", "connected"], |cell, rng| {
             let victim = NodeId::new(0);
-            let mut loss = VictimLoss::new(cell.victim_rate, 0.01).expect("valid rates");
-            loss.set_victims(&[victim]);
+            let loss = PhaseFault::Victims {
+                count: 1,
+                victim_rate: cell.victim_rate,
+                base: 0.01,
+                victims: vec![victim],
+            };
             let mut sim = FlatSimulation::new(nodes.clone(), loss, rng.next_u64());
             sim.run_rounds(rounds);
             let graph = sim.graph();
@@ -622,7 +609,7 @@ fn broadcast_channel(name: &str, n: usize) -> RumorChannel {
         other => panic!("unknown rumor channel {other:?}"),
     };
     let words: Vec<&str> = line.split_whitespace().skip(1).collect();
-    let (_, fault) = FaultSpec::parse_phase(&words).expect("grid rows are legal phase lines");
+    let (_, fault) = PhaseFault::parse_phase(&words).expect("grid rows are legal phase lines");
     let victims: Vec<NodeId> = (1..=10).map(NodeId::new).collect();
     rumor_channel_for(&fault, n, &victims)
 }

@@ -27,8 +27,8 @@ use std::path::PathBuf;
 
 use sandf_core::{NodeId, SfConfig, SfNode};
 use sandf_sim::{
-    rumor_channel_for, topology, BroadcastConfig, BroadcastLayer, Engine, FaultSpec,
-    FlatSimulation, GilbertElliott, LossModel, ParSimulation, RumorChannel, UniformLoss,
+    rumor_channel_for, topology, BroadcastConfig, BroadcastLayer, Engine, FlatSimulation,
+    GilbertElliott, LossModel, ParSimulation, PhaseFault, RumorChannel, UniformLoss,
 };
 
 const SEEDS: [u64; 3] = [11, 42, 2009];
@@ -59,7 +59,7 @@ fn rumor_channel(scenario: &str) -> RumorChannel {
         _ => "phase 1 bursty 0.1 0.3 0.02 0.7",
     };
     let words: Vec<&str> = line.split_whitespace().skip(1).collect();
-    let (_, fault) = FaultSpec::parse_phase(&words).expect("legal phase line");
+    let (_, fault) = PhaseFault::parse_phase(&words).expect("legal phase line");
     rumor_channel_for(&fault, nodes().len(), &[])
 }
 

@@ -3,7 +3,7 @@
 //! malformed specs are rejected with errors that name the offending line
 //! and say what was expected there.
 
-use sandf_bench::scenario::{builtin_specs, ChurnSpec, FaultSpec, Scenario};
+use sandf_bench::scenario::{builtin_specs, ChurnSpec, PhaseFault, Scenario};
 
 /// A spec exercising every fault model, churn, and every header directive.
 const KITCHEN_SINK: &str = "\
@@ -33,7 +33,7 @@ fn kitchen_sink_parses_and_round_trips() {
     assert_eq!(parsed.phases[4].churn, Some(ChurnSpec { leaves: 2, joins: 1 }));
     assert_eq!(
         parsed.phases[5].fault,
-        FaultSpec::Victims { count: 4, victim_rate: 0.9, base: 0.01 }
+        PhaseFault::Victims { count: 4, victim_rate: 0.9, base: 0.01, victims: Vec::new() }
     );
     let printed = parsed.to_string();
     let reparsed = Scenario::parse(&printed).expect("canonical printing parses");

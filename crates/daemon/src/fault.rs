@@ -18,13 +18,14 @@
 use rand::rngs::StdRng;
 use sandf_core::NodeId;
 use sandf_obs::{CounterHandle, MetricsRegistry};
-use sandf_sim::{FaultCtx, FaultModel, FaultSpec, PhaseFault, ScheduledFault, UniformLoss};
+use sandf_sim::{FaultCtx, FaultModel, PhaseFault, ScheduledFault, UniformLoss};
 
 /// Compiles a `/ctl/fault` body received in round `now`: `none` (clear), or
 /// one `phase <rounds> <model> <args...>` line of the shared
 /// [fault grammar](sandf_sim::fault) — the model over rounds
 /// `[now + 1, now + 1 + rounds)`, then healed. `salt` seeds the hash-derived
-/// link maps and cohorts. A `victims` schedule comes back unaimed.
+/// link maps and cohorts. A `victims` schedule comes back unaimed; its
+/// first phase is the requested model.
 ///
 /// # Errors
 ///
@@ -33,21 +34,20 @@ pub(crate) fn compile_fault_line(
     line: &str,
     now: u64,
     salt: u64,
-) -> Result<Option<(FaultSpec, ScheduledFault)>, String> {
+) -> Result<Option<ScheduledFault>, String> {
     let words: Vec<&str> = line.split_whitespace().collect();
     match words.split_first() {
         Some((&"none", [])) => Ok(None),
         Some((&"phase", args)) => {
-            let (rounds, spec) = FaultSpec::parse_phase(args)?;
+            let (rounds, fault) = PhaseFault::parse_phase(args)?;
             let start = now + 1;
             // Strictly below the healed tail's open end, however long the
             // requested phase.
             let end = start.saturating_add(rounds as u64).min(u64::MAX - 1);
-            let schedule = ScheduledFault::new(vec![
-                (end, spec.build(start, rounds as u64, salt)),
+            Ok(Some(ScheduledFault::new(vec![
+                (end, fault.placed(start, salt)),
                 (u64::MAX, PhaseFault::Uniform(UniformLoss::none())),
-            ]);
-            Ok(Some((spec, schedule)))
+            ])))
         }
         _ => Err(format!("expected `none` or `phase <rounds> <fault> <args...>`, got {line:?}")),
     }
@@ -63,7 +63,6 @@ pub(crate) fn compile_fault_line(
 #[derive(Debug)]
 pub struct FaultInjector {
     fault: Option<ScheduledFault>,
-    kind: &'static str,
     dropped: CounterHandle,
 }
 
@@ -72,14 +71,13 @@ impl FaultInjector {
     /// `daemon.fault.dropped` counter.
     #[must_use]
     pub fn new(registry: &MetricsRegistry) -> Self {
-        Self { fault: None, kind: "none", dropped: registry.counter("daemon.fault.dropped") }
+        Self { fault: None, dropped: registry.counter("daemon.fault.dropped") }
     }
 
-    /// Installs (or clears) the fault: `fault`'s first phase is the model
-    /// tagged `kind`, every later phase the healed tail.
-    pub fn install(&mut self, fault: Option<ScheduledFault>, kind: &'static str) {
+    /// Installs (or clears) the fault: `fault`'s first phase is the
+    /// injected model, every later phase the healed tail.
+    pub fn install(&mut self, fault: Option<ScheduledFault>) {
         self.fault = fault;
-        self.kind = kind;
     }
 
     /// The tag of the model in force in `round` (`"none"` when clear or
@@ -87,7 +85,7 @@ impl FaultInjector {
     #[must_use]
     pub fn kind(&self, round: u64) -> &'static str {
         match &self.fault {
-            Some(fault) if fault.phase_index(round) == 0 => self.kind,
+            Some(fault) if fault.phase_index(round) == 0 => fault.phases()[0].1.kind(),
             _ => "none",
         }
     }
@@ -123,7 +121,7 @@ mod tests {
     use super::*;
 
     fn compile(line: &str, now: u64) -> ScheduledFault {
-        compile_fault_line(line, now, 0).expect("legal line").expect("a fault").1
+        compile_fault_line(line, now, 0).expect("legal line").expect("a fault")
     }
 
     #[test]
@@ -136,10 +134,11 @@ mod tests {
             "phase 5 capacity 7 0.3 4 0",
             "phase 5 victims 4 0.9 0.1",
         ] {
-            let (spec, schedule) = compile_fault_line(line, 10, 0).unwrap().unwrap();
-            assert_eq!(format!("phase 5 {spec}"), line);
+            let schedule = compile(line, 10);
+            assert_eq!(format!("phase 5 {}", schedule.phases()[0].1), line);
             assert_eq!(schedule.phases()[0].0, 16, "line {line:?}");
-            assert_eq!(schedule.rate_at(16), 0.0, "line {line:?} must heal");
+            let healed = &schedule.phases()[schedule.phase_index(16)].1;
+            assert_eq!(healed.effective_rate(1), 0.0, "line {line:?} must heal");
         }
         assert_eq!(compile_fault_line("none", 0, 0), Ok(None));
         // An absurd duration still yields a well-formed schedule.
@@ -164,14 +163,17 @@ mod tests {
 
     #[test]
     fn partition_command_starts_at_the_next_round() {
-        let schedule = compile("phase 50 partition 2 1.0 0", 41);
-        let PhaseFault::Partition(p) = &schedule.phases()[0].1 else {
-            panic!("expected a partition");
+        let mut schedule = compile("phase 50 partition 2 1.0 0", 41);
+        // A cross-region message is severed in rounds [42, 92) only.
+        let mut rng = <StdRng as rand::SeedableRng>::seed_from_u64(0);
+        let mut severed = |round| {
+            let ctx = FaultCtx { from: NodeId::new(0), to: NodeId::new(1), round };
+            schedule.drops(ctx, &mut rng)
         };
-        assert!(!p.active_in(41));
-        assert!(p.active_in(42));
-        assert!(p.active_in(91));
-        assert!(!p.active_in(92));
+        assert!(!severed(41));
+        assert!(severed(42));
+        assert!(severed(91));
+        assert!(!severed(92));
         assert_eq!(schedule.phase_index(91), 0);
         assert_eq!(schedule.phase_index(92), 1);
     }

@@ -71,7 +71,7 @@ use sandf_net::codec::Datagram;
 use sandf_net::SharedSocket;
 use sandf_obs::{CounterHandle, EventJournal, GaugeHandle, JournalEvent, MetricsRegistry};
 use sandf_sim::stream::{self, stream_seed};
-use sandf_sim::{topology, FaultCtx, FaultSpec, LossModel, PhaseFault, UniformLoss};
+use sandf_sim::{topology, FaultCtx, LossModel, PhaseFault, UniformLoss};
 
 use crate::fault::{compile_fault_line, FaultInjector};
 use crate::http::{escape_json, serve, HttpContext};
@@ -905,18 +905,17 @@ impl ServiceState {
 
     fn handle_fault(&mut self, line: &str) -> Result<String, String> {
         let compiled = compile_fault_line(line, self.wheel.rounds(), self.config.seed)?;
-        let Some((spec, mut fault)) = compiled else {
-            self.injector.install(None, "none");
+        let Some(mut fault) = compiled else {
+            self.injector.install(None);
             return Ok("none".into());
         };
-        if let (FaultSpec::Victims { count, .. }, PhaseFault::Victims(model)) =
-            (spec, fault.phase_mut(0))
-        {
+        let kind = fault.phases()[0].1.kind();
+        if let PhaseFault::Victims { count, .. } = fault.phases()[0].1 {
             let graph = MembershipGraph::from_nodes(self.live_nodes());
-            model.set_victims(&graph.top_in_degree(count));
+            fault.phase_mut(0).aim(&graph.top_in_degree(count));
         }
-        self.injector.install(Some(fault), spec.kind());
-        Ok(spec.kind().into())
+        self.injector.install(Some(fault));
+        Ok(kind.into())
     }
 
     fn wire_totals(&self) -> WireTotals {

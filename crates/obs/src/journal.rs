@@ -1,14 +1,14 @@
 //! The structured event journal: a bounded ring buffer of protocol events
 //! with JSONL export.
 //!
-//! Every layer of the stack records the same vocabulary of events — the
-//! simulator's step stream (self-loops, losses, deliveries, in-flight
-//! sends), and the transports' send/drop/deliver taps — so one run's
-//! journal can be read end to end, or replayed to debug a divergence.
+//! Every recorder writes the same vocabulary of events — the simulator's
+//! step stream (self-loops, skips, losses, deliveries, in-flight sends)
+//! and the live invariant checker's violations — so one run's journal can
+//! be read end to end, or replayed to debug a divergence.
 //!
 //! Journal contents are deterministic for a fixed seed in single-threaded
-//! simulation runs: entries carry logical times (simulation steps, or a
-//! transport's own event index), never wall-clock.
+//! simulation runs: entries carry logical times (simulation steps, or the
+//! checker's round), never wall-clock.
 
 use std::collections::VecDeque;
 use std::fmt::Write as _;
@@ -80,33 +80,6 @@ pub enum JournalEvent {
         /// The global step at which delivery is scheduled.
         deliver_at: u64,
     },
-    /// A transport handed a message to the network.
-    NetSent {
-        /// The sending endpoint.
-        from: NodeId,
-        /// The destination.
-        to: NodeId,
-        /// The forwarded id.
-        payload: NodeId,
-    },
-    /// A transport (or network hub) dropped a message.
-    NetDropped {
-        /// The sending endpoint.
-        from: NodeId,
-        /// The destination.
-        to: NodeId,
-        /// The forwarded id.
-        payload: NodeId,
-    },
-    /// A transport delivered a message to its local endpoint.
-    NetReceived {
-        /// The receiving endpoint.
-        to: NodeId,
-        /// The original sender (the message's reinforcement id).
-        from: NodeId,
-        /// The forwarded id.
-        payload: NodeId,
-    },
     /// A live invariant check found a node outside the Observation 5.1
     /// outdegree bounds (even, within `[d_L, s]`).
     DegreeViolation {
@@ -140,9 +113,6 @@ impl JournalEvent {
             Self::DeadLetter { .. } => "dead_letter",
             Self::Delivered { .. } => "delivered",
             Self::InFlight { .. } => "in_flight",
-            Self::NetSent { .. } => "net_sent",
-            Self::NetDropped { .. } => "net_dropped",
-            Self::NetReceived { .. } => "net_received",
             Self::DegreeViolation { .. } => "degree_violation",
             Self::StaleViolation { .. } => "stale_violation",
         }
@@ -156,8 +126,8 @@ pub struct JournalEntry {
     /// Global record index (monotone across the whole journal, including
     /// entries the ring has since evicted).
     pub seq: u64,
-    /// The recorder's logical time (simulation step, transport event
-    /// index) — never wall-clock, so journals are seed-stable.
+    /// The recorder's logical time (simulation step, daemon round) —
+    /// never wall-clock, so journals are seed-stable.
     pub time: u64,
     /// The event.
     pub event: JournalEvent,
@@ -205,25 +175,6 @@ impl JournalEntry {
                     ",\"initiator\":{},\"to\":{},\"id\":{},\"dup\":{duplicated},\"deliver_at\":{deliver_at}",
                     initiator.as_u64(),
                     to.as_u64(),
-                    payload.as_u64()
-                );
-            }
-            JournalEvent::NetSent { from, to, payload }
-            | JournalEvent::NetDropped { from, to, payload } => {
-                let _ = write!(
-                    out,
-                    ",\"from\":{},\"to\":{},\"id\":{}",
-                    from.as_u64(),
-                    to.as_u64(),
-                    payload.as_u64()
-                );
-            }
-            JournalEvent::NetReceived { to, from, payload } => {
-                let _ = write!(
-                    out,
-                    ",\"to\":{},\"from\":{},\"id\":{}",
-                    to.as_u64(),
-                    from.as_u64(),
                     payload.as_u64()
                 );
             }
@@ -353,7 +304,7 @@ mod tests {
     fn records_in_order_with_sequence_numbers() {
         let journal = EventJournal::new(8);
         journal.record(1, JournalEvent::SelfLoop { initiator: id(3) });
-        journal.record(2, JournalEvent::NetSent { from: id(0), to: id(1), payload: id(2) });
+        journal.record(2, JournalEvent::Skipped { initiator: id(0) });
         let entries = journal.entries();
         assert_eq!(entries.len(), 2);
         assert_eq!(entries[0].seq, 0);
@@ -404,8 +355,16 @@ mod tests {
                 deliver_at: 9,
             },
         );
-        journal.record(4, JournalEvent::NetDropped { from: id(4), to: id(5), payload: id(6) });
-        journal.record(5, JournalEvent::NetReceived { to: id(5), from: id(4), payload: id(6) });
+        journal.record(4, JournalEvent::Skipped { initiator: id(4) });
+        journal.record(
+            5,
+            JournalEvent::DeadLetter {
+                initiator: id(4),
+                to: id(5),
+                payload: id(6),
+                duplicated: false,
+            },
+        );
         journal.record(6, JournalEvent::DegreeViolation { node: id(7), degree: 9, lo: 2, hi: 8 });
         journal.record(7, JournalEvent::StaleViolation { stale_ppm: 120_000, ceiling_ppm: 80_000 });
         let jsonl = journal.to_jsonl();
@@ -418,8 +377,10 @@ mod tests {
         );
         assert!(lines[2].contains("\"kind\":\"delivered\"") && lines[2].contains("\"del\":true"));
         assert!(lines[3].contains("\"deliver_at\":9"));
-        assert!(lines[4].contains("\"kind\":\"net_dropped\""));
-        assert!(lines[5].ends_with("\"to\":5,\"from\":4,\"id\":6}"));
+        assert!(lines[4].contains("\"kind\":\"skipped\""));
+        assert!(lines[5].ends_with(
+            "\"kind\":\"dead_letter\",\"initiator\":4,\"to\":5,\"id\":6,\"dup\":false}"
+        ));
         assert_eq!(
             lines[6],
             "{\"seq\":6,\"t\":6,\"kind\":\"degree_violation\",\"node\":7,\"degree\":9,\"lo\":2,\"hi\":8}"

@@ -3,12 +3,12 @@
 //! The paper's evaluation (Sections 6–7) lives on per-event accounting:
 //! duplication vs. deletion vs. loss rates (Lemmas 6.6/6.7), degree
 //! trajectories, overlap decay. This crate is the uniform measurement
-//! layer those signals flow through, across every layer of the workspace
-//! (`sim`, `runtime`, `net`, `bench`):
+//! layer those signals flow through, across the layers that record them
+//! (`sim`, `daemon`, `bench`):
 //!
 //! * a [`MetricsRegistry`] of cheap atomic [`CounterHandle`]s,
 //!   [`GaugeHandle`]s, and fixed-bucket [`HistogramHandle`]s, registered
-//!   under hierarchical dotted names (`sim.step.lost`, `net.udp.sent`,
+//!   under hierarchical dotted names (`sim.step.lost`, `daemon.net.sent`,
 //!   `node.3.deletions`), with a Prometheus-style text exposition
 //!   ([`MetricsRegistry::render_prometheus`]) and a TSV dump
 //!   ([`MetricsRegistry::render_tsv`]);
@@ -49,5 +49,5 @@ pub mod profile;
 pub mod registry;
 
 pub use journal::{EventJournal, JournalEntry, JournalEvent};
-pub use profile::{duration_buckets, Profiler, SpanTimer};
+pub use profile::{duration_buckets, SpanTimer};
 pub use registry::{CounterHandle, GaugeHandle, HistogramHandle, MetricsRegistry};

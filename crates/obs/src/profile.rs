@@ -8,13 +8,9 @@
 //! Span durations are wall-clock and therefore **not** deterministic —
 //! golden tests must pin span *names* only, never values.
 
-use std::collections::HashMap;
-use std::sync::Arc;
 use std::time::Instant;
 
-use parking_lot::Mutex;
-
-use crate::registry::{HistogramHandle, MetricsRegistry};
+use crate::registry::HistogramHandle;
 
 /// Exponential bucket upper bounds for durations in nanoseconds: 256 ns
 /// doubling up to ~17 s. Sub-microsecond steps resolve the engine's hot
@@ -24,8 +20,8 @@ pub fn duration_buckets() -> Vec<u64> {
     (0..27).map(|i| 256u64 << i).collect()
 }
 
-/// An RAII scope timer: created via [`HistogramHandle`]-based helpers,
-/// records elapsed nanoseconds on drop.
+/// An RAII scope timer over a [`HistogramHandle`]: records elapsed
+/// nanoseconds on drop.
 #[derive(Debug)]
 pub struct SpanTimer {
     hist: HistogramHandle,
@@ -51,62 +47,18 @@ impl Drop for SpanTimer {
     }
 }
 
-/// A cache of named span histograms over one registry, so call sites can
-/// say `profiler.span("sim.step")` without re-locking the registry per
-/// span.
-#[derive(Clone, Debug)]
-pub struct Profiler {
-    registry: MetricsRegistry,
-    prefix: String,
-    /// Span name → its histogram; only looked up, never iterated, so its
-    /// order cannot reach output.
-    cache: Arc<Mutex<HashMap<String, HistogramHandle>>>,
-}
-
-impl Profiler {
-    /// Creates a profiler registering spans under `<prefix>.<name>_ns`.
-    #[must_use]
-    pub fn new(registry: &MetricsRegistry, prefix: &str) -> Self {
-        Self {
-            registry: registry.clone(),
-            prefix: prefix.to_string(),
-            cache: Arc::new(Mutex::new(HashMap::new())),
-        }
-    }
-
-    /// The histogram behind a span name (registered on first use).
-    #[must_use]
-    pub fn histogram(&self, name: &str) -> HistogramHandle {
-        let mut cache = self.cache.lock();
-        if let Some(handle) = cache.get(name) {
-            return handle.clone();
-        }
-        let handle =
-            self.registry.histogram(&format!("{}.{name}_ns", self.prefix), duration_buckets());
-        cache.insert(name.to_string(), handle.clone());
-        handle
-    }
-
-    /// Opens an RAII span; elapsed nanoseconds are recorded when the
-    /// returned guard drops.
-    #[must_use]
-    pub fn span(&self, name: &str) -> SpanTimer {
-        SpanTimer::start(&self.histogram(name))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::MetricsRegistry;
 
     #[test]
     fn span_records_on_drop() {
         let registry = MetricsRegistry::new();
-        let profiler = Profiler::new(&registry, "sim.profile");
+        let hist = registry.histogram("sim.profile.step_ns", duration_buckets());
         {
-            let _guard = profiler.span("step");
+            let _guard = SpanTimer::start(&hist);
         }
-        let hist = profiler.histogram("step");
         assert_eq!(hist.count(), 1);
         assert!(registry.metric_names().contains(&"sim.profile.step_ns".to_string()));
     }
@@ -114,26 +66,27 @@ mod tests {
     #[test]
     fn nested_spans_record_independently() {
         let registry = MetricsRegistry::new();
-        let profiler = Profiler::new(&registry, "p");
+        let outer = registry.histogram("p.outer_ns", duration_buckets());
+        let inner = registry.histogram("p.inner_ns", duration_buckets());
         {
-            let _outer = profiler.span("outer");
+            let _outer = SpanTimer::start(&outer);
             for _ in 0..3 {
-                let _inner = profiler.span("inner");
+                let _inner = SpanTimer::start(&inner);
             }
         }
-        assert_eq!(profiler.histogram("outer").count(), 1);
-        assert_eq!(profiler.histogram("inner").count(), 3);
+        assert_eq!(outer.count(), 1);
+        assert_eq!(inner.count(), 3);
     }
 
     #[test]
     fn disabled_registry_skips_the_clock() {
         let registry = MetricsRegistry::disabled();
-        let profiler = Profiler::new(&registry, "p");
+        let hist = registry.histogram("p.step_ns", duration_buckets());
         {
-            let guard = profiler.span("step");
+            let guard = SpanTimer::start(&hist);
             assert!(guard.start.is_none(), "no clock read on disabled registry");
         }
-        assert_eq!(profiler.histogram("step").count(), 0);
+        assert_eq!(hist.count(), 0);
     }
 
     #[test]

@@ -46,7 +46,7 @@ use rand::{Rng, SeedableRng};
 use sandf_core::NodeId;
 use sandf_obs::{CounterHandle, MetricsRegistry};
 
-use crate::fault::FaultSpec;
+use crate::fault::PhaseFault;
 use crate::stream::{fnv1a64, stream_seed, RUMOR, RUMOR_CHANNEL};
 use crate::traits::{widen, Engine, ARENA_ID_LIMIT};
 
@@ -179,18 +179,21 @@ impl RumorChannel {
 /// at the effective rate in an `n`-node system; `capacity` gates sends
 /// rather than dropping them, so the rumor channel stays lossless).
 #[must_use]
-pub fn rumor_channel_for(fault: &FaultSpec, n: usize, victims: &[NodeId]) -> RumorChannel {
+pub fn rumor_channel_for(fault: &PhaseFault, n: usize, victims: &[NodeId]) -> RumorChannel {
     match *fault {
-        FaultSpec::Uniform { rate } => RumorChannel::Uniform { rate },
-        FaultSpec::Bursty { to_bad, to_good, loss_good, loss_bad } => {
-            RumorChannel::Bursty { to_bad, to_good, loss_good, loss_bad }
-        }
-        FaultSpec::Partition { regions, sever, base } => {
+        PhaseFault::Uniform(m) => RumorChannel::Uniform { rate: m.rate },
+        PhaseFault::Bursty(m) => RumorChannel::Bursty {
+            to_bad: m.to_bad,
+            to_good: m.to_good,
+            loss_good: m.loss_good,
+            loss_bad: m.loss_bad,
+        },
+        PhaseFault::Partition { regions, sever, base, .. } => {
             RumorChannel::Partition { regions, sever, base }
         }
-        FaultSpec::PerLink { .. } => RumorChannel::Uniform { rate: fault.effective_rate(n) },
-        FaultSpec::Capacity { .. } => RumorChannel::Lossless,
-        FaultSpec::Victims { victim_rate, base, .. } => {
+        PhaseFault::PerLink { .. } => RumorChannel::Uniform { rate: fault.effective_rate(n) },
+        PhaseFault::Capacity { .. } => RumorChannel::Lossless,
+        PhaseFault::Victims { victim_rate, base, .. } => {
             RumorChannel::Victims { victim_rate, base, victims: victims.to_vec() }
         }
     }

@@ -455,10 +455,11 @@ mod tests {
 
     #[test]
     fn targeted_loss_starves_only_the_victim() {
-        use crate::fault::VictimLoss;
+        use crate::fault::PhaseFault;
         let victim = NodeId::new(0);
-        let mut loss = VictimLoss::new(0.95, 0.0).unwrap();
-        loss.set_victims(&[victim]);
+        let mut loss =
+            PhaseFault::Victims { count: 1, victim_rate: 0.95, base: 0.0, victims: Vec::new() };
+        loss.aim(&[victim]);
         let nodes = topology::circulant(64, SfConfig::new(16, 6).unwrap(), 8);
         let mut sim = FlatSimulation::new(nodes, loss, 17);
         sim.run_rounds(300);
@@ -568,10 +569,10 @@ mod tests {
 
     #[test]
     fn capacity_gate_skips_steps_and_preserves_the_ledger() {
-        use crate::fault::NodeCapacity;
+        use crate::fault::PhaseFault;
         // Everyone slow with period 2: roughly half of all central-entity
         // steps are skipped, and both ledgers still balance.
-        let model = NodeCapacity::new(7, 1.0, 2, 0.1).unwrap();
+        let model = PhaseFault::Capacity { salt: 7, slow_fraction: 1.0, period: 2, base: 0.1 };
         let nodes = topology::circulant(24, config(), 4);
         let mut sim = FlatSimulation::new(nodes, model, 19);
         sim.run_rounds(40);
@@ -587,13 +588,15 @@ mod tests {
 
     #[test]
     fn update_fault_retargets_mid_run() {
-        use crate::fault::VictimLoss;
+        use crate::fault::PhaseFault;
         let victim = NodeId::new(5);
         let nodes = topology::circulant(24, config(), 4);
-        let mut sim = FlatSimulation::new(nodes, VictimLoss::new(1.0, 0.0).unwrap(), 23);
+        let fault =
+            PhaseFault::Victims { count: 1, victim_rate: 1.0, base: 0.0, victims: Vec::new() };
+        let mut sim = FlatSimulation::new(nodes, fault, 23);
         sim.run_rounds(10);
         assert_eq!(sim.stats().lost, 0, "empty victim set must lose nothing");
-        sim.update_fault(|f| f.set_victims(&[victim]));
+        sim.update_fault(|f| f.aim(&[victim]));
         sim.run_rounds(30);
         assert!(sim.stats().lost > 0, "victim loss never fired after retarget");
     }

@@ -6,37 +6,25 @@
 //! surface to **correlated, time-varying, and structural** faults — the
 //! regimes where Obs 5.1 and the Lemma 6.10 decay bounds were never
 //! proven to hold, and where the scenario harness in `sandf-bench` probes
-//! whether they survive anyway:
+//! whether they survive anyway. [`PhaseFault`] is the one fault type: its
+//! variants are the models, and it is parsed, checked, printed and run as
+//! one value.
 //!
-//! * [`RegionalPartition`] — the overlay splits into `r` regions for a
-//!   window of rounds; cross-region messages are severed, then the
-//!   partition heals;
-//! * [`PerLinkLoss`] — loss is correlated *per directed link*: a fixed
-//!   fraction of links is persistently bad, the rest persistently good
-//!   (spatial correlation, unlike the temporal bursts of Gilbert–Elliott);
-//! * [`NodeCapacity`] — heterogeneous node speeds: a fraction of nodes is
-//!   slow and initiates only every `k`-th round (the fault is on *actions*,
-//!   not messages);
-//! * [`VictimLoss`] — targeted inbound loss on an explicit victim set
-//!   (the harness points it at the highest-indegree nodes, the overlay's
-//!   hubs).
+//! Every engine ([`FlatSimulation`](crate::FlatSimulation),
+//! [`ParSimulation`](crate::ParSimulation)) is bound by the
+//! [`FaultModel`] trait. A blanket impl lifts every [`LossModel`] into a
+//! [`FaultModel`], so existing code and seeds are unchanged: a lifted model
+//! consumes the exact same RNG draws as before.
 //!
-//! All of them implement the [`FaultModel`] trait, which both simulation
-//! engines ([`FlatSimulation`](crate::FlatSimulation),
-//! [`ParSimulation`](crate::ParSimulation)) are bound by. A blanket
-//! impl lifts every [`LossModel`] into a [`FaultModel`], so existing code
-//! and seeds are unchanged: a lifted model consumes the exact same RNG
-//! draws as before.
-//!
-//! [`ScheduledFault`] composes per-phase models ([`PhaseFault`]) into a
-//! round-indexed schedule — the compiled form of the declarative scenario
-//! specs in `sandf_bench::scenario`.
+//! [`ScheduledFault`] composes [`PhaseFault`]s into a round-indexed
+//! schedule — the compiled form of the declarative scenario specs in
+//! `sandf_bench::scenario`.
 //!
 //! # The fault grammar
 //!
-//! [`FaultSpec`] is the one textual spelling of a fault, shared by every
-//! surface that names one: a scenario spec's `phase` lines
-//! (`sandf_bench::scenario`), the rumor channel mirroring a phase
+//! A [`PhaseFault`] has one textual spelling, shared by every surface that
+//! names one: a scenario spec's `phase` lines (`sandf_bench::scenario`),
+//! the rumor channel mirroring a phase
 //! ([`rumor_channel_for`](crate::rumor_channel_for)), and the live daemon's
 //! `POST /ctl/fault` body (`sandf_daemon`). A fault is always written as a
 //! phase — a duration in rounds, then the model and its positional
@@ -46,25 +34,26 @@
 //! phase <rounds> <model> <args...>
 //! ```
 //!
-//! | model | compiles to | semantics |
+//! | model | variant | semantics |
 //! |---|---|---|
-//! | `uniform <rate>` | [`UniformLoss`] | i.i.d. loss (the paper's model) |
-//! | `bursty <to_bad> <to_good> <loss_good> <loss_bad>` | [`GilbertElliott`] | per-sender bursty channel |
-//! | `partition <regions> <sever> <base>` | [`RegionalPartition`] | cross-region loss at `sever` for the phase window, then heal |
-//! | `perlink <salt> <bad_fraction> <good_rate> <bad_rate>` | [`PerLinkLoss`] | persistent per-link quality |
-//! | `capacity <salt> <slow_fraction> <period> <base>` | [`NodeCapacity`] | slow cohort acts every `period`-th round |
-//! | `victims <count> <victim_rate> <base>` | [`VictimLoss`] | targeted loss on the `count` highest-indegree nodes, aimed at phase start |
+//! | `uniform <rate>` | [`PhaseFault::Uniform`] | i.i.d. loss (the paper's model) |
+//! | `bursty <to_bad> <to_good> <loss_good> <loss_bad>` | [`PhaseFault::Bursty`] | per-sender bursty channel |
+//! | `partition <regions> <sever> <base>` | [`PhaseFault::Partition`] | cross-region loss at `sever` for the phase window, then heal |
+//! | `perlink <salt> <bad_fraction> <good_rate> <bad_rate>` | [`PhaseFault::PerLink`] | persistent per-link quality |
+//! | `capacity <salt> <slow_fraction> <period> <base>` | [`PhaseFault::Capacity`] | slow cohort acts every `period`-th round |
+//! | `victims <count> <victim_rate> <base>` | [`PhaseFault::Victims`] | targeted loss on the `count` highest-indegree nodes, aimed at phase start |
 //!
 //! Rates are probabilities in `[0, 1]`; every argument is required.
-//! [`FaultSpec::parse_phase`] is the only parser and the
-//! [`Display`](std::fmt::Display) impl the only printer, so
-//! `parse ∘ print = id` and a rejection is worded identically everywhere.
+//! [`PhaseFault::parse_phase`] is the only parser, [`PhaseFault::check`]
+//! the only validator and the [`Display`](std::fmt::Display) impl the only
+//! printer, so `parse ∘ print = id` and a rejection is worded identically
+//! everywhere.
 //!
 //! # Determinism
 //!
-//! Models that need per-link or per-node randomness (`PerLinkLoss`,
-//! `NodeCapacity`) derive it *statelessly* by hashing the salt and the ids
-//! as little-endian words with the workspace's one FNV-1a ([`fnv1a64`], see
+//! Models that need per-link or per-node randomness (`perlink`,
+//! `capacity`) derive it *statelessly* by hashing the salt and the ids as
+//! little-endian words with the workspace's one FNV-1a ([`fnv1a64`], see
 //! [`crate::stream`]) instead of drawing from the engine RNG, so a decision
 //! depends only on the identities involved — never on evaluation order.
 //! That is what keeps the par engine's sharded execution byte-identical for
@@ -75,21 +64,19 @@ use std::str::FromStr;
 use rand::Rng;
 use sandf_core::NodeId;
 
-use crate::loss::{GilbertElliott, LossModel, LossRateError, UniformLoss};
+use crate::loss::{GilbertElliott, LossModel, UniformLoss};
 use crate::stream::fnv1a64;
+
+/// FNV-1a of `words` as little-endian bytes.
+#[inline]
+fn word_hash(words: &[u64]) -> u64 {
+    fnv1a64(words.iter().flat_map(|w| w.to_le_bytes()))
+}
 
 /// Maps a hash to a uniform `[0, 1)` fraction (53-bit mantissa).
 #[inline]
 fn hash_fraction(hash: u64) -> f64 {
     (hash >> 11) as f64 / (1u64 << 53) as f64
-}
-
-/// Validates a probability, mirroring the [`LossModel`] constructors.
-fn check_rate(rate: f64) -> Result<f64, LossRateError> {
-    if !(0.0..=1.0).contains(&rate) || !rate.is_finite() {
-        return Err(LossRateError { rate });
-    }
-    Ok(rate)
 }
 
 /// The identities of one message send, as seen by a [`FaultModel`].
@@ -137,11 +124,6 @@ pub trait FaultModel {
     fn node_acts(&self, _node: NodeId, _round: u64) -> bool {
         true
     }
-
-    /// The long-run average message-loss rate, for analyses needing a
-    /// scalar `ℓ` (e.g. the §6.2 degree-MC prediction). Time-varying
-    /// models report their *final* (open-ended) regime.
-    fn average_rate(&self) -> f64;
 }
 
 /// Every [`LossModel`] is a [`FaultModel`]: loss ignores the endpoints and
@@ -152,442 +134,53 @@ impl<T: LossModel> FaultModel for T {
     fn drops<R: Rng + ?Sized>(&mut self, _ctx: FaultCtx, rng: &mut R) -> bool {
         self.is_lost(rng)
     }
-
-    fn average_rate(&self) -> f64 {
-        LossModel::average_rate(self)
-    }
 }
 
-/// A regional partition for a window of rounds, then healing.
+/// One fault model — the closed sum of every model a scenario phase can
+/// name, so a compiled schedule is a plain `Clone + Send` value usable as
+/// any engine's `L` parameter.
 ///
-/// Nodes are split into `regions` regions by id (`id mod regions` — the
-/// in-repo topologies assign contiguous ids, so regions are balanced).
-/// During rounds `[start, start + duration)` every cross-region message is
-/// lost with probability `sever` (1.0 = a hard partition); within a region
-/// — and in every round outside the window — messages see the `base`
-/// rate. This is the classic correlated failure the paper's i.i.d.
-/// assumption excludes: losses are perfectly correlated with overlay
-/// structure for the whole window.
-#[derive(Clone, Copy, PartialEq, Debug)]
-pub struct RegionalPartition {
-    regions: u64,
-    start: u64,
-    duration: u64,
-    sever: f64,
-    base: f64,
-}
-
-impl RegionalPartition {
-    /// Creates a partition of `regions` regions severed at rate `sever`
-    /// during rounds `[start, start + duration)`, over a `base` uniform
-    /// rate.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LossRateError`] for `sever` or `base` outside `[0, 1]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `regions < 2` (a one-region partition severs nothing).
-    pub fn new(
-        regions: u64,
-        start: u64,
-        duration: u64,
-        sever: f64,
-        base: f64,
-    ) -> Result<Self, LossRateError> {
-        assert!(regions >= 2, "a partition needs at least two regions");
-        Ok(Self { regions, start, duration, sever: check_rate(sever)?, base: check_rate(base)? })
-    }
-
-    /// The region of a node.
-    #[must_use]
-    pub fn region_of(&self, node: NodeId) -> u64 {
-        node.as_u64() % self.regions
-    }
-
-    /// Whether the partition window covers `round`.
-    #[must_use]
-    pub fn active_in(&self, round: u64) -> bool {
-        round >= self.start && round - self.start < self.duration
-    }
-}
-
-impl FaultModel for RegionalPartition {
-    fn drops<R: Rng + ?Sized>(&mut self, ctx: FaultCtx, rng: &mut R) -> bool {
-        let rate =
-            if self.active_in(ctx.round) && self.region_of(ctx.from) != self.region_of(ctx.to) {
-                self.sever
-            } else {
-                self.base
-            };
-        rate > 0.0 && rng.gen_bool(rate)
-    }
-
-    fn average_rate(&self) -> f64 {
-        // The healed (open-ended) regime.
-        self.base
-    }
-}
-
-/// Spatially correlated loss: every *directed link* has a persistent
-/// quality, drawn once from a hash of `(salt, from, to)`. A `bad_fraction`
-/// of links loses at `bad_rate`; the rest at `good_rate`.
-///
-/// Unlike [`GilbertElliott`] (temporal correlation on a sender's channel),
-/// the correlation here is spatial and permanent — the same pair of nodes
-/// always sees the same link quality, independent of evaluation order,
-/// which keeps the par engine thread-count-independent.
-#[derive(Clone, Copy, PartialEq, Debug)]
-pub struct PerLinkLoss {
-    salt: u64,
-    bad_fraction: f64,
-    good_rate: f64,
-    bad_rate: f64,
-}
-
-impl PerLinkLoss {
-    /// Creates a per-link model; `salt` decorrelates the link map across
-    /// replicates (pass the replicate seed).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LossRateError`] for any probability outside `[0, 1]`.
-    pub fn new(
-        salt: u64,
-        bad_fraction: f64,
-        good_rate: f64,
-        bad_rate: f64,
-    ) -> Result<Self, LossRateError> {
-        Ok(Self {
-            salt,
-            bad_fraction: check_rate(bad_fraction)?,
-            good_rate: check_rate(good_rate)?,
-            bad_rate: check_rate(bad_rate)?,
-        })
-    }
-
-    /// Whether the directed link `from → to` is a bad one.
-    #[must_use]
-    pub fn link_is_bad(&self, from: NodeId, to: NodeId) -> bool {
-        let words = [self.salt, from.as_u64(), to.as_u64()];
-        hash_fraction(fnv1a64(words.into_iter().flat_map(u64::to_le_bytes))) < self.bad_fraction
-    }
-}
-
-impl FaultModel for PerLinkLoss {
-    fn drops<R: Rng + ?Sized>(&mut self, ctx: FaultCtx, rng: &mut R) -> bool {
-        let rate = if self.link_is_bad(ctx.from, ctx.to) { self.bad_rate } else { self.good_rate };
-        rate > 0.0 && rng.gen_bool(rate)
-    }
-
-    fn average_rate(&self) -> f64 {
-        self.bad_fraction * self.bad_rate + (1.0 - self.bad_fraction) * self.good_rate
-    }
-}
-
-/// Heterogeneous node capacities: a `slow_fraction` of nodes (chosen by a
-/// hash of `(salt, id)`) initiates only every `period`-th round, at a
-/// per-node phase offset so the slow cohort doesn't fire in lockstep.
-/// Messages additionally see a `base` uniform loss rate.
-///
-/// This faults the paper's *round* assumption itself — Section 6.5 defines
-/// a round as every node initiating once — rather than the message
-/// channel: slow nodes still receive at full speed, so their indegree
-/// keeps growing while their outdegree refresh slows down.
-#[derive(Clone, Copy, PartialEq, Debug)]
-pub struct NodeCapacity {
-    salt: u64,
-    slow_fraction: f64,
-    period: u64,
-    base: f64,
-}
-
-impl NodeCapacity {
-    /// Creates a capacity model: a `slow_fraction` of nodes acts once per
-    /// `period` rounds, over a `base` uniform loss rate.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LossRateError`] for `slow_fraction` or `base` outside
-    /// `[0, 1]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `period < 2` (slow nodes with period 1 are not slow).
-    pub fn new(
-        salt: u64,
-        slow_fraction: f64,
-        period: u64,
-        base: f64,
-    ) -> Result<Self, LossRateError> {
-        assert!(period >= 2, "capacity period must be at least 2");
-        Ok(Self {
-            salt,
-            slow_fraction: check_rate(slow_fraction)?,
-            period,
-            base: check_rate(base)?,
-        })
-    }
-
-    /// Whether `node` belongs to the slow cohort.
-    #[must_use]
-    pub fn is_slow(&self, node: NodeId) -> bool {
-        let words = [self.salt, node.as_u64()];
-        hash_fraction(fnv1a64(words.into_iter().flat_map(u64::to_le_bytes))) < self.slow_fraction
-    }
-}
-
-impl FaultModel for NodeCapacity {
-    fn drops<R: Rng + ?Sized>(&mut self, ctx: FaultCtx, rng: &mut R) -> bool {
-        let _ = ctx;
-        self.base > 0.0 && rng.gen_bool(self.base)
-    }
-
-    fn node_acts(&self, node: NodeId, round: u64) -> bool {
-        if !self.is_slow(node) {
-            return true;
-        }
-        // A per-node phase offset, so slow nodes don't all act in the same
-        // round.
-        let words = [self.salt, node.as_u64(), 1];
-        let phase = fnv1a64(words.into_iter().flat_map(u64::to_le_bytes)) % self.period;
-        round % self.period == phase
-    }
-
-    fn average_rate(&self) -> f64 {
-        self.base
-    }
-}
-
-/// Targeted inbound loss on an explicit victim set, over a `base` rate.
-///
-/// The scenario harness aims this at the overlay's highest-indegree nodes
-/// — the hubs whose loss the degree-MC prediction is least equipped to
-/// absorb; `repro loss_ablation` aims it at one badly connected peer
-/// (the spatial flavor of the nonuniform loss Section 4.1 leaves out of the
-/// analysis, complementing the temporal [`GilbertElliott`]). The victim
-/// set is a sorted slab checked by binary search and replaceable wholesale
-/// mid-run via [`set_victims`](Self::set_victims) — the shape the engines'
-/// `update_fault` hook needs.
-#[derive(Clone, PartialEq, Debug)]
-pub struct VictimLoss {
-    /// Sorted, deduplicated victim ids.
-    victims: Vec<NodeId>,
-    victim_rate: f64,
-    base: f64,
-}
-
-impl VictimLoss {
-    /// Creates a targeted model with an empty victim set.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LossRateError`] for a rate outside `[0, 1]`.
-    pub fn new(victim_rate: f64, base: f64) -> Result<Self, LossRateError> {
-        Ok(Self {
-            victims: Vec::new(),
-            victim_rate: check_rate(victim_rate)?,
-            base: check_rate(base)?,
-        })
-    }
-
-    /// Replaces the victim set (sorted and deduplicated internally, so the
-    /// caller's ordering does not affect determinism).
-    pub fn set_victims(&mut self, victims: &[NodeId]) {
-        self.victims = victims.to_vec();
-        self.victims.sort_unstable();
-        self.victims.dedup();
-    }
-
-    /// The current victim set, sorted.
-    #[must_use]
-    pub fn victims(&self) -> &[NodeId] {
-        &self.victims
-    }
-
-    /// Whether messages to `node` see the victim rate.
-    #[must_use]
-    pub fn is_victim(&self, node: NodeId) -> bool {
-        self.victims.binary_search(&node).is_ok()
-    }
-}
-
-impl FaultModel for VictimLoss {
-    fn drops<R: Rng + ?Sized>(&mut self, ctx: FaultCtx, rng: &mut R) -> bool {
-        let rate = if self.is_victim(ctx.to) { self.victim_rate } else { self.base };
-        rate > 0.0 && rng.gen_bool(rate)
-    }
-
-    fn average_rate(&self) -> f64 {
-        self.base
-    }
-}
-
-/// One phase's fault model — the closed sum of every model a scenario
-/// phase can name, so a compiled schedule is a plain `Clone + Send` value
-/// usable as any engine's `L` parameter.
+/// [`parse_phase`](Self::parse_phase) returns a model placed at rounds
+/// `[0, rounds)` with its written salt; [`placed`](Self::placed) moves it
+/// into a schedule, and [`aim`](Self::aim) points a `victims` model at the
+/// overlay's hubs. A value built directly is not validated until
+/// [`check`](Self::check) or [`ScheduledFault::new`] runs.
 #[derive(Clone, PartialEq, Debug)]
 pub enum PhaseFault {
-    /// Uniform i.i.d. loss (the paper's model).
+    /// `uniform <rate>` — i.i.d. loss (the paper's model).
     Uniform(UniformLoss),
-    /// Bursty per-sender loss.
+    /// `bursty <to_bad> <to_good> <loss_good> <loss_bad>` — Gilbert–Elliott
+    /// bursty per-sender loss.
     Bursty(GilbertElliott),
-    /// Regional partition-then-heal.
-    Partition(RegionalPartition),
-    /// Persistent per-link loss.
-    PerLink(PerLinkLoss),
-    /// Heterogeneous node capacities.
-    Capacity(NodeCapacity),
-    /// Targeted inbound loss on a victim set.
-    Victims(VictimLoss),
-}
-
-impl FaultModel for PhaseFault {
-    fn drops<R: Rng + ?Sized>(&mut self, ctx: FaultCtx, rng: &mut R) -> bool {
-        match self {
-            Self::Uniform(m) => m.drops(ctx, rng),
-            Self::Bursty(m) => m.drops(ctx, rng),
-            Self::Partition(m) => m.drops(ctx, rng),
-            Self::PerLink(m) => m.drops(ctx, rng),
-            Self::Capacity(m) => m.drops(ctx, rng),
-            Self::Victims(m) => m.drops(ctx, rng),
-        }
-    }
-
-    fn node_acts(&self, node: NodeId, round: u64) -> bool {
-        match self {
-            Self::Capacity(m) => m.node_acts(node, round),
-            _ => true,
-        }
-    }
-
-    fn average_rate(&self) -> f64 {
-        match self {
-            Self::Uniform(m) => FaultModel::average_rate(m),
-            Self::Bursty(m) => FaultModel::average_rate(m),
-            Self::Partition(m) => m.average_rate(),
-            Self::PerLink(m) => m.average_rate(),
-            Self::Capacity(m) => m.average_rate(),
-            Self::Victims(m) => m.average_rate(),
-        }
-    }
-}
-
-/// A round-indexed schedule of [`PhaseFault`]s — the compiled form of a
-/// declarative scenario: phase `i` governs rounds
-/// `[end[i-1], end[i])`, and the last phase is open-ended.
-///
-/// The schedule itself is a [`FaultModel`], so it plugs into any engine
-/// unchanged; per-message dispatch is a linear scan over a handful of
-/// phases.
-#[derive(Clone, PartialEq, Debug)]
-pub struct ScheduledFault {
-    /// `(end_round_exclusive, fault)`, with strictly increasing ends; the
-    /// final entry's end is ignored (open-ended).
-    phases: Vec<(u64, PhaseFault)>,
-}
-
-impl ScheduledFault {
-    /// Builds a schedule from `(end_round_exclusive, fault)` phases.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `phases` is empty or the ends are not strictly
-    /// increasing.
-    #[must_use]
-    pub fn new(phases: Vec<(u64, PhaseFault)>) -> Self {
-        assert!(!phases.is_empty(), "a schedule needs at least one phase");
-        assert!(
-            phases.windows(2).all(|w| w[0].0 < w[1].0),
-            "phase end rounds must be strictly increasing"
-        );
-        Self { phases }
-    }
-
-    /// A single-phase schedule.
-    #[must_use]
-    pub fn constant(fault: PhaseFault) -> Self {
-        Self { phases: vec![(u64::MAX, fault)] }
-    }
-
-    /// The phase index governing `round` (the last phase is open-ended).
-    #[must_use]
-    pub fn phase_index(&self, round: u64) -> usize {
-        self.phases.iter().position(|&(end, _)| round < end).unwrap_or(self.phases.len() - 1)
-    }
-
-    /// The phases as `(end_round_exclusive, fault)` slices.
-    #[must_use]
-    pub fn phases(&self) -> &[(u64, PhaseFault)] {
-        &self.phases
-    }
-
-    /// Mutable access to one phase's fault (e.g. to aim a
-    /// [`VictimLoss`] mid-run).
-    pub fn phase_mut(&mut self, index: usize) -> &mut PhaseFault {
-        &mut self.phases[index].1
-    }
-
-    /// The long-run loss rate at `round` — the governing phase's rate.
-    #[must_use]
-    pub fn rate_at(&self, round: u64) -> f64 {
-        self.phases[self.phase_index(round)].1.average_rate()
-    }
-}
-
-impl FaultModel for ScheduledFault {
-    fn drops<R: Rng + ?Sized>(&mut self, ctx: FaultCtx, rng: &mut R) -> bool {
-        let idx = self.phase_index(ctx.round);
-        self.phases[idx].1.drops(ctx, rng)
-    }
-
-    fn node_acts(&self, node: NodeId, round: u64) -> bool {
-        self.phases[self.phase_index(round)].1.node_acts(node, round)
-    }
-
-    fn average_rate(&self) -> f64 {
-        // The open-ended final regime, matching RegionalPartition's
-        // convention.
-        self.phases.last().expect("schedule is nonempty").1.average_rate()
-    }
-}
-
-/// One fault model as written in the [fault grammar](self#the-fault-grammar)
-/// — engine-independent; compiled to a [`PhaseFault`] for a concrete round
-/// window by [`build`](Self::build).
-#[derive(Clone, Copy, PartialEq, Debug)]
-pub enum FaultSpec {
-    /// `uniform <rate>` — i.i.d. loss.
-    Uniform {
-        /// Loss rate in `[0, 1]`.
-        rate: f64,
-    },
-    /// `bursty <to_bad> <to_good> <loss_good> <loss_bad>` — Gilbert–Elliott.
-    Bursty {
-        /// Good→bad transition probability.
-        to_bad: f64,
-        /// Bad→good transition probability.
-        to_good: f64,
-        /// Loss rate in the good state.
-        loss_good: f64,
-        /// Loss rate in the bad state.
-        loss_bad: f64,
-    },
-    /// `partition <regions> <sever> <base>` — regional partition for the
-    /// phase's window, healing when the phase ends.
+    /// `partition <regions> <sever> <base>` — the overlay splits into
+    /// `regions` regions by id (`id mod regions`; the in-repo topologies
+    /// assign contiguous ids, so regions are balanced). During rounds
+    /// `[start, start + duration)` every cross-region message is lost with
+    /// probability `sever` (1.0 = a hard partition); within a region — and
+    /// in every round outside the window — messages see the `base` rate.
+    /// Losses are perfectly correlated with overlay structure for the whole
+    /// window, the classic failure the paper's i.i.d. assumption excludes.
     Partition {
-        /// Number of regions (`id % regions`).
+        /// Number of regions (at least 2).
         regions: u64,
-        /// Cross-region loss rate during the window (1 = hard partition).
+        /// First round of the window.
+        start: u64,
+        /// Rounds the window lasts.
+        duration: u64,
+        /// Cross-region loss rate during the window.
         sever: f64,
         /// In-region (and post-heal) loss rate.
         base: f64,
     },
-    /// `perlink <salt> <bad_fraction> <good_rate> <bad_rate>` — persistent
-    /// per-link quality.
+    /// `perlink <salt> <bad_fraction> <good_rate> <bad_rate>` — spatially
+    /// correlated loss: every *directed link* has a persistent quality,
+    /// drawn once from a hash of `(salt, from, to)`; a `bad_fraction` of
+    /// links loses at `bad_rate`, the rest at `good_rate`. Unlike `bursty`
+    /// (temporal correlation on a sender's channel) the correlation is
+    /// spatial and permanent.
     PerLink {
-        /// Link-map salt (XORed with the replicate salt).
+        /// Link-map salt ([`placed`](PhaseFault::placed) XORs in the
+        /// replicate salt).
         salt: u64,
         /// Fraction of directed links that are bad.
         bad_fraction: f64,
@@ -597,27 +190,85 @@ pub enum FaultSpec {
         bad_rate: f64,
     },
     /// `capacity <salt> <slow_fraction> <period> <base>` — heterogeneous
-    /// node capacities.
+    /// node capacities: a `slow_fraction` of nodes (chosen by a hash of
+    /// `(salt, id)`) initiates only every `period`-th round, at a per-node
+    /// phase offset so the slow cohort doesn't fire in lockstep; messages
+    /// see a `base` uniform rate. This faults the paper's *round*
+    /// assumption itself (Section 6.5: every node initiates once per
+    /// round): slow nodes still receive at full speed, so their indegree
+    /// keeps growing while their outdegree refresh slows down.
     Capacity {
-        /// Cohort salt (XORed with the replicate salt).
+        /// Cohort salt ([`placed`](PhaseFault::placed) XORs in the
+        /// replicate salt).
         salt: u64,
         /// Fraction of nodes in the slow cohort.
         slow_fraction: f64,
-        /// Slow nodes act once per this many rounds.
+        /// Slow nodes act once per this many rounds (at least 2).
         period: u64,
         /// Uniform loss rate underneath.
         base: f64,
     },
     /// `victims <count> <victim_rate> <base>` — targeted inbound loss on
-    /// the `count` highest-indegree nodes, measured at phase start.
+    /// the `count` highest-indegree nodes, aimed at phase start (the hubs
+    /// whose loss the degree-MC prediction is least equipped to absorb;
+    /// `repro loss_ablation` aims it at one badly connected peer instead).
     Victims {
-        /// Number of top-indegree victims.
+        /// Number of top-indegree victims (at least 1).
         count: usize,
         /// Inbound loss rate at a victim.
         victim_rate: f64,
         /// Loss rate everywhere else.
         base: f64,
+        /// The aimed victims, sorted and deduplicated for binary search
+        /// ([`aim`](PhaseFault::aim) keeps them so); empty until aimed.
+        victims: Vec<NodeId>,
     },
+}
+
+impl FaultModel for PhaseFault {
+    fn drops<R: Rng + ?Sized>(&mut self, ctx: FaultCtx, rng: &mut R) -> bool {
+        let (from, to) = (ctx.from.as_u64(), ctx.to.as_u64());
+        let rate = match self {
+            Self::Uniform(m) => return m.is_lost(rng),
+            Self::Bursty(m) => return m.is_lost(rng),
+            &mut Self::Partition { regions, start, duration, sever, base } => {
+                let active = ctx.round >= start && ctx.round - start < duration;
+                if active && from % regions != to % regions {
+                    sever
+                } else {
+                    base
+                }
+            }
+            &mut Self::PerLink { salt, bad_fraction, good_rate, bad_rate } => {
+                if hash_fraction(word_hash(&[salt, from, to])) < bad_fraction {
+                    bad_rate
+                } else {
+                    good_rate
+                }
+            }
+            Self::Capacity { base, .. } => *base,
+            Self::Victims { victims, victim_rate, base, .. } => {
+                if victims.binary_search(&ctx.to).is_ok() {
+                    *victim_rate
+                } else {
+                    *base
+                }
+            }
+        };
+        rate > 0.0 && rng.gen_bool(rate)
+    }
+
+    fn node_acts(&self, node: NodeId, round: u64) -> bool {
+        let &Self::Capacity { salt, slow_fraction, period, .. } = self else {
+            return true;
+        };
+        if hash_fraction(word_hash(&[salt, node.as_u64()])) >= slow_fraction {
+            return true;
+        }
+        // A per-node phase offset, so slow nodes don't all act in the same
+        // round.
+        round % period == word_hash(&[salt, node.as_u64(), 1]) % period
+    }
 }
 
 /// Parses one numeric word of a spec line, naming the directive and the
@@ -647,18 +298,10 @@ pub fn expect_args(directive: &str, usage: &str, args: &[&str], want: usize) -> 
     Ok(())
 }
 
-fn parse_rate(directive: &str, what: &str, token: &str) -> Result<f64, String> {
-    let value: f64 = parse_num(directive, what, token)?;
-    if !(0.0..=1.0).contains(&value) {
-        return Err(format!("`{directive}` {what} {value} is outside [0, 1]"));
-    }
-    Ok(value)
-}
-
-impl FaultSpec {
+impl PhaseFault {
     /// Parses the words after `phase` — `<rounds> <model> <args...>` — into
-    /// the phase's duration and fault model (see the
-    /// [grammar](self#the-fault-grammar)).
+    /// the phase's duration and its model over rounds `[0, rounds)` (see
+    /// the [grammar](self#the-fault-grammar)).
     ///
     /// # Errors
     ///
@@ -674,110 +317,151 @@ impl FaultSpec {
         if rounds == 0 {
             return Err("`phase` must last at least 1 round".into());
         }
-        Ok((rounds, Self::parse(words[1], &words[2..])?))
+        let fault = Self::parse(words[1], &words[2..], rounds as u64)?;
+        fault.check()?;
+        Ok((rounds, fault))
     }
 
-    /// The one place a fault keyword becomes a model.
-    fn parse(kind: &str, args: &[&str]) -> Result<Self, String> {
-        match kind {
-            "uniform" => {
-                expect_args("phase … uniform", "uniform <rate>", args, 1)?;
-                Ok(Self::Uniform { rate: parse_rate("uniform", "rate", args[0])? })
+    /// The one place a fault keyword becomes a model (validated by the
+    /// caller).
+    fn parse(kind: &str, args: &[&str], duration: u64) -> Result<Self, String> {
+        let usage = match kind {
+            "uniform" => "uniform <rate>",
+            "bursty" => "bursty <to_bad> <to_good> <loss_good> <loss_bad>",
+            "partition" => "partition <regions> <sever> <base>",
+            "perlink" => "perlink <salt> <bad_fraction> <good_rate> <bad_rate>",
+            "capacity" => "capacity <salt> <slow_fraction> <period> <base>",
+            "victims" => "victims <count> <victim_rate> <base>",
+            other => {
+                return Err(format!(
+                    "unknown fault model {other:?} — expected one of \
+                     uniform, bursty, partition, perlink, capacity, victims"
+                ))
             }
-            "bursty" => {
-                expect_args(
-                    "phase … bursty",
-                    "bursty <to_bad> <to_good> <loss_good> <loss_bad>",
-                    args,
-                    4,
-                )?;
-                let to_bad = parse_rate("bursty", "to_bad", args[0])?;
-                let to_good = parse_rate("bursty", "to_good", args[1])?;
-                if to_bad + to_good <= 0.0 {
-                    return Err("`bursty` needs to_bad + to_good > 0 \
-                                (a dead channel has no stationary state)"
-                        .into());
-                }
-                Ok(Self::Bursty {
-                    to_bad,
-                    to_good,
-                    loss_good: parse_rate("bursty", "loss_good", args[2])?,
-                    loss_bad: parse_rate("bursty", "loss_bad", args[3])?,
-                })
-            }
-            "partition" => {
-                expect_args("phase … partition", "partition <regions> <sever> <base>", args, 3)?;
-                let regions: u64 = parse_num("partition", "an integer region count", args[0])?;
-                if regions < 2 {
-                    return Err(format!("`partition` needs at least 2 regions, got {regions}"));
-                }
-                Ok(Self::Partition {
-                    regions,
-                    sever: parse_rate("partition", "sever rate", args[1])?,
-                    base: parse_rate("partition", "base rate", args[2])?,
-                })
-            }
-            "perlink" => {
-                expect_args(
-                    "phase … perlink",
-                    "perlink <salt> <bad_fraction> <good_rate> <bad_rate>",
-                    args,
-                    4,
-                )?;
-                Ok(Self::PerLink {
-                    salt: parse_num("perlink", "an integer salt", args[0])?,
-                    bad_fraction: parse_rate("perlink", "bad_fraction", args[1])?,
-                    good_rate: parse_rate("perlink", "good_rate", args[2])?,
-                    bad_rate: parse_rate("perlink", "bad_rate", args[3])?,
-                })
-            }
-            "capacity" => {
-                expect_args(
-                    "phase … capacity",
-                    "capacity <salt> <slow_fraction> <period> <base>",
-                    args,
-                    4,
-                )?;
-                let period: u64 = parse_num("capacity", "an integer period", args[2])?;
-                if period < 2 {
-                    return Err(format!("`capacity` period must be ≥ 2, got {period}"));
-                }
-                Ok(Self::Capacity {
-                    salt: parse_num("capacity", "an integer salt", args[0])?,
-                    slow_fraction: parse_rate("capacity", "slow_fraction", args[1])?,
-                    period,
-                    base: parse_rate("capacity", "base rate", args[3])?,
-                })
-            }
-            "victims" => {
-                expect_args("phase … victims", "victims <count> <victim_rate> <base>", args, 3)?;
-                let count: usize = parse_num("victims", "an integer victim count", args[0])?;
-                if count == 0 {
-                    return Err("`victims` needs at least one victim".into());
-                }
-                Ok(Self::Victims {
-                    count,
-                    victim_rate: parse_rate("victims", "victim_rate", args[1])?,
-                    base: parse_rate("victims", "base rate", args[2])?,
-                })
-            }
-            other => Err(format!(
-                "unknown fault model {other:?} — expected one of \
-                 uniform, bursty, partition, perlink, capacity, victims"
+        };
+        expect_args(&format!("phase … {kind}"), usage, args, usage.split(' ').count() - 1)?;
+        let rate = |i: usize, what: &str| parse_num::<f64>(kind, what, args[i]);
+        Ok(match kind {
+            "uniform" => Self::Uniform(UniformLoss { rate: rate(0, "rate")? }),
+            "bursty" => Self::Bursty(GilbertElliott::unchecked(
+                rate(0, "to_bad")?,
+                rate(1, "to_good")?,
+                rate(2, "loss_good")?,
+                rate(3, "loss_bad")?,
             )),
+            "partition" => Self::Partition {
+                regions: parse_num(kind, "an integer region count", args[0])?,
+                start: 0,
+                duration,
+                sever: rate(1, "sever rate")?,
+                base: rate(2, "base rate")?,
+            },
+            "perlink" => Self::PerLink {
+                salt: parse_num(kind, "an integer salt", args[0])?,
+                bad_fraction: rate(1, "bad_fraction")?,
+                good_rate: rate(2, "good_rate")?,
+                bad_rate: rate(3, "bad_rate")?,
+            },
+            "capacity" => Self::Capacity {
+                salt: parse_num(kind, "an integer salt", args[0])?,
+                slow_fraction: rate(1, "slow_fraction")?,
+                period: parse_num(kind, "an integer period", args[2])?,
+                base: rate(3, "base rate")?,
+            },
+            _ => Self::Victims {
+                count: parse_num(kind, "an integer victim count", args[0])?,
+                victim_rate: rate(1, "victim_rate")?,
+                base: rate(2, "base rate")?,
+                victims: Vec::new(),
+            },
+        })
+    }
+
+    /// Validates the model's arguments: every rate in `[0, 1]`, plus the
+    /// model's own rule (a live bursty chain, at least two regions, a slow
+    /// period of at least 2, at least one victim). The parser and
+    /// [`ScheduledFault::new`] both run it.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first violation, worded as the grammar's rejection.
+    pub fn check(&self) -> Result<(), String> {
+        let (rates, rule): (Vec<(&str, f64)>, Option<String>) = match *self {
+            Self::Uniform(m) => (vec![("rate", m.rate)], None),
+            Self::Bursty(m) => (
+                vec![
+                    ("to_bad", m.to_bad),
+                    ("to_good", m.to_good),
+                    ("loss_good", m.loss_good),
+                    ("loss_bad", m.loss_bad),
+                ],
+                (m.to_bad + m.to_good <= 0.0).then(|| {
+                    "`bursty` needs to_bad + to_good > 0 \
+                     (a dead channel has no stationary state)"
+                        .to_string()
+                }),
+            ),
+            Self::Partition { regions, sever, base, .. } => (
+                vec![("sever rate", sever), ("base rate", base)],
+                (regions < 2)
+                    .then(|| format!("`partition` needs at least 2 regions, got {regions}")),
+            ),
+            Self::PerLink { bad_fraction, good_rate, bad_rate, .. } => (
+                vec![
+                    ("bad_fraction", bad_fraction),
+                    ("good_rate", good_rate),
+                    ("bad_rate", bad_rate),
+                ],
+                None,
+            ),
+            Self::Capacity { slow_fraction, period, base, .. } => (
+                vec![("slow_fraction", slow_fraction), ("base rate", base)],
+                (period < 2).then(|| format!("`capacity` period must be ≥ 2, got {period}")),
+            ),
+            Self::Victims { count, victim_rate, base, .. } => (
+                vec![("victim_rate", victim_rate), ("base rate", base)],
+                (count == 0).then(|| "`victims` needs at least one victim".to_string()),
+            ),
+        };
+        if let Some((what, value)) = rates.into_iter().find(|(_, v)| !(0.0..=1.0).contains(v)) {
+            return Err(format!("`{}` {what} {value} is outside [0, 1]", self.kind()));
         }
+        rule.map_or(Ok(()), Err)
     }
 
     /// The spec keyword naming this model.
     #[must_use]
     pub fn kind(&self) -> &'static str {
         match self {
-            Self::Uniform { .. } => "uniform",
-            Self::Bursty { .. } => "bursty",
+            Self::Uniform(_) => "uniform",
+            Self::Bursty(_) => "bursty",
             Self::Partition { .. } => "partition",
             Self::PerLink { .. } => "perlink",
             Self::Capacity { .. } => "capacity",
             Self::Victims { .. } => "victims",
+        }
+    }
+
+    /// The model placed into a schedule: a partition's window starts at
+    /// round `start`, and `salt` (XORed into the written salt)
+    /// decorrelates hash-derived link maps and cohorts across replicates.
+    #[must_use]
+    pub fn placed(mut self, start: u64, salt: u64) -> Self {
+        match &mut self {
+            Self::Partition { start: s, .. } => *s = start,
+            Self::PerLink { salt: s, .. } | Self::Capacity { salt: s, .. } => *s ^= salt,
+            _ => {}
+        }
+        self
+    }
+
+    /// Aims a `victims` model at `hubs` (sorted and deduplicated, so the
+    /// caller's order cannot matter); every other model ignores it.
+    pub fn aim(&mut self, hubs: &[NodeId]) {
+        if let Self::Victims { victims, .. } = self {
+            *victims = hubs.to_vec();
+            victims.sort_unstable();
+            victims.dedup();
         }
     }
 
@@ -790,12 +474,12 @@ impl FaultSpec {
     #[must_use]
     pub fn effective_rate(&self, n: usize) -> f64 {
         match *self {
-            Self::Uniform { rate } => rate,
-            Self::Bursty { to_bad, to_good, loss_good, loss_bad } => {
-                let p_bad = to_bad / (to_bad + to_good);
-                p_bad * loss_bad + (1.0 - p_bad) * loss_good
+            Self::Uniform(m) => m.rate,
+            Self::Bursty(m) => {
+                let p_bad = m.to_bad / (m.to_bad + m.to_good);
+                p_bad * m.loss_bad + (1.0 - p_bad) * m.loss_good
             }
-            Self::Partition { regions, sever, base } => {
+            Self::Partition { regions, sever, base, .. } => {
                 let cross = (regions - 1) as f64 / regions as f64;
                 cross * sever + (1.0 - cross) * base
             }
@@ -803,57 +487,25 @@ impl FaultSpec {
                 bad_fraction * bad_rate + (1.0 - bad_fraction) * good_rate
             }
             Self::Capacity { base, .. } => base,
-            Self::Victims { count, victim_rate, base } => {
+            Self::Victims { count, victim_rate, base, .. } => {
                 let f = (count as f64 / n as f64).min(1.0);
                 f * victim_rate + (1.0 - f) * base
             }
         }
     }
-
-    /// Compiles the spec into a [`PhaseFault`] for the window
-    /// `[start, start + duration)`. `salt` decorrelates hash-derived link
-    /// maps and cohorts across replicates. A `victims` model starts with an
-    /// empty victim set; the caller aims it
-    /// ([`VictimLoss::set_victims`]) at the overlay's current hubs.
-    #[must_use]
-    pub fn build(&self, start: u64, duration: u64, salt: u64) -> PhaseFault {
-        match *self {
-            Self::Uniform { rate } => {
-                PhaseFault::Uniform(UniformLoss::new(rate).expect("validated at parse time"))
-            }
-            Self::Bursty { to_bad, to_good, loss_good, loss_bad } => PhaseFault::Bursty(
-                GilbertElliott::new(to_bad, to_good, loss_good, loss_bad)
-                    .expect("validated at parse time"),
-            ),
-            Self::Partition { regions, sever, base } => PhaseFault::Partition(
-                RegionalPartition::new(regions, start, duration, sever, base)
-                    .expect("validated at parse time"),
-            ),
-            Self::PerLink { salt: s, bad_fraction, good_rate, bad_rate } => PhaseFault::PerLink(
-                PerLinkLoss::new(s ^ salt, bad_fraction, good_rate, bad_rate)
-                    .expect("validated at parse time"),
-            ),
-            Self::Capacity { salt: s, slow_fraction, period, base } => PhaseFault::Capacity(
-                NodeCapacity::new(s ^ salt, slow_fraction, period, base)
-                    .expect("validated at parse time"),
-            ),
-            Self::Victims { victim_rate, base, .. } => PhaseFault::Victims(
-                VictimLoss::new(victim_rate, base).expect("validated at parse time"),
-            ),
-        }
-    }
 }
 
-impl std::fmt::Display for FaultSpec {
+impl std::fmt::Display for PhaseFault {
     /// The canonical printing, `<model> <args...>`: prefixed with
-    /// `phase <rounds> `, it parses back to `self`.
+    /// `phase <rounds> `, it parses back to `self` (as parsed; a placed
+    /// model prints its mixed salt).
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match *self {
-            Self::Uniform { rate } => write!(f, "uniform {rate}"),
-            Self::Bursty { to_bad, to_good, loss_good, loss_bad } => {
-                write!(f, "bursty {to_bad} {to_good} {loss_good} {loss_bad}")
+            Self::Uniform(m) => write!(f, "uniform {}", m.rate),
+            Self::Bursty(m) => {
+                write!(f, "bursty {} {} {} {}", m.to_bad, m.to_good, m.loss_good, m.loss_bad)
             }
-            Self::Partition { regions, sever, base } => {
+            Self::Partition { regions, sever, base, .. } => {
                 write!(f, "partition {regions} {sever} {base}")
             }
             Self::PerLink { salt, bad_fraction, good_rate, bad_rate } => {
@@ -862,15 +514,87 @@ impl std::fmt::Display for FaultSpec {
             Self::Capacity { salt, slow_fraction, period, base } => {
                 write!(f, "capacity {salt} {slow_fraction} {period} {base}")
             }
-            Self::Victims { count, victim_rate, base } => {
+            Self::Victims { count, victim_rate, base, .. } => {
                 write!(f, "victims {count} {victim_rate} {base}")
             }
         }
     }
 }
 
+/// A round-indexed schedule of [`PhaseFault`]s — the compiled form of a
+/// declarative scenario: phase `i` governs rounds
+/// `[end[i-1], end[i])`, and the last phase is open-ended.
+///
+/// The schedule itself is a [`FaultModel`], so it plugs into any engine
+/// unchanged; per-message dispatch is a linear scan over a handful of
+/// phases.
+#[derive(Clone, PartialEq, Debug)]
+pub struct ScheduledFault {
+    /// `(end_round_exclusive, fault)`, with strictly increasing ends; the
+    /// final entry's end is ignored (open-ended).
+    phases: Vec<(u64, PhaseFault)>,
+}
+
+impl ScheduledFault {
+    /// Builds a schedule from `(end_round_exclusive, fault)` phases.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `phases` is empty, the ends are not strictly increasing,
+    /// or a phase fails [`PhaseFault::check`] (with its message).
+    #[must_use]
+    pub fn new(phases: Vec<(u64, PhaseFault)>) -> Self {
+        assert!(!phases.is_empty(), "a schedule needs at least one phase");
+        assert!(
+            phases.windows(2).all(|w| w[0].0 < w[1].0),
+            "phase end rounds must be strictly increasing"
+        );
+        for (_, fault) in &phases {
+            if let Err(rejection) = fault.check() {
+                panic!("{rejection}");
+            }
+        }
+        Self { phases }
+    }
+
+    /// A single-phase schedule.
+    #[must_use]
+    pub fn constant(fault: PhaseFault) -> Self {
+        Self::new(vec![(u64::MAX, fault)])
+    }
+
+    /// The phase index governing `round` (the last phase is open-ended).
+    #[must_use]
+    pub fn phase_index(&self, round: u64) -> usize {
+        self.phases.iter().position(|&(end, _)| round < end).unwrap_or(self.phases.len() - 1)
+    }
+
+    /// The phases as `(end_round_exclusive, fault)` slices.
+    #[must_use]
+    pub fn phases(&self) -> &[(u64, PhaseFault)] {
+        &self.phases
+    }
+
+    /// Mutable access to one phase's fault (e.g. to [`aim`](PhaseFault::aim)
+    /// a `victims` phase mid-run).
+    pub fn phase_mut(&mut self, index: usize) -> &mut PhaseFault {
+        &mut self.phases[index].1
+    }
+}
+
+impl FaultModel for ScheduledFault {
+    fn drops<R: Rng + ?Sized>(&mut self, ctx: FaultCtx, rng: &mut R) -> bool {
+        let idx = self.phase_index(ctx.round);
+        self.phases[idx].1.drops(ctx, rng)
+    }
+
+    fn node_acts(&self, node: NodeId, round: u64) -> bool {
+        self.phases[self.phase_index(round)].1.node_acts(node, round)
+    }
+}
+
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -878,6 +602,32 @@ mod tests {
 
     fn ctx(from: u64, to: u64, round: u64) -> FaultCtx {
         FaultCtx { from: NodeId::new(from), to: NodeId::new(to), round }
+    }
+
+    /// The hashed `[0, 1)` fraction a per-link or per-node model compares
+    /// against its configured fraction.
+    fn fraction_of(words: &[u64]) -> f64 {
+        hash_fraction(word_hash(words))
+    }
+
+    fn parsed(line: &str) -> (usize, PhaseFault) {
+        let words: Vec<&str> = line.split_whitespace().collect();
+        PhaseFault::parse_phase(&words).expect("legal phase")
+    }
+
+    /// The schedule both engines' scheduled-fault tests replay: eight rounds
+    /// each of `uniform`, `partition`, `capacity` and `perlink`, then
+    /// `victims` aimed at ids 1 and 2 for good.
+    pub(crate) fn mixed_schedule() -> ScheduledFault {
+        let mut victims = parsed("1 victims 2 0.9 0.01").1;
+        victims.aim(&[NodeId::new(1), NodeId::new(2)]);
+        ScheduledFault::new(vec![
+            (8, parsed("8 uniform 0.05").1),
+            (16, parsed("8 partition 2 1 0.05").1.placed(8, 0)),
+            (24, parsed("8 capacity 5 0.4 3 0.02").1),
+            (32, parsed("8 perlink 9 0.3 0 1").1),
+            (u64::MAX, victims),
+        ])
     }
 
     #[test]
@@ -898,7 +648,8 @@ mod tests {
 
     #[test]
     fn partition_severs_only_cross_region_in_window() {
-        let mut p = RegionalPartition::new(2, 10, 5, 1.0, 0.0).unwrap();
+        let mut p =
+            PhaseFault::Partition { regions: 2, start: 10, duration: 5, sever: 1.0, base: 0.0 };
         let mut rng = StdRng::seed_from_u64(1);
         // In-window, cross-region (even → odd): always lost.
         assert!((0..50).all(|_| p.drops(ctx(0, 1, 12), &mut rng)));
@@ -907,62 +658,69 @@ mod tests {
         // Before and after the window: healed.
         assert!((0..50).all(|_| !p.drops(ctx(0, 1, 9), &mut rng)));
         assert!((0..50).all(|_| !p.drops(ctx(0, 1, 15), &mut rng)));
-        assert!(p.active_in(10) && p.active_in(14) && !p.active_in(15));
-        assert_eq!(p.average_rate(), 0.0);
+        // The window's first and last rounds sever.
+        assert!(p.drops(ctx(0, 1, 10), &mut rng) && p.drops(ctx(0, 1, 14), &mut rng));
     }
 
     #[test]
-    #[should_panic(expected = "at least two regions")]
+    #[should_panic(expected = "`partition` needs at least 2 regions, got 1")]
     fn partition_rejects_one_region() {
-        let _ = RegionalPartition::new(1, 0, 1, 1.0, 0.0);
+        let _ = ScheduledFault::constant(PhaseFault::Partition {
+            regions: 1,
+            start: 0,
+            duration: 1,
+            sever: 1.0,
+            base: 0.0,
+        });
     }
 
     #[test]
     fn per_link_quality_is_persistent_and_salted() {
-        let model = PerLinkLoss::new(42, 0.3, 0.0, 1.0).unwrap();
+        // With rates 0 and 1 a drop is exactly a bad link.
+        let link_is_bad = |salt: u64, from: u64, to: u64| {
+            let mut model =
+                PhaseFault::PerLink { salt, bad_fraction: 0.3, good_rate: 0.0, bad_rate: 1.0 };
+            model.drops(ctx(from, to, 0), &mut StdRng::seed_from_u64(from ^ to))
+        };
         // Persistence: the same link always answers the same.
         for from in 0..20 {
             for to in 0..20 {
-                let a = model.link_is_bad(NodeId::new(from), NodeId::new(to));
-                let b = model.link_is_bad(NodeId::new(from), NodeId::new(to));
-                assert_eq!(a, b);
+                assert_eq!(link_is_bad(42, from, to), link_is_bad(42, from, to));
             }
         }
         // Roughly the configured fraction of links is bad.
         let bad = (0..100u64)
             .flat_map(|f| (0..100u64).map(move |t| (f, t)))
-            .filter(|&(f, t)| model.link_is_bad(NodeId::new(f), NodeId::new(t)))
+            .filter(|&(f, t)| link_is_bad(42, f, t))
             .count();
         let frac = bad as f64 / 10_000.0;
         assert!((frac - 0.3).abs() < 0.03, "bad-link fraction {frac}");
         // A different salt yields a different link map.
-        let other = PerLinkLoss::new(43, 0.3, 0.0, 1.0).unwrap();
-        let differs = (0..100u64).any(|t| {
-            model.link_is_bad(NodeId::new(0), NodeId::new(t))
-                != other.link_is_bad(NodeId::new(0), NodeId::new(t))
-        });
+        let differs = (0..100u64).any(|t| link_is_bad(42, 0, t) != link_is_bad(43, 0, t));
         assert!(differs, "salt must decorrelate link maps");
     }
 
     #[test]
     fn per_link_drops_follow_link_quality() {
-        let mut model = PerLinkLoss::new(7, 0.5, 0.0, 1.0).unwrap();
+        let mut model =
+            PhaseFault::PerLink { salt: 7, bad_fraction: 0.5, good_rate: 0.0, bad_rate: 1.0 };
         let mut rng = StdRng::seed_from_u64(3);
         for from in 0..30u64 {
             for to in 0..30u64 {
                 let lost = model.drops(ctx(from, to, 0), &mut rng);
-                assert_eq!(lost, model.link_is_bad(NodeId::new(from), NodeId::new(to)));
+                assert_eq!(lost, fraction_of(&[7, from, to]) < 0.5);
             }
         }
         let expected = 0.5;
-        assert!((FaultModel::average_rate(&model) - expected).abs() < 1e-12);
+        assert!((model.effective_rate(30) - expected).abs() < 1e-12);
     }
 
     #[test]
     fn capacity_gates_slow_nodes_once_per_period() {
-        let model = NodeCapacity::new(11, 0.5, 4, 0.0).unwrap();
-        let slow: Vec<NodeId> = (0..200).map(NodeId::new).filter(|&n| model.is_slow(n)).collect();
-        let fast: Vec<NodeId> = (0..200).map(NodeId::new).filter(|&n| !model.is_slow(n)).collect();
+        let model = PhaseFault::Capacity { salt: 11, slow_fraction: 0.5, period: 4, base: 0.0 };
+        let is_slow = |n: &NodeId| fraction_of(&[11, n.as_u64()]) < 0.5;
+        let slow: Vec<NodeId> = (0..200).map(NodeId::new).filter(is_slow).collect();
+        let fast: Vec<NodeId> = (0..200).map(NodeId::new).filter(|n| !is_slow(n)).collect();
         assert!(slow.len() > 50 && fast.len() > 50, "both cohorts populated");
         for &node in fast.iter().take(20) {
             assert!((0..16).all(|r| model.node_acts(node, r)));
@@ -983,22 +741,28 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "period must be at least 2")]
+    #[should_panic(expected = "`capacity` period must be ≥ 2, got 1")]
     fn capacity_rejects_period_one() {
-        let _ = NodeCapacity::new(0, 0.5, 1, 0.0);
+        let _ = ScheduledFault::constant(PhaseFault::Capacity {
+            salt: 0,
+            slow_fraction: 0.5,
+            period: 1,
+            base: 0.0,
+        });
     }
 
     #[test]
     fn victim_loss_targets_only_the_set() {
-        let mut model = VictimLoss::new(1.0, 0.0).unwrap();
-        model.set_victims(&[NodeId::new(9), NodeId::new(3), NodeId::new(9)]);
-        assert_eq!(model.victims(), &[NodeId::new(3), NodeId::new(9)]);
+        let mut model =
+            PhaseFault::Victims { count: 2, victim_rate: 1.0, base: 0.0, victims: Vec::new() };
+        model.aim(&[NodeId::new(9), NodeId::new(3), NodeId::new(9)]);
+        let PhaseFault::Victims { victims, .. } = &model else { unreachable!() };
+        assert_eq!(victims, &[NodeId::new(3), NodeId::new(9)]);
         let mut rng = StdRng::seed_from_u64(2);
         assert!((0..50).all(|_| model.drops(ctx(0, 3, 0), &mut rng)));
         assert!((0..50).all(|_| !model.drops(ctx(0, 4, 0), &mut rng)));
-        assert_eq!(model.average_rate(), 0.0, "the scalar rate is the base rate");
         // Replacing the set retargets instantly.
-        model.set_victims(&[NodeId::new(4)]);
+        model.aim(&[NodeId::new(4)]);
         assert!((0..50).all(|_| !model.drops(ctx(0, 3, 0), &mut rng)));
         assert!((0..50).all(|_| model.drops(ctx(0, 4, 0), &mut rng)));
     }
@@ -1016,12 +780,12 @@ mod tests {
         assert_eq!(schedule.phase_index(29), 2);
         // Rounds past the last end stay in the final phase.
         assert_eq!(schedule.phase_index(1_000), 2);
-        assert_eq!(schedule.rate_at(5), 0.0);
-        assert_eq!(schedule.rate_at(15), 1.0);
-        assert_eq!(schedule.rate_at(99), 0.25);
-        assert_eq!(FaultModel::average_rate(&schedule), 0.25);
+        let rate_at = |round| schedule.phases()[schedule.phase_index(round)].1.effective_rate(1);
+        assert_eq!(rate_at(5), 0.0);
+        assert_eq!(rate_at(15), 1.0);
+        assert_eq!(rate_at(99), 0.25);
 
-        let mut s = schedule;
+        let mut s = schedule.clone();
         let mut rng = StdRng::seed_from_u64(9);
         assert!(!s.drops(ctx(0, 1, 5), &mut rng));
         assert!(s.drops(ctx(0, 1, 15), &mut rng));
@@ -1029,10 +793,10 @@ mod tests {
 
     #[test]
     fn schedule_capacity_gate_follows_the_phase() {
-        let cap = NodeCapacity::new(3, 1.0, 2, 0.0).unwrap();
+        let cap = PhaseFault::Capacity { salt: 3, slow_fraction: 1.0, period: 2, base: 0.0 };
         let schedule = ScheduledFault::new(vec![
             (5, PhaseFault::Uniform(UniformLoss::none())),
-            (u64::MAX, PhaseFault::Capacity(cap)),
+            (u64::MAX, cap),
         ]);
         let node = NodeId::new(0);
         // Phase 0: everyone acts.
@@ -1061,15 +825,15 @@ mod tests {
             "5 capacity 3 0.4 3 0.02",
             "4 victims 4 0.9 0.01",
         ] {
+            let (rounds, spec) = parsed(line);
             let words: Vec<&str> = line.split_whitespace().collect();
-            let (rounds, spec) = FaultSpec::parse_phase(&words).expect("legal phase");
             assert_eq!(words[1], spec.kind());
             let printed = format!("{rounds} {spec}");
             assert_eq!(printed, line, "print is not canonical");
             let reparsed: Vec<&str> = printed.split_whitespace().collect();
-            assert_eq!(FaultSpec::parse_phase(&reparsed), Ok((rounds, spec)));
-            // Every spec the parser accepts compiles.
-            let _ = spec.build(10, rounds as u64, 7);
+            assert_eq!(PhaseFault::parse_phase(&reparsed), Ok((rounds, spec.clone())));
+            // Every model the parser accepts goes into a schedule.
+            let _ = ScheduledFault::constant(spec.placed(10, 7));
         }
     }
 
@@ -1089,29 +853,89 @@ mod tests {
             ("5 victims 0 0.5 0", "at least one victim"),
         ] {
             let words: Vec<&str> = line.split_whitespace().collect();
-            let error = FaultSpec::parse_phase(&words).expect_err(line);
+            let error = PhaseFault::parse_phase(&words).expect_err(line);
             assert!(error.contains(fragment), "{line:?}: {error:?} lacks {fragment:?}");
         }
     }
 
     #[test]
     fn effective_rates_are_marginals() {
-        let half = FaultSpec::Partition { regions: 2, sever: 1.0, base: 0.0 };
+        let half =
+            PhaseFault::Partition { regions: 2, start: 0, duration: 1, sever: 1.0, base: 0.0 };
         assert!((half.effective_rate(96) - 0.5).abs() < 1e-12);
-        let mix = FaultSpec::PerLink { salt: 0, bad_fraction: 0.25, good_rate: 0.0, bad_rate: 0.8 };
+        let mix =
+            PhaseFault::PerLink { salt: 0, bad_fraction: 0.25, good_rate: 0.0, bad_rate: 0.8 };
         assert!((mix.effective_rate(96) - 0.2).abs() < 1e-12);
-        let vic = FaultSpec::Victims { count: 24, victim_rate: 0.5, base: 0.0 };
+        let vic =
+            PhaseFault::Victims { count: 24, victim_rate: 0.5, base: 0.0, victims: Vec::new() };
         assert!((vic.effective_rate(96) - 0.125).abs() < 1e-12);
     }
 
     #[test]
     fn rate_validation_is_enforced_everywhere() {
-        assert!(RegionalPartition::new(2, 0, 1, 1.5, 0.0).is_err());
-        assert!(RegionalPartition::new(2, 0, 1, 0.5, -0.1).is_err());
-        assert!(PerLinkLoss::new(0, 2.0, 0.0, 0.0).is_err());
-        assert!(PerLinkLoss::new(0, 0.5, f64::NAN, 0.0).is_err());
-        assert!(NodeCapacity::new(0, 1.1, 2, 0.0).is_err());
-        assert!(VictimLoss::new(0.5, 7.0).is_err());
-        assert!(VictimLoss::new(-0.1, 0.0).is_err());
+        let partition =
+            |sever, base| PhaseFault::Partition { regions: 2, start: 0, duration: 1, sever, base };
+        let per_link = |bad_fraction, good_rate| PhaseFault::PerLink {
+            salt: 0,
+            bad_fraction,
+            good_rate,
+            bad_rate: 0.0,
+        };
+        let victims = |victim_rate, base| PhaseFault::Victims {
+            count: 1,
+            victim_rate,
+            base,
+            victims: Vec::new(),
+        };
+        for (fault, rejection) in [
+            (partition(1.5, 0.0), "`partition` sever rate 1.5 is outside [0, 1]"),
+            (partition(0.5, -0.1), "`partition` base rate -0.1 is outside [0, 1]"),
+            (per_link(2.0, 0.0), "`perlink` bad_fraction 2 is outside [0, 1]"),
+            (per_link(0.5, f64::NAN), "`perlink` good_rate NaN is outside [0, 1]"),
+            (
+                PhaseFault::Capacity { salt: 0, slow_fraction: 1.1, period: 2, base: 0.0 },
+                "`capacity` slow_fraction 1.1 is outside [0, 1]",
+            ),
+            (victims(0.5, 7.0), "`victims` base rate 7 is outside [0, 1]"),
+            (victims(-0.1, 0.0), "`victims` victim_rate -0.1 is outside [0, 1]"),
+        ] {
+            assert_eq!(fault.check(), Err(rejection.to_string()));
+        }
+    }
+
+    /// Each model's drop and gate decisions, pinned: one line per model,
+    /// placed at round 10 with salt 7 (the victims aimed at four hubs),
+    /// `drops` folded over a `(from, to, round)` grid straddling the
+    /// partition window and `node_acts` over a `(node, round)` grid, into
+    /// one FNV-1a digest. The digests were recorded when every model was
+    /// its own struct compiled from a separate spec type.
+    #[test]
+    fn every_model_decides_as_it_did() {
+        for (line, digest) in [
+            ("6 uniform 0.3", 0x44a7_efa1_aaa3_65ad),
+            ("6 bursty 0.1 0.3 0.2 0.7", 0xec24_342f_c07e_b98f),
+            ("6 partition 3 0.9 0.1", 0xf714_4102_facb_82ac),
+            ("6 perlink 11 0.3 0.05 0.8", 0x7f63_7528_44ae_c753),
+            ("6 capacity 3 0.4 3 0.1", 0xa260_50fd_1ed7_347b),
+            ("6 victims 4 0.9 0.1", 0x8915_7156_d04c_15c6),
+        ] {
+            let mut fault = parsed(line).1.placed(10, 7);
+            fault.aim(&[9, 3, 1, 5].map(NodeId::new));
+            let mut rng = StdRng::seed_from_u64(2009);
+            let mut decisions = Vec::new();
+            for round in 8..18 {
+                for from in 0..12 {
+                    for to in 0..12 {
+                        decisions.push(u8::from(fault.drops(ctx(from, to, round), &mut rng)));
+                    }
+                }
+            }
+            for node in 0..32 {
+                for round in 0..16 {
+                    decisions.push(u8::from(fault.node_acts(NodeId::new(node), round)));
+                }
+            }
+            assert_eq!(fnv1a64(decisions), digest, "{line}");
+        }
     }
 }

@@ -731,7 +731,7 @@ impl<L: FaultModel, B: ProtocolBehavior> FlatSimulation<L, B> {
     }
 
     /// Applies `f` to the fault model — e.g. to aim a
-    /// [`VictimLoss`](crate::VictimLoss) at the current high-indegree
+    /// [`PhaseFault::Victims`](crate::PhaseFault::Victims) at the current high-indegree
     /// nodes at a phase boundary. The par engine has the same hook.
     pub fn update_fault(&mut self, mut f: impl FnMut(&mut L)) {
         f(&mut self.loss);
@@ -1034,24 +1034,11 @@ mod tests {
     fn flat_equals_classic_under_scheduled_faults() {
         use std::fmt::Write;
 
-        use crate::fault::{
-            NodeCapacity, PerLinkLoss, PhaseFault, RegionalPartition, ScheduledFault, VictimLoss,
-        };
+        use crate::fault::tests::mixed_schedule;
         const CLASSIC: [(u64, u64); 2] =
             [(3, 0x43d8_5014_825b_6f43), (2009, 0x1718_2e0f_66f3_8ee5)];
-        let schedule = || {
-            let mut victims = VictimLoss::new(0.9, 0.01).unwrap();
-            victims.set_victims(&[NodeId::new(1), NodeId::new(2)]);
-            ScheduledFault::new(vec![
-                (8, PhaseFault::Uniform(UniformLoss::new(0.05).unwrap())),
-                (16, PhaseFault::Partition(RegionalPartition::new(2, 8, 8, 1.0, 0.05).unwrap())),
-                (24, PhaseFault::Capacity(NodeCapacity::new(5, 0.4, 3, 0.02).unwrap())),
-                (32, PhaseFault::PerLink(PerLinkLoss::new(9, 0.3, 0.0, 1.0).unwrap())),
-                (u64::MAX, PhaseFault::Victims(victims)),
-            ])
-        };
         for (seed, classic) in CLASSIC {
-            let mut flat = FlatSimulation::new(nodes(), schedule(), seed);
+            let mut flat = FlatSimulation::new(nodes(), mixed_schedule(), seed);
             let mut out = String::new();
             for _ in 0..40 {
                 flat.round();

@@ -58,10 +58,7 @@ pub use broadcast::{
 };
 pub use degree::DegreeStats;
 pub use engine::{DelayModel, SimStats, StepEvent, StepPhase, StepReport, StepSubscriber};
-pub use fault::{
-    FaultCtx, FaultModel, FaultSpec, NodeCapacity, PerLinkLoss, PhaseFault, RegionalPartition,
-    ScheduledFault, VictimLoss,
-};
+pub use fault::{FaultCtx, FaultModel, PhaseFault, ScheduledFault};
 pub use flat::FlatSimulation;
 pub use loss::{GilbertElliott, LossModel, LossRateError, UniformLoss};
 pub use par::ParSimulation;

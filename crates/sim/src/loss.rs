@@ -15,7 +15,8 @@ use rand::Rng;
 /// Implementations may keep state (e.g. a burst channel state); the decision
 /// must depend only on that state and the supplied RNG, never on the
 /// destination or message contents — destination-dependent faults are
-/// [`FaultModel`](crate::FaultModel)s (e.g. [`VictimLoss`](crate::VictimLoss)).
+/// [`FaultModel`](crate::FaultModel)s (e.g.
+/// [`PhaseFault::Victims`](crate::PhaseFault::Victims)).
 pub trait LossModel {
     /// Returns `true` if the next message is lost.
     fn is_lost<R: Rng + ?Sized>(&mut self, rng: &mut R) -> bool;
@@ -38,7 +39,7 @@ pub trait LossModel {
 /// ```
 #[derive(Clone, Copy, PartialEq, Debug)]
 pub struct UniformLoss {
-    rate: f64,
+    pub(crate) rate: f64,
 }
 
 /// Error returned for loss rates outside `[0, 1]`.
@@ -93,10 +94,10 @@ impl LossModel for UniformLoss {
 /// [`UniformLoss`] of the same magnitude, but losses arrive in bursts.
 #[derive(Clone, Copy, PartialEq, Debug)]
 pub struct GilbertElliott {
-    to_bad: f64,
-    to_good: f64,
-    loss_good: f64,
-    loss_bad: f64,
+    pub(crate) to_bad: f64,
+    pub(crate) to_good: f64,
+    pub(crate) loss_good: f64,
+    pub(crate) loss_bad: f64,
     in_bad: bool,
 }
 
@@ -117,7 +118,13 @@ impl GilbertElliott {
                 return Err(LossRateError { rate: p });
             }
         }
-        Ok(Self { to_bad, to_good, loss_good, loss_bad, in_bad: false })
+        Ok(Self::unchecked(to_bad, to_good, loss_good, loss_bad))
+    }
+
+    /// A channel over unvalidated probabilities, starting in the good
+    /// state; [`PhaseFault::check`](crate::PhaseFault::check) validates it.
+    pub(crate) fn unchecked(to_bad: f64, to_good: f64, loss_good: f64, loss_bad: f64) -> Self {
+        Self { to_bad, to_good, loss_good, loss_bad, in_bad: false }
     }
 
     /// Whether the channel is currently in the bad (bursty) state.

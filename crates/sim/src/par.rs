@@ -525,7 +525,7 @@ impl<L: FaultModel + Clone + Send, B: ProtocolBehavior> ParSimulation<L, B> {
 
     /// Applies `f` to the prototype channel **and** every per-sender
     /// clone, so a mid-run retarget (e.g. aiming a
-    /// [`VictimLoss`](crate::VictimLoss) at the current hubs) reaches all
+    /// [`PhaseFault::Victims`](crate::PhaseFault::Victims) at the current hubs) reaches all
     /// senders — the par counterpart of
     /// [`FlatSimulation::update_fault`](crate::FlatSimulation::update_fault).
     pub fn update_fault(&mut self, mut f: impl FnMut(&mut L)) {
@@ -1438,21 +1438,8 @@ mod tests {
 
     #[test]
     fn identical_across_thread_counts_under_scheduled_faults() {
-        use crate::fault::{
-            NodeCapacity, PerLinkLoss, PhaseFault, RegionalPartition, ScheduledFault, VictimLoss,
-        };
-        let schedule = || {
-            let mut victims = VictimLoss::new(0.9, 0.01).unwrap();
-            victims.set_victims(&[NodeId::new(1), NodeId::new(2)]);
-            ScheduledFault::new(vec![
-                (8, PhaseFault::Uniform(UniformLoss::new(0.05).unwrap())),
-                (16, PhaseFault::Partition(RegionalPartition::new(2, 8, 8, 1.0, 0.05).unwrap())),
-                (24, PhaseFault::Capacity(NodeCapacity::new(5, 0.4, 3, 0.02).unwrap())),
-                (32, PhaseFault::PerLink(PerLinkLoss::new(9, 0.3, 0.0, 1.0).unwrap())),
-                (u64::MAX, PhaseFault::Victims(victims)),
-            ])
-        };
-        let build = |threads| ParSimulation::new(nodes(), schedule(), 42, threads);
+        use crate::fault::tests::mixed_schedule;
+        let build = |threads| ParSimulation::new(nodes(), mixed_schedule(), 42, threads);
         let mut one = build(1);
         one.run_rounds(40);
         let s = *one.stats();
@@ -1468,21 +1455,28 @@ mod tests {
 
     #[test]
     fn update_fault_reaches_every_sender_channel() {
-        use crate::fault::VictimLoss;
+        use crate::fault::PhaseFault;
         let victim = NodeId::new(5);
-        let mut sim = ParSimulation::new(nodes(), VictimLoss::new(1.0, 0.0).unwrap(), 23, 4);
+        let fault =
+            PhaseFault::Victims { count: 1, victim_rate: 1.0, base: 0.0, victims: Vec::new() };
+        let mut sim = ParSimulation::new(nodes(), fault, 23, 4);
         sim.run_rounds(10);
         assert_eq!(sim.stats().lost, 0, "empty victim set must lose nothing");
-        sim.update_fault(|f| f.set_victims(&[victim]));
-        assert!(sim.fault().is_victim(victim));
+        sim.update_fault(|f| f.aim(&[victim]));
+        assert!(matches!(sim.fault(), PhaseFault::Victims { victims, .. } if victims == &[victim]));
         sim.run_rounds(30);
         assert!(sim.stats().lost > 0, "victim loss never fired after retarget");
     }
 
     #[test]
     fn targeted_loss_is_supported() {
-        let mut loss = crate::fault::VictimLoss::new(1.0, 0.0).unwrap();
-        loss.set_victims(&[NodeId::new(3)]);
+        let mut loss = crate::fault::PhaseFault::Victims {
+            count: 1,
+            victim_rate: 1.0,
+            base: 0.0,
+            victims: Vec::new(),
+        };
+        loss.aim(&[NodeId::new(3)]);
         let mut sim = ParSimulation::new(nodes(), loss, 11, 4);
         sim.run_rounds(40);
         assert!(sim.stats().lost > 0, "targeted loss never fired");

@@ -40,8 +40,8 @@
 //! [`fnv1a64`] is the workspace's one FNV-1a. Besides [`stream_seed`] it
 //! hashes, with no tag: a sweep's replicate seeds (the text
 //! `"<base_seed>/<cell key>/<replicate>"`, `sandf_bench::sweep`), the
-//! per-link and per-node maps of [`PerLinkLoss`](crate::PerLinkLoss) and
-//! [`NodeCapacity`](crate::NodeCapacity) (the salt and ids as
+//! per-link and per-node maps of [`PhaseFault::PerLink`](crate::PhaseFault::PerLink)
+//! and [`PhaseFault::Capacity`](crate::PhaseFault::Capacity) (the salt and ids as
 //! little-endian words), and the digests
 //! [`BroadcastLayer::fingerprint`](crate::BroadcastLayer::fingerprint) and
 //! `sandf_bench::scenario::tsv_fingerprint`.

@@ -71,9 +71,8 @@ pub use sandf_graph::{DegreeStats, DependenceReport, Histogram, MembershipGraph}
 pub use sandf_markov::{select_thresholds, AnalyticalDegrees, DegreeMc, DegreeMcParams};
 pub use sandf_sim::{
     doerr_spread_prediction, BroadcastConfig, BroadcastLayer, BroadcastStats, Engine, FaultCtx,
-    FaultModel, FlatSimulation, GilbertElliott, IdBatch, LossModel, NodeCapacity, ParSimulation,
-    PerLinkLoss, PhaseFault, ProtocolBehavior, Receipt, RegionalPartition, RumorChannel,
-    ScheduledFault, SfBehavior, SimStats, SlotView, SpreadReport, TraceEdge, UniformLoss,
-    VictimLoss,
+    FaultModel, FlatSimulation, GilbertElliott, IdBatch, LossModel, ParSimulation, PhaseFault,
+    ProtocolBehavior, Receipt, RumorChannel, ScheduledFault, SfBehavior, SimStats, SlotView,
+    SpreadReport, TraceEdge, UniformLoss,
 };
 pub use sandf_zoo::{baselines, variants};

@@ -12,9 +12,9 @@ use sandf::baselines::{PushOnlyBehavior, PushPullBehavior, ShuffleBehavior};
 use sandf::core::InitiateOutcome;
 use sandf::variants::{BatchedBehavior, ReplaceBehavior, UndeleteBehavior};
 use sandf::{
-    DependenceReport, Engine, FlatSimulation, LocalView, MembershipGraph, Message, NodeCapacity,
-    NodeId, ParSimulation, PerLinkLoss, PhaseFault, ProtocolBehavior, RegionalPartition,
-    ScheduledFault, SfBehavior, SfConfig, SfNode, UniformLoss, VictimLoss,
+    DependenceReport, Engine, FlatSimulation, LocalView, MembershipGraph, Message, NodeId,
+    ParSimulation, PhaseFault, ProtocolBehavior, ScheduledFault, SfBehavior, SfConfig, SfNode,
+    UniformLoss,
 };
 
 /// One externally scheduled event.
@@ -133,32 +133,37 @@ fn build_schedule(phases: &[(u8, FaultKind)]) -> ScheduledFault {
             FaultKind::Uniform { rate_milli } => PhaseFault::Uniform(
                 UniformLoss::new(milli(*rate_milli)).expect("milli rates are legal"),
             ),
-            FaultKind::Partition { regions, sever_milli, base_milli } => PhaseFault::Partition(
-                RegionalPartition::new(
-                    *regions,
-                    start,
-                    duration,
-                    milli(*sever_milli),
-                    milli(*base_milli),
-                )
-                .expect("milli rates are legal"),
-            ),
-            FaultKind::Capacity { salt, slow_milli, period, base_milli } => PhaseFault::Capacity(
-                NodeCapacity::new(*salt, milli(*slow_milli), *period, milli(*base_milli))
-                    .expect("milli rates are legal"),
-            ),
+            FaultKind::Partition { regions, sever_milli, base_milli } => PhaseFault::Partition {
+                regions: *regions,
+                start,
+                duration,
+                sever: milli(*sever_milli),
+                base: milli(*base_milli),
+            },
+            FaultKind::Capacity { salt, slow_milli, period, base_milli } => PhaseFault::Capacity {
+                salt: *salt,
+                slow_fraction: milli(*slow_milli),
+                period: *period,
+                base: milli(*base_milli),
+            },
             FaultKind::Victims { victims, victim_milli, base_milli } => {
-                let mut loss = VictimLoss::new(milli(*victim_milli), milli(*base_milli))
-                    .expect("milli rates are legal");
+                let mut loss = PhaseFault::Victims {
+                    count: victims.len(),
+                    victim_rate: milli(*victim_milli),
+                    base: milli(*base_milli),
+                    victims: Vec::new(),
+                };
                 let ids: Vec<NodeId> =
                     victims.iter().map(|&v| NodeId::new(u64::from(v) % ENGINE_N as u64)).collect();
-                loss.set_victims(&ids);
-                PhaseFault::Victims(loss)
+                loss.aim(&ids);
+                loss
             }
-            FaultKind::PerLink { salt, bad_milli, good_milli } => PhaseFault::PerLink(
-                PerLinkLoss::new(*salt, 0.5, milli(*good_milli), milli(*bad_milli))
-                    .expect("milli rates are legal"),
-            ),
+            FaultKind::PerLink { salt, bad_milli, good_milli } => PhaseFault::PerLink {
+                salt: *salt,
+                bad_fraction: 0.5,
+                good_rate: milli(*good_milli),
+                bad_rate: milli(*bad_milli),
+            },
         };
         compiled.push((end, fault));
         start = end;
