@@ -26,9 +26,26 @@
 //! edge count, with a multiplicative headroom and small additive slack for
 //! sampling noise (the same banded-verdict style as
 //! `sandf_bench::scenario`).
+//!
+//! # Cost
+//!
+//! A check reads the seated nodes' headers twice (outdegrees, then ids)
+//! and walks each node's view once: O(live · s) with no hashing beyond one
+//! multiplicative probe per view entry. The Lemma 6.10 ceiling needs only
+//! three numbers from the overlay — edges, dangling edges and weakly
+//! connected components — so the walk counts them in place instead of
+//! snapshotting a [`MembershipGraph`](sandf_graph::MembershipGraph): every
+//! entry is an edge, an entry whose id is not seated is dangling, and the
+//! rest are unioned in the workspace's [`DisjointSets`]. The id → seat
+//! table (open addressing, a power-of-two slot count of at least twice the
+//! live count) and the union-find are kept across checks and rebuilt in
+//! place, so a steady-state check allocates nothing. Both are sized from
+//! live counts, never from ids: the table follows each check's live count
+//! and the union-find keeps the largest, so scratch memory is O(live)
+//! whatever ids the fleet has issued.
 
 use sandf_core::{NodeId, SfConfig, SfNode};
-use sandf_graph::MembershipGraph;
+use sandf_graph::DisjointSets;
 use sandf_markov::decay::survival_factor;
 
 /// Multiplicative headroom on the Lemma 6.10 ceiling. The lemma bounds
@@ -97,6 +114,96 @@ pub struct CheckOutcome {
 /// Cap on per-check reported degree offenders (the journal is bounded).
 pub const MAX_REPORTED_VIOLATIONS: usize = 16;
 
+/// The overlay counts the Lemma 6.10 ceiling and the component check read.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+struct Overlay {
+    /// Every view entry of every seated node, with multiplicity.
+    edges: usize,
+    /// Entries naming an id that is not seated.
+    dangling: usize,
+    /// Weakly connected components of the seated nodes (0 when none).
+    components: usize,
+}
+
+/// Marks a vacant slot of [`OverlayPass`]'s id table.
+const VACANT: usize = usize::MAX;
+
+/// The scratch behind one overlay pass, kept across checks.
+#[derive(Clone, Debug)]
+struct OverlayPass {
+    /// Open-addressing `(raw id, seat)` slots, `seat == VACANT` when empty;
+    /// the slot count is a power of two of at least twice the live count.
+    table: Vec<(u64, usize)>,
+    sets: DisjointSets,
+}
+
+impl OverlayPass {
+    fn new() -> Self {
+        Self { table: Vec::new(), sets: DisjointSets::new(0) }
+    }
+
+    /// Counts edges, dangling edges and components over the `live` nodes
+    /// `nodes` yields.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a repeated node id, as a graph snapshot does.
+    fn measure<'a, I>(&mut self, nodes: I, live: usize) -> Overlay
+    where
+        I: Iterator<Item = &'a SfNode> + Clone,
+    {
+        let slots = (2 * live).next_power_of_two().max(16);
+        if self.table.len() == slots {
+            self.table.fill((0, VACANT));
+        } else {
+            self.table = vec![(0, VACANT); slots];
+        }
+        for (seat, node) in nodes.clone().enumerate() {
+            let raw = node.id().as_u64();
+            let slot = self.probe(raw);
+            assert_eq!(self.table[slot].1, VACANT, "duplicate node id in checker snapshot");
+            self.table[slot] = (raw, seat);
+        }
+        self.sets.reset(live);
+        let (mut edges, mut dangling) = (0, 0);
+        for (seat, node) in nodes.enumerate() {
+            // Most entries name a node already in the seat's set: one find
+            // decides that, and the seat's root is found again only after
+            // a union may have moved it.
+            let mut root = self.sets.find(seat);
+            for id in node.view().ids() {
+                edges += 1;
+                match self.table[self.probe(id.as_u64())].1 {
+                    VACANT => dangling += 1,
+                    other => {
+                        if self.sets.find(other) != root {
+                            self.sets.union(root, other);
+                            root = self.sets.find(root);
+                        }
+                    }
+                }
+            }
+        }
+        Overlay { edges, dangling, components: self.sets.count() }
+    }
+
+    /// The slot holding `raw`, or the vacant slot that ends its probe run.
+    fn probe(&self, raw: u64) -> usize {
+        let mask = self.table.len() - 1;
+        // Fibonacci hashing: the product's top log2(len) bits mix every id
+        // bit.
+        let shift = 64 - self.table.len().trailing_zeros();
+        let mut slot = (raw.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> shift) as usize;
+        loop {
+            let (key, seat) = self.table[slot];
+            if seat == VACANT || key == raw {
+                return slot;
+            }
+            slot = (slot + 1) & mask;
+        }
+    }
+}
+
 /// The checker's persistent state across checks.
 #[derive(Clone, Debug)]
 pub struct InvariantChecker {
@@ -104,13 +211,20 @@ pub struct InvariantChecker {
     cohorts: Vec<Cohort>,
     last_round: u64,
     last: WireTotals,
+    overlay: OverlayPass,
 }
 
 impl InvariantChecker {
     /// Creates a checker for a daemon using `config`.
     #[must_use]
     pub fn new(config: SfConfig) -> Self {
-        Self { config, cohorts: Vec::new(), last_round: 0, last: WireTotals::default() }
+        Self {
+            config,
+            cohorts: Vec::new(),
+            last_round: 0,
+            last: WireTotals::default(),
+            overlay: OverlayPass::new(),
+        }
     }
 
     /// Records a departure of `count` nodes; their survival bound starts
@@ -195,13 +309,10 @@ impl InvariantChecker {
         self.last = totals;
 
         // Lemma 6.10 ceiling against the measured overlay.
-        let graph = MembershipGraph::from_nodes(nodes);
-        let total_edges = graph.edge_count();
-        let stale_fraction = if total_edges == 0 {
-            0.0
-        } else {
-            graph.dangling_edge_count() as f64 / total_edges as f64
-        };
+        let overlay = self.overlay.measure(nodes, live);
+        let total_edges = overlay.edges;
+        let stale_fraction =
+            if total_edges == 0 { 0.0 } else { overlay.dangling as f64 / total_edges as f64 };
         let raw_ceiling = if total_edges == 0 {
             1.0
         } else {
@@ -221,7 +332,7 @@ impl InvariantChecker {
             stale_fraction,
             stale_ceiling,
             stale_violation,
-            components: graph.weakly_connected_components(),
+            components: overlay.components,
             window_loss,
             window_delta,
         }
@@ -230,6 +341,13 @@ impl InvariantChecker {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
+    use rand::{Rng, SeedableRng};
+    use sandf_core::LocalView;
+    use sandf_graph::MembershipGraph;
+
     use super::*;
 
     fn config() -> SfConfig {
@@ -356,5 +474,130 @@ mod tests {
         // Second window: 1000 more sends, zero more drops.
         let o2 = checker.check(20, fleet.iter(), totals(2000, 500));
         assert_eq!(o2.window_loss, 0.0);
+    }
+
+    /// A node holding `view` as is: any length up to `s`, any parity.
+    fn raw_node(id: u64, view: &[u64]) -> SfNode {
+        let ids: Vec<NodeId> = view.iter().map(|&raw| NodeId::new(raw)).collect();
+        let s = config().view_size();
+        SfNode::from_view(NodeId::new(id), config(), LocalView::from_ids(s, &ids, false))
+    }
+
+    /// A raw id from one of three bands: small, just above `u32`, and just
+    /// below `u64::MAX`.
+    fn sparse_id(rng: &mut StdRng) -> u64 {
+        let offset = rng.gen_range(0..512u64);
+        match rng.gen_range(0..3u32) {
+            0 => offset,
+            1 => (1 << 32) + offset,
+            _ => u64::MAX - offset,
+        }
+    }
+
+    /// A fleet of `n` nodes seated from `universe` (distinct ids; the
+    /// universe ids left out play departed nodes), split into `islands`
+    /// by universe position. A view draws from its own island, with
+    /// self-entries, repeats and ids no node was ever seated under.
+    fn fleet(rng: &mut StdRng, universe: &[u64], n: usize, islands: usize) -> Vec<SfNode> {
+        let s = config().view_size();
+        let mut order: Vec<usize> = (0..universe.len()).collect();
+        order.shuffle(rng);
+        order[..n]
+            .iter()
+            .map(|&at| {
+                let mut view: Vec<u64> = Vec::new();
+                for _ in 0..rng.gen_range(0..=s) {
+                    let entry = match rng.gen_range(0..20u32) {
+                        0..=1 => universe[at],
+                        2..=3 if !view.is_empty() => view[rng.gen_range(0..view.len())],
+                        4..=5 => sparse_id(rng),
+                        _ => {
+                            let peers = universe.len().div_ceil(islands);
+                            let k = rng.gen_range(0..peers) * islands + at % islands;
+                            universe[k.min(universe.len() - 1)]
+                        }
+                    };
+                    view.push(entry);
+                }
+                raw_node(universe[at], &view)
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The one-pass counts equal a full graph snapshot's, check after
+        /// check on one checker while the fleet shrinks and grows, and the
+        /// stale fraction is the snapshot's ratio bit for bit.
+        #[test]
+        fn one_pass_agrees_with_the_membership_graph(
+            seed in any::<u64>(),
+            sizes in proptest::collection::vec(0usize..=200, 1..6),
+            islands in 1usize..=4,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut universe: Vec<u64> = (0..260).map(|_| sparse_id(&mut rng)).collect();
+            universe.sort_unstable();
+            universe.dedup();
+            let mut checker = InvariantChecker::new(config());
+            let mut pass = OverlayPass::new();
+            for (k, &n) in sizes.iter().enumerate() {
+                let fleet = fleet(&mut rng, &universe, n.min(universe.len()), islands);
+                let graph = MembershipGraph::from_nodes(&fleet);
+                let want = Overlay {
+                    edges: graph.edge_count(),
+                    dangling: graph.dangling_edge_count(),
+                    components: graph.weakly_connected_components(),
+                };
+                prop_assert_eq!(pass.measure(fleet.iter(), fleet.len()), want, "check {}", k);
+                let outcome = checker.check(k as u64 + 1, fleet.iter(), totals(100, 5));
+                let stale = if want.edges == 0 {
+                    0.0
+                } else {
+                    want.dangling as f64 / want.edges as f64
+                };
+                prop_assert_eq!(outcome.stale_fraction.to_bits(), stale.to_bits());
+                prop_assert_eq!(outcome.components, want.components);
+            }
+        }
+    }
+
+    #[test]
+    fn a_node_that_left_reads_as_dangling_at_the_next_check() {
+        let fleet = nodes(16, 6);
+        let mut checker = InvariantChecker::new(config());
+        assert_eq!(checker.check(1, fleet.iter(), totals(10, 0)).stale_fraction, 0.0);
+        // Node 15 leaves; nodes 9..=14 each hold one entry for it, and the
+        // table keeps its slot count, so only a cleared table reads them.
+        let outcome = checker.check(2, fleet[..15].iter(), totals(20, 0));
+        assert_eq!(outcome.stale_fraction.to_bits(), (6.0f64 / 90.0).to_bits());
+        assert_eq!(outcome.components, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate node id")]
+    fn duplicate_node_ids_are_rejected() {
+        let mut fleet = nodes(8, 6);
+        fleet.push(fleet[3].clone());
+        let _ = InvariantChecker::new(config()).check(1, fleet.iter(), totals(10, 0));
+    }
+
+    #[test]
+    fn scratch_is_sized_by_the_live_count_not_by_ids() {
+        let high: Vec<SfNode> = (0..64u64)
+            .map(|k| {
+                let peers: Vec<u64> = (1..=6).map(|j| u64::MAX - (k + j) % 64).collect();
+                raw_node(u64::MAX - k, &peers)
+            })
+            .collect();
+        let ring = nodes(1000, 6);
+        let mut checker = InvariantChecker::new(config());
+        for fleet in [&high, &ring, &high] {
+            let outcome = checker.check(1, fleet.iter(), totals(10, 0));
+            assert_eq!(outcome.components, 1);
+            let slots = checker.overlay.table.capacity();
+            assert!(slots <= 4 * fleet.len() + 16, "{slots} slots for {} live", fleet.len());
+        }
     }
 }

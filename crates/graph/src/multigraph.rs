@@ -246,7 +246,17 @@ impl DisjointSets {
         Self { parent: (0..n).collect(), size: vec![1; n], components: n }
     }
 
+    /// Makes this `n` singleton sets again, reusing the buffers.
+    pub fn reset(&mut self, n: usize) {
+        self.parent.clear();
+        self.parent.extend(0..n);
+        self.size.clear();
+        self.size.resize(n, 1);
+        self.components = n;
+    }
+
     /// Finds the representative of `x`'s set.
+    #[inline]
     pub fn find(&mut self, x: usize) -> usize {
         let mut root = x;
         while self.parent[root] != root {
@@ -263,6 +273,7 @@ impl DisjointSets {
 
     /// Merges the sets containing `a` and `b`. Returns `true` if they were
     /// distinct.
+    #[inline]
     pub fn union(&mut self, a: usize, b: usize) -> bool {
         let (mut ra, mut rb) = (self.find(a), self.find(b));
         if ra == rb {
@@ -382,6 +393,11 @@ mod tests {
         dsu.union(0, 3);
         assert_eq!(dsu.count(), 1);
         assert_eq!(dsu.find(2), dsu.find(1));
+        dsu.reset(3);
+        assert_eq!(dsu.count(), 3);
+        assert!(dsu.union(1, 2));
+        assert_eq!(dsu.find(0), 0);
+        assert_eq!(dsu.count(), 2);
     }
 
     #[test]
