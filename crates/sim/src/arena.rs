@@ -51,15 +51,16 @@
 //!   `index` for liveness only, as a branch, so a delivery's receiver row
 //!   loads issue beside that read instead of waiting on it.
 //!
-//! What the arena deliberately does **not** own is the live *order*: each
-//! engine's scheduler pins its own (flat: insertion order with
-//! `swap_remove`; par: ascending dense order), so every reader
-//! that walks the live set takes the caller's order as an iterator of
+//! What the arena deliberately does **not** own is the live *order*: it
+//! belongs to the schedule [`ArenaSim`](crate::ArenaSim) runs (flat:
+//! insertion order with `swap_remove`; par: ascending dense order), so
+//! every reader that walks the live set takes that order as an iterator of
 //! dense indices. Because dense indices are stable and joins only append,
-//! a scheduler can key its own per-node tables by them: flat's `live_pos`
+//! a schedule can key its own per-node tables by them: flat's `live_pos`
 //! (dense index → position in its live list, what makes its `leave` O(1);
 //! built at the first `leave`, before which the live order is the dense
-//! order) is one, and it lives with the list it indexes, not here.
+//! order) is one, and par's per-sender fault channels another; each lives
+//! with its schedule, not here.
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -544,10 +545,12 @@ impl Arena {
         total
     }
 
-    /// Zeroes the per-node counters of the nodes in `live`.
-    pub(crate) fn reset_stats(&mut self, live: impl Iterator<Item = usize>) {
-        for k in live {
-            self.node_stats[k].reset();
+    /// Zeroes every dense row's per-node counters. Departed rows are
+    /// zeroed too, harmlessly: no reader visits them and dense indices are
+    /// never reissued.
+    pub(crate) fn reset_stats(&mut self) {
+        for stats in &mut self.node_stats {
+            stats.reset();
         }
     }
 }

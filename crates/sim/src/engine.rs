@@ -608,5 +608,17 @@ mod tests {
         sim.reset_stats();
         assert_eq!(sim.stats(), &SimStats::default());
         assert_eq!(sim.aggregate_node_stats().initiated, 0);
+        // And after a leave, on both aliases of the shell.
+        fn leave_then_reset(mut sim: impl Engine) {
+            sim.run_rounds(5);
+            assert!(sim.leave(NodeId::new(3)));
+            sim.run_rounds(2);
+            sim.reset_stats();
+            assert_eq!(sim.stats(), SimStats::default());
+            assert_eq!(sim.aggregate_node_stats(), sandf_core::NodeStats::new());
+        }
+        let nodes = topology::circulant(24, config(), 4);
+        leave_then_reset(small_sim(15));
+        leave_then_reset(crate::ParSimulation::new(nodes, UniformLoss::new(0.1).unwrap(), 15, 2));
     }
 }

@@ -1,10 +1,10 @@
-//! The serial engine: the paper's central-entity scheduler over the shared
-//! slot [`Arena`].
+//! The serial schedule: the paper's central-entity scheduler, run by the
+//! engine shell [`ArenaSim`] over the shared slot [`Arena`].
 //!
-//! [`FlatSimulation`] keeps its state in the struct-of-arrays arena (see
-//! [`crate::arena`] for the storage layout and the `u64`-id widening
-//! boundary). What this module owns is the part that makes it *that*
-//! engine:
+//! [`FlatSimulation`] is the shell under this schedule. The shell owns the
+//! arena (see [`crate::arena`] for the storage layout and the `u64`-id
+//! widening boundary), the fault, the stats and the subscribers; what this
+//! module owns is the part that makes it *that* engine:
 //!
 //! * **central-entity scheduler** — one global RNG; each step draws a
 //!   uniformly random live node (the paper's §5 execution model). The live
@@ -60,21 +60,46 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-use std::fmt;
-
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use sandf_core::{JoinError, LocalView, NodeId, NodeStats, SfConfig, SfNode};
-use sandf_graph::DependenceReport;
-use sandf_obs::{MetricsRegistry, SpanTimer};
+use sandf_core::{NodeId, SfConfig, SfNode};
+use sandf_obs::{duration_buckets, HistogramHandle, MetricsRegistry, SpanTimer};
 
 use crate::arena::Arena;
-use crate::chassis::{ring_for, StepProfile, Subscribers};
-use crate::degree::DegreeStats;
-use crate::engine::{DelayModel, SimStats, StepEvent, StepPhase, StepReport, StepSubscriber};
+use crate::engine::{DelayModel, StepEvent, StepPhase, StepReport};
 use crate::fault::{FaultCtx, FaultModel};
+use crate::shell::{ring_for, ArenaSim, Schedule};
 use crate::traits::{ProtocolBehavior, SfBehavior, MAX_REPLY_CHAIN};
+
+/// The serial central-entity engine: the shell [`ArenaSim`] under the
+/// `Flat` schedule, generic over a [`ProtocolBehavior`] (default:
+/// [`SfBehavior`]).
+///
+/// The module-level comment at the top of `flat.rs` spells out the
+/// scheduler, the protocol genericity and what holds the engine to the
+/// spec, and `arena.rs` the storage layout.
+///
+/// All views live in one contiguous `n × s` slot arena (`u32::MAX` marks
+/// an empty slot, a parallel byte array carries the per-slot flag bits),
+/// outdegrees and per-node [`NodeStats`](sandf_core::NodeStats) are dense
+/// arrays, and the delayed in-flight queue is a preallocated ring of
+/// `max + 1` buckets.
+///
+/// ```
+/// use sandf_core::SfConfig;
+/// use sandf_sim::{topology, FlatSimulation, UniformLoss};
+///
+/// let config = SfConfig::new(16, 6)?;
+/// let nodes = topology::circulant(10_000, config, 8);
+/// let mut sim = FlatSimulation::new(nodes, UniformLoss::new(0.01)?, 42);
+/// sim.run_rounds(5);
+/// assert_eq!(sim.stats().actions, 50_000);
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
+///
+/// A clone starts with no subscribers and shares an attached profiler.
+pub type FlatSimulation<L, B = SfBehavior> = ArenaSim<Flat<<B as ProtocolBehavior>::Msg>, L, B>;
 
 /// A delivery hop's outcome: the step event, plus a protocol reply
 /// (receiver, message) still to be routed.
@@ -137,85 +162,104 @@ impl LiveOrder {
         };
         listed.iter().map(|entry| entry.dense as usize).chain(dense)
     }
-
-    /// The number of live nodes, over an arena of `dense_len` nodes.
-    fn len(&self, dense_len: usize) -> usize {
-        match self {
-            Self::Dense => dense_len,
-            Self::Listed { live, .. } => live.len(),
-        }
-    }
 }
 
-/// The serial central-entity engine, generic over a [`ProtocolBehavior`]
-/// (default: [`SfBehavior`]).
-///
-/// The module-level comment at the top of `flat.rs` spells out the
-/// scheduler, the protocol genericity and what holds the engine to the
-/// spec, and `arena.rs` the storage layout.
-///
-/// All views live in one contiguous `n × s` slot arena (`u32::MAX` marks
-/// an empty slot, a parallel byte array carries the per-slot flag bits),
-/// outdegrees and per-node [`NodeStats`] are dense arrays, and the
-/// delayed in-flight queue is a preallocated ring of `max + 1` buckets.
-///
-/// ```
-/// use sandf_core::SfConfig;
-/// use sandf_sim::{topology, FlatSimulation, UniformLoss};
-///
-/// let config = SfConfig::new(16, 6)?;
-/// let nodes = topology::circulant(10_000, config, 8);
-/// let mut sim = FlatSimulation::new(nodes, UniformLoss::new(0.01)?, 42);
-/// sim.run_rounds(5);
-/// assert_eq!(sim.stats().actions, 50_000);
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
-///
-/// A clone starts with no subscribers and shares an attached profiler.
+/// Span histograms for flat's hot paths, when a profiler is attached.
+/// Clones share the histograms.
+#[derive(Clone, Debug)]
+struct StepProfile {
+    step: HistogramHandle,
+    deliver: HistogramHandle,
+}
+
+/// The central-entity schedule's own state, beside what the shell owns:
+/// the live order, the global RNG, the step clock and the due-time ring.
 #[derive(Clone)]
-pub struct FlatSimulation<L, B: ProtocolBehavior = SfBehavior> {
-    /// Views, ledgers and id tables.
-    arena: Arena,
-    /// The protocol executed over the arena.
-    behavior: B,
+pub struct Flat<M> {
     /// The live order the initiator draw indexes into.
     order: LiveOrder,
-    loss: L,
-    delay: DelayModel,
+    rng: StdRng,
     /// Global step counter (drives in-flight delivery times).
     now: u64,
-    /// Completed rounds — the time base for round-indexed fault models.
-    rounds: u64,
     /// Delivery ring: bucket `t % ring.len()` holds the messages due at
     /// step `t` (each entry carries its exact due time, since replies
     /// scheduled mid-drain can transiently alias a residue to a later
     /// lap). Empty in immediate mode.
-    ring: Vec<Vec<(u64, NodeId, B::Msg)>>,
-    /// Messages currently in flight across all ring buckets.
-    in_flight_count: usize,
+    ring: Vec<Vec<(u64, NodeId, M)>>,
     /// All delivery times `≤ drained_to` have been drained.
     drained_to: u64,
-    rng: StdRng,
-    stats: SimStats,
-    /// Registered step-event observers (not carried across clones).
-    subscribers: Subscribers<B::Msg>,
     /// Hot-path span histograms, when a profiler is attached.
     profile: Option<StepProfile>,
 }
 
-impl<L: fmt::Debug, B: ProtocolBehavior> fmt::Debug for FlatSimulation<L, B> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("FlatSimulation")
-            .field("config", &self.arena.config)
-            .field("live", &self.order.len(self.arena.dense_id.len()))
-            .field("loss", &self.loss)
-            .field("delay", &self.delay)
-            .field("now", &self.now)
-            .field("in_flight", &self.in_flight_count)
-            .field("stats", &self.stats)
-            .field("subscribers", &self.subscribers)
-            .field("profiled", &self.profile.is_some())
-            .finish_non_exhaustive()
+impl<M> Flat<M> {
+    /// A fresh schedule over a freshly built arena: every node live, in
+    /// dense (= insertion) order.
+    fn seeded(seed: u64) -> Self {
+        Self {
+            order: LiveOrder::Dense,
+            rng: StdRng::seed_from_u64(seed),
+            now: 0,
+            ring: Vec::new(),
+            drained_to: 0,
+            profile: None,
+        }
+    }
+}
+
+impl<L: FaultModel, B: ProtocolBehavior> Schedule<L, B> for Flat<B::Msg> {
+    fn round(sim: &mut FlatSimulation<L, B>) {
+        sim.round();
+    }
+
+    fn settle(sim: &mut FlatSimulation<L, B>) {
+        sim.settle();
+    }
+
+    fn live_dense(sim: &FlatSimulation<L, B>) -> impl Iterator<Item = usize> + '_ {
+        sim.sched.order.dense_indices(sim.arena.dense_id.len())
+    }
+
+    /// Appends a node the arena just admitted to the live order: nothing
+    /// to do while it is the dense order; otherwise joins take the next
+    /// dense index, so its `live_pos` word is a push too.
+    fn admit(sim: &mut FlatSimulation<L, B>, k: usize) {
+        if let LiveOrder::Listed { live, live_pos } = &mut sim.sched.order {
+            debug_assert_eq!(k, live_pos.len());
+            live_pos.push(pos_word(live.len()));
+            live.push(LiveRef::new(&sim.arena, k));
+        }
+    }
+
+    /// The first departure materializes the live list and `live_pos` from
+    /// the dense order, once, in O(n); every departure then swap-removes
+    /// its entry in O(1).
+    fn leave(sim: &mut FlatSimulation<L, B>, k: usize) {
+        if let LiveOrder::Dense = sim.sched.order {
+            let arena = &sim.arena;
+            let dense_len = arena.dense_id.len();
+            sim.sched.order = LiveOrder::Listed {
+                live: (0..dense_len).map(|k| LiveRef::new(arena, k)).collect(),
+                live_pos: (0..dense_len).map(pos_word).collect(),
+            };
+        }
+        let LiveOrder::Listed { live, live_pos } = &mut sim.sched.order else {
+            unreachable!("materialized above")
+        };
+        let pos = live_pos[k] as usize;
+        debug_assert_eq!(live[pos].dense as usize, k, "live_pos out of sync");
+        live.swap_remove(pos);
+        if let Some(moved) = live.get(pos) {
+            live_pos[moved.dense as usize] = pos_word(pos);
+        }
+    }
+
+    fn join_rng(&mut self) -> &mut StdRng {
+        &mut self.rng
+    }
+
+    fn channels(&mut self) -> &mut [L] {
+        &mut []
     }
 }
 
@@ -236,7 +280,7 @@ impl<L: FaultModel> FlatSimulation<L, SfBehavior> {
     /// slots).
     #[must_use]
     pub fn new(nodes: impl IntoIterator<Item = SfNode>, loss: L, seed: u64) -> Self {
-        Self::over(Arena::from_nodes(nodes), SfBehavior, loss, seed)
+        Self::over(Arena::from_nodes(nodes), SfBehavior, loss, Flat::seeded(seed))
     }
 
     /// Creates a flat S&F simulation with a message-delay model, so
@@ -282,33 +326,7 @@ impl<L: FaultModel, B: ProtocolBehavior> FlatSimulation<L, B> {
         loss: L,
         seed: u64,
     ) -> Self {
-        Self::over(Arena::from_views(config, views), behavior, loss, seed)
-    }
-
-    /// The shared constructor core: a fresh scheduler over a built arena,
-    /// every node live in dense (= insertion) order.
-    fn over(arena: Arena, behavior: B, loss: L, seed: u64) -> Self {
-        Self {
-            arena,
-            behavior,
-            order: LiveOrder::Dense,
-            loss,
-            delay: DelayModel::Immediate,
-            now: 0,
-            rounds: 0,
-            ring: Vec::new(),
-            in_flight_count: 0,
-            drained_to: 0,
-            rng: StdRng::seed_from_u64(seed),
-            stats: SimStats::default(),
-            subscribers: Subscribers::default(),
-            profile: None,
-        }
-    }
-
-    /// The live nodes' dense arena indices, in live order.
-    fn live_dense(&self) -> impl Iterator<Item = usize> + '_ {
-        self.order.dense_indices(self.arena.dense_id.len())
+        Self::over(Arena::from_views(config, views), behavior, loss, Flat::seeded(seed))
     }
 
     /// Installs a message-delay model on a freshly built simulation
@@ -320,128 +338,34 @@ impl<L: FaultModel, B: ProtocolBehavior> FlatSimulation<L, B> {
     /// is zero.
     #[must_use]
     pub fn delayed(mut self, delay: DelayModel) -> Self {
-        assert!(self.now == 0, "the delay model must be installed before stepping");
+        assert!(self.sched.now == 0, "the delay model must be installed before stepping");
         if let Some(ring) = ring_for(delay) {
-            self.ring = ring;
+            self.sched.ring = ring;
         }
         self.delay = delay;
         self
     }
 
-    /// Registers a step-event observer. All subsequent steps (and delayed
-    /// deliveries) are reported to it, in registration order, after the
-    /// engine's own counters update. See [`StepSubscriber`].
-    pub fn subscribe(&mut self, subscriber: Box<dyn StepSubscriber<B::Msg>>) {
-        self.subscribers.push(subscriber);
-    }
-
-    /// Number of registered step-event observers.
-    #[must_use]
-    pub fn subscriber_count(&self) -> usize {
-        self.subscribers.len()
-    }
-
-    /// Attaches hot-path profiling under the `sim.profile.*` span names.
+    /// Attaches hot-path profiling under the `sim.profile.*` span names:
+    /// `sim.profile.step_ns` and `sim.profile.deliver_ns`. With a disabled
+    /// registry the spans never read the clock.
     pub fn attach_profiler(&mut self, registry: &MetricsRegistry) {
-        self.profile = Some(StepProfile::new(registry));
-    }
-
-    /// Reports `report` to every subscriber; out of line so the
-    /// subscriber-free stepping path stays compact.
-    #[cold]
-    #[inline(never)]
-    fn notify(&mut self, report: &StepReport<B::Msg>) {
-        self.subscribers.notify(report);
-    }
-
-    /// The shared protocol configuration.
-    #[must_use]
-    pub fn config(&self) -> SfConfig {
-        self.arena.config
-    }
-
-    /// Number of live nodes.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.order.len(self.arena.dense_id.len())
-    }
-
-    /// Whether no node is live.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The ids of the live nodes, in live order: insertion order, with
-    /// `swap_remove` on leave (the order the initiator draw indexes into). Owned: the engine keeps no id list of
-    /// its own until the first `leave`.
-    #[must_use]
-    pub fn live_ids(&self) -> Vec<NodeId> {
-        self.live_dense().map(|k| self.arena.id_at(k)).collect()
-    }
-
-    /// Number of messages currently in flight (always 0 under
-    /// [`DelayModel::Immediate`]).
-    #[must_use]
-    pub fn in_flight(&self) -> usize {
-        self.in_flight_count
-    }
-
-    /// Accumulated system-wide counters.
-    #[must_use]
-    pub fn stats(&self) -> &SimStats {
-        &self.stats
-    }
-
-    /// Resets system-wide and per-node counters (e.g. after burn-in).
-    pub fn reset_stats(&mut self) {
-        self.stats = SimStats::default();
-        let dense_len = self.arena.dense_id.len();
-        self.arena.reset_stats(self.order.dense_indices(dense_len));
-    }
-
-    /// Sum of all live nodes' per-node counters.
-    #[must_use]
-    pub fn aggregate_node_stats(&self) -> NodeStats {
-        self.arena.aggregate_node_stats(self.live_dense())
-    }
-
-    /// A live node's outdegree, or `None` when departed.
-    #[must_use]
-    pub fn out_degree_of(&self, id: NodeId) -> Option<usize> {
-        self.arena.out_degree_of(id)
-    }
-
-    /// Reconstitutes a live node's [`LocalView`] from the arena (slot
-    /// positions, ids, and dependence tags all preserved; slots the
-    /// behavior hides, i.e. tombstones, read as empty — as in every other
-    /// reader), or `None` when departed. Intended for snapshots and tests,
-    /// not hot paths.
-    #[must_use]
-    pub fn node_view(&self, id: NodeId) -> Option<LocalView> {
-        self.arena.dense_of(id).map(|k| self.arena.view_at::<B>(k))
-    }
-
-    /// Reconstitutes every live node as an [`SfNode`], in live order.
-    /// Views carry over exactly; the per-node *counters* do not (the
-    /// rebuilt nodes start with zeroed [`NodeStats`] — read
-    /// [`aggregate_node_stats`](Self::aggregate_node_stats) from the
-    /// engine instead).
-    #[must_use]
-    pub fn to_nodes(&self) -> Vec<SfNode> {
-        self.arena.to_nodes::<B>(self.live_dense())
+        self.sched.profile = Some(StepProfile {
+            step: registry.histogram("sim.profile.step_ns", duration_buckets()),
+            deliver: registry.histogram("sim.profile.deliver_ns", duration_buckets()),
+        });
     }
 
     /// Executes one step by a uniformly random live node (the paper's
     /// central-entity model).
     pub fn step(&mut self) -> StepReport<B::Msg> {
-        let (id, k) = match &self.order {
+        let (id, k) = match &self.sched.order {
             LiveOrder::Dense => {
-                let k = self.rng.gen_range(0..self.arena.dense_id.len());
+                let k = self.sched.rng.gen_range(0..self.arena.dense_id.len());
                 (self.arena.id_at(k), k)
             }
             LiveOrder::Listed { live, .. } => {
-                let entry = live[self.rng.gen_range(0..live.len())];
+                let entry = live[self.sched.rng.gen_range(0..live.len())];
                 (entry.node_id(), entry.dense as usize)
             }
         };
@@ -453,8 +377,8 @@ impl<L: FaultModel, B: ProtocolBehavior> FlatSimulation<L, B> {
     /// packed live list, or the permuted round's order).
     #[inline]
     fn step_impl(&mut self, initiator: NodeId, k: usize) -> StepReport<B::Msg> {
-        let _span = self.profile.as_ref().map(|p| SpanTimer::start(&p.step));
-        self.now += 1;
+        let _span = self.sched.profile.as_ref().map(|p| SpanTimer::start(&p.step));
+        self.sched.now += 1;
         if self.subscribers.is_empty() {
             self.deliver_due(None);
         } else {
@@ -466,7 +390,7 @@ impl<L: FaultModel, B: ProtocolBehavior> FlatSimulation<L, B> {
                 initiator,
                 event: StepEvent::Skipped,
                 phase: StepPhase::Action,
-                step: self.now,
+                step: self.sched.now,
             };
             if !self.subscribers.is_empty() {
                 self.notify(&report);
@@ -479,7 +403,7 @@ impl<L: FaultModel, B: ProtocolBehavior> FlatSimulation<L, B> {
         // causally follow the action report, so they are notified after
         // it. Empty (and unallocated) for non-replying protocols.
         let mut chained: Vec<StepReport<B::Msg>> = Vec::new();
-        let event = match self.arena.initiate(&self.behavior, k, &mut self.rng) {
+        let event = match self.arena.initiate(&self.behavior, k, &mut self.sched.rng) {
             None => {
                 self.stats.self_loops += 1;
                 StepEvent::SelfLoop
@@ -491,7 +415,7 @@ impl<L: FaultModel, B: ProtocolBehavior> FlatSimulation<L, B> {
                     self.stats.duplications += 1;
                 }
                 let ctx = FaultCtx { from: initiator, to, round: self.rounds };
-                if self.loss.drops(ctx, &mut self.rng) {
+                if self.loss.drops(ctx, &mut self.sched.rng) {
                     self.stats.lost += 1;
                     StepEvent::Lost { to, message, duplicated }
                 } else {
@@ -505,9 +429,9 @@ impl<L: FaultModel, B: ProtocolBehavior> FlatSimulation<L, B> {
                             event
                         }
                         DelayModel::UniformSteps { max } => {
-                            let deliver_at = self.now + self.rng.gen_range(1..=max);
+                            let deliver_at = self.sched.now + self.sched.rng.gen_range(1..=max);
                             let bucket = (deliver_at % (max + 1)) as usize;
-                            self.ring[bucket].push((deliver_at, to, message));
+                            self.sched.ring[bucket].push((deliver_at, to, message));
                             self.in_flight_count += 1;
                             StepEvent::InFlight { to, message, duplicated, deliver_at }
                         }
@@ -515,7 +439,8 @@ impl<L: FaultModel, B: ProtocolBehavior> FlatSimulation<L, B> {
                 }
             }
         };
-        let report = StepReport { initiator, event, phase: StepPhase::Action, step: self.now };
+        let report =
+            StepReport { initiator, event, phase: StepPhase::Action, step: self.sched.now };
         if observed {
             self.notify(&report);
             for chained_report in &chained {
@@ -528,7 +453,7 @@ impl<L: FaultModel, B: ProtocolBehavior> FlatSimulation<L, B> {
     /// Delivers one message hop at `to` (or counts a dead letter),
     /// returning the step event and the receiver's reply, if any.
     fn deliver_hop(&mut self, to: NodeId, message: B::Msg) -> HopOutcome<B::Msg> {
-        let _span = self.profile.as_ref().map(|p| SpanTimer::start(&p.deliver));
+        let _span = self.sched.profile.as_ref().map(|p| SpanTimer::start(&p.deliver));
         let duplicated = B::duplicated(&message);
         match self.arena.dense_of(to) {
             None => {
@@ -536,7 +461,7 @@ impl<L: FaultModel, B: ProtocolBehavior> FlatSimulation<L, B> {
                 (StepEvent::DeadLetter { to, message, duplicated }, None)
             }
             Some(k) => {
-                let receipt = self.arena.receive(&self.behavior, k, message, &mut self.rng);
+                let receipt = self.arena.receive(&self.behavior, k, message, &mut self.sched.rng);
                 if receipt.deleted {
                     self.stats.deleted += 1;
                 } else {
@@ -574,7 +499,7 @@ impl<L: FaultModel, B: ProtocolBehavior> FlatSimulation<L, B> {
                 self.stats.duplications += 1;
             }
             let ctx = FaultCtx { from, to, round: self.rounds };
-            let event = if self.loss.drops(ctx, &mut self.rng) {
+            let event = if self.loss.drops(ctx, &mut self.sched.rng) {
                 self.stats.lost += 1;
                 StepEvent::Lost { to, message, duplicated }
             } else {
@@ -585,9 +510,9 @@ impl<L: FaultModel, B: ProtocolBehavior> FlatSimulation<L, B> {
                         event
                     }
                     DelayModel::UniformSteps { max } => {
-                        let deliver_at = self.now + self.rng.gen_range(1..=max);
+                        let deliver_at = self.sched.now + self.sched.rng.gen_range(1..=max);
                         let bucket = (deliver_at % (max + 1)) as usize;
-                        self.ring[bucket].push((deliver_at, to, message));
+                        self.sched.ring[bucket].push((deliver_at, to, message));
                         self.in_flight_count += 1;
                         StepEvent::InFlight { to, message, duplicated, deliver_at }
                     }
@@ -598,7 +523,7 @@ impl<L: FaultModel, B: ProtocolBehavior> FlatSimulation<L, B> {
                     initiator: from,
                     event,
                     phase: StepPhase::Delivery,
-                    step: self.now,
+                    step: self.sched.now,
                 });
             }
         }
@@ -609,24 +534,24 @@ impl<L: FaultModel, B: ProtocolBehavior> FlatSimulation<L, B> {
     /// counter check when nothing is in flight.
     fn deliver_due(&mut self, mut reports: Option<&mut Vec<StepReport<B::Msg>>>) {
         if self.in_flight_count == 0 {
-            self.drained_to = self.now;
+            self.sched.drained_to = self.sched.now;
             return;
         }
-        let len = self.ring.len() as u64;
-        for t in self.drained_to + 1..=self.now {
+        let len = self.sched.ring.len() as u64;
+        for t in self.sched.drained_to + 1..=self.sched.now {
             let bucket = (t % len) as usize;
-            if self.ring[bucket].is_empty() {
+            if self.sched.ring[bucket].is_empty() {
                 continue;
             }
             // Swap the bucket out so deliveries can mutate the engine;
             // restore the (cleared) allocation afterward for reuse.
-            let mut batch = std::mem::take(&mut self.ring[bucket]);
+            let mut batch = std::mem::take(&mut self.sched.ring[bucket]);
             // Replies scheduled mid-drain can alias this residue to a
             // later lap of the ring; only entries due exactly at `t`
             // fire now (never the case for non-replying protocols).
             if batch.iter().any(|&(at, _, _)| at != t) {
                 for &entry in batch.iter().filter(|&&(at, _, _)| at != t) {
-                    self.ring[bucket].push(entry);
+                    self.sched.ring[bucket].push(entry);
                 }
                 batch.retain(|&(at, _, _)| at == t);
             }
@@ -638,7 +563,7 @@ impl<L: FaultModel, B: ProtocolBehavior> FlatSimulation<L, B> {
                         initiator: B::sender(&message),
                         event,
                         phase: StepPhase::Delivery,
-                        step: self.now,
+                        step: self.sched.now,
                     });
                 }
                 if reply.is_some() {
@@ -648,10 +573,10 @@ impl<L: FaultModel, B: ProtocolBehavior> FlatSimulation<L, B> {
             // Keep anything scheduled into this residue while the bucket
             // was swapped out (delayed replies).
             batch.clear();
-            let late = std::mem::replace(&mut self.ring[bucket], batch);
-            self.ring[bucket].extend(late);
+            let late = std::mem::replace(&mut self.sched.ring[bucket], batch);
+            self.sched.ring[bucket].extend(late);
         }
-        self.drained_to = self.now;
+        self.sched.drained_to = self.sched.now;
     }
 
     /// The subscriber path of due-message delivery: collect the delivery
@@ -675,17 +600,17 @@ impl<L: FaultModel, B: ProtocolBehavior> FlatSimulation<L, B> {
     /// protocols).
     pub fn settle(&mut self) {
         while self.in_flight_count > 0 {
-            let len = self.ring.len() as u64;
+            let len = self.sched.ring.len() as u64;
             // At rest each residue holds at most one distinct scheduled
             // time, all in `(drained_to, drained_to + len]`; find the
             // latest occupied one.
-            let mut last = self.now;
-            for t in self.drained_to + 1..=self.drained_to + len {
-                if !self.ring[(t % len) as usize].is_empty() {
+            let mut last = self.sched.now;
+            for t in self.sched.drained_to + 1..=self.sched.drained_to + len {
+                if !self.sched.ring[(t % len) as usize].is_empty() {
                     last = last.max(t);
                 }
             }
-            self.now = self.now.max(last);
+            self.sched.now = self.sched.now.max(last);
             if self.subscribers.is_empty() {
                 self.deliver_due(None);
             } else {
@@ -706,7 +631,7 @@ impl<L: FaultModel, B: ProtocolBehavior> FlatSimulation<L, B> {
     /// in a fresh random order.
     pub fn round_permuted(&mut self) {
         let mut order: Vec<usize> = self.live_dense().collect();
-        order.shuffle(&mut self.rng);
+        order.shuffle(&mut self.sched.rng);
         for k in order {
             let id = self.arena.id_at(k);
             if self.arena.dense_of(id).is_some() {
@@ -715,159 +640,12 @@ impl<L: FaultModel, B: ProtocolBehavior> FlatSimulation<L, B> {
         }
         self.rounds += 1;
     }
-
-    /// Completed rounds ([`round`](Self::round) /
-    /// [`round_permuted`](Self::round_permuted) calls) — the time base
-    /// round-indexed fault models see in [`FaultCtx::round`].
-    #[must_use]
-    pub fn rounds_run(&self) -> u64 {
-        self.rounds
-    }
-
-    /// The fault model, for measurement-time inspection.
-    #[must_use]
-    pub fn fault(&self) -> &L {
-        &self.loss
-    }
-
-    /// Applies `f` to the fault model — e.g. to aim a
-    /// [`PhaseFault::Victims`](crate::PhaseFault::Victims) at the current high-indegree
-    /// nodes at a phase boundary. The par engine has the same hook.
-    pub fn update_fault(&mut self, mut f: impl FnMut(&mut L)) {
-        f(&mut self.loss);
-    }
-
-    /// Runs `rounds` central-entity rounds.
-    pub fn run_rounds(&mut self, rounds: usize) {
-        for _ in 0..rounds {
-            self.round();
-        }
-    }
-
-    /// Runs one measurement replicate: `burn_in` rounds, a stats reset, then
-    /// `measure` rounds. Returns the simulation, for a sweep worker to read.
-    #[must_use]
-    pub fn run_replicate(mut self, burn_in: usize, measure: usize) -> Self {
-        self.run_rounds(burn_in);
-        self.reset_stats();
-        self.run_rounds(measure);
-        self
-    }
-
-    /// Adds a new node bootstrapped with ids copied from a random
-    /// position in `sponsor`'s view — the sample size and the eligible
-    /// (visible) slots are the behavior's choice. Under the default
-    /// behavior that is the paper's joining rule (Section 5): the joiner
-    /// starts with `d_L` ids and indegree 0.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`JoinError::TooFewIds`] if the sponsor's view holds fewer
-    /// visible ids than the behavior's seed size.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sponsor` is not live.
-    pub fn join_via(&mut self, sponsor: NodeId) -> Result<NodeId, JoinError> {
-        let joined = self.arena.join_via(&self.behavior, sponsor, &mut self.rng);
-        self.admit(joined)
-    }
-
-    /// Adds a new node bootstrapped with the given ids (tagged dependent,
-    /// filled in slot order — exactly like [`SfNode::with_view`] under
-    /// the default behavior; other behaviors validate through
-    /// [`ProtocolBehavior::validate_bootstrap`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns the behavior's [`JoinError`]s, or
-    /// [`JoinError::IdSpaceExhausted`] when the id allocator has reached
-    /// the arena's `u32` id limit or a bootstrap id lies beyond it (the
-    /// rejected join leaves the engine untouched).
-    pub fn join_with(&mut self, bootstrap: &[NodeId]) -> Result<NodeId, JoinError> {
-        let joined = self.arena.join_with(&self.behavior, bootstrap.iter().copied());
-        self.admit(joined)
-    }
-
-    /// Appends a node the arena just admitted to the live order: nothing
-    /// to do while it is the dense order; otherwise joins take the next
-    /// dense index, so its `live_pos` word is a push too.
-    fn admit(&mut self, joined: Result<usize, JoinError>) -> Result<NodeId, JoinError> {
-        let entry = LiveRef::new(&self.arena, joined?);
-        if let LiveOrder::Listed { live, live_pos } = &mut self.order {
-            debug_assert_eq!(entry.dense as usize, live_pos.len());
-            live_pos.push(pos_word(live.len()));
-            live.push(entry);
-        }
-        Ok(entry.node_id())
-    }
-
-    /// Removes a node (a *leave* or *crash* — the paper treats them alike:
-    /// the node simply stops participating, Section 5). Returns the
-    /// departed node rebuilt from the arena — its view is exact, but its
-    /// per-node counters are zeroed; the engine-level
-    /// [`stats`](Self::stats) are unaffected.
-    ///
-    /// The first departure materializes the live list and `live_pos` from
-    /// the dense order, once, in O(n).
-    pub fn leave(&mut self, id: NodeId) -> Option<SfNode> {
-        let k = self.arena.dense_of(id)?;
-        if let LiveOrder::Dense = self.order {
-            let arena = &self.arena;
-            let dense_len = arena.dense_id.len();
-            self.order = LiveOrder::Listed {
-                live: (0..dense_len).map(|k| LiveRef::new(arena, k)).collect(),
-                live_pos: (0..dense_len).map(pos_word).collect(),
-            };
-        }
-        let LiveOrder::Listed { live, live_pos } = &mut self.order else {
-            unreachable!("materialized above")
-        };
-        let pos = live_pos[k] as usize;
-        debug_assert_eq!(live[pos].dense as usize, k, "live_pos out of sync");
-        live.swap_remove(pos);
-        if let Some(moved) = live.get(pos) {
-            live_pos[moved.dense as usize] = pos_word(pos);
-        }
-        self.arena.leave::<B>(id)
-    }
-
-    /// Total multiplicity of `id` across all live, visible slots. Ids at
-    /// or above the arena's `u32` limit cannot be stored, so they count
-    /// zero (the widening boundary never aliases them onto arena words).
-    ///
-    /// Windows are scanned two slots per u64 word; the per-slot
-    /// visibility check only runs on the rare windows with a raw match.
-    #[must_use]
-    pub fn count_id_instances(&self, id: NodeId) -> usize {
-        self.arena.count_id_instances::<B>(self.live_dense(), id)
-    }
-
-    /// Streaming degree statistics — the live outdegree histogram,
-    /// maintained incrementally at store/delete time (`O(s)` snapshot, no
-    /// arena scan; equal to a from-scratch rebuild over the live degree
-    /// ledgers at all times).
-    #[must_use]
-    pub fn degree_stats(&self) -> &DegreeStats {
-        &self.arena.degree_hist
-    }
-
-    /// Visits every live node's row in live order; the body of
-    /// [`Engine::for_each_live_row`](crate::Engine::for_each_live_row).
-    pub(crate) fn for_each_live_row(&self, visit: &mut dyn FnMut(u32, &[u32])) {
-        self.arena.for_each_row::<B>(self.live_dense(), visit);
-    }
-
-    /// Measures spatial dependence across all live views (Property M4),
-    /// over the arena's rows in place.
-    #[must_use]
-    pub fn dependence(&self) -> DependenceReport {
-        self.arena.dependence::<B>(self.live_dense())
-    }
 }
 
 #[cfg(test)]
 mod tests {
+    use sandf_core::JoinError;
+
     use crate::loss::UniformLoss;
     use crate::topology;
     use crate::traits::{Engine, ARENA_ID_LIMIT};
@@ -888,7 +666,7 @@ mod tests {
     /// in the arena's order. After: one `live_pos` word per dense node,
     /// and every live entry's word points back at that entry.
     fn assert_live_index<L: FaultModel, B: ProtocolBehavior>(sim: &FlatSimulation<L, B>) {
-        match &sim.order {
+        match &sim.sched.order {
             LiveOrder::Dense => {
                 let all = 0..sim.arena.dense_id.len();
                 assert!(sim.arena.live_dense().eq(all.clone()), "a node left, yet no list");
@@ -1072,11 +850,11 @@ mod tests {
         };
         let mut flat = FlatSimulation::new(nodes(), UniformLoss::none(), 5);
         let mut model = flat.live_ids();
-        assert!(matches!(flat.order, LiveOrder::Dense), "no list before the first leave");
+        assert!(matches!(flat.sched.order, LiveOrder::Dense), "no list before the first leave");
         for pick in [0usize, 22, 11] {
             let victim = model[pick];
             leave(&mut model, &mut flat, victim);
-            assert!(matches!(flat.order, LiveOrder::Listed { .. }), "the first leave lists");
+            assert!(matches!(flat.sched.order, LiveOrder::Listed { .. }), "the first leave lists");
         }
         let joined = flat.join_via(NodeId::new(1)).unwrap();
         model.push(joined);

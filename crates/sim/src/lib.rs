@@ -9,7 +9,8 @@
 //! (join/leave), initial [`topology`] builders, measurement
 //! [`observer`]s, and ready-made [`experiment`] runners for every empirical
 //! result in the paper's evaluation. [`ParSimulation`] shards the same
-//! arena across threads (round-based, statistically equivalent). Both run
+//! arena across threads (round-based, statistically equivalent). The two
+//! are one engine shell, [`ArenaSim`], under two schedules, and both run
 //! any [`ProtocolBehavior`]; the exact one-step law enumerated from the
 //! behavior code (`tests/exact_step_law.rs` at the workspace root) is the
 //! oracle the flat engine and [`SfBehavior`] are held to.
@@ -37,7 +38,6 @@
 
 mod arena;
 pub mod broadcast;
-mod chassis;
 mod degree;
 mod engine;
 pub mod experiment;
@@ -47,6 +47,7 @@ mod loss;
 pub mod observer;
 mod par;
 pub mod scan;
+mod shell;
 pub mod stream;
 pub mod telemetry;
 pub mod topology;
@@ -62,6 +63,7 @@ pub use fault::{FaultCtx, FaultModel, PhaseFault, ScheduledFault};
 pub use flat::FlatSimulation;
 pub use loss::{GilbertElliott, LossModel, LossRateError, UniformLoss};
 pub use par::ParSimulation;
+pub use shell::ArenaSim;
 pub use telemetry::SimRecorder;
 pub use traits::{
     slot_word, Engine, IdBatch, ProtocolBehavior, Receipt, SfBehavior, SlotView, ARENA_ID_LIMIT,

@@ -1,11 +1,12 @@
-//! The multi-threaded fast path: a sharded, round-based scheduler over the
-//! shared slot [`Arena`].
+//! The sharded schedule: a multi-threaded, round-based scheduler, run by
+//! the engine shell [`ArenaSim`] over the shared slot [`Arena`].
 //!
-//! Storage — the `n × s` slot words, the dense ledgers, the id tables and
-//! the `u64`-id widening boundary — is the same [`Arena`] the flat engine
-//! runs on and is documented once, in [`crate::arena`]. What this module
-//! owns is the scheduler, the in-flight queue, and the determinism
-//! contract.
+//! [`ParSimulation`] is the shell under this schedule. Storage — the
+//! `n × s` slot words, the dense ledgers, the id tables and the `u64`-id
+//! widening boundary — is the same [`Arena`] the flat schedule runs on and
+//! is documented once, in [`crate::arena`]; the readers, the churn control
+//! plane and the stats are the shell's. What this module owns is the
+//! scheduler, the in-flight queue, and the determinism contract.
 //!
 //! [`FlatSimulation`](crate::FlatSimulation) is bound by single-thread
 //! throughput: one RNG stream forces every step to happen in sequence. The
@@ -87,21 +88,42 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-use std::fmt;
-
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sandf_core::{JoinError, LocalView, NodeId, NodeStats, SfConfig, SfNode};
-use sandf_graph::DependenceReport;
+use sandf_core::{NodeId, SfConfig, SfNode};
 use sandf_obs::{duration_buckets, GaugeHandle, HistogramHandle, MetricsRegistry, SpanTimer};
 
 use crate::arena::{Arena, Shard};
-use crate::chassis::{ring_for, Subscribers};
-use crate::degree::DegreeStats;
-use crate::engine::{DelayModel, SimStats, StepEvent, StepPhase, StepReport, StepSubscriber};
+use crate::engine::{DelayModel, SimStats, StepEvent, StepPhase, StepReport};
 use crate::fault::{FaultCtx, FaultModel};
+use crate::shell::{ring_for, ArenaSim, Schedule};
 use crate::stream::{self, absorb, stream_prefix, stream_seed};
 use crate::traits::{ProtocolBehavior, SfBehavior, MAX_REPLY_CHAIN};
+
+/// The sharded, multi-threaded fast path of the simulation stack: the
+/// shell [`ArenaSim`] under the `Par` schedule.
+///
+/// Same arena layout as [`FlatSimulation`](crate::FlatSimulation) (one
+/// contiguous `n × s` slot arena, dense ledgers, ring-buffer in-flight
+/// queue), driven by round-based three-phase execution — parallel actions,
+/// deterministic merge, parallel delivery — with per-`(seed, node, round)`
+/// FNV-1a-derived RNG streams. Results are **byte-identical for any thread
+/// count**; see the module docs for the scheme and for why this engine is
+/// a distinct-but-valid statistical mode relative to
+/// [`FlatSimulation`](crate::FlatSimulation).
+///
+/// The engine is generic over a [`ProtocolBehavior`] `B` (defaulting to
+/// [`SfBehavior`]); build zoo instances with
+/// [`from_views`](ParSimulation::from_views).
+///
+/// Under [`DelayModel::UniformSteps`] the bound is interpreted in
+/// *rounds*: each message arrives `1..=max` rounds after it was sent.
+/// Under [`DelayModel::Immediate`] messages are delivered in the same
+/// round's delivery phase (after every node has acted).
+///
+/// As with the flat engine, a clone starts with no subscribers and shares
+/// an attached profiler.
+pub type ParSimulation<L, B = SfBehavior> = ArenaSim<Par<L, <B as ProtocolBehavior>::Msg>, L, B>;
 
 /// Streams per seed fill: a phase worker derives this many seeds in one
 /// pass, into a buffer on its stack, ahead of the rows that consume them.
@@ -239,84 +261,61 @@ impl<M> DeliveryShardOut<M> {
     }
 }
 
-/// The sharded, multi-threaded fast path of the simulation stack.
-///
-/// Same arena layout as [`FlatSimulation`](crate::FlatSimulation) (one
-/// contiguous `n × s` slot arena, dense ledgers, ring-buffer in-flight
-/// queue), driven by round-based three-phase execution — parallel actions,
-/// deterministic merge, parallel delivery — with per-`(seed, node, round)`
-/// FNV-1a-derived RNG streams. Results are **byte-identical for any thread
-/// count**; see the module docs for the scheme and for why this engine is
-/// a distinct-but-valid statistical mode relative to
-/// [`FlatSimulation`](crate::FlatSimulation).
-///
-/// The engine is generic over a [`ProtocolBehavior`] `B` (defaulting to
-/// [`SfBehavior`]); build zoo instances with
-/// [`from_views`](Self::from_views).
-///
-/// Under [`DelayModel::UniformSteps`] the bound is interpreted in
-/// *rounds*: each message arrives `1..=max` rounds after it was sent.
-/// Under [`DelayModel::Immediate`] messages are delivered in the same
-/// round's delivery phase (after every node has acted).
-///
-/// As with the other engines, a clone starts with no subscribers and
-/// shares an attached profiler.
+/// The sharded schedule's own state, beside what the shell owns: the
+/// per-sender channels, the stream seed and control-plane RNG, the
+/// round-indexed ring and the shard scratch.
 #[derive(Clone)]
-pub struct ParSimulation<L, B: ProtocolBehavior = SfBehavior> {
-    /// Views, ledgers and id tables.
-    arena: Arena,
-    /// The protocol executing over the arena.
-    behavior: B,
-    /// Number of live nodes (the dense arena also carries departed ones).
-    live_count: usize,
+pub struct Par<L, M> {
     /// Per-sender loss channels, indexed by dense node index. Stateful
     /// models ([`GilbertElliott`](crate::GilbertElliott)) advance
     /// per-sender, which keeps loss decisions shard-independent.
-    loss: Vec<L>,
-    /// Prototype channel cloned for nodes that join later.
-    loss_proto: L,
-    delay: DelayModel,
-    /// Rounds executed so far (drives RNG stream derivation).
-    round: u64,
-    /// Global action counter (one per live node per round), stamped on
-    /// reports for parity with the sequential engines.
-    step_counter: u64,
-    /// Delivery ring: bucket `t % ring.len()` holds the messages due at
-    /// round `t`. A single bucket in immediate mode.
-    ring: Vec<Vec<(NodeId, B::Msg)>>,
-    /// Messages currently in flight across all ring buckets.
-    in_flight_count: usize,
+    channels: Vec<L>,
     seed: u64,
     /// Control-plane RNG (join_via shuffles) — deterministic and separate
     /// from the per-node streams.
     ctl_rng: StdRng,
-    stats: SimStats,
+    /// Global action counter (one per live node per round), stamped on
+    /// reports for parity with the flat engine.
+    step_counter: u64,
+    /// Delivery ring: bucket `t % ring.len()` holds the messages due at
+    /// round `t`. A single bucket in immediate mode.
+    ring: Vec<Vec<(NodeId, M)>>,
     threads: usize,
     /// Shard balance of the last executed round: max shard live count over
     /// the perfectly balanced share (1.0 = balanced).
     last_imbalance: f64,
-    /// Registered step-event observers (not carried across clones).
-    subscribers: Subscribers<B::Msg>,
     /// Per-phase span histograms, when a profiler is attached.
     profile: Option<ParProfile>,
     /// One entry per shard of the current plan.
-    scratch: Vec<ShardScratch<B::Msg>>,
+    scratch: Vec<ShardScratch<M>>,
 }
 
-impl<L: fmt::Debug, B: ProtocolBehavior> fmt::Debug for ParSimulation<L, B> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ParSimulation")
-            .field("config", &self.arena.config)
-            .field("live", &self.live_count)
-            .field("loss", &self.loss_proto)
-            .field("delay", &self.delay)
-            .field("round", &self.round)
-            .field("threads", &self.threads)
-            .field("in_flight", &self.in_flight_count)
-            .field("stats", &self.stats)
-            .field("subscribers", &self.subscribers)
-            .field("profiled", &self.profile.is_some())
-            .finish_non_exhaustive()
+impl<L: FaultModel + Clone + Send, B: ProtocolBehavior> Schedule<L, B> for Par<L, B::Msg> {
+    fn round(sim: &mut ParSimulation<L, B>) {
+        sim.round();
+    }
+
+    fn settle(sim: &mut ParSimulation<L, B>) {
+        sim.settle();
+    }
+
+    fn live_dense(sim: &ParSimulation<L, B>) -> impl Iterator<Item = usize> + '_ {
+        sim.arena.live_dense()
+    }
+
+    /// Gives a node the arena just admitted its sender channel.
+    fn admit(sim: &mut ParSimulation<L, B>, _k: usize) {
+        sim.sched.channels.push(sim.loss.clone());
+    }
+
+    fn leave(_sim: &mut ParSimulation<L, B>, _k: usize) {}
+
+    fn join_rng(&mut self) -> &mut StdRng {
+        &mut self.ctl_rng
+    }
+
+    fn channels(&mut self) -> &mut [L] {
+        &mut self.channels
     }
 }
 
@@ -337,7 +336,7 @@ impl<L: FaultModel + Clone + Send> ParSimulation<L, SfBehavior> {
         seed: u64,
         threads: usize,
     ) -> Self {
-        Self::over(Arena::from_nodes(nodes), SfBehavior, loss, seed, threads)
+        Self::sharded(Arena::from_nodes(nodes), SfBehavior, loss, seed, threads)
     }
 
     /// Creates a sharded simulation with a message-delay model. Under
@@ -365,7 +364,7 @@ impl<L: FaultModel + Clone + Send, B: ProtocolBehavior> ParSimulation<L, B> {
     /// Creates a sharded simulation of an arbitrary [`ProtocolBehavior`]
     /// from explicit initial views (each `(node, neighbors)` pair fills the
     /// node's slots in order, untagged) — the zoo counterpart of
-    /// [`new`](Self::new), mirroring
+    /// [`new`](ParSimulation::new), mirroring
     /// [`FlatSimulation::from_views`](crate::FlatSimulation::from_views).
     ///
     /// # Panics
@@ -381,34 +380,25 @@ impl<L: FaultModel + Clone + Send, B: ProtocolBehavior> ParSimulation<L, B> {
         seed: u64,
         threads: usize,
     ) -> Self {
-        Self::over(Arena::from_views(config, views), behavior, loss, seed, threads)
+        Self::sharded(Arena::from_views(config, views), behavior, loss, seed, threads)
     }
 
-    /// The shared constructor core: a fresh scheduler over a built arena,
-    /// one loss channel per node.
-    fn over(arena: Arena, behavior: B, loss: L, seed: u64, threads: usize) -> Self {
+    /// The constructor core: a fresh schedule over a built arena, one loss
+    /// channel per node.
+    fn sharded(arena: Arena, behavior: B, loss: L, seed: u64, threads: usize) -> Self {
         assert!(threads > 0, "thread count must be positive");
-        let n = arena.dense_id.len();
-        Self {
-            arena,
-            behavior,
-            live_count: n,
-            loss: vec![loss.clone(); n],
-            loss_proto: loss,
-            delay: DelayModel::Immediate,
-            round: 0,
-            step_counter: 0,
-            ring: vec![Vec::new()],
-            in_flight_count: 0,
+        let sched = Par {
+            channels: vec![loss.clone(); arena.dense_id.len()],
             seed,
             ctl_rng: StdRng::seed_from_u64(control_seed(seed)),
-            stats: SimStats::default(),
+            step_counter: 0,
+            ring: vec![Vec::new()],
             threads,
             last_imbalance: 1.0,
-            subscribers: Subscribers::default(),
             profile: None,
             scratch: Vec::new(),
-        }
+        };
+        Self::over(arena, behavior, loss, sched)
     }
 
     /// Installs a message-delay model on a freshly built simulation
@@ -421,26 +411,12 @@ impl<L: FaultModel + Clone + Send, B: ProtocolBehavior> ParSimulation<L, B> {
     /// is zero.
     #[must_use]
     pub fn delayed(mut self, delay: DelayModel) -> Self {
-        assert!(self.round == 0, "the delay model must be installed before the first round");
+        assert!(self.rounds == 0, "the delay model must be installed before the first round");
         if let Some(ring) = ring_for(delay) {
-            self.ring = ring;
+            self.sched.ring = ring;
         }
         self.delay = delay;
         self
-    }
-
-    /// Registers a step-event observer. The report stream is itself
-    /// deterministic and thread-count-independent: action reports arrive
-    /// in dense arena order, delivery reports in sorted bucket order,
-    /// reply reports in wave order.
-    pub fn subscribe(&mut self, subscriber: Box<dyn StepSubscriber<B::Msg>>) {
-        self.subscribers.push(subscriber);
-    }
-
-    /// Number of registered step-event observers.
-    #[must_use]
-    pub fn subscriber_count(&self) -> usize {
-        self.subscribers.len()
     }
 
     /// Attaches per-phase profiling: `sim.profile.par.{action,merge,deliver}_ns`
@@ -448,7 +424,7 @@ impl<L: FaultModel + Clone + Send, B: ProtocolBehavior> ParSimulation<L, B> {
     /// `sim.par.shard_imbalance` gauge (max shard live count over the
     /// balanced share; 1.0 = perfectly balanced).
     pub fn attach_profiler(&mut self, registry: &MetricsRegistry) {
-        self.profile = Some(ParProfile {
+        self.sched.profile = Some(ParProfile {
             action: registry.histogram("sim.profile.par.action_ns", duration_buckets()),
             merge: registry.histogram("sim.profile.par.merge_ns", duration_buckets()),
             deliver: registry.histogram("sim.profile.par.deliver_ns", duration_buckets()),
@@ -456,24 +432,10 @@ impl<L: FaultModel + Clone + Send, B: ProtocolBehavior> ParSimulation<L, B> {
         });
     }
 
-    /// Reports `report` to every subscriber; out of line so the
-    /// subscriber-free path stays compact.
-    #[cold]
-    #[inline(never)]
-    fn notify(&mut self, report: &StepReport<B::Msg>) {
-        self.subscribers.notify(report);
-    }
-
-    /// The shared protocol configuration.
-    #[must_use]
-    pub fn config(&self) -> SfConfig {
-        self.arena.config
-    }
-
     /// The configured shard/thread count.
     #[must_use]
     pub fn threads(&self) -> usize {
-        self.threads
+        self.sched.threads
     }
 
     /// Reconfigures the shard/thread count. Results are unaffected — this
@@ -481,64 +443,7 @@ impl<L: FaultModel + Clone + Send, B: ProtocolBehavior> ParSimulation<L, B> {
     /// the `par_determinism` golden tests pin.
     pub fn set_threads(&mut self, threads: usize) {
         assert!(threads > 0, "thread count must be positive");
-        self.threads = threads;
-    }
-
-    /// Number of live nodes.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.live_count
-    }
-
-    /// Whether no node is live.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.live_count == 0
-    }
-
-    /// The ids of the live nodes, in dense arena order (the engine's
-    /// deterministic iteration order).
-    #[must_use]
-    pub fn live_ids(&self) -> Vec<NodeId> {
-        self.arena.live_dense().map(|k| self.arena.id_at(k)).collect()
-    }
-
-    /// Number of messages currently in flight (0 after any complete round
-    /// under [`DelayModel::Immediate`]).
-    #[must_use]
-    pub fn in_flight(&self) -> usize {
-        self.in_flight_count
-    }
-
-    /// Rounds executed so far.
-    #[must_use]
-    pub fn rounds_run(&self) -> u64 {
-        self.round
-    }
-
-    /// The prototype fault channel, for measurement-time inspection
-    /// (per-sender clones may have diverged for stateful models).
-    #[must_use]
-    pub fn fault(&self) -> &L {
-        &self.loss_proto
-    }
-
-    /// Applies `f` to the prototype channel **and** every per-sender
-    /// clone, so a mid-run retarget (e.g. aiming a
-    /// [`PhaseFault::Victims`](crate::PhaseFault::Victims) at the current hubs) reaches all
-    /// senders — the par counterpart of
-    /// [`FlatSimulation::update_fault`](crate::FlatSimulation::update_fault).
-    pub fn update_fault(&mut self, mut f: impl FnMut(&mut L)) {
-        f(&mut self.loss_proto);
-        for channel in &mut self.loss {
-            f(channel);
-        }
-    }
-
-    /// Accumulated system-wide counters.
-    #[must_use]
-    pub fn stats(&self) -> &SimStats {
-        &self.stats
+        self.sched.threads = threads;
     }
 
     /// Shard balance of the most recent round: the largest shard's live
@@ -546,45 +451,7 @@ impl<L: FaultModel + Clone + Send, B: ProtocolBehavior> ParSimulation<L, B> {
     /// before any round has run).
     #[must_use]
     pub fn shard_imbalance(&self) -> f64 {
-        self.last_imbalance
-    }
-
-    /// Resets system-wide and per-node counters (e.g. after burn-in).
-    pub fn reset_stats(&mut self) {
-        self.stats = SimStats::default();
-        let live: Vec<usize> = self.arena.live_dense().collect();
-        self.arena.reset_stats(live.into_iter());
-    }
-
-    /// Sum of all live nodes' per-node counters.
-    #[must_use]
-    pub fn aggregate_node_stats(&self) -> NodeStats {
-        self.arena.aggregate_node_stats(self.arena.live_dense())
-    }
-
-    /// A live node's outdegree, or `None` when departed.
-    #[must_use]
-    pub fn out_degree_of(&self, id: NodeId) -> Option<usize> {
-        self.arena.out_degree_of(id)
-    }
-
-    /// Reconstitutes a live node's [`LocalView`] from the arena (slot
-    /// positions, ids, and dependence tags all preserved; slots the
-    /// behavior hides, i.e. tombstones, read as empty — as in every other
-    /// reader), or `None` when departed. Intended for snapshots and tests,
-    /// not hot paths.
-    #[must_use]
-    pub fn node_view(&self, id: NodeId) -> Option<LocalView> {
-        self.arena.dense_of(id).map(|k| self.arena.view_at::<B>(k))
-    }
-
-    /// Reconstitutes every live node as an [`SfNode`], in dense arena
-    /// order. Views carry over exactly; per-node counters are zeroed
-    /// (read [`aggregate_node_stats`](Self::aggregate_node_stats) from
-    /// the engine instead).
-    #[must_use]
-    pub fn to_nodes(&self) -> Vec<SfNode> {
-        self.arena.to_nodes::<B>(self.arena.live_dense())
+        self.sched.last_imbalance
     }
 
     /// How the arena splits for the configured thread count: the shard
@@ -592,13 +459,13 @@ impl<L: FaultModel + Clone + Send, B: ProtocolBehavior> ParSimulation<L, B> {
     /// workers than nodes). Keeps one scratch entry per shard.
     fn shard_plan(&mut self) -> (usize, usize) {
         debug_assert!(
-            self.scratch.iter().all(ShardScratch::is_empty),
+            self.sched.scratch.iter().all(ShardScratch::is_empty),
             "a scratch buffer carried state across a round boundary"
         );
         let nodes = self.arena.dense_id.len();
-        let threads = self.threads.min(nodes).max(1);
+        let threads = self.sched.threads.min(nodes).max(1);
         let shard_len = nodes.div_ceil(threads);
-        self.scratch.resize_with(nodes.div_ceil(shard_len), ShardScratch::default);
+        self.sched.scratch.resize_with(nodes.div_ceil(shard_len), ShardScratch::default);
         (shard_len, threads)
     }
 
@@ -608,15 +475,15 @@ impl<L: FaultModel + Clone + Send, B: ProtocolBehavior> ParSimulation<L, B> {
     /// this round are delivered (parallel).
     pub fn round(&mut self) {
         let (shard_len, threads) = self.shard_plan();
-        let round = self.round;
+        let round = self.rounds;
         let observed = !self.subscribers.is_empty();
 
         // --- Phase 1: parallel per-shard actions. ---
         let outs = {
-            let _span = self.profile.as_ref().map(|p| SpanTimer::start(&p.action));
+            let _span = self.sched.profile.as_ref().map(|p| SpanTimer::start(&p.action));
             let ctx = ActionCtx {
                 config: self.arena.config,
-                seed: self.seed,
+                seed: self.sched.seed,
                 round,
                 delay: self.delay,
                 observed,
@@ -625,8 +492,8 @@ impl<L: FaultModel + Clone + Send, B: ProtocolBehavior> ParSimulation<L, B> {
             let shards = self
                 .arena
                 .shards_mut(shard_len)
-                .zip(self.loss.chunks_mut(shard_len))
-                .zip(&mut self.scratch);
+                .zip(self.sched.channels.chunks_mut(shard_len))
+                .zip(&mut self.sched.scratch);
             run_shards(threads, shards, |((shard, losses), scratch)| {
                 run_action_shard(ctx, behavior, shard, losses, &mut scratch.sends)
             })
@@ -635,26 +502,26 @@ impl<L: FaultModel + Clone + Send, B: ProtocolBehavior> ParSimulation<L, B> {
         // Shard balance, from the live counts the workers gathered anyway.
         let live_total: u64 = outs.iter().map(|o| o.live).sum();
         let max_shard = outs.iter().map(|o| o.live).max().unwrap_or(0);
-        self.last_imbalance = if live_total == 0 {
+        self.sched.last_imbalance = if live_total == 0 {
             1.0
         } else {
             max_shard as f64 * outs.len() as f64 / live_total as f64
         };
-        if let Some(profile) = &self.profile {
-            profile.imbalance.set(self.last_imbalance);
+        if let Some(profile) = &self.sched.profile {
+            profile.imbalance.set(self.sched.last_imbalance);
         }
 
         // --- Phase 2: deterministic merge, in shard (= dense) order. ---
         let mut action_reports: Vec<StepReport<B::Msg>> = Vec::new();
         {
-            let _span = self.profile.as_ref().map(|p| SpanTimer::start(&p.merge));
-            let ring_len = self.ring.len() as u64;
-            for (out, scratch) in outs.into_iter().zip(&mut self.scratch) {
+            let _span = self.sched.profile.as_ref().map(|p| SpanTimer::start(&p.merge));
+            let ring_len = self.sched.ring.len() as u64;
+            for (out, scratch) in outs.into_iter().zip(&mut self.sched.scratch) {
                 merge_stats(&mut self.stats, &out.stats);
                 self.arena.degree_hist.apply_deltas(&out.hist);
                 for &(deliver_round, to, message) in &scratch.sends {
                     let bucket = (deliver_round % ring_len) as usize;
-                    self.ring[bucket].push((to, message));
+                    self.sched.ring[bucket].push((to, message));
                 }
                 self.in_flight_count += scratch.sends.len();
                 scratch.sends.clear();
@@ -664,7 +531,7 @@ impl<L: FaultModel + Clone + Send, B: ProtocolBehavior> ParSimulation<L, B> {
             }
         }
         if observed {
-            let mut step = self.step_counter;
+            let mut step = self.sched.step_counter;
             for report in &mut action_reports {
                 step += 1;
                 report.step = step;
@@ -673,16 +540,16 @@ impl<L: FaultModel + Clone + Send, B: ProtocolBehavior> ParSimulation<L, B> {
                 self.notify(report);
             }
         }
-        self.step_counter += live_total;
-        let end_step = self.step_counter;
+        self.sched.step_counter += live_total;
+        let end_step = self.sched.step_counter;
 
         // --- Phase 3: deliver the bucket due this round. ---
         {
-            let _span = self.profile.as_ref().map(|p| SpanTimer::start(&p.deliver));
+            let _span = self.sched.profile.as_ref().map(|p| SpanTimer::start(&p.deliver));
             self.deliver_bucket(round, shard_len, threads, end_step);
         }
-        self.round += 1;
-        debug_assert!(self.scratch.iter().all(ShardScratch::is_empty));
+        self.rounds += 1;
+        debug_assert!(self.sched.scratch.iter().all(ShardScratch::is_empty));
     }
 
     /// Drains the ring bucket due at time `at`: stably orders it by
@@ -690,11 +557,11 @@ impl<L: FaultModel + Clone + Send, B: ProtocolBehavior> ParSimulation<L, B> {
     /// letters sequentially, applies the surviving receives in parallel
     /// per receiver shard, then routes any replies sequentially in waves.
     fn deliver_bucket(&mut self, at: u64, shard_len: usize, threads: usize, end_step: u64) {
-        let bucket = (at % self.ring.len() as u64) as usize;
-        if self.ring[bucket].is_empty() {
+        let bucket = (at % self.sched.ring.len() as u64) as usize;
+        if self.sched.ring[bucket].is_empty() {
             return;
         }
-        let mut batch = std::mem::take(&mut self.ring[bucket]);
+        let mut batch = std::mem::take(&mut self.sched.ring[bucket]);
         self.in_flight_count -= batch.len();
         // One bucket holds exactly one delivery time, and a sender emits at
         // most one message (one slot) per round, so a stable sort by sender
@@ -728,15 +595,15 @@ impl<L: FaultModel + Clone + Send, B: ProtocolBehavior> ParSimulation<L, B> {
                         ));
                     }
                 }
-                Some(k) => self.scratch[k / shard_len].routes.push((pos as u32, k as u32)),
+                Some(k) => self.sched.scratch[k / shard_len].routes.push((pos as u32, k as u32)),
             }
         }
 
-        let prefix = absorb(stream_prefix(self.seed, stream::DELIVERY), at);
+        let prefix = absorb(stream_prefix(self.sched.seed, stream::DELIVERY), at);
         let ctx = DeliveryCtx { config: self.arena.config, prefix, end_step, observed };
         let behavior = &self.behavior;
         let batch_ref = batch.as_slice();
-        let shards = self.arena.shards_mut(shard_len).zip(&mut self.scratch);
+        let shards = self.arena.shards_mut(shard_len).zip(&mut self.sched.scratch);
         let outs = run_shards(threads, shards, |(shard, scratch)| {
             run_delivery_shard(ctx, behavior, shard, batch_ref, &mut scratch.routes)
         });
@@ -761,7 +628,7 @@ impl<L: FaultModel + Clone + Send, B: ProtocolBehavior> ParSimulation<L, B> {
         // Restore the allocation before routing replies: delayed replies
         // land `1..=max` rounds later, never back in this bucket (the ring
         // has `max + 1` buckets).
-        self.ring[bucket] = batch;
+        self.sched.ring[bucket] = batch;
         if !replies.is_empty() {
             replies.sort_by_key(|&(pos, _, _)| pos);
             self.process_reply_waves(replies, at, end_step);
@@ -799,14 +666,15 @@ impl<L: FaultModel + Clone + Send, B: ProtocolBehavior> ParSimulation<L, B> {
                 if duplicated {
                     self.stats.duplications += 1;
                 }
-                let mut rng = StdRng::seed_from_u64(reply_seed(self.seed, at, wave, pos as u64));
-                let fctx = FaultCtx { from, to, round: self.round };
+                let mut rng =
+                    StdRng::seed_from_u64(reply_seed(self.sched.seed, at, wave, pos as u64));
+                let fctx = FaultCtx { from, to, round: self.rounds };
                 let dropped = match self.arena.dense_of(from) {
-                    Some(k) => self.loss[k].drops(fctx, &mut rng),
+                    Some(k) => self.sched.channels[k].drops(fctx, &mut rng),
                     // The replier departed between hops (possible only
                     // through an exotic behavior); fall back to the
                     // prototype channel.
-                    None => self.loss_proto.drops(fctx, &mut rng),
+                    None => self.loss.drops(fctx, &mut rng),
                 };
                 let event = if dropped {
                     self.stats.lost += 1;
@@ -839,8 +707,8 @@ impl<L: FaultModel + Clone + Send, B: ProtocolBehavior> ParSimulation<L, B> {
                         },
                         DelayModel::UniformSteps { max } => {
                             let deliver_round = at + rng.gen_range(1..=max);
-                            let bucket = (deliver_round % self.ring.len() as u64) as usize;
-                            self.ring[bucket].push((to, message));
+                            let bucket = (deliver_round % self.sched.ring.len() as u64) as usize;
+                            self.sched.ring[bucket].push((to, message));
                             self.in_flight_count += 1;
                             StepEvent::InFlight {
                                 to,
@@ -874,122 +742,16 @@ impl<L: FaultModel + Clone + Send, B: ProtocolBehavior> ParSimulation<L, B> {
             return;
         }
         let (shard_len, threads) = self.shard_plan();
-        let end_step = self.step_counter;
+        let end_step = self.sched.step_counter;
         // Pending deliveries all lie in [round, round + ring.len()): sends
         // from round r target r..=r+max and the last executed round was
         // round − 1. Draining in increasing time order keeps that window
         // invariant even when replies push messages further out.
-        let mut at = self.round;
+        let mut at = self.rounds;
         while self.in_flight_count > 0 {
             self.deliver_bucket(at, shard_len, threads, end_step);
             at += 1;
         }
-    }
-
-    /// Runs `rounds` three-phase rounds.
-    pub fn run_rounds(&mut self, rounds: usize) {
-        for _ in 0..rounds {
-            self.round();
-        }
-    }
-
-    /// Runs one measurement replicate: burn-in, stats reset, measurement —
-    /// the parallel counterpart of
-    /// [`FlatSimulation::run_replicate`](crate::FlatSimulation::run_replicate).
-    #[must_use]
-    pub fn run_replicate(mut self, burn_in: usize, measure: usize) -> Self {
-        self.run_rounds(burn_in);
-        self.reset_stats();
-        self.run_rounds(measure);
-        self
-    }
-
-    /// Adds a new node bootstrapped with ids copied from a random
-    /// position in `sponsor`'s view (the behavior's
-    /// [`join_seed_size`](ProtocolBehavior::join_seed_size) many; `d_L`
-    /// for S&F). The shuffle draws from the engine's dedicated
-    /// control-plane RNG stream, so churn schedules stay deterministic and
-    /// thread-count-independent.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`JoinError::TooFewIds`] if the sponsor's view holds fewer
-    /// visible ids than the seed size.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sponsor` is not live.
-    pub fn join_via(&mut self, sponsor: NodeId) -> Result<NodeId, JoinError> {
-        let joined = self.arena.join_via(&self.behavior, sponsor, &mut self.ctl_rng);
-        self.admit(joined)
-    }
-
-    /// Adds a new node bootstrapped with the given ids (tagged dependent,
-    /// filled in slot order — exactly like [`SfNode::with_view`] for the
-    /// S&F behavior; other behaviors validate with their own
-    /// [`validate_bootstrap`](ProtocolBehavior::validate_bootstrap)).
-    ///
-    /// # Errors
-    ///
-    /// Returns the [`JoinError`] the behavior's bootstrap validation
-    /// produces, or [`JoinError::IdSpaceExhausted`] when the id allocator
-    /// has reached the arena's `u32` id limit or a bootstrap id lies
-    /// beyond it (the rejected join leaves the engine untouched).
-    pub fn join_with(&mut self, bootstrap: &[NodeId]) -> Result<NodeId, JoinError> {
-        let joined = self.arena.join_with(&self.behavior, bootstrap.iter().copied());
-        self.admit(joined)
-    }
-
-    /// Gives a node the arena just admitted its sender channel.
-    fn admit(&mut self, joined: Result<usize, JoinError>) -> Result<NodeId, JoinError> {
-        let k = joined?;
-        self.loss.push(self.loss_proto.clone());
-        self.live_count += 1;
-        Ok(self.arena.id_at(k))
-    }
-
-    /// Removes a node (leave/crash). Returns the departed node rebuilt
-    /// from the arena with zeroed per-node counters, like
-    /// [`FlatSimulation::leave`](crate::FlatSimulation::leave).
-    pub fn leave(&mut self, id: NodeId) -> Option<SfNode> {
-        let node = self.arena.leave::<B>(id)?;
-        self.live_count -= 1;
-        Some(node)
-    }
-
-    /// Total multiplicity of `id` across all live, behavior-visible slots.
-    /// Ids at or beyond [`ARENA_ID_LIMIT`](crate::ARENA_ID_LIMIT) trivially
-    /// count zero (the widening boundary never aliases them onto arena
-    /// words).
-    ///
-    /// Windows are scanned two slots per u64 word; the per-slot
-    /// visibility check only runs on the rare windows with a raw match.
-    #[must_use]
-    pub fn count_id_instances(&self, id: NodeId) -> usize {
-        self.arena.count_id_instances::<B>(self.arena.live_dense(), id)
-    }
-
-    /// Streaming degree statistics — the live outdegree histogram,
-    /// maintained incrementally at store/delete time (`O(s)` snapshot, no
-    /// arena scan; shards report signed per-bucket deltas, merged
-    /// commutatively, so the histogram is thread-count-independent like
-    /// everything else).
-    #[must_use]
-    pub fn degree_stats(&self) -> &DegreeStats {
-        &self.arena.degree_hist
-    }
-
-    /// Visits every live node's row in dense arena order; the body of
-    /// [`Engine::for_each_live_row`](crate::Engine::for_each_live_row).
-    pub(crate) fn for_each_live_row(&self, visit: &mut dyn FnMut(u32, &[u32])) {
-        self.arena.for_each_row::<B>(self.arena.live_dense(), visit);
-    }
-
-    /// Measures spatial dependence across all live views (Property M4),
-    /// over the arena's rows in place.
-    #[must_use]
-    pub fn dependence(&self) -> DependenceReport {
-        self.arena.dependence::<B>(self.arena.live_dense())
     }
 }
 
@@ -1173,6 +935,8 @@ fn run_delivery_shard<B: ProtocolBehavior>(
 
 #[cfg(test)]
 mod tests {
+    use sandf_core::JoinError;
+
     use crate::loss::{GilbertElliott, UniformLoss};
     use crate::telemetry::SimRecorder;
     use crate::topology;
@@ -1547,7 +1311,12 @@ mod tests {
             one.run_rounds(6);
             switched.run_rounds(6);
             assert_par_equal(&one, &switched);
-            assert_eq!(switched.scratch.len(), shards, "{} nodes, {threads} threads", one.len());
+            assert_eq!(
+                switched.sched.scratch.len(),
+                shards,
+                "{} nodes, {threads} threads",
+                one.len()
+            );
         }
         assert!(met_in_flight > 0, "the switches never met a message in flight");
         one.settle();
@@ -1566,7 +1335,7 @@ mod tests {
         );
         sim.run_rounds(5);
         let used = |sim: &ParSimulation<UniformLoss>| {
-            sim.scratch.iter().any(|s| s.sends.capacity() + s.routes.capacity() > 0)
+            sim.sched.scratch.iter().any(|s| s.sends.capacity() + s.routes.capacity() > 0)
         };
         assert!(used(&sim), "the rounds never used the kept buffers");
         let mut clone = sim.clone();

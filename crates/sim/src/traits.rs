@@ -1,23 +1,23 @@
 //! The engine/protocol unification layer.
 //!
-//! Two simulation engines share one API —
-//! [`FlatSimulation`](crate::FlatSimulation) (the serial central-entity
-//! engine) and [`ParSimulation`](crate::ParSimulation) (sharded rounds) —
-//! and every protocol of the zoo runs on both. This module turns that
-//! sharing into traits:
+//! One engine shell, [`ArenaSim`](crate::ArenaSim), runs under two
+//! schedules — [`FlatSimulation`](crate::FlatSimulation) (the serial
+//! central-entity schedule) and [`ParSimulation`](crate::ParSimulation)
+//! (sharded rounds) — and every protocol of the zoo runs on both. This
+//! module holds the two seams:
 //!
-//! * [`Engine`] — the round-granular driving surface every engine
-//!   implements (rounds, settle, churn, faults, stats readers, and one
-//!   row reader that hands out arena slot words, over which
-//!   [`Engine::graph`] is written once), so differential tests and sweeps
-//!   are written once and instantiated per engine;
+//! * [`Engine`] — the round-granular driving surface (rounds, settle,
+//!   churn, faults, stats readers, and one row reader that hands out arena
+//!   slot words, over which [`Engine::graph`] is written once). The shell
+//!   implements it once for both schedules, so differential tests and
+//!   sweeps are written once and instantiated per schedule;
 //! * [`ProtocolBehavior`] — a membership protocol expressed over one
 //!   node's slot window ([`SlotView`]): an initiate action, a receive
 //!   handler that may produce one reply, and the bootstrap/visibility
-//!   hooks churn and measurement need. The flat and par engines are
-//!   generic over a behavior (defaulting to [`SfBehavior`], the paper's
-//!   S&F protocol), which is how push-only, push-pull, shuffle, and the
-//!   S&F variants run at multi-million-steps/sec scale.
+//!   hooks churn and measurement need. The shell is generic over a
+//!   behavior (defaulting to [`SfBehavior`], the paper's S&F protocol),
+//!   which is how push-only, push-pull, shuffle, and the S&F variants run
+//!   at multi-million-steps/sec scale.
 //!
 //! # Draw-order contract
 //!
@@ -284,18 +284,16 @@ pub trait ProtocolBehavior: Clone + Send + Sync {
     }
 }
 
-/// Maximum reply hops processed per delivered message (matching the old
-/// baseline harness's chain cap). Push-pull and shuffle use one reply;
-/// the cap only guards against a misbehaving protocol.
+/// Maximum reply hops processed per delivered message. Push-pull and
+/// shuffle use one reply; the cap only guards against a misbehaving
+/// protocol.
 pub const MAX_REPLY_CHAIN: usize = 8;
 
 /// The paper's S&F protocol as a [`ProtocolBehavior`] — the default
 /// behavior of the flat and par engines.
 ///
-/// This is a verbatim extraction of the engines' previous inline
-/// initiate/receive code: identical draws, identical order, identical
-/// counter updates. It never replies, so the generic reply machinery is
-/// dead code on the S&F path.
+/// It never replies, so the generic reply machinery is dead code on the
+/// S&F path.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SfBehavior;
 
@@ -549,93 +547,6 @@ pub trait Engine {
     /// Registers a step-event observer.
     fn subscribe(&mut self, subscriber: Box<dyn StepSubscriber<Self::Msg>>);
 }
-
-/// Implements [`Engine`] for an arena engine — both are generic over a
-/// fault model `L` (with the engine's own bounds) and a behavior `B` — by
-/// delegating every method to the inherent method of the same name.
-macro_rules! delegate_arena_engine {
-    ($engine:ident, $($fault_bounds:tt)+) => {
-        impl<L: $($fault_bounds)+, B: ProtocolBehavior> Engine for crate::$engine<L, B> {
-            type Msg = B::Msg;
-            type Fault = L;
-
-            fn len(&self) -> usize {
-                Self::len(self)
-            }
-
-            fn live_ids(&self) -> Vec<NodeId> {
-                Self::live_ids(self)
-            }
-
-            fn config(&self) -> SfConfig {
-                Self::config(self)
-            }
-
-            fn stats(&self) -> SimStats {
-                *Self::stats(self)
-            }
-
-            fn reset_stats(&mut self) {
-                Self::reset_stats(self);
-            }
-
-            fn aggregate_node_stats(&self) -> NodeStats {
-                Self::aggregate_node_stats(self)
-            }
-
-            fn round(&mut self) {
-                Self::round(self);
-            }
-
-            fn rounds_run(&self) -> u64 {
-                Self::rounds_run(self)
-            }
-
-            fn in_flight(&self) -> usize {
-                Self::in_flight(self)
-            }
-
-            fn settle(&mut self) {
-                Self::settle(self);
-            }
-
-            fn join_via(&mut self, sponsor: NodeId) -> Result<NodeId, JoinError> {
-                Self::join_via(self, sponsor)
-            }
-
-            fn leave(&mut self, id: NodeId) -> bool {
-                Self::leave(self, id).is_some()
-            }
-
-            fn out_degree_of(&self, id: NodeId) -> Option<usize> {
-                Self::out_degree_of(self, id)
-            }
-
-            fn count_id_instances(&self, id: NodeId) -> usize {
-                Self::count_id_instances(self, id)
-            }
-
-            fn degree_stats(&self) -> DegreeStats {
-                Self::degree_stats(self).clone()
-            }
-
-            fn for_each_live_row(&self, visit: &mut dyn FnMut(u32, &[u32])) {
-                Self::for_each_live_row(self, visit);
-            }
-
-            fn update_fault(&mut self, f: impl FnMut(&mut L)) {
-                Self::update_fault(self, f);
-            }
-
-            fn subscribe(&mut self, subscriber: Box<dyn StepSubscriber<B::Msg>>) {
-                Self::subscribe(self, subscriber);
-            }
-        }
-    };
-}
-
-delegate_arena_engine!(FlatSimulation, crate::fault::FaultModel);
-delegate_arena_engine!(ParSimulation, crate::fault::FaultModel + Clone + Send);
 
 #[cfg(test)]
 mod tests {
