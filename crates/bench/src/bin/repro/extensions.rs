@@ -374,8 +374,9 @@ fn parse_scenario(origin: &str, text: &str) -> Result<Scenario, String> {
 
 /// Dissemination grid (extension experiment; DESIGN.md B8): fanout-1 push
 /// rumor spreading over the live views of S&F, push-pull and shuffle,
-/// under the rumor-channel fault zoo (lossless, uniform, bursty,
-/// partition, victims), with 1 % uniform loss on the membership channel.
+/// under the rumor channels `lossless` (`uniform 0`), `uniform`, `bursty`,
+/// `partition` and `victims`, with 1 % uniform loss on the membership
+/// channel.
 /// Spread-time milestones read against the Doerr et al. `log₂n + ln n`
 /// yardstick (EXPERIMENTS.md § "Dissemination workload"); unreached
 /// milestones print the `rounds + 1` sentinel.

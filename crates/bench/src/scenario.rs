@@ -65,7 +65,7 @@ use std::fmt::Write as _;
 
 use rand::rngs::StdRng;
 use rand::RngCore;
-use sandf_core::{NodeId, SfConfig};
+use sandf_core::SfConfig;
 use sandf_graph::DegreeStats;
 use sandf_markov::decay::leave_survival_bound;
 use sandf_markov::{DegreeMc, DegreeMcParams};
@@ -75,8 +75,7 @@ use sandf_sim::fault::{expect_args, parse_num};
 use sandf_sim::stream::fnv1a64;
 pub use sandf_sim::PhaseFault;
 use sandf_sim::{
-    rumor_channel_for, topology, BroadcastConfig, BroadcastLayer, Engine, ParSimulation,
-    ScheduledFault, UniformLoss,
+    topology, BroadcastConfig, BroadcastLayer, Engine, ParSimulation, ScheduledFault, UniformLoss,
 };
 
 use crate::fmt;
@@ -147,9 +146,9 @@ impl ProtocolSpec {
 /// The `broadcast` directive: runs a rumor layer
 /// ([`sandf_sim::BroadcastLayer`]) over the live views during each
 /// measured phase, seeded at the lowest live id when the phase begins.
-/// The rumor channel mirrors the phase's fault model (see
-/// [`sandf_sim::rumor_channel_for`]), so the envelope table reports how the scheduled
-/// fault degrades dissemination, not just view quality.
+/// The rumor channel runs a clone of the replicate's compiled, aimed
+/// schedule, so the envelope table reports how the scheduled fault
+/// degrades dissemination, not just view quality.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct BroadcastSpec {
     /// Push targets per informed node per round (≥ 1).
@@ -773,9 +772,8 @@ fn drive_replicate<E: Engine<Fault = ScheduledFault>>(
                 }
             }
         }
-        let mut victims: Vec<NodeId> = Vec::new();
         if let PhaseFault::Victims { count, .. } = phase.fault {
-            victims = sim.graph().top_in_degree(count);
+            let victims = sim.graph().top_in_degree(count);
             let index = scenario.schedule_index(p);
             sim.update_fault(|fault| fault.phase_mut(index).aim(&victims));
             counters.retargets.inc();
@@ -783,8 +781,8 @@ fn drive_replicate<E: Engine<Fault = ScheduledFault>>(
         if p == target {
             sim.reset_stats();
             if let Some(spec) = scenario.broadcast {
-                let channel = rumor_channel_for(&phase.fault, scenario.n, &victims);
-                let mut l = BroadcastLayer::with_channel(sim_seed, spec.config(), channel);
+                let fault = sim.fault().clone();
+                let mut l = BroadcastLayer::with_channel(sim_seed, spec.config(), fault);
                 l.attach_metrics(registry);
                 let origin = sim.live_ids().into_iter().min().expect("at least 4 nodes stay live");
                 l.seed_rumor_at(origin);

@@ -24,9 +24,8 @@ use sandf_sim::experiment::{
     continuous_churn, initial_degree, steady_state_degrees, uniformity, ExperimentParams,
 };
 use sandf_sim::{
-    rumor_channel_for, topology, BroadcastConfig, BroadcastLayer, DelayModel, Engine,
-    FlatSimulation, GilbertElliott, LossModel, ParSimulation, PhaseFault, ProtocolBehavior,
-    RumorChannel, UniformLoss,
+    topology, BroadcastConfig, BroadcastLayer, DelayModel, Engine, FlatSimulation, GilbertElliott,
+    ParSimulation, PhaseFault, ProtocolBehavior, UniformLoss,
 };
 
 use crate::fmt;
@@ -262,7 +261,7 @@ pub fn loss_ablation_table(
         let ge = GilbertElliott::new(to_bad, to_good, 0.0, 0.5).expect("valid channel");
         cells.push(ChannelCell {
             model: "gilbert_elliott",
-            avg_rate: ge.average_rate(),
+            avg_rate: PhaseFault::Bursty(ge).effective_rate(n),
             channel: PhaseFault::Bursty(ge),
         });
     }
@@ -587,7 +586,8 @@ impl SweepCell for BroadcastCell {
 /// useless clique-of-stale-ids and is excluded from the headline grid).
 const BROADCAST_PROTOCOLS: [&str; 3] = ["sandf", "push_pull", "shuffle"];
 
-/// Rumor channels of the dissemination grid, mirroring the fault zoo.
+/// Rumor channels of the dissemination grid, named as in
+/// [`broadcast_channel`].
 const BROADCAST_CHANNELS: [&str; 5] = ["lossless", "uniform", "bursty", "partition", "victims"];
 
 /// Metric columns of [`broadcast_table`] (spread-time milestones use the
@@ -596,22 +596,23 @@ pub const BROADCAST_METRICS: [&str; 5] =
     ["to_half", "to_99", "to_full", "coverage", "msgs_per_node"];
 
 /// The named rumor channel at its grid-pinned rates: each row is the
-/// scenario-DSL `phase` line of that fault, mirrored onto the rumor
-/// channel as `scenario_run`'s `broadcast` directive does. Victims are
-/// ids `1..=10` (the origin, id 0, is seeded directly and stays informed).
-fn broadcast_channel(name: &str, n: usize) -> RumorChannel {
-    let line = match name {
-        "lossless" => return RumorChannel::Lossless,
-        "uniform" => "phase 1 uniform 0.2",
-        "bursty" => "phase 1 bursty 0.1 0.3 0.02 0.8",
-        "partition" => "phase 1 partition 2 1.0 0",
-        "victims" => "phase 1 victims 10 1.0 0",
+/// scenario-DSL `phase` line of that fault, lasting the run's `rounds`
+/// (burn-in plus rumor), so a partition never heals. Victims are ids
+/// `1..=10` (the origin, id 0, is seeded directly and stays informed).
+fn broadcast_channel(name: &str, rounds: usize) -> PhaseFault {
+    let model = match name {
+        "lossless" => "uniform 0",
+        "uniform" => "uniform 0.2",
+        "bursty" => "bursty 0.1 0.3 0.02 0.8",
+        "partition" => "partition 2 1.0 0",
+        "victims" => "victims 10 1.0 0",
         other => panic!("unknown rumor channel {other:?}"),
     };
-    let words: Vec<&str> = line.split_whitespace().skip(1).collect();
-    let (_, fault) = PhaseFault::parse_phase(&words).expect("grid rows are legal phase lines");
-    let victims: Vec<NodeId> = (1..=10).map(NodeId::new).collect();
-    rumor_channel_for(&fault, n, &victims)
+    let line = format!("{rounds} {model}");
+    let words: Vec<&str> = line.split_whitespace().collect();
+    let (_, mut fault) = PhaseFault::parse_phase(&words).expect("grid rows are legal phase lines");
+    fault.aim(&(1..=10).map(NodeId::new).collect::<Vec<_>>());
+    fault
 }
 
 /// `Some(round)` → that round; `None` → the `rounds + 1` sentinel, so
@@ -624,7 +625,7 @@ fn broadcast_run<B: ProtocolBehavior>(
     behavior: B,
     config: SfConfig,
     views: Vec<(NodeId, Vec<NodeId>)>,
-    channel: RumorChannel,
+    channel: PhaseFault,
     seed: u64,
     burn_in: usize,
     rounds: usize,
@@ -677,7 +678,7 @@ pub fn broadcast_table(
     let results = spec.run(&BROADCAST_METRICS, |cell, rng| {
         let seed = rng.next_u64();
         let views = views.clone();
-        let channel = broadcast_channel(cell.channel, n);
+        let channel = broadcast_channel(cell.channel, burn_in + rounds);
         with_behavior!(cell.protocol, |behavior| broadcast_run(
             behavior, config, views, channel, seed, burn_in, rounds
         ))

@@ -19,12 +19,17 @@
 //! gap ever becomes marginal, the conformance harness has lost its
 //! detection power and a partitioned dissemination could masquerade as
 //! healthy spread.
+//!
+//! **Heal** — the same partition, healed a few rounds after the rumor
+//! starts, must land strictly between the two: the rumor channel runs a
+//! round-indexed fault, so a rumor can start inside a partition and
+//! finish after the heal.
 
 use sandf_bench::sweep::Summary;
 use sandf_core::SfConfig;
 use sandf_sim::{
     doerr_spread_prediction, topology, BroadcastConfig, BroadcastLayer, Engine, FlatSimulation,
-    RumorChannel, SpreadReport, UniformLoss,
+    PhaseFault, SpreadReport, UniformLoss,
 };
 
 /// Additive slack (in rounds) around the `log₂ n + ln n` prediction; see
@@ -40,9 +45,17 @@ const SEEDS: [u64; 5] = [3, 11, 42, 271, 2009];
 const BURN_IN: usize = 20;
 const ROUNDS: usize = 60;
 
+/// Rumor rounds the healed partition lasts.
+const HEAL_AFTER: usize = 6;
+
+/// A hard 2-region partition over membership rounds `[0, rounds)`.
+fn hard_partition(rounds: usize) -> PhaseFault {
+    PhaseFault::Partition { regions: 2, start: 0, duration: rounds as u64, sever: 1.0, base: 0.0 }
+}
+
 /// One lossless-rumor spread over live S&F views (1 % membership loss —
 /// the rumor channel, not the membership channel, is the lossless part).
-fn spread(n: usize, seed: u64, channel: RumorChannel) -> SpreadReport {
+fn spread(n: usize, seed: u64, channel: PhaseFault) -> SpreadReport {
     let config = SfConfig::new(16, 6).expect("legal config");
     let mut sim = FlatSimulation::new(
         topology::random_iter(n, config, 8, seed),
@@ -62,7 +75,7 @@ fn to_99_sample(report: &SpreadReport) -> f64 {
     report.to_99.map_or((ROUNDS + 1) as f64, |r| r as f64)
 }
 
-fn to_99_summary(n: usize, channel: &RumorChannel) -> Summary {
+fn to_99_summary(n: usize, channel: &PhaseFault) -> Summary {
     let samples: Vec<f64> =
         SEEDS.iter().map(|&seed| to_99_sample(&spread(n, seed, channel.clone()))).collect();
     Summary::from_samples(&samples)
@@ -71,7 +84,7 @@ fn to_99_summary(n: usize, channel: &RumorChannel) -> Summary {
 #[test]
 fn lossless_spread_time_tracks_the_doerr_prediction() {
     for n in [1_000usize, 10_000] {
-        let measured = to_99_summary(n, &RumorChannel::Lossless);
+        let measured = to_99_summary(n, &PhaseFault::Uniform(UniformLoss::none()));
         let predicted = doerr_spread_prediction(n);
         let gap = (measured.mean - predicted).abs();
         let band = measured.ci95 + DOERR_TOLERANCE_ROUNDS;
@@ -88,7 +101,7 @@ fn lossless_spread_time_tracks_the_doerr_prediction() {
 #[test]
 fn hard_partition_leaves_the_doerr_band_proving_detection_power() {
     let n = 1_000usize;
-    let channel = RumorChannel::Partition { regions: 2, sever: 1.0, base: 0.0 };
+    let channel = hard_partition(BURN_IN + ROUNDS);
     let measured = to_99_summary(n, &channel);
     let predicted = doerr_spread_prediction(n);
     // The sentinel must dominate: 99 % is unreachable when half the
@@ -109,4 +122,19 @@ fn hard_partition_leaves_the_doerr_band_proving_detection_power() {
         report.coverage
     );
     assert!(report.to_99.is_none(), "99 % coverage should be unreachable under a hard partition");
+}
+
+#[test]
+fn a_partition_healed_mid_rumor_lands_between_lossless_and_never_healed() {
+    let n = 1_000usize;
+    let lossless = to_99_summary(n, &PhaseFault::Uniform(UniformLoss::none()));
+    let healed = to_99_summary(n, &hard_partition(BURN_IN + HEAL_AFTER));
+    let never = to_99_summary(n, &hard_partition(BURN_IN + ROUNDS));
+    assert!(
+        lossless.mean < healed.mean && healed.mean < never.mean,
+        "rounds-to-99%: lossless {:.2}, healed after {HEAL_AFTER} rounds {:.2}, never healed {:.2}",
+        lossless.mean,
+        healed.mean,
+        never.mean,
+    );
 }

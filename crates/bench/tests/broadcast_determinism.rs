@@ -27,8 +27,8 @@ use std::path::PathBuf;
 
 use sandf_core::{NodeId, SfConfig, SfNode};
 use sandf_sim::{
-    rumor_channel_for, topology, BroadcastConfig, BroadcastLayer, Engine, FlatSimulation,
-    GilbertElliott, LossModel, ParSimulation, PhaseFault, RumorChannel, UniformLoss,
+    topology, BroadcastConfig, BroadcastLayer, Engine, FlatSimulation, GilbertElliott, LossModel,
+    ParSimulation, PhaseFault, UniformLoss,
 };
 
 const SEEDS: [u64; 3] = [11, 42, 2009];
@@ -53,14 +53,13 @@ fn bursty() -> GilbertElliott {
 
 /// The rumor channel paired with each membership-loss scenario, written
 /// as the scenario-DSL `phase` line of that fault.
-fn rumor_channel(scenario: &str) -> RumorChannel {
+fn rumor_channel(scenario: &str) -> PhaseFault {
     let line = match scenario {
         "uniform" => "phase 1 uniform 0.1",
         _ => "phase 1 bursty 0.1 0.3 0.02 0.7",
     };
     let words: Vec<&str> = line.split_whitespace().skip(1).collect();
-    let (_, fault) = PhaseFault::parse_phase(&words).expect("legal phase line");
-    rumor_channel_for(&fault, nodes().len(), &[])
+    PhaseFault::parse_phase(&words).expect("legal phase line").1
 }
 
 fn golden_path(name: &str) -> PathBuf {
@@ -71,7 +70,7 @@ fn golden_path(name: &str) -> PathBuf {
 /// plus the final spread report. Fingerprints are order-independent
 /// digests of the full rumor state, so byte equality of the artifact is
 /// bit equality of the layer.
-fn broadcast_artifact<E: Engine>(mut sim: E, seed: u64, rumor: RumorChannel) -> String {
+fn broadcast_artifact<E: Engine>(mut sim: E, seed: u64, rumor: PhaseFault) -> String {
     let mut layer =
         BroadcastLayer::with_channel(seed, BroadcastConfig::push_pull(1, u8::MAX), rumor);
     layer.seed_rumor_at(NodeId::new(0));

@@ -22,7 +22,7 @@
 //! [`crate::stream`] table:
 //!
 //! * [`RUMOR`] (`b'g'`) — gossip draws: push targets, pull partner,
-//!   per-message loss;
+//!   per-message loss (drawn for every message, lossless or not);
 //! * [`RUMOR_CHANNEL`] (`b'h'`) — the per-round Gilbert–Elliott
 //!   channel-state transition.
 //!
@@ -34,19 +34,30 @@
 //!
 //! # Channels
 //!
-//! The rumor channel is faulted independently of the membership channel
-//! by a [`RumorChannel`], mirroring the PR 6 fault zoo: uniform loss,
-//! per-node Gilbert–Elliott bursts, regional partition (`id % regions`),
-//! and victim loss. Loss applies per message at the *receiver*, after the
-//! sender has paid for the send — lost rumors still count toward message
-//! complexity, exactly like `SimStats::lost`.
+//! The rumor channel runs the workspace's one fault process, a
+//! [`ScheduledFault`] of [`PhaseFault`]s. The layer owns its schedule and
+//! draws on its own streams; the scenario driver hands it a clone of the
+//! engine's, so rumor and membership run the same faults. Each step reads
+//! the phase of the membership round it rides —
+//! `engine.rounds_run() - 1`, that round's [`FaultCtx::round`] — so
+//! partition windows and phase changes apply to rumors exactly as to
+//! membership. A message's loss
+//! rate is [`PhaseFault::rate`], the function the engines draw against,
+//! with one exception: a `bursty` phase keeps its Gilbert–Elliott state
+//! per *receiver*, advanced once per step from the receiver's
+//! [`RUMOR_CHANNEL`] stream, instead of per sender. A `capacity` phase
+//! gates a node's push and pull through [`FaultModel::node_acts`]. Loss
+//! applies per message at the *receiver*, after the sender has paid for
+//! the send — lost rumors still count toward message complexity, exactly
+//! like `SimStats::lost`.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sandf_core::NodeId;
 use sandf_obs::{CounterHandle, MetricsRegistry};
 
-use crate::fault::PhaseFault;
+use crate::fault::{FaultCtx, FaultModel, PhaseFault, ScheduledFault};
+use crate::loss::UniformLoss;
 use crate::stream::{fnv1a64, stream_seed, RUMOR, RUMOR_CHANNEL};
 use crate::traits::{widen, Engine, ARENA_ID_LIMIT};
 
@@ -95,107 +106,21 @@ impl Default for BroadcastConfig {
     }
 }
 
-/// Loss model for the rumor channel, independent of the membership
-/// channel. All rates are probabilities in `[0, 1]`.
+/// The one rumor channel still spelled outside [`PhaseFault`]: i.i.d. loss
+/// at `rate`, the constant `uniform` schedule it converts into.
 #[derive(Clone, Debug, PartialEq)]
 pub enum RumorChannel {
-    /// Every rumor arrives.
-    Lossless,
     /// Each message drops i.i.d. with `rate`.
     Uniform {
         /// Per-message drop probability.
         rate: f64,
     },
-    /// Per-receiver two-state Gilbert–Elliott channel: each node's state
-    /// advances once per broadcast round from its own
-    /// [`RUMOR_CHANNEL`] stream; inbound messages drop at `loss_good`
-    /// or `loss_bad` depending on the receiver's state.
-    Bursty {
-        /// P(good → bad) per round.
-        to_bad: f64,
-        /// P(bad → good) per round.
-        to_good: f64,
-        /// Drop probability while the receiver is in the good state.
-        loss_good: f64,
-        /// Drop probability while the receiver is in the bad state.
-        loss_bad: f64,
-    },
-    /// Regional partition: node `v` belongs to region `v.as_u64() % regions`;
-    /// cross-region messages drop with `sever`, intra-region with `base`.
-    Partition {
-        /// Number of regions (≥ 1).
-        regions: u64,
-        /// Cross-region drop probability (1.0 = hard partition).
-        sever: f64,
-        /// Intra-region drop probability.
-        base: f64,
-    },
-    /// Victim loss: messages *to* a victim drop with `victim_rate`,
-    /// everything else with `base`. The victim list is sorted and deduped
-    /// on construction ([`BroadcastLayer::set_channel`]).
-    Victims {
-        /// Inbound drop probability at a victim.
-        victim_rate: f64,
-        /// Drop probability elsewhere.
-        base: f64,
-        /// The victims (kept sorted for binary search).
-        victims: Vec<NodeId>,
-    },
 }
 
-impl RumorChannel {
-    /// Validates rates and normalizes internal invariants (sorts victims).
-    ///
-    /// # Panics
-    ///
-    /// Panics when any probability is outside `[0, 1]` or `regions == 0`.
-    fn normalize(&mut self) {
-        let ok = |p: f64| (0.0..=1.0).contains(&p);
-        match self {
-            Self::Lossless => {}
-            Self::Uniform { rate } => assert!(ok(*rate), "rumor loss rate {rate} not in [0,1]"),
-            Self::Bursty { to_bad, to_good, loss_good, loss_bad } => {
-                for p in [*to_bad, *to_good, *loss_good, *loss_bad] {
-                    assert!(ok(p), "rumor channel probability {p} not in [0,1]");
-                }
-            }
-            Self::Partition { regions, sever, base } => {
-                assert!(*regions >= 1, "partition needs at least one region");
-                assert!(ok(*sever) && ok(*base), "partition rates must be in [0,1]");
-            }
-            Self::Victims { victim_rate, base, victims } => {
-                assert!(ok(*victim_rate) && ok(*base), "victim rates must be in [0,1]");
-                victims.sort_unstable();
-                victims.dedup();
-            }
-        }
-    }
-}
-
-/// The rumor channel matching a membership fault at the same parameters:
-/// `uniform`/`bursty`/`partition` map directly, `victims` aims at the same
-/// `victims` set the membership fault was aimed at, and the
-/// membership-specific models map to their marginals (`perlink` → uniform
-/// at the effective rate in an `n`-node system; `capacity` gates sends
-/// rather than dropping them, so the rumor channel stays lossless).
-#[must_use]
-pub fn rumor_channel_for(fault: &PhaseFault, n: usize, victims: &[NodeId]) -> RumorChannel {
-    match *fault {
-        PhaseFault::Uniform(m) => RumorChannel::Uniform { rate: m.rate },
-        PhaseFault::Bursty(m) => RumorChannel::Bursty {
-            to_bad: m.to_bad,
-            to_good: m.to_good,
-            loss_good: m.loss_good,
-            loss_bad: m.loss_bad,
-        },
-        PhaseFault::Partition { regions, sever, base, .. } => {
-            RumorChannel::Partition { regions, sever, base }
-        }
-        PhaseFault::PerLink { .. } => RumorChannel::Uniform { rate: fault.effective_rate(n) },
-        PhaseFault::Capacity { .. } => RumorChannel::Lossless,
-        PhaseFault::Victims { victim_rate, base, .. } => {
-            RumorChannel::Victims { victim_rate, base, victims: victims.to_vec() }
-        }
+impl From<RumorChannel> for ScheduledFault {
+    fn from(channel: RumorChannel) -> Self {
+        let RumorChannel::Uniform { rate } = channel;
+        PhaseFault::Uniform(UniformLoss { rate }).into()
     }
 }
 
@@ -306,14 +231,14 @@ impl BroadcastMetrics {
 pub struct BroadcastLayer {
     seed: u64,
     config: BroadcastConfig,
-    channel: RumorChannel,
+    fault: ScheduledFault,
     round: u64,
     /// Rounds since the id became informed (saturating), indexed by raw
     /// id. The bitsets below hold one bit per raw id and grow with it.
     age: Vec<u8>,
     /// Informed flags. Monotone: bits are set, never cleared.
     informed: Vec<u64>,
-    /// Gilbert–Elliott bad-state flags.
+    /// Gilbert–Elliott bad-state flags, one per receiver.
     bad_state: Vec<u64>,
     /// Ids live at the last step; before the first step, every
     /// registered id.
@@ -337,22 +262,27 @@ impl BroadcastLayer {
     /// disjoint from the engine's via [`RUMOR`]/[`RUMOR_CHANNEL`]).
     #[must_use]
     pub fn new(seed: u64, config: BroadcastConfig) -> Self {
-        Self::with_channel(seed, config, RumorChannel::Lossless)
+        Self::with_channel(seed, config, PhaseFault::Uniform(UniformLoss::none()))
     }
 
-    /// A layer with an explicit rumor channel.
+    /// A layer whose rumor channel runs `fault` (a [`ScheduledFault`], or
+    /// one [`PhaseFault`] for the whole run), indexed by membership round.
     ///
     /// # Panics
     ///
-    /// Panics when `config.fanout` is zero or a channel rate is invalid.
+    /// Panics when `config.fanout` is zero or a fault fails
+    /// [`PhaseFault::check`].
     #[must_use]
-    pub fn with_channel(seed: u64, config: BroadcastConfig, mut channel: RumorChannel) -> Self {
+    pub fn with_channel(
+        seed: u64,
+        config: BroadcastConfig,
+        fault: impl Into<ScheduledFault>,
+    ) -> Self {
         assert!(config.fanout >= 1, "broadcast fanout must be at least 1");
-        channel.normalize();
         Self {
             seed,
             config,
-            channel,
+            fault: fault.into(),
             round: 0,
             age: Vec::new(),
             informed: Vec::new(),
@@ -369,23 +299,6 @@ impl BroadcastLayer {
             metrics: None,
             newly: Vec::new(),
         }
-    }
-
-    /// Swaps the rumor channel (e.g. between scenario phases). Channel
-    /// state (Gilbert–Elliott bits) is preserved across swaps.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a channel rate is invalid.
-    pub fn set_channel(&mut self, mut channel: RumorChannel) {
-        channel.normalize();
-        self.channel = channel;
-    }
-
-    /// The current rumor channel.
-    #[must_use]
-    pub fn channel(&self) -> &RumorChannel {
-        &self.channel
     }
 
     /// The rumor parameters.
@@ -552,11 +465,12 @@ impl BroadcastLayer {
     /// Executes one broadcast round over the engine's current live views.
     ///
     /// Pass A walks the live set: registers ids, rebuilds the `live`
-    /// bitset, and advances per-node channel state. Pass B walks
-    /// the rows once via [`Engine::for_each_live_row`]: informed,
-    /// un-retired nodes push `fanout` targets; with pull enabled,
-    /// uninformed nodes draw one partner and pull against the *start of
-    /// round* informed set. Newly informed ids commit after the pass
+    /// bitset, and, under a `bursty` phase, advances per-node channel
+    /// state. Pass B walks the rows once via
+    /// [`Engine::for_each_live_row`]: informed, un-retired nodes push
+    /// `fanout` targets; with pull enabled, uninformed nodes draw one
+    /// partner and pull against the *start of round* informed set; a node
+    /// the phase's capacity gate holds back does neither. Newly informed ids commit after the pass
     /// (synchronous double buffer), then ages advance and coverage
     /// milestones update.
     ///
@@ -566,6 +480,8 @@ impl BroadcastLayer {
     pub fn step<E: Engine>(&mut self, engine: &E) {
         let round = self.round;
         let mark = round + 1;
+        // The membership round this step rides, as its messages saw it.
+        let fault_round = engine.rounds_run().saturating_sub(1);
         let live = engine.live_ids();
         let before = self.stats;
 
@@ -574,19 +490,22 @@ impl BroadcastLayer {
         for &id in &live {
             let i = self.register(id);
             set_bit(&mut self.live, i);
-            if let RumorChannel::Bursty { to_bad, to_good, .. } = self.channel {
+        }
+        let phase = self.fault.phase_at(fault_round);
+        if let PhaseFault::Bursty(chain) = phase {
+            for &id in &live {
                 let mut rng = StdRng::seed_from_u64(stream_seed(
                     self.seed,
                     RUMOR_CHANNEL,
                     id.as_u64(),
                     round,
                 ));
-                let next = if bit(&self.bad_state, i.into()) {
-                    !rng.gen_bool(to_good)
+                let next = if bit(&self.bad_state, id.as_u64()) {
+                    !rng.gen_bool(chain.to_good)
                 } else {
-                    rng.gen_bool(to_bad)
+                    rng.gen_bool(chain.to_bad)
                 };
-                assign_bit(&mut self.bad_state, i, next);
+                assign_bit(&mut self.bad_state, id.as_u64() as u32, next);
             }
         }
 
@@ -596,59 +515,61 @@ impl BroadcastLayer {
         // the engine's iteration order.
         let mut newly = std::mem::take(&mut self.newly);
         newly.clear();
-        let this = &mut *self;
+        let loss_rate = |from: u32, to: u32| match phase {
+            PhaseFault::Bursty(chain) => chain.loss_in(bit(&self.bad_state, to.into())),
+            _ => phase.rate(FaultCtx { from: widen(from), to: widen(to), round: fault_round }),
+        };
         engine.for_each_live_row(&mut |id, view| {
-            let informed = bit(&this.informed, id.into());
-            if view.is_empty() {
+            let informed = bit(&self.informed, id.into());
+            if view.is_empty() || !phase.node_acts(widen(id), fault_round) {
                 return;
             }
-            if informed && this.age[id as usize] <= this.config.max_age {
+            if informed && self.age[id as usize] <= self.config.max_age {
                 let mut rng =
-                    StdRng::seed_from_u64(stream_seed(this.seed, RUMOR, id.into(), round));
-                for _ in 0..this.config.fanout {
+                    StdRng::seed_from_u64(stream_seed(self.seed, RUMOR, id.into(), round));
+                for _ in 0..self.config.fanout {
                     let target = view[rng.gen_range(0..view.len())];
-                    this.stats.sent += 1;
-                    let drop_p = this.loss_rate(id, target);
-                    let dropped = rng.gen_bool(drop_p);
-                    if !bit(&this.live, target.into()) {
-                        this.stats.dead_letters += 1;
+                    self.stats.sent += 1;
+                    let dropped = rng.gen_bool(loss_rate(id, target));
+                    if !bit(&self.live, target.into()) {
+                        self.stats.dead_letters += 1;
                         continue;
                     }
                     if dropped {
-                        this.stats.lost += 1;
+                        self.stats.lost += 1;
                         continue;
                     }
-                    this.stats.delivered += 1;
-                    if bit(&this.informed, target.into()) {
-                        this.stats.duplicates += 1;
+                    self.stats.delivered += 1;
+                    if bit(&self.informed, target.into()) {
+                        self.stats.duplicates += 1;
                     } else {
                         newly.push(target);
-                        if let Some(trace) = &mut this.trace {
+                        if let Some(trace) = &mut self.trace {
                             let (from, to) = (widen(id), widen(target));
                             trace.push(TraceEdge { round: mark, from, to });
                         }
                     }
                 }
-            } else if !informed && this.config.pull {
+            } else if !informed && self.config.pull {
                 let mut rng =
-                    StdRng::seed_from_u64(stream_seed(this.seed, RUMOR, id.into(), round));
+                    StdRng::seed_from_u64(stream_seed(self.seed, RUMOR, id.into(), round));
                 let partner = view[rng.gen_range(0..view.len())];
-                this.stats.pull_requests += 1;
-                let request_dropped = rng.gen_bool(this.loss_rate(id, partner));
+                self.stats.pull_requests += 1;
+                let request_dropped = rng.gen_bool(loss_rate(id, partner));
                 if request_dropped
-                    || !bit(&this.live, partner.into())
-                    || !bit(&this.informed, partner.into())
+                    || !bit(&self.live, partner.into())
+                    || !bit(&self.informed, partner.into())
                 {
                     return;
                 }
-                this.stats.pull_replies += 1;
-                if rng.gen_bool(this.loss_rate(partner, id)) {
-                    this.stats.lost += 1;
+                self.stats.pull_replies += 1;
+                if rng.gen_bool(loss_rate(partner, id)) {
+                    self.stats.lost += 1;
                     return;
                 }
-                this.stats.pull_hits += 1;
+                self.stats.pull_hits += 1;
                 newly.push(id);
-                if let Some(trace) = &mut this.trace {
+                if let Some(trace) = &mut self.trace {
                     trace.push(TraceEdge { round: mark, from: widen(partner), to: widen(id) });
                 }
             }
@@ -696,36 +617,6 @@ impl BroadcastLayer {
             m.pull_hits.add(d.pull_hits - before.pull_hits);
             m.rounds.inc();
             m.informed.add(fresh);
-        }
-    }
-
-    /// Drop probability for one message `from → to` under the current
-    /// channel (receiver-side, like the engines' loss models).
-    fn loss_rate(&self, from: u32, to: u32) -> f64 {
-        match &self.channel {
-            RumorChannel::Lossless => 0.0,
-            RumorChannel::Uniform { rate } => *rate,
-            RumorChannel::Bursty { loss_good, loss_bad, .. } => {
-                if bit(&self.bad_state, to.into()) {
-                    *loss_bad
-                } else {
-                    *loss_good
-                }
-            }
-            RumorChannel::Partition { regions, sever, base } => {
-                if u64::from(from) % regions == u64::from(to) % regions {
-                    *base
-                } else {
-                    *sever
-                }
-            }
-            RumorChannel::Victims { victim_rate, base, victims } => {
-                if victims.binary_search(&widen(to)).is_ok() {
-                    *victim_rate
-                } else {
-                    *base
-                }
-            }
         }
     }
 
@@ -798,7 +689,8 @@ mod tests {
     use sandf_core::SfConfig;
 
     use super::*;
-    use crate::{topology, FlatSimulation, SfBehavior, UniformLoss};
+    use crate::fault::tests::fraction_of;
+    use crate::{topology, FlatSimulation, GilbertElliott, SfBehavior};
 
     fn flat(n: usize, seed: u64) -> FlatSimulation<UniformLoss, SfBehavior> {
         let config = SfConfig::new(16, 6).unwrap();
@@ -849,7 +741,7 @@ mod tests {
             let mut layer = BroadcastLayer::with_channel(
                 11,
                 BroadcastConfig::push_pull(2, 4),
-                RumorChannel::Bursty { to_bad: 0.1, to_good: 0.3, loss_good: 0.02, loss_bad: 0.7 },
+                PhaseFault::Bursty(GilbertElliott::new(0.1, 0.3, 0.02, 0.7).unwrap()),
             );
             layer.seed_rumor_at(NodeId::new(1));
             layer.run(&mut sim, 25);
@@ -887,7 +779,7 @@ mod tests {
         let mut layer = BroadcastLayer::with_channel(
             9,
             BroadcastConfig::default(),
-            RumorChannel::Partition { regions: 2, sever: 1.0, base: 0.0 },
+            PhaseFault::Partition { regions: 2, start: 0, duration: 80, sever: 1.0, base: 0.0 },
         );
         layer.seed_rumor_at(NodeId::new(0)); // region 0 = even ids
         layer.run(&mut sim, 60);
@@ -900,11 +792,10 @@ mod tests {
         let victims: Vec<NodeId> = (10..20).map(NodeId::new).collect();
         let mut sim = flat(64, 13);
         sim.run_rounds(10);
-        let mut layer = BroadcastLayer::with_channel(
-            13,
-            BroadcastConfig::default(),
-            RumorChannel::Victims { victim_rate: 1.0, base: 0.0, victims: victims.clone() },
-        );
+        let mut fault =
+            PhaseFault::Victims { count: 10, victim_rate: 1.0, base: 0.0, victims: Vec::new() };
+        fault.aim(&victims);
+        let mut layer = BroadcastLayer::with_channel(13, BroadcastConfig::default(), fault);
         layer.seed_rumor_at(NodeId::new(0));
         layer.run(&mut sim, 60);
         for v in victims {
@@ -1011,12 +902,63 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "not in [0,1]")]
+    #[should_panic(expected = "outside [0, 1]")]
     fn bad_rate_is_rejected() {
         let _ = BroadcastLayer::with_channel(
             1,
             BroadcastConfig::default(),
             RumorChannel::Uniform { rate: 1.5 },
         );
+    }
+
+    #[test]
+    fn perlink_rumor_never_crosses_a_bad_link() {
+        let mut sim = flat(128, 23);
+        sim.run_rounds(10);
+        let fault =
+            PhaseFault::PerLink { salt: 31, bad_fraction: 0.5, good_rate: 0.0, bad_rate: 1.0 };
+        let mut layer = BroadcastLayer::with_channel(23, BroadcastConfig::push(2, u8::MAX), fault);
+        layer.enable_trace();
+        layer.seed_rumor_at(NodeId::new(0));
+        layer.run(&mut sim, 40);
+        for edge in layer.trace() {
+            let link = [31, edge.from.as_u64(), edge.to.as_u64()];
+            assert!(fraction_of(&link) >= 0.5, "{edge:?} crossed a bad link");
+        }
+        assert!(layer.trace().len() > 64, "the rumor must spread over the good links");
+        assert!(layer.stats().lost > 0, "bad links must drop pushes");
+    }
+
+    #[test]
+    fn capacity_gates_pushes_in_the_membership_round_they_ride() {
+        const BURN_IN: u64 = 10;
+        let mut sim = flat(128, 29);
+        sim.run_rounds(BURN_IN as usize);
+        // Every node is slow: each pushes only in every other round.
+        let fault = PhaseFault::Capacity { salt: 5, slow_fraction: 1.0, period: 2, base: 0.0 };
+        let mut layer = BroadcastLayer::with_channel(29, BroadcastConfig::default(), fault.clone());
+        layer.enable_trace();
+        layer.seed_rumor_at(NodeId::new(0));
+        layer.run(&mut sim, 40);
+        // Broadcast round `r` (1-based) rides membership round
+        // `BURN_IN + r - 1`, the round its gate is read at.
+        for edge in layer.trace() {
+            let fault_round = BURN_IN + edge.round - 1;
+            assert!(fault.node_acts(edge.from, fault_round), "{edge:?} pushed while gated");
+        }
+        assert!(layer.trace().len() > 64, "the rumor must spread in the open rounds");
+    }
+
+    /// A lossless push-pull rumor at fanout 2, pinned: every message draws
+    /// its loss even at rate 0, so the second target is drawn after the
+    /// first loss draw.
+    #[test]
+    fn lossless_rumor_fingerprint_is_pinned() {
+        let mut sim = flat(96, 37);
+        sim.run_rounds(10);
+        let mut layer = BroadcastLayer::new(37, BroadcastConfig::push_pull(2, 6));
+        layer.seed_rumor_at(NodeId::new(4));
+        layer.run(&mut sim, 12);
+        assert_eq!(layer.fingerprint(), 0xacf6_2edc_87b4_7e26);
     }
 }

@@ -24,24 +24,25 @@
 //!
 //! A [`PhaseFault`] has one textual spelling, shared by every surface that
 //! names one: a scenario spec's `phase` lines (`sandf_bench::scenario`),
-//! the rumor channel mirroring a phase
-//! ([`rumor_channel_for`](crate::rumor_channel_for)), and the live daemon's
-//! `POST /ctl/fault` body (`sandf_daemon`). A fault is always written as a
-//! phase — a duration in rounds, then the model and its positional
-//! arguments — so a line means the same thing wherever it is sent:
+//! whose compiled schedule the engines and the rumor layer
+//! ([`BroadcastLayer`](crate::BroadcastLayer)) both run, and the live
+//! daemon's `POST /ctl/fault` body (`sandf_daemon`). A fault is always
+//! written as a phase — a duration in rounds, then the model and its
+//! positional arguments — so a line means the same thing wherever it is
+//! sent:
 //!
 //! ```text
 //! phase <rounds> <model> <args...>
 //! ```
 //!
-//! | model | variant | semantics |
-//! |---|---|---|
-//! | `uniform <rate>` | [`PhaseFault::Uniform`] | i.i.d. loss (the paper's model) |
-//! | `bursty <to_bad> <to_good> <loss_good> <loss_bad>` | [`PhaseFault::Bursty`] | per-sender bursty channel |
-//! | `partition <regions> <sever> <base>` | [`PhaseFault::Partition`] | cross-region loss at `sever` for the phase window, then heal |
-//! | `perlink <salt> <bad_fraction> <good_rate> <bad_rate>` | [`PhaseFault::PerLink`] | persistent per-link quality |
-//! | `capacity <salt> <slow_fraction> <period> <base>` | [`PhaseFault::Capacity`] | slow cohort acts every `period`-th round |
-//! | `victims <count> <victim_rate> <base>` | [`PhaseFault::Victims`] | targeted loss on the `count` highest-indegree nodes, aimed at phase start |
+//! | model | variant | semantics | the rumor layer reads |
+//! |---|---|---|---|
+//! | `uniform <rate>` | [`PhaseFault::Uniform`] | i.i.d. loss (the paper's model) | [`rate`](PhaseFault::rate) |
+//! | `bursty <to_bad> <to_good> <loss_good> <loss_bad>` | [`PhaseFault::Bursty`] | per-sender bursty channel | the four parameters, with the chain state kept per *receiver* |
+//! | `partition <regions> <sever> <base>` | [`PhaseFault::Partition`] | cross-region loss at `sever` for the phase window, then heal | [`rate`](PhaseFault::rate), windowed by membership round |
+//! | `perlink <salt> <bad_fraction> <good_rate> <bad_rate>` | [`PhaseFault::PerLink`] | persistent per-link quality | [`rate`](PhaseFault::rate), link by link |
+//! | `capacity <salt> <slow_fraction> <period> <base>` | [`PhaseFault::Capacity`] | slow cohort acts every `period`-th round | [`node_acts`](FaultModel::node_acts) gates push and pull; [`rate`](PhaseFault::rate) is `base` |
+//! | `victims <count> <victim_rate> <base>` | [`PhaseFault::Victims`] | targeted loss on the `count` highest-indegree nodes, aimed at phase start | [`rate`](PhaseFault::rate), at the aimed victims |
 //!
 //! Rates are probabilities in `[0, 1]`; every argument is required.
 //! [`PhaseFault::parse_phase`] is the only parser, [`PhaseFault::check`]
@@ -227,35 +228,14 @@ pub enum PhaseFault {
 
 impl FaultModel for PhaseFault {
     fn drops<R: Rng + ?Sized>(&mut self, ctx: FaultCtx, rng: &mut R) -> bool {
-        let (from, to) = (ctx.from.as_u64(), ctx.to.as_u64());
-        let rate = match self {
-            Self::Uniform(m) => return m.is_lost(rng),
-            Self::Bursty(m) => return m.is_lost(rng),
-            &mut Self::Partition { regions, start, duration, sever, base } => {
-                let active = ctx.round >= start && ctx.round - start < duration;
-                if active && from % regions != to % regions {
-                    sever
-                } else {
-                    base
-                }
+        match self {
+            Self::Uniform(m) => m.is_lost(rng),
+            Self::Bursty(m) => m.is_lost(rng),
+            _ => {
+                let rate = self.rate(ctx);
+                rate > 0.0 && rng.gen_bool(rate)
             }
-            &mut Self::PerLink { salt, bad_fraction, good_rate, bad_rate } => {
-                if hash_fraction(word_hash(&[salt, from, to])) < bad_fraction {
-                    bad_rate
-                } else {
-                    good_rate
-                }
-            }
-            Self::Capacity { base, .. } => *base,
-            Self::Victims { victims, victim_rate, base, .. } => {
-                if victims.binary_search(&ctx.to).is_ok() {
-                    *victim_rate
-                } else {
-                    *base
-                }
-            }
-        };
-        rate > 0.0 && rng.gen_bool(rate)
+        }
     }
 
     fn node_acts(&self, node: NodeId, round: u64) -> bool {
@@ -299,6 +279,42 @@ pub fn expect_args(directive: &str, usage: &str, args: &[&str], want: usize) -> 
 }
 
 impl PhaseFault {
+    /// The loss probability of the message `ctx` — the one per-message
+    /// rate function: [`drops`](FaultModel::drops) draws against it, and
+    /// so does the rumor layer ([`BroadcastLayer`](crate::BroadcastLayer)).
+    /// A bursty channel answers with its current state's rate.
+    #[must_use]
+    pub fn rate(&self, ctx: FaultCtx) -> f64 {
+        let (from, to) = (ctx.from.as_u64(), ctx.to.as_u64());
+        match *self {
+            Self::Uniform(m) => m.rate,
+            Self::Bursty(m) => m.loss_in(m.in_bad_state()),
+            Self::Partition { regions, start, duration, sever, base } => {
+                let active = ctx.round >= start && ctx.round - start < duration;
+                if active && from % regions != to % regions {
+                    sever
+                } else {
+                    base
+                }
+            }
+            Self::PerLink { salt, bad_fraction, good_rate, bad_rate } => {
+                if hash_fraction(word_hash(&[salt, from, to])) < bad_fraction {
+                    bad_rate
+                } else {
+                    good_rate
+                }
+            }
+            Self::Capacity { base, .. } => base,
+            Self::Victims { ref victims, victim_rate, base, .. } => {
+                if victims.binary_search(&ctx.to).is_ok() {
+                    victim_rate
+                } else {
+                    base
+                }
+            }
+        }
+    }
+
     /// Parses the words after `phase` — `<rounds> <model> <args...>` — into
     /// the phase's duration and its model over rounds `[0, rounds)` (see
     /// the [grammar](self#the-fault-grammar)).
@@ -569,6 +585,11 @@ impl ScheduledFault {
         self.phases.iter().position(|&(end, _)| round < end).unwrap_or(self.phases.len() - 1)
     }
 
+    /// The phase governing `round`.
+    pub(crate) fn phase_at(&self, round: u64) -> &PhaseFault {
+        &self.phases[self.phase_index(round)].1
+    }
+
     /// The phases as `(end_round_exclusive, fault)` slices.
     #[must_use]
     pub fn phases(&self) -> &[(u64, PhaseFault)] {
@@ -589,7 +610,14 @@ impl FaultModel for ScheduledFault {
     }
 
     fn node_acts(&self, node: NodeId, round: u64) -> bool {
-        self.phases[self.phase_index(round)].1.node_acts(node, round)
+        self.phase_at(round).node_acts(node, round)
+    }
+}
+
+/// A single model as a one-phase schedule ([`ScheduledFault::constant`]).
+impl From<PhaseFault> for ScheduledFault {
+    fn from(fault: PhaseFault) -> Self {
+        Self::constant(fault)
     }
 }
 
@@ -606,7 +634,7 @@ pub(crate) mod tests {
 
     /// The hashed `[0, 1)` fraction a per-link or per-node model compares
     /// against its configured fraction.
-    fn fraction_of(words: &[u64]) -> f64 {
+    pub(crate) fn fraction_of(words: &[u64]) -> f64 {
         hash_fraction(word_hash(words))
     }
 

@@ -54,8 +54,8 @@ pub mod topology;
 mod traits;
 
 pub use broadcast::{
-    doerr_spread_prediction, rumor_channel_for, BroadcastConfig, BroadcastLayer, BroadcastStats,
-    RumorChannel, SpreadReport, TraceEdge,
+    doerr_spread_prediction, BroadcastConfig, BroadcastLayer, BroadcastStats, RumorChannel,
+    SpreadReport, TraceEdge,
 };
 pub use degree::DegreeStats;
 pub use engine::{DelayModel, SimStats, StepEvent, StepPhase, StepReport, StepSubscriber};

@@ -20,10 +20,6 @@ use rand::Rng;
 pub trait LossModel {
     /// Returns `true` if the next message is lost.
     fn is_lost<R: Rng + ?Sized>(&mut self, rng: &mut R) -> bool;
-
-    /// The long-run average loss rate of this model, used by analyses that
-    /// need a scalar `ℓ` (e.g. comparing against Lemma 6.7 bounds).
-    fn average_rate(&self) -> f64;
 }
 
 /// Uniform i.i.d. loss with probability `ℓ` (the paper's model).
@@ -31,10 +27,12 @@ pub trait LossModel {
 /// # Examples
 ///
 /// ```
+/// use rand::{rngs::StdRng, SeedableRng};
 /// use sandf_sim::{LossModel, UniformLoss};
 ///
-/// let model = UniformLoss::new(0.01)?;
-/// assert_eq!(model.average_rate(), 0.01);
+/// let mut model = UniformLoss::new(1.0)?;
+/// assert!(model.is_lost(&mut StdRng::seed_from_u64(1)));
+/// assert!(UniformLoss::new(1.5).is_err());
 /// # Ok::<(), sandf_sim::LossRateError>(())
 /// ```
 #[derive(Clone, Copy, PartialEq, Debug)]
@@ -80,10 +78,6 @@ impl UniformLoss {
 impl LossModel for UniformLoss {
     fn is_lost<R: Rng + ?Sized>(&mut self, rng: &mut R) -> bool {
         self.rate > 0.0 && rng.gen_bool(self.rate)
-    }
-
-    fn average_rate(&self) -> f64 {
-        self.rate
     }
 }
 
@@ -132,6 +126,15 @@ impl GilbertElliott {
     pub fn in_bad_state(&self) -> bool {
         self.in_bad
     }
+
+    /// The loss rate in the bad (`true`) or the good state.
+    pub(crate) fn loss_in(&self, bad: bool) -> f64 {
+        if bad {
+            self.loss_bad
+        } else {
+            self.loss_good
+        }
+    }
 }
 
 impl LossModel for GilbertElliott {
@@ -141,19 +144,8 @@ impl LossModel for GilbertElliott {
         if flip > 0.0 && rng.gen_bool(flip) {
             self.in_bad = !self.in_bad;
         }
-        let rate = if self.in_bad { self.loss_bad } else { self.loss_good };
+        let rate = self.loss_in(self.in_bad);
         rate > 0.0 && rng.gen_bool(rate)
-    }
-
-    fn average_rate(&self) -> f64 {
-        // Stationary split of the two-state chain.
-        let denom = self.to_bad + self.to_good;
-        if denom == 0.0 {
-            // The chain never leaves its initial (good) state.
-            return self.loss_good;
-        }
-        let p_bad = self.to_bad / denom;
-        (1.0 - p_bad) * self.loss_good + p_bad * self.loss_bad
     }
 }
 
@@ -163,6 +155,7 @@ mod tests {
     use rand::SeedableRng;
 
     use super::*;
+    use crate::PhaseFault;
 
     #[test]
     fn uniform_rejects_out_of_range() {
@@ -198,15 +191,15 @@ mod tests {
 
     #[test]
     fn gilbert_elliott_average_rate() {
-        let model = GilbertElliott::new(0.1, 0.3, 0.0, 0.2).unwrap();
+        let model = PhaseFault::Bursty(GilbertElliott::new(0.1, 0.3, 0.0, 0.2).unwrap());
         // p_bad = 0.1 / 0.4 = 0.25; rate = 0.25 · 0.2 = 0.05.
-        assert!((model.average_rate() - 0.05).abs() < 1e-12);
+        assert!((model.effective_rate(1) - 0.05).abs() < 1e-12);
     }
 
     #[test]
     fn gilbert_elliott_empirical_rate_matches_average() {
         let mut model = GilbertElliott::new(0.05, 0.2, 0.001, 0.25).unwrap();
-        let expected = model.average_rate();
+        let expected = PhaseFault::Bursty(model).effective_rate(1);
         let mut rng = StdRng::seed_from_u64(7);
         let losses = (0..400_000).filter(|_| model.is_lost(&mut rng)).count();
         let rate = losses as f64 / 400_000.0;
@@ -230,12 +223,6 @@ mod tests {
             }
         }
         assert!(max_run >= 3, "expected bursty losses, max run {max_run}");
-    }
-
-    #[test]
-    fn gilbert_elliott_frozen_chain_average() {
-        let model = GilbertElliott::new(0.0, 0.0, 0.02, 0.9).unwrap();
-        assert_eq!(model.average_rate(), 0.02);
     }
 
     #[test]

@@ -480,6 +480,10 @@ impl<S: Schedule<L, B>, L, B: ProtocolBehavior> Engine for ArenaSim<S, L, B> {
         Self::for_each_live_row(self, visit);
     }
 
+    fn fault(&self) -> &L {
+        Self::fault(self)
+    }
+
     fn update_fault(&mut self, f: impl FnMut(&mut L)) {
         Self::update_fault(self, f);
     }

@@ -541,6 +541,9 @@ pub trait Engine {
     /// these words.
     fn for_each_live_row(&self, visit: &mut dyn FnMut(u32, &[u32]));
 
+    /// The fault model: flat's channel, or par's prototype channel.
+    fn fault(&self) -> &Self::Fault;
+
     /// Applies `f` to the fault model.
     fn update_fault(&mut self, f: impl FnMut(&mut Self::Fault));
 

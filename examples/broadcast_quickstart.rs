@@ -13,7 +13,7 @@
 
 use sandf::sim::topology;
 use sandf::{
-    doerr_spread_prediction, BroadcastConfig, BroadcastLayer, Engine, FlatSimulation, RumorChannel,
+    doerr_spread_prediction, BroadcastConfig, BroadcastLayer, Engine, FlatSimulation, PhaseFault,
     SfConfig, UniformLoss,
 };
 
@@ -29,7 +29,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut layer = BroadcastLayer::with_channel(
         42,
         BroadcastConfig::push_pull(1, u8::MAX),
-        RumorChannel::Uniform { rate: 0.10 },
+        PhaseFault::Uniform(UniformLoss::new(0.10)?),
     );
     let origin = Engine::live_ids(&sim).into_iter().min().expect("non-empty system");
     layer.seed_rumor_at(origin);

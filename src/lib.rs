@@ -72,7 +72,7 @@ pub use sandf_markov::{select_thresholds, AnalyticalDegrees, DegreeMc, DegreeMcP
 pub use sandf_sim::{
     doerr_spread_prediction, BroadcastConfig, BroadcastLayer, BroadcastStats, Engine, FaultCtx,
     FaultModel, FlatSimulation, GilbertElliott, IdBatch, LossModel, ParSimulation, PhaseFault,
-    ProtocolBehavior, Receipt, RumorChannel, ScheduledFault, SfBehavior, SimStats, SlotView,
-    SpreadReport, TraceEdge, UniformLoss,
+    ProtocolBehavior, Receipt, ScheduledFault, SfBehavior, SimStats, SlotView, SpreadReport,
+    TraceEdge, UniformLoss,
 };
 pub use sandf_zoo::{baselines, variants};

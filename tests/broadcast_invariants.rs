@@ -16,8 +16,8 @@ use std::collections::{HashMap, HashSet};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use sandf::{
-    BroadcastConfig, BroadcastLayer, Engine, FlatSimulation, NodeId, ParSimulation, RumorChannel,
-    SfConfig, SfNode, UniformLoss,
+    BroadcastConfig, BroadcastLayer, Engine, FlatSimulation, GilbertElliott, NodeId, ParSimulation,
+    PhaseFault, SfConfig, SfNode, UniformLoss,
 };
 
 /// System size for the engine-level schedules.
@@ -52,68 +52,50 @@ fn arb_op() -> impl Strategy<Value = Op> {
     ]
 }
 
-/// One randomly drawn rumor channel, rates in milli-units.
-#[derive(Clone, Debug)]
-enum ChannelKind {
-    Lossless,
-    Uniform { rate_milli: u16 },
-    Bursty { to_bad_milli: u16, to_good_milli: u16, good_milli: u16, bad_milli: u16 },
-    Partition { regions: u64, sever_milli: u16, base_milli: u16 },
-    Victims { victims: Vec<u8>, victim_milli: u16, base_milli: u16 },
+/// A rate in `[0, 1)`, in milli-units.
+fn rate() -> impl Strategy<Value = f64> {
+    (0..1000u16).prop_map(|m| f64::from(m) / 1000.0)
 }
 
-fn milli(m: u16) -> f64 {
-    f64::from(m % 1000) / 1000.0
+fn uniform(rate: f64) -> PhaseFault {
+    PhaseFault::Uniform(UniformLoss::new(rate).expect("valid rate"))
 }
 
-fn arb_channel() -> impl Strategy<Value = ChannelKind> {
+/// One randomly drawn rumor channel, from every model of the fault
+/// grammar.
+fn arb_channel() -> impl Strategy<Value = PhaseFault> {
     prop_oneof![
-        Just(ChannelKind::Lossless),
-        any::<u16>().prop_map(|rate_milli| ChannelKind::Uniform { rate_milli }),
-        (any::<u16>(), any::<u16>(), any::<u16>(), any::<u16>()).prop_map(
-            |(to_bad_milli, to_good_milli, good_milli, bad_milli)| ChannelKind::Bursty {
-                to_bad_milli,
-                to_good_milli,
-                good_milli,
-                bad_milli
+        Just(uniform(0.0)),
+        rate().prop_map(uniform),
+        (rate(), rate(), rate(), rate()).prop_map(|(to_bad, to_good, good, bad)| {
+            // A chain that never leaves the good state is uniform loss at
+            // the good rate, the only form `check` accepts for it.
+            if to_bad + to_good == 0.0 {
+                return uniform(good);
             }
-        ),
-        (2..5u64, any::<u16>(), any::<u16>()).prop_map(|(regions, sever_milli, base_milli)| {
-            ChannelKind::Partition { regions, sever_milli, base_milli }
+            PhaseFault::Bursty(GilbertElliott::new(to_bad, to_good, good, bad).expect("valid"))
         }),
-        (vec(any::<u8>(), 1..4), any::<u16>(), any::<u16>()).prop_map(
-            |(victims, victim_milli, base_milli)| ChannelKind::Victims {
-                victims,
-                victim_milli,
-                base_milli
+        (2..5u64, 1..40u64, rate(), rate()).prop_map(|(regions, duration, sever, base)| {
+            PhaseFault::Partition { regions, start: 0, duration, sever, base }
+        }),
+        (any::<u64>(), rate(), rate(), rate()).prop_map(
+            |(salt, bad_fraction, good_rate, bad_rate)| PhaseFault::PerLink {
+                salt,
+                bad_fraction,
+                good_rate,
+                bad_rate
             }
         ),
+        (any::<u64>(), rate(), 2..5u64, rate()).prop_map(|(salt, slow_fraction, period, base)| {
+            PhaseFault::Capacity { salt, slow_fraction, period, base }
+        }),
+        (vec(0..N as u64, 1..4), rate(), rate()).prop_map(|(ids, victim_rate, base)| {
+            let victims = Vec::new();
+            let mut fault = PhaseFault::Victims { count: ids.len(), victim_rate, base, victims };
+            fault.aim(&ids.into_iter().map(NodeId::new).collect::<Vec<_>>());
+            fault
+        }),
     ]
-}
-
-fn compile_channel(kind: &ChannelKind) -> RumorChannel {
-    match kind {
-        ChannelKind::Lossless => RumorChannel::Lossless,
-        ChannelKind::Uniform { rate_milli } => RumorChannel::Uniform { rate: milli(*rate_milli) },
-        ChannelKind::Bursty { to_bad_milli, to_good_milli, good_milli, bad_milli } => {
-            RumorChannel::Bursty {
-                to_bad: milli(*to_bad_milli),
-                to_good: milli(*to_good_milli),
-                loss_good: milli(*good_milli),
-                loss_bad: milli(*bad_milli),
-            }
-        }
-        ChannelKind::Partition { regions, sever_milli, base_milli } => RumorChannel::Partition {
-            regions: *regions,
-            sever: milli(*sever_milli),
-            base: milli(*base_milli),
-        },
-        ChannelKind::Victims { victims, victim_milli, base_milli } => RumorChannel::Victims {
-            victim_rate: milli(*victim_milli),
-            base: milli(*base_milli),
-            victims: victims.iter().map(|&v| NodeId::new(u64::from(v) % N as u64)).collect(),
-        },
-    }
 }
 
 /// One membership round followed by one broadcast step, with the three
@@ -178,7 +160,7 @@ fn step_and_check<E: Engine>(
 fn broadcast_schedule<E: Engine>(
     mut sim: E,
     ops: &[Op],
-    channel: RumorChannel,
+    channel: PhaseFault,
     config: BroadcastConfig,
     seed: u64,
 ) -> Result<(), TestCaseError> {
@@ -237,14 +219,13 @@ proptest! {
         } else {
             BroadcastConfig::push(fanout, u8::MAX)
         };
-        let rumor = compile_channel(&channel);
         broadcast_schedule(
             FlatSimulation::new(nodes.clone(), loss, seed),
             &ops,
-            rumor.clone(),
+            channel.clone(),
             config,
             seed,
         )?;
-        broadcast_schedule(ParSimulation::new(nodes, loss, seed, 2), &ops, rumor, config, seed)?;
+        broadcast_schedule(ParSimulation::new(nodes, loss, seed, 2), &ops, channel, config, seed)?;
     }
 }
