@@ -9,12 +9,14 @@
 //! wire), and accounts for every frame across the kernel
 //! ([`WireLedger`]). Around that loop the crate layers:
 //!
-//! - a **wire-level fault injector** ([`fault`]) reusing the simulation
-//!   fault zoo (uniform, Gilbert–Elliott bursts, regional partitions,
-//!   per-link, capacity, victim sets) at the socket boundary, after the
-//!   base Section 4.1 loss draw (`sandf_sim::UniformLoss`), runtime
-//!   reconfigurable via `POST /ctl/fault` in the same one-line grammar as
-//!   a scenario spec's `phase` lines ([`sandf_sim::fault`]);
+//! - **one fault process** ([`fault`]): a `sandf_sim::ScheduledFault`
+//!   drawn once per send, whose standing phase is the base Section 4.1
+//!   loss and which `POST /ctl/fault` reconfigures at runtime with any
+//!   model of the simulation fault zoo (uniform, Gilbert–Elliott bursts,
+//!   regional partitions, per-link, capacity, victim sets) in the same
+//!   one-line grammar as a scenario spec's `phase` lines
+//!   ([`sandf_sim::fault`]) — the injected model replaces the base loss
+//!   for its window;
 //! - a **live invariant checker** ([`invariants`]) asserting Observation
 //!   5.1 outdegree bounds exactly and the Lemma 6.10 stale-fraction
 //!   ceiling in banded form, against realized (measured) loss so fault
@@ -50,7 +52,6 @@ pub mod service;
 pub mod soak;
 pub mod wheel;
 
-pub use fault::FaultInjector;
 pub use http::{http_get, http_post, http_request};
 pub use invariants::{CheckOutcome, InvariantChecker, WireTotals};
 pub use service::{Control, DaemonConfig, DaemonHandle, MembershipSnapshot, WireLedger};

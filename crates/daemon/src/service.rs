@@ -7,13 +7,14 @@
 //! ([`SharedSocket`]); every message on it travels as a 25-byte frame, the
 //! destination node's id followed by the 17-byte message, and every
 //! datagram packs 1 to [`MAX_FRAMES`] frames. The loop sends for every node
-//! through one function, `ServiceState::send`: base Section 4.1 loss is
-//! drawn first (from the sender's loss stream), then the
-//! runtime-reconfigurable fault injector (from its fault stream), then the
-//! destination is looked up in a dense id → slot table, and only a message
-//! for a live node is packed into the loop's one outbox [`Datagram`]. The
-//! loss draws stay per message, so packing changes the number of
-//! datagrams the kernel handles, not the Section 4.1 channel. The loop,
+//! through one function, `ServiceState::send`: the message meets the
+//! daemon's one fault schedule ([`fault`](crate::fault)) in one draw from
+//! the sender's loss stream — the standing `uniform base_loss` phase, the
+//! Section 4.1 channel, or a runtime-injected model in its place — then
+//! the destination is looked up in a dense id → slot table, and only a
+//! message for a live node is packed into the loop's one outbox
+//! [`Datagram`]. The loss draw stays per message, so packing changes the
+//! number of datagrams the kernel handles, not the channel. The loop,
 //! not the node, receives: before every [`DRAIN_CHUNK`] node ticks it
 //! flushes the outbox onto the wire (a full one goes early) and then
 //! drains the socket into per-node inboxes through the same table, so a
@@ -23,21 +24,22 @@
 //! back-to-back at a quiescent point. A message or frame for an id with no
 //! live node is a dead letter.
 //!
-//! Each node draws from three streams of its own — protocol steps, base
-//! loss, injected fault — and the loop from one control stream (join
-//! sponsors and delays, leave victims). Each is seeded by
-//! [`stream_seed`] under its own tag of the [`sandf_sim::stream`] table:
-//! `n`, `l` and `f` at `(id, 0)`, `k` at `(0, 0)`. No two coincide, id 0
-//! included.
+//! Each node draws from two streams of its own — protocol steps and loss —
+//! and the loop from one control stream (join sponsors and delays, leave
+//! victims). Each is seeded by [`stream_seed`] under its own tag of the
+//! [`sandf_sim::stream`] table: `n` and `l` at `(id, 0)`, `k` at `(0, 0)`.
+//! No two coincide, id 0 included.
 //!
 //! The wire is accounted across the kernel: `daemon.net.received` counts
 //! frames put into a live inbox, `daemon.net.datagrams` the datagrams
 //! handed to the kernel, and once the loop has stopped and drained the
 //! socket a last time,
 //! `delivered = received + dead_letters + daemon.fault.dropped` holds
-//! exactly (the last term is zero unless a fault was injected) — a datagram
-//! the kernel dropped would show as a deficit on the right
-//! ([`WireLedger`]).
+//! exactly — a datagram the kernel dropped would show as a deficit on the
+//! right ([`WireLedger`]). A drop under the standing phase counts
+//! `daemon.net.dropped` and is never delivered; a drop in an injected
+//! window counts as delivered, then as `daemon.fault.dropped`, so the last
+//! term is zero unless a fault was injected.
 //!
 //! Timers live on a single-rotation [`TimerWheel`] whose rotation period is
 //! one protocol round: `W` ticks per rotation, node slot `k` parked at tick
@@ -71,9 +73,9 @@ use sandf_net::codec::Datagram;
 use sandf_net::SharedSocket;
 use sandf_obs::{CounterHandle, EventJournal, GaugeHandle, JournalEvent, MetricsRegistry};
 use sandf_sim::stream::{self, stream_seed};
-use sandf_sim::{topology, FaultCtx, LossModel, PhaseFault, UniformLoss};
+use sandf_sim::{topology, FaultCtx, FaultModel, PhaseFault, ScheduledFault, UniformLoss};
 
-use crate::fault::{compile_fault_line, FaultInjector};
+use crate::fault::{compile_fault_line, injected};
 use crate::http::{escape_json, serve, HttpContext};
 use crate::invariants::{CheckOutcome, InvariantChecker, WireTotals};
 use crate::wheel::{TimerWheel, WheelItem};
@@ -129,7 +131,9 @@ pub struct DaemonConfig {
     pub initial_degree: usize,
     /// Wall-clock duration of one protocol round.
     pub tick: Duration,
-    /// Base message-loss probability, drawn i.i.d. before every send.
+    /// Base message-loss probability: the standing phase of the daemon's
+    /// one fault schedule, drawn i.i.d. per send whenever no injected fault
+    /// governs (an injected `/ctl/fault` line replaces it for its window).
     pub base_loss: f64,
     /// Master seed; every RNG of the daemon derives from it through
     /// [`sandf_sim::stream`].
@@ -271,17 +275,18 @@ impl MembershipSnapshot {
 
 /// The daemon's wire accounting across the kernel, read from its registry.
 ///
-/// Every message that survives the base-loss draw is dropped by an injected
-/// fault, found to be a dead letter (at the send, when the peer has no
-/// live slot, or coming off the wire, when the peer left meanwhile), or put
-/// into a live node's inbox. After
+/// Every message not lost under the standing base-loss phase is dropped by
+/// an injected fault, found to be a dead letter (at the send, when the peer
+/// has no live slot, or coming off the wire, when the peer left meanwhile),
+/// or put into a live node's inbox. After
 /// [`DaemonHandle::shutdown`] nothing is [in flight](Self::in_flight): a
 /// remainder is datagrams the kernel dropped or sends that failed.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct WireLedger {
-    /// `daemon.net.delivered`: messages that survived the base-loss draw.
+    /// `daemon.net.delivered`: messages not lost under the standing
+    /// base-loss phase (`daemon.net.sent − daemon.net.dropped`).
     pub delivered: u64,
-    /// `daemon.fault.dropped`: of those, dropped by the injected fault.
+    /// `daemon.fault.dropped`: of those, dropped in an injected window.
     pub fault_dropped: u64,
     /// `daemon.net.dead_letters`: frames for a peer that had left.
     pub dead_letters: u64,
@@ -326,10 +331,8 @@ impl std::fmt::Display for WireLedger {
 struct NodeSlot {
     node: SfNode,
     rng: StdRng,
-    /// Decides the base loss of this node's sends.
+    /// Offered to the fault schedule with each of this node's sends.
     loss_rng: StdRng,
-    /// Offered to the injected fault with each send that survived.
-    fault_rng: StdRng,
     /// Messages drained off the socket for this node since its last tick.
     inbox: Vec<Message>,
 }
@@ -399,8 +402,9 @@ impl DaemonHandle {
     }
 
     /// Installs the fault `phase <rounds> <model> <args...>` (the
-    /// [fault grammar](sandf_sim::fault)) from the next round on — it lapses
-    /// by itself after `rounds` rounds — or clears it (`none`); returns the
+    /// [fault grammar](sandf_sim::fault)) in place of the base loss, from
+    /// now through round `now + rounds` (a `partition` cut from the next
+    /// round on) — it lapses by itself — or clears it (`none`); returns the
     /// installed tag.
     ///
     /// # Errors
@@ -459,8 +463,9 @@ struct ServiceState {
     socket: SharedSocket,
     /// Frames sent since the last flush, packed for one datagram.
     outbox: Datagram,
-    base_loss: UniformLoss,
-    injector: FaultInjector,
+    /// The one fault process: its last phase is the standing `uniform
+    /// base_loss`, every earlier one injected by `/ctl/fault`.
+    fault: ScheduledFault,
     checker: InvariantChecker,
     registry: MetricsRegistry,
     journal: EventJournal,
@@ -471,10 +476,6 @@ struct ServiceState {
     /// never run backwards.
     retired_actions: u64,
     retired_duplications: u64,
-    checks: u64,
-    degree_violations_total: u64,
-    stale_violations_total: u64,
-    last_outcome: Option<CheckOutcome>,
     nodes_gauge: GaugeHandle,
     round_gauge: GaugeHandle,
     stale_gauge: GaugeHandle,
@@ -484,6 +485,7 @@ struct ServiceState {
     sent: CounterHandle,
     base_dropped: CounterHandle,
     delivered: CounterHandle,
+    fault_dropped: CounterHandle,
     /// Messages for an id with no live node: the peer left before the send
     /// (counted there, never sent) or while the frame was in flight.
     dead_letters: CounterHandle,
@@ -523,8 +525,7 @@ fn boot(config: DaemonConfig) -> io::Result<ServiceState> {
         wheel: TimerWheel::new(WHEEL_SLOTS),
         socket: SharedSocket::bind_loopback().map_err(|e| io::Error::other(e.to_string()))?,
         outbox: Datagram::default(),
-        base_loss,
-        injector: FaultInjector::new(&registry),
+        fault: ScheduledFault::constant(PhaseFault::Uniform(base_loss)),
         checker: InvariantChecker::new(sf),
         journal: EventJournal::new(config.journal_capacity.max(64)),
         snapshot: Arc::new(Mutex::new(MembershipSnapshot {
@@ -536,10 +537,6 @@ fn boot(config: DaemonConfig) -> io::Result<ServiceState> {
         departed: 0,
         retired_actions: 0,
         retired_duplications: 0,
-        checks: 0,
-        degree_violations_total: 0,
-        stale_violations_total: 0,
-        last_outcome: None,
         nodes_gauge: registry.gauge("daemon.nodes"),
         round_gauge: registry.gauge("daemon.round"),
         stale_gauge: registry.gauge("daemon.stale_fraction"),
@@ -549,6 +546,7 @@ fn boot(config: DaemonConfig) -> io::Result<ServiceState> {
         sent: registry.counter("daemon.net.sent"),
         base_dropped: registry.counter("daemon.net.dropped"),
         delivered: registry.counter("daemon.net.delivered"),
+        fault_dropped: registry.counter("daemon.fault.dropped"),
         dead_letters: registry.counter("daemon.net.dead_letters"),
         recv_errors: registry.counter("daemon.net.recv_errors"),
         received: registry.counter("daemon.net.received"),
@@ -665,7 +663,7 @@ fn run_loop(mut state: ServiceState, ctl: &Receiver<Control>) -> Vec<SfNode> {
 }
 
 impl ServiceState {
-    /// Seats `node`, with its three random streams, in a free slot,
+    /// Seats `node`, with its two random streams, in a free slot,
     /// reachable under its id; returns the slot's key.
     fn place(&mut self, node: SfNode) -> usize {
         let id = node.id();
@@ -675,7 +673,6 @@ impl ServiceState {
             node,
             rng: seeded(stream::DAEMON_NODE),
             loss_rng: seeded(stream::DAEMON_LOSS),
-            fault_rng: seeded(stream::DAEMON_FAULT),
             inbox: Vec::new(),
         });
         let key = match self.free.pop() {
@@ -718,20 +715,24 @@ impl ServiceState {
     }
 
     /// The one send path of the fleet: what `from_key`'s node initiated in
-    /// `round` meets base loss, then the injected fault, then the
-    /// dead-letter test, and goes into the outbox if it passed all three.
+    /// `round` meets the fault schedule, then the dead-letter test, and
+    /// goes into the outbox if it passed both.
     fn send(&mut self, from_key: usize, round: u64, to: NodeId, message: Message) {
         let slot = self.slots[from_key].as_mut().expect("a live sender");
         self.sent.inc();
-        if self.base_loss.is_lost(&mut slot.loss_rng) {
-            self.base_dropped.inc();
+        let ctx = FaultCtx { from: slot.node.id(), to, round };
+        if self.fault.drops(ctx, &mut slot.loss_rng) {
+            // Base loss never reaches the wire ledger; an injected window's
+            // drop is delivered, then dropped by the fault.
+            if injected(&self.fault, round).is_some() {
+                self.delivered.inc();
+                self.fault_dropped.inc();
+            } else {
+                self.base_dropped.inc();
+            }
             return;
         }
         self.delivered.inc();
-        let ctx = FaultCtx { from: slot.node.id(), to, round };
-        if self.injector.drops(ctx, &mut slot.fault_rng) {
-            return;
-        }
         if slot_key(&self.slot_of, to).is_none() {
             // The peer left; counted so the checker's realized loss
             // includes churn-induced loss.
@@ -785,7 +786,7 @@ impl ServiceState {
         for message in slot.inbox.drain(..) {
             let _ = slot.node.receive(message, &mut slot.rng);
         }
-        if self.injector.node_acts(slot.node.id(), round) {
+        if self.fault.node_acts(slot.node.id(), round) {
             if let InitiateOutcome::Sent { to, message, .. } = slot.node.initiate(&mut slot.rng) {
                 self.send(key, round, to, message);
             }
@@ -904,18 +905,20 @@ impl ServiceState {
     }
 
     fn handle_fault(&mut self, line: &str) -> Result<String, String> {
-        let compiled = compile_fault_line(line, self.wheel.rounds(), self.config.seed)?;
-        let Some(mut fault) = compiled else {
-            self.injector.install(None);
-            return Ok("none".into());
-        };
-        let kind = fault.phases()[0].1.kind();
+        let now = self.wheel.rounds();
+        let mut fault = compile_fault_line(line, now, self.config.seed, &self.fault)?;
         if let PhaseFault::Victims { count, .. } = fault.phases()[0].1 {
             let graph = MembershipGraph::from_nodes(self.live_nodes());
             fault.phase_mut(0).aim(&graph.top_in_degree(count));
         }
-        self.injector.install(Some(fault));
-        Ok(kind.into())
+        self.fault = fault;
+        Ok(self.fault_kind(now).into())
+    }
+
+    /// The tag of the injected model governing `round` (`"none"` under the
+    /// standing phase).
+    fn fault_kind(&self, round: u64) -> &'static str {
+        injected(&self.fault, round).map_or("none", PhaseFault::kind)
     }
 
     fn wire_totals(&self) -> WireTotals {
@@ -927,7 +930,7 @@ impl ServiceState {
         }
         WireTotals {
             sent: self.sent.get(),
-            dropped: self.base_dropped.get() + self.injector.dropped() + self.dead_letters.get(),
+            dropped: self.base_dropped.get() + self.fault_dropped.get() + self.dead_letters.get(),
             actions,
             duplications,
         }
@@ -939,12 +942,9 @@ impl ServiceState {
             let nodes = self.slots.iter().filter_map(|slot| slot.as_ref().map(|s| &s.node));
             self.checker.check(round, nodes, totals)
         };
-        self.checks += 1;
         self.checks_counter.inc();
-        self.degree_violations_total += outcome.degree_violation_count as u64;
         self.degree_viol_counter.add(outcome.degree_violation_count as u64);
         if outcome.stale_violation {
-            self.stale_violations_total += 1;
             self.stale_viol_counter.inc();
         }
         self.stale_gauge.set(outcome.stale_fraction);
@@ -965,7 +965,6 @@ impl ServiceState {
             );
         }
         self.publish_snapshot(&outcome);
-        self.last_outcome = Some(outcome);
     }
 
     fn publish_snapshot(&self, outcome: &CheckOutcome) {
@@ -979,11 +978,11 @@ impl ServiceState {
             stale_fraction: outcome.stale_fraction,
             stale_ceiling: outcome.stale_ceiling,
             components: outcome.components,
-            checks: self.checks,
-            degree_violations: self.degree_violations_total,
-            stale_violations: self.stale_violations_total,
+            checks: self.checks_counter.get(),
+            degree_violations: self.degree_viol_counter.get(),
+            stale_violations: self.stale_viol_counter.get(),
             window_loss: outcome.window_loss,
-            fault: self.injector.kind(self.wheel.rounds()).into(),
+            fault: self.fault_kind(self.wheel.rounds()).into(),
         };
     }
 
@@ -995,7 +994,7 @@ impl ServiceState {
         // Every slot is seated or on the free list.
         snap.live = self.slots.len() - self.free.len();
         snap.departed = self.departed;
-        snap.fault = self.injector.kind(snap.round).into();
+        snap.fault = self.fault_kind(snap.round).into();
     }
 }
 
@@ -1031,9 +1030,9 @@ mod tests {
         let state = boot(tiny_config()).unwrap();
         let mut streams = vec![&state.rng];
         for slot in state.slots.iter().flatten() {
-            streams.extend([&slot.rng, &slot.loss_rng, &slot.fault_rng]);
+            streams.extend([&slot.rng, &slot.loss_rng]);
         }
-        assert_eq!(streams.len(), 1 + 3 * 16);
+        assert_eq!(streams.len(), 1 + 2 * 16);
         for (i, a) in streams.iter().enumerate() {
             for b in &streams[i + 1..] {
                 assert_ne!(a, b, "two of the daemon's streams share a seed");
@@ -1095,7 +1094,7 @@ mod tests {
     fn a_partition_drops_cross_region_sends_until_it_lapses() {
         let (mut state, message) = lossless_fleet();
         assert_eq!(state.handle_fault("phase 100 partition 2 1.0 0"), Ok("partition".into()));
-        assert_eq!(state.injector.kind(5), "partition");
+        assert_eq!(state.fault_kind(5), "partition");
         // 0 and 1 are in different regions (id mod 2): everything drops.
         for _ in 0..20 {
             state.send(0, 5, NodeId::new(1), message);
@@ -1107,7 +1106,7 @@ mod tests {
         assert!(state.slots.iter().flatten().all(|slot| slot.inbox.is_empty()));
 
         // After the window the wire heals, with no second command.
-        assert_eq!(state.injector.kind(200), "none");
+        assert_eq!(state.fault_kind(200), "none");
         state.send(0, 200, NodeId::new(1), message);
         for _ in 0..200 {
             state.drain_socket();
@@ -1161,13 +1160,20 @@ mod tests {
         assert!(0 < last_chunk && last_chunk < sent as usize / 5, "{last_chunk} of {sent}");
     }
 
-    #[test]
-    fn a_send_to_a_departed_id_is_one_dead_letter_and_no_frame() {
-        let (mut state, message) = lossless_fleet();
+    /// Makes one node of `state`'s boot fleet leave; returns a sender still
+    /// seated and the departed id.
+    fn a_sender_and_a_departed_id(state: &mut ServiceState) -> (usize, NodeId) {
         state.handle_leave(1).unwrap();
         let gone = state.slot_of.iter().position(|&key| key == NO_SLOT).unwrap();
         let from = (0..16).find(|&key| key != gone).unwrap();
-        state.send(from, 1, NodeId::new(gone as u64), message);
+        (from, NodeId::new(gone as u64))
+    }
+
+    #[test]
+    fn a_send_to_a_departed_id_is_one_dead_letter_and_no_frame() {
+        let (mut state, message) = lossless_fleet();
+        let (from, gone) = a_sender_and_a_departed_id(&mut state);
+        state.send(from, 1, gone, message);
         assert_eq!(counter(&state, "daemon.net.dead_letters"), 1);
         // Nothing went on the wire: a frame would come off it as a second
         // dead letter.
@@ -1176,6 +1182,47 @@ mod tests {
         assert_eq!(counter(&state, "daemon.net.received"), 0);
         assert_eq!(counter(&state, "daemon.net.dead_letters"), 1);
         assert_eq!(WireLedger::read(&state.registry).in_flight(), 0);
+    }
+
+    #[test]
+    fn an_injected_line_replaces_the_base_loss_it_does_not_stack_on_it() {
+        let mut state = boot(DaemonConfig { base_loss: 0.05, ..tiny_config() }).unwrap();
+        let (from, gone) = a_sender_and_a_departed_id(&mut state);
+        assert_eq!(state.handle_fault("phase 1000 uniform 0.25"), Ok("uniform".into()));
+        let message = Message::new(NodeId::new(from as u64), NodeId::new(9), false);
+        // Sends to a departed id never reach the wire: each one is lost or
+        // a dead letter.
+        let sends = 40_000;
+        for _ in 0..sends {
+            state.send(from, 1, gone, message);
+        }
+        let lost = counter(&state, "daemon.net.dropped") + counter(&state, "daemon.fault.dropped");
+        let rate = lost as f64 / sends as f64;
+        // 5σ of a binomial rate 0.25 over 40 000 sends; stacked on the base
+        // loss the line would lose 1 − 0.95 · 0.75 = 0.2875.
+        assert!((rate - 0.25).abs() < 0.011, "measured loss {rate}, want 0.25");
+        assert_eq!(counter(&state, "daemon.net.dropped"), 0, "no base draw in the window");
+        assert_eq!(counter(&state, "daemon.net.delivered"), sends);
+        assert_eq!(counter(&state, "daemon.net.dead_letters"), sends - lost);
+    }
+
+    #[test]
+    fn with_no_fault_injected_every_drop_is_the_base_draw_on_the_loss_stream() {
+        let mut state = boot(DaemonConfig { base_loss: 0.3, ..tiny_config() }).unwrap();
+        let (from, gone) = a_sender_and_a_departed_id(&mut state);
+        let id = NodeId::new(from as u64);
+        // The Section 4.1 model on a fresh copy of the sender's `l` stream,
+        // lifted into the fault surface the way every engine draws it.
+        let mut model = UniformLoss::new(0.3).unwrap();
+        let seed = stream_seed(state.config.seed, stream::DAEMON_LOSS, id.as_u64(), 0);
+        let mut rng = StdRng::seed_from_u64(seed);
+        for k in 0..2_000 {
+            let (round, before) = (1 + k / 16, counter(&state, "daemon.net.dropped"));
+            state.send(from, round, gone, Message::new(id, NodeId::new(9), false));
+            let want = model.drops(FaultCtx { from: id, to: gone, round }, &mut rng);
+            assert_eq!(counter(&state, "daemon.net.dropped") > before, want, "send {k}");
+        }
+        assert!(counter(&state, "daemon.net.dropped") > 500, "a 30 % channel must drop");
     }
 
     #[test]

@@ -31,7 +31,10 @@ pub struct SoakConfig {
     pub mass_leave_fraction: f64,
     /// Regional-partition window length, in rounds.
     pub partition_rounds: u64,
-    /// Cross-region severance probability during the partition.
+    /// Cross-region severance probability during the partition. The
+    /// phase line's in-region rate is 0, and an injected phase replaces the
+    /// daemon's base loss, so the channel inside each region is lossless
+    /// for the window.
     pub partition_sever: f64,
     /// Rounds each measurement phase observes before moving on.
     pub settle_rounds: u64,

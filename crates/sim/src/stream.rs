@@ -21,8 +21,7 @@
 //! | `h` | [`RUMOR_CHANNEL`] | (node id, round) | `BroadcastLayer` Gilbert–Elliott state step |
 //! | `t` | [`TOPOLOGY`] | (node id, 0) | `topology::random_iter` targets |
 //! | `n` | [`DAEMON_NODE`] | (node id, 0) | a daemon node's protocol draws |
-//! | `l` | [`DAEMON_LOSS`] | (node id, 0) | a daemon node's base-loss draws |
-//! | `f` | [`DAEMON_FAULT`] | (node id, 0) | a daemon node's injected-fault draws |
+//! | `l` | [`DAEMON_LOSS`] | (node id, 0) | a daemon node's loss draws: one per send, against the daemon's fault schedule |
 //! | `k` | [`DAEMON_CONTROL`] | (0, 0) | the daemon loop: join sponsors, leave victims |
 //!
 //! The central-entity engine (`FlatSimulation`) runs one stream, seeded
@@ -67,10 +66,10 @@ pub const RUMOR_CHANNEL: u8 = b'h';
 pub const TOPOLOGY: u8 = b't';
 /// A daemon node's protocol draws (initiate and receive).
 pub const DAEMON_NODE: u8 = b'n';
-/// A daemon node's base Section 4.1 loss draws.
+/// A daemon node's loss draws: one per send, against the daemon's one
+/// fault schedule (base Section 4.1 loss, or an injected model in its
+/// place).
 pub const DAEMON_LOSS: u8 = b'l';
-/// A daemon node's draws offered to the injected fault.
-pub const DAEMON_FAULT: u8 = b'f';
 /// The daemon loop's control draws (join sponsors and delays, leave victims).
 pub const DAEMON_CONTROL: u8 = b'k';
 
@@ -139,7 +138,7 @@ mod tests {
     use super::*;
 
     /// Every tag declared above, in the order of the module table.
-    const TAGS: [u8; 11] = [
+    const TAGS: [u8; 10] = [
         ACTION,
         DELIVERY,
         REPLY,
@@ -149,7 +148,6 @@ mod tests {
         TOPOLOGY,
         DAEMON_NODE,
         DAEMON_LOSS,
-        DAEMON_FAULT,
         DAEMON_CONTROL,
     ];
 
@@ -171,7 +169,7 @@ mod tests {
     fn extent(tag: u8) -> (u64, u64) {
         match tag {
             CONTROL | DAEMON_CONTROL => (1, 1),
-            TOPOLOGY | DAEMON_NODE | DAEMON_LOSS | DAEMON_FAULT => (10_000, 1),
+            TOPOLOGY | DAEMON_NODE | DAEMON_LOSS => (10_000, 1),
             _ => (1 << 10, 1 << 6),
         }
     }
