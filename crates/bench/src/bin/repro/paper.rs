@@ -21,7 +21,7 @@ use sandf_sim::experiment::{
     join_integration, leave_decay, steady_state_degrees, steady_state_event_rates,
     temporal_overlap, ExperimentParams,
 };
-use sandf_sim::{topology, FlatSimulation, UniformLoss};
+use sandf_sim::{topology, Engine, FlatSimulation, UniformLoss};
 
 /// Replicates per cell of every replicated sweep below.
 const REPLICATES: usize = 4;

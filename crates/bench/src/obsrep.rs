@@ -18,7 +18,7 @@
 
 use sandf_obs::{EventJournal, MetricsRegistry};
 use sandf_sim::experiment::initial_degree;
-use sandf_sim::{topology, DelayModel, FlatSimulation, SimRecorder, SimStats, UniformLoss};
+use sandf_sim::{topology, DelayModel, Engine, FlatSimulation, SimRecorder, SimStats, UniformLoss};
 
 use crate::sweeps::paper_config;
 

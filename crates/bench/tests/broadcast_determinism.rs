@@ -22,14 +22,17 @@
 //! UPDATE_GOLDENS=1 cargo test -p sandf-bench --test broadcast_determinism
 //! ```
 
+mod support;
+
 use std::fmt::Write as _;
-use std::path::PathBuf;
 
 use sandf_core::{NodeId, SfConfig, SfNode};
 use sandf_sim::{
     topology, BroadcastConfig, BroadcastLayer, Engine, FlatSimulation, GilbertElliott, LossModel,
     ParSimulation, PhaseFault, UniformLoss,
 };
+
+use support::golden;
 
 const SEEDS: [u64; 3] = [11, 42, 2009];
 const THREADS: [usize; 3] = [1, 2, 8];
@@ -62,10 +65,6 @@ fn rumor_channel(scenario: &str) -> PhaseFault {
     PhaseFault::parse_phase(&words).expect("legal phase line").1
 }
 
-fn golden_path(name: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden").join(name)
-}
-
 /// One scenario's artifact: the per-round broadcast fingerprint trail
 /// plus the final spread report. Fingerprints are order-independent
 /// digests of the full rumor state, so byte equality of the artifact is
@@ -86,13 +85,7 @@ fn broadcast_artifact<E: Engine>(mut sim: E, seed: u64, rumor: PhaseFault) -> St
 }
 
 fn check_golden(name: &str, reference: &str, others: &[(String, String)]) {
-    let path = golden_path(name);
-    if std::env::var("UPDATE_GOLDENS").is_ok() {
-        std::fs::create_dir_all(golden_path("")).expect("golden dir");
-        std::fs::write(&path, reference).expect("write golden");
-    }
-    let golden = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("missing golden {name} ({e}); run with UPDATE_GOLDENS=1"));
+    let golden = golden(name, reference);
     assert_eq!(reference, golden, "{name}: reference run is not byte-identical to the golden");
     for (label, artifact) in others {
         assert_eq!(artifact, &golden, "{name}: {label} run is not byte-identical to the golden");

@@ -15,14 +15,17 @@
 //! UPDATE_GOLDENS=1 cargo test -p sandf-bench --test flat_equivalence
 //! ```
 
-use std::path::PathBuf;
+mod support;
 
 use sandf_bench::sweeps::loss_ablation_table;
 use sandf_core::{NodeId, SfConfig, SfNode};
 use sandf_obs::MetricsRegistry;
 use sandf_sim::{
-    topology, DelayModel, FlatSimulation, GilbertElliott, LossModel, SimRecorder, UniformLoss,
+    topology, DelayModel, Engine, FlatSimulation, GilbertElliott, LossModel, SimRecorder,
+    UniformLoss,
 };
+
+use support::golden;
 
 const SEEDS: [u64; 3] = [11, 42, 2009];
 const ROUNDS: usize = 30;
@@ -41,10 +44,6 @@ fn uniform() -> UniformLoss {
 
 fn bursty() -> GilbertElliott {
     GilbertElliott::new(0.05, 0.2, 0.01, 0.5).expect("valid channel")
-}
-
-fn golden_path(name: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden").join(name)
 }
 
 /// One scenario's artifact: final `SimStats` plus the recorder's full
@@ -101,36 +100,21 @@ fn scenarios() -> Vec<(String, String)> {
 
 #[test]
 fn flat_engine_matches_recorded_goldens() {
-    let update = std::env::var("UPDATE_GOLDENS").is_ok();
-    if update {
-        std::fs::create_dir_all(golden_path("")).expect("golden dir");
-    }
     for (name, flat) in scenarios() {
-        let path = golden_path(&name);
-        if update {
-            std::fs::write(&path, &flat).expect("write golden");
-        }
-        let golden = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("missing golden {name} ({e}); run with UPDATE_GOLDENS=1"));
-        assert_eq!(flat, golden, "{name}: flat engine is not byte-identical to the golden");
+        assert_eq!(
+            flat,
+            golden(&name, &flat),
+            "{name}: flat engine is not byte-identical to the golden"
+        );
     }
 }
 
 #[test]
 fn combined_churn_bursty_permuted_scenario_stays_in_lockstep() {
-    let update = std::env::var("UPDATE_GOLDENS").is_ok();
-    if update {
-        std::fs::create_dir_all(golden_path("")).expect("golden dir");
-    }
     for seed in SEEDS {
         let name = format!("pr5_churn_ge_permuted_{seed}.txt");
-        let path = golden_path(&name);
         let flat = churn_artifact(bursty(), seed);
-        if update {
-            std::fs::write(&path, &flat).expect("write golden");
-        }
-        let golden = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("missing golden {name} ({e}); run with UPDATE_GOLDENS=1"));
+        let golden = golden(&name, &flat);
         assert_eq!(flat, golden, "{name}: flat engine fell out of lockstep under combined churn");
         // The scenario only earns its keep if churn actually strands
         // traffic: the settled run must have seen dead letters.
@@ -144,13 +128,10 @@ fn combined_churn_bursty_permuted_scenario_stays_in_lockstep() {
 #[test]
 fn hoisted_sweep_tsv_matches_recorded_golden() {
     let name = "pr4_loss_ablation.tsv";
-    let path = golden_path(name);
     let actual = sweep_artifact();
-    if std::env::var("UPDATE_GOLDENS").is_ok() {
-        std::fs::create_dir_all(golden_path("")).expect("golden dir");
-        std::fs::write(&path, &actual).expect("write golden");
-    }
-    let golden = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("missing golden {name} ({e}); run with UPDATE_GOLDENS=1"));
-    assert_eq!(actual, golden, "{name}: sweep TSV drifted (topology hoist must not move a byte)");
+    assert_eq!(
+        actual,
+        golden(name, &actual),
+        "{name}: sweep TSV drifted (topology hoist must not move a byte)"
+    );
 }

@@ -22,14 +22,17 @@
 //! UPDATE_GOLDENS=1 cargo test -p sandf-bench --test par_determinism
 //! ```
 
-use std::path::PathBuf;
+mod support;
 
 use sandf_bench::sweeps::par_degree_table;
 use sandf_core::{SfConfig, SfNode};
 use sandf_obs::MetricsRegistry;
 use sandf_sim::{
-    topology, DelayModel, GilbertElliott, LossModel, ParSimulation, SimRecorder, UniformLoss,
+    topology, DelayModel, Engine, GilbertElliott, LossModel, ParSimulation, SimRecorder,
+    UniformLoss,
 };
+
+use support::golden;
 
 const SEEDS: [u64; 3] = [11, 42, 2009];
 const THREADS: [usize; 3] = [1, 2, 8];
@@ -49,10 +52,6 @@ fn uniform() -> UniformLoss {
 
 fn bursty() -> GilbertElliott {
     GilbertElliott::new(0.05, 0.2, 0.01, 0.5).expect("valid channel")
-}
-
-fn golden_path(name: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden").join(name)
 }
 
 /// One scenario's artifact: final `SimStats` plus the recorder's full
@@ -92,18 +91,9 @@ fn scenarios() -> Vec<(String, Vec<String>)> {
 
 #[test]
 fn par_engine_matches_recorded_goldens_for_every_thread_count() {
-    let update = std::env::var("UPDATE_GOLDENS").is_ok();
-    if update {
-        std::fs::create_dir_all(golden_path("")).expect("golden dir");
-    }
     for (name, artifacts) in scenarios() {
-        let path = golden_path(&name);
-        if update {
-            // Goldens are always written from the single-threaded run.
-            std::fs::write(&path, &artifacts[0]).expect("write golden");
-        }
-        let golden = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("missing golden {name} ({e}); run with UPDATE_GOLDENS=1"));
+        // Goldens are always written from the single-threaded run.
+        let golden = golden(&name, &artifacts[0]);
         for (&threads, artifact) in THREADS.iter().zip(&artifacts) {
             assert_eq!(
                 *artifact, golden,
@@ -116,15 +106,9 @@ fn par_engine_matches_recorded_goldens_for_every_thread_count() {
 #[test]
 fn par_sweep_tsv_matches_recorded_golden_for_every_thread_count() {
     let name = "pr5_par_degree.tsv";
-    let path = golden_path(name);
     let artifacts: Vec<String> =
         THREADS.iter().map(|&t| par_degree_table(48, 10, 10, t, 2, 99)).collect();
-    if std::env::var("UPDATE_GOLDENS").is_ok() {
-        std::fs::create_dir_all(golden_path("")).expect("golden dir");
-        std::fs::write(&path, &artifacts[0]).expect("write golden");
-    }
-    let golden = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("missing golden {name} ({e}); run with UPDATE_GOLDENS=1"));
+    let golden = golden(name, &artifacts[0]);
     for (&threads, artifact) in THREADS.iter().zip(&artifacts) {
         assert_eq!(
             *artifact, golden,

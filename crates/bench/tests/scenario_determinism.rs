@@ -17,18 +17,16 @@
 //! UPDATE_GOLDENS=1 cargo test -p sandf-bench --test scenario_determinism
 //! ```
 
-use std::path::PathBuf;
+mod support;
 
 use sandf_bench::scenario::{builtin_specs, run_scenario, with_seed, MC_MEAN_TOLERANCE};
 use sandf_obs::MetricsRegistry;
 
+use support::golden;
+
 const SEEDS: [u64; 3] = [11, 42, 2009];
 const THREADS: [usize; 3] = [1, 2, 8];
 const SCENARIOS: [&str; 3] = ["partition-heal", "weak-links", "hub-loss"];
-
-fn golden_path(name: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden").join(name)
-}
 
 /// One scenario's artifact at a seed: envelope TSV + `sim.fault.*`
 /// counters. Counters are order-independent sums, so they are as
@@ -57,25 +55,16 @@ fn artifact(scenario_name: &str, seed: u64, threads: usize) -> String {
 
 #[test]
 fn scenario_runner_matches_recorded_goldens_for_every_thread_count() {
-    let update = std::env::var("UPDATE_GOLDENS").is_ok();
-    if update {
-        std::fs::create_dir_all(golden_path("")).expect("golden dir");
-    }
     for scenario in SCENARIOS {
         for seed in SEEDS {
             let name = format!("pr6_scenario_{}_{seed}.txt", scenario.replace('-', "_"));
-            let path = golden_path(&name);
-            if update {
-                // Goldens are always written from the 1-thread run.
-                std::fs::write(&path, artifact(scenario, seed, 1)).expect("write golden");
-            }
-            let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-                panic!("missing golden {name} ({e}); run with UPDATE_GOLDENS=1")
-            });
-            for threads in THREADS {
+            let artifacts: Vec<String> =
+                THREADS.iter().map(|&t| artifact(scenario, seed, t)).collect();
+            // Goldens are always written from the 1-thread run.
+            let golden = golden(&name, &artifacts[0]);
+            for (&threads, artifact) in THREADS.iter().zip(&artifacts) {
                 assert_eq!(
-                    artifact(scenario, seed, threads),
-                    golden,
+                    *artifact, golden,
                     "{name}: {threads}-thread run is not byte-identical to the golden"
                 );
             }

@@ -18,27 +18,18 @@
 //! UPDATE_GOLDENS=1 cargo test -p sandf-bench --test zoo_goldens
 //! ```
 
-use std::path::PathBuf;
+mod support;
 
 use sandf_bench::sweeps::zoo_engine_table;
 
-fn golden_path(name: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden").join(name)
-}
+use support::golden;
 
 #[test]
 fn zoo_engine_table_matches_recorded_golden() {
-    let name = "pr8_zoo_engine.tsv";
-    let path = golden_path(name);
     let actual = zoo_engine_table(32, 12, 0.05, 2, 88);
-    if std::env::var("UPDATE_GOLDENS").is_ok() {
-        std::fs::create_dir_all(golden_path("")).expect("golden dir");
-        std::fs::write(&path, &actual).expect("write golden");
-    }
-    let golden = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("missing golden {name} ({e}); run with UPDATE_GOLDENS=1"));
     assert_eq!(
-        actual, golden,
+        actual,
+        golden("pr8_zoo_engine.tsv", &actual),
         "zoo TSV drifted from the snapshot; if the change is intentional \
          (behavior RNG schedule, engine delivery order, seeding, or format), \
          regenerate with UPDATE_GOLDENS=1"

@@ -20,8 +20,8 @@
 //! harness drives. Instead the checker advances each departure cohort's
 //! bound incrementally, one check window at a time, using the **realized**
 //! loss of that window: `(base drops + injected drops + dead letters) /
-//! sends`, measured from the wire counters, and the realized duplication
-//! fraction `δ` from the node stats. The ceiling is then the cohorts'
+//! sends`, and the realized duplication fraction `δ` = duplicating sends /
+//! sends, both measured from the wire counters. The ceiling is then the cohorts'
 //! total surviving instances (≤ `leaves · s · bound`) over the measured
 //! edge count, with a multiplicative headroom and small additive slack for
 //! sampling noise (the same banded-verdict style as
@@ -73,9 +73,7 @@ pub struct WireTotals {
     /// Drops by every loss source: base loss + injected faults + dead
     /// letters to departed peers.
     pub dropped: u64,
-    /// Protocol sends (successful initiate actions), from node stats.
-    pub actions: u64,
-    /// Duplicating sends among them, from node stats.
+    /// Duplicating sends among them (messages marked dependent).
     pub duplications: u64,
 }
 
@@ -279,12 +277,12 @@ impl InvariantChecker {
         // Realized per-window loss and duplication rates.
         let d_sent = totals.sent.saturating_sub(self.last.sent);
         let d_dropped = totals.dropped.saturating_sub(self.last.dropped);
-        let d_actions = totals.actions.saturating_sub(self.last.actions);
         let d_dup = totals.duplications.saturating_sub(self.last.duplications);
-        let window_loss =
-            if d_sent == 0 { 0.0 } else { (d_dropped.min(d_sent)) as f64 / d_sent as f64 };
-        let window_delta =
-            if d_actions == 0 { 0.0 } else { (d_dup.min(d_actions)) as f64 / d_actions as f64 };
+        let (window_loss, window_delta) = if d_sent == 0 {
+            (0.0, 0.0)
+        } else {
+            (d_dropped.min(d_sent) as f64 / d_sent as f64, d_dup.min(d_sent) as f64 / d_sent as f64)
+        };
 
         // Advance every cohort's Lemma 6.9/6.10 bound across the window.
         let elapsed = round.saturating_sub(self.last_round);
@@ -364,7 +362,7 @@ mod tests {
     }
 
     fn totals(sent: u64, dropped: u64) -> WireTotals {
-        WireTotals { sent, dropped, actions: sent, duplications: 0 }
+        WireTotals { sent, dropped, duplications: 0 }
     }
 
     #[test]
@@ -469,11 +467,16 @@ mod tests {
     fn window_rates_are_deltas_not_totals() {
         let fleet = nodes(8, 6);
         let mut checker = InvariantChecker::new(config());
-        let o1 = checker.check(10, fleet.iter(), totals(1000, 500));
+        let o1 =
+            checker.check(10, fleet.iter(), WireTotals { duplications: 200, ..totals(1000, 500) });
         assert!((o1.window_loss - 0.5).abs() < 1e-9);
-        // Second window: 1000 more sends, zero more drops.
-        let o2 = checker.check(20, fleet.iter(), totals(2000, 500));
+        assert!((o1.window_delta - 0.2).abs() < 1e-9);
+        // Second window: 1000 more sends, zero more drops, 100 more
+        // duplications.
+        let o2 =
+            checker.check(20, fleet.iter(), WireTotals { duplications: 300, ..totals(2000, 500) });
         assert_eq!(o2.window_loss, 0.0);
+        assert!((o2.window_delta - 0.1).abs() < 1e-9);
     }
 
     /// A node holding `view` as is: any length up to `s`, any parity.

@@ -472,10 +472,8 @@ struct ServiceState {
     snapshot: Arc<Mutex<MembershipSnapshot>>,
     rng: StdRng,
     departed: u64,
-    /// Stats of departed nodes, folded in at leave time so window deltas
-    /// never run backwards.
-    retired_actions: u64,
-    retired_duplications: u64,
+    /// Duplicating sends (messages marked dependent), counted in `send`.
+    duplications: u64,
     nodes_gauge: GaugeHandle,
     round_gauge: GaugeHandle,
     stale_gauge: GaugeHandle,
@@ -535,8 +533,7 @@ fn boot(config: DaemonConfig) -> io::Result<ServiceState> {
         })),
         rng: StdRng::seed_from_u64(stream_seed(config.seed, stream::DAEMON_CONTROL, 0, 0)),
         departed: 0,
-        retired_actions: 0,
-        retired_duplications: 0,
+        duplications: 0,
         nodes_gauge: registry.gauge("daemon.nodes"),
         round_gauge: registry.gauge("daemon.round"),
         stale_gauge: registry.gauge("daemon.stale_fraction"),
@@ -720,6 +717,7 @@ impl ServiceState {
     fn send(&mut self, from_key: usize, round: u64, to: NodeId, message: Message) {
         let slot = self.slots[from_key].as_mut().expect("a live sender");
         self.sent.inc();
+        self.duplications += u64::from(message.dependent);
         let ctx = FaultCtx { from: slot.node.id(), to, round };
         if self.fault.drops(ctx, &mut slot.loss_rng) {
             // Base loss never reaches the wire ledger; an injected window's
@@ -891,8 +889,6 @@ impl ServiceState {
             // with no mail, and later frames for the id are dead letters.
             let slot = self.slots[key].take().expect("live key");
             self.slot_of[slot.node.id().as_u64() as usize] = NO_SLOT;
-            self.retired_actions += slot.node.stats().sent;
-            self.retired_duplications += slot.node.stats().duplications;
             // Invalidate the parked wheel item; the slot index is reusable.
             self.generations[key] += 1;
             self.free.push(key);
@@ -922,17 +918,10 @@ impl ServiceState {
     }
 
     fn wire_totals(&self) -> WireTotals {
-        let mut actions = self.retired_actions;
-        let mut duplications = self.retired_duplications;
-        for node in self.live_nodes() {
-            actions += node.stats().sent;
-            duplications += node.stats().duplications;
-        }
         WireTotals {
             sent: self.sent.get(),
             dropped: self.base_dropped.get() + self.fault_dropped.get() + self.dead_letters.get(),
-            actions,
-            duplications,
+            duplications: self.duplications,
         }
     }
 
@@ -1223,6 +1212,23 @@ mod tests {
             assert_eq!(counter(&state, "daemon.net.dropped") > before, want, "send {k}");
         }
         assert!(counter(&state, "daemon.net.dropped") > 500, "a 30 % channel must drop");
+    }
+
+    #[test]
+    fn the_checker_is_handed_each_duplication_once() {
+        let mut state = boot(tiny_config()).unwrap();
+        let due: Vec<WheelItem> = (0..16).map(|key| WheelItem { key, generation: 0 }).collect();
+        for round in 1..=100 {
+            state.tick_due(&due, round);
+        }
+        // With no leaves, the fleet's own counters hold every send.
+        let fleet = |count: fn(&sandf_core::NodeStats) -> u64| -> u64 {
+            state.live_nodes().map(|node| count(node.stats())).sum()
+        };
+        let totals = state.wire_totals();
+        assert!(totals.duplications > 0, "loss compensation never kicked in");
+        assert_eq!(totals.duplications, fleet(|stats| stats.duplications));
+        assert_eq!(totals.sent, fleet(|stats| stats.sent));
     }
 
     #[test]

@@ -371,37 +371,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least one node")]
-    fn rejects_empty_node_set() {
-        let _ = FlatSimulation::new(Vec::new(), UniformLoss::none(), 0);
-    }
-
-    #[test]
-    fn delayed_messages_conserve_the_ledger() {
-        let nodes = topology::circulant(24, config(), 4);
-        let mut sim = FlatSimulation::with_delay(
-            nodes,
-            UniformLoss::new(0.05).unwrap(),
-            DelayModel::UniformSteps { max: 40 },
-            3,
-        );
-        for _ in 0..2_000 {
-            sim.step();
-        }
-        let s = sim.stats();
-        assert_eq!(
-            s.sent,
-            s.lost + s.dead_letters + s.stored + s.deleted + sim.in_flight() as u64,
-            "message ledger out of balance"
-        );
-        assert!(sim.in_flight() > 0, "no message was ever in flight");
-        sim.settle();
-        assert_eq!(sim.in_flight(), 0);
-        let s = sim.stats();
-        assert_eq!(s.sent, s.lost + s.dead_letters + s.stored + s.deleted);
-    }
-
-    #[test]
     fn invariants_hold_under_heavy_delay() {
         // Observation 5.1 must survive arbitrarily interleaved actions —
         // the non-atomicity claim of Section 4.
@@ -438,18 +407,6 @@ mod tests {
         assert!(
             (immediate - delayed).abs() < 0.6,
             "asynchrony shifted the steady state: {immediate} vs {delayed}"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "delay bound")]
-    fn zero_delay_bound_is_rejected() {
-        let nodes = topology::circulant(8, config(), 4);
-        let _ = FlatSimulation::with_delay(
-            nodes,
-            UniformLoss::none(),
-            DelayModel::UniformSteps { max: 0 },
-            0,
         );
     }
 
@@ -551,20 +508,30 @@ mod tests {
     fn clones_do_not_carry_subscribers() {
         use std::sync::atomic::{AtomicU64, Ordering};
         use std::sync::Arc;
-        let seen = Arc::new(AtomicU64::new(0));
-        let sink = Arc::clone(&seen);
-        let mut sim = small_sim(1);
-        sim.subscribe(Box::new(move |_: &StepReport| {
-            sink.fetch_add(1, Ordering::Relaxed);
-        }));
-        sim.clone().run_rounds(1);
-        assert_eq!(
-            seen.load(Ordering::Relaxed),
-            0,
-            "the clone reported to the original's observer"
-        );
-        sim.step();
-        assert_eq!(seen.load(Ordering::Relaxed), 1);
+
+        use crate::shell::{ArenaSim, Schedule};
+        use crate::SfBehavior;
+
+        fn check<S: Schedule<UniformLoss, SfBehavior> + Clone>(
+            mut sim: ArenaSim<S, UniformLoss, SfBehavior>,
+        ) {
+            let seen = Arc::new(AtomicU64::new(0));
+            let sink = Arc::clone(&seen);
+            sim.subscribe(Box::new(move |_: &StepReport| {
+                sink.fetch_add(1, Ordering::Relaxed);
+            }));
+            assert_eq!(sim.subscriber_count(), 1);
+            let mut clone = sim.clone();
+            assert_eq!(clone.subscriber_count(), 0);
+            clone.run_rounds(1);
+            let reports = || seen.load(Ordering::Relaxed);
+            assert_eq!(reports(), 0, "the clone reported to the original's observer");
+            sim.run_rounds(1);
+            assert!(reports() > 0, "the original stopped reporting");
+        }
+        let nodes = topology::circulant(24, config(), 4);
+        check(small_sim(1));
+        check(crate::ParSimulation::new(nodes, UniformLoss::none(), 1, 2));
     }
 
     #[test]

@@ -50,7 +50,7 @@
 //!
 //! ```
 //! use sandf_core::SfConfig;
-//! use sandf_sim::{topology, FlatSimulation, UniformLoss};
+//! use sandf_sim::{topology, Engine, FlatSimulation, UniformLoss};
 //!
 //! let config = SfConfig::new(16, 6)?;
 //! let nodes = topology::circulant(10_000, config, 8);
@@ -70,7 +70,7 @@ use crate::arena::Arena;
 use crate::engine::{DelayModel, StepEvent, StepPhase, StepReport};
 use crate::fault::{FaultCtx, FaultModel};
 use crate::shell::{ring_for, ArenaSim, Schedule};
-use crate::traits::{ProtocolBehavior, SfBehavior, MAX_REPLY_CHAIN};
+use crate::traits::{Engine, ProtocolBehavior, SfBehavior, MAX_REPLY_CHAIN};
 
 /// The serial central-entity engine: the shell [`ArenaSim`] under the
 /// `Flat` schedule, generic over a [`ProtocolBehavior`] (default:
@@ -88,7 +88,7 @@ use crate::traits::{ProtocolBehavior, SfBehavior, MAX_REPLY_CHAIN};
 ///
 /// ```
 /// use sandf_core::SfConfig;
-/// use sandf_sim::{topology, FlatSimulation, UniformLoss};
+/// use sandf_sim::{topology, Engine, FlatSimulation, UniformLoss};
 ///
 /// let config = SfConfig::new(16, 6)?;
 /// let nodes = topology::circulant(10_000, config, 8);
@@ -648,7 +648,7 @@ mod tests {
 
     use crate::loss::UniformLoss;
     use crate::topology;
-    use crate::traits::{Engine, ARENA_ID_LIMIT};
+    use crate::traits::ARENA_ID_LIMIT;
 
     use super::*;
 
@@ -931,14 +931,6 @@ mod tests {
         assert_send(&sim);
         let sim = sim.run_replicate(5, 5);
         assert_eq!(sim.stats().actions, 5 * 24);
-    }
-
-    #[test]
-    fn clones_do_not_carry_subscribers() {
-        let mut sim = FlatSimulation::new(nodes(), UniformLoss::none(), 1);
-        sim.subscribe(Box::new(|_: &StepReport| {}));
-        assert_eq!(sim.subscriber_count(), 1);
-        assert_eq!(sim.clone().subscriber_count(), 0);
     }
 
     #[test]

@@ -8,8 +8,17 @@
 //! the fault (flat's only channel, par's prototype for the per-sender
 //! clones), the delay model, completed rounds and the in-flight count, the
 //! system-wide [`SimStats`] and the step-event subscribers. Every reader,
-//! the churn control plane, the drivers and the [`Engine`] impl are
-//! written here, over the live order the schedule supplies.
+//! the churn control plane and the drivers are written here, over the live
+//! order the schedule supplies.
+//!
+//! What [`Engine`] declares is defined once, in the shell's `Engine` impl;
+//! callers bring the trait into scope. The inherent block holds the rest:
+//! what the trait lacks (`join_with`, `node_view`, `to_nodes`,
+//! `dependence`, `run_replicate`, `subscriber_count`, and each schedule's
+//! own methods in `flat.rs` and `par.rs`), and the readers whose inherent
+//! signatures the benchmark pins — `stats` and `degree_stats` by
+//! reference, the typed `leave`, and `live_ids` and `in_flight`, which the
+//! trait declares identically.
 //!
 //! A [`Schedule`] carries only what differs. It is called for a round, a
 //! settle, an admit, a leave, the live order, the join RNG and the
@@ -172,16 +181,6 @@ impl<S: Schedule<L, B>, L, B: ProtocolBehavior> ArenaSim<S, L, B> {
         S::live_dense(self)
     }
 
-    /// Registers a step-event observer. All subsequent steps (and delayed
-    /// deliveries) are reported to it, in registration order, after the
-    /// engine's own counters update. See [`StepSubscriber`]. Under par the
-    /// stream is itself deterministic and thread-count-independent: action
-    /// reports arrive in dense arena order, delivery reports in sorted
-    /// bucket order, reply reports in wave order.
-    pub fn subscribe(&mut self, subscriber: Box<dyn StepSubscriber<B::Msg>>) {
-        self.subscribers.0.push(subscriber);
-    }
-
     /// Number of registered step-event observers.
     #[must_use]
     pub fn subscriber_count(&self) -> usize {
@@ -198,23 +197,9 @@ impl<S: Schedule<L, B>, L, B: ProtocolBehavior> ArenaSim<S, L, B> {
         }
     }
 
-    /// The shared protocol configuration.
-    #[must_use]
-    pub fn config(&self) -> SfConfig {
-        self.arena.config
-    }
-
-    /// Number of live nodes (the mass of the live outdegree histogram).
-    #[must_use]
-    pub fn len(&self) -> usize {
-        usize::try_from(self.arena.degree_hist.live_nodes()).expect("live count fits usize")
-    }
-
-    /// Whether no node is live.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
+    // `live_ids` and `in_flight` repeat `Engine` signatures on purpose: the
+    // benchmark's rumor workload calls them without importing the trait.
+    // The impl below delegates to them, so each body is still written once.
 
     /// The ids of the live nodes, in the schedule's live order. Flat's is
     /// insertion order, with `swap_remove` on leave (the order the
@@ -239,24 +224,6 @@ impl<S: Schedule<L, B>, L, B: ProtocolBehavior> ArenaSim<S, L, B> {
         &self.stats
     }
 
-    /// Resets system-wide and per-node counters (e.g. after burn-in).
-    pub fn reset_stats(&mut self) {
-        self.stats = SimStats::default();
-        self.arena.reset_stats();
-    }
-
-    /// Sum of all live nodes' per-node counters.
-    #[must_use]
-    pub fn aggregate_node_stats(&self) -> NodeStats {
-        self.arena.aggregate_node_stats(self.live_dense())
-    }
-
-    /// A live node's outdegree, or `None` when departed.
-    #[must_use]
-    pub fn out_degree_of(&self, id: NodeId) -> Option<usize> {
-        self.arena.out_degree_of(id)
-    }
-
     /// Reconstitutes a live node's [`LocalView`] from the arena (slot
     /// positions, ids, and dependence tags all preserved; slots the
     /// behavior hides, i.e. tombstones, read as empty — as in every other
@@ -270,44 +237,10 @@ impl<S: Schedule<L, B>, L, B: ProtocolBehavior> ArenaSim<S, L, B> {
     /// Reconstitutes every live node as an [`SfNode`], in live order.
     /// Views carry over exactly; the per-node *counters* do not (the
     /// rebuilt nodes start with zeroed [`NodeStats`] — read
-    /// [`aggregate_node_stats`](Self::aggregate_node_stats) from the
-    /// engine instead).
+    /// [`Engine::aggregate_node_stats`] from the engine instead).
     #[must_use]
     pub fn to_nodes(&self) -> Vec<SfNode> {
         self.arena.to_nodes::<B>(self.live_dense())
-    }
-
-    /// Completed rounds — the time base round-indexed fault models see in
-    /// [`FaultCtx::round`](crate::FaultCtx::round).
-    #[must_use]
-    pub fn rounds_run(&self) -> u64 {
-        self.rounds
-    }
-
-    /// The fault model, for measurement-time inspection: flat's channel,
-    /// or par's prototype channel (per-sender clones may have diverged for
-    /// stateful models).
-    #[must_use]
-    pub fn fault(&self) -> &L {
-        &self.loss
-    }
-
-    /// Applies `f` to the fault model **and** every per-sender clone, so a
-    /// mid-run retarget (e.g. aiming a
-    /// [`PhaseFault::Victims`](crate::PhaseFault::Victims) at the current
-    /// high-indegree nodes at a phase boundary) reaches all senders.
-    pub fn update_fault(&mut self, mut f: impl FnMut(&mut L)) {
-        f(&mut self.loss);
-        for channel in self.sched.channels() {
-            f(channel);
-        }
-    }
-
-    /// Runs `rounds` rounds.
-    pub fn run_rounds(&mut self, rounds: usize) {
-        for _ in 0..rounds {
-            S::round(self);
-        }
     }
 
     /// Runs one measurement replicate: `burn_in` rounds, a stats reset, then
@@ -318,27 +251,6 @@ impl<S: Schedule<L, B>, L, B: ProtocolBehavior> ArenaSim<S, L, B> {
         self.reset_stats();
         self.run_rounds(measure);
         self
-    }
-
-    /// Adds a new node bootstrapped with ids copied from a random
-    /// position in `sponsor`'s view — the sample size and the eligible
-    /// (visible) slots are the behavior's choice. Under the default
-    /// behavior that is the paper's joining rule (Section 5): the joiner
-    /// starts with `d_L` ids and indegree 0. Flat shuffles with its global
-    /// RNG; par with its control-plane stream, so churn schedules stay
-    /// deterministic and thread-count-independent.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`JoinError::TooFewIds`] if the sponsor's view holds fewer
-    /// visible ids than the behavior's seed size.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sponsor` is not live.
-    pub fn join_via(&mut self, sponsor: NodeId) -> Result<NodeId, JoinError> {
-        let joined = self.arena.join_via(&self.behavior, sponsor, self.sched.join_rng());
-        self.admit(joined)
     }
 
     /// Adds a new node bootstrapped with the given ids (tagged dependent,
@@ -375,18 +287,6 @@ impl<S: Schedule<L, B>, L, B: ProtocolBehavior> ArenaSim<S, L, B> {
         self.arena.leave::<B>(id)
     }
 
-    /// Total multiplicity of `id` across all live, visible slots. Ids at
-    /// or above [`ARENA_ID_LIMIT`](crate::ARENA_ID_LIMIT) cannot be stored,
-    /// so they count zero (the widening boundary never aliases them onto
-    /// arena words).
-    ///
-    /// Windows are scanned two slots per u64 word; the per-slot
-    /// visibility check only runs on the rare windows with a raw match.
-    #[must_use]
-    pub fn count_id_instances(&self, id: NodeId) -> usize {
-        self.arena.count_id_instances::<B>(self.live_dense(), id)
-    }
-
     /// Streaming degree statistics — the live outdegree histogram,
     /// maintained incrementally at store/delete time (`O(s)` snapshot, no
     /// arena scan; equal to a from-scratch rebuild over the live degree
@@ -396,12 +296,6 @@ impl<S: Schedule<L, B>, L, B: ProtocolBehavior> ArenaSim<S, L, B> {
     #[must_use]
     pub fn degree_stats(&self) -> &DegreeStats {
         &self.arena.degree_hist
-    }
-
-    /// Visits every live node's row in live order; the body of
-    /// [`Engine::for_each_live_row`].
-    pub(crate) fn for_each_live_row(&self, visit: &mut dyn FnMut(u32, &[u32])) {
-        self.arena.for_each_row::<B>(self.live_dense(), visit);
     }
 
     /// Measures spatial dependence across all live views (Property M4),
@@ -417,7 +311,7 @@ impl<S: Schedule<L, B>, L, B: ProtocolBehavior> Engine for ArenaSim<S, L, B> {
     type Fault = L;
 
     fn len(&self) -> usize {
-        Self::len(self)
+        usize::try_from(self.arena.degree_hist.live_nodes()).expect("live count fits usize")
     }
 
     fn live_ids(&self) -> Vec<NodeId> {
@@ -425,7 +319,7 @@ impl<S: Schedule<L, B>, L, B: ProtocolBehavior> Engine for ArenaSim<S, L, B> {
     }
 
     fn config(&self) -> SfConfig {
-        Self::config(self)
+        self.arena.config
     }
 
     fn stats(&self) -> SimStats {
@@ -433,11 +327,12 @@ impl<S: Schedule<L, B>, L, B: ProtocolBehavior> Engine for ArenaSim<S, L, B> {
     }
 
     fn reset_stats(&mut self) {
-        Self::reset_stats(self);
+        self.stats = SimStats::default();
+        self.arena.reset_stats();
     }
 
     fn aggregate_node_stats(&self) -> NodeStats {
-        Self::aggregate_node_stats(self)
+        self.arena.aggregate_node_stats(self.live_dense())
     }
 
     fn round(&mut self) {
@@ -445,7 +340,7 @@ impl<S: Schedule<L, B>, L, B: ProtocolBehavior> Engine for ArenaSim<S, L, B> {
     }
 
     fn rounds_run(&self) -> u64 {
-        Self::rounds_run(self)
+        self.rounds
     }
 
     fn in_flight(&self) -> usize {
@@ -457,7 +352,8 @@ impl<S: Schedule<L, B>, L, B: ProtocolBehavior> Engine for ArenaSim<S, L, B> {
     }
 
     fn join_via(&mut self, sponsor: NodeId) -> Result<NodeId, JoinError> {
-        Self::join_via(self, sponsor)
+        let joined = self.arena.join_via(&self.behavior, sponsor, self.sched.join_rng());
+        self.admit(joined)
     }
 
     fn leave(&mut self, id: NodeId) -> bool {
@@ -465,11 +361,11 @@ impl<S: Schedule<L, B>, L, B: ProtocolBehavior> Engine for ArenaSim<S, L, B> {
     }
 
     fn out_degree_of(&self, id: NodeId) -> Option<usize> {
-        Self::out_degree_of(self, id)
+        self.arena.out_degree_of(id)
     }
 
     fn count_id_instances(&self, id: NodeId) -> usize {
-        Self::count_id_instances(self, id)
+        self.arena.count_id_instances::<B>(self.live_dense(), id)
     }
 
     fn degree_stats(&self) -> DegreeStats {
@@ -477,18 +373,21 @@ impl<S: Schedule<L, B>, L, B: ProtocolBehavior> Engine for ArenaSim<S, L, B> {
     }
 
     fn for_each_live_row(&self, visit: &mut dyn FnMut(u32, &[u32])) {
-        Self::for_each_live_row(self, visit);
+        self.arena.for_each_row::<B>(self.live_dense(), visit);
     }
 
     fn fault(&self) -> &L {
-        Self::fault(self)
+        &self.loss
     }
 
-    fn update_fault(&mut self, f: impl FnMut(&mut L)) {
-        Self::update_fault(self, f);
+    fn update_fault(&mut self, mut f: impl FnMut(&mut L)) {
+        f(&mut self.loss);
+        for channel in self.sched.channels() {
+            f(channel);
+        }
     }
 
     fn subscribe(&mut self, subscriber: Box<dyn StepSubscriber<B::Msg>>) {
-        Self::subscribe(self, subscriber);
+        self.subscribers.0.push(subscriber);
     }
 }

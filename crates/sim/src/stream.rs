@@ -56,7 +56,7 @@ pub const ACTION: u8 = b'a';
 pub const DELIVERY: u8 = b'd';
 /// Par reply routing: one hop of a reply wave.
 pub const REPLY: u8 = b'r';
-/// Par control plane: [`ParSimulation::join_via`](crate::ParSimulation::join_via).
+/// Par control plane: its [`Engine::join_via`](crate::Engine::join_via) sponsor shuffles.
 pub const CONTROL: u8 = b'c';
 /// Rumor gossip draws: push targets, pull partner, per-message loss.
 pub const RUMOR: u8 = b'g';

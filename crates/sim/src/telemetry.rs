@@ -183,6 +183,7 @@ mod tests {
     use crate::flat::FlatSimulation;
     use crate::loss::UniformLoss;
     use crate::topology;
+    use crate::traits::Engine;
 
     use super::*;
 

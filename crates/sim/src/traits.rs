@@ -434,12 +434,23 @@ impl IdBatch {
 }
 
 /// The round-granular surface shared by both engines, for generic
-/// differential tests and sweeps.
+/// differential tests and sweeps: the common denominator a test can drive
+/// without knowing which engine — or which protocol — it holds.
 ///
-/// Engines keep their richer inherent APIs (per-step execution, typed
-/// `leave` returns, protocol-specific readers); this trait is the common
-/// denominator a test can drive without knowing which engine — or which
-/// protocol — it holds.
+/// The engine shell [`ArenaSim`](crate::ArenaSim) defines these methods
+/// once, in its `Engine` impl, so callers of the flat and par engines
+/// import the trait. What stays inherent is what the trait lacks or
+/// returns differently:
+///
+/// * per-step and schedule-specific execution (flat's `step`,
+///   `round_permuted`; par's thread count), `join_with`, `node_view`,
+///   `to_nodes`, `dependence`, `run_replicate` and `subscriber_count`,
+///   which no generic caller needs;
+/// * `stats` and `degree_stats` by reference, where the trait returns
+///   owned snapshots, and `leave` returning the departed node, where the
+///   trait returns whether it was live;
+/// * `live_ids` and `in_flight`, with the trait's own signatures, for
+///   callers that read them without importing the trait.
 pub trait Engine {
     /// The wire message type flowing through the engine's subscribers.
     type Msg: Copy + Send + Sync + PartialEq + fmt::Debug;
@@ -485,7 +496,8 @@ pub trait Engine {
         }
     }
 
-    /// Completed rounds — the time base round-indexed fault models see.
+    /// Completed rounds — the time base round-indexed fault models see in
+    /// [`FaultCtx::round`](crate::FaultCtx::round).
     fn rounds_run(&self) -> u64;
 
     /// Messages currently in flight (0 under immediate delivery).
@@ -494,11 +506,22 @@ pub trait Engine {
     /// Delivers everything still in flight.
     fn settle(&mut self);
 
-    /// Adds a node bootstrapped from a random sample of `sponsor`'s view.
+    /// Adds a node bootstrapped from a random sample of `sponsor`'s view —
+    /// the sample size and the eligible (visible) slots are the behavior's
+    /// choice. Under the default behavior that is the paper's joining rule
+    /// (Section 5): the joiner starts with `d_L` ids and indegree 0. Flat
+    /// shuffles with its global RNG; par with its control-plane stream, so
+    /// churn schedules stay deterministic and thread-count-independent.
     ///
     /// # Errors
     ///
-    /// [`JoinError`] when the sponsor cannot seed a legal bootstrap.
+    /// [`JoinError`] when the sponsor cannot seed a legal bootstrap (e.g.
+    /// [`JoinError::TooFewIds`] when its view holds fewer visible ids than
+    /// the behavior's seed size).
+    ///
+    /// # Panics
+    ///
+    /// The arena engines panic if `sponsor` is not live.
     fn join_via(&mut self, sponsor: NodeId) -> Result<NodeId, JoinError>;
 
     /// Removes a node; `true` if it was live.
@@ -507,7 +530,8 @@ pub trait Engine {
     /// A live node's outdegree, or `None` when departed.
     fn out_degree_of(&self, id: NodeId) -> Option<usize>;
 
-    /// Total multiplicity of `id` across all live views.
+    /// Total multiplicity of `id` across all live, visible slots. Ids at or
+    /// above [`ARENA_ID_LIMIT`] cannot be stored, so they count zero.
     fn count_id_instances(&self, id: NodeId) -> usize;
 
     /// Streaming degree statistics: the live outdegree histogram the
@@ -541,13 +565,23 @@ pub trait Engine {
     /// these words.
     fn for_each_live_row(&self, visit: &mut dyn FnMut(u32, &[u32]));
 
-    /// The fault model: flat's channel, or par's prototype channel.
+    /// The fault model, for measurement-time inspection: flat's channel,
+    /// or par's prototype channel (its per-sender clones may have diverged
+    /// for stateful models).
     fn fault(&self) -> &Self::Fault;
 
-    /// Applies `f` to the fault model.
+    /// Applies `f` to the fault model **and** every per-sender clone, so a
+    /// mid-run retarget (e.g. aiming a
+    /// [`PhaseFault::Victims`](crate::PhaseFault::Victims) at the current
+    /// high-indegree nodes at a phase boundary) reaches all senders.
     fn update_fault(&mut self, f: impl FnMut(&mut Self::Fault));
 
-    /// Registers a step-event observer.
+    /// Registers a step-event observer. All subsequent steps (and delayed
+    /// deliveries) are reported to it, in registration order, after the
+    /// engine's own counters update. See [`StepSubscriber`]. Under par the
+    /// stream is itself deterministic and thread-count-independent: action
+    /// reports arrive in dense arena order, delivery reports in sorted
+    /// bucket order, reply reports in wave order.
     fn subscribe(&mut self, subscriber: Box<dyn StepSubscriber<Self::Msg>>);
 }
 

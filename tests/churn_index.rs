@@ -20,7 +20,7 @@ use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use sandf::sim::topology;
 use sandf::sim::DegreeStats;
-use sandf::{FlatSimulation, NodeId, SfConfig, UniformLoss};
+use sandf::{Engine, FlatSimulation, NodeId, SfConfig, UniformLoss};
 
 type Flat = FlatSimulation<UniformLoss>;
 
