@@ -36,7 +36,7 @@ fn variant_row<B: ProtocolBehavior>(
     let mut sim = FlatSimulation::from_views(behavior, config, ring_views(N, k), rate, seed);
     sim.run_rounds(ROUNDS);
     let graph = sim.graph();
-    let stats = sim.aggregate_node_stats();
+    let stats = sim.stats();
     let sent = stats.sent.max(1) as f64;
     println!(
         "{label}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
@@ -46,7 +46,7 @@ fn variant_row<B: ProtocolBehavior>(
         fmt(1.0 - sim.dependence().independent_fraction()),
         graph.edge_count(),
         fmt(stats.duplications as f64 / sent),
-        fmt(stats.deletions as f64 / sent),
+        fmt(stats.deleted as f64 / sent),
         graph.is_weakly_connected(),
     );
 }

@@ -29,10 +29,15 @@
 //!   sponsor pool, the instance count, dependence, and the engines' row
 //!   reader. Words stay words; only the readers that build `sandf-core`
 //!   values ([`LocalView`], [`Entry`]) widen them to [`NodeId`]s;
-//! * **flat ledgers** — outdegrees and per-node [`NodeStats`] are dense
-//!   arrays indexed by the node's dense index, not fields of a boxed node,
-//!   and a streaming [`DegreeStats`] histogram moves with every ledger
-//!   write, so degree readers never scan the arena;
+//! * **flat ledgers** — outdegrees are a dense array indexed by the
+//!   node's dense index, not a field of a boxed node, and a streaming
+//!   [`DegreeStats`] histogram moves with every ledger write, so degree
+//!   readers never scan the arena. There is no per-node counter column:
+//!   the shell counts every event once, system-wide, in
+//!   [`SimStats`](crate::SimStats), so an action or a delivery writes only
+//!   the node's slot words, flags and degree. Per node the arena holds
+//!   `5·s + 12` bytes: `s` slot words and `s` flag bytes, and one degree,
+//!   id and index word;
 //! * **id tables** — `dense_id` maps a dense index to its node id, stored
 //!   as the same `u32` word as a slot and widened on read by
 //!   [`Arena::id_at`] (it grows on join and never shrinks or compacts, so
@@ -64,7 +69,7 @@
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use sandf_core::{Entry, JoinError, LocalView, NodeId, NodeStats, SfConfig, SfNode};
+use sandf_core::{Entry, JoinError, LocalView, NodeId, SfConfig, SfNode};
 use sandf_graph::DependenceReport;
 
 use crate::degree::DegreeStats;
@@ -106,8 +111,6 @@ pub(crate) struct Arena {
     /// Streaming live-outdegree histogram, maintained at store/delete
     /// time alongside `degree`.
     pub(crate) degree_hist: DegreeStats,
-    /// Per-node event counters, indexed by dense node index.
-    pub(crate) node_stats: Vec<NodeStats>,
     /// Dense index → node id as an arena word (grows on join, never
     /// shrinks); read through [`id_at`](Self::id_at).
     pub(crate) dense_id: Vec<u32>,
@@ -135,7 +138,6 @@ pub(crate) struct Shard<'a> {
     index: &'a [u32],
     slots: &'a mut [u32],
     flags: &'a mut [u8],
-    stats: &'a mut [NodeStats],
 }
 
 impl Shard<'_> {
@@ -160,7 +162,6 @@ impl Shard<'_> {
             ids: &mut self.slots[base..base + self.s],
             flags: &mut self.flags[base..base + self.s],
             degree: &mut self.degree[r],
-            stats: &mut self.stats[r],
         }
     }
 }
@@ -175,7 +176,6 @@ impl Arena {
             slot_flags: Vec::with_capacity(nodes.saturating_mul(s)),
             degree: Vec::with_capacity(nodes),
             degree_hist: DegreeStats::new(s),
-            node_stats: Vec::with_capacity(nodes),
             dense_id: Vec::with_capacity(nodes),
             index: Vec::with_capacity(nodes),
             id_is_dense: true,
@@ -186,8 +186,9 @@ impl Arena {
     /// Builds the arena from S&F nodes in one streaming pass, so at large
     /// `n` (e.g. `topology::circulant_iter` at 10⁷ nodes) construction
     /// never materializes the boxed node set — the peak footprint is the
-    /// arena itself, not `n` heap nodes. Slot positions, dependence tags
-    /// and per-node counters carry over exactly.
+    /// arena itself, not `n` heap nodes. Slot positions and dependence
+    /// tags carry over exactly; the nodes' own counters are dropped (the
+    /// engine counts from zero, system-wide, in its `SimStats`).
     ///
     /// # Panics
     ///
@@ -203,13 +204,13 @@ impl Arena {
             let slots = node.view().slots().map(|slot| {
                 slot.map(|entry| (entry.id, if entry.dependent { FLAG_DEPENDENT } else { 0 }))
             });
-            arena.push_node(node.id(), *node.stats(), slots);
+            arena.push_node(node.id(), slots);
         }
         arena
     }
 
     /// Builds the arena from initial views given as id lists (filled in
-    /// slot order, untagged, zeroed counters), in one streaming pass.
+    /// slot order, untagged), in one streaming pass.
     ///
     /// # Panics
     ///
@@ -222,7 +223,7 @@ impl Arena {
         let views = views.into_iter();
         let mut arena = Self::with_capacity(config, views.size_hint().0);
         for (id, view) in views {
-            arena.push_node(id, NodeStats::new(), view.into_iter().map(|entry| Some((entry, 0))));
+            arena.push_node(id, view.into_iter().map(|entry| Some((entry, 0))));
         }
         assert!(!arena.dense_id.is_empty(), "simulation needs at least one node");
         arena
@@ -240,7 +241,6 @@ impl Arena {
     fn push_node(
         &mut self,
         id: NodeId,
-        stats: NodeStats,
         slots: impl Iterator<Item = Option<(NodeId, u8)>>,
     ) -> usize {
         let word = |id: NodeId| {
@@ -274,7 +274,6 @@ impl Arena {
         }
         self.degree.push(deg);
         self.degree_hist.add(deg);
-        self.node_stats.push(stats);
         self.dense_id.push(own);
         self.index[raw] = dense;
         self.id_is_dense &= raw == k;
@@ -321,7 +320,6 @@ impl Arena {
             ids: &mut self.slot_ids[base..base + self.s],
             flags: &mut self.slot_flags[base..base + self.s],
             degree: &mut self.degree[k],
-            stats: &mut self.node_stats[k],
         }
     }
 
@@ -335,9 +333,8 @@ impl Arena {
             .zip(self.slot_ids.chunks_mut(shard_len * s))
             .zip(self.slot_flags.chunks_mut(shard_len * s))
             .zip(self.degree.chunks_mut(shard_len))
-            .zip(self.node_stats.chunks_mut(shard_len))
             .enumerate()
-            .map(move |(j, ((((ids, slots), flags), degree), stats))| Shard {
+            .map(move |(j, (((ids, slots), flags), degree))| Shard {
                 lo: j * shard_len,
                 ids,
                 degree,
@@ -345,7 +342,6 @@ impl Arena {
                 index,
                 slots,
                 flags,
-                stats,
             })
     }
 
@@ -461,11 +457,11 @@ impl Arena {
             checked_word(entry)?;
         }
         let slots = bootstrap.map(|entry| Some((entry, FLAG_DEPENDENT)));
-        Ok(self.push_node(id, NodeStats::new(), slots))
+        Ok(self.push_node(id, slots))
     }
 
     /// Removes a node (leave/crash). Returns the departed node rebuilt
-    /// from the arena — its view is exact, its per-node counters zeroed.
+    /// from the arena — its view is exact, its counters zeroed.
     /// The dense slot stays allocated.
     pub(crate) fn leave<B: ProtocolBehavior>(&mut self, id: NodeId) -> Option<SfNode> {
         let k = self.dense_of(id)?;
@@ -527,31 +523,12 @@ impl Arena {
     }
 
     /// Reconstitutes the nodes in `live` as [`SfNode`]s. Views carry over
-    /// exactly; the per-node counters do not (the rebuilt nodes start with
-    /// zeroed [`NodeStats`]).
+    /// exactly; the rebuilt nodes' counters start at zero.
     pub(crate) fn to_nodes<B: ProtocolBehavior>(
         &self,
         live: impl Iterator<Item = usize>,
     ) -> Vec<SfNode> {
         live.map(|k| SfNode::from_view(self.id_at(k), self.config, self.view_at::<B>(k))).collect()
-    }
-
-    /// Sum of the per-node counters of the nodes in `live`.
-    pub(crate) fn aggregate_node_stats(&self, live: impl Iterator<Item = usize>) -> NodeStats {
-        let mut total = NodeStats::new();
-        for k in live {
-            total.merge(&self.node_stats[k]);
-        }
-        total
-    }
-
-    /// Zeroes every dense row's per-node counters. Departed rows are
-    /// zeroed too, harmlessly: no reader visits them and dense indices are
-    /// never reissued.
-    pub(crate) fn reset_stats(&mut self) {
-        for stats in &mut self.node_stats {
-            stats.reset();
-        }
     }
 }
 
@@ -686,6 +663,38 @@ mod tests {
         assert_eq!(arena.degree_hist.edges(), 3);
         let wide = vec![(NodeId::new(0), ids(1..14))];
         assert!(std::panic::catch_unwind(move || Arena::from_views(config(), wide)).is_err());
+    }
+
+    /// The arena's per-node footprint, column by column: `s` slot words,
+    /// `s` flag bytes, and one degree, id and index word — `5·s + 12`
+    /// bytes. The destructuring names every field, so a new one (a new
+    /// per-node column above all) fails to compile here until it is
+    /// accounted for.
+    #[test]
+    fn per_node_footprint_is_five_s_plus_twelve_bytes() {
+        let arena = Arena::from_nodes(topology::circulant(1_000, config(), 4));
+        let Arena {
+            config: _,
+            s,
+            slot_ids,
+            slot_flags,
+            degree,
+            degree_hist: _,
+            dense_id,
+            index,
+            id_is_dense: _,
+            next_id: _,
+        } = &arena;
+        let columns = [
+            ("slot_ids", std::mem::size_of_val(slot_ids.as_slice())),
+            ("slot_flags", std::mem::size_of_val(slot_flags.as_slice())),
+            ("degree", std::mem::size_of_val(degree.as_slice())),
+            ("dense_id", std::mem::size_of_val(dense_id.as_slice())),
+            ("index", std::mem::size_of_val(index.as_slice())),
+        ];
+        let bytes: usize = columns.iter().map(|&(_, bytes)| bytes).sum();
+        assert_eq!(bytes, 1_000 * (5 * s + 12), "per-node columns: {columns:?}");
+        assert_eq!(5 * s + 12, 72, "s = 12");
     }
 
     /// The one deliberate difference between the two schedulers' use of

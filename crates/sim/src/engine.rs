@@ -568,21 +568,48 @@ mod tests {
         assert!(sim.stats().lost > 0, "victim loss never fired after retarget");
     }
 
+    /// The exact edge ledger, on both schedules: S&F's graph gains two
+    /// edges per stored message and loses two per clean send, so with
+    /// nothing in flight `Δedges = 2·(dup − lost − deleted − dead_letters)`,
+    /// less the rows of the nodes that left. It tells a stored receipt from
+    /// a deleted one, which the message ledger
+    /// `sent = lost + dead_letters + stored + deleted` cannot.
+    #[test]
+    fn edges_move_by_twice_duplications_net_of_lost_deleted_and_dead_letters() {
+        fn check(mut sim: impl Engine) {
+            let before = sim.degree_stats().edges() as i64;
+            sim.run_rounds(30);
+            let leaver = NodeId::new(3);
+            let departed = sim.out_degree_of(leaver).unwrap() as i64;
+            assert!(sim.leave(leaver));
+            sim.run_rounds(30);
+            let s = sim.stats();
+            assert!(s.duplications * s.lost * s.deleted * s.dead_letters > 0, "{s:?}");
+            let net = s.duplications as i64 - (s.lost + s.deleted + s.dead_letters) as i64;
+            let moved = sim.degree_stats().edges() as i64 - before;
+            assert_eq!(moved, 2 * net - departed, "{s:?}");
+        }
+        let nodes = || topology::circulant(24, config(), 4);
+        let loss = || UniformLoss::new(0.05).unwrap();
+        check(FlatSimulation::new(nodes(), loss(), 19));
+        check(crate::ParSimulation::new(nodes(), loss(), 19, 2));
+    }
+
     #[test]
     fn reset_stats_zeroes_counters() {
         let mut sim = small_sim(15);
         sim.run_rounds(5);
+        assert_ne!(sim.stats(), &SimStats::default());
         sim.reset_stats();
         assert_eq!(sim.stats(), &SimStats::default());
-        assert_eq!(sim.aggregate_node_stats().initiated, 0);
         // And after a leave, on both aliases of the shell.
         fn leave_then_reset(mut sim: impl Engine) {
             sim.run_rounds(5);
             assert!(sim.leave(NodeId::new(3)));
             sim.run_rounds(2);
+            assert_ne!(sim.stats(), SimStats::default());
             sim.reset_stats();
             assert_eq!(sim.stats(), SimStats::default());
-            assert_eq!(sim.aggregate_node_stats(), sandf_core::NodeStats::new());
         }
         let nodes = topology::circulant(24, config(), 4);
         leave_then_reset(small_sim(15));

@@ -33,7 +33,7 @@
 use std::fmt;
 
 use rand::rngs::StdRng;
-use sandf_core::{JoinError, LocalView, NodeId, NodeStats, SfConfig, SfNode};
+use sandf_core::{JoinError, LocalView, NodeId, SfConfig, SfNode};
 use sandf_graph::DependenceReport;
 
 use crate::arena::Arena;
@@ -235,9 +235,10 @@ impl<S: Schedule<L, B>, L, B: ProtocolBehavior> ArenaSim<S, L, B> {
     }
 
     /// Reconstitutes every live node as an [`SfNode`], in live order.
-    /// Views carry over exactly; the per-node *counters* do not (the
-    /// rebuilt nodes start with zeroed [`NodeStats`] — read
-    /// [`Engine::aggregate_node_stats`] from the engine instead).
+    /// Views carry over exactly; *counters* do not (the arena keeps no
+    /// per-node counters, so the rebuilt nodes start with zeroed
+    /// [`NodeStats`](sandf_core::NodeStats) — read [`stats`](Self::stats)
+    /// from the engine instead).
     #[must_use]
     pub fn to_nodes(&self) -> Vec<SfNode> {
         self.arena.to_nodes::<B>(self.live_dense())
@@ -279,8 +280,8 @@ impl<S: Schedule<L, B>, L, B: ProtocolBehavior> ArenaSim<S, L, B> {
     /// Removes a node (a *leave* or *crash* — the paper treats them alike:
     /// the node simply stops participating, Section 5). Returns the
     /// departed node rebuilt from the arena — its view is exact, but its
-    /// per-node counters are zeroed; the engine-level
-    /// [`stats`](Self::stats) are unaffected.
+    /// counters are zeroed; the engine-level [`stats`](Self::stats) are
+    /// unaffected.
     pub fn leave(&mut self, id: NodeId) -> Option<SfNode> {
         let k = self.arena.dense_of(id)?;
         S::leave(self, k);
@@ -328,11 +329,6 @@ impl<S: Schedule<L, B>, L, B: ProtocolBehavior> Engine for ArenaSim<S, L, B> {
 
     fn reset_stats(&mut self) {
         self.stats = SimStats::default();
-        self.arena.reset_stats();
-    }
-
-    fn aggregate_node_stats(&self) -> NodeStats {
-        self.arena.aggregate_node_stats(self.live_dense())
     }
 
     fn round(&mut self) {

@@ -13,16 +13,19 @@
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use sandf_core::{NodeId, SfConfig, SfNode};
+use sandf_core::{Entry, LocalView, NodeId, SfConfig, SfNode};
 
 use crate::stream::{self, stream_seed};
 
-fn node_from_targets(id: u64, config: SfConfig, targets: &[NodeId]) -> SfNode {
-    let mut node = SfNode::new(NodeId::new(id), config);
-    for &t in targets {
-        node.view_mut().insert_at_first_empty(t).expect("topology builder exceeded view capacity");
+/// Node `id` whose view holds `targets` (independent) in its first slots,
+/// built in one allocation: the view's own slot vector.
+fn node_from_targets(id: u64, config: SfConfig, targets: impl IntoIterator<Item = u64>) -> SfNode {
+    let mut slots = vec![None; config.view_size()];
+    for (off, target) in targets.into_iter().enumerate() {
+        let slot = slots.get_mut(off).expect("topology builder exceeded view capacity");
+        *slot = Some(Entry::independent(NodeId::new(target)));
     }
-    node
+    SfNode::from_view(NodeId::new(id), config, LocalView::from_slots(slots))
 }
 
 /// A circulant topology: node `i` points at `i+1, …, i+d0 (mod n)`.
@@ -51,10 +54,11 @@ pub fn circulant_iter(n: usize, config: SfConfig, d0: usize) -> impl Iterator<It
     assert!(d0.is_multiple_of(2), "initial outdegree must be even (Observation 5.1)");
     assert!(d0 <= config.view_size(), "initial outdegree exceeds view size");
     assert!(d0 < n, "circulant requires d0 < n");
-    (0..n as u64).map(move |i| {
-        let targets: Vec<NodeId> =
-            (1..=d0 as u64).map(|k| NodeId::new((i + k) % n as u64)).collect();
-        node_from_targets(i, config, &targets)
+    let n = n as u64;
+    (0..n).map(move |i| {
+        // `i + k < 2n`, so one compare wraps it.
+        let targets = (i + 1..=i + d0 as u64).map(|t| if t >= n { t - n } else { t });
+        node_from_targets(i, config, targets)
     })
 }
 
@@ -75,8 +79,7 @@ pub fn random<R: Rng + ?Sized>(n: usize, config: SfConfig, d0: usize, rng: &mut 
         .map(|i| {
             let mut others: Vec<u64> = everyone.iter().copied().filter(|&x| x != i).collect();
             others.shuffle(rng);
-            let targets: Vec<NodeId> = others[..d0].iter().map(|&x| NodeId::new(x)).collect();
-            node_from_targets(i, config, &targets)
+            node_from_targets(i, config, others[..d0].iter().copied())
         })
         .collect()
 }
@@ -101,16 +104,18 @@ pub fn random_iter(
     assert!(d0.is_multiple_of(2), "initial outdegree must be even (Observation 5.1)");
     assert!(d0 <= config.view_size(), "initial outdegree exceeds view size");
     assert!(d0 < n, "random topology requires d0 < n");
+    // One scratch list for the whole pass, refilled per node.
+    let mut targets: Vec<u64> = Vec::with_capacity(d0);
     (0..n as u64).map(move |i| {
         let mut rng = StdRng::seed_from_u64(stream_seed(seed, stream::TOPOLOGY, i, 0));
-        let mut targets: Vec<NodeId> = Vec::with_capacity(d0);
+        targets.clear();
         while targets.len() < d0 {
-            let x = NodeId::new(rng.gen_range(0..n as u64));
-            if x.as_u64() != i && !targets.contains(&x) {
+            let x = rng.gen_range(0..n as u64);
+            if x != i && !targets.contains(&x) {
                 targets.push(x);
             }
         }
-        node_from_targets(i, config, &targets)
+        node_from_targets(i, config, targets.iter().copied())
     })
 }
 
@@ -126,9 +131,8 @@ pub fn ring(n: usize, config: SfConfig) -> Vec<SfNode> {
     assert!(n >= 3, "ring requires at least 3 nodes");
     (0..n as u64)
         .map(|i| {
-            let prev = NodeId::new((i + n as u64 - 1) % n as u64);
-            let next = NodeId::new((i + 1) % n as u64);
-            node_from_targets(i, config, &[prev, next])
+            let (prev, next) = ((i + n as u64 - 1) % n as u64, (i + 1) % n as u64);
+            node_from_targets(i, config, [prev, next])
         })
         .collect()
 }
@@ -150,15 +154,8 @@ pub fn ring(n: usize, config: SfConfig) -> Vec<SfNode> {
 #[must_use]
 pub fn star(n: usize, config: SfConfig) -> Vec<SfNode> {
     assert!(n >= 3, "star requires at least 3 nodes");
-    let hub = NodeId::new(0);
     (0..n as u64)
-        .map(|i| {
-            if i == 0 {
-                node_from_targets(i, config, &[NodeId::new(1), NodeId::new(2)])
-            } else {
-                node_from_targets(i, config, &[hub, hub])
-            }
-        })
+        .map(|i| node_from_targets(i, config, if i == 0 { [1, 2] } else { [0, 0] }))
         .collect()
 }
 
@@ -176,11 +173,7 @@ pub fn hub_cluster(n: usize, config: SfConfig, d0: usize) -> Vec<SfNode> {
     assert!(d0 <= config.view_size(), "initial outdegree exceeds view size");
     assert!(d0 + 1 < n, "hub cluster requires d0 + 1 < n");
     (0..n as u64)
-        .map(|i| {
-            let targets: Vec<NodeId> =
-                (0..=d0 as u64).filter(|&h| h != i).take(d0).map(NodeId::new).collect();
-            node_from_targets(i, config, &targets)
-        })
+        .map(|i| node_from_targets(i, config, (0..=d0 as u64).filter(|&h| h != i).take(d0)))
         .collect()
 }
 
@@ -194,6 +187,60 @@ mod tests {
 
     fn config() -> SfConfig {
         SfConfig::new(10, 2).unwrap()
+    }
+
+    /// Every builder against the construction it replaced, kept as the
+    /// reference: per node an explicit target list (`%` wrap-around), each
+    /// id placed by `insert_at_first_empty`. Small, medium and large `n`
+    /// and every even `d0` up to `s`; at `n = 13, d0 = 10` most circulant
+    /// rows wrap.
+    #[test]
+    fn builders_match_the_per_target_reference() {
+        fn reference(n: u64, mut targets: impl FnMut(u64) -> Vec<u64>) -> Vec<SfNode> {
+            let node = |i: u64, targets: Vec<u64>| {
+                let mut node = SfNode::new(NodeId::new(i), config());
+                for t in targets {
+                    node.view_mut().insert_at_first_empty(NodeId::new(t)).unwrap();
+                }
+                node
+            };
+            (0..n).map(|i| node(i, targets(i))).collect()
+        }
+        for n in [13, 64, 1000] {
+            let m = n as u64;
+            for d0 in (2..=config().view_size()).step_by(2) {
+                let k = d0 as u64;
+                let circulant_ref = reference(m, |i| (1..=k).map(|j| (i + j) % m).collect());
+                assert_eq!(circulant(n, config(), d0), circulant_ref, "n = {n}, d0 = {d0}");
+                let streamed: Vec<SfNode> = random_iter(n, config(), d0, 7).collect();
+                let streamed_ref = reference(m, |i| {
+                    let mut rng = StdRng::seed_from_u64(stream_seed(7, stream::TOPOLOGY, i, 0));
+                    let mut targets = Vec::new();
+                    while targets.len() < d0 {
+                        let x = rng.gen_range(0..m);
+                        if x != i && !targets.contains(&x) {
+                            targets.push(x);
+                        }
+                    }
+                    targets
+                });
+                assert_eq!(streamed, streamed_ref, "n = {n}, d0 = {d0}");
+                let mut rng = StdRng::seed_from_u64(5);
+                let shuffled_ref = reference(m, |i| {
+                    let mut others: Vec<u64> = (0..m).filter(|&x| x != i).collect();
+                    others.shuffle(&mut rng);
+                    others[..d0].to_vec()
+                });
+                let shuffled = random(n, config(), d0, &mut StdRng::seed_from_u64(5));
+                assert_eq!(shuffled, shuffled_ref, "n = {n}, d0 = {d0}");
+                let hubs_ref = reference(m, |i| (0..=k).filter(|&h| h != i).take(d0).collect());
+                assert_eq!(hub_cluster(n, config(), d0), hubs_ref, "n = {n}, d0 = {d0}");
+            }
+            let ring_ref = reference(m, |i| vec![(i + m - 1) % m, (i + 1) % m]);
+            assert_eq!(ring(n, config()), ring_ref, "n = {n}");
+            let star_ref = reference(m, |i| if i == 0 { vec![1, 2] } else { vec![0, 0] });
+            assert_eq!(star(n, config()), star_ref, "n = {n}");
+        }
     }
 
     #[test]

@@ -39,7 +39,7 @@
 use std::fmt;
 
 use rand::Rng;
-use sandf_core::{JoinError, Message, NodeId, NodeStats, SfConfig};
+use sandf_core::{JoinError, Message, NodeId, SfConfig};
 use sandf_graph::MembershipGraph;
 
 use crate::degree::DegreeStats;
@@ -89,8 +89,9 @@ pub const FLAG_TOMBSTONE: u8 = 2;
 ///
 /// `ids[off] == EMPTY_SLOT` marks an empty slot; `flags` carries the
 /// per-slot [`FLAG_DEPENDENT`] / [`FLAG_TOMBSTONE`] bits; `degree` is the
-/// node's live outdegree ledger (the engine's graph readers trust it);
-/// `stats` the per-node counters.
+/// node's live outdegree ledger (the engine's graph readers trust it).
+/// The window holds no counters: the engines count every event once, in
+/// [`SimStats`], from the returned message and [`Receipt`].
 pub struct SlotView<'a> {
     /// The node that owns this window.
     pub id: NodeId,
@@ -101,8 +102,6 @@ pub struct SlotView<'a> {
     /// The node's outdegree ledger (live entries only — excludes
     /// tombstones).
     pub degree: &'a mut u32,
-    /// The node's event counters.
-    pub stats: &'a mut NodeStats,
 }
 
 impl SlotView<'_> {
@@ -237,8 +236,7 @@ pub trait ProtocolBehavior: Clone + Send + Sync {
     }
 
     /// One action step at `view`'s node: `None` is a self-loop (no
-    /// message), `Some((to, msg))` sends. Must maintain `view.degree` and
-    /// the per-node counters.
+    /// message), `Some((to, msg))` sends. Must maintain `view.degree`.
     fn initiate<R: Rng>(
         &self,
         config: SfConfig,
@@ -317,8 +315,7 @@ impl ProtocolBehavior for SfBehavior {
         view: SlotView<'_>,
         rng: &mut R,
     ) -> Option<(NodeId, Message)> {
-        let SlotView { id, ids, flags, degree, stats } = view;
-        stats.initiated += 1;
+        let SlotView { id, ids, flags, degree } = view;
         let s = ids.len();
         debug_assert!(s >= 2, "view must have at least two slots");
         let i = rng.gen_range(0..s);
@@ -329,20 +326,16 @@ impl ProtocolBehavior for SfBehavior {
         let target = ids[i];
         let payload = ids[j];
         if target == EMPTY_SLOT || payload == EMPTY_SLOT {
-            stats.self_loops += 1;
             return None;
         }
         let duplicated = (*degree as usize) <= config.lower_threshold();
-        if duplicated {
-            stats.duplications += 1;
-        } else {
+        if !duplicated {
             ids[i] = EMPTY_SLOT;
             flags[i] = 0;
             ids[j] = EMPTY_SLOT;
             flags[j] = 0;
             *degree -= 2;
         }
-        stats.sent += 1;
         let message = Message::new(id, NodeId::new(u64::from(payload)), duplicated);
         Some((NodeId::new(u64::from(target)), message))
     }
@@ -356,13 +349,11 @@ impl ProtocolBehavior for SfBehavior {
         rng: &mut R,
     ) -> Receipt<Message> {
         if *view.degree as usize >= view.len() {
-            view.stats.deletions += 1;
             return Receipt::deleted();
         }
         let flags = if msg.dependent { FLAG_DEPENDENT } else { 0 };
         view.insert_into_random_empty(msg.sender, flags, rng);
         view.insert_into_random_empty(msg.payload, flags, rng);
-        view.stats.stored += 1;
         Receipt::stored()
     }
 
@@ -480,11 +471,8 @@ pub trait Engine {
     /// Accumulated system-wide counters.
     fn stats(&self) -> SimStats;
 
-    /// Resets system-wide and per-node counters (e.g. after burn-in).
+    /// Resets the system-wide counters (e.g. after burn-in).
     fn reset_stats(&mut self);
-
-    /// Sum of all live nodes' per-node counters.
-    fn aggregate_node_stats(&self) -> NodeStats;
 
     /// Executes one round (`n` scheduled steps).
     fn round(&mut self);
@@ -592,13 +580,8 @@ mod tests {
 
     use super::*;
 
-    fn window<'a>(
-        ids: &'a mut [u32],
-        flags: &'a mut [u8],
-        degree: &'a mut u32,
-        stats: &'a mut NodeStats,
-    ) -> SlotView<'a> {
-        SlotView { id: NodeId::new(9), ids, flags, degree, stats }
+    fn window<'a>(ids: &'a mut [u32], flags: &'a mut [u8], degree: &'a mut u32) -> SlotView<'a> {
+        SlotView { id: NodeId::new(9), ids, flags, degree }
     }
 
     #[test]
@@ -606,9 +589,8 @@ mod tests {
         let mut ids = [7u32, EMPTY_SLOT, 3, EMPTY_SLOT];
         let mut flags = [0u8; 4];
         let mut degree = 2u32;
-        let mut stats = NodeStats::new();
         let mut rng = StdRng::seed_from_u64(1);
-        let mut view = window(&mut ids, &mut flags, &mut degree, &mut stats);
+        let mut view = window(&mut ids, &mut flags, &mut degree);
         view.insert_into_random_empty(NodeId::new(5), FLAG_DEPENDENT, &mut rng);
         assert_eq!(degree, 3);
         assert_eq!(ids.iter().filter(|&&x| x == 5).count(), 1);

@@ -103,17 +103,12 @@ impl ProtocolBehavior for PushOnlyBehavior {
         view: SlotView<'_>,
         rng: &mut R,
     ) -> Option<(NodeId, IdBatch)> {
-        view.stats.initiated += 1;
-        let Some(target_off) = random_occupied(&view, rng) else {
-            view.stats.self_loops += 1;
-            return None;
-        };
+        let target_off = random_occupied(&view, rng)?;
         let extra_off = random_occupied(&view, rng).expect("view is non-empty");
         let target = view.id_at(target_off).expect("occupied slot has an id");
         let extra = view.id_at(extra_off).expect("occupied slot has an id");
         let mut msg = IdBatch::new(view.id, KIND_PUSH);
         msg.push(extra, false);
-        view.stats.sent += 1;
         Some((target, msg))
     }
 
@@ -128,7 +123,6 @@ impl ProtocolBehavior for PushOnlyBehavior {
         for (id, _) in msg.entries() {
             store_bounded(&mut view, id, rng);
         }
-        view.stats.stored += 1;
         Receipt::stored()
     }
 }
@@ -171,13 +165,8 @@ impl ProtocolBehavior for PushPullBehavior {
         view: SlotView<'_>,
         rng: &mut R,
     ) -> Option<(NodeId, IdBatch)> {
-        view.stats.initiated += 1;
-        let Some(target_off) = random_occupied(&view, rng) else {
-            view.stats.self_loops += 1;
-            return None;
-        };
+        let target_off = random_occupied(&view, rng)?;
         let target = view.id_at(target_off).expect("occupied slot has an id");
-        view.stats.sent += 1;
         // The push carries only the sender id (reinforcement) and doubles
         // as the pull request (mixing); the reply travels separately,
         // subject to its own loss draw.
@@ -203,15 +192,12 @@ impl ProtocolBehavior for PushPullBehavior {
                 for pick in picks.into_vec() {
                     reply.push(view.id_at(occupied[pick]).expect("occupied slot has an id"), false);
                 }
-                view.stats.stored += 1;
-                view.stats.sent += 1;
                 Receipt::stored_with_reply(msg.sender, reply)
             }
             _ => {
                 for (id, _) in msg.entries() {
                     store_bounded(&mut view, id, rng);
                 }
-                view.stats.stored += 1;
                 Receipt::stored()
             }
         }
@@ -257,11 +243,7 @@ impl ProtocolBehavior for ShuffleBehavior {
         mut view: SlotView<'_>,
         rng: &mut R,
     ) -> Option<(NodeId, IdBatch)> {
-        view.stats.initiated += 1;
-        let Some(target_off) = random_occupied(&view, rng) else {
-            view.stats.self_loops += 1;
-            return None;
-        };
+        let target_off = random_occupied(&view, rng)?;
         // The target instance and up to gossip_size − 1 more ids leave
         // the view inside the request; the sender id rides along
         // Cyclon-style (in the `sender` field).
@@ -273,7 +255,6 @@ impl ProtocolBehavior for ShuffleBehavior {
         for id in removed {
             msg.push(id, false);
         }
-        view.stats.sent += 1;
         Some((target, msg))
     }
 
@@ -296,22 +277,14 @@ impl ProtocolBehavior for ShuffleBehavior {
                 for id in removed {
                     reply.push(id, false);
                 }
-                if stored > 0 {
-                    view.stats.stored += 1;
-                } else {
-                    view.stats.deletions += 1;
-                }
-                view.stats.sent += 1;
                 let deleted = stored == 0;
                 Receipt { deleted, reply: Some((msg.sender, reply)) }
             }
             _ => {
                 let stored = absorb(&mut view, msg.entries().map(|(id, _)| id), rng);
                 if stored > 0 {
-                    view.stats.stored += 1;
                     Receipt::stored()
                 } else {
-                    view.stats.deletions += 1;
                     Receipt::deleted()
                 }
             }
@@ -323,18 +296,12 @@ impl ProtocolBehavior for ShuffleBehavior {
 mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use sandf_core::NodeStats;
     use sandf_sim::EMPTY_SLOT;
 
     use super::*;
 
-    fn window<'a>(
-        ids: &'a mut [u32],
-        flags: &'a mut [u8],
-        degree: &'a mut u32,
-        stats: &'a mut NodeStats,
-    ) -> SlotView<'a> {
-        SlotView { id: NodeId::new(99), ids, flags, degree, stats }
+    fn window<'a>(ids: &'a mut [u32], flags: &'a mut [u8], degree: &'a mut u32) -> SlotView<'a> {
+        SlotView { id: NodeId::new(99), ids, flags, degree }
     }
 
     fn config() -> SfConfig {
@@ -346,9 +313,8 @@ mod tests {
         let mut ids = [1, 2, EMPTY_SLOT, EMPTY_SLOT];
         let mut flags = [0u8; 4];
         let mut degree = 2u32;
-        let mut stats = NodeStats::new();
         let mut rng = StdRng::seed_from_u64(1);
-        let view = window(&mut ids, &mut flags, &mut degree, &mut stats);
+        let view = window(&mut ids, &mut flags, &mut degree);
         let (_, msg) = PushOnlyBehavior.initiate(config(), view, &mut rng).unwrap();
         assert_eq!(degree, 2, "push-only never removes ids");
         assert_eq!(msg.sender, NodeId::new(99), "reinforcement: own id rides as sender");
@@ -360,9 +326,8 @@ mod tests {
         let mut ids = [3, 4, 5, EMPTY_SLOT];
         let mut flags = [0u8; 4];
         let mut degree = 3u32;
-        let mut stats = NodeStats::new();
         let mut rng = StdRng::seed_from_u64(2);
-        let view = window(&mut ids, &mut flags, &mut degree, &mut stats);
+        let view = window(&mut ids, &mut flags, &mut degree);
         let push = IdBatch::new(NodeId::new(7), KIND_PUSH);
         let receipt = PushPullBehavior::new(2).receive(config(), view, push, &mut rng);
         let (to, reply) = receipt.reply.expect("a push triggers a pull reply");
@@ -377,10 +342,9 @@ mod tests {
         let mut ids = [1, 2, 3, EMPTY_SLOT];
         let mut flags = [0u8; 4];
         let mut degree = 3u32;
-        let mut stats = NodeStats::new();
         let mut rng = StdRng::seed_from_u64(3);
         let behavior = ShuffleBehavior::new(2);
-        let view = window(&mut ids, &mut flags, &mut degree, &mut stats);
+        let view = window(&mut ids, &mut flags, &mut degree);
         let (_, msg) = behavior.initiate(config(), view, &mut rng).unwrap();
         assert_eq!(degree, 1, "target + one more id left the view");
         assert_eq!(msg.len, 1, "one extra id in the request (sender rides separately)");
@@ -390,13 +354,11 @@ mod tests {
         let mut ids_b = [10, 11, 12, 13];
         let mut flags_b = [0u8; 4];
         let mut degree_b = 4u32;
-        let mut stats_b = NodeStats::new();
         let view_b = SlotView {
             id: NodeId::new(50),
             ids: &mut ids_b,
             flags: &mut flags_b,
             degree: &mut degree_b,
-            stats: &mut stats_b,
         };
         let receipt = behavior.receive(config(), view_b, msg, &mut rng);
         let (_, reply) = receipt.reply.expect("a request triggers a reply");
@@ -418,8 +380,7 @@ mod tests {
         for (case, mut ids, sender, payload, want_degree, holds) in cases {
             let mut flags = [0u8; 2];
             let mut degree = ids.iter().filter(|&&id| id != EMPTY_SLOT).count() as u32;
-            let mut stats = NodeStats::new();
-            let view = window(&mut ids, &mut flags, &mut degree, &mut stats);
+            let view = window(&mut ids, &mut flags, &mut degree);
             let mut msg = IdBatch::new(NodeId::new(sender), KIND_PUSH);
             if let Some(payload) = payload {
                 msg.push(NodeId::new(payload), false);
@@ -435,12 +396,11 @@ mod tests {
         let mut ids = [EMPTY_SLOT; 4];
         let mut flags = [0u8; 4];
         let mut degree = 0u32;
-        let mut stats = NodeStats::new();
         let mut rng = StdRng::seed_from_u64(4);
-        let view = window(&mut ids, &mut flags, &mut degree, &mut stats);
+        let view = window(&mut ids, &mut flags, &mut degree);
         assert!(ShuffleBehavior::new(2).initiate(config(), view, &mut rng).is_none());
-        let view = window(&mut ids, &mut flags, &mut degree, &mut stats);
+        let view = window(&mut ids, &mut flags, &mut degree);
         assert!(PushOnlyBehavior.initiate(config(), view, &mut rng).is_none());
-        assert_eq!(stats.self_loops, 2);
+        assert_eq!(degree, 0);
     }
 }

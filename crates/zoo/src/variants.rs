@@ -137,26 +137,21 @@ impl ProtocolBehavior for ReplaceBehavior {
         view: SlotView<'_>,
         rng: &mut R,
     ) -> Option<(NodeId, IdBatch)> {
-        let SlotView { id, ids, flags, degree, stats } = view;
-        stats.initiated += 1;
+        let SlotView { id, ids, flags, degree } = view;
         let (i, j) = draw_pair(ids.len(), rng);
         if ids[i] == EMPTY_SLOT || ids[j] == EMPTY_SLOT {
-            stats.self_loops += 1;
             return None;
         }
         let target = NodeId::new(u64::from(ids[i]));
         let payload = NodeId::new(u64::from(ids[j]));
         let duplicated = (*degree as usize) <= config.lower_threshold();
-        if duplicated {
-            stats.duplications += 1;
-        } else {
+        if !duplicated {
             ids[i] = EMPTY_SLOT;
             flags[i] = 0;
             ids[j] = EMPTY_SLOT;
             flags[j] = 0;
             *degree -= 2;
         }
-        stats.sent += 1;
         let mut msg = IdBatch::new(id, kind_of(duplicated));
         msg.push(payload, duplicated);
         Some((target, msg))
@@ -174,12 +169,10 @@ impl ProtocolBehavior for ReplaceBehavior {
             all_fresh &= Self::put(&mut view, id, dependent, rng);
         }
         if all_fresh {
-            view.stats.stored += 1;
             Receipt::stored()
         } else {
             // Displacement: something was overwritten. Counted as a
             // deletion (an instance died).
-            view.stats.deletions += 1;
             Receipt::deleted()
         }
     }
@@ -274,12 +267,10 @@ impl ProtocolBehavior for UndeleteBehavior {
         view: SlotView<'_>,
         rng: &mut R,
     ) -> Option<(NodeId, IdBatch)> {
-        let SlotView { id, ids, flags, degree, stats } = view;
-        stats.initiated += 1;
+        let SlotView { id, ids, flags, degree } = view;
         let (i, j) = draw_pair(ids.len(), rng);
         let live = |k: usize| ids[k] != EMPTY_SLOT && flags[k] & FLAG_TOMBSTONE == 0;
         if !live(i) || !live(j) {
-            stats.self_loops += 1;
             return None;
         }
         let target = NodeId::new(u64::from(ids[i]));
@@ -290,13 +281,11 @@ impl ProtocolBehavior for UndeleteBehavior {
         flags[j] |= FLAG_TOMBSTONE;
         *degree -= 2;
         if compensate {
-            stats.duplications += 1;
-            let mut view = SlotView { id, ids, flags, degree, stats };
+            let mut view = SlotView { id, ids, flags, degree };
             let first = Self::undelete_one(&mut view, (i, j), rng);
             let second = Self::undelete_one(&mut view, (i, j), rng);
             debug_assert!(first && second, "the just-sent entries guarantee fallbacks");
         }
-        stats.sent += 1;
         let mut msg = IdBatch::new(id, kind_of(compensate));
         msg.push(payload, compensate);
         Some((target, msg))
@@ -315,10 +304,8 @@ impl ProtocolBehavior for UndeleteBehavior {
             any_stored |= Self::store(&mut view, id, dependent, rng);
         }
         if any_stored {
-            view.stats.stored += 1;
             Receipt::stored()
         } else {
-            view.stats.deletions += 1;
             Receipt::deleted()
         }
     }
@@ -377,23 +364,18 @@ impl ProtocolBehavior for BatchedBehavior {
         view: SlotView<'_>,
         rng: &mut R,
     ) -> Option<(NodeId, IdBatch)> {
-        let SlotView { id, ids, flags, degree, stats } = view;
+        let SlotView { id, ids, flags, degree } = view;
         debug_assert!(
             self.batch < config.view_size() - config.lower_threshold(),
             "batch too large for the degree band"
         );
-        stats.initiated += 1;
         let picks = sample(rng, ids.len(), self.batch + 1).into_vec();
         if picks.iter().any(|&k| ids[k] == EMPTY_SLOT) {
-            stats.self_loops += 1;
             return None;
         }
         let target = NodeId::new(u64::from(ids[picks[0]]));
         // Clearing 1 + b entries must not cross d_L.
         let duplicated = (*degree as usize) < config.lower_threshold() + self.batch + 1;
-        if duplicated {
-            stats.duplications += 1;
-        }
         // Read the payload ids before any clearing.
         let mut msg = IdBatch::new(id, kind_of(duplicated));
         for &k in &picks[1..] {
@@ -406,7 +388,6 @@ impl ProtocolBehavior for BatchedBehavior {
             }
             *degree -= (self.batch + 1) as u32;
         }
-        stats.sent += 1;
         Some((target, msg))
     }
 
@@ -417,10 +398,9 @@ impl ProtocolBehavior for BatchedBehavior {
         msg: IdBatch,
         rng: &mut R,
     ) -> Receipt<IdBatch> {
-        let SlotView { id: _, ids, flags, degree, stats } = view;
+        let SlotView { id: _, ids, flags, degree } = view;
         let arriving = 1 + msg.len as usize;
         if ids.len() - (*degree as usize) < arriving {
-            stats.deletions += 1;
             return Receipt::deleted();
         }
         let empties: Vec<usize> = (0..ids.len()).filter(|&k| ids[k] == EMPTY_SLOT).collect();
@@ -433,7 +413,6 @@ impl ProtocolBehavior for BatchedBehavior {
             flags[empties[slot_pick]] = dep_flag(dependent);
         }
         *degree += arriving as u32;
-        stats.stored += 1;
         Receipt::stored()
     }
 
@@ -450,7 +429,6 @@ impl ProtocolBehavior for BatchedBehavior {
 mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use sandf_core::NodeStats;
 
     use super::*;
 
@@ -478,7 +456,6 @@ mod tests {
         ids: Vec<u32>,
         flags: Vec<u8>,
         degree: u32,
-        stats: NodeStats,
     }
 
     impl Window {
@@ -487,7 +464,6 @@ mod tests {
                 ids: slots.iter().map(|slot| slot.0).collect(),
                 flags: slots.iter().map(|slot| slot.1).collect(),
                 degree: 0,
-                stats: NodeStats::new(),
             };
             window.degree = window.visible().len() as u32;
             window
@@ -499,7 +475,6 @@ mod tests {
                 ids: &mut self.ids,
                 flags: &mut self.flags,
                 degree: &mut self.degree,
-                stats: &mut self.stats,
             }
         }
 
@@ -647,8 +622,6 @@ mod tests {
                 "{}: payload tags follow the send kind",
                 case.name
             );
-            assert_eq!(window.stats.sent, 1, "{}", case.name);
-            assert_eq!(window.stats.duplications, u64::from(compensated), "{}", case.name);
             window.expect(case.name, case.degree, case.tombstones, case.holds);
         }
     }
@@ -756,8 +729,6 @@ mod tests {
             }
             let receipt = (case.receive)(window.view(), msg, &mut StdRng::seed_from_u64(1));
             assert_eq!(receipt.deleted, case.deleted, "{}: receipt", case.name);
-            assert_eq!(window.stats.deletions, u64::from(case.deleted), "{}", case.name);
-            assert_eq!(window.stats.stored, u64::from(!case.deleted), "{}", case.name);
             window.expect(case.name, case.degree, case.tombstones, case.holds);
         }
     }

@@ -209,9 +209,8 @@ impl<B: ProtocolBehavior> Law<B> {
         let mut degree = view.iter().filter(|e| !e.1).count() as u32;
         ids.resize(self.s, EMPTY_SLOT);
         flags.resize(self.s, 0);
-        let (id, stats) = (NodeId::new(u as u64), &mut Default::default());
-        let out =
-            act(SlotView { id, ids: &mut ids, flags: &mut flags, degree: &mut degree, stats });
+        let id = NodeId::new(u as u64);
+        let out = act(SlotView { id, ids: &mut ids, flags: &mut flags, degree: &mut degree });
         (lump(&ids, &flags), out)
     }
 
@@ -359,11 +358,10 @@ struct Watched<B> {
 
 impl<B: ProtocolBehavior> Watched<B> {
     fn watch<T>(&self, view: SlotView<'_>, act: impl FnOnce(SlotView<'_>) -> T) -> T {
-        let SlotView { id, ids, flags, degree, stats } = view;
+        let SlotView { id, ids, flags, degree } = view;
         let node = id.as_u64() as usize;
         assert_eq!(lump(ids, flags), self.state.lock().unwrap()[node], "{id}'s window moved");
-        let out =
-            act(SlotView { id, ids: &mut *ids, flags: &mut *flags, degree: &mut *degree, stats });
+        let out = act(SlotView { id, ids: &mut *ids, flags: &mut *flags, degree: &mut *degree });
         let after = lump(ids, flags);
         assert_eq!(*degree as usize, after.iter().filter(|e| !e.1).count(), "{id}'s degree");
         self.state.lock().unwrap()[node] = after;
