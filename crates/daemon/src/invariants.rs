@@ -36,16 +36,17 @@
 //! connected components — so the walk counts them in place instead of
 //! snapshotting a [`MembershipGraph`](sandf_graph::MembershipGraph): every
 //! entry is an edge, an entry whose id is not seated is dangling, and the
-//! rest are unioned in the workspace's [`DisjointSets`]. The id → seat
-//! table (open addressing, a power-of-two slot count of at least twice the
-//! live count) and the union-find are kept across checks and rebuilt in
-//! place, so a steady-state check allocates nothing. Both are sized from
-//! live counts, never from ids: the table follows each check's live count
-//! and the union-find keeps the largest, so scratch memory is O(live)
-//! whatever ids the fleet has issued.
+//! rest are unioned in the workspace's [`DisjointSets`]. Entries resolve
+//! to seats through the workspace's one id table, an [`IdIndex`] over the
+//! seated ids (the same index a graph snapshot resolves its edges with).
+//! The id list, the index and the union-find are kept across checks and
+//! rebuilt in place, so a steady-state check allocates nothing. All three
+//! are sized from live counts, never from ids: the index follows each
+//! check's live count and the buffers keep the largest, so scratch memory
+//! is O(live) whatever ids the fleet has issued.
 
 use sandf_core::{NodeId, SfConfig, SfNode};
-use sandf_graph::DisjointSets;
+use sandf_graph::{DisjointSets, IdIndex};
 use sandf_markov::decay::survival_factor;
 
 /// Multiplicative headroom on the Lemma 6.10 ceiling. The lemma bounds
@@ -123,21 +124,19 @@ struct Overlay {
     components: usize,
 }
 
-/// Marks a vacant slot of [`OverlayPass`]'s id table.
-const VACANT: usize = usize::MAX;
-
 /// The scratch behind one overlay pass, kept across checks.
 #[derive(Clone, Debug)]
 struct OverlayPass {
-    /// Open-addressing `(raw id, seat)` slots, `seat == VACANT` when empty;
-    /// the slot count is a power of two of at least twice the live count.
-    table: Vec<(u64, usize)>,
+    /// The seated ids, in seat order: the keys `index` reads back.
+    ids: Vec<NodeId>,
+    /// Id → seat, over `ids`.
+    index: IdIndex,
     sets: DisjointSets,
 }
 
 impl OverlayPass {
     fn new() -> Self {
-        Self { table: Vec::new(), sets: DisjointSets::new(0) }
+        Self { ids: Vec::new(), index: IdIndex::new(), sets: DisjointSets::new(0) }
     }
 
     /// Counts edges, dangling edges and components over the `live` nodes
@@ -150,18 +149,9 @@ impl OverlayPass {
     where
         I: Iterator<Item = &'a SfNode> + Clone,
     {
-        let slots = (2 * live).next_power_of_two().max(16);
-        if self.table.len() == slots {
-            self.table.fill((0, VACANT));
-        } else {
-            self.table = vec![(0, VACANT); slots];
-        }
-        for (seat, node) in nodes.clone().enumerate() {
-            let raw = node.id().as_u64();
-            let slot = self.probe(raw);
-            assert_eq!(self.table[slot].1, VACANT, "duplicate node id in checker snapshot");
-            self.table[slot] = (raw, seat);
-        }
+        self.ids.clear();
+        self.ids.extend(nodes.clone().map(SfNode::id));
+        self.index.rebuild(&self.ids);
         self.sets.reset(live);
         let (mut edges, mut dangling) = (0, 0);
         for (seat, node) in nodes.enumerate() {
@@ -171,9 +161,9 @@ impl OverlayPass {
             let mut root = self.sets.find(seat);
             for id in node.view().ids() {
                 edges += 1;
-                match self.table[self.probe(id.as_u64())].1 {
-                    VACANT => dangling += 1,
-                    other => {
+                match self.index.get(&self.ids, id) {
+                    None => dangling += 1,
+                    Some(other) => {
                         if self.sets.find(other) != root {
                             self.sets.union(root, other);
                             root = self.sets.find(root);
@@ -183,22 +173,6 @@ impl OverlayPass {
             }
         }
         Overlay { edges, dangling, components: self.sets.count() }
-    }
-
-    /// The slot holding `raw`, or the vacant slot that ends its probe run.
-    fn probe(&self, raw: u64) -> usize {
-        let mask = self.table.len() - 1;
-        // Fibonacci hashing: the product's top log2(len) bits mix every id
-        // bit.
-        let shift = 64 - self.table.len().trailing_zeros();
-        let mut slot = (raw.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> shift) as usize;
-        loop {
-            let (key, seat) = self.table[slot];
-            if seat == VACANT || key == raw {
-                return slot;
-            }
-            slot = (slot + 1) & mask;
-        }
     }
 }
 
@@ -572,7 +546,7 @@ mod tests {
         let mut checker = InvariantChecker::new(config());
         assert_eq!(checker.check(1, fleet.iter(), totals(10, 0)).stale_fraction, 0.0);
         // Node 15 leaves; nodes 9..=14 each hold one entry for it, and the
-        // table keeps its slot count, so only a cleared table reads them.
+        // index keeps its slot count, so only a cleared index reads them.
         let outcome = checker.check(2, fleet[..15].iter(), totals(20, 0));
         assert_eq!(outcome.stale_fraction.to_bits(), (6.0f64 / 90.0).to_bits());
         assert_eq!(outcome.components, 1);
@@ -599,7 +573,7 @@ mod tests {
         for fleet in [&high, &ring, &high] {
             let outcome = checker.check(1, fleet.iter(), totals(10, 0));
             assert_eq!(outcome.components, 1);
-            let slots = checker.overlay.table.capacity();
+            let slots = checker.overlay.index.slot_count();
             assert!(slots <= 4 * fleet.len() + 16, "{slots} slots for {} live", fleet.len());
         }
     }

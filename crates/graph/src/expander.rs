@@ -15,14 +15,14 @@
 
 use std::collections::VecDeque;
 
-use crate::multigraph::MembershipGraph;
+use crate::multigraph::{MembershipGraph, DANGLING};
 
 /// Builds the undirected simple adjacency (indices into `graph.ids()`).
 fn undirected_adjacency(graph: &MembershipGraph) -> Vec<Vec<usize>> {
     let n = graph.node_count();
     let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (u, targets) in graph.out_edge_indices().iter().enumerate() {
-        for &v in targets.iter().flatten() {
+    for (u, row) in graph.rows().enumerate() {
+        for v in row.iter().filter(|&&t| t != DANGLING).map(|&t| t as usize) {
             if u != v {
                 adj[u].push(v);
                 adj[v].push(u);

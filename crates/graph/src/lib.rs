@@ -17,6 +17,10 @@
 //! * distribution distances ([`total_variation`], [`chi_square_uniform`]) —
 //!   Property M3, Lemmas 7.5/7.6.
 //!
+//! A snapshot is stored as compressed sparse rows over `u32` positions (4 B
+//! per edge); its ids resolve through [`IdIndex`], the same table the
+//! daemon's live checker seats nodes with.
+//!
 //! ## Example
 //!
 //! ```
@@ -38,12 +42,14 @@
 
 mod dependency;
 mod expander;
+mod index;
 mod multigraph;
 mod overlap;
 mod stats;
 
 pub use dependency::DependenceReport;
 pub use expander::{clustering_coefficient, degree_assortativity, distance_stats, DistanceStats};
+pub use index::IdIndex;
 pub use multigraph::{DisjointSets, MembershipGraph};
 pub use overlap::{baseline_jaccard, edge_intersection, edge_jaccard};
 pub use stats::{chi_square_uniform, total_variation, DegreeStats, Histogram, Summary};

@@ -1,9 +1,12 @@
 //! The membership multigraph (Section 4): vertices are nodes, and there is an
 //! edge `(u, v)` with the multiplicity of `v` in `u`'s view.
 
-use std::collections::HashMap;
-
 use sandf_core::{NodeId, SfNode};
+
+use crate::index::IdIndex;
+
+/// Marks an edge whose target is not in the snapshot.
+pub(crate) const DANGLING: u32 = u32::MAX;
 
 /// A snapshot of the global membership graph `G = (V, E)`.
 ///
@@ -13,6 +16,16 @@ use sandf_core::{NodeId, SfNode};
 /// still linger in views — Section 6.5) are retained and reported as
 /// [`dangling_edge_count`](Self::dangling_edge_count), but do not participate
 /// in connectivity or indegree computations.
+///
+/// # Layout
+///
+/// Compressed sparse rows over `u32` positions into `ids()`: node `i`'s
+/// edges are `targets[offsets[i]..offsets[i + 1]]`, in view order, each
+/// the position of its target or a sentinel for a dangling one. Beside the
+/// ids (8 B per node) sit the row offsets and the indegrees (4 B per node
+/// each) and an [`IdIndex`] of fewer than four 4-byte slots per node: a
+/// snapshot holds 4 B per edge and at most 32 B per node. A snapshot
+/// holds fewer than `u32::MAX` nodes and fewer than `2³²` edges.
 ///
 /// # Examples
 ///
@@ -32,46 +45,94 @@ use sandf_core::{NodeId, SfNode};
 #[derive(Clone, Debug)]
 pub struct MembershipGraph {
     ids: Vec<NodeId>,
-    /// Id → position in `ids`; only looked up, never iterated, so its order
-    /// cannot reach output.
-    index: HashMap<NodeId, usize>,
-    /// Out-edges per node, as indices into `ids`; `None` marks a dangling
-    /// target (an id outside the captured node set).
-    out_edges: Vec<Vec<Option<usize>>>,
-    in_degrees: Vec<usize>,
+    /// Id → position in `ids`.
+    index: IdIndex,
+    /// Row `i` is `targets[offsets[i]..offsets[i + 1]]`; `n + 1` entries.
+    offsets: Vec<u32>,
+    /// Every edge's target as a position in `ids`, [`DANGLING`] for an id
+    /// outside the captured node set.
+    targets: Vec<u32>,
+    in_degrees: Vec<u32>,
     dangling: usize,
+}
+
+/// Narrows an edge count or a position to a row word.
+fn word(k: usize) -> u32 {
+    u32::try_from(k).expect("a graph snapshot holds fewer than 2^32 edges")
+}
+
+/// `id`'s position in `ids` as a row word, or [`DANGLING`].
+fn resolve(index: &IdIndex, ids: &[NodeId], id: NodeId) -> u32 {
+    index.get(ids, id).map_or(DANGLING, word)
 }
 
 impl MembershipGraph {
     /// Builds a graph from `(node, out-neighbor multiset)` pairs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a node id repeats.
     pub fn from_views<I>(views: I) -> Self
     where
         I: IntoIterator<Item = (NodeId, Vec<NodeId>)>,
     {
         let collected: Vec<(NodeId, Vec<NodeId>)> = views.into_iter().collect();
         let ids: Vec<NodeId> = collected.iter().map(|(id, _)| *id).collect();
-        let index: HashMap<NodeId, usize> =
-            ids.iter().enumerate().map(|(i, &id)| (id, i)).collect();
-        assert_eq!(index.len(), ids.len(), "duplicate node id in graph snapshot");
-        let mut in_degrees = vec![0usize; ids.len()];
+        let mut index = IdIndex::new();
+        index.rebuild(&ids);
+        let mut offsets = Vec::with_capacity(ids.len() + 1);
+        offsets.push(0);
+        let mut targets = Vec::with_capacity(collected.iter().map(|(_, row)| row.len()).sum());
+        for (_, row) in &collected {
+            targets.extend(row.iter().map(|&t| resolve(&index, &ids, t)));
+            offsets.push(word(targets.len()));
+        }
+        Self::with_targets(ids, index, offsets, targets)
+    }
+
+    /// Builds a graph from rows already laid out flat: node `ids[i]`'s
+    /// out-neighbors are `words[offsets[i]..offsets[i + 1]]`, each the raw
+    /// value of a node id below `2³²` (an arena slot word). The words are
+    /// resolved to positions in place, so the snapshot keeps the caller's
+    /// three buffers and allocates only its indegrees and its index.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a node id repeats, or if `offsets` does not hold
+    /// `ids.len() + 1` non-decreasing entries from 0 to `words.len()`.
+    #[must_use]
+    pub fn from_flat_rows(ids: Vec<NodeId>, offsets: Vec<u32>, mut words: Vec<u32>) -> Self {
+        assert_eq!(offsets.len(), ids.len() + 1, "one row offset per node, plus the end");
+        assert!(
+            offsets[0] == 0
+                && offsets[ids.len()] as usize == words.len()
+                && offsets.windows(2).all(|w| w[0] <= w[1]),
+            "row offsets must run from 0 to the word count without decreasing"
+        );
+        let mut index = IdIndex::new();
+        index.rebuild(&ids);
+        for t in &mut words {
+            *t = resolve(&index, &ids, NodeId::new(u64::from(*t)));
+        }
+        Self::with_targets(ids, index, offsets, words)
+    }
+
+    /// Counts indegrees and dangling edges over resolved rows.
+    fn with_targets(
+        ids: Vec<NodeId>,
+        index: IdIndex,
+        offsets: Vec<u32>,
+        targets: Vec<u32>,
+    ) -> Self {
+        let mut in_degrees = vec![0u32; ids.len()];
         let mut dangling = 0usize;
-        let out_edges: Vec<Vec<Option<usize>>> = collected
-            .iter()
-            .map(|(_, targets)| {
-                targets
-                    .iter()
-                    .map(|t| {
-                        let resolved = index.get(t).copied();
-                        match resolved {
-                            Some(k) => in_degrees[k] += 1,
-                            None => dangling += 1,
-                        }
-                        resolved
-                    })
-                    .collect()
-            })
-            .collect();
-        Self { ids, index, out_edges, in_degrees, dangling }
+        for &t in &targets {
+            match t {
+                DANGLING => dangling += 1,
+                k => in_degrees[k as usize] += 1,
+            }
+        }
+        Self { ids, index, offsets, targets, in_degrees, dangling }
     }
 
     /// Builds a graph by snapshotting the views of live protocol nodes.
@@ -91,7 +152,7 @@ impl MembershipGraph {
     /// Total number of edges (with multiplicity), including dangling ones.
     #[must_use]
     pub fn edge_count(&self) -> usize {
-        self.out_edges.iter().map(Vec::len).sum()
+        self.targets.len()
     }
 
     /// Number of edges whose target is not a live node (ids of left/failed
@@ -107,29 +168,45 @@ impl MembershipGraph {
         &self.ids
     }
 
+    /// The position of `u` in `ids()`.
+    fn position(&self, u: NodeId) -> Option<usize> {
+        self.index.get(&self.ids, u)
+    }
+
+    /// Node `i`'s edges as target positions, [`DANGLING`] for a target
+    /// outside the snapshot, in view order.
+    fn row(&self, i: usize) -> &[u32] {
+        &self.targets[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+    }
+
+    /// Every node's [`row`](Self::row), in `ids()` order.
+    pub(crate) fn rows(&self) -> impl Iterator<Item = &[u32]> {
+        self.offsets.windows(2).map(|w| &self.targets[w[0] as usize..w[1] as usize])
+    }
+
     /// Outdegree `d(u)`, or `None` if `u` is not in the snapshot.
     #[must_use]
     pub fn out_degree(&self, u: NodeId) -> Option<usize> {
-        self.index.get(&u).map(|&i| self.out_edges[i].len())
+        self.position(u).map(|i| self.row(i).len())
     }
 
     /// Indegree `d_in(u)` counting only edges from live nodes, or `None` if
     /// `u` is not in the snapshot.
     #[must_use]
     pub fn in_degree(&self, u: NodeId) -> Option<usize> {
-        self.index.get(&u).map(|&i| self.in_degrees[i])
+        self.position(u).map(|i| self.in_degrees[i] as usize)
     }
 
     /// All outdegrees, in `ids()` order.
     #[must_use]
     pub fn out_degrees(&self) -> Vec<usize> {
-        self.out_edges.iter().map(Vec::len).collect()
+        self.rows().map(<[u32]>::len).collect()
     }
 
     /// All indegrees, in `ids()` order.
     #[must_use]
     pub fn in_degrees(&self) -> Vec<usize> {
-        self.in_degrees.clone()
+        self.in_degrees.iter().map(|&d| d as usize).collect()
     }
 
     /// The `k` highest-indegree nodes (all of them when `k ≥ |V|`), highest
@@ -137,7 +214,7 @@ impl MembershipGraph {
     /// the overlay's hubs, which a `victims` fault aims at.
     #[must_use]
     pub fn top_in_degree(&self, k: usize) -> Vec<NodeId> {
-        let mut ranked: Vec<(usize, NodeId)> =
+        let mut ranked: Vec<(u32, NodeId)> =
             self.in_degrees.iter().copied().zip(self.ids.iter().copied()).collect();
         ranked.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
         ranked.into_iter().take(k).map(|(_, id)| id).collect()
@@ -147,42 +224,35 @@ impl MembershipGraph {
     /// node, in `ids()` order.
     #[must_use]
     pub fn sum_degrees(&self) -> Vec<usize> {
-        self.out_edges.iter().zip(&self.in_degrees).map(|(out, &din)| out.len() + 2 * din).collect()
+        self.rows().zip(&self.in_degrees).map(|(row, &din)| row.len() + 2 * din as usize).collect()
     }
 
     /// The out-neighbors of `u` (live targets only, with multiplicity), or
     /// `None` if `u` is not in the snapshot.
     #[must_use]
     pub fn out_neighbors(&self, u: NodeId) -> Option<Vec<NodeId>> {
-        let &i = self.index.get(&u)?;
-        Some(self.out_edges[i].iter().flatten().map(|&j| self.ids[j]).collect())
-    }
-
-    /// Internal index-based adjacency (live targets), for analytics in this
-    /// crate.
-    pub(crate) fn out_edge_indices(&self) -> &[Vec<Option<usize>>] {
-        &self.out_edges
+        let i = self.position(u)?;
+        Some(
+            self.row(i).iter().filter(|&&t| t != DANGLING).map(|&t| self.ids[t as usize]).collect(),
+        )
     }
 
     /// The multiplicity of the edge `(u, v)`.
     #[must_use]
     pub fn edge_multiplicity(&self, u: NodeId, v: NodeId) -> usize {
-        let (Some(&ui), target) = (self.index.get(&u), self.index.get(&v).copied()) else {
+        let (Some(ui), Some(vi)) = (self.position(u), self.position(v)) else {
             return 0;
         };
-        match target {
-            Some(vi) => self.out_edges[ui].iter().filter(|&&t| t == Some(vi)).count(),
-            None => 0,
-        }
+        let vi = word(vi);
+        self.row(ui).iter().filter(|&&t| t == vi).count()
     }
 
     /// Number of self-edges `(u, u)` in the graph.
     #[must_use]
     pub fn self_edge_count(&self) -> usize {
-        self.out_edges
-            .iter()
+        self.rows()
             .enumerate()
-            .map(|(i, targets)| targets.iter().filter(|&&t| t == Some(i)).count())
+            .map(|(i, row)| row.iter().filter(|&&t| t as usize == i).count())
             .sum()
     }
 
@@ -193,14 +263,13 @@ impl MembershipGraph {
     #[must_use]
     pub fn parallel_edge_count(&self) -> usize {
         let mut extra = 0usize;
-        // Its values are only summed as integers, so its order cannot reach output.
-        let mut seen: HashMap<usize, usize> = HashMap::new();
-        for targets in &self.out_edges {
-            seen.clear();
-            for t in targets.iter().flatten() {
-                *seen.entry(*t).or_insert(0) += 1;
-            }
-            extra += seen.values().map(|&m| m - 1).sum::<usize>();
+        let mut live: Vec<u32> = Vec::new();
+        for row in self.rows() {
+            live.clear();
+            live.extend(row.iter().copied().filter(|&t| t != DANGLING));
+            live.sort_unstable();
+            // Each copy after the first of a target is one extra edge.
+            extra += live.windows(2).filter(|w| w[0] == w[1]).count();
         }
         extra
     }
@@ -216,14 +285,10 @@ impl MembershipGraph {
     /// Number of weakly connected components of the live subgraph.
     #[must_use]
     pub fn weakly_connected_components(&self) -> usize {
-        let n = self.ids.len();
-        if n == 0 {
-            return 0;
-        }
-        let mut dsu = DisjointSets::new(n);
-        for (u, targets) in self.out_edges.iter().enumerate() {
-            for &v in targets.iter().flatten() {
-                dsu.union(u, v);
+        let mut dsu = DisjointSets::new(self.ids.len());
+        for (u, row) in self.rows().enumerate() {
+            for &v in row.iter().filter(|&&t| t != DANGLING) {
+                dsu.union(u, v as usize);
             }
         }
         dsu.count()
@@ -231,25 +296,40 @@ impl MembershipGraph {
 }
 
 /// A minimal union-find (disjoint-set) structure with path compression and
-/// union by size.
+/// union by size, over fewer than `u32::MAX` elements: parents and sizes
+/// are stored as `u32`, 8 B per element.
 #[derive(Clone, Debug)]
 pub struct DisjointSets {
-    parent: Vec<usize>,
-    size: Vec<usize>,
+    parent: Vec<u32>,
+    size: Vec<u32>,
     components: usize,
 }
 
 impl DisjointSets {
     /// Creates `n` singleton sets.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` is `u32::MAX` or more.
     #[must_use]
     pub fn new(n: usize) -> Self {
-        Self { parent: (0..n).collect(), size: vec![1; n], components: n }
+        let mut sets = Self { parent: Vec::new(), size: Vec::new(), components: 0 };
+        sets.reset(n);
+        sets
     }
 
     /// Makes this `n` singleton sets again, reusing the buffers.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` is `u32::MAX` or more.
     pub fn reset(&mut self, n: usize) {
+        let end = u32::try_from(n)
+            .ok()
+            .filter(|&end| end < u32::MAX)
+            .expect("disjoint sets hold fewer than u32::MAX elements");
         self.parent.clear();
-        self.parent.extend(0..n);
+        self.parent.extend(0..end);
         self.size.clear();
         self.size.resize(n, 1);
         self.components = n;
@@ -259,13 +339,13 @@ impl DisjointSets {
     #[inline]
     pub fn find(&mut self, x: usize) -> usize {
         let mut root = x;
-        while self.parent[root] != root {
-            root = self.parent[root];
+        while self.parent[root] as usize != root {
+            root = self.parent[root] as usize;
         }
         let mut cur = x;
-        while self.parent[cur] != root {
-            let next = self.parent[cur];
-            self.parent[cur] = root;
+        while self.parent[cur] as usize != root {
+            let next = self.parent[cur] as usize;
+            self.parent[cur] = root as u32;
             cur = next;
         }
         root
@@ -282,7 +362,7 @@ impl DisjointSets {
         if self.size[ra] < self.size[rb] {
             core::mem::swap(&mut ra, &mut rb);
         }
-        self.parent[rb] = ra;
+        self.parent[rb] = ra as u32;
         self.size[ra] += self.size[rb];
         self.components -= 1;
         true

@@ -10,18 +10,17 @@ use std::collections::HashMap;
 
 use sandf_core::NodeId;
 
-use crate::multigraph::MembershipGraph;
+use crate::multigraph::{MembershipGraph, DANGLING};
 
-/// Edge → multiplicity. Callers only look edges up and sum integers over
-/// it, so its order cannot reach output.
+/// Live edge → multiplicity, from one walk over the rows: O(edges).
+/// Callers only look edges up and sum integers over it, so its order
+/// cannot reach output.
 fn edge_multiset(g: &MembershipGraph) -> HashMap<(NodeId, NodeId), usize> {
+    let ids = g.ids();
     let mut edges = HashMap::new();
-    for &u in g.ids() {
-        for &v in g.ids() {
-            let m = g.edge_multiplicity(u, v);
-            if m > 0 {
-                edges.insert((u, v), m);
-            }
+    for (&u, row) in ids.iter().zip(g.rows()) {
+        for &t in row.iter().filter(|&&t| t != DANGLING) {
+            *edges.entry((u, ids[t as usize])).or_insert(0) += 1;
         }
     }
     edges

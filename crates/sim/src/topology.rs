@@ -93,8 +93,8 @@ pub fn random<R: Rng + ?Sized>(n: usize, config: SfConfig, d0: usize, rng: &mut 
 ///
 /// # Panics
 ///
-/// The returned iterator panics lazily if `d0` is odd, exceeds the view
-/// size, or `d0 ≥ n`.
+/// Panics at the call, before any node is drawn, if `d0` is odd, exceeds
+/// the view size, or `d0 ≥ n`.
 pub fn random_iter(
     n: usize,
     config: SfConfig,
@@ -257,6 +257,13 @@ mod tests {
     #[should_panic(expected = "even")]
     fn circulant_rejects_odd_degree() {
         let _ = circulant(20, config(), 3);
+    }
+
+    /// The iterator is dropped unconsumed: the check runs at the call.
+    #[test]
+    #[should_panic(expected = "even")]
+    fn random_iter_rejects_an_odd_degree_at_the_call() {
+        let _ = random_iter(20, config(), 3, 7);
     }
 
     #[test]

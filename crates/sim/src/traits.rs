@@ -531,12 +531,27 @@ pub trait Engine {
     /// Snapshots the membership graph over the rows of
     /// [`for_each_live_row`](Engine::for_each_live_row): live order,
     /// protocol-visible slots only.
+    ///
+    /// The rows stream into the snapshot's compressed-sparse-row arrays:
+    /// each row's slot words are appended to one target array, sized
+    /// exactly from [`degree_stats`](Engine::degree_stats)' edge count,
+    /// and [`MembershipGraph::from_flat_rows`] resolves them to positions
+    /// in place. No per-node buffer and no second copy of the edges exist
+    /// at any point: the snapshot holds 4 B per edge and at most 32 B per
+    /// node (its ids, row offsets, indegrees and id index).
     fn graph(&self) -> MembershipGraph {
-        let mut views = Vec::with_capacity(self.len());
-        self.for_each_live_row(&mut |owner, words| {
-            views.push((widen(owner), words.iter().map(|&word| widen(word)).collect()));
+        let mut ids = Vec::with_capacity(self.len());
+        let mut offsets = Vec::with_capacity(self.len() + 1);
+        offsets.push(0u32);
+        let mut words = Vec::with_capacity(self.degree_stats().edges() as usize);
+        self.for_each_live_row(&mut |owner, row| {
+            ids.push(widen(owner));
+            words.extend_from_slice(row);
+            offsets.push(
+                u32::try_from(words.len()).expect("a graph snapshot holds fewer than 2^32 edges"),
+            );
         });
-        MembershipGraph::from_views(views)
+        MembershipGraph::from_flat_rows(ids, offsets, words)
     }
 
     /// Visits every live node's row, in the engine's live order: the
