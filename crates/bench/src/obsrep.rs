@@ -103,7 +103,7 @@ pub fn obs_report(config: &ObsReportConfig) -> ObsReport {
     } else {
         DelayModel::UniformSteps { max: config.max_delay }
     };
-    let mut sim = FlatSimulation::with_delay(nodes, loss, delay, config.seed);
+    let mut sim = FlatSimulation::new(nodes, loss, config.seed).delayed(delay);
     sim.subscribe(Box::new(SimRecorder::with_journal(&registry, journal.clone())));
     if config.profile {
         sim.attach_profiler(&registry);

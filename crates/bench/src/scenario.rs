@@ -75,7 +75,7 @@ use sandf_sim::fault::{expect_args, parse_num};
 use sandf_sim::stream::fnv1a64;
 pub use sandf_sim::PhaseFault;
 use sandf_sim::{
-    topology, BroadcastConfig, BroadcastLayer, Engine, ParSimulation, ScheduledFault, UniformLoss,
+    BroadcastConfig, BroadcastLayer, Engine, ParSimulation, ScheduledFault, UniformLoss,
 };
 
 use crate::fmt;
@@ -723,20 +723,11 @@ fn run_replicate(
     let sim_seed = rng.next_u64();
     let config = scenario.config();
     let fault = scenario.compile(fault_salt);
-    match scenario.protocol {
-        // S&F keeps its own constructor: `circulant` nodes lay their slots
-        // out differently from `from_views`, and the goldens pin that.
-        ProtocolSpec::Sf => {
-            let nodes = topology::circulant(scenario.n, config, scenario.degree);
-            let sim = ParSimulation::new(nodes, fault, sim_seed, threads);
-            drive_replicate(sim, scenario, target, sim_seed, counters, registry)
-        }
-        baseline => with_behavior!(baseline.kind(), |behavior| {
-            let views = ring_views(scenario.n, scenario.degree);
-            let sim = ParSimulation::from_views(behavior, config, views, fault, sim_seed, threads);
-            drive_replicate(sim, scenario, target, sim_seed, counters, registry)
-        }),
-    }
+    with_behavior!(scenario.protocol.kind(), |behavior| {
+        let views = ring_views(scenario.n, scenario.degree);
+        let sim = ParSimulation::from_views(behavior, config, views, fault, sim_seed, threads);
+        drive_replicate(sim, scenario, target, sim_seed, counters, registry)
+    })
 }
 
 /// The replicate body, generic over the unified [`Engine`] trait: burn-in,

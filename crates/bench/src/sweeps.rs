@@ -778,7 +778,8 @@ pub fn delay_table(n: usize, rounds: usize, replicates: usize, base_seed: u64) -
     let nodes = topology::circulant(n, config, initial_degree(config, n));
     let results = spec.run(&["mean_out", "in_std", "dependent_frac", "connected"], |cell, rng| {
         let loss = UniformLoss::new(0.02).expect("valid rate");
-        let mut sim = FlatSimulation::with_delay(nodes.clone(), loss, cell.model(), rng.next_u64());
+        let mut sim =
+            FlatSimulation::new(nodes.clone(), loss, rng.next_u64()).delayed(cell.model());
         for _ in 0..n * rounds {
             sim.step();
         }

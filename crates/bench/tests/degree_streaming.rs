@@ -89,12 +89,8 @@ fn random_schedule<E: Engine<Fault = UniformLoss>>(mut sim: E, seed: u64, label:
 #[test]
 fn flat_streaming_stats_survive_random_schedules() {
     for seed in SEEDS {
-        let sim = FlatSimulation::with_delay(
-            nodes(),
-            UniformLoss::new(0.05).expect("legal rate"),
-            DelayModel::UniformSteps { max: 8 },
-            seed,
-        );
+        let sim = FlatSimulation::new(nodes(), UniformLoss::new(0.05).expect("legal rate"), seed)
+            .delayed(DelayModel::UniformSteps { max: 8 });
         random_schedule(sim, seed, "flat");
     }
 }
@@ -103,13 +99,13 @@ fn flat_streaming_stats_survive_random_schedules() {
 fn par_streaming_stats_survive_random_schedules() {
     for seed in SEEDS {
         for threads in [1usize, 3] {
-            let sim = ParSimulation::with_delay(
+            let sim = ParSimulation::new(
                 nodes(),
                 UniformLoss::new(0.05).expect("legal rate"),
-                DelayModel::UniformSteps { max: 8 },
                 seed,
                 threads,
-            );
+            )
+            .delayed(DelayModel::UniformSteps { max: 8 });
             random_schedule(sim, seed, &format!("par/{threads}"));
         }
     }

@@ -52,7 +52,7 @@ fn bursty() -> GilbertElliott {
 fn flat_artifact<L: LossModel>(loss: L, seed: u64) -> String {
     let registry = MetricsRegistry::new();
     let mut sim =
-        FlatSimulation::with_delay(nodes(), loss, DelayModel::UniformSteps { max: 8 }, seed);
+        FlatSimulation::new(nodes(), loss, seed).delayed(DelayModel::UniformSteps { max: 8 });
     sim.subscribe(Box::new(SimRecorder::new(&registry)));
     sim.run_rounds(ROUNDS);
     sim.settle();
@@ -75,7 +75,7 @@ fn sweep_artifact() -> String {
 fn churn_artifact<L: LossModel>(loss: L, seed: u64) -> String {
     let registry = MetricsRegistry::new();
     let mut sim =
-        FlatSimulation::with_delay(nodes(), loss, DelayModel::UniformSteps { max: 8 }, seed);
+        FlatSimulation::new(nodes(), loss, seed).delayed(DelayModel::UniformSteps { max: 8 });
     sim.subscribe(Box::new(SimRecorder::new(&registry)));
     for epoch in 0..4u64 {
         for _ in 0..5 {

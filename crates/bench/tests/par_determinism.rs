@@ -59,13 +59,8 @@ fn bursty() -> GilbertElliott {
 /// only — no wall-clock spans — so byte equality is the right bar.
 fn par_artifact<L: LossModel + Clone + Send>(loss: L, seed: u64, threads: usize) -> String {
     let registry = MetricsRegistry::new();
-    let mut sim = ParSimulation::with_delay(
-        nodes(),
-        loss,
-        DelayModel::UniformSteps { max: 6 },
-        seed,
-        threads,
-    );
+    let mut sim = ParSimulation::new(nodes(), loss, seed, threads)
+        .delayed(DelayModel::UniformSteps { max: 6 });
     sim.subscribe(Box::new(SimRecorder::new(&registry)));
     sim.run_rounds(ROUNDS);
     sim.settle();

@@ -19,9 +19,8 @@
 //!   histograms, so perf work has baseline numbers.
 //!
 //! Everything record-side is overhead-conscious: handles are `Arc`-shared
-//! atomics, a handle from a [disabled](MetricsRegistry::disabled) registry
-//! is a no-op behind a single branch, and the instrumented layers skip
-//! their hooks entirely when no recorder is attached.
+//! atomics, and the instrumented layers skip their hooks entirely when no
+//! recorder is subscribed and no profiler is attached.
 //!
 //! Counter and journal contents are **deterministic** for a fixed seed in
 //! single-threaded simulation runs — only span histograms carry wall-clock

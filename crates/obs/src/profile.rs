@@ -1,9 +1,8 @@
 //! RAII profiling spans feeding per-span duration histograms.
 //!
 //! A [`SpanTimer`] reads the monotonic clock on creation and records the
-//! elapsed nanoseconds into a [`HistogramHandle`] on drop. When the handle
-//! comes from a disabled registry the clock is never read, so instrumented
-//! hot loops pay a single branch.
+//! elapsed nanoseconds into a [`HistogramHandle`] on drop. Instrumented
+//! code that is not profiled holds no handle and starts no span.
 //!
 //! Span durations are wall-clock and therefore **not** deterministic —
 //! golden tests must pin span *names* only, never values.
@@ -25,25 +24,21 @@ pub fn duration_buckets() -> Vec<u64> {
 #[derive(Debug)]
 pub struct SpanTimer {
     hist: HistogramHandle,
-    start: Option<Instant>,
+    start: Instant,
 }
 
 impl SpanTimer {
-    /// Starts a span recording into `hist` on drop. No clock is read when
-    /// the handle is disabled.
+    /// Starts a span recording into `hist` on drop.
     #[must_use]
     pub fn start(hist: &HistogramHandle) -> Self {
-        let start = hist.is_enabled().then(Instant::now);
-        Self { hist: hist.clone(), start }
+        Self { hist: hist.clone(), start: Instant::now() }
     }
 }
 
 impl Drop for SpanTimer {
     fn drop(&mut self) {
-        if let Some(start) = self.start {
-            let nanos = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            self.hist.record(nanos);
-        }
+        let nanos = u64::try_from(self.start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        self.hist.record(nanos);
     }
 }
 
@@ -76,17 +71,6 @@ mod tests {
         }
         assert_eq!(outer.count(), 1);
         assert_eq!(inner.count(), 3);
-    }
-
-    #[test]
-    fn disabled_registry_skips_the_clock() {
-        let registry = MetricsRegistry::disabled();
-        let hist = registry.histogram("p.step_ns", duration_buckets());
-        {
-            let guard = SpanTimer::start(&hist);
-            assert!(guard.start.is_none(), "no clock read on disabled registry");
-        }
-        assert_eq!(hist.count(), 0);
     }
 
     #[test]

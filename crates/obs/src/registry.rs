@@ -2,10 +2,7 @@
 //! histograms under hierarchical dotted names.
 //!
 //! Handles are `Arc`-shared and record through lock-free atomics; the
-//! registry lock is touched only at registration and render time. A
-//! [disabled](MetricsRegistry::disabled) registry hands out handles whose
-//! record path is a single branch, so instrumented code needs no `cfg`
-//! gates.
+//! registry lock is touched only at registration and render time.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -21,19 +18,12 @@ struct Counter {
 }
 
 /// A cheap, cloneable handle to a registered counter.
-///
-/// Handles from a disabled registry silently drop increments.
 #[derive(Clone, Debug)]
 pub struct CounterHandle {
     inner: Arc<Counter>,
-    enabled: bool,
 }
 
 impl CounterHandle {
-    fn detached() -> Self {
-        Self { inner: Arc::new(Counter::default()), enabled: false }
-    }
-
     /// Adds one.
     #[inline]
     pub fn inc(&self) {
@@ -43,9 +33,7 @@ impl CounterHandle {
     /// Adds `n`.
     #[inline]
     pub fn add(&self, n: u64) {
-        if self.enabled {
-            self.inner.value.fetch_add(n, Ordering::Relaxed);
-        }
+        self.inner.value.fetch_add(n, Ordering::Relaxed);
     }
 
     /// The current count.
@@ -66,20 +54,13 @@ struct Gauge {
 #[derive(Clone, Debug)]
 pub struct GaugeHandle {
     inner: Arc<Gauge>,
-    enabled: bool,
 }
 
 impl GaugeHandle {
-    fn detached() -> Self {
-        Self { inner: Arc::new(Gauge::default()), enabled: false }
-    }
-
     /// Records the latest value.
     #[inline]
     pub fn set(&self, value: f64) {
-        if self.enabled {
-            self.inner.bits.store(value.to_bits(), Ordering::Relaxed);
-        }
+        self.inner.bits.store(value.to_bits(), Ordering::Relaxed);
     }
 
     /// The latest recorded value (0.0 before the first `set`).
@@ -121,28 +102,12 @@ impl BucketHistogram {
 #[derive(Clone, Debug)]
 pub struct HistogramHandle {
     inner: Arc<BucketHistogram>,
-    enabled: bool,
 }
 
 impl HistogramHandle {
-    fn detached() -> Self {
-        Self { inner: Arc::new(BucketHistogram::new(vec![1])), enabled: false }
-    }
-
-    /// Whether records are kept (handles from a disabled registry drop
-    /// them). [`SpanTimer`](crate::SpanTimer) uses this to skip the clock
-    /// reads entirely.
-    #[must_use]
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Records one observation.
     #[inline]
     pub fn record(&self, value: u64) {
-        if !self.enabled {
-            return;
-        }
         let h = &*self.inner;
         match h.bounds.partition_point(|&b| b < value) {
             i if i < h.counts.len() => h.counts[i].fetch_add(1, Ordering::Relaxed),
@@ -237,12 +202,6 @@ impl Metric {
     }
 }
 
-#[derive(Debug)]
-struct Inner {
-    enabled: bool,
-    metrics: Mutex<BTreeMap<String, Metric>>,
-}
-
 /// A registry of metrics under hierarchical dotted names.
 ///
 /// Clone-cheap: clones share the same metric set, so a registry can be
@@ -252,7 +211,7 @@ struct Inner {
 /// returns handles to the same metric.
 #[derive(Clone, Debug)]
 pub struct MetricsRegistry {
-    inner: Arc<Inner>,
+    metrics: Arc<Mutex<BTreeMap<String, Metric>>>,
 }
 
 impl Default for MetricsRegistry {
@@ -262,24 +221,10 @@ impl Default for MetricsRegistry {
 }
 
 impl MetricsRegistry {
-    /// Creates an enabled registry.
+    /// Creates an empty registry.
     #[must_use]
     pub fn new() -> Self {
-        Self { inner: Arc::new(Inner { enabled: true, metrics: Mutex::new(BTreeMap::new()) }) }
-    }
-
-    /// Creates a disabled registry: handles are no-ops, nothing is
-    /// registered, and renders are empty. Instrumented code paths can take
-    /// a registry unconditionally and stay overhead-free.
-    #[must_use]
-    pub fn disabled() -> Self {
-        Self { inner: Arc::new(Inner { enabled: false, metrics: Mutex::new(BTreeMap::new()) }) }
-    }
-
-    /// Whether this registry records anything.
-    #[must_use]
-    pub fn is_enabled(&self) -> bool {
-        self.inner.enabled
+        Self { metrics: Arc::new(Mutex::new(BTreeMap::new())) }
     }
 
     fn validate(name: &str) {
@@ -301,13 +246,11 @@ impl MetricsRegistry {
     #[must_use]
     pub fn counter(&self, name: &str) -> CounterHandle {
         Self::validate(name);
-        if !self.inner.enabled {
-            return CounterHandle::detached();
-        }
-        let mut metrics = self.inner.metrics.lock();
-        match metrics.entry(name.to_string()).or_insert_with(|| {
-            Metric::Counter(CounterHandle { inner: Arc::new(Counter::default()), enabled: true })
-        }) {
+        let mut metrics = self.metrics.lock();
+        match metrics
+            .entry(name.to_string())
+            .or_insert_with(|| Metric::Counter(CounterHandle { inner: Arc::default() }))
+        {
             Metric::Counter(handle) => handle.clone(),
             other => panic!("metric {name:?} already registered as a {}", other.kind()),
         }
@@ -322,13 +265,11 @@ impl MetricsRegistry {
     #[must_use]
     pub fn gauge(&self, name: &str) -> GaugeHandle {
         Self::validate(name);
-        if !self.inner.enabled {
-            return GaugeHandle::detached();
-        }
-        let mut metrics = self.inner.metrics.lock();
-        match metrics.entry(name.to_string()).or_insert_with(|| {
-            Metric::Gauge(GaugeHandle { inner: Arc::new(Gauge::default()), enabled: true })
-        }) {
+        let mut metrics = self.metrics.lock();
+        match metrics
+            .entry(name.to_string())
+            .or_insert_with(|| Metric::Gauge(GaugeHandle { inner: Arc::default() }))
+        {
             Metric::Gauge(handle) => handle.clone(),
             other => panic!("metric {name:?} already registered as a {}", other.kind()),
         }
@@ -345,15 +286,9 @@ impl MetricsRegistry {
     #[must_use]
     pub fn histogram(&self, name: &str, bounds: Vec<u64>) -> HistogramHandle {
         Self::validate(name);
-        if !self.inner.enabled {
-            return HistogramHandle::detached();
-        }
-        let mut metrics = self.inner.metrics.lock();
+        let mut metrics = self.metrics.lock();
         match metrics.entry(name.to_string()).or_insert_with(|| {
-            Metric::Histogram(HistogramHandle {
-                inner: Arc::new(BucketHistogram::new(bounds)),
-                enabled: true,
-            })
+            Metric::Histogram(HistogramHandle { inner: Arc::new(BucketHistogram::new(bounds)) })
         }) {
             Metric::Histogram(handle) => handle.clone(),
             other => panic!("metric {name:?} already registered as a {}", other.kind()),
@@ -364,13 +299,13 @@ impl MetricsRegistry {
     /// list (names drift loudly; values are run-dependent).
     #[must_use]
     pub fn metric_names(&self) -> Vec<String> {
-        self.inner.metrics.lock().keys().cloned().collect()
+        self.metrics.lock().keys().cloned().collect()
     }
 
     /// The current value of a registered counter, if any.
     #[must_use]
     pub fn counter_value(&self, name: &str) -> Option<u64> {
-        match self.inner.metrics.lock().get(name) {
+        match self.metrics.lock().get(name) {
             Some(Metric::Counter(handle)) => Some(handle.get()),
             _ => None,
         }
@@ -381,7 +316,7 @@ impl MetricsRegistry {
     /// (`{quantile="…"}` samples plus `_sum` and `_count`).
     #[must_use]
     pub fn render_prometheus(&self) -> String {
-        let metrics = self.inner.metrics.lock();
+        let metrics = self.metrics.lock();
         let mut out = String::new();
         for (name, metric) in metrics.iter() {
             let flat = format!("sandf_{}", name.replace('.', "_"));
@@ -416,7 +351,7 @@ impl MetricsRegistry {
     /// `.count`, `.sum`, `.p50`, `.p95`, `.p99` rows.
     #[must_use]
     pub fn render_tsv(&self) -> String {
-        let metrics = self.inner.metrics.lock();
+        let metrics = self.metrics.lock();
         let mut out = String::from("metric\tkind\tvalue\n");
         for (name, metric) in metrics.iter() {
             match metric {
@@ -489,23 +424,6 @@ mod tests {
         let registry = MetricsRegistry::new();
         let h = registry.histogram("span.empty", vec![1, 2]);
         assert_eq!(h.p50(), None);
-    }
-
-    #[test]
-    fn disabled_registry_is_a_no_op() {
-        let registry = MetricsRegistry::disabled();
-        assert!(!registry.is_enabled());
-        let c = registry.counter("sim.step.lost");
-        c.add(10);
-        assert_eq!(c.get(), 0);
-        let h = registry.histogram("span.step", vec![1]);
-        h.record(5);
-        assert_eq!(h.count(), 0);
-        let g = registry.gauge("x");
-        g.set(1.0);
-        assert_eq!(g.get(), 0.0);
-        assert!(registry.metric_names().is_empty());
-        assert!(registry.render_prometheus().is_empty());
     }
 
     #[test]

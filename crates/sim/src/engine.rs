@@ -187,17 +187,19 @@ impl<M, F: FnMut(&StepReport<M>) + Send> StepSubscriber<M> for F {
 /// [`DelayModel::Immediate`] the receive step executes right after the send
 /// (the central-entity execution of Section 5); with
 /// [`DelayModel::UniformSteps`] each message is delivered a uniformly
-/// random number of *global steps* later, so arbitrary actions interleave
+/// random number of time units later, so arbitrary actions interleave
 /// with in-flight messages — the asynchrony the protocol claims to
-/// tolerate, and the `delay` tests verify it does.
+/// tolerate, and the `delay` tests verify it does. A delay is installed on
+/// an S&F engine with [`ArenaSim::delayed`](crate::ArenaSim::delayed),
+/// which says what the unit is: a step under flat, a round under par.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum DelayModel {
     /// The receive step runs immediately after the send step.
     Immediate,
-    /// Each delivered message arrives `1..=max` global steps after the
-    /// send, sampled uniformly.
+    /// Each delivered message arrives `1..=max` time units (flat: steps,
+    /// par: rounds) after the send, sampled uniformly.
     UniformSteps {
-        /// The largest possible delay, in steps.
+        /// The largest possible delay.
         max: u64,
     },
 }
@@ -375,12 +377,8 @@ mod tests {
         // Observation 5.1 must survive arbitrarily interleaved actions —
         // the non-atomicity claim of Section 4.
         let nodes = topology::circulant(24, config(), 4);
-        let mut sim = FlatSimulation::with_delay(
-            nodes,
-            UniformLoss::new(0.1).unwrap(),
-            DelayModel::UniformSteps { max: 200 },
-            7,
-        );
+        let mut sim = FlatSimulation::new(nodes, UniformLoss::new(0.1).unwrap(), 7)
+            .delayed(DelayModel::UniformSteps { max: 200 });
         for _ in 0..5_000 {
             sim.step();
             assert_band(&sim);
@@ -394,7 +392,7 @@ mod tests {
         let mean_out = |delay: DelayModel| {
             let nodes = topology::circulant(128, config(), 8);
             let mut sim =
-                FlatSimulation::with_delay(nodes, UniformLoss::new(0.02).unwrap(), delay, 11);
+                FlatSimulation::new(nodes, UniformLoss::new(0.02).unwrap(), 11).delayed(delay);
             for _ in 0..128 * 400 {
                 sim.step();
             }
@@ -476,12 +474,8 @@ mod tests {
         let log: Arc<Mutex<Vec<(StepPhase, StepEvent)>>> = Arc::new(Mutex::new(Vec::new()));
         let sink = Arc::clone(&log);
         let nodes = topology::circulant(24, config(), 4);
-        let mut sim = FlatSimulation::with_delay(
-            nodes,
-            UniformLoss::none(),
-            DelayModel::UniformSteps { max: 30 },
-            23,
-        );
+        let mut sim = FlatSimulation::new(nodes, UniformLoss::none(), 23)
+            .delayed(DelayModel::UniformSteps { max: 30 });
         sim.subscribe(Box::new(move |r: &StepReport| {
             sink.lock().unwrap().push((r.phase, r.event))
         }));

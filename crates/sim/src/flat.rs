@@ -21,9 +21,9 @@
 //!   `push` on each, and `leave` is O(1) — look the position up,
 //!   `swap_remove` it, re-point the one entry that moved
 //!   (`tests/churn_index.rs` holds it to an O(live) scan);
-//! * **ring-buffer delivery** — under [`DelayModel::UniformSteps`] the
-//!   in-flight queue is a preallocated ring of `max + 1` buckets reused
-//!   round after round (`O(max)` memory), so no delivery allocates;
+//! * **due-time delivery** — under [`DelayModel::UniformSteps`] (S&F
+//!   only, bound in steps) a message waits in the shell's in-flight queue
+//!   and is delivered at the start of the step it is due;
 //! * **branch-light stepping** — the subscriber-free delivery drain is a
 //!   single counter check per step, and the observed paths stay out of
 //!   line.
@@ -35,9 +35,10 @@
 //! algebra (initiate / receive over a [`SlotView`](crate::SlotView) window
 //! into the arena); the engine owns scheduling, the lossy channel, and the
 //! system-wide stats. Protocols that reply (push-pull, shuffle) route the
-//! reply back through the channel: a loss draw per hop, delay-model
-//! scheduling, and a [`MAX_REPLY_CHAIN`] hop cap per delivery. S&F never
-//! replies, so the reply machinery is dead code on the default path.
+//! reply back through the channel at once: a loss draw per hop and a
+//! [`MAX_REPLY_CHAIN`] hop cap per delivery. S&F never replies, so the
+//! reply machinery is dead code on the default path, and only S&F is
+//! delayed.
 //!
 //! # What holds it
 //!
@@ -69,7 +70,7 @@ use sandf_obs::{duration_buckets, HistogramHandle, MetricsRegistry, SpanTimer};
 use crate::arena::Arena;
 use crate::engine::{DelayModel, StepEvent, StepPhase, StepReport};
 use crate::fault::{FaultCtx, FaultModel};
-use crate::shell::{ring_for, ArenaSim, Schedule};
+use crate::shell::{ArenaSim, Schedule};
 use crate::traits::{Engine, ProtocolBehavior, SfBehavior, MAX_REPLY_CHAIN};
 
 /// The serial central-entity engine: the shell [`ArenaSim`] under the
@@ -83,8 +84,8 @@ use crate::traits::{Engine, ProtocolBehavior, SfBehavior, MAX_REPLY_CHAIN};
 /// All views live in one contiguous `n × s` slot arena (`u32::MAX` marks
 /// an empty slot, a parallel byte array carries the per-slot flag bits),
 /// outdegrees are a dense array, counters are kept once, system-wide, in
-/// [`SimStats`](crate::SimStats), and the delayed in-flight queue is a
-/// preallocated ring of `max + 1` buckets.
+/// [`SimStats`](crate::SimStats), and a delayed message waits in the
+/// shell's in-flight queue.
 ///
 /// ```
 /// use sandf_core::SfConfig;
@@ -99,7 +100,7 @@ use crate::traits::{Engine, ProtocolBehavior, SfBehavior, MAX_REPLY_CHAIN};
 /// ```
 ///
 /// A clone starts with no subscribers and shares an attached profiler.
-pub type FlatSimulation<L, B = SfBehavior> = ArenaSim<Flat<<B as ProtocolBehavior>::Msg>, L, B>;
+pub type FlatSimulation<L, B = SfBehavior> = ArenaSim<Flat, L, B>;
 
 /// A delivery hop's outcome: the step event, plus a protocol reply
 /// (receiver, message) still to be routed.
@@ -173,41 +174,32 @@ struct StepProfile {
 }
 
 /// The central-entity schedule's own state, beside what the shell owns:
-/// the live order, the global RNG, the step clock and the due-time ring.
+/// the live order, the global RNG and how far the queue is drained.
 #[derive(Clone)]
-pub struct Flat<M> {
+pub struct Flat {
     /// The live order the initiator draw indexes into.
     order: LiveOrder,
     rng: StdRng,
-    /// Global step counter (drives in-flight delivery times).
-    now: u64,
-    /// Delivery ring: bucket `t % ring.len()` holds the messages due at
-    /// step `t` (each entry carries its exact due time, since replies
-    /// scheduled mid-drain can transiently alias a residue to a later
-    /// lap). Empty in immediate mode.
-    ring: Vec<Vec<(u64, NodeId, M)>>,
     /// All delivery times `≤ drained_to` have been drained.
     drained_to: u64,
     /// Hot-path span histograms, when a profiler is attached.
     profile: Option<StepProfile>,
 }
 
-impl<M> Flat<M> {
+impl Flat {
     /// A fresh schedule over a freshly built arena: every node live, in
     /// dense (= insertion) order.
     fn seeded(seed: u64) -> Self {
         Self {
             order: LiveOrder::Dense,
             rng: StdRng::seed_from_u64(seed),
-            now: 0,
-            ring: Vec::new(),
             drained_to: 0,
             profile: None,
         }
     }
 }
 
-impl<L: FaultModel, B: ProtocolBehavior> Schedule<L, B> for Flat<B::Msg> {
+impl<L: FaultModel, B: ProtocolBehavior> Schedule<L, B> for Flat {
     fn round(sim: &mut FlatSimulation<L, B>) {
         sim.round();
     }
@@ -282,25 +274,6 @@ impl<L: FaultModel> FlatSimulation<L, SfBehavior> {
     pub fn new(nodes: impl IntoIterator<Item = SfNode>, loss: L, seed: u64) -> Self {
         Self::over(Arena::from_nodes(nodes), SfBehavior, loss, Flat::seeded(seed))
     }
-
-    /// Creates a flat S&F simulation with a message-delay model, so
-    /// actions overlap in time (the asynchronous regime of Section 4.1).
-    /// The in-flight queue becomes a preallocated ring of `max + 1`
-    /// buckets, so steady-state stepping performs no queue allocation.
-    ///
-    /// # Panics
-    ///
-    /// Panics on the same conditions as [`new`](Self::new), or when the
-    /// delay bound is zero.
-    #[must_use]
-    pub fn with_delay(
-        nodes: impl IntoIterator<Item = SfNode>,
-        loss: L,
-        delay: DelayModel,
-        seed: u64,
-    ) -> Self {
-        Self::new(nodes, loss, seed).delayed(delay)
-    }
 }
 
 impl<L: FaultModel, B: ProtocolBehavior> FlatSimulation<L, B> {
@@ -309,10 +282,9 @@ impl<L: FaultModel, B: ProtocolBehavior> FlatSimulation<L, B> {
     /// in slot order, untagged). `config` supplies the view size `s` and
     /// — through the behavior's hooks — the bootstrap parameters.
     ///
-    /// This is the protocol zoo's entry point; the S&F constructors
-    /// ([`new`](FlatSimulation::new) /
-    /// [`with_delay`](FlatSimulation::with_delay)) remain the fast path
-    /// for the paper's protocol.
+    /// This is the protocol zoo's entry point; the S&F constructor
+    /// [`new`](FlatSimulation::new) remains the fast path for the paper's
+    /// protocol.
     ///
     /// # Panics
     ///
@@ -329,26 +301,8 @@ impl<L: FaultModel, B: ProtocolBehavior> FlatSimulation<L, B> {
         Self::over(Arena::from_views(config, views), behavior, loss, Flat::seeded(seed))
     }
 
-    /// Installs a message-delay model on a freshly built simulation
-    /// (builder-style, shared by all constructors).
-    ///
-    /// # Panics
-    ///
-    /// Panics when called after stepping began, or when the delay bound
-    /// is zero.
-    #[must_use]
-    pub fn delayed(mut self, delay: DelayModel) -> Self {
-        assert!(self.sched.now == 0, "the delay model must be installed before stepping");
-        if let Some(ring) = ring_for(delay) {
-            self.sched.ring = ring;
-        }
-        self.delay = delay;
-        self
-    }
-
     /// Attaches hot-path profiling under the `sim.profile.*` span names:
-    /// `sim.profile.step_ns` and `sim.profile.deliver_ns`. With a disabled
-    /// registry the spans never read the clock.
+    /// `sim.profile.step_ns` and `sim.profile.deliver_ns`.
     pub fn attach_profiler(&mut self, registry: &MetricsRegistry) {
         self.sched.profile = Some(StepProfile {
             step: registry.histogram("sim.profile.step_ns", duration_buckets()),
@@ -378,7 +332,7 @@ impl<L: FaultModel, B: ProtocolBehavior> FlatSimulation<L, B> {
     #[inline]
     fn step_impl(&mut self, initiator: NodeId, k: usize) -> StepReport<B::Msg> {
         let _span = self.sched.profile.as_ref().map(|p| SpanTimer::start(&p.step));
-        self.sched.now += 1;
+        self.steps += 1;
         if self.subscribers.is_empty() {
             self.deliver_due(None);
         } else {
@@ -390,7 +344,7 @@ impl<L: FaultModel, B: ProtocolBehavior> FlatSimulation<L, B> {
                 initiator,
                 event: StepEvent::Skipped,
                 phase: StepPhase::Action,
-                step: self.sched.now,
+                step: self.steps,
             };
             if !self.subscribers.is_empty() {
                 self.notify(&report);
@@ -429,18 +383,15 @@ impl<L: FaultModel, B: ProtocolBehavior> FlatSimulation<L, B> {
                             event
                         }
                         DelayModel::UniformSteps { max } => {
-                            let deliver_at = self.sched.now + self.sched.rng.gen_range(1..=max);
-                            let bucket = (deliver_at % (max + 1)) as usize;
-                            self.sched.ring[bucket].push((deliver_at, to, message));
-                            self.in_flight_count += 1;
+                            let deliver_at = self.steps + self.sched.rng.gen_range(1..=max);
+                            self.queue.push(deliver_at, to, message);
                             StepEvent::InFlight { to, message, duplicated, deliver_at }
                         }
                     }
                 }
             }
         };
-        let report =
-            StepReport { initiator, event, phase: StepPhase::Action, step: self.sched.now };
+        let report = StepReport { initiator, event, phase: StepPhase::Action, step: self.steps };
         if observed {
             self.notify(&report);
             for chained_report in &chained {
@@ -475,8 +426,8 @@ impl<L: FaultModel, B: ProtocolBehavior> FlatSimulation<L, B> {
         }
     }
 
-    /// Routes a reply chain back through the channel: a loss draw per
-    /// hop, delay-model scheduling, [`MAX_REPLY_CHAIN`] hops max (excess
+    /// Routes a reply chain back through the channel, each hop delivered
+    /// at once: a loss draw per hop, [`MAX_REPLY_CHAIN`] hops max (excess
     /// replies are dropped uncounted). Out of line — S&F never replies.
     #[cold]
     #[inline(never)]
@@ -503,80 +454,46 @@ impl<L: FaultModel, B: ProtocolBehavior> FlatSimulation<L, B> {
                 self.stats.lost += 1;
                 StepEvent::Lost { to, message, duplicated }
             } else {
-                match self.delay {
-                    DelayModel::Immediate => {
-                        let (event, next) = self.deliver_hop(to, message);
-                        reply = next;
-                        event
-                    }
-                    DelayModel::UniformSteps { max } => {
-                        let deliver_at = self.sched.now + self.sched.rng.gen_range(1..=max);
-                        let bucket = (deliver_at % (max + 1)) as usize;
-                        self.sched.ring[bucket].push((deliver_at, to, message));
-                        self.in_flight_count += 1;
-                        StepEvent::InFlight { to, message, duplicated, deliver_at }
-                    }
-                }
+                let (event, next) = self.deliver_hop(to, message);
+                reply = next;
+                event
             };
             if let Some(out) = reports.as_deref_mut() {
                 out.push(StepReport {
                     initiator: from,
                     event,
                     phase: StepPhase::Delivery,
-                    step: self.sched.now,
+                    step: self.steps,
                 });
             }
         }
     }
 
-    /// Drains every ring bucket whose delivery time has arrived, in
-    /// increasing time order. The subscriber-free path costs one
-    /// counter check when nothing is in flight.
+    /// Drains every bucket whose delivery time has arrived, in increasing
+    /// time order. The subscriber-free path costs one counter check when
+    /// nothing is in flight.
     fn deliver_due(&mut self, mut reports: Option<&mut Vec<StepReport<B::Msg>>>) {
-        if self.in_flight_count == 0 {
-            self.sched.drained_to = self.sched.now;
+        if self.queue.is_empty() {
+            self.sched.drained_to = self.steps;
             return;
         }
-        let len = self.sched.ring.len() as u64;
-        for t in self.sched.drained_to + 1..=self.sched.now {
-            let bucket = (t % len) as usize;
-            if self.sched.ring[bucket].is_empty() {
-                continue;
-            }
-            // Swap the bucket out so deliveries can mutate the engine;
-            // restore the (cleared) allocation afterward for reuse.
-            let mut batch = std::mem::take(&mut self.sched.ring[bucket]);
-            // Replies scheduled mid-drain can alias this residue to a
-            // later lap of the ring; only entries due exactly at `t`
-            // fire now (never the case for non-replying protocols).
-            if batch.iter().any(|&(at, _, _)| at != t) {
-                for &entry in batch.iter().filter(|&&(at, _, _)| at != t) {
-                    self.sched.ring[bucket].push(entry);
-                }
-                batch.retain(|&(at, _, _)| at == t);
-            }
-            self.in_flight_count -= batch.len();
-            for &(_, to, message) in &batch {
+        for t in self.sched.drained_to + 1..=self.steps {
+            let Some(batch) = self.queue.take(t) else { continue };
+            for &(to, message) in &batch {
                 let (event, reply) = self.deliver_hop(to, message);
+                debug_assert!(reply.is_none(), "only S&F is delayed, and S&F never replies");
                 if let Some(out) = reports.as_deref_mut() {
                     out.push(StepReport {
                         initiator: B::sender(&message),
                         event,
                         phase: StepPhase::Delivery,
-                        step: self.sched.now,
+                        step: self.steps,
                     });
                 }
-                if reply.is_some() {
-                    self.process_replies(reply, reports.as_deref_mut());
-                }
             }
-            // Keep anything scheduled into this residue while the bucket
-            // was swapped out (delayed replies).
-            batch.clear();
-            let late = std::mem::replace(&mut self.sched.ring[bucket], batch);
-            self.sched.ring[bucket].extend(late);
+            self.queue.restore(t, batch);
         }
-        self.sched.drained_to = self.sched.now;
+        self.sched.drained_to = self.steps;
     }
 
     /// The subscriber path of due-message delivery: collect the delivery
@@ -592,30 +509,22 @@ impl<L: FaultModel, B: ProtocolBehavior> FlatSimulation<L, B> {
         }
     }
 
-    /// Delivers every message still in flight (advancing virtual time past
-    /// the last scheduled delivery) — call before taking an
-    /// end-of-experiment snapshot of a delayed simulation. Delivered
-    /// messages may themselves schedule delayed replies, so the drain
-    /// loops until the queue is dry (one pass for non-replying
-    /// protocols).
+    /// Delivers every message still in flight, advancing the step clock to
+    /// the last scheduled delivery — call before taking an
+    /// end-of-experiment snapshot of a delayed simulation.
     pub fn settle(&mut self) {
-        while self.in_flight_count > 0 {
-            let len = self.sched.ring.len() as u64;
-            // At rest each residue holds at most one distinct scheduled
-            // time, all in `(drained_to, drained_to + len]`; find the
-            // latest occupied one.
-            let mut last = self.sched.now;
-            for t in self.sched.drained_to + 1..=self.sched.drained_to + len {
-                if !self.sched.ring[(t % len) as usize].is_empty() {
-                    last = last.max(t);
-                }
-            }
-            self.sched.now = self.sched.now.max(last);
-            if self.subscribers.is_empty() {
-                self.deliver_due(None);
-            } else {
-                self.deliver_due_observed();
-            }
+        // Everything in flight is due in `(drained_to, drained_to + span]`.
+        let drained = self.sched.drained_to;
+        let Some(last) =
+            (drained + 1..=drained + self.queue.span()).rev().find(|&t| self.queue.holds(t))
+        else {
+            return;
+        };
+        self.steps = self.steps.max(last);
+        if self.subscribers.is_empty() {
+            self.deliver_due(None);
+        } else {
+            self.deliver_due_observed();
         }
     }
 
@@ -753,7 +662,7 @@ mod tests {
         let delay = DelayModel::UniformSteps { max: 40 };
         for (seed, classic) in CLASSIC {
             let mut flat =
-                FlatSimulation::with_delay(nodes(), UniformLoss::new(0.05).unwrap(), delay, seed);
+                FlatSimulation::new(nodes(), UniformLoss::new(0.05).unwrap(), seed).delayed(delay);
             let mut out = String::new();
             for _ in 0..1_500 {
                 writeln!(out, "{:?}", flat.step()).unwrap();
@@ -883,12 +792,8 @@ mod tests {
         // delivery reported once, in its own phase.
         let log: Arc<Mutex<Vec<StepReport>>> = Arc::new(Mutex::new(Vec::new()));
         let sink = Arc::clone(&log);
-        let mut sim = FlatSimulation::with_delay(
-            nodes(),
-            UniformLoss::new(0.05).unwrap(),
-            DelayModel::UniformSteps { max: 20 },
-            23,
-        );
+        let mut sim = FlatSimulation::new(nodes(), UniformLoss::new(0.05).unwrap(), 23)
+            .delayed(DelayModel::UniformSteps { max: 20 });
         sim.subscribe(Box::new(move |r: &StepReport| sink.lock().unwrap().push(*r)));
         let returned: Vec<StepReport> = (0..400).map(|_| sim.step()).collect();
         sim.settle();
@@ -903,12 +808,8 @@ mod tests {
 
     #[test]
     fn delayed_messages_conserve_the_ledger() {
-        let mut sim = FlatSimulation::with_delay(
-            nodes(),
-            UniformLoss::new(0.05).unwrap(),
-            DelayModel::UniformSteps { max: 40 },
-            3,
-        );
+        let mut sim = FlatSimulation::new(nodes(), UniformLoss::new(0.05).unwrap(), 3)
+            .delayed(DelayModel::UniformSteps { max: 40 });
         for _ in 0..2_000 {
             sim.step();
         }
@@ -969,12 +870,54 @@ mod tests {
     #[test]
     #[should_panic(expected = "delay bound")]
     fn zero_delay_bound_is_rejected() {
-        let _ = FlatSimulation::with_delay(
-            nodes(),
-            UniformLoss::none(),
-            DelayModel::UniformSteps { max: 0 },
-            0,
-        );
+        let _ = FlatSimulation::new(nodes(), UniformLoss::none(), 0)
+            .delayed(DelayModel::UniformSteps { max: 0 });
+    }
+
+    #[test]
+    #[should_panic(expected = "before stepping")]
+    fn delay_after_the_first_step_is_rejected() {
+        let mut sim = FlatSimulation::new(nodes(), UniformLoss::none(), 0);
+        sim.step();
+        let _ = sim.delayed(DelayModel::UniformSteps { max: 4 });
+    }
+
+    /// A delayed message is delivered at the start of the very step it is
+    /// due, also after a stretch with nothing in flight (here: the first
+    /// 60 steps lose every message, more than a lap of the 9-bucket
+    /// queue).
+    #[test]
+    fn delayed_messages_arrive_on_their_due_step() {
+        use std::collections::BTreeMap;
+        use std::sync::{Arc, Mutex};
+        let log: Arc<Mutex<Vec<StepReport>>> = Arc::new(Mutex::new(Vec::new()));
+        let sink = Arc::clone(&log);
+        let mut sim = FlatSimulation::new(nodes(), UniformLoss::new(1.0).unwrap(), 29)
+            .delayed(DelayModel::UniformSteps { max: 8 });
+        sim.subscribe(Box::new(move |r: &StepReport| sink.lock().unwrap().push(*r)));
+        for _ in 0..60 {
+            sim.step();
+        }
+        assert_eq!(sim.in_flight(), 0);
+        sim.update_fault(|f| *f = UniformLoss::none());
+        for _ in 0..2_000 {
+            sim.step();
+        }
+        let mut due: BTreeMap<u64, i64> = BTreeMap::new();
+        for report in log.lock().unwrap().iter() {
+            match (report.phase, report.event) {
+                (StepPhase::Action, StepEvent::InFlight { deliver_at, .. })
+                    if deliver_at <= 2_060 =>
+                {
+                    *due.entry(deliver_at).or_default() += 1;
+                }
+                (StepPhase::Delivery, _) => *due.entry(report.step).or_default() -= 1,
+                _ => {}
+            }
+        }
+        assert!(due.values().all(|&d| d == 0), "deliveries off their due steps: {due:?}");
+        let s = sim.stats();
+        assert!(s.stored + s.deleted > 100, "too few deliveries to tell: {s:?}");
     }
 
     #[test]

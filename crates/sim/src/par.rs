@@ -5,8 +5,8 @@
 //! `n × s` slot words, the dense ledgers, the id tables and the `u64`-id
 //! widening boundary — is the same [`Arena`] the flat schedule runs on and
 //! is documented once, in [`crate::arena`]; the readers, the churn control
-//! plane and the stats are the shell's. What this module owns is the
-//! scheduler, the in-flight queue, and the determinism contract.
+//! plane, the stats and the in-flight queue are the shell's. What this
+//! module owns is the scheduler and the determinism contract.
 //!
 //! [`FlatSimulation`](crate::FlatSimulation) is bound by single-thread
 //! throughput: one RNG stream forces every step to happen in sequence. The
@@ -20,9 +20,11 @@
 //! concurrently while staying **byte-identical for any thread count**. That contract is
 //! also why the live order here is *ascending dense order* (the order the
 //! shards walk the arena in), not the flat engine's insertion order, and
-//! why every sender owns a private clone of the loss channel. The
-//! in-flight queue is a ring of `max + 1` buckets, one per delivery
-//! *round* (a single bucket in immediate mode).
+//! why every sender owns a private clone of the loss channel. Time here is
+//! the round: the shell's in-flight queue is indexed by delivery round, so
+//! a delayed S&F engine (the one kind that is delayed) bounds its delay in
+//! rounds, and in immediate mode the queue's one bucket is delivered in the
+//! round that filled it.
 //!
 //! Each round executes three phases:
 //!
@@ -33,7 +35,7 @@
 //!    outbound messages are buffered per shard;
 //! 2. **merge phase (sequential, deterministic)** — the per-shard send
 //!    buffers are drained in shard order (= global dense order, for
-//!    every `T`) into the ring-buffer in-flight queue. Every per-shard
+//!    every `T`) into the shell's in-flight queue. Every per-shard
 //!    buffer lives on the engine across rounds and is empty at each round
 //!    boundary, so a steady round allocates nothing;
 //! 3. **delivery phase (parallel)** — the bucket due this round is
@@ -48,7 +50,7 @@
 //!    `(seed, deliver_time, bucket position)`. Replies produced by a
 //!    [`ProtocolBehavior`] receive (push-pull, shuffle — never S&F) are
 //!    collected in bucket order and routed sequentially afterwards, in
-//!    waves, each hop drawing from its own
+//!    waves, each hop delivered at once and drawing from its own
 //!    `(seed, deliver_time, wave, bucket position)` stream — so the reply
 //!    traffic is thread-count-independent too.
 //!
@@ -96,7 +98,7 @@ use sandf_obs::{duration_buckets, GaugeHandle, HistogramHandle, MetricsRegistry,
 use crate::arena::{Arena, Shard};
 use crate::engine::{DelayModel, SimStats, StepEvent, StepPhase, StepReport};
 use crate::fault::{FaultCtx, FaultModel};
-use crate::shell::{ring_for, ArenaSim, Schedule};
+use crate::shell::{ArenaSim, Schedule};
 use crate::stream::{self, absorb, stream_prefix, stream_seed};
 use crate::traits::{ProtocolBehavior, SfBehavior, MAX_REPLY_CHAIN};
 
@@ -104,8 +106,8 @@ use crate::traits::{ProtocolBehavior, SfBehavior, MAX_REPLY_CHAIN};
 /// shell [`ArenaSim`] under the `Par` schedule.
 ///
 /// Same arena layout as [`FlatSimulation`](crate::FlatSimulation) (one
-/// contiguous `n × s` slot arena, dense ledgers, ring-buffer in-flight
-/// queue), driven by round-based three-phase execution — parallel actions,
+/// contiguous `n × s` slot arena, dense ledgers, in-flight queue), driven
+/// by round-based three-phase execution — parallel actions,
 /// deterministic merge, parallel delivery — with per-`(seed, node, round)`
 /// FNV-1a-derived RNG streams. Results are **byte-identical for any thread
 /// count**; see the module docs for the scheme and for why this engine is
@@ -116,10 +118,11 @@ use crate::traits::{ProtocolBehavior, SfBehavior, MAX_REPLY_CHAIN};
 /// [`SfBehavior`]); build zoo instances with
 /// [`from_views`](ParSimulation::from_views).
 ///
-/// Under [`DelayModel::UniformSteps`] the bound is interpreted in
-/// *rounds*: each message arrives `1..=max` rounds after it was sent.
-/// Under [`DelayModel::Immediate`] messages are delivered in the same
-/// round's delivery phase (after every node has acted).
+/// Under [`DelayModel::UniformSteps`] (installed on S&F with
+/// [`delayed`](ArenaSim::delayed)) the bound is interpreted in *rounds*:
+/// each message arrives `1..=max` rounds after it was sent. Under
+/// [`DelayModel::Immediate`] messages are delivered in the same round's
+/// delivery phase (after every node has acted).
 ///
 /// As with the flat engine, a clone starts with no subscribers and shares
 /// an attached profiler.
@@ -186,7 +189,7 @@ struct ActionCtx {
 /// starts with none.
 struct ShardScratch<M> {
     /// The running round's outbound messages as `(deliver_round, to,
-    /// message)`, in dense order; drained into the ring by the merge.
+    /// message)`, in dense order; drained into the queue by the merge.
     sends: Vec<(u64, NodeId, M)>,
     /// The drained bucket's messages to this shard's receivers, as
     /// `(sorted bucket position, receiver's dense index)`, in bucket order.
@@ -262,8 +265,8 @@ impl<M> DeliveryShardOut<M> {
 }
 
 /// The sharded schedule's own state, beside what the shell owns: the
-/// per-sender channels, the stream seed and control-plane RNG, the
-/// round-indexed ring and the shard scratch.
+/// per-sender channels, the stream seed and control-plane RNG and the
+/// shard scratch.
 #[derive(Clone)]
 pub struct Par<L, M> {
     /// Per-sender loss channels, indexed by dense node index. Stateful
@@ -274,12 +277,6 @@ pub struct Par<L, M> {
     /// Control-plane RNG (join_via shuffles) — deterministic and separate
     /// from the per-node streams.
     ctl_rng: StdRng,
-    /// Global action counter (one per live node per round), stamped on
-    /// reports for parity with the flat engine.
-    step_counter: u64,
-    /// Delivery ring: bucket `t % ring.len()` holds the messages due at
-    /// round `t`. A single bucket in immediate mode.
-    ring: Vec<Vec<(NodeId, M)>>,
     threads: usize,
     /// Shard balance of the last executed round: max shard live count over
     /// the perfectly balanced share (1.0 = balanced).
@@ -338,26 +335,6 @@ impl<L: FaultModel + Clone + Send> ParSimulation<L, SfBehavior> {
     ) -> Self {
         Self::sharded(Arena::from_nodes(nodes), SfBehavior, loss, seed, threads)
     }
-
-    /// Creates a sharded simulation with a message-delay model. Under
-    /// [`DelayModel::UniformSteps`] the bound `max` is interpreted in
-    /// **rounds** (the engine's time unit): each message arrives
-    /// `1..=max` rounds after the round that sent it.
-    ///
-    /// # Panics
-    ///
-    /// Panics on the same conditions as [`new`](Self::new), or when the
-    /// delay bound is zero.
-    #[must_use]
-    pub fn with_delay(
-        nodes: impl IntoIterator<Item = SfNode>,
-        loss: L,
-        delay: DelayModel,
-        seed: u64,
-        threads: usize,
-    ) -> Self {
-        Self::new(nodes, loss, seed, threads).delayed(delay)
-    }
 }
 
 impl<L: FaultModel + Clone + Send, B: ProtocolBehavior> ParSimulation<L, B> {
@@ -391,32 +368,12 @@ impl<L: FaultModel + Clone + Send, B: ProtocolBehavior> ParSimulation<L, B> {
             channels: vec![loss.clone(); arena.dense_id.len()],
             seed,
             ctl_rng: StdRng::seed_from_u64(control_seed(seed)),
-            step_counter: 0,
-            ring: vec![Vec::new()],
             threads,
             last_imbalance: 1.0,
             profile: None,
             scratch: Vec::new(),
         };
         Self::over(arena, behavior, loss, sched)
-    }
-
-    /// Installs a message-delay model on a freshly built simulation
-    /// (builder-style, shared by all constructors). Under
-    /// [`DelayModel::UniformSteps`] the bound is interpreted in rounds.
-    ///
-    /// # Panics
-    ///
-    /// Panics when called after the first round, or when the delay bound
-    /// is zero.
-    #[must_use]
-    pub fn delayed(mut self, delay: DelayModel) -> Self {
-        assert!(self.rounds == 0, "the delay model must be installed before the first round");
-        if let Some(ring) = ring_for(delay) {
-            self.sched.ring = ring;
-        }
-        self.delay = delay;
-        self
     }
 
     /// Attaches per-phase profiling: `sim.profile.par.{action,merge,deliver}_ns`
@@ -471,7 +428,7 @@ impl<L: FaultModel + Clone + Send, B: ProtocolBehavior> ParSimulation<L, B> {
 
     /// Executes one three-phase round: every live node initiates exactly
     /// once (parallel, per-node RNG streams), sends are merged
-    /// deterministically into the in-flight ring, and the messages due
+    /// deterministically into the in-flight queue, and the messages due
     /// this round are delivered (parallel).
     pub fn round(&mut self) {
         let (shard_len, threads) = self.shard_plan();
@@ -515,15 +472,12 @@ impl<L: FaultModel + Clone + Send, B: ProtocolBehavior> ParSimulation<L, B> {
         let mut action_reports: Vec<StepReport<B::Msg>> = Vec::new();
         {
             let _span = self.sched.profile.as_ref().map(|p| SpanTimer::start(&p.merge));
-            let ring_len = self.sched.ring.len() as u64;
             for (out, scratch) in outs.into_iter().zip(&mut self.sched.scratch) {
                 merge_stats(&mut self.stats, &out.stats);
                 self.arena.degree_hist.apply_deltas(&out.hist);
                 for &(deliver_round, to, message) in &scratch.sends {
-                    let bucket = (deliver_round % ring_len) as usize;
-                    self.sched.ring[bucket].push((to, message));
+                    self.queue.push(deliver_round, to, message);
                 }
-                self.in_flight_count += scratch.sends.len();
                 scratch.sends.clear();
                 if observed {
                     action_reports.extend(out.reports);
@@ -531,7 +485,7 @@ impl<L: FaultModel + Clone + Send, B: ProtocolBehavior> ParSimulation<L, B> {
             }
         }
         if observed {
-            let mut step = self.sched.step_counter;
+            let mut step = self.steps;
             for report in &mut action_reports {
                 step += 1;
                 report.step = step;
@@ -540,8 +494,8 @@ impl<L: FaultModel + Clone + Send, B: ProtocolBehavior> ParSimulation<L, B> {
                 self.notify(report);
             }
         }
-        self.sched.step_counter += live_total;
-        let end_step = self.sched.step_counter;
+        self.steps += live_total;
+        let end_step = self.steps;
 
         // --- Phase 3: deliver the bucket due this round. ---
         {
@@ -552,17 +506,12 @@ impl<L: FaultModel + Clone + Send, B: ProtocolBehavior> ParSimulation<L, B> {
         debug_assert!(self.sched.scratch.iter().all(ShardScratch::is_empty));
     }
 
-    /// Drains the ring bucket due at time `at`: stably orders it by
+    /// Drains the bucket due at time `at`: stably orders it by
     /// `(deliver_time, sender, slot)` (see the module docs), counts dead
     /// letters sequentially, applies the surviving receives in parallel
     /// per receiver shard, then routes any replies sequentially in waves.
     fn deliver_bucket(&mut self, at: u64, shard_len: usize, threads: usize, end_step: u64) {
-        let bucket = (at % self.sched.ring.len() as u64) as usize;
-        if self.sched.ring[bucket].is_empty() {
-            return;
-        }
-        let mut batch = std::mem::take(&mut self.sched.ring[bucket]);
-        self.in_flight_count -= batch.len();
+        let Some(mut batch) = self.queue.take(at) else { return };
         // One bucket holds exactly one delivery time, and a sender emits at
         // most one message (one slot) per round, so a stable sort by sender
         // realizes the (deliver_time, sender, slot) order with send-round
@@ -624,11 +573,7 @@ impl<L: FaultModel + Clone + Send, B: ProtocolBehavior> ParSimulation<L, B> {
                 self.notify(&report);
             }
         }
-        batch.clear();
-        // Restore the allocation before routing replies: delayed replies
-        // land `1..=max` rounds later, never back in this bucket (the ring
-        // has `max + 1` buckets).
-        self.sched.ring[bucket] = batch;
+        self.queue.restore(at, batch);
         if !replies.is_empty() {
             replies.sort_by_key(|&(pos, _, _)| pos);
             self.process_reply_waves(replies, at, end_step);
@@ -637,7 +582,8 @@ impl<L: FaultModel + Clone + Send, B: ProtocolBehavior> ParSimulation<L, B> {
 
     /// Routes the replies a drained bucket produced, sequentially and in
     /// waves: wave `w` holds the replies triggered by wave `w − 1` (wave 0
-    /// being the parallel bucket delivery), each hop drawing loss and
+    /// being the parallel bucket delivery), each hop delivered at once and
+    /// drawing loss and
     /// placement from its private `(seed, at, wave, pos)` stream — so the
     /// whole cascade is thread-count-independent. Chains stop after
     /// [`MAX_REPLY_CHAIN`] waves (excess replies dropped uncounted, like
@@ -680,41 +626,26 @@ impl<L: FaultModel + Clone + Send, B: ProtocolBehavior> ParSimulation<L, B> {
                     self.stats.lost += 1;
                     StepEvent::Lost { to, message, duplicated }
                 } else {
-                    match self.delay {
-                        DelayModel::Immediate => match self.arena.dense_of(to) {
-                            None => {
-                                self.stats.dead_letters += 1;
-                                StepEvent::DeadLetter { to, message, duplicated }
+                    match self.arena.dense_of(to) {
+                        None => {
+                            self.stats.dead_letters += 1;
+                            StepEvent::DeadLetter { to, message, duplicated }
+                        }
+                        Some(k) => {
+                            let receipt = self.arena.receive(&self.behavior, k, message, &mut rng);
+                            if receipt.deleted {
+                                self.stats.deleted += 1;
+                            } else {
+                                self.stats.stored += 1;
                             }
-                            Some(k) => {
-                                let receipt =
-                                    self.arena.receive(&self.behavior, k, message, &mut rng);
-                                if receipt.deleted {
-                                    self.stats.deleted += 1;
-                                } else {
-                                    self.stats.stored += 1;
-                                }
-                                if let Some((reply_to, reply_msg)) = receipt.reply {
-                                    next.push((pos, reply_to, reply_msg));
-                                }
-                                StepEvent::Delivered {
-                                    to,
-                                    message,
-                                    duplicated,
-                                    deleted: receipt.deleted,
-                                }
+                            if let Some((reply_to, reply_msg)) = receipt.reply {
+                                next.push((pos, reply_to, reply_msg));
                             }
-                        },
-                        DelayModel::UniformSteps { max } => {
-                            let deliver_round = at + rng.gen_range(1..=max);
-                            let bucket = (deliver_round % self.sched.ring.len() as u64) as usize;
-                            self.sched.ring[bucket].push((to, message));
-                            self.in_flight_count += 1;
-                            StepEvent::InFlight {
+                            StepEvent::Delivered {
                                 to,
                                 message,
                                 duplicated,
-                                deliver_at: deliver_round,
+                                deleted: receipt.deleted,
                             }
                         }
                     }
@@ -734,23 +665,18 @@ impl<L: FaultModel + Clone + Send, B: ProtocolBehavior> ParSimulation<L, B> {
     }
 
     /// Delivers every message still in flight, draining buckets in
-    /// increasing delivery-time order (without executing further actions)
-    /// until the ring is empty — replies scheduled mid-drain extend the
-    /// sweep.
+    /// increasing delivery-time order (without executing further actions).
     pub fn settle(&mut self) {
-        if self.in_flight_count == 0 {
+        if self.queue.is_empty() {
             return;
         }
         let (shard_len, threads) = self.shard_plan();
-        let end_step = self.sched.step_counter;
-        // Pending deliveries all lie in [round, round + ring.len()): sends
-        // from round r target r..=r+max and the last executed round was
-        // round − 1. Draining in increasing time order keeps that window
-        // invariant even when replies push messages further out.
-        let mut at = self.rounds;
-        while self.in_flight_count > 0 {
+        let end_step = self.steps;
+        // Pending deliveries all lie in [rounds, rounds + span): sends from
+        // round r target r + 1..=r + max, and the last executed round was
+        // rounds − 1.
+        for at in self.rounds..self.rounds + self.queue.span() {
             self.deliver_bucket(at, shard_len, threads, end_step);
-            at += 1;
         }
     }
 }
@@ -989,13 +915,13 @@ mod tests {
     #[test]
     fn identical_across_thread_counts_with_delay_churn_and_settle() {
         let run = |threads: usize| {
-            let mut sim = ParSimulation::with_delay(
+            let mut sim = ParSimulation::new(
                 nodes(),
                 GilbertElliott::new(0.05, 0.2, 0.01, 0.5).unwrap(),
-                DelayModel::UniformSteps { max: 6 },
                 2009,
                 threads,
-            );
+            )
+            .delayed(DelayModel::UniformSteps { max: 6 });
             sim.run_rounds(10);
             for round in 0..20 {
                 let victim = sim.live_ids()[round % sim.len()];
@@ -1022,13 +948,8 @@ mod tests {
         let collect = |threads: usize| {
             let log: Arc<Mutex<Vec<StepReport>>> = Arc::new(Mutex::new(Vec::new()));
             let sink = Arc::clone(&log);
-            let mut sim = ParSimulation::with_delay(
-                nodes(),
-                UniformLoss::new(0.05).unwrap(),
-                DelayModel::UniformSteps { max: 4 },
-                23,
-                threads,
-            );
+            let mut sim = ParSimulation::new(nodes(), UniformLoss::new(0.05).unwrap(), 23, threads)
+                .delayed(DelayModel::UniformSteps { max: 4 });
             sim.subscribe(Box::new(move |r: &StepReport| sink.lock().unwrap().push(*r)));
             sim.run_rounds(30);
             sim.settle();
@@ -1074,13 +995,8 @@ mod tests {
 
     #[test]
     fn delayed_messages_conserve_the_ledger() {
-        let mut sim = ParSimulation::with_delay(
-            nodes(),
-            UniformLoss::new(0.05).unwrap(),
-            DelayModel::UniformSteps { max: 8 },
-            3,
-            2,
-        );
+        let mut sim = ParSimulation::new(nodes(), UniformLoss::new(0.05).unwrap(), 3, 2)
+            .delayed(DelayModel::UniformSteps { max: 8 });
         sim.run_rounds(50);
         let s = *sim.stats();
         assert_eq!(
@@ -1277,13 +1193,13 @@ mod tests {
         // kept per-shard buffers carry nothing across a plan change.
         let build = || {
             let config = SfConfig::new(8, 2).unwrap();
-            ParSimulation::with_delay(
+            ParSimulation::new(
                 topology::circulant(4, config, 2),
                 UniformLoss::new(0.1).unwrap(),
-                DelayModel::UniformSteps { max: 3 },
                 13,
                 1,
             )
+            .delayed(DelayModel::UniformSteps { max: 3 })
         };
         let (mut one, mut switched) = (build(), build());
         let bootstrap = [NodeId::new(0), NodeId::new(2)];
@@ -1313,13 +1229,8 @@ mod tests {
 
     #[test]
     fn clones_start_with_empty_scratch() {
-        let mut sim = ParSimulation::with_delay(
-            nodes(),
-            UniformLoss::new(0.1).unwrap(),
-            DelayModel::UniformSteps { max: 4 },
-            5,
-            3,
-        );
+        let mut sim = ParSimulation::new(nodes(), UniformLoss::new(0.1).unwrap(), 5, 3)
+            .delayed(DelayModel::UniformSteps { max: 4 });
         sim.run_rounds(5);
         let used = |sim: &ParSimulation<UniformLoss>| {
             sim.sched.scratch.iter().any(|s| s.sends.capacity() + s.routes.capacity() > 0)
@@ -1347,12 +1258,15 @@ mod tests {
     #[test]
     #[should_panic(expected = "delay bound")]
     fn zero_delay_bound_is_rejected() {
-        let _ = ParSimulation::with_delay(
-            nodes(),
-            UniformLoss::none(),
-            DelayModel::UniformSteps { max: 0 },
-            0,
-            1,
-        );
+        let _ = ParSimulation::new(nodes(), UniformLoss::none(), 0, 1)
+            .delayed(DelayModel::UniformSteps { max: 0 });
+    }
+
+    #[test]
+    #[should_panic(expected = "before stepping")]
+    fn delay_after_the_first_round_is_rejected() {
+        let mut sim = ParSimulation::new(nodes(), UniformLoss::none(), 0, 1);
+        sim.round();
+        let _ = sim.delayed(DelayModel::UniformSteps { max: 4 });
     }
 }

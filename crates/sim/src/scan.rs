@@ -82,17 +82,6 @@ pub fn nth_match(slots: &[u32], needle: u32, mut nth: usize) -> Option<usize> {
     None
 }
 
-/// Chunked summation of a `u32` ledger (two lanes per step) into `u64`.
-#[must_use]
-pub fn sum_u32(ledger: &[u32]) -> u64 {
-    let mut chunks = ledger.chunks_exact(2);
-    let mut acc = 0u64;
-    for pair in &mut chunks {
-        acc += u64::from(pair[0]) + u64::from(pair[1]);
-    }
-    acc + chunks.remainder().iter().map(|&x| u64::from(x)).sum::<u64>()
-}
-
 #[cfg(test)]
 mod tests {
     use rand::rngs::StdRng;
@@ -144,15 +133,6 @@ mod tests {
                     }
                 }
             }
-        }
-    }
-
-    #[test]
-    fn chunked_sum_matches_scalar() {
-        let mut rng = StdRng::seed_from_u64(11);
-        for len in 0..=17 {
-            let ledger: Vec<u32> = (0..len).map(|_| rng.gen_range(0..=u32::MAX)).collect();
-            assert_eq!(sum_u32(&ledger), ledger.iter().map(|&x| u64::from(x)).sum::<u64>());
         }
     }
 }

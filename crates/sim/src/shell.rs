@@ -6,10 +6,11 @@
 //! separates them is *when* nodes act and where their randomness comes
 //! from. The shell owns everything else, once: the arena and the behavior,
 //! the fault (flat's only channel, par's prototype for the per-sender
-//! clones), the delay model, completed rounds and the in-flight count, the
-//! system-wide [`SimStats`] and the step-event subscribers. Every reader,
-//! the churn control plane and the drivers are written here, over the live
-//! order the schedule supplies.
+//! clones), the delay model and the one in-flight queue (`InFlight`), the
+//! step clock and completed rounds, the system-wide [`SimStats`] and the
+//! step-event subscribers. Every reader, the churn control plane, the
+//! drivers and S&F's `delayed` are written here, over the live order the
+//! schedule supplies.
 //!
 //! What [`Engine`] declares is defined once, in the shell's `Engine` impl;
 //! callers bring the trait into scope. The inherent block holds the rest:
@@ -39,7 +40,7 @@ use sandf_graph::DependenceReport;
 use crate::arena::Arena;
 use crate::degree::DegreeStats;
 use crate::engine::{DelayModel, SimStats, StepReport, StepSubscriber};
-use crate::traits::{Engine, ProtocolBehavior};
+use crate::traits::{Engine, ProtocolBehavior, SfBehavior};
 
 /// An engine's registered step-event observers. Boxed observers are not
 /// clonable, so a clone starts with none — which is what lets the shell
@@ -71,18 +72,90 @@ impl<M> Subscribers<M> {
     }
 }
 
-/// The preallocated delivery ring of a delayed schedule: `max + 1`
-/// buckets, so bucket `t % len` holds what is due at time `t`. `None`
-/// under [`DelayModel::Immediate`], which keeps the schedule's own default.
-///
-/// # Panics
-///
-/// Panics when the delay bound is zero.
-pub(crate) fn ring_for<T>(delay: DelayModel) -> Option<Vec<Vec<T>>> {
-    let DelayModel::UniformSteps { max } = delay else { return None };
-    assert!(max > 0, "delay bound must be positive");
-    let buckets = usize::try_from(max + 1).expect("delay bound exceeds address space");
-    Some((0..buckets).map(|_| Vec::new()).collect())
+/// The one in-flight queue: `max + 1` buckets, so bucket `t % (max + 1)`
+/// holds the messages due at time `t` (one bucket under
+/// [`DelayModel::Immediate`]), and the count of messages across them.
+/// Buckets are taken out to be drained and restored empty, so a steady run
+/// reuses their allocations and no delivery allocates. Time is flat's
+/// steps or par's rounds; the queue does not care which.
+#[derive(Clone, Debug)]
+pub(crate) struct InFlight<M> {
+    buckets: Vec<Vec<(NodeId, M)>>,
+    len: usize,
+}
+
+impl<M> InFlight<M> {
+    /// An empty queue for `delay`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the delay bound is zero.
+    fn new(delay: DelayModel) -> Self {
+        let span = match delay {
+            DelayModel::Immediate => 1,
+            DelayModel::UniformSteps { max } => {
+                assert!(max > 0, "delay bound must be positive");
+                usize::try_from(max + 1).expect("delay bound exceeds address space")
+            }
+        };
+        Self { buckets: (0..span).map(|_| Vec::new()).collect(), len: 0 }
+    }
+
+    fn bucket(&self, at: u64) -> usize {
+        (at % self.buckets.len() as u64) as usize
+    }
+
+    /// Messages in flight.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The number of buckets: everything in flight is due within one span
+    /// of the last time drained.
+    pub(crate) fn span(&self) -> u64 {
+        self.buckets.len() as u64
+    }
+
+    /// Whether the bucket of time `at` holds a message.
+    pub(crate) fn holds(&self, at: u64) -> bool {
+        !self.buckets[self.bucket(at)].is_empty()
+    }
+
+    /// Queues `message` to `to`, due at time `at`.
+    pub(crate) fn push(&mut self, at: u64, to: NodeId, message: M) {
+        let bucket = self.bucket(at);
+        self.buckets[bucket].push((to, message));
+        self.len += 1;
+    }
+
+    /// Takes the bucket of time `at` out of the queue, `None` when it is
+    /// empty; hand it back with [`restore`](Self::restore) once drained.
+    pub(crate) fn take(&mut self, at: u64) -> Option<Vec<(NodeId, M)>> {
+        let bucket = self.bucket(at);
+        if self.buckets[bucket].is_empty() {
+            return None;
+        }
+        let batch = std::mem::take(&mut self.buckets[bucket]);
+        self.len -= batch.len();
+        Some(batch)
+    }
+
+    /// Puts a drained bucket's allocation back, emptied. Nothing may be
+    /// queued at `at` in between: a message sent while a bucket drains is
+    /// due at least one step or round later.
+    pub(crate) fn restore(&mut self, at: u64, mut batch: Vec<(NodeId, M)>) {
+        let bucket = self.bucket(at);
+        debug_assert!(
+            self.buckets[bucket].is_empty(),
+            "a message was queued into a draining bucket"
+        );
+        batch.clear();
+        self.buckets[bucket] = batch;
+    }
 }
 
 /// What a scheduler adds to the shell: its live order, its RNG, its
@@ -133,10 +206,13 @@ pub struct ArenaSim<S, L, B: ProtocolBehavior> {
     /// clones.
     pub(crate) loss: L,
     pub(crate) delay: DelayModel,
+    /// Messages sent and not yet delivered.
+    pub(crate) queue: InFlight<B::Msg>,
+    /// Steps taken (par: one per live node per round) — the clock stamped
+    /// on [`StepReport::step`].
+    pub(crate) steps: u64,
     /// Completed rounds — the time base for round-indexed fault models.
     pub(crate) rounds: u64,
-    /// Messages currently in flight across the schedule's ring.
-    pub(crate) in_flight_count: usize,
     pub(crate) stats: SimStats,
     /// Registered step-event observers (not carried across clones).
     pub(crate) subscribers: Subscribers<B::Msg>,
@@ -152,7 +228,7 @@ impl<S, L: fmt::Debug, B: ProtocolBehavior> fmt::Debug for ArenaSim<S, L, B> {
             .field("loss", &self.loss)
             .field("delay", &self.delay)
             .field("rounds", &self.rounds)
-            .field("in_flight", &self.in_flight_count)
+            .field("in_flight", &self.queue.len())
             .field("stats", &self.stats)
             .field("subscribers", &self.subscribers)
             .finish_non_exhaustive()
@@ -168,8 +244,9 @@ impl<S: Schedule<L, B>, L, B: ProtocolBehavior> ArenaSim<S, L, B> {
             behavior,
             loss,
             delay: DelayModel::Immediate,
+            queue: InFlight::new(DelayModel::Immediate),
+            steps: 0,
             rounds: 0,
-            in_flight_count: 0,
             stats: SimStats::default(),
             subscribers: Subscribers::default(),
             sched,
@@ -215,7 +292,7 @@ impl<S: Schedule<L, B>, L, B: ProtocolBehavior> ArenaSim<S, L, B> {
     /// [`DelayModel::Immediate`] between steps and rounds).
     #[must_use]
     pub fn in_flight(&self) -> usize {
-        self.in_flight_count
+        self.queue.len()
     }
 
     /// Accumulated system-wide counters.
@@ -307,6 +384,30 @@ impl<S: Schedule<L, B>, L, B: ProtocolBehavior> ArenaSim<S, L, B> {
     }
 }
 
+impl<S: Schedule<L, SfBehavior>, L> ArenaSim<S, L, SfBehavior> {
+    /// Installs a message-delay model on a freshly built S&F engine
+    /// (builder-style: `new(…).delayed(…)`). Under
+    /// [`DelayModel::UniformSteps`] each message arrives `1..=max` time
+    /// units after it was sent, and the unit is the schedule's: *steps*
+    /// under flat, *rounds* under par.
+    ///
+    /// Only S&F is delayed. S&F is push-only (§5: a receive never
+    /// replies), so a delayed engine never routes a reply; the reply
+    /// routers of the other behaviors deliver at once.
+    ///
+    /// # Panics
+    ///
+    /// Panics when called after stepping began, or when the delay bound
+    /// is zero.
+    #[must_use]
+    pub fn delayed(mut self, delay: DelayModel) -> Self {
+        assert!(self.steps == 0, "the delay model must be installed before stepping");
+        self.queue = InFlight::new(delay);
+        self.delay = delay;
+        self
+    }
+}
+
 impl<S: Schedule<L, B>, L, B: ProtocolBehavior> Engine for ArenaSim<S, L, B> {
     type Msg = B::Msg;
     type Fault = L;
@@ -385,5 +486,44 @@ impl<S: Schedule<L, B>, L, B: ProtocolBehavior> Engine for ArenaSim<S, L, B> {
 
     fn subscribe(&mut self, subscriber: Box<dyn StepSubscriber<B::Msg>>) {
         self.subscribers.0.push(subscriber);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use sandf_core::Message;
+
+    use super::*;
+
+    fn message(from: u64) -> Message {
+        Message::new(NodeId::new(from), NodeId::new(from + 1), false)
+    }
+
+    #[test]
+    fn in_flight_buckets_by_due_time_across_a_lap() {
+        let mut queue = InFlight::new(DelayModel::UniformSteps { max: 3 });
+        assert_eq!((queue.span(), queue.len()), (4, 0));
+        assert_eq!(InFlight::<Message>::new(DelayModel::Immediate).span(), 1);
+        // Times 2 and 6 share a bucket a lap apart; 4 and 5 have their own.
+        for (at, from) in [(2, 10), (5, 11), (2, 12), (4, 14)] {
+            queue.push(at, NodeId::new(from), message(from));
+        }
+        assert_eq!(queue.len(), 4);
+        assert!(queue.holds(2) && queue.holds(6) && queue.holds(4) && queue.holds(5));
+        assert!(!queue.holds(3) && !queue.holds(7));
+        let batch = queue.take(6).unwrap();
+        let order: Vec<NodeId> = batch.iter().map(|&(to, _)| to).collect();
+        assert_eq!(order, [NodeId::new(10), NodeId::new(12)], "push order within a bucket");
+        assert_eq!(queue.len(), 2);
+        assert!(!queue.holds(2));
+        let allocation = batch.as_ptr();
+        queue.restore(6, batch);
+        assert!(!queue.holds(2), "a bucket comes back empty");
+        assert_eq!(queue.buckets[2].as_ptr(), allocation, "the drained allocation is reused");
+        queue.push(10, NodeId::new(13), message(13));
+        assert_eq!(queue.take(4).map(|b| b.len()), Some(1), "restore leaves other buckets alone");
+        assert_eq!(queue.take(5).map(|b| b.len()), Some(1));
+        assert_eq!(queue.take(10).map(|b| b.len()), Some(1));
+        assert!(queue.is_empty() && queue.take(7).is_none());
     }
 }

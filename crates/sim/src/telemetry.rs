@@ -221,12 +221,8 @@ mod tests {
         // deliveries must land in stored/deleted once they complete.
         let registry = MetricsRegistry::new();
         let nodes = topology::circulant(24, config(), 4);
-        let mut sim = FlatSimulation::with_delay(
-            nodes,
-            UniformLoss::new(0.05).unwrap(),
-            DelayModel::UniformSteps { max: 40 },
-            43,
-        );
+        let mut sim = FlatSimulation::new(nodes, UniformLoss::new(0.05).unwrap(), 43)
+            .delayed(DelayModel::UniformSteps { max: 40 });
         sim.subscribe(Box::new(SimRecorder::new(&registry)));
         for _ in 0..1_000 {
             sim.step();
