@@ -19,11 +19,11 @@
 //! # Seeding scheme
 //!
 //! ```text
-//! seed(cell, r) = FNV1a64("<base_seed>/<cell.key()>/<r>")
+//! seed(cell, r) = FNV1a64("<base_seed>/<key(cell)>/<r>")
 //! ```
 //!
 //! The key is textual so it is independent of struct layout; two cells
-//! with equal keys get equal streams by construction (and a debug
+//! with equal keys get equal streams by construction (and an always-on
 //! assertion rejects duplicate keys in one spec). The hash is the one the
 //! engines' per-entity streams use, over this text rather than their
 //! tagged 25-byte layout ([`sandf_sim::stream`]).
@@ -37,17 +37,12 @@
 //! # Example
 //!
 //! ```
-//! use sandf_bench::sweep::{Summary, SweepCell, SweepSpec};
+//! use sandf_bench::sweep::SweepSpec;
 //!
-//! struct Cell { p: f64 }
-//! impl SweepCell for Cell {
-//!     fn key(&self) -> String { format!("p={}", self.p) }
-//! }
-//!
-//! let spec = SweepSpec::new(vec![Cell { p: 0.1 }, Cell { p: 0.2 }], 4, 7);
-//! let results = spec.run(&["doubled"], |cell, rng| {
+//! let spec = SweepSpec::new(vec![0.1, 0.2], |p| format!("p={p}"), 4, 7);
+//! let results = spec.run(&["doubled"], |&p, rng| {
 //!     use rand::Rng;
-//!     vec![cell.p * 2.0 + rng.gen_bool(0.5) as u64 as f64 * 0.0]
+//!     vec![p * 2.0 + rng.gen_bool(0.5) as u64 as f64 * 0.0]
 //! });
 //! assert_eq!(results.summary(1, "doubled").mean, 0.4);
 //! ```
@@ -62,13 +57,6 @@ use sandf_sim::stream::fnv1a64;
 
 use crate::fmt;
 
-/// One cell of a parameter grid. The key must be a stable, unique textual
-/// encoding of the cell's parameters — it feeds the seed hash.
-pub trait SweepCell {
-    /// Stable textual key identifying this cell's parameters.
-    fn key(&self) -> String;
-}
-
 /// The seed for one `(cell, replicate)` task under `base_seed`.
 #[must_use]
 pub fn replicate_seed(base_seed: u64, cell_key: &str, replicate: usize) -> u64 {
@@ -79,30 +67,37 @@ pub fn replicate_seed(base_seed: u64, cell_key: &str, replicate: usize) -> u64 {
 /// `replicates` times with independent deterministic seeds.
 #[derive(Clone, Debug)]
 pub struct SweepSpec<P> {
-    /// The parameter grid.
-    pub cells: Vec<P>,
-    /// Independent replicates per cell.
-    pub replicates: usize,
-    /// Base seed; distinct bases give fully independent sweeps.
-    pub base_seed: u64,
+    cells: Vec<P>,
+    /// Each cell's key, in grid order: the text its seeds are hashed from.
+    keys: Vec<String>,
+    replicates: usize,
+    base_seed: u64,
 }
 
-impl<P: SweepCell + Sync> SweepSpec<P> {
-    /// Builds a spec.
+impl<P: Sync> SweepSpec<P> {
+    /// Builds a spec. `key` is a stable, unique textual encoding of a
+    /// cell's parameters; it is computed once per cell and feeds the seed
+    /// hash, so renaming a key re-randomizes that cell.
     ///
     /// # Panics
     ///
     /// Panics if the grid is empty, `replicates` is zero, or two cells
     /// share a key (which would silently duplicate random streams).
     #[must_use]
-    pub fn new(cells: Vec<P>, replicates: usize, base_seed: u64) -> Self {
+    pub fn new(
+        cells: Vec<P>,
+        key: impl Fn(&P) -> String,
+        replicates: usize,
+        base_seed: u64,
+    ) -> Self {
         assert!(!cells.is_empty(), "sweep needs at least one cell");
         assert!(replicates > 0, "sweep needs at least one replicate");
-        let mut keys: Vec<String> = cells.iter().map(SweepCell::key).collect();
-        keys.sort();
-        keys.dedup();
-        assert_eq!(keys.len(), cells.len(), "duplicate cell keys in sweep");
-        Self { cells, replicates, base_seed }
+        let keys: Vec<String> = cells.iter().map(key).collect();
+        let mut distinct: Vec<&String> = keys.iter().collect();
+        distinct.sort();
+        distinct.dedup();
+        assert_eq!(distinct.len(), keys.len(), "duplicate cell keys in sweep");
+        Self { cells, keys, replicates, base_seed }
     }
 
     /// Runs the sweep on the default pool: `SANDF_SWEEP_THREADS` if set,
@@ -141,7 +136,6 @@ impl<P: SweepCell + Sync> SweepSpec<P> {
         F: Fn(&P, &mut StdRng) -> Vec<f64> + Sync,
     {
         assert!(threads > 0, "sweep needs at least one worker");
-        let keys: Vec<String> = self.cells.iter().map(SweepCell::key).collect();
         let tasks = self.cells.len() * self.replicates;
         let workers = threads.min(tasks);
         let next = AtomicUsize::new(0);
@@ -151,7 +145,6 @@ impl<P: SweepCell + Sync> SweepSpec<P> {
             for _ in 0..workers {
                 let tx = tx.clone();
                 let next = &next;
-                let keys = &keys;
                 let run = &run;
                 scope.spawn(move || loop {
                     let task = next.fetch_add(1, Ordering::Relaxed);
@@ -160,7 +153,7 @@ impl<P: SweepCell + Sync> SweepSpec<P> {
                     }
                     let cell = task / self.replicates;
                     let replicate = task % self.replicates;
-                    let seed = replicate_seed(self.base_seed, &keys[cell], replicate);
+                    let seed = replicate_seed(self.base_seed, &self.keys[cell], replicate);
                     let mut rng = StdRng::seed_from_u64(seed);
                     let values = run(&self.cells[cell], &mut rng);
                     assert_eq!(
@@ -250,12 +243,7 @@ impl<P> SweepResults<'_, P> {
     /// Panics on an unknown metric name or out-of-range cell.
     #[must_use]
     pub fn summary(&self, cell: usize, metric: &str) -> &Summary {
-        let m = self
-            .metrics
-            .iter()
-            .position(|&name| name == metric)
-            .unwrap_or_else(|| panic!("unknown metric {metric:?}"));
-        &self.summaries[cell][m]
+        &self.summaries[cell][metric_index(self.metrics, metric)]
     }
 
     /// Renders the full TSV table: `key_cols` columns describing each cell
@@ -271,19 +259,13 @@ impl<P> SweepResults<'_, P> {
     pub fn to_tsv(&self, key_cols: &[&str], key_fields: impl Fn(&P) -> Vec<String>) -> String {
         let mut out = String::new();
         let mut cols: Vec<String> = key_cols.iter().map(ToString::to_string).collect();
-        for metric in self.metrics {
-            cols.push(format!("{metric}_mean"));
-            cols.push(format!("{metric}_ci95"));
-        }
+        cols.extend(metric_columns(self.metrics));
         out.push_str(&cols.join("\t"));
         out.push('\n');
         for (cell, summaries) in self.cells.iter().zip(&self.summaries) {
             let mut fields = key_fields(cell);
             assert_eq!(fields.len(), key_cols.len(), "key field/column mismatch");
-            for summary in summaries {
-                fields.push(fmt(summary.mean));
-                fields.push(fmt(summary.ci95));
-            }
+            fields.extend(summary_fields(summaries));
             out.push_str(&fields.join("\t"));
             out.push('\n');
         }
@@ -291,25 +273,44 @@ impl<P> SweepResults<'_, P> {
     }
 }
 
+/// The position of `metric` in `metrics`.
+///
+/// # Panics
+///
+/// Panics on an unknown metric name.
+pub(crate) fn metric_index(metrics: &[&str], metric: &str) -> usize {
+    metrics
+        .iter()
+        .position(|&name| name == metric)
+        .unwrap_or_else(|| panic!("unknown metric {metric:?}"))
+}
+
+/// The `<metric>_mean`, `<metric>_ci95` header pair of every metric.
+pub(crate) fn metric_columns(metrics: &'static [&'static str]) -> impl Iterator<Item = String> {
+    metrics.iter().flat_map(|metric| [format!("{metric}_mean"), format!("{metric}_ci95")])
+}
+
+/// The mean and ci95 fields of every summary, under [`metric_columns`].
+pub(crate) fn summary_fields(summaries: &[Summary]) -> impl Iterator<Item = String> + '_ {
+    summaries.iter().flat_map(|summary| [fmt(summary.mean), fmt(summary.ci95)])
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::Rng;
 
-    struct Cell(u64);
-    impl SweepCell for Cell {
-        fn key(&self) -> String {
-            format!("cell={}", self.0)
-        }
+    fn key(cell: &u64) -> String {
+        format!("cell={cell}")
     }
 
-    fn spec() -> SweepSpec<Cell> {
-        SweepSpec::new((0..5).map(Cell).collect(), 8, 42)
+    fn spec() -> SweepSpec<u64> {
+        SweepSpec::new((0..5).collect(), key, 8, 42)
     }
 
-    fn noisy(cell: &Cell, rng: &mut StdRng) -> Vec<f64> {
+    fn noisy(&cell: &u64, rng: &mut StdRng) -> Vec<f64> {
         let noise = rng.gen_range(0u64..1000) as f64 / 1000.0;
-        vec![cell.0 as f64 + noise, noise]
+        vec![cell as f64 + noise, noise]
     }
 
     #[test]
@@ -349,7 +350,7 @@ mod tests {
     fn tsv_lists_every_cell_with_ci_columns() {
         let spec = spec();
         let results = spec.run_with_threads(2, &["value", "noise"], noisy);
-        let tsv = results.to_tsv(&["cell"], |c| vec![c.0.to_string()]);
+        let tsv = results.to_tsv(&["cell"], |c| vec![c.to_string()]);
         let lines: Vec<&str> = tsv.lines().collect();
         assert_eq!(lines.len(), 6);
         assert_eq!(lines[0], "cell\tvalue_mean\tvalue_ci95\tnoise_mean\tnoise_ci95");
@@ -359,12 +360,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "duplicate cell keys")]
     fn duplicate_keys_are_rejected() {
-        let _ = SweepSpec::new(vec![Cell(1), Cell(1)], 2, 0);
+        let _ = SweepSpec::new(vec![1, 1], key, 2, 0);
     }
 
     #[test]
     #[should_panic(expected = "at least one replicate")]
     fn zero_replicates_are_rejected() {
-        let _ = SweepSpec::new(vec![Cell(1)], 0, 0);
+        let _ = SweepSpec::new(vec![1], key, 0, 0);
     }
 }

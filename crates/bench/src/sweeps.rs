@@ -29,7 +29,7 @@ use sandf_sim::{
 };
 
 use crate::fmt;
-use crate::sweep::{SweepCell, SweepSpec};
+use crate::sweep::SweepSpec;
 
 /// The paper's running configuration (`s = 40`, `d_L = 18`; Section 6.4).
 #[must_use]
@@ -54,10 +54,15 @@ pub fn ring_views(n: usize, k: usize) -> Vec<(NodeId, Vec<NodeId>)> {
 /// Reply size of push-pull, gossip size of shuffle, batch size of batched.
 pub(crate) const GOSSIP: usize = 3;
 
+/// Every keyword `with_behavior!` knows — S&F, the three §3.1 baselines
+/// and the three Section 5 variants — in the zoo sweep's cell order.
+pub const PROTOCOLS: [&str; 7] =
+    ["sandf", "push_only", "push_pull", "shuffle", "replace", "undelete", "batched"];
+
 /// The workspace's one keyword → behavior table: evaluates `$body` with
-/// `$behavior` bound to the [`ProtocolBehavior`] value `$protocol` names.
-/// A macro because the seven values have seven types — `$body` is
-/// instantiated once per arm.
+/// `$behavior` bound to the [`ProtocolBehavior`] value `$protocol` names
+/// (one of [`PROTOCOLS`]). A macro because the seven values have seven
+/// types — `$body` is instantiated once per arm.
 macro_rules! with_behavior {
     ($protocol:expr, |$behavior:ident| $body:expr) => {
         match $protocol {
@@ -129,12 +134,6 @@ pub struct IndegreeCell {
     pub mc_std: f64,
 }
 
-impl SweepCell for IndegreeCell {
-    fn key(&self) -> String {
-        format!("loss={}", self.loss)
-    }
-}
-
 /// The indegree sweep for an arbitrary configuration: per loss rate, the
 /// degree-MC prediction next to replicated simulation means with 95% CIs.
 /// `paper` pairs up with `losses` positionally; cells the paper does not
@@ -157,7 +156,7 @@ pub fn indegree_table_for(
             IndegreeCell { loss, paper, mc_mean: mc.mean_in(), mc_std: mc.std_in() }
         })
         .collect();
-    let spec = SweepSpec::new(cells, replicates, base_seed);
+    let spec = SweepSpec::new(cells, |c| format!("loss={}", c.loss), replicates, base_seed);
     let results = spec.run(&["sim_in_mean", "sim_in_std"], |cell, rng| {
         let params = ExperimentParams {
             n: scale.n,
@@ -206,12 +205,6 @@ pub struct ChannelCell {
     /// Long-run average loss rate of the channel.
     pub avg_rate: f64,
     channel: PhaseFault,
-}
-
-impl SweepCell for ChannelCell {
-    fn key(&self) -> String {
-        format!("{}/rate={}", self.model, self.avg_rate)
-    }
 }
 
 fn channel_metrics(
@@ -265,7 +258,12 @@ pub fn loss_ablation_table(
             channel: PhaseFault::Bursty(ge),
         });
     }
-    let spec = SweepSpec::new(cells, replicates, base_seed);
+    let spec = SweepSpec::new(
+        cells,
+        |c| format!("{}/rate={}", c.model, c.avg_rate),
+        replicates,
+        base_seed,
+    );
     // The bootstrap topology is identical across cells and replicates;
     // build it once and clone it in, instead of re-deriving it per run.
     let nodes = topology::circulant(n, config, initial_degree(config, n));
@@ -278,38 +276,22 @@ pub fn loss_ablation_table(
     results.to_tsv(&["model", "avg_rate"], |c| vec![c.model.to_string(), fmt(c.avg_rate)])
 }
 
-/// One victim-loss rate of the targeted-loss table.
-pub struct TargetedCell {
-    /// Inbound loss rate applied to the victim node.
-    pub victim_rate: f64,
-}
-
-impl SweepCell for TargetedCell {
-    fn key(&self) -> String {
-        format!("victim={}", self.victim_rate)
-    }
-}
-
-/// Spatially targeted loss: one victim node suffers heavy inbound loss over
-/// a 1% base rate. The victim's outdegree erodes toward `d_L`, but the
-/// duplication floor keeps it participating and the overlay whole.
+/// Spatially targeted loss: one victim node suffers heavy inbound loss
+/// (one cell per rate) over a 1% base rate. The victim's outdegree erodes
+/// toward `d_L`, but the duplication floor keeps it participating and the
+/// overlay whole.
 #[must_use]
 pub fn targeted_loss_table(n: usize, rounds: usize, replicates: usize, base_seed: u64) -> String {
     let config = paper_config();
-    let cells: Vec<TargetedCell> =
-        [0.01, 0.25, 0.5, 0.9].iter().map(|&victim_rate| TargetedCell { victim_rate }).collect();
-    let spec = SweepSpec::new(cells, replicates, base_seed);
+    let victim_rates = vec![0.01, 0.25, 0.5, 0.9];
+    let spec = SweepSpec::new(victim_rates, |r| format!("victim={r}"), replicates, base_seed);
     // Same topology for every cell/replicate — construct once, clone in.
     let nodes = topology::circulant(n, config, initial_degree(config, n));
     let results =
-        spec.run(&["victim_in", "victim_out", "pop_mean_in", "connected"], |cell, rng| {
+        spec.run(&["victim_in", "victim_out", "pop_mean_in", "connected"], |&victim_rate, rng| {
             let victim = NodeId::new(0);
-            let loss = PhaseFault::Victims {
-                count: 1,
-                victim_rate: cell.victim_rate,
-                base: 0.01,
-                victims: vec![victim],
-            };
+            let loss =
+                PhaseFault::Victims { count: 1, victim_rate, base: 0.01, victims: vec![victim] };
             let mut sim = FlatSimulation::new(nodes.clone(), loss, rng.next_u64());
             sim.run_rounds(rounds);
             let graph = sim.graph();
@@ -320,7 +302,7 @@ pub fn targeted_loss_table(n: usize, rounds: usize, replicates: usize, base_seed
                 f64::from(u8::from(graph.is_weakly_connected())),
             ]
         });
-    results.to_tsv(&["victim_inbound_loss"], |c| vec![fmt(c.victim_rate)])
+    results.to_tsv(&["victim_inbound_loss"], |&r| vec![fmt(r)])
 }
 
 // ---------------------------------------------------------------------------
@@ -340,12 +322,6 @@ pub struct ThresholdCell {
     /// Analytic deletion-probability bound at selection time.
     pub p_del: f64,
     config: SfConfig,
-}
-
-impl SweepCell for ThresholdCell {
-    fn key(&self) -> String {
-        format!("d_hat={}", self.d_hat)
-    }
 }
 
 /// §6.3 validation: for each `d̂ → (d_L, s)` selection (δ = 1%), replicated
@@ -382,7 +358,7 @@ pub fn threshold_validation_table(
             (cell.config, topology::circulant(n, cell.config, initial_degree(cell.config, n)))
         })
         .collect();
-    let spec = SweepSpec::new(cells, replicates, base_seed);
+    let spec = SweepSpec::new(cells, |c| format!("d_hat={}", c.d_hat), replicates, base_seed);
     let results = spec.run(&["dup_rate", "del_rate", "mean_out"], |cell, rng| {
         let nodes = topologies
             .iter()
@@ -408,22 +384,8 @@ pub fn threshold_validation_table(
 // baseline_compare — §3.1 protocol taxonomy under loss
 // ---------------------------------------------------------------------------
 
-/// One protocol × loss-rate cell of the §3.1 baseline contrast.
-pub struct BaselineCell {
-    /// Protocol family (`sandf`, `shuffle`, `push_pull`, `push_only`).
-    pub protocol: &'static str,
-    /// Uniform message-loss rate.
-    pub loss: f64,
-}
-
-impl SweepCell for BaselineCell {
-    fn key(&self) -> String {
-        format!("{}/loss={}", self.protocol, self.loss)
-    }
-}
-
 /// §3.1 — S&F vs shuffle vs push-pull vs push-only under identical uniform
-/// loss on the flat engine, replicated. `ids_q1..q4` track the id
+/// loss on the flat engine, replicated: one `(protocol, loss)` cell each. `ids_q1..q4` track the id
 /// population at the quarter marks of the run: shuffles drain, S&F
 /// compensates, push variants saturate.
 #[must_use]
@@ -432,22 +394,22 @@ pub fn baseline_table(n: usize, rounds: usize, replicates: usize, base_seed: u64
     let mut cells = Vec::new();
     for &loss in &[0.0, 0.05, 0.1] {
         for protocol in ["sandf", "shuffle", "push_pull", "push_only"] {
-            cells.push(BaselineCell { protocol, loss });
+            cells.push((protocol, loss));
         }
     }
-    let spec = SweepSpec::new(cells, replicates, base_seed);
+    let spec = SweepSpec::new(cells, |(p, loss)| format!("{p}/loss={loss}"), replicates, base_seed);
     // Same ring bootstrap for every cell/replicate — build once, clone in.
     let views = ring_views(n, 8);
     let quarters = [(rounds / 4).max(1); 4];
     let results = spec.run(
         &["ids_q1", "ids_q2", "ids_q3", "ids_q4", "empty_views", "mean_out", "in_var"],
-        |cell, rng| {
+        |&(protocol, loss), rng| {
             let graphs = zoo_snapshots(
-                cell.protocol,
+                protocol,
                 "flat",
                 config,
                 views.clone(),
-                cell.loss,
+                loss,
                 rng.next_u64(),
                 &quarters,
             );
@@ -460,31 +422,12 @@ pub fn baseline_table(n: usize, rounds: usize, replicates: usize, base_seed: u64
             values
         },
     );
-    results.to_tsv(&["protocol", "loss"], |c| vec![c.protocol.to_string(), fmt(c.loss)])
+    results.to_tsv(&["protocol", "loss"], |&(protocol, loss)| vec![protocol.to_string(), fmt(loss)])
 }
 
 // ---------------------------------------------------------------------------
 // zoo_engine — the protocol zoo on the unified fast engines
 // ---------------------------------------------------------------------------
-
-/// One protocol × engine cell of the unified-trait sweep.
-pub struct ZooCell {
-    /// Protocol behavior (`sandf`, `push_only`, `push_pull`, `shuffle`,
-    /// `replace`, `undelete`, `batched`).
-    pub protocol: &'static str,
-    /// Arena engine (`flat` or `par`).
-    pub engine: &'static str,
-}
-
-impl SweepCell for ZooCell {
-    fn key(&self) -> String {
-        format!("{}/{}", self.protocol, self.engine)
-    }
-}
-
-/// Every behavior the zoo sweep drives, in cell order.
-const ZOO_PROTOCOLS: [&str; 7] =
-    ["sandf", "push_only", "push_pull", "shuffle", "replace", "undelete", "batched"];
 
 fn snapshots<E: Engine>(mut sim: E, legs: &[usize]) -> Vec<MembershipGraph> {
     let graphs = legs
@@ -526,7 +469,8 @@ fn zoo_snapshots(
 
 /// The whole protocol zoo — S&F, the three baselines, and the three
 /// Section 5 variants — on both arena engines through the unified
-/// [`Engine`]/[`ProtocolBehavior`] traits, under one uniform loss rate.
+/// [`Engine`]/[`ProtocolBehavior`] traits, under one uniform loss rate:
+/// one `(protocol, engine)` cell each.
 /// The id population (`total_ids`) reproduces the §3.1 taxonomy on the
 /// fast engines: shuffle drains, S&F and the variants hold their band,
 /// push variants saturate.
@@ -540,47 +484,36 @@ pub fn zoo_engine_table(
 ) -> String {
     let config = SfConfig::new(16, 6).expect("legal config");
     let mut cells = Vec::new();
-    for protocol in ZOO_PROTOCOLS {
+    for protocol in PROTOCOLS {
         for engine in ["flat", "par"] {
-            cells.push(ZooCell { protocol, engine });
+            cells.push((protocol, engine));
         }
     }
-    let spec = SweepSpec::new(cells, replicates, base_seed);
+    let spec = SweepSpec::new(cells, |(p, engine)| format!("{p}/{engine}"), replicates, base_seed);
     // Same ring bootstrap for every cell/replicate — build once, clone in.
     let views = ring_views(n, 8);
-    let results = spec.run(&["total_ids", "mean_out", "in_std", "connected"], |cell, rng| {
-        let seed = rng.next_u64();
-        let graph =
-            zoo_snapshots(cell.protocol, cell.engine, config, views.clone(), loss, seed, &[rounds])
-                .pop()
-                .expect("one leg");
-        vec![
-            graph.edge_count() as f64,
-            DegreeStats::from_samples(&graph.out_degrees()).mean,
-            DegreeStats::from_samples(&graph.in_degrees()).std_dev(),
-            f64::from(u8::from(graph.is_weakly_connected())),
-        ]
-    });
-    results.to_tsv(&["protocol", "engine"], |c| vec![c.protocol.to_string(), c.engine.to_string()])
+    let results =
+        spec.run(&["total_ids", "mean_out", "in_std", "connected"], |&(protocol, engine), rng| {
+            let seed = rng.next_u64();
+            let graph =
+                zoo_snapshots(protocol, engine, config, views.clone(), loss, seed, &[rounds])
+                    .pop()
+                    .expect("one leg");
+            vec![
+                graph.edge_count() as f64,
+                DegreeStats::from_samples(&graph.out_degrees()).mean,
+                DegreeStats::from_samples(&graph.in_degrees()).std_dev(),
+                f64::from(u8::from(graph.is_weakly_connected())),
+            ]
+        });
+    results.to_tsv(&["protocol", "engine"], |&(protocol, engine)| {
+        vec![protocol.to_string(), engine.to_string()]
+    })
 }
 
 // ---------------------------------------------------------------------------
 // broadcast_sweep — rumor spreading over live views (PR 10)
 // ---------------------------------------------------------------------------
-
-/// One cell of the dissemination grid: a view protocol × a rumor channel.
-pub struct BroadcastCell {
-    /// View-layer protocol feeding the rumor layer.
-    pub protocol: &'static str,
-    /// Rumor-channel fault applied to broadcast messages.
-    pub channel: &'static str,
-}
-
-impl SweepCell for BroadcastCell {
-    fn key(&self) -> String {
-        format!("{}/{}", self.protocol, self.channel)
-    }
-}
 
 /// View protocols the dissemination sweep rides on: S&F plus the §3.1
 /// baselines whose views stay populated (push-only saturates into a
@@ -650,8 +583,8 @@ fn broadcast_run<B: ProtocolBehavior>(
 
 /// Dissemination grid (DESIGN.md PR 10): fanout-1 push rumor spreading
 /// over the live views of S&F and the §3.1 baselines, under the rumor-
-/// channel fault zoo, with 1 % uniform loss on the membership channel
-/// throughout. Spread-time milestones compare against
+/// channel fault zoo (one `(protocol, channel)` cell each), with 1 %
+/// uniform loss on the membership channel throughout. Spread-time milestones compare against
 /// [`sandf_sim::doerr_spread_prediction`] (`log₂ n + ln n`); message
 /// complexity is per live node.
 #[must_use]
@@ -666,46 +599,36 @@ pub fn broadcast_table(
     let mut cells = Vec::new();
     for protocol in BROADCAST_PROTOCOLS {
         for channel in BROADCAST_CHANNELS {
-            cells.push(BroadcastCell { protocol, channel });
+            cells.push((protocol, channel));
         }
     }
-    let spec = SweepSpec::new(cells, replicates, base_seed);
+    let spec =
+        SweepSpec::new(cells, |(p, channel)| format!("{p}/{channel}"), replicates, base_seed);
     // Expander-like bootstrap: ring views take Θ(diameter²) S&F rounds to
     // mix, which at dissemination scales would swamp the rumor's own
     // spread time with membership warm-up (see EXPERIMENTS.md).
     let views: Vec<(NodeId, Vec<NodeId>)> = topology::random_iter(n, config, 8, base_seed)
         .map(|node| (node.id(), node.view().ids().collect()))
         .collect();
-    let results = spec.run(&BROADCAST_METRICS, |cell, rng| {
+    let results = spec.run(&BROADCAST_METRICS, |&(protocol, channel), rng| {
         let seed = rng.next_u64();
         let views = views.clone();
-        let channel = broadcast_channel(cell.channel, burn_in + rounds);
-        with_behavior!(cell.protocol, |behavior| broadcast_run(
+        let channel = broadcast_channel(channel, burn_in + rounds);
+        with_behavior!(protocol, |behavior| broadcast_run(
             behavior, config, views, channel, seed, burn_in, rounds
         ))
     });
-    results
-        .to_tsv(&["protocol", "channel"], |c| vec![c.protocol.to_string(), c.channel.to_string()])
+    results.to_tsv(&["protocol", "channel"], |&(protocol, channel)| {
+        vec![protocol.to_string(), channel.to_string()]
+    })
 }
 
 // ---------------------------------------------------------------------------
 // churn_sweep — sustainable-churn boundary
 // ---------------------------------------------------------------------------
 
-/// One replacement interval of the continuous-churn sweep.
-pub struct ChurnCell {
-    /// Rounds between leave/join replacement events.
-    pub interval: usize,
-}
-
-impl SweepCell for ChurnCell {
-    fn key(&self) -> String {
-        format!("interval={}", self.interval)
-    }
-}
-
 /// Sustainable-churn sweep (DESIGN.md B3): one node replaced every
-/// `interval` rounds; after `rounds` rounds of ongoing churn the final
+/// `interval` rounds (one cell per interval); after `rounds` rounds of ongoing churn the final
 /// connectivity, load balance, and stale-id fraction are measured per
 /// replicate.
 #[must_use]
@@ -717,69 +640,44 @@ pub fn churn_table(
     base_seed: u64,
 ) -> String {
     let config = SfConfig::new(16, 6).expect("legal config");
-    let cells: Vec<ChurnCell> =
-        [1usize, 2, 4, 8, 16].iter().map(|&interval| ChurnCell { interval }).collect();
-    let spec = SweepSpec::new(cells, replicates, base_seed);
+    let intervals = vec![1usize, 2, 4, 8, 16];
+    let spec = SweepSpec::new(intervals, |i| format!("interval={i}"), replicates, base_seed);
     let results = spec.run(
         &["components", "mean_in_degree", "in_degree_std", "stale_fraction"],
-        |cell, rng| {
+        |&interval, rng| {
             let params = ExperimentParams { n, config, loss: 0.01, burn_in, seed: rng.next_u64() };
             // A single checkpoint at the end: the sweep aggregates final
             // state across replicates rather than one run's trajectory.
-            let points = continuous_churn(&params, cell.interval, rounds, rounds);
+            let points = continuous_churn(&params, interval, rounds, rounds);
             let p = points.last().expect("at least one checkpoint");
             vec![p.components as f64, p.mean_in_degree, p.in_degree_std, p.stale_fraction]
         },
     );
-    results.to_tsv(&["churn_interval"], |c| vec![c.interval.to_string()])
+    results.to_tsv(&["churn_interval"], |i| vec![i.to_string()])
 }
 
 // ---------------------------------------------------------------------------
 // delay_ablation — §4 asynchrony / non-atomic actions
 // ---------------------------------------------------------------------------
 
-/// One message-delay bound of the asynchrony ablation (`0` = immediate
-/// delivery).
-pub struct DelayCell {
-    /// Largest per-message delay, in global steps; `0` means the central
-    /// entity's immediate-delivery execution.
-    pub max_delay: u64,
-}
-
-impl DelayCell {
-    fn model(&self) -> DelayModel {
-        if self.max_delay == 0 {
-            DelayModel::Immediate
-        } else {
-            DelayModel::UniformSteps { max: self.max_delay }
-        }
-    }
-}
-
-impl SweepCell for DelayCell {
-    fn key(&self) -> String {
-        format!("max_delay={}", self.max_delay)
-    }
-}
-
 /// Asynchrony ablation (DESIGN.md B7): the paper's model breaks actions
 /// into single-node steps so the analysis survives non-atomic, overlapping
 /// actions (Section 4). Every message is delayed up to `max_delay` global
-/// steps — by the largest setting, hundreds of other actions interleave
+/// steps (one cell per bound; `0` is the central entity's immediate
+/// delivery) — by the largest setting, hundreds of other actions interleave
 /// with each in-flight message — and the replicated steady-state statistics
 /// must be flat in the delay bound.
 #[must_use]
 pub fn delay_table(n: usize, rounds: usize, replicates: usize, base_seed: u64) -> String {
     let config = paper_config();
-    let cells: Vec<DelayCell> =
-        [0u64, 16, 64, 256, 1024].iter().map(|&max_delay| DelayCell { max_delay }).collect();
-    let spec = SweepSpec::new(cells, replicates, base_seed);
+    let bounds = vec![0u64, 16, 64, 256, 1024];
+    let spec = SweepSpec::new(bounds, |max| format!("max_delay={max}"), replicates, base_seed);
     // Same topology for every cell/replicate — construct once, clone in.
     let nodes = topology::circulant(n, config, initial_degree(config, n));
-    let results = spec.run(&["mean_out", "in_std", "dependent_frac", "connected"], |cell, rng| {
+    let results = spec.run(&["mean_out", "in_std", "dependent_frac", "connected"], |&max, rng| {
         let loss = UniformLoss::new(0.02).expect("valid rate");
-        let mut sim =
-            FlatSimulation::new(nodes.clone(), loss, rng.next_u64()).delayed(cell.model());
+        let delay = if max == 0 { DelayModel::Immediate } else { DelayModel::UniformSteps { max } };
+        let mut sim = FlatSimulation::new(nodes.clone(), loss, rng.next_u64()).delayed(delay);
         for _ in 0..n * rounds {
             sim.step();
         }
@@ -792,27 +690,15 @@ pub fn delay_table(n: usize, rounds: usize, replicates: usize, base_seed: u64) -
             f64::from(u8::from(graph.is_weakly_connected())),
         ]
     });
-    results.to_tsv(&["max_delay_steps"], |c| vec![c.max_delay.to_string()])
+    results.to_tsv(&["max_delay_steps"], |max| vec![max.to_string()])
 }
 
 // ---------------------------------------------------------------------------
 // par_degree — the sharded engine on the §6.4 loss grid
 // ---------------------------------------------------------------------------
 
-/// One loss rate of the parallel-engine degree sweep.
-pub struct ParDegreeCell {
-    /// Uniform loss rate `ℓ`.
-    pub loss: f64,
-}
-
-impl SweepCell for ParDegreeCell {
-    fn key(&self) -> String {
-        format!("loss={}", self.loss)
-    }
-}
-
 /// The §6.4 degree grid driven by [`ParSimulation`]: steady-state degree
-/// statistics and duplication rate per loss rate. `threads` changes
+/// statistics and duplication rate per loss rate (one cell each). `threads` changes
 /// wall-clock only — the engine is byte-identical for any thread count, so
 /// the returned TSV is too; the thread-count determinism regression test
 /// pins it for `threads ∈ {1, 2, 8}`.
@@ -826,13 +712,12 @@ pub fn par_degree_table(
     base_seed: u64,
 ) -> String {
     let config = paper_config();
-    let cells: Vec<ParDegreeCell> =
-        [0.0, 0.01, 0.05, 0.1].iter().map(|&loss| ParDegreeCell { loss }).collect();
-    let spec = SweepSpec::new(cells, replicates, base_seed);
+    let losses = vec![0.0, 0.01, 0.05, 0.1];
+    let spec = SweepSpec::new(losses, |loss| format!("loss={loss}"), replicates, base_seed);
     // Same topology for every cell/replicate — construct once, clone in.
     let nodes = topology::circulant(n, config, initial_degree(config, n));
-    let results = spec.run(&["mean_out", "in_std", "dup_rate", "connected"], |cell, rng| {
-        let loss = UniformLoss::new(cell.loss).expect("valid rate");
+    let results = spec.run(&["mean_out", "in_std", "dup_rate", "connected"], |&loss, rng| {
+        let loss = UniformLoss::new(loss).expect("valid rate");
         let sim = ParSimulation::new(nodes.clone(), loss, rng.next_u64(), threads)
             .run_replicate(burn_in, measure);
         let graph = sim.graph();
@@ -843,39 +728,26 @@ pub fn par_degree_table(
             f64::from(u8::from(graph.is_weakly_connected())),
         ]
     });
-    results.to_tsv(&["loss"], |c| vec![fmt(c.loss)])
+    results.to_tsv(&["loss"], |&loss| vec![fmt(loss)])
 }
 
 // ---------------------------------------------------------------------------
 // uniformity — Lemma 7.6 / Property M3
 // ---------------------------------------------------------------------------
 
-/// One loss rate of the uniformity experiment.
-pub struct UniformityCell {
-    /// Uniform loss rate `ℓ`.
-    pub loss: f64,
-}
-
-impl SweepCell for UniformityCell {
-    fn key(&self) -> String {
-        format!("loss={}", self.loss)
-    }
-}
-
 /// Lemma 7.6 — uniform representation of ids in views over a long
 /// steady-state run, replicated: χ², χ²/dof, and the max/min representation
-/// ratio per loss rate.
+/// ratio per loss rate (one cell each).
 #[must_use]
 pub fn uniformity_table(scale: SampleScale, replicates: usize, base_seed: u64) -> String {
     let config = paper_config();
-    let cells: Vec<UniformityCell> =
-        [0.0, 0.01, 0.05].iter().map(|&loss| UniformityCell { loss }).collect();
-    let spec = SweepSpec::new(cells, replicates, base_seed);
-    let results = spec.run(&["chi_square", "chi2_over_dof", "max_min_ratio"], |cell, rng| {
+    let losses = vec![0.0, 0.01, 0.05];
+    let spec = SweepSpec::new(losses, |loss| format!("loss={loss}"), replicates, base_seed);
+    let results = spec.run(&["chi_square", "chi2_over_dof", "max_min_ratio"], |&loss, rng| {
         let params = ExperimentParams {
             n: scale.n,
             config,
-            loss: cell.loss,
+            loss,
             burn_in: scale.burn_in,
             seed: rng.next_u64(),
         };
@@ -886,7 +758,7 @@ pub fn uniformity_table(scale: SampleScale, replicates: usize, base_seed: u64) -
             report.max_min_ratio,
         ]
     });
-    results.to_tsv(&["loss"], |c| vec![fmt(c.loss)])
+    results.to_tsv(&["loss"], |&loss| vec![fmt(loss)])
 }
 
 #[cfg(test)]
@@ -919,7 +791,7 @@ mod tests {
         // Header + 7 protocols × 2 engines.
         assert_eq!(tsv.lines().count(), 15);
         assert!(tsv.starts_with("protocol\tengine\ttotal_ids_mean\t"));
-        for protocol in ZOO_PROTOCOLS {
+        for protocol in PROTOCOLS {
             for engine in ["flat", "par"] {
                 assert_eq!(
                     tsv.lines()

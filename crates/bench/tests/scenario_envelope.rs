@@ -84,15 +84,16 @@ fn uniform_scenario_agrees_with_the_degree_mc_prediction() {
         Some(true),
         "uniform loss is the paper's model; measured {:.4}±{:.4} must sit within \
          {MC_MEAN_TOLERANCE} + ci95 of the degree-MC prediction {:?}",
-        row.mean_in.mean,
-        row.mean_in.ci95,
+        row.summary("mean_in").mean,
+        row.summary("mean_in").ci95,
         row.mc_mean,
     );
     // The realized per-send loss rate must track the configured rate.
     assert!(
-        (row.loss_rate.mean - LOSS).abs() <= 3.0 * row.loss_rate.ci95.max(0.003),
+        (row.summary("loss_rate").mean - LOSS).abs()
+            <= 3.0 * row.summary("loss_rate").ci95.max(0.003),
         "realized loss rate {:.4} strays from the configured {LOSS}",
-        row.loss_rate.mean
+        row.summary("loss_rate").mean
     );
 }
 
@@ -100,7 +101,7 @@ fn uniform_scenario_agrees_with_the_degree_mc_prediction() {
 fn uniform_scenario_agrees_with_the_flat_engine_within_ci95() {
     let scenario = Scenario::parse(UNIFORM_SPEC).expect("spec parses");
     let report = run_scenario(&scenario, 2, &MetricsRegistry::new());
-    let measured = &report.outcomes[0].mean_in;
+    let measured = report.outcomes[0].summary("mean_in");
     let flat = flat_mean_indegree();
     let gap = (measured.mean - flat.mean).abs();
     let band = measured.ci95 + flat.ci95 + PHASE_SPLIT_MEAN_ALLOWANCE;
@@ -126,8 +127,8 @@ fn hard_partition_fails_the_envelope_proving_detection_power() {
         "a 200-round hard partition must escape the uniform envelope: measured \
          {:.4}±{:.4} vs predicted {:?} — if this is now inside the band, the \
          envelope has lost its detection power",
-        row.mean_in.mean,
-        row.mean_in.ci95,
+        row.summary("mean_in").mean,
+        row.summary("mean_in").ci95,
         row.mc_mean,
     );
     // The gap should be decisive, not marginal.
@@ -137,10 +138,10 @@ fn hard_partition_fails_the_envelope_proving_detection_power() {
     // purification collapses the realized loss rate far below the 0.5
     // marginal rate a uniform channel would hold.
     assert!(
-        row.loss_rate.mean < row.effective_rate - 0.1,
+        row.summary("loss_rate").mean < row.effective_rate - 0.1,
         "realized loss {:.4} no longer decays below the marginal {:.4} — the \
          purification dynamic changed",
-        row.loss_rate.mean,
+        row.summary("loss_rate").mean,
         row.effective_rate,
     );
 }

@@ -7,28 +7,22 @@
 
 use rand::rngs::StdRng;
 use rand::RngCore;
-use sandf_bench::sweep::{default_threads, SweepCell, SweepSpec};
+use sandf_bench::sweep::{default_threads, SweepSpec};
 use sandf_core::SfConfig;
 use sandf_sim::experiment::ExperimentParams;
 use sandf_sim::Engine;
 
-struct LossCell {
-    loss: f64,
-}
-
-impl SweepCell for LossCell {
-    fn key(&self) -> String {
-        format!("loss={}", self.loss)
-    }
+/// A cell is its loss rate; its key is the text its seeds hash from.
+fn key(loss: &f64) -> String {
+    format!("loss={loss}")
 }
 
 /// A real simulation workload (not a toy arithmetic closure): builds an
 /// S&F system per replicate and measures steady-state statistics, exactly
 /// the way the bench sweeps do.
-fn simulate(cell: &LossCell, rng: &mut StdRng) -> Vec<f64> {
+fn simulate(&loss: &f64, rng: &mut StdRng) -> Vec<f64> {
     let config = SfConfig::new(16, 6).expect("legal config");
-    let params =
-        ExperimentParams { n: 48, config, loss: cell.loss, burn_in: 0, seed: rng.next_u64() };
+    let params = ExperimentParams { n: 48, config, loss, burn_in: 0, seed: rng.next_u64() };
     let sim = params.build().run_replicate(30, 30);
     let graph = sim.graph();
     let out = graph.out_degrees();
@@ -40,20 +34,16 @@ const METRICS: &[&str] = &["mean_out", "duplications", "lost"];
 
 #[test]
 fn serial_and_parallel_sweeps_are_byte_identical() {
-    let spec = SweepSpec::new(
-        vec![LossCell { loss: 0.0 }, LossCell { loss: 0.05 }, LossCell { loss: 0.1 }],
-        6,
-        2026,
-    );
+    let spec = SweepSpec::new(vec![0.0, 0.05, 0.1], key, 6, 2026);
     let serial = spec.run_with_threads(1, METRICS, simulate);
-    let serial_tsv = serial.to_tsv(&["loss"], |c| vec![format!("{}", c.loss)]);
+    let serial_tsv = serial.to_tsv(&["loss"], |loss| vec![format!("{loss}")]);
 
     // The default pool (whatever width this machine gives it) and two
     // fixed widths straddling typical core counts.
     let default_pool = spec.run(METRICS, simulate);
     assert_eq!(
         serial_tsv,
-        default_pool.to_tsv(&["loss"], |c| vec![format!("{}", c.loss)]),
+        default_pool.to_tsv(&["loss"], |loss| vec![format!("{loss}")]),
         "default pool ({} threads) diverged from serial execution",
         default_threads()
     );
@@ -61,7 +51,7 @@ fn serial_and_parallel_sweeps_are_byte_identical() {
         let pooled = spec.run_with_threads(threads, METRICS, simulate);
         assert_eq!(
             serial_tsv,
-            pooled.to_tsv(&["loss"], |c| vec![format!("{}", c.loss)]),
+            pooled.to_tsv(&["loss"], |loss| vec![format!("{loss}")]),
             "{threads}-thread pool diverged from serial execution"
         );
     }
@@ -69,11 +59,11 @@ fn serial_and_parallel_sweeps_are_byte_identical() {
 
 #[test]
 fn base_seed_changes_results_but_reruns_do_not() {
-    let spec_a = SweepSpec::new(vec![LossCell { loss: 0.05 }], 4, 1);
-    let spec_b = SweepSpec::new(vec![LossCell { loss: 0.05 }], 4, 2);
-    let a1 = spec_a.run(METRICS, simulate).to_tsv(&["loss"], |c| vec![format!("{}", c.loss)]);
-    let a2 = spec_a.run(METRICS, simulate).to_tsv(&["loss"], |c| vec![format!("{}", c.loss)]);
-    let b = spec_b.run(METRICS, simulate).to_tsv(&["loss"], |c| vec![format!("{}", c.loss)]);
+    let spec_a = SweepSpec::new(vec![0.05], key, 4, 1);
+    let spec_b = SweepSpec::new(vec![0.05], key, 4, 2);
+    let a1 = spec_a.run(METRICS, simulate).to_tsv(&["loss"], |loss| vec![format!("{loss}")]);
+    let a2 = spec_a.run(METRICS, simulate).to_tsv(&["loss"], |loss| vec![format!("{loss}")]);
+    let b = spec_b.run(METRICS, simulate).to_tsv(&["loss"], |loss| vec![format!("{loss}")]);
     assert_eq!(a1, a2, "identical specs must reproduce identical tables");
     assert_ne!(a1, b, "a different base seed must give different replicate streams");
 }

@@ -26,14 +26,6 @@ pub struct ExperimentParams {
 }
 
 impl ExperimentParams {
-    /// Returns a copy with the seed replaced — the hook sweep executors use
-    /// to give each replicate of one parameter cell its own stream.
-    #[must_use]
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
     /// Builds the simulation these parameters describe (circulant bootstrap
     /// at [`initial_degree`], uniform loss, seeded RNG), without running it.
     /// The result is owned and `Send`, so callers may move it onto a worker

@@ -41,9 +41,8 @@
 //! `"<base_seed>/<cell key>/<replicate>"`, `sandf_bench::sweep`), the
 //! per-link and per-node maps of [`PhaseFault::PerLink`](crate::PhaseFault::PerLink)
 //! and [`PhaseFault::Capacity`](crate::PhaseFault::Capacity) (the salt and ids as
-//! little-endian words), and the digests
-//! [`BroadcastLayer::fingerprint`](crate::BroadcastLayer::fingerprint) and
-//! `sandf_bench::scenario::tsv_fingerprint`.
+//! little-endian words), and the digest
+//! [`BroadcastLayer::fingerprint`](crate::BroadcastLayer::fingerprint).
 //!
 //! Independence is tested, not assumed: this module's tests derive every
 //! tag's seeds over the coordinates the workspace uses and count seed
