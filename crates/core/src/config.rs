@@ -1,6 +1,6 @@
 //! Protocol configuration: view size `s` and lower degree threshold `d_L`.
 
-use crate::error::ConfigError;
+use crate::error::{ConfigError, JoinError};
 
 /// S&F protocol parameters (Section 5 of the paper).
 ///
@@ -79,6 +79,26 @@ impl SfConfig {
     #[must_use]
     pub const fn lower_threshold(&self) -> usize {
         self.d_l
+    }
+
+    /// Checks a joiner's bootstrap size against the Section 5 joining
+    /// rule: at least `d_L` ids, at most `s`, and an even count
+    /// (outdegrees stay even, Observation 5.1), tested in that order.
+    ///
+    /// # Errors
+    ///
+    /// The first violated rule, as a [`JoinError`].
+    pub fn check_bootstrap(&self, supplied: usize) -> Result<(), JoinError> {
+        if supplied < self.d_l {
+            return Err(JoinError::TooFewIds { supplied, d_l: self.d_l });
+        }
+        if supplied > self.s {
+            return Err(JoinError::TooManyIds { supplied, s: self.s });
+        }
+        if !supplied.is_multiple_of(2) {
+            return Err(JoinError::OddIdCount { supplied });
+        }
+        Ok(())
     }
 }
 

@@ -74,18 +74,7 @@ impl SfNode {
     /// are supplied, or when the count is odd (outdegrees must stay even,
     /// Observation 5.1).
     pub fn with_view(id: NodeId, config: SfConfig, ids: &[NodeId]) -> Result<Self, JoinError> {
-        if ids.len() < config.lower_threshold() {
-            return Err(JoinError::TooFewIds {
-                supplied: ids.len(),
-                d_l: config.lower_threshold(),
-            });
-        }
-        if ids.len() > config.view_size() {
-            return Err(JoinError::TooManyIds { supplied: ids.len(), s: config.view_size() });
-        }
-        if !ids.len().is_multiple_of(2) {
-            return Err(JoinError::OddIdCount { supplied: ids.len() });
-        }
+        config.check_bootstrap(ids.len())?;
         Ok(Self {
             id,
             config,

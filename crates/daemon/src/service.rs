@@ -108,6 +108,9 @@ const RECV_BATCH_MAX: usize = 4096;
 /// errored never does).
 const SHUTDOWN_DRAIN: Duration = Duration::from_millis(20);
 
+/// Events the daemon's bounded journal holds before it evicts the oldest.
+const JOURNAL_CAPACITY: usize = 1024;
+
 /// `slot_of` entry of an id with no live slot; no slot index reaches it.
 const NO_SLOT: u32 = u32::MAX;
 
@@ -140,8 +143,6 @@ pub struct DaemonConfig {
     pub seed: u64,
     /// Rounds between invariant checks.
     pub check_every: u64,
-    /// Bounded event-journal capacity.
-    pub journal_capacity: usize,
     /// HTTP port (`Some(0)` = ephemeral, `None` = no endpoint).
     pub http_port: Option<u16>,
 }
@@ -157,7 +158,6 @@ impl Default for DaemonConfig {
             base_loss: 0.05,
             seed: 42,
             check_every: 5,
-            journal_capacity: 1024,
             http_port: Some(0),
         }
     }
@@ -525,7 +525,7 @@ fn boot(config: DaemonConfig) -> io::Result<ServiceState> {
         outbox: Datagram::default(),
         fault: ScheduledFault::constant(PhaseFault::Uniform(base_loss)),
         checker: InvariantChecker::new(sf),
-        journal: EventJournal::new(config.journal_capacity.max(64)),
+        journal: EventJournal::new(JOURNAL_CAPACITY),
         snapshot: Arc::new(Mutex::new(MembershipSnapshot {
             live: config.initial_nodes,
             fault: "none".into(),

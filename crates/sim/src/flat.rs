@@ -34,11 +34,13 @@
 //! [`SfBehavior`] — the paper's S&F protocol. The behavior owns the view
 //! algebra (initiate / receive over a [`SlotView`](crate::SlotView) window
 //! into the arena); the engine owns scheduling, the lossy channel, and the
-//! system-wide stats. Protocols that reply (push-pull, shuffle) route the
-//! reply back through the channel at once: a loss draw per hop and a
-//! [`MAX_REPLY_CHAIN`] hop cap per delivery. S&F never replies, so the
-//! reply machinery is dead code on the default path, and only S&F is
-//! delayed.
+//! system-wide stats. Every hop is the shell's: a delivery goes through
+//! its one delivery hop, timed under `sim.profile.deliver_ns`. Protocols
+//! that reply (push-pull, shuffle) route the reply back through the
+//! channel at once — one loss draw on the global RNG, then the shell's one
+//! reply hop — and a reply gets no reply, so an action is at most two
+//! hops. S&F never replies, so the reply hop is dead code on the default
+//! path, and only S&F is delayed.
 //!
 //! # What holds it
 //!
@@ -70,8 +72,8 @@ use sandf_obs::{duration_buckets, HistogramHandle, MetricsRegistry, SpanTimer};
 use crate::arena::Arena;
 use crate::engine::{DelayModel, StepEvent, StepPhase, StepReport};
 use crate::fault::{FaultCtx, FaultModel};
-use crate::shell::{ArenaSim, Schedule};
-use crate::traits::{Engine, ProtocolBehavior, SfBehavior, MAX_REPLY_CHAIN};
+use crate::shell::{deliver_hop, reply_hop, ArenaSim, HopOutcome, Schedule};
+use crate::traits::{Engine, ProtocolBehavior, SfBehavior};
 
 /// The serial central-entity engine: the shell [`ArenaSim`] under the
 /// `Flat` schedule, generic over a [`ProtocolBehavior`] (default:
@@ -101,10 +103,6 @@ use crate::traits::{Engine, ProtocolBehavior, SfBehavior, MAX_REPLY_CHAIN};
 ///
 /// A clone starts with no subscribers and shares an attached profiler.
 pub type FlatSimulation<L, B = SfBehavior> = ArenaSim<Flat, L, B>;
-
-/// A delivery hop's outcome: the step event, plus a protocol reply
-/// (receiver, message) still to be routed.
-type HopOutcome<M> = (StepEvent<M>, Option<(NodeId, M)>);
 
 /// One live-list entry: a node's raw id packed next to its dense arena
 /// index, so resolving a drawn initiator costs no extra random read of
@@ -352,11 +350,9 @@ impl<L: FaultModel, B: ProtocolBehavior> FlatSimulation<L, B> {
             return report;
         }
         self.stats.actions += 1;
-        let observed = !self.subscribers.is_empty();
-        // Reports for reply hops triggered by an immediate delivery; they
-        // causally follow the action report, so they are notified after
-        // it. Empty (and unallocated) for non-replying protocols.
-        let mut chained: Vec<StepReport<B::Msg>> = Vec::new();
+        // The report of the reply an immediate delivery triggered; it
+        // causally follows the action report, so it is notified after it.
+        let mut chained: Option<StepReport<B::Msg>> = None;
         let event = match self.arena.initiate(&self.behavior, k, &mut self.sched.rng) {
             None => {
                 self.stats.self_loops += 1;
@@ -375,10 +371,9 @@ impl<L: FaultModel, B: ProtocolBehavior> FlatSimulation<L, B> {
                 } else {
                     match self.delay {
                         DelayModel::Immediate => {
-                            let (event, reply) = self.deliver_hop(to, message);
-                            if reply.is_some() {
-                                let sink = if observed { Some(&mut chained) } else { None };
-                                self.process_replies(reply, sink);
+                            let (event, reply) = self.deliver(to, message);
+                            if let Some(reply) = reply {
+                                chained = Some(self.route_reply(reply));
                             }
                             event
                         }
@@ -392,81 +387,37 @@ impl<L: FaultModel, B: ProtocolBehavior> FlatSimulation<L, B> {
             }
         };
         let report = StepReport { initiator, event, phase: StepPhase::Action, step: self.steps };
-        if observed {
+        if !self.subscribers.is_empty() {
             self.notify(&report);
-            for chained_report in &chained {
-                self.notify(chained_report);
+            if let Some(chained) = &chained {
+                self.notify(chained);
             }
         }
         report
     }
 
-    /// Delivers one message hop at `to` (or counts a dead letter),
-    /// returning the step event and the receiver's reply, if any.
-    fn deliver_hop(&mut self, to: NodeId, message: B::Msg) -> HopOutcome<B::Msg> {
+    /// Delivers one message hop at `to` through the shell's
+    /// [`deliver_hop`], timed under `sim.profile.deliver_ns`.
+    #[inline]
+    fn deliver(&mut self, to: NodeId, message: B::Msg) -> HopOutcome<B::Msg> {
         let _span = self.sched.profile.as_ref().map(|p| SpanTimer::start(&p.deliver));
-        let duplicated = B::duplicated(&message);
-        match self.arena.dense_of(to) {
-            None => {
-                self.stats.dead_letters += 1;
-                (StepEvent::DeadLetter { to, message, duplicated }, None)
-            }
-            Some(k) => {
-                let receipt = self.arena.receive(&self.behavior, k, message, &mut self.sched.rng);
-                if receipt.deleted {
-                    self.stats.deleted += 1;
-                } else {
-                    self.stats.stored += 1;
-                }
-                (
-                    StepEvent::Delivered { to, message, duplicated, deleted: receipt.deleted },
-                    receipt.reply,
-                )
-            }
-        }
+        let rng = &mut self.sched.rng;
+        deliver_hop(&mut self.arena, &self.behavior, &mut self.stats, to, message, rng)
     }
 
-    /// Routes a reply chain back through the channel, each hop delivered
-    /// at once: a loss draw per hop, [`MAX_REPLY_CHAIN`] hops max (excess
-    /// replies are dropped uncounted). Out of line — S&F never replies.
+    /// Routes a reply back through the channel, delivered at once: one
+    /// loss draw on the global RNG, then the shell's [`reply_hop`], its
+    /// delivery timed like any other. A reply gets no reply, so this is
+    /// the action's last hop. Out of line — S&F never replies.
     #[cold]
     #[inline(never)]
-    fn process_replies(
-        &mut self,
-        mut reply: Option<(NodeId, B::Msg)>,
-        mut reports: Option<&mut Vec<StepReport<B::Msg>>>,
-    ) {
-        let mut hops = 0;
-        while let Some((to, message)) = reply.take() {
-            hops += 1;
-            if hops > MAX_REPLY_CHAIN {
-                break;
-            }
-            let from = B::sender(&message);
-            let duplicated = B::duplicated(&message);
-            self.stats.sent += 1;
-            self.stats.replies += 1;
-            if duplicated {
-                self.stats.duplications += 1;
-            }
-            let ctx = FaultCtx { from, to, round: self.rounds };
-            let event = if self.loss.drops(ctx, &mut self.sched.rng) {
-                self.stats.lost += 1;
-                StepEvent::Lost { to, message, duplicated }
-            } else {
-                let (event, next) = self.deliver_hop(to, message);
-                reply = next;
-                event
-            };
-            if let Some(out) = reports.as_deref_mut() {
-                out.push(StepReport {
-                    initiator: from,
-                    event,
-                    phase: StepPhase::Delivery,
-                    step: self.steps,
-                });
-            }
-        }
+    fn route_reply(&mut self, reply: (NodeId, B::Msg)) -> StepReport<B::Msg> {
+        let ctx = FaultCtx { from: B::sender(&reply.1), to: reply.0, round: self.rounds };
+        let lost = self.loss.drops(ctx, &mut self.sched.rng);
+        let profile = self.sched.profile.as_ref().filter(|_| !lost);
+        let _span = profile.map(|p| SpanTimer::start(&p.deliver));
+        let (arena, stats, rng) = (&mut self.arena, &mut self.stats, &mut self.sched.rng);
+        reply_hop(arena, &self.behavior, stats, reply, lost, rng, self.steps)
     }
 
     /// Drains every bucket whose delivery time has arrived, in increasing
@@ -480,7 +431,7 @@ impl<L: FaultModel, B: ProtocolBehavior> FlatSimulation<L, B> {
         for t in self.sched.drained_to + 1..=self.steps {
             let Some(batch) = self.queue.take(t) else { continue };
             for &(to, message) in &batch {
-                let (event, reply) = self.deliver_hop(to, message);
+                let (event, reply) = self.deliver(to, message);
                 debug_assert!(reply.is_none(), "only S&F is delayed, and S&F never replies");
                 if let Some(out) = reports.as_deref_mut() {
                     out.push(StepReport {
@@ -937,6 +888,16 @@ mod tests {
         assert_eq!(s.sent, s.lost + s.dead_letters + s.stored + s.deleted);
         assert_eq!(s.replies, 0, "S&F never replies");
         assert!(sim.graph().is_weakly_connected());
+    }
+
+    /// A reply that replies breaks the [`ProtocolBehavior`] contract, and
+    /// the reply hop fails loudly instead of routing it.
+    #[test]
+    #[should_panic(expected = "a reply got a reply")]
+    fn a_reply_that_replies_panics() {
+        let (config, views) = crate::shell::tests::ring(4);
+        let rogue = crate::shell::tests::Ping(true);
+        FlatSimulation::from_views(rogue, config, views, UniformLoss::none(), 1).step();
     }
 
     #[test]

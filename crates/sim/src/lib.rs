@@ -67,5 +67,5 @@ pub use shell::ArenaSim;
 pub use telemetry::SimRecorder;
 pub use traits::{
     slot_word, Engine, IdBatch, ProtocolBehavior, Receipt, SfBehavior, SlotView, ARENA_ID_LIMIT,
-    EMPTY_SLOT, FLAG_DEPENDENT, FLAG_TOMBSTONE, MAX_REPLY_CHAIN,
+    EMPTY_SLOT, FLAG_DEPENDENT, FLAG_TOMBSTONE,
 };

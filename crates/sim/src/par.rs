@@ -49,10 +49,12 @@
 //!    receive drawing from a per-message RNG derived from
 //!    `(seed, deliver_time, bucket position)`. Replies produced by a
 //!    [`ProtocolBehavior`] receive (push-pull, shuffle — never S&F) are
-//!    collected in bucket order and routed sequentially afterwards, in
-//!    waves, each hop delivered at once and drawing from its own
-//!    `(seed, deliver_time, wave, bucket position)` stream — so the reply
-//!    traffic is thread-count-independent too.
+//!    collected in bucket order and routed sequentially afterwards through
+//!    the shell's one reply hop, each delivered at once, its loss drawn on
+//!    the replier's sender channel, and drawing from its own
+//!    `(seed, deliver_time, bucket position)` stream — so the reply
+//!    traffic is thread-count-independent too. A reply gets no reply, so
+//!    one pass routes them all.
 //!
 //! # A distinct — but valid — statistical mode
 //!
@@ -98,9 +100,9 @@ use sandf_obs::{duration_buckets, GaugeHandle, HistogramHandle, MetricsRegistry,
 use crate::arena::{Arena, Shard};
 use crate::engine::{DelayModel, SimStats, StepEvent, StepPhase, StepReport};
 use crate::fault::{FaultCtx, FaultModel};
-use crate::shell::{ArenaSim, Schedule};
+use crate::shell::{reply_hop, ArenaSim, Schedule};
 use crate::stream::{self, absorb, stream_prefix, stream_seed};
-use crate::traits::{ProtocolBehavior, SfBehavior, MAX_REPLY_CHAIN};
+use crate::traits::{ProtocolBehavior, SfBehavior};
 
 /// The sharded, multi-threaded fast path of the simulation stack: the
 /// shell [`ArenaSim`] under the `Par` schedule.
@@ -132,15 +134,12 @@ pub type ParSimulation<L, B = SfBehavior> = ArenaSim<Par<L, <B as ProtocolBehavi
 /// pass, into a buffer on its stack, ahead of the rows that consume them.
 const SEED_CHUNK: usize = 256;
 
-/// `reply_seed` packs `at·16 + wave`, injective only while a wave number
-/// fits in four bits.
-const _: () = assert!(MAX_REPLY_CHAIN < 16, "reply_seed's at·16 + wave needs MAX_REPLY_CHAIN < 16");
-
-/// The RNG stream of the reply hop in `wave` (1-based) descending from
-/// sorted bucket position `pos` of the bucket delivered at `at`.
+/// The RNG stream of the reply to the request at sorted bucket position
+/// `pos` of the bucket delivered at `at`, under the fixed coordinate
+/// `at·16 + 1` the zoo's par goldens were recorded with.
 #[inline]
-fn reply_seed(seed: u64, at: u64, wave: u64, pos: u64) -> u64 {
-    stream_seed(seed, stream::REPLY, at * 16 + wave, pos)
+fn reply_seed(seed: u64, at: u64, pos: u64) -> u64 {
+    stream_seed(seed, stream::REPLY, at * 16 + 1, pos)
 }
 
 /// The control-plane RNG stream (sponsor-view shuffles in
@@ -245,9 +244,9 @@ struct DeliveryShardOut<M> {
     deleted: u64,
     /// Delivery reports keyed by sorted bucket position.
     reports: Vec<(usize, StepReport<M>)>,
-    /// Replies the receives produced, keyed by sorted bucket position;
-    /// routed sequentially after the shards merge (empty for S&F).
-    replies: Vec<(usize, NodeId, M)>,
+    /// Replies the receives produced, as (sorted bucket position, (receiver,
+    /// message)); routed sequentially after the shards merge (empty for S&F).
+    replies: Vec<(usize, (NodeId, M))>,
     /// Signed per-bucket movement of the live-outdegree histogram.
     hist: Vec<i64>,
 }
@@ -509,7 +508,8 @@ impl<L: FaultModel + Clone + Send, B: ProtocolBehavior> ParSimulation<L, B> {
     /// Drains the bucket due at time `at`: stably orders it by
     /// `(deliver_time, sender, slot)` (see the module docs), counts dead
     /// letters sequentially, applies the surviving receives in parallel
-    /// per receiver shard, then routes any replies sequentially in waves.
+    /// per receiver shard, then routes any replies sequentially, in
+    /// bucket order.
     fn deliver_bucket(&mut self, at: u64, shard_len: usize, threads: usize, end_step: u64) {
         let Some(mut batch) = self.queue.take(at) else { return };
         // One bucket holds exactly one delivery time, and a sender emits at
@@ -529,19 +529,11 @@ impl<L: FaultModel + Clone + Send, B: ProtocolBehavior> ParSimulation<L, B> {
                 None => {
                     self.stats.dead_letters += 1;
                     if observed {
-                        reports.push((
-                            pos,
-                            StepReport {
-                                initiator: B::sender(&message),
-                                event: StepEvent::DeadLetter {
-                                    to,
-                                    message,
-                                    duplicated: B::duplicated(&message),
-                                },
-                                phase: StepPhase::Delivery,
-                                step: end_step,
-                            },
-                        ));
+                        let (initiator, duplicated) =
+                            (B::sender(&message), B::duplicated(&message));
+                        let event = StepEvent::DeadLetter { to, message, duplicated };
+                        let phase = StepPhase::Delivery;
+                        reports.push((pos, StepReport { initiator, event, phase, step: end_step }));
                     }
                 }
                 Some(k) => self.sched.scratch[k / shard_len].routes.push((pos as u32, k as u32)),
@@ -556,7 +548,7 @@ impl<L: FaultModel + Clone + Send, B: ProtocolBehavior> ParSimulation<L, B> {
         let outs = run_shards(threads, shards, |(shard, scratch)| {
             run_delivery_shard(ctx, behavior, shard, batch_ref, &mut scratch.routes)
         });
-        let mut replies: Vec<(usize, NodeId, B::Msg)> = Vec::new();
+        let mut replies: Vec<(usize, (NodeId, B::Msg))> = Vec::new();
         for out in outs {
             self.stats.stored += out.stored;
             self.stats.deleted += out.deleted;
@@ -575,92 +567,31 @@ impl<L: FaultModel + Clone + Send, B: ProtocolBehavior> ParSimulation<L, B> {
         }
         self.queue.restore(at, batch);
         if !replies.is_empty() {
-            replies.sort_by_key(|&(pos, _, _)| pos);
-            self.process_reply_waves(replies, at, end_step);
+            replies.sort_by_key(|&(pos, _)| pos);
+            self.route_replies(replies, at, end_step);
         }
     }
 
-    /// Routes the replies a drained bucket produced, sequentially and in
-    /// waves: wave `w` holds the replies triggered by wave `w − 1` (wave 0
-    /// being the parallel bucket delivery), each hop delivered at once and
-    /// drawing loss and
-    /// placement from its private `(seed, at, wave, pos)` stream — so the
-    /// whole cascade is thread-count-independent. Chains stop after
-    /// [`MAX_REPLY_CHAIN`] waves (excess replies dropped uncounted, like
-    /// the flat engine's cap). Out of line — S&F never replies.
+    /// Routes the replies a drained bucket produced, sequentially in bucket
+    /// order, each delivered at once through the shell's [`reply_hop`]: the
+    /// loss is drawn on the replier's own sender channel, and loss and
+    /// placement draw from the reply's private `(seed, at, pos)` stream —
+    /// so the reply traffic is thread-count-independent. A reply gets no
+    /// reply. Out of line — S&F never replies.
     #[cold]
     #[inline(never)]
-    fn process_reply_waves(
-        &mut self,
-        mut pending: Vec<(usize, NodeId, B::Msg)>,
-        at: u64,
-        end_step: u64,
-    ) {
-        let observed = !self.subscribers.is_empty();
-        let mut wave: u64 = 0;
-        while !pending.is_empty() {
-            wave += 1;
-            if wave > MAX_REPLY_CHAIN as u64 {
-                break;
+    fn route_replies(&mut self, replies: Vec<(usize, (NodeId, B::Msg))>, at: u64, end_step: u64) {
+        for (pos, reply) in replies {
+            let from = B::sender(&reply.1);
+            let k = self.arena.dense_of(from).expect("a replier has just received, so it is live");
+            let mut rng = StdRng::seed_from_u64(reply_seed(self.sched.seed, at, pos as u64));
+            let ctx = FaultCtx { from, to: reply.0, round: self.rounds };
+            let lost = self.sched.channels[k].drops(ctx, &mut rng);
+            let (arena, stats) = (&mut self.arena, &mut self.stats);
+            let report = reply_hop(arena, &self.behavior, stats, reply, lost, &mut rng, end_step);
+            if !self.subscribers.is_empty() {
+                self.notify(&report);
             }
-            let mut next: Vec<(usize, NodeId, B::Msg)> = Vec::new();
-            for (pos, to, message) in std::mem::take(&mut pending) {
-                let from = B::sender(&message);
-                let duplicated = B::duplicated(&message);
-                self.stats.sent += 1;
-                self.stats.replies += 1;
-                if duplicated {
-                    self.stats.duplications += 1;
-                }
-                let mut rng =
-                    StdRng::seed_from_u64(reply_seed(self.sched.seed, at, wave, pos as u64));
-                let fctx = FaultCtx { from, to, round: self.rounds };
-                let dropped = match self.arena.dense_of(from) {
-                    Some(k) => self.sched.channels[k].drops(fctx, &mut rng),
-                    // The replier departed between hops (possible only
-                    // through an exotic behavior); fall back to the
-                    // prototype channel.
-                    None => self.loss.drops(fctx, &mut rng),
-                };
-                let event = if dropped {
-                    self.stats.lost += 1;
-                    StepEvent::Lost { to, message, duplicated }
-                } else {
-                    match self.arena.dense_of(to) {
-                        None => {
-                            self.stats.dead_letters += 1;
-                            StepEvent::DeadLetter { to, message, duplicated }
-                        }
-                        Some(k) => {
-                            let receipt = self.arena.receive(&self.behavior, k, message, &mut rng);
-                            if receipt.deleted {
-                                self.stats.deleted += 1;
-                            } else {
-                                self.stats.stored += 1;
-                            }
-                            if let Some((reply_to, reply_msg)) = receipt.reply {
-                                next.push((pos, reply_to, reply_msg));
-                            }
-                            StepEvent::Delivered {
-                                to,
-                                message,
-                                duplicated,
-                                deleted: receipt.deleted,
-                            }
-                        }
-                    }
-                };
-                if observed {
-                    let report = StepReport {
-                        initiator: from,
-                        event,
-                        phase: StepPhase::Delivery,
-                        step: end_step,
-                    };
-                    self.notify(&report);
-                }
-            }
-            pending = next;
         }
     }
 
@@ -807,7 +738,7 @@ fn run_action_shard<L: FaultModel, B: ProtocolBehavior>(
 /// the bucket positions of `batch`'s messages to this shard's receivers,
 /// in bucket order, and is left empty. The per-message RNG is derived from
 /// `(seed, deliver_time, sorted bucket position)`. Replies are collected
-/// (keyed by bucket position) for the sequential wave router.
+/// (keyed by bucket position) for the sequential reply pass.
 fn run_delivery_shard<B: ProtocolBehavior>(
     ctx: DeliveryCtx,
     behavior: &B,
@@ -834,8 +765,8 @@ fn run_delivery_shard<B: ProtocolBehavior>(
             } else {
                 out.stored += 1;
             }
-            if let Some((reply_to, reply_msg)) = receipt.reply {
-                out.replies.push((pos, reply_to, reply_msg));
+            if let Some(reply) = receipt.reply {
+                out.replies.push((pos, reply));
             }
             if ctx.observed {
                 out.reports.push((
@@ -1241,6 +1172,39 @@ mod tests {
         sim.run_rounds(5);
         clone.run_rounds(5);
         assert_par_equal(&sim, &clone);
+    }
+
+    /// A reply that replies breaks the [`ProtocolBehavior`] contract, and
+    /// the reply pass fails loudly instead of routing it.
+    #[test]
+    #[should_panic(expected = "a reply got a reply")]
+    fn a_reply_that_replies_panics() {
+        let (config, views) = crate::shell::tests::ring(4);
+        let rogue = crate::shell::tests::Ping(true);
+        ParSimulation::from_views(rogue, config, views, UniformLoss::none(), 1, 1).round();
+    }
+
+    /// A per-sender channel that remembers the node whose sends it
+    /// carries, and fails when another node's send draws on it.
+    #[derive(Clone, Debug)]
+    struct OwnedChannel(Option<NodeId>);
+
+    impl FaultModel for OwnedChannel {
+        fn drops<R: Rng + ?Sized>(&mut self, ctx: FaultCtx, _: &mut R) -> bool {
+            let owner = *self.0.get_or_insert(ctx.from);
+            assert_eq!(owner, ctx.from, "{}'s send drew on {owner}'s channel", ctx.from);
+            false
+        }
+    }
+
+    /// A reply's loss is drawn on the replier's own sender channel.
+    #[test]
+    fn a_reply_draws_on_the_repliers_channel() {
+        let (config, views) = crate::shell::tests::ring(6);
+        let ping = crate::shell::tests::Ping(false);
+        let mut sim = ParSimulation::from_views(ping, config, views, OwnedChannel(None), 7, 2);
+        sim.run_rounds(5);
+        assert_eq!((sim.stats().sent, sim.stats().replies), (60, 30));
     }
 
     #[test]

@@ -39,7 +39,7 @@ use sandf_graph::DependenceReport;
 
 use crate::arena::Arena;
 use crate::degree::DegreeStats;
-use crate::engine::{DelayModel, SimStats, StepReport, StepSubscriber};
+use crate::engine::{DelayModel, SimStats, StepEvent, StepPhase, StepReport, StepSubscriber};
 use crate::traits::{Engine, ProtocolBehavior, SfBehavior};
 
 /// An engine's registered step-event observers. Boxed observers are not
@@ -156,6 +156,75 @@ impl<M> InFlight<M> {
         batch.clear();
         self.buckets[bucket] = batch;
     }
+}
+
+/// A delivery hop's outcome: the step event, plus the receiver's reply
+/// (receiver, message) still to be routed.
+pub(crate) type HopOutcome<M> = (StepEvent<M>, Option<(NodeId, M)>);
+
+/// The one delivery hop: delivers `message` at `to`, drawing placement from
+/// `rng`, or counts a dead letter when `to` has left. Counts the receipt as
+/// stored or deleted and returns the event with the receiver's reply, if
+/// any. Written over the shell's disjoint fields, so a schedule passes its
+/// own RNG beside them.
+#[inline]
+pub(crate) fn deliver_hop<B: ProtocolBehavior>(
+    arena: &mut Arena,
+    behavior: &B,
+    stats: &mut SimStats,
+    to: NodeId,
+    message: B::Msg,
+    rng: &mut StdRng,
+) -> HopOutcome<B::Msg> {
+    let duplicated = B::duplicated(&message);
+    let Some(k) = arena.dense_of(to) else {
+        stats.dead_letters += 1;
+        return (StepEvent::DeadLetter { to, message, duplicated }, None);
+    };
+    let receipt = arena.receive(behavior, k, message, rng);
+    if receipt.deleted {
+        stats.deleted += 1;
+    } else {
+        stats.stored += 1;
+    }
+    (StepEvent::Delivered { to, message, duplicated, deleted: receipt.deleted }, receipt.reply)
+}
+
+/// The one reply hop: counts `reply` (receiver, message) as sent, then as
+/// lost when the caller's loss draw says so (`lost`, drawn on the
+/// schedule's own channel and RNG), else delivers it through
+/// [`deliver_hop`]. Returns its delivery report, stamped `step`.
+///
+/// # Panics
+///
+/// Panics when the reply gets a reply: a request gets at most one reply
+/// and a reply none (the [`ProtocolBehavior`] contract).
+#[cold]
+#[inline(never)]
+pub(crate) fn reply_hop<B: ProtocolBehavior>(
+    arena: &mut Arena,
+    behavior: &B,
+    stats: &mut SimStats,
+    (to, message): (NodeId, B::Msg),
+    lost: bool,
+    rng: &mut StdRng,
+    step: u64,
+) -> StepReport<B::Msg> {
+    let duplicated = B::duplicated(&message);
+    stats.sent += 1;
+    stats.replies += 1;
+    if duplicated {
+        stats.duplications += 1;
+    }
+    let event = if lost {
+        stats.lost += 1;
+        StepEvent::Lost { to, message, duplicated }
+    } else {
+        let (event, reply) = deliver_hop(arena, behavior, stats, to, message, rng);
+        assert!(reply.is_none(), "a reply got a reply: a request gets at most one reply");
+        event
+    };
+    StepReport { initiator: B::sender(&message), event, phase: StepPhase::Delivery, step }
 }
 
 /// What a scheduler adds to the shell: its live order, its RNG, its
@@ -490,10 +559,44 @@ impl<S: Schedule<L, B>, L, B: ProtocolBehavior> Engine for ArenaSim<S, L, B> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
+    use rand::Rng;
     use sandf_core::Message;
 
     use super::*;
+    use crate::traits::{Receipt, SlotView};
+
+    /// A [`Ping`] message: its sender, and whether it is a reply.
+    type Hop = (NodeId, bool);
+
+    /// A test-local request/reply behavior: each node sends a request to
+    /// the id in its first slot, and a receive answers a request with one
+    /// reply — and a reply too when rogue (`Ping(true)`), breaking the
+    /// one-reply contract. Views never change.
+    #[derive(Clone, Copy, Debug)]
+    pub(crate) struct Ping(pub(crate) bool);
+
+    impl ProtocolBehavior for Ping {
+        type Msg = Hop;
+
+        fn sender(msg: &Hop) -> NodeId {
+            msg.0
+        }
+
+        fn initiate<R: Rng>(&self, _: SfConfig, v: SlotView, _: &mut R) -> Option<(NodeId, Hop)> {
+            Some((v.id_at(0)?, (v.id, false)))
+        }
+
+        fn receive<R: Rng>(&self, _: SfConfig, v: SlotView, m: Hop, _: &mut R) -> Receipt<Hop> {
+            Receipt { deleted: false, reply: (!m.1 || self.0).then_some((m.0, (v.id, true))) }
+        }
+    }
+
+    /// `n` nodes in a ring, each viewing its successor, for [`Ping`].
+    pub(crate) fn ring(n: u64) -> (SfConfig, Vec<(NodeId, Vec<NodeId>)>) {
+        let views = (0..n).map(|i| (NodeId::new(i), vec![NodeId::new((i + 1) % n)])).collect();
+        (SfConfig::new(6, 0).unwrap(), views)
+    }
 
     fn message(from: u64) -> Message {
         Message::new(NodeId::new(from), NodeId::new(from + 1), false)

@@ -15,7 +15,7 @@
 //! |---|---|---|---|
 //! | `a` | [`ACTION`] | (node id, round) | `ParSimulation` action phase: initiate, loss, delay |
 //! | `d` | [`DELIVERY`] | (delivery round, sorted bucket position) | `ParSimulation` receive |
-//! | `r` | [`REPLY`] | (delivery round · 16 + wave, bucket position) | `ParSimulation` reply hops |
+//! | `r` | [`REPLY`] | (delivery round · 16 + 1, bucket position) | `ParSimulation` reply hop: loss, receive |
 //! | `c` | [`CONTROL`] | (0, 0) | `ParSimulation::join_via` sponsor shuffles |
 //! | `g` | [`RUMOR`] | (node id, round) | `BroadcastLayer` push targets, pull partner, loss coins |
 //! | `h` | [`RUMOR_CHANNEL`] | (node id, round) | `BroadcastLayer` Gilbert–Elliott state step |
@@ -53,7 +53,7 @@
 pub const ACTION: u8 = b'a';
 /// Par delivery phase: a message's stream at its sorted bucket position.
 pub const DELIVERY: u8 = b'd';
-/// Par reply routing: one hop of a reply wave.
+/// Par reply routing: the reply to the request at a sorted bucket position.
 pub const REPLY: u8 = b'r';
 /// Par control plane: its [`Engine::join_via`](crate::Engine::join_via) sponsor shuffles.
 pub const CONTROL: u8 = b'c';

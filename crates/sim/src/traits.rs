@@ -13,18 +13,19 @@
 //!   sweeps are written once and instantiated per schedule;
 //! * [`ProtocolBehavior`] — a membership protocol expressed over one
 //!   node's slot window ([`SlotView`]): an initiate action, a receive
-//!   handler that may produce one reply, and the bootstrap/visibility
-//!   hooks churn and measurement need. The shell is generic over a
-//!   behavior (defaulting to [`SfBehavior`], the paper's S&F protocol),
-//!   which is how push-only, push-pull, shuffle, and the S&F variants run
-//!   at multi-million-steps/sec scale.
+//!   handler that may answer a request with one reply (and a reply with
+//!   none), and the bootstrap/visibility hooks churn and measurement
+//!   need. The shell is generic over a behavior (defaulting to
+//!   [`SfBehavior`], the paper's S&F protocol), which is how push-only,
+//!   push-pull, shuffle, and the S&F variants run at
+//!   multi-million-steps/sec scale.
 //!
 //! # Draw-order contract
 //!
 //! [`SfBehavior`] performs a fixed sequence of RNG draws (slot pick `i`,
 //! distinct slot pick `j`, then per delivered message the nth-empty-slot
 //! placement draws); the bench goldens pin it byte for byte. S&F never
-//! replies, so the reply machinery below consumes zero draws for it.
+//! replies, so the engines' one reply hop consumes zero draws for it.
 //! The behaviors draw through any [`Rng`], so `tests/exact_step_law.rs`
 //! can drive them with scripted words and enumerate their exact one-step
 //! law; the engines pass their own `StdRng` streams.
@@ -187,7 +188,8 @@ impl SlotView<'_> {
 pub struct Receipt<M> {
     /// The delivered ids were discarded rather than stored.
     pub deleted: bool,
-    /// A reply to route back through the channel (loss applies per hop).
+    /// A reply to route back through the channel, with its own loss draw;
+    /// only a request may carry one.
     pub reply: Option<(NodeId, M)>,
 }
 
@@ -217,8 +219,16 @@ impl<M> Receipt<M> {
 ///
 /// The engine owns scheduling, the channel (loss, delay, dead letters),
 /// churn bookkeeping, and the stats ledgers; the behavior owns the view
-/// algebra. Reply chains are capped at
-/// [`MAX_REPLY_CHAIN`](crate::MAX_REPLY_CHAIN) hops per delivery.
+/// algebra.
+///
+/// **One reply hop.** A request gets at most one reply, and a reply gets
+/// none: [`receive`](Self::receive) may return a reply only for a message
+/// that [`initiate`](Self::initiate) sent. S&F never replies (Fig. 5.1);
+/// push-pull and shuffle answer each request once, as the §3.1 baselines
+/// do. Both engines route a reply back through the channel at once, with
+/// its own loss draw, and panic when it gets a reply in turn: a behavior
+/// that breaks the contract fails loudly, and its second reply is never
+/// routed.
 pub trait ProtocolBehavior: Clone + Send + Sync {
     /// The wire message. `Copy` so the engines' ring buffers and shard
     /// queues stay allocation-free.
@@ -244,7 +254,8 @@ pub trait ProtocolBehavior: Clone + Send + Sync {
         rng: &mut R,
     ) -> Option<(NodeId, Self::Msg)>;
 
-    /// Delivers `msg` at `view`'s node; may produce one reply.
+    /// Delivers `msg` at `view`'s node; a request may produce one reply,
+    /// a reply none (see the trait docs).
     fn receive<R: Rng>(
         &self,
         config: SfConfig,
@@ -282,16 +293,11 @@ pub trait ProtocolBehavior: Clone + Send + Sync {
     }
 }
 
-/// Maximum reply hops processed per delivered message. Push-pull and
-/// shuffle use one reply; the cap only guards against a misbehaving
-/// protocol.
-pub const MAX_REPLY_CHAIN: usize = 8;
-
 /// The paper's S&F protocol as a [`ProtocolBehavior`] — the default
 /// behavior of the flat and par engines.
 ///
-/// It never replies, so the generic reply machinery is dead code on the
-/// S&F path.
+/// It never replies, so the engines' reply hop is dead code on the S&F
+/// path.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SfBehavior;
 
@@ -357,21 +363,10 @@ impl ProtocolBehavior for SfBehavior {
         Receipt::stored()
     }
 
-    /// The protocol's own bootstrap checks, in the order
-    /// `SfNode::with_view` performs them.
+    /// The protocol's own joining rule, [`SfConfig::check_bootstrap`] —
+    /// the checks `SfNode::with_view` makes.
     fn validate_bootstrap(&self, config: SfConfig, supplied: usize) -> Result<(), JoinError> {
-        let d_l = config.lower_threshold();
-        let s = config.view_size();
-        if supplied < d_l {
-            return Err(JoinError::TooFewIds { supplied, d_l });
-        }
-        if supplied > s {
-            return Err(JoinError::TooManyIds { supplied, s });
-        }
-        if !supplied.is_multiple_of(2) {
-            return Err(JoinError::OddIdCount { supplied });
-        }
-        Ok(())
+        config.check_bootstrap(supplied)
     }
 }
 
@@ -584,7 +579,8 @@ pub trait Engine {
     /// engine's own counters update. See [`StepSubscriber`]. Under par the
     /// stream is itself deterministic and thread-count-independent: action
     /// reports arrive in dense arena order, delivery reports in sorted
-    /// bucket order, reply reports in wave order.
+    /// bucket order, then reply reports in the bucket order of their
+    /// requests.
     fn subscribe(&mut self, subscriber: Box<dyn StepSubscriber<Self::Msg>>);
 }
 

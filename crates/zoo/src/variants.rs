@@ -15,7 +15,7 @@
 //! 3. [`BatchedBehavior`] — `b` payload ids per message (odd `b`,
 //!    preserving the Observation 5.1 parity invariant).
 //!
-//! The analyzed baseline is [`SfBehavior`] itself, so the
+//! The analyzed baseline is [`SfBehavior`](sandf_sim::SfBehavior) itself, so the
 //! `variants_ablation` bench compares degree balance, dependence, and
 //! loss-resilience across all four on one engine — quantifying exactly the
 //! trade-offs the paper chose not to analyze.
@@ -23,7 +23,7 @@
 //! Each is vanilla S&F over a [`SlotView`] window with one rule changed:
 //! the same slot draws, with empty slots marked by the arena's
 //! [`EMPTY_SLOT`] sentinel and tombstones by the [`FLAG_TOMBSTONE`] bit.
-//! The vanilla protocol needs no re-expression — it *is* [`SfBehavior`].
+//! The vanilla protocol needs no re-expression — it *is* [`SfBehavior`](sandf_sim::SfBehavior).
 //!
 //! Wire format: [`IdBatch`] with per-payload dependence bits; the
 //! sender's own dependence rides in the `kind` field
@@ -53,8 +53,8 @@ use rand::seq::index::sample;
 use rand::Rng;
 use sandf_core::{NodeId, SfConfig};
 use sandf_sim::{
-    slot_word, IdBatch, ProtocolBehavior, Receipt, SfBehavior, SlotView, EMPTY_SLOT,
-    FLAG_DEPENDENT, FLAG_TOMBSTONE,
+    slot_word, IdBatch, ProtocolBehavior, Receipt, SlotView, EMPTY_SLOT, FLAG_DEPENDENT,
+    FLAG_TOMBSTONE,
 };
 
 /// [`IdBatch::kind`] for a send whose transmitted instances were cleansed
@@ -90,11 +90,6 @@ fn draw_pair(s: usize, rng: &mut impl Rng) -> (usize, usize) {
         j += 1;
     }
     (i, j)
-}
-
-/// The S&F bootstrap rule (`d_L ≤ n ≤ s`, even) shared by every variant.
-fn validate_sf_bootstrap(config: SfConfig, supplied: usize) -> Result<(), sandf_core::JoinError> {
-    SfBehavior.validate_bootstrap(config, supplied)
 }
 
 /// Variant 2 (replace-when-full) over the arena: vanilla S&F sends, but a
@@ -182,7 +177,7 @@ impl ProtocolBehavior for ReplaceBehavior {
         config: SfConfig,
         supplied: usize,
     ) -> Result<(), sandf_core::JoinError> {
-        validate_sf_bootstrap(config, supplied)
+        config.check_bootstrap(supplied)
     }
 }
 
@@ -315,7 +310,7 @@ impl ProtocolBehavior for UndeleteBehavior {
         config: SfConfig,
         supplied: usize,
     ) -> Result<(), sandf_core::JoinError> {
-        validate_sf_bootstrap(config, supplied)
+        config.check_bootstrap(supplied)
     }
 }
 
@@ -421,7 +416,7 @@ impl ProtocolBehavior for BatchedBehavior {
         config: SfConfig,
         supplied: usize,
     ) -> Result<(), sandf_core::JoinError> {
-        validate_sf_bootstrap(config, supplied)
+        config.check_bootstrap(supplied)
     }
 }
 

@@ -14,12 +14,13 @@
 //!
 //! **The channel is the oracle's own.** The initiator (uniform over the
 //! nodes), the loss branch (probability `ℓ` per hop), dead letters and
-//! reply routing (at most [`MAX_REPLY_CHAIN`] replies per action) are
-//! enumerated here, not drawn; only the behaviors' draws go through the
-//! script. States are lumped to each node's sorted multiset of
-//! `(id, tombstone)` entries, as `ExactGlobalMc` lumps S&F's: every
-//! behavior picks slots, entries and victims uniformly, so its law depends
-//! on a view's contents, never on slot positions.
+//! reply routing (two hops per action at most: the request and its reply,
+//! which must carry no reply of its own) are enumerated here, not drawn;
+//! only the behaviors' draws go through the script. States are lumped to
+//! each node's sorted multiset of `(id, tombstone)` entries, as
+//! `ExactGlobalMc` lumps S&F's: every behavior picks slots, entries and
+//! victims uniformly, so its law depends on a view's contents, never on
+//! slot positions.
 //!
 //! **Three checks.** (1) The chains enumerated from [`SfBehavior`] and from
 //! `core::SfNode` equal `ExactGlobalMc::build` entry for entry — two
@@ -36,7 +37,7 @@ use rand::{Rng, RngCore};
 use sandf::baselines::{PushOnlyBehavior, PushPullBehavior, ShuffleBehavior};
 use sandf::core::{Entry, InitiateOutcome};
 use sandf::markov::ExactGlobalMc;
-use sandf::sim::{EMPTY_SLOT, FLAG_TOMBSTONE, MAX_REPLY_CHAIN};
+use sandf::sim::{EMPTY_SLOT, FLAG_TOMBSTONE};
 use sandf::variants::{BatchedBehavior, ReplaceBehavior, UndeleteBehavior};
 use sandf::{
     Engine, FlatSimulation, LocalView, MembershipGraph, Message, NodeId, ProtocolBehavior, Receipt,
@@ -238,17 +239,19 @@ impl<B: ProtocolBehavior> Law<B> {
             for ((view, sent), p) in self.steps(u, &x[u], None) {
                 let mut y = x.clone();
                 y[u] = view;
-                self.route(y, sent, MAX_REPLY_CHAIN + 1, p / x.len() as f64, &mut out);
+                self.route(y, sent, 2, p / x.len() as f64, &mut out);
             }
         }
         out
     }
 
-    /// Routes a message, with `hops` sends left in the action: lost with
-    /// probability `ℓ`, a dead letter to anything but a node, otherwise
-    /// received — and the reply routed the same way.
+    /// Routes a message, with `hops` sends left in the action (2: the
+    /// request, then its reply): lost with probability `ℓ`, a dead letter
+    /// to anything but a node, otherwise received — and the reply routed
+    /// the same way. A reply that carries a reply fails the enumeration.
     fn route(&mut self, x: State, sent: Option<(u64, B::Msg)>, hops: usize, w: f64, out: &mut Row) {
-        let Some((to, msg)) = sent.filter(|_| hops > 0) else { return add(out, x, w) };
+        let Some((to, msg)) = sent else { return add(out, x, w) };
+        assert!(hops > 0, "a reply carried a reply");
         if self.loss > 0.0 {
             add(out, x.clone(), w * self.loss);
         }

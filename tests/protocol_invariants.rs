@@ -492,11 +492,16 @@ fn readers_agree<E: Engine>(
     assert_eq!(dependence, DependenceReport::measure(rows), "{label}: dependence");
 }
 
-fn readers_agree_on_both_engines<B: ProtocolBehavior + Copy>(name: &str, behavior: B) {
-    let config = SfConfig::new(16, 6).expect("legal");
-    let views: Vec<(NodeId, Vec<NodeId>)> = (0..64u64)
+/// 64 nodes, each viewing its 10 successors, at `SfConfig::new(16, 6)`.
+fn successor_views() -> (SfConfig, Vec<(NodeId, Vec<NodeId>)>) {
+    let views = (0..64u64)
         .map(|i| (NodeId::new(i), (1..=10).map(|d| NodeId::new((i + d) % 64)).collect()))
         .collect();
+    (SfConfig::new(16, 6).expect("legal"), views)
+}
+
+fn readers_agree_on_both_engines<B: ProtocolBehavior + Copy>(name: &str, behavior: B) {
+    let (config, views) = successor_views();
     let loss = UniformLoss::new(0.05).expect("valid rate");
     // Leave one node mid-run, so its id lingers in live views as stale
     // instances the count has to find.
@@ -530,4 +535,25 @@ fn readers_agree_for_every_behavior_on_both_engines() {
     readers_agree_on_both_engines("replace", ReplaceBehavior);
     readers_agree_on_both_engines("undelete", UndeleteBehavior);
     readers_agree_on_both_engines("batched", BatchedBehavior::new(3));
+}
+
+/// The one-reply contract as an exact ledger: at ℓ = 0 with no churn every
+/// push-pull and shuffle request reaches a live node and is answered once,
+/// so exactly half of what is sent is replies, on both engines.
+#[test]
+fn request_reply_baselines_answer_every_request_once_on_both_engines() {
+    fn ledger<B: ProtocolBehavior + Copy>(name: &str, behavior: B) {
+        let (config, views) = successor_views();
+        let none = UniformLoss::none();
+        let mut flat = FlatSimulation::from_views(behavior, config, views.clone(), none, 3);
+        let mut par = ParSimulation::from_views(behavior, config, views, none, 3, 2);
+        flat.run_rounds(50);
+        par.run_rounds(50);
+        for (engine, s) in [("flat", *flat.stats()), ("par", *par.stats())] {
+            assert!(s.replies > 0 && s.lost + s.dead_letters == 0, "{name}/{engine}: {s:?}");
+            assert_eq!(s.sent, 2 * s.replies, "{name}/{engine}: {s:?}");
+        }
+    }
+    ledger("push_pull", PushPullBehavior::new(3));
+    ledger("shuffle", ShuffleBehavior::new(3));
 }
