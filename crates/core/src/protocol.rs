@@ -99,6 +99,14 @@ impl SfNode {
         Self { id, config, view, stats: NodeStats::new() }
     }
 
+    /// This node with its event counters set to `stats`: a runtime that
+    /// keeps a node's counters beside its view (the daemon does) hands the
+    /// node back whole.
+    #[must_use]
+    pub fn with_stats(self, stats: NodeStats) -> Self {
+        Self { stats, ..self }
+    }
+
     /// This node's id.
     #[must_use]
     pub fn id(&self) -> NodeId {

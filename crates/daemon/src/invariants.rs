@@ -29,16 +29,20 @@
 //!
 //! # Cost
 //!
-//! A check reads the seated nodes' headers twice (outdegrees, then ids)
-//! and walks each node's view once: O(live · s) with no hashing beyond one
-//! multiplicative probe per view entry. The Lemma 6.10 ceiling needs only
-//! three numbers from the overlay — edges, dangling edges and weakly
-//! connected components — so the walk counts them in place instead of
-//! snapshotting a [`MembershipGraph`](sandf_graph::MembershipGraph): every
-//! entry is an edge, an entry whose id is not seated is dangling, and the
-//! rest are unioned in the workspace's [`DisjointSets`]. Entries resolve
-//! to seats through the workspace's one id table, an [`IdIndex`] over the
-//! seated ids (the same index a graph snapshot resolves its edges with).
+//! A check reads the live rows three times (outdegrees, ids, entries):
+//! O(live · s) with no hashing beyond one multiplicative probe per view
+//! entry. A row is a node's id and the ids its view holds; the daemon
+//! hands the checker its arena rows, and [`InvariantChecker::check`]
+//! reads the same pair off each `&SfNode` it is given. The Lemma 6.10
+//! ceiling needs only three numbers from the overlay — edges, dangling
+//! edges and weakly connected components — so the walk counts them in
+//! place instead of snapshotting a
+//! [`MembershipGraph`](sandf_graph::MembershipGraph): every entry is an
+//! edge, an entry whose id is not live is dangling, and the rest are
+//! unioned in the workspace's [`DisjointSets`]. Entries resolve to seats
+//! (positions in the walk) through the workspace's one id table, an
+//! [`IdIndex`] over the live ids (the same index a graph snapshot
+//! resolves its edges with).
 //! The id list, the index and the union-find are kept across checks and
 //! rebuilt in place, so a steady-state check allocates nothing. All three
 //! are sized from live counts, never from ids: the index follows each
@@ -113,21 +117,41 @@ pub struct CheckOutcome {
 /// Cap on per-check reported degree offenders (the journal is bounded).
 pub const MAX_REPORTED_VIOLATIONS: usize = 16;
 
+/// What a check reads of one live node: its id, and the ids in its
+/// occupied slots, with multiplicity.
+pub(crate) trait NodeRow {
+    /// The node's id and its view's ids.
+    fn row(self) -> (NodeId, impl Iterator<Item = NodeId>);
+}
+
+impl NodeRow for &SfNode {
+    fn row(self) -> (NodeId, impl Iterator<Item = NodeId>) {
+        (self.id(), self.view().ids())
+    }
+}
+
+/// An arena row, as the daemon reads it.
+impl<E: Iterator<Item = NodeId>> NodeRow for (NodeId, E) {
+    fn row(self) -> (NodeId, impl Iterator<Item = NodeId>) {
+        self
+    }
+}
+
 /// The overlay counts the Lemma 6.10 ceiling and the component check read.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 struct Overlay {
-    /// Every view entry of every seated node, with multiplicity.
+    /// Every view entry of every live node, with multiplicity.
     edges: usize,
-    /// Entries naming an id that is not seated.
+    /// Entries naming an id that is not live.
     dangling: usize,
-    /// Weakly connected components of the seated nodes (0 when none).
+    /// Weakly connected components of the live nodes (0 when none).
     components: usize,
 }
 
 /// The scratch behind one overlay pass, kept across checks.
 #[derive(Clone, Debug)]
 struct OverlayPass {
-    /// The seated ids, in seat order: the keys `index` reads back.
+    /// The live ids, in seat (walk) order: the keys `index` reads back.
     ids: Vec<NodeId>,
     /// Id → seat, over `ids`.
     index: IdIndex,
@@ -139,27 +163,27 @@ impl OverlayPass {
         Self { ids: Vec::new(), index: IdIndex::new(), sets: DisjointSets::new(0) }
     }
 
-    /// Counts edges, dangling edges and components over the `live` nodes
-    /// `nodes` yields.
+    /// Counts edges, dangling edges and components over the `live` rows
+    /// `rows` yields.
     ///
     /// # Panics
     ///
     /// Panics on a repeated node id, as a graph snapshot does.
-    fn measure<'a, I>(&mut self, nodes: I, live: usize) -> Overlay
+    fn measure<I>(&mut self, rows: I, live: usize) -> Overlay
     where
-        I: Iterator<Item = &'a SfNode> + Clone,
+        I: Iterator<Item: NodeRow> + Clone,
     {
         self.ids.clear();
-        self.ids.extend(nodes.clone().map(SfNode::id));
+        self.ids.extend(rows.clone().map(|row| row.row().0));
         self.index.rebuild(&self.ids);
         self.sets.reset(live);
         let (mut edges, mut dangling) = (0, 0);
-        for (seat, node) in nodes.enumerate() {
+        for (seat, row) in rows.enumerate() {
             // Most entries name a node already in the seat's set: one find
             // decides that, and the seat's root is found again only after
             // a union may have moved it.
             let mut root = self.sets.find(seat);
-            for id in node.view().ids() {
+            for id in row.row().1 {
                 edges += 1;
                 match self.index.get(&self.ids, id) {
                     None => dangling += 1,
@@ -223,7 +247,14 @@ impl InvariantChecker {
         I: IntoIterator<Item = &'a SfNode>,
         I::IntoIter: Clone,
     {
-        let nodes = nodes.into_iter();
+        self.check_rows(round, nodes.into_iter(), totals)
+    }
+
+    /// [`check`](Self::check) over the live nodes' rows.
+    pub(crate) fn check_rows<I>(&mut self, round: u64, rows: I, totals: WireTotals) -> CheckOutcome
+    where
+        I: Iterator<Item: NodeRow> + Clone,
+    {
         let d_l = self.config.lower_threshold();
         let s = self.config.view_size();
 
@@ -231,8 +262,9 @@ impl InvariantChecker {
         let mut degree_violations = Vec::new();
         let mut degree_violation_count = 0;
         let (mut live, mut sum_out, mut min_out, mut max_out) = (0usize, 0usize, usize::MAX, 0);
-        for node in nodes.clone() {
-            let d = node.out_degree();
+        for row in rows.clone() {
+            let (id, entries) = row.row();
+            let d = entries.count();
             live += 1;
             sum_out += d;
             min_out = min_out.min(d);
@@ -240,7 +272,7 @@ impl InvariantChecker {
             if !d.is_multiple_of(2) || d < d_l || d > s {
                 degree_violation_count += 1;
                 if degree_violations.len() < MAX_REPORTED_VIOLATIONS {
-                    degree_violations.push((node.id(), d));
+                    degree_violations.push((id, d));
                 }
             }
         }
@@ -281,7 +313,7 @@ impl InvariantChecker {
         self.last = totals;
 
         // Lemma 6.10 ceiling against the measured overlay.
-        let overlay = self.overlay.measure(nodes, live);
+        let overlay = self.overlay.measure(rows, live);
         let total_edges = overlay.edges;
         let stale_fraction =
             if total_edges == 0 { 0.0 } else { overlay.dangling as f64 / total_edges as f64 };

@@ -3,6 +3,15 @@
 //!
 //! # Design
 //!
+//! The fleet is one [`Arena`], the simulators' struct-of-arrays storage,
+//! stepped by [`SfBehavior`], the simulators' S&F step: node ids are
+//! issued densely from 0 and never reused, so a node's id is its dense
+//! index, its row, and its timer's key. Beside the arena the loop keeps
+//! one column of its own, indexed the same way: each node's two random
+//! streams, its inbox and its [`NodeStats`], counted from each step's
+//! outcome as [`SfNode`] counts its own. A node that leaves keeps its row
+//! (its inbox is freed), so its id is never reissued.
+//!
 //! The daemon binds a single non-blocking loopback socket
 //! ([`SharedSocket`]); every message on it travels as a 25-byte frame, the
 //! destination node's id followed by the 17-byte message, and every
@@ -11,18 +20,17 @@
 //! daemon's one fault schedule ([`fault`](crate::fault)) in one draw from
 //! the sender's loss stream — the standing `uniform base_loss` phase, the
 //! Section 4.1 channel, or a runtime-injected model in its place — then
-//! the destination is looked up in a dense id → slot table, and only a
-//! message for a live node is packed into the loop's one outbox
-//! [`Datagram`]. The loss draw stays per message, so packing changes the
-//! number of datagrams the kernel handles, not the channel. The loop,
-//! not the node, receives: before every [`DRAIN_CHUNK`] node ticks it
-//! flushes the outbox onto the wire (a full one goes early) and then
-//! drains the socket into per-node inboxes through the same table, so a
-//! frame reaches the same drain, in the same order, as if it had gone out
-//! alone at its send. A node whose action timer fires takes its inbox and
-//! then initiates, so its receive step and initiate step happen
-//! back-to-back at a quiescent point. A message or frame for an id with no
-//! live node is a dead letter.
+//! the arena says whether the destination is live, and only a message for
+//! a live node is packed into the loop's one outbox [`Datagram`]. The loss
+//! draw stays per message, so packing changes the number of datagrams the
+//! kernel handles, not the channel. The loop, not the node, receives:
+//! before every [`DRAIN_CHUNK`] node ticks it flushes the outbox onto the
+//! wire (a full one goes early) and then drains the socket into the live
+//! rows' inboxes, so a frame reaches the same drain, in the same order, as
+//! if it had gone out alone at its send. A node whose action timer fires
+//! takes its inbox and then initiates, so its receive step and initiate
+//! step happen back-to-back at a quiescent point. A message or frame for
+//! an id with no live node is a dead letter.
 //!
 //! Each node draws from two streams of its own — protocol steps and loss —
 //! and the loop from one control stream (join sponsors and delays, leave
@@ -42,8 +50,10 @@
 //! term is zero unless a fault was injected.
 //!
 //! Timers live on a single-rotation [`TimerWheel`] whose rotation period is
-//! one protocol round: `W` ticks per rotation, node slot `k` parked at tick
-//! `k mod W`, refired one rotation later. The wheel is driven from wall
+//! one protocol round: `W` ticks per rotation, boot node `k` parked at tick
+//! `k mod W` (a joiner at a random tick), refired one rotation later while
+//! its row is live; a departed node's timer is dropped the next time it
+//! fires. The wheel is driven from wall
 //! clock but never advanced more than one rotation per loop iteration, so a
 //! stalled process slows rounds down rather than skipping actions — the
 //! round counter stays consistent with "every node acted once per round",
@@ -67,13 +77,15 @@ use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use sandf_core::{InitiateOutcome, Message, NodeId, SfConfig, SfNode};
-use sandf_graph::MembershipGraph;
+use sandf_core::{Message, NodeId, NodeStats, SfConfig, SfNode};
 use sandf_net::codec::Datagram;
 use sandf_net::SharedSocket;
 use sandf_obs::{CounterHandle, EventJournal, GaugeHandle, JournalEvent, MetricsRegistry};
 use sandf_sim::stream::{self, stream_seed};
-use sandf_sim::{topology, FaultCtx, FaultModel, PhaseFault, ScheduledFault, UniformLoss};
+use sandf_sim::{
+    graph_of_rows, topology, Arena, FaultCtx, FaultModel, PhaseFault, ScheduledFault, SfBehavior,
+    UniformLoss, ARENA_ID_LIMIT,
+};
 
 use crate::fault::{compile_fault_line, injected};
 use crate::http::{escape_json, serve, HttpContext};
@@ -110,16 +122,6 @@ const SHUTDOWN_DRAIN: Duration = Duration::from_millis(20);
 
 /// Events the daemon's bounded journal holds before it evicts the oldest.
 const JOURNAL_CAPACITY: usize = 1024;
-
-/// `slot_of` entry of an id with no live slot; no slot index reaches it.
-const NO_SLOT: u32 = u32::MAX;
-
-/// The slot seating `id`: `None` for an id that left, or one the daemon
-/// never issued (a forged frame can put such an id into a view).
-fn slot_key(slot_of: &[u32], id: NodeId) -> Option<usize> {
-    let key = *slot_of.get(usize::try_from(id.as_u64()).ok()?)?;
-    (key != NO_SLOT).then_some(key as usize)
-}
 
 /// Configuration for a daemon process.
 #[derive(Clone, Debug)]
@@ -277,7 +279,7 @@ impl MembershipSnapshot {
 ///
 /// Every message not lost under the standing base-loss phase is dropped by
 /// an injected fault, found to be a dead letter (at the send, when the peer
-/// has no live slot, or coming off the wire, when the peer left meanwhile),
+/// is not live, or coming off the wire, when the peer left meanwhile),
 /// or put into a live node's inbox. After
 /// [`DaemonHandle::shutdown`] nothing is [in flight](Self::in_flight): a
 /// remainder is datagrams the kernel dropped or sends that failed.
@@ -328,13 +330,29 @@ impl std::fmt::Display for WireLedger {
     }
 }
 
-struct NodeSlot {
-    node: SfNode,
+/// The loop's column beside the arena: one row per issued id, indexed by
+/// dense index (= id).
+struct Row {
     rng: StdRng,
     /// Offered to the fault schedule with each of this node's sends.
     loss_rng: StdRng,
     /// Messages drained off the socket for this node since its last tick.
     inbox: Vec<Message>,
+    /// The node's event counters, counted from each step's outcome.
+    stats: NodeStats,
+}
+
+impl Row {
+    /// A fresh row for node `id`, its two streams seeded under their tags.
+    fn new(seed: u64, id: NodeId) -> Self {
+        let seeded = |tag| StdRng::seed_from_u64(stream_seed(seed, tag, id.as_u64(), 0));
+        Self {
+            rng: seeded(stream::DAEMON_NODE),
+            loss_rng: seeded(stream::DAEMON_LOSS),
+            inbox: Vec::new(),
+            stats: NodeStats::default(),
+        }
+    }
 }
 
 /// A handle to a running daemon. Dropping it shuts the daemon down.
@@ -453,12 +471,10 @@ impl Drop for DaemonHandle {
 struct ServiceState {
     config: DaemonConfig,
     sf: SfConfig,
-    slots: Vec<Option<NodeSlot>>,
-    generations: Vec<u64>,
-    free: Vec<usize>,
-    /// Node id → index into `slots`, [`NO_SLOT`] for ids that left. Ids are
-    /// issued densely from 0: the table's length is the next one.
-    slot_of: Vec<u32>,
+    /// The fleet's views: row `k` is node `k`'s, live or departed.
+    arena: Arena,
+    /// The loop's per-row column, indexed like `arena`.
+    rows: Vec<Row>,
     wheel: TimerWheel,
     socket: SharedSocket,
     /// Frames sent since the last flush, packed for one datagram.
@@ -514,12 +530,12 @@ fn boot(config: DaemonConfig) -> io::Result<ServiceState> {
     }
 
     let registry = MetricsRegistry::new();
+    let arena =
+        Arena::from_nodes(topology::circulant(config.initial_nodes, sf, config.initial_degree));
     let mut state = ServiceState {
         sf,
-        slots: Vec::with_capacity(config.initial_nodes),
-        generations: Vec::with_capacity(config.initial_nodes),
-        free: Vec::new(),
-        slot_of: Vec::with_capacity(config.initial_nodes),
+        rows: (0..config.initial_nodes).map(|k| Row::new(config.seed, arena.id_at(k))).collect(),
+        arena,
         wheel: TimerWheel::new(WHEEL_SLOTS),
         socket: SharedSocket::bind_loopback().map_err(|e| io::Error::other(e.to_string()))?,
         outbox: Datagram::default(),
@@ -552,8 +568,7 @@ fn boot(config: DaemonConfig) -> io::Result<ServiceState> {
         config,
     };
 
-    for node in topology::circulant(state.config.initial_nodes, sf, state.config.initial_degree) {
-        let key = state.place(node);
+    for key in 0..state.config.initial_nodes {
         state.wheel.schedule((key % WHEEL_SLOTS) as u64, WheelItem { key, generation: 0 });
     }
     state.nodes_gauge.set(state.config.initial_nodes as f64);
@@ -656,49 +671,38 @@ fn run_loop(mut state: ServiceState, ctl: &Receiver<Control>) -> Vec<SfNode> {
     // Final check so short-lived daemons still publish one verdict.
     let round = state.wheel.rounds();
     state.run_check(round.max(1));
-    state.slots.into_iter().flatten().map(|slot| slot.node).collect()
+    state.nodes()
 }
 
 impl ServiceState {
-    /// Seats `node`, with its two random streams, in a free slot,
-    /// reachable under its id; returns the slot's key.
-    fn place(&mut self, node: SfNode) -> usize {
-        let id = node.id();
-        let seeded =
-            |tag| StdRng::seed_from_u64(stream_seed(self.config.seed, tag, id.as_u64(), 0));
-        let slot = Some(NodeSlot {
-            node,
-            rng: seeded(stream::DAEMON_NODE),
-            loss_rng: seeded(stream::DAEMON_LOSS),
-            inbox: Vec::new(),
-        });
-        let key = match self.free.pop() {
-            Some(key) => {
-                self.slots[key] = slot;
-                key
-            }
-            None => {
-                self.slots.push(slot);
-                self.generations.push(0);
-                self.slots.len() - 1
-            }
-        };
-        assert_eq!(id.as_u64(), self.slot_of.len() as u64, "ids are issued densely from 0");
-        self.slot_of.push(u32::try_from(key).expect("fewer than 2^32 slots"));
-        key
+    /// The live nodes' final states, in id order: each row's exact view
+    /// and counters.
+    fn nodes(&self) -> Vec<SfNode> {
+        let live = self.arena.live_dense();
+        let nodes = self.arena.to_nodes::<SfBehavior>(live.clone()).into_iter();
+        nodes.zip(live).map(|(node, k)| node.with_stats(self.rows[k].stats)).collect()
+    }
+
+    /// Live nodes: every issued id but those that left.
+    fn live(&self) -> usize {
+        self.rows.len() - self.departed as usize
     }
 
     /// Flushes the outbox, then moves every frame waiting on the socket
-    /// into its destination's inbox; a frame for an id with no live slot is
-    /// a dead letter.
+    /// into its destination's inbox. A frame for an id with no live node is
+    /// a dead letter, and so is one whose message names an id the arena
+    /// cannot store (at or above [`ARENA_ID_LIMIT`]; only a forged frame
+    /// can), which a row would alias onto a `u32` word.
     fn drain_socket(&mut self) {
         self.flush();
-        let (slots, slot_of) = (&mut self.slots, &self.slot_of);
+        let (arena, rows) = (&self.arena, &mut self.rows);
         let (mut received, mut dead_letters) = (0, 0);
         let drained = self.socket.drain(RECV_BATCH_MAX, |to, message| {
-            match slot_key(slot_of, to).and_then(|key| slots[key].as_mut()) {
-                Some(slot) => {
-                    slot.inbox.push(message);
+            let ids = [message.sender, message.payload];
+            let storable = ids.iter().all(|id| id.as_u64() < ARENA_ID_LIMIT);
+            match arena.dense_of(to).filter(|_| storable) {
+                Some(k) => {
+                    rows[k].inbox.push(message);
                     received += 1;
                 }
                 None => dead_letters += 1,
@@ -711,15 +715,14 @@ impl ServiceState {
         self.dead_letters.add(dead_letters);
     }
 
-    /// The one send path of the fleet: what `from_key`'s node initiated in
+    /// The one send path of the fleet: what node `from` initiated in
     /// `round` meets the fault schedule, then the dead-letter test, and
     /// goes into the outbox if it passed both.
-    fn send(&mut self, from_key: usize, round: u64, to: NodeId, message: Message) {
-        let slot = self.slots[from_key].as_mut().expect("a live sender");
+    fn send(&mut self, from: usize, round: u64, to: NodeId, message: Message) {
         self.sent.inc();
         self.duplications += u64::from(message.dependent);
-        let ctx = FaultCtx { from: slot.node.id(), to, round };
-        if self.fault.drops(ctx, &mut slot.loss_rng) {
+        let ctx = FaultCtx { from: self.arena.id_at(from), to, round };
+        if self.fault.drops(ctx, &mut self.rows[from].loss_rng) {
             // Base loss never reaches the wire ledger; an injected window's
             // drop is delivered, then dropped by the fault.
             if injected(&self.fault, round).is_some() {
@@ -731,7 +734,7 @@ impl ServiceState {
             return;
         }
         self.delivered.inc();
-        if slot_key(&self.slot_of, to).is_none() {
+        if self.arena.dense_of(to).is_none() {
             // The peer left; counted so the checker's realized loss
             // includes churn-induced loss.
             self.dead_letters.inc();
@@ -755,13 +758,14 @@ impl ServiceState {
         self.outbox.clear();
     }
 
-    /// Ticks the `due` nodes still seated and re-parks them one rotation
-    /// on, draining the socket before every [`DRAIN_CHUNK`] of them.
+    /// Ticks the `due` nodes still live and re-parks them one rotation
+    /// on, draining the socket before every [`DRAIN_CHUNK`] of them; a
+    /// departed node's timer is dropped.
     fn tick_due(&mut self, due: &[WheelItem], round: u64) {
         for chunk in due.chunks(DRAIN_CHUNK) {
             self.drain_socket();
             for item in chunk {
-                if self.generations[item.key] == item.generation {
+                if self.arena.is_live(item.key) {
                     self.tick_node(item.key, round);
                     self.wheel.schedule(WHEEL_SLOTS as u64 - 1, *item);
                 }
@@ -769,26 +773,26 @@ impl ServiceState {
         }
     }
 
-    fn live_keys(&self) -> Vec<usize> {
-        (0..self.slots.len()).filter(|&k| self.slots[k].is_some()).collect()
-    }
-
-    fn live_nodes(&self) -> impl Iterator<Item = &SfNode> + Clone {
-        self.slots.iter().filter_map(|slot| slot.as_ref().map(|s| &s.node))
-    }
-
-    fn tick_node(&mut self, key: usize, round: u64) {
-        let Some(slot) = self.slots[key].as_mut() else {
+    /// Node `k` receives its inbox, then initiates unless the fault
+    /// schedule holds it back this round.
+    fn tick_node(&mut self, k: usize, round: u64) {
+        let row = &mut self.rows[k];
+        for message in row.inbox.drain(..) {
+            let deleted = self.arena.receive(&SfBehavior, k, message, &mut row.rng).deleted;
+            row.stats.deletions += u64::from(deleted);
+            row.stats.stored += u64::from(!deleted);
+        }
+        if !self.fault.node_acts(self.arena.id_at(k), round) {
+            return;
+        }
+        row.stats.initiated += 1;
+        let Some((to, message)) = self.arena.initiate(&SfBehavior, k, &mut row.rng) else {
+            row.stats.self_loops += 1;
             return;
         };
-        for message in slot.inbox.drain(..) {
-            let _ = slot.node.receive(message, &mut slot.rng);
-        }
-        if self.fault.node_acts(slot.node.id(), round) {
-            if let InitiateOutcome::Sent { to, message, .. } = slot.node.initiate(&mut slot.rng) {
-                self.send(key, round, to, message);
-            }
-        }
+        row.stats.sent += 1;
+        row.stats.duplications += u64::from(message.dependent);
+        self.send(k, round, to, message);
     }
 
     fn handle_control(&mut self, command: Control) {
@@ -821,42 +825,32 @@ impl ServiceState {
         if count == 0 {
             return Err("join count must be positive".into());
         }
-        let mut live = self.live_keys();
-        if live.is_empty() {
-            return Err("no live sponsor to join through".into());
-        }
+        // A leave never takes the last node, so there is always a sponsor.
+        let mut live: Vec<usize> = self.arena.live_dense().collect();
+        let d_l = self.sf.lower_threshold();
         for _ in 0..count {
-            let id = NodeId::new(self.slot_of.len() as u64);
-            let d_l = self.sf.lower_threshold();
-            let sponsor_key = live[self.rng.gen_range(0..live.len())];
-            let mut ids: Vec<NodeId> = Vec::with_capacity(d_l);
-            let sponsor = &self.slots[sponsor_key].as_ref().expect("live key").node;
-            let mut pool: Vec<NodeId> = sponsor.view().ids().collect();
-            pool.push(sponsor.id());
+            let sponsor = live[self.rng.gen_range(0..live.len())];
+            let mut pool: Vec<NodeId> = self.arena.row_ids::<SfBehavior>(sponsor).collect();
+            pool.push(self.arena.id_at(sponsor));
             pool.sort_unstable();
             pool.dedup();
             pool.shuffle(&mut self.rng);
-            for candidate in pool {
-                if ids.len() == d_l {
-                    break;
-                }
-                if candidate != id && slot_key(&self.slot_of, candidate).is_some() {
-                    ids.push(candidate);
-                }
-            }
+            let mut ids: Vec<NodeId> = pool
+                .into_iter()
+                .filter(|&id| self.arena.dense_of(id).is_some())
+                .take(d_l)
+                .collect();
             if ids.len() < d_l {
                 // Top up with other live nodes' own ids.
                 let mut extra = live.clone();
                 extra.shuffle(&mut self.rng);
-                for key in extra {
-                    if ids.len() == d_l {
-                        break;
-                    }
-                    let nid = self.slots[key].as_ref().expect("live key").node.id();
-                    if nid != id && !ids.contains(&nid) {
-                        ids.push(nid);
-                    }
-                }
+                let more: Vec<NodeId> = extra
+                    .into_iter()
+                    .map(|k| self.arena.id_at(k))
+                    .filter(|id| !ids.contains(id))
+                    .take(d_l - ids.len())
+                    .collect();
+                ids.extend(more);
             }
             if ids.len() < d_l {
                 return Err(format!(
@@ -864,19 +858,19 @@ impl ServiceState {
                     live.len()
                 ));
             }
-            let node = SfNode::with_view(id, self.sf, &ids).map_err(|e| e.to_string())?;
-            let key = self.place(node);
+            let key =
+                self.arena.join_with(&SfBehavior, ids.into_iter()).map_err(|e| e.to_string())?;
+            assert_eq!(key, self.rows.len(), "a joiner's row follows the last one");
+            self.rows.push(Row::new(self.config.seed, self.arena.id_at(key)));
             live.push(key);
-            let generation = self.generations[key];
             let delay = self.rng.gen_range(0..WHEEL_SLOTS as u64);
-            self.wheel.schedule(delay, WheelItem { key, generation });
+            self.wheel.schedule(delay, WheelItem { key, generation: 0 });
         }
-        self.nodes_gauge.set(live.len() as f64);
         Ok(live.len())
     }
 
     fn handle_leave(&mut self, count: usize) -> Result<usize, String> {
-        let mut live = self.live_keys();
+        let mut live: Vec<usize> = self.arena.live_dense().collect();
         if count == 0 {
             return Err("leave count must be positive".into());
         }
@@ -884,27 +878,26 @@ impl ServiceState {
             return Err(format!("refusing to remove all {} live nodes", live.len()));
         }
         live.shuffle(&mut self.rng);
-        for &key in live.iter().take(count) {
-            // The slot's inbox goes with it: whoever reuses the key starts
-            // with no mail, and later frames for the id are dead letters.
-            let slot = self.slots[key].take().expect("live key");
-            self.slot_of[slot.node.id().as_u64() as usize] = NO_SLOT;
-            // Invalidate the parked wheel item; the slot index is reusable.
-            self.generations[key] += 1;
-            self.free.push(key);
+        for &k in live.iter().take(count) {
+            self.arena.leave::<SfBehavior>(self.arena.id_at(k));
+            // The node's mail goes with it, allocation and all; later
+            // frames for its id are dead letters, and its timer is dropped
+            // the next time it fires.
+            self.rows[k].inbox = Vec::new();
         }
         self.checker.record_leaves(count);
         self.departed += count as u64;
-        let remaining = live.len() - count;
-        self.nodes_gauge.set(remaining as f64);
-        Ok(remaining)
+        Ok(live.len() - count)
     }
 
     fn handle_fault(&mut self, line: &str) -> Result<String, String> {
         let now = self.wheel.rounds();
         let mut fault = compile_fault_line(line, now, self.config.seed, &self.fault)?;
         if let PhaseFault::Victims { count, .. } = fault.phases()[0].1 {
-            let graph = MembershipGraph::from_nodes(self.live_nodes());
+            let (arena, live) = (&self.arena, self.live());
+            let graph = graph_of_rows(live, live * self.sf.view_size(), |visit| {
+                arena.for_each_row::<SfBehavior>(arena.live_dense(), visit);
+            });
             fault.phase_mut(0).aim(&graph.top_in_degree(count));
         }
         self.fault = fault;
@@ -927,10 +920,9 @@ impl ServiceState {
 
     fn run_check(&mut self, round: u64) {
         let totals = self.wire_totals();
-        let outcome = {
-            let nodes = self.slots.iter().filter_map(|slot| slot.as_ref().map(|s| &s.node));
-            self.checker.check(round, nodes, totals)
-        };
+        let arena = &self.arena;
+        let rows = arena.live_dense().map(|k| (arena.id_at(k), arena.row_ids::<SfBehavior>(k)));
+        let outcome = self.checker.check_rows(round, rows, totals);
         self.checks_counter.inc();
         self.degree_viol_counter.add(outcome.degree_violation_count as u64);
         if outcome.stale_violation {
@@ -975,13 +967,13 @@ impl ServiceState {
         };
     }
 
-    /// Refresh the cheap fields after a control command, keeping the last
-    /// check's measured stats.
+    /// Refresh the cheap fields and the live-node gauge after a control
+    /// command, keeping the last check's measured stats.
     fn publish_light_snapshot(&self) {
         let mut snap = self.snapshot.lock();
         snap.round = self.wheel.rounds();
-        // Every slot is seated or on the free list.
-        snap.live = self.slots.len() - self.free.len();
+        snap.live = self.live();
+        self.nodes_gauge.set(snap.live as f64);
         snap.departed = self.departed;
         snap.fault = self.fault_kind(snap.round).into();
     }
@@ -1018,8 +1010,8 @@ mod tests {
     fn no_two_random_streams_coincide() {
         let state = boot(tiny_config()).unwrap();
         let mut streams = vec![&state.rng];
-        for slot in state.slots.iter().flatten() {
-            streams.extend([&slot.rng, &slot.loss_rng]);
+        for row in &state.rows {
+            streams.extend([&row.rng, &row.loss_rng]);
         }
         assert_eq!(streams.len(), 1 + 2 * 16);
         for (i, a) in streams.iter().enumerate() {
@@ -1036,15 +1028,17 @@ mod tests {
         state.handle_leave(3).unwrap();
         state.handle_join(2).unwrap();
         let mut live = 0;
-        for (key, slot) in state.slots.iter().enumerate() {
-            let Some(slot) = slot else { continue };
+        for key in state.arena.live_dense() {
             live += 1;
-            assert_eq!(slot_key(&state.slot_of, slot.node.id()), Some(key));
+            assert_eq!(state.arena.dense_of(state.arena.id_at(key)), Some(key));
         }
         assert_eq!(live, 19);
-        // The three that left are unmapped, whoever took their slots.
-        assert_eq!(state.slot_of.iter().filter(|&&key| key == NO_SLOT).count(), 3);
-        assert_eq!(state.slot_of.len(), 16 + 4 + 2, "one entry per id ever issued");
+        // The three that left are unmapped; their rows stay.
+        let unmapped = (0..state.rows.len() as u64)
+            .filter(|&id| state.arena.dense_of(NodeId::new(id)).is_none())
+            .count();
+        assert_eq!(unmapped, 3);
+        assert_eq!(state.rows.len(), 16 + 4 + 2, "one row per id ever issued");
     }
 
     #[test]
@@ -1056,19 +1050,19 @@ mod tests {
         }
         std::thread::sleep(Duration::from_millis(5));
         state.drain_socket();
-        let mailed: Vec<usize> =
-            (0..16).filter(|&k| !state.slots[k].as_ref().unwrap().inbox.is_empty()).collect();
+        let mailed: Vec<usize> = (0..16).filter(|&k| !state.rows[k].inbox.is_empty()).collect();
         assert!(!mailed.is_empty(), "16 initiations must have reached someone");
         state.handle_leave(10).unwrap();
         state.handle_join(10).unwrap();
-        for slot in state.slots.iter().flatten() {
-            if slot.node.id().as_u64() >= 16 {
-                assert!(slot.inbox.is_empty(), "joiner {} inherited mail", slot.node.id());
+        for k in state.arena.live_dense() {
+            let id = state.arena.id_at(k);
+            if id.as_u64() >= 16 {
+                assert!(state.rows[k].inbox.is_empty(), "joiner {id} inherited mail");
             }
         }
     }
 
-    /// A lossless fleet of 16 (ids = slot keys 0..16) and a message to send
+    /// A lossless fleet of 16 (ids = rows 0..16) and a message to send
     /// across it.
     fn lossless_fleet() -> (ServiceState, Message) {
         let state = boot(DaemonConfig { base_loss: 0.0, ..tiny_config() }).unwrap();
@@ -1092,19 +1086,19 @@ mod tests {
         assert_eq!(counter(&state, "daemon.fault.dropped"), 20);
         std::thread::sleep(Duration::from_millis(10));
         state.drain_socket();
-        assert!(state.slots.iter().flatten().all(|slot| slot.inbox.is_empty()));
+        assert!(state.rows.iter().all(|row| row.inbox.is_empty()));
 
         // After the window the wire heals, with no second command.
         assert_eq!(state.fault_kind(200), "none");
         state.send(0, 200, NodeId::new(1), message);
         for _ in 0..200 {
             state.drain_socket();
-            if !state.slots[1].as_ref().unwrap().inbox.is_empty() {
+            if !state.rows[1].inbox.is_empty() {
                 break;
             }
             std::thread::sleep(Duration::from_millis(1));
         }
-        assert_eq!(state.slots[1].as_ref().unwrap().inbox, [message]);
+        assert_eq!(state.rows[1].inbox, [message]);
         assert_eq!(counter(&state, "daemon.fault.dropped"), 20);
         assert_eq!(WireLedger::read(&state.registry).in_flight(), 0);
     }
@@ -1124,12 +1118,12 @@ mod tests {
         // Loopback is asynchronous: the drain that flushes may read too soon.
         for _ in 0..200 {
             state.drain_socket();
-            if !state.slots[0].as_ref().unwrap().inbox.is_empty() {
+            if !state.rows[0].inbox.is_empty() {
                 break;
             }
             std::thread::sleep(Duration::from_millis(1));
         }
-        assert_eq!(state.slots[0].as_ref().unwrap().inbox, sent);
+        assert_eq!(state.rows[0].inbox, sent);
         assert_eq!(counter(&state, "daemon.net.datagrams"), 1, "one datagram for the three");
         assert_eq!(WireLedger::read(&state.registry).in_flight(), 0);
     }
@@ -1153,7 +1147,7 @@ mod tests {
     /// seated and the departed id.
     fn a_sender_and_a_departed_id(state: &mut ServiceState) -> (usize, NodeId) {
         state.handle_leave(1).unwrap();
-        let gone = state.slot_of.iter().position(|&key| key == NO_SLOT).unwrap();
+        let gone = (0..16).find(|&key| !state.arena.is_live(key)).unwrap();
         let from = (0..16).find(|&key| key != gone).unwrap();
         (from, NodeId::new(gone as u64))
     }
@@ -1171,6 +1165,46 @@ mod tests {
         assert_eq!(counter(&state, "daemon.net.received"), 0);
         assert_eq!(counter(&state, "daemon.net.dead_letters"), 1);
         assert_eq!(WireLedger::read(&state.registry).in_flight(), 0);
+    }
+
+    #[test]
+    fn a_frame_naming_an_id_beyond_the_arena_is_a_dead_letter() {
+        let (mut state, message) = lossless_fleet();
+        let raw = std::net::UdpSocket::bind(("127.0.0.1", 0)).unwrap();
+        let wide = NodeId::new(1 << 40);
+        for forged in [Message { payload: wide, ..message }, Message { sender: wide, ..message }] {
+            let frame = sandf_net::codec::encode_frame(NodeId::new(3), forged);
+            raw.send_to(&frame, state.socket.local_addr()).unwrap();
+        }
+        for _ in 0..200 {
+            state.drain_socket();
+            if counter(&state, "daemon.net.dead_letters") == 2 {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        // The arena stores ids as `u32` words: a stored wide id would alias
+        // a live one.
+        assert_eq!(counter(&state, "daemon.net.dead_letters"), 2);
+        assert_eq!(counter(&state, "daemon.net.received"), 0);
+        assert!(state.rows[3].inbox.is_empty());
+    }
+
+    #[test]
+    fn a_frame_in_flight_to_a_node_that_leaves_is_a_dead_letter() {
+        let (mut state, message) = lossless_fleet();
+        for to in 0..16 {
+            state.send(0, 1, NodeId::new(to), message);
+        }
+        // The sixteen frames wait in the outbox while half the fleet leaves.
+        state.handle_leave(8).unwrap();
+        settle(&mut state);
+        assert_eq!(counter(&state, "daemon.net.dead_letters"), 8);
+        assert_eq!(counter(&state, "daemon.net.received"), 8);
+        for (key, row) in state.rows.iter().enumerate() {
+            let mail = usize::from(state.arena.is_live(key));
+            assert_eq!(row.inbox.len(), mail, "node {key}");
+        }
     }
 
     #[test]
@@ -1223,7 +1257,7 @@ mod tests {
         }
         // With no leaves, the fleet's own counters hold every send.
         let fleet = |count: fn(&sandf_core::NodeStats) -> u64| -> u64 {
-            state.live_nodes().map(|node| count(node.stats())).sum()
+            state.nodes().iter().map(|node| count(node.stats())).sum()
         };
         let totals = state.wire_totals();
         assert!(totals.duplications > 0, "loss compensation never kicked in");
@@ -1237,14 +1271,10 @@ mod tests {
         // Half the fleet leaves, so every sponsor's view names departed ids.
         state.handle_leave(8).unwrap();
         state.handle_join(8).unwrap();
-        for slot in state.slots.iter().flatten().filter(|slot| slot.node.id().as_u64() >= 16) {
-            assert_eq!(slot.node.view().ids().count(), state.sf.lower_threshold());
-            for id in slot.node.view().ids() {
-                assert!(
-                    slot_key(&state.slot_of, id).is_some(),
-                    "{} got departed {id}",
-                    slot.node.id()
-                );
+        for node in state.nodes().iter().filter(|node| node.id().as_u64() >= 16) {
+            assert_eq!(node.view().ids().count(), state.sf.lower_threshold());
+            for id in node.view().ids() {
+                assert!(state.arena.dense_of(id).is_some(), "{} got departed {id}", node.id());
             }
         }
     }
@@ -1292,5 +1322,148 @@ mod tests {
         assert!(bad.spawn().is_err());
         let bad = DaemonConfig { initial_nodes: 0, ..tiny_config() };
         assert!(bad.spawn().is_err());
+    }
+
+    /// Flushes the outbox and drains the socket until the ledger says
+    /// nothing is in flight.
+    fn settle(state: &mut ServiceState) {
+        for _ in 0..1_000 {
+            state.drain_socket();
+            if WireLedger::read(&state.registry).in_flight() == 0 {
+                return;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        panic!("frames stuck in the kernel");
+    }
+
+    /// Fires one whole rotation of the wheel as one round.
+    fn rotate(state: &mut ServiceState) {
+        let mut due = Vec::new();
+        state.wheel.advance_to(state.wheel.current_tick() + WHEEL_SLOTS as u64 - 1, &mut due);
+        let round = state.wheel.rounds();
+        state.tick_due(&due, round);
+    }
+
+    /// The first daemon golden: a run with no clock and no loop thread,
+    /// one rotation a round over the real socket, through joins, a leave,
+    /// a join after it and injected `victims` and `partition` lines. It
+    /// hashes every frame sent, in order, then each final row as `(id,
+    /// slots, NodeStats)` by id, then the wire counters. At most 57 nodes
+    /// are live, so a rotation is one drain chunk and its frames all wait
+    /// in the outbox until the next settle (a 58th frame flushes early).
+    ///
+    /// The pin was taken on the seat table the arena replaced, where a
+    /// joiner reused a departed node's seat and later leave and join picks
+    /// walked seat order rather than id order; so the script issues no
+    /// control command after the join that follows its leave.
+    #[test]
+    fn a_clockless_run_replays_its_transcript_digest() {
+        let mut state = boot(DaemonConfig { initial_nodes: 40, ..tiny_config() }).unwrap();
+        let mut transcript: Vec<u8> = Vec::new();
+        for round in 1..=30u64 {
+            settle(&mut state);
+            match round {
+                4 => assert_eq!(state.handle_join(8), Ok(48)),
+                8 => {
+                    assert_eq!(state.handle_fault("phase 6 victims 4 0.9 0"), Ok("victims".into()))
+                }
+                13 => {
+                    let line = "phase 6 partition 2 1.0 0";
+                    assert_eq!(state.handle_fault(line), Ok("partition".into()));
+                }
+                18 => assert_eq!(state.handle_leave(6), Ok(42)),
+                21 => assert_eq!(state.handle_join(5), Ok(47)),
+                _ => {}
+            }
+            rotate(&mut state);
+            transcript.extend_from_slice(state.outbox.as_bytes());
+        }
+        settle(&mut state);
+        assert_eq!(transcript.len(), 272 * sandf_net::codec::FRAME_LEN, "frames sent");
+        for node in state.nodes() {
+            transcript.extend(node.id().as_u64().to_le_bytes());
+            for slot in node.view().slots() {
+                match slot {
+                    Some(entry) => {
+                        transcript.extend(entry.id.as_u64().to_le_bytes());
+                        transcript.push(u8::from(entry.dependent));
+                    }
+                    None => transcript.push(0xff),
+                }
+            }
+            let stats = node.stats();
+            for count in [
+                stats.initiated,
+                stats.self_loops,
+                stats.sent,
+                stats.duplications,
+                stats.stored,
+                stats.deletions,
+            ] {
+                transcript.extend(count.to_le_bytes());
+            }
+        }
+        for name in ["sent", "dropped", "delivered", "dead_letters", "received", "datagrams"] {
+            transcript.extend(counter(&state, &format!("daemon.net.{name}")).to_le_bytes());
+        }
+        transcript.extend(counter(&state, "daemon.net.recv_errors").to_le_bytes());
+        transcript.extend(counter(&state, "daemon.fault.dropped").to_le_bytes());
+        let digest = sandf_sim::stream::fnv1a64(transcript.iter().copied());
+        assert_eq!(digest, 0x4a4b_5489_8822_3e99, "transcript digest {digest:#018x}");
+    }
+
+    #[test]
+    fn a_departed_nodes_timer_never_fires_and_a_joiner_acts_once_a_rotation() {
+        let mut state = boot(tiny_config()).unwrap();
+        rotate(&mut state);
+        let (k, rotations) = (5, 6);
+        state.handle_leave(k).unwrap();
+        state.handle_join(k).unwrap();
+        // The departed nodes' timers are still parked on the wheel.
+        assert_eq!(state.wheel.scheduled(), 16 + k);
+        let before: Vec<u64> = state.rows.iter().map(|row| row.stats.initiated).collect();
+        for _ in 0..rotations {
+            settle(&mut state);
+            rotate(&mut state);
+        }
+        assert_eq!(state.rows.len(), 16 + k);
+        for (key, row) in state.rows.iter().enumerate() {
+            let want = if state.arena.is_live(key) { rotations } else { 0 };
+            assert_eq!(row.stats.initiated - before[key], want, "node {key}");
+        }
+    }
+
+    /// Every issued id keeps one row, live or departed: the arena's
+    /// `5·s + 12` bytes (pinned in `sandf-sim` by
+    /// `per_node_footprint_is_five_s_plus_twelve_bytes`) and the loop's
+    /// column — two 32 B streams, an inbox header and six counters — for
+    /// `5·s + 148` bytes, 208 B at `s = 12`. A departed row holds no inbox
+    /// allocation. The destructuring names every field, so a new column
+    /// fails to compile here until it is accounted for.
+    #[test]
+    fn per_row_footprint_is_five_s_plus_148_bytes() {
+        let (mut state, message) = lossless_fleet();
+        for to in 0..16 {
+            state.send(0, 1, NodeId::new(to), message);
+        }
+        settle(&mut state);
+        assert!(state.rows.iter().all(|row| row.inbox.len() == 1), "every node has mail");
+        state.handle_leave(8).unwrap();
+        for key in (0..16).filter(|&key| !state.arena.is_live(key)) {
+            assert_eq!(state.rows[key].inbox.capacity(), 0, "node {key} kept its inbox");
+        }
+        let Row { rng, loss_rng, inbox, stats } = &state.rows[0];
+        let columns = [
+            ("rng", std::mem::size_of_val(rng)),
+            ("loss_rng", std::mem::size_of_val(loss_rng)),
+            ("inbox", std::mem::size_of_val(inbox)),
+            ("stats", std::mem::size_of_val(stats)),
+        ];
+        let column: usize = columns.iter().map(|&(_, bytes)| bytes).sum();
+        assert_eq!(column, std::mem::size_of::<Row>(), "no padding: {columns:?}");
+        let s = state.sf.view_size();
+        assert_eq!(5 * s + 12 + column, 5 * s + 148, "per-row columns: {columns:?}");
+        assert_eq!(5 * s + 148, 208, "s = 12");
     }
 }

@@ -7,20 +7,22 @@
 //! rotation equals one round, node `k` lives in slot `k mod W`, and firing
 //! a tick pops one slot.
 //!
-//! Items are generation-tagged so churn cannot resurrect a timer: when a
-//! node slot is vacated (leave) or reused (join), the daemon bumps the
-//! slot's generation and stale items are discarded on fire. The wheel is
-//! driven by an external tick counter (`advance_to`), which keeps it pure
-//! and deterministic for tests — no clocks inside.
+//! Churn cannot resurrect a timer: an item's key is a node's dense index
+//! in the daemon's arena, which is never reissued, and the daemon drops an
+//! item that fires for a row that has left. The wheel is driven by an
+//! external tick counter (`advance_to`), which keeps it pure and
+//! deterministic for tests — no clocks inside.
 
-/// One scheduled item: an opaque key (the daemon's node-slot index) plus
-/// the generation it was scheduled under.
+/// One scheduled item: an opaque key (the daemon's dense node index) plus
+/// a generation tag the daemon no longer reads.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct WheelItem {
-    /// The scheduler's key for this timer (a node-slot index).
+    /// The scheduler's key for this timer (a dense node index).
     pub key: usize,
-    /// Generation tag; the scheduler discards items whose generation no
-    /// longer matches the slot's.
+    /// Unread: keys are never reused, so nothing needs a generation. The
+    /// field stays only because the workspace benchmark builds
+    /// `WheelItem { key, generation: 0 }`; it goes when that benchmark is
+    /// next revised (ROADMAP item 1(c)).
     pub generation: u64,
 }
 

@@ -1,7 +1,7 @@
-//! The slot arena shared by [`FlatSimulation`](crate::FlatSimulation) and
-//! [`ParSimulation`](crate::ParSimulation): storage, control plane, and
-//! readers of the §5 membership graph under Observation 5.1's degree
-//! ledger.
+//! The slot arena shared by [`FlatSimulation`](crate::FlatSimulation),
+//! [`ParSimulation`](crate::ParSimulation) and the daemon's fleet
+//! (`sandf-daemon`): storage, control plane, and readers of the §5
+//! membership graph under Observation 5.1's degree ledger.
 //!
 //! One heap-allocated [`SfNode`] per participant behind a `HashMap` is the
 //! obvious shape for a membership simulation, and it collapses under cache
@@ -58,14 +58,20 @@
 //!
 //! What the arena deliberately does **not** own is the live *order*: it
 //! belongs to the schedule [`ArenaSim`](crate::ArenaSim) runs (flat:
-//! insertion order with `swap_remove`; par: ascending dense order), so
+//! insertion order with `swap_remove`; par: ascending dense order) or to
+//! the daemon (ascending dense order, its wheel keyed by dense index), so
 //! every reader that walks the live set takes that order as an iterator of
 //! dense indices. Because dense indices are stable and joins only append,
 //! a schedule can key its own per-node tables by them: flat's `live_pos`
 //! (dense index → position in its live list, what makes its `leave` O(1);
 //! built at the first `leave`, before which the live order is the dense
 //! order) is one, and par's per-sender fault channels another; each lives
-//! with its schedule, not here.
+//! with its schedule, not here. The daemon keys its per-row columns (its
+//! nodes' random streams, inboxes and counters) the same way.
+//!
+//! The type is public for the daemon, with only the methods it calls; its
+//! fields stay private to this crate, and every other reader goes through
+//! an engine.
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -95,10 +101,17 @@ fn entry(word: u32, flags: u8) -> Entry {
     Entry { id: widen(word), dependent: flags & FLAG_DEPENDENT != 0 }
 }
 
-/// The struct-of-arrays storage both arena engines run on; see the module
-/// docs for the layout.
+/// The struct-of-arrays storage of a fleet of nodes: both arena engines
+/// run on it, and so does the daemon.
+///
+/// Node `k` (its *dense index*) owns one row of `s` slot words and flag
+/// bytes, an outdegree and an id word; rows are appended on join and kept
+/// on leave, so dense indices are stable and a caller may key its own
+/// per-node columns by them. Ids stay below [`ARENA_ID_LIMIT`]. A
+/// [`ProtocolBehavior`] steps a row ([`initiate`](Self::initiate),
+/// [`receive`](Self::receive)) and decides which slots the readers see.
 #[derive(Clone)]
-pub(crate) struct Arena {
+pub struct Arena {
     pub(crate) config: SfConfig,
     /// View size, cached out of `config` for the hot loops.
     pub(crate) s: usize,
@@ -195,7 +208,7 @@ impl Arena {
     /// Panics if `nodes` is empty, contains duplicate ids, mixes
     /// configurations, or holds a node or entry id at or above
     /// [`ARENA_ID_LIMIT`].
-    pub(crate) fn from_nodes(nodes: impl IntoIterator<Item = SfNode>) -> Self {
+    pub fn from_nodes(nodes: impl IntoIterator<Item = SfNode>) -> Self {
         let mut nodes = nodes.into_iter().peekable();
         let config = nodes.peek().expect("simulation needs at least one node").config();
         let mut arena = Self::with_capacity(config, nodes.size_hint().0);
@@ -284,7 +297,7 @@ impl Arena {
     /// The dense index of a live node, or `None` when departed (or never
     /// admitted — which includes every id beyond the widening boundary).
     #[inline]
-    pub(crate) fn dense_of(&self, id: NodeId) -> Option<usize> {
+    pub fn dense_of(&self, id: NodeId) -> Option<usize> {
         let raw = id.index();
         if self.id_is_dense {
             // The answer is `raw` itself; `index` only decides liveness,
@@ -302,13 +315,19 @@ impl Arena {
 
     /// Node `k`'s id (live or departed), widened from its stored word.
     #[inline]
-    pub(crate) fn id_at(&self, k: usize) -> NodeId {
+    pub fn id_at(&self, k: usize) -> NodeId {
         widen(self.dense_id[k])
     }
 
+    /// Whether node `k` is still live (it has not left).
+    #[inline]
+    pub fn is_live(&self, k: usize) -> bool {
+        self.index[self.dense_id[k] as usize] as usize == k
+    }
+
     /// Dense indices of the live nodes, ascending.
-    pub(crate) fn live_dense(&self) -> impl Iterator<Item = usize> + '_ {
-        (0..self.dense_id.len()).filter(|&k| self.index[self.dense_id[k] as usize] as usize == k)
+    pub fn live_dense(&self) -> impl Iterator<Item = usize> + Clone + '_ {
+        (0..self.dense_id.len()).filter(|&k| self.is_live(k))
     }
 
     /// Node `k`'s mutable slot window, for a behavior callback.
@@ -348,7 +367,7 @@ impl Arena {
     /// Runs `behavior`'s initiate action at node `k`, keeping the degree
     /// histogram in step with the ledger.
     #[inline]
-    pub(crate) fn initiate<B: ProtocolBehavior>(
+    pub fn initiate<B: ProtocolBehavior>(
         &mut self,
         behavior: &B,
         k: usize,
@@ -363,7 +382,7 @@ impl Arena {
     /// Delivers `message` at node `k` through `behavior`, keeping the
     /// degree histogram in step with the ledger.
     #[inline]
-    pub(crate) fn receive<B: ProtocolBehavior>(
+    pub fn receive<B: ProtocolBehavior>(
         &mut self,
         behavior: &B,
         k: usize,
@@ -394,6 +413,11 @@ impl Arena {
             .enumerate()
             .filter(|&(_, (&word, &flags))| word != EMPTY && B::slot_visible(flags))
             .map(|(off, (&word, &flags))| (off, word, flags))
+    }
+
+    /// The ids in node `k`'s visible slots, in slot order.
+    pub fn row_ids<B: ProtocolBehavior>(&self, k: usize) -> impl Iterator<Item = NodeId> + '_ {
+        self.row::<B>(k).map(|(_, word, _)| widen(word))
     }
 
     /// Reconstitutes node `k`'s [`LocalView`] from its row: slot
@@ -445,7 +469,7 @@ impl Arena {
     /// The behavior's bootstrap validation errors, or
     /// [`JoinError::IdSpaceExhausted`] when either the id allocator or a
     /// bootstrap id sits at or above [`ARENA_ID_LIMIT`].
-    pub(crate) fn join_with<B: ProtocolBehavior>(
+    pub fn join_with<B: ProtocolBehavior>(
         &mut self,
         behavior: &B,
         bootstrap: impl ExactSizeIterator<Item = NodeId> + Clone,
@@ -463,7 +487,7 @@ impl Arena {
     /// Removes a node (leave/crash). Returns the departed node rebuilt
     /// from the arena — its view is exact, its counters zeroed.
     /// The dense slot stays allocated.
-    pub(crate) fn leave<B: ProtocolBehavior>(&mut self, id: NodeId) -> Option<SfNode> {
+    pub fn leave<B: ProtocolBehavior>(&mut self, id: NodeId) -> Option<SfNode> {
         let k = self.dense_of(id)?;
         let node = SfNode::from_view(id, self.config, self.view_at::<B>(k));
         self.index[id.index()] = DEAD;
@@ -496,7 +520,7 @@ impl Arena {
     /// row, compacted into one buffer reused across nodes (a full pass
     /// does no per-node allocation): the arena engines'
     /// [`Engine::for_each_live_row`](crate::Engine::for_each_live_row).
-    pub(crate) fn for_each_row<B: ProtocolBehavior>(
+    pub fn for_each_row<B: ProtocolBehavior>(
         &self,
         live: impl Iterator<Item = usize>,
         visit: &mut dyn FnMut(u32, &[u32]),
@@ -524,10 +548,7 @@ impl Arena {
 
     /// Reconstitutes the nodes in `live` as [`SfNode`]s. Views carry over
     /// exactly; the rebuilt nodes' counters start at zero.
-    pub(crate) fn to_nodes<B: ProtocolBehavior>(
-        &self,
-        live: impl Iterator<Item = usize>,
-    ) -> Vec<SfNode> {
+    pub fn to_nodes<B: ProtocolBehavior>(&self, live: impl Iterator<Item = usize>) -> Vec<SfNode> {
         live.map(|k| SfNode::from_view(self.id_at(k), self.config, self.view_at::<B>(k))).collect()
     }
 }

@@ -53,6 +53,7 @@ pub mod telemetry;
 pub mod topology;
 mod traits;
 
+pub use arena::Arena;
 pub use broadcast::{
     doerr_spread_prediction, BroadcastConfig, BroadcastLayer, BroadcastStats, RumorChannel,
     SpreadReport, TraceEdge,
@@ -66,6 +67,6 @@ pub use par::ParSimulation;
 pub use shell::ArenaSim;
 pub use telemetry::SimRecorder;
 pub use traits::{
-    slot_word, Engine, IdBatch, ProtocolBehavior, Receipt, SfBehavior, SlotView, ARENA_ID_LIMIT,
-    EMPTY_SLOT, FLAG_DEPENDENT, FLAG_TOMBSTONE,
+    graph_of_rows, slot_word, Engine, IdBatch, ProtocolBehavior, Receipt, SfBehavior, SlotView,
+    ARENA_ID_LIMIT, EMPTY_SLOT, FLAG_DEPENDENT, FLAG_TOMBSTONE,
 };

@@ -527,26 +527,13 @@ pub trait Engine {
     /// [`for_each_live_row`](Engine::for_each_live_row): live order,
     /// protocol-visible slots only.
     ///
-    /// The rows stream into the snapshot's compressed-sparse-row arrays:
-    /// each row's slot words are appended to one target array, sized
-    /// exactly from [`degree_stats`](Engine::degree_stats)' edge count,
-    /// and [`MembershipGraph::from_flat_rows`] resolves them to positions
-    /// in place. No per-node buffer and no second copy of the edges exist
-    /// at any point: the snapshot holds 4 B per edge and at most 32 B per
-    /// node (its ids, row offsets, indegrees and id index).
+    /// The rows stream through [`graph_of_rows`], its target array sized
+    /// exactly from [`degree_stats`](Engine::degree_stats)' edge count:
+    /// the snapshot holds 4 B per edge and at most 32 B per node (its ids,
+    /// row offsets, indegrees and id index).
     fn graph(&self) -> MembershipGraph {
-        let mut ids = Vec::with_capacity(self.len());
-        let mut offsets = Vec::with_capacity(self.len() + 1);
-        offsets.push(0u32);
-        let mut words = Vec::with_capacity(self.degree_stats().edges() as usize);
-        self.for_each_live_row(&mut |owner, row| {
-            ids.push(widen(owner));
-            words.extend_from_slice(row);
-            offsets.push(
-                u32::try_from(words.len()).expect("a graph snapshot holds fewer than 2^32 edges"),
-            );
-        });
-        MembershipGraph::from_flat_rows(ids, offsets, words)
+        let edges = self.degree_stats().edges() as usize;
+        graph_of_rows(self.len(), edges, |visit| self.for_each_live_row(visit))
     }
 
     /// Visits every live node's row, in the engine's live order: the
@@ -582,6 +569,35 @@ pub trait Engine {
     /// bucket order, then reply reports in the bucket order of their
     /// requests.
     fn subscribe(&mut self, subscriber: Box<dyn StepSubscriber<Self::Msg>>);
+}
+
+/// Snapshots, in visit order, the rows `rows` hands its visitor: each an
+/// owner and the ids in its visible slots, as arena slot words
+/// ([`slot_word`]), the shape of [`Engine::for_each_live_row`] and
+/// [`Arena::for_each_row`](crate::Arena::for_each_row). `nodes` and
+/// `edges` size the arrays.
+///
+/// The rows stream into the snapshot's compressed-sparse-row arrays: each
+/// row's words are appended to one target array, and
+/// [`MembershipGraph::from_flat_rows`] resolves them to positions in
+/// place, so no per-node buffer and no second copy of the edges exist at
+/// any point.
+pub fn graph_of_rows(
+    nodes: usize,
+    edges: usize,
+    rows: impl FnOnce(&mut dyn FnMut(u32, &[u32])),
+) -> MembershipGraph {
+    let mut ids = Vec::with_capacity(nodes);
+    let mut offsets = Vec::with_capacity(nodes + 1);
+    offsets.push(0u32);
+    let mut words = Vec::with_capacity(edges);
+    rows(&mut |owner, row| {
+        ids.push(widen(owner));
+        words.extend_from_slice(row);
+        let end = u32::try_from(words.len()).expect("a graph snapshot holds fewer than 2^32 edges");
+        offsets.push(end);
+    });
+    MembershipGraph::from_flat_rows(ids, offsets, words)
 }
 
 #[cfg(test)]
