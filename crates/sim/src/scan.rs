@@ -19,7 +19,14 @@
 //! assembled from adjacent `u32` pairs arithmetically, which the compiler
 //! lowers to single wide loads.
 //!
+//! [`nth_match`] is no longer the engines' placement: the receive path
+//! selects empty slots from one bitmask per delivery
+//! ([`SlotView::insert_into_random_empty`]). It stays only because the
+//! pinned `scan.nth_match` kernel of the workspace benchmark calls it, and
+//! goes once that kernel times the mask select (ROADMAP item 1(c)).
+//!
 //! [`EMPTY_SLOT`]: crate::traits::EMPTY_SLOT
+//! [`SlotView::insert_into_random_empty`]: crate::SlotView::insert_into_random_empty
 
 /// Low 31 bits of each lane.
 const LANE_LOW31: u64 = 0x7fff_ffff_7fff_ffff;
@@ -53,8 +60,12 @@ pub fn count_matches(slots: &[u32], needle: u32) -> usize {
 }
 
 /// Offset of the `nth` (0-based) slot equal to `needle`, scanning in slot
-/// order — the exact semantics the nth-empty-slot placement draw pins.
-/// Words with no matching lane are skipped by popcount.
+/// order — the semantics the nth-empty-slot placement draw pins. Words
+/// with no matching lane are skipped by popcount.
+///
+/// No engine calls it: the placement selects from an empty-slot bitmask
+/// (see the module docs). Kept for the benchmark's `scan.nth_match`
+/// kernel; CI's "One placement draw" lint keeps other callers out.
 #[must_use]
 pub fn nth_match(slots: &[u32], needle: u32, mut nth: usize) -> Option<usize> {
     let broadcast = pack(needle, needle);

@@ -153,25 +153,72 @@ impl SlotView<'_> {
         self.flags[off] = flags;
     }
 
-    /// Stores `id` into the `nth` empty slot with `nth` drawn uniformly —
-    /// the exact draw (`gen_range(0..empty)`) and slot-order scan of
+    /// Stores `id` into the `nth` empty slot in slot order, with `nth`
+    /// drawn as `gen_range(0..empty)` — the draw and slot of
     /// `LocalView::insert_into_random_empty`, which the byte-identity
-    /// contract pins. Increments the degree ledger.
+    /// contract pins. The slot is selected from the window's empty-slot
+    /// bitmask (bit `k` of word `k / 64` set when slot `k` is empty): the
+    /// `nth` set bit, counting from the lowest. Increments the degree
+    /// ledger.
     ///
     /// # Panics
     ///
-    /// Panics (debug) when no slot is empty; callers check capacity first.
+    /// Panics when no slot is empty (callers check capacity first), or
+    /// when the degree ledger counts an empty slot the window lacks.
     #[inline]
     pub fn insert_into_random_empty(&mut self, id: NodeId, flags: u8, rng: &mut impl Rng) {
-        let s = self.len();
-        let empty = s - *self.degree as usize;
-        debug_assert!(empty > 0, "outdegree below s implies an empty slot");
-        let nth = rng.gen_range(0..empty);
-        let off = crate::scan::nth_match(self.ids, EMPTY_SLOT, nth)
-            .expect("an empty slot was counted but not found");
-        self.ids[off] = slot_word(id);
-        self.flags[off] = flags;
-        *self.degree += 1;
+        self.place([id], flags, rng);
+    }
+
+    /// Stores `entries[0]`, `entries[1]`, … each into a uniformly drawn
+    /// slot among those still empty: the draws are `gen_range(0..empty)`,
+    /// `gen_range(0..empty - 1)`, … in entry order, and entry `k` goes to
+    /// the set bit of its drawn rank in the empty-slot mask with the bits
+    /// of entries `0..k` cleared — the draws and slots of `N` successive
+    /// [`insert_into_random_empty`](Self::insert_into_random_empty) calls,
+    /// from one pass that builds each 64-slot mask word once.
+    #[inline]
+    fn place<const N: usize>(&mut self, entries: [NodeId; N], flags: u8, rng: &mut impl Rng) {
+        /// A rank whose entry is stored.
+        const PLACED: usize = usize::MAX;
+        let empty = self.len() - *self.degree as usize;
+        debug_assert!(empty >= N, "outdegree at most s - N implies N empty slots");
+        let mut ranks = [0; N];
+        for (k, rank) in ranks.iter_mut().enumerate() {
+            *rank = rng.gen_range(0..empty - k);
+        }
+        let mut pending = N;
+        for (w, chunk) in self.ids.chunks_mut(64).enumerate() {
+            let mut mask = chunk
+                .iter()
+                .enumerate()
+                .fold(0u64, |mask, (k, &id)| mask | (u64::from(id == EMPTY_SLOT) << k));
+            for (rank, &id) in ranks.iter_mut().zip(&entries) {
+                if *rank == PLACED {
+                    continue;
+                }
+                let here = mask.count_ones() as usize;
+                if *rank >= here {
+                    *rank -= here;
+                    continue;
+                }
+                let mut rest = mask;
+                for _ in 0..*rank {
+                    rest &= rest - 1;
+                }
+                let bit = rest.trailing_zeros() as usize;
+                mask &= !(1 << bit);
+                chunk[bit] = slot_word(id);
+                self.flags[w * 64 + bit] = flags;
+                *rank = PLACED;
+                pending -= 1;
+            }
+            if pending == 0 {
+                break;
+            }
+        }
+        assert_eq!(pending, 0, "an empty slot was counted but not found");
+        *self.degree += N as u32;
     }
 
     /// Offsets of the occupied (non-empty, non-tombstone) slots, in slot
@@ -358,8 +405,7 @@ impl ProtocolBehavior for SfBehavior {
             return Receipt::deleted();
         }
         let flags = if msg.dependent { FLAG_DEPENDENT } else { 0 };
-        view.insert_into_random_empty(msg.sender, flags, rng);
-        view.insert_into_random_empty(msg.payload, flags, rng);
+        view.place([msg.sender, msg.payload], flags, rng);
         Receipt::stored()
     }
 
@@ -603,7 +649,7 @@ pub fn graph_of_rows(
 #[cfg(test)]
 mod tests {
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     use super::*;
 
@@ -623,6 +669,76 @@ mod tests {
         assert_eq!(ids.iter().filter(|&&x| x == 5).count(), 1);
         let off = ids.iter().position(|&x| x == 5).unwrap();
         assert_eq!(flags[off], FLAG_DEPENDENT);
+    }
+
+    /// The scalar reference: the offset of the `nth` empty slot in slot
+    /// order.
+    fn nth_empty(ids: &[u32], nth: usize) -> usize {
+        ids.iter().enumerate().filter(|&(_, &id)| id == EMPTY_SLOT).nth(nth).unwrap().0
+    }
+
+    /// A random window of `s` slots with at least `min_empty` empty ones,
+    /// flags on the occupied slots, and its degree ledger.
+    fn random_window(rng: &mut StdRng, s: usize, min_empty: usize) -> (Vec<u32>, Vec<u8>, u32) {
+        loop {
+            let p_empty = f64::from(rng.gen_range(0..=16u32)) / 16.0;
+            let ids: Vec<u32> = (0..s)
+                .map(|_| if rng.gen_bool(p_empty) { EMPTY_SLOT } else { rng.gen_range(0..1000) })
+                .collect();
+            let empty = ids.iter().filter(|&&id| id == EMPTY_SLOT).count();
+            if empty >= min_empty {
+                let flags = ids
+                    .iter()
+                    .map(|&id| if id == EMPTY_SLOT { 0 } else { rng.gen_range(0..4) })
+                    .collect();
+                return (ids, flags, u32::try_from(s - empty).unwrap());
+            }
+        }
+    }
+
+    #[test]
+    fn mask_placement_matches_slot_order_scans_at_every_width() {
+        let mut rng = StdRng::seed_from_u64(47);
+        for s in [6, 16, 40, 64, 66, 90, 130] {
+            let config = SfConfig::new(s, 0).unwrap();
+            for _ in 0..400 {
+                // The pair, through S&F's receive.
+                let (mut ids, mut flags, mut degree) = random_window(&mut rng, s, 2);
+                let (mut want_ids, mut want_flags) = (ids.clone(), flags.clone());
+                let msg = Message::new(
+                    NodeId::new(rng.gen_range(0..1000)),
+                    NodeId::new(rng.gen_range(0..1000)),
+                    rng.gen_bool(0.5),
+                );
+                let flag = if msg.dependent { FLAG_DEPENDENT } else { 0 };
+                let mut want_rng = rng.clone();
+                let empty = s - degree as usize;
+                for (k, id) in [msg.sender, msg.payload].into_iter().enumerate() {
+                    let off = nth_empty(&want_ids, want_rng.gen_range(0..empty - k));
+                    want_ids[off] = slot_word(id);
+                    want_flags[off] = flag;
+                }
+                let view = window(&mut ids, &mut flags, &mut degree);
+                assert_eq!(SfBehavior.receive(config, view, msg, &mut rng), Receipt::stored());
+                assert_eq!((ids, flags), (want_ids, want_flags), "s = {s}, pair");
+                assert_eq!(degree as usize, s - empty + 2);
+                assert_eq!(rng.next_u64(), want_rng.next_u64(), "s = {s}: draws diverged");
+
+                // The single insert.
+                let (mut ids, mut flags, mut degree) = random_window(&mut rng, s, 1);
+                let (mut want_ids, mut want_flags) = (ids.clone(), flags.clone());
+                let mut want_rng = rng.clone();
+                let empty = s - degree as usize;
+                let off = nth_empty(&want_ids, want_rng.gen_range(0..empty));
+                want_ids[off] = 77;
+                want_flags[off] = FLAG_DEPENDENT;
+                let mut view = window(&mut ids, &mut flags, &mut degree);
+                view.insert_into_random_empty(NodeId::new(77), FLAG_DEPENDENT, &mut rng);
+                assert_eq!((ids, flags), (want_ids, want_flags), "s = {s}, single");
+                assert_eq!(degree as usize, s - empty + 1);
+                assert_eq!(rng.next_u64(), want_rng.next_u64(), "s = {s}: draws diverged");
+            }
+        }
     }
 
     #[test]
