@@ -51,9 +51,11 @@
 //!
 //! Timers live on a single-rotation [`TimerWheel`] whose rotation period is
 //! one protocol round: `W` ticks per rotation, boot node `k` parked at tick
-//! `k mod W` (a joiner at a random tick), refired one rotation later while
-//! its row is live; a departed node's timer is dropped the next time it
-//! fires. The wheel is driven from wall
+//! `k mod W` (a joiner at a random tick), refired one rotation after its
+//! own tick while its row is live; a departed node's timer is dropped the
+//! next time it fires. The loop fires the ticks an iteration covers one at
+//! a time, so a node keeps its tick however many ticks the iteration
+//! advances, and one tick's work stays small. The wheel is driven from wall
 //! clock but never advanced more than one rotation per loop iteration, so a
 //! stalled process slows rounds down rather than skipping actions — the
 //! round counter stays consistent with "every node acted once per round",
@@ -93,7 +95,9 @@ use crate::invariants::{CheckOutcome, InvariantChecker, WireTotals};
 use crate::wheel::{TimerWheel, WheelItem};
 
 /// Ticks per wheel rotation (= per protocol round). Nodes are spread
-/// across the rotation so one tick's work stays small.
+/// across the rotation so one tick's work stays small: a fired node is
+/// re-parked one rotation after its own tick, however many ticks the loop
+/// iteration that fired it advances.
 pub const WHEEL_SLOTS: usize = 64;
 
 /// Node ticks between two drains of the socket. A node tick sends at most
@@ -619,7 +623,6 @@ fn spawn_daemon(config: DaemonConfig) -> io::Result<DaemonHandle> {
 fn run_loop(mut state: ServiceState, ctl: &Receiver<Control>) -> Vec<SfNode> {
     let start = Instant::now();
     let granularity = (state.config.tick.as_nanos() as u64 / WHEEL_SLOTS as u64).max(1);
-    let mut due: Vec<WheelItem> = Vec::new();
     let mut next_check = state.config.check_every;
 
     'outer: loop {
@@ -647,11 +650,8 @@ fn run_loop(mut state: ServiceState, ctl: &Receiver<Control>) -> Vec<SfNode> {
         // Advance at most one rotation per iteration: a stalled loop slows
         // rounds down instead of skipping node actions (see module docs).
         let now_tick = start.elapsed().as_nanos() as u64 / granularity;
-        let target = now_tick.min(state.wheel.current_tick() + WHEEL_SLOTS as u64);
-        due.clear();
-        state.wheel.advance_to(target, &mut due);
+        state.tick_due(now_tick.min(state.wheel.current_tick() + WHEEL_SLOTS as u64 - 1));
         let round = state.wheel.rounds();
-        state.tick_due(&due, round);
         state.round_gauge.set(round as f64);
 
         if round >= next_check {
@@ -758,13 +758,22 @@ impl ServiceState {
         self.outbox.clear();
     }
 
-    /// Ticks the `due` nodes still live and re-parks them one rotation
-    /// on, draining the socket before every [`DRAIN_CHUNK`] of them; a
-    /// departed node's timer is dropped.
-    fn tick_due(&mut self, due: &[WheelItem], round: u64) {
-        for chunk in due.chunks(DRAIN_CHUNK) {
-            self.drain_socket();
-            for item in chunk {
+    /// Fires the wheel one tick at a time through tick `last`, as one
+    /// round: the round the wheel has completed after `last`. Ticks the
+    /// due nodes still live and re-parks each one rotation after its own
+    /// tick, draining the socket before every [`DRAIN_CHUNK`] items fired;
+    /// a departed node's timer is dropped.
+    fn tick_due(&mut self, last: u64) {
+        let round = (last + 1) / WHEEL_SLOTS as u64;
+        let (mut due, mut fired) = (Vec::new(), 0);
+        while self.wheel.current_tick() <= last {
+            due.clear();
+            self.wheel.advance_to(self.wheel.current_tick(), &mut due);
+            for item in &due {
+                if fired % DRAIN_CHUNK == 0 {
+                    self.drain_socket();
+                }
+                fired += 1;
                 if self.arena.is_live(item.key) {
                     self.tick_node(item.key, round);
                     self.wheel.schedule(WHEEL_SLOTS as u64 - 1, *item);
@@ -1131,8 +1140,7 @@ mod tests {
     #[test]
     fn the_outbox_goes_out_at_every_drain_chunk() {
         let mut state = boot(DaemonConfig { initial_nodes: 640, ..tiny_config() }).unwrap();
-        let due: Vec<WheelItem> = (0..640).map(|key| WheelItem { key, generation: 0 }).collect();
-        state.tick_due(&due, 1);
+        rotate(&mut state);
         // Ten chunks of 64 ticks, each sending far fewer than a datagram
         // holds: the nine drains after the first flush a datagram each,
         // and only the last chunk's frames are still in the outbox.
@@ -1251,9 +1259,8 @@ mod tests {
     #[test]
     fn the_checker_is_handed_each_duplication_once() {
         let mut state = boot(tiny_config()).unwrap();
-        let due: Vec<WheelItem> = (0..16).map(|key| WheelItem { key, generation: 0 }).collect();
-        for round in 1..=100 {
-            state.tick_due(&due, round);
+        for _ in 1..=100 {
+            rotate(&mut state);
         }
         // With no leaves, the fleet's own counters hold every send.
         let fleet = |count: fn(&sandf_core::NodeStats) -> u64| -> u64 {
@@ -1339,10 +1346,7 @@ mod tests {
 
     /// Fires one whole rotation of the wheel as one round.
     fn rotate(state: &mut ServiceState) {
-        let mut due = Vec::new();
-        state.wheel.advance_to(state.wheel.current_tick() + WHEEL_SLOTS as u64 - 1, &mut due);
-        let round = state.wheel.rounds();
-        state.tick_due(&due, round);
+        state.tick_due(state.wheel.current_tick() + WHEEL_SLOTS as u64 - 1);
     }
 
     /// The first daemon golden: a run with no clock and no loop thread,
@@ -1353,10 +1357,13 @@ mod tests {
     /// are live, so a rotation is one drain chunk and its frames all wait
     /// in the outbox until the next settle (a 58th frame flushes early).
     ///
-    /// The pin was taken on the seat table the arena replaced, where a
-    /// joiner reused a departed node's seat and later leave and join picks
-    /// walked seat order rather than id order; so the script issues no
-    /// control command after the join that follows its leave.
+    /// The pin was first taken on the seat table the arena replaced, where
+    /// a joiner reused a departed node's seat and later leave and join
+    /// picks walked seat order rather than id order; so the script issues
+    /// no control command after the join that follows its leave. It was
+    /// re-taken when fired nodes stopped being re-parked on the rotation's
+    /// last tick: a joiner now fires at its own tick among the fleet, not
+    /// before or after all of it.
     #[test]
     fn a_clockless_run_replays_its_transcript_digest() {
         let mut state = boot(DaemonConfig { initial_nodes: 40, ..tiny_config() }).unwrap();
@@ -1410,7 +1417,25 @@ mod tests {
         transcript.extend(counter(&state, "daemon.net.recv_errors").to_le_bytes());
         transcript.extend(counter(&state, "daemon.fault.dropped").to_le_bytes());
         let digest = sandf_sim::stream::fnv1a64(transcript.iter().copied());
-        assert_eq!(digest, 0x4a4b_5489_8822_3e99, "transcript digest {digest:#018x}");
+        assert_eq!(digest, 0xbc6f_b9e0_5179_24f8, "transcript digest {digest:#018x}");
+    }
+
+    /// A rotation fired in one call re-parks each node one rotation after
+    /// its own tick, so the boot fleet stays spread two a tick; parked
+    /// after the cursor the whole call left, all 128 would share the last.
+    #[test]
+    fn a_whole_rotation_at_once_keeps_the_fleet_spread_across_the_wheel() {
+        let mut state = boot(DaemonConfig { initial_nodes: 128, ..tiny_config() }).unwrap();
+        for _ in 0..3 {
+            settle(&mut state);
+            rotate(&mut state);
+            let (mut wheel, mut due) = (state.wheel.clone(), Vec::new());
+            for tick in 0..WHEEL_SLOTS {
+                due.clear();
+                wheel.advance_to(wheel.current_tick(), &mut due);
+                assert_eq!(due.len(), 2, "tick {tick} of the next rotation");
+            }
+        }
     }
 
     #[test]

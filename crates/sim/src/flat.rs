@@ -21,7 +21,8 @@
 //!   `push` on each, and `leave` is O(1) — look the position up,
 //!   `swap_remove` it, re-point the one entry that moved
 //!   (`tests/churn_index.rs` holds it to an O(live) scan);
-//! * **due-time delivery** — under [`DelayModel::UniformSteps`] (S&F
+//! * **due-time delivery** — under
+//!   [`DelayModel::UniformSteps`](crate::DelayModel::UniformSteps) (S&F
 //!   only, bound in steps) a message waits in the shell's in-flight queue
 //!   and is delivered at the start of the step it is due;
 //! * **branch-light stepping** — the subscriber-free delivery drain is a
@@ -34,8 +35,11 @@
 //! [`SfBehavior`] — the paper's S&F protocol. The behavior owns the view
 //! algebra (initiate / receive over a [`SlotView`](crate::SlotView) window
 //! into the arena); the engine owns scheduling, the lossy channel, and the
-//! system-wide stats. Every hop is the shell's: a delivery goes through
-//! its one delivery hop, timed under `sim.profile.deliver_ns`. Protocols
+//! system-wide stats. Every hop is the shell's: an action goes through
+//! its one action hop on the global RNG (what this schedule adds is the
+//! initiator draw, and delivering inline the message the hop returns due
+//! now), and a delivery through its one delivery hop, timed under
+//! `sim.profile.deliver_ns`. Protocols
 //! that reply (push-pull, shuffle) route the reply back through the
 //! channel at once — one loss draw on the global RNG, then the shell's one
 //! reply hop — and a reply gets no reply, so an action is at most two
@@ -70,9 +74,9 @@ use sandf_core::{NodeId, SfConfig, SfNode};
 use sandf_obs::{duration_buckets, HistogramHandle, MetricsRegistry, SpanTimer};
 
 use crate::arena::Arena;
-use crate::engine::{DelayModel, StepEvent, StepPhase, StepReport};
+use crate::engine::{StepEvent, StepPhase, StepReport};
 use crate::fault::{FaultCtx, FaultModel};
-use crate::shell::{deliver_hop, reply_hop, ArenaSim, HopOutcome, Schedule};
+use crate::shell::{action_hop, deliver_hop, reply_hop, ArenaSim, HopOutcome, Schedule};
 use crate::traits::{Engine, ProtocolBehavior, SfBehavior};
 
 /// The serial central-entity engine: the shell [`ArenaSim`] under the
@@ -326,7 +330,9 @@ impl<L: FaultModel, B: ProtocolBehavior> FlatSimulation<L, B> {
 
     /// The stepping core: one action by the live node `initiator`, whose
     /// dense arena index `k` the caller already holds (from the draw, the
-    /// packed live list, or the permuted round's order).
+    /// packed live list, or the permuted round's order), through the
+    /// shell's [`action_hop`] on the global RNG. A message due now is
+    /// delivered inline; a delayed one joins the in-flight queue.
     #[inline]
     fn step_impl(&mut self, initiator: NodeId, k: usize) -> StepReport<B::Msg> {
         let _span = self.sched.profile.as_ref().map(|p| SpanTimer::start(&p.step));
@@ -336,56 +342,24 @@ impl<L: FaultModel, B: ProtocolBehavior> FlatSimulation<L, B> {
         } else {
             self.deliver_due_observed();
         }
-        if !self.loss.node_acts(initiator, self.rounds) {
-            self.stats.skipped += 1;
-            let report = StepReport {
-                initiator,
-                event: StepEvent::Skipped,
-                phase: StepPhase::Action,
-                step: self.steps,
-            };
-            if !self.subscribers.is_empty() {
-                self.notify(&report);
-            }
-            return report;
-        }
-        self.stats.actions += 1;
+        let (arena, behavior) = (&mut self.arena, &self.behavior);
+        let (rng, stats, clock) = (&mut self.sched.rng, &mut self.stats, (self.rounds, self.steps));
+        let mut event =
+            action_hop::<B, _>(initiator, &mut self.loss, rng, stats, clock, self.delay, |rng| {
+                arena.initiate(behavior, k, rng)
+            });
         // The report of the reply an immediate delivery triggered; it
         // causally follows the action report, so it is notified after it.
         let mut chained: Option<StepReport<B::Msg>> = None;
-        let event = match self.arena.initiate(&self.behavior, k, &mut self.sched.rng) {
-            None => {
-                self.stats.self_loops += 1;
-                StepEvent::SelfLoop
+        if let StepEvent::InFlight { to, message, deliver_at, .. } = event {
+            if deliver_at == self.steps {
+                let reply;
+                (event, reply) = self.deliver(to, message);
+                chained = reply.map(|reply| self.route_reply(reply));
+            } else {
+                self.queue.push(deliver_at, to, message);
             }
-            Some((to, message)) => {
-                let duplicated = B::duplicated(&message);
-                self.stats.sent += 1;
-                if duplicated {
-                    self.stats.duplications += 1;
-                }
-                let ctx = FaultCtx { from: initiator, to, round: self.rounds };
-                if self.loss.drops(ctx, &mut self.sched.rng) {
-                    self.stats.lost += 1;
-                    StepEvent::Lost { to, message, duplicated }
-                } else {
-                    match self.delay {
-                        DelayModel::Immediate => {
-                            let (event, reply) = self.deliver(to, message);
-                            if let Some(reply) = reply {
-                                chained = Some(self.route_reply(reply));
-                            }
-                            event
-                        }
-                        DelayModel::UniformSteps { max } => {
-                            let deliver_at = self.steps + self.sched.rng.gen_range(1..=max);
-                            self.queue.push(deliver_at, to, message);
-                            StepEvent::InFlight { to, message, duplicated, deliver_at }
-                        }
-                    }
-                }
-            }
-        };
+        }
         let report = StepReport { initiator, event, phase: StepPhase::Action, step: self.steps };
         if !self.subscribers.is_empty() {
             self.notify(&report);
@@ -506,6 +480,7 @@ impl<L: FaultModel, B: ProtocolBehavior> FlatSimulation<L, B> {
 mod tests {
     use sandf_core::JoinError;
 
+    use crate::engine::DelayModel;
     use crate::loss::UniformLoss;
     use crate::topology;
     use crate::traits::ARENA_ID_LIMIT;

@@ -28,11 +28,13 @@
 //!
 //! Each round executes three phases:
 //!
-//! 1. **action phase (parallel)** — every live node initiates exactly
-//!    once, in dense arena order within each shard, using its private
-//!    per-`(seed, node, round)` RNG stream (the hash state after
-//!    `seed ‖ tag` is computed once per phase, see [`crate::stream`]);
-//!    outbound messages are buffered per shard;
+//! 1. **action phase (parallel)** — every live node acts exactly once,
+//!    in dense arena order within each shard, through the shell's one
+//!    action hop, on its private per-`(seed, node, round)` RNG stream (the
+//!    hash state after `seed ‖ tag` is computed once per phase, see
+//!    [`crate::stream`]) and its own sender channel; every message the
+//!    hop returns in flight is buffered in its shard's sends, due in its
+//!    drawn round (this round under immediate delivery);
 //! 2. **merge phase (sequential, deterministic)** — the per-shard send
 //!    buffers are drained in shard order (= global dense order, for
 //!    every `T`) into the shell's in-flight queue. Every per-shard
@@ -47,7 +49,8 @@
 //!    index)` pairs — indices into the drained bucket, not copies of the
 //!    messages — and applied concurrently, each
 //!    receive drawing from a per-message RNG derived from
-//!    `(seed, deliver_time, bucket position)`. Replies produced by a
+//!    `(seed, deliver_time, bucket position)` and counted through the
+//!    shell's one receipt count. Replies produced by a
 //!    [`ProtocolBehavior`] receive (push-pull, shuffle — never S&F) are
 //!    collected in bucket order and routed sequentially afterwards through
 //!    the shell's one reply hop, each delivered at once, its loss drawn on
@@ -93,14 +96,14 @@
 //! ```
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use sandf_core::{NodeId, SfConfig, SfNode};
 use sandf_obs::{duration_buckets, GaugeHandle, HistogramHandle, MetricsRegistry, SpanTimer};
 
 use crate::arena::{Arena, Shard};
 use crate::engine::{DelayModel, SimStats, StepEvent, StepPhase, StepReport};
 use crate::fault::{FaultCtx, FaultModel};
-use crate::shell::{reply_hop, ArenaSim, Schedule};
+use crate::shell::{action_hop, count_receipt, reply_hop, ArenaSim, Schedule};
 use crate::stream::{self, absorb, stream_prefix, stream_seed};
 use crate::traits::{ProtocolBehavior, SfBehavior};
 
@@ -240,8 +243,8 @@ struct DeliveryCtx {
 
 /// What one delivery-phase shard worker produced.
 struct DeliveryShardOut<M> {
-    stored: u64,
-    deleted: u64,
+    /// The shard's receipts, counted stored or deleted.
+    stats: SimStats,
     /// Delivery reports keyed by sorted bucket position.
     reports: Vec<(usize, StepReport<M>)>,
     /// Replies the receives produced, as (sorted bucket position, (receiver,
@@ -254,8 +257,7 @@ struct DeliveryShardOut<M> {
 impl<M> DeliveryShardOut<M> {
     fn new(s: usize) -> Self {
         Self {
-            stored: 0,
-            deleted: 0,
+            stats: SimStats::default(),
             reports: Vec::new(),
             replies: Vec::new(),
             hist: vec![0; s + 1],
@@ -550,8 +552,7 @@ impl<L: FaultModel + Clone + Send, B: ProtocolBehavior> ParSimulation<L, B> {
         });
         let mut replies: Vec<(usize, (NodeId, B::Msg))> = Vec::new();
         for out in outs {
-            self.stats.stored += out.stored;
-            self.stats.deleted += out.deleted;
+            merge_stats(&mut self.stats, &out.stats);
             self.arena.degree_hist.apply_deltas(&out.hist);
             if observed {
                 reports.extend(out.reports);
@@ -660,8 +661,8 @@ fn run_action_shard<L: FaultModel, B: ProtocolBehavior>(
     // Seeds are derived a chunk ahead of the rows that consume them: the
     // FNV-1a derivation is a pure hash of `(seed, node id, round)`, so a
     // separate pass changes no draw and keeps the hash chains out of the
-    // protocol's dependent loads. Departed and capacity-skipped nodes
-    // simply never consume their seed.
+    // protocol's dependent loads. Departed nodes never consume their
+    // seed, and a capacity-skipped node's stream draws nothing.
     let prefix = stream_prefix(ctx.seed, stream::ACTION);
     let mut seeds = [0u64; SEED_CHUNK];
     let ids = shard.ids;
@@ -676,49 +677,16 @@ fn run_action_shard<L: FaultModel, B: ProtocolBehavior>(
             }
             let id = shard.id(r);
             out.live += 1;
-            if !losses[r].node_acts(id, ctx.round) {
-                // Capacity gate closed: the node's step is skipped before any
-                // RNG is seeded, so the skip is thread-count-independent.
-                out.stats.skipped += 1;
-                if ctx.observed {
-                    out.reports.push(StepReport {
-                        initiator: id,
-                        event: StepEvent::Skipped,
-                        phase: StepPhase::Action,
-                        step: 0,
-                    });
-                }
-                continue;
-            }
-            out.stats.actions += 1;
-            let mut rng = StdRng::seed_from_u64(seed);
-            let deg_before = shard.degree[r];
-            let event = match behavior.initiate(ctx.config, shard.window(r), &mut rng) {
-                None => {
-                    out.stats.self_loops += 1;
-                    StepEvent::SelfLoop
-                }
-                Some((to, message)) => {
-                    let duplicated = B::duplicated(&message);
-                    if duplicated {
-                        out.stats.duplications += 1;
-                    }
-                    out.stats.sent += 1;
-                    let fctx = FaultCtx { from: id, to, round: ctx.round };
-                    if losses[r].drops(fctx, &mut rng) {
-                        out.stats.lost += 1;
-                        StepEvent::Lost { to, message, duplicated }
-                    } else {
-                        let deliver_round = match ctx.delay {
-                            DelayModel::Immediate => ctx.round,
-                            DelayModel::UniformSteps { max } => ctx.round + rng.gen_range(1..=max),
-                        };
-                        sends.push((deliver_round, to, message));
-                        StepEvent::InFlight { to, message, duplicated, deliver_at: deliver_round }
-                    }
-                }
-            };
+            let (mut rng, stats) = (StdRng::seed_from_u64(seed), &mut out.stats);
+            let (deg_before, clock) = (shard.degree[r], (ctx.round, ctx.round));
+            let event =
+                action_hop::<B, _>(id, &mut losses[r], &mut rng, stats, clock, ctx.delay, |rng| {
+                    behavior.initiate(ctx.config, shard.window(r), rng)
+                });
             shift_delta(&mut out.hist, deg_before, shard.degree[r]);
+            if let StepEvent::InFlight { to, message, deliver_at, .. } = event {
+                sends.push((deliver_at, to, message));
+            }
             if ctx.observed {
                 // `step` is assigned during the sequential merge, once the
                 // preceding shards' live counts are known.
@@ -760,11 +728,7 @@ fn run_delivery_shard<B: ProtocolBehavior>(
             let deg_before = shard.degree[r];
             let receipt = behavior.receive(ctx.config, shard.window(r), message, &mut rng);
             shift_delta(&mut out.hist, deg_before, shard.degree[r]);
-            if receipt.deleted {
-                out.deleted += 1;
-            } else {
-                out.stored += 1;
-            }
+            count_receipt(&mut out.stats, receipt.deleted);
             if let Some(reply) = receipt.reply {
                 out.replies.push((pos, reply));
             }
@@ -792,6 +756,7 @@ fn run_delivery_shard<B: ProtocolBehavior>(
 
 #[cfg(test)]
 mod tests {
+    use rand::Rng;
     use sandf_core::JoinError;
 
     use crate::loss::{GilbertElliott, UniformLoss};

@@ -10,7 +10,12 @@
 //! step clock and completed rounds, the system-wide [`SimStats`] and the
 //! step-event subscribers. Every reader, the churn control plane, the
 //! drivers and S&F's `delayed` are written here, over the live order the
-//! schedule supplies.
+//! schedule supplies. So are the hops of an action, each once: the action
+//! hop (`action_hop`: capacity gate, initiate, send counts, loss draw,
+//! delay draw, the §5 action in its pinned draw order), the delivery hop
+//! (`deliver_hop`), the reply hop (`reply_hop`) and the receipt count
+//! (`count_receipt`) that par's delivery shards share with the delivery
+//! hop.
 //!
 //! What [`Engine`] declares is defined once, in the shell's `Engine` impl;
 //! callers bring the trait into scope. The inherent block holds the rest:
@@ -23,7 +28,10 @@
 //!
 //! A [`Schedule`] carries only what differs. It is called for a round, a
 //! settle, an admit, a leave, the live order, the join RNG and the
-//! per-sender channels — never per step or per message. The hot paths
+//! per-sender channels — never per step or per message. Around the hops a
+//! schedule writes only how the acting node is chosen, how its RNG is
+//! derived, how the degree histogram follows its row, and where an
+//! in-flight message goes. The hot paths
 //! (flat's step and due-time drain, par's three-phase round) are inherent
 //! methods of the shell specialised to their schedule, so `self` there is
 //! the whole engine: the out-of-line `notify(&mut self, …)` borrows
@@ -34,12 +42,14 @@
 use std::fmt;
 
 use rand::rngs::StdRng;
+use rand::Rng;
 use sandf_core::{JoinError, LocalView, NodeId, SfConfig, SfNode};
 use sandf_graph::DependenceReport;
 
 use crate::arena::Arena;
 use crate::degree::DegreeStats;
 use crate::engine::{DelayModel, SimStats, StepEvent, StepPhase, StepReport, StepSubscriber};
+use crate::fault::{FaultCtx, FaultModel};
 use crate::traits::{Engine, ProtocolBehavior, SfBehavior};
 
 /// An engine's registered step-event observers. Boxed observers are not
@@ -158,6 +168,60 @@ impl<M> InFlight<M> {
     }
 }
 
+/// The one action hop: the §5 action of the live node `from`, in the
+/// pinned draw order. A closed capacity gate counts `skipped` and draws
+/// nothing. Otherwise `initiate` runs the behavior at `from`'s row on
+/// `rng`, the send is counted, its loss is drawn on `channel`, and a
+/// survivor's delay is drawn last. Returns `Skipped`, `SelfLoop`, `Lost`
+/// or `InFlight` due at the clock `now` plus the delay (`now` itself
+/// under immediate delivery); the schedule decides where an in-flight
+/// message goes. The fault reads `round`.
+#[inline]
+pub(crate) fn action_hop<B: ProtocolBehavior, L: FaultModel>(
+    from: NodeId,
+    channel: &mut L,
+    rng: &mut StdRng,
+    stats: &mut SimStats,
+    (round, now): (u64, u64),
+    delay: DelayModel,
+    initiate: impl FnOnce(&mut StdRng) -> Option<(NodeId, B::Msg)>,
+) -> StepEvent<B::Msg> {
+    if !channel.node_acts(from, round) {
+        stats.skipped += 1;
+        return StepEvent::Skipped;
+    }
+    stats.actions += 1;
+    let Some((to, message)) = initiate(rng) else {
+        stats.self_loops += 1;
+        return StepEvent::SelfLoop;
+    };
+    let duplicated = B::duplicated(&message);
+    stats.sent += 1;
+    if duplicated {
+        stats.duplications += 1;
+    }
+    if channel.drops(FaultCtx { from, to, round }, rng) {
+        stats.lost += 1;
+        return StepEvent::Lost { to, message, duplicated };
+    }
+    let deliver_at = match delay {
+        DelayModel::Immediate => now,
+        DelayModel::UniformSteps { max } => now + rng.gen_range(1..=max),
+    };
+    StepEvent::InFlight { to, message, duplicated, deliver_at }
+}
+
+/// The one receipt count: a receive that kept its ids is `stored`, one
+/// that dropped them on a full view `deleted`.
+#[inline]
+pub(crate) fn count_receipt(stats: &mut SimStats, deleted: bool) {
+    if deleted {
+        stats.deleted += 1;
+    } else {
+        stats.stored += 1;
+    }
+}
+
 /// A delivery hop's outcome: the step event, plus the receiver's reply
 /// (receiver, message) still to be routed.
 pub(crate) type HopOutcome<M> = (StepEvent<M>, Option<(NodeId, M)>);
@@ -182,11 +246,7 @@ pub(crate) fn deliver_hop<B: ProtocolBehavior>(
         return (StepEvent::DeadLetter { to, message, duplicated }, None);
     };
     let receipt = arena.receive(behavior, k, message, rng);
-    if receipt.deleted {
-        stats.deleted += 1;
-    } else {
-        stats.stored += 1;
-    }
+    count_receipt(stats, receipt.deleted);
     (StepEvent::Delivered { to, message, duplicated, deleted: receipt.deleted }, receipt.reply)
 }
 
@@ -560,7 +620,7 @@ impl<S: Schedule<L, B>, L, B: ProtocolBehavior> Engine for ArenaSim<S, L, B> {
 
 #[cfg(test)]
 pub(crate) mod tests {
-    use rand::Rng;
+    use rand::{Rng, SeedableRng};
     use sandf_core::Message;
 
     use super::*;
@@ -600,6 +660,94 @@ pub(crate) mod tests {
 
     fn message(from: u64) -> Message {
         Message::new(NodeId::new(from), NodeId::new(from + 1), false)
+    }
+
+    /// A channel with a fixed gate and loss verdict, whose loss draw takes
+    /// one word, as every real channel's does.
+    #[derive(Clone, Copy)]
+    struct Fixed {
+        acts: bool,
+        drops: bool,
+    }
+
+    impl FaultModel for Fixed {
+        fn drops<R: Rng + ?Sized>(&mut self, _: FaultCtx, rng: &mut R) -> bool {
+            rng.gen_range(0..2u64);
+            self.drops
+        }
+
+        fn node_acts(&self, _: NodeId, _: u64) -> bool {
+            self.acts
+        }
+    }
+
+    /// One action hop of node 0 at round 3 and clock 10, whose initiate
+    /// draws nothing and sends a duplicating message to node 1.
+    fn act(mut channel: Fixed, delay: DelayModel, rng: &mut StdRng) -> (StepEvent, SimStats) {
+        let mut stats = SimStats::default();
+        let send = (NodeId::new(1), Message::new(NodeId::new(0), NodeId::new(2), true));
+        let event = action_hop::<SfBehavior, _>(
+            NodeId::new(0),
+            &mut channel,
+            rng,
+            &mut stats,
+            (3, 10),
+            delay,
+            |_| Some(send),
+        );
+        (event, stats)
+    }
+
+    #[test]
+    fn a_closed_gate_counts_only_a_skip_and_draws_nothing() {
+        let mut rng = StdRng::seed_from_u64(7);
+        let before = rng.clone();
+        let mut stats = SimStats::default();
+        let event = action_hop::<SfBehavior, _>(
+            NodeId::new(0),
+            &mut Fixed { acts: false, drops: false },
+            &mut rng,
+            &mut stats,
+            (3, 10),
+            DelayModel::UniformSteps { max: 5 },
+            |_| panic!("a node behind a closed gate initiated"),
+        );
+        assert_eq!(event, StepEvent::Skipped);
+        assert_eq!(stats, SimStats { skipped: 1, ..SimStats::default() });
+        assert_eq!(rng, before, "a skipped node drew");
+    }
+
+    #[test]
+    fn a_lost_send_draws_its_loss_and_no_delay() {
+        let mut rng = StdRng::seed_from_u64(7);
+        let mut want = rng.clone();
+        want.gen_range(0..2u64);
+        let delay = DelayModel::UniformSteps { max: 5 };
+        let (event, stats) = act(Fixed { acts: true, drops: true }, delay, &mut rng);
+        assert!(matches!(event, StepEvent::Lost { duplicated: true, .. }), "{event:?}");
+        let counted =
+            SimStats { actions: 1, sent: 1, duplications: 1, lost: 1, ..SimStats::default() };
+        assert_eq!(stats, counted);
+        assert_eq!(rng, want, "only the initiate and loss draws were taken");
+    }
+
+    #[test]
+    fn a_survivor_is_due_now_or_within_the_delay_bound() {
+        let survive = Fixed { acts: true, drops: false };
+        let mut rng = StdRng::seed_from_u64(7);
+        let (event, stats) = act(survive, DelayModel::Immediate, &mut rng);
+        assert!(matches!(event, StepEvent::InFlight { deliver_at: 10, .. }), "{event:?}");
+        assert_eq!((stats.actions, stats.sent, stats.lost), (1, 1, 0));
+        let mut seen = [false; 4];
+        for seed in 0..200 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let delay = DelayModel::UniformSteps { max: 4 };
+            let (event, _) = act(survive, delay, &mut rng);
+            let StepEvent::InFlight { deliver_at, .. } = event else { panic!("{event:?}") };
+            assert!((11..=14).contains(&deliver_at), "due at {deliver_at}");
+            seen[(deliver_at - 11) as usize] = true;
+        }
+        assert!(seen.iter().all(|&hit| hit), "every delay in 1..=max is drawn");
     }
 
     #[test]

@@ -36,6 +36,12 @@
 //! of the pinned draw sequence: a dead letter is a property of the
 //! receiver discovered at delivery, while loss is a property of the
 //! channel decided at send.
+//!
+//! An action's order is written in one place, the engine shell's action
+//! hop (`shell::action_hop`), which both schedules call: the capacity
+//! gate (a closed gate draws nothing), the behavior's initiate draws, the
+//! loss draw, then — for a survivor of a delayed engine — the delay draw.
+//! The hop never sees the receiver, so it cannot draw loss by liveness.
 
 use std::fmt;
 
