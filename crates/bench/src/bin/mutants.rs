@@ -9,7 +9,7 @@
 //!
 //! ```text
 //! mutants check
-//! mutants run [--lines 25,41-43] [--scratch DIR]
+//! mutants run [--lines 25,41-43]
 //! ```
 //!
 //! Run it from the workspace root, e.g. `cargo run --release -p
@@ -18,14 +18,14 @@
 //! `check` fails when a row's `original` does not occur exactly once in
 //! its `path`, so the catalogue cannot go stale unnoticed.
 //!
-//! `run` copies the workspace (without `target/` and `.git/`) into the
-//! scratch directory (default `target/mutants`; any other must lie
-//! outside the tree, and be new or a copy an earlier run made), then
-//! applies one row at a time there. For each killer it builds the test
-//! target its test path starts with (that integration test if the
-//! package has one of the name, else the library) in release (in debug
-//! when the entry's note says "debug profile only"), runs it under a
-//! ten-minute timeout, and restores the file afterwards. A row is
+//! `run` first makes the same check and refuses a stale row, so a row
+//! whose snippet no longer matches is never reported as a survivor. It
+//! then copies the workspace (without `target/` and `.git/`) into
+//! `target/mutants` and applies one row at a time there. For each killer
+//! it builds the test target its test path starts with (that integration
+//! test if the package has one of the name, else the library) in release
+//! (in debug when the entry's note says "debug profile only"), runs it
+//! under a ten-minute timeout, and restores the file afterwards. A row is
 //! `killed` when a target fails, `timeout` when one outlives the timeout,
 //! `survived` when every target passes, and `unviable` when the mutant
 //! does not build. `--lines` picks rows by their line in the catalogue
@@ -41,9 +41,6 @@ use std::time::{Duration, Instant};
 
 /// The catalogue, at the workspace root.
 const CATALOGUE: &str = "mutants.tsv";
-
-/// The file that marks a directory as this runner's scratch copy.
-const MARKER: &str = ".mutants-scratch";
 
 /// The longest a mutant's test target may take to build.
 const BUILD_LIMIT: Duration = Duration::from_secs(3600);
@@ -259,18 +256,17 @@ fn judge(dir: &Path, killers: &[Killer]) -> io::Result<(&'static str, String)> {
     Ok(("survived", String::new()))
 }
 
-/// Applies each of `rows` in a scratch copy of `root` and judges it;
-/// returns whether every row was killed or timed out.
-fn run(root: &Path, rows: &[Row], scratch: &Path) -> io::Result<bool> {
-    // A scratch copy is cleared before each run (its build cache kept), so
-    // a file the tree has since lost cannot linger there; only a directory
-    // this runner made, and so marked, is ever cleared.
+/// Applies each of `rows` in the scratch copy `target/mutants` of `root`
+/// and judges it; returns whether every row was killed or timed out.
+fn run(root: &Path, rows: &[Row]) -> io::Result<bool> {
+    let problems = check(root, rows);
+    if !problems.is_empty() {
+        return Err(io::Error::other(format!("{CATALOGUE}: {}", problems.join("; "))));
+    }
+    // The scratch copy is cleared before each run (its build cache kept),
+    // so a file the tree has since lost cannot linger there.
+    let scratch = &root.join("target").join("mutants");
     if scratch.exists() {
-        if !scratch.join(MARKER).exists() {
-            let what =
-                format!("{} exists and is no scratch copy of this runner", scratch.display());
-            return Err(io::Error::other(what));
-        }
         for entry in fs::read_dir(scratch)? {
             let entry = entry?;
             if entry.file_name() != "target" {
@@ -284,7 +280,6 @@ fn run(root: &Path, rows: &[Row], scratch: &Path) -> io::Result<bool> {
         }
     }
     copy_tree(root, scratch)?;
-    fs::write(scratch.join(MARKER), "")?;
     let mut detected = 0;
     for row in rows {
         let file = scratch.join(&row.path);
@@ -327,12 +322,11 @@ fn main() -> ExitCode {
 fn try_main() -> Result<bool, String> {
     let mut args = std::env::args().skip(1);
     let mode = args.next().unwrap_or_default();
-    let (mut lines, mut scratch) = (None, PathBuf::from("target/mutants"));
+    let mut lines = None;
     while let Some(flag) = args.next() {
         let value = args.next().ok_or(format!("{flag} takes a value"))?;
         match flag.as_str() {
             "--lines" => lines = Some(line_set(&value)?),
-            "--scratch" => scratch = PathBuf::from(value),
             _ => return Err(format!("unknown flag {flag}")),
         }
     }
@@ -351,8 +345,8 @@ fn try_main() -> Result<bool, String> {
             println!("{} rows, {} problems", rows.len(), problems.len());
             Ok(problems.is_empty())
         }
-        "run" => run(root, &rows, &scratch).map_err(|e| e.to_string()),
-        _ => Err("usage: mutants check|run [--lines 25,41-43] [--scratch DIR]".into()),
+        "run" => run(root, &rows).map_err(|e| e.to_string()),
+        _ => Err("usage: mutants check|run [--lines 25,41-43]".into()),
     }
 }
 
@@ -385,6 +379,21 @@ mod tests {
         );
         assert!(parse("header\np\ta\tb\n").unwrap_err().contains("3 fields"));
         assert_eq!(line_set("3,41-43").unwrap(), [3, 41, 42, 43]);
+    }
+
+    /// A row whose snippet no longer matches stops the run before the tree
+    /// is copied, so it is never judged (and never reported a survivor).
+    #[test]
+    fn a_stale_row_stops_the_run() {
+        let root = std::env::temp_dir().join(format!("mutants-stale-{}", std::process::id()));
+        fs::create_dir_all(&root).unwrap();
+        fs::write(root.join("a.rs"), "fn a() {}\n").unwrap();
+        let rows = parse("header\na.rs\tfn b()\tfn c()\twhy\tsandf-sim x::y\n").unwrap();
+        let err = run(&root, &rows).unwrap_err().to_string();
+        let copied = root.join("target").exists();
+        fs::remove_dir_all(&root).unwrap();
+        assert!(err.contains("line 2: original occurs 0 times in a.rs"), "{err}");
+        assert!(!copied);
     }
 
     /// Every row of the workspace's catalogue still applies to the tree.

@@ -480,6 +480,8 @@ struct ServiceState {
     /// The loop's per-row column, indexed like `arena`.
     rows: Vec<Row>,
     wheel: TimerWheel,
+    /// The items one wheel tick fired, kept so `tick_due` reuses one buffer.
+    due: Vec<WheelItem>,
     socket: SharedSocket,
     /// Frames sent since the last flush, packed for one datagram.
     outbox: Datagram,
@@ -541,6 +543,7 @@ fn boot(config: DaemonConfig) -> io::Result<ServiceState> {
         rows: (0..config.initial_nodes).map(|k| Row::new(config.seed, arena.id_at(k))).collect(),
         arena,
         wheel: TimerWheel::new(WHEEL_SLOTS),
+        due: Vec::new(),
         socket: SharedSocket::bind_loopback().map_err(|e| io::Error::other(e.to_string()))?,
         outbox: Datagram::default(),
         fault: ScheduledFault::constant(PhaseFault::Uniform(base_loss)),
@@ -765,7 +768,7 @@ impl ServiceState {
     /// a departed node's timer is dropped.
     fn tick_due(&mut self, last: u64) {
         let round = (last + 1) / WHEEL_SLOTS as u64;
-        let (mut due, mut fired) = (Vec::new(), 0);
+        let (mut due, mut fired) = (std::mem::take(&mut self.due), 0);
         while self.wheel.current_tick() <= last {
             due.clear();
             self.wheel.advance_to(self.wheel.current_tick(), &mut due);
@@ -780,6 +783,7 @@ impl ServiceState {
                 }
             }
         }
+        self.due = due;
     }
 
     /// Node `k` receives its inbox, then initiates unless the fault
