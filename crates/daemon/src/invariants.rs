@@ -29,29 +29,32 @@
 //!
 //! # Cost
 //!
-//! A check reads the live rows three times (outdegrees, ids, entries):
-//! O(live · s) with no hashing beyond one multiplicative probe per view
-//! entry. A row is a node's id and the ids its view holds; the daemon
-//! hands the checker its arena rows, and [`InvariantChecker::check`]
-//! reads the same pair off each `&SfNode` it is given. The Lemma 6.10
-//! ceiling needs only three numbers from the overlay — edges, dangling
-//! edges and weakly connected components — so the walk counts them in
-//! place instead of snapshotting a
-//! [`MembershipGraph`](sandf_graph::MembershipGraph): every entry is an
-//! edge, an entry whose id is not live is dangling, and the rest are
-//! unioned in the workspace's [`DisjointSets`]. Entries resolve to seats
-//! (positions in the walk) through the workspace's one id table, an
-//! [`IdIndex`] over the live ids (the same index a graph snapshot
-//! resolves its edges with).
-//! The id list, the index and the union-find are kept across checks and
-//! rebuilt in place, so a steady-state check allocates nothing. All three
-//! are sized from live counts, never from ids: the index follows each
-//! check's live count and the buffers keep the largest, so scratch memory
-//! is O(live) whatever ids the fleet has issued.
+//! A check walks the live rows of the fleet's [`Arena`] once: O(live · s),
+//! with no hashing. Each row's entries are counted for Observation 5.1
+//! from its slots, not from the arena's degree ledger, so the oracle reads
+//! the views themselves. The Lemma 6.10 ceiling needs only three numbers
+//! from the overlay — edges, dangling edges and weakly connected
+//! components — so the same walk counts them in place instead of
+//! snapshotting a [`MembershipGraph`](sandf_graph::MembershipGraph):
+//! every entry is an edge, and it resolves through the arena's own id
+//! table ([`Arena::dense_of`]) to a live row, or to `None`, which makes it
+//! dangling. Resolved entries union their two rows in the workspace's
+//! [`DisjointSets`], over dense indices. The union-find covers every row
+//! the arena has issued, live or departed, at 8 B a row, and is kept
+//! across checks, so a steady-state check allocates nothing. A departed
+//! row is never walked and never resolved to, so it stays a singleton:
+//! the component count is the number of sets less the departed rows.
+//!
+//! The daemon hands the checker its arena. [`InvariantChecker::check`]
+//! takes `&SfNode`s instead, seats them in an arena of its own and runs
+//! the same walk, so its fleet must be one an arena holds: at least one
+//! node, distinct ids below [`ARENA_ID_LIMIT`](sandf_sim::ARENA_ID_LIMIT),
+//! and an id table sized by the largest id.
 
 use sandf_core::{NodeId, SfConfig, SfNode};
-use sandf_graph::{DisjointSets, IdIndex};
+use sandf_graph::DisjointSets;
 use sandf_markov::decay::survival_factor;
+use sandf_sim::{Arena, SfBehavior};
 
 /// Multiplicative headroom on the Lemma 6.10 ceiling. The lemma bounds
 /// expectations; a live run is one sample path.
@@ -117,89 +120,6 @@ pub struct CheckOutcome {
 /// Cap on per-check reported degree offenders (the journal is bounded).
 pub const MAX_REPORTED_VIOLATIONS: usize = 16;
 
-/// What a check reads of one live node: its id, and the ids in its
-/// occupied slots, with multiplicity.
-pub(crate) trait NodeRow {
-    /// The node's id and its view's ids.
-    fn row(self) -> (NodeId, impl Iterator<Item = NodeId>);
-}
-
-impl NodeRow for &SfNode {
-    fn row(self) -> (NodeId, impl Iterator<Item = NodeId>) {
-        (self.id(), self.view().ids())
-    }
-}
-
-/// An arena row, as the daemon reads it.
-impl<E: Iterator<Item = NodeId>> NodeRow for (NodeId, E) {
-    fn row(self) -> (NodeId, impl Iterator<Item = NodeId>) {
-        self
-    }
-}
-
-/// The overlay counts the Lemma 6.10 ceiling and the component check read.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-struct Overlay {
-    /// Every view entry of every live node, with multiplicity.
-    edges: usize,
-    /// Entries naming an id that is not live.
-    dangling: usize,
-    /// Weakly connected components of the live nodes (0 when none).
-    components: usize,
-}
-
-/// The scratch behind one overlay pass, kept across checks.
-#[derive(Clone, Debug)]
-struct OverlayPass {
-    /// The live ids, in seat (walk) order: the keys `index` reads back.
-    ids: Vec<NodeId>,
-    /// Id → seat, over `ids`.
-    index: IdIndex,
-    sets: DisjointSets,
-}
-
-impl OverlayPass {
-    fn new() -> Self {
-        Self { ids: Vec::new(), index: IdIndex::new(), sets: DisjointSets::new(0) }
-    }
-
-    /// Counts edges, dangling edges and components over the `live` rows
-    /// `rows` yields.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a repeated node id, as a graph snapshot does.
-    fn measure<I>(&mut self, rows: I, live: usize) -> Overlay
-    where
-        I: Iterator<Item: NodeRow> + Clone,
-    {
-        self.ids.clear();
-        self.ids.extend(rows.clone().map(|row| row.row().0));
-        self.index.rebuild(&self.ids);
-        self.sets.reset(live);
-        let (mut edges, mut dangling) = (0, 0);
-        for (seat, row) in rows.enumerate() {
-            // Most entries name a node already in the seat's set: one find
-            // decides that, and the seat's root is found again only after
-            // a union may have moved it.
-            let mut root = self.sets.find(seat);
-            for id in row.row().1 {
-                edges += 1;
-                match self.index.get(&self.ids, id) {
-                    None => dangling += 1,
-                    Some(other) => {
-                        if self.sets.find(other) != root {
-                            self.sets.union(root, other);
-                            root = self.sets.find(root);
-                        }
-                    }
-                }
-            }
-        }
-        Overlay { edges, dangling, components: self.sets.count() }
-    }
-}
-
 /// The checker's persistent state across checks.
 #[derive(Clone, Debug)]
 pub struct InvariantChecker {
@@ -207,7 +127,8 @@ pub struct InvariantChecker {
     cohorts: Vec<Cohort>,
     last_round: u64,
     last: WireTotals,
-    overlay: OverlayPass,
+    /// Dense row → set, over every row the checked arena has issued.
+    sets: DisjointSets,
 }
 
 impl InvariantChecker {
@@ -219,7 +140,7 @@ impl InvariantChecker {
             cohorts: Vec::new(),
             last_round: 0,
             last: WireTotals::default(),
-            overlay: OverlayPass::new(),
+            sets: DisjointSets::new(0),
         }
     }
 
@@ -242,42 +163,67 @@ impl InvariantChecker {
     /// Runs one check at `round` over the live nodes, with cumulative wire
     /// totals. Nodes must be sampled at a quiescent point (no step in
     /// flight), which the single-threaded event loop guarantees.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the nodes are a fleet an [`Arena`] holds (see
+    /// [`Arena::from_nodes`]): at least one, with distinct ids below
+    /// [`ARENA_ID_LIMIT`](sandf_sim::ARENA_ID_LIMIT).
     pub fn check<'a, I>(&mut self, round: u64, nodes: I, totals: WireTotals) -> CheckOutcome
     where
         I: IntoIterator<Item = &'a SfNode>,
         I::IntoIter: Clone,
     {
-        self.check_rows(round, nodes.into_iter(), totals)
+        let nodes = nodes.into_iter();
+        let rows = nodes.clone().count();
+        self.check_arena(round, &Arena::from_nodes(nodes), rows, totals)
     }
 
-    /// [`check`](Self::check) over the live nodes' rows.
-    pub(crate) fn check_rows<I>(&mut self, round: u64, rows: I, totals: WireTotals) -> CheckOutcome
-    where
-        I: Iterator<Item: NodeRow> + Clone,
-    {
+    /// [`check`](Self::check) over the live rows of `arena`, which has
+    /// issued `rows` rows, live and departed.
+    pub(crate) fn check_arena(
+        &mut self,
+        round: u64,
+        arena: &Arena,
+        rows: usize,
+        totals: WireTotals,
+    ) -> CheckOutcome {
         let d_l = self.config.lower_threshold();
         let s = self.config.view_size();
 
-        // Observation 5.1, per node, exact.
+        // One walk: Observation 5.1 per row, exact, and the overlay counts.
         let mut degree_violations = Vec::new();
         let mut degree_violation_count = 0;
-        let (mut live, mut sum_out, mut min_out, mut max_out) = (0usize, 0usize, usize::MAX, 0);
-        for row in rows.clone() {
-            let (id, entries) = row.row();
-            let d = entries.count();
+        let (mut live, mut edges, mut dangling, mut min_out, mut max_out) =
+            (0usize, 0usize, 0usize, usize::MAX, 0);
+        self.sets.reset(rows);
+        for k in arena.live_dense() {
+            // Most entries name a row already in `k`'s set: one find
+            // decides that, and the root is found again only after a union
+            // may have moved it.
+            let (mut root, mut d) = (self.sets.find(k), 0);
+            for id in arena.row_ids::<SfBehavior>(k) {
+                d += 1;
+                match arena.dense_of(id) {
+                    None => dangling += 1,
+                    Some(other) => {
+                        if self.sets.find(other) != root {
+                            self.sets.union(root, other);
+                            root = self.sets.find(root);
+                        }
+                    }
+                }
+            }
             live += 1;
-            sum_out += d;
+            edges += d;
             min_out = min_out.min(d);
             max_out = max_out.max(d);
             if !d.is_multiple_of(2) || d < d_l || d > s {
                 degree_violation_count += 1;
                 if degree_violations.len() < MAX_REPORTED_VIOLATIONS {
-                    degree_violations.push((id, d));
+                    degree_violations.push((arena.id_at(k), d));
                 }
             }
-        }
-        if live == 0 {
-            min_out = 0;
         }
 
         // Realized per-window loss and duplication rates.
@@ -313,30 +259,27 @@ impl InvariantChecker {
         self.last = totals;
 
         // Lemma 6.10 ceiling against the measured overlay.
-        let overlay = self.overlay.measure(rows, live);
-        let total_edges = overlay.edges;
-        let stale_fraction =
-            if total_edges == 0 { 0.0 } else { overlay.dangling as f64 / total_edges as f64 };
-        let raw_ceiling = if total_edges == 0 {
+        let stale_fraction = if edges == 0 { 0.0 } else { dangling as f64 / edges as f64 };
+        let raw_ceiling = if edges == 0 {
             1.0
         } else {
-            (self.surviving_instances_bound() / total_edges as f64).min(1.0)
+            (self.surviving_instances_bound() / edges as f64).min(1.0)
         };
         let stale_ceiling = (raw_ceiling * STALE_HEADROOM + STALE_SLACK).min(1.0);
-        let stale_violation = stale_fraction > stale_ceiling;
 
         CheckOutcome {
             round,
             live,
-            mean_out: if live == 0 { 0.0 } else { sum_out as f64 / live as f64 },
+            mean_out: edges as f64 / live as f64,
             min_out,
             max_out,
             degree_violations,
             degree_violation_count,
             stale_fraction,
             stale_ceiling,
-            stale_violation,
-            components: overlay.components,
+            stale_violation: stale_fraction > stale_ceiling,
+            // A departed row is never walked nor resolved to: a singleton.
+            components: self.sets.count() - (rows - live),
             window_loss,
             window_delta,
         }
@@ -351,6 +294,7 @@ mod tests {
     use rand::{Rng, SeedableRng};
     use sandf_core::LocalView;
     use sandf_graph::MembershipGraph;
+    use sandf_sim::ARENA_ID_LIMIT;
 
     use super::*;
 
@@ -492,21 +436,23 @@ mod tests {
         SfNode::from_view(NodeId::new(id), config(), LocalView::from_ids(s, &ids, false))
     }
 
-    /// A raw id from one of three bands: small, just above `u32`, and just
-    /// below `u64::MAX`.
+    /// A raw id from one of three bands of the arena's id space: small,
+    /// around `2^16` and around `2^20`. An arena's id table is sized by its
+    /// largest id, so a seated id stays far below [`ARENA_ID_LIMIT`].
     fn sparse_id(rng: &mut StdRng) -> u64 {
         let offset = rng.gen_range(0..512u64);
         match rng.gen_range(0..3u32) {
             0 => offset,
-            1 => (1 << 32) + offset,
-            _ => u64::MAX - offset,
+            1 => (1 << 16) + offset,
+            _ => (1 << 20) + offset,
         }
     }
 
     /// A fleet of `n` nodes seated from `universe` (distinct ids; the
     /// universe ids left out play departed nodes), split into `islands`
     /// by universe position. A view draws from its own island, with
-    /// self-entries, repeats and ids no node was ever seated under.
+    /// self-entries, repeats, ids no node was ever seated under and ids
+    /// beyond every id table, just below [`ARENA_ID_LIMIT`].
     fn fleet(rng: &mut StdRng, universe: &[u64], n: usize, islands: usize) -> Vec<SfNode> {
         let s = config().view_size();
         let mut order: Vec<usize> = (0..universe.len()).collect();
@@ -519,7 +465,8 @@ mod tests {
                     let entry = match rng.gen_range(0..20u32) {
                         0..=1 => universe[at],
                         2..=3 if !view.is_empty() => view[rng.gen_range(0..view.len())],
-                        4..=5 => sparse_id(rng),
+                        4 => sparse_id(rng),
+                        5 => ARENA_ID_LIMIT - 1 - rng.gen_range(0..512u64),
                         _ => {
                             let peers = universe.len().div_ceil(islands);
                             let k = rng.gen_range(0..peers) * islands + at % islands;
@@ -536,13 +483,14 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
-        /// The one-pass counts equal a full graph snapshot's, check after
+        /// The one walk's counts equal a full graph snapshot's, check after
         /// check on one checker while the fleet shrinks and grows, and the
-        /// stale fraction is the snapshot's ratio bit for bit.
+        /// stale fraction and mean outdegree are the snapshot's ratios bit
+        /// for bit.
         #[test]
         fn one_pass_agrees_with_the_membership_graph(
             seed in any::<u64>(),
-            sizes in proptest::collection::vec(0usize..=200, 1..6),
+            sizes in proptest::collection::vec(1usize..=200, 1..6),
             islands in 1usize..=4,
         ) {
             let mut rng = StdRng::seed_from_u64(seed);
@@ -550,24 +498,19 @@ mod tests {
             universe.sort_unstable();
             universe.dedup();
             let mut checker = InvariantChecker::new(config());
-            let mut pass = OverlayPass::new();
             for (k, &n) in sizes.iter().enumerate() {
                 let fleet = fleet(&mut rng, &universe, n.min(universe.len()), islands);
                 let graph = MembershipGraph::from_nodes(&fleet);
-                let want = Overlay {
-                    edges: graph.edge_count(),
-                    dangling: graph.dangling_edge_count(),
-                    components: graph.weakly_connected_components(),
-                };
-                prop_assert_eq!(pass.measure(fleet.iter(), fleet.len()), want, "check {}", k);
                 let outcome = checker.check(k as u64 + 1, fleet.iter(), totals(100, 5));
-                let stale = if want.edges == 0 {
-                    0.0
-                } else {
-                    want.dangling as f64 / want.edges as f64
-                };
-                prop_assert_eq!(outcome.stale_fraction.to_bits(), stale.to_bits());
-                prop_assert_eq!(outcome.components, want.components);
+                let (edges, dangling) = (graph.edge_count(), graph.dangling_edge_count());
+                let stale = if edges == 0 { 0.0 } else { dangling as f64 / edges as f64 };
+                prop_assert_eq!(outcome.stale_fraction.to_bits(), stale.to_bits(), "check {}", k);
+                let mean = edges as f64 / fleet.len() as f64;
+                prop_assert_eq!(outcome.mean_out.to_bits(), mean.to_bits(), "check {}", k);
+                prop_assert_eq!(outcome.components, graph.weakly_connected_components());
+                let degrees = graph.out_degrees();
+                prop_assert_eq!(outcome.min_out, degrees.iter().copied().min().unwrap());
+                prop_assert_eq!(outcome.max_out, degrees.iter().copied().max().unwrap());
             }
         }
     }
@@ -577,8 +520,7 @@ mod tests {
         let fleet = nodes(16, 6);
         let mut checker = InvariantChecker::new(config());
         assert_eq!(checker.check(1, fleet.iter(), totals(10, 0)).stale_fraction, 0.0);
-        // Node 15 leaves; nodes 9..=14 each hold one entry for it, and the
-        // index keeps its slot count, so only a cleared index reads them.
+        // Node 15 leaves; nodes 9..=14 each hold one entry for it.
         let outcome = checker.check(2, fleet[..15].iter(), totals(20, 0));
         assert_eq!(outcome.stale_fraction.to_bits(), (6.0f64 / 90.0).to_bits());
         assert_eq!(outcome.components, 1);
@@ -590,23 +532,5 @@ mod tests {
         let mut fleet = nodes(8, 6);
         fleet.push(fleet[3].clone());
         let _ = InvariantChecker::new(config()).check(1, fleet.iter(), totals(10, 0));
-    }
-
-    #[test]
-    fn scratch_is_sized_by_the_live_count_not_by_ids() {
-        let high: Vec<SfNode> = (0..64u64)
-            .map(|k| {
-                let peers: Vec<u64> = (1..=6).map(|j| u64::MAX - (k + j) % 64).collect();
-                raw_node(u64::MAX - k, &peers)
-            })
-            .collect();
-        let ring = nodes(1000, 6);
-        let mut checker = InvariantChecker::new(config());
-        for fleet in [&high, &ring, &high] {
-            let outcome = checker.check(1, fleet.iter(), totals(10, 0));
-            assert_eq!(outcome.components, 1);
-            let slots = checker.overlay.index.slot_count();
-            assert!(slots <= 4 * fleet.len() + 16, "{slots} slots for {} live", fleet.len());
-        }
     }
 }

@@ -55,7 +55,10 @@
 //! own tick while its row is live; a departed node's timer is dropped the
 //! next time it fires. The loop fires the ticks an iteration covers one at
 //! a time, so a node keeps its tick however many ticks the iteration
-//! advances, and one tick's work stays small. The wheel is driven from wall
+//! advances, and one tick's work stays small. Each tick acts in the round
+//! in progress at it, `tick / W`, which is the round the fault schedule
+//! and its capacity gate read; it never depends on how far the iteration
+//! reaches, that is, on the wall clock. The wheel is driven from wall
 //! clock but never advanced more than one rotation per loop iteration, so a
 //! stalled process slows rounds down rather than skipping actions — the
 //! round counter stays consistent with "every node acted once per round",
@@ -761,15 +764,15 @@ impl ServiceState {
         self.outbox.clear();
     }
 
-    /// Fires the wheel one tick at a time through tick `last`, as one
-    /// round: the round the wheel has completed after `last`. Ticks the
-    /// due nodes still live and re-parks each one rotation after its own
-    /// tick, draining the socket before every [`DRAIN_CHUNK`] items fired;
-    /// a departed node's timer is dropped.
+    /// Fires the wheel one tick at a time through tick `last`, each in the
+    /// round in progress at it (what `wheel.rounds()` reads there, whatever
+    /// tick `last` is). Ticks the due nodes still live and re-parks each
+    /// one rotation after its own tick, draining the socket before every
+    /// [`DRAIN_CHUNK`] items fired; a departed node's timer is dropped.
     fn tick_due(&mut self, last: u64) {
-        let round = (last + 1) / WHEEL_SLOTS as u64;
         let (mut due, mut fired) = (std::mem::take(&mut self.due), 0);
         while self.wheel.current_tick() <= last {
+            let round = self.wheel.rounds();
             due.clear();
             self.wheel.advance_to(self.wheel.current_tick(), &mut due);
             for item in &due {
@@ -933,9 +936,7 @@ impl ServiceState {
 
     fn run_check(&mut self, round: u64) {
         let totals = self.wire_totals();
-        let arena = &self.arena;
-        let rows = arena.live_dense().map(|k| (arena.id_at(k), arena.row_ids::<SfBehavior>(k)));
-        let outcome = self.checker.check_rows(round, rows, totals);
+        let outcome = self.checker.check_arena(round, &self.arena, self.rows.len(), totals);
         self.checks_counter.inc();
         self.degree_viol_counter.add(outcome.degree_violation_count as u64);
         if outcome.stale_violation {
@@ -1367,7 +1368,9 @@ mod tests {
     /// no control command after the join that follows its leave. It was
     /// re-taken when fired nodes stopped being re-parked on the rotation's
     /// last tick: a joiner now fires at its own tick among the fleet, not
-    /// before or after all of it.
+    /// before or after all of it. It was re-taken again when each tick
+    /// began to act in the round in progress at it: rotation `k` runs as
+    /// round `k`, where a rotation fired in one call used to run as `k + 1`.
     #[test]
     fn a_clockless_run_replays_its_transcript_digest() {
         let mut state = boot(DaemonConfig { initial_nodes: 40, ..tiny_config() }).unwrap();
@@ -1391,7 +1394,7 @@ mod tests {
             transcript.extend_from_slice(state.outbox.as_bytes());
         }
         settle(&mut state);
-        assert_eq!(transcript.len(), 272 * sandf_net::codec::FRAME_LEN, "frames sent");
+        assert_eq!(transcript.len(), 273 * sandf_net::codec::FRAME_LEN, "frames sent");
         for node in state.nodes() {
             transcript.extend(node.id().as_u64().to_le_bytes());
             for slot in node.view().slots() {
@@ -1421,7 +1424,62 @@ mod tests {
         transcript.extend(counter(&state, "daemon.net.recv_errors").to_le_bytes());
         transcript.extend(counter(&state, "daemon.fault.dropped").to_le_bytes());
         let digest = sandf_sim::stream::fnv1a64(transcript.iter().copied());
-        assert_eq!(digest, 0xbc6f_b9e0_5179_24f8, "transcript digest {digest:#018x}");
+        assert_eq!(digest, 0x367a_3451_6f0d_bccf, "transcript digest {digest:#018x}");
+    }
+
+    /// Each tick acts in the round in progress at it, however far the call
+    /// that fires it reaches: under a capacity phase every node initiates
+    /// in exactly the rounds the installed schedule opens its gate, whether
+    /// rotations fire whole, in chunks that straddle rotation boundaries,
+    /// or one tick at a time.
+    #[test]
+    fn a_tick_acts_in_its_own_round_however_far_the_call_reaches() {
+        let rotations = 5;
+        for chunk in [WHEEL_SLOTS as u64, 40, 1] {
+            let mut state = boot(tiny_config()).unwrap();
+            assert_eq!(state.handle_fault("phase 1000 capacity 7 1.0 3 0"), Ok("capacity".into()));
+            while state.wheel.rounds() < rotations {
+                state.tick_due(state.wheel.current_tick() + chunk - 1);
+            }
+            // Boot node `k` fires at ticks `k + 64·j`, in round `j`.
+            for (k, row) in state.rows.iter().enumerate() {
+                let id = state.arena.id_at(k);
+                let acts = (0..rotations).filter(|&round| state.fault.node_acts(id, round)).count();
+                assert_eq!(row.stats.initiated, acts as u64, "node {k}, {chunk}-tick chunks");
+            }
+        }
+    }
+
+    /// The checker walks the daemon's own arena, where departed rows sit
+    /// between live ones and joiners follow them, and agrees with a graph
+    /// snapshot of the live rows.
+    #[test]
+    fn the_check_over_the_fleets_arena_agrees_with_a_graph_snapshot() {
+        let mut state = boot(DaemonConfig { initial_nodes: 256, ..tiny_config() }).unwrap();
+        for round in 0..6 {
+            match round {
+                2 => assert_eq!(state.handle_leave(64), Ok(192)),
+                3 => assert_eq!(state.handle_join(24), Ok(216)),
+                _ => {}
+            }
+            settle(&mut state);
+            rotate(&mut state);
+        }
+        let (round, totals) = (state.wheel.rounds(), state.wire_totals());
+        let arena = &state.arena;
+        let outcome = state.checker.check_arena(round, arena, state.rows.len(), totals);
+        let graph = graph_of_rows(outcome.live, outcome.live * state.sf.view_size(), |visit| {
+            arena.for_each_row::<SfBehavior>(arena.live_dense(), visit);
+        });
+        let stale = graph.dangling_edge_count() as f64 / graph.edge_count() as f64;
+        assert!(stale > 0.0, "the departed nodes' ids must still dangle");
+        assert_eq!(outcome.stale_fraction.to_bits(), stale.to_bits());
+        assert_eq!(outcome.components, graph.weakly_connected_components());
+        let degrees: Vec<usize> =
+            arena.live_dense().map(|k| arena.row_ids::<SfBehavior>(k).count()).collect();
+        assert_eq!(outcome.live, degrees.len());
+        assert_eq!(outcome.min_out, *degrees.iter().min().unwrap());
+        assert_eq!(outcome.max_out, *degrees.iter().max().unwrap());
     }
 
     /// A rotation fired in one call re-parks each node one rotation after

@@ -73,6 +73,8 @@
 //! fields stay private to this crate, and every other reader goes through
 //! an engine.
 
+use std::borrow::Borrow;
+
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use sandf_core::{Entry, JoinError, LocalView, NodeId, SfConfig, SfNode};
@@ -196,23 +198,25 @@ impl Arena {
         }
     }
 
-    /// Builds the arena from S&F nodes in one streaming pass, so at large
-    /// `n` (e.g. `topology::circulant_iter` at 10⁷ nodes) construction
-    /// never materializes the boxed node set — the peak footprint is the
-    /// arena itself, not `n` heap nodes. Slot positions and dependence
-    /// tags carry over exactly; the nodes' own counters are dropped (the
-    /// engine counts from zero, system-wide, in its `SimStats`).
+    /// Builds the arena from S&F nodes, owned or borrowed, in one streaming
+    /// pass, so at large `n` (e.g. `topology::circulant_iter` at 10⁷
+    /// nodes) construction never materializes the boxed node set — the
+    /// peak footprint is the arena itself, not `n` heap nodes. Slot
+    /// positions and dependence tags carry over exactly; the nodes' own
+    /// counters are dropped (the engine counts from zero, system-wide, in
+    /// its `SimStats`).
     ///
     /// # Panics
     ///
     /// Panics if `nodes` is empty, contains duplicate ids, mixes
     /// configurations, or holds a node or entry id at or above
     /// [`ARENA_ID_LIMIT`].
-    pub fn from_nodes(nodes: impl IntoIterator<Item = SfNode>) -> Self {
+    pub fn from_nodes<N: Borrow<SfNode>>(nodes: impl IntoIterator<Item = N>) -> Self {
         let mut nodes = nodes.into_iter().peekable();
-        let config = nodes.peek().expect("simulation needs at least one node").config();
+        let config = nodes.peek().expect("simulation needs at least one node").borrow().config();
         let mut arena = Self::with_capacity(config, nodes.size_hint().0);
         for node in nodes {
+            let node = node.borrow();
             assert!(node.config() == config, "all nodes must share one configuration");
             let slots = node.view().slots().map(|slot| {
                 slot.map(|entry| (entry.id, if entry.dependent { FLAG_DEPENDENT } else { 0 }))
