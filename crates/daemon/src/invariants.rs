@@ -30,14 +30,16 @@
 //! # Cost
 //!
 //! A check walks the live rows of the fleet's [`Arena`] once: O(live · s),
-//! with no hashing. Each row's entries are counted for Observation 5.1
-//! from its slots, not from the arena's degree ledger, so the oracle reads
-//! the views themselves. The Lemma 6.10 ceiling needs only three numbers
-//! from the overlay — edges, dangling edges and weakly connected
-//! components — so the same walk counts them in place instead of
-//! snapshotting a [`MembershipGraph`](sandf_graph::MembershipGraph):
-//! every entry is an edge, and it resolves through the arena's own id
-//! table ([`Arena::dense_of`]) to a live row, or to `None`, which makes it
+//! with no hashing. Each row is read through the arena's one compaction
+//! ([`Arena::compact_row`]) into a buffer the checker keeps, and its
+//! entries are counted for Observation 5.1 from its slots, not from the
+//! arena's degree ledger, so the oracle reads the views themselves. The
+//! Lemma 6.10 ceiling needs only three numbers from the overlay — edges,
+//! dangling edges and weakly connected components — so the same walk
+//! counts them in place instead of snapshotting a
+//! [`MembershipGraph`](sandf_graph::MembershipGraph): every entry is an
+//! edge, and it resolves through the arena's own id table
+//! ([`Arena::dense_of`]) to a live row, or to `None`, which makes it
 //! dangling. Resolved entries union their two rows in the workspace's
 //! [`DisjointSets`], over dense indices. The union-find covers every row
 //! the arena has issued, live or departed, at 8 B a row, and is kept
@@ -129,6 +131,8 @@ pub struct InvariantChecker {
     last: WireTotals,
     /// Dense row → set, over every row the checked arena has issued.
     sets: DisjointSets,
+    /// One row's visible words, [compacted](Arena::compact_row) in place.
+    words: Vec<u32>,
 }
 
 impl InvariantChecker {
@@ -141,6 +145,7 @@ impl InvariantChecker {
             last_round: 0,
             last: WireTotals::default(),
             sets: DisjointSets::new(0),
+            words: vec![0; config.view_size()],
         }
     }
 
@@ -201,10 +206,10 @@ impl InvariantChecker {
             // Most entries name a row already in `k`'s set: one find
             // decides that, and the root is found again only after a union
             // may have moved it.
-            let (mut root, mut d) = (self.sets.find(k), 0);
-            for id in arena.row_ids::<SfBehavior>(k) {
-                d += 1;
-                match arena.dense_of(id) {
+            let mut root = self.sets.find(k);
+            let d = arena.compact_row::<SfBehavior>(k, &mut self.words);
+            for &word in &self.words[..d] {
+                match arena.dense_of(NodeId::new(word.into())) {
                     None => dangling += 1,
                     Some(other) => {
                         if self.sets.find(other) != root {

@@ -912,7 +912,7 @@ impl ServiceState {
         if let PhaseFault::Victims { count, .. } = fault.phases()[0].1 {
             let (arena, live) = (&self.arena, self.live());
             let graph = graph_of_rows(live, live * self.sf.view_size(), |visit| {
-                arena.for_each_row::<SfBehavior>(arena.live_dense(), visit);
+                arena.for_each_row::<SfBehavior>(arena.live_dense(), |_| true, visit);
             });
             fault.phase_mut(0).aim(&graph.top_in_degree(count));
         }
@@ -1469,7 +1469,7 @@ mod tests {
         let arena = &state.arena;
         let outcome = state.checker.check_arena(round, arena, state.rows.len(), totals);
         let graph = graph_of_rows(outcome.live, outcome.live * state.sf.view_size(), |visit| {
-            arena.for_each_row::<SfBehavior>(arena.live_dense(), visit);
+            arena.for_each_row::<SfBehavior>(arena.live_dense(), |_| true, visit);
         });
         let stale = graph.dangling_edge_count() as f64 / graph.edge_count() as f64;
         assert!(stale > 0.0, "the departed nodes' ids must still dangle");

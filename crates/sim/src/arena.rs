@@ -21,14 +21,19 @@
 //!   [`ARENA_ID_LIMIT`] once, here: constructors panic, joins return
 //!   [`JoinError::IdSpaceExhausted`]. Queries for ids beyond the limit
 //!   answer "absent" rather than aliasing onto a stored word;
-//! * **one row walk** — `Arena::row` is the only function that applies
+//! * **one visibility test** — `visible` is the only function that applies
 //!   visibility (a slot is visible when it is occupied and the behavior's
-//!   [`slot_visible`](ProtocolBehavior::slot_visible) shows its flags). It
-//!   yields one node's visible slots as `(offset, word, flags)` in slot
-//!   order, and every reader here walks those rows: views, the join
-//!   sponsor pool, the instance count, dependence, and the engines' row
-//!   reader. Words stay words; only the readers that build `sandf-core`
-//!   values ([`LocalView`], [`Entry`]) widen them to [`NodeId`]s;
+//!   [`slot_visible`](ProtocolBehavior::slot_visible) shows its flags), and
+//!   every reader goes through one of its two users. `Arena::row` yields
+//!   one node's visible slots as `(offset, word, flags)` in slot order, for
+//!   the readers that need offsets or flags: views, the join sponsor pool,
+//!   the instance count, dependence. [`Arena::compact_row`] packs the
+//!   visible words into a buffer in one pass of fixed length `s` — each
+//!   word is stored unconditionally and the length advances by the test,
+//!   so no slot costs a branch — for the engines' row reader (and so the
+//!   graph snapshot) and the daemon's checker. Words stay words; only the
+//!   readers that build `sandf-core` values ([`LocalView`], [`Entry`])
+//!   widen them to [`NodeId`]s;
 //! * **flat ledgers** — outdegrees are a dense array indexed by the
 //!   node's dense index, not a field of a boxed node, and a streaming
 //!   [`DegreeStats`] histogram moves with every ledger write, so degree
@@ -96,6 +101,15 @@ fn checked_word(id: NodeId) -> Result<u32, JoinError> {
         Ok(word) if word != EMPTY => Ok(word),
         _ => Err(JoinError::IdSpaceExhausted { next: id.as_u64(), limit: ARENA_ID_LIMIT }),
     }
+}
+
+/// Whether a slot is visible to the readers: occupied, and shown by the
+/// behavior's [`slot_visible`](ProtocolBehavior::slot_visible). The one
+/// place visibility is decided; `Arena::row` and [`Arena::compact_row`]
+/// both ask it.
+#[inline]
+fn visible<B: ProtocolBehavior>(word: u32, flags: u8) -> bool {
+    word != EMPTY && B::slot_visible(flags)
 }
 
 /// A visible slot as a view entry.
@@ -405,9 +419,7 @@ impl Arena {
     }
 
     /// Node `k`'s row: its visible slots as `(offset, word, flags)`, in
-    /// slot order. The arena's one row walk, and the only place
-    /// visibility is applied — a slot is visible when it is occupied and
-    /// `B::slot_visible` shows its flags. Every reader below walks it.
+    /// slot order, for the readers that need offsets or flags.
     #[inline]
     fn row<B: ProtocolBehavior>(&self, k: usize) -> impl Iterator<Item = (usize, u32, u8)> + '_ {
         let window = k * self.s..(k + 1) * self.s;
@@ -415,8 +427,29 @@ impl Arena {
             .iter()
             .zip(&self.slot_flags[window])
             .enumerate()
-            .filter(|&(_, (&word, &flags))| word != EMPTY && B::slot_visible(flags))
+            .filter(|&(_, (&word, &flags))| visible::<B>(word, flags))
             .map(|(off, (&word, &flags))| (off, word, flags))
+    }
+
+    /// Packs the words of node `k`'s visible slots, in slot order, into the
+    /// front of `out` and returns how many there are. The loop runs all
+    /// `s` slots whatever the row holds: it stores each word and advances
+    /// the length by the visibility test, so the compaction has no
+    /// per-slot branch.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` holds fewer than `s` words.
+    #[inline]
+    pub fn compact_row<B: ProtocolBehavior>(&self, k: usize, out: &mut [u32]) -> usize {
+        let window = k * self.s..(k + 1) * self.s;
+        let out = &mut out[..self.s];
+        let mut len = 0;
+        for (&word, &flags) in self.slot_ids[window.clone()].iter().zip(&self.slot_flags[window]) {
+            out[len] = word;
+            len += usize::from(visible::<B>(word, flags));
+        }
+        len
     }
 
     /// The ids in node `k`'s visible slots, in slot order.
@@ -520,20 +553,24 @@ impl Arena {
         .sum()
     }
 
-    /// Visits each node in `live` with its id word and the words of its
-    /// row, compacted into one buffer reused across nodes (a full pass
-    /// does no per-node allocation): the arena engines'
+    /// Visits each node in `live` whose id word `keep` accepts with that
+    /// word and the words of its row, [compacted](Self::compact_row) into
+    /// one buffer reused across nodes (a full pass does no per-node
+    /// allocation); a refused node's row is never read. The arena engines'
     /// [`Engine::for_each_live_row`](crate::Engine::for_each_live_row).
     pub fn for_each_row<B: ProtocolBehavior>(
         &self,
         live: impl Iterator<Item = usize>,
+        keep: impl Fn(u32) -> bool,
         visit: &mut dyn FnMut(u32, &[u32]),
     ) {
-        let mut words = Vec::with_capacity(self.s);
+        let mut words = vec![EMPTY; self.s];
         for k in live {
-            words.clear();
-            words.extend(self.row::<B>(k).map(|(_, word, _)| word));
-            visit(self.dense_id[k], &words);
+            let owner = self.dense_id[k];
+            if keep(owner) {
+                let len = self.compact_row::<B>(k, &mut words);
+                visit(owner, &words[..len]);
+            }
         }
     }
 
@@ -559,8 +596,11 @@ impl Arena {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+    use rand::{Rng, SeedableRng};
+
     use crate::loss::UniformLoss;
-    use crate::traits::SfBehavior;
+    use crate::traits::{SfBehavior, FLAG_TOMBSTONE};
     use crate::{slot_word, topology, Engine, FlatSimulation, ParSimulation};
 
     use super::*;
@@ -739,7 +779,7 @@ mod tests {
         let assert_reads_in_order = |flat: &FlatSimulation<UniformLoss>, model: &[NodeId]| {
             assert_eq!(flat.live_ids(), model, "flat keeps insertion order, swap_remove");
             let mut rows = Vec::new();
-            flat.for_each_live_row(&mut |id, words| rows.push((id, words.to_vec())));
+            flat.for_each_live_row(|_| true, &mut |id, words| rows.push((id, words.to_vec())));
             let expected: Vec<(u32, Vec<u32>)> = model
                 .iter()
                 .map(|&id| {
@@ -826,5 +866,62 @@ mod tests {
         check(&arena, &[2], false);
         join(&mut arena);
         check(&arena, &[2], false);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The fixed-length compaction against a reference filter kept
+        /// here, on rows of random words with random empty slots and
+        /// dependence and tombstone flags, at view sizes on both sides of
+        /// the 64-slot and cache-line boundaries; and the row reader's
+        /// owner filter: it visits exactly the accepted owners, in the
+        /// order given, each with its compacted row.
+        #[test]
+        fn compaction_equals_a_reference_filter(
+            seed in any::<u64>(),
+            size in 0usize..6,
+            empty_percent in 0u32..=100,
+        ) {
+            const N: usize = 40;
+            const FIRST_ID: u32 = 1_000;
+            let s = [6, 16, 40, 64, 66, 130][size];
+            let mut rng = StdRng::seed_from_u64(seed);
+            let views = (0..N).map(|k| (NodeId::new(u64::from(FIRST_ID) + k as u64), Vec::new()));
+            let mut arena = Arena::from_views(SfConfig::new(s, 0).unwrap(), views);
+            for (word, flags) in arena.slot_ids.iter_mut().zip(&mut arena.slot_flags) {
+                let empty = rng.gen_range(0..100u32) < empty_percent;
+                *word = if empty { EMPTY } else { rng.gen_range(0..FIRST_ID + N as u32) };
+                *flags = rng.gen_range(0..=FLAG_DEPENDENT | FLAG_TOMBSTONE);
+            }
+            let reference = |k: usize| -> Vec<u32> {
+                let window = k * s..(k + 1) * s;
+                let slots = arena.slot_ids[window.clone()].iter().zip(&arena.slot_flags[window]);
+                slots
+                    .filter(|&(&word, &flags)| word != u32::MAX && flags & FLAG_TOMBSTONE == 0)
+                    .map(|(&word, _)| word)
+                    .collect()
+            };
+            let mut out = vec![0; s];
+            for k in 0..N {
+                let len = arena.compact_row::<SfBehavior>(k, &mut out);
+                prop_assert_eq!(out[..len].to_vec(), reference(k), "row {}", k);
+            }
+
+            let mut order: Vec<usize> = (0..N).collect();
+            order.shuffle(&mut rng);
+            let refused: Vec<bool> = (0..N).map(|_| rng.gen_bool(0.5)).collect();
+            let keep = |owner: u32| !refused[(owner - FIRST_ID) as usize];
+            let mut rows = Vec::new();
+            arena.for_each_row::<SfBehavior>(order.iter().copied(), keep, &mut |owner, words| {
+                rows.push((owner, words.to_vec()));
+            });
+            let expected: Vec<(u32, Vec<u32>)> = order
+                .iter()
+                .filter(|&&k| !refused[k])
+                .map(|&k| (FIRST_ID + k as u32, reference(k)))
+                .collect();
+            prop_assert_eq!(rows, expected);
+        }
     }
 }

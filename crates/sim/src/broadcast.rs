@@ -3,12 +3,12 @@
 //!
 //! [`BroadcastLayer`] piggybacks a push (optionally push-pull) rumor on
 //! top of any [`Engine`]: after each membership round, [`BroadcastLayer::step`]
-//! walks every live node's row via [`Engine::for_each_live_row`] and
-//! gossips an application payload along those edges. Per-node rumor state
-//! is indexed by raw node id, the arena engines' `u32` word space
-//! ([`ARENA_ID_LIMIT`]) — the words a row hands out, so the walk never
-//! widens an id: one `u8` age column
-//! and four `u64`-word bitsets (informed, Gilbert–Elliott bad state, live
+//! walks the rows of the live nodes that act via
+//! [`Engine::for_each_live_row`] and gossips an application payload along
+//! those edges. Per-node rumor state is indexed by raw node id, the arena
+//! engines' `u32` word space ([`ARENA_ID_LIMIT`]) — the words a row hands
+//! out, so the walk never widens an id: one `u8` age column and four
+//! `u64`-word bitsets (informed, Gilbert–Elliott bad state, live
 //! at the last step, registered), 1.5 bytes per id up to the largest id
 //! seen. A push target's liveness and informed state are two bit reads,
 //! so the layer scales to n = 10⁶ on `FlatSimulation`/`ParSimulation`
@@ -18,8 +18,10 @@
 //! # Determinism
 //!
 //! Every random draw a node makes in a broadcast round comes from its own
-//! per-`(seed, node, round)` stream ([`stream_seed`]) under two tags of the
-//! [`crate::stream`] table:
+//! per-`(seed, node, round)` stream
+//! ([`stream_seed`](crate::stream::stream_seed)) under two tags of the
+//! [`crate::stream`] table; a step hashes each tag's `seed ‖ tag` prefix
+//! once and absorbs each node's id and the round into it:
 //!
 //! * [`RUMOR`] (`b'g'`) — gossip draws: push targets, pull partner,
 //!   per-message loss (drawn for every message, lossless or not);
@@ -58,7 +60,7 @@ use sandf_obs::{CounterHandle, MetricsRegistry};
 
 use crate::fault::{FaultCtx, FaultModel, PhaseFault, ScheduledFault};
 use crate::loss::UniformLoss;
-use crate::stream::{fnv1a64, stream_seed, RUMOR, RUMOR_CHANNEL};
+use crate::stream::{absorb, fnv1a64, stream_prefix, RUMOR, RUMOR_CHANNEL};
 use crate::traits::{widen, Engine, ARENA_ID_LIMIT};
 
 /// Push / push-pull rumor parameters.
@@ -466,11 +468,13 @@ impl BroadcastLayer {
     ///
     /// Pass A walks the live set: registers ids, rebuilds the `live`
     /// bitset, and, under a `bursty` phase, advances per-node channel
-    /// state. Pass B walks the rows once via
-    /// [`Engine::for_each_live_row`]: informed, un-retired nodes push
+    /// state. Pass B walks, via [`Engine::for_each_live_row`], the rows of
+    /// the nodes that act and no others: informed, un-retired nodes push
     /// `fanout` targets; with pull enabled, uninformed nodes draw one
-    /// partner and pull against the *start of round* informed set; a node
-    /// the phase's capacity gate holds back does neither. Newly informed ids commit after the pass
+    /// partner and pull against the *start of round* informed set. A
+    /// retired node, or an uninformed one without pull, is refused before
+    /// its row is read; a node the phase's capacity gate holds back reads
+    /// its row and does neither. Newly informed ids commit after the pass
     /// (synchronous double buffer), then ages advance and coverage
     /// milestones update.
     ///
@@ -493,13 +497,9 @@ impl BroadcastLayer {
         }
         let phase = self.fault.phase_at(fault_round);
         if let PhaseFault::Bursty(chain) = phase {
+            let prefix = stream_prefix(self.seed, RUMOR_CHANNEL);
             for &id in &live {
-                let mut rng = StdRng::seed_from_u64(stream_seed(
-                    self.seed,
-                    RUMOR_CHANNEL,
-                    id.as_u64(),
-                    round,
-                ));
+                let mut rng = StdRng::seed_from_u64(absorb(absorb(prefix, id.as_u64()), round));
                 let next = if bit(&self.bad_state, id.as_u64()) {
                     !rng.gen_bool(chain.to_good)
                 } else {
@@ -509,25 +509,33 @@ impl BroadcastLayer {
             }
         }
 
-        // Pass B: gossip over the live views. All reads of the informed
-        // set go through the start-of-round buffer; discoveries land in
-        // `newly` and commit afterwards, so results are independent of
-        // the engine's iteration order.
+        // Pass B: gossip over the rows of the nodes that act — informed
+        // and not retired, or uninformed under pull; no other row is read.
+        // All reads of the informed set go through the start-of-round
+        // buffer; discoveries land in `newly` and commit afterwards, so
+        // results are independent of the engine's iteration order.
         let mut newly = std::mem::take(&mut self.newly);
         newly.clear();
         let loss_rate = |from: u32, to: u32| match phase {
             PhaseFault::Bursty(chain) => chain.loss_in(bit(&self.bad_state, to.into())),
             _ => phase.rate(FaultCtx { from: widen(from), to: widen(to), round: fault_round }),
         };
-        engine.for_each_live_row(&mut |id, view| {
-            let informed = bit(&self.informed, id.into());
+        let (informed, age, config) = (&self.informed, &self.age, self.config);
+        let acts = |id: u32| {
+            if bit(informed, id.into()) {
+                age[id as usize] <= config.max_age
+            } else {
+                config.pull
+            }
+        };
+        let prefix = stream_prefix(self.seed, RUMOR);
+        engine.for_each_live_row(acts, &mut |id, view| {
             if view.is_empty() || !phase.node_acts(widen(id), fault_round) {
                 return;
             }
-            if informed && self.age[id as usize] <= self.config.max_age {
-                let mut rng =
-                    StdRng::seed_from_u64(stream_seed(self.seed, RUMOR, id.into(), round));
-                for _ in 0..self.config.fanout {
+            let mut rng = StdRng::seed_from_u64(absorb(absorb(prefix, id.into()), round));
+            if bit(informed, id.into()) {
+                for _ in 0..config.fanout {
                     let target = view[rng.gen_range(0..view.len())];
                     self.stats.sent += 1;
                     let dropped = rng.gen_bool(loss_rate(id, target));
@@ -540,7 +548,7 @@ impl BroadcastLayer {
                         continue;
                     }
                     self.stats.delivered += 1;
-                    if bit(&self.informed, target.into()) {
+                    if bit(informed, target.into()) {
                         self.stats.duplicates += 1;
                     } else {
                         newly.push(target);
@@ -550,15 +558,13 @@ impl BroadcastLayer {
                         }
                     }
                 }
-            } else if !informed && self.config.pull {
-                let mut rng =
-                    StdRng::seed_from_u64(stream_seed(self.seed, RUMOR, id.into(), round));
+            } else {
                 let partner = view[rng.gen_range(0..view.len())];
                 self.stats.pull_requests += 1;
                 let request_dropped = rng.gen_bool(loss_rate(id, partner));
                 if request_dropped
                     || !bit(&self.live, partner.into())
-                    || !bit(&self.informed, partner.into())
+                    || !bit(informed, partner.into())
                 {
                     return;
                 }
@@ -690,7 +696,7 @@ mod tests {
 
     use super::*;
     use crate::fault::tests::fraction_of;
-    use crate::{topology, FlatSimulation, GilbertElliott, SfBehavior};
+    use crate::{topology, FlatSimulation, GilbertElliott, ParSimulation, SfBehavior};
 
     fn flat(n: usize, seed: u64) -> FlatSimulation<UniformLoss, SfBehavior> {
         let config = SfConfig::new(16, 6).unwrap();
@@ -960,5 +966,40 @@ mod tests {
         layer.seed_rumor_at(NodeId::new(4));
         layer.run(&mut sim, 12);
         assert_eq!(layer.fingerprint(), 0xacf6_2edc_87b4_7e26);
+    }
+
+    /// Push-pull at fanout 2 retiring after age 3, over a `capacity` phase
+    /// that holds half the nodes back every other round and then a
+    /// `bursty` one, with a quarter of the nodes leaving mid-rumor: every
+    /// reason a row is skipped or cut short, at once, pinned on both
+    /// engines (par at two thread counts).
+    #[test]
+    fn gated_retiring_push_pull_under_churn_fingerprint_is_pinned() {
+        fn run<E: Engine>(mut sim: E) -> u64 {
+            sim.run_rounds(10);
+            let fault = ScheduledFault::new(vec![
+                (22, PhaseFault::Capacity { salt: 3, slow_fraction: 0.5, period: 2, base: 0.05 }),
+                (u64::MAX, PhaseFault::Bursty(GilbertElliott::new(0.1, 0.3, 0.02, 0.7).unwrap())),
+            ]);
+            let mut layer =
+                BroadcastLayer::with_channel(41, BroadcastConfig::push_pull(2, 3), fault);
+            layer.seed_rumor_at(NodeId::new(7));
+            layer.run(&mut sim, 6);
+            for id in (1..96).step_by(4) {
+                assert!(sim.leave(NodeId::new(id)), "{id} is live");
+            }
+            layer.run(&mut sim, 18);
+            let stats = layer.stats();
+            assert!(stats.pull_hits > 0 && stats.dead_letters > 0, "{stats:?}");
+            layer.fingerprint()
+        }
+        let nodes = || topology::circulant(96, SfConfig::new(16, 6).unwrap(), 8);
+        assert_eq!(run(flat(96, 41)), 0x1b93_a865_a2e6_541c);
+        for threads in [1, 2] {
+            assert_eq!(
+                run(ParSimulation::new(nodes(), UniformLoss::none(), 41, threads)),
+                0x81e6_cbc5_aeb2_e2e4
+            );
+        }
     }
 }

@@ -76,7 +76,7 @@ impl OccupancyCounter {
     /// event `v ∈ u.lv`).
     pub fn sample(&mut self, sim: &impl Engine) {
         let mut seen: Vec<u32> = Vec::new();
-        sim.for_each_live_row(&mut |viewer, view| {
+        sim.for_each_live_row(|_| true, &mut |viewer, view| {
             seen.clear();
             seen.extend_from_slice(view);
             seen.sort_unstable();

@@ -598,8 +598,8 @@ impl<S: Schedule<L, B>, L, B: ProtocolBehavior> Engine for ArenaSim<S, L, B> {
         Self::degree_stats(self).clone()
     }
 
-    fn for_each_live_row(&self, visit: &mut dyn FnMut(u32, &[u32])) {
-        self.arena.for_each_row::<B>(self.live_dense(), visit);
+    fn for_each_live_row(&self, keep: impl Fn(u32) -> bool, visit: &mut dyn FnMut(u32, &[u32])) {
+        self.arena.for_each_row::<B>(self.live_dense(), keep, visit);
     }
 
     fn fault(&self) -> &L {

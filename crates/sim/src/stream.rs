@@ -33,8 +33,8 @@
 //! multiply: `(h ⊕ 0)·P = h·P`, so `k` zero bytes take `h` to `h·Pᵏ`
 //! (`P` the FNV prime). The bytes hashed, and so every seed, are those of
 //! the 25-byte layout; a caller that derives many streams under one
-//! prefix (`ParSimulation`'s action and delivery phases) computes the
-//! prefix once.
+//! prefix (`ParSimulation`'s action and delivery phases, a
+//! `BroadcastLayer` step) computes the prefix once.
 //!
 //! [`fnv1a64`] is the workspace's one FNV-1a. Besides [`stream_seed`] it
 //! hashes, with no tag: a sweep's replicate seeds (the text

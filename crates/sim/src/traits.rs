@@ -340,7 +340,7 @@ pub trait ProtocolBehavior: Clone + Send + Sync {
 
     /// Whether a slot's entry is visible to the readers (views, graph,
     /// instance counts, dependence, the join sponsor pool); the arena's
-    /// one row walk applies it. The default hides tombstones.
+    /// one visibility test applies it. The default hides tombstones.
     fn slot_visible(flags: u8) -> bool {
         flags & FLAG_TOMBSTONE == 0
     }
@@ -585,22 +585,24 @@ pub trait Engine {
     /// row offsets, indegrees and id index).
     fn graph(&self) -> MembershipGraph {
         let edges = self.degree_stats().edges() as usize;
-        graph_of_rows(self.len(), edges, |visit| self.for_each_live_row(visit))
+        graph_of_rows(self.len(), edges, |visit| self.for_each_live_row(|_| true, visit))
     }
 
-    /// Visits every live node's row, in the engine's live order: the
-    /// node's id and the ids in its protocol-visible occupied slots
-    /// (tombstones hidden), in slot order, all as arena slot words
-    /// ([`slot_word`]) — the edges [`Engine::graph`] records for that
-    /// node. The slice is only valid for the duration of the callback
-    /// (one buffer is reused across nodes, so a full pass does no
-    /// per-node allocation).
+    /// Visits the rows of the live nodes whose id `keep` accepts, in the
+    /// engine's live order: the node's id and the ids in its
+    /// protocol-visible occupied slots (tombstones hidden), in slot order,
+    /// all as arena slot words ([`slot_word`]) — the edges
+    /// [`Engine::graph`] records for that node. `keep` sees the id before
+    /// the row is read, so a refused row costs one call; a caller that
+    /// wants every row passes `|_| true`. The slice is only valid for the
+    /// duration of the callback (one buffer is reused across nodes, so a
+    /// full pass does no per-node allocation).
     ///
     /// This is the per-round piggyback hook for layers that consume the
     /// peer-sampling service rather than only measure it, e.g.
     /// [`crate::broadcast::BroadcastLayer`], which indexes its state by
-    /// these words.
-    fn for_each_live_row(&self, visit: &mut dyn FnMut(u32, &[u32]));
+    /// these words and reads only the rows of the nodes that act.
+    fn for_each_live_row(&self, keep: impl Fn(u32) -> bool, visit: &mut dyn FnMut(u32, &[u32]));
 
     /// The fault model, for measurement-time inspection: flat's channel,
     /// or par's prototype channel (its per-sender clones may have diverged

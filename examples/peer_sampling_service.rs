@@ -50,7 +50,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // a single arena pass.
         let mut inbox: Vec<(f64, f64)> = vec![(0.0, 0.0); N];
         let mut shares: Vec<(usize, f64, f64)> = Vec::with_capacity(N);
-        sim.for_each_live_row(&mut |id, view| {
+        sim.for_each_live_row(|_| true, &mut |id, view| {
             let i = id as usize % N;
             let target = view.choose(&mut rng).map_or(i, |&peer| peer as usize % N);
             sums[i] /= 2.0;

@@ -111,7 +111,7 @@ fn step_and_check<E: Engine>(
     // Snapshot the live views the broadcast step is about to gossip over.
     let mut views: HashMap<NodeId, Vec<NodeId>> = HashMap::new();
     let widen = |word: u32| NodeId::new(u64::from(word));
-    sim.for_each_live_row(&mut |id, view| {
+    sim.for_each_live_row(|_| true, &mut |id, view| {
         views.insert(widen(id), view.iter().map(|&word| widen(word)).collect());
     });
     let traced = layer.trace().len();

@@ -453,7 +453,7 @@ fn assert_engine_follows_the_law<B: ProtocolBehavior>(
         for _ in 0..steps {
             sim.step();
             let y = watched.state.lock().unwrap().clone();
-            sim.for_each_live_row(&mut |owner, words| {
+            sim.for_each_live_row(|_| true, &mut |owner, words| {
                 let visible: View = y[owner as usize].iter().filter(|e| !e.1).copied().collect();
                 assert_eq!(lump(words, &vec![0; words.len()]), visible, "{label}: row of {owner}");
             });

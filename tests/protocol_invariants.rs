@@ -476,7 +476,7 @@ fn readers_agree<E: Engine>(
     assert_eq!(nodes.iter().map(SfNode::out_degree).sum::<usize>(), edges, "{label}: to_nodes");
     assert_eq!(sim.degree_stats().edges(), edges as u64, "{label}: degree_stats");
     let widen = |word: u32| NodeId::new(u64::from(word));
-    sim.for_each_live_row(&mut |id, visible| {
+    sim.for_each_live_row(|_| true, &mut |id, visible| {
         let mut expected: Vec<NodeId> = visible.iter().map(|&word| widen(word)).collect();
         let mut view: Vec<NodeId> = node_view(widen(id)).expect("live id").ids().collect();
         expected.sort_unstable();
