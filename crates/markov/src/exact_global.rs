@@ -437,7 +437,6 @@ mod tests {
     }
 
     #[test]
-    #[ignore = "exact n=4 enumeration takes ~a minute; run explicitly or via the exact_uniform bench binary"]
     fn lemma_7_5_holds_exactly_on_simple_states() {
         let mc = ExactGlobalMc::build(square(), 6, 0, 0.0, 3_000_000).unwrap();
         assert_eq!(mc.scc_count(), 1);

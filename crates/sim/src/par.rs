@@ -33,12 +33,16 @@
 //!    action hop, on its private per-`(seed, node, round)` RNG stream (the
 //!    hash state after `seed ‖ tag` is computed once per phase, see
 //!    [`crate::stream`]) and its own sender channel; every message the
-//!    hop returns in flight is buffered in its shard's sends, due in its
-//!    drawn round (this round under immediate delivery);
-//! 2. **merge phase (sequential, deterministic)** — the per-shard send
-//!    buffers are drained in shard order (= global dense order, for
-//!    every `T`) into the shell's in-flight queue. Every per-shard
-//!    buffer lives on the engine across rounds and is empty at each round
+//!    hop returns in flight is pushed once, into the bucket of its drawn
+//!    round (this round under immediate delivery): shard 0 pushes into
+//!    the shell's in-flight queue itself, every later shard into its own
+//!    queue of the same span;
+//! 2. **merge phase (sequential, deterministic)** — the later shards'
+//!    queues are appended to the shell's in shard order (= global dense
+//!    order, for every `T`), one `Vec::append` per bucket, so each bucket
+//!    holds earlier rounds' messages, then shard 0's, then shard 1's, and
+//!    so on. With one worker nothing is appended. Every per-shard queue
+//!    lives on the engine across rounds and is empty at each round
 //!    boundary, so a steady round allocates nothing;
 //! 3. **delivery phase (parallel)** — the bucket due this round is
 //!    stably ordered by `(deliver_time, sender, slot)` (one bucket holds
@@ -103,7 +107,7 @@ use sandf_obs::{duration_buckets, GaugeHandle, HistogramHandle, MetricsRegistry,
 use crate::arena::{Arena, Shard};
 use crate::engine::{DelayModel, SimStats, StepEvent, StepPhase, StepReport};
 use crate::fault::{FaultCtx, FaultModel};
-use crate::shell::{action_hop, count_receipt, reply_hop, ArenaSim, Schedule};
+use crate::shell::{action_hop, count_receipt, reply_hop, ArenaSim, InFlight, Schedule};
 use crate::stream::{self, absorb, stream_prefix, stream_seed};
 use crate::traits::{ProtocolBehavior, SfBehavior};
 
@@ -188,31 +192,32 @@ struct ActionCtx {
 
 /// One shard's buffers, kept on the engine across rounds so a round
 /// allocates nothing; both are empty at every round boundary, and a clone
-/// starts with none.
+/// starts with none allocated.
 struct ShardScratch<M> {
-    /// The running round's outbound messages as `(deliver_round, to,
-    /// message)`, in dense order; drained into the queue by the merge.
-    sends: Vec<(u64, NodeId, M)>,
+    /// The running round's outbound messages, bucketed by delivery round,
+    /// in dense order; appended to the shell's queue by the merge. Its
+    /// span is always the shell queue's. Shard 0 sends into the shell's
+    /// queue itself, so its own stays unallocated.
+    sends: InFlight<M>,
     /// The drained bucket's messages to this shard's receivers, as
     /// `(sorted bucket position, receiver's dense index)`, in bucket order.
     routes: Vec<(u32, u32)>,
 }
 
 impl<M> ShardScratch<M> {
+    /// Empty buffers whose send queue has `queue`'s span.
+    fn new(queue: &InFlight<M>) -> Self {
+        Self { sends: queue.empty_like(), routes: Vec::new() }
+    }
+
     fn is_empty(&self) -> bool {
         self.sends.is_empty() && self.routes.is_empty()
     }
 }
 
-impl<M> Default for ShardScratch<M> {
-    fn default() -> Self {
-        Self { sends: Vec::new(), routes: Vec::new() }
-    }
-}
-
 impl<M> Clone for ShardScratch<M> {
     fn clone(&self) -> Self {
-        Self::default()
+        Self::new(&self.sends)
     }
 }
 
@@ -423,14 +428,15 @@ impl<L: FaultModel + Clone + Send, B: ProtocolBehavior> ParSimulation<L, B> {
         let nodes = self.arena.dense_id.len();
         let threads = self.sched.threads.min(nodes).max(1);
         let shard_len = nodes.div_ceil(threads);
-        self.sched.scratch.resize_with(nodes.div_ceil(shard_len), ShardScratch::default);
+        let queue = &self.queue;
+        self.sched.scratch.resize_with(nodes.div_ceil(shard_len), || ShardScratch::new(queue));
         (shard_len, threads)
     }
 
     /// Executes one three-phase round: every live node initiates exactly
-    /// once (parallel, per-node RNG streams), sends are merged
-    /// deterministically into the in-flight queue, and the messages due
-    /// this round are delivered (parallel).
+    /// once (parallel, per-node RNG streams) and queues its send, the later
+    /// shards' queues are appended deterministically to the in-flight
+    /// queue, and the messages due this round are delivered (parallel).
     pub fn round(&mut self) {
         let (shard_len, threads) = self.shard_plan();
         let round = self.rounds;
@@ -447,13 +453,16 @@ impl<L: FaultModel + Clone + Send, B: ProtocolBehavior> ParSimulation<L, B> {
                 observed,
             };
             let behavior = &self.behavior;
+            // Shard 0 sends into the shell's queue, the others into their own.
+            let sinks = std::iter::once(&mut self.queue)
+                .chain(self.sched.scratch[1..].iter_mut().map(|scratch| &mut scratch.sends));
             let shards = self
                 .arena
                 .shards_mut(shard_len)
                 .zip(self.sched.channels.chunks_mut(shard_len))
-                .zip(&mut self.sched.scratch);
-            run_shards(threads, shards, |((shard, losses), scratch)| {
-                run_action_shard(ctx, behavior, shard, losses, &mut scratch.sends)
+                .zip(sinks);
+            run_shards(threads, shards, |((shard, losses), sends)| {
+                run_action_shard(ctx, behavior, shard, losses, sends)
             })
         };
 
@@ -473,16 +482,15 @@ impl<L: FaultModel + Clone + Send, B: ProtocolBehavior> ParSimulation<L, B> {
         let mut action_reports: Vec<StepReport<B::Msg>> = Vec::new();
         {
             let _span = self.sched.profile.as_ref().map(|p| SpanTimer::start(&p.merge));
-            for (out, scratch) in outs.into_iter().zip(&mut self.sched.scratch) {
+            for out in outs {
                 merge_stats(&mut self.stats, &out.stats);
                 self.arena.degree_hist.apply_deltas(&out.hist);
-                for &(deliver_round, to, message) in &scratch.sends {
-                    self.queue.push(deliver_round, to, message);
-                }
-                scratch.sends.clear();
                 if observed {
                     action_reports.extend(out.reports);
                 }
+            }
+            for scratch in &mut self.sched.scratch[1..] {
+                self.queue.append(&mut scratch.sends);
             }
         }
         if observed {
@@ -644,13 +652,13 @@ fn shift_delta(hist: &mut [i64], before: u32, after: u32) {
 /// Executes the action phase over one shard: every live node of the shard
 /// initiates once with its private per-`(seed, node, round)` RNG stream.
 /// `losses` is the shard's window into the per-sender channels; the
-/// shard's outbound messages are appended to `sends`.
+/// shard's outbound messages are pushed into `sends`, in dense order.
 fn run_action_shard<L: FaultModel, B: ProtocolBehavior>(
     ctx: ActionCtx,
     behavior: &B,
     mut shard: Shard<'_>,
     losses: &mut [L],
-    sends: &mut Vec<(u64, NodeId, B::Msg)>,
+    sends: &mut InFlight<B::Msg>,
 ) -> ActionShardOut<B::Msg> {
     let mut out = ActionShardOut {
         stats: SimStats::default(),
@@ -685,7 +693,7 @@ fn run_action_shard<L: FaultModel, B: ProtocolBehavior>(
                 });
             shift_delta(&mut out.hist, deg_before, shard.degree[r]);
             if let StepEvent::InFlight { to, message, deliver_at, .. } = event {
-                sends.push((deliver_at, to, message));
+                sends.push(deliver_at, to, message);
             }
             if ctx.observed {
                 // `step` is assigned during the sequential merge, once the
@@ -760,6 +768,7 @@ mod tests {
     use sandf_core::JoinError;
 
     use crate::loss::{GilbertElliott, UniformLoss};
+    use crate::shell::tests::{allocated, buckets};
     use crate::telemetry::SimRecorder;
     use crate::topology;
     use crate::Engine;
@@ -775,11 +784,14 @@ mod tests {
     }
 
     /// Asserts full observable equality of two par engines: stats, live
-    /// set, per-node views (slots, ids, dependence tags).
+    /// set, per-node views (slots, ids, dependence tags), and the in-flight
+    /// queue message for message, in bucket order (delivery sorts a bucket
+    /// by sender, so results alone cannot see how the merge ordered it).
     fn assert_par_equal<L: FaultModel + Clone + Send>(a: &ParSimulation<L>, b: &ParSimulation<L>) {
         assert_eq!(a.stats(), b.stats(), "SimStats diverged");
         assert_eq!(a.len(), b.len(), "live count diverged");
         assert_eq!(a.in_flight(), b.in_flight(), "in-flight count diverged");
+        assert_eq!(buckets(&a.queue), buckets(&b.queue), "in-flight queue order diverged");
         assert_eq!(a.live_ids(), b.live_ids(), "live set diverged");
         for id in a.live_ids() {
             assert_eq!(a.node_view(id), b.node_view(id), "view of {id} diverged");
@@ -1129,14 +1141,71 @@ mod tests {
             .delayed(DelayModel::UniformSteps { max: 4 });
         sim.run_rounds(5);
         let used = |sim: &ParSimulation<UniformLoss>| {
-            sim.sched.scratch.iter().any(|s| s.sends.capacity() + s.routes.capacity() > 0)
+            sim.sched.scratch.iter().any(|s| allocated(&s.sends) + s.routes.capacity() > 0)
         };
         assert!(used(&sim), "the rounds never used the kept buffers");
         let mut clone = sim.clone();
         assert!(!used(&clone), "a clone inherited scratch capacity");
+        assert_eq!(clone.sched.scratch.len(), 3);
+        for scratch in &clone.sched.scratch {
+            assert_eq!(scratch.sends.span(), 5, "a clone's send queue lost the engine's span");
+        }
         sim.run_rounds(5);
         clone.run_rounds(5);
         assert_par_equal(&sim, &clone);
+    }
+
+    #[test]
+    fn a_delayed_clone_stays_identical_at_every_thread_count() {
+        let build = |threads| {
+            ParSimulation::new(nodes(), UniformLoss::new(0.1).unwrap(), 17, threads)
+                .delayed(DelayModel::UniformSteps { max: 5 })
+        };
+        for threads in [1, 2, 3] {
+            let (mut reference, mut sim) = (build(1), build(threads));
+            reference.run_rounds(7);
+            sim.run_rounds(7);
+            assert!(sim.in_flight() > 0, "the clone point has nothing in flight");
+            let mut clone = sim.clone();
+            for _ in 0..12 {
+                reference.round();
+                sim.round();
+                clone.round();
+                assert_par_equal(&sim, &clone);
+                assert_par_equal(&reference, &clone);
+            }
+            reference.settle();
+            sim.settle();
+            clone.settle();
+            assert_par_equal(&sim, &clone);
+            assert_par_equal(&reference, &clone);
+        }
+    }
+
+    #[test]
+    fn shard_zero_sends_into_the_shell_queue_itself() {
+        for (threads, delay) in [
+            (1, DelayModel::Immediate),
+            (1, DelayModel::UniformSteps { max: 3 }),
+            (3, DelayModel::UniformSteps { max: 3 }),
+        ] {
+            let mut sim = ParSimulation::new(nodes(), UniformLoss::new(0.1).unwrap(), 19, threads)
+                .delayed(delay);
+            for _ in 0..20 {
+                sim.round();
+                assert_eq!(sim.sched.scratch.len(), threads);
+                assert_eq!(
+                    allocated(&sim.sched.scratch[0].sends),
+                    0,
+                    "shard 0's own queue allocated"
+                );
+            }
+            assert!(sim.stats().sent > 0);
+            if threads > 1 {
+                let queued = sim.sched.scratch[1..].iter().all(|s| allocated(&s.sends) > 0);
+                assert!(queued, "a later shard never queued a send of its own");
+            }
+        }
     }
 
     /// A reply that replies breaks the [`ProtocolBehavior`] contract, and
@@ -1196,6 +1265,21 @@ mod tests {
     fn delay_after_the_first_round_is_rejected() {
         let mut sim = ParSimulation::new(nodes(), UniformLoss::none(), 0, 1);
         sim.round();
+        let _ = sim.delayed(DelayModel::UniformSteps { max: 4 });
+    }
+
+    /// A round with no live node takes no step, but it built the shard
+    /// queues at the immediate span: a delay installed after it would
+    /// leave them at the wrong span.
+    #[test]
+    #[should_panic(expected = "before stepping")]
+    fn delay_after_an_empty_round_is_rejected() {
+        let mut sim = ParSimulation::new(nodes(), UniformLoss::none(), 0, 2);
+        for id in sim.live_ids() {
+            sim.leave(id);
+        }
+        sim.round();
+        assert_eq!(sim.stats().actions, 0);
         let _ = sim.delayed(DelayModel::UniformSteps { max: 4 });
     }
 }

@@ -88,6 +88,11 @@ impl<M> Subscribers<M> {
 /// Buckets are taken out to be drained and restored empty, so a steady run
 /// reuses their allocations and no delivery allocates. Time is flat's
 /// steps or par's rounds; the queue does not care which.
+///
+/// Par's action shards write their sends into queues of this type: shard
+/// 0 into the shell's own, every later shard into an empty one of the
+/// same span ([`empty_like`](Self::empty_like)) that the merge
+/// [`append`](Self::append)s whole, so each send is stored once.
 #[derive(Clone, Debug)]
 pub(crate) struct InFlight<M> {
     buckets: Vec<Vec<(NodeId, M)>>,
@@ -109,6 +114,12 @@ impl<M> InFlight<M> {
             }
         };
         Self { buckets: (0..span).map(|_| Vec::new()).collect(), len: 0 }
+    }
+
+    /// An empty queue with this one's span, so it buckets every due time
+    /// as this queue does; it allocates no bucket until a push.
+    pub(crate) fn empty_like(&self) -> Self {
+        Self { buckets: self.buckets.iter().map(|_| Vec::new()).collect(), len: 0 }
     }
 
     fn bucket(&self, at: u64) -> usize {
@@ -140,6 +151,23 @@ impl<M> InFlight<M> {
         let bucket = self.bucket(at);
         self.buckets[bucket].push((to, message));
         self.len += 1;
+    }
+
+    /// Moves every message of `other`, a queue of the same span, behind
+    /// this queue's messages due at the same time, in `other`'s order: one
+    /// `Vec::append` per bucket, no per-message push. `other` ends empty
+    /// and keeps its allocations, so a steady run appends without
+    /// allocating.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the spans differ: a due time would change bucket.
+    pub(crate) fn append(&mut self, other: &mut Self) {
+        assert_eq!(self.span(), other.span(), "appending a queue of another span");
+        for (into, from) in self.buckets.iter_mut().zip(&mut other.buckets) {
+            into.append(from);
+        }
+        self.len += std::mem::take(&mut other.len);
     }
 
     /// Takes the bucket of time `at` out of the queue, `None` when it is
@@ -530,7 +558,10 @@ impl<S: Schedule<L, SfBehavior>, L> ArenaSim<S, L, SfBehavior> {
     /// is zero.
     #[must_use]
     pub fn delayed(mut self, delay: DelayModel) -> Self {
-        assert!(self.steps == 0, "the delay model must be installed before stepping");
+        assert!(
+            self.steps == 0 && self.rounds == 0,
+            "the delay model must be installed before stepping"
+        );
         self.queue = InFlight::new(delay);
         self.delay = delay;
         self
@@ -662,6 +693,17 @@ pub(crate) mod tests {
         Message::new(NodeId::new(from), NodeId::new(from + 1), false)
     }
 
+    /// The messages `queue`'s buckets hold room for: 0 when no bucket ever
+    /// allocated.
+    pub(crate) fn allocated<M>(queue: &InFlight<M>) -> usize {
+        queue.buckets.iter().map(Vec::capacity).sum()
+    }
+
+    /// `queue`'s buckets, each in queue order.
+    pub(crate) fn buckets<M>(queue: &InFlight<M>) -> &[Vec<(NodeId, M)>] {
+        &queue.buckets
+    }
+
     /// A channel with a fixed gate and loss verdict, whose loss draw takes
     /// one word, as every real channel's does.
     #[derive(Clone, Copy)]
@@ -776,5 +818,47 @@ pub(crate) mod tests {
         assert_eq!(queue.take(5).map(|b| b.len()), Some(1));
         assert_eq!(queue.take(10).map(|b| b.len()), Some(1));
         assert!(queue.is_empty() && queue.take(7).is_none());
+    }
+
+    #[test]
+    fn append_moves_whole_buckets_behind_earlier_messages() {
+        let mut queue = InFlight::new(DelayModel::UniformSteps { max: 2 });
+        let mut source = queue.empty_like();
+        assert_eq!((source.span(), allocated(&source)), (3, 0));
+        let to = |queue: &mut InFlight<Message>, at| {
+            let batch = queue.take(at).unwrap();
+            let order: Vec<u64> = batch.iter().map(|&(to, _)| to.as_u64()).collect();
+            queue.restore(at, batch);
+            order
+        };
+        // Times 1 and 4 share a bucket a lap apart; 2 and 3 have their own.
+        for (at, from) in [(1, 10), (2, 11)] {
+            queue.push(at, NodeId::new(from), message(from));
+        }
+        for (at, from) in [(4, 20), (2, 21), (4, 22), (3, 23)] {
+            source.push(at, NodeId::new(from), message(from));
+        }
+        let kept: Vec<_> = source.buckets.iter().map(|b| (b.as_ptr(), b.capacity())).collect();
+        queue.append(&mut source);
+        assert_eq!((queue.len(), source.len()), (6, 0), "the count moves with the messages");
+        assert!(source.is_empty() && source.buckets.iter().all(Vec::is_empty));
+        let after: Vec<_> = source.buckets.iter().map(|b| (b.as_ptr(), b.capacity())).collect();
+        assert_eq!(after, kept, "the source keeps its allocations");
+        assert_eq!(to(&mut queue, 4), [10, 20, 22], "earlier first, then the source's in order");
+        assert_eq!(to(&mut queue, 2), [11, 21]);
+        assert_eq!(to(&mut queue, 3), [23]);
+        assert!(queue.is_empty());
+        // A second lap through the source reuses what it kept.
+        source.push(5, NodeId::new(24), message(24));
+        assert_eq!(source.buckets[2].as_ptr(), kept[2].0, "a steady append allocates nothing");
+        queue.append(&mut source);
+        assert_eq!(to(&mut queue, 5), [24]);
+    }
+
+    #[test]
+    #[should_panic(expected = "another span")]
+    fn append_rejects_a_queue_of_another_span() {
+        let mut queue = InFlight::<Message>::new(DelayModel::UniformSteps { max: 2 });
+        queue.append(&mut InFlight::new(DelayModel::Immediate));
     }
 }
