@@ -1,12 +1,13 @@
 //! The daemon's fault: one [`ScheduledFault`] per daemon, owned by its
 //! event loop and reconfigurable at runtime.
 //!
-//! Every send of the fleet reaches the schedule through one
+//! Every node tick reaches the schedule through the simulators' one
+//! action hop ([`sandf_sim::action_hop`]), exactly as the simulation
+//! engines' steps do: capacity models gate the tick through
+//! [`node_acts`](sandf_sim::FaultModel::node_acts), skipping the initiate
+//! step of a slow node's round, and every send makes one
 //! [`drops`](sandf_sim::FaultModel::drops) call, drawing from the sender's
-//! loss stream, and capacity models gate node *ticks* through
-//! [`node_acts`](sandf_sim::FaultModel::node_acts) — the daemon skips the
-//! initiate step of a slow node's round, exactly like the simulation
-//! engines do. The schedule's last phase is the standing one,
+//! one stream. The schedule's last phase is the standing one,
 //! `uniform base_loss` (the Section 4.1 channel of
 //! [`DaemonConfig::base_loss`](crate::DaemonConfig::base_loss)); every
 //! earlier phase was injected. The loop owns the one schedule, so one

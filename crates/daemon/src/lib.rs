@@ -5,12 +5,14 @@
 //! drain chunk's frames packed into one or two datagrams. The fleet is the
 //! simulators' own storage and step: one `sandf_sim::Arena` of rows,
 //! stepped by `sandf_sim::SfBehavior`, so the process on the wire runs the
-//! code the simulated process runs. One single-threaded event loop drives
-//! it (a timer wheel for action ticks, one send path for the whole fleet,
-//! plus a bounded-cadence non-blocking drain of the socket into per-node
-//! inboxes — no async runtime, no lock on the wire) and accounts for
-//! every frame across the kernel ([`WireLedger`]). Around that loop the
-//! crate layers:
+//! code the simulated process runs, and each node steps through the
+//! simulators' one action hop and receipt count. One single-threaded event
+//! loop drives it (a timer wheel for action ticks, one send path for the
+//! whole fleet, plus a bounded-cadence non-blocking drain of the socket
+//! whose every frame its live destination receives on the spot — no async
+//! runtime, no lock on the wire, no queue but the outbox and the
+//! kernel's) and accounts for every frame across the kernel
+//! ([`WireLedger`]). Around that loop the crate layers:
 //!
 //! - **one fault process** ([`fault`]): a `sandf_sim::ScheduledFault`
 //!   drawn once per send, whose standing phase is the base Section 4.1

@@ -7,39 +7,45 @@
 //! stepped by [`SfBehavior`], the simulators' S&F step: node ids are
 //! issued densely from 0 and never reused, so a node's id is its dense
 //! index, its row, and its timer's key. Beside the arena the loop keeps
-//! one column of its own, indexed the same way: each node's two random
-//! streams, its inbox and its [`NodeStats`], counted from each step's
-//! outcome as [`SfNode`] counts its own. A node that leaves keeps its row
-//! (its inbox is freed), so its id is never reissued.
+//! one column of its own, indexed the same way: each node's one random
+//! stream and its [`SimStats`], which the simulators' own hops count. A
+//! node that leaves keeps its row, so its id is never reissued.
+//!
+//! A node whose action timer fires steps through the simulators' one
+//! action hop, [`action_hop`]: the fault schedule's capacity gate, the
+//! initiate step, the send counts and one loss draw against the daemon's
+//! one fault schedule ([`fault`](crate::fault)) — the standing `uniform
+//! base_loss` phase, the Section 4.1 channel, or a runtime-injected model
+//! in its place — all on the node's one stream, in the order every
+//! simulator draws them. The loop routes what the hop returns through one
+//! function for every node, `ServiceState::send`: a lost message is
+//! counted, a surviving one meets the dead-letter test against the arena's
+//! liveness, and only a message for a live node is packed into the loop's
+//! one outbox [`Datagram`].
 //!
 //! The daemon binds a single non-blocking loopback socket
 //! ([`SharedSocket`]); every message on it travels as a 25-byte frame, the
 //! destination node's id followed by the 17-byte message, and every
-//! datagram packs 1 to [`MAX_FRAMES`] frames. The loop sends for every node
-//! through one function, `ServiceState::send`: the message meets the
-//! daemon's one fault schedule ([`fault`](crate::fault)) in one draw from
-//! the sender's loss stream — the standing `uniform base_loss` phase, the
-//! Section 4.1 channel, or a runtime-injected model in its place — then
-//! the arena says whether the destination is live, and only a message for
-//! a live node is packed into the loop's one outbox [`Datagram`]. The loss
-//! draw stays per message, so packing changes the number of datagrams the
-//! kernel handles, not the channel. The loop, not the node, receives:
-//! before every [`DRAIN_CHUNK`] node ticks it flushes the outbox onto the
-//! wire (a full one goes early) and then drains the socket into the live
-//! rows' inboxes, so a frame reaches the same drain, in the same order, as
-//! if it had gone out alone at its send. A node whose action timer fires
-//! takes its inbox and then initiates, so its receive step and initiate
-//! step happen back-to-back at a quiescent point. A message or frame for
-//! an id with no live node is a dead letter.
+//! datagram packs 1 to [`MAX_FRAMES`] frames. The loss draw stays per
+//! message, so packing changes the number of datagrams the kernel handles,
+//! not the channel. The loop, not the node, receives: before every
+//! [`DRAIN_CHUNK`] node ticks it flushes the outbox onto the wire (a full
+//! one goes early) and then drains the socket, and the drain that takes a
+//! frame for a live node off the socket runs that node's receive step on
+//! its row and its stream, counted by [`count_receipt`]. Between its send
+//! and its receive a message waits only in the outbox and the kernel, and
+//! a frame reaches the same drain, in the same order, as if it had gone
+//! out alone at its send. A message or frame for an id with no live node
+//! is a dead letter.
 //!
-//! Each node draws from two streams of its own — protocol steps and loss —
-//! and the loop from one control stream (join sponsors and delays, leave
+//! Each node draws from one stream of its own — initiate, loss and receive
+//! — and the loop from one control stream (join sponsors and delays, leave
 //! victims). Each is seeded by [`stream_seed`] under its own tag of the
-//! [`sandf_sim::stream`] table: `n` and `l` at `(id, 0)`, `k` at `(0, 0)`.
-//! No two coincide, id 0 included.
+//! [`sandf_sim::stream`] table: `n` at `(id, 0)`, `k` at `(0, 0)`. No two
+//! coincide, id 0 included.
 //!
 //! The wire is accounted across the kernel: `daemon.net.received` counts
-//! frames put into a live inbox, `daemon.net.datagrams` the datagrams
+//! frames a live node received, `daemon.net.datagrams` the datagrams
 //! handed to the kernel, and once the loop has stopped and drained the
 //! socket a last time,
 //! `delivered = received + dead_letters + daemon.fault.dropped` holds
@@ -82,14 +88,14 @@ use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use sandf_core::{Message, NodeId, NodeStats, SfConfig, SfNode};
+use sandf_core::{NodeId, NodeStats, SfConfig, SfNode};
 use sandf_net::codec::Datagram;
 use sandf_net::SharedSocket;
 use sandf_obs::{CounterHandle, EventJournal, GaugeHandle, JournalEvent, MetricsRegistry};
 use sandf_sim::stream::{self, stream_seed};
 use sandf_sim::{
-    graph_of_rows, topology, Arena, FaultCtx, FaultModel, PhaseFault, ScheduledFault, SfBehavior,
-    UniformLoss, ARENA_ID_LIMIT,
+    action_hop, count_receipt, graph_of_rows, topology, Arena, DelayModel, PhaseFault,
+    ScheduledFault, SfBehavior, SimStats, StepEvent, UniformLoss, ARENA_ID_LIMIT,
 };
 
 use crate::fault::{compile_fault_line, injected};
@@ -287,7 +293,7 @@ impl MembershipSnapshot {
 /// Every message not lost under the standing base-loss phase is dropped by
 /// an injected fault, found to be a dead letter (at the send, when the peer
 /// is not live, or coming off the wire, when the peer left meanwhile),
-/// or put into a live node's inbox. After
+/// or received by a live node. After
 /// [`DaemonHandle::shutdown`] nothing is [in flight](Self::in_flight): a
 /// remainder is datagrams the kernel dropped or sends that failed.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -299,7 +305,7 @@ pub struct WireLedger {
     pub fault_dropped: u64,
     /// `daemon.net.dead_letters`: frames for a peer that had left.
     pub dead_letters: u64,
-    /// `daemon.net.received`: frames put into a live node's inbox.
+    /// `daemon.net.received`: frames a live node received.
     pub received: u64,
 }
 
@@ -340,25 +346,24 @@ impl std::fmt::Display for WireLedger {
 /// The loop's column beside the arena: one row per issued id, indexed by
 /// dense index (= id).
 struct Row {
+    /// The node's one stream: its initiate, loss and receive draws.
     rng: StdRng,
-    /// Offered to the fault schedule with each of this node's sends.
-    loss_rng: StdRng,
-    /// Messages drained off the socket for this node since its last tick.
-    inbox: Vec<Message>,
-    /// The node's event counters, counted from each step's outcome.
-    stats: NodeStats,
+    /// The node's event counters, counted by [`action_hop`] and
+    /// [`count_receipt`].
+    stats: SimStats,
 }
 
 impl Row {
-    /// A fresh row for node `id`, its two streams seeded under their tags.
+    /// A fresh row for node `id`, its stream seeded under its tag.
     fn new(seed: u64, id: NodeId) -> Self {
-        let seeded = |tag| StdRng::seed_from_u64(stream_seed(seed, tag, id.as_u64(), 0));
-        Self {
-            rng: seeded(stream::DAEMON_NODE),
-            loss_rng: seeded(stream::DAEMON_LOSS),
-            inbox: Vec::new(),
-            stats: NodeStats::default(),
-        }
+        let seed = stream_seed(seed, stream::DAEMON_NODE, id.as_u64(), 0);
+        Self { rng: StdRng::seed_from_u64(seed), stats: SimStats::default() }
+    }
+
+    /// The row's counters as the node's own [`NodeStats`].
+    fn node_stats(&self) -> NodeStats {
+        let SimStats { actions, self_loops, sent, duplications, stored, deleted, .. } = self.stats;
+        NodeStats { initiated: actions, self_loops, sent, duplications, stored, deletions: deleted }
     }
 }
 
@@ -497,8 +502,6 @@ struct ServiceState {
     snapshot: Arc<Mutex<MembershipSnapshot>>,
     rng: StdRng,
     departed: u64,
-    /// Duplicating sends (messages marked dependent), counted in `send`.
-    duplications: u64,
     nodes_gauge: GaugeHandle,
     round_gauge: GaugeHandle,
     stale_gauge: GaugeHandle,
@@ -559,7 +562,6 @@ fn boot(config: DaemonConfig) -> io::Result<ServiceState> {
         })),
         rng: StdRng::seed_from_u64(stream_seed(config.seed, stream::DAEMON_CONTROL, 0, 0)),
         departed: 0,
-        duplications: 0,
         nodes_gauge: registry.gauge("daemon.nodes"),
         round_gauge: registry.gauge("daemon.round"),
         stale_gauge: registry.gauge("daemon.stale_fraction"),
@@ -686,7 +688,7 @@ impl ServiceState {
     fn nodes(&self) -> Vec<SfNode> {
         let live = self.arena.live_dense();
         let nodes = self.arena.to_nodes::<SfBehavior>(live.clone()).into_iter();
-        nodes.zip(live).map(|(node, k)| node.with_stats(self.rows[k].stats)).collect()
+        nodes.zip(live).map(|(node, k)| node.with_stats(self.rows[k].node_stats())).collect()
     }
 
     /// Live nodes: every issued id but those that left.
@@ -694,21 +696,24 @@ impl ServiceState {
         self.rows.len() - self.departed as usize
     }
 
-    /// Flushes the outbox, then moves every frame waiting on the socket
-    /// into its destination's inbox. A frame for an id with no live node is
-    /// a dead letter, and so is one whose message names an id the arena
-    /// cannot store (at or above [`ARENA_ID_LIMIT`]; only a forged frame
-    /// can), which a row would alias onto a `u32` word.
+    /// Flushes the outbox, then drains the socket: a frame's destination
+    /// receives it as the drain takes it, on the destination's row and
+    /// stream. A frame for an id with no live node is a dead letter,
+    /// and so is one whose message names an id the arena cannot store (at
+    /// or above [`ARENA_ID_LIMIT`]; only a forged frame can), which a row
+    /// would alias onto a `u32` word.
     fn drain_socket(&mut self) {
         self.flush();
-        let (arena, rows) = (&self.arena, &mut self.rows);
+        let (arena, rows) = (&mut self.arena, &mut self.rows);
         let (mut received, mut dead_letters) = (0, 0);
         let drained = self.socket.drain(RECV_BATCH_MAX, |to, message| {
             let ids = [message.sender, message.payload];
             let storable = ids.iter().all(|id| id.as_u64() < ARENA_ID_LIMIT);
             match arena.dense_of(to).filter(|_| storable) {
                 Some(k) => {
-                    rows[k].inbox.push(message);
+                    let row = &mut rows[k];
+                    let receipt = arena.receive(&SfBehavior, k, message, &mut row.rng);
+                    count_receipt(&mut row.stats, receipt.deleted);
                     received += 1;
                 }
                 None => dead_letters += 1,
@@ -721,33 +726,35 @@ impl ServiceState {
         self.dead_letters.add(dead_letters);
     }
 
-    /// The one send path of the fleet: what node `from` initiated in
-    /// `round` meets the fault schedule, then the dead-letter test, and
-    /// goes into the outbox if it passed both.
-    fn send(&mut self, from: usize, round: u64, to: NodeId, message: Message) {
-        self.sent.inc();
-        self.duplications += u64::from(message.dependent);
-        let ctx = FaultCtx { from: self.arena.id_at(from), to, round };
-        if self.fault.drops(ctx, &mut self.rows[from].loss_rng) {
-            // Base loss never reaches the wire ledger; an injected window's
-            // drop is delivered, then dropped by the fault.
-            if injected(&self.fault, round).is_some() {
-                self.delivered.inc();
-                self.fault_dropped.inc();
-            } else {
-                self.base_dropped.inc();
+    /// The one send path of the fleet: routes what an action hop in
+    /// `round` returned. A lost send is counted against the phase that
+    /// dropped it; a surviving one meets the dead-letter test and goes into
+    /// the outbox if it passes. A skip or a self-loop sends nothing.
+    fn send(&mut self, event: StepEvent, round: u64) {
+        match event {
+            StepEvent::Lost { .. } => {
+                self.sent.inc();
+                // Base loss never reaches the wire ledger; an injected
+                // window's drop is delivered, then dropped by the fault.
+                if injected(&self.fault, round).is_some() {
+                    self.delivered.inc();
+                    self.fault_dropped.inc();
+                } else {
+                    self.base_dropped.inc();
+                }
             }
-            return;
-        }
-        self.delivered.inc();
-        if self.arena.dense_of(to).is_none() {
-            // The peer left; counted so the checker's realized loss
-            // includes churn-induced loss.
-            self.dead_letters.inc();
-            return;
-        }
-        if self.outbox.push(to, message) {
-            self.flush();
+            StepEvent::InFlight { to, message, .. } => {
+                self.sent.inc();
+                self.delivered.inc();
+                if self.arena.dense_of(to).is_none() {
+                    // The peer left; counted so the checker's realized
+                    // loss includes churn-induced loss.
+                    self.dead_letters.inc();
+                } else if self.outbox.push(to, message) {
+                    self.flush();
+                }
+            }
+            _ => {}
         }
     }
 
@@ -789,26 +796,20 @@ impl ServiceState {
         self.due = due;
     }
 
-    /// Node `k` receives its inbox, then initiates unless the fault
-    /// schedule holds it back this round.
+    /// Node `k` takes its §5 action in `round` through the action hop, on
+    /// its one stream, and its send takes the one send path.
     fn tick_node(&mut self, k: usize, round: u64) {
-        let row = &mut self.rows[k];
-        for message in row.inbox.drain(..) {
-            let deleted = self.arena.receive(&SfBehavior, k, message, &mut row.rng).deleted;
-            row.stats.deletions += u64::from(deleted);
-            row.stats.stored += u64::from(!deleted);
-        }
-        if !self.fault.node_acts(self.arena.id_at(k), round) {
-            return;
-        }
-        row.stats.initiated += 1;
-        let Some((to, message)) = self.arena.initiate(&SfBehavior, k, &mut row.rng) else {
-            row.stats.self_loops += 1;
-            return;
-        };
-        row.stats.sent += 1;
-        row.stats.duplications += u64::from(message.dependent);
-        self.send(k, round, to, message);
+        let (arena, row) = (&mut self.arena, &mut self.rows[k]);
+        let event = action_hop::<SfBehavior, _>(
+            arena.id_at(k),
+            &mut self.fault,
+            &mut row.rng,
+            &mut row.stats,
+            (round, round),
+            DelayModel::Immediate,
+            |rng| arena.initiate(&SfBehavior, k, rng),
+        );
+        self.send(event, round);
     }
 
     fn handle_control(&mut self, command: Control) {
@@ -895,11 +896,9 @@ impl ServiceState {
         }
         live.shuffle(&mut self.rng);
         for &k in live.iter().take(count) {
+            // Later frames for its id are dead letters, and its timer is
+            // dropped the next time it fires.
             self.arena.leave::<SfBehavior>(self.arena.id_at(k));
-            // The node's mail goes with it, allocation and all; later
-            // frames for its id are dead letters, and its timer is dropped
-            // the next time it fires.
-            self.rows[k].inbox = Vec::new();
         }
         self.checker.record_leaves(count);
         self.departed += count as u64;
@@ -930,7 +929,7 @@ impl ServiceState {
         WireTotals {
             sent: self.sent.get(),
             dropped: self.base_dropped.get() + self.fault_dropped.get() + self.dead_letters.get(),
-            duplications: self.duplications,
+            duplications: self.rows.iter().map(|row| row.stats.duplications).sum(),
         }
     }
 
@@ -995,6 +994,9 @@ impl ServiceState {
 
 #[cfg(test)]
 mod tests {
+    use sandf_core::Message;
+    use sandf_sim::{FaultCtx, FaultModel};
+
     use super::*;
 
     fn tiny_config() -> DaemonConfig {
@@ -1024,10 +1026,8 @@ mod tests {
     fn no_two_random_streams_coincide() {
         let state = boot(tiny_config()).unwrap();
         let mut streams = vec![&state.rng];
-        for row in &state.rows {
-            streams.extend([&row.rng, &row.loss_rng]);
-        }
-        assert_eq!(streams.len(), 1 + 2 * 16);
+        streams.extend(state.rows.iter().map(|row| &row.rng));
+        assert_eq!(streams.len(), 1 + 16);
         for (i, a) in streams.iter().enumerate() {
             for b in &streams[i + 1..] {
                 assert_ne!(a, b, "two of the daemon's streams share a seed");
@@ -1055,27 +1055,6 @@ mod tests {
         assert_eq!(state.rows.len(), 16 + 4 + 2, "one row per id ever issued");
     }
 
-    #[test]
-    fn a_reused_slot_does_not_inherit_mail() {
-        let mut state = boot(tiny_config()).unwrap();
-        // Every node initiates once; nothing is drained before the leave.
-        for key in 0..16 {
-            state.tick_node(key, 1);
-        }
-        std::thread::sleep(Duration::from_millis(5));
-        state.drain_socket();
-        let mailed: Vec<usize> = (0..16).filter(|&k| !state.rows[k].inbox.is_empty()).collect();
-        assert!(!mailed.is_empty(), "16 initiations must have reached someone");
-        state.handle_leave(10).unwrap();
-        state.handle_join(10).unwrap();
-        for k in state.arena.live_dense() {
-            let id = state.arena.id_at(k);
-            if id.as_u64() >= 16 {
-                assert!(state.rows[k].inbox.is_empty(), "joiner {id} inherited mail");
-            }
-        }
-    }
-
     /// A lossless fleet of 16 (ids = rows 0..16) and a message to send
     /// across it.
     fn lossless_fleet() -> (ServiceState, Message) {
@@ -1087,6 +1066,28 @@ mod tests {
         state.registry.counter_value(name).unwrap()
     }
 
+    /// Node `from` acts in `round` through the action hop as `tick_node`
+    /// does, its initiate drawing nothing and sending `message` to `to`,
+    /// and the send takes the one send path.
+    fn send(state: &mut ServiceState, from: usize, round: u64, to: NodeId, message: Message) {
+        let row = &mut state.rows[from];
+        let event = action_hop::<SfBehavior, _>(
+            state.arena.id_at(from),
+            &mut state.fault,
+            &mut row.rng,
+            &mut row.stats,
+            (round, round),
+            DelayModel::Immediate,
+            |_| Some((to, message)),
+        );
+        state.send(event, round);
+    }
+
+    /// The messages node `k` has received, stored or deleted.
+    fn taken_in(state: &ServiceState, k: usize) -> u64 {
+        state.rows[k].stats.stored + state.rows[k].stats.deleted
+    }
+
     #[test]
     fn a_partition_drops_cross_region_sends_until_it_lapses() {
         let (mut state, message) = lossless_fleet();
@@ -1094,25 +1095,21 @@ mod tests {
         assert_eq!(state.fault_kind(5), "partition");
         // 0 and 1 are in different regions (id mod 2): everything drops.
         for _ in 0..20 {
-            state.send(0, 5, NodeId::new(1), message);
+            send(&mut state, 0, 5, NodeId::new(1), message);
         }
         assert_eq!(counter(&state, "daemon.net.delivered"), 20);
         assert_eq!(counter(&state, "daemon.fault.dropped"), 20);
+        assert_eq!(state.rows[0].stats.lost, 20);
         std::thread::sleep(Duration::from_millis(10));
         state.drain_socket();
-        assert!(state.rows.iter().all(|row| row.inbox.is_empty()));
+        assert!((0..16).all(|k| taken_in(&state, k) == 0));
 
         // After the window the wire heals, with no second command.
         assert_eq!(state.fault_kind(200), "none");
-        state.send(0, 200, NodeId::new(1), message);
-        for _ in 0..200 {
-            state.drain_socket();
-            if !state.rows[1].inbox.is_empty() {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        assert_eq!(state.rows[1].inbox, [message]);
+        send(&mut state, 0, 200, NodeId::new(1), message);
+        settle(&mut state);
+        assert_eq!(state.rows[1].stats.stored, 1);
+        assert_eq!(counter(&state, "daemon.net.received"), 1);
         assert_eq!(counter(&state, "daemon.fault.dropped"), 20);
         assert_eq!(WireLedger::read(&state.registry).in_flight(), 0);
     }
@@ -1124,20 +1121,21 @@ mod tests {
             .map(|from| Message::new(NodeId::new(from), NodeId::new(from + 10), from == 2))
             .collect();
         for (from, &message) in (1..=3).zip(&sent) {
-            state.send(from, 1, NodeId::new(0), message);
+            send(&mut state, from, 1, NodeId::new(0), message);
         }
         std::thread::sleep(Duration::from_millis(5));
         assert_eq!(state.socket.drain(usize::MAX, |_, _| ()).unwrap(), 0, "nothing on the wire");
+        // Node 0 as it would be after receiving the three in send order.
+        let (mut want, mut rng) = (state.arena.clone(), state.rows[0].rng.clone());
+        for &message in &sent {
+            want.receive(&SfBehavior, 0, message, &mut rng);
+        }
 
         // Loopback is asynchronous: the drain that flushes may read too soon.
-        for _ in 0..200 {
-            state.drain_socket();
-            if !state.rows[0].inbox.is_empty() {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        assert_eq!(state.rows[0].inbox, sent);
+        settle(&mut state);
+        assert_eq!(taken_in(&state, 0), 3);
+        let view = |arena: &Arena| arena.to_nodes::<SfBehavior>(0..1)[0].view().clone();
+        assert_eq!(view(&state.arena), view(&want), "received in send order");
         assert_eq!(counter(&state, "daemon.net.datagrams"), 1, "one datagram for the three");
         assert_eq!(WireLedger::read(&state.registry).in_flight(), 0);
     }
@@ -1169,7 +1167,7 @@ mod tests {
     fn a_send_to_a_departed_id_is_one_dead_letter_and_no_frame() {
         let (mut state, message) = lossless_fleet();
         let (from, gone) = a_sender_and_a_departed_id(&mut state);
-        state.send(from, 1, gone, message);
+        send(&mut state, from, 1, gone, message);
         assert_eq!(counter(&state, "daemon.net.dead_letters"), 1);
         // Nothing went on the wire: a frame would come off it as a second
         // dead letter.
@@ -1200,24 +1198,27 @@ mod tests {
         // a live one.
         assert_eq!(counter(&state, "daemon.net.dead_letters"), 2);
         assert_eq!(counter(&state, "daemon.net.received"), 0);
-        assert!(state.rows[3].inbox.is_empty());
+        assert_eq!(taken_in(&state, 3), 0);
     }
 
     #[test]
     fn a_frame_in_flight_to_a_node_that_leaves_is_a_dead_letter() {
         let (mut state, message) = lossless_fleet();
         for to in 0..16 {
-            state.send(0, 1, NodeId::new(to), message);
+            send(&mut state, 0, 1, NodeId::new(to), message);
         }
         // The sixteen frames wait in the outbox while half the fleet leaves.
         state.handle_leave(8).unwrap();
         settle(&mut state);
         assert_eq!(counter(&state, "daemon.net.dead_letters"), 8);
         assert_eq!(counter(&state, "daemon.net.received"), 8);
-        for (key, row) in state.rows.iter().enumerate() {
-            let mail = usize::from(state.arena.is_live(key));
-            assert_eq!(row.inbox.len(), mail, "node {key}");
+        for key in 0..16 {
+            let mail = u64::from(state.arena.is_live(key));
+            assert_eq!(taken_in(&state, key), mail, "node {key}");
         }
+        // The departed rows took nothing in, and joiners start with nothing.
+        state.handle_join(8).unwrap();
+        assert!((16..24).all(|key| taken_in(&state, key) == 0));
     }
 
     #[test]
@@ -1230,7 +1231,7 @@ mod tests {
         // a dead letter.
         let sends = 40_000;
         for _ in 0..sends {
-            state.send(from, 1, gone, message);
+            send(&mut state, from, 1, gone, message);
         }
         let lost = counter(&state, "daemon.net.dropped") + counter(&state, "daemon.fault.dropped");
         let rate = lost as f64 / sends as f64;
@@ -1243,18 +1244,20 @@ mod tests {
     }
 
     #[test]
-    fn with_no_fault_injected_every_drop_is_the_base_draw_on_the_loss_stream() {
+    fn with_no_fault_injected_every_drop_is_the_base_draw_on_the_node_stream() {
         let mut state = boot(DaemonConfig { base_loss: 0.3, ..tiny_config() }).unwrap();
         let (from, gone) = a_sender_and_a_departed_id(&mut state);
         let id = NodeId::new(from as u64);
-        // The Section 4.1 model on a fresh copy of the sender's `l` stream,
-        // lifted into the fault surface the way every engine draws it.
+        // The Section 4.1 model on a fresh copy of the sender's one stream,
+        // lifted into the fault surface the way every engine draws it: the
+        // sends draw nothing to initiate, so each takes the loss draw alone.
         let mut model = UniformLoss::new(0.3).unwrap();
-        let seed = stream_seed(state.config.seed, stream::DAEMON_LOSS, id.as_u64(), 0);
+        let seed = stream_seed(state.config.seed, stream::DAEMON_NODE, id.as_u64(), 0);
         let mut rng = StdRng::seed_from_u64(seed);
+        assert_eq!(rng, state.rows[from].rng, "the node's stream is fresh");
         for k in 0..2_000 {
             let (round, before) = (1 + k / 16, counter(&state, "daemon.net.dropped"));
-            state.send(from, round, gone, Message::new(id, NodeId::new(9), false));
+            send(&mut state, from, round, gone, Message::new(id, NodeId::new(9), false));
             let want = model.drops(FaultCtx { from: id, to: gone, round }, &mut rng);
             assert_eq!(counter(&state, "daemon.net.dropped") > before, want, "send {k}");
         }
@@ -1267,6 +1270,7 @@ mod tests {
         for _ in 1..=100 {
             rotate(&mut state);
         }
+        settle(&mut state);
         // With no leaves, the fleet's own counters hold every send.
         let fleet = |count: fn(&sandf_core::NodeStats) -> u64| -> u64 {
             state.nodes().iter().map(|node| count(node.stats())).sum()
@@ -1275,6 +1279,9 @@ mod tests {
         assert!(totals.duplications > 0, "loss compensation never kicked in");
         assert_eq!(totals.duplications, fleet(|stats| stats.duplications));
         assert_eq!(totals.sent, fleet(|stats| stats.sent));
+        // Every frame off the wire was received at the drain that took it.
+        let received = fleet(|stats| stats.stored + stats.deletions);
+        assert_eq!(counter(&state, "daemon.net.received"), received);
     }
 
     #[test]
@@ -1371,6 +1378,10 @@ mod tests {
     /// before or after all of it. It was re-taken again when each tick
     /// began to act in the round in progress at it: rotation `k` runs as
     /// round `k`, where a rotation fired in one call used to run as `k + 1`.
+    /// It was re-taken again when nodes began to step through the shell's
+    /// action hop on one stream: the loss draw moved from a second stream
+    /// per node onto the node's own, and a node receives each frame at the
+    /// drain that takes it off the socket instead of at its next tick.
     #[test]
     fn a_clockless_run_replays_its_transcript_digest() {
         let mut state = boot(DaemonConfig { initial_nodes: 40, ..tiny_config() }).unwrap();
@@ -1394,7 +1405,7 @@ mod tests {
             transcript.extend_from_slice(state.outbox.as_bytes());
         }
         settle(&mut state);
-        assert_eq!(transcript.len(), 273 * sandf_net::codec::FRAME_LEN, "frames sent");
+        assert_eq!(transcript.len(), 227 * sandf_net::codec::FRAME_LEN, "frames sent");
         for node in state.nodes() {
             transcript.extend(node.id().as_u64().to_le_bytes());
             for slot in node.view().slots() {
@@ -1424,7 +1435,7 @@ mod tests {
         transcript.extend(counter(&state, "daemon.net.recv_errors").to_le_bytes());
         transcript.extend(counter(&state, "daemon.fault.dropped").to_le_bytes());
         let digest = sandf_sim::stream::fnv1a64(transcript.iter().copied());
-        assert_eq!(digest, 0x367a_3451_6f0d_bccf, "transcript digest {digest:#018x}");
+        assert_eq!(digest, 0x385b_d9a5_14d0_e386, "transcript digest {digest:#018x}");
     }
 
     /// Each tick acts in the round in progress at it, however far the call
@@ -1445,7 +1456,7 @@ mod tests {
             for (k, row) in state.rows.iter().enumerate() {
                 let id = state.arena.id_at(k);
                 let acts = (0..rotations).filter(|&round| state.fault.node_acts(id, round)).count();
-                assert_eq!(row.stats.initiated, acts as u64, "node {k}, {chunk}-tick chunks");
+                assert_eq!(row.stats.actions, acts as u64, "node {k}, {chunk}-tick chunks");
             }
         }
     }
@@ -1509,7 +1520,7 @@ mod tests {
         state.handle_join(k).unwrap();
         // The departed nodes' timers are still parked on the wheel.
         assert_eq!(state.wheel.scheduled(), 16 + k);
-        let before: Vec<u64> = state.rows.iter().map(|row| row.stats.initiated).collect();
+        let before: Vec<u64> = state.rows.iter().map(|row| row.stats.actions).collect();
         for _ in 0..rotations {
             settle(&mut state);
             rotate(&mut state);
@@ -1517,40 +1528,26 @@ mod tests {
         assert_eq!(state.rows.len(), 16 + k);
         for (key, row) in state.rows.iter().enumerate() {
             let want = if state.arena.is_live(key) { rotations } else { 0 };
-            assert_eq!(row.stats.initiated - before[key], want, "node {key}");
+            assert_eq!(row.stats.actions - before[key], want, "node {key}");
         }
     }
 
     /// Every issued id keeps one row, live or departed: the arena's
     /// `5·s + 12` bytes (pinned in `sandf-sim` by
     /// `per_node_footprint_is_five_s_plus_twelve_bytes`) and the loop's
-    /// column — two 32 B streams, an inbox header and six counters — for
-    /// `5·s + 148` bytes, 208 B at `s = 12`. A departed row holds no inbox
-    /// allocation. The destructuring names every field, so a new column
-    /// fails to compile here until it is accounted for.
+    /// column — one 32 B stream and an 80 B `SimStats` — for `5·s + 124`
+    /// bytes, 184 B at `s = 12`. The destructuring names every field, so a
+    /// new column fails to compile here until it is accounted for.
     #[test]
-    fn per_row_footprint_is_five_s_plus_148_bytes() {
-        let (mut state, message) = lossless_fleet();
-        for to in 0..16 {
-            state.send(0, 1, NodeId::new(to), message);
-        }
-        settle(&mut state);
-        assert!(state.rows.iter().all(|row| row.inbox.len() == 1), "every node has mail");
-        state.handle_leave(8).unwrap();
-        for key in (0..16).filter(|&key| !state.arena.is_live(key)) {
-            assert_eq!(state.rows[key].inbox.capacity(), 0, "node {key} kept its inbox");
-        }
-        let Row { rng, loss_rng, inbox, stats } = &state.rows[0];
-        let columns = [
-            ("rng", std::mem::size_of_val(rng)),
-            ("loss_rng", std::mem::size_of_val(loss_rng)),
-            ("inbox", std::mem::size_of_val(inbox)),
-            ("stats", std::mem::size_of_val(stats)),
-        ];
+    fn per_row_footprint_is_five_s_plus_124_bytes() {
+        let state = boot(tiny_config()).unwrap();
+        let Row { rng, stats } = &state.rows[0];
+        let columns =
+            [("rng", std::mem::size_of_val(rng)), ("stats", std::mem::size_of_val(stats))];
         let column: usize = columns.iter().map(|&(_, bytes)| bytes).sum();
         assert_eq!(column, std::mem::size_of::<Row>(), "no padding: {columns:?}");
         let s = state.sf.view_size();
-        assert_eq!(5 * s + 12 + column, 5 * s + 148, "per-row columns: {columns:?}");
-        assert_eq!(5 * s + 148, 208, "s = 12");
+        assert_eq!(5 * s + 12 + column, 5 * s + 124, "per-row columns: {columns:?}");
+        assert_eq!(5 * s + 124, 184, "s = 12");
     }
 }

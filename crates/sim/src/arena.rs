@@ -71,8 +71,8 @@
 //! (dense index → position in its live list, what makes its `leave` O(1);
 //! built at the first `leave`, before which the live order is the dense
 //! order) is one, and par's per-sender fault channels another; each lives
-//! with its schedule, not here. The daemon keys its per-row columns (its
-//! nodes' random streams, inboxes and counters) the same way.
+//! with its schedule, not here. The daemon keys its per-row column (each
+//! node's random stream and counters) the same way.
 //!
 //! The type is public for the daemon, with only the methods it calls; its
 //! fields stay private to this crate, and every other reader goes through

@@ -64,7 +64,7 @@ pub use fault::{FaultCtx, FaultModel, PhaseFault, ScheduledFault};
 pub use flat::FlatSimulation;
 pub use loss::{GilbertElliott, LossModel, LossRateError, UniformLoss};
 pub use par::ParSimulation;
-pub use shell::ArenaSim;
+pub use shell::{action_hop, count_receipt, ArenaSim};
 pub use telemetry::SimRecorder;
 pub use traits::{
     graph_of_rows, slot_word, Engine, IdBatch, ProtocolBehavior, Receipt, SfBehavior, SlotView,

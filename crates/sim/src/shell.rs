@@ -15,7 +15,8 @@
 //! delay draw, the §5 action in its pinned draw order), the delivery hop
 //! (`deliver_hop`), the reply hop (`reply_hop`) and the receipt count
 //! (`count_receipt`) that par's delivery shards share with the delivery
-//! hop.
+//! hop. The action hop and the receipt count are public: the live daemon
+//! steps its nodes through them too.
 //!
 //! What [`Engine`] declares is defined once, in the shell's `Engine` impl;
 //! callers bring the trait into scope. The inherent block holds the rest:
@@ -204,8 +205,12 @@ impl<M> InFlight<M> {
 /// or `InFlight` due at the clock `now` plus the delay (`now` itself
 /// under immediate delivery); the schedule decides where an in-flight
 /// message goes. The fault reads `round`.
+///
+/// Public so the live daemon steps each node through the same hop: it
+/// passes its one fault schedule, the node's one stream and counters, and
+/// routes the returned `Lost` or `InFlight` event onto its wire.
 #[inline]
-pub(crate) fn action_hop<B: ProtocolBehavior, L: FaultModel>(
+pub fn action_hop<B: ProtocolBehavior, L: FaultModel>(
     from: NodeId,
     channel: &mut L,
     rng: &mut StdRng,
@@ -240,9 +245,10 @@ pub(crate) fn action_hop<B: ProtocolBehavior, L: FaultModel>(
 }
 
 /// The one receipt count: a receive that kept its ids is `stored`, one
-/// that dropped them on a full view `deleted`.
+/// that dropped them on a full view `deleted`. The daemon counts each
+/// frame it drains off its socket here, into the receiver's counters.
 #[inline]
-pub(crate) fn count_receipt(stats: &mut SimStats, deleted: bool) {
+pub fn count_receipt(stats: &mut SimStats, deleted: bool) {
     if deleted {
         stats.deleted += 1;
     } else {

@@ -20,8 +20,7 @@
 //! | `g` | [`RUMOR`] | (node id, round) | `BroadcastLayer` push targets, pull partner, loss coins |
 //! | `h` | [`RUMOR_CHANNEL`] | (node id, round) | `BroadcastLayer` Gilbert–Elliott state step |
 //! | `t` | [`TOPOLOGY`] | (node id, 0) | `topology::random_iter` targets |
-//! | `n` | [`DAEMON_NODE`] | (node id, 0) | a daemon node's protocol draws |
-//! | `l` | [`DAEMON_LOSS`] | (node id, 0) | a daemon node's loss draws: one per send, against the daemon's fault schedule |
+//! | `n` | [`DAEMON_NODE`] | (node id, 0) | a daemon node's action hop and receives: initiate, loss against the daemon's fault schedule, placement |
 //! | `k` | [`DAEMON_CONTROL`] | (0, 0) | the daemon loop: join sponsors, leave victims |
 //!
 //! The central-entity engine (`FlatSimulation`) runs one stream, seeded
@@ -63,12 +62,9 @@ pub const RUMOR: u8 = b'g';
 pub const RUMOR_CHANNEL: u8 = b'h';
 /// The per-node bootstrap draws of [`topology::random_iter`](crate::topology::random_iter).
 pub const TOPOLOGY: u8 = b't';
-/// A daemon node's protocol draws (initiate and receive).
+/// A daemon node's one stream: its action hop (initiate, then one loss
+/// draw against the daemon's one fault schedule) and its receives.
 pub const DAEMON_NODE: u8 = b'n';
-/// A daemon node's loss draws: one per send, against the daemon's one
-/// fault schedule (base Section 4.1 loss, or an injected model in its
-/// place).
-pub const DAEMON_LOSS: u8 = b'l';
 /// The daemon loop's control draws (join sponsors and delays, leave victims).
 pub const DAEMON_CONTROL: u8 = b'k';
 
@@ -137,7 +133,7 @@ mod tests {
     use super::*;
 
     /// Every tag declared above, in the order of the module table.
-    const TAGS: [u8; 10] = [
+    const TAGS: [u8; 9] = [
         ACTION,
         DELIVERY,
         REPLY,
@@ -146,7 +142,6 @@ mod tests {
         RUMOR_CHANNEL,
         TOPOLOGY,
         DAEMON_NODE,
-        DAEMON_LOSS,
         DAEMON_CONTROL,
     ];
 
@@ -168,7 +163,7 @@ mod tests {
     fn extent(tag: u8) -> (u64, u64) {
         match tag {
             CONTROL | DAEMON_CONTROL => (1, 1),
-            TOPOLOGY | DAEMON_NODE | DAEMON_LOSS => (10_000, 1),
+            TOPOLOGY | DAEMON_NODE => (10_000, 1),
             _ => (1 << 10, 1 << 6),
         }
     }

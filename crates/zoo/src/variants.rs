@@ -15,7 +15,7 @@
 //! 3. [`BatchedBehavior`] — `b` payload ids per message (odd `b`,
 //!    preserving the Observation 5.1 parity invariant).
 //!
-//! The analyzed baseline is [`SfBehavior`](sandf_sim::SfBehavior) itself, so the
+//! The analyzed baseline is [`SfBehavior`] itself, so the
 //! `variants_ablation` bench compares degree balance, dependence, and
 //! loss-resilience across all four on one engine — quantifying exactly the
 //! trade-offs the paper chose not to analyze.
@@ -23,7 +23,7 @@
 //! Each is vanilla S&F over a [`SlotView`] window with one rule changed:
 //! the same slot draws, with empty slots marked by the arena's
 //! [`EMPTY_SLOT`] sentinel and tombstones by the [`FLAG_TOMBSTONE`] bit.
-//! The vanilla protocol needs no re-expression — it *is* [`SfBehavior`](sandf_sim::SfBehavior).
+//! The vanilla protocol needs no re-expression — it *is* [`SfBehavior`].
 //!
 //! Wire format: [`IdBatch`] with per-payload dependence bits; the
 //! sender's own dependence rides in the `kind` field
@@ -53,8 +53,8 @@ use rand::seq::index::sample;
 use rand::Rng;
 use sandf_core::{NodeId, SfConfig};
 use sandf_sim::{
-    slot_word, IdBatch, ProtocolBehavior, Receipt, SlotView, EMPTY_SLOT, FLAG_DEPENDENT,
-    FLAG_TOMBSTONE,
+    slot_word, IdBatch, ProtocolBehavior, Receipt, SfBehavior, SlotView, EMPTY_SLOT,
+    FLAG_DEPENDENT, FLAG_TOMBSTONE,
 };
 
 /// [`IdBatch::kind`] for a send whose transmitted instances were cleansed
@@ -82,7 +82,7 @@ fn dep_flag(dependent: bool) -> u8 {
 }
 
 /// Draws the vanilla S&F slot pair: `i` uniform over `0..s`, `j` uniform
-/// over the remaining `s − 1` slots.
+/// over the remaining `s − 1` slots, as [`SfBehavior::initiate`] does.
 fn draw_pair(s: usize, rng: &mut impl Rng) -> (usize, usize) {
     let i = rng.gen_range(0..s);
     let mut j = rng.gen_range(0..s - 1);
@@ -92,7 +92,8 @@ fn draw_pair(s: usize, rng: &mut impl Rng) -> (usize, usize) {
     (i, j)
 }
 
-/// Variant 2 (replace-when-full) over the arena: vanilla S&F sends, but a
+/// Variant 2 (replace-when-full) over the arena: vanilla S&F sends (its
+/// initiate is [`SfBehavior`]'s), but a
 /// full receiver *overwrites* a uniformly random victim instead of
 /// deleting the arrivals — no message is ever wasted, at the price of
 /// displacing healthy entries.
@@ -126,29 +127,17 @@ impl ProtocolBehavior for ReplaceBehavior {
         msg.kind == KIND_DEPENDENT_SEND
     }
 
+    /// Vanilla S&F's send ([`SfBehavior::initiate`]: the same draws, the
+    /// same clearing), carried in an [`IdBatch`].
     fn initiate<R: Rng>(
         &self,
         config: SfConfig,
         view: SlotView<'_>,
         rng: &mut R,
     ) -> Option<(NodeId, IdBatch)> {
-        let SlotView { id, ids, flags, degree } = view;
-        let (i, j) = draw_pair(ids.len(), rng);
-        if ids[i] == EMPTY_SLOT || ids[j] == EMPTY_SLOT {
-            return None;
-        }
-        let target = NodeId::new(u64::from(ids[i]));
-        let payload = NodeId::new(u64::from(ids[j]));
-        let duplicated = (*degree as usize) <= config.lower_threshold();
-        if !duplicated {
-            ids[i] = EMPTY_SLOT;
-            flags[i] = 0;
-            ids[j] = EMPTY_SLOT;
-            flags[j] = 0;
-            *degree -= 2;
-        }
-        let mut msg = IdBatch::new(id, kind_of(duplicated));
-        msg.push(payload, duplicated);
+        let (target, message) = SfBehavior.initiate(config, view, rng)?;
+        let mut msg = IdBatch::new(message.sender, kind_of(message.dependent));
+        msg.push(message.payload, message.dependent);
         Some((target, msg))
     }
 

@@ -94,6 +94,12 @@ fn observed_cluster_counters_aggregate_the_per_node_stats() {
         counter("daemon.net.dropped") + counter("daemon.net.delivered"),
         "the loss layer's ledger must balance"
     );
+    // And every frame a live node received is one of its receive steps.
+    assert_eq!(
+        counter("daemon.net.received"),
+        sum(&nodes, |s| s.stored + s.deletions),
+        "the drain receives every frame it takes in"
+    );
 }
 
 #[test]
