@@ -4,11 +4,21 @@
 //!
 //! * the **metric-name list** is pinned for the full report (profiler on)
 //!   — names must be stable even though span values are not;
-//! * the **rendered values** (exposition, TSV, journal JSONL) are pinned
-//!   only as run-to-run identical for the deterministic subset (profiler
-//!   off), which is the documented determinism contract.
+//! * the **rendered values** of the deterministic subset (profiler off)
+//!   are pinned run to run (exposition, TSV, journal JSONL), and the
+//!   exposition and journal byte for byte against recorded goldens.
+//!
+//! To regenerate after an *intentional* change:
+//!
+//! ```text
+//! UPDATE_GOLDENS=1 cargo test -p sandf-bench --test obs_report
+//! ```
+
+mod support;
 
 use sandf_bench::obsrep::{obs_report, ObsReportConfig};
+
+use support::golden;
 
 fn toy(profile: bool) -> ObsReportConfig {
     ObsReportConfig { profile, ..ObsReportConfig::toy() }
@@ -46,6 +56,20 @@ fn deterministic_subset_is_byte_identical_across_runs() {
     assert_eq!(tsv_a, tsv_b, "TSV dump must be seed-stable");
     assert_eq!(journal_a, journal_b, "journal must be seed-stable");
     assert!(!journal_a.is_empty(), "journal must retain events");
+}
+
+/// The deterministic subset's exposition and journal, byte for byte: the
+/// `sim.step.*` samples and the two-phase (`in_flight`, then `delivered`)
+/// journal of the toy run.
+#[test]
+fn deterministic_subset_matches_recorded_goldens() {
+    let report = obs_report(&toy(false));
+    for (name, fresh) in [
+        ("obs_report_toy_exposition.txt", &report.prometheus),
+        ("obs_report_toy_journal.jsonl", &report.journal_jsonl),
+    ] {
+        assert_eq!(*fresh, golden(name, fresh), "{name}: obs_report moved");
+    }
 }
 
 #[test]
