@@ -1,24 +1,27 @@
 //! The observability report: one instrumented run with every `sandf-obs`
 //! pillar attached.
 //!
-//! [`obs_report`] runs a seeded simulation with a [`SimRecorder`] counting
-//! `sim.step.*`, a bounded [`EventJournal`] mirroring the step-event
-//! stream, and (optionally) the engine's hot-path profiler. The result
-//! bundles the Prometheus exposition, the TSV dump, the journal JSONL, and
-//! the sorted metric-name list. (The live substrate's `daemon.*` catalog is
-//! pinned next to the daemon, in `crates/daemon/tests`.)
+//! [`obs_report`] runs a seeded flat simulation, journals the step reports
+//! it asks the engine for (`step_into`, `settle_into`) into a bounded
+//! [`EventJournal`], publishes the engine's ledger through a
+//! [`SimRecorder`] as `sim.step.*`, and (optionally) attaches the engine's
+//! hot-path profiler. The result bundles the Prometheus exposition, the
+//! TSV dump, the journal JSONL, and the sorted metric-name list. (The live
+//! substrate's `daemon.*` catalog is pinned next to the daemon, in
+//! `crates/daemon/tests`.)
 //!
 //! Determinism contract: with `profile: false`, the whole report is a pure
 //! function of the config — two runs with the same seed produce
 //! byte-identical exposition, TSV, and journal (the simulation is
-//! single-threaded and the recorder observes it inline). Profiling spans
-//! read the wall clock, so that switch trades determinism for coverage;
-//! golden tests pin metric *names* for the full report and metric *values*
-//! only for the deterministic subset.
+//! single-threaded, and the journal and counters read what it did).
+//! Profiling spans read the wall clock, so that switch trades determinism
+//! for coverage; golden tests pin metric *names* for the full report and
+//! the exposition and journal of the deterministic subset.
 
 use sandf_obs::{EventJournal, MetricsRegistry};
 use sandf_sim::experiment::initial_degree;
-use sandf_sim::{topology, DelayModel, Engine, FlatSimulation, SimRecorder, SimStats, UniformLoss};
+use sandf_sim::telemetry::journal_event;
+use sandf_sim::{topology, DelayModel, FlatSimulation, SimRecorder, SimStats, UniformLoss};
 
 use crate::sweeps::paper_config;
 
@@ -104,14 +107,19 @@ pub fn obs_report(config: &ObsReportConfig) -> ObsReport {
         DelayModel::UniformSteps { max: config.max_delay }
     };
     let mut sim = FlatSimulation::new(nodes, loss, config.seed).delayed(delay);
-    sim.subscribe(Box::new(SimRecorder::with_journal(&registry, journal.clone())));
+    let mut recorder = SimRecorder::new(&registry);
     if config.profile {
         sim.attach_profiler(&registry);
     }
+    let mut reports = Vec::new();
     for _ in 0..config.n * config.rounds {
-        sim.step();
+        sim.step_into(&mut reports);
     }
-    sim.settle();
+    sim.settle_into(&mut reports);
+    for report in &reports {
+        journal.record(report.step, journal_event(report));
+    }
+    recorder.record(&sim);
 
     ObsReport {
         prometheus: registry.render_prometheus(),

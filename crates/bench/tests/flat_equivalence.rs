@@ -53,9 +53,9 @@ fn flat_artifact<L: LossModel>(loss: L, seed: u64) -> String {
     let registry = MetricsRegistry::new();
     let mut sim =
         FlatSimulation::new(nodes(), loss, seed).delayed(DelayModel::UniformSteps { max: 8 });
-    sim.subscribe(Box::new(SimRecorder::new(&registry)));
     sim.run_rounds(ROUNDS);
     sim.settle();
+    SimRecorder::new(&registry).record(&sim);
     format!("{:?}\n{}", sim.stats(), registry.render_prometheus())
 }
 
@@ -76,7 +76,6 @@ fn churn_artifact<L: LossModel>(loss: L, seed: u64) -> String {
     let registry = MetricsRegistry::new();
     let mut sim =
         FlatSimulation::new(nodes(), loss, seed).delayed(DelayModel::UniformSteps { max: 8 });
-    sim.subscribe(Box::new(SimRecorder::new(&registry)));
     for epoch in 0..4u64 {
         for _ in 0..5 {
             sim.round_permuted();
@@ -85,6 +84,7 @@ fn churn_artifact<L: LossModel>(loss: L, seed: u64) -> String {
         sim.join_via(NodeId::new(epoch + 10)).expect("sponsor has enough neighbours");
     }
     sim.settle();
+    SimRecorder::new(&registry).record(&sim);
     format!("{:?}\n{}", sim.stats(), registry.render_prometheus())
 }
 

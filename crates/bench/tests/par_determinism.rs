@@ -61,9 +61,9 @@ fn par_artifact<L: LossModel + Clone + Send>(loss: L, seed: u64, threads: usize)
     let registry = MetricsRegistry::new();
     let mut sim = ParSimulation::new(nodes(), loss, seed, threads)
         .delayed(DelayModel::UniformSteps { max: 6 });
-    sim.subscribe(Box::new(SimRecorder::new(&registry)));
     sim.run_rounds(ROUNDS);
     sim.settle();
+    SimRecorder::new(&registry).record(&sim);
     format!("{:?}\n{}", sim.stats(), registry.render_prometheus())
 }
 

@@ -1,5 +1,7 @@
-//! The workspace's one id → position table: open addressing over `u32`
-//! positions into an id slice the caller owns.
+//! The membership-graph snapshot's id → position table: open addressing
+//! over `u32` positions into an id slice the caller owns. The engines and
+//! the daemon's live checker resolve ids through their arena's own index
+//! instead (`sandf_sim::Arena::dense_of`).
 
 use sandf_core::NodeId;
 
@@ -17,8 +19,7 @@ const VACANT: u32 = u32::MAX;
 /// last [`rebuild`](Self::rebuild) indexed.
 ///
 /// [`MembershipGraph`](crate::MembershipGraph) resolves its edges through
-/// one, and the daemon's live checker resolves view entries to seats
-/// through another, kept across checks.
+/// one.
 ///
 /// # Examples
 ///

@@ -18,8 +18,7 @@
 //!   Property M3, Lemmas 7.5/7.6.
 //!
 //! A snapshot is stored as compressed sparse rows over `u32` positions (4 B
-//! per edge); its ids resolve through [`IdIndex`], the same table the
-//! daemon's live checker seats nodes with.
+//! per edge); its ids resolve through an [`IdIndex`].
 //!
 //! ## Example
 //!

@@ -274,17 +274,17 @@ pub fn total_variation(p: &[f64], q: &[f64]) -> f64 {
 /// Returns `None` when there are fewer than two categories or no
 /// observations.
 #[must_use]
-pub fn chi_square_uniform(observed: &[u64]) -> Option<f64> {
-    if observed.len() < 2 {
+pub fn chi_square_uniform(counts: &[u64]) -> Option<f64> {
+    if counts.len() < 2 {
         return None;
     }
-    let total: u64 = observed.iter().sum();
+    let total: u64 = counts.iter().sum();
     if total == 0 {
         return None;
     }
-    let expected = total as f64 / observed.len() as f64;
+    let expected = total as f64 / counts.len() as f64;
     Some(
-        observed
+        counts
             .iter()
             .map(|&o| {
                 let diff = o as f64 - expected;

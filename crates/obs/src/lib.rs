@@ -19,8 +19,9 @@
 //!   histograms, so perf work has baseline numbers.
 //!
 //! Everything record-side is overhead-conscious: handles are `Arc`-shared
-//! atomics, and the instrumented layers skip their hooks entirely when no
-//! recorder is subscribed and no profiler is attached.
+//! atomics, the simulator's `sim.step.*` counters are published from its
+//! own ledger when a caller asks (no engine stores an observer), and an
+//! engine with no profiler attached starts no span.
 //!
 //! Counter and journal contents are **deterministic** for a fixed seed in
 //! single-threaded simulation runs — only span histograms carry wall-clock

@@ -8,10 +8,12 @@
 //! exactly one action — i.e. `n` random steps.
 //!
 //! This module holds what they report and how their channel delays: the
-//! system-wide counters ([`SimStats`]) with their ledger laws, the per-step
-//! report ([`StepReport`], [`StepEvent`], [`StepPhase`]) and its observer
-//! ([`StepSubscriber`]), and the message-delay model ([`DelayModel`]). The
-//! tests below hold the ledgers and the observer stream to those laws on
+//! system-wide counters ([`SimStats`]) with their ledger laws, the one
+//! event record of a run, the per-step report ([`StepReport`],
+//! [`StepEvent`], [`StepPhase`]) that flat's `step` returns and its
+//! `step_into` and `settle_into` hand to the caller that asks, and the
+//! message-delay model ([`DelayModel`]). No engine stores an observer. The
+//! tests below hold the ledgers and the report stream to those laws on
 //! [`FlatSimulation`](crate::FlatSimulation), the engine the evaluation
 //! runs on.
 
@@ -72,7 +74,7 @@ impl SimStats {
     }
 }
 
-/// What happened during one simulation step, for observers.
+/// What happened during one simulation step.
 ///
 /// Generic over the wire message `M` so the protocol-generic engines can
 /// report their own message types; plain S&F engines use the default.
@@ -161,24 +163,6 @@ pub struct StepReport<M = Message> {
     pub step: u64,
 }
 
-/// An observer of the simulation's step-event stream.
-///
-/// Register with [`Engine::subscribe`](crate::Engine::subscribe); the
-/// callback fires once per [`StepReport`], including the delayed-delivery
-/// reports that [`FlatSimulation::step`](crate::FlatSimulation::step) does
-/// not return. Subscribers run inline on the stepping thread, so keep callbacks cheap; they must be `Send` because
-/// simulations migrate across sweep worker threads.
-pub trait StepSubscriber<M = Message>: Send {
-    /// Called after each step (and each delayed delivery) with its report.
-    fn on_step(&mut self, report: &StepReport<M>);
-}
-
-impl<M, F: FnMut(&StepReport<M>) + Send> StepSubscriber<M> for F {
-    fn on_step(&mut self, report: &StepReport<M>) {
-        self(report);
-    }
-}
-
 /// Message-delay model: how long a sent message stays in flight.
 ///
 /// The paper's model breaks actions into single-node *steps* precisely so
@@ -206,11 +190,12 @@ pub enum DelayModel {
 
 #[cfg(test)]
 mod tests {
+    use rand::Rng;
     use sandf_core::SfConfig;
 
     use crate::loss::UniformLoss;
     use crate::topology;
-    use crate::{Engine, FlatSimulation};
+    use crate::{Engine, FlatSimulation, ProtocolBehavior, Receipt, SfBehavior, SlotView};
 
     use super::*;
 
@@ -346,19 +331,53 @@ mod tests {
         );
     }
 
+    /// S&F whose initiate logs the acting node's id first.
+    #[derive(Clone, Default)]
+    struct Logged(std::sync::Arc<std::sync::Mutex<Vec<NodeId>>>);
+
+    impl ProtocolBehavior for Logged {
+        type Msg = Message;
+
+        fn sender(msg: &Message) -> NodeId {
+            msg.sender
+        }
+
+        fn duplicated(msg: &Message) -> bool {
+            SfBehavior::duplicated(msg)
+        }
+
+        fn initiate<R: Rng>(
+            &self,
+            config: SfConfig,
+            view: SlotView<'_>,
+            rng: &mut R,
+        ) -> Option<(NodeId, Message)> {
+            self.0.lock().unwrap().push(view.id);
+            SfBehavior.initiate(config, view, rng)
+        }
+
+        fn receive<R: Rng>(
+            &self,
+            config: SfConfig,
+            view: SlotView<'_>,
+            msg: Message,
+            rng: &mut R,
+        ) -> Receipt<Message> {
+            SfBehavior.receive(config, view, msg, rng)
+        }
+    }
+
     #[test]
     fn permuted_round_touches_every_node() {
-        use std::sync::{Arc, Mutex};
-        let initiators = Arc::new(Mutex::new(Vec::new()));
-        let sink = Arc::clone(&initiators);
-        let mut sim = small_sim(11);
-        sim.subscribe(Box::new(move |r: &StepReport| {
-            if r.phase == StepPhase::Action {
-                sink.lock().unwrap().push(r.initiator);
-            }
-        }));
+        let logged = Logged::default();
+        let views = topology::circulant(24, config(), 4)
+            .iter()
+            .map(|node| (node.id(), node.view().ids().collect()))
+            .collect();
+        let mut sim =
+            FlatSimulation::from_views(logged.clone(), config(), views, UniformLoss::none(), 11);
         sim.round_permuted();
-        let mut initiators = initiators.lock().unwrap().clone();
+        let mut initiators = logged.0.lock().unwrap().clone();
         initiators.sort_unstable();
         assert_eq!(initiators, sim.live_ids(), "every node initiates exactly once");
     }
@@ -429,8 +448,7 @@ mod tests {
     }
 
     #[test]
-    fn subscriber_counts_match_sim_stats() {
-        use std::sync::{Arc, Mutex};
+    fn step_reports_count_what_sim_stats_counts() {
         #[derive(Default)]
         struct Counts {
             actions: u64,
@@ -439,12 +457,14 @@ mod tests {
             lost: u64,
             delivered: u64,
         }
-        let counts = Arc::new(Mutex::new(Counts::default()));
-        let sink = Arc::clone(&counts);
+        let mut c = Counts::default();
         let nodes = topology::circulant(24, config(), 4);
         let mut sim = FlatSimulation::new(nodes, UniformLoss::new(0.1).unwrap(), 21);
-        sim.subscribe(Box::new(move |report: &StepReport| {
-            let mut c = sink.lock().unwrap();
+        let mut reports = Vec::new();
+        for _ in 0..600 {
+            sim.step_into(&mut reports);
+        }
+        for report in &reports {
             match report.phase {
                 StepPhase::Action => c.actions += 1,
                 StepPhase::Delivery => c.deliveries += 1,
@@ -455,11 +475,7 @@ mod tests {
                 StepEvent::Delivered { .. } => c.delivered += 1,
                 _ => {}
             }
-        }));
-        for _ in 0..600 {
-            sim.step();
         }
-        let c = counts.lock().unwrap();
         let s = sim.stats();
         assert_eq!(c.actions, s.actions);
         assert_eq!(c.self_loops, s.self_loops);
@@ -469,63 +485,28 @@ mod tests {
     }
 
     #[test]
-    fn subscriber_sees_delayed_deliveries() {
-        use std::sync::{Arc, Mutex};
-        let log: Arc<Mutex<Vec<(StepPhase, StepEvent)>>> = Arc::new(Mutex::new(Vec::new()));
-        let sink = Arc::clone(&log);
+    fn settle_into_hands_over_every_delayed_delivery() {
         let nodes = topology::circulant(24, config(), 4);
         let mut sim = FlatSimulation::new(nodes, UniformLoss::none(), 23)
             .delayed(DelayModel::UniformSteps { max: 30 });
-        sim.subscribe(Box::new(move |r: &StepReport| {
-            sink.lock().unwrap().push((r.phase, r.event))
-        }));
+        let mut log = Vec::new();
         for _ in 0..500 {
-            sim.step();
+            sim.step_into(&mut log);
         }
-        sim.settle();
-        let log = log.lock().unwrap();
-        let queued = log.iter().filter(|(_, e)| matches!(e, StepEvent::InFlight { .. })).count();
+        assert!(sim.in_flight() > 0, "nothing was left for the settle");
+        sim.settle_into(&mut log);
+        let queued = log.iter().filter(|r| matches!(r.event, StepEvent::InFlight { .. })).count();
         let delivered = log
             .iter()
-            .filter(|(p, e)| {
-                *p == StepPhase::Delivery
-                    && matches!(e, StepEvent::Delivered { .. } | StepEvent::DeadLetter { .. })
+            .filter(|r| {
+                r.phase == StepPhase::Delivery
+                    && matches!(r.event, StepEvent::Delivered { .. } | StepEvent::DeadLetter { .. })
             })
             .count();
         assert!(queued > 0, "delayed mode must queue messages");
         assert_eq!(queued, delivered, "every queued message must produce a delivery report");
         let s = sim.stats();
         assert_eq!(delivered as u64, s.stored + s.deleted + s.dead_letters);
-    }
-
-    #[test]
-    fn clones_do_not_carry_subscribers() {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        use std::sync::Arc;
-
-        use crate::shell::{ArenaSim, Schedule};
-        use crate::SfBehavior;
-
-        fn check<S: Schedule<UniformLoss, SfBehavior> + Clone>(
-            mut sim: ArenaSim<S, UniformLoss, SfBehavior>,
-        ) {
-            let seen = Arc::new(AtomicU64::new(0));
-            let sink = Arc::clone(&seen);
-            sim.subscribe(Box::new(move |_: &StepReport| {
-                sink.fetch_add(1, Ordering::Relaxed);
-            }));
-            assert_eq!(sim.subscriber_count(), 1);
-            let mut clone = sim.clone();
-            assert_eq!(clone.subscriber_count(), 0);
-            clone.run_rounds(1);
-            let reports = || seen.load(Ordering::Relaxed);
-            assert_eq!(reports(), 0, "the clone reported to the original's observer");
-            sim.run_rounds(1);
-            assert!(reports() > 0, "the original stopped reporting");
-        }
-        let nodes = topology::circulant(24, config(), 4);
-        check(small_sim(1));
-        check(crate::ParSimulation::new(nodes, UniformLoss::none(), 1, 2));
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //!
 //! [`FlatSimulation`] is the shell under this schedule. The shell owns the
 //! arena (see [`crate::arena`] for the storage layout and the `u64`-id
-//! widening boundary), the fault, the stats and the subscribers; what this
-//! module owns is the part that makes it *that* engine:
+//! widening boundary), the fault and the stats; what this module owns is
+//! the part that makes it *that* engine:
 //!
 //! * **central-entity scheduler** — one global RNG; each step draws a
 //!   uniformly random live node (the paper's §5 execution model). The live
@@ -25,9 +25,14 @@
 //!   [`DelayModel::UniformSteps`](crate::DelayModel::UniformSteps) (S&F
 //!   only, bound in steps) a message waits in the shell's in-flight queue
 //!   and is delivered at the start of the step it is due;
-//! * **branch-light stepping** — the subscriber-free delivery drain is a
-//!   single counter check per step, and the observed paths stay out of
-//!   line.
+//! * **branch-light stepping** — the delivery drain is a single counter
+//!   check per step while nothing is in flight;
+//! * **reports on request** — `step` returns the action's report;
+//!   [`step_into`](FlatSimulation::step_into) and
+//!   [`settle_into`](FlatSimulation::settle_into) run the same step and
+//!   settle and append every report they make to the caller's buffer
+//!   (the due deliveries, the action, then any reply it triggered), which
+//!   is how a caller journals a run. The engine stores no observer.
 //!
 //! # Protocol genericity
 //!
@@ -105,7 +110,7 @@ use crate::traits::{Engine, ProtocolBehavior, SfBehavior};
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 ///
-/// A clone starts with no subscribers and shares an attached profiler.
+/// A clone shares an attached profiler.
 pub type FlatSimulation<L, B = SfBehavior> = ArenaSim<Flat, L, B>;
 
 /// One live-list entry: a node's raw id packed next to its dense arena
@@ -315,7 +320,23 @@ impl<L: FaultModel, B: ProtocolBehavior> FlatSimulation<L, B> {
     /// Executes one step by a uniformly random live node (the paper's
     /// central-entity model).
     pub fn step(&mut self) -> StepReport<B::Msg> {
-        let (id, k) = match &self.sched.order {
+        let (id, k) = self.draw();
+        self.step_impl(id, k, None)
+    }
+
+    /// Executes one step, as [`step`](Self::step) does, and appends every
+    /// report it makes to `reports`: the deliveries due at it, then its
+    /// action, then the reply an immediate delivery triggered.
+    pub fn step_into(&mut self, reports: &mut Vec<StepReport<B::Msg>>) {
+        let (id, k) = self.draw();
+        self.step_impl(id, k, Some(reports));
+    }
+
+    /// The initiator draw: a uniformly random live node, with its dense
+    /// arena index.
+    #[inline]
+    fn draw(&mut self) -> (NodeId, usize) {
+        match &self.sched.order {
             LiveOrder::Dense => {
                 let k = self.sched.rng.gen_range(0..self.arena.dense_id.len());
                 (self.arena.id_at(k), k)
@@ -324,24 +345,25 @@ impl<L: FaultModel, B: ProtocolBehavior> FlatSimulation<L, B> {
                 let entry = live[self.sched.rng.gen_range(0..live.len())];
                 (entry.node_id(), entry.dense as usize)
             }
-        };
-        self.step_impl(id, k)
+        }
     }
 
     /// The stepping core: one action by the live node `initiator`, whose
     /// dense arena index `k` the caller already holds (from the draw, the
     /// packed live list, or the permuted round's order), through the
     /// shell's [`action_hop`] on the global RNG. A message due now is
-    /// delivered inline; a delayed one joins the in-flight queue.
+    /// delivered inline; a delayed one joins the in-flight queue. Every
+    /// report goes to `reports` when the caller asked for them.
     #[inline]
-    fn step_impl(&mut self, initiator: NodeId, k: usize) -> StepReport<B::Msg> {
+    fn step_impl(
+        &mut self,
+        initiator: NodeId,
+        k: usize,
+        mut reports: Option<&mut Vec<StepReport<B::Msg>>>,
+    ) -> StepReport<B::Msg> {
         let _span = self.sched.profile.as_ref().map(|p| SpanTimer::start(&p.step));
         self.steps += 1;
-        if self.subscribers.is_empty() {
-            self.deliver_due(None);
-        } else {
-            self.deliver_due_observed();
-        }
+        self.deliver_due(reports.as_deref_mut());
         let (arena, behavior) = (&mut self.arena, &self.behavior);
         let (rng, stats, clock) = (&mut self.sched.rng, &mut self.stats, (self.rounds, self.steps));
         let mut event =
@@ -349,7 +371,7 @@ impl<L: FaultModel, B: ProtocolBehavior> FlatSimulation<L, B> {
                 arena.initiate(behavior, k, rng)
             });
         // The report of the reply an immediate delivery triggered; it
-        // causally follows the action report, so it is notified after it.
+        // causally follows the action report, so it is reported after it.
         let mut chained: Option<StepReport<B::Msg>> = None;
         if let StepEvent::InFlight { to, message, deliver_at, .. } = event {
             if deliver_at == self.steps {
@@ -361,11 +383,9 @@ impl<L: FaultModel, B: ProtocolBehavior> FlatSimulation<L, B> {
             }
         }
         let report = StepReport { initiator, event, phase: StepPhase::Action, step: self.steps };
-        if !self.subscribers.is_empty() {
-            self.notify(&report);
-            if let Some(chained) = &chained {
-                self.notify(chained);
-            }
+        if let Some(reports) = reports {
+            reports.push(report);
+            reports.extend(chained);
         }
         report
     }
@@ -391,12 +411,18 @@ impl<L: FaultModel, B: ProtocolBehavior> FlatSimulation<L, B> {
         let profile = self.sched.profile.as_ref().filter(|_| !lost);
         let _span = profile.map(|p| SpanTimer::start(&p.deliver));
         let (arena, stats, rng) = (&mut self.arena, &mut self.stats, &mut self.sched.rng);
-        reply_hop(arena, &self.behavior, stats, reply, lost, rng, self.steps)
+        let event = reply_hop(arena, &self.behavior, stats, reply, lost, rng);
+        StepReport {
+            initiator: B::sender(&reply.1),
+            event,
+            phase: StepPhase::Delivery,
+            step: self.steps,
+        }
     }
 
     /// Drains every bucket whose delivery time has arrived, in increasing
-    /// time order. The subscriber-free path costs one counter check when
-    /// nothing is in flight.
+    /// time order, reporting each delivery to `reports` when given. It
+    /// costs one counter check when nothing is in flight.
     fn deliver_due(&mut self, mut reports: Option<&mut Vec<StepReport<B::Msg>>>) {
         if self.queue.is_empty() {
             self.sched.drained_to = self.steps;
@@ -421,23 +447,21 @@ impl<L: FaultModel, B: ProtocolBehavior> FlatSimulation<L, B> {
         self.sched.drained_to = self.steps;
     }
 
-    /// The subscriber path of due-message delivery: collect the delivery
-    /// reports, then notify. Out of line so it costs nothing when no
-    /// subscriber is registered.
-    #[cold]
-    #[inline(never)]
-    fn deliver_due_observed(&mut self) {
-        let mut delivered = Vec::new();
-        self.deliver_due(Some(&mut delivered));
-        for report in &delivered {
-            self.notify(report);
-        }
-    }
-
     /// Delivers every message still in flight, advancing the step clock to
     /// the last scheduled delivery — call before taking an
     /// end-of-experiment snapshot of a delayed simulation.
     pub fn settle(&mut self) {
+        self.settle_impl(None);
+    }
+
+    /// Settles, as [`settle`](Self::settle) does, and appends a report of
+    /// each delivery to `reports`, in delivery order.
+    pub fn settle_into(&mut self, reports: &mut Vec<StepReport<B::Msg>>) {
+        self.settle_impl(Some(reports));
+    }
+
+    /// The settling core, reporting each delivery to `reports` when given.
+    fn settle_impl(&mut self, reports: Option<&mut Vec<StepReport<B::Msg>>>) {
         // Everything in flight is due in `(drained_to, drained_to + span]`.
         let drained = self.sched.drained_to;
         let Some(last) =
@@ -446,11 +470,7 @@ impl<L: FaultModel, B: ProtocolBehavior> FlatSimulation<L, B> {
             return;
         };
         self.steps = self.steps.max(last);
-        if self.subscribers.is_empty() {
-            self.deliver_due(None);
-        } else {
-            self.deliver_due_observed();
-        }
+        self.deliver_due(reports);
     }
 
     /// Executes one round: `n` steps by uniformly random nodes.
@@ -469,7 +489,7 @@ impl<L: FaultModel, B: ProtocolBehavior> FlatSimulation<L, B> {
         for k in order {
             let id = self.arena.id_at(k);
             if self.arena.dense_of(id).is_some() {
-                self.step_impl(id, k);
+                self.step_impl(id, k, None);
             }
         }
         self.rounds += 1;
@@ -712,21 +732,26 @@ mod tests {
     }
 
     #[test]
-    fn flat_subscriber_sees_identical_reports() {
-        use std::sync::{Arc, Mutex};
-        // The observed stream is the returned one, with each delayed
-        // delivery reported once, in its own phase.
-        let log: Arc<Mutex<Vec<StepReport>>> = Arc::new(Mutex::new(Vec::new()));
-        let sink = Arc::clone(&log);
-        let mut sim = FlatSimulation::new(nodes(), UniformLoss::new(0.05).unwrap(), 23)
-            .delayed(DelayModel::UniformSteps { max: 20 });
-        sim.subscribe(Box::new(move |r: &StepReport| sink.lock().unwrap().push(*r)));
-        let returned: Vec<StepReport> = (0..400).map(|_| sim.step()).collect();
-        sim.settle();
-        let log = log.lock().unwrap();
+    fn step_into_hands_over_the_returned_reports() {
+        // `step_into` runs the step `step` runs, and its stream is the
+        // returned one, with each delayed delivery reported once, in its
+        // own phase.
+        let build = || {
+            FlatSimulation::new(nodes(), UniformLoss::new(0.05).unwrap(), 23)
+                .delayed(DelayModel::UniformSteps { max: 20 })
+        };
+        let (mut sim, mut twin) = (build(), build());
+        let mut log = Vec::new();
+        for _ in 0..400 {
+            sim.step_into(&mut log);
+        }
+        let returned: Vec<StepReport> = (0..400).map(|_| twin.step()).collect();
+        sim.settle_into(&mut log);
+        twin.settle();
+        assert_eq!(sim.stats(), twin.stats(), "asking for reports moved the run");
         let (actions, deliveries): (Vec<StepReport>, Vec<StepReport>) =
             log.iter().partition(|r| r.phase == StepPhase::Action);
-        assert_eq!(actions, returned, "observed action reports diverged");
+        assert_eq!(actions, returned, "handed-over action reports diverged");
         let s = sim.stats();
         assert_eq!(deliveries.len() as u64, s.stored + s.deleted + s.dead_letters);
         assert!(log.windows(2).all(|w| w[0].step <= w[1].step), "reports out of step order");
@@ -815,22 +840,19 @@ mod tests {
     #[test]
     fn delayed_messages_arrive_on_their_due_step() {
         use std::collections::BTreeMap;
-        use std::sync::{Arc, Mutex};
-        let log: Arc<Mutex<Vec<StepReport>>> = Arc::new(Mutex::new(Vec::new()));
-        let sink = Arc::clone(&log);
+        let mut log = Vec::new();
         let mut sim = FlatSimulation::new(nodes(), UniformLoss::new(1.0).unwrap(), 29)
             .delayed(DelayModel::UniformSteps { max: 8 });
-        sim.subscribe(Box::new(move |r: &StepReport| sink.lock().unwrap().push(*r)));
         for _ in 0..60 {
-            sim.step();
+            sim.step_into(&mut log);
         }
         assert_eq!(sim.in_flight(), 0);
         sim.update_fault(|f| *f = UniformLoss::none());
         for _ in 0..2_000 {
-            sim.step();
+            sim.step_into(&mut log);
         }
         let mut due: BTreeMap<u64, i64> = BTreeMap::new();
-        for report in log.lock().unwrap().iter() {
+        for report in &log {
             match (report.phase, report.event) {
                 (StepPhase::Action, StepEvent::InFlight { deliver_at, .. })
                     if deliver_at <= 2_060 =>

@@ -59,7 +59,7 @@ pub use broadcast::{
     SpreadReport, TraceEdge,
 };
 pub use degree::DegreeStats;
-pub use engine::{DelayModel, SimStats, StepEvent, StepPhase, StepReport, StepSubscriber};
+pub use engine::{DelayModel, SimStats, StepEvent, StepPhase, StepReport};
 pub use fault::{FaultCtx, FaultModel, PhaseFault, ScheduledFault};
 pub use flat::FlatSimulation;
 pub use loss::{GilbertElliott, LossModel, LossRateError, UniformLoss};

@@ -105,7 +105,7 @@ use sandf_core::{NodeId, SfConfig, SfNode};
 use sandf_obs::{duration_buckets, GaugeHandle, HistogramHandle, MetricsRegistry, SpanTimer};
 
 use crate::arena::{Arena, Shard};
-use crate::engine::{DelayModel, SimStats, StepEvent, StepPhase, StepReport};
+use crate::engine::{DelayModel, SimStats, StepEvent};
 use crate::fault::{FaultCtx, FaultModel};
 use crate::shell::{action_hop, count_receipt, reply_hop, ArenaSim, InFlight, Schedule};
 use crate::stream::{self, absorb, stream_prefix, stream_seed};
@@ -133,8 +133,7 @@ use crate::traits::{ProtocolBehavior, SfBehavior};
 /// [`DelayModel::Immediate`] messages are delivered in the same round's
 /// delivery phase (after every node has acted).
 ///
-/// As with the flat engine, a clone starts with no subscribers and shares
-/// an attached profiler.
+/// As with the flat engine, a clone shares an attached profiler.
 pub type ParSimulation<L, B = SfBehavior> = ArenaSim<Par<L, <B as ProtocolBehavior>::Msg>, L, B>;
 
 /// Streams per seed fill: a phase worker derives this many seeds in one
@@ -157,7 +156,7 @@ fn control_seed(seed: u64) -> u64 {
 }
 
 /// Adds every counter of `delta` into `total`.
-fn merge_stats(total: &mut SimStats, delta: &SimStats) {
+pub(crate) fn merge_stats(total: &mut SimStats, delta: &SimStats) {
     total.actions += delta.actions;
     total.self_loops += delta.self_loops;
     total.sent += delta.sent;
@@ -187,7 +186,6 @@ struct ActionCtx {
     seed: u64,
     round: u64,
     delay: DelayModel,
-    observed: bool,
 }
 
 /// One shard's buffers, kept on the engine across rounds so a round
@@ -222,11 +220,9 @@ impl<M> Clone for ShardScratch<M> {
 }
 
 /// What one action-phase shard worker produced besides its sends.
-struct ActionShardOut<M> {
+struct ActionShardOut {
     stats: SimStats,
     live: u64,
-    /// Action reports in dense order (`step` assigned during the merge).
-    reports: Vec<StepReport<M>>,
     /// Signed per-bucket movement of the live-outdegree histogram
     /// (addition commutes, so the sequential merge is shard-order
     /// independent).
@@ -241,17 +237,12 @@ struct DeliveryCtx {
     /// drained bucket's delivery time: each message's stream absorbs its
     /// sorted bucket position.
     prefix: u64,
-    /// The step stamped on delivery reports (end of the current round).
-    end_step: u64,
-    observed: bool,
 }
 
 /// What one delivery-phase shard worker produced.
 struct DeliveryShardOut<M> {
     /// The shard's receipts, counted stored or deleted.
     stats: SimStats,
-    /// Delivery reports keyed by sorted bucket position.
-    reports: Vec<(usize, StepReport<M>)>,
     /// Replies the receives produced, as (sorted bucket position, (receiver,
     /// message)); routed sequentially after the shards merge (empty for S&F).
     replies: Vec<(usize, (NodeId, M))>,
@@ -261,12 +252,7 @@ struct DeliveryShardOut<M> {
 
 impl<M> DeliveryShardOut<M> {
     fn new(s: usize) -> Self {
-        Self {
-            stats: SimStats::default(),
-            reports: Vec::new(),
-            replies: Vec::new(),
-            hist: vec![0; s + 1],
-        }
+        Self { stats: SimStats::default(), replies: Vec::new(), hist: vec![0; s + 1] }
     }
 }
 
@@ -440,7 +426,6 @@ impl<L: FaultModel + Clone + Send, B: ProtocolBehavior> ParSimulation<L, B> {
     pub fn round(&mut self) {
         let (shard_len, threads) = self.shard_plan();
         let round = self.rounds;
-        let observed = !self.subscribers.is_empty();
 
         // --- Phase 1: parallel per-shard actions. ---
         let outs = {
@@ -450,7 +435,6 @@ impl<L: FaultModel + Clone + Send, B: ProtocolBehavior> ParSimulation<L, B> {
                 seed: self.sched.seed,
                 round,
                 delay: self.delay,
-                observed,
             };
             let behavior = &self.behavior;
             // Shard 0 sends into the shell's queue, the others into their own.
@@ -479,37 +463,21 @@ impl<L: FaultModel + Clone + Send, B: ProtocolBehavior> ParSimulation<L, B> {
         }
 
         // --- Phase 2: deterministic merge, in shard (= dense) order. ---
-        let mut action_reports: Vec<StepReport<B::Msg>> = Vec::new();
         {
             let _span = self.sched.profile.as_ref().map(|p| SpanTimer::start(&p.merge));
             for out in outs {
                 merge_stats(&mut self.stats, &out.stats);
                 self.arena.degree_hist.apply_deltas(&out.hist);
-                if observed {
-                    action_reports.extend(out.reports);
-                }
             }
             for scratch in &mut self.sched.scratch[1..] {
                 self.queue.append(&mut scratch.sends);
             }
         }
-        if observed {
-            let mut step = self.steps;
-            for report in &mut action_reports {
-                step += 1;
-                report.step = step;
-            }
-            for report in &action_reports {
-                self.notify(report);
-            }
-        }
-        self.steps += live_total;
-        let end_step = self.steps;
 
         // --- Phase 3: deliver the bucket due this round. ---
         {
             let _span = self.sched.profile.as_ref().map(|p| SpanTimer::start(&p.deliver));
-            self.deliver_bucket(round, shard_len, threads, end_step);
+            self.deliver_bucket(round, shard_len, threads);
         }
         self.rounds += 1;
         debug_assert!(self.sched.scratch.iter().all(ShardScratch::is_empty));
@@ -520,7 +488,7 @@ impl<L: FaultModel + Clone + Send, B: ProtocolBehavior> ParSimulation<L, B> {
     /// letters sequentially, applies the surviving receives in parallel
     /// per receiver shard, then routes any replies sequentially, in
     /// bucket order.
-    fn deliver_bucket(&mut self, at: u64, shard_len: usize, threads: usize, end_step: u64) {
+    fn deliver_bucket(&mut self, at: u64, shard_len: usize, threads: usize) {
         let Some(mut batch) = self.queue.take(at) else { return };
         // One bucket holds exactly one delivery time, and a sender emits at
         // most one message (one slot) per round, so a stable sort by sender
@@ -528,30 +496,19 @@ impl<L: FaultModel + Clone + Send, B: ProtocolBehavior> ParSimulation<L, B> {
         // ties resolved by insertion order — which the merge phase made
         // thread-count-independent.
         batch.sort_by_key(|(_, message)| B::sender(message));
-        let observed = !self.subscribers.is_empty();
 
         // Route to receiver shards by bucket position; count dead letters
         // in bucket order.
         assert!(batch.len() - 1 <= u32::MAX as usize, "bucket positions must fit the routing word");
-        let mut reports: Vec<(usize, StepReport<B::Msg>)> = Vec::new();
-        for (pos, &(to, message)) in batch.iter().enumerate() {
+        for (pos, &(to, _)) in batch.iter().enumerate() {
             match self.arena.dense_of(to) {
-                None => {
-                    self.stats.dead_letters += 1;
-                    if observed {
-                        let (initiator, duplicated) =
-                            (B::sender(&message), B::duplicated(&message));
-                        let event = StepEvent::DeadLetter { to, message, duplicated };
-                        let phase = StepPhase::Delivery;
-                        reports.push((pos, StepReport { initiator, event, phase, step: end_step }));
-                    }
-                }
+                None => self.stats.dead_letters += 1,
                 Some(k) => self.sched.scratch[k / shard_len].routes.push((pos as u32, k as u32)),
             }
         }
 
         let prefix = absorb(stream_prefix(self.sched.seed, stream::DELIVERY), at);
-        let ctx = DeliveryCtx { config: self.arena.config, prefix, end_step, observed };
+        let ctx = DeliveryCtx { config: self.arena.config, prefix };
         let behavior = &self.behavior;
         let batch_ref = batch.as_slice();
         let shards = self.arena.shards_mut(shard_len).zip(&mut self.sched.scratch);
@@ -562,22 +519,12 @@ impl<L: FaultModel + Clone + Send, B: ProtocolBehavior> ParSimulation<L, B> {
         for out in outs {
             merge_stats(&mut self.stats, &out.stats);
             self.arena.degree_hist.apply_deltas(&out.hist);
-            if observed {
-                reports.extend(out.reports);
-            }
             replies.extend(out.replies);
-        }
-        if observed {
-            reports.sort_by_key(|&(pos, _)| pos);
-            for (_, report) in &reports {
-                let report = *report;
-                self.notify(&report);
-            }
         }
         self.queue.restore(at, batch);
         if !replies.is_empty() {
             replies.sort_by_key(|&(pos, _)| pos);
-            self.route_replies(replies, at, end_step);
+            self.route_replies(replies, at);
         }
     }
 
@@ -589,18 +536,14 @@ impl<L: FaultModel + Clone + Send, B: ProtocolBehavior> ParSimulation<L, B> {
     /// reply. Out of line — S&F never replies.
     #[cold]
     #[inline(never)]
-    fn route_replies(&mut self, replies: Vec<(usize, (NodeId, B::Msg))>, at: u64, end_step: u64) {
+    fn route_replies(&mut self, replies: Vec<(usize, (NodeId, B::Msg))>, at: u64) {
         for (pos, reply) in replies {
             let from = B::sender(&reply.1);
             let k = self.arena.dense_of(from).expect("a replier has just received, so it is live");
             let mut rng = StdRng::seed_from_u64(reply_seed(self.sched.seed, at, pos as u64));
             let ctx = FaultCtx { from, to: reply.0, round: self.rounds };
             let lost = self.sched.channels[k].drops(ctx, &mut rng);
-            let (arena, stats) = (&mut self.arena, &mut self.stats);
-            let report = reply_hop(arena, &self.behavior, stats, reply, lost, &mut rng, end_step);
-            if !self.subscribers.is_empty() {
-                self.notify(&report);
-            }
+            reply_hop(&mut self.arena, &self.behavior, &mut self.stats, reply, lost, &mut rng);
         }
     }
 
@@ -611,12 +554,11 @@ impl<L: FaultModel + Clone + Send, B: ProtocolBehavior> ParSimulation<L, B> {
             return;
         }
         let (shard_len, threads) = self.shard_plan();
-        let end_step = self.steps;
         // Pending deliveries all lie in [rounds, rounds + span): sends from
         // round r target r + 1..=r + max, and the last executed round was
         // rounds − 1.
         for at in self.rounds..self.rounds + self.queue.span() {
-            self.deliver_bucket(at, shard_len, threads, end_step);
+            self.deliver_bucket(at, shard_len, threads);
         }
     }
 }
@@ -659,11 +601,10 @@ fn run_action_shard<L: FaultModel, B: ProtocolBehavior>(
     mut shard: Shard<'_>,
     losses: &mut [L],
     sends: &mut InFlight<B::Msg>,
-) -> ActionShardOut<B::Msg> {
+) -> ActionShardOut {
     let mut out = ActionShardOut {
         stats: SimStats::default(),
         live: 0,
-        reports: Vec::new(),
         hist: vec![0; ctx.config.view_size() + 1],
     };
     // Seeds are derived a chunk ahead of the rows that consume them: the
@@ -695,16 +636,6 @@ fn run_action_shard<L: FaultModel, B: ProtocolBehavior>(
             if let StepEvent::InFlight { to, message, deliver_at, .. } = event {
                 sends.push(deliver_at, to, message);
             }
-            if ctx.observed {
-                // `step` is assigned during the sequential merge, once the
-                // preceding shards' live counts are known.
-                out.reports.push(StepReport {
-                    initiator: id,
-                    event,
-                    phase: StepPhase::Action,
-                    step: 0,
-                });
-            }
         }
     }
     out
@@ -731,7 +662,7 @@ fn run_delivery_shard<B: ProtocolBehavior>(
         }
         for (&(pos, dense), &seed) in chunk.iter().zip(&seeds) {
             let (pos, r) = (pos as usize, dense as usize - shard.lo);
-            let (to, message) = batch[pos];
+            let message = batch[pos].1;
             let mut rng = StdRng::seed_from_u64(seed);
             let deg_before = shard.degree[r];
             let receipt = behavior.receive(ctx.config, shard.window(r), message, &mut rng);
@@ -739,22 +670,6 @@ fn run_delivery_shard<B: ProtocolBehavior>(
             count_receipt(&mut out.stats, receipt.deleted);
             if let Some(reply) = receipt.reply {
                 out.replies.push((pos, reply));
-            }
-            if ctx.observed {
-                out.reports.push((
-                    pos,
-                    StepReport {
-                        initiator: B::sender(&message),
-                        event: StepEvent::Delivered {
-                            to,
-                            message,
-                            duplicated: B::duplicated(&message),
-                            deleted: receipt.deleted,
-                        },
-                        phase: StepPhase::Delivery,
-                        step: ctx.end_step,
-                    },
-                ));
             }
         }
     }
@@ -851,31 +766,14 @@ mod tests {
     }
 
     #[test]
-    fn report_streams_are_thread_count_independent() {
-        use std::sync::{Arc, Mutex};
-        let collect = |threads: usize| {
-            let log: Arc<Mutex<Vec<StepReport>>> = Arc::new(Mutex::new(Vec::new()));
-            let sink = Arc::clone(&log);
-            let mut sim = ParSimulation::new(nodes(), UniformLoss::new(0.05).unwrap(), 23, threads)
-                .delayed(DelayModel::UniformSteps { max: 4 });
-            sim.subscribe(Box::new(move |r: &StepReport| sink.lock().unwrap().push(*r)));
-            sim.run_rounds(30);
-            sim.settle();
-            drop(sim);
-            Arc::try_unwrap(log).map_err(|_| ()).unwrap().into_inner().unwrap()
-        };
-        let one = collect(1);
-        assert!(!one.is_empty());
-        assert_eq!(collect(2), one, "2-thread report stream diverged");
-        assert_eq!(collect(8), one, "8-thread report stream diverged");
-    }
-
-    #[test]
     fn recorder_ledger_matches_stats() {
         let registry = MetricsRegistry::new();
+        let mut recorder = SimRecorder::new(&registry);
         let mut sim = ParSimulation::new(nodes(), UniformLoss::new(0.1).unwrap(), 41, 3);
-        sim.subscribe(Box::new(SimRecorder::new(&registry)));
-        sim.run_rounds(30);
+        for _ in 0..3 {
+            sim.run_rounds(10);
+            recorder.record(&sim);
+        }
         let s = *sim.stats();
         let counter = |name: &str| registry.counter_value(name).unwrap();
         assert_eq!(counter("sim.step.actions"), s.actions);
@@ -886,6 +784,10 @@ mod tests {
         assert_eq!(counter("sim.step.stored"), s.stored);
         assert_eq!(counter("sim.step.deleted"), s.deleted);
         assert_eq!(counter("sim.step.duplications"), s.duplications);
+        assert_eq!(counter("sim.step.skipped"), s.skipped);
+        // Every par send that survives its loss draw is queued, the later
+        // shards' through the merge's append.
+        assert_eq!(counter("sim.step.in_flight"), s.sent - s.lost);
     }
 
     #[test]

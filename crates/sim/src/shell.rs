@@ -7,8 +7,8 @@
 //! from. The shell owns everything else, once: the arena and the behavior,
 //! the fault (flat's only channel, par's prototype for the per-sender
 //! clones), the delay model and the one in-flight queue (`InFlight`), the
-//! step clock and completed rounds, the system-wide [`SimStats`] and the
-//! step-event subscribers. Every reader, the churn control plane, the
+//! step clock and completed rounds, and the system-wide [`SimStats`], the
+//! one ledger of what a run did. Every reader, the churn control plane, the
 //! drivers and S&F's `delayed` are written here, over the live order the
 //! schedule supplies. So are the hops of an action, each once: the action
 //! hop (`action_hop`: capacity gate, initiate, send counts, loss draw,
@@ -21,8 +21,8 @@
 //! What [`Engine`] declares is defined once, in the shell's `Engine` impl;
 //! callers bring the trait into scope. The inherent block holds the rest:
 //! what the trait lacks (`join_with`, `node_view`, `to_nodes`,
-//! `dependence`, `run_replicate`, `subscriber_count`, and each schedule's
-//! own methods in `flat.rs` and `par.rs`), and the readers whose inherent
+//! `dependence`, `run_replicate`, and each schedule's own methods in
+//! `flat.rs` and `par.rs`), and the readers whose inherent
 //! signatures the benchmark pins — `stats` and `degree_stats` by
 //! reference, the typed `leave`, and `live_ids` and `in_flight`, which the
 //! trait declares identically.
@@ -35,10 +35,8 @@
 //! in-flight message goes. The hot paths
 //! (flat's step and due-time drain, par's three-phase round) are inherent
 //! methods of the shell specialised to their schedule, so `self` there is
-//! the whole engine: the out-of-line `notify(&mut self, …)` borrows
-//! all of it, which keeps the stepping code around it as the optimizer lays
-//! it out when no subscriber is registered (borrowing the subscriber field
-//! alone cost `steady_par` ≈ 10 % of its set-up).
+//! the whole engine. No engine stores an observer: the ledger is
+//! [`SimStats`], and flat hands its step reports to the caller that asks.
 
 use std::fmt;
 
@@ -49,43 +47,15 @@ use sandf_graph::DependenceReport;
 
 use crate::arena::Arena;
 use crate::degree::DegreeStats;
-use crate::engine::{DelayModel, SimStats, StepEvent, StepPhase, StepReport, StepSubscriber};
+use crate::engine::{DelayModel, SimStats, StepEvent};
 use crate::fault::{FaultCtx, FaultModel};
 use crate::traits::{Engine, ProtocolBehavior, SfBehavior};
 
-/// An engine's registered step-event observers. Boxed observers are not
-/// clonable, so a clone starts with none — which is what lets the shell
-/// derive `Clone`.
-pub(crate) struct Subscribers<M>(Vec<Box<dyn StepSubscriber<M>>>);
-
-impl<M> Default for Subscribers<M> {
-    fn default() -> Self {
-        Self(Vec::new())
-    }
-}
-
-impl<M> Clone for Subscribers<M> {
-    fn clone(&self) -> Self {
-        Self::default()
-    }
-}
-
-impl<M> fmt::Debug for Subscribers<M> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.0.len().fmt(f)
-    }
-}
-
-impl<M> Subscribers<M> {
-    #[inline]
-    pub(crate) fn is_empty(&self) -> bool {
-        self.0.is_empty()
-    }
-}
-
 /// The one in-flight queue: `max + 1` buckets, so bucket `t % (max + 1)`
 /// holds the messages due at time `t` (one bucket under
-/// [`DelayModel::Immediate`]), and the count of messages across them.
+/// [`DelayModel::Immediate`]), the count of messages across them, and the
+/// running total of messages ever queued, which
+/// [`SimRecorder`](crate::SimRecorder) publishes as `sim.step.in_flight`.
 /// Buckets are taken out to be drained and restored empty, so a steady run
 /// reuses their allocations and no delivery allocates. Time is flat's
 /// steps or par's rounds; the queue does not care which.
@@ -98,6 +68,7 @@ impl<M> Subscribers<M> {
 pub(crate) struct InFlight<M> {
     buckets: Vec<Vec<(NodeId, M)>>,
     len: usize,
+    queued: u64,
 }
 
 impl<M> InFlight<M> {
@@ -114,13 +85,13 @@ impl<M> InFlight<M> {
                 usize::try_from(max + 1).expect("delay bound exceeds address space")
             }
         };
-        Self { buckets: (0..span).map(|_| Vec::new()).collect(), len: 0 }
+        Self { buckets: (0..span).map(|_| Vec::new()).collect(), len: 0, queued: 0 }
     }
 
     /// An empty queue with this one's span, so it buckets every due time
     /// as this queue does; it allocates no bucket until a push.
     pub(crate) fn empty_like(&self) -> Self {
-        Self { buckets: self.buckets.iter().map(|_| Vec::new()).collect(), len: 0 }
+        Self { buckets: self.buckets.iter().map(|_| Vec::new()).collect(), len: 0, queued: 0 }
     }
 
     fn bucket(&self, at: u64) -> usize {
@@ -134,6 +105,11 @@ impl<M> InFlight<M> {
 
     pub(crate) fn is_empty(&self) -> bool {
         self.len == 0
+    }
+
+    /// Messages ever queued here, appended ones included.
+    pub(crate) fn queued(&self) -> u64 {
+        self.queued
     }
 
     /// The number of buckets: everything in flight is due within one span
@@ -152,13 +128,14 @@ impl<M> InFlight<M> {
         let bucket = self.bucket(at);
         self.buckets[bucket].push((to, message));
         self.len += 1;
+        self.queued += 1;
     }
 
     /// Moves every message of `other`, a queue of the same span, behind
     /// this queue's messages due at the same time, in `other`'s order: one
-    /// `Vec::append` per bucket, no per-message push. `other` ends empty
-    /// and keeps its allocations, so a steady run appends without
-    /// allocating.
+    /// `Vec::append` per bucket, no per-message push. The queued total
+    /// moves with the messages. `other` ends empty and keeps its
+    /// allocations, so a steady run appends without allocating.
     ///
     /// # Panics
     ///
@@ -169,6 +146,7 @@ impl<M> InFlight<M> {
             into.append(from);
         }
         self.len += std::mem::take(&mut other.len);
+        self.queued += std::mem::take(&mut other.queued);
     }
 
     /// Takes the bucket of time `at` out of the queue, `None` when it is
@@ -287,7 +265,7 @@ pub(crate) fn deliver_hop<B: ProtocolBehavior>(
 /// The one reply hop: counts `reply` (receiver, message) as sent, then as
 /// lost when the caller's loss draw says so (`lost`, drawn on the
 /// schedule's own channel and RNG), else delivers it through
-/// [`deliver_hop`]. Returns its delivery report, stamped `step`.
+/// [`deliver_hop`]. Returns the reply's event.
 ///
 /// # Panics
 ///
@@ -302,23 +280,20 @@ pub(crate) fn reply_hop<B: ProtocolBehavior>(
     (to, message): (NodeId, B::Msg),
     lost: bool,
     rng: &mut StdRng,
-    step: u64,
-) -> StepReport<B::Msg> {
+) -> StepEvent<B::Msg> {
     let duplicated = B::duplicated(&message);
     stats.sent += 1;
     stats.replies += 1;
     if duplicated {
         stats.duplications += 1;
     }
-    let event = if lost {
+    if lost {
         stats.lost += 1;
-        StepEvent::Lost { to, message, duplicated }
-    } else {
-        let (event, reply) = deliver_hop(arena, behavior, stats, to, message, rng);
-        assert!(reply.is_none(), "a reply got a reply: a request gets at most one reply");
-        event
-    };
-    StepReport { initiator: B::sender(&message), event, phase: StepPhase::Delivery, step }
+        return StepEvent::Lost { to, message, duplicated };
+    }
+    let (event, reply) = deliver_hop(arena, behavior, stats, to, message, rng);
+    assert!(reply.is_none(), "a reply got a reply: a request gets at most one reply");
+    event
 }
 
 /// What a scheduler adds to the shell: its live order, its RNG, its
@@ -358,7 +333,7 @@ pub trait Schedule<L, B: ProtocolBehavior>: Sized {
 /// [`ParSimulation`](crate::ParSimulation); the module docs of `shell.rs`
 /// say what it owns and what the schedule adds.
 ///
-/// A clone starts with no subscribers and shares an attached profiler.
+/// A clone shares an attached profiler.
 #[derive(Clone)]
 pub struct ArenaSim<S, L, B: ProtocolBehavior> {
     /// Views, ledgers and id tables.
@@ -371,14 +346,15 @@ pub struct ArenaSim<S, L, B: ProtocolBehavior> {
     pub(crate) delay: DelayModel,
     /// Messages sent and not yet delivered.
     pub(crate) queue: InFlight<B::Msg>,
-    /// Steps taken (par: one per live node per round) — the clock stamped
-    /// on [`StepReport::step`].
+    /// Flat's step clock, stamped on [`StepReport::step`](crate::StepReport::step)
+    /// and the time base of its in-flight queue (par's is `rounds`).
     pub(crate) steps: u64,
     /// Completed rounds — the time base for round-indexed fault models.
     pub(crate) rounds: u64,
     pub(crate) stats: SimStats,
-    /// Registered step-event observers (not carried across clones).
-    pub(crate) subscribers: Subscribers<B::Msg>,
+    /// How many times [`reset_stats`](Engine::reset_stats) zeroed `stats`,
+    /// so a recorder counts their growth across a reset from zero.
+    pub(crate) resets: u64,
     /// What the schedule keeps of its own.
     pub(crate) sched: S,
 }
@@ -393,7 +369,6 @@ impl<S, L: fmt::Debug, B: ProtocolBehavior> fmt::Debug for ArenaSim<S, L, B> {
             .field("rounds", &self.rounds)
             .field("in_flight", &self.queue.len())
             .field("stats", &self.stats)
-            .field("subscribers", &self.subscribers)
             .finish_non_exhaustive()
     }
 }
@@ -411,7 +386,7 @@ impl<S: Schedule<L, B>, L, B: ProtocolBehavior> ArenaSim<S, L, B> {
             steps: 0,
             rounds: 0,
             stats: SimStats::default(),
-            subscribers: Subscribers::default(),
+            resets: 0,
             sched,
         }
     }
@@ -419,22 +394,6 @@ impl<S: Schedule<L, B>, L, B: ProtocolBehavior> ArenaSim<S, L, B> {
     /// The live nodes' dense arena indices, in the schedule's live order.
     pub(crate) fn live_dense(&self) -> impl Iterator<Item = usize> + '_ {
         S::live_dense(self)
-    }
-
-    /// Number of registered step-event observers.
-    #[must_use]
-    pub fn subscriber_count(&self) -> usize {
-        self.subscribers.0.len()
-    }
-
-    /// Reports `report` to every subscriber, in registration order; out of
-    /// line so the subscriber-free path stays compact.
-    #[cold]
-    #[inline(never)]
-    pub(crate) fn notify(&mut self, report: &StepReport<B::Msg>) {
-        for subscriber in &mut self.subscribers.0 {
-            subscriber.on_step(report);
-        }
     }
 
     // `live_ids` and `in_flight` repeat `Engine` signatures on purpose: the
@@ -575,7 +534,6 @@ impl<S: Schedule<L, SfBehavior>, L> ArenaSim<S, L, SfBehavior> {
 }
 
 impl<S: Schedule<L, B>, L, B: ProtocolBehavior> Engine for ArenaSim<S, L, B> {
-    type Msg = B::Msg;
     type Fault = L;
 
     fn len(&self) -> usize {
@@ -596,6 +554,7 @@ impl<S: Schedule<L, B>, L, B: ProtocolBehavior> Engine for ArenaSim<S, L, B> {
 
     fn reset_stats(&mut self) {
         self.stats = SimStats::default();
+        self.resets += 1;
     }
 
     fn round(&mut self) {
@@ -648,10 +607,6 @@ impl<S: Schedule<L, B>, L, B: ProtocolBehavior> Engine for ArenaSim<S, L, B> {
         for channel in self.sched.channels() {
             f(channel);
         }
-    }
-
-    fn subscribe(&mut self, subscriber: Box<dyn StepSubscriber<B::Msg>>) {
-        self.subscribers.0.push(subscriber);
     }
 }
 
@@ -845,8 +800,10 @@ pub(crate) mod tests {
             source.push(at, NodeId::new(from), message(from));
         }
         let kept: Vec<_> = source.buckets.iter().map(|b| (b.as_ptr(), b.capacity())).collect();
+        assert_eq!((queue.queued(), source.queued()), (2, 4));
         queue.append(&mut source);
         assert_eq!((queue.len(), source.len()), (6, 0), "the count moves with the messages");
+        assert_eq!((queue.queued(), source.queued()), (6, 0), "so does the queued total");
         assert!(source.is_empty() && source.buckets.iter().all(Vec::is_empty));
         let after: Vec<_> = source.buckets.iter().map(|b| (b.as_ptr(), b.capacity())).collect();
         assert_eq!(after, kept, "the source keeps its allocations");
@@ -854,11 +811,13 @@ pub(crate) mod tests {
         assert_eq!(to(&mut queue, 2), [11, 21]);
         assert_eq!(to(&mut queue, 3), [23]);
         assert!(queue.is_empty());
+        assert_eq!(queue.queued(), 6, "a delivery leaves the queued total as it is");
         // A second lap through the source reuses what it kept.
         source.push(5, NodeId::new(24), message(24));
         assert_eq!(source.buckets[2].as_ptr(), kept[2].0, "a steady append allocates nothing");
         queue.append(&mut source);
         assert_eq!(to(&mut queue, 5), [24]);
+        assert_eq!((queue.queued(), source.queued()), (7, 0));
     }
 
     #[test]

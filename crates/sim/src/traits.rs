@@ -50,7 +50,7 @@ use sandf_core::{JoinError, Message, NodeId, SfConfig};
 use sandf_graph::MembershipGraph;
 
 use crate::degree::DegreeStats;
-use crate::engine::{SimStats, StepSubscriber};
+use crate::engine::SimStats;
 
 /// Empty-slot sentinel in the slot arenas. The arenas store ids as `u32`
 /// words (half the footprint of the public `u64` id space), so real node
@@ -481,17 +481,20 @@ impl IdBatch {
 /// returns differently:
 ///
 /// * per-step and schedule-specific execution (flat's `step`,
-///   `round_permuted`; par's thread count), `join_with`, `node_view`,
-///   `to_nodes`, `dependence`, `run_replicate` and `subscriber_count`,
-///   which no generic caller needs;
+///   `step_into`, `settle_into` and `round_permuted`; par's thread count),
+///   `join_with`, `node_view`, `to_nodes`, `dependence` and
+///   `run_replicate`, which no generic caller needs;
 /// * `stats` and `degree_stats` by reference, where the trait returns
 ///   owned snapshots, and `leave` returning the departed node, where the
 ///   trait returns whether it was live;
 /// * `live_ids` and `in_flight`, with the trait's own signatures, for
 ///   callers that read them without importing the trait.
+///
+/// An engine keeps no observer. What a run did is counted once, in
+/// [`SimStats`], which [`SimRecorder`](crate::SimRecorder) publishes as
+/// metrics; a caller that wants each step's report asks flat for it
+/// (`step_into`, `settle_into`).
 pub trait Engine {
-    /// The wire message type flowing through the engine's subscribers.
-    type Msg: Copy + Send + Sync + PartialEq + fmt::Debug;
     /// The fault/loss model steering the channel.
     type Fault;
 
@@ -614,15 +617,6 @@ pub trait Engine {
     /// [`PhaseFault::Victims`](crate::PhaseFault::Victims) at the current
     /// high-indegree nodes at a phase boundary) reaches all senders.
     fn update_fault(&mut self, f: impl FnMut(&mut Self::Fault));
-
-    /// Registers a step-event observer. All subsequent steps (and delayed
-    /// deliveries) are reported to it, in registration order, after the
-    /// engine's own counters update. See [`StepSubscriber`]. Under par the
-    /// stream is itself deterministic and thread-count-independent: action
-    /// reports arrive in dense arena order, delivery reports in sorted
-    /// bucket order, then reply reports in the bucket order of their
-    /// requests.
-    fn subscribe(&mut self, subscriber: Box<dyn StepSubscriber<Self::Msg>>);
 }
 
 /// Snapshots, in visit order, the rows `rows` hands its visitor: each an
