@@ -6,7 +6,8 @@
 //! replicated sweep with one cell per phase. The output is a CI-banded
 //! *envelope table*: per phase, the measured indegree statistics next to
 //! the §6.2 degree-Markov-chain prediction at the phase's effective loss
-//! rate, and (for churn phases) the Lemma 6.10 departed-id decay bound.
+//! rate, and (once a churn phase has removed nodes) the paper monitor's
+//! banded Lemma 6.10 ceiling on the stale-entry fraction.
 //!
 //! # Spec grammar
 //!
@@ -56,6 +57,16 @@
 //! highest live sponsor); `victims` phases re-aim the victim set at the
 //! measured top-indegree nodes via the engines' `update_fault` hook.
 //!
+//! The measurement is one walk of the workspace's paper monitor
+//! ([`sandf_markov::monitor`]) at the target phase's end: the indegree
+//! law, the stale-entry fraction and weak connectivity come from it, as
+//! does `decay_bound`, the monitor's banded Lemma 6.10 ceiling. The
+//! monitor follows the replicate from the burn-in's end: each churn
+//! phase's leaves are a departure cohort, advanced at every phase end at
+//! that phase's realized loss (`(lost + dead letters) / sent`) and
+//! duplication (`duplications / sent`), so a cohort keeps bounding the
+//! phases after its own. The printed ceiling is the mean over replicates.
+//!
 //! Replicates run on the [`ParSimulation`] engine, whose output is
 //! byte-identical for any thread count, and draw their seeds from the
 //! sweep executor's stable `(base_seed, cell, replicate)` hash — the
@@ -66,16 +77,16 @@ use std::fmt::Write as _;
 
 use rand::rngs::StdRng;
 use rand::RngCore;
-use sandf_core::SfConfig;
+use sandf_core::{NodeId, SfConfig};
 use sandf_graph::DegreeStats;
-use sandf_markov::decay::leave_survival_bound;
+use sandf_markov::monitor::{CheckOutcome, Monitor, WireTotals};
 use sandf_markov::{DegreeMc, DegreeMcParams};
 use sandf_obs::MetricsRegistry;
 use sandf_sim::experiment::initial_degree;
 use sandf_sim::fault::{expect_args, parse_num};
 pub use sandf_sim::PhaseFault;
 use sandf_sim::{
-    BroadcastConfig, BroadcastLayer, Engine, ParSimulation, ScheduledFault, UniformLoss,
+    BroadcastConfig, BroadcastLayer, Engine, ParSimulation, ScheduledFault, SimStats, UniformLoss,
 };
 
 use crate::fmt;
@@ -87,15 +98,15 @@ use crate::sweeps::{ring_views, with_behavior, PROTOCOLS};
 /// absolute anchor `tests/par_statistics.rs` uses.
 pub const MC_MEAN_TOLERANCE: f64 = 1.0;
 
-/// The metric columns every scenario cell reports, in order.
-pub const SCENARIO_METRICS: &[&str] =
-    &["mean_in", "in_std", "loss_rate", "skipped_frac", "stale_frac", "connected"];
+/// What a replicate returns: its banded Lemma 6.10 ceiling, which the
+/// report prints as `decay_bound`, then [`SCENARIO_METRICS`].
+const REPLICATE_METRICS: &[&str] =
+    &["decay_bound", "mean_in", "in_std", "loss_rate", "skipped_frac", "stale_frac", "connected"];
 
-/// The metric columns when the spec carries a `broadcast` directive: the
-/// base columns plus the rumor layer's coverage, spread time to 99 %
-/// (phase `rounds + 1` when unreached), and per-node message complexity,
-/// all measured over the target phase.
-pub const SCENARIO_BROADCAST_METRICS: &[&str] = &[
+/// What a replicate returns under `broadcast`: its ceiling, then
+/// [`SCENARIO_BROADCAST_METRICS`].
+const REPLICATE_BROADCAST_METRICS: &[&str] = &[
+    "decay_bound",
     "mean_in",
     "in_std",
     "loss_rate",
@@ -106,6 +117,15 @@ pub const SCENARIO_BROADCAST_METRICS: &[&str] = &[
     "bcast_to99",
     "bcast_msgs_per_node",
 ];
+
+/// The metric columns every scenario cell reports, in order.
+pub const SCENARIO_METRICS: &[&str] = REPLICATE_METRICS.split_at(1).1;
+
+/// The metric columns when the spec carries a `broadcast` directive: the
+/// base columns plus the rumor layer's coverage, spread time to 99 %
+/// (phase `rounds + 1` when unreached), and per-node message complexity,
+/// all measured over the target phase.
+pub const SCENARIO_BROADCAST_METRICS: &[&str] = REPLICATE_BROADCAST_METRICS.split_at(1).1;
 
 // ---------------------------------------------------------------------------
 // The AST
@@ -501,8 +521,10 @@ pub struct ScenarioOutcome {
     pub mc_mean: Option<f64>,
     /// Degree-MC predicted indegree standard deviation.
     pub mc_std: Option<f64>,
-    /// Lemma 6.10 ceiling on the stale-entry fraction at phase end (only
-    /// for phases whose churn removed nodes).
+    /// The paper monitor's banded Lemma 6.10 ceiling on the stale-entry
+    /// fraction at phase end ([`sandf_markov::monitor`]), averaged over
+    /// replicates: only once a churn phase at or before this one has
+    /// removed nodes, and only for S&F.
     pub decay_bound: Option<f64>,
     /// The measured metric names, in column order: [`SCENARIO_METRICS`],
     /// or [`SCENARIO_BROADCAST_METRICS`] when the spec carries `broadcast`.
@@ -591,7 +613,7 @@ impl ScenarioReport {
 }
 
 /// Runs one replicate of `scenario` through phase `target` inclusive on the
-/// par engine, returning the [`SCENARIO_METRICS`] vector measured at the
+/// par engine, returning the [`REPLICATE_METRICS`] vector measured at the
 /// end of the target phase. The `protocol` directive picks which
 /// [`sandf_sim::ProtocolBehavior`] drives the slots; every protocol runs on
 /// the same par engine, so thread invariance holds for the whole zoo.
@@ -615,8 +637,8 @@ fn run_replicate(
 }
 
 /// The replicate body, generic over the unified [`Engine`] trait: burn-in,
-/// then per phase churn → victim re-aim → (at the target) stats reset →
-/// rounds, then the [`SCENARIO_METRICS`] measurement.
+/// then per phase cohort advance → churn → victim re-aim → (at the target)
+/// stats reset → rounds, then the [`REPLICATE_METRICS`] measurement.
 fn drive_replicate<E: Engine<Fault = ScheduledFault>>(
     mut sim: E,
     scenario: &Scenario,
@@ -628,8 +650,14 @@ fn drive_replicate<E: Engine<Fault = ScheduledFault>>(
     sim.run_rounds(scenario.burn_in);
     counters.replicates.inc();
 
+    let mut monitor = Monitor::new(scenario.config());
+    let mut round = scenario.burn_in as u64;
+    // Rows issued: the bootstrap's ids and each joiner's, dense from 0.
+    let mut rows = scenario.n;
     let mut layer: Option<BroadcastLayer> = None;
     for (p, phase) in scenario.phases.iter().enumerate().take(target + 1) {
+        // Close the window of the previous phase (of the burn-in at p = 0).
+        monitor.advance(round, wire_totals(sim.stats()));
         if let Some(churn) = phase.churn {
             let mut live = sim.live_ids();
             live.sort_unstable();
@@ -639,10 +667,12 @@ fn drive_replicate<E: Engine<Fault = ScheduledFault>>(
                 assert!(sim.leave(id), "id came from live_ids");
                 counters.churn_leaves.inc();
             }
+            monitor.record_leaves(leaving);
             for _ in 0..churn.joins {
                 let sponsor = *live.last().expect("at least 4 nodes stay live");
                 if let Ok(joiner) = sim.join_via(sponsor) {
                     live.push(joiner);
+                    rows += 1;
                     counters.churn_joins.inc();
                 }
             }
@@ -655,6 +685,9 @@ fn drive_replicate<E: Engine<Fault = ScheduledFault>>(
         }
         if p == target {
             sim.reset_stats();
+            // The monitor's counters restart with the engine's: the window
+            // just closed, so nothing decays.
+            monitor.advance(round, WireTotals::default());
             if let Some(config) = scenario.broadcast {
                 let fault = sim.fault().clone();
                 let mut l = BroadcastLayer::with_channel(sim_seed, config, fault);
@@ -673,21 +706,22 @@ fn drive_replicate<E: Engine<Fault = ScheduledFault>>(
         } else {
             sim.run_rounds(phase.rounds);
         }
+        round += phase.rounds as u64;
         counters.rounds.add(phase.rounds as u64);
     }
 
-    let graph = sim.graph();
     let stats = sim.stats();
-    let degrees = DegreeStats::from_samples(&graph.in_degrees());
-    let edges = graph.edge_count();
+    let check = check_engine(&mut monitor, &sim, round, rows, wire_totals(stats));
+    let degrees = DegreeStats::from_samples(&monitor.in_degrees().collect::<Vec<_>>());
     let steps = stats.actions + stats.skipped;
     let mut values = vec![
+        check.stale_ceiling,
         degrees.mean,
         degrees.std_dev(),
         if stats.sent == 0 { 0.0 } else { stats.lost as f64 / stats.sent as f64 },
         if steps == 0 { 0.0 } else { stats.skipped as f64 / steps as f64 },
-        if edges == 0 { 0.0 } else { graph.dangling_edge_count() as f64 / edges as f64 },
-        f64::from(u8::from(graph.is_weakly_connected())),
+        check.stale_fraction,
+        f64::from(u8::from(check.components <= 1)),
     ];
     if let Some(l) = &layer {
         let report = l.report();
@@ -697,6 +731,30 @@ fn drive_replicate<E: Engine<Fault = ScheduledFault>>(
         values.push(report.messages_per_node);
     }
     values
+}
+
+/// The monitor's counters, read from the engine's.
+fn wire_totals(stats: SimStats) -> WireTotals {
+    WireTotals {
+        sent: stats.sent,
+        dropped: stats.lost + stats.dead_letters,
+        duplications: stats.duplications,
+    }
+}
+
+/// One paper-monitor check over `sim`'s live rows, `rows` of them issued.
+/// Bootstraps and joins issue ids densely, so an id is its own row, and a
+/// live id is one the engine reports an outdegree for.
+fn check_engine<E: Engine>(
+    monitor: &mut Monitor,
+    sim: &E,
+    round: u64,
+    rows: usize,
+    totals: WireTotals,
+) -> CheckOutcome {
+    let walk = |visit: &mut dyn FnMut(u32, &[u32])| sim.for_each_live_row(|_| true, visit);
+    let resolve = |word: u32| sim.out_degree_of(NodeId::new(word.into())).map(|_| word as usize);
+    monitor.check(round, totals, rows, walk, resolve)
 }
 
 /// The `sim.fault.*` observability counters a scenario run maintains.
@@ -718,36 +776,6 @@ impl FaultCounters {
             retargets: registry.counter("sim.fault.victim_retargets"),
         }
     }
-}
-
-/// The Lemma 6.10 stale-fraction ceiling for a phase: each departed id had
-/// at most `s` live instances at departure, each surviving `rounds` rounds
-/// with probability at most the per-round survival factor compounded — so
-/// the expected stale entries are bounded by `leaves · s · bound` over a
-/// floor of `n · d_L / 2` remaining entries.
-fn decay_ceiling(scenario: &Scenario, phase: &Phase) -> Option<f64> {
-    let leaves = phase.churn.map_or(0, |c| c.leaves);
-    if leaves == 0 {
-        return None;
-    }
-    let loss = phase.fault.effective_rate(scenario.n);
-    // δ = 0: omitting the duplication correction only weakens (raises) the
-    // ceiling, keeping it sound.
-    if loss >= 1.0 {
-        return None;
-    }
-    let bound = *leave_survival_bound(
-        loss,
-        0.0,
-        scenario.lower_threshold,
-        scenario.view_size,
-        phase.rounds,
-    )
-    .last()
-    .expect("phase lasts at least one round");
-    let stale_ceiling = leaves as f64 * scenario.view_size as f64 * bound;
-    let entry_floor = scenario.n as f64 * scenario.lower_threshold as f64 / 2.0;
-    Some((stale_ceiling / entry_floor).min(1.0))
 }
 
 /// The degree-MC prediction `(mean_in, std_in)` at a config and loss
@@ -798,9 +826,10 @@ pub fn run_scenario(
         scenario.replicates,
         scenario.seed,
     );
-    let metrics: &'static [&'static str] =
-        if scenario.broadcast.is_some() { SCENARIO_BROADCAST_METRICS } else { SCENARIO_METRICS };
-    let results = spec.run(metrics, |&phase, rng| {
+    let replicate_metrics =
+        if scenario.broadcast.is_some() { REPLICATE_BROADCAST_METRICS } else { REPLICATE_METRICS };
+    let metrics = &replicate_metrics[1..];
+    let results = spec.run(replicate_metrics, |&phase, rng| {
         run_replicate(scenario, phase, threads, rng, &counters, registry)
     });
 
@@ -816,6 +845,8 @@ pub fn run_scenario(
             // measured columns stand alone and the model columns print `-`.
             let is_sf = scenario.protocol == "sandf";
             let mc = if is_sf { degree_mc_prediction(config, rate) } else { None };
+            let departed =
+                scenario.phases[..=i].iter().any(|p| p.churn.is_some_and(|c| c.leaves > 0));
             ScenarioOutcome {
                 phase: i,
                 fault: phase.fault.kind(),
@@ -823,7 +854,7 @@ pub fn run_scenario(
                 effective_rate: rate,
                 mc_mean: mc.map(|(mean, _)| mean),
                 mc_std: mc.map(|(_, std)| std),
-                decay_bound: if is_sf { decay_ceiling(scenario, phase) } else { None },
+                decay_bound: (is_sf && departed).then(|| results.summary(i, "decay_bound").mean),
                 metrics,
                 measured: metrics.iter().map(|metric| *results.summary(i, metric)).collect(),
             }
@@ -954,6 +985,12 @@ pub fn with_seed(spec: &str, seed: u64) -> Scenario {
 
 #[cfg(test)]
 mod tests {
+    use rand::SeedableRng;
+    use sandf_core::{LocalView, SfNode};
+    use sandf_daemon::InvariantChecker;
+    use sandf_markov::monitor::STALE_SLACK;
+    use sandf_sim::{FlatSimulation, SfBehavior};
+
     use super::*;
 
     fn tiny_spec() -> String {
@@ -1154,5 +1191,148 @@ mod tests {
         // The non-broadcast table is unchanged by the new columns.
         let plain = run_scenario(&Scenario::parse(&tiny_spec()).expect("parses"), 1, &registry);
         assert!(!plain.to_tsv(MC_MEAN_TOLERANCE).lines().next().expect("header").contains("bcast"));
+    }
+
+    /// A spec with one churn phase, then a phase without churn.
+    fn churn_then_calm() -> Scenario {
+        Scenario::parse(
+            "scenario calm\nn 48\nview 16 6\ndegree 10\nreplicates 2\nseed 7\nburn_in 4\n\n\
+             phase 12 uniform 0.05\nchurn 6 2\nphase 9 uniform 0.3\n",
+        )
+        .expect("parses")
+    }
+
+    #[test]
+    fn a_cohort_recorded_in_one_phase_still_bounds_the_next() {
+        let report = run_scenario(&churn_then_calm(), 1, &MetricsRegistry::new());
+        let [churn, calm] = [&report.outcomes[0], &report.outcomes[1]];
+        let (first, next) = (churn.decay_bound.expect("churn"), calm.decay_bound.expect("cohort"));
+        assert!(next >= calm.summary("stale_frac").mean, "{next} bounds the stale fraction");
+        assert!(next > STALE_SLACK && next < first, "the cohort decays but still counts: {next}");
+    }
+
+    #[test]
+    fn the_decay_bound_advances_each_phase_at_its_realized_loss_and_duplication() {
+        let s = churn_then_calm();
+        let registry = MetricsRegistry::new();
+        let rng = StdRng::seed_from_u64(5);
+        let counters = FaultCounters::new(&registry);
+        let values = run_replicate(&s, 1, 1, &mut rng.clone(), &counters, &registry);
+
+        // The same replicate by hand, keeping each phase's counters.
+        let mut rng = rng;
+        let (salt, seed) = (rng.next_u64(), rng.next_u64());
+        let views = ring_views(s.n, s.degree);
+        let mut sim =
+            ParSimulation::from_views(SfBehavior, s.config(), views, s.compile(salt), seed, 1);
+        sim.run_rounds(4);
+        let burn_in = *sim.stats();
+        for id in 0..6 {
+            assert!(sim.leave(NodeId::new(id)).is_some());
+        }
+        let joiner = sim.join_via(NodeId::new(47)).expect("joins");
+        sim.join_via(joiner).expect("joins");
+        sim.run_rounds(12);
+        let churn = *sim.stats();
+        sim.reset_stats();
+        sim.run_rounds(9);
+        let calm = *sim.stats();
+
+        // Each window at its own rates, with and without its duplications,
+        // through totals that never restart.
+        let ceiling = |delta: bool| {
+            let totals = |stats: &[SimStats]| WireTotals {
+                sent: stats.iter().map(|s| s.sent).sum(),
+                dropped: stats.iter().map(|s| s.lost + s.dead_letters).sum(),
+                duplications: if delta { stats.iter().map(|s| s.duplications).sum() } else { 0 },
+            };
+            let mut monitor = Monitor::new(s.config());
+            monitor.advance(4, totals(&[burn_in]));
+            monitor.record_leaves(6);
+            monitor.advance(16, totals(&[churn]));
+            check_engine(&mut monitor, &sim, 25, s.n + 2, totals(&[churn, calm])).stale_ceiling
+        };
+        assert_eq!(values[0].to_bits(), ceiling(true).to_bits());
+        assert!(calm.duplications > 0 && values[0] > ceiling(false));
+    }
+
+    /// Checks `sim` with the scenario's walk and with a graph snapshot.
+    fn assert_walk_reads_the_snapshot<E: Engine>(sim: &E, monitor: &mut Monitor, rows: usize) {
+        let graph = sim.graph();
+        let outcome = check_engine(monitor, sim, 1, rows, WireTotals::default());
+        let stale = graph.dangling_edge_count() as f64 / graph.edge_count() as f64;
+        assert!(stale > 0.0, "departed ids must dangle");
+        assert_eq!(outcome.stale_fraction.to_bits(), stale.to_bits());
+        assert_eq!(outcome.components, graph.weakly_connected_components());
+        assert_eq!(outcome.components <= 1, graph.is_weakly_connected());
+        // `mean_in` and `in_std` are `DegreeStats` of these, in this order.
+        assert_eq!(monitor.in_degrees().collect::<Vec<_>>(), graph.in_degrees());
+    }
+
+    #[test]
+    fn the_scenario_walk_reads_the_graph_snapshot_on_par_under_churn() {
+        let config = SfConfig::new(12, 4).expect("valid");
+        for threads in [1, 2] {
+            let loss = UniformLoss::new(0.05).expect("valid rate");
+            let mut sim =
+                ParSimulation::from_views(SfBehavior, config, ring_views(40, 6), loss, 3, threads);
+            let mut monitor = Monitor::new(config);
+            let mut rows = 40;
+            for step in 0..6 {
+                let mut live = sim.live_ids();
+                live.sort_unstable();
+                // Departed rows sit between live ones and joiners follow.
+                for k in [step, live.len() / 2, live.len() - 3] {
+                    assert!(sim.leave(live[k]).is_some());
+                }
+                for sponsor in [live[live.len() - 2], live[live.len() - 1]] {
+                    if sim.join_via(sponsor).is_ok() {
+                        rows += 1;
+                    }
+                }
+                sim.run_rounds(4);
+                assert_walk_reads_the_snapshot(&sim, &mut monitor, rows);
+            }
+        }
+    }
+
+    #[test]
+    fn a_seeded_stale_overload_reads_one_margin_on_par_flat_and_the_daemon() {
+        fn margin_on_both<E: Engine>(mut sim: E, config: SfConfig) {
+            sim.run_rounds(10);
+            // 24 of 64 nodes leave; the monitors are told of 1.
+            for id in 0..24 {
+                assert!(sim.leave(NodeId::new(id)));
+            }
+            sim.run_rounds(3);
+            let totals = wire_totals(sim.stats());
+            let mut monitor = Monitor::new(config);
+            monitor.record_leaves(1);
+            let engine = check_engine(&mut monitor, &sim, 13, 64, totals);
+
+            let mut fleet = Vec::new();
+            sim.for_each_live_row(|_| true, &mut |owner, row| {
+                let ids: Vec<NodeId> = row.iter().map(|&w| NodeId::new(w.into())).collect();
+                let view = LocalView::from_ids(config.view_size(), &ids, false);
+                fleet.push(SfNode::from_view(NodeId::new(owner.into()), config, view));
+            });
+            let mut checker = InvariantChecker::new(config);
+            checker.monitor.record_leaves(1);
+            let daemon = checker.check(13, &fleet, totals);
+
+            let margin = |o: &CheckOutcome| o.stale_fraction - o.stale_ceiling;
+            assert!(engine.stale_violation && daemon.stale_violation, "{}", margin(&engine));
+            assert!((margin(&engine) - margin(&daemon)).abs() < 1e-9);
+        }
+        let config = SfConfig::new(16, 6).expect("valid");
+        let loss = || UniformLoss::new(0.02).expect("valid rate");
+        margin_on_both(
+            ParSimulation::from_views(SfBehavior, config, ring_views(64, 10), loss(), 9, 2),
+            config,
+        );
+        margin_on_both(
+            FlatSimulation::from_views(SfBehavior, config, ring_views(64, 10), loss(), 9),
+            config,
+        );
     }
 }

@@ -1,136 +1,29 @@
-//! The live invariant checker: Observation 5.1 outdegree bounds and the
-//! Lemma 6.10 stale-fraction ceiling, evaluated against wall-clock rounds.
+//! The live invariant checker: the workspace's one paper monitor
+//! ([`sandf_markov::monitor`]) run over the daemon's fleet — Observation
+//! 5.1 outdegree bounds exactly and the Lemma 6.10 stale-fraction ceiling,
+//! banded, evaluated against wall-clock rounds and the wire's counters.
+//! The monitor's docs give the rationale of both checks and their cost.
 //!
-//! # Observation 5.1 (exact)
-//!
-//! Every live node's outdegree must be even and within `[d_L, s]` at every
-//! quiescent point. The daemon's event loop runs protocol steps atomically
-//! in one thread, so every check sees a quiescent state and any violation
-//! is a real protocol bug — the check has no tolerance.
-//!
-//! # Lemma 6.10 (banded)
-//!
-//! Id instances of a departed node decay per round by at least the
-//! survival factor `1 − (1 − ℓ − δ)·d_L/s²`. The lemma's `ℓ` is the
-//! *actual* message-loss probability, which for a live daemon varies as
-//! faults are injected and healed — a partition raises `ℓ` to near 1 for
-//! its window, slowing decay. A ceiling computed from the configured base
-//! loss would therefore under-estimate survivors during and after a
-//! partition and fire false alarms precisely in the scenario the soak
-//! harness drives. Instead the checker advances each departure cohort's
-//! bound incrementally, one check window at a time, using the **realized**
-//! loss of that window: `(base drops + injected drops + dead letters) /
-//! sends`, and the realized duplication fraction `δ` = duplicating sends /
-//! sends, both measured from the wire counters. The ceiling is then the cohorts'
-//! total surviving instances (≤ `leaves · s · bound`) over the measured
-//! edge count, with a multiplicative headroom and small additive slack for
-//! sampling noise (the same banded-verdict style as
-//! `sandf_bench::scenario`).
-//!
-//! # Cost
-//!
-//! A check walks the live rows of the fleet's [`Arena`] once: O(live · s),
-//! with no hashing. Each row is read through the arena's one compaction
-//! ([`Arena::compact_row`]) into a buffer the checker keeps, and its
-//! entries are counted for Observation 5.1 from its slots, not from the
-//! arena's degree ledger, so the oracle reads the views themselves. The
-//! Lemma 6.10 ceiling needs only three numbers from the overlay — edges,
-//! dangling edges and weakly connected components — so the same walk
-//! counts them in place instead of snapshotting a
-//! [`MembershipGraph`](sandf_graph::MembershipGraph): every entry is an
-//! edge, and it resolves through the arena's own id table
-//! ([`Arena::dense_of`]) to a live row, or to `None`, which makes it
-//! dangling. Resolved entries union their two rows in the workspace's
-//! [`DisjointSets`], over dense indices. The union-find covers every row
-//! the arena has issued, live or departed, at 8 B a row, and is kept
-//! across checks, so a steady-state check allocates nothing. A departed
-//! row is never walked and never resolved to, so it stays a singleton:
-//! the component count is the number of sets less the departed rows.
-//!
-//! The daemon hands the checker its arena. [`InvariantChecker::check`]
-//! takes `&SfNode`s instead, seats them in an arena of its own and runs
-//! the same walk, so its fleet must be one an arena holds: at least one
-//! node, distinct ids below [`ARENA_ID_LIMIT`](sandf_sim::ARENA_ID_LIMIT),
-//! and an id table sized by the largest id.
+//! The daemon hands the checker its arena: each live row is read through
+//! the arena's one compaction ([`Arena::compact_row`]) into a buffer the
+//! checker keeps, and every id resolves through the arena's own id table
+//! ([`Arena::dense_of`]), so a steady-state check allocates nothing.
+//! [`InvariantChecker::check`] takes `&SfNode`s instead, seats them in an
+//! arena of its own and runs the same walk, so its fleet must be one an
+//! arena holds: at least one node, distinct ids below
+//! [`ARENA_ID_LIMIT`](sandf_sim::ARENA_ID_LIMIT), and an id table sized by
+//! the largest id.
 
 use sandf_core::{NodeId, SfConfig, SfNode};
-use sandf_graph::DisjointSets;
-use sandf_markov::decay::survival_factor;
-use sandf_sim::{Arena, SfBehavior};
-
-/// Multiplicative headroom on the Lemma 6.10 ceiling. The lemma bounds
-/// expectations; a live run is one sample path.
-pub const STALE_HEADROOM: f64 = 1.5;
-
-/// Additive slack on the ceiling, absorbing measurement granularity at
-/// small edge counts.
-pub const STALE_SLACK: f64 = 0.02;
-
-/// One departure cohort: `leaves` nodes that left in the same window, and
-/// the current Lemma 6.10 survival bound on their id instances.
-#[derive(Clone, Copy, Debug)]
-struct Cohort {
-    leaves: f64,
-    bound: f64,
-}
-
-/// Cumulative wire counters at a check point. All fields are totals since
-/// daemon start; the checker differences them internally.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub struct WireTotals {
-    /// Messages handed to the send path (outermost layer).
-    pub sent: u64,
-    /// Drops by every loss source: base loss + injected faults + dead
-    /// letters to departed peers.
-    pub dropped: u64,
-    /// Duplicating sends among them (messages marked dependent).
-    pub duplications: u64,
-}
-
-/// The result of one invariant check.
-#[derive(Clone, Debug)]
-pub struct CheckOutcome {
-    /// The round the check ran at.
-    pub round: u64,
-    /// Live node count.
-    pub live: usize,
-    /// Mean outdegree over live nodes.
-    pub mean_out: f64,
-    /// Minimum outdegree.
-    pub min_out: usize,
-    /// Maximum outdegree.
-    pub max_out: usize,
-    /// Nodes violating Observation 5.1, with their outdegrees (truncated
-    /// to the first [`MAX_REPORTED_VIOLATIONS`]).
-    pub degree_violations: Vec<(NodeId, usize)>,
-    /// Total Observation 5.1 offenders (may exceed the reported list).
-    pub degree_violation_count: usize,
-    /// Measured stale-edge fraction: dangling edges / total edges.
-    pub stale_fraction: f64,
-    /// The banded Lemma 6.10 ceiling (headroom and slack applied).
-    pub stale_ceiling: f64,
-    /// Whether the stale fraction exceeded the ceiling.
-    pub stale_violation: bool,
-    /// Weakly connected components of the live overlay.
-    pub components: usize,
-    /// Realized message-loss rate over the window ending at this check.
-    pub window_loss: f64,
-    /// Realized duplication fraction over the window.
-    pub window_delta: f64,
-}
-
-/// Cap on per-check reported degree offenders (the journal is bounded).
-pub const MAX_REPORTED_VIOLATIONS: usize = 16;
+use sandf_markov::monitor::Monitor;
+pub use sandf_markov::monitor::{CheckOutcome, WireTotals};
+use sandf_sim::{slot_word, Arena, SfBehavior};
 
 /// The checker's persistent state across checks.
 #[derive(Clone, Debug)]
 pub struct InvariantChecker {
-    config: SfConfig,
-    cohorts: Vec<Cohort>,
-    last_round: u64,
-    last: WireTotals,
-    /// Dense row → set, over every row the checked arena has issued.
-    sets: DisjointSets,
+    /// The paper monitor: departure cohorts, counters, union-find.
+    pub monitor: Monitor,
     /// One row's visible words, [compacted](Arena::compact_row) in place.
     words: Vec<u32>,
 }
@@ -139,30 +32,7 @@ impl InvariantChecker {
     /// Creates a checker for a daemon using `config`.
     #[must_use]
     pub fn new(config: SfConfig) -> Self {
-        Self {
-            config,
-            cohorts: Vec::new(),
-            last_round: 0,
-            last: WireTotals::default(),
-            sets: DisjointSets::new(0),
-            words: vec![0; config.view_size()],
-        }
-    }
-
-    /// Records a departure of `count` nodes; their survival bound starts
-    /// at 1 and begins decaying from the next check window (conservative:
-    /// the partial current window is not credited).
-    pub fn record_leaves(&mut self, count: usize) {
-        if count > 0 {
-            self.cohorts.push(Cohort { leaves: count as f64, bound: 1.0 });
-        }
-    }
-
-    /// Sum over cohorts of the bounded surviving instance count.
-    #[must_use]
-    pub fn surviving_instances_bound(&self) -> f64 {
-        let s = self.config.view_size() as f64;
-        self.cohorts.iter().map(|c| c.leaves * s * c.bound).sum()
+        Self { monitor: Monitor::new(config), words: vec![0; config.view_size()] }
     }
 
     /// Runs one check at `round` over the live nodes, with cumulative wire
@@ -193,101 +63,15 @@ impl InvariantChecker {
         rows: usize,
         totals: WireTotals,
     ) -> CheckOutcome {
-        let d_l = self.config.lower_threshold();
-        let s = self.config.view_size();
-
-        // One walk: Observation 5.1 per row, exact, and the overlay counts.
-        let mut degree_violations = Vec::new();
-        let mut degree_violation_count = 0;
-        let (mut live, mut edges, mut dangling, mut min_out, mut max_out) =
-            (0usize, 0usize, 0usize, usize::MAX, 0);
-        self.sets.reset(rows);
-        for k in arena.live_dense() {
-            // Most entries name a row already in `k`'s set: one find
-            // decides that, and the root is found again only after a union
-            // may have moved it.
-            let mut root = self.sets.find(k);
-            let d = arena.compact_row::<SfBehavior>(k, &mut self.words);
-            for &word in &self.words[..d] {
-                match arena.dense_of(NodeId::new(word.into())) {
-                    None => dangling += 1,
-                    Some(other) => {
-                        if self.sets.find(other) != root {
-                            self.sets.union(root, other);
-                            root = self.sets.find(root);
-                        }
-                    }
-                }
+        let words = &mut self.words;
+        let walk = |visit: &mut dyn FnMut(u32, &[u32])| {
+            for k in arena.live_dense() {
+                let d = arena.compact_row::<SfBehavior>(k, words);
+                visit(slot_word(arena.id_at(k)), &words[..d]);
             }
-            live += 1;
-            edges += d;
-            min_out = min_out.min(d);
-            max_out = max_out.max(d);
-            if !d.is_multiple_of(2) || d < d_l || d > s {
-                degree_violation_count += 1;
-                if degree_violations.len() < MAX_REPORTED_VIOLATIONS {
-                    degree_violations.push((arena.id_at(k), d));
-                }
-            }
-        }
-
-        // Realized per-window loss and duplication rates.
-        let d_sent = totals.sent.saturating_sub(self.last.sent);
-        let d_dropped = totals.dropped.saturating_sub(self.last.dropped);
-        let d_dup = totals.duplications.saturating_sub(self.last.duplications);
-        let (window_loss, window_delta) = if d_sent == 0 {
-            (0.0, 0.0)
-        } else {
-            (d_dropped.min(d_sent) as f64 / d_sent as f64, d_dup.min(d_sent) as f64 / d_sent as f64)
         };
-
-        // Advance every cohort's Lemma 6.9/6.10 bound across the window.
-        let elapsed = round.saturating_sub(self.last_round);
-        if elapsed > 0 {
-            // `ℓ + δ` capped below 1 so the factor stays a probability.
-            let (l, d) = if window_loss + window_delta >= 1.0 {
-                (window_loss.min(0.999), (1.0 - window_loss.min(0.999)).min(window_delta))
-            } else {
-                (window_loss, window_delta)
-            };
-            let factor = survival_factor(l, d, d_l, s).clamp(0.0, 1.0);
-            let step = factor.powi(i32::try_from(elapsed.min(1 << 30)).unwrap_or(i32::MAX));
-            for cohort in &mut self.cohorts {
-                cohort.bound *= step;
-            }
-            // Prune cohorts whose bounded contribution is below one-tenth
-            // of an edge; they can no longer move the ceiling.
-            let s_f = s as f64;
-            self.cohorts.retain(|c| c.leaves * s_f * c.bound >= 0.1);
-        }
-        self.last_round = round;
-        self.last = totals;
-
-        // Lemma 6.10 ceiling against the measured overlay.
-        let stale_fraction = if edges == 0 { 0.0 } else { dangling as f64 / edges as f64 };
-        let raw_ceiling = if edges == 0 {
-            1.0
-        } else {
-            (self.surviving_instances_bound() / edges as f64).min(1.0)
-        };
-        let stale_ceiling = (raw_ceiling * STALE_HEADROOM + STALE_SLACK).min(1.0);
-
-        CheckOutcome {
-            round,
-            live,
-            mean_out: edges as f64 / live as f64,
-            min_out,
-            max_out,
-            degree_violations,
-            degree_violation_count,
-            stale_fraction,
-            stale_ceiling,
-            stale_violation: stale_fraction > stale_ceiling,
-            // A departed row is never walked nor resolved to: a singleton.
-            components: self.sets.count() - (rows - live),
-            window_loss,
-            window_delta,
-        }
+        let resolve = |word: u32| arena.dense_of(NodeId::new(word.into()));
+        self.monitor.check(round, totals, rows, walk, resolve)
     }
 }
 
@@ -299,6 +83,7 @@ mod tests {
     use rand::{Rng, SeedableRng};
     use sandf_core::LocalView;
     use sandf_graph::MembershipGraph;
+    use sandf_markov::monitor::STALE_SLACK;
     use sandf_sim::ARENA_ID_LIMIT;
 
     use super::*;
@@ -361,7 +146,7 @@ mod tests {
         let fleet = nodes(24, 6);
         let live: Vec<SfNode> = fleet[..20].to_vec();
         let mut checker = InvariantChecker::new(config());
-        checker.record_leaves(4);
+        checker.monitor.record_leaves(4);
         let outcome = checker.check(1, live.iter(), totals(100, 0));
         assert!(outcome.stale_fraction > 0.0);
         // Ceiling bound: 4 leavers × s=12 instances ≥ their actual ≤ 24
@@ -390,16 +175,17 @@ mod tests {
         let fleet = nodes(16, 6);
         let mut lossy = InvariantChecker::new(config());
         let mut clean = InvariantChecker::new(config());
-        lossy.record_leaves(8);
-        clean.record_leaves(8);
+        lossy.monitor.record_leaves(8);
+        clean.monitor.record_leaves(8);
         // 100 rounds at 90% realized loss vs 0% loss.
         let _ = lossy.check(100, fleet.iter(), totals(1000, 900));
         let _ = clean.check(100, fleet.iter(), totals(1000, 0));
         assert!(
-            lossy.surviving_instances_bound() > clean.surviving_instances_bound() * 2.0,
+            lossy.monitor.surviving_instances_bound()
+                > clean.monitor.surviving_instances_bound() * 2.0,
             "lossy {} vs clean {}",
-            lossy.surviving_instances_bound(),
-            clean.surviving_instances_bound()
+            lossy.monitor.surviving_instances_bound(),
+            clean.monitor.surviving_instances_bound()
         );
     }
 
@@ -407,7 +193,7 @@ mod tests {
     fn cohorts_decay_toward_zero_and_are_pruned() {
         let fleet = nodes(16, 6);
         let mut checker = InvariantChecker::new(config());
-        checker.record_leaves(4);
+        checker.monitor.record_leaves(4);
         let mut round = 0;
         let mut sent = 0;
         for _ in 0..60 {
@@ -415,7 +201,7 @@ mod tests {
             sent += 1000;
             let _ = checker.check(round, fleet.iter(), totals(sent, 0));
         }
-        assert_eq!(checker.surviving_instances_bound(), 0.0, "cohort must be pruned");
+        assert_eq!(checker.monitor.surviving_instances_bound(), 0.0, "cohort must be pruned");
     }
 
     #[test]
@@ -489,9 +275,9 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
         /// The one walk's counts equal a full graph snapshot's, check after
-        /// check on one checker while the fleet shrinks and grows, and the
+        /// check on one checker while the fleet shrinks and grows: the
         /// stale fraction and mean outdegree are the snapshot's ratios bit
-        /// for bit.
+        /// for bit, and the walked rows' indegrees its `in_degrees()`.
         #[test]
         fn one_pass_agrees_with_the_membership_graph(
             seed in any::<u64>(),
@@ -516,6 +302,8 @@ mod tests {
                 let degrees = graph.out_degrees();
                 prop_assert_eq!(outcome.min_out, degrees.iter().copied().min().unwrap());
                 prop_assert_eq!(outcome.max_out, degrees.iter().copied().max().unwrap());
+                let in_degrees: Vec<usize> = checker.monitor.in_degrees().collect();
+                prop_assert_eq!(in_degrees, graph.in_degrees(), "check {}", k);
             }
         }
     }

@@ -22,10 +22,12 @@
 //!   one-line grammar as a scenario spec's `phase` lines
 //!   ([`sandf_sim::fault`]) — the injected model replaces the base loss
 //!   for its window;
-//! - a **live invariant checker** ([`invariants`]) asserting Observation
-//!   5.1 outdegree bounds exactly and the Lemma 6.10 stale-fraction
-//!   ceiling in banded form, against realized (measured) loss so fault
-//!   windows slow the expected decay instead of firing false alarms;
+//! - a **live invariant checker** ([`invariants`]): the workspace's one
+//!   paper monitor (`sandf_markov::monitor`) over the fleet's arena,
+//!   asserting Observation 5.1 outdegree bounds exactly and the Lemma 6.10
+//!   stale-fraction ceiling in banded form, against realized (measured)
+//!   loss so fault windows slow the expected decay instead of firing false
+//!   alarms;
 //! - an **HTTP observability endpoint** ([`http`]) serving Prometheus
 //!   metrics, health, a JSON membership snapshot, the violation journal,
 //!   and the control routes;

@@ -900,7 +900,7 @@ impl ServiceState {
             // dropped the next time it fires.
             self.arena.leave::<SfBehavior>(self.arena.id_at(k));
         }
-        self.checker.record_leaves(count);
+        self.checker.monitor.record_leaves(count);
         self.departed += count as u64;
         Ok(live.len() - count)
     }

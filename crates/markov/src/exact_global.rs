@@ -40,6 +40,8 @@
 
 use std::collections::{BTreeMap, HashMap};
 
+use sandf_graph::DisjointSets;
+
 use crate::chain::{ChainError, SparseChain};
 
 /// A global state: for each node, the sorted multiset of ids in its view.
@@ -166,35 +168,13 @@ impl ExactGlobalMc {
     /// Whether the membership graph of `state` is weakly connected
     /// (self-edges connect nothing).
     fn weakly_connected(state: &GlobalState) -> bool {
-        let n = state.len();
-        if n <= 1 {
-            return true;
-        }
-        let mut parent: Vec<usize> = (0..n).collect();
-        fn find(parent: &mut [usize], x: usize) -> usize {
-            let mut root = x;
-            while parent[root] != root {
-                root = parent[root];
-            }
-            let mut cur = x;
-            while parent[cur] != root {
-                let next = parent[cur];
-                parent[cur] = root;
-                cur = next;
-            }
-            root
-        }
-        let mut components = n;
+        let mut sets = DisjointSets::new(state.len());
         for (u, view) in state.iter().enumerate() {
             for &v in view {
-                let (ru, rv) = (find(&mut parent, u), find(&mut parent, v as usize));
-                if ru != rv {
-                    parent[ru] = rv;
-                    components -= 1;
-                }
+                sets.union(u, v as usize);
             }
         }
-        components == 1
+        sets.count() <= 1
     }
 
     /// Exact successor distribution of one global state.

@@ -18,6 +18,9 @@
 //!   connectivity condition (`d_L ≥ 26` for `ℓ = δ = 1 %`, `ε = 10⁻³⁰`);
 //! * [`decay`] — the Section 6.5 join/leave bounds (Figure 6.4,
 //!   Corollary 6.14);
+//! * [`monitor`] — the live paper checks over one walk of an overlay's
+//!   rows: Observation 5.1 exactly and the Lemma 6.10 stale ceiling,
+//!   banded, per departure cohort at realized loss and duplication;
 //! * [`conductance`] — the Section 7.5 expected-conductance and `τ_ε`
 //!   bounds (Lemmas 7.14/7.15);
 //! * [`ExactGlobalMc`] — exact enumeration of the global chain for tiny
@@ -52,6 +55,7 @@ pub mod decay;
 mod degree_mc;
 mod dependence;
 mod exact_global;
+pub mod monitor;
 mod thresholds;
 
 pub use analytical::{AnalyticalDegrees, OddSumDegreeError};
