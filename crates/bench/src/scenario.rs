@@ -667,7 +667,7 @@ fn drive_replicate<E: Engine<Fault = ScheduledFault>>(
                 assert!(sim.leave(id), "id came from live_ids");
                 counters.churn_leaves.inc();
             }
-            monitor.record_leaves(leaving);
+            monitor.record_leaves(round, leaving);
             for _ in 0..churn.joins {
                 let sponsor = *live.last().expect("at least 4 nodes stay live");
                 if let Ok(joiner) = sim.join_via(sponsor) {
@@ -1248,7 +1248,7 @@ mod tests {
             };
             let mut monitor = Monitor::new(s.config());
             monitor.advance(4, totals(&[burn_in]));
-            monitor.record_leaves(6);
+            monitor.record_leaves(4, 6);
             monitor.advance(16, totals(&[churn]));
             check_engine(&mut monitor, &sim, 25, s.n + 2, totals(&[churn, calm])).stale_ceiling
         };
@@ -1307,7 +1307,7 @@ mod tests {
             sim.run_rounds(3);
             let totals = wire_totals(sim.stats());
             let mut monitor = Monitor::new(config);
-            monitor.record_leaves(1);
+            monitor.record_leaves(10, 1);
             let engine = check_engine(&mut monitor, &sim, 13, 64, totals);
 
             let mut fleet = Vec::new();
@@ -1317,7 +1317,7 @@ mod tests {
                 fleet.push(SfNode::from_view(NodeId::new(owner.into()), config, view));
             });
             let mut checker = InvariantChecker::new(config);
-            checker.monitor.record_leaves(1);
+            checker.monitor.record_leaves(10, 1);
             let daemon = checker.check(13, &fleet, totals);
 
             let margin = |o: &CheckOutcome| o.stale_fraction - o.stale_ceiling;

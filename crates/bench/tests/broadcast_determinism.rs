@@ -28,7 +28,7 @@ use std::fmt::Write as _;
 
 use sandf_core::{NodeId, SfConfig, SfNode};
 use sandf_sim::{
-    topology, BroadcastConfig, BroadcastLayer, Engine, FlatSimulation, GilbertElliott, LossModel,
+    topology, BroadcastConfig, BroadcastLayer, Engine, FaultModel, FlatSimulation, GilbertElliott,
     ParSimulation, PhaseFault, UniformLoss,
 };
 
@@ -96,7 +96,7 @@ fn check_golden(name: &str, reference: &str, others: &[(String, String)]) {
 /// bit-identical broadcast state, round by round.
 #[test]
 fn flat_broadcast_matches_recorded_goldens() {
-    fn scenario<L: LossModel + Clone + Send + 'static>(loss: L, name: &str, seed: u64) {
+    fn scenario<L: FaultModel + Clone + Sync + 'static>(loss: L, name: &str, seed: u64) {
         let flat =
             broadcast_artifact(FlatSimulation::new(nodes(), loss, seed), seed, rumor_channel(name));
         check_golden(&format!("pr10_broadcast_{name}_{seed}.txt"), &flat, &[]);
@@ -111,7 +111,7 @@ fn flat_broadcast_matches_recorded_goldens() {
 /// depend on the thread count.
 #[test]
 fn par_broadcast_is_byte_identical_for_every_thread_count() {
-    fn scenario<L: LossModel + Clone + Send + 'static>(loss: L, name: &str, seed: u64) {
+    fn scenario<L: FaultModel + Clone + Sync + 'static>(loss: L, name: &str, seed: u64) {
         let artifacts: Vec<(String, String)> = THREADS
             .iter()
             .map(|&t| {

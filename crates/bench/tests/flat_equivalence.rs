@@ -21,7 +21,7 @@ use sandf_bench::sweeps::loss_ablation_table;
 use sandf_core::{NodeId, SfConfig, SfNode};
 use sandf_obs::MetricsRegistry;
 use sandf_sim::{
-    topology, DelayModel, Engine, FlatSimulation, GilbertElliott, LossModel, SimRecorder,
+    topology, DelayModel, Engine, FaultModel, FlatSimulation, GilbertElliott, SimRecorder,
     UniformLoss,
 };
 
@@ -49,7 +49,7 @@ fn bursty() -> GilbertElliott {
 /// One scenario's artifact: final `SimStats` plus the recorder's full
 /// Prometheus exposition. Both are deterministic (counter metrics only —
 /// no wall-clock spans), so byte equality is the right bar.
-fn flat_artifact<L: LossModel>(loss: L, seed: u64) -> String {
+fn flat_artifact<L: FaultModel>(loss: L, seed: u64) -> String {
     let registry = MetricsRegistry::new();
     let mut sim =
         FlatSimulation::new(nodes(), loss, seed).delayed(DelayModel::UniformSteps { max: 8 });
@@ -72,7 +72,7 @@ fn sweep_artifact() -> String {
 /// must stay in lockstep with its golden through all of it — same RNG
 /// draw sequence, same joiner ids, same dead letters, byte-identical
 /// artifact.
-fn churn_artifact<L: LossModel>(loss: L, seed: u64) -> String {
+fn churn_artifact<L: FaultModel>(loss: L, seed: u64) -> String {
     let registry = MetricsRegistry::new();
     let mut sim =
         FlatSimulation::new(nodes(), loss, seed).delayed(DelayModel::UniformSteps { max: 8 });

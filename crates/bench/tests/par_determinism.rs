@@ -28,7 +28,7 @@ use sandf_bench::sweeps::par_degree_table;
 use sandf_core::{SfConfig, SfNode};
 use sandf_obs::MetricsRegistry;
 use sandf_sim::{
-    topology, DelayModel, Engine, GilbertElliott, LossModel, ParSimulation, SimRecorder,
+    topology, DelayModel, Engine, FaultModel, GilbertElliott, ParSimulation, SimRecorder,
     UniformLoss,
 };
 
@@ -57,7 +57,7 @@ fn bursty() -> GilbertElliott {
 /// One scenario's artifact: final `SimStats` plus the recorder's full
 /// Prometheus exposition after a delayed, settled run. Counter metrics
 /// only — no wall-clock spans — so byte equality is the right bar.
-fn par_artifact<L: LossModel + Clone + Send>(loss: L, seed: u64, threads: usize) -> String {
+fn par_artifact<L: FaultModel + Sync>(loss: L, seed: u64, threads: usize) -> String {
     let registry = MetricsRegistry::new();
     let mut sim = ParSimulation::new(nodes(), loss, seed, threads)
         .delayed(DelayModel::UniformSteps { max: 6 });

@@ -21,10 +21,13 @@
 //! what it loses in a scenario. The schedule's own round dispatch makes
 //! the fault lapse, so the daemon keeps no timer.
 //!
-//! Shared-model semantics: stateful models (Gilbert–Elliott's channel
-//! state) evolve across *all* senders' messages rather than per channel —
-//! the burst correlation becomes process-global, which is the interesting
-//! adversarial regime for a single-process fleet anyway.
+//! Shared-channel semantics: the loop keeps one fault channel beside the
+//! schedule, so a stateful model (`bursty`'s Gilbert–Elliott chain state)
+//! evolves across *all* senders' messages, as on the flat engine, rather
+//! than per sender as on par — the burst correlation becomes
+//! process-global, which is the interesting adversarial regime for a
+//! single-process fleet anyway. Installing a line resets the channel, so
+//! every line starts its chain in the good state.
 
 use sandf_sim::{PhaseFault, ScheduledFault};
 
@@ -129,12 +132,13 @@ mod tests {
 
     #[test]
     fn partition_command_starts_at_the_next_round() {
-        let mut schedule = compile("phase 50 partition 2 1.0 0", 41, 0.0).unwrap();
+        let schedule = compile("phase 50 partition 2 1.0 0", 41, 0.0).unwrap();
         // A cross-region message is severed in rounds [42, 92) only.
         let mut rng = <StdRng as rand::SeedableRng>::seed_from_u64(0);
+        let mut channel = Default::default();
         let mut severed = |round| {
             let ctx = FaultCtx { from: NodeId::new(0), to: NodeId::new(1), round };
-            schedule.drops(ctx, &mut rng)
+            schedule.drops(&mut channel, ctx, &mut rng)
         };
         assert!(!severed(41));
         assert!(severed(42));

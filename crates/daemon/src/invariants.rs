@@ -146,7 +146,7 @@ mod tests {
         let fleet = nodes(24, 6);
         let live: Vec<SfNode> = fleet[..20].to_vec();
         let mut checker = InvariantChecker::new(config());
-        checker.monitor.record_leaves(4);
+        checker.monitor.record_leaves(0, 4);
         let outcome = checker.check(1, live.iter(), totals(100, 0));
         assert!(outcome.stale_fraction > 0.0);
         // Ceiling bound: 4 leavers × s=12 instances ≥ their actual ≤ 24
@@ -175,8 +175,8 @@ mod tests {
         let fleet = nodes(16, 6);
         let mut lossy = InvariantChecker::new(config());
         let mut clean = InvariantChecker::new(config());
-        lossy.monitor.record_leaves(8);
-        clean.monitor.record_leaves(8);
+        lossy.monitor.record_leaves(0, 8);
+        clean.monitor.record_leaves(0, 8);
         // 100 rounds at 90% realized loss vs 0% loss.
         let _ = lossy.check(100, fleet.iter(), totals(1000, 900));
         let _ = clean.check(100, fleet.iter(), totals(1000, 0));
@@ -193,7 +193,7 @@ mod tests {
     fn cohorts_decay_toward_zero_and_are_pruned() {
         let fleet = nodes(16, 6);
         let mut checker = InvariantChecker::new(config());
-        checker.monitor.record_leaves(4);
+        checker.monitor.record_leaves(0, 4);
         let mut round = 0;
         let mut sent = 0;
         for _ in 0..60 {

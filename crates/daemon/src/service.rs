@@ -94,7 +94,7 @@ use sandf_net::SharedSocket;
 use sandf_obs::{CounterHandle, EventJournal, GaugeHandle, JournalEvent, MetricsRegistry};
 use sandf_sim::stream::{self, stream_seed};
 use sandf_sim::{
-    action_hop, count_receipt, graph_of_rows, topology, Arena, DelayModel, PhaseFault,
+    action_hop, count_receipt, graph_of_rows, topology, Arena, DelayModel, FaultModel, PhaseFault,
     ScheduledFault, SfBehavior, SimStats, StepEvent, UniformLoss, ARENA_ID_LIMIT,
 };
 
@@ -496,6 +496,9 @@ struct ServiceState {
     /// The one fault process: its last phase is the standing `uniform
     /// base_loss`, every earlier one injected by `/ctl/fault`.
     fault: ScheduledFault,
+    /// The one channel every node's send draws on (a `bursty` chain's
+    /// state and its phase), fresh with each installed line.
+    channel: <ScheduledFault as FaultModel>::Channel,
     checker: InvariantChecker,
     registry: MetricsRegistry,
     journal: EventJournal,
@@ -553,6 +556,7 @@ fn boot(config: DaemonConfig) -> io::Result<ServiceState> {
         socket: SharedSocket::bind_loopback().map_err(|e| io::Error::other(e.to_string()))?,
         outbox: Datagram::default(),
         fault: ScheduledFault::constant(PhaseFault::Uniform(base_loss)),
+        channel: Default::default(),
         checker: InvariantChecker::new(sf),
         journal: EventJournal::new(JOURNAL_CAPACITY),
         snapshot: Arc::new(Mutex::new(MembershipSnapshot {
@@ -802,7 +806,7 @@ impl ServiceState {
         let (arena, row) = (&mut self.arena, &mut self.rows[k]);
         let event = action_hop::<SfBehavior, _>(
             arena.id_at(k),
-            &mut self.fault,
+            (&self.fault, &mut self.channel),
             &mut row.rng,
             &mut row.stats,
             (round, round),
@@ -900,7 +904,7 @@ impl ServiceState {
             // dropped the next time it fires.
             self.arena.leave::<SfBehavior>(self.arena.id_at(k));
         }
-        self.checker.monitor.record_leaves(count);
+        self.checker.monitor.record_leaves(self.wheel.rounds(), count);
         self.departed += count as u64;
         Ok(live.len() - count)
     }
@@ -916,6 +920,8 @@ impl ServiceState {
             fault.phase_mut(0).aim(&graph.top_in_degree(count));
         }
         self.fault = fault;
+        // A fresh line runs a fresh chain.
+        self.channel = Default::default();
         Ok(self.fault_kind(now).into())
     }
 
@@ -995,7 +1001,7 @@ impl ServiceState {
 #[cfg(test)]
 mod tests {
     use sandf_core::Message;
-    use sandf_sim::{FaultCtx, FaultModel};
+    use sandf_sim::FaultCtx;
 
     use super::*;
 
@@ -1073,7 +1079,7 @@ mod tests {
         let row = &mut state.rows[from];
         let event = action_hop::<SfBehavior, _>(
             state.arena.id_at(from),
-            &mut state.fault,
+            (&state.fault, &mut state.channel),
             &mut row.rng,
             &mut row.stats,
             (round, round),
@@ -1111,6 +1117,29 @@ mod tests {
         assert_eq!(state.rows[1].stats.stored, 1);
         assert_eq!(counter(&state, "daemon.net.received"), 1);
         assert_eq!(counter(&state, "daemon.fault.dropped"), 20);
+        assert_eq!(WireLedger::read(&state.registry).in_flight(), 0);
+    }
+
+    /// Each installed line runs a fresh chain on the daemon's one channel:
+    /// a second `bursty` line starts in the good state, even while the
+    /// first line's chain, stuck bad, would still govern.
+    #[test]
+    fn a_second_bursty_line_starts_its_chain_good() {
+        let (mut state, message) = lossless_fleet();
+        assert_eq!(state.handle_fault("phase 100 bursty 1 0 0 1"), Ok("bursty".into()));
+        for _ in 0..20 {
+            send(&mut state, 0, 5, NodeId::new(1), message);
+        }
+        assert_eq!(state.rows[0].stats.lost, 20, "the first line's chain turned bad at once");
+        assert_eq!(state.channel, (0, true));
+        // Good never turns bad here, and bad loses everything.
+        assert_eq!(state.handle_fault("phase 100 bursty 0 0.001 0 1"), Ok("bursty".into()));
+        for _ in 0..100 {
+            send(&mut state, 0, 5, NodeId::new(1), message);
+        }
+        assert_eq!(state.rows[0].stats.lost, 20, "the second line's chain started bad");
+        assert_eq!(counter(&state, "daemon.fault.dropped"), 20);
+        settle(&mut state);
         assert_eq!(WireLedger::read(&state.registry).in_flight(), 0);
     }
 
@@ -1249,16 +1278,16 @@ mod tests {
         let (from, gone) = a_sender_and_a_departed_id(&mut state);
         let id = NodeId::new(from as u64);
         // The Section 4.1 model on a fresh copy of the sender's one stream,
-        // lifted into the fault surface the way every engine draws it: the
+        // drawn through the fault surface the way every engine draws it: the
         // sends draw nothing to initiate, so each takes the loss draw alone.
-        let mut model = UniformLoss::new(0.3).unwrap();
+        let model = UniformLoss::new(0.3).unwrap();
         let seed = stream_seed(state.config.seed, stream::DAEMON_NODE, id.as_u64(), 0);
         let mut rng = StdRng::seed_from_u64(seed);
         assert_eq!(rng, state.rows[from].rng, "the node's stream is fresh");
         for k in 0..2_000 {
             let (round, before) = (1 + k / 16, counter(&state, "daemon.net.dropped"));
             send(&mut state, from, round, gone, Message::new(id, NodeId::new(9), false));
-            let want = model.drops(FaultCtx { from: id, to: gone, round }, &mut rng);
+            let want = model.drops(&mut (), FaultCtx { from: id, to: gone, round }, &mut rng);
             assert_eq!(counter(&state, "daemon.net.dropped") > before, want, "send {k}");
         }
         assert!(counter(&state, "daemon.net.dropped") > 500, "a 30 % channel must drop");

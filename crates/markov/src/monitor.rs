@@ -70,12 +70,13 @@ pub const STALE_SLACK: f64 = 0.02;
 /// Cap on per-check reported degree offenders (the journal is bounded).
 pub const MAX_REPORTED_VIOLATIONS: usize = 16;
 
-/// One departure cohort: `leaves` nodes that left in the same window, and
-/// the current Lemma 6.10 survival bound on their id instances.
+/// One departure cohort: `leaves` nodes that left in round `left`, and the
+/// current Lemma 6.10 survival bound on their id instances.
 #[derive(Clone, Copy, Debug)]
 struct Cohort {
     leaves: f64,
     bound: f64,
+    left: u64,
 }
 
 /// Cumulative message counters at a check point. All fields are totals
@@ -154,12 +155,13 @@ impl Monitor {
         }
     }
 
-    /// Records a departure of `count` nodes; their survival bound starts
-    /// at 1 and decays from the next [`advance`](Self::advance) on, across
-    /// the whole window that advance closes.
-    pub fn record_leaves(&mut self, count: usize) {
+    /// Records a departure of `count` nodes in `round`; their survival
+    /// bound starts at 1 and decays from `round` on: the next
+    /// [`advance`](Self::advance) credits it only the rounds of its window
+    /// after `round`.
+    pub fn record_leaves(&mut self, round: u64, count: usize) {
         if count > 0 {
-            self.cohorts.push(Cohort { leaves: count as f64, bound: 1.0 });
+            self.cohorts.push(Cohort { leaves: count as f64, bound: 1.0, left: round });
         }
     }
 
@@ -195,9 +197,11 @@ impl Monitor {
             let cap = if window_loss + window_delta >= 1.0 { 0.999 } else { 1.0 };
             let l = window_loss.min(cap);
             let factor = survival_factor(l, window_delta.min(1.0 - l), d_l, s).clamp(0.0, 1.0);
-            let step = factor.powi(i32::try_from(elapsed.min(1 << 30)).unwrap_or(i32::MAX));
+            let decay =
+                |rounds: u64| factor.powi(i32::try_from(rounds.min(1 << 30)).unwrap_or(i32::MAX));
             for cohort in &mut self.cohorts {
-                cohort.bound *= step;
+                // A cohort decays from its own leave round, never from before.
+                cohort.bound *= decay(round.saturating_sub(self.last_round.max(cohort.left)));
             }
             // Prune cohorts whose bounded contribution is below one-tenth
             // of an edge; they can no longer move the ceiling.
@@ -324,8 +328,8 @@ mod tests {
         let (s, d_l) = (config().view_size(), config().lower_threshold());
         let mut dup = Monitor::new(config());
         let mut clean = Monitor::new(config());
-        dup.record_leaves(8);
-        clean.record_leaves(8);
+        dup.record_leaves(0, 8);
+        clean.record_leaves(0, 8);
         let totals = WireTotals { sent: 1000, dropped: 100, duplications: 300 };
         assert_eq!(dup.advance(100, totals), (0.1, 0.3));
         let _ = clean.advance(100, WireTotals { duplications: 0, ..totals });
@@ -337,6 +341,29 @@ mod tests {
             assert!(gap.abs() < 1e-12, "δ = {delta}: {gap}");
         }
         assert!(dup.surviving_instances_bound() > clean.surviving_instances_bound() * 2.0);
+    }
+
+    /// A cohort recorded inside a window decays from its own leave round:
+    /// the advance closing the window credits it `factor^(round − left)`,
+    /// not `factor^(round − last_round)`, and later windows decay it whole.
+    #[test]
+    fn a_cohort_decays_from_its_own_leave_round() {
+        let (s, d_l) = (config().view_size(), config().lower_threshold());
+        let mut monitor = Monitor::new(config());
+        let _ = monitor.advance(10, WireTotals::default());
+        monitor.record_leaves(10, 2);
+        monitor.record_leaves(16, 4);
+        let totals = WireTotals { sent: 1000, dropped: 100, duplications: 0 };
+        assert_eq!(monitor.advance(20, totals), (0.1, 0.0));
+        let factor = survival_factor(0.1, 0.0, d_l, s);
+        let want = s as f64 * (2.0 * factor.powi(10) + 4.0 * factor.powi(4));
+        let gap = monitor.surviving_instances_bound() / want - 1.0;
+        assert!(gap.abs() < 1e-12, "mid-window cohort credited from the window's start: {gap}");
+        let totals = WireTotals { sent: 2000, dropped: 200, duplications: 0 };
+        let _ = monitor.advance(25, totals);
+        let want = want * factor.powi(5);
+        let gap = monitor.surviving_instances_bound() / want - 1.0;
+        assert!(gap.abs() < 1e-12, "a later window decays every cohort whole: {gap}");
     }
 
     #[test]

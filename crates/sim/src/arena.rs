@@ -70,9 +70,11 @@
 //! a schedule can key its own per-node tables by them: flat's `live_pos`
 //! (dense index → position in its live list, what makes its `leave` O(1);
 //! built at the first `leave`, before which the live order is the dense
-//! order) is one, and par's per-sender fault channels another; each lives
-//! with its schedule, not here. The daemon keys its per-row column (each
-//! node's random stream and counters) the same way.
+//! order) is one, and par's per-sender fault channel states another (the
+//! one bit a `bursty` chain carries per sender; zero-sized under a
+//! memoryless fault, since the fault value itself is one, shared); each
+//! lives with its schedule, not here. The daemon keys its per-row column
+//! (each node's random stream and counters) the same way.
 //!
 //! The type is public for the daemon, with only the methods it calls; its
 //! fields stay private to this crate, and every other reader goes through

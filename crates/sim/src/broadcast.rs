@@ -45,9 +45,11 @@
 //! partition windows and phase changes apply to rumors exactly as to
 //! membership. A message's loss
 //! rate is [`PhaseFault::rate`], the function the engines draw against,
-//! with one exception: a `bursty` phase keeps its Gilbert–Elliott state
-//! per *receiver*, advanced once per step from the receiver's
-//! [`RUMOR_CHANNEL`] stream, instead of per sender. A `capacity` phase
+//! read in the *receiver's* chain state: a `bursty` phase keeps one
+//! Gilbert–Elliott bit per receiver, stepped once per step through the
+//! one transition, [`GilbertElliott::advance`](crate::GilbertElliott::advance),
+//! from the receiver's [`RUMOR_CHANNEL`] stream (the bits are kept across
+//! phases). A `capacity` phase
 //! gates a node's push and pull through [`FaultModel::node_acts`]. Loss
 //! applies per message at the *receiver*, after the sender has paid for
 //! the send — lost rumors still count toward message complexity, exactly
@@ -500,12 +502,9 @@ impl BroadcastLayer {
             let prefix = stream_prefix(self.seed, RUMOR_CHANNEL);
             for &id in &live {
                 let mut rng = StdRng::seed_from_u64(absorb(absorb(prefix, id.as_u64()), round));
-                let next = if bit(&self.bad_state, id.as_u64()) {
-                    !rng.gen_bool(chain.to_good)
-                } else {
-                    rng.gen_bool(chain.to_bad)
-                };
-                assign_bit(&mut self.bad_state, id.as_u64() as u32, next);
+                let mut bad = bit(&self.bad_state, id.as_u64());
+                chain.advance(&mut bad, &mut rng);
+                assign_bit(&mut self.bad_state, id.as_u64() as u32, bad);
             }
         }
 
@@ -516,9 +515,10 @@ impl BroadcastLayer {
         // results are independent of the engine's iteration order.
         let mut newly = std::mem::take(&mut self.newly);
         newly.clear();
-        let loss_rate = |from: u32, to: u32| match phase {
-            PhaseFault::Bursty(chain) => chain.loss_in(bit(&self.bad_state, to.into())),
-            _ => phase.rate(FaultCtx { from: widen(from), to: widen(to), round: fault_round }),
+        let bursty = matches!(phase, PhaseFault::Bursty(_));
+        let loss_rate = |from: u32, to: u32| {
+            let ctx = FaultCtx { from: widen(from), to: widen(to), round: fault_round };
+            phase.rate(ctx, bursty && bit(&self.bad_state, to.into()))
         };
         let (informed, age, config) = (&self.informed, &self.age, self.config);
         let acts = |id: u32| {

@@ -1,8 +1,8 @@
 //! Adversarial fault models beyond i.i.d. loss.
 //!
 //! The paper's analysis assumes *uniform i.i.d. message loss*
-//! (Section 4.1); [`LossModel`] captures exactly that surface plus the
-//! bursty ablation ([`GilbertElliott`]). This module generalizes the
+//! (Section 4.1); [`UniformLoss`] is exactly that channel, and
+//! [`GilbertElliott`] its bursty ablation. This module generalizes the
 //! surface to **correlated, time-varying, and structural** faults — the
 //! regimes where Obs 5.1 and the Lemma 6.10 decay bounds were never
 //! proven to hold, and where the scenario harness in `sandf-bench` probes
@@ -12,9 +12,12 @@
 //!
 //! Every engine ([`FlatSimulation`](crate::FlatSimulation),
 //! [`ParSimulation`](crate::ParSimulation)) is bound by the
-//! [`FaultModel`] trait. A blanket impl lifts every [`LossModel`] into a
-//! [`FaultModel`], so existing code and seeds are unchanged: a lifted model
-//! consumes the exact same RNG draws as before.
+//! [`FaultModel`] trait, which [`UniformLoss`], [`GilbertElliott`],
+//! [`PhaseFault`] and [`ScheduledFault`] implement. A fault value is
+//! read-only: an engine holds one and every sender draws on it. What a
+//! model remembers between messages — only `bursty`'s Gilbert–Elliott
+//! chain state, one bit — is the model's [`Channel`](FaultModel::Channel),
+//! kept by whoever holds the channel (see the `bursty` row below).
 //!
 //! [`ScheduledFault`] composes [`PhaseFault`]s into a round-indexed
 //! schedule — the compiled form of the declarative scenario specs in
@@ -38,7 +41,7 @@
 //! | model | variant | semantics | the rumor layer reads |
 //! |---|---|---|---|
 //! | `uniform <rate>` | [`PhaseFault::Uniform`] | i.i.d. loss (the paper's model) | [`rate`](PhaseFault::rate) |
-//! | `bursty <to_bad> <to_good> <loss_good> <loss_bad>` | [`PhaseFault::Bursty`] | per-sender bursty channel | the four parameters, with the chain state kept per *receiver* |
+//! | `bursty <to_bad> <to_good> <loss_good> <loss_bad>` | [`PhaseFault::Bursty`] | Gilbert–Elliott bursty channel: one chain for all senders on flat and in the daemon, one per sender on par; each phase starts its chains good | [`rate`](PhaseFault::rate) in the receiver's chain state: one chain per *receiver*, kept across phases |
 //! | `partition <regions> <sever> <base>` | [`PhaseFault::Partition`] | cross-region loss at `sever` for the phase window, then heal | [`rate`](PhaseFault::rate), windowed by membership round |
 //! | `perlink <salt> <bad_fraction> <good_rate> <bad_rate>` | [`PhaseFault::PerLink`] | persistent per-link quality | [`rate`](PhaseFault::rate), link by link |
 //! | `capacity <salt> <slow_fraction> <period> <base>` | [`PhaseFault::Capacity`] | slow cohort acts every `period`-th round | [`node_acts`](FaultModel::node_acts) gates push and pull; [`rate`](PhaseFault::rate) is `base` |
@@ -65,7 +68,7 @@ use std::str::FromStr;
 use rand::Rng;
 use sandf_core::NodeId;
 
-use crate::loss::{GilbertElliott, LossModel, UniformLoss};
+use crate::loss::{bernoulli, GilbertElliott, UniformLoss};
 use crate::stream::fnv1a64;
 
 /// FNV-1a of `words` as little-endian bytes.
@@ -97,25 +100,31 @@ pub struct FaultCtx {
     pub round: u64,
 }
 
-/// The fault surface shared by both simulation engines.
+/// The fault surface shared by both simulation engines and the daemon.
 ///
 /// A fault model decides, per message, whether the network [`drops`] it —
 /// given the full send context ([`FaultCtx`]: sender, receiver, round) —
 /// and, per `(node, round)`, whether a node gets to act at all
-/// ([`node_acts`], the capacity gate). Every [`LossModel`] is a
-/// `FaultModel` via the blanket impl (destination-only loss, every node
-/// always acts), so the trait is a strict generalization.
+/// ([`node_acts`], the capacity gate).
 ///
-/// Implementations may keep state, but models intended for the par engine
-/// should derive per-link/per-node decisions statelessly from the context
-/// (see the module docs) — the engine clones one channel per sender, so
-/// order-dependent state is only locally consistent.
+/// The model itself is read-only, so one value serves every sender (par's
+/// shards share one `&L`). Per-link and per-node decisions derive
+/// statelessly from the context (see the module docs); the only state a
+/// model carries between messages is its [`Channel`], which the holder of
+/// the channel keeps and passes to every draw: flat and the daemon keep
+/// one for all senders, par one per sender.
 ///
 /// [`drops`]: FaultModel::drops
 /// [`node_acts`]: FaultModel::node_acts
+/// [`Channel`]: FaultModel::Channel
 pub trait FaultModel {
-    /// Returns `true` if the message described by `ctx` is lost.
-    fn drops<R: Rng + ?Sized>(&mut self, ctx: FaultCtx, rng: &mut R) -> bool;
+    /// The state one channel carries between messages; `Default` is a
+    /// fresh channel. `()` for a memoryless model.
+    type Channel: Default + Clone + Send;
+
+    /// Returns `true` if the message described by `ctx`, sent on
+    /// `channel`, is lost.
+    fn drops(&self, channel: &mut Self::Channel, ctx: FaultCtx, rng: &mut impl Rng) -> bool;
 
     /// Whether `node` initiates an action in `round`. A `false` makes the
     /// engine skip the node's step entirely (counted in
@@ -127,19 +136,30 @@ pub trait FaultModel {
     }
 }
 
-/// Every [`LossModel`] is a [`FaultModel`]: loss ignores the endpoints and
-/// the capacity gate is always open. Lifted models consume exactly the RNG
-/// draws of the underlying `is_lost`, which is what keeps pre-fault seeds
-/// byte-identical.
-impl<T: LossModel> FaultModel for T {
-    fn drops<R: Rng + ?Sized>(&mut self, _ctx: FaultCtx, rng: &mut R) -> bool {
-        self.is_lost(rng)
+/// The paper's channel: i.i.d. loss, memoryless, so a channel holds
+/// nothing.
+impl FaultModel for UniformLoss {
+    type Channel = ();
+
+    fn drops(&self, (): &mut (), _: FaultCtx, rng: &mut impl Rng) -> bool {
+        bernoulli(self.rate, rng)
+    }
+}
+
+/// A bursty channel: the chain steps once per message, then the message
+/// is lost at its state's rate. The channel is the chain state.
+impl FaultModel for GilbertElliott {
+    type Channel = bool;
+
+    fn drops(&self, bad: &mut bool, _: FaultCtx, rng: &mut impl Rng) -> bool {
+        self.advance(bad, rng);
+        bernoulli(self.loss_in(*bad), rng)
     }
 }
 
 /// One fault model — the closed sum of every model a scenario phase can
-/// name, so a compiled schedule is a plain `Clone + Send` value usable as
-/// any engine's `L` parameter.
+/// name, so a compiled schedule is a plain `Clone + Send + Sync` value
+/// usable as any engine's `L` parameter.
 ///
 /// [`parse_phase`](Self::parse_phase) returns a model placed at rounds
 /// `[0, rounds)` with its written salt; [`placed`](Self::placed) moves it
@@ -151,7 +171,8 @@ pub enum PhaseFault {
     /// `uniform <rate>` — i.i.d. loss (the paper's model).
     Uniform(UniformLoss),
     /// `bursty <to_bad> <to_good> <loss_good> <loss_bad>` — Gilbert–Elliott
-    /// bursty per-sender loss.
+    /// bursty loss, its chain state kept by the channel's holder (see the
+    /// grammar table).
     Bursty(GilbertElliott),
     /// `partition <regions> <sever> <base>` — the overlay splits into
     /// `regions` regions by id (`id mod regions`; the in-repo topologies
@@ -177,7 +198,7 @@ pub enum PhaseFault {
     /// correlated loss: every *directed link* has a persistent quality,
     /// drawn once from a hash of `(salt, from, to)`; a `bad_fraction` of
     /// links loses at `bad_rate`, the rest at `good_rate`. Unlike `bursty`
-    /// (temporal correlation on a sender's channel) the correlation is
+    /// (temporal correlation on a channel) the correlation is
     /// spatial and permanent.
     PerLink {
         /// Link-map salt ([`placed`](PhaseFault::placed) XORs in the
@@ -226,15 +247,16 @@ pub enum PhaseFault {
     },
 }
 
+/// The channel is the `bursty` chain state, which every other model
+/// leaves alone.
 impl FaultModel for PhaseFault {
-    fn drops<R: Rng + ?Sized>(&mut self, ctx: FaultCtx, rng: &mut R) -> bool {
+    type Channel = bool;
+
+    fn drops(&self, bad: &mut bool, ctx: FaultCtx, rng: &mut impl Rng) -> bool {
         match self {
-            Self::Uniform(m) => m.is_lost(rng),
-            Self::Bursty(m) => m.is_lost(rng),
-            _ => {
-                let rate = self.rate(ctx);
-                rate > 0.0 && rng.gen_bool(rate)
-            }
+            Self::Uniform(m) => m.drops(&mut (), ctx, rng),
+            Self::Bursty(m) => m.drops(bad, ctx, rng),
+            _ => bernoulli(self.rate(ctx, *bad), rng),
         }
     }
 
@@ -279,16 +301,17 @@ pub fn expect_args(directive: &str, usage: &str, args: &[&str], want: usize) -> 
 }
 
 impl PhaseFault {
-    /// The loss probability of the message `ctx` — the one per-message
-    /// rate function: [`drops`](FaultModel::drops) draws against it, and
-    /// so does the rumor layer ([`BroadcastLayer`](crate::BroadcastLayer)).
-    /// A bursty channel answers with its current state's rate.
+    /// The loss probability of the message `ctx` on a channel whose
+    /// `bursty` chain is in state `bad` — the one per-message rate
+    /// function: [`drops`](FaultModel::drops) draws against it, and so
+    /// does the rumor layer ([`BroadcastLayer`](crate::BroadcastLayer)).
+    /// Only a bursty phase reads `bad`.
     #[must_use]
-    pub fn rate(&self, ctx: FaultCtx) -> f64 {
+    pub fn rate(&self, ctx: FaultCtx, bad: bool) -> f64 {
         let (from, to) = (ctx.from.as_u64(), ctx.to.as_u64());
         match *self {
             Self::Uniform(m) => m.rate,
-            Self::Bursty(m) => m.loss_in(m.in_bad_state()),
+            Self::Bursty(m) => m.loss_in(bad),
             Self::Partition { regions, start, duration, sever, base } => {
                 let active = ctx.round >= start && ctx.round - start < duration;
                 if active && from % regions != to % regions {
@@ -543,7 +566,8 @@ impl std::fmt::Display for PhaseFault {
 ///
 /// The schedule itself is a [`FaultModel`], so it plugs into any engine
 /// unchanged; per-message dispatch is a linear scan over a handful of
-/// phases.
+/// phases. Its channel is the `bursty` chain state together with the
+/// phase it belongs to, so every phase starts its chains good.
 #[derive(Clone, PartialEq, Debug)]
 pub struct ScheduledFault {
     /// `(end_round_exclusive, fault)`, with strictly increasing ends; the
@@ -604,9 +628,16 @@ impl ScheduledFault {
 }
 
 impl FaultModel for ScheduledFault {
-    fn drops<R: Rng + ?Sized>(&mut self, ctx: FaultCtx, rng: &mut R) -> bool {
-        let idx = self.phase_index(ctx.round);
-        self.phases[idx].1.drops(ctx, rng)
+    /// The index of the phase the chain state belongs to, and the state.
+    type Channel = (usize, bool);
+
+    fn drops(&self, (phase, bad): &mut (usize, bool), ctx: FaultCtx, rng: &mut impl Rng) -> bool {
+        let index = self.phase_index(ctx.round);
+        if *phase != index {
+            // A new phase's chain starts in the good state.
+            (*phase, *bad) = (index, false);
+        }
+        self.phases[index].1.drops(bad, ctx, rng)
     }
 
     fn node_acts(&self, node: NodeId, round: u64) -> bool {
@@ -660,34 +691,58 @@ pub(crate) mod tests {
 
     #[test]
     fn lifted_loss_model_matches_is_lost() {
-        let mut lifted = UniformLoss::new(0.3).unwrap();
-        let mut raw = UniformLoss::new(0.3).unwrap();
+        use crate::loss::LossModel;
+        let lifted = UniformLoss::new(0.3).unwrap();
+        let mut raw = lifted;
         let mut ra = StdRng::seed_from_u64(5);
         let mut rb = StdRng::seed_from_u64(5);
         for k in 0..2_000 {
             assert_eq!(
-                lifted.drops(ctx(1, k, 0), &mut ra),
+                lifted.drops(&mut (), ctx(1, k, 0), &mut ra),
                 raw.is_lost(&mut rb),
-                "blanket impl must consume identical draws"
+                "the fault surface must consume the i.i.d. draws"
             );
         }
         assert!(lifted.node_acts(NodeId::new(0), 0));
     }
 
+    /// A schedule of two `bursty` phases: the first's chain turns bad at
+    /// its first message and loses everything, the second's never leaves
+    /// the good state and loses nothing, unless a chain carries the first
+    /// phase's bad state into it (it then loses nearly everything).
+    pub(crate) fn two_bursty_phases(first_rounds: u64) -> ScheduledFault {
+        ScheduledFault::new(vec![
+            (first_rounds, parsed("1 bursty 1 0 0 1").1),
+            (u64::MAX, parsed("1 bursty 0 0.001 0 1").1),
+        ])
+    }
+
+    #[test]
+    fn each_phase_of_a_schedule_starts_its_chain_good() {
+        let schedule = two_bursty_phases(4);
+        let (mut rng, mut channel) = (StdRng::seed_from_u64(4), Default::default());
+        assert!((0..50).all(|_| schedule.drops(&mut channel, ctx(0, 1, 3), &mut rng)));
+        assert_eq!(channel, (0, true), "the first phase's chain turned bad");
+        assert!((0..50).all(|_| !schedule.drops(&mut channel, ctx(0, 1, 4), &mut rng)));
+        assert_eq!(channel, (1, false), "the second phase's chain started good");
+    }
+
     #[test]
     fn partition_severs_only_cross_region_in_window() {
-        let mut p =
-            PhaseFault::Partition { regions: 2, start: 10, duration: 5, sever: 1.0, base: 0.0 };
-        let mut rng = StdRng::seed_from_u64(1);
+        let p = PhaseFault::Partition { regions: 2, start: 10, duration: 5, sever: 1.0, base: 0.0 };
+        let (mut rng, mut channel) = (StdRng::seed_from_u64(1), false);
         // In-window, cross-region (even → odd): always lost.
-        assert!((0..50).all(|_| p.drops(ctx(0, 1, 12), &mut rng)));
+        assert!((0..50).all(|_| p.drops(&mut channel, ctx(0, 1, 12), &mut rng)));
         // In-window, same region: never lost.
-        assert!((0..50).all(|_| !p.drops(ctx(0, 2, 12), &mut rng)));
+        assert!((0..50).all(|_| !p.drops(&mut channel, ctx(0, 2, 12), &mut rng)));
         // Before and after the window: healed.
-        assert!((0..50).all(|_| !p.drops(ctx(0, 1, 9), &mut rng)));
-        assert!((0..50).all(|_| !p.drops(ctx(0, 1, 15), &mut rng)));
+        assert!((0..50).all(|_| !p.drops(&mut channel, ctx(0, 1, 9), &mut rng)));
+        assert!((0..50).all(|_| !p.drops(&mut channel, ctx(0, 1, 15), &mut rng)));
         // The window's first and last rounds sever.
-        assert!(p.drops(ctx(0, 1, 10), &mut rng) && p.drops(ctx(0, 1, 14), &mut rng));
+        assert!(
+            p.drops(&mut channel, ctx(0, 1, 10), &mut rng)
+                && p.drops(&mut channel, ctx(0, 1, 14), &mut rng)
+        );
     }
 
     #[test]
@@ -706,9 +761,9 @@ pub(crate) mod tests {
     fn per_link_quality_is_persistent_and_salted() {
         // With rates 0 and 1 a drop is exactly a bad link.
         let link_is_bad = |salt: u64, from: u64, to: u64| {
-            let mut model =
+            let model =
                 PhaseFault::PerLink { salt, bad_fraction: 0.3, good_rate: 0.0, bad_rate: 1.0 };
-            model.drops(ctx(from, to, 0), &mut StdRng::seed_from_u64(from ^ to))
+            model.drops(&mut false, ctx(from, to, 0), &mut StdRng::seed_from_u64(from ^ to))
         };
         // Persistence: the same link always answers the same.
         for from in 0..20 {
@@ -730,12 +785,12 @@ pub(crate) mod tests {
 
     #[test]
     fn per_link_drops_follow_link_quality() {
-        let mut model =
+        let model =
             PhaseFault::PerLink { salt: 7, bad_fraction: 0.5, good_rate: 0.0, bad_rate: 1.0 };
-        let mut rng = StdRng::seed_from_u64(3);
+        let (mut rng, mut channel) = (StdRng::seed_from_u64(3), false);
         for from in 0..30u64 {
             for to in 0..30u64 {
-                let lost = model.drops(ctx(from, to, 0), &mut rng);
+                let lost = model.drops(&mut channel, ctx(from, to, 0), &mut rng);
                 assert_eq!(lost, fraction_of(&[7, from, to]) < 0.5);
             }
         }
@@ -786,13 +841,13 @@ pub(crate) mod tests {
         model.aim(&[NodeId::new(9), NodeId::new(3), NodeId::new(9)]);
         let PhaseFault::Victims { victims, .. } = &model else { unreachable!() };
         assert_eq!(victims, &[NodeId::new(3), NodeId::new(9)]);
-        let mut rng = StdRng::seed_from_u64(2);
-        assert!((0..50).all(|_| model.drops(ctx(0, 3, 0), &mut rng)));
-        assert!((0..50).all(|_| !model.drops(ctx(0, 4, 0), &mut rng)));
+        let (mut rng, mut channel) = (StdRng::seed_from_u64(2), false);
+        assert!((0..50).all(|_| model.drops(&mut channel, ctx(0, 3, 0), &mut rng)));
+        assert!((0..50).all(|_| !model.drops(&mut channel, ctx(0, 4, 0), &mut rng)));
         // Replacing the set retargets instantly.
         model.aim(&[NodeId::new(4)]);
-        assert!((0..50).all(|_| !model.drops(ctx(0, 3, 0), &mut rng)));
-        assert!((0..50).all(|_| model.drops(ctx(0, 4, 0), &mut rng)));
+        assert!((0..50).all(|_| !model.drops(&mut channel, ctx(0, 3, 0), &mut rng)));
+        assert!((0..50).all(|_| model.drops(&mut channel, ctx(0, 4, 0), &mut rng)));
     }
 
     #[test]
@@ -813,10 +868,9 @@ pub(crate) mod tests {
         assert_eq!(rate_at(15), 1.0);
         assert_eq!(rate_at(99), 0.25);
 
-        let mut s = schedule.clone();
-        let mut rng = StdRng::seed_from_u64(9);
-        assert!(!s.drops(ctx(0, 1, 5), &mut rng));
-        assert!(s.drops(ctx(0, 1, 15), &mut rng));
+        let (mut rng, mut channel) = (StdRng::seed_from_u64(9), (0, false));
+        assert!(!schedule.drops(&mut channel, ctx(0, 1, 5), &mut rng));
+        assert!(schedule.drops(&mut channel, ctx(0, 1, 15), &mut rng));
     }
 
     #[test]
@@ -949,12 +1003,13 @@ pub(crate) mod tests {
         ] {
             let mut fault = parsed(line).1.placed(10, 7);
             fault.aim(&[9, 3, 1, 5].map(NodeId::new));
-            let mut rng = StdRng::seed_from_u64(2009);
+            let (mut rng, mut channel) = (StdRng::seed_from_u64(2009), false);
             let mut decisions = Vec::new();
             for round in 8..18 {
                 for from in 0..12 {
                     for to in 0..12 {
-                        decisions.push(u8::from(fault.drops(ctx(from, to, round), &mut rng)));
+                        let lost = fault.drops(&mut channel, ctx(from, to, round), &mut rng);
+                        decisions.push(u8::from(lost));
                     }
                 }
             }

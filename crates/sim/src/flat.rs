@@ -6,6 +6,9 @@
 //! widening boundary), the fault and the stats; what this module owns is
 //! the part that makes it *that* engine:
 //!
+//! * **one channel** — every send and reply draws its loss on the one
+//!   fault channel the schedule keeps, so a `bursty` chain is one chain for
+//!   all senders;
 //! * **central-entity scheduler** — one global RNG; each step draws a
 //!   uniformly random live node (the paper's §5 execution model). The live
 //!   order is insertion order with `swap_remove` on leave, because the
@@ -111,7 +114,7 @@ use crate::traits::{Engine, ProtocolBehavior, SfBehavior};
 /// ```
 ///
 /// A clone shares an attached profiler.
-pub type FlatSimulation<L, B = SfBehavior> = ArenaSim<Flat, L, B>;
+pub type FlatSimulation<L, B = SfBehavior> = ArenaSim<Flat<<L as FaultModel>::Channel>, L, B>;
 
 /// One live-list entry: a node's raw id packed next to its dense arena
 /// index, so resolving a drawn initiator costs no extra random read of
@@ -181,32 +184,36 @@ struct StepProfile {
 }
 
 /// The central-entity schedule's own state, beside what the shell owns:
-/// the live order, the global RNG and how far the queue is drained.
+/// the live order, the global RNG, the one fault channel `C` and how far
+/// the queue is drained.
 #[derive(Clone)]
-pub struct Flat {
+pub struct Flat<C> {
     /// The live order the initiator draw indexes into.
     order: LiveOrder,
     rng: StdRng,
+    /// The fault channel every send and reply draws on.
+    channel: C,
     /// All delivery times `≤ drained_to` have been drained.
     drained_to: u64,
     /// Hot-path span histograms, when a profiler is attached.
     profile: Option<StepProfile>,
 }
 
-impl Flat {
+impl<C: Default> Flat<C> {
     /// A fresh schedule over a freshly built arena: every node live, in
-    /// dense (= insertion) order.
+    /// dense (= insertion) order, and a fresh channel.
     fn seeded(seed: u64) -> Self {
         Self {
             order: LiveOrder::Dense,
             rng: StdRng::seed_from_u64(seed),
+            channel: C::default(),
             drained_to: 0,
             profile: None,
         }
     }
 }
 
-impl<L: FaultModel, B: ProtocolBehavior> Schedule<L, B> for Flat {
+impl<L: FaultModel, B: ProtocolBehavior> Schedule<L, B> for Flat<L::Channel> {
     fn round(sim: &mut FlatSimulation<L, B>) {
         sim.round();
     }
@@ -255,10 +262,6 @@ impl<L: FaultModel, B: ProtocolBehavior> Schedule<L, B> for Flat {
 
     fn join_rng(&mut self) -> &mut StdRng {
         &mut self.rng
-    }
-
-    fn channels(&mut self) -> &mut [L] {
-        &mut []
     }
 }
 
@@ -366,8 +369,9 @@ impl<L: FaultModel, B: ProtocolBehavior> FlatSimulation<L, B> {
         self.deliver_due(reports.as_deref_mut());
         let (arena, behavior) = (&mut self.arena, &self.behavior);
         let (rng, stats, clock) = (&mut self.sched.rng, &mut self.stats, (self.rounds, self.steps));
+        let fault = (&self.loss, &mut self.sched.channel);
         let mut event =
-            action_hop::<B, _>(initiator, &mut self.loss, rng, stats, clock, self.delay, |rng| {
+            action_hop::<B, _>(initiator, fault, rng, stats, clock, self.delay, |rng| {
                 arena.initiate(behavior, k, rng)
             });
         // The report of the reply an immediate delivery triggered; it
@@ -407,7 +411,7 @@ impl<L: FaultModel, B: ProtocolBehavior> FlatSimulation<L, B> {
     #[inline(never)]
     fn route_reply(&mut self, reply: (NodeId, B::Msg)) -> StepReport<B::Msg> {
         let ctx = FaultCtx { from: B::sender(&reply.1), to: reply.0, round: self.rounds };
-        let lost = self.loss.drops(ctx, &mut self.sched.rng);
+        let lost = self.loss.drops(&mut self.sched.channel, ctx, &mut self.sched.rng);
         let profile = self.sched.profile.as_ref().filter(|_| !lost);
         let _span = profile.map(|p| SpanTimer::start(&p.deliver));
         let (arena, stats, rng) = (&mut self.arena, &mut self.stats, &mut self.sched.rng);
@@ -684,6 +688,20 @@ mod tests {
             assert!(s.skipped > 0, "capacity phase never skipped a step");
             assert!(s.lost > 0, "schedule never lost a message");
         }
+    }
+
+    /// The one chain is shared by every sender, and each `bursty` phase
+    /// starts it in the good state.
+    #[test]
+    fn each_bursty_phase_starts_the_one_chain_good() {
+        let mut flat = FlatSimulation::new(nodes(), crate::fault::tests::two_bursty_phases(4), 5);
+        flat.run_rounds(4);
+        let first = *flat.stats();
+        assert!(first.sent > 0 && first.lost == first.sent, "the first phase loses every send");
+        assert_eq!(flat.sched.channel, (0, true), "the chain turned bad");
+        flat.run_rounds(10);
+        assert!(flat.stats().sent > first.sent);
+        assert_eq!(flat.stats().lost, first.lost, "the second phase's chain started bad");
     }
 
     /// Every shape of `leave` against a reference live list (insertion

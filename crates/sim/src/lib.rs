@@ -5,7 +5,7 @@
 //! entity repeatedly selects a random node \[and\] invokes its
 //! `S&F-InitiateAction()` method" (Section 5). This crate is that model,
 //! executable: a seeded discrete-event [`FlatSimulation`] over a
-//! struct-of-arrays slot arena, with pluggable [`LossModel`]s, churn
+//! struct-of-arrays slot arena, with pluggable [`FaultModel`]s, churn
 //! (join/leave), initial [`topology`] builders, measurement
 //! [`observer`]s, and ready-made [`experiment`] runners for every empirical
 //! result in the paper's evaluation. [`ParSimulation`] shards the same

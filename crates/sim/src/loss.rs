@@ -10,16 +10,22 @@
 
 use rand::Rng;
 
-/// Decides the fate of each sent message.
-///
-/// Implementations may keep state (e.g. a burst channel state); the decision
-/// must depend only on that state and the supplied RNG, never on the
-/// destination or message contents — destination-dependent faults are
-/// [`FaultModel`](crate::FaultModel)s (e.g.
-/// [`PhaseFault::Victims`](crate::PhaseFault::Victims)).
+/// The paper's loss surface: the fate of the next message, drawn i.i.d.
+/// from the supplied RNG. Its one implementation is [`UniformLoss`]; every
+/// engine draws through [`FaultModel`](crate::FaultModel), which
+/// `UniformLoss` implements directly, and this trait stays for callers
+/// that draw the bare i.i.d. loss (the workspace benchmark's
+/// `loss.uniform_draw_ns` kernel).
 pub trait LossModel {
     /// Returns `true` if the next message is lost.
-    fn is_lost<R: Rng + ?Sized>(&mut self, rng: &mut R) -> bool;
+    fn is_lost(&mut self, rng: &mut impl Rng) -> bool;
+}
+
+/// The one coin of the fault models, behind every loss draw and chain
+/// step: `true` with probability `p`, drawing nothing at `p = 0`.
+#[inline]
+pub(crate) fn bernoulli(p: f64, rng: &mut impl Rng) -> bool {
+    p > 0.0 && rng.gen_bool(p)
 }
 
 /// Uniform i.i.d. loss with probability `ℓ` (the paper's model).
@@ -76,8 +82,8 @@ impl UniformLoss {
 }
 
 impl LossModel for UniformLoss {
-    fn is_lost<R: Rng + ?Sized>(&mut self, rng: &mut R) -> bool {
-        self.rate > 0.0 && rng.gen_bool(self.rate)
+    fn is_lost(&mut self, rng: &mut impl Rng) -> bool {
+        bernoulli(self.rate, rng)
     }
 }
 
@@ -86,17 +92,20 @@ impl LossModel for UniformLoss {
 /// messages at a state-dependent rate. Used as an ablation of the paper's
 /// i.i.d. assumption — its long-run average rate is comparable to a
 /// [`UniformLoss`] of the same magnitude, but losses arrive in bursts.
+///
+/// The value is the chain's parameters only, read-only like every fault
+/// model: the chain's state, one bit (`true` = bad), is kept by whoever
+/// holds the channel and stepped through [`advance`](Self::advance).
 #[derive(Clone, Copy, PartialEq, Debug)]
 pub struct GilbertElliott {
     pub(crate) to_bad: f64,
     pub(crate) to_good: f64,
     pub(crate) loss_good: f64,
     pub(crate) loss_bad: f64,
-    in_bad: bool,
 }
 
 impl GilbertElliott {
-    /// Creates a Gilbert–Elliott channel starting in the good state.
+    /// Creates a Gilbert–Elliott channel.
     ///
     /// # Errors
     ///
@@ -107,24 +116,24 @@ impl GilbertElliott {
         loss_good: f64,
         loss_bad: f64,
     ) -> Result<Self, LossRateError> {
-        for &p in &[to_bad, to_good, loss_good, loss_bad] {
-            if !(0.0..=1.0).contains(&p) || !p.is_finite() {
-                return Err(LossRateError { rate: p });
-            }
+        for rate in [to_bad, to_good, loss_good, loss_bad] {
+            UniformLoss::new(rate)?;
         }
         Ok(Self::unchecked(to_bad, to_good, loss_good, loss_bad))
     }
 
-    /// A channel over unvalidated probabilities, starting in the good
-    /// state; [`PhaseFault::check`](crate::PhaseFault::check) validates it.
+    /// A channel over unvalidated probabilities;
+    /// [`PhaseFault::check`](crate::PhaseFault::check) validates it.
     pub(crate) fn unchecked(to_bad: f64, to_good: f64, loss_good: f64, loss_bad: f64) -> Self {
-        Self { to_bad, to_good, loss_good, loss_bad, in_bad: false }
+        Self { to_bad, to_good, loss_good, loss_bad }
     }
 
-    /// Whether the channel is currently in the bad (bursty) state.
-    #[must_use]
-    pub fn in_bad_state(&self) -> bool {
-        self.in_bad
+    /// The one transition: steps the chain state `bad` once, leaving the
+    /// good state with probability `to_bad` and the bad one with
+    /// `to_good`. A zero flip probability draws nothing.
+    pub fn advance(&self, bad: &mut bool, rng: &mut impl Rng) {
+        let flip = if *bad { self.to_good } else { self.to_bad };
+        *bad ^= bernoulli(flip, rng);
     }
 
     /// The loss rate in the bad (`true`) or the good state.
@@ -137,25 +146,20 @@ impl GilbertElliott {
     }
 }
 
-impl LossModel for GilbertElliott {
-    fn is_lost<R: Rng + ?Sized>(&mut self, rng: &mut R) -> bool {
-        // Advance the channel state, then sample the loss for this message.
-        let flip = if self.in_bad { self.to_good } else { self.to_bad };
-        if flip > 0.0 && rng.gen_bool(flip) {
-            self.in_bad = !self.in_bad;
-        }
-        let rate = self.loss_in(self.in_bad);
-        rate > 0.0 && rng.gen_bool(rate)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     use super::*;
-    use crate::PhaseFault;
+    use crate::{FaultCtx, FaultModel, PhaseFault};
+    use sandf_core::NodeId;
+
+    /// One send on a Gilbert–Elliott channel whose state is `bad`.
+    fn ge_drops(model: &GilbertElliott, bad: &mut bool, rng: &mut StdRng) -> bool {
+        let ctx = FaultCtx { from: NodeId::new(0), to: NodeId::new(1), round: 0 };
+        model.drops(bad, ctx, rng)
+    }
 
     #[test]
     fn uniform_rejects_out_of_range() {
@@ -198,10 +202,10 @@ mod tests {
 
     #[test]
     fn gilbert_elliott_empirical_rate_matches_average() {
-        let mut model = GilbertElliott::new(0.05, 0.2, 0.001, 0.25).unwrap();
+        let model = GilbertElliott::new(0.05, 0.2, 0.001, 0.25).unwrap();
         let expected = PhaseFault::Bursty(model).effective_rate(1);
-        let mut rng = StdRng::seed_from_u64(7);
-        let losses = (0..400_000).filter(|_| model.is_lost(&mut rng)).count();
+        let (mut rng, mut bad) = (StdRng::seed_from_u64(7), false);
+        let losses = (0..400_000).filter(|_| ge_drops(&model, &mut bad, &mut rng)).count();
         let rate = losses as f64 / 400_000.0;
         assert!((rate - expected).abs() < 0.01, "empirical {rate} vs {expected}");
     }
@@ -210,12 +214,12 @@ mod tests {
     fn gilbert_elliott_bursts() {
         // With sticky states, losses should cluster: the variance of the gap
         // between losses exceeds the geometric model's.
-        let mut model = GilbertElliott::new(0.01, 0.05, 0.0, 0.5).unwrap();
-        let mut rng = StdRng::seed_from_u64(21);
+        let model = GilbertElliott::new(0.01, 0.05, 0.0, 0.5).unwrap();
+        let (mut rng, mut bad) = (StdRng::seed_from_u64(21), false);
         let mut consecutive = 0u32;
         let mut max_run = 0u32;
         for _ in 0..100_000 {
-            if model.is_lost(&mut rng) {
+            if ge_drops(&model, &mut bad, &mut rng) {
                 consecutive += 1;
                 max_run = max_run.max(consecutive);
             } else {

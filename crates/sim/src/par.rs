@@ -20,7 +20,10 @@
 //! concurrently while staying **byte-identical for any thread count**. That contract is
 //! also why the live order here is *ascending dense order* (the order the
 //! shards walk the arena in), not the flat engine's insertion order, and
-//! why every sender owns a private clone of the loss channel. Time here is
+//! why every sender keeps its own fault channel: the shards share the
+//! shell's one read-only fault value, and a stateful model's channel state
+//! (a `bursty` chain's bit) lives in a column indexed by dense index, so a
+//! sender's draws never depend on another's. Time here is
 //! the round: the shell's in-flight queue is indexed by delivery round, so
 //! a delayed S&F engine (the one kind that is delayed) bounds its delay in
 //! rounds, and in immediate mode the queue's one bucket is delivered in the
@@ -32,7 +35,7 @@
 //!    in dense arena order within each shard, through the shell's one
 //!    action hop, on its private per-`(seed, node, round)` RNG stream (the
 //!    hash state after `seed ‖ tag` is computed once per phase, see
-//!    [`crate::stream`]) and its own sender channel; every message the
+//!    [`crate::stream`]) and its own sender channel state; every message the
 //!    hop returns in flight is pushed once, into the bucket of its drawn
 //!    round (this round under immediate delivery): shard 0 pushes into
 //!    the shell's in-flight queue itself, every later shard into its own
@@ -58,7 +61,7 @@
 //!    [`ProtocolBehavior`] receive (push-pull, shuffle — never S&F) are
 //!    collected in bucket order and routed sequentially afterwards through
 //!    the shell's one reply hop, each delivered at once, its loss drawn on
-//!    the replier's sender channel, and drawing from its own
+//!    the replier's sender channel state, and drawing from its own
 //!    `(seed, deliver_time, bucket position)` stream — so the reply
 //!    traffic is thread-count-independent too. A reply gets no reply, so
 //!    one pass routes them all.
@@ -70,9 +73,10 @@
 //! **not** lockstep-equivalent to it — it is a round-based engine (every live
 //! node initiates exactly once per round, like
 //! [`round_permuted`](crate::FlatSimulation::round_permuted)), message
-//! delays are drawn in *rounds* rather than steps, and each sender owns a
-//! private loss channel (relevant for stateful models like
-//! [`GilbertElliott`](crate::GilbertElliott)). All protocol transitions
+//! delays are drawn in *rounds* rather than steps, and each sender keeps
+//! its own channel state (relevant for stateful models like
+//! [`GilbertElliott`](crate::GilbertElliott), whose chain runs per sender
+//! here and once for all senders on flat). All protocol transitions
 //! (initiate, receive, duplication threshold, deletion-on-full) are the
 //! same machine, so steady-state statistics — degree distributions,
 //! duplication/deletion/loss rates — agree with the sequential engine
@@ -134,7 +138,8 @@ use crate::traits::{ProtocolBehavior, SfBehavior};
 /// delivery phase (after every node has acted).
 ///
 /// As with the flat engine, a clone shares an attached profiler.
-pub type ParSimulation<L, B = SfBehavior> = ArenaSim<Par<L, <B as ProtocolBehavior>::Msg>, L, B>;
+pub type ParSimulation<L, B = SfBehavior> =
+    ArenaSim<Par<<L as FaultModel>::Channel, <B as ProtocolBehavior>::Msg>, L, B>;
 
 /// Streams per seed fill: a phase worker derives this many seeds in one
 /// pass, into a buffer on its stack, ahead of the rows that consume them.
@@ -257,14 +262,15 @@ impl<M> DeliveryShardOut<M> {
 }
 
 /// The sharded schedule's own state, beside what the shell owns: the
-/// per-sender channels, the stream seed and control-plane RNG and the
-/// shard scratch.
+/// per-sender channel states `C`, the stream seed and control-plane RNG
+/// and the shard scratch.
 #[derive(Clone)]
-pub struct Par<L, M> {
-    /// Per-sender loss channels, indexed by dense node index. Stateful
-    /// models ([`GilbertElliott`](crate::GilbertElliott)) advance
-    /// per-sender, which keeps loss decisions shard-independent.
-    channels: Vec<L>,
+pub struct Par<C, M> {
+    /// Per-sender fault channel states, indexed by dense node index: a
+    /// zero-sized column under a memoryless model. A stateful model
+    /// ([`GilbertElliott`](crate::GilbertElliott)) advances per sender,
+    /// which keeps loss decisions shard-independent.
+    channels: Vec<C>,
     seed: u64,
     /// Control-plane RNG (join_via shuffles) — deterministic and separate
     /// from the per-node streams.
@@ -279,7 +285,7 @@ pub struct Par<L, M> {
     scratch: Vec<ShardScratch<M>>,
 }
 
-impl<L: FaultModel + Clone + Send, B: ProtocolBehavior> Schedule<L, B> for Par<L, B::Msg> {
+impl<L: FaultModel + Sync, B: ProtocolBehavior> Schedule<L, B> for Par<L::Channel, B::Msg> {
     fn round(sim: &mut ParSimulation<L, B>) {
         sim.round();
     }
@@ -292,9 +298,9 @@ impl<L: FaultModel + Clone + Send, B: ProtocolBehavior> Schedule<L, B> for Par<L
         sim.arena.live_dense()
     }
 
-    /// Gives a node the arena just admitted its sender channel.
+    /// Gives a node the arena just admitted a fresh sender channel.
     fn admit(sim: &mut ParSimulation<L, B>, _k: usize) {
-        sim.sched.channels.push(sim.loss.clone());
+        sim.sched.channels.push(L::Channel::default());
     }
 
     fn leave(_sim: &mut ParSimulation<L, B>, _k: usize) {}
@@ -302,13 +308,9 @@ impl<L: FaultModel + Clone + Send, B: ProtocolBehavior> Schedule<L, B> for Par<L
     fn join_rng(&mut self) -> &mut StdRng {
         &mut self.ctl_rng
     }
-
-    fn channels(&mut self) -> &mut [L] {
-        &mut self.channels
-    }
 }
 
-impl<L: FaultModel + Clone + Send> ParSimulation<L, SfBehavior> {
+impl<L: FaultModel + Sync> ParSimulation<L, SfBehavior> {
     /// Creates a sharded S&F simulation over the given nodes. `threads` is
     /// the number of contiguous arena shards processed concurrently; it
     /// affects wall-clock only, never results.
@@ -329,7 +331,7 @@ impl<L: FaultModel + Clone + Send> ParSimulation<L, SfBehavior> {
     }
 }
 
-impl<L: FaultModel + Clone + Send, B: ProtocolBehavior> ParSimulation<L, B> {
+impl<L: FaultModel + Sync, B: ProtocolBehavior> ParSimulation<L, B> {
     /// Creates a sharded simulation of an arbitrary [`ProtocolBehavior`]
     /// from explicit initial views (each `(node, neighbors)` pair fills the
     /// node's slots in order, untagged) — the zoo counterpart of
@@ -352,12 +354,12 @@ impl<L: FaultModel + Clone + Send, B: ProtocolBehavior> ParSimulation<L, B> {
         Self::sharded(Arena::from_views(config, views), behavior, loss, seed, threads)
     }
 
-    /// The constructor core: a fresh schedule over a built arena, one loss
-    /// channel per node.
+    /// The constructor core: a fresh schedule over a built arena, one
+    /// fresh channel per node.
     fn sharded(arena: Arena, behavior: B, loss: L, seed: u64, threads: usize) -> Self {
         assert!(threads > 0, "thread count must be positive");
         let sched = Par {
-            channels: vec![loss.clone(); arena.dense_id.len()],
+            channels: vec![L::Channel::default(); arena.dense_id.len()],
             seed,
             ctl_rng: StdRng::seed_from_u64(control_seed(seed)),
             threads,
@@ -436,7 +438,7 @@ impl<L: FaultModel + Clone + Send, B: ProtocolBehavior> ParSimulation<L, B> {
                 round,
                 delay: self.delay,
             };
-            let behavior = &self.behavior;
+            let (behavior, fault) = (&self.behavior, &self.loss);
             // Shard 0 sends into the shell's queue, the others into their own.
             let sinks = std::iter::once(&mut self.queue)
                 .chain(self.sched.scratch[1..].iter_mut().map(|scratch| &mut scratch.sends));
@@ -445,8 +447,8 @@ impl<L: FaultModel + Clone + Send, B: ProtocolBehavior> ParSimulation<L, B> {
                 .shards_mut(shard_len)
                 .zip(self.sched.channels.chunks_mut(shard_len))
                 .zip(sinks);
-            run_shards(threads, shards, |((shard, losses), sends)| {
-                run_action_shard(ctx, behavior, shard, losses, sends)
+            run_shards(threads, shards, |((shard, channels), sends)| {
+                run_action_shard(ctx, behavior, (fault, channels), shard, sends)
             })
         };
 
@@ -530,7 +532,7 @@ impl<L: FaultModel + Clone + Send, B: ProtocolBehavior> ParSimulation<L, B> {
 
     /// Routes the replies a drained bucket produced, sequentially in bucket
     /// order, each delivered at once through the shell's [`reply_hop`]: the
-    /// loss is drawn on the replier's own sender channel, and loss and
+    /// loss is drawn on the replier's own sender channel state, and loss and
     /// placement draw from the reply's private `(seed, at, pos)` stream —
     /// so the reply traffic is thread-count-independent. A reply gets no
     /// reply. Out of line — S&F never replies.
@@ -542,7 +544,7 @@ impl<L: FaultModel + Clone + Send, B: ProtocolBehavior> ParSimulation<L, B> {
             let k = self.arena.dense_of(from).expect("a replier has just received, so it is live");
             let mut rng = StdRng::seed_from_u64(reply_seed(self.sched.seed, at, pos as u64));
             let ctx = FaultCtx { from, to: reply.0, round: self.rounds };
-            let lost = self.sched.channels[k].drops(ctx, &mut rng);
+            let lost = self.loss.drops(&mut self.sched.channels[k], ctx, &mut rng);
             reply_hop(&mut self.arena, &self.behavior, &mut self.stats, reply, lost, &mut rng);
         }
     }
@@ -593,13 +595,14 @@ fn shift_delta(hist: &mut [i64], before: u32, after: u32) {
 
 /// Executes the action phase over one shard: every live node of the shard
 /// initiates once with its private per-`(seed, node, round)` RNG stream.
-/// `losses` is the shard's window into the per-sender channels; the
-/// shard's outbound messages are pushed into `sends`, in dense order.
+/// Every send draws on the engine's one `fault`, and `channels` is the
+/// shard's window into the per-sender channel states; the shard's
+/// outbound messages are pushed into `sends`, in dense order.
 fn run_action_shard<L: FaultModel, B: ProtocolBehavior>(
     ctx: ActionCtx,
     behavior: &B,
+    (fault, channels): (&L, &mut [L::Channel]),
     mut shard: Shard<'_>,
-    losses: &mut [L],
     sends: &mut InFlight<B::Msg>,
 ) -> ActionShardOut {
     let mut out = ActionShardOut {
@@ -628,10 +631,10 @@ fn run_action_shard<L: FaultModel, B: ProtocolBehavior>(
             out.live += 1;
             let (mut rng, stats) = (StdRng::seed_from_u64(seed), &mut out.stats);
             let (deg_before, clock) = (shard.degree[r], (ctx.round, ctx.round));
-            let event =
-                action_hop::<B, _>(id, &mut losses[r], &mut rng, stats, clock, ctx.delay, |rng| {
-                    behavior.initiate(ctx.config, shard.window(r), rng)
-                });
+            let channel = (fault, &mut channels[r]);
+            let event = action_hop::<B, _>(id, channel, &mut rng, stats, clock, ctx.delay, |rng| {
+                behavior.initiate(ctx.config, shard.window(r), rng)
+            });
             shift_delta(&mut out.hist, deg_before, shard.degree[r]);
             if let StepEvent::InFlight { to, message, deliver_at, .. } = event {
                 sends.push(deliver_at, to, message);
@@ -702,7 +705,7 @@ mod tests {
     /// set, per-node views (slots, ids, dependence tags), and the in-flight
     /// queue message for message, in bucket order (delivery sorts a bucket
     /// by sender, so results alone cannot see how the merge ordered it).
-    fn assert_par_equal<L: FaultModel + Clone + Send>(a: &ParSimulation<L>, b: &ParSimulation<L>) {
+    fn assert_par_equal<L: FaultModel + Sync>(a: &ParSimulation<L>, b: &ParSimulation<L>) {
         assert_eq!(a.stats(), b.stats(), "SimStats diverged");
         assert_eq!(a.len(), b.len(), "live count diverged");
         assert_eq!(a.in_flight(), b.in_flight(), "in-flight count diverged");
@@ -938,6 +941,8 @@ mod tests {
         }
     }
 
+    /// The one fault value is what every sender's draw reads, so a
+    /// retarget through `update_fault` reaches all of them.
     #[test]
     fn update_fault_reaches_every_sender_channel() {
         use crate::fault::PhaseFault;
@@ -1120,14 +1125,16 @@ mod tests {
         ParSimulation::from_views(rogue, config, views, UniformLoss::none(), 1, 1).round();
     }
 
-    /// A per-sender channel that remembers the node whose sends it
+    /// A fault whose channel state remembers the node whose sends it
     /// carries, and fails when another node's send draws on it.
     #[derive(Clone, Debug)]
-    struct OwnedChannel(Option<NodeId>);
+    struct OwnedChannel;
 
     impl FaultModel for OwnedChannel {
-        fn drops<R: Rng + ?Sized>(&mut self, ctx: FaultCtx, _: &mut R) -> bool {
-            let owner = *self.0.get_or_insert(ctx.from);
+        type Channel = Option<NodeId>;
+
+        fn drops(&self, owner: &mut Self::Channel, ctx: FaultCtx, _: &mut impl Rng) -> bool {
+            let owner = *owner.get_or_insert(ctx.from);
             assert_eq!(owner, ctx.from, "{}'s send drew on {owner}'s channel", ctx.from);
             false
         }
@@ -1138,9 +1145,42 @@ mod tests {
     fn a_reply_draws_on_the_repliers_channel() {
         let (config, views) = crate::shell::tests::ring(6);
         let ping = crate::shell::tests::Ping(false);
-        let mut sim = ParSimulation::from_views(ping, config, views, OwnedChannel(None), 7, 2);
+        let mut sim = ParSimulation::from_views(ping, config, views, OwnedChannel, 7, 2);
         sim.run_rounds(5);
         assert_eq!((sim.stats().sent, sim.stats().replies), (60, 30));
+    }
+
+    /// Every sender's chain is its own, and each `bursty` phase starts
+    /// every one of them in the good state, at any thread count.
+    #[test]
+    fn each_bursty_phase_starts_every_senders_chain_good() {
+        use crate::fault::tests::two_bursty_phases;
+        for threads in [1, 3] {
+            let mut sim = ParSimulation::new(nodes(), two_bursty_phases(4), 5, threads);
+            sim.run_rounds(4);
+            let first = *sim.stats();
+            assert!(first.sent > 0 && first.lost == first.sent, "the first phase loses every send");
+            assert!(sim.sched.channels.iter().all(|&c| c.0 == 0), "no chain left phase 0 yet");
+            assert!(sim.sched.channels.iter().any(|&c| c.1), "the senders' chains turned bad");
+            sim.run_rounds(10);
+            assert!(sim.stats().sent > first.sent);
+            assert_eq!(sim.stats().lost, first.lost, "a second phase's chain started bad");
+        }
+    }
+
+    /// A memoryless fault keeps no state per node: par's channel column is
+    /// zero-sized under `UniformLoss`, one bit's byte per node under
+    /// `bursty`, and joins extend it by one fresh channel each.
+    #[test]
+    fn a_memoryless_fault_holds_no_per_node_bytes() {
+        let mut sim = ParSimulation::new(nodes(), UniformLoss::new(0.1).unwrap(), 3, 2);
+        sim.join_with(&[NodeId::new(0), NodeId::new(2), NodeId::new(4), NodeId::new(6)]).unwrap();
+        sim.run_rounds(3);
+        assert_eq!(sim.sched.channels.len(), 25, "one channel per dense row");
+        assert_eq!(std::mem::size_of_val(sim.sched.channels.as_slice()), 0);
+        let bursty = GilbertElliott::new(0.05, 0.2, 0.01, 0.5).unwrap();
+        let sim = ParSimulation::new(nodes(), bursty, 3, 2);
+        assert_eq!(std::mem::size_of_val(sim.sched.channels.as_slice()), 24);
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! Both engines run the paper's §5 model over the same slot [`Arena`]; what
 //! separates them is *when* nodes act and where their randomness comes
 //! from. The shell owns everything else, once: the arena and the behavior,
-//! the fault (flat's only channel, par's prototype for the per-sender
-//! clones), the delay model and the one in-flight queue (`InFlight`), the
+//! the one read-only fault value every sender draws on, the delay model
+//! and the one in-flight queue (`InFlight`), the
 //! step clock and completed rounds, and the system-wide [`SimStats`], the
 //! one ledger of what a run did. Every reader, the churn control plane, the
 //! drivers and S&F's `delayed` are written here, over the live order the
@@ -28,11 +28,11 @@
 //! trait declares identically.
 //!
 //! A [`Schedule`] carries only what differs. It is called for a round, a
-//! settle, an admit, a leave, the live order, the join RNG and the
-//! per-sender channels — never per step or per message. Around the hops a
-//! schedule writes only how the acting node is chosen, how its RNG is
-//! derived, how the degree histogram follows its row, and where an
-//! in-flight message goes. The hot paths
+//! settle, an admit, a leave, the live order and the join RNG — never per
+//! step or per message. Around the hops a schedule writes only how the
+//! acting node is chosen, how its RNG is derived, which fault channel its
+//! sends draw on (flat keeps one, par one per sender), how the degree
+//! histogram follows its row, and where an in-flight message goes. The hot paths
 //! (flat's step and due-time drain, par's three-phase round) are inherent
 //! methods of the shell specialised to their schedule, so `self` there is
 //! the whole engine. No engine stores an observer: the ledger is
@@ -176,28 +176,29 @@ impl<M> InFlight<M> {
 }
 
 /// The one action hop: the §5 action of the live node `from`, in the
-/// pinned draw order. A closed capacity gate counts `skipped` and draws
-/// nothing. Otherwise `initiate` runs the behavior at `from`'s row on
-/// `rng`, the send is counted, its loss is drawn on `channel`, and a
-/// survivor's delay is drawn last. Returns `Skipped`, `SelfLoop`, `Lost`
-/// or `InFlight` due at the clock `now` plus the delay (`now` itself
-/// under immediate delivery); the schedule decides where an in-flight
-/// message goes. The fault reads `round`.
+/// pinned draw order. A closed capacity gate of `fault` counts `skipped`
+/// and draws nothing. Otherwise `initiate` runs the behavior at `from`'s
+/// row on `rng`, the send is counted, its loss is drawn from `fault` on
+/// `channel`, and a survivor's delay is drawn last. Returns `Skipped`,
+/// `SelfLoop`, `Lost` or `InFlight` due at the clock `now` plus the delay
+/// (`now` itself under immediate delivery); the schedule decides where an
+/// in-flight message goes. The fault reads `round`.
 ///
 /// Public so the live daemon steps each node through the same hop: it
-/// passes its one fault schedule, the node's one stream and counters, and
-/// routes the returned `Lost` or `InFlight` event onto its wire.
+/// passes its one fault schedule and channel, the node's one stream and
+/// counters, and routes the returned `Lost` or `InFlight` event onto its
+/// wire.
 #[inline]
 pub fn action_hop<B: ProtocolBehavior, L: FaultModel>(
     from: NodeId,
-    channel: &mut L,
+    (fault, channel): (&L, &mut L::Channel),
     rng: &mut StdRng,
     stats: &mut SimStats,
     (round, now): (u64, u64),
     delay: DelayModel,
     initiate: impl FnOnce(&mut StdRng) -> Option<(NodeId, B::Msg)>,
 ) -> StepEvent<B::Msg> {
-    if !channel.node_acts(from, round) {
+    if !fault.node_acts(from, round) {
         stats.skipped += 1;
         return StepEvent::Skipped;
     }
@@ -211,7 +212,7 @@ pub fn action_hop<B: ProtocolBehavior, L: FaultModel>(
     if duplicated {
         stats.duplications += 1;
     }
-    if channel.drops(FaultCtx { from, to, round }, rng) {
+    if fault.drops(channel, FaultCtx { from, to, round }, rng) {
         stats.lost += 1;
         return StepEvent::Lost { to, message, duplicated };
     }
@@ -296,8 +297,8 @@ pub(crate) fn reply_hop<B: ProtocolBehavior>(
     event
 }
 
-/// What a scheduler adds to the shell: its live order, its RNG, its
-/// per-sender channels and how it runs a round. Sealed — it is public only
+/// What a scheduler adds to the shell: its live order, its RNG and how it
+/// runs a round. Sealed — it is public only
 /// so the shell's public methods may name it as a bound; its two
 /// implementations are flat's central-entity schedule and par's sharded
 /// rounds.
@@ -321,10 +322,6 @@ pub trait Schedule<L, B: ProtocolBehavior>: Sized {
 
     /// The RNG a `join_via` shuffles the sponsor's view with.
     fn join_rng(&mut self) -> &mut StdRng;
-
-    /// The per-sender fault channels kept beside the shell's own (none for
-    /// a schedule with one channel).
-    fn channels(&mut self) -> &mut [L];
 }
 
 /// The arena engine, generic over its schedule `S` (sealed), fault model `L`
@@ -340,8 +337,8 @@ pub struct ArenaSim<S, L, B: ProtocolBehavior> {
     pub(crate) arena: Arena,
     /// The protocol executed over the arena.
     pub(crate) behavior: B,
-    /// The fault: flat's channel, par's prototype for its per-sender
-    /// clones.
+    /// The one fault value, read by every sender; the channel state its
+    /// draws carry lives with the schedule.
     pub(crate) loss: L,
     pub(crate) delay: DelayModel,
     /// Messages sent and not yet delivered.
@@ -602,11 +599,8 @@ impl<S: Schedule<L, B>, L, B: ProtocolBehavior> Engine for ArenaSim<S, L, B> {
         &self.loss
     }
 
-    fn update_fault(&mut self, mut f: impl FnMut(&mut L)) {
+    fn update_fault(&mut self, f: impl FnOnce(&mut L)) {
         f(&mut self.loss);
-        for channel in self.sched.channels() {
-            f(channel);
-        }
     }
 }
 
@@ -674,7 +668,9 @@ pub(crate) mod tests {
     }
 
     impl FaultModel for Fixed {
-        fn drops<R: Rng + ?Sized>(&mut self, _: FaultCtx, rng: &mut R) -> bool {
+        type Channel = ();
+
+        fn drops(&self, (): &mut (), _: FaultCtx, rng: &mut impl Rng) -> bool {
             rng.gen_range(0..2u64);
             self.drops
         }
@@ -686,12 +682,12 @@ pub(crate) mod tests {
 
     /// One action hop of node 0 at round 3 and clock 10, whose initiate
     /// draws nothing and sends a duplicating message to node 1.
-    fn act(mut channel: Fixed, delay: DelayModel, rng: &mut StdRng) -> (StepEvent, SimStats) {
+    fn act(fault: Fixed, delay: DelayModel, rng: &mut StdRng) -> (StepEvent, SimStats) {
         let mut stats = SimStats::default();
         let send = (NodeId::new(1), Message::new(NodeId::new(0), NodeId::new(2), true));
         let event = action_hop::<SfBehavior, _>(
             NodeId::new(0),
-            &mut channel,
+            (&fault, &mut ()),
             rng,
             &mut stats,
             (3, 10),
@@ -708,7 +704,7 @@ pub(crate) mod tests {
         let mut stats = SimStats::default();
         let event = action_hop::<SfBehavior, _>(
             NodeId::new(0),
-            &mut Fixed { acts: false, drops: false },
+            (&Fixed { acts: false, drops: false }, &mut ()),
             &mut rng,
             &mut stats,
             (3, 10),

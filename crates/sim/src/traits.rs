@@ -607,16 +607,14 @@ pub trait Engine {
     /// these words and reads only the rows of the nodes that act.
     fn for_each_live_row(&self, keep: impl Fn(u32) -> bool, visit: &mut dyn FnMut(u32, &[u32]));
 
-    /// The fault model, for measurement-time inspection: flat's channel,
-    /// or par's prototype channel (its per-sender clones may have diverged
-    /// for stateful models).
+    /// The fault model: the one value every sender draws on.
     fn fault(&self) -> &Self::Fault;
 
-    /// Applies `f` to the fault model **and** every per-sender clone, so a
-    /// mid-run retarget (e.g. aiming a
+    /// Applies `f` to the fault model. Every sender reads the one value,
+    /// so a mid-run retarget (e.g. aiming a
     /// [`PhaseFault::Victims`](crate::PhaseFault::Victims) at the current
-    /// high-indegree nodes at a phase boundary) reaches all senders.
-    fn update_fault(&mut self, f: impl FnMut(&mut Self::Fault));
+    /// high-indegree nodes at a phase boundary) reaches all of them.
+    fn update_fault(&mut self, f: impl FnOnce(&mut Self::Fault));
 }
 
 /// Snapshots, in visit order, the rows `rows` hands its visitor: each an
