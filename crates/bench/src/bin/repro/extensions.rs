@@ -323,7 +323,7 @@ const ENGINE_THREADS: usize = 2;
 /// envelope table: per phase, the measured indegree statistics with 95%
 /// CIs next to the §6.2 degree-MC prediction at the phase's effective
 /// loss rate and the Lemma 6.10 stale-entry ceiling, plus an `in`/`OUT`
-/// verdict on the indegree envelope.
+/// verdict on the indegree envelope and the ceiling.
 ///
 /// Pass file paths to run scenario specs of your own (the grammar is
 /// documented in `sandf_bench::scenario` and EXPERIMENTS.md). Output is
@@ -340,9 +340,11 @@ pub fn scenario_run(args: &[String]) -> ExitCode {
         }
     };
 
-    note("adversarial fault scenarios: measured indegree vs the degree-MC prediction at each");
-    note("phase's effective loss rate; verdict `OUT` = outside ci95 + 1.0 — structured loss");
-    note("is *supposed* to escape the uniform envelope (detection power), uniform phases are not");
+    note("adversarial fault scenarios: measured indegree vs the degree-MC prediction at each phase's");
+    note(
+        "effective loss rate; verdict `OUT` = outside ci95 + 1.0, or stale_frac over decay_bound —",
+    );
+    note("structured loss is *supposed* to escape the uniform envelope, uniform phases are not");
     for scenario in &scenarios {
         println!();
         print!("{}", render_scenario(scenario, ENGINE_THREADS));

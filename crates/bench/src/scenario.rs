@@ -551,11 +551,17 @@ impl ScenarioOutcome {
         self.mc_mean.map(|m| (self.summary("mean_in").mean - m).abs())
     }
 
-    /// Whether the measured mean indegree sits inside the CI band around
-    /// the degree-MC prediction: gap ≤ ci95 + `tolerance`.
+    /// Whether the phase sits inside its envelope: the measured mean
+    /// indegree inside the CI band around the degree-MC prediction (gap ≤
+    /// ci95 + `tolerance`), and the mean stale-entry fraction at or below
+    /// its Lemma 6.10 ceiling, `decay_bound`. Either test alone decides
+    /// when the other has no prediction; `None` when neither has one.
     #[must_use]
     pub fn within_envelope(&self, tolerance: f64) -> Option<bool> {
-        self.mc_gap().map(|gap| gap <= self.summary("mean_in").ci95 + tolerance)
+        let indegree = self.mc_gap().map(|gap| gap <= self.summary("mean_in").ci95 + tolerance);
+        let stale = self.decay_bound.map(|bound| self.summary("stale_frac").mean <= bound);
+        // A verdict once either test predicts; `in` while neither fails.
+        indegree.or(stale).map(|_| ![indegree, stale].contains(&Some(false)))
     }
 }
 
@@ -1209,6 +1215,27 @@ mod tests {
         let (first, next) = (churn.decay_bound.expect("churn"), calm.decay_bound.expect("cohort"));
         assert!(next >= calm.summary("stale_frac").mean, "{next} bounds the stale fraction");
         assert!(next > STALE_SLACK && next < first, "the cohort decays but still counts: {next}");
+    }
+
+    /// A stale fraction over its Lemma 6.10 ceiling reads `OUT` whatever
+    /// the indegree envelope says; with no ceiling, only the indegree
+    /// decides.
+    #[test]
+    fn a_stale_overload_flips_the_verdict() {
+        let report = run_scenario(&churn_then_calm(), 1, &MetricsRegistry::new());
+        let mut calm = report.outcomes[1].clone();
+        let bound = calm.decay_bound.expect("cohort");
+        // An infinite tolerance holds the indegree test open.
+        assert_eq!(calm.within_envelope(f64::INFINITY), Some(true), "stale under {bound}");
+        calm.measured[metric_index(calm.metrics, "stale_frac")].mean = bound + 0.01;
+        assert_eq!(calm.within_envelope(f64::INFINITY), Some(false), "stale over {bound}");
+        assert!(report.to_tsv(f64::INFINITY).lines().all(|line| !line.ends_with("OUT")));
+        let overloaded = ScenarioReport { outcomes: vec![calm.clone()], ..report };
+        assert!(overloaded.to_tsv(f64::INFINITY).lines().nth(1).expect("row").ends_with("\tOUT"));
+        calm.mc_mean = None;
+        assert_eq!(calm.within_envelope(f64::INFINITY), Some(false), "no degree-MC prediction");
+        calm.decay_bound = None;
+        assert_eq!(calm.within_envelope(f64::INFINITY), None);
     }
 
     #[test]

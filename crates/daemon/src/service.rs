@@ -705,7 +705,7 @@ impl ServiceState {
     /// stream. A frame for an id with no live node is a dead letter,
     /// and so is one whose message names an id the arena cannot store (at
     /// or above [`ARENA_ID_LIMIT`]; only a forged frame can), which a row
-    /// would alias onto a `u32` word.
+    /// would alias onto a stored word, flag bits included.
     fn drain_socket(&mut self) {
         self.flush();
         let (arena, rows) = (&mut self.arena, &mut self.rows);
@@ -1211,21 +1211,26 @@ mod tests {
     fn a_frame_naming_an_id_beyond_the_arena_is_a_dead_letter() {
         let (mut state, message) = lossless_fleet();
         let raw = std::net::UdpSocket::bind(("127.0.0.1", 0)).unwrap();
-        let wide = NodeId::new(1 << 40);
-        for forged in [Message { payload: wide, ..message }, Message { sender: wide, ..message }] {
-            let frame = sandf_net::codec::encode_frame(NodeId::new(3), forged);
-            raw.send_to(&frame, state.socket.local_addr()).unwrap();
+        // Beyond the `u32` word, and inside it with a flag bit set (node 5
+        // stored dependent, were the word taken as it comes).
+        for wide in [NodeId::new(1 << 40), NodeId::new(1 << 30 | 5)] {
+            for forged in
+                [Message { payload: wide, ..message }, Message { sender: wide, ..message }]
+            {
+                let frame = sandf_net::codec::encode_frame(NodeId::new(3), forged);
+                raw.send_to(&frame, state.socket.local_addr()).unwrap();
+            }
         }
         for _ in 0..200 {
             state.drain_socket();
-            if counter(&state, "daemon.net.dead_letters") == 2 {
+            if counter(&state, "daemon.net.dead_letters") == 4 {
                 break;
             }
             std::thread::sleep(Duration::from_millis(1));
         }
-        // The arena stores ids as `u32` words: a stored wide id would alias
-        // a live one.
-        assert_eq!(counter(&state, "daemon.net.dead_letters"), 2);
+        // The arena stores an id and its flag bits in one `u32` word: a
+        // stored wide id would alias a live one.
+        assert_eq!(counter(&state, "daemon.net.dead_letters"), 4);
         assert_eq!(counter(&state, "daemon.net.received"), 0);
         assert_eq!(taken_in(&state, 3), 0);
     }
@@ -1562,13 +1567,13 @@ mod tests {
     }
 
     /// Every issued id keeps one row, live or departed: the arena's
-    /// `5·s + 12` bytes (pinned in `sandf-sim` by
-    /// `per_node_footprint_is_five_s_plus_twelve_bytes`) and the loop's
-    /// column — one 32 B stream and an 80 B `SimStats` — for `5·s + 124`
-    /// bytes, 184 B at `s = 12`. The destructuring names every field, so a
+    /// `4·s + 12` bytes (pinned in `sandf-sim` by
+    /// `per_node_footprint_is_four_s_plus_twelve_bytes`) and the loop's
+    /// column — one 32 B stream and an 80 B `SimStats` — for `4·s + 124`
+    /// bytes, 172 B at `s = 12`. The destructuring names every field, so a
     /// new column fails to compile here until it is accounted for.
     #[test]
-    fn per_row_footprint_is_five_s_plus_124_bytes() {
+    fn per_row_footprint_is_four_s_plus_124_bytes() {
         let state = boot(tiny_config()).unwrap();
         let Row { rng, stats } = &state.rows[0];
         let columns =
@@ -1576,7 +1581,7 @@ mod tests {
         let column: usize = columns.iter().map(|&(_, bytes)| bytes).sum();
         assert_eq!(column, std::mem::size_of::<Row>(), "no padding: {columns:?}");
         let s = state.sf.view_size();
-        assert_eq!(5 * s + 12 + column, 5 * s + 124, "per-row columns: {columns:?}");
-        assert_eq!(5 * s + 124, 184, "s = 12");
+        assert_eq!(4 * s + 12 + column, 4 * s + 124, "per-row columns: {columns:?}");
+        assert_eq!(4 * s + 124, 172, "s = 12");
     }
 }

@@ -11,16 +11,19 @@
 //!
 //! * **slot words** — all views live in one contiguous `Vec<u32>` of
 //!   `n · s` slots; the node at dense index `k` owns
-//!   `slot_ids[k·s .. (k+1)·s]`, with `u32::MAX` as the empty-slot sentinel
-//!   and a parallel `Vec<u8>` for the per-slot flag bits (dependence,
-//!   tombstones). Ids are stored as `u32` words — half the footprint of the
-//!   public `u64` id space, so an `s = 16` window is exactly one cache
-//!   line;
+//!   `slot_ids[k·s .. (k+1)·s]`, with `u32::MAX` as the empty-slot
+//!   sentinel. A slot is one word: the id in its low 30 bits and the
+//!   slot's two flag bits (dependence, tombstone) in the top two, packed
+//!   and unpacked only beside [`slot_word`](crate::slot_word) in
+//!   `traits.rs`. Ids are stored as `u32` words — half the footprint of
+//!   the public `u64` id space; an `s = 16` window is 64 bytes, though a
+//!   large arena's rows need not start on a cache-line boundary;
 //! * **widening boundary** — every id that enters the arena (a node's own
 //!   id, a view entry, a bootstrap id) is checked against
 //!   [`ARENA_ID_LIMIT`] once, here: constructors panic, joins return
 //!   [`JoinError::IdSpaceExhausted`]. Queries for ids beyond the limit
-//!   answer "absent" rather than aliasing onto a stored word;
+//!   answer "absent" rather than aliasing onto a stored word (flag bits
+//!   included);
 //! * **one visibility test** — `visible` is the only function that applies
 //!   visibility (a slot is visible when it is occupied and the behavior's
 //!   [`slot_visible`](ProtocolBehavior::slot_visible) shows its flags), and
@@ -28,21 +31,20 @@
 //!   one node's visible slots as `(offset, word, flags)` in slot order, for
 //!   the readers that need offsets or flags: views, the join sponsor pool,
 //!   the instance count, dependence. [`Arena::compact_row`] packs the
-//!   visible words into a buffer in one pass of fixed length `s` — each
+//!   visible id words into a buffer in one pass of fixed length `s` — each
 //!   word is stored unconditionally and the length advances by the test,
 //!   so no slot costs a branch — for the engines' row reader (and so the
-//!   graph snapshot) and the daemon's checker. Words stay words; only the
-//!   readers that build `sandf-core` values ([`LocalView`], [`Entry`])
-//!   widen them to [`NodeId`]s;
+//!   graph snapshot) and the daemon's checker. Every reader hands out bare
+//!   id words, flag bits cleared; only the readers that build `sandf-core`
+//!   values ([`LocalView`], [`Entry`]) widen them to [`NodeId`]s;
 //! * **flat ledgers** — outdegrees are a dense array indexed by the
 //!   node's dense index, not a field of a boxed node, and a streaming
 //!   [`DegreeStats`] histogram moves with every ledger write, so degree
 //!   readers never scan the arena. There is no per-node counter column:
 //!   the shell counts every event once, system-wide, in
 //!   [`SimStats`](crate::SimStats), so an action or a delivery writes only
-//!   the node's slot words, flags and degree. Per node the arena holds
-//!   `5·s + 12` bytes: `s` slot words and `s` flag bytes, and one degree,
-//!   id and index word;
+//!   the node's slot words and degree. Per node the arena holds
+//!   `4·s + 12` bytes: `s` slot words, and one degree, id and index word;
 //! * **id tables** — `dense_id` maps a dense index to its node id, stored
 //!   as the same `u32` word as a slot and widened on read by
 //!   [`Arena::id_at`] (it grows on join and never shrinks or compacts, so
@@ -88,30 +90,37 @@ use sandf_core::{Entry, JoinError, LocalView, NodeId, SfConfig, SfNode};
 use sandf_graph::DependenceReport;
 
 use crate::degree::DegreeStats;
-use crate::traits::{widen, ProtocolBehavior, Receipt, SlotView, ARENA_ID_LIMIT, FLAG_DEPENDENT};
+use crate::traits::{
+    flags_of, id_word, pack, slot_word, widen, ProtocolBehavior, Receipt, SlotView, ARENA_ID_LIMIT,
+    FLAG_DEPENDENT, ID_MASK,
+};
 
-/// Empty-slot sentinel in the arena. Real node ids must stay below it.
+/// Empty-slot sentinel in the arena. Real node ids stay below
+/// [`ARENA_ID_LIMIT`], so no stored word equals it.
 pub(crate) const EMPTY: u32 = crate::traits::EMPTY_SLOT;
 
 /// "Not live" sentinel in the id → dense-index table.
 const DEAD: u32 = u32::MAX;
 
-/// Narrows an id to its arena word, or reports it as outside the `u32`
-/// id space (the sentinel included).
+/// Narrows an id to its arena word, or reports it as outside the arena's
+/// id space (every id whose word could carry a flag bit or equal the
+/// sentinel).
 fn checked_word(id: NodeId) -> Result<u32, JoinError> {
-    match u32::try_from(id.as_u64()) {
-        Ok(word) if word != EMPTY => Ok(word),
-        _ => Err(JoinError::IdSpaceExhausted { next: id.as_u64(), limit: ARENA_ID_LIMIT }),
+    if id.as_u64() < ARENA_ID_LIMIT {
+        Ok(slot_word(id))
+    } else {
+        Err(JoinError::IdSpaceExhausted { next: id.as_u64(), limit: ARENA_ID_LIMIT })
     }
 }
 
-/// Whether a slot is visible to the readers: occupied, and shown by the
-/// behavior's [`slot_visible`](ProtocolBehavior::slot_visible). The one
-/// place visibility is decided; `Arena::row` and [`Arena::compact_row`]
-/// both ask it.
+/// Whether a stored slot word is visible to the readers: occupied, and
+/// its flags shown by the behavior's
+/// [`slot_visible`](ProtocolBehavior::slot_visible). The one place
+/// visibility is decided; `Arena::row` and [`Arena::compact_row`] both ask
+/// it.
 #[inline]
-fn visible<B: ProtocolBehavior>(word: u32, flags: u8) -> bool {
-    word != EMPTY && B::slot_visible(flags)
+fn visible<B: ProtocolBehavior>(word: u32) -> bool {
+    word != EMPTY && B::slot_visible(flags_of(word))
 }
 
 /// A visible slot as a view entry.
@@ -122,8 +131,8 @@ fn entry(word: u32, flags: u8) -> Entry {
 /// The struct-of-arrays storage of a fleet of nodes: both arena engines
 /// run on it, and so does the daemon.
 ///
-/// Node `k` (its *dense index*) owns one row of `s` slot words and flag
-/// bytes, an outdegree and an id word; rows are appended on join and kept
+/// Node `k` (its *dense index*) owns one row of `s` slot words, an
+/// outdegree and an id word; rows are appended on join and kept
 /// on leave, so dense indices are stable and a caller may key its own
 /// per-node columns by them. Ids stay below [`ARENA_ID_LIMIT`]. A
 /// [`ProtocolBehavior`] steps a row ([`initiate`](Self::initiate),
@@ -133,10 +142,9 @@ pub struct Arena {
     pub(crate) config: SfConfig,
     /// View size, cached out of `config` for the hot loops.
     pub(crate) s: usize,
-    /// Slot words: node `k` owns `slot_ids[k·s .. (k+1)·s]`.
+    /// Stored slot words, flag bits included: node `k` owns
+    /// `slot_ids[k·s .. (k+1)·s]`.
     pub(crate) slot_ids: Vec<u32>,
-    /// Per-slot flag bits, parallel to `slot_ids` (meaningless on `EMPTY`).
-    pub(crate) slot_flags: Vec<u8>,
     /// Outdegree ledger, indexed by dense node index.
     pub(crate) degree: Vec<u32>,
     /// Streaming live-outdegree histogram, maintained at store/delete
@@ -168,7 +176,6 @@ pub(crate) struct Shard<'a> {
     /// The whole id → dense table (shared, read-only), for liveness.
     index: &'a [u32],
     slots: &'a mut [u32],
-    flags: &'a mut [u8],
 }
 
 impl Shard<'_> {
@@ -191,7 +198,6 @@ impl Shard<'_> {
         SlotView {
             id: self.id(r),
             ids: &mut self.slots[base..base + self.s],
-            flags: &mut self.flags[base..base + self.s],
             degree: &mut self.degree[r],
         }
     }
@@ -204,7 +210,6 @@ impl Arena {
             config,
             s,
             slot_ids: Vec::with_capacity(nodes.saturating_mul(s)),
-            slot_flags: Vec::with_capacity(nodes.saturating_mul(s)),
             degree: Vec::with_capacity(nodes),
             degree_hist: DegreeStats::new(s),
             dense_id: Vec::with_capacity(nodes),
@@ -279,8 +284,9 @@ impl Arena {
         let word = |id: NodeId| {
             checked_word(id).unwrap_or_else(|_| {
                 panic!(
-                    "node id {} exceeds the u32 arena id space (ids must stay below u32::MAX)",
-                    id.as_u64()
+                    "node id {} exceeds the u32 arena id space (ids must stay below {})",
+                    id.as_u64(),
+                    ARENA_ID_LIMIT
                 )
             })
         };
@@ -295,13 +301,11 @@ impl Arena {
         assert!(dense != DEAD, "dense index space exhausted");
         let base = self.slot_ids.len();
         self.slot_ids.resize(base + self.s, EMPTY);
-        self.slot_flags.resize(base + self.s, 0);
         let mut deg = 0u32;
         for (off, slot) in slots.enumerate() {
             assert!(off < self.s, "initial view exceeds the view size");
             if let Some((entry, flags)) = slot {
-                self.slot_ids[base + off] = word(entry);
-                self.slot_flags[base + off] = flags;
+                self.slot_ids[base + off] = pack(word(entry), flags);
                 deg += 1;
             }
         }
@@ -357,7 +361,6 @@ impl Arena {
         SlotView {
             id: self.id_at(k),
             ids: &mut self.slot_ids[base..base + self.s],
-            flags: &mut self.slot_flags[base..base + self.s],
             degree: &mut self.degree[k],
         }
     }
@@ -370,17 +373,15 @@ impl Arena {
         self.dense_id
             .chunks(shard_len)
             .zip(self.slot_ids.chunks_mut(shard_len * s))
-            .zip(self.slot_flags.chunks_mut(shard_len * s))
             .zip(self.degree.chunks_mut(shard_len))
             .enumerate()
-            .map(move |(j, (((ids, slots), flags), degree))| Shard {
+            .map(move |(j, ((ids, slots), degree))| Shard {
                 lo: j * shard_len,
                 ids,
                 degree,
                 s,
                 index,
                 slots,
-                flags,
             })
     }
 
@@ -420,21 +421,20 @@ impl Arena {
         self.dense_of(id).map(|k| self.degree[k] as usize)
     }
 
-    /// Node `k`'s row: its visible slots as `(offset, word, flags)`, in
-    /// slot order, for the readers that need offsets or flags.
+    /// Node `k`'s row: its visible slots as `(offset, id word, flags)`,
+    /// in slot order, for the readers that need offsets or flags.
     #[inline]
     fn row<B: ProtocolBehavior>(&self, k: usize) -> impl Iterator<Item = (usize, u32, u8)> + '_ {
-        let window = k * self.s..(k + 1) * self.s;
-        self.slot_ids[window.clone()]
+        self.slot_ids[k * self.s..(k + 1) * self.s]
             .iter()
-            .zip(&self.slot_flags[window])
             .enumerate()
-            .filter(|&(_, (&word, &flags))| visible::<B>(word, flags))
-            .map(|(off, (&word, &flags))| (off, word, flags))
+            .filter(|&(_, &word)| visible::<B>(word))
+            .map(|(off, &word)| (off, id_word(word), flags_of(word)))
     }
 
-    /// Packs the words of node `k`'s visible slots, in slot order, into the
-    /// front of `out` and returns how many there are. The loop runs all
+    /// Packs the id words of node `k`'s visible slots (flag bits cleared),
+    /// in slot order, into the front of `out` and returns how many there
+    /// are. The loop runs all
     /// `s` slots whatever the row holds: it stores each word and advances
     /// the length by the visibility test, so the compaction has no
     /// per-slot branch.
@@ -444,12 +444,11 @@ impl Arena {
     /// Panics if `out` holds fewer than `s` words.
     #[inline]
     pub fn compact_row<B: ProtocolBehavior>(&self, k: usize, out: &mut [u32]) -> usize {
-        let window = k * self.s..(k + 1) * self.s;
         let out = &mut out[..self.s];
         let mut len = 0;
-        for (&word, &flags) in self.slot_ids[window.clone()].iter().zip(&self.slot_flags[window]) {
-            out[len] = word;
-            len += usize::from(visible::<B>(word, flags));
+        for &word in &self.slot_ids[k * self.s..(k + 1) * self.s] {
+            out[len] = id_word(word);
+            len += usize::from(visible::<B>(word));
         }
         len
     }
@@ -538,8 +537,8 @@ impl Arena {
     /// Ids at or above [`ARENA_ID_LIMIT`] cannot be stored, so they count
     /// zero (the widening boundary never aliases them onto arena words).
     ///
-    /// Windows are scanned two slots per u64 word; only the rare windows
-    /// with a raw match are walked as rows.
+    /// Windows are scanned two slots per u64 word, flag bits masked off;
+    /// only the rare windows with a match are walked as rows.
     pub(crate) fn count_id_instances<B: ProtocolBehavior>(
         &self,
         live: impl Iterator<Item = usize>,
@@ -549,7 +548,8 @@ impl Arena {
             return 0;
         };
         live.filter(|&k| {
-            crate::scan::count_matches(&self.slot_ids[k * self.s..(k + 1) * self.s], needle) != 0
+            let window = &self.slot_ids[k * self.s..(k + 1) * self.s];
+            crate::scan::count_masked_matches(window, needle, ID_MASK) != 0
         })
         .map(|k| self.row::<B>(k).filter(|&(_, word, _)| word == needle).count())
         .sum()
@@ -602,6 +602,7 @@ mod tests {
     use rand::{Rng, SeedableRng};
 
     use crate::loss::UniformLoss;
+    use crate::traits::tests::ShowAll;
     use crate::traits::{SfBehavior, FLAG_TOMBSTONE};
     use crate::{slot_word, topology, Engine, FlatSimulation, ParSimulation};
 
@@ -645,8 +646,8 @@ mod tests {
     #[test]
     fn join_is_rejected_once_the_u32_id_space_is_exhausted() {
         let mut arena = Arena::from_nodes(nodes());
-        // Reaching the limit organically needs ~4.3 billion joins (and a
-        // 17 GB id → dense table); the guard only reads the counter, so
+        // Reaching the limit organically needs ~1.07 billion joins (and a
+        // 4 GB id → dense table); the guard only reads the counter, so
         // pin it at the boundary directly.
         arena.next_id = ARENA_ID_LIMIT;
         assert_eq!(
@@ -671,10 +672,13 @@ mod tests {
         let arena = Arena::from_nodes(nodes());
         let count = |id| arena.count_id_instances::<SfBehavior>(arena.live_dense(), id);
         // Congruent to a live id modulo 2^32 — a truncating comparison
-        // would alias it onto node 3.
-        let wide = NodeId::new((1u64 << 32) + 3);
-        assert_eq!(count(wide), 0);
-        assert_eq!(arena.out_degree_of(wide), None);
+        // would alias it onto node 3 — and node 3 with a flag bit set, which
+        // a stored word carrying that bit would equal.
+        for wide in [NodeId::new((1u64 << 32) + 3), NodeId::new(1 << 30 | 3)] {
+            assert_eq!(count(wide), 0);
+            assert_eq!(arena.out_degree_of(wide), None);
+            assert_eq!(arena.dense_of(wide), None);
+        }
         assert_eq!(count(NodeId::new(3)), 4, "node 3 is referenced in the ring");
         assert_eq!(arena.out_degree_of(NodeId::new(3)), Some(4));
     }
@@ -686,9 +690,11 @@ mod tests {
             payload.downcast_ref::<String>().cloned().unwrap_or_default()
         }
         // An id congruent to live node 3 modulo 2^32 (a truncating store
-        // aliases it onto node 3), and the empty-slot sentinel itself (a
-        // truncating store raises the degree over a view with no entry).
-        for raw in [(1u64 << 32) + 3, u64::from(u32::MAX)] {
+        // aliases it onto node 3), the empty-slot sentinel itself (a
+        // truncating store raises the degree over a view with no entry),
+        // and ids whose words would carry a flag bit (`1 << 30 | 5` is
+        // node 5 stored dependent) or, with both bits, equal the sentinel.
+        for raw in [(1u64 << 32) + 3, u64::from(u32::MAX), 1 << 30 | 5, ARENA_ID_LIMIT] {
             let bad = [NodeId::new(raw); 4];
             let node = SfNode::with_view(NodeId::new(0), config(), &bad).unwrap();
             let message = panic_message(move || Arena::from_nodes(vec![node]));
@@ -732,19 +738,18 @@ mod tests {
         assert!(std::panic::catch_unwind(move || Arena::from_views(config(), wide)).is_err());
     }
 
-    /// The arena's per-node footprint, column by column: `s` slot words,
-    /// `s` flag bytes, and one degree, id and index word — `5·s + 12`
+    /// The arena's per-node footprint, column by column: `s` slot words
+    /// (flag bits included) and one degree, id and index word — `4·s + 12`
     /// bytes. The destructuring names every field, so a new one (a new
     /// per-node column above all) fails to compile here until it is
     /// accounted for.
     #[test]
-    fn per_node_footprint_is_five_s_plus_twelve_bytes() {
+    fn per_node_footprint_is_four_s_plus_twelve_bytes() {
         let arena = Arena::from_nodes(topology::circulant(1_000, config(), 4));
         let Arena {
             config: _,
             s,
             slot_ids,
-            slot_flags,
             degree,
             degree_hist: _,
             dense_id,
@@ -754,14 +759,13 @@ mod tests {
         } = &arena;
         let columns = [
             ("slot_ids", std::mem::size_of_val(slot_ids.as_slice())),
-            ("slot_flags", std::mem::size_of_val(slot_flags.as_slice())),
             ("degree", std::mem::size_of_val(degree.as_slice())),
             ("dense_id", std::mem::size_of_val(dense_id.as_slice())),
             ("index", std::mem::size_of_val(index.as_slice())),
         ];
         let bytes: usize = columns.iter().map(|&(_, bytes)| bytes).sum();
-        assert_eq!(bytes, 1_000 * (5 * s + 12), "per-node columns: {columns:?}");
-        assert_eq!(5 * s + 12, 72, "s = 12");
+        assert_eq!(bytes, 1_000 * (4 * s + 12), "per-node columns: {columns:?}");
+        assert_eq!(4 * s + 12, 60, "s = 12");
     }
 
     /// The one deliberate difference between the two schedulers' use of
@@ -840,7 +844,8 @@ mod tests {
     fn dense_of_agrees_with_a_scan_on_both_sides_of_the_identity_bit() {
         fn check(arena: &Arena, departed: &[u64], id_is_dense: bool) {
             assert_eq!(arena.id_is_dense, id_is_dense, "the bit");
-            let beyond = [u64::from(u32::MAX), ARENA_ID_LIMIT, (1 << 32) + 3, u64::MAX];
+            let beyond =
+                [u64::from(u32::MAX), ARENA_ID_LIMIT, 1 << 30 | 5, (1 << 32) + 3, u64::MAX];
             for raw in (0..arena.next_id + 3).chain(beyond) {
                 let scan = arena.dense_id.iter().position(|&word| u64::from(word) == raw);
                 let expected = scan.filter(|_| !departed.contains(&raw));
@@ -875,7 +880,10 @@ mod tests {
 
         /// The fixed-length compaction against a reference filter kept
         /// here, on rows of random words with random empty slots and
-        /// dependence and tombstone flags, at view sizes on both sides of
+        /// dependence and tombstone bits (the reference decodes the word
+        /// layout itself: id in bits 0..30, dependence in bit 30, tombstone
+        /// in bit 31), under S&F and under a behavior that shows
+        /// tombstones, at view sizes on both sides of
         /// the 64-slot and cache-line boundaries; and the row reader's
         /// owner filter: it visits exactly the accepted owners, in the
         /// order given, each with its compacted row.
@@ -891,23 +899,25 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(seed);
             let views = (0..N).map(|k| (NodeId::new(u64::from(FIRST_ID) + k as u64), Vec::new()));
             let mut arena = Arena::from_views(SfConfig::new(s, 0).unwrap(), views);
-            for (word, flags) in arena.slot_ids.iter_mut().zip(&mut arena.slot_flags) {
+            for word in &mut arena.slot_ids {
                 let empty = rng.gen_range(0..100u32) < empty_percent;
-                *word = if empty { EMPTY } else { rng.gen_range(0..FIRST_ID + N as u32) };
-                *flags = rng.gen_range(0..=FLAG_DEPENDENT | FLAG_TOMBSTONE);
+                let flags = rng.gen_range(0..=FLAG_DEPENDENT | FLAG_TOMBSTONE);
+                *word = if empty { EMPTY } else { pack(rng.gen_range(0..FIRST_ID + N as u32), flags) };
             }
-            let reference = |k: usize| -> Vec<u32> {
-                let window = k * s..(k + 1) * s;
-                let slots = arena.slot_ids[window.clone()].iter().zip(&arena.slot_flags[window]);
-                slots
-                    .filter(|&(&word, &flags)| word != u32::MAX && flags & FLAG_TOMBSTONE == 0)
-                    .map(|(&word, _)| word)
+            let shown = |k: usize, tombstones: bool| -> Vec<u32> {
+                arena.slot_ids[k * s..(k + 1) * s]
+                    .iter()
+                    .filter(|&&word| word != u32::MAX && (tombstones || word >> 31 == 0))
+                    .map(|&word| word & !(3 << 30))
                     .collect()
             };
+            let reference = |k: usize| shown(k, false);
             let mut out = vec![0; s];
             for k in 0..N {
                 let len = arena.compact_row::<SfBehavior>(k, &mut out);
                 prop_assert_eq!(out[..len].to_vec(), reference(k), "row {}", k);
+                let len = arena.compact_row::<ShowAll>(k, &mut out);
+                prop_assert_eq!(out[..len].to_vec(), shown(k, true), "row {}, tombstones shown", k);
             }
 
             let mut order: Vec<usize> = (0..N).collect();

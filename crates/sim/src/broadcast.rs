@@ -48,8 +48,8 @@
 //! read in the *receiver's* chain state: a `bursty` phase keeps one
 //! Gilbert–Elliott bit per receiver, stepped once per step through the
 //! one transition, [`GilbertElliott::advance`](crate::GilbertElliott::advance),
-//! from the receiver's [`RUMOR_CHANNEL`] stream (the bits are kept across
-//! phases). A `capacity` phase
+//! from the receiver's [`RUMOR_CHANNEL`] stream; every phase starts the
+//! bits good, as the engines' channels do. A `capacity` phase
 //! gates a node's push and pull through [`FaultModel::node_acts`]. Loss
 //! applies per message at the *receiver*, after the sender has paid for
 //! the send — lost rumors still count toward message complexity, exactly
@@ -242,8 +242,10 @@ pub struct BroadcastLayer {
     age: Vec<u8>,
     /// Informed flags. Monotone: bits are set, never cleared.
     informed: Vec<u64>,
-    /// Gilbert–Elliott bad-state flags, one per receiver.
+    /// Gilbert–Elliott bad-state flags, one per receiver, of the phase
+    /// `phase` names: cleared when a step rides another.
     bad_state: Vec<u64>,
+    phase: usize,
     /// Ids live at the last step; before the first step, every
     /// registered id.
     live: Vec<u64>,
@@ -291,6 +293,7 @@ impl BroadcastLayer {
             age: Vec::new(),
             informed: Vec::new(),
             bad_state: Vec::new(),
+            phase: 0,
             live: Vec::new(),
             seen: Vec::new(),
             stats: BroadcastStats::default(),
@@ -497,7 +500,12 @@ impl BroadcastLayer {
             let i = self.register(id);
             set_bit(&mut self.live, i);
         }
-        let phase = self.fault.phase_at(fault_round);
+        let index = self.fault.phase_index(fault_round);
+        if std::mem::replace(&mut self.phase, index) != index {
+            // A new phase's chains start in the good state.
+            self.bad_state.fill(0);
+        }
+        let phase = &self.fault.phases()[index].1;
         if let PhaseFault::Bursty(chain) = phase {
             let prefix = stream_prefix(self.seed, RUMOR_CHANNEL);
             for &id in &live {
@@ -966,6 +974,38 @@ mod tests {
         layer.seed_rumor_at(NodeId::new(4));
         layer.run(&mut sim, 12);
         assert_eq!(layer.fingerprint(), 0xacf6_2edc_87b4_7e26);
+    }
+
+    /// The rumor channel's mirror of flat's
+    /// `each_bursty_phase_starts_the_one_chain_good`: a `bursty` phase
+    /// whose chains turn bad at once and lose everything, a lossless
+    /// `uniform` phase, then a `bursty` phase that never leaves the good
+    /// state. That one loses nothing, unless a receiver's bit carries the
+    /// first phase's bad state across the uniform one (it then loses
+    /// nearly everything).
+    #[test]
+    fn each_bursty_phase_starts_the_receivers_chains_good() {
+        let mut sim = flat(96, 5);
+        sim.run_rounds(10);
+        let bursty = |to_bad, to_good| {
+            PhaseFault::Bursty(GilbertElliott::new(to_bad, to_good, 0.0, 1.0).unwrap())
+        };
+        let fault = ScheduledFault::new(vec![
+            (13, bursty(1.0, 0.0)),
+            (16, PhaseFault::Uniform(UniformLoss::none())),
+            (u64::MAX, bursty(0.0, 0.001)),
+        ]);
+        let mut layer = BroadcastLayer::with_channel(5, BroadcastConfig::push(1, u8::MAX), fault);
+        layer.seed_rumor_at(NodeId::new(4));
+        layer.run(&mut sim, 3);
+        let first = layer.stats();
+        assert!(first.sent > 0 && first.lost == first.sent, "the first phase loses every push");
+        layer.run(&mut sim, 3);
+        assert_eq!(layer.stats().lost, first.lost, "the uniform phase is lossless");
+        let before = layer.stats();
+        layer.run(&mut sim, 6);
+        assert!(layer.stats().sent > before.sent);
+        assert_eq!(layer.stats().lost, before.lost, "the third phase's chains started bad");
     }
 
     /// Push-pull at fanout 2 retiring after age 3, over a `capacity` phase

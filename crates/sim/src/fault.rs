@@ -580,11 +580,14 @@ impl ScheduledFault {
     ///
     /// # Panics
     ///
-    /// Panics if `phases` is empty, the ends are not strictly increasing,
-    /// or a phase fails [`PhaseFault::check`] (with its message).
+    /// Panics if `phases` is empty or longer than `u32::MAX` (its channel
+    /// keeps a phase index in a `u32`), the ends are not strictly
+    /// increasing, or a phase fails [`PhaseFault::check`] (with its
+    /// message).
     #[must_use]
     pub fn new(phases: Vec<(u64, PhaseFault)>) -> Self {
         assert!(!phases.is_empty(), "a schedule needs at least one phase");
+        assert!(u32::try_from(phases.len()).is_ok(), "a schedule holds at most u32::MAX phases");
         assert!(
             phases.windows(2).all(|w| w[0].0 < w[1].0),
             "phase end rounds must be strictly increasing"
@@ -628,16 +631,19 @@ impl ScheduledFault {
 }
 
 impl FaultModel for ScheduledFault {
-    /// The index of the phase the chain state belongs to, and the state.
-    type Channel = (usize, bool);
+    /// The index of the phase the chain state belongs to, and the state:
+    /// 8 bytes.
+    type Channel = (u32, bool);
 
-    fn drops(&self, (phase, bad): &mut (usize, bool), ctx: FaultCtx, rng: &mut impl Rng) -> bool {
-        let index = self.phase_index(ctx.round);
+    fn drops(&self, (phase, bad): &mut (u32, bool), ctx: FaultCtx, rng: &mut impl Rng) -> bool {
+        // `new` bounds the phase count by `u32::MAX`.
+        #[allow(clippy::cast_possible_truncation)]
+        let index = self.phase_index(ctx.round) as u32;
         if *phase != index {
             // A new phase's chain starts in the good state.
             (*phase, *bad) = (index, false);
         }
-        self.phases[index].1.drops(bad, ctx, rng)
+        self.phases[index as usize].1.drops(bad, ctx, rng)
     }
 
     fn node_acts(&self, node: NodeId, round: u64) -> bool {

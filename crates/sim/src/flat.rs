@@ -96,7 +96,7 @@ use crate::traits::{Engine, ProtocolBehavior, SfBehavior};
 /// spec, and `arena.rs` the storage layout.
 ///
 /// All views live in one contiguous `n × s` slot arena (`u32::MAX` marks
-/// an empty slot, a parallel byte array carries the per-slot flag bits),
+/// an empty slot, each slot word carries its id and its flag bits),
 /// outdegrees are a dense array, counters are kept once, system-wide, in
 /// [`SimStats`](crate::SimStats), and a delayed message waits in the
 /// shell's in-flight queue.
@@ -277,9 +277,10 @@ impl<L: FaultModel> FlatSimulation<L, SfBehavior> {
     /// # Panics
     ///
     /// Panics if `nodes` is empty, contains duplicate ids, mixes
-    /// configurations, or uses an id at or above `u32::MAX` (the arena
-    /// stores ids as `u32` words with `u32::MAX` reserved for empty
-    /// slots).
+    /// configurations, or uses an id at or above
+    /// [`ARENA_ID_LIMIT`](crate::ARENA_ID_LIMIT) (the arena stores an id
+    /// and its flag bits in one `u32` word, with `u32::MAX` reserved for
+    /// empty slots).
     #[must_use]
     pub fn new(nodes: impl IntoIterator<Item = SfNode>, loss: L, seed: u64) -> Self {
         Self::over(Arena::from_nodes(nodes), SfBehavior, loss, Flat::seeded(seed))
@@ -299,7 +300,8 @@ impl<L: FaultModel, B: ProtocolBehavior> FlatSimulation<L, B> {
     /// # Panics
     ///
     /// Panics if `views` is empty, contains duplicate ids, uses an id at
-    /// or above `u32::MAX`, or a view wider than `s`.
+    /// or above [`ARENA_ID_LIMIT`](crate::ARENA_ID_LIMIT), or a view wider
+    /// than `s`.
     #[must_use]
     pub fn from_views(
         behavior: B,

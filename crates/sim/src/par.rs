@@ -1170,7 +1170,8 @@ mod tests {
 
     /// A memoryless fault keeps no state per node: par's channel column is
     /// zero-sized under `UniformLoss`, one bit's byte per node under
-    /// `bursty`, and joins extend it by one fresh channel each.
+    /// `bursty`, 8 B per node (a `u32` phase index and the bit) under any
+    /// scenario schedule, and joins extend it by one fresh channel each.
     #[test]
     fn a_memoryless_fault_holds_no_per_node_bytes() {
         let mut sim = ParSimulation::new(nodes(), UniformLoss::new(0.1).unwrap(), 3, 2);
@@ -1181,6 +1182,9 @@ mod tests {
         let bursty = GilbertElliott::new(0.05, 0.2, 0.01, 0.5).unwrap();
         let sim = ParSimulation::new(nodes(), bursty, 3, 2);
         assert_eq!(std::mem::size_of_val(sim.sched.channels.as_slice()), 24);
+        let sim = ParSimulation::new(nodes(), crate::fault::tests::mixed_schedule(), 3, 2);
+        assert_eq!(std::mem::size_of_val(sim.sched.channels.as_slice()), 24 * 8);
+        assert_eq!(std::mem::size_of::<<crate::ScheduledFault as FaultModel>::Channel>(), 8);
     }
 
     #[test]

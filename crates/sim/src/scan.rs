@@ -50,13 +50,22 @@ fn zero_lane_markers(word: u64) -> u64 {
 /// Counts slots equal to `needle`, two lanes per step.
 #[must_use]
 pub fn count_matches(slots: &[u32], needle: u32) -> usize {
-    let broadcast = pack(needle, needle);
+    count_masked_matches(slots, needle, u32::MAX)
+}
+
+/// Counts slots whose bits under `mask` equal `needle`, two lanes per
+/// step: the arena's instance count, which masks a stored word's flag
+/// bits off before it compares.
+#[inline]
+pub(crate) fn count_masked_matches(slots: &[u32], needle: u32, mask: u32) -> usize {
+    let (broadcast, lanes) = (pack(needle, needle), pack(mask, mask));
     let mut chunks = slots.chunks_exact(2);
     let mut count = 0usize;
     for pair in &mut chunks {
-        count += zero_lane_markers(pack(pair[0], pair[1]) ^ broadcast).count_ones() as usize;
+        let masked = pack(pair[0], pair[1]) & lanes;
+        count += zero_lane_markers(masked ^ broadcast).count_ones() as usize;
     }
-    count + chunks.remainder().iter().filter(|&&slot| slot == needle).count()
+    count + chunks.remainder().iter().filter(|&&slot| slot & mask == needle).count()
 }
 
 /// Offset of the `nth` (0-based) slot equal to `needle`, scanning in slot
@@ -131,10 +140,19 @@ mod tests {
         for len in 0..=33 {
             for _ in 0..64 {
                 let slots: Vec<u32> = (0..len)
-                    .map(|_| [0, 1, 3, u32::MAX, 0x8000_0000][rng.gen_range(0..5usize)])
+                    .map(|_| {
+                        [0, 1, 3, u32::MAX, 0x8000_0000, 0x4000_0003][rng.gen_range(0..6usize)]
+                    })
                     .collect();
                 for needle in [0, 1, 3, u32::MAX, 0x8000_0000, 17] {
                     assert_eq!(count_matches(&slots, needle), scalar_count(&slots, needle));
+                    // The arena's masked count, flag bits off.
+                    let masked: Vec<u32> = slots.iter().map(|&slot| slot & 0x3fff_ffff).collect();
+                    assert_eq!(
+                        count_masked_matches(&slots, needle & 0x3fff_ffff, 0x3fff_ffff),
+                        scalar_count(&masked, needle & 0x3fff_ffff),
+                        "len={len} needle={needle} slots={slots:?}"
+                    );
                     for nth in 0..=slots.len() {
                         assert_eq!(
                             nth_match(&slots, needle, nth),

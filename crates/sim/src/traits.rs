@@ -58,9 +58,18 @@ use crate::engine::SimStats;
 /// [`ARENA_ID_LIMIT`] at construction and join time.
 pub const EMPTY_SLOT: u32 = u32::MAX;
 
-/// Exclusive upper bound on node ids representable in the slot arenas
-/// (`u32::MAX` itself is the [`EMPTY_SLOT`] sentinel).
-pub const ARENA_ID_LIMIT: u64 = u32::MAX as u64;
+/// Exclusive upper bound on node ids representable in the slot arenas. A
+/// stored slot word keeps the id in its low 30 bits and the slot's two
+/// flag bits ([`FLAG_DEPENDENT`], [`FLAG_TOMBSTONE`]) in the top two; the
+/// all-ones id is left out, so an id with both flags set never equals
+/// [`EMPTY_SLOT`].
+pub const ARENA_ID_LIMIT: u64 = (1 << FLAG_SHIFT) - 1;
+
+/// Where a stored slot word's flag bits start.
+const FLAG_SHIFT: u32 = 30;
+
+/// The id bits of a stored slot word.
+pub(crate) const ID_MASK: u32 = (1 << FLAG_SHIFT) - 1;
 
 /// Narrows a node id to its arena slot word. The engines guarantee every
 /// admitted id sits below [`ARENA_ID_LIMIT`], so the narrowing is
@@ -68,7 +77,7 @@ pub const ARENA_ID_LIMIT: u64 = u32::MAX as u64;
 #[inline]
 #[must_use]
 pub fn slot_word(id: NodeId) -> u32 {
-    debug_assert!(id.as_u64() < ARENA_ID_LIMIT, "node id {id} exceeds the u32 arena id space");
+    debug_assert!(id.as_u64() < ARENA_ID_LIMIT, "node id {id} exceeds the arena id space");
     #[allow(clippy::cast_possible_truncation)]
     {
         id.as_u64() as u32
@@ -80,6 +89,26 @@ pub fn slot_word(id: NodeId) -> u32 {
 #[inline]
 pub(crate) fn widen(word: u32) -> NodeId {
     NodeId::new(u64::from(word))
+}
+
+/// Stores an id word (below [`ARENA_ID_LIMIT`]) and its flag bits in one
+/// slot word: the one place the word is packed.
+#[inline]
+pub(crate) fn pack(word: u32, flags: u8) -> u32 {
+    debug_assert!(word < ID_MASK && flags <= FLAG_DEPENDENT | FLAG_TOMBSTONE);
+    word | u32::from(flags) << FLAG_SHIFT
+}
+
+/// A stored slot word's id word, its flag bits cleared.
+#[inline]
+pub(crate) fn id_word(stored: u32) -> u32 {
+    stored & ID_MASK
+}
+
+/// A stored slot word's flag bits (meaningless on [`EMPTY_SLOT`]).
+#[inline]
+pub(crate) fn flags_of(stored: u32) -> u8 {
+    (stored >> FLAG_SHIFT) as u8
 }
 
 /// Slot-flag bit: the entry is dependent (a duplicated id, in the paper's
@@ -94,18 +123,20 @@ pub const FLAG_TOMBSTONE: u8 = 2;
 /// A mutable window over one node's slots in an engine's arena, handed to
 /// [`ProtocolBehavior`] callbacks.
 ///
-/// `ids[off] == EMPTY_SLOT` marks an empty slot; `flags` carries the
-/// per-slot [`FLAG_DEPENDENT`] / [`FLAG_TOMBSTONE`] bits; `degree` is the
-/// node's live outdegree ledger (the engine's graph readers trust it).
-/// The window holds no counters: the engines count every event once, in
-/// [`SimStats`], from the returned message and [`Receipt`].
+/// `ids[off] == EMPTY_SLOT` marks an empty slot; an occupied slot's word
+/// carries its id and its [`FLAG_DEPENDENT`] / [`FLAG_TOMBSTONE`] bits, so
+/// behaviors read and write slots through the accessors
+/// ([`id_at`](Self::id_at), [`flags_at`](Self::flags_at),
+/// [`is_live`](Self::is_live), [`set`](Self::set), [`clear`](Self::clear)).
+/// `degree` is the node's live outdegree ledger (the engine's graph
+/// readers trust it). The window holds no counters: the engines count
+/// every event once, in [`SimStats`], from the returned message and
+/// [`Receipt`].
 pub struct SlotView<'a> {
     /// The node that owns this window.
     pub id: NodeId,
-    /// Slot ids as arena words (`EMPTY_SLOT` = empty).
+    /// Stored slot words (`EMPTY_SLOT` = empty).
     pub ids: &'a mut [u32],
-    /// Per-slot flag bits, parallel to `ids`.
-    pub flags: &'a mut [u8],
     /// The node's outdegree ledger (live entries only — excludes
     /// tombstones).
     pub degree: &'a mut u32,
@@ -124,39 +155,37 @@ impl SlotView<'_> {
         self.ids.is_empty()
     }
 
-    /// Raw slot content (`EMPTY_SLOT` when empty).
-    #[inline]
-    #[must_use]
-    pub fn raw(&self, off: usize) -> u32 {
-        self.ids[off]
-    }
-
     /// The id in a slot, or `None` when the slot is empty.
     #[inline]
     #[must_use]
     pub fn id_at(&self, off: usize) -> Option<NodeId> {
-        (self.ids[off] != EMPTY_SLOT).then(|| NodeId::new(u64::from(self.ids[off])))
+        (self.ids[off] != EMPTY_SLOT).then(|| widen(id_word(self.ids[off])))
+    }
+
+    /// A slot's flag bits (meaningless on an empty slot).
+    #[inline]
+    #[must_use]
+    pub fn flags_at(&self, off: usize) -> u8 {
+        flags_of(self.ids[off])
     }
 
     /// Whether a slot holds a live (non-empty, non-tombstone) entry.
     #[inline]
     #[must_use]
     pub fn is_live(&self, off: usize) -> bool {
-        self.ids[off] != EMPTY_SLOT && self.flags[off] & FLAG_TOMBSTONE == 0
+        self.ids[off] != EMPTY_SLOT && self.flags_at(off) & FLAG_TOMBSTONE == 0
     }
 
     /// Empties a slot (does not touch the degree ledger).
     #[inline]
     pub fn clear(&mut self, off: usize) {
         self.ids[off] = EMPTY_SLOT;
-        self.flags[off] = 0;
     }
 
     /// Writes a slot (does not touch the degree ledger).
     #[inline]
     pub fn set(&mut self, off: usize, id: NodeId, flags: u8) {
-        self.ids[off] = slot_word(id);
-        self.flags[off] = flags;
+        self.ids[off] = pack(slot_word(id), flags);
     }
 
     /// Stores `id` into the `nth` empty slot in slot order, with `nth`
@@ -194,7 +223,7 @@ impl SlotView<'_> {
             *rank = rng.gen_range(0..empty - k);
         }
         let mut pending = N;
-        for (w, chunk) in self.ids.chunks_mut(64).enumerate() {
+        for chunk in self.ids.chunks_mut(64) {
             let mut mask = chunk
                 .iter()
                 .enumerate()
@@ -214,8 +243,7 @@ impl SlotView<'_> {
                 }
                 let bit = rest.trailing_zeros() as usize;
                 mask &= !(1 << bit);
-                chunk[bit] = slot_word(id);
-                self.flags[w * 64 + bit] = flags;
+                chunk[bit] = pack(slot_word(id), flags);
                 *rank = PLACED;
                 pending -= 1;
             }
@@ -371,32 +399,26 @@ impl ProtocolBehavior for SfBehavior {
     fn initiate<R: Rng>(
         &self,
         config: SfConfig,
-        view: SlotView<'_>,
+        mut view: SlotView<'_>,
         rng: &mut R,
     ) -> Option<(NodeId, Message)> {
-        let SlotView { id, ids, flags, degree } = view;
-        let s = ids.len();
+        let s = view.len();
         debug_assert!(s >= 2, "view must have at least two slots");
         let i = rng.gen_range(0..s);
         let mut j = rng.gen_range(0..s - 1);
         if j >= i {
             j += 1;
         }
-        let target = ids[i];
-        let payload = ids[j];
-        if target == EMPTY_SLOT || payload == EMPTY_SLOT {
+        let (Some(target), Some(payload)) = (view.id_at(i), view.id_at(j)) else {
             return None;
-        }
-        let duplicated = (*degree as usize) <= config.lower_threshold();
+        };
+        let duplicated = (*view.degree as usize) <= config.lower_threshold();
         if !duplicated {
-            ids[i] = EMPTY_SLOT;
-            flags[i] = 0;
-            ids[j] = EMPTY_SLOT;
-            flags[j] = 0;
-            *degree -= 2;
+            view.clear(i);
+            view.clear(j);
+            *view.degree -= 2;
         }
-        let message = Message::new(id, NodeId::new(u64::from(payload)), duplicated);
-        Some((NodeId::new(u64::from(target)), message))
+        Some((target, Message::new(view.id, payload, duplicated)))
     }
 
     #[inline]
@@ -647,28 +669,62 @@ pub fn graph_of_rows(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{RngCore, SeedableRng};
 
     use super::*;
 
-    fn window<'a>(ids: &'a mut [u32], flags: &'a mut [u8], degree: &'a mut u32) -> SlotView<'a> {
-        SlotView { id: NodeId::new(9), ids, flags, degree }
+    fn window<'a>(ids: &'a mut [u32], degree: &'a mut u32) -> SlotView<'a> {
+        SlotView { id: NodeId::new(9), ids, degree }
+    }
+
+    /// S&F with every occupied slot shown, tombstones included: the
+    /// occupancy half of the visibility test on its own (an empty word's
+    /// top bits read as a tombstone, so the behaviors' own test would hide
+    /// it anyway).
+    #[derive(Clone)]
+    pub(crate) struct ShowAll;
+
+    impl ProtocolBehavior for ShowAll {
+        type Msg = Message;
+        fn sender(msg: &Self::Msg) -> NodeId {
+            msg.sender
+        }
+        fn initiate<R: Rng>(
+            &self,
+            config: SfConfig,
+            view: SlotView<'_>,
+            rng: &mut R,
+        ) -> Option<(NodeId, Self::Msg)> {
+            SfBehavior.initiate(config, view, rng)
+        }
+        fn receive<R: Rng>(
+            &self,
+            config: SfConfig,
+            view: SlotView<'_>,
+            msg: Self::Msg,
+            rng: &mut R,
+        ) -> Receipt<Self::Msg> {
+            SfBehavior.receive(config, view, msg, rng)
+        }
+        fn slot_visible(_flags: u8) -> bool {
+            true
+        }
     }
 
     #[test]
     fn insert_into_random_empty_scans_in_slot_order() {
         let mut ids = [7u32, EMPTY_SLOT, 3, EMPTY_SLOT];
-        let mut flags = [0u8; 4];
         let mut degree = 2u32;
         let mut rng = StdRng::seed_from_u64(1);
-        let mut view = window(&mut ids, &mut flags, &mut degree);
+        let mut view = window(&mut ids, &mut degree);
         view.insert_into_random_empty(NodeId::new(5), FLAG_DEPENDENT, &mut rng);
-        assert_eq!(degree, 3);
-        assert_eq!(ids.iter().filter(|&&x| x == 5).count(), 1);
-        let off = ids.iter().position(|&x| x == 5).unwrap();
-        assert_eq!(flags[off], FLAG_DEPENDENT);
+        assert_eq!(*view.degree, 3);
+        let off = (0..4).find(|&off| view.id_at(off) == Some(NodeId::new(5))).unwrap();
+        assert_eq!(view.flags_at(off), FLAG_DEPENDENT);
+        assert_eq!((0..4).filter(|&off| view.id_at(off) == Some(NodeId::new(5))).count(), 1);
     }
 
     /// The scalar reference: the offset of the `nth` empty slot in slot
@@ -679,19 +735,21 @@ mod tests {
 
     /// A random window of `s` slots with at least `min_empty` empty ones,
     /// flags on the occupied slots, and its degree ledger.
-    fn random_window(rng: &mut StdRng, s: usize, min_empty: usize) -> (Vec<u32>, Vec<u8>, u32) {
+    fn random_window(rng: &mut StdRng, s: usize, min_empty: usize) -> (Vec<u32>, u32) {
         loop {
             let p_empty = f64::from(rng.gen_range(0..=16u32)) / 16.0;
             let ids: Vec<u32> = (0..s)
-                .map(|_| if rng.gen_bool(p_empty) { EMPTY_SLOT } else { rng.gen_range(0..1000) })
+                .map(|_| {
+                    if rng.gen_bool(p_empty) {
+                        EMPTY_SLOT
+                    } else {
+                        pack(rng.gen_range(0..1000), rng.gen_range(0..4))
+                    }
+                })
                 .collect();
             let empty = ids.iter().filter(|&&id| id == EMPTY_SLOT).count();
             if empty >= min_empty {
-                let flags = ids
-                    .iter()
-                    .map(|&id| if id == EMPTY_SLOT { 0 } else { rng.gen_range(0..4) })
-                    .collect();
-                return (ids, flags, u32::try_from(s - empty).unwrap());
+                return (ids, u32::try_from(s - empty).unwrap());
             }
         }
     }
@@ -703,8 +761,8 @@ mod tests {
             let config = SfConfig::new(s, 0).unwrap();
             for _ in 0..400 {
                 // The pair, through S&F's receive.
-                let (mut ids, mut flags, mut degree) = random_window(&mut rng, s, 2);
-                let (mut want_ids, mut want_flags) = (ids.clone(), flags.clone());
+                let (mut ids, mut degree) = random_window(&mut rng, s, 2);
+                let mut want_ids = ids.clone();
                 let msg = Message::new(
                     NodeId::new(rng.gen_range(0..1000)),
                     NodeId::new(rng.gen_range(0..1000)),
@@ -715,28 +773,51 @@ mod tests {
                 let empty = s - degree as usize;
                 for (k, id) in [msg.sender, msg.payload].into_iter().enumerate() {
                     let off = nth_empty(&want_ids, want_rng.gen_range(0..empty - k));
-                    want_ids[off] = slot_word(id);
-                    want_flags[off] = flag;
+                    want_ids[off] = pack(slot_word(id), flag);
                 }
-                let view = window(&mut ids, &mut flags, &mut degree);
+                let view = window(&mut ids, &mut degree);
                 assert_eq!(SfBehavior.receive(config, view, msg, &mut rng), Receipt::stored());
-                assert_eq!((ids, flags), (want_ids, want_flags), "s = {s}, pair");
+                assert_eq!(ids, want_ids, "s = {s}, pair");
                 assert_eq!(degree as usize, s - empty + 2);
                 assert_eq!(rng.next_u64(), want_rng.next_u64(), "s = {s}: draws diverged");
 
                 // The single insert.
-                let (mut ids, mut flags, mut degree) = random_window(&mut rng, s, 1);
-                let (mut want_ids, mut want_flags) = (ids.clone(), flags.clone());
+                let (mut ids, mut degree) = random_window(&mut rng, s, 1);
+                let mut want_ids = ids.clone();
                 let mut want_rng = rng.clone();
                 let empty = s - degree as usize;
                 let off = nth_empty(&want_ids, want_rng.gen_range(0..empty));
-                want_ids[off] = 77;
-                want_flags[off] = FLAG_DEPENDENT;
-                let mut view = window(&mut ids, &mut flags, &mut degree);
+                want_ids[off] = pack(77, FLAG_DEPENDENT);
+                let mut view = window(&mut ids, &mut degree);
                 view.insert_into_random_empty(NodeId::new(77), FLAG_DEPENDENT, &mut rng);
-                assert_eq!((ids, flags), (want_ids, want_flags), "s = {s}, single");
+                assert_eq!(ids, want_ids, "s = {s}, single");
                 assert_eq!(degree as usize, s - empty + 1);
                 assert_eq!(rng.next_u64(), want_rng.next_u64(), "s = {s}: draws diverged");
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Every flag combination round-trips through one slot word, over
+        /// random ids below the limit and the largest storable id, and no
+        /// stored word equals the empty-slot sentinel.
+        #[test]
+        fn every_flag_combination_round_trips_through_one_word(raw in 0..ARENA_ID_LIMIT) {
+            for raw in [raw, ARENA_ID_LIMIT - 1] {
+                let id = NodeId::new(raw);
+                for flags in 0..=FLAG_DEPENDENT | FLAG_TOMBSTONE {
+                    let (mut ids, mut degree) = ([EMPTY_SLOT], 0);
+                    let mut view = window(&mut ids, &mut degree);
+                    view.set(0, id, flags);
+                    prop_assert_ne!(view.ids[0], EMPTY_SLOT);
+                    prop_assert_eq!(view.id_at(0), Some(id));
+                    prop_assert_eq!(view.flags_at(0), flags);
+                    prop_assert_eq!(view.is_live(0), flags & FLAG_TOMBSTONE == 0);
+                    view.clear(0);
+                    prop_assert_eq!(view.id_at(0), None);
+                }
             }
         }
     }

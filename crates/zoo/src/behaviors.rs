@@ -300,8 +300,8 @@ mod tests {
 
     use super::*;
 
-    fn window<'a>(ids: &'a mut [u32], flags: &'a mut [u8], degree: &'a mut u32) -> SlotView<'a> {
-        SlotView { id: NodeId::new(99), ids, flags, degree }
+    fn window<'a>(ids: &'a mut [u32], degree: &'a mut u32) -> SlotView<'a> {
+        SlotView { id: NodeId::new(99), ids, degree }
     }
 
     fn config() -> SfConfig {
@@ -311,10 +311,9 @@ mod tests {
     #[test]
     fn push_only_keeps_the_view_intact() {
         let mut ids = [1, 2, EMPTY_SLOT, EMPTY_SLOT];
-        let mut flags = [0u8; 4];
         let mut degree = 2u32;
         let mut rng = StdRng::seed_from_u64(1);
-        let view = window(&mut ids, &mut flags, &mut degree);
+        let view = window(&mut ids, &mut degree);
         let (_, msg) = PushOnlyBehavior.initiate(config(), view, &mut rng).unwrap();
         assert_eq!(degree, 2, "push-only never removes ids");
         assert_eq!(msg.sender, NodeId::new(99), "reinforcement: own id rides as sender");
@@ -324,10 +323,9 @@ mod tests {
     #[test]
     fn push_pull_replies_with_copies() {
         let mut ids = [3, 4, 5, EMPTY_SLOT];
-        let mut flags = [0u8; 4];
         let mut degree = 3u32;
         let mut rng = StdRng::seed_from_u64(2);
-        let view = window(&mut ids, &mut flags, &mut degree);
+        let view = window(&mut ids, &mut degree);
         let push = IdBatch::new(NodeId::new(7), KIND_PUSH);
         let receipt = PushPullBehavior::new(2).receive(config(), view, push, &mut rng);
         let (to, reply) = receipt.reply.expect("a push triggers a pull reply");
@@ -340,11 +338,10 @@ mod tests {
     #[test]
     fn shuffle_removes_sent_ids_and_replies() {
         let mut ids = [1, 2, 3, EMPTY_SLOT];
-        let mut flags = [0u8; 4];
         let mut degree = 3u32;
         let mut rng = StdRng::seed_from_u64(3);
         let behavior = ShuffleBehavior::new(2);
-        let view = window(&mut ids, &mut flags, &mut degree);
+        let view = window(&mut ids, &mut degree);
         let (_, msg) = behavior.initiate(config(), view, &mut rng).unwrap();
         assert_eq!(degree, 1, "target + one more id left the view");
         assert_eq!(msg.len, 1, "one extra id in the request (sender rides separately)");
@@ -352,14 +349,8 @@ mod tests {
         // Deliver the request to a second window; its reply must carry
         // removed (not copied) ids.
         let mut ids_b = [10, 11, 12, 13];
-        let mut flags_b = [0u8; 4];
         let mut degree_b = 4u32;
-        let view_b = SlotView {
-            id: NodeId::new(50),
-            ids: &mut ids_b,
-            flags: &mut flags_b,
-            degree: &mut degree_b,
-        };
+        let view_b = SlotView { id: NodeId::new(50), ids: &mut ids_b, degree: &mut degree_b };
         let receipt = behavior.receive(config(), view_b, msg, &mut rng);
         let (_, reply) = receipt.reply.expect("a request triggers a reply");
         assert_eq!(reply.kind, KIND_SHUFFLE_REPLY);
@@ -378,9 +369,8 @@ mod tests {
             ("never stores the node's own id", [EMPTY_SLOT; 2], 99, Some(1), 1, 1),
         ];
         for (case, mut ids, sender, payload, want_degree, holds) in cases {
-            let mut flags = [0u8; 2];
             let mut degree = ids.iter().filter(|&&id| id != EMPTY_SLOT).count() as u32;
-            let view = window(&mut ids, &mut flags, &mut degree);
+            let view = window(&mut ids, &mut degree);
             let mut msg = IdBatch::new(NodeId::new(sender), KIND_PUSH);
             if let Some(payload) = payload {
                 msg.push(NodeId::new(payload), false);
@@ -394,12 +384,11 @@ mod tests {
     #[test]
     fn empty_views_self_loop() {
         let mut ids = [EMPTY_SLOT; 4];
-        let mut flags = [0u8; 4];
         let mut degree = 0u32;
         let mut rng = StdRng::seed_from_u64(4);
-        let view = window(&mut ids, &mut flags, &mut degree);
+        let view = window(&mut ids, &mut degree);
         assert!(ShuffleBehavior::new(2).initiate(config(), view, &mut rng).is_none());
-        let view = window(&mut ids, &mut flags, &mut degree);
+        let view = window(&mut ids, &mut degree);
         assert!(PushOnlyBehavior.initiate(config(), view, &mut rng).is_none());
         assert_eq!(degree, 0);
     }

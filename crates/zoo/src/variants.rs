@@ -22,7 +22,8 @@
 //!
 //! Each is vanilla S&F over a [`SlotView`] window with one rule changed:
 //! the same slot draws, with empty slots marked by the arena's
-//! [`EMPTY_SLOT`] sentinel and tombstones by the [`FLAG_TOMBSTONE`] bit.
+//! [`EMPTY_SLOT`](sandf_sim::EMPTY_SLOT) sentinel and tombstones by the
+//! [`FLAG_TOMBSTONE`] bit, read and written through the view's accessors.
 //! The vanilla protocol needs no re-expression — it *is* [`SfBehavior`].
 //!
 //! Wire format: [`IdBatch`] with per-payload dependence bits; the
@@ -53,8 +54,7 @@ use rand::seq::index::sample;
 use rand::Rng;
 use sandf_core::{NodeId, SfConfig};
 use sandf_sim::{
-    slot_word, IdBatch, ProtocolBehavior, Receipt, SfBehavior, SlotView, EMPTY_SLOT,
-    FLAG_DEPENDENT, FLAG_TOMBSTONE,
+    IdBatch, ProtocolBehavior, Receipt, SfBehavior, SlotView, FLAG_DEPENDENT, FLAG_TOMBSTONE,
 };
 
 /// [`IdBatch::kind`] for a send whose transmitted instances were cleansed
@@ -179,23 +179,21 @@ impl ProtocolBehavior for ReplaceBehavior {
 pub struct UndeleteBehavior;
 
 impl UndeleteBehavior {
-    fn is_tombstone(ids: &[u32], flags: &[u8], off: usize) -> bool {
-        ids[off] != EMPTY_SLOT && flags[off] & FLAG_TOMBSTONE != 0
+    fn is_tombstone(view: &SlotView<'_>, off: usize) -> bool {
+        view.id_at(off).is_some() && view.flags_at(off) & FLAG_TOMBSTONE != 0
     }
 
     /// Restores one tombstone chosen uniformly at random, excluding the
     /// just-sent pair (falling back to it when the reservoir is otherwise
     /// empty — plain duplication).
     fn undelete_one(view: &mut SlotView<'_>, exclude: (usize, usize), rng: &mut impl Rng) -> bool {
-        let candidates: Vec<usize> = (0..view.ids.len())
-            .filter(|&k| {
-                Self::is_tombstone(view.ids, view.flags, k) && k != exclude.0 && k != exclude.1
-            })
+        let candidates: Vec<usize> = (0..view.len())
+            .filter(|&k| Self::is_tombstone(view, k) && k != exclude.0 && k != exclude.1)
             .collect();
         let pick = if candidates.is_empty() {
             let fallback: Vec<usize> = [exclude.0, exclude.1]
                 .into_iter()
-                .filter(|&k| Self::is_tombstone(view.ids, view.flags, k))
+                .filter(|&k| Self::is_tombstone(view, k))
                 .collect();
             if fallback.is_empty() {
                 return false;
@@ -206,7 +204,8 @@ impl UndeleteBehavior {
         };
         // An undeleted instance is a stale copy of an id that was sent
         // away: label it dependent (Section 2 accounting).
-        view.flags[pick] = FLAG_DEPENDENT;
+        let id = view.id_at(pick).expect("a tombstone keeps its id");
+        view.set(pick, id, FLAG_DEPENDENT);
         *view.degree += 1;
         true
     }
@@ -214,12 +213,10 @@ impl UndeleteBehavior {
     /// Stores one entry: a random empty slot first, a reclaimed tombstone
     /// second, deletion (false) when fully live.
     fn store(view: &mut SlotView<'_>, id: NodeId, dependent: bool, rng: &mut impl Rng) -> bool {
-        let empties: Vec<usize> =
-            (0..view.ids.len()).filter(|&k| view.ids[k] == EMPTY_SLOT).collect();
+        let empties: Vec<usize> = (0..view.len()).filter(|&k| view.id_at(k).is_none()).collect();
         let target = if empties.is_empty() {
-            let tombs: Vec<usize> = (0..view.ids.len())
-                .filter(|&k| Self::is_tombstone(view.ids, view.flags, k))
-                .collect();
+            let tombs: Vec<usize> =
+                (0..view.len()).filter(|&k| Self::is_tombstone(view, k)).collect();
             if tombs.is_empty() {
                 return false; // fully live: delete, as vanilla S&F would
             }
@@ -227,8 +224,7 @@ impl UndeleteBehavior {
         } else {
             empties[rng.gen_range(0..empties.len())]
         };
-        view.ids[target] = slot_word(id);
-        view.flags[target] = dep_flag(dependent);
+        view.set(target, id, dep_flag(dependent));
         *view.degree += 1;
         true
     }
@@ -248,29 +244,25 @@ impl ProtocolBehavior for UndeleteBehavior {
     fn initiate<R: Rng>(
         &self,
         config: SfConfig,
-        view: SlotView<'_>,
+        mut view: SlotView<'_>,
         rng: &mut R,
     ) -> Option<(NodeId, IdBatch)> {
-        let SlotView { id, ids, flags, degree } = view;
-        let (i, j) = draw_pair(ids.len(), rng);
-        let live = |k: usize| ids[k] != EMPTY_SLOT && flags[k] & FLAG_TOMBSTONE == 0;
-        if !live(i) || !live(j) {
+        let (i, j) = draw_pair(view.len(), rng);
+        if !view.is_live(i) || !view.is_live(j) {
             return None;
         }
-        let target = NodeId::new(u64::from(ids[i]));
-        let payload = NodeId::new(u64::from(ids[j]));
-        let compensate = (*degree as usize) <= config.lower_threshold();
+        let (target, payload) = (view.id_at(i)?, view.id_at(j)?);
+        let compensate = (*view.degree as usize) <= config.lower_threshold();
         // Tombstone instead of clearing: the entries stay as a reservoir.
-        flags[i] |= FLAG_TOMBSTONE;
-        flags[j] |= FLAG_TOMBSTONE;
-        *degree -= 2;
+        view.set(i, target, view.flags_at(i) | FLAG_TOMBSTONE);
+        view.set(j, payload, view.flags_at(j) | FLAG_TOMBSTONE);
+        *view.degree -= 2;
         if compensate {
-            let mut view = SlotView { id, ids, flags, degree };
             let first = Self::undelete_one(&mut view, (i, j), rng);
             let second = Self::undelete_one(&mut view, (i, j), rng);
             debug_assert!(first && second, "the just-sent entries guarantee fallbacks");
         }
-        let mut msg = IdBatch::new(id, kind_of(compensate));
+        let mut msg = IdBatch::new(view.id, kind_of(compensate));
         msg.push(payload, compensate);
         Some((target, msg))
     }
@@ -345,58 +337,51 @@ impl ProtocolBehavior for BatchedBehavior {
     fn initiate<R: Rng>(
         &self,
         config: SfConfig,
-        view: SlotView<'_>,
+        mut view: SlotView<'_>,
         rng: &mut R,
     ) -> Option<(NodeId, IdBatch)> {
-        let SlotView { id, ids, flags, degree } = view;
         debug_assert!(
             self.batch < config.view_size() - config.lower_threshold(),
             "batch too large for the degree band"
         );
-        let picks = sample(rng, ids.len(), self.batch + 1).into_vec();
-        if picks.iter().any(|&k| ids[k] == EMPTY_SLOT) {
-            return None;
-        }
-        let target = NodeId::new(u64::from(ids[picks[0]]));
+        let picks = sample(rng, view.len(), self.batch + 1).into_vec();
+        // The target and the payload ids, read before any clearing.
+        let ids = picks.iter().map(|&k| view.id_at(k)).collect::<Option<Vec<NodeId>>>()?;
         // Clearing 1 + b entries must not cross d_L.
-        let duplicated = (*degree as usize) < config.lower_threshold() + self.batch + 1;
-        // Read the payload ids before any clearing.
-        let mut msg = IdBatch::new(id, kind_of(duplicated));
-        for &k in &picks[1..] {
-            msg.push(NodeId::new(u64::from(ids[k])), duplicated);
+        let duplicated = (*view.degree as usize) < config.lower_threshold() + self.batch + 1;
+        let mut msg = IdBatch::new(view.id, kind_of(duplicated));
+        for &payload in &ids[1..] {
+            msg.push(payload, duplicated);
         }
         if !duplicated {
             for &k in &picks {
-                ids[k] = EMPTY_SLOT;
-                flags[k] = 0;
+                view.clear(k);
             }
-            *degree -= (self.batch + 1) as u32;
+            *view.degree -= (self.batch + 1) as u32;
         }
-        Some((target, msg))
+        Some((ids[0], msg))
     }
 
     fn receive<R: Rng>(
         &self,
         _config: SfConfig,
-        view: SlotView<'_>,
+        mut view: SlotView<'_>,
         msg: IdBatch,
         rng: &mut R,
     ) -> Receipt<IdBatch> {
-        let SlotView { id: _, ids, flags, degree } = view;
         let arriving = 1 + msg.len as usize;
-        if ids.len() - (*degree as usize) < arriving {
+        if view.len() - (*view.degree as usize) < arriving {
             return Receipt::deleted();
         }
-        let empties: Vec<usize> = (0..ids.len()).filter(|&k| ids[k] == EMPTY_SLOT).collect();
+        let empties: Vec<usize> = (0..view.len()).filter(|&k| view.id_at(k).is_none()).collect();
         let chosen = sample(rng, empties.len(), arriving).into_vec();
         let mut entries = Vec::with_capacity(arriving);
         entries.push((msg.sender, msg.kind == KIND_DEPENDENT_SEND));
         entries.extend(msg.entries());
         for (&slot_pick, (id, dependent)) in chosen.iter().zip(entries) {
-            ids[empties[slot_pick]] = slot_word(id);
-            flags[empties[slot_pick]] = dep_flag(dependent);
+            view.set(empties[slot_pick], id, dep_flag(dependent));
         }
-        *degree += arriving as u32;
+        *view.degree += arriving as u32;
         Receipt::stored()
     }
 
@@ -413,6 +398,7 @@ impl ProtocolBehavior for BatchedBehavior {
 mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use sandf_sim::EMPTY_SLOT;
 
     use super::*;
 
@@ -435,48 +421,47 @@ mod tests {
         SfConfig::new(8, 2).unwrap()
     }
 
-    /// One node's arena window, owned so a case can lend out [`SlotView`]s.
+    /// One node's arena window, owned so a case can lend out [`SlotView`]s;
+    /// its slots are written and read through the view's accessors.
     struct Window {
         ids: Vec<u32>,
-        flags: Vec<u8>,
         degree: u32,
     }
 
     impl Window {
         fn new(slots: &[Slot]) -> Self {
-            let mut window = Self {
-                ids: slots.iter().map(|slot| slot.0).collect(),
-                flags: slots.iter().map(|slot| slot.1).collect(),
-                degree: 0,
-            };
+            let mut window = Self { ids: vec![EMPTY_SLOT; slots.len()], degree: 0 };
+            let mut view = window.view();
+            for (off, &(id, flags)) in slots.iter().enumerate().filter(|(_, slot)| slot.0 != E.0) {
+                view.set(off, NodeId::new(id.into()), flags);
+            }
             window.degree = window.visible().len() as u32;
             window
         }
 
         fn view(&mut self) -> SlotView<'_> {
-            SlotView {
-                id: NodeId::new(0),
-                ids: &mut self.ids,
-                flags: &mut self.flags,
-                degree: &mut self.degree,
-            }
+            SlotView { id: NodeId::new(0), ids: &mut self.ids, degree: &mut self.degree }
         }
 
-        fn slots(&self) -> impl Iterator<Item = Slot> + '_ {
-            self.ids.iter().copied().zip(self.flags.iter().copied())
+        fn slots(&mut self) -> Vec<Slot> {
+            let view = self.view();
+            let slot = |k| view.id_at(k).map_or(E, |id| (id.as_u64() as u32, view.flags_at(k)));
+            (0..view.len()).map(slot).collect()
         }
 
         /// The live entries, flags included.
-        fn visible(&self) -> Vec<Slot> {
-            self.slots().filter(|&(id, f)| id != EMPTY_SLOT && f & FLAG_TOMBSTONE == 0).collect()
+        fn visible(&mut self) -> Vec<Slot> {
+            let slots = self.slots().into_iter();
+            slots.filter(|&(id, f)| id != EMPTY_SLOT && f & FLAG_TOMBSTONE == 0).collect()
         }
 
-        fn tombstones(&self) -> usize {
-            self.slots().filter(|&(id, f)| id != EMPTY_SLOT && f & FLAG_TOMBSTONE != 0).count()
+        fn tombstones(&mut self) -> usize {
+            let slots = self.slots().into_iter();
+            slots.filter(|&(id, f)| id != EMPTY_SLOT && f & FLAG_TOMBSTONE != 0).count()
         }
 
         /// Checks the ledger against the slots, then the case's expectation.
-        fn expect(&self, name: &str, degree: u32, tombstones: usize, holds: &[Slot]) {
+        fn expect(&mut self, name: &str, degree: u32, tombstones: usize, holds: &[Slot]) {
             let visible = self.visible();
             assert_eq!(self.degree as usize, visible.len(), "{name}: degree ledger drifted");
             assert_eq!(self.degree, degree, "{name}: live outdegree");

@@ -121,15 +121,27 @@ fn enumerate<T: PartialEq>(
     out
 }
 
-fn lump(ids: &[u32], flags: &[u8]) -> View {
-    let entries = ids.iter().zip(flags).filter(|&(&word, _)| word != EMPTY_SLOT);
-    let mut view: View = entries.map(|(&word, &f)| (word, f & FLAG_TOMBSTONE != 0)).collect();
+fn lump(entries: impl Iterator<Item = (u32, bool)>) -> View {
+    let mut view: View = entries.collect();
     view.sort_unstable();
     view
 }
 
+/// A window's non-empty slots, read through the view's accessors.
+fn lump_window(ids: &mut [u32]) -> View {
+    let view = SlotView { id: NodeId::new(0), ids, degree: &mut 0 };
+    let entry =
+        |k| view.id_at(k).map(|id| (id.as_u64() as u32, view.flags_at(k) & FLAG_TOMBSTONE != 0));
+    lump((0..view.len()).filter_map(entry))
+}
+
+/// Bare id words (a start view, or a row the engine hands out), lumped.
+fn lump_words(words: &[u32]) -> View {
+    lump(words.iter().map(|&word| (word, false)))
+}
+
 fn state(views: &[&[u32]]) -> State {
-    views.iter().map(|v| lump(v, &vec![0; v.len()])).collect()
+    views.iter().copied().map(lump_words).collect()
 }
 
 fn ids(view: &[u32]) -> Vec<NodeId> {
@@ -142,13 +154,15 @@ fn ids(view: &[u32]) -> Vec<NodeId> {
 struct Node;
 
 impl Node {
-    fn step<T>(config: SfConfig, view: SlotView<'_>, act: impl FnOnce(&mut SfNode) -> T) -> T {
-        let entry = |word| (word != EMPTY_SLOT).then(|| Entry::independent(u64::from(word).into()));
-        let slots = view.ids.iter().map(|&word| entry(word)).collect();
+    fn step<T>(config: SfConfig, mut view: SlotView<'_>, act: impl FnOnce(&mut SfNode) -> T) -> T {
+        let slots = (0..view.len()).map(|k| view.id_at(k).map(Entry::independent)).collect();
         let mut node = SfNode::from_view(view.id, config, LocalView::from_slots(slots));
         let out = act(&mut node);
         for (off, slot) in node.view().slots().enumerate() {
-            view.ids[off] = slot.map_or(EMPTY_SLOT, |e| e.id.as_u64() as u32);
+            match slot {
+                Some(entry) => view.set(off, entry.id, 0),
+                None => view.clear(off),
+            }
         }
         *view.degree = node.out_degree() as u32;
         out
@@ -205,14 +219,14 @@ impl<B: ProtocolBehavior> Law<B> {
 
     /// Runs `act` on node `u`'s window rebuilt from `view`.
     fn window<T>(&self, u: usize, view: &View, act: impl FnOnce(SlotView<'_>) -> T) -> (View, T) {
-        let mut ids: Vec<u32> = view.iter().map(|e| e.0).collect();
-        let mut flags: Vec<u8> = view.iter().map(|e| u8::from(e.1) * FLAG_TOMBSTONE).collect();
+        let mut ids = vec![EMPTY_SLOT; self.s];
         let mut degree = view.iter().filter(|e| !e.1).count() as u32;
-        ids.resize(self.s, EMPTY_SLOT);
-        flags.resize(self.s, 0);
-        let id = NodeId::new(u as u64);
-        let out = act(SlotView { id, ids: &mut ids, flags: &mut flags, degree: &mut degree });
-        (lump(&ids, &flags), out)
+        let mut window = SlotView { id: NodeId::new(u as u64), ids: &mut ids, degree: &mut degree };
+        for (off, &(word, tombstoned)) in view.iter().enumerate() {
+            window.set(off, NodeId::new(word.into()), u8::from(tombstoned) * FLAG_TOMBSTONE);
+        }
+        let out = act(window);
+        (lump_window(&mut ids), out)
     }
 
     /// Node `u`'s steps from `view`: its initiation (`msg` = `None`) or
@@ -361,11 +375,11 @@ struct Watched<B> {
 
 impl<B: ProtocolBehavior> Watched<B> {
     fn watch<T>(&self, view: SlotView<'_>, act: impl FnOnce(SlotView<'_>) -> T) -> T {
-        let SlotView { id, ids, flags, degree } = view;
+        let SlotView { id, ids, degree } = view;
         let node = id.as_u64() as usize;
-        assert_eq!(lump(ids, flags), self.state.lock().unwrap()[node], "{id}'s window moved");
-        let out = act(SlotView { id, ids: &mut *ids, flags: &mut *flags, degree: &mut *degree });
-        let after = lump(ids, flags);
+        assert_eq!(lump_window(ids), self.state.lock().unwrap()[node], "{id}'s window moved");
+        let out = act(SlotView { id, ids: &mut *ids, degree: &mut *degree });
+        let after = lump_window(ids);
         assert_eq!(*degree as usize, after.iter().filter(|e| !e.1).count(), "{id}'s degree");
         self.state.lock().unwrap()[node] = after;
         out
@@ -455,7 +469,7 @@ fn assert_engine_follows_the_law<B: ProtocolBehavior>(
             let y = watched.state.lock().unwrap().clone();
             sim.for_each_live_row(|_| true, &mut |owner, words| {
                 let visible: View = y[owner as usize].iter().filter(|e| !e.1).copied().collect();
-                assert_eq!(lump(words, &vec![0; words.len()]), visible, "{label}: row of {owner}");
+                assert_eq!(lump_words(words), visible, "{label}: row of {owner}");
             });
             let (row, counts) = rows.entry(x.clone()).or_insert_with(|| (law.row(&x), Vec::new()));
             counts.resize(row.len(), 0);
